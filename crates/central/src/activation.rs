@@ -36,6 +36,11 @@ pub struct ActivationConfig {
 }
 
 impl ActivationConfig {
+    /// The mapping inputs a query's `params` carry (`α` and `A`).
+    pub fn for_params(params: &crate::SearchParams) -> Self {
+        ActivationConfig { alpha: params.alpha, average_distance: params.average_distance }
+    }
+
     /// Minimum activation level for a normalized weight `w ∈ [0, 1]`
     /// (Eqs. 3–5). The result is clamped to `[0, 254]` so that `255`
     /// remains the ∞ sentinel of the hitting-level matrix.
@@ -72,6 +77,15 @@ pub enum ActivationMap<'g> {
 }
 
 impl<'g> ActivationMap<'g> {
+    /// The oracle a query's `params` ask for over `graph`: the explicit
+    /// table if one was supplied, else Eqs. 3–5 from `α` and `A`.
+    pub fn for_params(graph: &'g KnowledgeGraph, params: &'g crate::SearchParams) -> Self {
+        match &params.explicit_activation {
+            Some(levels) => ActivationMap::Explicit(levels),
+            None => ActivationMap::Computed { graph, config: ActivationConfig::for_params(params) },
+        }
+    }
+
     /// Minimum activation level of `v`.
     #[inline]
     pub fn level(&self, v: NodeId) -> u8 {

@@ -26,9 +26,10 @@
 //! * identification per lane is the sequential scan — the solo parallel
 //!   engines sort their identification output, so all engines agree on
 //!   ascending order;
-//! * the expansion kernels are verbatim lane-indexed ports of
-//!   [`crate::bottom_up`]'s, and Theorem V.2 makes their scheduling
-//!   irrelevant within a level;
+//! * the expansion kernel is [`crate::bottom_up`]'s own — generic over
+//!   the cell layout, instantiated for a lane's [`LaneView`] — each lane's
+//!   bookkeeping is the driver's [`crate::bottom_up::LevelRun`], and
+//!   Theorem V.2 makes the kernel's scheduling irrelevant within a level;
 //! * budget trackers are per-lane, so each lane charges exactly the units
 //!   the solo run charges, in the same per-frontier order.
 //!
@@ -46,17 +47,15 @@
 //! mid-sweep fails only its own lane at that lane's next checkpoint.
 
 use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{LevelTrace, TerminationReason};
+use crate::bottom_up::{self, ExpandCtx, LevelRun, PreFlight};
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
 use crate::metrics::{Counter, HistogramSnapshot, LogHistogram};
-use crate::model::{CentralGraph, INFINITE_LEVEL};
-use crate::profile::PhaseProfile;
+use crate::model::INFINITE_LEVEL;
 use crate::shard::{ShardBackend, ShardedSearch};
-use crate::state::HitLevels;
+use crate::state::{Cells, HitLevels};
 use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use std::any::Any;
@@ -323,38 +322,6 @@ impl BatchState {
         lane * self.n + v as usize
     }
 
-    /// Hitting level `M[v][lane][i]` (255 = not yet hit).
-    #[inline]
-    pub fn hit(&self, v: u32, lane: usize, i: usize) -> u8 {
-        self.matrix[self.cell(v, lane, i)].load(Ordering::Relaxed)
-    }
-
-    /// Record a hit for lane `lane`: racing writers store the same byte
-    /// (Theorem V.2), so a plain store suffices.
-    #[inline]
-    pub fn set_hit(&self, v: u32, lane: usize, i: usize, level: u8) {
-        self.matrix[self.cell(v, lane, i)].store(level, Ordering::Relaxed);
-    }
-
-    /// `true` if lane `lane` has hit `v` in every BFS instance (Def. 3).
-    #[inline]
-    pub fn row_complete(&self, v: u32, lane: usize) -> bool {
-        let base = self.cell(v, lane, 0);
-        let q = self.lane_keywords(lane);
-        self.matrix[base..base + q]
-            .iter()
-            .all(|m| m.load(Ordering::Relaxed) != INFINITE_LEVEL)
-    }
-
-    /// Set lane `lane`'s frontier bit on `v`. Concurrent markers land on
-    /// the same word, so this is an atomic OR: bits from racing lanes
-    /// merge losslessly, and re-marking is idempotent (Theorem V.2's
-    /// argument — the final word is order-independent).
-    #[inline]
-    pub fn mark_frontier(&self, v: u32, lane: usize) {
-        self.frontier[v as usize].fetch_or(1 << lane, Ordering::Relaxed);
-    }
-
     /// Read and clear the whole lane mask on `v`. The load-then-swap
     /// shape keeps the common empty-node case a plain read; the enqueue
     /// scan is the only taker and runs between expansions, so nothing
@@ -369,131 +336,68 @@ impl BatchState {
         }
     }
 
-    /// `true` if lane `lane` identified `v` as a Central Node.
-    #[inline]
-    pub fn is_central(&self, v: u32, lane: usize) -> bool {
-        self.central[self.flag(v, lane)].load(Ordering::Relaxed) != 0
-    }
-
-    /// Mark `v` central for lane `lane`, identified at `depth`.
-    #[inline]
-    pub fn mark_central(&self, v: u32, lane: usize, depth: u8) {
-        debug_assert!(depth < u8::MAX);
-        self.central[self.flag(v, lane)].store(depth + 1, Ordering::Relaxed);
-    }
-
-    /// The identification depth of `v` in lane `lane`, if central.
-    #[inline]
-    pub fn central_depth(&self, v: u32, lane: usize) -> Option<u8> {
-        match self.central[self.flag(v, lane)].load(Ordering::Relaxed) {
-            0 => None,
-            d => Some(d - 1),
-        }
-    }
-
-    /// `true` if `v` holds at least one of lane `lane`'s query keywords.
-    #[inline]
-    pub fn is_keyword_node(&self, v: u32, lane: usize) -> bool {
-        self.is_keyword[lane * self.kw_words + v as usize / 64] >> (v % 64) & 1 != 0
+    /// Lane `lane` of this state through the single-query lens.
+    pub fn lane(&self, lane: usize) -> LaneView<'_> {
+        LaneView { state: self, lane }
     }
 }
 
-/// One lane of a [`BatchState`] through the single-query [`HitLevels`]
-/// lens — what the unchanged top-down extractor reads.
+/// One lane of a [`BatchState`] as a single query's cells: what the
+/// shared kernel writes ([`Cells`]) and the unchanged top-down extractor
+/// reads ([`HitLevels`]).
+#[derive(Clone, Copy)]
 pub struct LaneView<'a> {
     state: &'a BatchState,
     lane: usize,
 }
 
 impl HitLevels for LaneView<'_> {
+    #[inline]
     fn num_keywords(&self) -> usize {
         self.state.lane_keywords(self.lane)
     }
+    #[inline]
     fn hit(&self, v: u32, i: usize) -> u8 {
-        self.state.hit(v, self.lane, i)
+        self.state.matrix[self.state.cell(v, self.lane, i)].load(Ordering::Relaxed)
     }
+    #[inline]
     fn is_keyword_node(&self, v: u32) -> bool {
-        self.state.is_keyword_node(v, self.lane)
+        let s = self.state;
+        s.is_keyword[self.lane * s.kw_words + v as usize / 64] >> (v % 64) & 1 != 0
     }
+    #[inline]
     fn central_depth(&self, v: u32) -> Option<u8> {
-        self.state.central_depth(v, self.lane)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane-indexed expansion kernels (verbatim ports of crate::bottom_up)
-// ---------------------------------------------------------------------------
-
-/// Everything one lane's expansion step needs.
-#[derive(Clone, Copy)]
-struct LaneCtx<'a> {
-    graph: &'a KnowledgeGraph,
-    act: &'a ActivationMap<'a>,
-    state: &'a BatchState,
-    budget: &'a BudgetTracker,
-    lane: usize,
-    q: usize,
-}
-
-/// Expand one frontier node across all of one lane's BFS instances —
-/// [`crate::bottom_up::expand_frontier`] with lane-indexed state.
-#[inline]
-fn expand_lane_frontier(ctx: &LaneCtx<'_>, f: u32, level: u8) {
-    if ctx.budget.cancelled() {
-        return;
-    }
-    ctx.budget.charge(ctx.q as u64);
-    if ctx.state.is_central(f, ctx.lane) {
-        return;
-    }
-    let vf = NodeId(f);
-    if ctx.act.level(vf) > level {
-        ctx.state.mark_frontier(f, ctx.lane);
-        return;
-    }
-    for i in 0..ctx.q {
-        expand_lane_instance(ctx, f, vf, i, level);
-    }
-}
-
-/// Expand one `(frontier, instance)` pair of one lane —
-/// [`crate::bottom_up::expand_work_item`] with lane-indexed state.
-#[inline]
-fn expand_lane_work_item(ctx: &LaneCtx<'_>, f: u32, i: usize, level: u8) {
-    if ctx.budget.cancelled() {
-        return;
-    }
-    ctx.budget.charge(1);
-    if ctx.state.is_central(f, ctx.lane) {
-        return;
-    }
-    let vf = NodeId(f);
-    if ctx.act.level(vf) > level {
-        ctx.state.mark_frontier(f, ctx.lane);
-        return;
-    }
-    expand_lane_instance(ctx, f, vf, i, level);
-}
-
-/// Inner loop shared by both granularities (Alg. 2 lines 8–22, one lane).
-#[inline]
-fn expand_lane_instance(ctx: &LaneCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
-    let state = ctx.state;
-    let hf = state.hit(f, ctx.lane, i);
-    if hf > level {
-        return; // includes the ∞ sentinel
-    }
-    for adj in ctx.graph.neighbors(vf) {
-        let n = adj.target().0;
-        if state.hit(n, ctx.lane, i) != INFINITE_LEVEL {
-            continue;
+        match self.state.central[self.state.flag(v, self.lane)].load(Ordering::Relaxed) {
+            0 => None,
+            d => Some(d - 1),
         }
-        if !state.is_keyword_node(n, ctx.lane) && ctx.act.level(adj.target()) > level + 1 {
-            state.mark_frontier(f, ctx.lane);
-            continue;
-        }
-        state.set_hit(n, ctx.lane, i, level + 1);
-        state.mark_frontier(n, ctx.lane);
+    }
+}
+
+impl Cells for LaneView<'_> {
+    #[inline]
+    fn set_hit(&self, v: u32, i: usize, level: u8) {
+        self.state.matrix[self.state.cell(v, self.lane, i)].store(level, Ordering::Relaxed);
+    }
+    #[inline]
+    fn row_complete(&self, v: u32) -> bool {
+        let base = self.state.cell(v, self.lane, 0);
+        self.state.matrix[base..base + self.num_keywords()]
+            .iter()
+            .all(|m| m.load(Ordering::Relaxed) != INFINITE_LEVEL)
+    }
+    /// Concurrent markers land on the same word, so this is an atomic OR:
+    /// bits from racing lanes merge losslessly, and re-marking is
+    /// idempotent (Theorem V.2's argument — the final word is
+    /// order-independent).
+    #[inline]
+    fn mark_frontier(&self, v: u32) {
+        self.state.frontier[v as usize].fetch_or(1 << self.lane, Ordering::Relaxed);
+    }
+    #[inline]
+    fn mark_central(&self, v: u32, depth: u8) {
+        debug_assert!(depth < u8::MAX);
+        self.state.central[self.state.flag(v, self.lane)].store(depth + 1, Ordering::Relaxed);
     }
 }
 
@@ -501,51 +405,26 @@ fn expand_lane_instance(ctx: &LaneCtx<'_>, f: u32, vf: NodeId, i: usize, level: 
 // The fused multi-query sweep
 // ---------------------------------------------------------------------------
 
-/// Where a lane stands during the fused sweep.
-enum LaneStatus {
-    /// Still expanding.
-    Running,
-    /// Bottom-up finished; top-down still owed.
-    Finished(TerminationReason),
-    /// Budget tripped; the error is the lane's verdict.
-    Failed(SearchError),
-}
-
-/// The per-lane mutable run state of one fused sweep.
+/// One lane of a fused sweep: the query's [`LevelRun`] plus what the
+/// lane's kernel reads.
 struct LaneRun<'a> {
     /// Index into the submitted request slice (demux address).
     slot: usize,
     /// Lane index inside the [`BatchState`].
     lane: usize,
-    query: &'a ParsedQuery,
-    params: &'a SearchParams,
     act: ActivationMap<'a>,
-    tracker: BudgetTracker,
-    q: usize,
-    max_level: u8,
-    profile: PhaseProfile,
+    tracker: &'a BudgetTracker,
+    run: LevelRun<'a>,
     frontiers: Vec<u32>,
-    newly: Vec<u32>,
-    central_nodes: Vec<(NodeId, u8)>,
-    peak_frontier: usize,
-    trace: Vec<LevelTrace>,
-    records: Option<Vec<TraceLevelRecord>>,
-    last_level: u8,
-    status: LaneStatus,
+    /// A budget trip at a level checkpoint: the lane's verdict.
+    failed: Option<SearchError>,
 }
 
 impl LaneRun<'_> {
+    /// Still expanding: neither failed nor terminated.
     fn running(&self) -> bool {
-        matches!(self.status, LaneStatus::Running)
+        self.failed.is_none() && self.run.terminated().is_none()
     }
-}
-
-/// Per-lane pre-flight verdict.
-enum PreFlight {
-    /// Short-circuited before the sweep (empty query, early budget trip).
-    Short(Result<SearchOutcome, SearchError>),
-    /// Armed and ready to join the fused sweep.
-    Join(BudgetTracker),
 }
 
 /// Executes batches of queries as fused multi-query sweeps on a leased
@@ -636,13 +515,13 @@ impl BatchExecutor {
         let mut joiners: Vec<(usize, BudgetTracker)> = Vec::with_capacity(co);
         for (slot, req) in requests.iter().enumerate() {
             let name = self.backend.base_name();
-            match catch_unwind(AssertUnwindSafe(|| pre_flight(graph, req, name))) {
+            match catch_unwind(AssertUnwindSafe(|| lane_pre_flight(graph, req, name))) {
                 Err(payload) => results[slot] = Some(LaneOutcome::Panicked(payload)),
-                Ok(PreFlight::Short(verdict)) => {
+                Ok(PreFlight::Done(verdict)) => {
                     let verdict = verdict.map(|out| annotate(out, batch_id, co));
                     results[slot] = Some(LaneOutcome::Done(verdict));
                 }
-                Ok(PreFlight::Join(tracker)) => joiners.push((slot, tracker)),
+                Ok(PreFlight::Run(tracker)) => joiners.push((slot, tracker)),
             }
         }
 
@@ -671,10 +550,7 @@ impl BatchExecutor {
                     }
                     let key = (p.alpha.to_bits(), p.average_distance.to_bits());
                     if !act_tables.iter().any(|(k, _)| *k == key) {
-                        let config = ActivationConfig {
-                            alpha: p.alpha,
-                            average_distance: p.average_distance,
-                        };
+                        let config = ActivationConfig::for_params(p);
                         let table = (0..graph.num_nodes() as u32)
                             .map(|v| config.level_for_weight(graph.weight(NodeId(v))))
                             .collect();
@@ -685,57 +561,48 @@ impl BatchExecutor {
             let init = t.elapsed();
 
             let mut lanes: Vec<LaneRun<'_>> = joiners
-                .into_iter()
+                .iter()
                 .enumerate()
                 .map(|(lane, (slot, tracker))| {
-                    let req = &requests[slot];
-                    let act = match &req.params.explicit_activation {
-                        Some(levels) => ActivationMap::Explicit(levels),
-                        None => {
-                            let key =
-                                (req.params.alpha.to_bits(), req.params.average_distance.to_bits());
-                            match act_tables.iter().find(|(k, _)| *k == key) {
-                                Some((_, table)) => ActivationMap::Explicit(table),
-                                None => ActivationMap::Computed {
-                                    graph,
-                                    config: ActivationConfig {
-                                        alpha: req.params.alpha,
-                                        average_distance: req.params.average_distance,
-                                    },
-                                },
-                            }
+                    let params = &requests[*slot].params;
+                    let key = (params.alpha.to_bits(), params.average_distance.to_bits());
+                    let act = match act_tables.iter().find(|(k, _)| *k == key) {
+                        Some((_, table)) if params.explicit_activation.is_none() => {
+                            ActivationMap::Explicit(table)
                         }
+                        _ => ActivationMap::for_params(graph, params),
                     };
-                    let profile = PhaseProfile { init, ..PhaseProfile::default() };
+                    let mut run = LevelRun::new(params, tracker);
+                    run.profile.init = init;
                     LaneRun {
-                        slot,
+                        slot: *slot,
                         lane,
-                        query: &req.query,
-                        params: &req.params,
                         act,
                         tracker,
-                        q: req.query.num_keywords(),
-                        max_level: req.params.max_level.min(254),
-                        profile,
+                        run,
                         frontiers: Vec::new(),
-                        newly: Vec::new(),
-                        central_nodes: Vec::new(),
-                        peak_frontier: 0,
-                        trace: Vec::new(),
-                        records: req.params.trace.enabled().then(Vec::new),
-                        last_level: 0,
-                        status: LaneStatus::Running,
+                        failed: None,
                     }
                 })
                 .collect();
 
             self.fused_sweep(graph, state, &mut lanes);
 
+            // Top-down per lane through the unchanged single-query
+            // extractor reading this lane's [`LaneView`].
+            let pool = self.backend.parallel().then_some(&self.compute);
             for lane in lanes {
-                let slot = lane.slot;
-                let verdict =
-                    self.finalize_lane(graph, state, lane).map(|out| annotate(out, batch_id, co));
-                results[slot] = Some(LaneOutcome::Done(verdict));
+                let view = state.lane(lane.lane);
+                let verdict = match lane.failed {
+                    Some(e) => Err(e),
+                    None => {
+                        lane.run.finish(self.backend.base_name(), graph, &view, pool, |c, d| {
+                            top_down::extract(graph, &lane.act, &view, c, d)
+                        })
+                    }
+                };
+                results[lane.slot] =
+                    Some(LaneOutcome::Done(verdict.map(|out| annotate(out, batch_id, co))));
             }
         }
 
@@ -749,17 +616,17 @@ impl BatchExecutor {
     /// drains every lane's frontier bits at once, then each lane runs its
     /// identification and its own expansion back to back — the lane's
     /// matrix and flag block stays cache-hot between the two touches, and
-    /// per-lane work never grows with the batch width.
+    /// per-lane work never grows with the batch width. The shared scan is
+    /// why this sweep steps its lanes' [`LevelRun`]s itself instead of
+    /// handing each to [`crate::bottom_up::drive`]; the steps, their order
+    /// and everything they decide are the driver's.
     fn fused_sweep(&self, graph: &KnowledgeGraph, state: &BatchState, lanes: &mut [LaneRun<'_>]) {
         let n = graph.num_nodes();
-        let mut level: u8 = 0;
         loop {
-            // Per-lane level checkpoint (the solo driver's `checkpoint()?`):
-            // a tripped budget fails only its own lane.
+            // Per-lane level checkpoint: a tripped budget fails only its
+            // own lane.
             for lane in lanes.iter_mut().filter(|l| l.running()) {
-                if let Err(e) = lane.tracker.checkpoint() {
-                    lane.status = LaneStatus::Failed(e);
-                }
+                lane.failed = lane.run.checkpoint().err();
             }
             let mut running: Vec<&mut LaneRun<'_>> =
                 lanes.iter_mut().filter(|l| l.running()).collect();
@@ -792,189 +659,40 @@ impl BatchExecutor {
             }
             let enqueue = t.elapsed();
 
-            // Lane-blocked identify + expand, each lane in the solo
-            // driver's exact phase order. Lanes are data-independent
-            // (disjoint matrix/flag blocks, disjoint frontier bits), so
-            // running lane B's whole level after lane A's is one of the
-            // schedules Theorem V.2 already covers.
-            let mut any_expanded = false;
-            for lane in running.iter_mut() {
-                lane.profile.enqueue += enqueue;
-                lane.peak_frontier = lane.peak_frontier.max(lane.frontiers.len());
-                let t = Instant::now();
-                if lane.frontiers.is_empty() {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::FrontierExhausted);
-                    lane.profile.identify += t.elapsed();
+            // Lane-blocked identify + expand, each lane in the driver's
+            // phase order. Lanes are data-independent (disjoint matrix/flag
+            // blocks, disjoint frontier bits), so running lane B's whole
+            // level after lane A's is one of the schedules Theorem V.2
+            // already covers; each lane's tracker sees exactly the solo
+            // charge sequence.
+            for lane in running {
+                if !lane.run.enqueued(lane.frontiers.len(), enqueue) {
                     continue;
                 }
-                lane.newly.clear();
-                for &f in &lane.frontiers {
-                    if !state.is_central(f, lane.lane) && state.row_complete(f, lane.lane) {
-                        state.mark_central(f, lane.lane, level);
-                        lane.newly.push(f);
-                    }
+                let level = lane.run.level();
+                let view = state.lane(lane.lane);
+                let t = Instant::now();
+                bottom_up::identify_sequential(&view, &lane.frontiers, level, &mut lane.run.newly);
+                let (new_hits, deferred) = if lane.run.traced() {
+                    bottom_up::observe_level(&view, &lane.act, &lane.frontiers, level)
+                } else {
+                    (0, 0)
+                };
+                if !lane.run.identified(new_hits, deferred, t.elapsed()) {
+                    continue;
                 }
-                lane.trace.push(LevelTrace {
+                let ctx = ExpandCtx { graph, act: &lane.act, state: &view, budget: lane.tracker };
+                let t = Instant::now();
+                bottom_up::expand_level(
+                    self.backend,
+                    Some(&self.compute),
+                    &ctx,
+                    &lane.frontiers,
                     level,
-                    frontier: lane.frontiers.len(),
-                    identified: lane.newly.len(),
-                });
-                if lane.records.is_some() {
-                    let rec = observe_lane_level(state, lane, level);
-                    if let Some(records) = lane.records.as_mut() {
-                        records.push(rec);
-                    }
-                }
-                let newly = std::mem::take(&mut lane.newly);
-                lane.central_nodes.extend(newly.iter().map(|&f| (NodeId(f), level)));
-                lane.newly = newly;
-                if lane.central_nodes.len() >= lane.params.top_k {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::EnoughCentralNodes);
-                } else if level >= lane.max_level {
-                    lane.last_level = level;
-                    lane.status = LaneStatus::Finished(TerminationReason::LevelCap);
-                }
-                lane.profile.identify += t.elapsed();
-                if !lane.running() {
-                    continue;
-                }
-                any_expanded = true;
-                let before = lane.records.is_some().then(|| lane.tracker.expansions());
-                let t = Instant::now();
-                self.expand_lane(graph, state, lane, level);
-                lane.profile.expansion += t.elapsed();
-                if let Some(before) = before {
-                    if let Some(last) = lane.records.as_mut().and_then(|r| r.last_mut()) {
-                        last.expansions = lane.tracker.expansions() - before;
-                        last.budget_remaining = lane.tracker.remaining();
-                    }
-                }
-            }
-            if !any_expanded {
-                // Every lane terminated or failed this level; the sweep
-                // is over.
-                break;
-            }
-            level += 1;
-        }
-    }
-
-    /// Expand one lane's frontier with the backend's kernel granularity —
-    /// the solo engine's expansion phase verbatim, against lane-indexed
-    /// state. The tracker sees exactly the solo charge sequence.
-    fn expand_lane(
-        &self,
-        graph: &KnowledgeGraph,
-        state: &BatchState,
-        lane: &LaneRun<'_>,
-        level: u8,
-    ) {
-        use rayon::prelude::*;
-        let ctx = LaneCtx {
-            graph,
-            act: &lane.act,
-            state,
-            budget: &lane.tracker,
-            lane: lane.lane,
-            q: lane.q,
-        };
-        match self.backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                for &f in &lane.frontiers {
-                    expand_lane_frontier(&ctx, f, level);
-                }
-            }
-            ShardBackend::ParCpu(_) => {
-                self.compute.install(|| {
-                    lane.frontiers.par_iter().for_each(|&f| expand_lane_frontier(&ctx, f, level))
-                });
-            }
-            ShardBackend::GpuStyle(_) => {
-                // The warp grid: one work item per (frontier, instance),
-                // charging one unit each — the solo GPU-style totals.
-                let items: Vec<(u32, usize)> =
-                    lane.frontiers.iter().flat_map(|&f| (0..lane.q).map(move |i| (f, i))).collect();
-                self.compute.install(|| {
-                    items.par_iter().for_each(|&(f, i)| expand_lane_work_item(&ctx, f, i, level));
-                });
+                );
+                lane.run.expanded(t.elapsed());
             }
         }
-    }
-
-    /// Top-down per lane: extract, prune, rank through the unchanged
-    /// single-query extractor reading this lane's [`LaneView`].
-    fn finalize_lane(
-        &self,
-        graph: &KnowledgeGraph,
-        state: &BatchState,
-        mut lane: LaneRun<'_>,
-    ) -> Result<SearchOutcome, SearchError> {
-        let terminated = match lane.status {
-            LaneStatus::Failed(e) => return Err(e),
-            LaneStatus::Finished(term) => term,
-            LaneStatus::Running => unreachable!("the sweep only ends once every lane settles"),
-        };
-        lane.central_nodes.truncate(lane.params.max_candidates);
-        let view = LaneView { state, lane: lane.lane };
-        let tracker = &lane.tracker;
-        let act = &lane.act;
-        let params = lane.params;
-        let t = Instant::now();
-        let extract_one = |&(c, d): &(NodeId, u8)| {
-            if tracker.should_stop() {
-                return None;
-            }
-            let e = top_down::extract(graph, act, &view, c.0, d);
-            Some(top_down::prune_and_score(graph, &view, &e, params))
-        };
-        let candidates: Option<Vec<CentralGraph>> = match self.backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                lane.central_nodes.iter().map(extract_one).collect()
-            }
-            ShardBackend::ParCpu(_) | ShardBackend::GpuStyle(_) => self.compute.install(|| {
-                use rayon::prelude::*;
-                lane.central_nodes.par_iter().map(extract_one).collect()
-            }),
-        };
-        let Some(candidates) = candidates else {
-            return Err(tracker
-                .error()
-                .expect("a stopped top-down stage implies a tripped budget"));
-        };
-        let answers = top_down::select_top_k(candidates, params);
-        lane.profile.top_down = t.elapsed();
-
-        let trace = lane.records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.backend.base_name().to_string(),
-                keywords: lane.query.num_keywords(),
-                total_expansions: lane.tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None, // stamped by `annotate` with the batch id
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&lane.profile),
-                qid: None,
-                cache_source_qid: None,
-                shard_timelines: None,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile: lane.profile,
-            stats: SearchStats {
-                last_level: lane.last_level,
-                central_candidates: lane.central_nodes.len(),
-                peak_frontier: lane.peak_frontier,
-                trace: lane.trace,
-            },
-            trace,
-        })
     }
 
     /// Run a batch against a sharded coordinator: each lane flows through
@@ -1017,17 +735,14 @@ fn annotate(mut out: SearchOutcome, batch_id: u64, co: usize) -> SearchOutcome {
     out
 }
 
-/// The solo driver's pre-search sequence for one lane: validate, arm the
-/// tracker, checkpoint, inject faults, short-circuit empty queries.
-/// Mirrors `run_matrix_search` up to the state arming.
-fn pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> PreFlight {
-    if let Err(e) = req.params.validate() {
-        panic!("invalid search parameters: {e}");
-    }
-    if let Some(levels) = &req.params.explicit_activation {
-        // The solo path would panic on the first out-of-range node access
-        // mid-expansion; fail fast here so the panic stays on this lane
-        // instead of unwinding the shared sweep.
+/// [`bottom_up::pre_flight`] for one lane, plus a fail-fast check the
+/// shared sweep needs: the solo path would panic on the first
+/// out-of-range access to a short explicit activation table
+/// mid-expansion; failing here keeps that panic on this lane instead of
+/// unwinding the whole sweep.
+fn lane_pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> PreFlight {
+    let verdict = bottom_up::pre_flight(&req.query, &req.params, &req.budget, name);
+    if let (PreFlight::Run(_), Some(levels)) = (&verdict, &req.params.explicit_activation) {
         assert!(
             levels.len() >= graph.num_nodes(),
             "explicit activation table holds {} levels for {} nodes",
@@ -1035,53 +750,7 @@ fn pre_flight(graph: &KnowledgeGraph, req: &BatchRequest, name: &str) -> PreFlig
             graph.num_nodes()
         );
     }
-    let tracker = if req.params.trace.enabled() {
-        req.budget.start_counting()
-    } else {
-        req.budget.start()
-    };
-    if let Err(e) = tracker.checkpoint() {
-        return PreFlight::Short(Err(e));
-    }
-    #[cfg(feature = "fault-inject")]
-    if let Err(e) = crate::fault::inject(&req.query, &tracker) {
-        return PreFlight::Short(Err(e));
-    }
-    if req.query.is_empty() {
-        let mut out = SearchOutcome::default();
-        if req.params.trace.enabled() {
-            out.trace =
-                Some(Box::new(QueryTrace { engine: name.to_string(), ..QueryTrace::default() }));
-        }
-        return PreFlight::Short(Ok(out));
-    }
-    PreFlight::Join(tracker)
-}
-
-/// Rich trace record for one lane's level — the lane-indexed
-/// [`crate::bottom_up`] `observe_level`.
-fn observe_lane_level(state: &BatchState, lane: &LaneRun<'_>, level: u8) -> TraceLevelRecord {
-    let mut new_hits = 0usize;
-    let mut activation_deferred = 0usize;
-    for &f in &lane.frontiers {
-        for i in 0..lane.q {
-            if state.hit(f, lane.lane, i) == level {
-                new_hits += 1;
-            }
-        }
-        if lane.act.level(NodeId(f)) > level {
-            activation_deferred += 1;
-        }
-    }
-    TraceLevelRecord {
-        level: u32::from(level),
-        frontier: lane.frontiers.len(),
-        identified: lane.newly.len(),
-        new_hits,
-        activation_deferred,
-        expansions: 0, // filled in after this level's expansion runs
-        budget_remaining: lane.tracker.remaining(),
-    }
+    verdict
 }
 
 // ---------------------------------------------------------------------------
@@ -1524,14 +1193,14 @@ mod tests {
         let q2 = ParsedQuery::parse(&idx, "sql query");
         let mut s = BatchState::empty();
         s.begin_batch(g.num_nodes(), &[&q1, &q2]);
-        s.set_hit(4, 0, 0, 3);
-        s.mark_central(4, 1, 2);
-        assert_eq!(s.hit(4, 0, 0), 3);
-        assert!(s.is_central(4, 1));
+        s.lane(0).set_hit(4, 0, 3);
+        s.lane(1).mark_central(4, 2);
+        assert_eq!(s.lane(0).hit(4, 0), 3);
+        assert_eq!(s.lane(1).central_depth(4), Some(2));
         s.begin_batch(g.num_nodes(), &[&q2]);
-        assert!(!s.is_central(4, 0), "previous batch's marks must not leak");
-        assert_eq!(s.hit(0, 0, 0), INFINITE_LEVEL, "x is not a source of sql");
-        assert_eq!(s.hit(2, 0, 0), 0, "s is the sql source");
+        assert_eq!(s.lane(0).central_depth(4), None, "previous batch's marks must not leak");
+        assert_eq!(s.lane(0).hit(0, 0), INFINITE_LEVEL, "x is not a source of sql");
+        assert_eq!(s.lane(0).hit(2, 0), 0, "s is the sql source");
     }
 
     #[test]
@@ -1542,17 +1211,17 @@ mod tests {
         let mut s = BatchState::empty();
         s.begin_batch(g.num_nodes(), &wide);
         for lane in 0..8 {
-            s.set_hit(4, lane, 1, 9);
-            s.mark_central(4, lane, 3);
+            s.lane(lane).set_hit(4, 1, 9);
+            s.lane(lane).mark_central(4, 3);
         }
         // Narrowing reuses the same (larger) buffers; nothing from the
         // wide batch may leak through, whatever the lane now maps to.
         s.begin_batch(g.num_nodes(), &[&q]);
-        assert_eq!(s.hit(4, 0, 1), INFINITE_LEVEL, "wide-batch write must not survive");
-        assert!(!s.is_central(4, 0));
-        assert_eq!(s.hit(0, 0, 0), 0, "sources re-seeded after the re-arm");
-        assert!(s.is_keyword_node(0, 0));
-        assert!(!s.is_keyword_node(2, 0), "s holds no keyword of \"xml rdf\"");
+        assert_eq!(s.lane(0).hit(4, 1), INFINITE_LEVEL, "wide-batch write must not survive");
+        assert_eq!(s.lane(0).central_depth(4), None);
+        assert_eq!(s.lane(0).hit(0, 0), 0, "sources re-seeded after the re-arm");
+        assert!(s.lane(0).is_keyword_node(0));
+        assert!(!s.lane(0).is_keyword_node(2), "s holds no keyword of \"xml rdf\"");
     }
 
     // --- Batcher unit + model tests ---------------------------------------

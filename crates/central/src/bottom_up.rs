@@ -1,35 +1,60 @@
 //! Stage 1: bottom-up search (paper Algorithm 1 lines 1–7 and
-//! Algorithm 2), solving the top-(k,d) Central Graph problem.
+//! Algorithm 2), solving the top-(k,d) Central Graph problem — and the
+//! **one** place in this crate that knows the level-synchronous algorithm.
 //!
-//! The driver is level-synchronous: per level it (1) drains `FIdentifier`
-//! into the joint frontier queue, (2) identifies Central Nodes among the
-//! frontiers (Lemma V.1), (3) stops if `k` central nodes exist (Def. 4 —
-//! the current level is then the minimal depth `d`), and otherwise
-//! (4) runs the expansion procedure. How each step is scheduled (sequential,
-//! coarse-grained rayon, or GPU-kernel-style fine-grained) is delegated to
-//! an [`ExecStrategy`]; the *semantics* are identical across strategies,
-//! which the property suite verifies.
+//! Per level the search (1) drains `FIdentifier` into the joint frontier
+//! queue, (2) identifies Central Nodes among the frontiers (Lemma V.1),
+//! (3) stops if `k` central nodes exist (Def. 4 — the current level is then
+//! the minimal depth `d`), and otherwise (4) runs the expansion procedure.
+//! That is stated once, as four shared pieces every execution shape (solo
+//! matrix engines, CPU-Par-d, fused batches, in-process shards, remote
+//! shards) is a thin adapter over:
+//!
+//! * [`pre_flight`] — validate, arm the budget tracker, first checkpoint,
+//!   fault hook, empty-query short-circuit;
+//! * [`LevelOps`] + [`LevelRun`] + [`drive`] — the three-method seam a
+//!   shape implements (`enqueue` / `identify` / `expand`, the last
+//!   including any boundary exchange), the per-query bookkeeping (level
+//!   counter, cohort, per-level traces, termination, phase timing), and
+//!   the loop that steps one over the other. A fused batch shares one
+//!   enqueue scan across lanes, so it steps its `LevelRun`s itself through
+//!   the same [`LevelRun::enqueued`] / [`LevelRun::identified`] /
+//!   [`LevelRun::expanded`] calls [`drive`] makes;
+//! * the kernel — [`expand_frontier`] / [`expand_work_item`] /
+//!   [`identify_sequential`] / [`observe_level`], generic over the
+//!   [`Cells`] state-layout seam, and [`expand_level`], the one
+//!   backend → scheduling dispatch;
+//! * [`LevelRun::finish`] — the top-down stage (Algorithm 3) and outcome
+//!   assembly, generic over [`HitLevels`] with the extractor as a closure.
+//!
+//! The *semantics* are identical across shapes and schedulings (Theorem
+//! V.2), which the differential suites verify byte for byte.
 
 use crate::activation::ActivationMap;
-use crate::budget::BudgetTracker;
+use crate::budget::{BudgetTracker, QueryBudget};
+use crate::engine::{SearchOutcome, SearchStats};
 use crate::error::SearchError;
+use crate::model::{CentralGraph, INFINITE_LEVEL};
 use crate::profile::PhaseProfile;
-use crate::state::SearchState;
-use crate::trace::TraceLevelRecord;
-use crate::{model::INFINITE_LEVEL, SearchParams};
+use crate::shard::ShardBackend;
+use crate::state::{Cells, HitLevels, SearchState};
+use crate::top_down::{self, Extraction};
+use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
+use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
-use std::time::Instant;
+use rayon::prelude::*;
+use std::time::{Duration, Instant};
+use textindex::ParsedQuery;
 
 /// Everything an expansion step needs (read-only except for `state`'s
 /// atomics).
-#[derive(Clone, Copy)]
-pub struct ExpandCtx<'a> {
+pub struct ExpandCtx<'a, S> {
     /// The data graph.
     pub graph: &'a KnowledgeGraph,
     /// Activation oracle (`a_v` from `w_v` and `α`, or explicit).
     pub act: &'a ActivationMap<'a>,
     /// Shared lock-free search state.
-    pub state: &'a SearchState,
+    pub state: &'a S,
     /// Budget accounting: every expansion unit is charged here, and a
     /// tripped budget makes further expansion a no-op (the driver then
     /// surfaces the error at its next level checkpoint).
@@ -41,7 +66,7 @@ pub struct ExpandCtx<'a> {
 /// CPU strategy (one OpenMP/rayon task per frontier, dynamically
 /// scheduled).
 #[inline]
-pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
+pub fn expand_frontier<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -66,7 +91,7 @@ pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
 /// Expand one `(frontier, BFS instance)` pair — the body of Algorithm 2's
 /// middle loop, and the warp-level work item of the GPU strategy.
 #[inline]
-pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
+pub fn expand_work_item<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, i: usize, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -86,7 +111,7 @@ pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
 /// Inner loop shared by both granularities: push instance `i` of frontier
 /// `f` one step (Alg. 2 lines 8–22).
 #[inline]
-fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
+fn expand_instance<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, vf: NodeId, i: usize, level: u8) {
     let state = ctx.state;
     // The frontier must already be hit in this instance (line 9–11).
     let hf = state.hit(f, i);
@@ -108,6 +133,43 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
         }
         state.set_hit(n, i, level + 1); // line 21
         state.mark_frontier(n); // line 22
+    }
+}
+
+/// Run one level's expansion procedure over `frontiers` under `backend`'s
+/// scheduling — the one backend → kernel-granularity mapping: sequential
+/// per frontier, one rayon task per frontier (CPU-Par's coarse grain), or
+/// one task per `(frontier, instance)` work item (the GPU warp grid).
+/// Parallel schedulings run inside `pool` when given, else in the caller's
+/// ambient pool (in-process shard lanes already sit inside the
+/// coordinator's fork-join); the sequential one never leaves the caller's
+/// thread.
+pub fn expand_level<S: Cells>(
+    backend: ShardBackend,
+    pool: Option<&rayon::ThreadPool>,
+    ctx: &ExpandCtx<'_, S>,
+    frontiers: &[u32],
+    level: u8,
+) {
+    let q = ctx.state.num_keywords();
+    let sweep = || match backend {
+        ShardBackend::Seq | ShardBackend::DynPar(_) => {
+            for &f in frontiers {
+                expand_frontier(ctx, f, level);
+            }
+        }
+        ShardBackend::ParCpu(_) => {
+            frontiers.par_iter().for_each(|&f| expand_frontier(ctx, f, level));
+        }
+        ShardBackend::GpuStyle(_) => {
+            (0..frontiers.len() * q)
+                .into_par_iter()
+                .for_each(|w| expand_work_item(ctx, frontiers[w / q], w % q, level));
+        }
+    };
+    match pool {
+        Some(pool) if backend.parallel() => pool.install(sweep),
+        _ => sweep(),
     }
 }
 
@@ -134,7 +196,6 @@ pub fn enqueue_parallel_compaction(
     out: &mut Vec<u32>,
     block: usize,
 ) {
-    use rayon::prelude::*;
     out.clear();
     let n = state.num_nodes();
     let blocks: Vec<Vec<u32>> = pool.install(|| {
@@ -158,35 +219,72 @@ pub fn enqueue_parallel_compaction(
     }
 }
 
-/// Sequential Central Node identification over the current frontiers:
-/// a frontier whose `M` row is complete is newly central, with depth =
-/// current level (Lemma V.1). Returns the newly identified nodes (sorted,
-/// since frontiers are produced in id order).
-pub fn identify_sequential(
-    state: &SearchState,
+/// A frontier whose `M` row is complete is newly central, with depth =
+/// current level (Lemma V.1): mark it and report `true`.
+#[inline]
+fn identify_one<S: Cells>(state: &S, f: u32, level: u8) -> bool {
+    let newly = !state.is_central(f) && state.row_complete(f);
+    if newly {
+        state.mark_central(f, level);
+    }
+    newly
+}
+
+/// Sequential Central Node identification over the current frontiers.
+/// Fills `newly` with the newly identified nodes (sorted, since frontiers
+/// are produced in id order).
+pub fn identify_sequential<S: Cells>(
+    state: &S,
     frontiers: &[u32],
     level: u8,
     newly: &mut Vec<u32>,
 ) {
     newly.clear();
-    for &f in frontiers {
-        if !state.is_central(f) && state.row_complete(f) {
-            state.mark_central(f, level);
-            newly.push(f);
-        }
-    }
+    newly.extend(frontiers.iter().copied().filter(|&f| identify_one(state, f, level)));
 }
 
-/// How each phase of one level executes. Implementations live in
-/// [`crate::engine`].
-pub trait ExecStrategy {
-    /// Drain `FIdentifier` into `out`.
-    fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>);
-    /// Identify new Central Nodes among `frontiers` at `level` (their
-    /// depth, per Lemma V.1), appending them to `newly`.
-    fn identify(&self, state: &SearchState, frontiers: &[u32], level: u8, newly: &mut Vec<u32>);
-    /// Run the expansion procedure for one level.
-    fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8);
+/// Identification parallel over frontiers (each frontier is touched by
+/// exactly one task, so the central flag needs no lock), sorted back into
+/// the deterministic identification order.
+pub fn identify_parallel<S: Cells>(
+    pool: &rayon::ThreadPool,
+    state: &S,
+    frontiers: &[u32],
+    level: u8,
+    newly: &mut Vec<u32>,
+) {
+    newly.clear();
+    let mut found: Vec<u32> = pool.install(|| {
+        frontiers
+            .par_iter()
+            .copied()
+            .filter(|&f| identify_one(state, f, level))
+            .collect()
+    });
+    found.sort_unstable();
+    newly.extend(found);
+}
+
+/// The traced-query observation of one level: how many keyword-hit cells
+/// were first covered here (`new_hits`) and how many frontier nodes are
+/// still gated by their activation level (`deferred`). O(frontier · q)
+/// scans, paid only on traced queries.
+pub fn observe_level<H: HitLevels + ?Sized>(
+    state: &H,
+    act: &ActivationMap<'_>,
+    frontiers: &[u32],
+    level: u8,
+) -> (usize, usize) {
+    let q = state.num_keywords();
+    let mut new_hits = 0usize;
+    let mut deferred = 0usize;
+    for &f in frontiers {
+        new_hits += (0..q).filter(|&i| state.hit(f, i) == level).count();
+        if act.level(NodeId(f)) > level {
+            deferred += 1;
+        }
+    }
+    (new_hits, deferred)
 }
 
 /// Why the bottom-up stage stopped.
@@ -211,171 +309,354 @@ pub struct LevelTrace {
     pub identified: usize,
 }
 
-/// Reusable scratch buffers of the level-synchronous driver: the joint
-/// frontier queue and the per-level identification buffer. A
+/// Reusable per-level buffers of one search lane. A
 /// [`crate::session::SearchSession`] keeps one across queries so the warm
-/// path re-enters [`run`] with capacity already grown to the working set.
+/// path re-enters the driver with capacity already grown to the working
+/// set.
 #[derive(Default)]
 pub struct BottomUpScratch {
-    /// Joint frontier queue, refilled per level by `ExecStrategy::enqueue`.
+    /// Joint frontier queue, refilled per level by the enqueue step.
     pub frontiers: Vec<u32>,
-    /// Central Nodes newly identified at the current level.
+    /// Shard lanes: Central Nodes newly identified at the current level,
+    /// as local ids (the coordinator maps and merges them).
     pub newly: Vec<u32>,
+    /// Shard lanes: `(global node, instance)` boundary cells that became
+    /// `level + 1` this round.
+    pub outbox: Vec<(u32, u32)>,
 }
 
-/// Result of the bottom-up stage.
-#[derive(Debug)]
-pub struct BottomUpOutcome {
-    /// Identified Central Nodes with their depths, in identification order
-    /// (ascending depth, then node id).
-    pub central_nodes: Vec<(NodeId, u8)>,
-    /// The last BFS level processed.
-    pub last_level: u8,
-    /// Why the search stopped.
-    pub terminated: TerminationReason,
-    /// Peak size of the joint frontier queue (reported by experiments).
-    pub peak_frontier: usize,
-    /// One entry per processed level (frontier size, identifications).
-    pub trace: Vec<LevelTrace>,
-    /// Rich per-level records, collected only when the query asked for
-    /// tracing (`params.trace`); `None` on the untraced path.
-    pub records: Option<Vec<TraceLevelRecord>>,
+/// The verdict of a search: the outcome, or the budget error that cut it
+/// short.
+pub type Verdict = Result<SearchOutcome, SearchError>;
+
+/// What [`pre_flight`] decided.
+pub enum PreFlight {
+    /// The search must run, under this armed tracker.
+    Run(BudgetTracker),
+    /// Short-circuited before any search ran; the verdict is final.
+    Done(Verdict),
 }
 
-/// Run the bottom-up stage with the given strategy. `ctx.state` must be
-/// freshly armed for the query (sources seeded); `scratch` may carry
-/// capacity from earlier queries. Phase timings are accumulated into
-/// `profile`. The `ctx.budget` tracker is checkpointed at every level
-/// boundary and charged inside the expansion procedure; a tripped budget
-/// aborts the stage with the corresponding [`SearchError`].
-pub fn run<S: ExecStrategy>(
-    strategy: &S,
-    ctx: &ExpandCtx<'_>,
-    scratch: &mut BottomUpScratch,
+/// The pre-search sequence every execution shape shares: validate the
+/// parameters, arm the budget tracker, fail an already-expired deadline
+/// deterministically before any work, run the fault-injection hook, and
+/// short-circuit a query that matched no keyword.
+///
+/// # Panics
+/// Panics if `params` fail [`SearchParams::validate`].
+pub fn pre_flight(
+    query: &ParsedQuery,
     params: &SearchParams,
-    profile: &mut PhaseProfile,
-) -> Result<BottomUpOutcome, SearchError> {
-    let ExpandCtx { state, budget, .. } = *ctx;
-    let max_level = params.max_level.min(254);
-    let BottomUpScratch { frontiers, newly } = scratch;
-    let mut central_nodes: Vec<(NodeId, u8)> = Vec::new();
-    let mut peak_frontier = 0usize;
-    let mut trace: Vec<LevelTrace> = Vec::new();
-    let mut records: Option<Vec<TraceLevelRecord>> = params.trace.enabled().then(Vec::new);
-    let mut level: u8 = 0;
-    let terminated = loop {
-        budget.checkpoint()?;
-        let t = Instant::now();
-        strategy.enqueue(state, frontiers);
-        profile.enqueue += t.elapsed();
-        peak_frontier = peak_frontier.max(frontiers.len());
-        if frontiers.is_empty() {
-            break TerminationReason::FrontierExhausted;
-        }
-
-        let t = Instant::now();
-        strategy.identify(state, frontiers, level, newly);
-        profile.identify += t.elapsed();
-        trace.push(LevelTrace { level, frontier: frontiers.len(), identified: newly.len() });
-        if let Some(recs) = records.as_mut() {
-            recs.push(observe_level(ctx, frontiers, newly, level));
-        }
-        central_nodes.extend(newly.iter().map(|&f| (NodeId(f), level)));
-        if central_nodes.len() >= params.top_k {
-            break TerminationReason::EnoughCentralNodes;
-        }
-        if level >= max_level {
-            break TerminationReason::LevelCap;
-        }
-
-        let charged_before = if records.is_some() {
-            budget.expansions()
-        } else {
-            0
-        };
-        let t = Instant::now();
-        strategy.expand(ctx, frontiers, level);
-        profile.expansion += t.elapsed();
-        if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-            last.expansions = budget.expansions() - charged_before;
-            last.budget_remaining = budget.remaining();
-        }
-        level += 1;
+    budget: &QueryBudget,
+    engine: &str,
+) -> PreFlight {
+    if let Err(e) = params.validate() {
+        panic!("invalid search parameters: {e}");
+    }
+    // Tracing arms the tracker in counting mode so per-level expansion
+    // deltas are observable even without a cap; the untraced unlimited
+    // path keeps its zero-atomic charge fast path.
+    let tracker = if params.trace.enabled() {
+        budget.start_counting()
+    } else {
+        budget.start()
     };
-    Ok(BottomUpOutcome {
-        central_nodes,
-        last_level: level,
-        terminated,
-        peak_frontier,
-        trace,
-        records,
-    })
+    if let Err(e) = tracker.checkpoint() {
+        return PreFlight::Done(Err(e));
+    }
+    #[cfg(feature = "fault-inject")]
+    if let Err(e) = crate::fault::inject(query, &tracker) {
+        return PreFlight::Done(Err(e));
+    }
+    if query.is_empty() {
+        let mut out = SearchOutcome::default();
+        if params.trace.enabled() {
+            // A trace with no levels: nothing matched, no search ran.
+            out.trace =
+                Some(Box::new(QueryTrace { engine: engine.to_string(), ..QueryTrace::default() }));
+        }
+        return PreFlight::Done(Ok(out));
+    }
+    PreFlight::Run(tracker)
 }
 
-/// Build the rich trace record for one level: how many keyword-hit cells
-/// were first covered here and how many frontier nodes are still gated by
-/// their activation level. O(frontier · q) scans, paid only on traced
-/// queries.
-fn observe_level(
-    ctx: &ExpandCtx<'_>,
-    frontiers: &[u32],
-    newly: &[u32],
+/// The seam an execution shape implements: how one level's three phases
+/// run against its state layout and across its exchange. [`drive`] owns
+/// everything else. The associated error lets a shape with failure modes
+/// of its own (a remote shard RPC) surface them through the same `?`.
+pub trait LevelOps {
+    /// The shape's failure type; budget trips convert into it.
+    type Error: From<SearchError>;
+    /// Drain `FIdentifier` into the shape's frontier queue(s); returns the
+    /// joint frontier size.
+    fn enqueue(&mut self) -> Result<usize, Self::Error>;
+    /// Identify new Central Nodes among the frontiers at `level` (their
+    /// depth, per Lemma V.1), appending them to the empty `newly` as
+    /// ascending global ids. Returns the [`observe_level`] pair when
+    /// `traced` (zeros otherwise).
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), Self::Error>;
+    /// Run the expansion procedure for `level`, boundary exchange
+    /// included, charging the search's tracker.
+    fn expand(&mut self, level: u8) -> Result<(), Self::Error>;
+}
+
+/// The per-query bookkeeping of one level-synchronous search: level
+/// counter, candidate cohort, per-level traces, the termination decision
+/// and the phase profile. Stepped once per phase by [`drive`] (or by the
+/// fused batch sweep), consumed by [`LevelRun::finish`].
+pub struct LevelRun<'a> {
+    params: &'a SearchParams,
+    tracker: &'a BudgetTracker,
+    /// Wall-clock per phase. The adapter sets `init`; the step methods
+    /// accumulate the level phases, `finish` sets `top_down`.
+    pub profile: PhaseProfile,
+    /// Identification buffer of the current level: filled (ascending
+    /// global ids) between [`LevelRun::enqueued`] and
+    /// [`LevelRun::identified`], which drains it into the cohort.
+    pub newly: Vec<u32>,
     level: u8,
-) -> TraceLevelRecord {
-    let state = ctx.state;
-    let q = state.num_keywords();
-    let mut new_hits = 0usize;
-    let mut activation_deferred = 0usize;
-    for &f in frontiers {
-        for i in 0..q {
-            if state.hit(f, i) == level {
-                new_hits += 1;
-            }
-        }
-        if ctx.act.level(NodeId(f)) > level {
-            activation_deferred += 1;
+    frontier: usize,
+    /// Identified Central Nodes with their depths, in identification
+    /// order (ascending depth, then node id).
+    cohort: Vec<(NodeId, u8)>,
+    peak_frontier: usize,
+    trace: Vec<LevelTrace>,
+    /// Rich per-level records, collected only when the query asked for
+    /// tracing.
+    records: Option<Vec<TraceLevelRecord>>,
+    /// Tracker reading before the current level's expansion (traced runs).
+    charged_before: u64,
+    terminated: Option<TerminationReason>,
+}
+
+impl<'a> LevelRun<'a> {
+    /// Bookkeeping for one search under `params`, polling and reading
+    /// `tracker` (the one [`pre_flight`] armed).
+    pub fn new(params: &'a SearchParams, tracker: &'a BudgetTracker) -> Self {
+        LevelRun {
+            params,
+            tracker,
+            profile: PhaseProfile::default(),
+            newly: Vec::new(),
+            level: 0,
+            frontier: 0,
+            cohort: Vec::new(),
+            peak_frontier: 0,
+            trace: Vec::new(),
+            records: params.trace.enabled().then(Vec::new),
+            charged_before: 0,
+            terminated: None,
         }
     }
-    TraceLevelRecord {
-        level: u32::from(level),
-        frontier: frontiers.len(),
-        identified: newly.len(),
-        new_hits,
-        activation_deferred,
-        expansions: 0, // filled in after this level's expansion runs
-        budget_remaining: ctx.budget.remaining(),
+
+    /// The level the next phase call operates on.
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+
+    /// Whether this search collects [`TraceLevelRecord`]s.
+    pub fn traced(&self) -> bool {
+        self.records.is_some()
+    }
+
+    /// Why the bottom-up stage stopped, once it has.
+    pub fn terminated(&self) -> Option<TerminationReason> {
+        self.terminated
+    }
+
+    /// Level-boundary checkpoint: poll the deadline and surface a tripped
+    /// budget as the error the search should return.
+    pub fn checkpoint(&self) -> Result<(), SearchError> {
+        self.tracker.checkpoint()
+    }
+
+    /// Record this level's enqueue (`frontier` nodes drained in `took`).
+    /// `false`: the joint frontier is exhausted and the stage is over.
+    pub fn enqueued(&mut self, frontier: usize, took: Duration) -> bool {
+        self.profile.enqueue += took;
+        self.frontier = frontier;
+        self.peak_frontier = self.peak_frontier.max(frontier);
+        if frontier == 0 {
+            self.terminated = Some(TerminationReason::FrontierExhausted);
+        }
+        frontier != 0
+    }
+
+    /// Record this level's identification — [`LevelRun::newly`] holds its
+    /// cohort, `new_hits`/`deferred` its [`observe_level`] pair — and
+    /// decide termination. `false`: the stage is over (`k` central nodes,
+    /// which wins, or the level cap); `true`: expand this level.
+    pub fn identified(&mut self, new_hits: usize, deferred: usize, took: Duration) -> bool {
+        self.profile.identify += took;
+        let (level, identified) = (self.level, self.newly.len());
+        self.trace.push(LevelTrace { level, frontier: self.frontier, identified });
+        if let Some(records) = self.records.as_mut() {
+            records.push(TraceLevelRecord {
+                level: u32::from(level),
+                frontier: self.frontier,
+                identified,
+                new_hits,
+                activation_deferred: deferred,
+                expansions: 0, // filled in after this level's expansion runs
+                budget_remaining: self.tracker.remaining(),
+            });
+            self.charged_before = self.tracker.expansions();
+        }
+        self.cohort.extend(self.newly.drain(..).map(|v| (NodeId(v), level)));
+        self.terminated = if self.cohort.len() >= self.params.top_k {
+            Some(TerminationReason::EnoughCentralNodes)
+        } else if level >= self.params.max_level.min(254) {
+            Some(TerminationReason::LevelCap)
+        } else {
+            None
+        };
+        self.terminated.is_none()
+    }
+
+    /// Record this level's expansion: back-fill the level's trace record
+    /// with what the expansion charged, and advance to the next level.
+    pub fn expanded(&mut self, took: Duration) {
+        self.profile.expansion += took;
+        if let Some(last) = self.records.as_mut().and_then(|r| r.last_mut()) {
+            last.expansions = self.tracker.expansions() - self.charged_before;
+            last.budget_remaining = self.tracker.remaining();
+        }
+        self.level += 1;
+    }
+
+    /// Stage 2 and outcome assembly: top-down processing of the candidate
+    /// cohort — `extract(central, depth)` each candidate (Theorem V.4 over
+    /// `hits`, or CPU-Par-d's recorded paths), prune and score it, select
+    /// the top-k — parallel over candidates in `pool` when given. The
+    /// cohort is ordered shallowest-first, so the `max_candidates` cap
+    /// keeps the best-depth prefix. The budget is polled once per
+    /// candidate; a trip mid-stage fails the whole search rather than
+    /// returning a silently truncated answer set.
+    pub fn finish<H, X>(
+        self,
+        engine: &str,
+        graph: &KnowledgeGraph,
+        hits: &H,
+        pool: Option<&rayon::ThreadPool>,
+        extract: X,
+    ) -> Verdict
+    where
+        H: HitLevels + Sync + ?Sized,
+        X: Fn(u32, u8) -> Extraction + Sync,
+    {
+        let LevelRun { params, tracker, mut profile, mut cohort, .. } = self;
+        cohort.truncate(params.max_candidates);
+        let t = Instant::now();
+        let candidate = |&(c, d): &(NodeId, u8)| {
+            if tracker.should_stop() {
+                return None;
+            }
+            Some(top_down::prune_and_score(graph, hits, &extract(c.0, d), params))
+        };
+        let candidates: Option<Vec<CentralGraph>> = match pool {
+            Some(pool) => pool.install(|| cohort.par_iter().map(candidate).collect()),
+            None => cohort.iter().map(candidate).collect(),
+        };
+        let Some(candidates) = candidates else {
+            return Err(tracker
+                .error()
+                .expect("a stopped top-down stage implies a tripped budget"));
+        };
+        let answers = top_down::select_top_k(candidates, params);
+        profile.top_down = t.elapsed();
+
+        let trace = self.records.map(|levels| {
+            Box::new(QueryTrace {
+                engine: engine.to_string(),
+                keywords: hits.num_keywords(),
+                total_expansions: tracker.expansions(),
+                terminated: self.terminated == Some(TerminationReason::LevelCap),
+                levels,
+                phase_ms: PhaseMillis::from(&profile),
+                ..QueryTrace::default()
+            })
+        });
+        Ok(SearchOutcome {
+            answers,
+            profile,
+            stats: SearchStats {
+                last_level: self.level,
+                central_candidates: cohort.len(),
+                peak_frontier: self.peak_frontier,
+                trace: self.trace,
+            },
+            trace,
+        })
+    }
+}
+
+/// The level-synchronous loop, stated once: per level, checkpoint the
+/// budget, then `enqueue` → `identify` → (unless terminated) `expand`.
+/// Returns once `run` has settled its [`TerminationReason`]; an error
+/// from any phase surfaces unchanged with `run` left at that level.
+pub fn drive<O: LevelOps>(ops: &mut O, run: &mut LevelRun<'_>) -> Result<(), O::Error> {
+    loop {
+        run.checkpoint()?;
+        let t = Instant::now();
+        let frontier = ops.enqueue()?;
+        if !run.enqueued(frontier, t.elapsed()) {
+            return Ok(());
+        }
+        let t = Instant::now();
+        let (new_hits, deferred) = ops.identify(run.level, run.traced(), &mut run.newly)?;
+        if !run.identified(new_hits, deferred, t.elapsed()) {
+            return Ok(());
+        }
+        let t = Instant::now();
+        ops.expand(run.level)?;
+        run.expanded(t.elapsed());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::ActivationMap;
-    use crate::budget::QueryBudget;
+    use crate::engine::MatrixOps;
+    use crate::trace::TraceLevel;
     use kgraph::GraphBuilder;
     use std::time::Duration;
     use textindex::{InvertedIndex, ParsedQuery};
 
-    /// Sequential strategy for driver tests (the engines define their own).
-    struct Seq;
-    impl ExecStrategy for Seq {
-        fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-            enqueue_sequential(state, out);
-        }
-        fn identify(
-            &self,
-            state: &SearchState,
-            frontiers: &[u32],
-            level: u8,
-            newly: &mut Vec<u32>,
-        ) {
-            identify_sequential(state, frontiers, level, newly);
-        }
-        fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-            for &f in frontiers {
-                expand_frontier(ctx, f, level);
-            }
-        }
+    /// What the graph-backed driver tests inspect of a finished run.
+    struct Out {
+        central_nodes: Vec<(NodeId, u8)>,
+        last_level: u8,
+        terminated: TerminationReason,
+    }
+
+    /// Drive the sequential matrix ops over an armed `state`.
+    fn drive_seq(
+        g: &KnowledgeGraph,
+        state: &SearchState,
+        act: &ActivationMap<'_>,
+        params: &SearchParams,
+        budget: QueryBudget,
+    ) -> Result<Out, SearchError> {
+        let tracker = budget.start();
+        let mut frontiers = Vec::new();
+        let mut ops = MatrixOps {
+            backend: ShardBackend::Seq,
+            pool: None,
+            ctx: ExpandCtx { graph: g, act, state, budget: &tracker },
+            frontiers: &mut frontiers,
+        };
+        let mut run = LevelRun::new(params, &tracker);
+        drive(&mut ops, &mut run)?;
+        Ok(Out {
+            central_nodes: run.cohort,
+            last_level: run.level,
+            terminated: run.terminated.expect("a finished drive has settled its termination"),
+        })
     }
 
     fn run_on(
@@ -383,16 +664,13 @@ mod tests {
         raw_query: &str,
         activation: Vec<u8>,
         top_k: usize,
-    ) -> (BottomUpOutcome, SearchState) {
+    ) -> (Out, SearchState) {
         let idx = InvertedIndex::build(g);
         let q = ParsedQuery::parse(&idx, raw_query);
         let state = SearchState::new(g.num_nodes(), &q);
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(top_k);
-        let mut profile = PhaseProfile::default();
-        let budget = QueryBudget::unlimited().start();
-        let ctx = ExpandCtx { graph: g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
+        let out = drive_seq(g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");
         (out, state)
     }
@@ -519,12 +797,8 @@ mod tests {
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
         let act = ActivationMap::Explicit(&activation);
-        let params = SearchParams::default().with_top_k(5);
-        let params = SearchParams { max_level: 6, ..params };
-        let mut profile = PhaseProfile::default();
-        let budget = QueryBudget::unlimited().start();
-        let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
+        let params = SearchParams { max_level: 6, ..SearchParams::default().with_top_k(5) };
+        let out = drive_seq(&g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");
         assert_eq!(out.terminated, TerminationReason::LevelCap);
         assert!(out.central_nodes.is_empty());
@@ -533,23 +807,21 @@ mod tests {
 
     /// Run the driver on the Fig. 2 graph under `budget` and return the
     /// result.
-    fn run_budgeted(budget: QueryBudget) -> Result<BottomUpOutcome, SearchError> {
+    fn run_budgeted(budget: QueryBudget) -> Result<Out, SearchError> {
         let g = fig2_graph();
         let idx = InvertedIndex::build(&g);
         let q = ParsedQuery::parse(&idx, "alpha beta");
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
         let act = ActivationMap::Explicit(&activation);
-        let params = SearchParams::default().with_top_k(10);
-        let mut profile = PhaseProfile::default();
-        let tracker = budget.start();
-        let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &tracker };
-        run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
+        drive_seq(&g, &state, &act, &SearchParams::default().with_top_k(10), budget)
     }
 
     #[test]
     fn expired_deadline_aborts_before_any_level() {
-        let err = run_budgeted(QueryBudget::unlimited().with_timeout(Duration::ZERO)).unwrap_err();
+        let err = run_budgeted(QueryBudget::unlimited().with_timeout(Duration::ZERO))
+            .err()
+            .expect("an expired deadline must abort");
         assert_eq!(err, SearchError::DeadlineExceeded { limit: Duration::ZERO });
     }
 
@@ -557,7 +829,9 @@ mod tests {
     fn tiny_expansion_cap_aborts_the_search() {
         // Every frontier expansion charges q = 2 units; a 1-unit budget
         // trips during level 0 and surfaces at the level-1 checkpoint.
-        let err = run_budgeted(QueryBudget::unlimited().with_max_expansions(1)).unwrap_err();
+        let err = run_budgeted(QueryBudget::unlimited().with_max_expansions(1))
+            .err()
+            .expect("a 1-unit cap must abort");
         assert_eq!(err, SearchError::BudgetExhausted { limit: 1 });
     }
 
@@ -623,10 +897,7 @@ mod tests {
         let state = SearchState::new(g.num_nodes(), &q);
         let act = ActivationMap::Explicit(&activation);
         let params = SearchParams::default().with_top_k(1);
-        let mut profile = PhaseProfile::default();
-        let budget = QueryBudget::unlimited().start();
-        let ctx = ExpandCtx { graph: &g, act: &act, state: &state, budget: &budget };
-        let out = run(&Seq, &ctx, &mut BottomUpScratch::default(), &params, &mut profile)
+        let out = drive_seq(&g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");
         assert_eq!(out.central_nodes.len(), 1);
         let (central, depth) = out.central_nodes[0];
@@ -639,5 +910,223 @@ mod tests {
         assert_eq!(state.hit(8, 0), 2);
         // h3^1 = 2: v3 accepts RDF expansion at level 1 (a3 = 2 ≤ l+1).
         assert_eq!(state.hit(3, 1), 2);
+    }
+
+    // --- The driver alone, against a scripted `LevelOps` fake -------------
+
+    /// A non-`SearchError` failure type, as the remote adapter has.
+    #[derive(Debug, PartialEq)]
+    enum FakeError {
+        Budget(SearchError),
+        Scripted(&'static str, u8),
+    }
+
+    impl From<SearchError> for FakeError {
+        fn from(e: SearchError) -> Self {
+            FakeError::Budget(e)
+        }
+    }
+
+    /// Scripted execution shape: per level a frontier size and the ids
+    /// identified there (an absent level enqueues an empty frontier); an
+    /// optional failure at one `(phase, level)`; `charge` units billed per
+    /// expansion. Every call is logged as `<phase><level>`.
+    struct Fake<'a> {
+        script: Vec<(usize, Vec<u32>)>,
+        fail_at: Option<(&'static str, u8)>,
+        charge: u64,
+        tracker: &'a BudgetTracker,
+        enqueues: u8,
+        log: Vec<String>,
+    }
+
+    impl<'a> Fake<'a> {
+        fn new(script: Vec<(usize, Vec<u32>)>, tracker: &'a BudgetTracker) -> Self {
+            Fake { script, fail_at: None, charge: 0, tracker, enqueues: 0, log: Vec::new() }
+        }
+
+        fn call(&mut self, phase: &'static str, level: u8) -> Result<(), FakeError> {
+            self.log.push(format!("{phase}{level}"));
+            if self.fail_at == Some((phase, level)) {
+                return Err(FakeError::Scripted(phase, level));
+            }
+            Ok(())
+        }
+    }
+
+    impl LevelOps for Fake<'_> {
+        type Error = FakeError;
+
+        fn enqueue(&mut self) -> Result<usize, FakeError> {
+            let level = self.enqueues;
+            self.enqueues += 1;
+            self.call("enqueue", level)?;
+            Ok(self.script.get(level as usize).map_or(0, |(frontier, _)| *frontier))
+        }
+
+        fn identify(
+            &mut self,
+            level: u8,
+            traced: bool,
+            newly: &mut Vec<u32>,
+        ) -> Result<(usize, usize), FakeError> {
+            self.call("identify", level)?;
+            assert!(newly.is_empty(), "the driver hands identify an empty buffer");
+            newly.extend_from_slice(&self.script[level as usize].1);
+            Ok(if traced {
+                (10 + level as usize, 20 + level as usize)
+            } else {
+                (0, 0)
+            })
+        }
+
+        fn expand(&mut self, level: u8) -> Result<(), FakeError> {
+            self.call("expand", level)?;
+            self.tracker.charge(self.charge);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_level_is_checkpoint_enqueue_identify_expand() {
+        let params = SearchParams::default();
+        let tracker = QueryBudget::unlimited().start();
+        let mut fake = Fake::new(vec![(3, vec![]), (2, vec![5])], &tracker);
+        let mut run = LevelRun::new(&params, &tracker);
+        drive(&mut fake, &mut run).expect("nothing fails");
+        assert_eq!(
+            fake.log,
+            [
+                "enqueue0",
+                "identify0",
+                "expand0",
+                "enqueue1",
+                "identify1",
+                "expand1",
+                "enqueue2"
+            ]
+        );
+        assert_eq!(run.terminated, Some(TerminationReason::FrontierExhausted));
+        assert_eq!((run.level, run.peak_frontier), (2, 3));
+        assert_eq!(run.cohort, [(NodeId(5), 1)]);
+
+        // The checkpoint sits at the level head: a budget tripped by
+        // level 0's expansion surfaces before level 1 enqueues anything…
+        let tracker = QueryBudget::unlimited().with_max_expansions(1).start();
+        let mut fake = Fake::new(vec![(3, vec![]), (2, vec![])], &tracker);
+        fake.charge = 5;
+        let mut run = LevelRun::new(&params, &tracker);
+        let err = drive(&mut fake, &mut run).unwrap_err();
+        assert_eq!(err, FakeError::Budget(SearchError::BudgetExhausted { limit: 1 }));
+        assert_eq!(fake.log, ["enqueue0", "identify0", "expand0"]);
+        assert_eq!(run.level, 1, "the failed checkpoint belongs to level 1");
+
+        // …and an already-expired deadline fails before any phase runs.
+        let tracker = QueryBudget::unlimited().with_timeout(Duration::ZERO).start();
+        let mut fake = Fake::new(vec![(3, vec![])], &tracker);
+        let mut run = LevelRun::new(&params, &tracker);
+        let err = drive(&mut fake, &mut run).unwrap_err();
+        assert_eq!(err, FakeError::Budget(SearchError::DeadlineExceeded { limit: Duration::ZERO }));
+        assert!(fake.log.is_empty());
+    }
+
+    #[test]
+    fn enough_central_nodes_wins_over_the_level_cap() {
+        let params = SearchParams { max_level: 0, ..SearchParams::default().with_top_k(1) };
+        let tracker = QueryBudget::unlimited().start();
+        for (identified, expected) in [
+            (vec![7], TerminationReason::EnoughCentralNodes),
+            (vec![], TerminationReason::LevelCap),
+        ] {
+            let mut fake = Fake::new(vec![(4, identified)], &tracker);
+            let mut run = LevelRun::new(&params, &tracker);
+            drive(&mut fake, &mut run).expect("nothing fails");
+            assert_eq!(run.terminated, Some(expected));
+            assert_eq!(fake.log, ["enqueue0", "identify0"], "a terminated level never expands");
+            assert_eq!(run.level, 0);
+        }
+    }
+
+    #[test]
+    fn an_empty_first_frontier_exhausts_at_level_zero() {
+        let params = SearchParams::default().with_trace(TraceLevel::Full);
+        let tracker = QueryBudget::unlimited().start_counting();
+        let mut fake = Fake::new(vec![], &tracker);
+        let mut run = LevelRun::new(&params, &tracker);
+        drive(&mut fake, &mut run).expect("nothing fails");
+        assert_eq!(fake.log, ["enqueue0"]);
+        assert_eq!(run.terminated, Some(TerminationReason::FrontierExhausted));
+        assert_eq!((run.level, run.peak_frontier), (0, 0));
+        assert!(run.trace.is_empty(), "no level ran, so no LevelTrace");
+        assert_eq!(run.records.as_deref(), Some(&[][..]));
+    }
+
+    #[test]
+    fn a_phase_error_surfaces_unchanged_and_leaves_the_run_at_that_level() {
+        let params = SearchParams::default();
+        let tracker = QueryBudget::unlimited().start();
+        for phase in ["enqueue", "identify", "expand"] {
+            for n in [0u8, 2] {
+                let mut fake = Fake::new((0..4).map(|l| (2, vec![l])).collect(), &tracker);
+                fake.fail_at = Some((phase, n));
+                let mut run = LevelRun::new(&params, &tracker);
+                let err = drive(&mut fake, &mut run).unwrap_err();
+                assert_eq!(err, FakeError::Scripted(phase, n), "the shape's own error type");
+                assert_eq!(run.level, n, "{phase}{n}: the level counter must not advance");
+                assert_eq!(run.terminated, None, "{phase}{n}: an error is not a termination");
+                assert_eq!(fake.log.last().unwrap(), &format!("{phase}{n}"), "no call after it");
+                // Levels before n completed; level n got as far as the
+                // failing phase.
+                let recorded = usize::from(n) + usize::from(phase == "expand");
+                assert_eq!(run.trace.len(), recorded, "{phase}{n}");
+                assert_eq!(run.cohort.len(), recorded, "{phase}{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn traced_runs_back_fill_exactly_the_last_record() {
+        let params = SearchParams::default().with_top_k(2).with_trace(TraceLevel::Full);
+        let tracker = QueryBudget::unlimited().with_max_expansions(100).start_counting();
+        let mut fake = Fake::new(vec![(4, vec![]), (6, vec![9]), (3, vec![11])], &tracker);
+        fake.charge = 5;
+        let mut run = LevelRun::new(&params, &tracker);
+        // Step level 0 by hand to watch the back-fill land.
+        assert!(run.enqueued(fake.enqueue().unwrap(), Duration::ZERO));
+        let (new_hits, deferred) = fake.identify(0, true, &mut run.newly).unwrap();
+        assert!(run.identified(new_hits, deferred, Duration::ZERO));
+        let before = run.records.as_ref().unwrap()[0].clone();
+        assert_eq!((before.expansions, before.budget_remaining), (0, Some(100)));
+        fake.expand(0).unwrap();
+        run.expanded(Duration::ZERO);
+        drive(&mut fake, &mut run).expect("nothing fails");
+
+        assert_eq!(run.terminated, Some(TerminationReason::EnoughCentralNodes));
+        let record = |level: u32, frontier, identified, expansions, remaining| TraceLevelRecord {
+            level,
+            frontier,
+            identified,
+            new_hits: 10 + level as usize,
+            activation_deferred: 20 + level as usize,
+            expansions,
+            budget_remaining: Some(remaining),
+        };
+        assert_eq!(
+            run.records.as_deref().unwrap(),
+            [
+                record(0, 4, 0, 5, 95),
+                record(1, 6, 1, 5, 90),
+                // The terminating level never expands: nothing to fill in.
+                record(2, 3, 1, 0, 90),
+            ]
+        );
+        assert_eq!(
+            run.trace,
+            [
+                LevelTrace { level: 0, frontier: 4, identified: 0 },
+                LevelTrace { level: 1, frontier: 6, identified: 1 },
+                LevelTrace { level: 2, frontier: 3, identified: 1 },
+            ]
+        );
     }
 }

@@ -18,7 +18,7 @@
 use crate::activation::ActivationMap;
 use crate::bottom_up::{enqueue_sequential, identify_sequential};
 use crate::model::INFINITE_LEVEL;
-use crate::state::SearchState;
+use crate::state::{Cells, HitLevels, SearchState};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -125,17 +125,7 @@ pub fn count_work(
         return work;
     }
     let state = SearchState::new(graph.num_nodes(), query);
-    let explicit = params.explicit_activation.clone();
-    let act = match &explicit {
-        Some(levels) => ActivationMap::Explicit(levels),
-        None => ActivationMap::Computed {
-            graph,
-            config: crate::activation::ActivationConfig {
-                alpha: params.alpha,
-                average_distance: params.average_distance,
-            },
-        },
-    };
+    let act = ActivationMap::for_params(graph, params);
     let q = state.num_keywords();
     let max_level = params.max_level.min(254);
     let mut frontiers: Vec<u32> = Vec::new();

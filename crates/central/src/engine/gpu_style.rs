@@ -20,15 +20,13 @@
 //! What it does demonstrate — and what the test suite checks — is that the
 //! fine-grained decomposition is race-free and returns the same answers.
 
-use crate::bottom_up::{enqueue_parallel_compaction, expand_work_item, ExecStrategy, ExpandCtx};
 use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::state::SearchState;
+use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
-use rayon::prelude::*;
 use textindex::ParsedQuery;
 
 /// Fine-grained, GPU-kernel-shaped engine (the paper's **GPU-Par**,
@@ -36,53 +34,6 @@ use textindex::ParsedQuery;
 pub struct GpuStyleEngine {
     pool: rayon::ThreadPool,
     threads: usize,
-}
-
-/// Block size of the parallel frontier compaction (a CUDA thread-block
-/// analogue; the value only affects scheduling granularity).
-const COMPACTION_BLOCK: usize = 4096;
-
-struct GpuStrategy<'p> {
-    pool: &'p rayon::ThreadPool,
-}
-
-impl ExecStrategy for GpuStrategy<'_> {
-    fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-        // Parallel compaction — the GPU's scan + scatter, deterministic.
-        enqueue_parallel_compaction(self.pool, state, out, COMPACTION_BLOCK);
-    }
-
-    fn identify(&self, state: &SearchState, frontiers: &[u32], level: u8, newly: &mut Vec<u32>) {
-        newly.clear();
-        let mut found: Vec<u32> = self.pool.install(|| {
-            frontiers
-                .par_iter()
-                .copied()
-                .filter(|&f| {
-                    if !state.is_central(f) && state.row_complete(f) {
-                        state.mark_central(f, level);
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .collect()
-        });
-        found.sort_unstable();
-        newly.extend(found);
-    }
-
-    fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-        let q = ctx.state.num_keywords();
-        // The warp grid: one work item per (frontier, BFS instance).
-        self.pool.install(|| {
-            (0..frontiers.len() * q).into_par_iter().for_each(|item| {
-                let f = frontiers[item / q];
-                let i = item % q;
-                expand_work_item(ctx, f, i, level);
-            });
-        });
-    }
 }
 
 impl GpuStyleEngine {
@@ -110,10 +61,8 @@ impl KeywordSearchEngine for GpuStyleEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        let strategy = GpuStrategy { pool: &self.pool };
         run_matrix_search(
-            &strategy,
-            self.name(),
+            ShardBackend::GpuStyle(self.threads),
             Some(&self.pool),
             session,
             graph,

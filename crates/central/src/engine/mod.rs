@@ -1,6 +1,14 @@
 //! The four search engines of the paper's evaluation
 //! (GPU-Par-structure, CPU-Par, CPU-Par-d, and the sequential reference),
 //! behind one [`KeywordSearchEngine`] trait.
+//!
+//! None of them owns a level loop: each is a
+//! [`crate::bottom_up::LevelOps`] adapter driven by
+//! [`crate::bottom_up::drive`] and finished by
+//! [`crate::bottom_up::LevelRun::finish`]. The three matrix engines share
+//! one adapter (`MatrixOps`) and differ only in the
+//! [`ShardBackend`] scheduling they pass it; CPU-Par-d
+//! brings its own locked state and expansion (`par_dyn`).
 
 mod gpu_style;
 mod par_cpu;
@@ -12,15 +20,17 @@ pub use par_cpu::ParCpuEngine;
 pub use par_dyn::DynParEngine;
 pub use seq::SeqEngine;
 
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExecStrategy};
+use crate::activation::ActivationMap;
+use crate::bottom_up::{self, ExpandCtx, LevelOps, LevelRun, PreFlight};
 use crate::budget::QueryBudget;
 use crate::error::SearchError;
 use crate::model::CentralGraph;
 use crate::profile::PhaseProfile;
 use crate::session::SearchSession;
+use crate::shard::ShardBackend;
+use crate::state::SearchState;
 use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace};
+use crate::trace::QueryTrace;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use std::time::Instant;
@@ -135,13 +145,71 @@ pub trait KeywordSearchEngine {
     }
 }
 
-/// Shared driver for the three matrix-based engines (sequential, CPU-Par,
-/// GPU-style): re-arm the session's state → bottom-up via `strategy` →
-/// top-down (optionally parallel over central nodes via `pool`).
-#[allow(clippy::too_many_arguments)] // internal driver; args mirror the trait call plus strategy/pool
-pub(crate) fn run_matrix_search<S: ExecStrategy>(
-    strategy: &S,
-    name: &'static str,
+/// Block size of the parallel frontier compaction (a CUDA thread-block
+/// analogue; the value only affects scheduling granularity).
+const COMPACTION_BLOCK: usize = 4096;
+
+/// The matrix engines' [`LevelOps`]: one [`SearchState`], no exchange.
+/// `backend` picks the paper's scheduling per phase — Seq runs all three
+/// sequentially; CPU-Par keeps the *sequential* enqueue (the paper found
+/// locked parallel writes slower than one linear scan) but identifies and
+/// expands in parallel, one task per frontier; GPU-Par additionally
+/// enqueues by parallel block compaction and expands one task per
+/// `(frontier, instance)` work item.
+pub(crate) struct MatrixOps<'a> {
+    pub(crate) backend: ShardBackend,
+    /// The engine's pool; `None` for the sequential engine.
+    pub(crate) pool: Option<&'a rayon::ThreadPool>,
+    pub(crate) ctx: ExpandCtx<'a, SearchState>,
+    pub(crate) frontiers: &'a mut Vec<u32>,
+}
+
+impl LevelOps for MatrixOps<'_> {
+    type Error = SearchError;
+
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        match (self.backend, self.pool) {
+            (ShardBackend::GpuStyle(_), Some(pool)) => bottom_up::enqueue_parallel_compaction(
+                pool,
+                self.ctx.state,
+                self.frontiers,
+                COMPACTION_BLOCK,
+            ),
+            _ => bottom_up::enqueue_sequential(self.ctx.state, self.frontiers),
+        }
+        Ok(self.frontiers.len())
+    }
+
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), SearchError> {
+        let state = self.ctx.state;
+        match self.pool {
+            Some(pool) => bottom_up::identify_parallel(pool, state, self.frontiers, level, newly),
+            None => bottom_up::identify_sequential(state, self.frontiers, level, newly),
+        }
+        Ok(if traced {
+            bottom_up::observe_level(state, self.ctx.act, self.frontiers, level)
+        } else {
+            (0, 0)
+        })
+    }
+
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        bottom_up::expand_level(self.backend, self.pool, &self.ctx, self.frontiers, level);
+        Ok(())
+    }
+}
+
+/// The three matrix-based engines (sequential, CPU-Par, GPU-style) as one
+/// adapter over [`bottom_up::drive`]: re-arm the session's state →
+/// bottom-up under `backend`'s scheduling → top-down by Theorem V.4
+/// extraction (parallel over central nodes when the engine has a `pool`).
+pub(crate) fn run_matrix_search(
+    backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
     session: &mut SearchSession,
     graph: &KnowledgeGraph,
@@ -149,31 +217,12 @@ pub(crate) fn run_matrix_search<S: ExecStrategy>(
     params: &SearchParams,
     budget: &QueryBudget,
 ) -> Result<SearchOutcome, SearchError> {
-    if let Err(e) = params.validate() {
-        panic!("invalid search parameters: {e}");
-    }
-    // Tracing arms the tracker in counting mode so per-level expansion
-    // deltas are observable even without a cap; the untraced unlimited
-    // path keeps its zero-atomic charge fast path.
-    let tracker = if params.trace.enabled() {
-        budget.start_counting()
-    } else {
-        budget.start()
+    let name = backend.base_name();
+    let tracker = match bottom_up::pre_flight(query, params, budget, name) {
+        PreFlight::Run(tracker) => tracker,
+        PreFlight::Done(verdict) => return verdict,
     };
-    // An already-expired deadline fails deterministically before any work.
-    tracker.checkpoint()?;
-    #[cfg(feature = "fault-inject")]
-    crate::fault::inject(query, &tracker)?;
-    if query.is_empty() {
-        let mut out = SearchOutcome::default();
-        if params.trace.enabled() {
-            // A trace with no levels: nothing matched, no search ran.
-            out.trace =
-                Some(Box::new(QueryTrace { engine: name.to_string(), ..QueryTrace::default() }));
-        }
-        return Ok(out);
-    }
-    let mut profile = PhaseProfile::default();
+    let mut run = LevelRun::new(params, &tracker);
 
     // Initialization phase: arm M / FIdentifier / CIdentifier for this
     // query (epoch bump + source seeding; allocation only on first use or
@@ -181,93 +230,14 @@ pub(crate) fn run_matrix_search<S: ExecStrategy>(
     let t = Instant::now();
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
-    profile.init = t.elapsed();
+    run.profile.init = t.elapsed();
     let SearchSession { ref state, scratch, .. } = session;
 
-    let explicit = params.explicit_activation.clone();
-    let act = match &explicit {
-        Some(levels) => ActivationMap::Explicit(levels),
-        None => ActivationMap::Computed {
-            graph,
-            config: ActivationConfig {
-                alpha: params.alpha,
-                average_distance: params.average_distance,
-            },
-        },
-    };
-
-    let ctx = bottom_up::ExpandCtx { graph, act: &act, state, budget: &tracker };
-    let mut outcome = bottom_up::run(strategy, &ctx, scratch, params, &mut profile)?;
-
-    // Top-down processing: extract, prune, rank. The candidate cohort is
-    // ordered shallowest-first, so a cap keeps the best-depth prefix. The
-    // budget is polled once per extracted candidate; a trip mid-stage
-    // yields `None` and the whole search fails rather than returning a
-    // silently truncated answer set.
-    outcome.central_nodes.truncate(params.max_candidates);
-    let t = Instant::now();
-    let candidates: Option<Vec<CentralGraph>> = match pool {
-        Some(pool) => pool.install(|| {
-            use rayon::prelude::*;
-            outcome
-                .central_nodes
-                .par_iter()
-                .map(|&(c, d)| {
-                    if tracker.should_stop() {
-                        return None;
-                    }
-                    let e = top_down::extract(graph, &act, state, c.0, d);
-                    Some(top_down::prune_and_score(graph, state, &e, params))
-                })
-                .collect()
-        }),
-        None => outcome
-            .central_nodes
-            .iter()
-            .map(|&(c, d)| {
-                if tracker.should_stop() {
-                    return None;
-                }
-                let e = top_down::extract(graph, &act, state, c.0, d);
-                Some(top_down::prune_and_score(graph, state, &e, params))
-            })
-            .collect(),
-    };
-    let Some(candidates) = candidates else {
-        return Err(tracker.error().expect("a stopped top-down stage implies a tripped budget"));
-    };
-    let answers = top_down::select_top_k(candidates, params);
-    profile.top_down = t.elapsed();
-
-    let trace = outcome.records.take().map(|levels| {
-        Box::new(QueryTrace {
-            engine: name.to_string(),
-            keywords: query.num_keywords(),
-            total_expansions: tracker.expansions(),
-            terminated: outcome.terminated == bottom_up::TerminationReason::LevelCap,
-            levels,
-            cache: None,
-            session_id: None,
-            session_queries: None,
-            batch_id: None,
-            co_batched: None,
-            phase_ms: PhaseMillis::from(&profile),
-            qid: None,
-            cache_source_qid: None,
-            shard_timelines: None,
-        })
-    });
-    Ok(SearchOutcome {
-        answers,
-        profile,
-        stats: SearchStats {
-            last_level: outcome.last_level,
-            central_candidates: outcome.central_nodes.len(),
-            peak_frontier: outcome.peak_frontier,
-            trace: outcome.trace,
-        },
-        trace,
-    })
+    let act = ActivationMap::for_params(graph, params);
+    let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
+    let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
+    bottom_up::drive(&mut ops, &mut run)?;
+    run.finish(name, graph, state, pool, |c, d| top_down::extract(graph, &act, state, c, d))
 }
 
 /// Build a rayon pool with exactly `threads` workers.
@@ -276,6 +246,35 @@ pub(crate) fn build_pool(threads: usize) -> rayon::ThreadPool {
         .num_threads(threads.max(1))
         .build()
         .expect("failed to build rayon thread pool")
+}
+
+/// Digest used by the in-crate equivalence checks (sharded and remote
+/// against the monolithic engine): everything the workspace-level
+/// differential suites compare, minus the engine name.
+#[cfg(test)]
+pub(crate) fn digest(out: &SearchOutcome) -> String {
+    use std::fmt::Write as _;
+    let mut s = format!(
+        "stats:{}/{}/{}/{:?} ",
+        out.stats.last_level,
+        out.stats.central_candidates,
+        out.stats.peak_frontier,
+        out.stats.trace
+    );
+    for a in &out.answers {
+        let _ = write!(
+            s,
+            "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
+            a.central.0,
+            a.depth,
+            a.nodes,
+            a.edges,
+            a.keyword_nodes,
+            a.keyword_edges,
+            a.score.to_bits()
+        );
+    }
+    s
 }
 
 #[cfg(test)]

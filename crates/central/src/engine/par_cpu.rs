@@ -14,57 +14,19 @@
 //! * **Top-down** is parallel over central nodes, one task per Central
 //!   Graph, dynamically scheduled (Sec. V-C).
 
-use crate::bottom_up::{enqueue_sequential, expand_frontier, ExecStrategy, ExpandCtx};
 use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::state::SearchState;
+use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
-use rayon::prelude::*;
 use textindex::ParsedQuery;
 
 /// Lock-free multi-core engine (the paper's **CPU-Par**).
 pub struct ParCpuEngine {
     pool: rayon::ThreadPool,
     threads: usize,
-}
-
-struct ParCpuStrategy<'p> {
-    pool: &'p rayon::ThreadPool,
-}
-
-impl ExecStrategy for ParCpuStrategy<'_> {
-    fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-        enqueue_sequential(state, out);
-    }
-
-    fn identify(&self, state: &SearchState, frontiers: &[u32], level: u8, newly: &mut Vec<u32>) {
-        newly.clear();
-        let mut found: Vec<u32> = self.pool.install(|| {
-            frontiers
-                .par_iter()
-                .copied()
-                .filter(|&f| {
-                    if !state.is_central(f) && state.row_complete(f) {
-                        state.mark_central(f, level);
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .collect()
-        });
-        found.sort_unstable(); // deterministic identification order
-        newly.extend(found);
-    }
-
-    fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-        self.pool.install(|| {
-            frontiers.par_iter().for_each(|&f| expand_frontier(ctx, f, level));
-        });
-    }
 }
 
 impl ParCpuEngine {
@@ -92,10 +54,8 @@ impl KeywordSearchEngine for ParCpuEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        let strategy = ParCpuStrategy { pool: &self.pool };
         run_matrix_search(
-            &strategy,
-            self.name(),
+            ShardBackend::ParCpu(self.threads),
             Some(&self.pool),
             session,
             graph,

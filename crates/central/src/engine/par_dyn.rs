@@ -9,16 +9,15 @@
 //! reproduction confirms, is that the lock traffic during expansion
 //! overwhelms the saved extraction time.
 
-use crate::activation::{ActivationConfig, ActivationMap};
+use crate::activation::ActivationMap;
+use crate::bottom_up::{self, LevelOps, LevelRun, PreFlight};
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{build_pool, KeywordSearchEngine, SearchOutcome, SearchStats};
+use crate::engine::{build_pool, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
-use crate::model::{CentralGraph, INFINITE_LEVEL};
-use crate::profile::PhaseProfile;
+use crate::model::INFINITE_LEVEL;
 use crate::session::SearchSession;
 use crate::state::HitLevels;
-use crate::top_down::{self, Extraction};
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
+use crate::top_down::Extraction;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use parking_lot::Mutex;
@@ -187,28 +186,11 @@ impl KeywordSearchEngine for DynParEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        if let Err(e) = params.validate() {
-            panic!("invalid search parameters: {e}");
-        }
-        let tracker = if params.trace.enabled() {
-            budget.start_counting()
-        } else {
-            budget.start()
+        let tracker = match bottom_up::pre_flight(query, params, budget, self.name()) {
+            PreFlight::Run(tracker) => tracker,
+            PreFlight::Done(verdict) => return verdict,
         };
-        tracker.checkpoint()?;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::inject(query, &tracker)?;
-        if query.is_empty() {
-            let mut out = SearchOutcome::default();
-            if params.trace.enabled() {
-                out.trace = Some(Box::new(QueryTrace {
-                    engine: self.name().to_string(),
-                    ..QueryTrace::default()
-                }));
-            }
-            return Ok(out);
-        }
-        let mut profile = PhaseProfile::default();
+        let mut run = LevelRun::new(params, &tracker);
 
         // Arm (or lazily materialize) the session's lock-based state.
         let t = Instant::now();
@@ -216,164 +198,81 @@ impl KeywordSearchEngine for DynParEngine {
         state.begin_query(graph.num_nodes(), query);
         session.queries_run += 1;
         let state = &*state;
-        profile.init = t.elapsed();
+        run.profile.init = t.elapsed();
 
-        let explicit = params.explicit_activation.clone();
-        let act = match &explicit {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed {
-                graph,
-                config: ActivationConfig {
-                    alpha: params.alpha,
-                    average_distance: params.average_distance,
-                },
-            },
+        let act = ActivationMap::for_params(graph, params);
+        let mut ops = DynOps {
+            graph,
+            state,
+            act: &act,
+            tracker: &tracker,
+            pool: &self.pool,
+            frontiers: Vec::new(),
         };
-
-        let max_level = params.max_level.min(254);
-        let mut central_nodes: Vec<(NodeId, u8)> = Vec::new();
-        let mut peak_frontier = 0usize;
-        let mut trace: Vec<crate::bottom_up::LevelTrace> = Vec::new();
-        let mut records: Option<Vec<TraceLevelRecord>> = params.trace.enabled().then(Vec::new);
-        let mut hit_level_cap = false;
-        let mut level: u8 = 0;
-        loop {
-            tracker.checkpoint()?;
-            // Enqueue: swap out the locked queue, clear queued flags.
-            let t = Instant::now();
-            let mut frontiers = std::mem::take(&mut *state.next_frontier.lock());
-            frontiers.sort_unstable();
-            for &f in &frontiers {
-                state.node(f).queued = false;
-            }
-            profile.enqueue += t.elapsed();
-            peak_frontier = peak_frontier.max(frontiers.len());
-            if frontiers.is_empty() {
-                break;
-            }
-
-            // Identify central nodes (locked reads of the sparse hit lists).
-            let t = Instant::now();
-            let before = central_nodes.len();
-            for &f in &frontiers {
-                let mut node = state.node(f);
-                if node.central == 0 && node.hits.len() == state.q {
-                    node.central = level + 1;
-                    central_nodes.push((NodeId(f), level));
-                }
-            }
-            trace.push(crate::bottom_up::LevelTrace {
-                level,
-                frontier: frontiers.len(),
-                identified: central_nodes.len() - before,
-            });
-            if let Some(recs) = records.as_mut() {
-                // Locked scans, paid only on traced queries: keyword-hit
-                // cells first covered here and activation-gated frontiers.
-                let mut new_hits = 0usize;
-                let mut activation_deferred = 0usize;
-                for &f in &frontiers {
-                    new_hits += state.node(f).hits.iter().filter(|&&(_, l)| l == level).count();
-                    if act.level(NodeId(f)) > level {
-                        activation_deferred += 1;
-                    }
-                }
-                recs.push(TraceLevelRecord {
-                    level: u32::from(level),
-                    frontier: frontiers.len(),
-                    identified: central_nodes.len() - before,
-                    new_hits,
-                    activation_deferred,
-                    expansions: 0,
-                    budget_remaining: tracker.remaining(),
-                });
-            }
-            profile.identify += t.elapsed();
-            if central_nodes.len() >= params.top_k || level >= max_level {
-                hit_level_cap = central_nodes.len() < params.top_k;
-                break;
-            }
-
-            // Expansion with per-node locks, parallel over frontiers.
-            let charged_before = if records.is_some() {
-                tracker.expansions()
-            } else {
-                0
-            };
-            let t = Instant::now();
-            let state_ref = state;
-            let act_ref = &act;
-            let tracker_ref = &tracker;
-            self.pool.install(|| {
-                frontiers.par_iter().for_each(|&f| {
-                    expand_locked(graph, state_ref, act_ref, f, level, tracker_ref);
-                });
-            });
-            profile.expansion += t.elapsed();
-            if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-                last.expansions = tracker.expansions() - charged_before;
-                last.budget_remaining = tracker.remaining();
-            }
-            level += 1;
-        }
-
+        bottom_up::drive(&mut ops, &mut run)?;
         // Top-down: no extraction — assemble per-keyword DAGs from the
         // recorded predecessors, then the shared pruning/ranking.
-        let full_candidates = central_nodes.len();
-        central_nodes.truncate(params.max_candidates);
-        let _ = full_candidates;
-        let t = Instant::now();
-        let state_ref = state;
-        let tracker_ref = &tracker;
-        let candidates: Option<Vec<CentralGraph>> = self.pool.install(|| {
-            central_nodes
-                .par_iter()
-                .map(|&(c, d)| {
-                    if tracker_ref.should_stop() {
-                        return None;
-                    }
-                    let e = assemble_from_records(state_ref, c.0, d);
-                    Some(top_down::prune_and_score(graph, state_ref, &e, params))
-                })
-                .collect()
-        });
-        let Some(candidates) = candidates else {
-            return Err(tracker
-                .error()
-                .expect("a stopped top-down stage implies a tripped budget"));
-        };
-        let answers = top_down::select_top_k(candidates, params);
-        profile.top_down += t.elapsed();
-
-        let query_trace = records.map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.name().to_string(),
-                keywords: query.num_keywords(),
-                total_expansions: tracker.expansions(),
-                terminated: hit_level_cap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None,
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&profile),
-                qid: None,
-                cache_source_qid: None,
-                shard_timelines: None,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile,
-            stats: SearchStats {
-                last_level: level,
-                central_candidates: central_nodes.len(),
-                peak_frontier,
-                trace,
-            },
-            trace: query_trace,
+        run.finish(self.name(), graph, state, Some(&self.pool), |c, d| {
+            assemble_from_records(state, c, d)
         })
+    }
+}
+
+/// CPU-Par-d's [`LevelOps`]: the locked frontier queue and per-node
+/// records of a [`DynState`], no exchange.
+struct DynOps<'a> {
+    graph: &'a KnowledgeGraph,
+    state: &'a DynState,
+    act: &'a ActivationMap<'a>,
+    tracker: &'a BudgetTracker,
+    pool: &'a rayon::ThreadPool,
+    frontiers: Vec<u32>,
+}
+
+impl LevelOps for DynOps<'_> {
+    type Error = SearchError;
+
+    /// Swap out the locked queue, clear queued flags.
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        self.frontiers = std::mem::take(&mut *self.state.next_frontier.lock());
+        self.frontiers.sort_unstable();
+        for &f in &self.frontiers {
+            self.state.node(f).queued = false;
+        }
+        Ok(self.frontiers.len())
+    }
+
+    /// Locked reads of the sparse hit lists (and, traced, locked scans
+    /// for the level observation).
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), SearchError> {
+        for &f in &self.frontiers {
+            let mut node = self.state.node(f);
+            if node.central == 0 && node.hits.len() == self.state.q {
+                node.central = level + 1;
+                newly.push(f);
+            }
+        }
+        Ok(if traced {
+            bottom_up::observe_level(self.state, self.act, &self.frontiers, level)
+        } else {
+            (0, 0)
+        })
+    }
+
+    /// Expansion with per-node locks, parallel over frontiers.
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        let DynOps { graph, state, act, tracker, .. } = *self;
+        self.pool.install(|| {
+            self.frontiers
+                .par_iter()
+                .for_each(|&f| expand_locked(graph, state, act, f, level, tracker));
+        });
+        Ok(())
     }
 }
 

@@ -5,14 +5,11 @@
 //! with benign races (Theorem V.2), this engine's output is the ground
 //! truth they are property-tested against.
 
-use crate::bottom_up::{
-    enqueue_sequential, expand_frontier, identify_sequential, ExecStrategy, ExpandCtx,
-};
 use crate::budget::QueryBudget;
 use crate::engine::{run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::state::SearchState;
+use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use textindex::ParsedQuery;
@@ -20,24 +17,6 @@ use textindex::ParsedQuery;
 /// Single-threaded Central Graph search engine.
 #[derive(Default)]
 pub struct SeqEngine;
-
-struct SeqStrategy;
-
-impl ExecStrategy for SeqStrategy {
-    fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-        enqueue_sequential(state, out);
-    }
-
-    fn identify(&self, state: &SearchState, frontiers: &[u32], level: u8, newly: &mut Vec<u32>) {
-        identify_sequential(state, frontiers, level, newly);
-    }
-
-    fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-        for &f in frontiers {
-            expand_frontier(ctx, f, level);
-        }
-    }
-}
 
 impl SeqEngine {
     /// Create the sequential engine.
@@ -59,7 +38,7 @@ impl KeywordSearchEngine for SeqEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        run_matrix_search(&SeqStrategy, self.name(), None, session, graph, query, params, budget)
+        run_matrix_search(ShardBackend::Seq, None, session, graph, query, params, budget)
     }
 }
 

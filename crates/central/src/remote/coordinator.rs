@@ -1,7 +1,9 @@
 //! The coordinator side of the remote protocol: [`RemoteShardedSearch`]
 //! drives `N` shard-worker processes through the same level-synchronous
 //! round protocol the in-process [`crate::shard::ShardedSearch`] runs
-//! over rayon lanes, behind the same `try_search` seam — so the result
+//! over rayon lanes — both are [`crate::bottom_up::LevelOps`] shapes under
+//! the one [`crate::bottom_up::drive`] loop, here with every phase a sweep
+//! of shard RPCs — behind the same `try_search` seam, so the result
 //! cache, budgets, batching, tracing and the top-down extractor all run
 //! unchanged above it, and the remote-equivalence differential suite can
 //! pin the two byte-identical.
@@ -41,19 +43,19 @@ use super::breaker::{BreakerState, CircuitBreaker};
 use super::frame::write_frame;
 use super::wire;
 use super::worker::expect_frame;
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{LevelTrace, TerminationReason};
+use crate::activation::ActivationMap;
+use crate::bottom_up::{self, LevelOps, LevelRun, PreFlight};
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
 use crate::metrics::{HistogramSnapshot, LogHistogram};
-use crate::model::{CentralGraph, INFINITE_LEVEL};
-use crate::shard::{ShardBackend, DEFAULT_PARTITION_SEED};
+use crate::model::INFINITE_LEVEL;
+use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
 use crate::state::HitLevels;
 use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, ShardSpan, ShardTimeline, TraceLevelRecord};
+use crate::trace::{ShardSpan, ShardTimeline};
 use crate::SearchParams;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
@@ -179,9 +181,7 @@ struct RemoteCounters {
     probe_failures: AtomicU64,
     breaker_opens: AtomicU64,
     degraded_queries: AtomicU64,
-    rounds: AtomicU64,
-    notifications: AtomicU64,
-    suppressed: AtomicU64,
+    exchange: ExchangeCounters,
     /// Nonce of the deterministic backoff jitter.
     jitter_nonce: AtomicU64,
 }
@@ -334,10 +334,7 @@ impl Core {
     /// process-local nonce, no RNG dependency.
     fn jitter(&self, base: Duration) -> Duration {
         let nonce = self.counters.jitter_nonce.fetch_add(1, Ordering::Relaxed);
-        let mut x = nonce.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        let x = crate::shard::splitmix64(nonce);
         base.mul_f64((x % 1000) as f64 / 2000.0) // 0 – 50 % of base
     }
 }
@@ -363,6 +360,12 @@ enum AttemptError {
     ShardIo { shard: usize },
     /// A shard's breaker refused admission: degrade / shed, no probe.
     ShardShed { shard: usize },
+}
+
+impl From<SearchError> for AttemptError {
+    fn from(e: SearchError) -> Self {
+        AttemptError::Budget(e)
+    }
 }
 
 impl RemoteShardedSearch {
@@ -432,9 +435,9 @@ impl RemoteShardedSearch {
             probe_failures: c.probe_failures.load(Ordering::Relaxed),
             breaker_opens: c.breaker_opens.load(Ordering::Relaxed),
             degraded_queries: c.degraded_queries.load(Ordering::Relaxed),
-            rounds: c.rounds.load(Ordering::Relaxed),
-            notifications: c.notifications.load(Ordering::Relaxed),
-            notifications_suppressed: c.suppressed.load(Ordering::Relaxed),
+            rounds: c.exchange.rounds.load(Ordering::Relaxed),
+            notifications: c.exchange.notifications.load(Ordering::Relaxed),
+            notifications_suppressed: c.exchange.suppressed.load(Ordering::Relaxed),
             breaker: self.core.breakers.iter().map(|b| b.state().name().to_string()).collect(),
             rpc_latency_us: self.core.latency.snapshot(),
         }
@@ -473,28 +476,17 @@ impl RemoteShardedSearch {
         budget: &QueryBudget,
         qid: Option<u64>,
     ) -> Result<RemoteOutcome, SearchError> {
-        if let Err(e) = params.validate() {
-            panic!("invalid search parameters: {e}");
-        }
-        let tracker = if params.trace.enabled() {
-            budget.start_counting()
-        } else {
-            budget.start()
-        };
-        tracker.checkpoint()?;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::inject(query, &tracker)?;
-        if query.is_empty() {
-            let mut out = SearchOutcome::default();
-            if params.trace.enabled() {
-                out.trace = Some(Box::new(QueryTrace {
-                    engine: self.name.clone(),
-                    qid,
-                    ..QueryTrace::default()
-                }));
+        let tracker = match bottom_up::pre_flight(query, params, budget, &self.name) {
+            PreFlight::Run(tracker) => tracker,
+            PreFlight::Done(verdict) => {
+                return verdict.map(|mut outcome| {
+                    if let Some(trace) = outcome.trace.as_mut() {
+                        trace.qid = qid;
+                    }
+                    RemoteOutcome { outcome, degraded: false }
+                })
             }
-            return Ok(RemoteOutcome { outcome: out, degraded: false });
-        }
+        };
 
         let opts = &self.core.opts;
         let deadline = budget.timeout.map(|t| Instant::now() + t);
@@ -597,7 +589,7 @@ impl RemoteShardedSearch {
     }
 
     /// One full pass of the round protocol over the live shards.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
         graph: &KnowledgeGraph,
@@ -616,94 +608,27 @@ impl RemoteShardedSearch {
                 return Err(AttemptError::ShardShed { shard: s });
             }
         }
-        let mut profile = crate::profile::PhaseProfile::default();
-        let q = query.num_keywords();
         let traced = params.trace.enabled();
-
-        // Checkout one exclusive channel per live shard. On any failure
-        // the erroring channel is dropped (it may hold undrained reply
-        // bytes); the healthy ones go back to the pool.
-        let mut chans: Vec<Option<Channel>> = (0..core.shards).map(|_| None).collect();
-        let mut fail: Option<usize> = None;
-        for &s in &live {
-            match self.checkout(s) {
-                Ok(c) => chans[s] = Some(c),
-                Err(_) => {
-                    fail = Some(s);
-                    break;
-                }
-            }
-        }
-        let finish = |chans: Vec<Option<Channel>>| {
-            for (s, c) in chans.into_iter().enumerate() {
-                if let Some(c) = c {
-                    self.checkin(s, c);
-                }
-            }
+        let mut ops = RemoteOps {
+            search: self,
+            live,
+            chans: (0..core.shards).map(|_| None).collect(),
+            deadline,
+            tracker,
+            shard_rpcs: vec![0; core.shards],
+            shard_rpc_us: vec![0; core.shards],
         };
-        if let Some(shard) = fail {
-            finish(chans);
-            return Err(AttemptError::ShardIo { shard });
+        // Checkout one exclusive channel per live shard.
+        for i in 0..ops.live.len() {
+            let s = ops.live[i];
+            ops.chans[s] = Some(self.checkout(s).map_err(|_| AttemptError::ShardIo { shard: s })?);
         }
-
-        // Per-shard RPC accounting for this attempt: every successful
-        // RPC's coordinator-observed wall time, by shard. This is the
-        // outer envelope the stitched timelines reconcile worker spans
-        // against (worker intervals nest inside it, so
-        // `rpc_us >= worker_us` and the difference is wire time).
-        let mut shard_rpcs = vec![0u64; core.shards];
-        let mut shard_rpc_us = vec![0u64; core.shards];
-
-        // The per-shard RPC helper for this attempt. On failure the
-        // erroring channel is dropped (it may hold undrained reply
-        // bytes); the healthy ones go back to the pool.
-        macro_rules! rpc {
-            ($s:expr, $op:expr, $payload:expr, $expect:expr) => {{
-                let chan = chans[$s].as_mut().expect("live shard has a channel");
-                let t_rpc = Instant::now();
-                match core.call(chan, $op, $payload, $expect, self.rpc_timeout(deadline)) {
-                    Ok(body) => {
-                        shard_rpcs[$s] += 1;
-                        shard_rpc_us[$s] += t_rpc.elapsed().as_micros() as u64;
-                        body
-                    }
-                    Err(_) => {
-                        chans[$s] = None; // poisoned: drop it
-                        finish(chans);
-                        return Err(AttemptError::ShardIo { shard: $s });
-                    }
-                }
-            }};
-        }
-        macro_rules! budget_check {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(err) => {
-                        finish(chans);
-                        return Err(AttemptError::Budget(err));
-                    }
-                }
-            };
-        }
-        // Decode helper: a malformed reply is a shard failure.
-        macro_rules! decode {
-            ($s:expr, $body:expr) => {
-                match wire::decode(&$body) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        chans[$s] = None; // protocol corruption: drop it
-                        finish(chans);
-                        return Err(AttemptError::ShardIo { shard: $s });
-                    }
-                }
-            };
-        }
+        let mut run = LevelRun::new(params, tracker);
 
         // Scatter: Start re-arms every live worker's state for this
         // query (idempotent across retries).
         let t = Instant::now();
-        let start = wire::Start {
+        let start = wire::encode(&wire::Start {
             query: wire::WireQuery::from_query(query),
             params: params.clone(),
             activation: params.explicit_activation.as_deref().cloned(),
@@ -714,157 +639,151 @@ impl RemoteShardedSearch {
             // span-less replies degrade the stitched timeline, never the
             // answer.
             spans: Some(traced),
-        };
-        let start_payload = wire::encode(&start);
-        for &s in &live {
-            let body = rpc!(s, wire::OP_START, &start_payload, wire::OP_START_OK);
-            let ok: wire::StartOk = decode!(s, body);
-            debug_assert_eq!(ok.keywords as usize, q);
+        });
+        let started: Vec<wire::StartOk> = ops.sweep(wire::OP_START, &start, wire::OP_START_OK)?;
+        debug_assert!(started.iter().all(|ok| ok.keywords as usize == query.num_keywords()));
+        run.profile.init = t.elapsed();
+
+        bottom_up::drive(&mut ops, &mut run)?;
+
+        // Collect: ship every informative row (the channels go back to
+        // the pool as `ops` drops) and run the unchanged top-down stage
+        // over the global graph.
+        let (rows, timelines) = ops.collect(traced)?;
+        drop(ops);
+        let hits = RemoteHitLevels { rows, q: query.num_keywords() };
+        let global_act = ActivationMap::for_params(graph, params);
+        let mut outcome = run.finish(&self.name, graph, &hits, None, |c, d| {
+            top_down::extract(graph, &global_act, &hits, c, d)
+        })?;
+        if let Some(trace) = outcome.trace.as_mut() {
+            trace.qid = qid;
+            trace.shard_timelines = timelines;
         }
-        profile.init = t.elapsed();
+        Ok(outcome)
+    }
+}
 
-        // The level-synchronous round loop — the in-process fork-join
-        // phases, each fork replaced by a sweep of shard RPCs.
-        let max_level = params.max_level.min(254);
-        let mut cohort: Vec<(NodeId, u8)> = Vec::new();
-        let mut level_trace: Vec<LevelTrace> = Vec::new();
-        let mut records: Option<Vec<TraceLevelRecord>> = traced.then(Vec::new);
-        let mut peak_frontier = 0usize;
-        let mut level: u8 = 0;
-        let terminated = loop {
-            budget_check!(tracker.checkpoint());
-            let t = Instant::now();
-            let mut frontier_total = 0usize;
-            for &s in &live {
-                let body = rpc!(s, wire::OP_ENQUEUE, &[], wire::OP_ENQUEUE_OK);
-                let ok: wire::EnqueueOk = decode!(s, body);
-                frontier_total += ok.frontier as usize;
-            }
-            profile.enqueue += t.elapsed();
-            peak_frontier = peak_frontier.max(frontier_total);
-            if frontier_total == 0 {
-                break TerminationReason::FrontierExhausted;
-            }
+/// One attempt's exclusive hold on the fleet — a channel per live shard
+/// plus the per-shard RPC accounting — and the remote [`LevelOps`]: the
+/// in-process fork-join phases, each fork replaced by a sweep of shard
+/// RPCs. A failed RPC or malformed reply drops the erroring channel and
+/// fails the attempt; dropping the attempt returns the healthy channels
+/// to the pool.
+struct RemoteOps<'a> {
+    search: &'a RemoteShardedSearch,
+    live: Vec<usize>,
+    chans: Vec<Option<Channel>>,
+    deadline: Option<Instant>,
+    tracker: &'a BudgetTracker,
+    /// Successful RPCs per shard and their coordinator-observed wall
+    /// time: the outer envelope the stitched timelines reconcile worker
+    /// spans against (worker intervals nest inside it, so
+    /// `rpc_us >= worker_us` and the difference is wire time).
+    shard_rpcs: Vec<u64>,
+    shard_rpc_us: Vec<u64>,
+}
 
-            let t = Instant::now();
-            let identify = wire::encode(&wire::Identify { level, traced });
-            let mut newly: Vec<u32> = Vec::new();
-            let (mut new_hits, mut deferred) = (0usize, 0usize);
-            for &s in &live {
-                let body = rpc!(s, wire::OP_IDENTIFY, &identify, wire::OP_IDENTIFY_OK);
-                let ok: wire::IdentifyOk = decode!(s, body);
-                newly.extend_from_slice(&ok.newly);
-                new_hits += ok.new_hits as usize;
-                deferred += ok.deferred as usize;
+impl Drop for RemoteOps<'_> {
+    fn drop(&mut self) {
+        for (s, chan) in self.chans.iter_mut().enumerate() {
+            if let Some(chan) = chan.take() {
+                self.search.checkin(s, chan);
             }
-            newly.sort_unstable();
-            profile.identify += t.elapsed();
-            level_trace.push(LevelTrace {
-                level,
-                frontier: frontier_total,
-                identified: newly.len(),
-            });
-            if let Some(recs) = records.as_mut() {
-                recs.push(TraceLevelRecord {
-                    level: u32::from(level),
-                    frontier: frontier_total,
-                    identified: newly.len(),
-                    new_hits,
-                    activation_deferred: deferred,
-                    expansions: 0, // filled in after this level's expansion
-                    budget_remaining: tracker.remaining(),
-                });
-            }
-            cohort.extend(newly.iter().map(|&v| (NodeId(v), level)));
-            if cohort.len() >= params.top_k {
-                break TerminationReason::EnoughCentralNodes;
-            }
-            if level >= max_level {
-                break TerminationReason::LevelCap;
-            }
+        }
+    }
+}
 
-            let charged_before = if records.is_some() {
-                tracker.expansions()
-            } else {
-                0
-            };
-            let t = Instant::now();
-            let expand = wire::encode(&wire::Expand { level });
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut charged_total = 0u64;
-            for &s in &live {
-                let body = rpc!(s, wire::OP_EXPAND, &expand, wire::OP_EXPAND_OK);
-                let ok: wire::ExpandOk = decode!(s, body);
-                pairs.extend_from_slice(&ok.outbox);
-                charged_total += ok.charged;
-            }
-            // The workers metered this level's kernels; charge the sum
-            // here — the same cumulative totals, at the same sequence
-            // point, as the in-process driver.
-            tracker.charge(charged_total);
-            let sent = pairs.len();
-            pairs.sort_unstable();
-            pairs.dedup();
-            core.counters.rounds.fetch_add(1, Ordering::Relaxed);
-            core.counters.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-            core.counters
-                .suppressed
-                .fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
-            let apply = wire::encode(&wire::Apply { level, pairs });
-            for &s in &live {
-                let _body = rpc!(s, wire::OP_APPLY, &apply, wire::OP_APPLY_OK);
-            }
-            profile.expansion += t.elapsed();
-            if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-                last.expansions = tracker.expansions() - charged_before;
-                last.budget_remaining = tracker.remaining();
-            }
-            level += 1;
-        };
-        let last_level = level;
+impl RemoteOps<'_> {
+    /// Shard `s` failed this attempt: drop its channel (it may hold
+    /// undrained reply bytes).
+    fn fail(&mut self, s: usize) -> AttemptError {
+        self.chans[s] = None;
+        AttemptError::ShardIo { shard: s }
+    }
 
-        // Collect: ship every informative row and run the unchanged
-        // top-down stage over the global graph. Owner rows are
-        // authoritative; under degradation the live shards' halo
-        // replicas stand in for dead owners.
-        let include_halos = live.len() < core.shards;
-        let collect = wire::encode(&wire::Collect { include_halos });
+    /// One RPC to shard `s`; returns the raw reply payload.
+    fn rpc(
+        &mut self,
+        s: usize,
+        op: u8,
+        payload: &[u8],
+        expect: u8,
+    ) -> Result<Vec<u8>, AttemptError> {
+        let chan = self.chans[s].as_mut().expect("live shard has a channel");
+        let timeout = self.search.rpc_timeout(self.deadline);
+        let t = Instant::now();
+        match self.search.core.call(chan, op, payload, expect, timeout) {
+            Ok(body) => {
+                self.shard_rpcs[s] += 1;
+                self.shard_rpc_us[s] += t.elapsed().as_micros() as u64;
+                Ok(body)
+            }
+            Err(_) => Err(self.fail(s)),
+        }
+    }
+
+    /// The same RPC to every live shard, in shard order, decoding each
+    /// reply; a malformed reply is a shard failure.
+    fn sweep<T: serde::Deserialize>(
+        &mut self,
+        op: u8,
+        payload: &[u8],
+        expect: u8,
+    ) -> Result<Vec<T>, AttemptError> {
+        let mut replies = Vec::with_capacity(self.live.len());
+        for i in 0..self.live.len() {
+            let s = self.live[i];
+            let body = self.rpc(s, op, payload, expect)?;
+            replies.push(wire::decode(&body).map_err(|_| self.fail(s))?);
+        }
+        Ok(replies)
+    }
+
+    /// Collect every live shard's informative rows, and (traced) stitch
+    /// the worker-reported spans into per-shard timelines. All quantities
+    /// are monotonic durations measured on one host each — the
+    /// coordinator's clock for `rpc_us`, the worker's for the span phases
+    /// — never cross-host timestamp comparisons.
+    #[allow(clippy::type_complexity)]
+    fn collect(
+        &mut self,
+        traced: bool,
+    ) -> Result<(HashMap<u32, wire::WireRow>, Option<Vec<ShardTimeline>>), AttemptError> {
+        let core = &self.search.core;
         // Owner rows are authoritative (only the owner's replica carries
         // `central_depth`); halo replicas — shipped only when degraded —
         // fill the gaps a dead owner left. The wire does not distinguish
         // the two, so replay the ownership hash per row.
+        let include_halos = self.live.len() < core.shards;
         let owner_of = |v: u32| -> usize {
             (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
         };
+        let collect = wire::encode(&wire::Collect { include_halos });
+        let replies: Vec<wire::CollectOk> =
+            self.sweep(wire::OP_COLLECT, &collect, wire::OP_COLLECT_OK)?;
         let mut rows: HashMap<u32, wire::WireRow> = HashMap::new();
         let mut halo_rows: Vec<wire::WireRow> = Vec::new();
-        // Stitch worker-reported spans into per-shard timelines. All
-        // quantities are monotonic durations measured on one host each —
-        // the coordinator's clock for `rpc_us`, the worker's for the
-        // span phases — never cross-host timestamp comparisons.
         let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
-        for &s in &live {
-            let body = rpc!(s, wire::OP_COLLECT, &collect, wire::OP_COLLECT_OK);
-            let ok: wire::CollectOk = decode!(s, body);
-            let wire::CollectOk { rows: shard_rows, qid: shard_qid, spans } = ok;
+        for (&s, ok) in self.live.iter().zip(replies) {
             if let Some(tls) = timelines.as_mut() {
                 // A span-less reply (v1 worker) still earns a timeline:
                 // the RPC envelope is coordinator-side truth; only the
                 // worker-side breakdown is missing.
-                let spans = spans.unwrap_or_default();
+                let spans = ok.spans.unwrap_or_default();
                 let worker_us: u64 = spans.iter().map(ShardSpan::worker_us).sum();
-                let rpc_us = shard_rpc_us[s];
+                let rpc_us = self.shard_rpc_us[s];
                 tls.push(ShardTimeline {
                     shard: s,
-                    qid: shard_qid,
-                    rpcs: shard_rpcs[s],
+                    qid: ok.qid,
+                    rpcs: self.shard_rpcs[s],
                     rpc_us,
                     worker_us,
                     wire_us: rpc_us.saturating_sub(worker_us),
                     spans,
                 });
             }
-            for row in shard_rows {
+            for row in ok.rows {
                 if owner_of(row.node) == s {
                     rows.insert(row.node, row);
                 } else {
@@ -872,62 +791,61 @@ impl RemoteShardedSearch {
                 }
             }
         }
-        finish(chans);
         for row in halo_rows {
             rows.entry(row.node).or_insert(row);
         }
+        Ok((rows, timelines))
+    }
+}
 
-        cohort.truncate(params.max_candidates);
-        let config =
-            ActivationConfig { alpha: params.alpha, average_distance: params.average_distance };
-        let global_act = match &params.explicit_activation {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed { graph, config },
-        };
-        let hits = RemoteHitLevels { rows, q };
-        let t = Instant::now();
-        let mut candidates: Vec<CentralGraph> = Vec::with_capacity(cohort.len());
-        for &(c, d) in &cohort {
-            if tracker.should_stop() {
-                let err =
-                    tracker.error().expect("a stopped top-down stage implies a tripped budget");
-                return Err(AttemptError::Budget(err));
-            }
-            let e = top_down::extract(graph, &global_act, &hits, c.0, d);
-            candidates.push(top_down::prune_and_score(graph, &hits, &e, params));
+impl LevelOps for RemoteOps<'_> {
+    type Error = AttemptError;
+
+    fn enqueue(&mut self) -> Result<usize, AttemptError> {
+        let replies: Vec<wire::EnqueueOk> =
+            self.sweep(wire::OP_ENQUEUE, &[], wire::OP_ENQUEUE_OK)?;
+        Ok(replies.iter().map(|ok| ok.frontier as usize).sum())
+    }
+
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), AttemptError> {
+        let identify = wire::encode(&wire::Identify { level, traced });
+        let replies: Vec<wire::IdentifyOk> =
+            self.sweep(wire::OP_IDENTIFY, &identify, wire::OP_IDENTIFY_OK)?;
+        let (mut new_hits, mut deferred) = (0usize, 0usize);
+        for ok in &replies {
+            newly.extend_from_slice(&ok.newly);
+            new_hits += ok.new_hits as usize;
+            deferred += ok.deferred as usize;
         }
-        let answers = top_down::select_top_k(candidates, params);
-        profile.top_down = t.elapsed();
+        newly.sort_unstable();
+        Ok((new_hits, deferred))
+    }
 
-        let trace = records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.name.clone(),
-                keywords: q,
-                total_expansions: tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None,
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&profile),
-                qid,
-                cache_source_qid: None,
-                shard_timelines: timelines,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile,
-            stats: SearchStats {
-                last_level,
-                central_candidates: cohort.len(),
-                peak_frontier,
-                trace: level_trace,
-            },
-            trace,
-        })
+    fn expand(&mut self, level: u8) -> Result<(), AttemptError> {
+        let expand = wire::encode(&wire::Expand { level });
+        let replies: Vec<wire::ExpandOk> =
+            self.sweep(wire::OP_EXPAND, &expand, wire::OP_EXPAND_OK)?;
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut charged = 0u64;
+        for ok in replies {
+            pairs.extend(ok.outbox);
+            charged += ok.charged;
+        }
+        // The workers metered this level's kernels; charge the sum here —
+        // the same cumulative totals, at the same sequence point, as the
+        // in-process driver.
+        self.tracker.charge(charged);
+        self.search.core.counters.exchange.exchange(&mut pairs);
+        let apply = wire::encode(&wire::Apply { level, pairs });
+        for i in 0..self.live.len() {
+            self.rpc(self.live[i], wire::OP_APPLY, &apply, wire::OP_APPLY_OK)?;
+        }
+        Ok(())
     }
 }
 

@@ -48,7 +48,7 @@ pub use worker::ShardWorker;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{KeywordSearchEngine, SeqEngine};
+    use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
     use crate::shard::{ShardBackend, ShardedSearch, DEFAULT_PARTITION_SEED};
     use crate::{QueryBudget, SearchParams};
     use kgraph::{GraphBuilder, KnowledgeGraph};
@@ -83,31 +83,6 @@ mod tests {
             ..RemoteOptions::default()
         };
         RemoteShardedSearch::new(g, backend, shards, Arc::new(StaticAddrs(addrs)), opts)
-    }
-
-    fn digest(out: &crate::engine::SearchOutcome) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "stats:{}/{}/{}/{:?} ",
-            out.stats.last_level,
-            out.stats.central_candidates,
-            out.stats.peak_frontier,
-            out.stats.trace
-        );
-        for a in &out.answers {
-            let _ = write!(
-                s,
-                "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-                a.central.0,
-                a.depth,
-                a.nodes,
-                a.edges,
-                a.keyword_nodes,
-                a.keyword_edges,
-                a.score.to_bits()
-            );
-        }
-        s
     }
 
     #[test]

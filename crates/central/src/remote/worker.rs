@@ -6,9 +6,9 @@
 //! coordinator connections over TCP, one thread and one
 //! [`SearchState`] per connection. Each connection executes at most one
 //! query at a time as a sequence of phase RPCs (see [`super::wire`]);
-//! the handlers are line-for-line the per-shard bodies of the in-process
-//! fork-join phases in [`crate::shard::ShardedSearch`], which is what the
-//! remote-equivalence differential suite leans on.
+//! each handler runs the `crate::shard::ShardLane` method the in-process
+//! coordinator's fork-join runs for that phase — one implementation, which
+//! is what the remote-equivalence differential suite leans on.
 //!
 //! The worker never enforces query budgets itself: it runs an unlimited
 //! counting tracker and reports per-level expansion charges back to the
@@ -25,14 +25,14 @@
 
 use super::frame::{read_frame, write_frame};
 use super::wire::{self, Hello};
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExpandCtx};
+use crate::activation::ActivationConfig;
+use crate::bottom_up::BottomUpScratch;
 use crate::model::INFINITE_LEVEL;
-use crate::shard::{ShardBackend, ShardPart, ShardPlan};
-use crate::state::SearchState;
+use crate::shard::{ShardBackend, ShardLane, ShardPart, ShardPlan};
+use crate::state::{HitLevels, SearchState};
 use crate::trace::ShardSpan;
 use crate::QueryBudget;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -180,14 +180,20 @@ impl ConnError {
     fn new(code: &'static str, message: impl Into<String>) -> ConnError {
         ConnError { code, message: message.into() }
     }
+
+    /// A phase RPC arrived with no query in flight.
+    fn before_start() -> ConnError {
+        ConnError::new("bad_sequence", "phase RPC before START")
+    }
 }
 
-/// Per-connection state: the search state plus the per-query execution
-/// knobs remembered from the last `Start`.
+/// Per-connection state: the search state and per-level buffers plus the
+/// per-query execution knobs remembered from the last `Start`.
 struct Conn<'w> {
     worker: &'w ShardWorker,
     greeted: bool,
     state: SearchState,
+    scratch: BottomUpScratch,
     query: Option<QueryCtx>,
     /// Lazily built kernel pool, rebuilt when a query asks for a
     /// different thread count.
@@ -203,7 +209,6 @@ struct QueryCtx {
     local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
-    frontiers: Vec<u32>,
     /// Fleet-wide query ID from `Start` (protocol v2), echoed on collect.
     qid: Option<u64>,
     /// Per-RPC span accumulator, armed when the coordinator asked for
@@ -217,9 +222,50 @@ fn micros(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_micros() as u64
 }
 
+/// The worker-side instants of one RPC, from which its [`ShardSpan`] is
+/// cut: frame fully read (`ready`), payload decode started and finished.
+/// A payload-less RPC has `decode_from == decode_done`.
+struct RpcClock {
+    ready: Instant,
+    decode_from: Instant,
+    decode_done: Instant,
+}
+
+impl RpcClock {
+    /// Decode `payload` into its typed request, timing the decode.
+    fn decode<T: serde::Deserialize>(
+        payload: &[u8],
+        ready: Instant,
+    ) -> Result<(T, RpcClock), ConnError> {
+        let decode_from = Instant::now();
+        let req = wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))?;
+        Ok((req, RpcClock { ready, decode_from, decode_done: Instant::now() }))
+    }
+
+    /// The span of this RPC, whose phase finished executing at
+    /// `exec_done` and whose reply was on the wire at `sent`.
+    fn span(&self, op: &str, level: Option<u8>, exec_done: Instant, sent: Instant) -> ShardSpan {
+        ShardSpan {
+            op: op.to_string(),
+            level: level.map(u32::from),
+            wait_us: micros(self.ready, self.decode_from),
+            decode_us: micros(self.decode_from, self.decode_done),
+            exec_us: micros(self.decode_done, exec_done),
+            encode_us: micros(exec_done, sent),
+        }
+    }
+}
+
 impl<'w> Conn<'w> {
     fn new(worker: &'w ShardWorker) -> Conn<'w> {
-        Conn { worker, greeted: false, state: SearchState::empty(), query: None, pool: None }
+        Conn {
+            worker,
+            greeted: false,
+            state: SearchState::empty(),
+            scratch: BottomUpScratch::default(),
+            query: None,
+            pool: None,
+        }
     }
 
     fn handle(
@@ -245,30 +291,29 @@ impl<'w> Conn<'w> {
         }
     }
 
-    /// Send a phase reply and, when the query is span-traced, finish the
-    /// RPC's span with the measured encode+write time and record it. The
-    /// borrow of the query context is re-taken here so handlers can build
-    /// their reply payloads with the context borrowed.
+    /// Encode and send a phase reply and, when the query is span-traced,
+    /// record the RPC's span including the measured encode+write time.
+    /// The query context is re-borrowed here so handlers can build their
+    /// reply with the context borrowed.
     fn finish(
         &mut self,
         stream: &mut TcpStream,
         opcode: u8,
-        payload: &[u8],
-        span: Option<ShardSpan>,
-        encode_from: Instant,
+        payload: impl FnOnce() -> Vec<u8>,
+        clock: &RpcClock,
+        op: &str,
+        level: Option<u8>,
     ) -> Result<Flow, ConnError> {
-        reply(stream, opcode, payload)?;
-        if let Some(mut span) = span {
-            span.encode_us = micros(encode_from, Instant::now());
-            if let Some(spans) = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut()) {
-                spans.push(span);
-            }
+        let exec_done = Instant::now();
+        reply(stream, opcode, &payload())?;
+        if let Some(spans) = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut()) {
+            spans.push(clock.span(op, level, exec_done, Instant::now()));
         }
         Ok(Flow::Continue)
     }
 
     fn on_hello(&mut self, stream: &mut TcpStream, payload: &[u8]) -> Result<Flow, ConnError> {
-        let hello: Hello = decode(payload)?;
+        let hello: Hello = wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))?;
         let w = self.worker;
         // The partition contract is strict — a worker must never serve a
         // differently-cut partition. The protocol version is a *range*:
@@ -319,9 +364,7 @@ impl<'w> Conn<'w> {
         if !self.greeted {
             return Err(ConnError::new("bad_sequence", "START before HELLO"));
         }
-        let decode_from = Instant::now();
-        let start: wire::Start = decode(payload)?;
-        let decode_done = Instant::now();
+        let (start, clock): (wire::Start, _) = RpcClock::decode(payload, ready)?;
         let query = start.query.to_query();
 
         // Network-shaped fault injection (test builds only): the chaos
@@ -354,26 +397,19 @@ impl<'w> Conn<'w> {
                 return Err(ConnError::new("bad_sequence", format!("unknown backend {other:?}")))
             }
         };
-        let local_act = start
-            .activation
-            .as_ref()
-            .map(|levels| part.locals.iter().map(|&v| levels[v as usize]).collect());
+        let local_act = part.localize_activation(start.activation.as_deref());
         // Spans are recorded only when the coordinator asked for them AND
         // this worker's protocol revision can ship them on collect.
         let traced = self.worker.protocol >= 2 && start.spans == Some(true);
         self.query = Some(QueryCtx {
             q: query.num_keywords(),
             backend,
-            config: ActivationConfig {
-                alpha: start.params.alpha,
-                average_distance: start.params.average_distance,
-            },
+            config: ActivationConfig::for_params(&start.params),
             local_act,
             // Unlimited counting tracker: budgets are the coordinator's
             // job; this one only meters charges for `ExpandOk::charged`.
             tracker: QueryBudget::unlimited().start_counting(),
             charged_mark: 0,
-            frontiers: Vec::new(),
             // A v1 worker predates the qid field entirely: never echo it.
             qid: if self.worker.protocol >= 2 {
                 start.qid
@@ -383,49 +419,31 @@ impl<'w> Conn<'w> {
             spans: traced.then(Vec::new),
         });
         let ok = wire::StartOk { keywords: query.num_keywords() as u32 };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "start".to_string(),
-            level: None,
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_START_OK, &wire::encode(&ok), span, exec_done)
+        self.finish(stream, wire::OP_START_OK, || wire::encode(&ok), &clock, "start", None)
     }
 
-    fn query_mut(&mut self) -> Result<(&'w ShardPart, &SearchState, &mut QueryCtx), ConnError> {
+    /// This connection's lane of the in-flight query (the same
+    /// [`ShardLane`] the in-process coordinator steps) and the kernel
+    /// pool [`Conn::on_expand`] sized for it.
+    fn lane(&mut self) -> Result<(ShardLane<'_>, Option<&rayon::ThreadPool>), ConnError> {
         let part = &self.worker.part;
-        match self.query.as_mut() {
-            Some(ctx) => Ok((part, &self.state, ctx)),
-            None => Err(ConnError::new("bad_sequence", "phase RPC before START")),
-        }
+        let ctx = self.query.as_ref().ok_or_else(ConnError::before_start)?;
+        let lane = ShardLane {
+            part,
+            state: &self.state,
+            act: part.activation(ctx.local_act.as_deref(), ctx.config),
+            backend: ctx.backend,
+            budget: &ctx.tracker,
+            scratch: &mut self.scratch,
+        };
+        Ok((lane, self.pool.as_ref().map(|(_, pool)| pool)))
     }
 
     fn on_enqueue(&mut self, stream: &mut TcpStream, ready: Instant) -> Result<Flow, ConnError> {
         let entered = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        // Owned nodes only: each global frontier node is drained exactly
-        // once, by its owner.
-        ctx.frontiers.clear();
-        for v in 0..part.num_owned {
-            if state.take_frontier_flag(v) {
-                ctx.frontiers.push(v);
-            }
-        }
-        let traced = ctx.spans.is_some();
-        let ok = wire::EnqueueOk { frontier: ctx.frontiers.len() as u64 };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "enqueue".to_string(),
-            level: None,
-            wait_us: micros(ready, entered),
-            decode_us: 0,
-            exec_us: micros(entered, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_ENQUEUE_OK, &wire::encode(&ok), span, exec_done)
+        let clock = RpcClock { ready, decode_from: entered, decode_done: entered };
+        let ok = wire::EnqueueOk { frontier: self.lane()?.0.enqueue() as u64 };
+        self.finish(stream, wire::OP_ENQUEUE_OK, || wire::encode(&ok), &clock, "enqueue", None)
     }
 
     fn on_identify(
@@ -434,38 +452,16 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Identify = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        let mut newly_local = Vec::new();
-        bottom_up::identify_sequential(state, &ctx.frontiers, req.level, &mut newly_local);
-        let (mut new_hits, mut deferred) = (0usize, 0usize);
-        if req.traced {
-            let act = activation(part, ctx);
-            new_hits = ctx
-                .frontiers
-                .iter()
-                .map(|&f| (0..ctx.q).filter(|&i| state.hit(f, i) == req.level).count())
-                .sum();
-            deferred = ctx.frontiers.iter().filter(|&&f| act.level(NodeId(f)) > req.level).count();
-        }
-        let traced = ctx.spans.is_some();
+        let (req, clock): (wire::Identify, _) = RpcClock::decode(payload, ready)?;
+        let (mut lane, _) = self.lane()?;
+        let (new_hits, deferred) = lane.identify(req.level, req.traced);
         let ok = wire::IdentifyOk {
-            newly: newly_local.iter().map(|&l| part.locals[l as usize]).collect(),
+            newly: lane.newly().collect(),
             new_hits: new_hits as u64,
             deferred: deferred as u64,
         };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "identify".to_string(),
-            level: Some(req.level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_IDENTIFY_OK, &wire::encode(&ok), span, exec_done)
+        let level = Some(req.level);
+        self.finish(stream, wire::OP_IDENTIFY_OK, || wire::encode(&ok), &clock, "identify", level)
     }
 
     fn on_expand(
@@ -474,76 +470,23 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        use rayon::prelude::*;
-        let decode_from = Instant::now();
-        let req: wire::Expand = decode(payload)?;
-        let decode_done = Instant::now();
-        let backend = match &self.query {
-            Some(ctx) => ctx.backend,
-            None => return Err(ConnError::new("bad_sequence", "phase RPC before START")),
-        };
+        let (req, clock): (wire::Expand, _) = RpcClock::decode(payload, ready)?;
         // Parallel kernels run inside a worker-local pool sized to the
         // query's thread request, (re)built only when the size changes.
-        let threads = backend.threads();
-        let pooled = !matches!(backend, ShardBackend::Seq | ShardBackend::DynPar(_));
-        if pooled && self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
-            self.pool = Some((threads, crate::engine::build_pool(threads)));
-        }
-        let part = &self.worker.part;
-        let state = &self.state;
-        let ctx = self.query.as_mut().expect("checked above");
-        let level = req.level;
-        let act = activation(part, ctx);
-        let expand_ctx = ExpandCtx { graph: &part.graph, act: &act, state, budget: &ctx.tracker };
-        let q = ctx.q;
-        let frontiers = &ctx.frontiers;
-        match backend {
-            ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                for &f in frontiers {
-                    bottom_up::expand_frontier(&expand_ctx, f, level);
-                }
-            }
-            ShardBackend::ParCpu(_) => {
-                let pool = &self.pool.as_ref().expect("pool built above").1;
-                pool.install(|| {
-                    frontiers
-                        .par_iter()
-                        .for_each(|&f| bottom_up::expand_frontier(&expand_ctx, f, level));
-                });
-            }
-            ShardBackend::GpuStyle(_) => {
-                let pool = &self.pool.as_ref().expect("pool built above").1;
-                pool.install(|| {
-                    (0..frontiers.len() * q).into_par_iter().for_each(|w| {
-                        bottom_up::expand_work_item(&expand_ctx, frontiers[w / q], w % q, level);
-                    });
-                });
+        if let Some(backend) = self.query.as_ref().map(|ctx| ctx.backend) {
+            let threads = backend.threads();
+            if backend.parallel() && self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
+                self.pool = Some((threads, crate::engine::build_pool(threads)));
             }
         }
-        // Boundary scan: cells that became `level + 1` this round.
-        let mut outbox = Vec::new();
-        for &bl in &part.boundary {
-            for i in 0..q {
-                if state.hit(bl, i) == level + 1 {
-                    outbox.push((part.locals[bl as usize], i as u32));
-                }
-            }
-        }
+        let (mut lane, pool) = self.lane()?;
+        let outbox = lane.expand(req.level, pool).to_vec();
+        let ctx = self.query.as_mut().expect("lane() found the query");
         let total = ctx.tracker.expansions();
-        let charged = total - ctx.charged_mark;
+        let ok = wire::ExpandOk { outbox, charged: total - ctx.charged_mark };
         ctx.charged_mark = total;
-        let traced = ctx.spans.is_some();
-        let ok = wire::ExpandOk { outbox, charged };
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "expand".to_string(),
-            level: Some(level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_EXPAND_OK, &wire::encode(&ok), span, exec_done)
+        let level = Some(req.level);
+        self.finish(stream, wire::OP_EXPAND_OK, || wire::encode(&ok), &clock, "expand", level)
     }
 
     fn on_apply(
@@ -552,36 +495,9 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Apply = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
-        // Membership filtering over the broadcast union — equivalent to
-        // the in-process holders routing: a pair reaches exactly the
-        // shards holding a replica, and only still-∞ cells accept it.
-        // Frontier flags rise only on owned replicas, the only ones
-        // whose flags are ever scanned.
-        for &(v, i) in &req.pairs {
-            if let Some(&l) = part.local_index.get(&v) {
-                if state.hit(l, i as usize) == INFINITE_LEVEL {
-                    state.set_hit(l, i as usize, req.level + 1);
-                    if l < part.num_owned {
-                        state.mark_frontier(l);
-                    }
-                }
-            }
-        }
-        let traced = ctx.spans.is_some();
-        let exec_done = Instant::now();
-        let span = traced.then(|| ShardSpan {
-            op: "apply".to_string(),
-            level: Some(req.level.into()),
-            wait_us: micros(ready, decode_from),
-            decode_us: micros(decode_from, decode_done),
-            exec_us: micros(decode_done, exec_done),
-            encode_us: 0,
-        });
-        self.finish(stream, wire::OP_APPLY_OK, &[], span, exec_done)
+        let (req, clock): (wire::Apply, _) = RpcClock::decode(payload, ready)?;
+        self.lane()?.0.apply(req.level, &req.pairs);
+        self.finish(stream, wire::OP_APPLY_OK, Vec::new, &clock, "apply", Some(req.level))
     }
 
     fn on_collect(
@@ -590,10 +506,9 @@ impl<'w> Conn<'w> {
         payload: &[u8],
         ready: Instant,
     ) -> Result<Flow, ConnError> {
-        let decode_from = Instant::now();
-        let req: wire::Collect = decode(payload)?;
-        let decode_done = Instant::now();
-        let (part, state, ctx) = self.query_mut()?;
+        let (req, clock): (wire::Collect, _) = RpcClock::decode(payload, ready)?;
+        let (part, state) = (&self.worker.part, &self.state);
+        let ctx = self.query.as_mut().ok_or_else(ConnError::before_start)?;
         let limit = if req.include_halos {
             part.locals.len()
         } else {
@@ -614,36 +529,17 @@ impl<'w> Conn<'w> {
         }
         let qid = ctx.qid;
         let mut spans = ctx.spans.take();
-        let exec_done = Instant::now();
         if let Some(spans) = spans.as_mut() {
-            spans.push(ShardSpan {
-                op: "collect".to_string(),
-                level: None,
-                wait_us: micros(ready, decode_from),
-                decode_us: micros(decode_from, decode_done),
-                exec_us: micros(decode_done, exec_done),
-                // This span ships inside the reply it measures, so its own
-                // encode+write time cannot be self-reported; the
-                // coordinator attributes it to wire time.
-                encode_us: 0,
-            });
+            // This span ships inside the reply it measures, so its own
+            // encode+write time cannot be self-reported (it reads 0); the
+            // coordinator attributes it to wire time.
+            let exec_done = Instant::now();
+            spans.push(clock.span("collect", None, exec_done, exec_done));
         }
         let ok = wire::CollectOk { rows, qid, spans };
         reply(stream, wire::OP_COLLECT_OK, &wire::encode(&ok))?;
         Ok(Flow::Continue)
     }
-}
-
-/// The activation map for the in-flight query on this shard.
-fn activation<'a>(part: &'a ShardPart, ctx: &'a QueryCtx) -> ActivationMap<'a> {
-    match &ctx.local_act {
-        Some(table) => ActivationMap::Explicit(table),
-        None => ActivationMap::Computed { graph: &part.graph, config: ctx.config },
-    }
-}
-
-fn decode<T: serde::Deserialize>(payload: &[u8]) -> Result<T, ConnError> {
-    wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))
 }
 
 fn reply(stream: &mut TcpStream, opcode: u8, payload: &[u8]) -> Result<(), ConnError> {

@@ -35,24 +35,30 @@
 //!
 //! ## The round protocol ([`ShardedSearch`])
 //!
-//! The coordinator mirrors [`crate::bottom_up::run`] phase for phase; the
-//! global level barrier is simply a fork-join over the shard lanes:
+//! The level loop itself is [`crate::bottom_up::drive`]; the coordinator
+//! only implements its [`crate::bottom_up::LevelOps`] seam, each phase a
+//! fork-join over the shard lanes (the global level barrier). The
+//! per-shard half of every step is a `ShardLane` method, which a remote
+//! shard worker ([`crate::remote`]) runs unchanged behind its RPCs:
 //!
-//! 1. **enqueue** (parallel): each shard drains the frontier flags of its
-//!    *owned* nodes — every global frontier node is counted exactly once,
-//!    by its owner.
-//! 2. **identify** (parallel): [`crate::bottom_up::identify_sequential`]
-//!    over each shard's owned frontiers; the owner's replica always holds
-//!    the complete `M` row (see the sync invariant below).
-//! 3. **merge** (coordinator): per-shard cohorts map back to global ids
-//!    and merge in ascending order — the same within-level order the
-//!    monolithic frontier scan produces.
-//! 4. **expand** (parallel): the backend's expansion kernel runs over
-//!    each shard's owned frontiers against its local sub-graph, charging
-//!    the one shared [`crate::budget::BudgetTracker`].
-//! 5. **exchange** (coordinator): each shard scans its boundary table for
-//!    cells that became `level + 1` this round; the coordinator dedups
-//!    the union and broadcasts each surviving `(node, instance)` pair to
+//! 1. **enqueue** (parallel, `ShardLane::enqueue`): each shard drains
+//!    the frontier flags of its *owned* nodes — every global frontier node
+//!    is counted exactly once, by its owner.
+//! 2. **identify** (parallel, `ShardLane::identify`):
+//!    [`crate::bottom_up::identify_sequential`] over each shard's owned
+//!    frontiers; the owner's replica always holds the complete `M` row
+//!    (see the sync invariant below).
+//! 3. **merge** (coordinator): per-shard cohorts (`ShardLane::newly`)
+//!    map back to global ids and merge in ascending order — the same
+//!    within-level order the monolithic frontier scan produces.
+//! 4. **expand** (parallel, `ShardLane::expand`): the backend's
+//!    expansion kernel runs over each shard's owned frontiers against its
+//!    local sub-graph, charging the one shared
+//!    [`crate::budget::BudgetTracker`]; then the shard scans its boundary
+//!    table for cells that became `level + 1` this round into its outbox.
+//! 5. **exchange** (coordinator, `ExchangeCounters::exchange` then
+//!    `ShardLane::apply`): the coordinator dedups the union of the
+//!    outboxes and broadcasts each surviving `(node, instance)` pair to
 //!    every holder whose replica still reads `∞`.
 //!
 //! The dedup in step 5 is the synchronous degenerate form of DKWS's
@@ -94,16 +100,15 @@
 //! all four backend names.
 
 use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, ExpandCtx, LevelTrace, TerminationReason};
-use crate::budget::QueryBudget;
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::bottom_up::{self, BottomUpScratch, ExpandCtx, LevelOps, LevelRun, PreFlight};
+use crate::budget::{BudgetTracker, QueryBudget};
+use crate::engine::SearchOutcome;
 use crate::error::SearchError;
-use crate::model::{CentralGraph, INFINITE_LEVEL};
+use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
-use crate::profile::PhaseProfile;
-use crate::state::{HitLevels, SearchState};
+use crate::session::SearchSession;
+use crate::state::{Cells, HitLevels, SearchState};
 use crate::top_down;
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use std::collections::HashMap;
@@ -169,6 +174,26 @@ impl ShardPart {
                 })
                 .collect(),
             unmatched: query.unmatched.clone(),
+        }
+    }
+
+    /// An explicit (global) activation table remapped onto this shard's
+    /// local ids.
+    pub(crate) fn localize_activation(&self, levels: Option<&[u8]>) -> Option<Vec<u8>> {
+        levels.map(|levels| self.locals.iter().map(|&v| levels[v as usize]).collect())
+    }
+
+    /// The activation oracle of this shard for a query: the localized
+    /// explicit table, else Eqs. 3–5 over the local sub-graph (whose
+    /// weights are the global ones).
+    pub(crate) fn activation<'a>(
+        &'a self,
+        local_act: Option<&'a [u8]>,
+        config: ActivationConfig,
+    ) -> ActivationMap<'a> {
+        match local_act {
+            Some(table) => ActivationMap::Explicit(table),
+            None => ActivationMap::Computed { graph: &self.graph, config },
         }
     }
 }
@@ -339,6 +364,12 @@ impl ShardBackend {
         }
     }
 
+    /// Whether the backend's kernels fan out over a thread pool (CPU-Par
+    /// and GPU-Par; `Seq` and the matrix-served `CPU-Par-d` run serially).
+    pub fn parallel(&self) -> bool {
+        matches!(self, ShardBackend::ParCpu(_) | ShardBackend::GpuStyle(_))
+    }
+
     /// Worker threads the backend was configured with (1 for `Seq`).
     pub fn threads(&self) -> usize {
         match *self {
@@ -350,16 +381,32 @@ impl ShardBackend {
     }
 }
 
-/// Cross-query counters of one [`ShardedSearch`].
+/// Cross-query counters of the boundary exchange, shared by the
+/// in-process and the remote coordinator.
 #[derive(Default)]
-struct ShardCounters {
+pub(crate) struct ExchangeCounters {
     /// BFS rounds that ran an expansion + exchange step.
-    rounds: AtomicU64,
+    pub(crate) rounds: AtomicU64,
     /// Unique `(node, instance)` boundary updates broadcast to replicas.
-    notifications: AtomicU64,
+    pub(crate) notifications: AtomicU64,
     /// Outbox entries dropped by the monotone-bound dedup before
     /// broadcast.
-    suppressed: AtomicU64,
+    pub(crate) suppressed: AtomicU64,
+}
+
+impl ExchangeCounters {
+    /// One round's exchange over the union of the shards' outboxes: dedup
+    /// it in place (the synchronous monotone-bound prune — see the module
+    /// docs) and count the round. What is left of `pairs` is the
+    /// notification set to broadcast.
+    pub(crate) fn exchange(&self, pairs: &mut Vec<(u32, u32)>) {
+        let sent = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        self.suppressed.fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
+    }
 }
 
 /// A monitoring snapshot of a [`ShardedSearch`] (`STATS` / `METRICS`).
@@ -377,26 +424,87 @@ pub struct ShardedStats {
     pub pools: PoolStats,
 }
 
-/// Per-shard shared (read-only) state of one in-flight query.
-struct Lane<'a> {
-    part: &'a ShardPart,
-    state: &'a SearchState,
-    act: ActivationMap<'a>,
+/// One shard's slice of an in-flight query — the per-shard bodies of the
+/// round protocol's phases, run identically by the in-process
+/// coordinator's fork-join and by a remote worker's RPC handlers.
+pub(crate) struct ShardLane<'a> {
+    pub(crate) part: &'a ShardPart,
+    pub(crate) state: &'a SearchState,
+    pub(crate) act: ActivationMap<'a>,
+    pub(crate) backend: ShardBackend,
+    /// The tracker expansion charges: the query's own in-process, a
+    /// worker-local metering one remotely.
+    pub(crate) budget: &'a BudgetTracker,
+    /// Warm per-level buffers (the shard session's, or the connection's).
+    pub(crate) scratch: &'a mut BottomUpScratch,
 }
 
-/// Per-shard mutable buffers of one in-flight query. Kept behind one
-/// uncontended mutex per shard so the fork-join phases can write them
-/// from pool workers (exactly one worker touches each lane per phase).
-#[derive(Default)]
-struct LaneBufs {
-    frontiers: Vec<u32>,
-    newly: Vec<u32>,
-    /// `(global node, instance)` cells that became `level + 1` this round.
-    outbox: Vec<(u32, u32)>,
-    /// Traced-query observation: keyword cells first covered this level.
-    new_hits: usize,
-    /// Traced-query observation: frontier nodes still activation-gated.
-    deferred: usize,
+impl ShardLane<'_> {
+    /// Enqueue: drain the frontier flags of the *owned* nodes only — halo
+    /// flags are never scanned, so every global frontier node is counted
+    /// exactly once, by its owner. Returns this shard's frontier size.
+    pub(crate) fn enqueue(&mut self) -> usize {
+        let frontiers = &mut self.scratch.frontiers;
+        frontiers.clear();
+        frontiers.extend((0..self.part.num_owned).filter(|&v| self.state.take_frontier_flag(v)));
+        frontiers.len()
+    }
+
+    /// Identify over the owned frontiers (the owner's replica holds the
+    /// complete `M` row, by the sync invariant), leaving the cohort in
+    /// [`ShardLane::newly`]; returns the traced observation pair.
+    pub(crate) fn identify(&mut self, level: u8, traced: bool) -> (usize, usize) {
+        let BottomUpScratch { frontiers, newly, .. } = &mut *self.scratch;
+        bottom_up::identify_sequential(self.state, frontiers, level, newly);
+        if traced {
+            bottom_up::observe_level(self.state, &self.act, frontiers, level)
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// The cohort of the last [`ShardLane::identify`], as global ids
+    /// (ascending, since owned local ids ascend with global ids).
+    pub(crate) fn newly(&self) -> impl Iterator<Item = u32> + '_ {
+        self.scratch.newly.iter().map(|&l| self.part.locals[l as usize])
+    }
+
+    /// Expand the owned frontiers against the local sub-graph, then scan
+    /// the boundary table for cells that became `level + 1` this round —
+    /// whether written into an owned node or into a halo replica — and
+    /// return them as this shard's outbox of `(global node, instance)`.
+    pub(crate) fn expand(&mut self, level: u8, pool: Option<&rayon::ThreadPool>) -> &[(u32, u32)] {
+        let ShardLane { part, state, .. } = *self;
+        let ctx = ExpandCtx { graph: &part.graph, act: &self.act, state, budget: self.budget };
+        bottom_up::expand_level(self.backend, pool, &ctx, &self.scratch.frontiers, level);
+        let q = state.num_keywords();
+        let outbox = &mut self.scratch.outbox;
+        outbox.clear();
+        for &bl in &part.boundary {
+            for i in (0..q).filter(|&i| state.hit(bl, i) == level + 1) {
+                outbox.push((part.locals[bl as usize], i as u32));
+            }
+        }
+        outbox
+    }
+
+    /// Apply the round's notification set: a pair reaches exactly the
+    /// shards holding a replica, and only a replica still reading `∞`
+    /// accepts it (anything else cannot lower the bound). Frontier flags
+    /// rise only on owned replicas — the only ones whose flags are ever
+    /// scanned.
+    pub(crate) fn apply(&self, level: u8, pairs: &[(u32, u32)]) {
+        for &(v, i) in pairs {
+            if let Some(&l) = self.part.local_index.get(&v) {
+                if self.state.hit(l, i as usize) == INFINITE_LEVEL {
+                    self.state.set_hit(l, i as usize, level + 1);
+                    if l < self.part.num_owned {
+                        self.state.mark_frontier(l);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Routes global node ids to the owning shard's search state, so the
@@ -444,7 +552,7 @@ pub struct ShardedSearch {
     compute: rayon::ThreadPool,
     backend: ShardBackend,
     name: String,
-    counters: ShardCounters,
+    counters: ExchangeCounters,
 }
 
 impl ShardedSearch {
@@ -457,7 +565,7 @@ impl ShardedSearch {
         let pools = (0..shards).map(|_| SessionPool::new()).collect();
         let compute = crate::engine::build_pool(backend.threads().max(shards));
         let name = format!("{}[shards={shards}]", backend.base_name());
-        ShardedSearch { plan, pools, compute, backend, name, counters: ShardCounters::default() }
+        ShardedSearch { plan, pools, compute, backend, name, counters: ExchangeCounters::default() }
     }
 
     /// Number of shards.
@@ -511,320 +619,131 @@ impl ShardedSearch {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        use rayon::prelude::*;
-
-        if let Err(e) = params.validate() {
-            panic!("invalid search parameters: {e}");
-        }
         // One session per shard, checked out for the whole query: a panic
         // from here on unwinds through all the guards and quarantines the
         // whole cohort (PooledSession::drop sees thread::panicking()).
         let mut sessions: Vec<_> = self.pools.iter().map(|p| p.checkout()).collect();
-        let tracker = if params.trace.enabled() {
-            budget.start_counting()
-        } else {
-            budget.start()
+        let tracker = match bottom_up::pre_flight(query, params, budget, &self.name) {
+            PreFlight::Run(tracker) => tracker,
+            PreFlight::Done(verdict) => return verdict,
         };
-        tracker.checkpoint()?;
-        #[cfg(feature = "fault-inject")]
-        crate::fault::inject(query, &tracker)?;
-        if query.is_empty() {
-            let mut out = SearchOutcome::default();
-            if params.trace.enabled() {
-                out.trace = Some(Box::new(QueryTrace {
-                    engine: self.name.clone(),
-                    ..QueryTrace::default()
-                }));
-            }
-            return Ok(out);
-        }
-        let mut profile = PhaseProfile::default();
-        let q = query.num_keywords();
+        let mut run = LevelRun::new(params, &tracker);
 
         // Scatter: localize the query per shard (halo sources included)
         // and re-arm every shard session.
         let t = Instant::now();
-        let local_queries: Vec<ParsedQuery> =
-            self.plan.parts.iter().map(|p| p.localize_query(query)).collect();
-        for (session, (part, lq)) in
-            sessions.iter_mut().zip(self.plan.parts.iter().zip(&local_queries))
-        {
-            session.state.begin_query(part.graph.num_nodes(), lq);
+        for (session, part) in sessions.iter_mut().zip(&self.plan.parts) {
+            session.state.begin_query(part.graph.num_nodes(), &part.localize_query(query));
             session.queries_run += 1;
         }
-        profile.init = t.elapsed();
+        run.profile.init = t.elapsed();
 
-        let explicit = params.explicit_activation.clone();
-        let config =
-            ActivationConfig { alpha: params.alpha, average_distance: params.average_distance };
         // Explicit activation tables remap global → local per shard.
-        let local_acts: Vec<Option<Vec<u8>>> = self
-            .plan
-            .parts
-            .iter()
-            .map(|p| {
-                explicit
-                    .as_ref()
-                    .map(|levels| p.locals.iter().map(|&v| levels[v as usize]).collect())
+        let explicit = params.explicit_activation.as_ref().map(|levels| levels.as_slice());
+        let local_acts: Vec<Option<Vec<u8>>> =
+            self.plan.parts.iter().map(|p| p.localize_activation(explicit)).collect();
+        let config = ActivationConfig::for_params(params);
+        let lanes = sessions
+            .iter_mut()
+            .zip(self.plan.parts.iter().zip(&local_acts))
+            .map(|(session, (part, local_act))| {
+                let SearchSession { state, scratch, .. } = &mut **session;
+                parking_lot::Mutex::new(ShardLane {
+                    part,
+                    state,
+                    act: part.activation(local_act.as_deref(), config),
+                    backend: self.backend,
+                    budget: &tracker,
+                    scratch,
+                })
             })
             .collect();
-        let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(self.plan.shards);
-        for (s, part) in self.plan.parts.iter().enumerate() {
-            let act = match &local_acts[s] {
-                Some(table) => ActivationMap::Explicit(table),
-                None => ActivationMap::Computed { graph: &part.graph, config },
-            };
-            lanes.push(Lane { part, state: sessions[s].state(), act });
-        }
-        let lanes = &lanes[..];
-        let bufs: Vec<parking_lot::Mutex<LaneBufs>> =
-            lanes.iter().map(|_| parking_lot::Mutex::new(LaneBufs::default())).collect();
-        let bufs = &bufs[..];
-        let shards = self.plan.shards;
-
-        // The level-synchronous round loop — a fork-join mirror of
-        // `bottom_up::run`, with the boundary exchange as step 5.
-        let max_level = params.max_level.min(254);
-        let backend = self.backend;
-        let traced = params.trace.enabled();
-        let mut cohort: Vec<(NodeId, u8)> = Vec::new();
-        let mut level_trace: Vec<LevelTrace> = Vec::new();
-        let mut records: Option<Vec<TraceLevelRecord>> = traced.then(Vec::new);
-        let mut peak_frontier = 0usize;
-        let mut level: u8 = 0;
-        let terminated = loop {
-            tracker.checkpoint()?;
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    // Owned nodes only: halo flags are never scanned, so
-                    // each global frontier node is drained exactly once.
-                    b.frontiers.clear();
-                    for v in 0..lane.part.num_owned {
-                        if lane.state.take_frontier_flag(v) {
-                            b.frontiers.push(v);
-                        }
-                    }
-                });
-            });
-            profile.enqueue += t.elapsed();
-            let frontier_total: usize = bufs.iter().map(|b| b.lock().frontiers.len()).sum();
-            peak_frontier = peak_frontier.max(frontier_total);
-            if frontier_total == 0 {
-                break TerminationReason::FrontierExhausted;
-            }
-
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    bottom_up::identify_sequential(lane.state, &b.frontiers, level, &mut b.newly);
-                    if traced {
-                        b.new_hits = b
-                            .frontiers
-                            .iter()
-                            .map(|&f| (0..q).filter(|&i| lane.state.hit(f, i) == level).count())
-                            .sum();
-                        b.deferred = b
-                            .frontiers
-                            .iter()
-                            .filter(|&&f| lane.act.level(NodeId(f)) > level)
-                            .count();
-                    }
-                });
-            });
-            profile.identify += t.elapsed();
-            // Merge per-shard cohorts back to ascending global ids — the
-            // within-level order of the monolithic frontier scan.
-            let mut newly: Vec<u32> = Vec::new();
-            let (mut new_hits, mut deferred) = (0usize, 0usize);
-            for (s, lane) in lanes.iter().enumerate() {
-                let b = bufs[s].lock();
-                newly.extend(b.newly.iter().map(|&loc| lane.part.locals[loc as usize]));
-                new_hits += b.new_hits;
-                deferred += b.deferred;
-            }
-            newly.sort_unstable();
-            level_trace.push(LevelTrace {
-                level,
-                frontier: frontier_total,
-                identified: newly.len(),
-            });
-            if let Some(recs) = records.as_mut() {
-                recs.push(TraceLevelRecord {
-                    level: u32::from(level),
-                    frontier: frontier_total,
-                    identified: newly.len(),
-                    new_hits,
-                    activation_deferred: deferred,
-                    expansions: 0, // filled in after this level's expansion
-                    budget_remaining: tracker.remaining(),
-                });
-            }
-            cohort.extend(newly.iter().map(|&v| (NodeId(v), level)));
-            if cohort.len() >= params.top_k {
-                break TerminationReason::EnoughCentralNodes;
-            }
-            if level >= max_level {
-                break TerminationReason::LevelCap;
-            }
-
-            let charged_before = if records.is_some() {
-                tracker.expansions()
-            } else {
-                0
-            };
-            let t = Instant::now();
-            self.compute.install(|| {
-                (0..shards).into_par_iter().for_each(|s| {
-                    let lane = &lanes[s];
-                    let b = &mut *bufs[s].lock();
-                    let ctx = ExpandCtx {
-                        graph: &lane.part.graph,
-                        act: &lane.act,
-                        state: lane.state,
-                        budget: &tracker,
-                    };
-                    match backend {
-                        ShardBackend::Seq | ShardBackend::DynPar(_) => {
-                            for &f in &b.frontiers {
-                                bottom_up::expand_frontier(&ctx, f, level);
-                            }
-                        }
-                        ShardBackend::ParCpu(_) => {
-                            b.frontiers
-                                .par_iter()
-                                .for_each(|&f| bottom_up::expand_frontier(&ctx, f, level));
-                        }
-                        ShardBackend::GpuStyle(_) => {
-                            let frontiers = &b.frontiers;
-                            (0..frontiers.len() * q).into_par_iter().for_each(|w| {
-                                bottom_up::expand_work_item(&ctx, frontiers[w / q], w % q, level);
-                            });
-                        }
-                    }
-                    // Boundary scan: cells that became `level + 1` this
-                    // round, whether written by local expansion into an
-                    // owned node or into a halo replica.
-                    b.outbox.clear();
-                    for &bl in &lane.part.boundary {
-                        for i in 0..q {
-                            if lane.state.hit(bl, i) == level + 1 {
-                                b.outbox.push((lane.part.locals[bl as usize], i as u32));
-                            }
-                        }
-                    }
-                });
-            });
-            // Exchange: dedup the union (the synchronous monotone-bound
-            // prune) and broadcast each survivor to every replica still
-            // reading ∞. Frontier flags are raised only on owners — the
-            // only replicas whose flags are scanned.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for b in bufs {
-                pairs.extend_from_slice(&b.lock().outbox);
-            }
-            let sent = pairs.len();
-            pairs.sort_unstable();
-            pairs.dedup();
-            self.counters.rounds.fetch_add(1, Ordering::Relaxed);
-            self.counters.notifications.fetch_add(pairs.len() as u64, Ordering::Relaxed);
-            self.counters
-                .suppressed
-                .fetch_add((sent - pairs.len()) as u64, Ordering::Relaxed);
-            for &(v, i) in &pairs {
-                for &s in &self.plan.holders[&v] {
-                    let lane = &lanes[s as usize];
-                    let l = lane.part.local_index[&v];
-                    if lane.state.hit(l, i as usize) == INFINITE_LEVEL {
-                        lane.state.set_hit(l, i as usize, level + 1);
-                        if l < lane.part.num_owned {
-                            lane.state.mark_frontier(l);
-                        }
-                    }
-                }
-            }
-            profile.expansion += t.elapsed();
-            if let Some(last) = records.as_mut().and_then(|r| r.last_mut()) {
-                last.expansions = tracker.expansions() - charged_before;
-                last.budget_remaining = tracker.remaining();
-            }
-            level += 1;
-        };
-        let last_level = level;
+        let mut ops = ShardOps { search: self, lanes, pairs: Vec::new() };
+        bottom_up::drive(&mut ops, &mut run)?;
 
         // Top-down over the *global* graph, routing hitting levels to the
         // owning shard — byte-for-byte the monolithic stage.
-        cohort.truncate(params.max_candidates);
-        let global_act = match &explicit {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed { graph, config },
-        };
+        let global_act = ActivationMap::for_params(graph, params);
         let hits = ShardedHitLevels {
             plan: &self.plan,
-            states: lanes.iter().map(|l| l.state).collect(),
-            q,
+            states: ops.lanes.iter().map(|l| l.lock().state).collect(),
+            q: query.num_keywords(),
         };
-        let t = Instant::now();
-        let candidates: Option<Vec<CentralGraph>> = self.compute.install(|| {
-            cohort
-                .par_iter()
-                .map(|&(c, d)| {
-                    if tracker.should_stop() {
-                        return None;
-                    }
-                    let e = top_down::extract(graph, &global_act, &hits, c.0, d);
-                    Some(top_down::prune_and_score(graph, &hits, &e, params))
-                })
-                .collect()
-        });
-        let Some(candidates) = candidates else {
-            return Err(tracker
-                .error()
-                .expect("a stopped top-down stage implies a tripped budget"));
-        };
-        let answers = top_down::select_top_k(candidates, params);
-        profile.top_down = t.elapsed();
-
-        let trace = records.take().map(|levels| {
-            Box::new(QueryTrace {
-                engine: self.name.clone(),
-                keywords: q,
-                total_expansions: tracker.expansions(),
-                terminated: terminated == TerminationReason::LevelCap,
-                levels,
-                cache: None,
-                session_id: None,
-                session_queries: None,
-                batch_id: None,
-                co_batched: None,
-                phase_ms: PhaseMillis::from(&profile),
-                qid: None,
-                cache_source_qid: None,
-                shard_timelines: None,
-            })
-        });
-        Ok(SearchOutcome {
-            answers,
-            profile,
-            stats: SearchStats {
-                last_level,
-                central_candidates: cohort.len(),
-                peak_frontier,
-                trace: level_trace,
-            },
-            trace,
+        run.finish(&self.name, graph, &hits, Some(&self.compute), |c, d| {
+            top_down::extract(graph, &global_act, &hits, c, d)
         })
+    }
+}
+
+/// The in-process sharded [`LevelOps`]: every phase is a fork-join over
+/// the shard lanes (the global level barrier), the exchange an in-memory
+/// outbox union. Each lane sits behind an uncontended mutex so pool
+/// workers can step it (exactly one worker touches a lane per phase).
+struct ShardOps<'a> {
+    search: &'a ShardedSearch,
+    lanes: Vec<parking_lot::Mutex<ShardLane<'a>>>,
+    /// The round's notification set (capacity kept across rounds).
+    pairs: Vec<(u32, u32)>,
+}
+
+impl ShardOps<'_> {
+    /// Run `phase` on every lane concurrently; results in shard order.
+    fn fork<R: Send>(&self, phase: impl Fn(&mut ShardLane<'_>) -> R + Sync) -> Vec<R> {
+        use rayon::prelude::*;
+        self.search.compute.install(|| {
+            (0..self.lanes.len())
+                .into_par_iter()
+                .map(|s| phase(&mut self.lanes[s].lock()))
+                .collect()
+        })
+    }
+}
+
+impl LevelOps for ShardOps<'_> {
+    type Error = SearchError;
+
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        Ok(self.fork(|lane| lane.enqueue()).iter().sum())
+    }
+
+    /// Per-shard cohorts map back to global ids and merge in ascending
+    /// order — the within-level order of the monolithic frontier scan.
+    fn identify(
+        &mut self,
+        level: u8,
+        traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), SearchError> {
+        let observed = self.fork(|lane| lane.identify(level, traced));
+        for lane in &self.lanes {
+            newly.extend(lane.lock().newly());
+        }
+        newly.sort_unstable();
+        Ok(observed.iter().fold((0, 0), |sum, o| (sum.0 + o.0, sum.1 + o.1)))
+    }
+
+    /// Expand every lane, then exchange: broadcast the deduped union of
+    /// the outboxes to every replica still reading `∞`.
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        self.fork(|lane| {
+            lane.expand(level, None);
+        });
+        self.pairs.clear();
+        for lane in &self.lanes {
+            self.pairs.extend_from_slice(&lane.lock().scratch.outbox);
+        }
+        self.search.counters.exchange(&mut self.pairs);
+        for lane in &self.lanes {
+            lane.lock().apply(level, &self.pairs);
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{KeywordSearchEngine, SeqEngine};
+    use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
     use kgraph::GraphBuilder;
     use std::collections::HashSet;
     use textindex::InvertedIndex;
@@ -1026,34 +945,6 @@ mod tests {
         let g = GraphBuilder::new().build();
         let plan = ShardPlan::build(&g, 4, DEFAULT_PARTITION_SEED);
         assert!(plan.parts.iter().all(|p| p.locals.is_empty() && p.boundary.is_empty()));
-    }
-
-    /// Digest used by the in-crate equivalence checks: everything the
-    /// workspace-level differential suite compares, minus the engine
-    /// name.
-    fn digest(out: &SearchOutcome) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!(
-            "stats:{}/{}/{}/{:?} ",
-            out.stats.last_level,
-            out.stats.central_candidates,
-            out.stats.peak_frontier,
-            out.stats.trace
-        );
-        for a in &out.answers {
-            let _ = write!(
-                s,
-                "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-                a.central.0,
-                a.depth,
-                a.nodes,
-                a.edges,
-                a.keyword_nodes,
-                a.keyword_edges,
-                a.score.to_bits()
-            );
-        }
-        s
     }
 
     #[test]

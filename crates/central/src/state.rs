@@ -175,47 +175,10 @@ impl SearchState {
         self.epoch
     }
 
-    /// Number of query keywords `q`.
-    #[inline]
-    pub fn num_keywords(&self) -> usize {
-        self.q
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.n
-    }
-
-    /// Hitting level `M[v][i]` (255 = not yet hit).
-    #[inline]
-    pub fn hit(&self, v: u32, i: usize) -> u8 {
-        let cell = self.matrix[v as usize * self.q + i].load(Ordering::Relaxed);
-        unpack(cell, self.epoch, INFINITE_LEVEL)
-    }
-
-    /// Record a hit: `M[v][i] ← level`. Racing writers store the same
-    /// packed `(epoch, level)` word (Theorem V.2), so a plain store
-    /// suffices.
-    #[inline]
-    pub fn set_hit(&self, v: u32, i: usize, level: u8) {
-        self.matrix[v as usize * self.q + i].store(pack(self.epoch, level), Ordering::Relaxed);
-    }
-
-    /// `true` if `v` has been hit by every BFS instance — the Central Node
-    /// condition (Def. 3).
-    #[inline]
-    pub fn row_complete(&self, v: u32) -> bool {
-        let base = v as usize * self.q;
-        self.matrix[base..base + self.q].iter().all(|m| {
-            unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL) != INFINITE_LEVEL
-        })
-    }
-
-    /// Set `FIdentifier[v] ← 1` (node becomes/stays a frontier).
-    #[inline]
-    pub fn mark_frontier(&self, v: u32) {
-        self.frontier[v as usize].store(pack(self.epoch, 1), Ordering::Relaxed);
     }
 
     /// Read and clear one frontier flag (sequential enqueue). A stale
@@ -244,47 +207,6 @@ impl SearchState {
         self.frontier[v as usize].store(pack(self.epoch, 0), Ordering::Relaxed);
     }
 
-    /// `true` if `v` was identified as a Central Node.
-    #[inline]
-    pub fn is_central(&self, v: u32) -> bool {
-        unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) != 0
-    }
-
-    /// Mark `v` as a Central Node identified at `depth` (it becomes
-    /// unavailable for expansion from this level on).
-    #[inline]
-    pub fn mark_central(&self, v: u32, depth: u8) {
-        debug_assert!(depth < u8::MAX);
-        self.central[v as usize].store(pack(self.epoch, depth + 1), Ordering::Relaxed);
-    }
-
-    /// The identification depth of `v` if it is a Central Node.
-    #[inline]
-    pub fn central_depth(&self, v: u32) -> Option<u8> {
-        match unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) {
-            0 => None,
-            d => Some(d - 1),
-        }
-    }
-
-    /// `true` if `v` contains at least one query keyword.
-    #[inline]
-    pub fn is_keyword_node(&self, v: u32) -> bool {
-        self.is_keyword[v as usize] == self.epoch
-    }
-
-    /// `true` if `v` is a source of instance `i` (`v ∈ T_i ⇔ M[v][i] = 0`).
-    #[inline]
-    pub fn is_source(&self, v: u32, i: usize) -> bool {
-        self.hit(v, i) == 0
-    }
-
-    /// Number of keywords contained in `v` (its level-cover class).
-    #[inline]
-    pub fn keyword_count(&self, v: u32) -> usize {
-        (0..self.q).filter(|&i| self.is_source(v, i)).count()
-    }
-
     /// Copy out the matrix (tests/debugging). Stale cells read as ∞.
     pub fn matrix_snapshot(&self) -> Vec<u8> {
         self.matrix[..self.n * self.q]
@@ -294,9 +216,12 @@ impl SearchState {
     }
 }
 
-/// Read-only view of hitting levels, implemented both by the lock-free
-/// [`SearchState`] (matrix engines) and by the dynamic-memory engine's
-/// recorded state (CPU-Par-d), so that the top-down stage is shared.
+/// Read-only view of one query's hitting levels — what the top-down stage
+/// and the level observation read. Implemented by the lock-free
+/// [`SearchState`] (matrix engines), one lane of a
+/// [`crate::batch::BatchState`], the dynamic-memory engine's recorded state
+/// (CPU-Par-d) and the sharded/remote routing views, so that stage is
+/// shared.
 pub trait HitLevels {
     /// Number of query keywords `q`.
     fn num_keywords(&self) -> usize;
@@ -307,28 +232,84 @@ pub trait HitLevels {
     /// If `v` is a Central Node, the depth at which it was identified —
     /// it stopped expanding there, which extraction must respect.
     fn central_depth(&self, v: u32) -> Option<u8>;
-    /// `true` if `v ∈ T_i`.
+    /// `true` if `v` was identified as a Central Node.
+    #[inline]
+    fn is_central(&self, v: u32) -> bool {
+        self.central_depth(v).is_some()
+    }
+    /// `true` if `v ∈ T_i` (`⇔ M[v][i] = 0`).
     fn is_source(&self, v: u32, i: usize) -> bool {
         self.hit(v, i) == 0
     }
-    /// Number of query keywords contained in `v`.
+    /// Number of query keywords contained in `v` (its level-cover class).
     fn keyword_count(&self, v: u32) -> usize {
         (0..self.num_keywords()).filter(|&i| self.is_source(v, i)).count()
     }
 }
 
 impl HitLevels for SearchState {
+    #[inline]
     fn num_keywords(&self) -> usize {
-        SearchState::num_keywords(self)
+        self.q
     }
+    #[inline]
     fn hit(&self, v: u32, i: usize) -> u8 {
-        SearchState::hit(self, v, i)
+        let cell = self.matrix[v as usize * self.q + i].load(Ordering::Relaxed);
+        unpack(cell, self.epoch, INFINITE_LEVEL)
     }
+    #[inline]
     fn is_keyword_node(&self, v: u32) -> bool {
-        SearchState::is_keyword_node(self, v)
+        self.is_keyword[v as usize] == self.epoch
     }
+    #[inline]
     fn central_depth(&self, v: u32) -> Option<u8> {
-        SearchState::central_depth(self, v)
+        match unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) {
+            0 => None,
+            d => Some(d - 1),
+        }
+    }
+}
+
+/// The cell writes of the bottom-up stage on top of the [`HitLevels`]
+/// reads — the *state layout* seam of [`crate::bottom_up`]. The expansion
+/// kernel and the identification scan are written once against this trait
+/// and monomorphized for the epoch-stamped [`SearchState`] and for one
+/// lane of a [`crate::batch::BatchState`] (static dispatch, no `dyn`).
+/// Every write is the racing-equal-values kind Theorem V.2 covers — a
+/// plain store suffices — hence `&self`.
+pub trait Cells: HitLevels + Sync {
+    /// Record a hit: `M[v][i] ← level`.
+    fn set_hit(&self, v: u32, i: usize, level: u8);
+    /// `true` if `v` has been hit by every BFS instance — the Central Node
+    /// condition (Def. 3).
+    fn row_complete(&self, v: u32) -> bool;
+    /// Set `FIdentifier[v] ← 1` (node becomes/stays a frontier).
+    fn mark_frontier(&self, v: u32);
+    /// Mark `v` as a Central Node identified at `depth` (it becomes
+    /// unavailable for expansion from this level on).
+    fn mark_central(&self, v: u32, depth: u8);
+}
+
+impl Cells for SearchState {
+    #[inline]
+    fn set_hit(&self, v: u32, i: usize, level: u8) {
+        self.matrix[v as usize * self.q + i].store(pack(self.epoch, level), Ordering::Relaxed);
+    }
+    #[inline]
+    fn row_complete(&self, v: u32) -> bool {
+        let base = v as usize * self.q;
+        self.matrix[base..base + self.q].iter().all(|m| {
+            unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL) != INFINITE_LEVEL
+        })
+    }
+    #[inline]
+    fn mark_frontier(&self, v: u32) {
+        self.frontier[v as usize].store(pack(self.epoch, 1), Ordering::Relaxed);
+    }
+    #[inline]
+    fn mark_central(&self, v: u32, depth: u8) {
+        debug_assert!(depth < u8::MAX);
+        self.central[v as usize].store(pack(self.epoch, depth + 1), Ordering::Relaxed);
     }
 }
 

@@ -306,37 +306,14 @@ pub fn select_top_k(mut candidates: Vec<CentralGraph>, params: &SearchParams) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::ActivationMap;
-    use crate::bottom_up::{
-        enqueue_sequential, expand_frontier, identify_sequential, ExecStrategy, ExpandCtx,
-    };
-    use crate::profile::PhaseProfile;
+    use crate::bottom_up::{drive, ExpandCtx, LevelRun};
+    use crate::engine::MatrixOps;
+    use crate::shard::ShardBackend;
     use crate::state::SearchState;
     use kgraph::GraphBuilder;
     use textindex::{InvertedIndex, ParsedQuery};
 
-    struct Seq;
-    impl ExecStrategy for Seq {
-        fn enqueue(&self, state: &SearchState, out: &mut Vec<u32>) {
-            enqueue_sequential(state, out);
-        }
-        fn identify(
-            &self,
-            state: &SearchState,
-            frontiers: &[u32],
-            level: u8,
-            newly: &mut Vec<u32>,
-        ) {
-            identify_sequential(state, frontiers, level, newly);
-        }
-        fn expand(&self, ctx: &ExpandCtx<'_>, frontiers: &[u32], level: u8) {
-            for &f in frontiers {
-                expand_frontier(ctx, f, level);
-            }
-        }
-    }
-
-    /// End-to-end helper: bottom-up + extraction + pruning on a graph with
+    /// End-to-end helper: the sequential two-stage search on a graph with
     /// zero activation levels.
     fn search_all(
         g: &KnowledgeGraph,
@@ -348,26 +325,20 @@ mod tests {
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
         let act = ActivationMap::Explicit(&activation);
-        let mut profile = PhaseProfile::default();
-        let budget = crate::budget::QueryBudget::unlimited().start();
-        let ctx = ExpandCtx { graph: g, act: &act, state: &state, budget: &budget };
-        let out = crate::bottom_up::run(
-            &Seq,
-            &ctx,
-            &mut crate::bottom_up::BottomUpScratch::default(),
-            params,
-            &mut profile,
-        )
-        .expect("unlimited budget");
-        let answers: Vec<CentralGraph> = out
-            .central_nodes
-            .iter()
-            .map(|&(c, d)| {
-                let e = extract(g, &act, &state, c.0, d);
-                prune_and_score(g, &state, &e, params)
-            })
-            .collect();
-        (select_top_k(answers, params), state)
+        let tracker = crate::budget::QueryBudget::unlimited().start();
+        let mut frontiers = Vec::new();
+        let mut ops = MatrixOps {
+            backend: ShardBackend::Seq,
+            pool: None,
+            ctx: ExpandCtx { graph: g, act: &act, state: &state, budget: &tracker },
+            frontiers: &mut frontiers,
+        };
+        let mut run = LevelRun::new(params, &tracker);
+        drive(&mut ops, &mut run).expect("unlimited budget");
+        let out = run
+            .finish("Seq", g, &state, None, |c, d| extract(g, &act, &state, c, d))
+            .expect("unlimited budget");
+        (out.answers, state)
     }
 
     /// Diamond: two disjoint length-2 paths between the keyword endpoints.
