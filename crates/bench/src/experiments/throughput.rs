@@ -58,7 +58,7 @@ use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wikisearch_engine::{Backend, WikiSearch};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
 
 /// `WIKISEARCH_AXIS` filter: `true` when the named axis should run.
 fn axis_wanted(name: &str) -> bool {
@@ -694,7 +694,11 @@ fn volley_tagged(
                     let q = &queries[(client + j) % queries.len()];
                     let qid = ws.issue_query_id();
                     let started = Instant::now();
-                    let result = ws.try_search_with_params_tagged(q, params, budget, qid);
+                    let result = ws.execute(&QueryRequest {
+                        budget: *budget,
+                        qid: Some(qid),
+                        ..QueryRequest::new(q, params)
+                    });
                     let us = started.elapsed().as_micros();
                     latency.record(u64::try_from(us).unwrap_or(u64::MAX));
                     served.fetch_add(1, Ordering::Relaxed);

@@ -127,15 +127,6 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Fold another histogram's counts into this one.
-    pub fn merge(&self, other: &LogHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A plain-data copy of the current counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -159,11 +150,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot with the standard bucket layout.
-    pub fn empty() -> Self {
-        HistogramSnapshot { buckets: vec![0; BUCKETS], count: 0, sum: 0 }
-    }
-
     /// Element-wise merge (associative and commutative — merging
     /// per-thread snapshots in any grouping or order yields the same
     /// aggregate, which the property suite verifies). Additions wrap on
@@ -208,31 +194,129 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
+
+    /// Bucket-wise `self - older` for two images of one live histogram
+    /// (saturating, like [`MetricsSnapshot::delta`]).
+    pub fn delta(&self, older: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut buckets = vec![0u64; self.buckets.len().max(older.buckets.len())];
+        for (i, b) in buckets.iter_mut().enumerate() {
+            let n = self.buckets.get(i).copied().unwrap_or(0);
+            let o = older.buckets.get(i).copied().unwrap_or(0);
+            *b = n.saturating_sub(o);
+        }
+        HistogramSnapshot {
+            buckets,
+            count: self.count.saturating_sub(older.count),
+            sum: self.sum.saturating_sub(older.sum),
+        }
+    }
 }
 
-/// The service-wide metrics registry: every counter and histogram the
-/// serving path feeds, behind relaxed atomics. One registry lives inside
-/// each `WikiSearch` engine; the `STATS` and `METRICS` protocol verbs are
-/// rendered from its [`MetricsRegistry::snapshot`].
-#[derive(Default)]
-pub struct MetricsRegistry {
-    /// Queries answered (cache hits and computed searches alike).
-    pub queries: Counter,
-    /// Queries answered from the result cache.
-    pub cache_hits: Counter,
-    /// Queries that missed the cache and ran the two-stage search.
-    pub cache_misses: Counter,
-    /// Queries aborted by their wall-clock deadline.
-    pub deadline_exceeded: Counter,
-    /// Queries aborted by their expansion cap.
-    pub budget_exhausted: Counter,
-    /// Queries refused because a remote shard was unreachable past its
-    /// retry budget and degraded answers were not allowed.
-    pub shard_unavailable: Counter,
-    /// End-to-end query latency in microseconds (successful queries).
-    pub latency_us: LogHistogram,
-    /// Expansion units per computed search (Algorithm 2 work items).
-    pub expansions: LogHistogram,
+/// How the serving layer names one engine counter: its field name (also
+/// its key in the `STATS` `engine` block and in `STATS WINDOW`), its
+/// Prometheus family and its `# HELP` text.
+pub struct CounterDesc {
+    /// Field name in [`MetricsRegistry`] / [`MetricsSnapshot`].
+    pub name: &'static str,
+    /// Prometheus family name.
+    pub family: &'static str,
+    /// Prometheus help text.
+    pub help: &'static str,
+}
+
+/// Declares the engine's counters once. The registry, its snapshot, the
+/// telemetry ring's word layout ([`MetricsSnapshot::counters`] /
+/// [`MetricsSnapshot::from_parts`]), the window delta and
+/// [`ENGINE_COUNTERS`] — from which the server renders `STATS`,
+/// `STATS WINDOW` and `METRICS` — all derive from this one list, so a new
+/// counter is one line here plus the `inc()` that feeds it.
+macro_rules! engine_counters {
+    ($($name:ident, $family:literal, $help:literal;)*) => {
+        /// The service-wide metrics registry: every counter and histogram
+        /// the serving path feeds, behind relaxed atomics. One registry
+        /// lives inside each `WikiSearch` engine; the `STATS` and
+        /// `METRICS` protocol verbs are rendered from its
+        /// [`MetricsRegistry::snapshot`].
+        #[derive(Default)]
+        pub struct MetricsRegistry {
+            $(#[doc = $help] pub $name: Counter,)*
+            /// End-to-end query latency in microseconds (successful queries).
+            pub latency_us: LogHistogram,
+            /// Expansion units per computed search (Algorithm 2 work items).
+            pub expansions: LogHistogram,
+        }
+
+        /// Serde-serializable image of a [`MetricsRegistry`].
+        #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct MetricsSnapshot {
+            $(#[doc = $help] pub $name: u64,)*
+            /// End-to-end query latency in microseconds.
+            pub latency_us: HistogramSnapshot,
+            /// Expansion units per computed search.
+            pub expansions: HistogramSnapshot,
+        }
+
+        /// The engine counters in declaration order — the order of
+        /// [`MetricsSnapshot::counters`].
+        pub const ENGINE_COUNTERS: &[CounterDesc] =
+            &[$(CounterDesc { name: stringify!($name), family: $family, help: $help }),*];
+
+        impl MetricsRegistry {
+            /// A plain-data image of every counter and histogram.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.get(),)*
+                    latency_us: self.latency_us.snapshot(),
+                    expansions: self.expansions.snapshot(),
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// The counter values, in [`ENGINE_COUNTERS`] order.
+            pub fn counters(&self) -> [u64; ENGINE_COUNTERS.len()] {
+                [$(self.$name),*]
+            }
+
+            /// Rebuild from [`MetricsSnapshot::counters`]-ordered values
+            /// (missing trailing values read as 0) and the two histograms.
+            pub fn from_parts(
+                counters: &[u64],
+                latency_us: HistogramSnapshot,
+                expansions: HistogramSnapshot,
+            ) -> Self {
+                let mut values = counters.iter().copied();
+                MetricsSnapshot {
+                    $($name: values.next().unwrap_or(0),)*
+                    latency_us,
+                    expansions,
+                }
+            }
+
+            /// What happened between `older` and `self`, two images of
+            /// one live registry: counter-wise and bucket-wise
+            /// differences. The counters are monotone, so the saturating
+            /// subtraction only engages if a torn pair slipped through —
+            /// the delta stays well-formed either way.
+            pub fn delta(&self, older: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name.saturating_sub(older.$name),)*
+                    latency_us: self.latency_us.delta(&older.latency_us),
+                    expansions: self.expansions.delta(&older.expansions),
+                }
+            }
+        }
+    };
+}
+
+engine_counters! {
+    queries, "ws_queries_total", "Queries answered by the engine.";
+    cache_hits, "ws_cache_hits_total", "Queries answered from the result cache.";
+    cache_misses, "ws_cache_misses_total", "Queries that missed the result cache and ran a search.";
+    deadline_exceeded, "ws_deadline_exceeded_total", "Queries aborted by their wall-clock deadline.";
+    budget_exhausted, "ws_budget_exhausted_total", "Queries aborted by their expansion cap.";
+    shard_unavailable, "ws_shard_unavailable_total",
+        "Queries refused because a remote shard was unreachable.";
 }
 
 impl MetricsRegistry {
@@ -240,42 +324,6 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// A plain-data image of every counter and histogram.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.queries.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            budget_exhausted: self.budget_exhausted.get(),
-            shard_unavailable: self.shard_unavailable.get(),
-            latency_us: self.latency_us.snapshot(),
-            expansions: self.expansions.snapshot(),
-        }
-    }
-}
-
-/// Serde-serializable image of a [`MetricsRegistry`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
-    /// Queries answered (cache hits and computed searches alike).
-    pub queries: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the cache and ran the two-stage search.
-    pub cache_misses: u64,
-    /// Queries aborted by their wall-clock deadline.
-    pub deadline_exceeded: u64,
-    /// Queries aborted by their expansion cap.
-    pub budget_exhausted: u64,
-    /// Queries refused because a remote shard was unreachable past its
-    /// retry budget and degraded answers were not allowed.
-    pub shard_unavailable: u64,
-    /// End-to-end query latency in microseconds.
-    pub latency_us: HistogramSnapshot,
-    /// Expansion units per computed search.
-    pub expansions: HistogramSnapshot,
 }
 
 /// Append one Prometheus counter series (`# HELP` / `# TYPE` / sample).
@@ -419,20 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn live_merge_folds_counts() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(7);
-        b.record(9);
-        b.record(u64::MAX);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.buckets[bucket_index(7)], 1);
-        assert_eq!(s.buckets[BUCKETS - 1], 1);
-    }
-
-    #[test]
     fn registry_snapshot_round_trips_through_serde() {
         let r = MetricsRegistry::new();
         r.queries.add(3);
@@ -445,6 +479,34 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.queries, 3);
         assert_eq!(back.latency_us.count, 1);
+    }
+
+    #[test]
+    fn counter_list_drives_fields_words_and_deltas() {
+        let r = MetricsRegistry::new();
+        r.queries.add(5);
+        r.shard_unavailable.inc();
+        r.latency_us.record(40);
+        let older = r.snapshot();
+        r.queries.add(2);
+        r.latency_us.record(9000);
+        let newer = r.snapshot();
+        // The descriptors name the snapshot's fields, in field order.
+        let doc = serde_json::to_value(&newer);
+        let fields: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let names: Vec<&str> = ENGINE_COUNTERS.iter().map(|c| c.name).collect();
+        assert_eq!(fields[..names.len()], names[..]);
+        assert_eq!(newer.counters(), [7, 0, 0, 0, 0, 1]);
+        let rebuilt = MetricsSnapshot::from_parts(
+            &newer.counters(),
+            newer.latency_us.clone(),
+            newer.expansions.clone(),
+        );
+        assert_eq!(rebuilt, newer);
+        let d = newer.delta(&older);
+        assert_eq!((d.queries, d.shard_unavailable, d.latency_us.count), (2, 0, 1));
+        assert_eq!(d.latency_us.sum, 9000);
+        assert_eq!(older.delta(&newer).queries, 0, "a reversed pair saturates at zero");
     }
 
     #[test]

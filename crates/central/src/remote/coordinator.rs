@@ -206,11 +206,10 @@ struct Channel {
 }
 
 impl Core {
-    /// The handshake this fleet must agree to, at a given protocol
-    /// revision.
-    fn hello(&self, shard: usize, version: u32) -> wire::Hello {
+    /// The handshake this fleet must agree to.
+    fn hello(&self, shard: usize) -> wire::Hello {
         wire::Hello {
-            version,
+            version: wire::PROTOCOL_VERSION,
             shards: self.shards as u32,
             shard_index: shard as u32,
             num_nodes: self.num_nodes,
@@ -253,29 +252,8 @@ impl Core {
         Ok(body)
     }
 
-    /// Dial + handshake a fresh channel to `shard`, negotiating the
-    /// protocol revision downward when the fleet is older than this
-    /// coordinator: dial at [`wire::PROTOCOL_VERSION`] first and — only
-    /// on a handshake rejection — redial once at
-    /// [`wire::MIN_PROTOCOL_VERSION`]. A v1 worker did full-struct
-    /// `Hello` equality (version included), so the fallback is what lets
-    /// a v2 coordinator drive it; the degradation is implicit in the
-    /// wire schema (a v1 worker simply never echoes qids or ships
-    /// spans, both optional fields).
+    /// Dial + handshake a fresh channel to `shard`.
     fn dial(&self, shard: usize) -> io::Result<Channel> {
-        match self.dial_at(shard, wire::PROTOCOL_VERSION) {
-            Err(e)
-                if wire::MIN_PROTOCOL_VERSION < wire::PROTOCOL_VERSION
-                    && e.kind() == io::ErrorKind::InvalidData
-                    && e.to_string().starts_with("worker error bad_handshake") =>
-            {
-                self.dial_at(shard, wire::MIN_PROTOCOL_VERSION)
-            }
-            other => other,
-        }
-    }
-
-    fn dial_at(&self, shard: usize, version: u32) -> io::Result<Channel> {
         let addr = self.addrs.addr(shard).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("no address for shard {shard}"))
         })?;
@@ -287,7 +265,7 @@ impl Core {
         let body = self.call(
             &mut chan,
             wire::OP_HELLO,
-            &wire::encode(&self.hello(shard, version)),
+            &wire::encode(&self.hello(shard)),
             wire::OP_HELLO_OK,
             self.opts.rpc_timeout,
         )?;
@@ -635,9 +613,6 @@ impl RemoteShardedSearch {
             backend: self.backend.base_name().to_string(),
             threads: self.backend.threads() as u32,
             qid,
-            // v1 workers ignore both fields (unknown keys are skipped);
-            // span-less replies degrade the stitched timeline, never the
-            // answer.
             spans: Some(traced),
         });
         let started: Vec<wire::StartOk> = ops.sweep(wire::OP_START, &start, wire::OP_START_OK)?;
@@ -767,8 +742,8 @@ impl RemoteOps<'_> {
         let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
         for (&s, ok) in self.live.iter().zip(replies) {
             if let Some(tls) = timelines.as_mut() {
-                // A span-less reply (v1 worker) still earns a timeline:
-                // the RPC envelope is coordinator-side truth; only the
+                // A span-less reply still earns a timeline: the RPC
+                // envelope is coordinator-side truth; only the
                 // worker-side breakdown is missing.
                 let spans = ok.spans.unwrap_or_default();
                 let worker_us: u64 = spans.iter().map(ShardSpan::worker_us).sum();

@@ -246,7 +246,7 @@ mod tests {
         for tl in &timelines {
             assert_eq!(tl.qid, Some(42), "worker echoes the fleet-wide qid");
             assert!(tl.rpcs > 0, "every shard served RPCs");
-            assert!(!tl.spans.is_empty(), "v2 workers ship spans");
+            assert!(!tl.spans.is_empty(), "traced queries ship spans");
             assert_eq!(
                 tl.worker_us,
                 tl.spans.iter().map(crate::trace::ShardSpan::worker_us).sum::<u64>(),
@@ -265,56 +265,6 @@ mod tests {
             }
             let enqueues = tl.spans.iter().filter(|s| s.op == "enqueue").count();
             assert_eq!(enqueues, levels.len() + 1, "one enqueue per level plus the empty round");
-        }
-    }
-
-    #[test]
-    fn v2_coordinator_degrades_gracefully_against_a_v1_fleet() {
-        let g = fixture();
-        let idx = InvertedIndex::build(&g);
-        let query = ParsedQuery::parse(&idx, "alpha omega");
-        let params = SearchParams::default()
-            .with_average_distance(1.0)
-            .with_trace(crate::trace::TraceLevel::Full);
-        let shards = 2;
-        // A fleet pinned to protocol 1: strict full-struct handshake,
-        // no span support. The v2 coordinator must fall back per channel
-        // and still produce byte-identical answers.
-        let addrs: Vec<_> = (0..shards)
-            .map(|s| {
-                ShardWorker::spawn_local_worker(
-                    ShardWorker::new(&g, shards, s, DEFAULT_PARTITION_SEED).with_protocol(1),
-                )
-            })
-            .collect();
-        let opts = RemoteOptions {
-            heartbeat: None,
-            backoff_base: Duration::from_millis(1),
-            ..RemoteOptions::default()
-        };
-        let r = RemoteShardedSearch::new(
-            &g,
-            ShardBackend::Seq,
-            shards,
-            Arc::new(StaticAddrs(addrs)),
-            opts,
-        );
-        let out = r
-            .try_search_tagged(&g, &query, &params, &QueryBudget::unlimited(), Some(7))
-            .expect("v1 fleet still serves");
-        assert!(!out.degraded);
-        let mono = SeqEngine::new().search(&g, &query, &params);
-        assert_eq!(digest(&out.outcome), digest(&mono), "answers identical across versions");
-        let trace = out.outcome.trace.expect("traced query carries a trace");
-        assert_eq!(trace.qid, Some(7), "the coordinator stamps its own qid regardless");
-        let timelines = trace.shard_timelines.expect("RPC envelopes are coordinator-side truth");
-        assert_eq!(timelines.len(), shards);
-        for tl in &timelines {
-            assert_eq!(tl.qid, None, "v1 workers cannot echo qids");
-            assert!(tl.spans.is_empty(), "v1 workers never ship spans");
-            assert_eq!(tl.worker_us, 0);
-            assert_eq!(tl.wire_us, tl.rpc_us, "without spans the whole envelope is wire time");
-            assert!(tl.rpcs > 0);
         }
     }
 
@@ -347,5 +297,34 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.kind(), "shard_unavailable", "contract mismatch = unusable worker");
+    }
+
+    #[test]
+    fn worker_answers_any_other_protocol_revision_with_bad_handshake() {
+        let g = fixture();
+        let addr = ShardWorker::spawn_local(&g, 2, 0, DEFAULT_PARTITION_SEED);
+        let hello = |version| wire::Hello {
+            version,
+            shards: 2,
+            shard_index: 0,
+            num_nodes: g.num_nodes() as u64,
+            seed: DEFAULT_PARTITION_SEED,
+        };
+        let greet = |version| {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            frame::write_frame(&mut stream, wire::OP_HELLO, &wire::encode(&hello(version)))
+                .unwrap();
+            frame::read_frame(&mut stream)
+                .unwrap()
+                .expect("the worker answers before closing")
+        };
+        let (op, _) = greet(wire::PROTOCOL_VERSION);
+        assert_eq!(op, wire::OP_HELLO_OK);
+        for other in [wire::PROTOCOL_VERSION - 1, wire::PROTOCOL_VERSION + 1] {
+            let (op, body) = greet(other);
+            assert_eq!(op, wire::OP_ERROR, "revision {other} must be refused");
+            let err: wire::WireError = wire::decode(&body).unwrap();
+            assert_eq!(err.code, "bad_handshake");
+        }
     }
 }

@@ -30,16 +30,10 @@ use textindex::{KeywordGroup, ParsedQuery};
 
 /// Protocol revision. Version 2 added the optional telemetry fields
 /// (`qid`/`spans` on [`Start`], span piggybacking on [`CollectOk`], the
-/// `version` echo on [`HelloOk`]) — all `Option`s that decode as absent
-/// under the v1 schema, so v1 and v2 interoperate in both directions and
-/// the handshake only rejects versions outside
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`].
+/// `version` echo on [`HelloOk`]). The handshake is strict: a worker
+/// rejects any [`Hello`] whose revision (or partition contract) differs
+/// from its own with `bad_handshake`.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// Oldest coordinator protocol revision a worker still accepts. The v2
-/// additions are optional fields, so v1 peers remain fully functional —
-/// they simply never see query IDs or spans.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -112,9 +106,7 @@ pub struct HelloOk {
     /// Owned-node count of the worker's part — a partition fingerprint
     /// the coordinator can sanity-check.
     pub num_owned: u32,
-    /// The worker's protocol revision. Absent from v1 workers (the field
-    /// did not exist), so `None` reads as version 1; the coordinator uses
-    /// it to decide whether this channel may carry qids and spans.
+    /// The worker's protocol revision ([`PROTOCOL_VERSION`]).
     pub version: Option<u32>,
 }
 
@@ -187,12 +179,11 @@ pub struct Start {
     /// Worker threads the kernel was configured with.
     pub threads: u32,
     /// Fleet-wide query ID, echoed back on [`CollectOk`] so worker-side
-    /// observations can be joined with the coordinator's. Optional since
-    /// protocol v2; v1 workers ignore it.
+    /// observations can be joined with the coordinator's. Sent for
+    /// traced queries only.
     pub qid: Option<u64>,
     /// Ask the worker to record per-RPC spans for this query and
-    /// piggyback them on [`CollectOk`]. Optional since protocol v2
-    /// (absent = off); v1 workers ignore it.
+    /// piggyback them on [`CollectOk`] (absent = off).
     pub spans: Option<bool>,
 }
 
@@ -291,11 +282,11 @@ pub struct WireRow {
 pub struct CollectOk {
     /// Rows with at least one finite hitting level.
     pub rows: Vec<WireRow>,
-    /// The query ID from [`Start`], echoed back (protocol v2, spans on).
+    /// The query ID from [`Start`], echoed back (spans on).
     pub qid: Option<u64>,
     /// Per-RPC worker spans for this query, in RPC order — monotonic
     /// *durations* measured on the worker's clock, never absolute
-    /// timestamps (protocol v2, spans on). The final `collect` span
+    /// timestamps (spans on). The final `collect` span
     /// reports `encode_us = 0`: its own encode cannot observe itself and
     /// is attributed to wire time by the coordinator.
     pub spans: Option<Vec<ShardSpan>>,
@@ -338,21 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_without_telemetry_fields_still_decode() {
-        // A v1 worker's CollectOk has no qid/spans keys at all; a v1
-        // coordinator's Start has no qid/spans either. Both sides must
-        // read the absent fields as None — this is the compatibility
-        // contract behind the Hello version range.
+    fn untraced_payloads_without_telemetry_fields_decode() {
+        // Untraced queries send no qid/spans keys at all (the hot path
+        // stays lean): both sides must read the absent fields as None.
         let ok: CollectOk = decode(br#"{"rows":[]}"#).unwrap();
         assert_eq!(ok.qid, None);
         assert_eq!(ok.spans, None);
         let hello_ok: HelloOk = decode(br#"{"shard_index":1,"num_owned":10}"#).unwrap();
-        assert_eq!(hello_ok.version, None, "absent version reads as a v1 worker");
+        assert_eq!(hello_ok.version, None);
         let params = serde_json::to_string(&SearchParams::default()).unwrap();
-        let v1_start = format!(
+        let bare_start = format!(
             r#"{{"query":{{"groups":[],"unmatched":[]}},"params":{params},"activation":null,"backend":"Seq","threads":1}}"#
         );
-        let start: Start = decode(v1_start.as_bytes()).unwrap();
+        let start: Start = decode(bare_start.as_bytes()).unwrap();
         assert_eq!(start.qid, None);
         assert_eq!(start.spans, None);
     }

@@ -46,10 +46,6 @@ pub struct ShardWorker {
     index: u32,
     seed: u64,
     num_nodes: u64,
-    /// Protocol revision this worker speaks. Normally
-    /// [`wire::PROTOCOL_VERSION`]; pinned lower by [`Self::with_protocol`]
-    /// to reproduce an old worker bit-for-bit in compatibility tests.
-    protocol: u32,
 }
 
 impl ShardWorker {
@@ -66,17 +62,7 @@ impl ShardWorker {
             index: index as u32,
             seed,
             num_nodes: graph.num_nodes() as u64,
-            protocol: wire::PROTOCOL_VERSION,
         }
-    }
-
-    /// Pin the worker to an older protocol revision. A `version`-1 worker
-    /// reproduces the v1 handshake bit-for-bit (strict version equality,
-    /// no `version` echo) and never records or ships spans — the
-    /// coordinator's compatibility fallback is tested against this.
-    pub fn with_protocol(mut self, version: u32) -> ShardWorker {
-        self.protocol = version.clamp(wire::MIN_PROTOCOL_VERSION, wire::PROTOCOL_VERSION);
-        self
     }
 
     /// Owned-node count of this worker's part.
@@ -107,14 +93,7 @@ impl ShardWorker {
         index: usize,
         seed: u64,
     ) -> SocketAddr {
-        Self::spawn_local_worker(ShardWorker::new(graph, shards, index, seed))
-    }
-
-    /// [`Self::spawn_local`] for an already-configured worker (e.g. one
-    /// pinned to an older protocol via [`Self::with_protocol`]).
-    pub fn spawn_local_worker(worker: ShardWorker) -> SocketAddr {
-        let index = worker.index;
-        let worker = Arc::new(worker);
+        let worker = Arc::new(ShardWorker::new(graph, shards, index, seed));
         let listener = TcpListener::bind("127.0.0.1:0").expect("binding a worker listener");
         let addr = listener.local_addr().expect("listener has a local addr");
         std::thread::Builder::new()
@@ -209,11 +188,10 @@ struct QueryCtx {
     local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
-    /// Fleet-wide query ID from `Start` (protocol v2), echoed on collect.
+    /// Fleet-wide query ID from `Start`, echoed on collect.
     qid: Option<u64>,
     /// Per-RPC span accumulator, armed when the coordinator asked for
-    /// spans and this worker's protocol carries them. Shipped (taken)
-    /// with the collect reply.
+    /// spans. Shipped (taken) with the collect reply.
     spans: Option<Vec<ShardSpan>>,
 }
 
@@ -315,30 +293,17 @@ impl<'w> Conn<'w> {
     fn on_hello(&mut self, stream: &mut TcpStream, payload: &[u8]) -> Result<Flow, ConnError> {
         let hello: Hello = wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))?;
         let w = self.worker;
-        // The partition contract is strict — a worker must never serve a
-        // differently-cut partition. The protocol version is a *range*:
-        // every revision in `MIN..=self` speaks a compatible base schema
-        // (the v2 additions are optional fields), so a newer coordinator
-        // degrades to the base schema instead of being refused. A worker
-        // pinned to protocol 1 reproduces the historical strict-equality
-        // check, version included.
-        let version_ok = if w.protocol == 1 {
-            hello.version == 1
-        } else {
-            (wire::MIN_PROTOCOL_VERSION..=w.protocol).contains(&hello.version)
+        // The contract is strict, protocol revision included — a worker
+        // must never serve a differently-cut partition or a coordinator
+        // that frames its payloads differently.
+        let expect = Hello {
+            version: wire::PROTOCOL_VERSION,
+            shards: w.shards,
+            shard_index: w.index,
+            num_nodes: w.num_nodes,
+            seed: w.seed,
         };
-        let contract_ok = hello.shards == w.shards
-            && hello.shard_index == w.index
-            && hello.num_nodes == w.num_nodes
-            && hello.seed == w.seed;
-        if !version_ok || !contract_ok {
-            let expect = Hello {
-                version: w.protocol,
-                shards: w.shards,
-                shard_index: w.index,
-                num_nodes: w.num_nodes,
-                seed: w.seed,
-            };
+        if hello != expect {
             return Err(ConnError::new(
                 "bad_handshake",
                 format!("partition contract mismatch: got {hello:?}, serving {expect:?}"),
@@ -348,8 +313,7 @@ impl<'w> Conn<'w> {
         let ok = wire::HelloOk {
             shard_index: w.index,
             num_owned: w.part.num_owned,
-            // A v1 worker's HelloOk had no version field at all.
-            version: (w.protocol >= 2).then_some(w.protocol),
+            version: Some(wire::PROTOCOL_VERSION),
         };
         reply(stream, wire::OP_HELLO_OK, &wire::encode(&ok))?;
         Ok(Flow::Continue)
@@ -398,9 +362,8 @@ impl<'w> Conn<'w> {
             }
         };
         let local_act = part.localize_activation(start.activation.as_deref());
-        // Spans are recorded only when the coordinator asked for them AND
-        // this worker's protocol revision can ship them on collect.
-        let traced = self.worker.protocol >= 2 && start.spans == Some(true);
+        // Spans are recorded only when the coordinator asked for them.
+        let traced = start.spans == Some(true);
         self.query = Some(QueryCtx {
             q: query.num_keywords(),
             backend,
@@ -410,12 +373,7 @@ impl<'w> Conn<'w> {
             // job; this one only meters charges for `ExpandOk::charged`.
             tracker: QueryBudget::unlimited().start_counting(),
             charged_mark: 0,
-            // A v1 worker predates the qid field entirely: never echo it.
-            qid: if self.worker.protocol >= 2 {
-                start.qid
-            } else {
-                None
-            },
+            qid: start.qid,
             spans: traced.then(Vec::new),
         });
         let ok = wire::StartOk { keywords: query.num_keywords() as u32 };

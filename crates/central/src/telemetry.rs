@@ -24,7 +24,7 @@
 //! written at all. A differential proptest pins that telemetry on vs off
 //! leaves answers, score bits, stats and error classes byte-identical.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot, BUCKETS};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot, BUCKETS, ENGINE_COUNTERS};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Allocates fleet-wide query IDs. IDs start at 1 so `0` can mean
@@ -187,9 +187,15 @@ impl SampleRing {
     }
 }
 
-/// Words per [`TelemetrySample`] record: timestamp + served + the six
-/// registry counters + two (buckets, count, sum) histogram images.
-pub const SAMPLE_WIDTH: usize = 2 + 6 + 2 * (BUCKETS + 2);
+/// Words per [`TelemetrySample`] record: timestamp + served + the
+/// engine counters + two (buckets, count, sum) histogram images.
+pub const SAMPLE_WIDTH: usize = HISTOGRAMS_AT + 2 * HISTOGRAM_WIDTH;
+
+/// Word offset of the first histogram image in a sample record.
+const HISTOGRAMS_AT: usize = 2 + ENGINE_COUNTERS.len();
+
+/// Words per histogram image in a sample record.
+const HISTOGRAM_WIDTH: usize = BUCKETS + 2;
 
 /// One periodic metrics observation: a monotonic timestamp, the
 /// server-side `served` counter, and the engine's full
@@ -212,14 +218,7 @@ impl TelemetrySample {
         w.push(self.t_us);
         w.push(self.served);
         let s = &self.snapshot;
-        w.extend_from_slice(&[
-            s.queries,
-            s.cache_hits,
-            s.cache_misses,
-            s.deadline_exceeded,
-            s.budget_exhausted,
-            s.shard_unavailable,
-        ]);
+        w.extend_from_slice(&s.counters());
         for h in [&s.latency_us, &s.expansions] {
             let mut buckets = h.buckets.clone();
             buckets.resize(BUCKETS, 0);
@@ -241,39 +240,17 @@ impl TelemetrySample {
             count: w[BUCKETS],
             sum: w[BUCKETS + 1],
         };
-        let h = 2 + 6;
+        let (head, histograms) = words.split_at(HISTOGRAMS_AT);
+        let (latency_us, expansions) = histograms.split_at(HISTOGRAM_WIDTH);
         Some(TelemetrySample {
-            t_us: words[0],
-            served: words[1],
-            snapshot: MetricsSnapshot {
-                queries: words[2],
-                cache_hits: words[3],
-                cache_misses: words[4],
-                deadline_exceeded: words[5],
-                budget_exhausted: words[6],
-                shard_unavailable: words[7],
-                latency_us: histogram(&words[h..h + BUCKETS + 2]),
-                expansions: histogram(&words[h + BUCKETS + 2..]),
-            },
+            t_us: head[0],
+            served: head[1],
+            snapshot: MetricsSnapshot::from_parts(
+                &head[2..],
+                histogram(latency_us),
+                histogram(expansions),
+            ),
         })
-    }
-}
-
-/// Bucket-wise difference of two histogram images taken from the same
-/// live histogram at different times. The counters are monotone, so the
-/// saturating subtraction only engages if a torn pair slipped through —
-/// the delta stays well-formed either way.
-fn histogram_delta(newer: &HistogramSnapshot, older: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut buckets = vec![0u64; newer.buckets.len().max(older.buckets.len())];
-    for (i, b) in buckets.iter_mut().enumerate() {
-        let n = newer.buckets.get(i).copied().unwrap_or(0);
-        let o = older.buckets.get(i).copied().unwrap_or(0);
-        *b = n.saturating_sub(o);
-    }
-    HistogramSnapshot {
-        buckets,
-        count: newer.count.saturating_sub(older.count),
-        sum: newer.sum.saturating_sub(older.sum),
     }
 }
 
@@ -286,24 +263,11 @@ pub struct WindowDelta {
     pub span_us: u64,
     /// Live samples the window had available (diagnostic).
     pub samples: usize,
-    /// Queries answered inside the window.
-    pub queries: u64,
-    /// Cache hits inside the window.
-    pub cache_hits: u64,
-    /// Cache misses inside the window.
-    pub cache_misses: u64,
-    /// Deadline trips inside the window.
-    pub deadline_exceeded: u64,
-    /// Expansion-budget trips inside the window.
-    pub budget_exhausted: u64,
-    /// Shard-unavailable refusals inside the window.
-    pub shard_unavailable: u64,
     /// Server-side successful responses inside the window.
     pub served: u64,
-    /// Latency observations recorded inside the window (microseconds).
-    pub latency_us: HistogramSnapshot,
-    /// Expansion observations recorded inside the window.
-    pub expansions: HistogramSnapshot,
+    /// Engine counters and histogram observations inside the window
+    /// ([`MetricsSnapshot::delta`] of the two samples).
+    pub delta: MetricsSnapshot,
 }
 
 impl WindowDelta {
@@ -312,17 +276,17 @@ impl WindowDelta {
         if self.span_us == 0 {
             0.0
         } else {
-            self.queries as f64 / (self.span_us as f64 / 1e6)
+            self.delta.queries as f64 / (self.span_us as f64 / 1e6)
         }
     }
 
     /// Cache hit rate over the window (0 when the window saw no lookups).
     pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
+        let lookups = self.delta.cache_hits + self.delta.cache_misses;
         if lookups == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / lookups as f64
+            self.delta.cache_hits as f64 / lookups as f64
         }
     }
 }
@@ -418,24 +382,8 @@ impl Telemetry {
         Some(WindowDelta {
             span_us: newest.t_us.saturating_sub(base.t_us),
             samples: live.len(),
-            queries: newest.snapshot.queries.saturating_sub(base.snapshot.queries),
-            cache_hits: newest.snapshot.cache_hits.saturating_sub(base.snapshot.cache_hits),
-            cache_misses: newest.snapshot.cache_misses.saturating_sub(base.snapshot.cache_misses),
-            deadline_exceeded: newest
-                .snapshot
-                .deadline_exceeded
-                .saturating_sub(base.snapshot.deadline_exceeded),
-            budget_exhausted: newest
-                .snapshot
-                .budget_exhausted
-                .saturating_sub(base.snapshot.budget_exhausted),
-            shard_unavailable: newest
-                .snapshot
-                .shard_unavailable
-                .saturating_sub(base.snapshot.shard_unavailable),
             served: newest.served.saturating_sub(base.served),
-            latency_us: histogram_delta(&newest.snapshot.latency_us, &base.snapshot.latency_us),
-            expansions: histogram_delta(&newest.snapshot.expansions, &base.snapshot.expansions),
+            delta: newest.snapshot.delta(&base.snapshot),
         })
     }
 }
@@ -563,16 +511,16 @@ mod tests {
         // A 1-second window reaches exactly one sample back: only the
         // twenty slow queries are inside it.
         let w = t.window(1_000_000).expect("two samples");
-        assert_eq!(w.queries, 20);
-        assert_eq!(w.latency_us.count, 20);
-        assert!(w.latency_us.percentile(0.5) >= 100_000);
+        assert_eq!(w.delta.queries, 20);
+        assert_eq!(w.delta.latency_us.count, 20);
+        assert!(w.delta.latency_us.percentile(0.5) >= 100_000);
         assert!((w.qps() - 20.0).abs() < 1e-9);
         // A 2-second window reaches the boot sample: all thirty queries,
         // and the ten fast ones reappear at the low quantiles.
         let w = t.window(2_000_000).expect("covers both");
-        assert_eq!(w.queries, 30);
-        assert_eq!(w.latency_us.count, 30);
-        assert!(w.latency_us.percentile(0.2) < 1_000);
+        assert_eq!(w.delta.queries, 30);
+        assert_eq!(w.delta.latency_us.count, 30);
+        assert!(w.delta.latency_us.percentile(0.2) < 1_000);
     }
 
     #[test]
@@ -583,7 +531,7 @@ mod tests {
         assert!(t.window(1_000_000).is_none(), "one sample is no window");
         t.record_sample(&sample(500_000, 5, &[10; 5]));
         let w = t.window(60_000_000).expect("clamps to the oldest sample");
-        assert_eq!(w.queries, 5);
+        assert_eq!(w.delta.queries, 5);
         assert_eq!(w.span_us, 500_000);
     }
 

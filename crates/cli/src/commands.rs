@@ -6,7 +6,7 @@ use datagen::synthetic::SyntheticConfig;
 use kgraph::{GraphStats, KnowledgeGraph};
 use std::io::Write;
 use std::path::Path;
-use wikisearch_engine::{Backend, WikiSearch};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
 
 /// The `wikisearch help` text.
 pub const HELP: &str = "\
@@ -188,15 +188,7 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let as_json: bool = args.get_or("json", false)?;
     let as_dot: bool = args.get_or("dot", false)?;
     let as_explain: bool = args.get_or("explain", false)?;
-    let timeout_ms: u64 = args.get_or("timeout-ms", 0)?;
-    let max_expansions: u64 = args.get_or("max-expansions", 0)?;
-    let mut budget = QueryBudget::unlimited();
-    if timeout_ms > 0 {
-        budget = budget.with_timeout(std::time::Duration::from_millis(timeout_ms));
-    }
-    if max_expansions > 0 {
-        budget = budget.with_max_expansions(max_expansions);
-    }
+    let budget = budget_from_args(args)?;
 
     let mut ws = open_engine(args, backend, shards)?;
     let mut params = ws.params().clone();
@@ -208,12 +200,9 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     // unless asked for (useful for scripted multi-search shells).
     ws.set_cache_capacity(args.get_bytes("cache-capacity", 0)?);
 
-    let result = if as_explain {
-        ws.explain(&query, &budget)
-    } else {
-        ws.try_search(&query, &budget)
-    }
-    .map_err(|e| format!("query aborted ({}): {e}", e.kind()))?;
+    let request =
+        QueryRequest { budget, explain: as_explain, ..QueryRequest::new(&query, ws.params()) };
+    let result = ws.execute(&request).map_err(|e| format!("query aborted ({}): {e}", e.kind()))?;
     if as_dot {
         return match result.answers.first() {
             Some(best) => {
@@ -295,6 +284,22 @@ pub fn convert(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         graph.num_directed_edges()
     )
     .map_err(|e| e.to_string())
+}
+
+/// The per-query budget `--timeout-ms MS` / `--max-expansions N` ask for
+/// (0, the default, leaves that bound off) — shared by `search` and
+/// `serve`.
+pub(crate) fn budget_from_args(args: &ParsedArgs) -> Result<QueryBudget, String> {
+    let timeout_ms: u64 = args.get_or("timeout-ms", 0)?;
+    let max_expansions: u64 = args.get_or("max-expansions", 0)?;
+    let mut budget = QueryBudget::unlimited();
+    if timeout_ms > 0 {
+        budget = budget.with_timeout(std::time::Duration::from_millis(timeout_ms));
+    }
+    if max_expansions > 0 {
+        budget = budget.with_max_expansions(max_expansions);
+    }
+    Ok(budget)
 }
 
 /// Build the engine the way the flags ask: `--mmap SNAP` maps a

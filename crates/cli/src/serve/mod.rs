@@ -1,0 +1,976 @@
+//! `wikisearch serve` — a line-protocol TCP query service, the offline
+//! analogue of the paper's hosted WikiSearch endpoint.
+//!
+//! This module is start-up (flags, engine wiring, the background
+//! sampler) and the two connection front ends; both funnel every request
+//! through [`serve_one_request`]. The wire grammar, the line reader and
+//! the socket writer are in [`protocol`]; `QUERY`/`EXPLAIN` answering,
+//! query IDs and the slow-query log in [`query`]; the metric table behind
+//! `STATS`, `STATS WINDOW`, `TOP` and `METRICS` in [`stats`].
+//!
+//! ## Fault isolation
+//!
+//! The serving path is built so that one misbehaving client cannot take
+//! the service down or corrupt another client's answers:
+//!
+//! * **Deadlines and budgets** — `--timeout-ms` / `--max-expansions`
+//!   bound every query via a [`QueryBudget`]; a query that trips its
+//!   budget gets a structured JSON error (`deadline_exceeded` /
+//!   `budget_exhausted`) and its warm session is reused as usual.
+//! * **Panic quarantine** — query execution runs under `catch_unwind`;
+//!   a panicking query answers `{"error":"internal"}`, its session is
+//!   quarantined by the pool (never recycled), and the worker thread
+//!   lives on to serve the next connection.
+//! * **Load shedding** — the acceptor hands connections to workers over
+//!   a *bounded* queue (`--max-queue`, default 64). When every worker is
+//!   busy and the queue is full, a new connection is answered
+//!   immediately with `{"error":"overloaded"}` and closed, instead of
+//!   queueing without bound.
+//! * **Bounded request lines** — see [`protocol`].
+//!
+//! Connections are handled by a bounded worker pool (`--workers N`,
+//! default 4): all workers share one `Arc<WikiSearch>`, so inter-query
+//! concurrency composes with the intra-query parallelism of the engine
+//! backends — each in-flight query checks a warm session out of the
+//! engine's session pool instead of contending on a process-wide lock.
+//! `--max-requests N` makes the server drain gracefully after `N`
+//! *successful* queries (in-flight connections finish, then the listener
+//! closes), which is how the tests and demo scripts drive it.
+//!
+//! A sharded result cache (see `central::cache`) sits in front of the
+//! session pool; `--cache-capacity BYTES` sizes it (suffixes `k`/`m`/`g`
+//! accepted, default 64m, `0` disables). Repeated queries — including
+//! reorderings, case changes, and stopword variations of one another —
+//! are answered from the cache without touching a session. Failed
+//! queries never populate it.
+//!
+//! ## Sharded serving
+//!
+//! `--shards N` (default 1) partitions the graph into `N` edge-cut
+//! shards and answers every query through the scatter-gather
+//! coordinator (`central::shard`) instead of a single monolithic
+//! session. Answers, traces and error semantics are byte-identical to
+//! `--shards 1` (differential-tested); the result cache, budgets,
+//! panic quarantine and slow-query log all sit in front of the
+//! coordinator unchanged. `STATS` gains a `shards` object and
+//! `METRICS` gains `ws_shard_*` series when sharded.
+//!
+//! ## Micro-batched execution
+//!
+//! `--batch-window-us N` (default 0 = off) arms the engine's
+//! micro-batcher (`central::batch`): cache-missing queries arriving
+//! within `N` µs of each other — up to `--batch-max` (default 16) — fuse
+//! into one multi-query frontier sweep, so one pass over the graph's
+//! node space serves every query in the batch. Responses are
+//! byte-identical to `--batch-window-us 0` (differential-tested over
+//! this very protocol); `STATS` gains a `batch` object and `METRICS`
+//! gains `ws_batch_*` series while batching is on. A drain closes any
+//! open collection window immediately, so shutdown never waits out a
+//! window.
+//!
+//! ## Remote shard workers
+//!
+//! `--shard-workers N` forks `N` supervised `wikisearch shard-worker`
+//! processes over the same dataset and answers every query through the
+//! fault-tolerant remote coordinator (`central::remote`):
+//! per-RPC deadlines from the query budget, bounded retry with
+//! exponential backoff, heartbeat probes driving a per-shard circuit
+//! breaker, and automatic respawn of dead workers. `--shard-addr
+//! a,b,…` instead attaches to externally managed workers (no
+//! supervision). When a shard stays unreachable past its retry budget a
+//! query is refused with `{"error":"shard_unavailable"}` — unless
+//! `--degraded-answers true`, in which case the reachable shards answer
+//! best-effort and the response is marked `"degraded": true` (degraded
+//! answers never populate the cache). `--rpc-timeout-ms`,
+//! `--rpc-retries` and `--heartbeat-ms` tune the supervision knobs.
+//! `STATS` gains a `remote` object and `METRICS` gains `ws_remote_*`
+//! series while remote serving is on.
+//!
+//! ## Async connection multiplexing
+//!
+//! `--async-io true` (default off) swaps the connection-per-worker model
+//! for a readiness-polled multiplexer: parked connections are owned by a
+//! muxer thread that polls them (`TcpStream::peek`) and dispatches only
+//! *ready* ones to the bounded worker pool, one request at a time, so an
+//! idle connection costs a socket — not a pinned worker thread. The
+//! protocol, counters, shedding and drain semantics are unchanged.
+
+mod protocol;
+mod query;
+mod stats;
+
+use crate::args::ParsedArgs;
+use central::{QueryBudget, RemoteOptions, StaticAddrs, TelemetrySample, TraceLevel};
+use parking_lot::Mutex;
+use protocol::{parse_request, read_request_line, respond, LineRead, Reply, Request, Served};
+use query::{answer_query, SlowLog};
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch, DEFAULT_TELEMETRY_SAMPLES};
+
+/// How often a blocked worker wakes up to check for drain.
+const DRAIN_POLL: Duration = Duration::from_millis(50);
+
+/// The server's own counters, surfaced on `STATS` / `METRICS`. Budget
+/// trips and shard refusals are not among them: the engine registry
+/// counts every refusal it returns.
+#[derive(Default)]
+struct ServeCounters {
+    /// Successful query responses (what `--max-requests` counts).
+    served: AtomicUsize,
+    /// Connections refused with `overloaded` because the worker queue was
+    /// full.
+    shed: AtomicU64,
+    /// Queries that panicked (their sessions were quarantined).
+    panics: AtomicU64,
+    /// Request lines rejected for exceeding [`protocol::MAX_LINE`].
+    oversized: AtomicU64,
+    /// Queries at or over the `--slow-query-ms` threshold (logged).
+    slow_queries: AtomicU64,
+}
+
+/// Everything a worker needs to serve connections, shared by reference
+/// across the pool.
+struct Shared<'a> {
+    ws: &'a WikiSearch,
+    counters: &'a ServeCounters,
+    budget: QueryBudget,
+    max_requests: usize,
+    draining: &'a AtomicBool,
+    addr: SocketAddr,
+    /// `Some` when `--slow-query-ms` armed the slow-query log.
+    slow: Option<SlowLog>,
+    /// `Some` when `--shard-workers` forked a supervised worker fleet;
+    /// surfaces live PIDs and the respawn count on `STATS`.
+    supervisor: Option<&'a crate::supervisor::Supervisor>,
+    /// Label body of the `ws_build_info` identity gauge.
+    build_info: String,
+    /// When the server started, for `ws_uptime_seconds`.
+    started: Instant,
+}
+
+/// Run the server until `max_requests` queries have been answered (or
+/// forever when it is 0).
+pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
+    args.allow_only(&[
+        "graph",
+        "mmap",
+        "port",
+        "backend",
+        "threads",
+        "top-k",
+        "max-requests",
+        "workers",
+        "cache-capacity",
+        "timeout-ms",
+        "max-expansions",
+        "max-queue",
+        "slow-query-ms",
+        "slow-query-log",
+        "slow-query-trace",
+        "telemetry-interval-ms",
+        "shards",
+        "batch-window-us",
+        "batch-max",
+        "async-io",
+        "shard-workers",
+        "shard-addr",
+        "degraded-answers",
+        "rpc-timeout-ms",
+        "rpc-retries",
+        "heartbeat-ms",
+    ])?;
+    let port: u16 = args.get_or("port", 7878)?;
+    let threads: usize = args.get_or("threads", 4)?;
+    let shards: usize = args.get_or("shards", 1)?;
+    let max_requests: usize = args.get_or("max-requests", 0)?;
+    let workers: usize = args.get_or("workers", 4)?;
+    let cache_capacity = args.get_bytes("cache-capacity", 64 << 20)?;
+    let max_queue: usize = args.get_or("max-queue", 64)?;
+    let slow_query_ms: u64 = args.get_or("slow-query-ms", 0)?;
+    let telemetry_interval_ms: u64 = args.get_or("telemetry-interval-ms", 1000)?;
+    let slow_query_trace = match args.optional("slow-query-trace").unwrap_or("off") {
+        "off" => false,
+        "on" => true,
+        other => return Err(format!("--slow-query-trace must be `off` or `on`, got {other:?}")),
+    };
+    let batch_window_us: u64 = args.get_or("batch-window-us", 0)?;
+    let batch_max: usize = args.get_or("batch-max", 16)?;
+    let async_io: bool = args.get_or("async-io", false)?;
+    let shard_workers: usize = args.get_or("shard-workers", 0)?;
+    let shard_addr = args.optional("shard-addr");
+    let degraded_answers: bool = args.get_or("degraded-answers", false)?;
+    let rpc_timeout_ms: u64 = args.get_or("rpc-timeout-ms", 5000)?;
+    let rpc_retries: u32 = args.get_or("rpc-retries", 3)?;
+    let heartbeat_ms: u64 = args.get_or("heartbeat-ms", 1000)?;
+    for (flag, value) in [("workers", workers), ("shards", shards), ("max-queue", max_queue)] {
+        if value == 0 {
+            return Err(format!("--{flag} must be >= 1"));
+        }
+    }
+    if !(1..=central::MAX_BATCH_LANES).contains(&batch_max) {
+        return Err(format!("--batch-max must be in 1..={}", central::MAX_BATCH_LANES));
+    }
+    if slow_query_ms == 0 && args.optional("slow-query-log").is_some() {
+        return Err("--slow-query-log requires --slow-query-ms N (N >= 1)".into());
+    }
+    if slow_query_ms == 0 && args.optional("slow-query-trace").is_some() {
+        return Err("--slow-query-trace requires --slow-query-ms N (N >= 1)".into());
+    }
+    let remote = shard_workers > 0 || shard_addr.is_some();
+    if shard_workers > 0 && shard_addr.is_some() {
+        return Err("--shard-workers and --shard-addr are mutually exclusive".into());
+    }
+    if remote && shards > 1 {
+        return Err(
+            "remote shard serving replaces --shards; drop --shards or the remote flags".into()
+        );
+    }
+    if remote && batch_window_us > 0 {
+        return Err("--batch-window-us is not supported with remote shard serving".into());
+    }
+    if !remote {
+        for flag in ["degraded-answers", "rpc-timeout-ms", "rpc-retries", "heartbeat-ms"] {
+            if args.optional(flag).is_some() {
+                return Err(format!(
+                    "--{flag} requires remote shard serving (--shard-workers or --shard-addr)"
+                ));
+            }
+        }
+    }
+    if remote && rpc_timeout_ms == 0 {
+        return Err("--rpc-timeout-ms must be >= 1".into());
+    }
+    if remote && rpc_retries == 0 {
+        return Err("--rpc-retries must be >= 1".into());
+    }
+    let slow = if slow_query_ms > 0 {
+        let path = args.optional("slow-query-log").unwrap_or("slow_queries.jsonl");
+        Some(SlowLog::open(path, slow_query_ms, slow_query_trace)?)
+    } else {
+        None
+    };
+    let budget = crate::commands::budget_from_args(args)?;
+    let backend_name = args.optional("backend").unwrap_or("cpu");
+    let backend = Backend::parse(backend_name, threads)?;
+    let mut ws = crate::commands::open_engine(args, backend, shards)?;
+    let mut params = ws.params().clone();
+    params.top_k = args.get_or("top-k", params.top_k)?;
+    ws.set_params(params);
+    ws.set_cache_capacity(cache_capacity);
+    ws.set_batching(Duration::from_micros(batch_window_us), batch_max);
+    ws.set_telemetry(telemetry_interval_ms, DEFAULT_TELEMETRY_SAMPLES);
+    let remote_opts = RemoteOptions {
+        rpc_timeout: Duration::from_millis(rpc_timeout_ms),
+        attempts: rpc_retries,
+        heartbeat: if heartbeat_ms > 0 {
+            Some(Duration::from_millis(heartbeat_ms))
+        } else {
+            None
+        },
+        degraded_answers,
+        ..RemoteOptions::default()
+    };
+    let supervisor = if shard_workers > 0 {
+        let source = if let Some(path) = args.optional("mmap") {
+            ("--mmap".to_string(), path.to_string())
+        } else {
+            ("--graph".to_string(), args.required("graph")?.to_string())
+        };
+        let sup = crate::supervisor::Supervisor::launch(source, shard_workers)?;
+        ws.set_remote_shards(shard_workers, sup.addrs(), remote_opts);
+        Some(sup)
+    } else if let Some(list) = shard_addr {
+        let addrs: Vec<SocketAddr> = list
+            .split(',')
+            .map(|a| a.trim().parse::<SocketAddr>().map_err(|e| format!("--shard-addr {a:?}: {e}")))
+            .collect::<Result<_, _>>()?;
+        if addrs.is_empty() {
+            return Err("--shard-addr needs at least one address".into());
+        }
+        let n = addrs.len();
+        ws.set_remote_shards(n, Arc::new(StaticAddrs(addrs)), remote_opts);
+        None
+    } else {
+        None
+    };
+    let listener = TcpListener::bind(("127.0.0.1", port))
+        .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
+    let addr = listener.local_addr().map_err(|e| e.to_string())?;
+    let sharding = if let Some(n) = ws.num_remote_shards() {
+        let how = if supervisor.is_some() {
+            "supervised"
+        } else {
+            "attached"
+        };
+        let policy = if degraded_answers {
+            ", degraded-answers"
+        } else {
+            ""
+        };
+        format!(", {n} remote shards ({how}){policy}")
+    } else {
+        match ws.num_shards() {
+            Some(n) => format!(", {n} shards"),
+            None => String::new(),
+        }
+    };
+    let backing = if ws.is_memory_mapped() {
+        ", mmap-backed"
+    } else {
+        ""
+    };
+    let batching = if batch_window_us > 0 {
+        format!(", batching {batch_window_us}us x{batch_max}")
+    } else {
+        String::new()
+    };
+    let frontend = if async_io { ", async-io" } else { "" };
+    writeln!(
+        out,
+        "wikisearch serving on 127.0.0.1:{} ({} nodes indexed, {workers} \
+         workers{sharding}{backing}{batching}{frontend})",
+        addr.port(),
+        ws.graph().num_nodes()
+    )
+    .map_err(|e| e.to_string())?;
+
+    let counters = ServeCounters::default();
+    let draining = AtomicBool::new(false);
+    let shared = Shared {
+        ws: &ws,
+        counters: &counters,
+        budget,
+        max_requests,
+        draining: &draining,
+        addr,
+        slow,
+        supervisor: supervisor.as_ref(),
+        build_info: format!(
+            "version=\"{}\",backend=\"{backend_name}\",shards=\"{}\",mmap=\"{}\"",
+            env!("CARGO_PKG_VERSION"),
+            ws.num_remote_shards().or(ws.num_shards()).unwrap_or(1),
+            ws.is_memory_mapped()
+        ),
+        started: Instant::now(),
+    };
+    // The background sampler: one metrics snapshot per interval into the
+    // telemetry ring, entirely off the query path. It stops (promptly —
+    // it sleeps in DRAIN_POLL ticks) once serving ends.
+    let sampler_stop = AtomicBool::new(false);
+    let accept_error = std::thread::scope(|scope| {
+        if telemetry_interval_ms > 0 {
+            scope.spawn(|| run_sampler(&ws, &counters, &sampler_stop));
+        }
+        let accept_error = if async_io {
+            serve_async(&listener, &shared, workers, max_queue)
+        } else {
+            serve_sync(&listener, &shared, workers, max_queue)
+        };
+        sampler_stop.store(true, Ordering::SeqCst);
+        accept_error
+    });
+    if let Some(e) = accept_error {
+        return Err(e);
+    }
+    writeln!(out, "served {} queries, shutting down", counters.served.load(Ordering::SeqCst))
+        .map_err(|e| e.to_string())
+}
+
+/// The background sampler loop: publish one [`TelemetrySample`] (a
+/// monotonic timestamp, the served counter, and the full metrics
+/// snapshot) per `--telemetry-interval-ms` into the engine's telemetry
+/// ring. Sleeps in [`DRAIN_POLL`] ticks so shutdown never waits out a
+/// long interval; publishes a boot sample immediately so `STATS WINDOW`
+/// has a subtraction base one interval in.
+fn run_sampler(ws: &WikiSearch, counters: &ServeCounters, stop: &AtomicBool) {
+    let telemetry = ws.telemetry();
+    let interval = Duration::from_millis(telemetry.interval_ms.max(1));
+    let started = Instant::now();
+    let sample = || TelemetrySample {
+        t_us: started.elapsed().as_micros() as u64,
+        served: counters.served.load(Ordering::SeqCst) as u64,
+        snapshot: ws.metrics_snapshot(),
+    };
+    telemetry.record_sample(&sample());
+    let mut due = interval;
+    while !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(DRAIN_POLL.min(interval));
+        if started.elapsed() < due {
+            continue;
+        }
+        telemetry.record_sample(&sample());
+        due = started.elapsed() + interval;
+    }
+}
+
+/// The acceptor both front ends share: hand every accepted connection to
+/// `hand_off` until the server drains, `hand_off` reports that nobody is
+/// left to take connections (`false`), or `accept` fails (the error is
+/// returned).
+fn accept_until_drained(
+    listener: &TcpListener,
+    draining: &AtomicBool,
+    mut hand_off: impl FnMut(TcpStream) -> bool,
+) -> Option<String> {
+    for stream in listener.incoming() {
+        if draining.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
+                if !hand_off(stream) {
+                    break;
+                }
+            }
+            Err(e) => return Some(format!("accept: {e}")),
+        }
+    }
+    None
+}
+
+/// The connection-per-worker serving loop: each accepted connection is
+/// owned by one worker until its peer quits or the server drains.
+fn serve_sync(
+    listener: &TcpListener,
+    shared: &Shared<'_>,
+    workers: usize,
+    max_queue: usize,
+) -> Option<String> {
+    // Bounded handoff queue: when it is full, new connections are shed
+    // instead of queueing without limit.
+    let (tx, rx) = mpsc::sync_channel::<TcpStream>(max_queue);
+    // parking_lot::Mutex does not poison: a worker that panics while
+    // dequeuing (it cannot — but the type guarantees it) would not wedge
+    // the other workers' receiver access.
+    let rx = Mutex::new(rx);
+
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let rx = &rx;
+            scope.spawn(move || loop {
+                // Hold the receiver lock only while dequeuing, so idle
+                // workers take turns; a closed channel means the acceptor
+                // is done and the queue is drained.
+                let next = rx.lock().recv();
+                let Ok(stream) = next else { break };
+                handle_connection(stream, shared);
+            });
+        }
+        let accept_error =
+            accept_until_drained(listener, shared.draining, |stream| match tx.try_send(stream) {
+                Ok(()) => true,
+                Err(TrySendError::Full(stream)) => {
+                    shed(stream, shared.counters);
+                    true
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            });
+        // Closing the channel lets workers finish queued connections and
+        // exit; the scope joins them before returning.
+        drop(tx);
+        accept_error
+    })
+}
+
+/// One multiplexed connection: the buffered reader travels with the
+/// socket, so request bytes a worker buffered but did not consume are
+/// still there when the muxer re-dispatches the connection.
+struct MuxConn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+/// What the muxer's readiness probe saw on a parked connection.
+enum Readiness {
+    /// Bytes are waiting (buffered or on the socket) — dispatch it.
+    Ready,
+    /// Nothing to read; keep it parked. Costs one `peek`, not a thread.
+    Idle,
+    /// EOF or a socket error — drop the connection.
+    Gone,
+}
+
+/// Non-blocking readiness probe: buffered bytes count as ready (a
+/// pipelined request may already sit in the `BufReader`), otherwise one
+/// `peek` asks the socket without consuming anything.
+fn readiness(conn: &mut MuxConn) -> Readiness {
+    if !conn.reader.buffer().is_empty() {
+        return Readiness::Ready;
+    }
+    let mut probe = [0u8; 1];
+    match conn.writer.peek(&mut probe) {
+        Ok(0) => Readiness::Gone,
+        Ok(_) => Readiness::Ready,
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Readiness::Idle
+        }
+        Err(_) => Readiness::Gone,
+    }
+}
+
+/// How often the muxer sweeps its parked connections for readiness.
+const MUX_POLL: Duration = Duration::from_millis(1);
+
+/// The readiness-polled serving loop (`--async-io true`): a muxer thread
+/// owns every parked connection and hands only *ready* ones to the
+/// bounded worker pool, one request per dispatch, so idle connections
+/// never pin a worker. Workers return the connection to the muxer after
+/// answering (unless the peer quit or the server is done).
+fn serve_async(
+    listener: &TcpListener,
+    shared: &Shared<'_>,
+    workers: usize,
+    max_queue: usize,
+) -> Option<String> {
+    // park_tx: acceptor + workers hand connections (back) to the muxer.
+    // ready_tx: the muxer hands ready connections to the workers; bounded
+    // so a request flood applies backpressure at the muxer, which sheds.
+    let (park_tx, park_rx) = mpsc::channel::<MuxConn>();
+    let (ready_tx, ready_rx) = mpsc::sync_channel::<MuxConn>(max_queue);
+    let ready_rx = Mutex::new(ready_rx);
+
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let ready_rx = &ready_rx;
+            let park_tx = park_tx.clone();
+            scope.spawn(move || loop {
+                let next = ready_rx.lock().recv();
+                let Ok(mut conn) = next else { break };
+                // Blocking-with-timeout while the worker owns it: the
+                // request's bytes are (at least partially) there, and the
+                // timeout keeps a trickling client from pinning the
+                // worker through a drain.
+                let _ = conn.writer.set_nonblocking(false);
+                let _ = conn.writer.set_read_timeout(Some(DRAIN_POLL));
+                match serve_one_request(&mut conn.reader, &mut conn.writer, shared) {
+                    Served::Continue => {
+                        let _ = conn.writer.set_nonblocking(true);
+                        // A muxer that already exited drops the
+                        // connection here — drain semantics.
+                        let _ = park_tx.send(conn);
+                    }
+                    Served::Close => {}
+                }
+            });
+        }
+
+        // The muxer: sweep parked connections, dispatch the ready ones.
+        scope.spawn(move || {
+            let mut parked: Vec<MuxConn> = Vec::new();
+            let mut acceptor_done = false;
+            loop {
+                loop {
+                    match park_rx.try_recv() {
+                        Ok(conn) => parked.push(conn),
+                        Err(mpsc::TryRecvError::Empty) => break,
+                        Err(mpsc::TryRecvError::Disconnected) => {
+                            acceptor_done = true;
+                            break;
+                        }
+                    }
+                }
+                if shared.draining.load(Ordering::SeqCst) || acceptor_done {
+                    // Drain: parked (idle) connections are dropped; the
+                    // closing ready channel lets workers finish and exit.
+                    break;
+                }
+                let mut still_parked = Vec::with_capacity(parked.len());
+                for mut conn in parked.drain(..) {
+                    match readiness(&mut conn) {
+                        Readiness::Ready => match ready_tx.try_send(conn) {
+                            Ok(()) => {}
+                            // Every worker busy and the queue full: the
+                            // connection stays parked and is retried next
+                            // sweep — existing peers are never shed.
+                            Err(TrySendError::Full(conn)) => still_parked.push(conn),
+                            Err(TrySendError::Disconnected(_)) => {}
+                        },
+                        Readiness::Idle => still_parked.push(conn),
+                        Readiness::Gone => {}
+                    }
+                }
+                parked = still_parked;
+                std::thread::sleep(MUX_POLL);
+            }
+            drop(ready_tx);
+        });
+
+        let accept_error = accept_until_drained(listener, shared.draining, |stream| {
+            let Ok(peer) = stream.try_clone() else {
+                return true;
+            };
+            if stream.set_nonblocking(true).is_err() {
+                return true;
+            }
+            // New connections park first; the muxer dispatches them on
+            // their first request bytes. An unbounded park queue is safe:
+            // each entry is an accepted socket, bounded by the OS.
+            park_tx.send(MuxConn { reader: BufReader::new(peer), writer: stream }).is_ok()
+        });
+        // The acceptor is gone (drain or accept error) — flip the drain
+        // flag so the muxer's next sweep shuts the pipeline down even on
+        // the error path, where no query ever flipped it.
+        shared.draining.store(true, Ordering::SeqCst);
+        shared.ws.flush_batches();
+        drop(park_tx);
+        accept_error
+    })
+}
+
+/// Refuse one connection because every worker is busy and the queue is
+/// full: one `overloaded` line, then close. The client learns
+/// immediately instead of waiting in an unbounded backlog.
+fn shed(mut stream: TcpStream, counters: &ServeCounters) {
+    counters.shed.fetch_add(1, Ordering::SeqCst);
+    let _ =
+        writeln!(stream, r#"{{"error":"overloaded","detail":"request queue full, retry later"}}"#);
+}
+
+/// Serve one connection until the peer quits, hangs up, or the server
+/// drains — the connection-per-worker loop of the sync front end.
+fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
+    // A finite read timeout lets the worker notice a drain even while its
+    // client sits idle on an open connection.
+    let _ = stream.set_read_timeout(Some(DRAIN_POLL));
+    let Ok(peer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(peer);
+    let mut writer = stream;
+    while let Served::Continue = serve_one_request(&mut reader, &mut writer, shared) {}
+}
+
+/// Read and answer exactly one request line. Increments `served` per
+/// successful query; the query that reaches `max_requests` flips
+/// `draining`, closes any open batch-collection window, and dials the
+/// listener once to wake the blocked acceptor.
+fn serve_one_request(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    shared: &Shared<'_>,
+) -> Served {
+    let raw = match read_request_line(reader, shared.draining) {
+        LineRead::Line(raw) => raw,
+        LineRead::Oversized => {
+            shared.counters.oversized.fetch_add(1, Ordering::SeqCst);
+            let doc = serde_json::json!({
+                "error": "oversized line",
+                "detail": format!("request lines are capped at {} bytes", protocol::MAX_LINE),
+            });
+            return respond(writer, &Reply::Text(format!("{doc}\n")));
+        }
+        LineRead::Closed => return Served::Close,
+    };
+    let Ok(line) = std::str::from_utf8(&raw) else {
+        return respond(writer, &Reply::error("invalid utf-8"));
+    };
+    let ws = shared.ws;
+    let mut then = Served::Continue;
+    let reply = match parse_request(line) {
+        Request::Quit => return Served::Close,
+        Request::Ping => Reply::Text("PONG\n".to_owned()),
+        Request::Stats => Reply::Doc(stats::stats(&stats::Snapshot::gather(shared))),
+        Request::StatsWindow(Ok(secs)) => Reply::Doc(stats::stats_window(ws.telemetry(), secs)),
+        Request::StatsWindow(Err(msg)) => Reply::Doc(serde_json::json!({ "error": msg })),
+        Request::Top => Reply::Doc(stats::top(&stats::Snapshot::gather(shared), ws.telemetry())),
+        Request::Metrics => Reply::Text(stats::metrics(&stats::Snapshot::gather(shared))),
+        Request::Query("") | Request::Explain("") => Reply::error("empty query"),
+        Request::Explain(keywords) => Reply::Doc(admit(shared, keywords, true).doc),
+        Request::Query(keywords) => {
+            let answer = admit(shared, keywords, false);
+            if let Some(slow) = &shared.slow {
+                slow.maybe_log(keywords, &answer, shared.counters);
+            }
+            if answer.error.is_none() {
+                let n = shared.counters.served.fetch_add(1, Ordering::SeqCst) + 1;
+                if shared.max_requests > 0
+                    && n >= shared.max_requests
+                    && !shared.draining.swap(true, Ordering::SeqCst)
+                {
+                    // Close any open batch window so co-batched peers get
+                    // their answers now instead of waiting out the timer,
+                    // then wake the acceptor blocked in accept() so it can
+                    // observe the drain; the throwaway connection is
+                    // dropped by whichever worker receives it.
+                    ws.flush_batches();
+                    let _ = TcpStream::connect(shared.addr);
+                    then = Served::Close;
+                }
+            }
+            Reply::Doc(answer.doc)
+        }
+        Request::Unknown => {
+            Reply::error("expected QUERY/EXPLAIN/PING/STATS/STATS WINDOW/TOP/METRICS/QUIT")
+        }
+    };
+    match respond(writer, &reply) {
+        Served::Continue => then,
+        Served::Close => Served::Close,
+    }
+}
+
+/// Admit one `QUERY`/`EXPLAIN`: its fleet-wide ID is allocated before
+/// anything can fail, so even error documents carry it. A `QUERY` runs
+/// fully traced when the slow-query log wants the trace
+/// (`--slow-query-trace on`); `EXPLAIN` always does, and is never
+/// slow-logged.
+fn admit(shared: &Shared<'_>, keywords: &str, explain: bool) -> query::Answer {
+    let ws = shared.ws;
+    let traced = !explain && shared.slow.as_ref().is_some_and(|s| s.traced);
+    let traced_params = traced.then(|| ws.params().clone().with_trace(TraceLevel::Full));
+    let request = QueryRequest {
+        query: keywords,
+        params: traced_params.as_ref().unwrap_or(ws.params()),
+        budget: shared.budget,
+        qid: Some(ws.issue_query_id()),
+        explain,
+    };
+    answer_query(ws, &request, shared.counters)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::parse;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+
+    fn free_port() -> u16 {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = probe.local_addr().unwrap().port();
+        drop(probe);
+        port
+    }
+
+    /// The three-node graph every serve unit test runs over.
+    fn tiny_graph() -> kgraph::KnowledgeGraph {
+        let mut b = kgraph::GraphBuilder::new();
+        let x = b.add_node("x", "xml");
+        let q = b.add_node("q", "query language");
+        let s = b.add_node("s", "sql");
+        b.add_edge(x, q, "rel");
+        b.add_edge(s, q, "rel");
+        b.build()
+    }
+
+    /// A sequential engine over [`tiny_graph`] (shared with the sibling
+    /// modules' tests).
+    pub(super) fn tiny_engine() -> WikiSearch {
+        WikiSearch::build_with(tiny_graph(), Backend::Sequential)
+    }
+
+    fn tiny_graph_file(tag: &str) -> String {
+        let path = std::env::temp_dir()
+            .join(format!("ws-serve-{}-{tag}.tsv", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::write(&path, kgraph::io::to_tsv(&tiny_graph())).unwrap();
+        path
+    }
+
+    fn connect(port: u16) -> TcpStream {
+        for _ in 0..100 {
+            if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
+                return s;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        panic!("server not reachable on port {port}");
+    }
+
+    #[test]
+    fn serves_queries_over_tcp() {
+        let path = tiny_graph_file("basic");
+        let port = free_port();
+        let argv: Vec<String> =
+            format!("serve --graph {path} --port {port} --backend seq --max-requests 2")
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let args = parse(&argv).unwrap();
+        let server = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            serve(&args, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        });
+
+        let mut stream = connect(port);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+
+        writeln!(stream, "PING").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim(), "PONG");
+
+        line.clear();
+        writeln!(stream, "QUERY xml sql").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(doc["answers"][0]["central"], "query language");
+
+        line.clear();
+        writeln!(stream, "nonsense protocol line").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("error"));
+
+        line.clear();
+        writeln!(stream, "QUERY").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(doc["error"], "empty query", "{line}");
+
+        line.clear();
+        writeln!(stream).unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("error"), "empty line answered, not ignored: {line}");
+
+        // Verbs match in any case, with or without arguments.
+        line.clear();
+        writeln!(stream, "explain xml").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"trace\""), "{line}");
+        line.clear();
+        writeln!(stream, "stats Window 5").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("window"), "windowed document or `window unavailable`: {line}");
+
+        line.clear();
+        writeln!(stream, "query sql").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("answers"));
+        writeln!(stream, "quit").unwrap();
+
+        let log = server.join().unwrap();
+        assert!(log.contains("served 2 queries"), "{log}");
+        assert!(log.contains("4 workers"), "{log}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn drains_even_when_another_connection_stays_open() {
+        // A second client holds its connection open without ever sending
+        // QUIT; reaching --max-requests on the first must still shut the
+        // server down (workers poll the drain flag on read timeout).
+        let path = tiny_graph_file("drain");
+        let port = free_port();
+        let argv: Vec<String> = format!(
+            "serve --graph {path} --port {port} --backend seq --workers 2 --max-requests 1"
+        )
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+        let args = parse(&argv).unwrap();
+        let server = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            serve(&args, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        });
+
+        let idle = connect(port); // parked on a worker, never speaks
+        let mut stream = connect(port);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        writeln!(stream, "QUERY xml sql").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("answers"), "{line}");
+
+        let log = server.join().unwrap();
+        assert!(log.contains("served 1 queries"), "{log}");
+        drop(idle);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn rejects_zero_workers() {
+        let argv: Vec<String> = "serve --graph kb.tsv --workers 0"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let args = parse(&argv).unwrap();
+        let mut out = Vec::new();
+        let err = serve(&args, &mut out).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+    }
+
+    #[test]
+    fn rejects_zero_queue() {
+        let argv: Vec<String> = "serve --graph kb.tsv --max-queue 0"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let args = parse(&argv).unwrap();
+        let mut out = Vec::new();
+        let err = serve(&args, &mut out).unwrap_err();
+        assert!(err.contains("--max-queue"), "{err}");
+    }
+
+    #[test]
+    fn oversized_lines_are_rejected_and_the_connection_resyncs() {
+        let path = tiny_graph_file("oversized");
+        let port = free_port();
+        let argv: Vec<String> =
+            format!("serve --graph {path} --port {port} --backend seq --max-requests 1")
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let args = parse(&argv).unwrap();
+        let server = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            serve(&args, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        });
+
+        let mut stream = connect(port);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+
+        // A 3 × MAX_LINE query line: rejected with one error line, and the
+        // bytes past the cap are discarded without desynchronizing.
+        let huge = format!("QUERY {}\n", "x".repeat(3 * protocol::MAX_LINE));
+        stream.write_all(huge.as_bytes()).unwrap();
+        reader.read_line(&mut line).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(doc["error"], "oversized line", "{line}");
+
+        // Invalid UTF-8 on the same connection: one structured error line.
+        line.clear();
+        stream.write_all(b"QUERY \xff\xfe\x00garbage\n").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(doc["error"], "invalid utf-8", "{line}");
+
+        // The connection still serves real queries afterwards.
+        line.clear();
+        writeln!(stream, "STATS").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(doc["oversized"], 1u64, "{line}");
+
+        line.clear();
+        writeln!(stream, "QUERY xml sql").unwrap();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("answers"), "{line}");
+        writeln!(stream, "QUIT").unwrap();
+
+        let log = server.join().unwrap();
+        assert!(log.contains("served 1 queries"), "{log}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn slow_query_log_flag_requires_a_threshold() {
+        let argv: Vec<String> = "serve --graph kb.tsv --slow-query-log /tmp/x.jsonl"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let args = parse(&argv).unwrap();
+        let mut out = Vec::new();
+        let err = serve(&args, &mut out).unwrap_err();
+        assert!(err.contains("--slow-query-ms"), "{err}");
+    }
+}

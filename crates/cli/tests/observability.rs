@@ -1,8 +1,8 @@
-//! End-to-end observability over a live server: the `STATS` document's
-//! exact key set (a snapshot-style contract test — every documented
-//! field present, nothing undocumented sneaks in), the `EXPLAIN` verb's
-//! per-level trace, and the `METRICS` verb's Prometheus text exposition
-//! checked against a hand-rolled line grammar.
+//! End-to-end observability over a live server: the wire schema of every
+//! response document against one committed golden (every documented
+//! field present, nothing undocumented sneaks in, no key reordered), the
+//! `EXPLAIN` verb's per-level trace, and the `METRICS` verb's Prometheus
+//! text exposition checked against a hand-rolled line grammar.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -66,8 +66,184 @@ fn request_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line:
     response
 }
 
+/// Boot a dedicated server over the suite's four-node graph with
+/// `flags(&graph)` appended to the common command line, and connect.
+fn boot(
+    tag: &str,
+    flags: impl FnOnce(&kgraph::KnowledgeGraph) -> String,
+) -> (TcpStream, BufReader<TcpStream>) {
+    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = probe.local_addr().unwrap().port();
+    drop(probe);
+    let path = std::env::temp_dir()
+        .join(format!("ws-observability-{tag}-{}.tsv", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let mut b = kgraph::GraphBuilder::new();
+    let x = b.add_node("x", "xml");
+    let q = b.add_node("q", "query language");
+    let s = b.add_node("s", "sql");
+    let r = b.add_node("r", "rdf");
+    b.add_edge(x, q, "rel");
+    b.add_edge(s, q, "rel");
+    b.add_edge(r, q, "rel");
+    let graph = b.build();
+    std::fs::write(&path, kgraph::io::to_tsv(&graph)).unwrap();
+    let flags = flags(&graph);
+    std::thread::spawn(move || {
+        let argv: Vec<String> =
+            format!("serve --graph {path} --port {port} --backend seq --workers 2 {flags}")
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let args = wikisearch_cli::args::parse(&argv).unwrap();
+        let mut out = Vec::new();
+        let _ = wikisearch_cli::serve::serve(&args, &mut out);
+    });
+    for _ in 0..150 {
+        if let Ok(stream) = TcpStream::connect(("127.0.0.1", port)) {
+            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            return (stream, reader);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("{tag} observability server never came up on port {port}");
+}
+
+/// One line per leaf of `v`, in document order: `<verb> <dotted path>
+/// <type>`. Integers and floats are told apart (the wire prints `3` and
+/// `3.0` differently); arrays report their element type and descend
+/// into a first object element as `path[]`.
+fn schema_paths(verb: &str, path: &str, v: &serde_json::Value, out: &mut String) {
+    use serde_json::Value;
+    let scalar = |v: &Value| match v {
+        Value::Null => "null",
+        Value::Bool(_) => "bool",
+        Value::I64(_) | Value::U64(_) => "int",
+        Value::F64(_) => "float",
+        Value::String(_) => "string",
+        Value::Array(_) => "array",
+        Value::Object(_) => "object",
+    };
+    match v {
+        Value::Object(entries) => {
+            for (key, child) in entries {
+                let child_path = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                schema_paths(verb, &child_path, child, out);
+            }
+        }
+        Value::Array(items) => {
+            let of = items.first().map_or("empty", scalar);
+            out.push_str(&format!("{verb} {path} array<{of}>\n"));
+            if let Some(first @ Value::Object(_)) = items.first() {
+                schema_paths(verb, &format!("{path}[]"), first, out);
+            }
+        }
+        leaf => out.push_str(&format!("{verb} {path} {}\n", scalar(leaf))),
+    }
+}
+
+/// The wire schema of one live server: every key path (in order, with
+/// its JSON type) of the `QUERY`, `EXPLAIN` (the trace is one opaque
+/// leaf — its schema belongs to `trace_equivalence`), `STATS`,
+/// `STATS WINDOW` and `TOP` documents, the constant error lines
+/// verbatim, and every `# HELP` / `# TYPE` line of `METRICS`.
+fn capture_schema(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
+    /// Ask `line`, append the response document's paths under `verb`.
+    fn doc(
+        conn: (&mut TcpStream, &mut BufReader<TcpStream>),
+        verb: &str,
+        line: &str,
+        out: &mut String,
+    ) {
+        let response = request_line(conn.0, conn.1, line);
+        let mut v: serde_json::Value = serde_json::from_str(&response).unwrap();
+        if let serde_json::Value::Object(entries) = &mut v {
+            for (key, child) in entries.iter_mut() {
+                if key == "trace" {
+                    *child = serde_json::Value::String(String::new());
+                }
+            }
+        }
+        schema_paths(verb, "", &v, out);
+    }
+    let mut out = String::new();
+    doc((stream, reader), "QUERY", "QUERY xml sql rdf", &mut out);
+    doc((stream, reader), "EXPLAIN", "EXPLAIN xml sql", &mut out);
+    for constant in ["BOGUS", "QUERY", "EXPLAIN", "STATS WINDOW", "STATS WINDOW 0"] {
+        let response = request_line(stream, reader, constant);
+        out.push_str(&format!("{constant:?} -> {}\n", response.trim_end()));
+    }
+    // The windowed views need two sampler ticks (one interval apart).
+    let mut waited = 0;
+    while request_line(stream, reader, "STATS WINDOW 5").contains("window unavailable") {
+        waited += 1;
+        assert!(waited < 100, "the sampler never produced a window");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    doc((stream, reader), "STATS", "STATS", &mut out);
+    doc((stream, reader), "STATS-WINDOW", "STATS WINDOW 5", &mut out);
+    doc((stream, reader), "TOP", "TOP", &mut out);
+    writeln!(stream, "METRICS").unwrap();
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if line.trim_end() == "# EOF" {
+            break;
+        }
+        if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
+            out.push_str(&line);
+        }
+    }
+    writeln!(stream, "QUIT").unwrap();
+    out
+}
+
 #[test]
-fn stats_document_has_exactly_the_documented_key_set() {
+fn wire_schema_matches_the_committed_golden() {
+    // The four serving shapes this suite boots — plain, in-process
+    // shards, micro-batching, remote workers — each contribute one
+    // section. The golden was captured from the hand-built documents the
+    // metric table replaced; it is the contract that a renderer change
+    // moved no key, no nesting, no number type and no help text.
+    let w = |graph: &kgraph::KnowledgeGraph, index| {
+        central::ShardWorker::spawn_local(graph, 2, index, central::shard::DEFAULT_PARTITION_SEED)
+    };
+    let mut servers = [
+        ("plain", boot("golden-plain", |_| String::new())),
+        ("shards", boot("golden-shards", |_| "--shards 3".into())),
+        ("batch", boot("golden-batch", |_| "--batch-window-us 200 --batch-max 8".into())),
+        (
+            "remote",
+            boot("golden-remote", |g| {
+                format!("--shard-addr {},{} --heartbeat-ms 0", w(g, 0), w(g, 1))
+            }),
+        ),
+    ];
+    let mut actual = String::new();
+    for (name, (stream, reader)) in &mut servers {
+        actual.push_str(&format!("== {name}\n{}", capture_schema(stream, reader)));
+    }
+    let golden = include_str!("golden/wire_schema.txt");
+    if actual != golden {
+        let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire_schema.actual.txt");
+        std::fs::write(&dump, &actual).unwrap();
+        let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
+        panic!(
+            "wire schema drifted from tests/golden/wire_schema.txt (first differing line: \
+             {line:?}); the live capture is in {}",
+            dump.display()
+        );
+    }
+}
+
+#[test]
+fn stats_document_reports_the_layers_and_the_observed_query() {
     let (mut stream, mut reader) = connect();
     // At least one query first, so the histograms are non-degenerate.
     let answer = request_line(&mut stream, &mut reader, "QUERY xml sql");
@@ -75,36 +251,6 @@ fn stats_document_has_exactly_the_documented_key_set() {
 
     let response = request_line(&mut stream, &mut reader, "STATS");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    // The snapshot contract: exactly these top-level fields, all
-    // documented in the README's STATS table. A new field must be added
-    // there and here together.
-    assert_eq!(
-        sorted,
-        vec![
-            "batch",
-            "budget_exhausted",
-            "cache",
-            "engine",
-            "expansions",
-            "latency",
-            "memory_mapped",
-            "oversized",
-            "panics",
-            "pool",
-            "remote",
-            "served",
-            "shard_unavailable",
-            "shards",
-            "shed",
-            "slow_queries",
-            "telemetry",
-            "timeouts",
-        ],
-        "{response}"
-    );
     // This server runs unsharded: the key is present but null, like a
     // disabled cache. Batching is off by default, so its block is null
     // too, and so is the remote-worker block.
@@ -112,39 +258,6 @@ fn stats_document_has_exactly_the_documented_key_set() {
     assert!(doc["batch"].is_null(), "{response}");
     assert!(doc["remote"].is_null(), "{response}");
 
-    // The nested metrics blocks carry their full documented key sets too.
-    let block_keys = |v: &serde_json::Value| -> Vec<String> {
-        let mut ks: Vec<String> = v.as_object().unwrap().iter().map(|(k, _)| k.clone()).collect();
-        ks.sort_unstable();
-        ks
-    };
-    assert_eq!(
-        block_keys(&doc["engine"]),
-        vec![
-            "budget_exhausted",
-            "cache_hits",
-            "cache_misses",
-            "deadline_exceeded",
-            "queries",
-            "shard_unavailable"
-        ]
-    );
-    assert_eq!(
-        block_keys(&doc["latency"]),
-        vec!["count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"]
-    );
-    assert_eq!(block_keys(&doc["expansions"]), vec!["count", "mean", "p50", "p95", "p99"]);
-    assert_eq!(
-        block_keys(&doc["telemetry"]),
-        vec![
-            "capacity",
-            "in_flight",
-            "interval_ms",
-            "qids_issued",
-            "samples",
-            "slowest_recent"
-        ]
-    );
     // This server runs the default sampler cadence, and the query above
     // was tagged with a fleet-wide qid and entered the recent-query ring.
     assert_eq!(doc["telemetry"]["interval_ms"], 1000u64, "{response}");
@@ -268,22 +381,6 @@ fn top_verb_summarizes_the_live_server_on_one_line() {
 
     let response = request_line(&mut stream, &mut reader, "TOP");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    let mut keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-    keys.sort_unstable();
-    assert_eq!(
-        keys,
-        vec![
-            "breakers",
-            "cache_hit_rate",
-            "in_flight",
-            "qids_issued",
-            "qps",
-            "samples",
-            "served",
-            "slowest_recent"
-        ],
-        "{response}"
-    );
     assert_eq!(doc["in_flight"], 0u64, "{response}");
     assert!(doc["served"].as_u64().unwrap() >= 1, "{response}");
     assert!(doc["qids_issued"].as_u64().unwrap() >= 1, "{response}");
@@ -404,9 +501,9 @@ fn stats_window_reports_recent_rates_not_lifetime_totals() {
 
 #[test]
 fn sharded_server_exposes_per_shard_counters() {
-    // A dedicated --shards 3 server: the STATS `shards` block carries
-    // exactly the documented keys and METRICS gains the ws_shard_*
-    // series, still under the same exposition grammar.
+    // A dedicated --shards 3 server: the STATS `shards` block counts the
+    // query and METRICS gains the ws_shard_* series, still under the
+    // same exposition grammar.
     let probe = TcpListener::bind("127.0.0.1:0").unwrap();
     let port = probe.local_addr().unwrap().port();
     drop(probe);
@@ -453,13 +550,6 @@ fn sharded_server_exposes_per_shard_counters() {
     let response = request_line(&mut stream, &mut reader, "STATS");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
     let shards = &doc["shards"];
-    let mut keys: Vec<&str> = shards.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-    keys.sort_unstable();
-    assert_eq!(
-        keys,
-        vec!["notifications", "notifications_suppressed", "pools", "rounds", "shards"],
-        "{response}"
-    );
     assert_eq!(shards["shards"], 3u64, "{response}");
     assert!(shards["rounds"].as_u64().unwrap() >= 1, "{response}");
     // One sharded query checks one session out of each shard's pool.
@@ -497,8 +587,8 @@ fn sharded_server_exposes_per_shard_counters() {
 #[test]
 fn batched_server_exposes_batch_counters() {
     // A dedicated --batch-window-us server: the STATS `batch` block
-    // carries exactly the documented keys and METRICS gains the
-    // ws_batch_* series, still under the same exposition grammar.
+    // counts the queries and METRICS gains the ws_batch_* series, still
+    // under the same exposition grammar.
     let probe = TcpListener::bind("127.0.0.1:0").unwrap();
     let port = probe.local_addr().unwrap().port();
     drop(probe);
@@ -551,28 +641,6 @@ fn batched_server_exposes_batch_counters() {
     let response = request_line(&mut stream, &mut reader, "STATS");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
     let batch = &doc["batch"];
-    let mut keys: Vec<&str> = batch.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-    keys.sort_unstable();
-    assert_eq!(
-        keys,
-        vec![
-            "batches",
-            "delivered",
-            "enqueued",
-            "fill_us",
-            "max_batch",
-            "queries",
-            "size",
-            "window_us"
-        ],
-        "{response}"
-    );
-    for hist in ["size", "fill_us"] {
-        let mut ks: Vec<&str> =
-            batch[hist].as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-        ks.sort_unstable();
-        assert_eq!(ks, vec!["count", "mean", "p50", "p95", "p99"], "{response}");
-    }
     assert_eq!(batch["window_us"], 200u64, "{response}");
     assert_eq!(batch["max_batch"], 8u64, "{response}");
     assert!(batch["batches"].as_u64().unwrap() >= 1, "{response}");
@@ -616,7 +684,7 @@ fn batched_server_exposes_batch_counters() {
 fn remote_server_exposes_per_shard_breaker_and_rpc_counters() {
     // A dedicated remote server attached (--shard-addr) to two
     // in-process shard workers over the same dataset: the STATS `remote`
-    // block carries exactly the documented keys and METRICS gains the
+    // block counts the RPCs and METRICS gains the
     // ws_remote_* series — including the labeled per-shard breaker
     // gauge — still under the same exposition grammar.
     let probe = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -679,42 +747,12 @@ fn remote_server_exposes_per_shard_breaker_and_rpc_counters() {
     let response = request_line(&mut stream, &mut reader, "STATS");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
     let remote = &doc["remote"];
-    let mut keys: Vec<&str> = remote.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-    keys.sort_unstable();
-    assert_eq!(
-        keys,
-        vec![
-            "breaker",
-            "breaker_opens",
-            "degraded_queries",
-            "dials",
-            "notifications",
-            "notifications_suppressed",
-            "probe_failures",
-            "probes",
-            "retries",
-            "rounds",
-            "rpc_latency_us",
-            "rpcs",
-            "shards",
-            "workers",
-        ],
-        "{response}"
-    );
     assert_eq!(remote["shards"], 2u64, "{response}");
     assert!(remote["rpcs"].as_u64().unwrap() >= 2, "{response}");
     assert_eq!(remote["degraded_queries"], 0u64, "{response}");
     assert_eq!(remote["breaker"], serde_json::json!(["closed", "closed"]), "{response}");
     // Attached (unsupervised) workers: no fleet block.
     assert!(remote["workers"].is_null(), "{response}");
-    let mut ks: Vec<&str> = remote["rpc_latency_us"]
-        .as_object()
-        .unwrap()
-        .iter()
-        .map(|(k, _)| k.as_str())
-        .collect();
-    ks.sort_unstable();
-    assert_eq!(ks, vec!["count", "mean", "p50", "p95", "p99"], "{response}");
     // Remote serving replaces the in-process shard set and session pool.
     assert!(doc["shards"].is_null(), "{response}");
     assert_eq!(doc["pool"]["queries_run"], 0u64, "{response}");

@@ -21,6 +21,16 @@
 //! let result = ws.search("xml sql");
 //! assert_eq!(result.answers.len(), 1);
 //! println!("{}", ws.render_answer(&result.answers[0]));
+//!
+//! // `search` is shorthand for the one general entry point: a request
+//! // carries its own parameters, budget, query ID and trace switch.
+//! use central::QueryBudget;
+//! use wikisearch_engine::QueryRequest;
+//! let budget = QueryBudget::unlimited().with_max_expansions(10_000);
+//! let request = QueryRequest { budget, explain: true, ..QueryRequest::new("xml sql", ws.params()) };
+//! let explained = ws.execute(&request).expect("within budget");
+//! assert_eq!(explained.answers.len(), 1);
+//! assert!(!explained.trace.unwrap().levels.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -110,11 +120,38 @@ impl std::str::FromStr for Backend {
     }
 }
 
+/// One query as the engine executes it — the single request type behind
+/// every entry point ([`WikiSearch::execute`]). It borrows everything, so
+/// building one per request costs no allocation.
+#[derive(Clone, Copy, Debug)]
+pub struct QueryRequest<'a> {
+    /// The raw keyword string.
+    pub query: &'a str,
+    /// Search parameters for this request (α, top-k, λ, trace level, …).
+    pub params: &'a SearchParams,
+    /// Deadline and expansion cap; [`QueryBudget::unlimited`] by default.
+    pub budget: QueryBudget,
+    /// Fleet-wide query ID assigned by the caller at admission
+    /// ([`WikiSearch::issue_query_id`]); `None` lets the engine allocate.
+    pub qid: Option<u64>,
+    /// Run with [`TraceLevel::Full`], bypassing the result cache and the
+    /// micro-batcher, so [`WikiSearchResult::trace`] always describes a
+    /// *live*, unfused search — the substrate of the server's `EXPLAIN`.
+    pub explain: bool,
+}
+
+impl<'a> QueryRequest<'a> {
+    /// An unbudgeted, untagged, cacheable request.
+    pub fn new(query: &'a str, params: &'a SearchParams) -> Self {
+        QueryRequest { query, params, budget: QueryBudget::unlimited(), qid: None, explain: false }
+    }
+}
+
 /// One search's result: the parsed query, the ranked answers, and timing.
 #[derive(Clone, Debug)]
 pub struct WikiSearchResult {
     /// Fleet-wide query ID of this search. Assigned at admission (or
-    /// passed in by the serving layer via the `_tagged` entry points) and
+    /// passed in by the serving layer as [`QueryRequest::qid`]) and
     /// carried on the trace, the slow-query log, and every wire response,
     /// so one query can be followed across layers and processes.
     pub qid: u64,
@@ -129,7 +166,7 @@ pub struct WikiSearchResult {
     /// Search statistics, including the per-level progression trace.
     pub stats: SearchStats,
     /// Rich per-query execution trace, present only when the request
-    /// asked for tracing (`params.trace`, or [`WikiSearch::explain`]).
+    /// asked for tracing (`params.trace`, or [`QueryRequest::explain`]).
     pub trace: Option<Box<QueryTrace>>,
     /// `true` iff this answer was computed with at least one remote shard
     /// unavailable ([`WikiSearch::set_remote_shards`] with
@@ -429,13 +466,6 @@ impl WikiSearch {
         self.remote_config = Some((shards, addrs, opts));
     }
 
-    /// Return to in-process execution: drop the remote coordinator (and
-    /// its heartbeat thread) and forget the rebuild recipe.
-    pub fn clear_remote_shards(&mut self) {
-        self.remote = None;
-        self.remote_config = None;
-    }
-
     /// Number of remote shard workers searches are driven across, `None`
     /// outside remote serving.
     pub fn num_remote_shards(&self) -> Option<usize> {
@@ -512,15 +542,24 @@ impl WikiSearch {
         &self.index
     }
 
-    /// Search with the engine's default parameters.
+    /// Search with the engine's default parameters and no budget — a
+    /// convenience over [`WikiSearch::execute`].
     pub fn search(&self, raw_query: &str) -> WikiSearchResult {
         self.search_with_params(raw_query, &self.params)
     }
 
     /// Search with explicit per-request parameters (e.g. a different α or
-    /// top-k) without touching the engine's defaults — callers holding
-    /// only `&self` (a shared `Arc<WikiSearch>`, a server worker) override
-    /// params per query through here.
+    /// top-k) and no budget, without touching the engine's defaults — a
+    /// convenience over [`WikiSearch::execute`].
+    pub fn search_with_params(&self, raw_query: &str, params: &SearchParams) -> WikiSearchResult {
+        self.execute(&QueryRequest::new(raw_query, params))
+            .expect("an unlimited budget cannot be exceeded")
+    }
+
+    /// Run one query — the single entry point every search routes
+    /// through; callers holding only `&self` (a shared `Arc<WikiSearch>`,
+    /// a server worker) choose params, budget, qid and tracing per
+    /// request.
     ///
     /// With the result cache enabled ([`WikiSearch::set_cache_capacity`])
     /// the cache is consulted *before* a session is checked out: a hit
@@ -532,23 +571,6 @@ impl WikiSearch {
     /// path for a sequential caller, a distinct session per query for
     /// concurrent ones. Queries that normalize to no keywords bypass the
     /// cache entirely and keep the engine's empty-query behaviour.
-    pub fn search_with_params(&self, raw_query: &str, params: &SearchParams) -> WikiSearchResult {
-        self.try_search_with_params(raw_query, params, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot be exceeded")
-    }
-
-    /// Budgeted search with the engine's default parameters — see
-    /// [`WikiSearch::try_search_with_params`].
-    pub fn try_search(
-        &self,
-        raw_query: &str,
-        budget: &QueryBudget,
-    ) -> Result<WikiSearchResult, SearchError> {
-        self.try_search_with_params(raw_query, &self.params, budget)
-    }
-
-    /// Budgeted search with explicit per-request parameters. This is the
-    /// fallible spine every search path routes through.
     ///
     /// A tripped budget returns `Err` with *no* partial answers, and a
     /// failed search **never populates the result cache** — a later retry
@@ -559,79 +581,21 @@ impl WikiSearch {
     /// failed search used checks in normally and is reused — epoch
     /// stamping re-arms its state on the next query (only a *panic*
     /// quarantines a session; see [`central::pool`]).
-    pub fn try_search_with_params(
-        &self,
-        raw_query: &str,
-        params: &SearchParams,
-        budget: &QueryBudget,
-    ) -> Result<WikiSearchResult, SearchError> {
-        self.run_search(raw_query, params, budget, true, None)
-    }
-
-    /// [`WikiSearch::try_search_with_params`] under a caller-assigned
-    /// fleet-wide query ID (the serving layer allocates qids at request
-    /// admission via [`WikiSearch::issue_query_id`] so error documents
-    /// can carry them too).
-    pub fn try_search_with_params_tagged(
-        &self,
-        raw_query: &str,
-        params: &SearchParams,
-        budget: &QueryBudget,
-        qid: u64,
-    ) -> Result<WikiSearchResult, SearchError> {
-        self.run_search(raw_query, params, budget, true, Some(qid))
-    }
-
-    /// Run `raw_query` with full tracing and the result cache bypassed,
-    /// so the returned [`WikiSearchResult::trace`] always describes a
-    /// *live* search — the substrate of the server's `EXPLAIN` verb.
-    /// Uses the engine's default parameters plus [`TraceLevel::Full`].
-    pub fn explain(
-        &self,
-        raw_query: &str,
-        budget: &QueryBudget,
-    ) -> Result<WikiSearchResult, SearchError> {
-        self.explain_with_params(raw_query, &self.params, budget)
-    }
-
-    /// [`WikiSearch::explain`] with explicit base parameters (the trace
-    /// level is forced to [`TraceLevel::Full`] regardless).
-    pub fn explain_with_params(
-        &self,
-        raw_query: &str,
-        params: &SearchParams,
-        budget: &QueryBudget,
-    ) -> Result<WikiSearchResult, SearchError> {
-        let params = params.clone().with_trace(TraceLevel::Full);
-        self.run_search(raw_query, &params, budget, false, None)
-    }
-
-    /// [`WikiSearch::explain_with_params`] under a caller-assigned
-    /// fleet-wide query ID.
-    pub fn explain_with_params_tagged(
-        &self,
-        raw_query: &str,
-        params: &SearchParams,
-        budget: &QueryBudget,
-        qid: u64,
-    ) -> Result<WikiSearchResult, SearchError> {
-        let params = params.clone().with_trace(TraceLevel::Full);
-        self.run_search(raw_query, &params, budget, false, Some(qid))
-    }
-
-    /// The one fallible spine: cache consultation (unless bypassed),
-    /// session checkout, backend dispatch, cache population, and metrics
-    /// accounting around all of it.
-    fn run_search(
-        &self,
-        raw_query: &str,
-        params: &SearchParams,
-        budget: &QueryBudget,
-        use_cache: bool,
-        qid: Option<u64>,
-    ) -> Result<WikiSearchResult, SearchError> {
+    ///
+    /// Everything happens here, in order: cache consultation (unless
+    /// bypassed), session checkout, backend dispatch, cache population,
+    /// and metrics accounting around all of it.
+    pub fn execute(&self, req: &QueryRequest<'_>) -> Result<WikiSearchResult, SearchError> {
+        let explain_params;
+        let (params, use_cache) = if req.explain {
+            explain_params = req.params.clone().with_trace(TraceLevel::Full);
+            (&explain_params, false)
+        } else {
+            (req.params, true)
+        };
+        let (raw_query, budget) = (req.query, &req.budget);
         let started = Instant::now();
-        let qid = qid.unwrap_or_else(|| self.qids.next());
+        let qid = req.qid.unwrap_or_else(|| self.qids.next());
         let _flight = self.telemetry.in_flight().enter();
         self.metrics.queries.inc();
         let query = ParsedQuery::parse(&self.index, raw_query);
@@ -685,15 +649,7 @@ impl WikiSearch {
                 .try_search_tagged(&self.graph, &query, params, budget, Some(qid))
                 .map(|r| {
                     degraded = r.degraded;
-                    let mut outcome = r.outcome;
-                    if let Some(trace) = outcome.trace.as_deref_mut() {
-                        trace.cache = Some(if key.is_some() {
-                            CacheOutcome::Miss
-                        } else {
-                            CacheOutcome::Bypass
-                        });
-                    }
-                    outcome
+                    r.outcome
                 })
         } else if let (Some(batching), true) = (&self.batching, use_cache) {
             // Micro-batched path: hand the query to the collector; the
@@ -709,16 +665,7 @@ impl WikiSearch {
                 None => batching.executor.run_batch(&self.graph, &reqs),
             });
             match outcome {
-                LaneOutcome::Done(result) => result.map(|mut outcome| {
-                    if let Some(trace) = outcome.trace.as_deref_mut() {
-                        trace.cache = Some(if key.is_some() {
-                            CacheOutcome::Miss
-                        } else {
-                            CacheOutcome::Bypass
-                        });
-                    }
-                    outcome
-                }),
+                LaneOutcome::Done(result) => result,
                 // Re-raise a lane panic on the submitter's thread: the
                 // serving layer's catch_unwind accounting sees exactly
                 // what the unbatched path would have thrown at it.
@@ -730,16 +677,7 @@ impl WikiSearch {
             // not consulted (its counters stay zero; `shard_stats` has
             // the per-shard ones). Traces carry no session identity —
             // there is no single session to name.
-            sharded.try_search(&self.graph, &query, params, budget).map(|mut outcome| {
-                if let Some(trace) = outcome.trace.as_deref_mut() {
-                    trace.cache = Some(if key.is_some() {
-                        CacheOutcome::Miss
-                    } else {
-                        CacheOutcome::Bypass
-                    });
-                }
-                outcome
-            })
+            sharded.try_search(&self.graph, &query, params, budget)
         } else {
             let mut session = self.sessions.checkout();
             self.backend
@@ -750,11 +688,6 @@ impl WikiSearch {
                         // queries_run was already bumped for this query;
                         // report the session's warmth *entering* it.
                         trace.session_queries = Some(session.queries_run().saturating_sub(1));
-                        trace.cache = Some(if key.is_some() {
-                            CacheOutcome::Miss
-                        } else {
-                            CacheOutcome::Bypass
-                        });
                     }
                     outcome
                 })
@@ -775,11 +708,16 @@ impl WikiSearch {
             }
         };
         let SearchOutcome { answers, profile, stats, mut trace } = outcome;
-        // Stamp the qid on every trace uniformly, whichever path computed
-        // it (the remote path already carries it from the wire; the value
-        // is identical).
+        // Stamp the qid and the cache verdict on every trace uniformly,
+        // whichever path computed it (the remote path already carries the
+        // qid from the wire; the value is identical).
         if let Some(t) = trace.as_deref_mut() {
             t.qid = Some(qid);
+            t.cache = Some(if key.is_some() {
+                CacheOutcome::Miss
+            } else {
+                CacheOutcome::Bypass
+            });
         }
         // A degraded answer is best-effort: caching it would let a later
         // healthy-fleet query serve it as authoritative.
@@ -805,11 +743,6 @@ impl WikiSearch {
         Ok(WikiSearchResult { qid, query, answers, profile, kwf, stats, trace, degraded })
     }
 
-    /// Backwards-compatible alias of [`WikiSearch::search_with_params`].
-    pub fn search_with(&self, raw_query: &str, params: &SearchParams) -> WikiSearchResult {
-        self.search_with_params(raw_query, params)
-    }
-
     /// Number of queries answered through the engine's session pool
     /// (checked-in sessions; a query in flight counts once it completes).
     pub fn session_queries_run(&self) -> u64 {
@@ -822,15 +755,10 @@ impl WikiSearch {
         &self.sessions
     }
 
-    /// The engine's live serving-metrics registry (see
-    /// [`central::metrics`]). Counters and histograms accumulate across
+    /// A plain-data snapshot of the engine's serving-metrics registry (see
+    /// [`central::metrics`]) — what the server's `STATS` and `METRICS`
+    /// verbs are rendered from. Counters and histograms accumulate across
     /// every search path — cache hits, computed searches, and failures.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// A plain-data snapshot of the metrics registry — what the server's
-    /// `STATS` and `METRICS` verbs are rendered from.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -838,8 +766,8 @@ impl WikiSearch {
     /// Allocate the next fleet-wide query ID. The serving layer calls
     /// this at request admission so even a request that fails before
     /// reaching the engine (oversized line, bad verb payload) has a qid
-    /// to report; the ID is then passed down via the `_tagged` search
-    /// entry points. Searches that arrive untagged allocate their own.
+    /// to report; the ID is then passed down as [`QueryRequest::qid`].
+    /// Searches that arrive untagged allocate their own.
     pub fn issue_query_id(&self) -> u64 {
         self.qids.next()
     }
@@ -1247,14 +1175,19 @@ mod tests {
         // An already-expired deadline fails deterministically before any
         // search work.
         let expired = QueryBudget::unlimited().with_timeout(Duration::ZERO);
-        let err = ws.try_search("xml sql rdf", &expired).unwrap_err();
+        let err = ws
+            .execute(&QueryRequest {
+                budget: expired,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
         let stats = ws.cache_stats().unwrap();
         assert_eq!(stats.entries, 0, "a failed search must not cache anything");
         assert_eq!(stats.lookups, 1, "the miss was recorded before the search failed");
         // A retry without the deadline computes the full answer and caches
         // it — the timeout left no poisoned or partial entry behind.
-        let full = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let full = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
         assert!(!full.answers.is_empty());
         assert_eq!(ws.cache_stats().unwrap().entries, 1);
         let hit = ws.search("xml sql rdf");
@@ -1267,11 +1200,16 @@ mod tests {
         use std::time::Duration;
         let ws = small_engine(Backend::Sequential);
         let expired = QueryBudget::unlimited().with_timeout(Duration::ZERO);
-        assert!(ws.try_search("xml sql rdf", &expired).is_err());
+        assert!(ws
+            .execute(&QueryRequest {
+                budget: expired,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .is_err());
         let pool = ws.session_pool();
         assert_eq!(pool.quarantined(), 0, "a budget failure is not a panic");
         assert_eq!(pool.idle_sessions(), 1, "the session checked back in");
-        let ok = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let ok = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
         assert!(!ok.answers.is_empty());
         assert_eq!(pool.sessions_created(), 1, "the same session served the retry");
     }
@@ -1286,9 +1224,14 @@ mod tests {
         ] {
             let ws = small_engine(backend);
             let starved = QueryBudget::unlimited().with_max_expansions(1);
-            let err = ws.try_search("xml sql rdf", &starved).unwrap_err();
+            let err = ws
+                .execute(&QueryRequest {
+                    budget: starved,
+                    ..QueryRequest::new("xml sql rdf", ws.params())
+                })
+                .unwrap_err();
             assert_eq!(err.kind(), "budget_exhausted", "{backend:?}");
-            let ok = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+            let ok = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
             assert!(!ok.answers.is_empty(), "{backend:?}");
         }
     }
@@ -1309,7 +1252,12 @@ mod tests {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
         ws.search("xml sql rdf"); // populate the cache
-        let explained = ws.explain("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let explained = ws
+            .execute(&QueryRequest {
+                explain: true,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap();
         let trace = explained.trace.as_deref().unwrap();
         assert_eq!(trace.engine, "Seq");
         assert_eq!(trace.keywords, 3);
@@ -1331,6 +1279,39 @@ mod tests {
         let stats = ws.cache_stats().unwrap();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.hits, 0);
+    }
+
+    #[test]
+    fn execute_keeps_both_meanings_of_its_explain_switch() {
+        let mut ws = small_engine(Backend::Sequential);
+        ws.set_cache_capacity(1 << 20);
+        ws.set_batching(Duration::from_micros(50), 4);
+        let traced = ws.params().clone().with_trace(TraceLevel::Full);
+        // explain: false is `search_with_params` bit for bit — through the
+        // batcher on the miss (the trace says so), from the cache after.
+        let conv = ws.search_with_params("xml sql rdf", &traced);
+        assert!(conv.trace.as_deref().unwrap().batch_id.is_some(), "a miss runs batched");
+        let plain = ws.execute(&QueryRequest::new("sql rdf xml", &traced)).unwrap();
+        assert_eq!(plain.trace.as_deref().unwrap().cache, Some(CacheOutcome::Hit));
+        let reference = ws.search_with_params("sql rdf xml", &traced);
+        assert_eq!(digest(&ws, &plain), digest(&ws, &reference));
+        assert_eq!(plain.trace.as_deref().map(|t| &t.engine), Some(&"cache".to_string()));
+        // explain: true forces the full trace without being asked, and
+        // touches neither the cache nor the batcher.
+        let (cache, batch) = (ws.cache_stats().unwrap(), ws.batch_stats().unwrap());
+        let live = ws
+            .execute(&QueryRequest {
+                explain: true,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap();
+        let trace = live.trace.as_deref().expect("explain traces at any params");
+        assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
+        assert_eq!((trace.batch_id, trace.co_batched), (None, None), "EXPLAIN runs unfused");
+        assert!(!trace.levels.is_empty(), "a live search ran");
+        assert_eq!(ws.cache_stats().unwrap().lookups, cache.lookups);
+        assert_eq!(ws.batch_stats().unwrap().enqueued, batch.enqueued);
+        assert_eq!(digest(&ws, &live), digest(&ws, &conv), "same answers either way");
     }
 
     #[test]
@@ -1366,7 +1347,7 @@ mod tests {
         assert_eq!(ht.cache_source_qid, Some(miss.qid), "the hit names the populating query");
         // The serving layer's pre-assigned ID is honored verbatim.
         let tagged = ws
-            .try_search_with_params_tagged("rdf", &traced, &QueryBudget::unlimited(), 999)
+            .execute(&QueryRequest { qid: Some(999), ..QueryRequest::new("rdf", &traced) })
             .unwrap();
         assert_eq!(tagged.qid, 999);
         assert_eq!(tagged.trace.as_deref().unwrap().qid, Some(999));
@@ -1380,7 +1361,12 @@ mod tests {
     fn failed_searches_still_reach_the_recent_query_ring() {
         let ws = small_engine(Backend::Sequential);
         let starved = QueryBudget::unlimited().with_max_expansions(1);
-        let err = ws.try_search("xml sql rdf", &starved).unwrap_err();
+        let err = ws
+            .execute(&QueryRequest {
+                budget: starved,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap_err();
         assert_eq!(err.kind(), "budget_exhausted");
         let (qid, _wall) = ws.telemetry().slowest_recent().expect("the failure was noted");
         assert_eq!(qid, ws.query_ids_issued(), "the failed query's qid is on the ring");
@@ -1394,7 +1380,9 @@ mod tests {
         ws.search("xml sql rdf");
         ws.search("xml sql rdf"); // hit
         let starved = QueryBudget::unlimited().with_max_expansions(1);
-        assert!(ws.try_search("xml rdf", &starved).is_err());
+        assert!(ws
+            .execute(&QueryRequest { budget: starved, ..QueryRequest::new("xml rdf", ws.params()) })
+            .is_err());
         let snap = ws.metrics_snapshot();
         assert_eq!(snap.queries, 3);
         assert_eq!(snap.cache_hits, 1);
@@ -1418,7 +1406,12 @@ mod tests {
             Backend::DynPar(2),
         ] {
             let ws = small_engine(backend);
-            let out = ws.explain("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+            let out = ws
+                .execute(&QueryRequest {
+                    explain: true,
+                    ..QueryRequest::new("xml sql rdf", ws.params())
+                })
+                .unwrap();
             let trace = out.trace.as_deref().unwrap_or_else(|| panic!("{backend:?}: no trace"));
             assert!(!trace.levels.is_empty(), "{backend:?}");
             assert!(trace.total_expansions > 0, "{backend:?}");
@@ -1514,7 +1507,12 @@ mod tests {
     #[test]
     fn sharded_explain_names_the_sharded_engine() {
         let ws = small_sharded(Backend::GpuStyle(2), 3);
-        let out = ws.explain("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let out = ws
+            .execute(&QueryRequest {
+                explain: true,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap();
         let trace = out.trace.as_deref().unwrap();
         assert_eq!(trace.engine, "GPU-Par[shards=3]");
         assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
@@ -1523,7 +1521,12 @@ mod tests {
         assert!(trace.total_expansions > 0);
         // Per-level records match the monolithic engine's exactly.
         let mono = small_engine(Backend::GpuStyle(2));
-        let reference = mono.explain("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let reference = mono
+            .execute(&QueryRequest {
+                explain: true,
+                ..QueryRequest::new("xml sql rdf", mono.params())
+            })
+            .unwrap();
         assert_eq!(trace.levels, reference.trace.as_deref().unwrap().levels);
     }
 
@@ -1532,13 +1535,18 @@ mod tests {
         use std::time::Duration;
         let ws = small_sharded(Backend::Sequential, 2);
         let expired = QueryBudget::unlimited().with_timeout(Duration::ZERO);
-        let err = ws.try_search("xml sql rdf", &expired).unwrap_err();
+        let err = ws
+            .execute(&QueryRequest {
+                budget: expired,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
         assert_eq!(ws.metrics_snapshot().deadline_exceeded, 1);
         let stats = ws.shard_stats().unwrap();
         assert_eq!(stats.pools.quarantined, 0, "a budget failure is not a panic");
         assert_eq!(stats.pools.in_flight, 0, "all shard sessions checked back in");
-        let ok = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let ok = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
         assert!(!ok.answers.is_empty());
     }
 
@@ -1626,7 +1634,7 @@ mod tests {
             o.degraded_answers = false;
             o
         });
-        let err = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap_err();
+        let err = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap_err();
         assert_eq!(err.kind(), "shard_unavailable");
         assert_eq!(ws.metrics_snapshot().shard_unavailable, 1);
     }
@@ -1642,7 +1650,7 @@ mod tests {
             o.degraded_answers = true;
             o
         });
-        let out = ws.try_search("xml sql rdf", &QueryBudget::unlimited()).unwrap();
+        let out = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
         assert!(out.degraded, "a missing shard must mark the answer");
         let stats = ws.cache_stats().unwrap();
         assert_eq!(stats.entries, 0, "degraded answers must never populate the cache");

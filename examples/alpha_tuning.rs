@@ -74,7 +74,7 @@ fn main() {
     let mut depths = Vec::new();
     for alpha in [0.05f32, 0.4] {
         let params = ws.params().clone().with_alpha(alpha).with_average_distance(A).with_top_k(1);
-        let result = ws.search_with(query, &params);
+        let result = ws.search_with_params(query, &params);
         let best = result.answers.first().expect("the connector answer exists");
         assert!(best.contains_node(topic));
         println!(

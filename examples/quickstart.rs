@@ -10,7 +10,7 @@
 //! ```
 
 use datagen::figures::fig4_graph;
-use wikisearch_engine::{Backend, WikiSearch};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
 
 fn main() {
     // The Fig. 1/Fig. 4 worked-example graph with its activation levels.
@@ -50,4 +50,19 @@ fn main() {
     assert_eq!(ws.graph().node_text(best.central), "Query language");
     assert_eq!(best.depth, 4);
     println!("reproduced Example 4: central node 'Query language' at depth 4 ✓");
+
+    // `search` is a convenience over the one general entry point,
+    // `execute`: a request also carries a budget, a caller-assigned query
+    // ID and the `explain` switch, which returns the per-level trace of a
+    // live run — the bottom-up stage of Example 4, level by level.
+    let request = QueryRequest { explain: true, ..QueryRequest::new(query, ws.params()) };
+    let explained = ws.execute(&request).expect("an unlimited budget cannot be exceeded");
+    let trace = explained.trace.expect("explain always traces");
+    println!("\nbottom-up levels ({}):", trace.engine);
+    for level in &trace.levels {
+        println!(
+            "  level {}: frontier {:>2}, central nodes identified {}",
+            level.level, level.frontier, level.identified
+        );
+    }
 }

@@ -15,7 +15,7 @@ use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wikisearch_engine::{compile_snapshot, Backend, WikiSearch, WikiSearchResult};
+use wikisearch_engine::{compile_snapshot, Backend, QueryRequest, WikiSearch, WikiSearchResult};
 
 const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
 
@@ -150,8 +150,10 @@ fn assert_equivalent(
         // A starved expansion budget must fail identically on both
         // backings (same structured error kind and text).
         let starved = QueryBudget::unlimited().with_max_expansions(1);
-        let ea = heap.try_search(&raw, &starved);
-        let eb = mapped.try_search(&raw, &starved);
+        let ea = heap
+            .execute(&QueryRequest { budget: starved, ..QueryRequest::new(&raw, heap.params()) });
+        let eb = mapped
+            .execute(&QueryRequest { budget: starved, ..QueryRequest::new(&raw, mapped.params()) });
         match (ea, eb) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(digest(heap, &a), digest(mapped, &b), "({})", label);

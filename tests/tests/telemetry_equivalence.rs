@@ -1,7 +1,7 @@
 //! The telemetry form of the workspace's central correctness property:
 //! observing a query must never change it. A [`WikiSearch`] with the
 //! full telemetry surface armed — fleet-wide query IDs passed through
-//! the `_tagged` entry points, full tracing (which on the remote path
+//! [`QueryRequest::qid`], full tracing (which on the remote path
 //! also turns on cross-process span collection), a live sample ring fed
 //! between queries — must be *byte-identical* to a default engine with
 //! none of that: same answers, same per-keyword hitting paths, same
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
-use wikisearch_engine::{Backend, WikiSearch, WikiSearchResult};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch, WikiSearchResult};
 
 /// Same overlap-heavy pool the other equivalence properties use.
 const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
@@ -178,7 +178,8 @@ proptest! {
                     // to trip on most graphs: error classes must agree
                     // exactly, telemetry on or off.
                     let budget = if i % 2 == 1 { &tight } else { &unlimited };
-                    let want = plain.try_search_with_params(&raw, &base, budget);
+                    let want = plain
+                        .execute(&QueryRequest { budget: *budget, ..QueryRequest::new(&raw, &base) });
                     // The observed engine runs the heavyweight path: a
                     // caller-assigned fleet-wide qid, full tracing (span
                     // collection over remote workers), and a telemetry
@@ -188,12 +189,11 @@ proptest! {
                         served: i as u64,
                         snapshot: observed.metrics_snapshot(),
                     });
-                    let got = observed.try_search_with_params_tagged(
-                        &raw,
-                        &traced,
-                        budget,
-                        1_000 + i as u64,
-                    );
+                    let got = observed.execute(&QueryRequest {
+                        budget: *budget,
+                        qid: Some(1_000 + i as u64),
+                        ..QueryRequest::new(&raw, &traced)
+                    });
                     let label = format!("{backend:?} {mode:?} step {i} {raw:?}");
                     match (got, want) {
                         (Ok(got), Ok(want)) => {
@@ -251,9 +251,11 @@ fn degenerate_queries_are_unperturbed_in_every_shape() {
         let traced = plain.params().clone().with_trace(TraceLevel::Full);
         let budget = QueryBudget::unlimited();
         for q in ["alpha beta", "alpha", "zzz nothing", ""] {
-            let want = plain.try_search(q, &budget).map(|r| digest(&r));
+            let want = plain
+                .execute(&QueryRequest { budget, ..QueryRequest::new(q, plain.params()) })
+                .map(|r| digest(&r));
             let got = observed
-                .try_search_with_params_tagged(q, &traced, &budget, 7)
+                .execute(&QueryRequest { budget, qid: Some(7), ..QueryRequest::new(q, &traced) })
                 .map(|r| digest(&r));
             match (got, want) {
                 (Ok(got), Ok(want)) => assert_eq!(got, want, "{mode:?} {q:?}"),

@@ -15,7 +15,7 @@ use central::{SearchParams, TraceLevel};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use textindex::{InvertedIndex, ParsedQuery};
-use wikisearch_engine::{Backend, WikiSearch};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
 
 const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
 
@@ -171,7 +171,12 @@ fn explain_produces_per_level_traces_on_every_backend() {
         (Backend::DynPar(2), "CPU-Par-d"),
     ] {
         let ws = WikiSearch::build_with(graph.clone(), backend);
-        let result = ws.explain("xml sql rdf", &central::QueryBudget::unlimited()).unwrap();
+        let result = ws
+            .execute(&QueryRequest {
+                explain: true,
+                ..QueryRequest::new("xml sql rdf", ws.params())
+            })
+            .unwrap();
         let trace = result.trace.as_deref().unwrap_or_else(|| panic!("{name}: no trace"));
         assert_eq!(trace.engine, name);
         assert!(!trace.levels.is_empty(), "{name}: no per-level records");
@@ -193,7 +198,13 @@ fn capped_queries_report_budget_headroom_in_the_trace() {
     b.add_edge(s, q, "rel");
     let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
     let budget = central::QueryBudget::unlimited().with_max_expansions(1_000_000);
-    let result = ws.explain("xml sql", &budget).unwrap();
+    let result = ws
+        .execute(&QueryRequest {
+            budget,
+            explain: true,
+            ..QueryRequest::new("xml sql", ws.params())
+        })
+        .unwrap();
     let trace = result.trace.as_deref().expect("trace");
     assert!(!trace.levels.is_empty());
     for rec in &trace.levels {
