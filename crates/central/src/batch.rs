@@ -55,7 +55,7 @@ use crate::metrics::{Counter, HistogramSnapshot, LogHistogram};
 use crate::model::INFINITE_LEVEL;
 use crate::shard::{ShardBackend, ShardedSearch};
 use crate::state::{Cells, HitLevels};
-use crate::top_down;
+use crate::top_down::{self, ScratchPool};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use std::any::Any;
@@ -435,6 +435,8 @@ pub struct BatchExecutor {
     backend: ShardBackend,
     compute: rayon::ThreadPool,
     states: Mutex<Vec<BatchState>>,
+    /// Top-down working memory, shared by the lanes of a batch in turn.
+    scratch: ScratchPool,
     states_created: Counter,
     states_quarantined: Counter,
     batch_seq: AtomicU64,
@@ -475,6 +477,7 @@ impl BatchExecutor {
             backend,
             compute: crate::engine::build_pool(backend.threads()),
             states: Mutex::new(Vec::new()),
+            scratch: ScratchPool::default(),
             states_created: Counter::new(),
             states_quarantined: Counter::new(),
             batch_seq: AtomicU64::new(0),
@@ -588,18 +591,19 @@ impl BatchExecutor {
 
             self.fused_sweep(graph, state, &mut lanes);
 
-            // Top-down per lane through the unchanged single-query
-            // extractor reading this lane's [`LaneView`].
+            // Top-down per lane through the unchanged single-query stage
+            // reading this lane's [`LaneView`].
             let pool = self.backend.parallel().then_some(&self.compute);
             for lane in lanes {
                 let view = state.lane(lane.lane);
                 let verdict = match lane.failed {
                     Some(e) => Err(e),
-                    None => {
-                        lane.run.finish(self.backend.base_name(), graph, &view, pool, |c, d| {
-                            top_down::extract(graph, &lane.act, &view, c, d)
+                    None => self.scratch.with(|scratch| {
+                        let name = self.backend.base_name();
+                        lane.run.finish(name, graph, &view, pool, scratch, |j, sink| {
+                            top_down::hitting_path_preds(graph, &lane.act, &view, j, sink)
                         })
-                    }
+                    }),
                 };
                 results[lane.slot] =
                     Some(LaneOutcome::Done(verdict.map(|out| annotate(out, batch_id, co))));

@@ -24,8 +24,9 @@
 //!   [`identify_sequential`] / [`observe_level`], generic over the
 //!   [`Cells`] state-layout seam, and [`expand_level`], the one
 //!   backend → scheduling dispatch;
-//! * [`LevelRun::finish`] — the top-down stage (Algorithm 3) and outcome
-//!   assembly, generic over [`HitLevels`] with the extractor as a closure.
+//! * [`LevelRun::finish`] — the top-down stage (Algorithm 3,
+//!   [`crate::top_down`]) and outcome assembly, generic over [`HitLevels`]
+//!   with the shape's predecessor oracle as a closure.
 //!
 //! The *semantics* are identical across shapes and schedulings (Theorem
 //! V.2), which the differential suites verify byte for byte.
@@ -34,11 +35,11 @@ use crate::activation::ActivationMap;
 use crate::budget::{BudgetTracker, QueryBudget};
 use crate::engine::{SearchOutcome, SearchStats};
 use crate::error::SearchError;
-use crate::model::{CentralGraph, INFINITE_LEVEL};
+use crate::model::INFINITE_LEVEL;
 use crate::profile::PhaseProfile;
 use crate::shard::ShardBackend;
 use crate::state::{Cells, HitLevels, SearchState};
-use crate::top_down::{self, Extraction};
+use crate::top_down::{self, PredSink, Stage, TopDownScratch};
 use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
@@ -469,6 +470,13 @@ impl<'a> LevelRun<'a> {
         self.terminated
     }
 
+    /// The candidate cohort identified so far (stage-2 tests drive
+    /// [`top_down::top_down`] on it directly).
+    #[cfg(test)]
+    pub(crate) fn cohort(&self) -> &[(NodeId, u8)] {
+        &self.cohort
+    }
+
     /// Level-boundary checkpoint: poll the deadline and surface a tripped
     /// budget as the error the search should return.
     pub fn checkpoint(&self) -> Result<(), SearchError> {
@@ -529,45 +537,37 @@ impl<'a> LevelRun<'a> {
         self.level += 1;
     }
 
-    /// Stage 2 and outcome assembly: top-down processing of the candidate
-    /// cohort — `extract(central, depth)` each candidate (Theorem V.4 over
-    /// `hits`, or CPU-Par-d's recorded paths), prune and score it, select
-    /// the top-k — parallel over candidates in `pool` when given. The
-    /// cohort is ordered shallowest-first, so the `max_candidates` cap
-    /// keeps the best-depth prefix. The budget is polled once per
-    /// candidate; a trip mid-stage fails the whole search rather than
-    /// returning a silently truncated answer set.
-    pub fn finish<H, X>(
+    /// Stage 2 and outcome assembly: [`top_down::top_down`] over the
+    /// candidate cohort — `preds(j, sink)` being the shape's predecessor
+    /// oracle (Theorem V.4 over `hits`, or CPU-Par-d's recorded paths) —
+    /// on the caller's thread or dynamically scheduled over `pool`, with
+    /// `scratch` as its reusable working memory (one entry per worker,
+    /// grown here on first use). The cohort is ordered shallowest-first,
+    /// so the `max_candidates` cap keeps the best-depth prefix. A budget
+    /// trip mid-stage fails the whole search rather than returning a
+    /// silently truncated answer set.
+    pub fn finish<H, P>(
         self,
         engine: &str,
         graph: &KnowledgeGraph,
         hits: &H,
         pool: Option<&rayon::ThreadPool>,
-        extract: X,
+        scratch: &mut Vec<TopDownScratch>,
+        preds: P,
     ) -> Verdict
     where
         H: HitLevels + Sync + ?Sized,
-        X: Fn(u32, u8) -> Extraction + Sync,
+        P: Fn(u32, &mut PredSink) + Sync,
     {
         let LevelRun { params, tracker, mut profile, mut cohort, .. } = self;
         cohort.truncate(params.max_candidates);
         let t = Instant::now();
-        let candidate = |&(c, d): &(NodeId, u8)| {
-            if tracker.should_stop() {
-                return None;
-            }
-            Some(top_down::prune_and_score(graph, hits, &extract(c.0, d), params))
-        };
-        let candidates: Option<Vec<CentralGraph>> = match pool {
-            Some(pool) => pool.install(|| cohort.par_iter().map(candidate).collect()),
-            None => cohort.iter().map(candidate).collect(),
-        };
-        let Some(candidates) = candidates else {
+        let stage = Stage { graph, hits, params, tracker, preds };
+        let Some(answers) = top_down::top_down(&stage, &cohort, pool, scratch) else {
             return Err(tracker
                 .error()
                 .expect("a stopped top-down stage implies a tripped budget"));
         };
-        let answers = top_down::select_top_k(candidates, params);
         profile.top_down = t.elapsed();
 
         let trace = self.records.map(|levels| {

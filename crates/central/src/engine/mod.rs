@@ -206,8 +206,9 @@ impl LevelOps for MatrixOps<'_> {
 
 /// The three matrix-based engines (sequential, CPU-Par, GPU-style) as one
 /// adapter over [`bottom_up::drive`]: re-arm the session's state →
-/// bottom-up under `backend`'s scheduling → top-down by Theorem V.4
-/// extraction (parallel over central nodes when the engine has a `pool`).
+/// bottom-up under `backend`'s scheduling → top-down over the Theorem V.4
+/// predecessor oracle (dynamically scheduled over central nodes when the
+/// engine has a `pool`).
 pub(crate) fn run_matrix_search(
     backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
@@ -231,13 +232,15 @@ pub(crate) fn run_matrix_search(
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
     run.profile.init = t.elapsed();
-    let SearchSession { ref state, scratch, .. } = session;
+    let SearchSession { ref state, scratch, top_down: stage2, .. } = session;
 
     let act = ActivationMap::for_params(graph, params);
     let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
     let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;
-    run.finish(name, graph, state, pool, |c, d| top_down::extract(graph, &act, state, c, d))
+    run.finish(name, graph, state, pool, stage2, |j, sink| {
+        top_down::hitting_path_preds(graph, &act, state, j, sink)
+    })
 }
 
 /// Build a rayon pool with exactly `threads` workers.
@@ -262,19 +265,24 @@ pub(crate) fn digest(out: &SearchOutcome) -> String {
         out.stats.trace
     );
     for a in &out.answers {
-        let _ = write!(
-            s,
-            "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-            a.central.0,
-            a.depth,
-            a.nodes,
-            a.edges,
-            a.keyword_nodes,
-            a.keyword_edges,
-            a.score.to_bits()
-        );
+        let _ = write!(s, "{}", digest_answer(a));
     }
     s
+}
+
+/// The per-answer part of [`digest`]: every field, the score as raw bits.
+#[cfg(test)]
+pub(crate) fn digest_answer(a: &CentralGraph) -> String {
+    format!(
+        "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
+        a.central.0,
+        a.depth,
+        a.nodes,
+        a.edges,
+        a.keyword_nodes,
+        a.keyword_edges,
+        a.score.to_bits()
+    )
 }
 
 #[cfg(test)]

@@ -12,7 +12,12 @@
 //! * **Identification** is parallel over frontiers (each frontier is
 //!   touched by exactly one task, so the central flag needs no lock).
 //! * **Top-down** is parallel over central nodes, one task per Central
-//!   Graph, dynamically scheduled (Sec. V-C).
+//!   Graph, dynamically scheduled (Sec. V-C): the pool threads claim runs
+//!   of a few candidates from one atomic cursor
+//!   ([`crate::top_down::top_down`]), each scoring into its own
+//!   [`crate::top_down::TopDownScratch`] — the rayon shim's static
+//!   one-block-per-thread split would put a skewed cohort's expensive
+//!   candidates on one thread.
 
 use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};

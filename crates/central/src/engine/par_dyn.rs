@@ -17,7 +17,7 @@ use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::session::SearchSession;
 use crate::state::HitLevels;
-use crate::top_down::Extraction;
+use crate::top_down::PredSink;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use parking_lot::Mutex;
@@ -210,10 +210,10 @@ impl KeywordSearchEngine for DynParEngine {
             frontiers: Vec::new(),
         };
         bottom_up::drive(&mut ops, &mut run)?;
-        // Top-down: no extraction — assemble per-keyword DAGs from the
-        // recorded predecessors, then the shared pruning/ranking.
-        run.finish(self.name(), graph, state, Some(&self.pool), |c, d| {
-            assemble_from_records(state, c, d)
+        // Top-down: no Theorem V.4 — the per-keyword DAGs are walks over
+        // the recorded predecessors, then the shared pruning/ranking.
+        run.finish(self.name(), graph, state, Some(&self.pool), &mut session.top_down, |j, sink| {
+            recorded_preds(state, j, sink)
         })
     }
 }
@@ -344,41 +344,12 @@ fn expand_locked(
     }
 }
 
-/// Build the per-keyword hitting-path DAGs of the Central Graph at `c`
-/// directly from the predecessors recorded during search.
-fn assemble_from_records(state: &DynState, c: u32, depth: u8) -> Extraction {
-    let q = state.q;
-    let mut dag_edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(q);
-    let mut all_nodes: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    all_nodes.insert(c);
-    for i in 0..q {
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut visited: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut stack = vec![c];
-        visited.insert(c);
-        while let Some(j) = stack.pop() {
-            let preds: Vec<u32> = {
-                let node = state.node(j);
-                node.preds.iter().filter(|&&(k, _)| k as usize == i).map(|&(_, p)| p).collect()
-            };
-            for p in preds {
-                edges.push((p, j));
-                if visited.insert(p) {
-                    stack.push(p);
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        for &(a, b) in &edges {
-            all_nodes.insert(a);
-            all_nodes.insert(b);
-        }
-        dag_edges.push(edges);
+/// CPU-Par-d's predecessor oracle: the hitting-path predecessors of `j`
+/// exactly as recorded during search.
+fn recorded_preds(state: &DynState, j: u32, sink: &mut PredSink) {
+    for &(keyword, pred) in &state.node(j).preds {
+        sink.push(keyword as usize, pred);
     }
-    let mut nodes: Vec<u32> = all_nodes.into_iter().collect();
-    nodes.sort_unstable();
-    Extraction { central: c, depth, dag_edges, nodes }
 }
 
 #[cfg(test)]

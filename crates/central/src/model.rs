@@ -125,12 +125,18 @@ impl CentralGraph {
 /// Ordering used for final ranking: ascending score, then shallower, then
 /// smaller, then by central-node id for determinism.
 pub fn answer_order(a: &CentralGraph, b: &CentralGraph) -> std::cmp::Ordering {
-    a.score
-        .partial_cmp(&b.score)
+    rank_order(
+        (a.score, a.depth, a.nodes.len(), a.central.0),
+        (b.score, b.depth, b.nodes.len(), b.central.0),
+    )
+}
+
+/// [`answer_order`] on bare `(score, depth, node count, central id)` keys —
+/// what the top-down stage ranks before any answer is materialised.
+pub(crate) fn rank_order(a: (f64, u8, usize, u32), b: (f64, u8, usize, u32)) -> std::cmp::Ordering {
+    a.0.partial_cmp(&b.0)
         .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.depth.cmp(&b.depth))
-        .then(a.nodes.len().cmp(&b.nodes.len()))
-        .then(a.central.cmp(&b.central))
+        .then_with(|| (a.1, a.2, a.3).cmp(&(b.1, b.2, b.3)))
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use crate::metrics::{HistogramSnapshot, LogHistogram};
 use crate::model::INFINITE_LEVEL;
 use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
 use crate::state::HitLevels;
-use crate::top_down;
+use crate::top_down::{self, ScratchPool};
 use crate::trace::{ShardSpan, ShardTimeline};
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
@@ -326,6 +326,9 @@ pub struct RemoteShardedSearch {
     name: String,
     /// Per-shard connection freelist.
     channels: Vec<Mutex<Vec<Channel>>>,
+    /// Top-down working memory (the stage runs here, over the global
+    /// graph and the collected rows).
+    scratch: ScratchPool,
     heartbeat_stop: Arc<AtomicBool>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
 }
@@ -384,6 +387,7 @@ impl RemoteShardedSearch {
             backend,
             name,
             channels: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            scratch: ScratchPool::default(),
             heartbeat_stop,
             heartbeat,
         }
@@ -628,8 +632,10 @@ impl RemoteShardedSearch {
         drop(ops);
         let hits = RemoteHitLevels { rows, q: query.num_keywords() };
         let global_act = ActivationMap::for_params(graph, params);
-        let mut outcome = run.finish(&self.name, graph, &hits, None, |c, d| {
-            top_down::extract(graph, &global_act, &hits, c, d)
+        let mut outcome = self.scratch.with(|scratch| {
+            run.finish(&self.name, graph, &hits, None, scratch, |j, sink| {
+                top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
+            })
         })?;
         if let Some(trace) = outcome.trace.as_mut() {
             trace.qid = qid;
@@ -875,6 +881,12 @@ impl HitLevels for RemoteHitLevels {
     }
     fn hit(&self, v: u32, i: usize) -> u8 {
         self.rows.get(&v).map_or(INFINITE_LEVEL, |r| r.hits[i])
+    }
+    fn row(&self, v: u32, out: &mut [u8]) {
+        match self.rows.get(&v) {
+            Some(r) => out.copy_from_slice(&r.hits[..out.len()]),
+            None => out.fill(INFINITE_LEVEL),
+        }
     }
     fn is_keyword_node(&self, v: u32) -> bool {
         self.rows.get(&v).is_some_and(|r| r.keyword)

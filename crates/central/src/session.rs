@@ -25,6 +25,7 @@
 use crate::bottom_up::BottomUpScratch;
 use crate::engine::par_dyn::DynState;
 use crate::state::SearchState;
+use crate::top_down::TopDownScratch;
 
 /// Reusable search state + scratch buffers for a stream of queries.
 ///
@@ -57,6 +58,9 @@ pub struct SearchSession {
     pub(crate) state: SearchState,
     /// Driver queue buffers (frontier queue, per-level identifications).
     pub(crate) scratch: BottomUpScratch,
+    /// Top-down working memory, one entry per thread that ever ran the
+    /// stage for this session; empty until the first search reaches it.
+    pub(crate) top_down: Vec<TopDownScratch>,
     /// CPU-Par-d's lock-based state, materialized on first use.
     pub(crate) dyn_state: Option<DynState>,
     /// Number of queries answered through this session.
@@ -113,6 +117,72 @@ mod tests {
         assert_eq!(first.answers.len(), second.answers.len());
         assert_eq!(first.answers[0].central, second.answers[0].central);
         assert_eq!(first.answers[0].nodes, second.answers[0].nodes);
+    }
+
+    /// Top-down scratch reuse: A, B, A through one session (each engine),
+    /// one batch executor and one 2-shard coordinator answer exactly like
+    /// fresh ones — B's memo and marks must not leak into the second A,
+    /// nor A's into B.
+    #[test]
+    fn top_down_scratch_reuse_matches_fresh_state() {
+        use crate::batch::{BatchExecutor, BatchRequest, LaneOutcome};
+        use crate::engine::{digest, DynParEngine, GpuStyleEngine, ParCpuEngine};
+        use crate::{QueryBudget, ShardBackend, ShardedSearch};
+
+        let mut cfg = datagen::synthetic::SyntheticConfig::tiny(77);
+        cfg.num_entities = 500;
+        let g = cfg.generate().graph;
+        let idx = InvertedIndex::build(&g);
+        let mut workload = datagen::QueryWorkload::new(5);
+        let (a, b) = (workload.query(4), workload.query(6));
+        let queries: Vec<ParsedQuery> =
+            [&a, &b, &a].iter().map(|raw| ParsedQuery::parse(&idx, raw)).collect();
+        let params = SearchParams::default().with_average_distance(2.5).with_top_k(6);
+
+        let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
+            Box::new(SeqEngine::new()),
+            Box::new(ParCpuEngine::new(2)),
+            Box::new(GpuStyleEngine::new(2)),
+            Box::new(DynParEngine::new(2)),
+        ];
+        let fresh: Vec<String> =
+            queries.iter().map(|q| digest(&engines[0].search(&g, q, &params))).collect();
+        assert!(fresh.iter().all(|d| d.contains("[c:")), "both queries must have answers");
+        for engine in &engines {
+            let mut session = SearchSession::new();
+            for (q, want) in queries.iter().zip(&fresh) {
+                let out = engine.search_session(&mut session, &g, q, &params);
+                assert_eq!(&digest(&out), want, "{}", engine.name());
+            }
+            assert!(!session.top_down.is_empty(), "the stage keeps its scratch in the session");
+        }
+
+        let exec = BatchExecutor::new(ShardBackend::Seq);
+        for batch in [&queries[..2], &queries[2..]] {
+            let requests: Vec<BatchRequest> = batch
+                .iter()
+                .map(|q| BatchRequest {
+                    query: q.clone(),
+                    params: params.clone(),
+                    budget: QueryBudget::unlimited(),
+                })
+                .collect();
+            let lanes: Vec<String> = exec
+                .run_batch(&g, &requests)
+                .into_iter()
+                .map(|lane| match lane {
+                    LaneOutcome::Done(verdict) => digest(&verdict.expect("unlimited budget")),
+                    LaneOutcome::Panicked(_) => panic!("lane panicked"),
+                })
+                .collect();
+            assert_eq!(lanes, fresh[..batch.len()], "batch lanes");
+        }
+
+        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
+        for (q, want) in queries.iter().zip(&fresh) {
+            let out = sharded.try_search(&g, q, &params, &QueryBudget::unlimited());
+            assert_eq!(&digest(&out.expect("unlimited budget")), want, "2 shards");
+        }
     }
 
     #[test]

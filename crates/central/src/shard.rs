@@ -108,7 +108,7 @@ use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
 use crate::session::SearchSession;
 use crate::state::{Cells, HitLevels, SearchState};
-use crate::top_down;
+use crate::top_down::{self, ScratchPool};
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use std::collections::HashMap;
@@ -532,6 +532,10 @@ impl HitLevels for ShardedHitLevels<'_> {
         let (state, l) = self.route(v);
         state.hit(l, i)
     }
+    fn row(&self, v: u32, out: &mut [u8]) {
+        let (state, l) = self.route(v);
+        state.row(l, out);
+    }
     fn is_keyword_node(&self, v: u32) -> bool {
         let (state, l) = self.route(v);
         state.is_keyword_node(l)
@@ -553,6 +557,9 @@ pub struct ShardedSearch {
     backend: ShardBackend,
     name: String,
     counters: ExchangeCounters,
+    /// Top-down working memory over the *global* graph (the per-shard
+    /// sessions are sized for their parts).
+    scratch: ScratchPool,
 }
 
 impl ShardedSearch {
@@ -565,7 +572,15 @@ impl ShardedSearch {
         let pools = (0..shards).map(|_| SessionPool::new()).collect();
         let compute = crate::engine::build_pool(backend.threads().max(shards));
         let name = format!("{}[shards={shards}]", backend.base_name());
-        ShardedSearch { plan, pools, compute, backend, name, counters: ExchangeCounters::default() }
+        ShardedSearch {
+            plan,
+            pools,
+            compute,
+            backend,
+            name,
+            counters: ExchangeCounters::default(),
+            scratch: ScratchPool::default(),
+        }
     }
 
     /// Number of shards.
@@ -669,8 +684,10 @@ impl ShardedSearch {
             states: ops.lanes.iter().map(|l| l.lock().state).collect(),
             q: query.num_keywords(),
         };
-        run.finish(&self.name, graph, &hits, Some(&self.compute), |c, d| {
-            top_down::extract(graph, &global_act, &hits, c, d)
+        self.scratch.with(|scratch| {
+            run.finish(&self.name, graph, &hits, Some(&self.compute), scratch, |j, sink| {
+                top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
+            })
         })
     }
 }

@@ -227,6 +227,14 @@ pub trait HitLevels {
     fn num_keywords(&self) -> usize;
     /// Hitting level `h_v^i` (255 = never hit).
     fn hit(&self, v: u32, i: usize) -> u8;
+    /// All of `v`'s hitting levels at once: `out[i] = h_v^i` for the
+    /// `num_keywords()` entries of `out`. Routing views override it to
+    /// resolve `v` once per row instead of once per cell.
+    fn row(&self, v: u32, out: &mut [u8]) {
+        for (i, h) in out.iter_mut().enumerate() {
+            *h = self.hit(v, i);
+        }
+    }
     /// `true` if `v` contains at least one query keyword.
     fn is_keyword_node(&self, v: u32) -> bool;
     /// If `v` is a Central Node, the depth at which it was identified —

@@ -1,9 +1,10 @@
-//! Stage 2: top-down processing (paper Algorithm 3) — extraction of each
+//! Stage 2: top-down processing (paper Algorithm 3) — recovery of each
 //! Central Graph from the node–keyword matrix, level-cover pruning, Eq. 6
-//! scoring, and final top-k selection.
+//! scoring, and final top-k selection — at the cost of the answers it
+//! returns, not of the candidates it looks at.
 //!
-//! Extraction needs no recorded paths: Theorem V.4 lets the hitting paths
-//! be recovered from `M` and the activation levels alone. For each keyword
+//! Recovery needs no recorded paths: Theorem V.4 lets the hitting paths
+//! be read off `M` and the activation levels alone. For each keyword
 //! `t_i`, `v_n` is a predecessor of `v_j` on a hitting path iff
 //!
 //! ```text
@@ -15,299 +16,966 @@
 //! and a non-keyword `v_j` additionally could not be hit before level
 //! `a_j`. Walking these conditions backward from the central node yields,
 //! per keyword, exactly the DAG of all hitting paths (Def. 2).
+//!
+//! Three things keep the stage proportional to its output (DESIGN.md,
+//! *Top-down scratch, predecessor memo and two-phase finish*):
+//!
+//! * **[`TopDownScratch`]** — every set and list the stage needs is a
+//!   stamp array or a flat arena that lives in the session (one per pool
+//!   thread) and is reused across candidates and queries: no hashing, no
+//!   per-candidate allocation.
+//! * **Predecessor memo** — the test above depends on `(j, i)` only, never
+//!   on which central node the walk started from, so a node's adjacency is
+//!   scanned once per query, for all keywords at once
+//!   ([`hitting_path_preds`]); a candidate's DAGs are walks over the
+//!   memoised lists.
+//! * **Score first, materialise last** — phase A leaves one compact record
+//!   per candidate (central, depth, sorted node ids, score); ranking and
+//!   containment dedup run on those records; phase B builds a full
+//!   [`CentralGraph`] for the ≤ `top_k` survivors only.
 
 use crate::activation::ActivationMap;
-use crate::model::{answer_order, CentralGraph, INFINITE_LEVEL};
+use crate::budget::BudgetTracker;
+use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
 use crate::state::HitLevels;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
-use std::collections::{HashMap, HashSet};
+use rayon::prelude::*;
+use std::cmp::Ordering as CmpOrdering;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The raw (unpruned) extraction of one Central Graph: per-keyword
-/// predecessor DAGs over data-graph nodes.
-#[derive(Clone, Debug)]
-pub struct Extraction {
-    /// The central node.
-    pub central: u32,
-    /// Depth at identification.
-    pub depth: u8,
-    /// Per keyword: hitting-path edges as `(pred, succ)` pairs, deduped.
-    /// Every edge lies on a hitting path ending at `central`.
-    pub dag_edges: Vec<Vec<(u32, u32)>>,
-    /// All nodes appearing in any DAG, plus the central node. Sorted.
-    pub nodes: Vec<u32>,
+/// Where a predecessor oracle reports one node's hitting-path
+/// predecessors: `(keyword, predecessor)` pairs in any order, duplicates
+/// allowed (multi-edges). Also holds the stage's two `M`-row buffers (the
+/// Theorem V.4 oracle's, and the level-cover sweep's).
+#[derive(Default)]
+pub struct PredSink {
+    pairs: Vec<(u32, u32)>,
+    row_j: Vec<u8>,
+    row_n: Vec<u8>,
 }
 
-/// Recover all hitting paths of the Central Graph centered at `central`
-/// (Theorem V.4). One backward BFS per keyword.
-pub fn extract<H: HitLevels + ?Sized>(
+impl PredSink {
+    /// `pred` precedes the scanned node on a hitting path of `keyword`.
+    #[inline]
+    pub fn push(&mut self, keyword: usize, pred: u32) {
+        self.pairs.push((keyword as u32, pred));
+    }
+}
+
+/// The Theorem V.4 predecessor oracle: every hitting-path predecessor of
+/// `j`, for all keywords at once — one scan of `j`'s adjacency, one `M`
+/// row read per neighbor.
+pub fn hitting_path_preds<H: HitLevels + ?Sized>(
     graph: &KnowledgeGraph,
     act: &ActivationMap<'_>,
     state: &H,
-    central: u32,
-    depth: u8,
-) -> Extraction {
+    j: u32,
+    sink: &mut PredSink,
+) {
     let q = state.num_keywords();
-    let mut dag_edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(q);
-    let mut all_nodes: HashSet<u32> = HashSet::new();
-    all_nodes.insert(central);
-    for i in 0..q {
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut visited: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = vec![central];
-        visited.insert(central);
-        while let Some(j) = stack.pop() {
-            let hj = state.hit(j, i);
-            debug_assert_ne!(hj, INFINITE_LEVEL, "extraction reached an unhit node");
-            if hj == 0 {
-                continue; // a source of B_i: hitting paths start here
-            }
-            let hj = hj as u16;
-            // The `a_j − 1` term applies only to non-keyword nodes.
-            let aj_term = if state.is_keyword_node(j) {
-                0u16
-            } else {
-                (act.level(NodeId(j)) as u16).saturating_sub(1)
-            };
-            for adj in graph.neighbors(NodeId(j)) {
-                let n = adj.target().0;
-                let hn = state.hit(n, i);
-                if hn == INFINITE_LEVEL {
-                    continue;
-                }
-                // A Central Node freezes at its identification depth and
-                // never expands afterwards, so it cannot be the
-                // predecessor of a hit beyond that depth.
-                if let Some(d) = state.central_depth(n) {
-                    if hj > d as u16 {
-                        continue;
-                    }
-                }
-                let an = act.level(adj.target()) as u16;
-                let required = 1 + (hn as u16).max(an).max(aj_term);
-                if hj == required {
-                    edges.push((n, j));
-                    if visited.insert(n) {
-                        stack.push(n);
-                    }
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        for &(a, b) in &edges {
-            all_nodes.insert(a);
-            all_nodes.insert(b);
-        }
-        dag_edges.push(edges);
+    let PredSink { pairs, row_j, row_n } = sink;
+    row_j.resize(q, 0);
+    row_n.resize(q, 0);
+    state.row(j, row_j);
+    // A source of B_i (h = 0) starts hitting paths and an instance that
+    // never hit `j` has none through it.
+    let open = |h: u8| h != 0 && h != INFINITE_LEVEL;
+    if !row_j.iter().any(|&h| open(h)) {
+        return;
     }
-    let mut nodes: Vec<u32> = all_nodes.into_iter().collect();
-    nodes.sort_unstable();
-    Extraction { central, depth, dag_edges, nodes }
+    // The `a_j − 1` term applies only to non-keyword nodes.
+    let aj_term = if state.is_keyword_node(j) {
+        0u16
+    } else {
+        (act.level(NodeId(j)) as u16).saturating_sub(1)
+    };
+    for adj in graph.neighbors(NodeId(j)) {
+        let n = adj.target().0;
+        state.row(n, row_n);
+        // `h_j = 1 + max{h_n, ..}` needs `h_n < h_j` (so `h_n` finite):
+        // most neighbors fail that for every keyword, before their
+        // central flag or activation level is ever looked at.
+        let below = |(&hj, &hn): (&u8, &u8)| open(hj) && hn < hj;
+        if !row_j.iter().zip(row_n.iter()).any(below) {
+            continue;
+        }
+        // A Central Node freezes at its identification depth and never
+        // expands afterwards, so it cannot be the predecessor of a hit
+        // beyond that depth.
+        let frozen_at = state.central_depth(n);
+        let an = act.level(adj.target()) as u16;
+        for (i, (&hj, &hn)) in row_j.iter().zip(row_n.iter()).enumerate() {
+            if below((&hj, &hn))
+                && frozen_at.is_none_or(|d| hj <= d)
+                && hj as u16 == 1 + (hn as u16).max(an).max(aj_term)
+            {
+                pairs.push((i as u32, n));
+            }
+        }
+    }
 }
 
-/// Apply the **level-cover strategy** (paper Sec. V-C, Fig. 5) and build
-/// the final scored answer.
-///
-/// Keyword nodes of the extracted graph are classified by how many query
-/// keywords they contain; the central node always forms the top level.
-/// Sweeping levels top-down, once the levels processed so far cover every
-/// keyword, all keyword nodes below are pruned together with the hitting
-/// paths that exist only to support them. The surviving graph is the union
-/// of per-keyword DAG edges forward-reachable from *preserved* sources.
-///
-/// If pruning would disconnect a keyword (possible when a keyword's only
-/// coverage sat on another keyword's pruned path), the unpruned graph is
-/// kept — an answer must always cover the query.
-pub fn prune_and_score<H: HitLevels + ?Sized>(
-    graph: &KnowledgeGraph,
-    state: &H,
-    extraction: &Extraction,
-    params: &SearchParams,
-) -> CentralGraph {
-    let q = state.num_keywords();
-    let central = extraction.central;
+/// What one top-down stage reads: the data graph, the finished
+/// bottom-up state, the query's parameters and budget, and the
+/// predecessor oracle — `preds(j, sink)` reports every hitting-path
+/// predecessor of `j` (Theorem V.4 over `hits`, or CPU-Par-d's recorded
+/// paths). The oracle's answer must depend on `j` alone; it is asked once
+/// per touched node per query.
+pub struct Stage<'a, H: ?Sized, P> {
+    /// The data graph (global, for sharded searches).
+    pub graph: &'a KnowledgeGraph,
+    /// Hitting levels, keyword-node and central flags.
+    pub hits: &'a H,
+    /// `level_cover`, `dedup_contained`, `top_k`, `lambda`.
+    pub params: &'a SearchParams,
+    /// Polled once per candidate, per memoised adjacency scan and per
+    /// materialised answer.
+    pub tracker: &'a BudgetTracker,
+    /// The predecessor oracle.
+    pub preds: P,
+}
 
-    // Classify keyword nodes by contained-keyword count, descending; the
-    // central node is its own top level.
-    let mut by_count: Vec<(usize, u32)> = extraction
-        .nodes
+/// Phase A's compact record of one candidate.
+struct Scored {
+    central: u32,
+    depth: u8,
+    score: f64,
+    /// 64-bit node-set signature: a subset's bits are a subset.
+    signature: u64,
+    /// The answer's sorted node ids, in the scratch's `scored_nodes`.
+    nodes: Range<usize>,
+}
+
+/// Reusable working memory of the top-down stage, one per thread that
+/// runs it. Lives in the [`crate::session::SearchSession`] (or the
+/// coordinator / batch state that owns the stage) and grows on first use
+/// to one `u32` per graph node (the memo's index) plus marks and arenas
+/// proportional to the nodes and edges the query's walks touch;
+/// afterwards a query allocates only its ≤ `top_k` answers.
+#[derive(Default)]
+pub struct TopDownScratch {
+    walk: Walk,
+    /// Phase A output: one record per candidate this thread scored, their
+    /// sorted node ids back to back in `scored_nodes`.
+    scored: Vec<Scored>,
+    scored_nodes: Vec<u32>,
+}
+
+/// The per-query predecessor memo and the extraction of one candidate.
+#[derive(Default)]
+struct Walk {
+    // --- per-query predecessor memo ---------------------------------
+    /// Node → memo slot, the sparse half of a sparse set: `slot_of[j]` is
+    /// only believed if `slot_node[slot_of[j]] == j`, so it is never
+    /// cleared — forgetting a query's memo is `slot_node.clear()`. The one
+    /// array here sized by the graph.
+    slot_of: Vec<u32>,
+    /// Memo slot → node, in first-touch order.
+    slot_node: Vec<u32>,
+    /// Per slot `q + 1` offsets into `preds`: keyword `i`'s predecessors
+    /// are `preds[ranges[i]..ranges[i + 1]]`, unique.
+    pred_ranges: Vec<usize>,
+    preds: Vec<u32>,
+    sink: PredSink,
+    // --- per-candidate extraction -----------------------------------
+    /// Last walk stamp handed out; stamps only grow, so "stamped at or
+    /// after `base`" means "by the current candidate". 64 bits never wrap.
+    stamp: u64,
+    /// Per slot: backward-walk marks (one stamp per keyword), then the
+    /// preserved set of the level-cover sweep.
+    visit: Vec<u64>,
+    /// Per slot: forward-prune marks (one stamp per keyword).
+    keep: Vec<u64>,
+    /// Work stack: slots in the backward walks, nodes in the forward prune.
+    stack: Vec<u32>,
+    /// All nodes of the extraction, sorted once the walks are done.
+    nodes: Vec<u32>,
+    /// `(pred, succ)` hitting-path edges, keyword `i`'s DAG at
+    /// `edges[edge_ranges[i]..edge_ranges[i + 1]]`, unique per keyword.
+    edges: Vec<(u32, u32)>,
+    edge_ranges: Vec<usize>,
+    /// Keyword nodes other than the central one as `(count, node)`.
+    by_count: Vec<(u32, u32)>,
+    covered: Vec<bool>,
+    /// Whether level-cover pruned the last extraction: the answer is then
+    /// `kept_nodes` / `kept_edges`, else the full `nodes` / `edges`.
+    pruned: bool,
+    kept_nodes: Vec<u32>,
+    kept_edges: Vec<(u32, u32)>,
+    kept_ranges: Vec<usize>,
+}
+
+impl Walk {
+    /// Re-arm for a new query over `n` nodes: forget the previous query's
+    /// memo; everything keeps its capacity.
+    fn begin_query(&mut self, n: usize) {
+        if self.slot_of.len() < n {
+            self.slot_of.resize(n, 0);
+        }
+        self.slot_node.clear();
+        self.pred_ranges.clear();
+        self.preds.clear();
+        self.visit.clear();
+        self.keep.clear();
+    }
+
+    /// Reserve `count` consecutive walk stamps and return the first.
+    fn stamps(&mut self, count: usize) -> u64 {
+        let base = self.stamp + 1;
+        self.stamp += count as u64;
+        base
+    }
+
+    /// The memo slot of a node of the current extraction (every one of
+    /// them was memoised when a walk first reached it).
+    fn slot(&self, v: u32) -> usize {
+        self.slot_of[v as usize] as usize
+    }
+
+    /// The **level-cover strategy** (paper Sec. V-C, Fig. 5) on the
+    /// extraction in the scratch.
+    ///
+    /// Keyword nodes are classified by how many query keywords they
+    /// contain; the central node always forms the top level. Sweeping
+    /// levels top-down, once the levels processed so far cover every
+    /// keyword, all keyword nodes below are pruned together with the
+    /// hitting paths that exist only to support them: the surviving graph
+    /// is the union of per-keyword DAG edges forward-reachable from
+    /// *preserved* nodes. `false`: every keyword node was needed and the
+    /// full extraction stands.
+    ///
+    /// Pruning cannot uncover a keyword: the sweep stops only once the
+    /// preserved nodes cover the query, and every preserved node survives —
+    /// a walk reached it as some node's predecessor, so it heads an edge of
+    /// that DAG and seeds its forward walk.
+    fn level_cover<H: HitLevels + ?Sized>(&mut self, hits: &H, central: u32) -> bool {
+        let q = hits.num_keywords();
+        let row = &mut self.sink.row_n;
+        row.resize(q, 0);
+        self.by_count.clear();
+        for &v in self.nodes.iter().filter(|&&v| v != central) {
+            hits.row(v, row);
+            let count = row.iter().filter(|&&h| h == 0).count() as u32;
+            if count > 0 {
+                self.by_count.push((count, v));
+            }
+        }
+        self.by_count.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+
+        // Greedy cover sweep: central node first, then whole levels (nodes
+        // are not pruned by same-level peers) until all keywords are
+        // covered.
+        self.covered.clear();
+        self.covered.resize(q, false);
+        let mut cover_node = |v: u32, covered: &mut [bool]| {
+            hits.row(v, row);
+            let mut newly = 0;
+            for (c, &h) in covered.iter_mut().zip(row.iter()) {
+                if !*c && h == 0 {
+                    *c = true;
+                    newly += 1;
+                }
+            }
+            newly
+        };
+        let mut missing = q - cover_node(central, &mut self.covered);
+        let mut preserved = 0;
+        while missing > 0 && preserved < self.by_count.len() {
+            let level = self.by_count[preserved].0;
+            while preserved < self.by_count.len() && self.by_count[preserved].0 == level {
+                missing -= cover_node(self.by_count[preserved].1, &mut self.covered);
+                preserved += 1;
+            }
+        }
+        if preserved == self.by_count.len() {
+            return false;
+        }
+
+        // Rebuild: per keyword, keep DAG edges forward-reachable from
+        // preserved nodes; upstream-only support of pruned keyword nodes
+        // disappears.
+        let base = self.stamps(1 + q);
+        let root = self.slot(central);
+        self.visit[root] = base;
+        for &(_, v) in &self.by_count[..preserved] {
+            let slot = self.slot(v);
+            self.visit[slot] = base;
+        }
+        self.kept_nodes.clear();
+        self.kept_nodes.push(central);
+        self.keep[root] = base;
+        self.kept_edges.clear();
+        self.kept_ranges.clear();
+        let slot_of = &self.slot_of;
+        let mut reach = |v: u32, stamp: u64, keep: &mut [u64], stack: &mut Vec<u32>| {
+            let seen = &mut keep[slot_of[v as usize] as usize];
+            if *seen != stamp {
+                if *seen < base {
+                    self.kept_nodes.push(v);
+                }
+                *seen = stamp;
+                stack.push(v);
+            }
+        };
+        for i in 0..q {
+            let stamp = base + 1 + i as u64;
+            self.kept_ranges.push(self.kept_edges.len());
+            // Sorted by predecessor, the DAG is its own successor index.
+            let dag = &mut self.edges[self.edge_ranges[i]..self.edge_ranges[i + 1]];
+            dag.sort_unstable();
+            self.stack.clear();
+            for &(p, _) in dag.iter() {
+                if self.visit[slot_of[p as usize] as usize] == base {
+                    reach(p, stamp, &mut self.keep, &mut self.stack);
+                }
+            }
+            while let Some(v) = self.stack.pop() {
+                let from = dag.partition_point(|e| e.0 < v);
+                for &(_, succ) in dag[from..].iter().take_while(|e| e.0 == v) {
+                    self.kept_edges.push((v, succ));
+                    reach(succ, stamp, &mut self.keep, &mut self.stack);
+                }
+            }
+        }
+        self.kept_ranges.push(self.kept_edges.len());
+
+        debug_assert!(
+            (0..q).all(|i| self.kept_nodes.iter().any(|&v| hits.is_source(v, i))),
+            "level-cover pruning uncovered a keyword"
+        );
+        self.kept_nodes.sort_unstable();
+        true
+    }
+
+    /// The answer the last extraction left: sorted nodes, the per-keyword
+    /// `(pred, succ)` edge arena and its ranges.
+    fn answer(&self) -> (&[u32], &[(u32, u32)], &[usize]) {
+        if self.pruned {
+            (&self.kept_nodes, &self.kept_edges, &self.kept_ranges)
+        } else {
+            (&self.nodes, &self.edges, &self.edge_ranges)
+        }
+    }
+}
+
+impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
+    /// The memo slot of `j` in `walk`, asking the oracle on first touch
+    /// this query. `None`: the budget tripped.
+    fn memoised(&self, walk: &mut Walk, j: u32) -> Option<usize> {
+        let slot = walk.slot_of[j as usize] as usize;
+        if walk.slot_node.get(slot) == Some(&j) {
+            return Some(slot);
+        }
+        // A hub's whole neighbor list is one loop: poll before it.
+        if self.tracker.should_stop() {
+            return None;
+        }
+        walk.sink.pairs.clear();
+        (self.preds)(j, &mut walk.sink);
+        let pairs = &mut walk.sink.pairs;
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut rest = pairs.as_slice();
+        for i in 0..self.hits.num_keywords() as u32 {
+            walk.pred_ranges.push(walk.preds.len());
+            let len = rest.iter().take_while(|p| p.0 == i).count();
+            walk.preds.extend(rest[..len].iter().map(|p| p.1));
+            rest = &rest[len..];
+        }
+        walk.pred_ranges.push(walk.preds.len());
+        let slot = walk.slot_node.len();
+        walk.slot_node.push(j);
+        walk.visit.push(0);
+        walk.keep.push(0);
+        walk.slot_of[j as usize] = slot as u32;
+        Some(slot)
+    }
+
+    /// Recover the Central Graph at `central` into `walk`: one backward
+    /// walk per keyword over the memoised predecessor lists (`nodes`,
+    /// `edges`), then the level-cover strategy (`pruned`, `kept_*`).
+    /// `None`: the budget tripped.
+    fn extract(&self, walk: &mut Walk, central: u32) -> Option<()> {
+        let q = self.hits.num_keywords();
+        let base = walk.stamps(q);
+        walk.nodes.clear();
+        walk.nodes.push(central);
+        walk.edges.clear();
+        walk.edge_ranges.clear();
+        let root = self.memoised(walk, central)?;
+        for i in 0..q {
+            let stamp = base + i as u64;
+            walk.edge_ranges.push(walk.edges.len());
+            walk.visit[root] = stamp;
+            walk.stack.clear();
+            walk.stack.push(root as u32);
+            while let Some(slot) = walk.stack.pop() {
+                let j = walk.slot_node[slot as usize];
+                let at = slot as usize * (q + 1) + i;
+                for k in walk.pred_ranges[at]..walk.pred_ranges[at + 1] {
+                    let n = walk.preds[k];
+                    walk.edges.push((n, j));
+                    let slot = self.memoised(walk, n)?;
+                    let seen = &mut walk.visit[slot];
+                    if *seen != stamp {
+                        if *seen < base {
+                            walk.nodes.push(n);
+                        }
+                        *seen = stamp;
+                        walk.stack.push(slot as u32);
+                    }
+                }
+            }
+        }
+        walk.edge_ranges.push(walk.edges.len());
+        walk.nodes.sort_unstable();
+        walk.pruned = self.params.level_cover && walk.level_cover(self.hits, central);
+        Some(())
+    }
+
+    /// Eq. 6: `S(C) = d(C)^λ · Σ_{v ∈ C} w_v` (smaller = better). The
+    /// weights are summed in ascending node-id order — the one order every
+    /// path to a score uses, so `score.to_bits()` is reproducible.
+    fn score(&self, nodes: &[u32], depth: u8) -> f64 {
+        let weight_sum: f64 = nodes.iter().map(|&v| self.graph.weight(NodeId(v)) as f64).sum();
+        (depth as f64).powf(self.params.lambda) * weight_sum
+    }
+
+    /// Phase A: extract, prune and score one candidate, leaving only its
+    /// compact record in `scratch`.
+    fn score_candidate(&self, scratch: &mut TopDownScratch, central: u32, depth: u8) -> Option<()> {
+        self.extract(&mut scratch.walk, central)?;
+        let (nodes, ..) = scratch.walk.answer();
+        let start = scratch.scored_nodes.len();
+        scratch.scored_nodes.extend_from_slice(nodes);
+        scratch.scored.push(Scored {
+            central,
+            depth,
+            score: self.score(nodes, depth),
+            signature: signature(nodes),
+            nodes: start..scratch.scored_nodes.len(),
+        });
+        Some(())
+    }
+
+    /// Phase B: extract and prune one surviving candidate again (its
+    /// predecessor lists are memoised) and build the full answer.
+    fn materialise(&self, walk: &mut Walk, central: u32, depth: u8) -> Option<CentralGraph> {
+        self.extract(walk, central)?;
+        let (nodes, arena, ranges) = walk.answer();
+        let score = self.score(nodes, depth);
+        let nodes: Vec<NodeId> = nodes.iter().map(|&v| NodeId(v)).collect();
+        let keyword_edges: Vec<Vec<(NodeId, NodeId)>> = ranges
+            .windows(2)
+            .map(|r| {
+                let mut es: Vec<(NodeId, NodeId)> = arena[r[0]..r[1]]
+                    .iter()
+                    .map(|&(a, b)| (NodeId(a.min(b)), NodeId(a.max(b))))
+                    .collect();
+                es.sort_unstable();
+                es
+            })
+            .collect();
+        let mut edges: Vec<(NodeId, NodeId)> = keyword_edges.iter().flatten().copied().collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let keyword_nodes = (0..keyword_edges.len())
+            .map(|i| nodes.iter().copied().filter(|v| self.hits.is_source(v.0, i)).collect())
+            .collect();
+        Some(CentralGraph {
+            central: NodeId(central),
+            depth,
+            nodes,
+            edges,
+            keyword_nodes,
+            keyword_edges,
+            score,
+        })
+    }
+}
+
+impl TopDownScratch {
+    /// Re-arm for a new query over `n` nodes.
+    fn begin_query(&mut self, n: usize) {
+        self.walk.begin_query(n);
+        self.scored.clear();
+        self.scored_nodes.clear();
+    }
+}
+
+/// Freelist of scratch sets for an owner that runs top-down stages through
+/// `&self` with no session of its own to keep them in: the shard
+/// coordinators (whose stage runs over the *global* graph) and the batch
+/// executor. A set abandoned by a panicking stage is simply dropped.
+#[derive(Default)]
+pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<Vec<TopDownScratch>>>);
+
+impl ScratchPool {
+    /// Run `stage` with a pooled (or fresh, empty) scratch set.
+    pub(crate) fn with<R>(&self, stage: impl FnOnce(&mut Vec<TopDownScratch>) -> R) -> R {
+        let mut set = self.0.lock().pop().unwrap_or_default();
+        let result = stage(&mut set);
+        self.0.lock().push(set);
+        result
+    }
+}
+
+/// 64-bit signature of a node set, one bit per node (multiplicative hash,
+/// top six bits): a subset's signature is a subset of its superset's.
+fn signature(nodes: &[u32]) -> u64 {
+    nodes.iter().fold(0, |s, &v| s | 1 << (v.wrapping_mul(0x9E37_79B1) >> 26))
+}
+
+/// One phase A record with its node ids resolved.
+struct Ranked<'a> {
+    central: u32,
+    depth: u8,
+    score: f64,
+    signature: u64,
+    nodes: &'a [u32],
+}
+
+impl Ranked<'_> {
+    /// The final ranking: ascending score, then shallower, then smaller,
+    /// then by central-node id — a strict total order, central nodes
+    /// being unique.
+    fn order(&self, other: &Ranked<'_>) -> CmpOrdering {
+        rank_order(
+            (self.score, self.depth, self.nodes.len(), self.central),
+            (other.score, other.depth, other.nodes.len(), other.central),
+        )
+    }
+
+    /// `true` if this answer's node set strictly contains `other`'s — the
+    /// repetition-removal condition of Sec. VI-B (the container is the one
+    /// to drop). The signature rejects most non-subsets before the linear
+    /// merge of the two sorted lists.
+    fn strictly_contains(&self, other: &Ranked<'_>) -> bool {
+        if self.nodes.len() <= other.nodes.len() || other.signature & !self.signature != 0 {
+            return false;
+        }
+        let mut mine = self.nodes.iter();
+        other.nodes.iter().all(|n| mine.any(|m| m == n))
+    }
+}
+
+/// Final selection on phase A records: sort by Eq. 6 score, drop answers
+/// that strictly contain another candidate (repetition removal,
+/// Sec. VI-B), keep the first `top_k` as `(central, depth)`.
+fn select_top_k(mut ranked: Vec<Ranked<'_>>, params: &SearchParams) -> Vec<(u32, u8)> {
+    ranked.sort_unstable_by(Ranked::order);
+    let dedup = params.dedup_contained && ranked.len() > 1;
+    if dedup {
+        // Containment is checked against the whole candidate set, which
+        // Def. 4 already bounds to the smallest-depth cohort; cap it on
+        // pathological inputs. Only answers that would make the cut are
+        // ever tested, so the work is O(top_k · c), not O(c²).
+        const DEDUP_CAP: usize = 1024;
+        ranked.truncate(DEDUP_CAP.max(params.top_k * 4));
+    }
+    ranked
         .iter()
-        .filter(|&&v| v != central)
-        .map(|&v| (state.keyword_count(v), v))
-        .filter(|&(c, _)| c > 0)
-        .collect();
-    by_count.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        .filter(|a| !(dedup && ranked.iter().any(|b| a.strictly_contains(b))))
+        .take(params.top_k)
+        .map(|a| (a.central, a.depth))
+        .collect()
+}
 
-    // Greedy cover sweep: central node first, then whole levels until all
-    // keywords are covered.
-    let mut covered = vec![false; q];
-    let mut covered_count = 0usize;
-    let cover_node = |v: u32, covered: &mut Vec<bool>, covered_count: &mut usize| {
-        for (i, c) in covered.iter_mut().enumerate() {
-            if !*c && state.is_source(v, i) {
-                *c = true;
-                *covered_count += 1;
+/// Candidates a worker claims from the shared cursor at a time: small, so
+/// a run of expensive candidates spreads over the pool (Sec. V-C's
+/// dynamic schedule), yet large enough to keep the cursor cold.
+const CLAIM: usize = 4;
+
+/// The top-down stage over `cohort` (`(central, depth)`, shallowest
+/// first): phase A scores every candidate — pool threads claiming small
+/// batches from one atomic cursor, each with its own scratch —, the
+/// records are ranked and deduplicated, phase B materialises the ≤ `top_k`
+/// survivors, best first. `scratch` grows to one entry per worker. `None`:
+/// the budget tripped, and no partial answer set escapes.
+pub fn top_down<H, P>(
+    cx: &Stage<'_, H, P>,
+    cohort: &[(NodeId, u8)],
+    pool: Option<&rayon::ThreadPool>,
+    scratch: &mut Vec<TopDownScratch>,
+) -> Option<Vec<CentralGraph>>
+where
+    H: HitLevels + Sync + ?Sized,
+    P: Fn(u32, &mut PredSink) + Sync,
+{
+    if cohort.is_empty() {
+        return Some(Vec::new());
+    }
+    let workers = pool
+        .map_or(1, |p| p.current_num_threads())
+        .clamp(1, cohort.len().div_ceil(CLAIM));
+    if scratch.len() < workers {
+        scratch.resize_with(workers, TopDownScratch::default);
+    }
+    let scratch = &mut scratch[..workers];
+
+    // The cursor hands out indices into the shared, immutable cohort and
+    // publishes nothing else, so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let score_claims = |s: &mut TopDownScratch| {
+        s.begin_query(cx.graph.num_nodes());
+        loop {
+            let from = cursor.fetch_add(CLAIM, Ordering::Relaxed);
+            let Some(claim) = cohort.get(from..(from + CLAIM).min(cohort.len())) else {
+                return;
+            };
+            for &(central, depth) in claim {
+                if cx.tracker.should_stop() || cx.score_candidate(s, central.0, depth).is_none() {
+                    return;
+                }
             }
         }
     };
-    cover_node(central, &mut covered, &mut covered_count);
-    let mut preserved: HashSet<u32> = HashSet::new();
-    preserved.insert(central);
-    let mut idx = 0;
-    while covered_count < q && idx < by_count.len() {
-        let level_count = by_count[idx].0;
-        // Take the whole level: nodes are not pruned by same-level peers.
-        while idx < by_count.len() && by_count[idx].0 == level_count {
-            let v = by_count[idx].1;
-            preserved.insert(v);
-            cover_node(v, &mut covered, &mut covered_count);
-            idx += 1;
+    match pool {
+        Some(pool) if workers > 1 => {
+            let slots: Vec<_> = scratch.iter_mut().map(parking_lot::Mutex::new).collect();
+            pool.install(|| {
+                (0..workers).into_par_iter().for_each(|w| score_claims(&mut slots[w].lock()));
+            });
         }
+        _ => score_claims(&mut scratch[0]),
     }
-    let pruned_any = params.level_cover && idx < by_count.len();
+    // Workers stop early only on a tripped budget, which is sticky.
+    if cx.tracker.cancelled() {
+        return None;
+    }
 
-    // Rebuild: per keyword, keep DAG edges forward-reachable from
-    // preserved sources.
-    let pruned = if pruned_any {
-        let mut nodes: HashSet<u32> = HashSet::new();
-        nodes.insert(central);
-        let mut edges: HashSet<(u32, u32)> = HashSet::new();
-        let mut per_keyword: Vec<Vec<(u32, u32)>> = Vec::with_capacity(q);
-        for dag in &extraction.dag_edges {
-            let mut succ: HashMap<u32, Vec<u32>> = HashMap::new();
-            for &(p, s) in dag {
-                succ.entry(p).or_default().push(s);
+    // The ranking is a strict total order, so which worker delivered a
+    // record, and when, cannot show in the selection.
+    let ranked = scratch
+        .iter()
+        .flat_map(|s| {
+            s.scored.iter().map(|r| Ranked {
+                central: r.central,
+                depth: r.depth,
+                score: r.score,
+                signature: r.signature,
+                nodes: &s.scored_nodes[r.nodes.clone()],
+            })
+        })
+        .collect();
+    let survivors = select_top_k(ranked, cx.params);
+
+    let first = &mut scratch[0];
+    survivors
+        .into_iter()
+        .map(|(central, depth)| {
+            if cx.tracker.should_stop() {
+                return None;
             }
-            let mut kept: Vec<(u32, u32)> = Vec::new();
-            // Sources of this DAG: predecessors with hitting level 0.
-            let mut stack: Vec<u32> = Vec::new();
-            let mut seen: HashSet<u32> = HashSet::new();
-            for &(p, _) in dag {
-                if preserved.contains(&p) && seen.insert(p) {
-                    stack.push(p);
+            cx.materialise(&mut first.walk, central, depth)
+        })
+        .collect()
+}
+
+/// The hash-based stage this module replaced, kept verbatim as the oracle
+/// of [`tests::scratch_stage_equals_the_reference`]: an owned
+/// `Extraction` per candidate, `HashSet`/`HashMap` pruning, a full
+/// `CentralGraph` per candidate, O(c²) containment dedup.
+#[cfg(test)]
+mod reference {
+    use crate::activation::ActivationMap;
+    use crate::model::{answer_order, CentralGraph, INFINITE_LEVEL};
+    use crate::state::HitLevels;
+    use crate::SearchParams;
+    use kgraph::{KnowledgeGraph, NodeId};
+    use std::collections::{HashMap, HashSet};
+
+    /// The raw (unpruned) extraction of one Central Graph: per-keyword
+    /// predecessor DAGs over data-graph nodes.
+    #[derive(Clone, Debug)]
+    pub struct Extraction {
+        /// The central node.
+        pub central: u32,
+        /// Depth at identification.
+        pub depth: u8,
+        /// Per keyword: hitting-path edges as `(pred, succ)` pairs, deduped.
+        /// Every edge lies on a hitting path ending at `central`.
+        pub dag_edges: Vec<Vec<(u32, u32)>>,
+        /// All nodes appearing in any DAG, plus the central node. Sorted.
+        pub nodes: Vec<u32>,
+    }
+
+    /// Recover all hitting paths of the Central Graph centered at `central`
+    /// (Theorem V.4). One backward BFS per keyword.
+    pub fn extract<H: HitLevels + ?Sized>(
+        graph: &KnowledgeGraph,
+        act: &ActivationMap<'_>,
+        state: &H,
+        central: u32,
+        depth: u8,
+    ) -> Extraction {
+        let q = state.num_keywords();
+        let mut dag_edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(q);
+        let mut all_nodes: HashSet<u32> = HashSet::new();
+        all_nodes.insert(central);
+        for i in 0..q {
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            let mut visited: HashSet<u32> = HashSet::new();
+            let mut stack: Vec<u32> = vec![central];
+            visited.insert(central);
+            while let Some(j) = stack.pop() {
+                let hj = state.hit(j, i);
+                debug_assert_ne!(hj, INFINITE_LEVEL, "extraction reached an unhit node");
+                if hj == 0 {
+                    continue; // a source of B_i: hitting paths start here
                 }
-            }
-            // Forward walk keeps everything downstream of a preserved node;
-            // upstream-only support of pruned sources disappears.
-            while let Some(v) = stack.pop() {
-                nodes.insert(v);
-                if let Some(nexts) = succ.get(&v) {
-                    for &s in nexts {
-                        edges.insert((v.min(s), v.max(s)));
-                        kept.push((v.min(s), v.max(s)));
-                        nodes.insert(s);
-                        if seen.insert(s) {
-                            stack.push(s);
+                let hj = hj as u16;
+                // The `a_j − 1` term applies only to non-keyword nodes.
+                let aj_term = if state.is_keyword_node(j) {
+                    0u16
+                } else {
+                    (act.level(NodeId(j)) as u16).saturating_sub(1)
+                };
+                for adj in graph.neighbors(NodeId(j)) {
+                    let n = adj.target().0;
+                    let hn = state.hit(n, i);
+                    if hn == INFINITE_LEVEL {
+                        continue;
+                    }
+                    // A Central Node freezes at its identification depth and
+                    // never expands afterwards, so it cannot be the
+                    // predecessor of a hit beyond that depth.
+                    if let Some(d) = state.central_depth(n) {
+                        if hj > d as u16 {
+                            continue;
+                        }
+                    }
+                    let an = act.level(adj.target()) as u16;
+                    let required = 1 + (hn as u16).max(an).max(aj_term);
+                    if hj == required {
+                        edges.push((n, j));
+                        if visited.insert(n) {
+                            stack.push(n);
                         }
                     }
                 }
             }
-            kept.sort_unstable();
-            kept.dedup();
-            per_keyword.push(kept);
+            edges.sort_unstable();
+            edges.dedup();
+            for &(a, b) in &edges {
+                all_nodes.insert(a);
+                all_nodes.insert(b);
+            }
+            dag_edges.push(edges);
         }
-        // Soundness check: every keyword must still be covered.
-        let all_covered = (0..q).all(|i| nodes.iter().any(|&v| state.is_source(v, i)));
-        all_covered.then_some((nodes, edges, per_keyword))
-    } else {
-        None
-    };
-    let (final_nodes, final_edges, per_keyword_edges) = match pruned {
-        Some(parts) => parts,
-        None => (
-            full_nodes(extraction),
-            full_edges(extraction),
-            extraction
-                .dag_edges
-                .iter()
-                .map(|dag| {
-                    let mut es: Vec<(u32, u32)> =
-                        dag.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-                    es.sort_unstable();
-                    es.dedup();
-                    es
-                })
-                .collect(),
-        ),
-    };
-
-    let mut nodes: Vec<NodeId> = final_nodes.iter().map(|&v| NodeId(v)).collect();
-    nodes.sort_unstable();
-    let mut edges: Vec<(NodeId, NodeId)> =
-        final_edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
-    edges.sort_unstable();
-
-    let keyword_nodes: Vec<Vec<NodeId>> = (0..q)
-        .map(|i| nodes.iter().copied().filter(|v| state.is_source(v.0, i)).collect())
-        .collect();
-    let keyword_edges: Vec<Vec<(NodeId, NodeId)>> = per_keyword_edges
-        .into_iter()
-        .map(|es| es.into_iter().map(|(a, b)| (NodeId(a), NodeId(b))).collect())
-        .collect();
-
-    // Eq. 6: S(C) = d(C)^λ · Σ_{v ∈ C} w_v (smaller = better).
-    let weight_sum: f64 = nodes.iter().map(|v| graph.weight(*v) as f64).sum();
-    let score = (extraction.depth as f64).powf(params.lambda) * weight_sum;
-
-    CentralGraph {
-        central: NodeId(central),
-        depth: extraction.depth,
-        nodes,
-        edges,
-        keyword_nodes,
-        keyword_edges,
-        score,
+        let mut nodes: Vec<u32> = all_nodes.into_iter().collect();
+        nodes.sort_unstable();
+        Extraction { central, depth, dag_edges, nodes }
     }
-}
 
-fn full_nodes(e: &Extraction) -> HashSet<u32> {
-    e.nodes.iter().copied().collect()
-}
+    /// Apply the **level-cover strategy** (paper Sec. V-C, Fig. 5) and build
+    /// the final scored answer.
+    ///
+    /// Keyword nodes of the extracted graph are classified by how many query
+    /// keywords they contain; the central node always forms the top level.
+    /// Sweeping levels top-down, once the levels processed so far cover every
+    /// keyword, all keyword nodes below are pruned together with the hitting
+    /// paths that exist only to support them. The surviving graph is the union
+    /// of per-keyword DAG edges forward-reachable from *preserved* sources.
+    ///
+    /// If pruning would disconnect a keyword (possible when a keyword's only
+    /// coverage sat on another keyword's pruned path), the unpruned graph is
+    /// kept — an answer must always cover the query.
+    pub fn prune_and_score<H: HitLevels + ?Sized>(
+        graph: &KnowledgeGraph,
+        state: &H,
+        extraction: &Extraction,
+        params: &SearchParams,
+    ) -> CentralGraph {
+        let q = state.num_keywords();
+        let central = extraction.central;
 
-fn full_edges(e: &Extraction) -> HashSet<(u32, u32)> {
-    e.dag_edges.iter().flatten().map(|&(a, b)| (a.min(b), a.max(b))).collect()
-}
+        // Classify keyword nodes by contained-keyword count, descending; the
+        // central node is its own top level.
+        let mut by_count: Vec<(usize, u32)> = extraction
+            .nodes
+            .iter()
+            .filter(|&&v| v != central)
+            .map(|&v| (state.keyword_count(v), v))
+            .filter(|&(c, _)| c > 0)
+            .collect();
+        by_count.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-/// Final selection: sort by Eq. 6 score, remove answers that strictly
-/// contain another candidate (repetition removal, Sec. VI-B), truncate to
-/// `top_k`.
-pub fn select_top_k(mut candidates: Vec<CentralGraph>, params: &SearchParams) -> Vec<CentralGraph> {
-    if params.dedup_contained && candidates.len() > 1 {
-        // Compare each answer against smaller ones; O(c²) on the candidate
-        // set, which Def. 4 already bounds to the smallest-depth cohort.
-        // Cap the quadratic work on pathological inputs.
-        const DEDUP_CAP: usize = 1024;
-        candidates.sort_by(answer_order);
-        candidates.truncate(DEDUP_CAP.max(params.top_k * 4));
-        let mut by_size: Vec<usize> = (0..candidates.len()).collect();
-        by_size.sort_by_key(|&i| candidates[i].nodes.len());
-        let mut dropped = vec![false; candidates.len()];
-        for pos in (0..by_size.len()).rev() {
-            let i = by_size[pos];
-            for &j in &by_size[..pos] {
-                if !dropped[j] && candidates[i].strictly_contains(&candidates[j]) {
-                    dropped[i] = true;
-                    break;
+        // Greedy cover sweep: central node first, then whole levels until all
+        // keywords are covered.
+        let mut covered = vec![false; q];
+        let mut covered_count = 0usize;
+        let cover_node = |v: u32, covered: &mut Vec<bool>, covered_count: &mut usize| {
+            for (i, c) in covered.iter_mut().enumerate() {
+                if !*c && state.is_source(v, i) {
+                    *c = true;
+                    *covered_count += 1;
                 }
             }
+        };
+        cover_node(central, &mut covered, &mut covered_count);
+        let mut preserved: HashSet<u32> = HashSet::new();
+        preserved.insert(central);
+        let mut idx = 0;
+        while covered_count < q && idx < by_count.len() {
+            let level_count = by_count[idx].0;
+            // Take the whole level: nodes are not pruned by same-level peers.
+            while idx < by_count.len() && by_count[idx].0 == level_count {
+                let v = by_count[idx].1;
+                preserved.insert(v);
+                cover_node(v, &mut covered, &mut covered_count);
+                idx += 1;
+            }
         }
-        candidates = candidates
-            .into_iter()
-            .zip(dropped)
-            .filter_map(|(c, d)| (!d).then_some(c))
+        let pruned_any = params.level_cover && idx < by_count.len();
+
+        // Rebuild: per keyword, keep DAG edges forward-reachable from
+        // preserved sources.
+        let pruned = if pruned_any {
+            let mut nodes: HashSet<u32> = HashSet::new();
+            nodes.insert(central);
+            let mut edges: HashSet<(u32, u32)> = HashSet::new();
+            let mut per_keyword: Vec<Vec<(u32, u32)>> = Vec::with_capacity(q);
+            for dag in &extraction.dag_edges {
+                let mut succ: HashMap<u32, Vec<u32>> = HashMap::new();
+                for &(p, s) in dag {
+                    succ.entry(p).or_default().push(s);
+                }
+                let mut kept: Vec<(u32, u32)> = Vec::new();
+                // Sources of this DAG: predecessors with hitting level 0.
+                let mut stack: Vec<u32> = Vec::new();
+                let mut seen: HashSet<u32> = HashSet::new();
+                for &(p, _) in dag {
+                    if preserved.contains(&p) && seen.insert(p) {
+                        stack.push(p);
+                    }
+                }
+                // Forward walk keeps everything downstream of a preserved node;
+                // upstream-only support of pruned sources disappears.
+                while let Some(v) = stack.pop() {
+                    nodes.insert(v);
+                    if let Some(nexts) = succ.get(&v) {
+                        for &s in nexts {
+                            edges.insert((v.min(s), v.max(s)));
+                            kept.push((v.min(s), v.max(s)));
+                            nodes.insert(s);
+                            if seen.insert(s) {
+                                stack.push(s);
+                            }
+                        }
+                    }
+                }
+                kept.sort_unstable();
+                kept.dedup();
+                per_keyword.push(kept);
+            }
+            // Soundness check: every keyword must still be covered.
+            let all_covered = (0..q).all(|i| nodes.iter().any(|&v| state.is_source(v, i)));
+            all_covered.then_some((nodes, edges, per_keyword))
+        } else {
+            None
+        };
+        let (final_nodes, final_edges, per_keyword_edges) = match pruned {
+            Some(parts) => parts,
+            None => (
+                full_nodes(extraction),
+                full_edges(extraction),
+                extraction
+                    .dag_edges
+                    .iter()
+                    .map(|dag| {
+                        let mut es: Vec<(u32, u32)> =
+                            dag.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+                        es.sort_unstable();
+                        es.dedup();
+                        es
+                    })
+                    .collect(),
+            ),
+        };
+
+        let mut nodes: Vec<NodeId> = final_nodes.iter().map(|&v| NodeId(v)).collect();
+        nodes.sort_unstable();
+        let mut edges: Vec<(NodeId, NodeId)> =
+            final_edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
+        edges.sort_unstable();
+
+        let keyword_nodes: Vec<Vec<NodeId>> = (0..q)
+            .map(|i| nodes.iter().copied().filter(|v| state.is_source(v.0, i)).collect())
             .collect();
+        let keyword_edges: Vec<Vec<(NodeId, NodeId)>> = per_keyword_edges
+            .into_iter()
+            .map(|es| es.into_iter().map(|(a, b)| (NodeId(a), NodeId(b))).collect())
+            .collect();
+
+        // Eq. 6: S(C) = d(C)^λ · Σ_{v ∈ C} w_v (smaller = better).
+        let weight_sum: f64 = nodes.iter().map(|v| graph.weight(*v) as f64).sum();
+        let score = (extraction.depth as f64).powf(params.lambda) * weight_sum;
+
+        CentralGraph {
+            central: NodeId(central),
+            depth: extraction.depth,
+            nodes,
+            edges,
+            keyword_nodes,
+            keyword_edges,
+            score,
+        }
     }
-    candidates.sort_by(answer_order);
-    candidates.truncate(params.top_k);
-    candidates
+
+    fn full_nodes(e: &Extraction) -> HashSet<u32> {
+        e.nodes.iter().copied().collect()
+    }
+
+    fn full_edges(e: &Extraction) -> HashSet<(u32, u32)> {
+        e.dag_edges.iter().flatten().map(|&(a, b)| (a.min(b), a.max(b))).collect()
+    }
+
+    /// Final selection: sort by Eq. 6 score, remove answers that strictly
+    /// contain another candidate (repetition removal, Sec. VI-B), truncate to
+    /// `top_k`.
+    pub fn select_top_k(
+        mut candidates: Vec<CentralGraph>,
+        params: &SearchParams,
+    ) -> Vec<CentralGraph> {
+        if params.dedup_contained && candidates.len() > 1 {
+            // Compare each answer against smaller ones; O(c²) on the candidate
+            // set, which Def. 4 already bounds to the smallest-depth cohort.
+            // Cap the quadratic work on pathological inputs.
+            const DEDUP_CAP: usize = 1024;
+            candidates.sort_by(answer_order);
+            candidates.truncate(DEDUP_CAP.max(params.top_k * 4));
+            let mut by_size: Vec<usize> = (0..candidates.len()).collect();
+            by_size.sort_by_key(|&i| candidates[i].nodes.len());
+            let mut dropped = vec![false; candidates.len()];
+            for pos in (0..by_size.len()).rev() {
+                let i = by_size[pos];
+                for &j in &by_size[..pos] {
+                    if !dropped[j] && candidates[i].strictly_contains(&candidates[j]) {
+                        dropped[i] = true;
+                        break;
+                    }
+                }
+            }
+            candidates = candidates
+                .into_iter()
+                .zip(dropped)
+                .filter_map(|(c, d)| (!d).then_some(c))
+                .collect();
+        }
+        candidates.sort_by(answer_order);
+        candidates.truncate(params.top_k);
+        candidates
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bottom_up::{drive, ExpandCtx, LevelRun};
-    use crate::engine::MatrixOps;
+    use crate::engine::{digest_answer, MatrixOps};
     use crate::shard::ShardBackend;
     use crate::state::SearchState;
     use kgraph::GraphBuilder;
@@ -336,7 +1004,9 @@ mod tests {
         let mut run = LevelRun::new(params, &tracker);
         drive(&mut ops, &mut run).expect("unlimited budget");
         let out = run
-            .finish("Seq", g, &state, None, |c, d| extract(g, &act, &state, c, d))
+            .finish("Seq", g, &state, None, &mut Vec::new(), |j, sink| {
+                hitting_path_preds(g, &act, &state, j, sink)
+            })
             .expect("unlimited budget");
         (out.answers, state)
     }
@@ -469,54 +1139,231 @@ mod tests {
         }
     }
 
+    /// A phase A record from bare parts.
+    fn ranked(central: u32, depth: u8, nodes: &[u32], score: f64) -> Ranked<'_> {
+        Ranked { central, depth, score, signature: signature(nodes), nodes }
+    }
+
     #[test]
     fn containment_dedup_drops_the_container() {
-        let small = CentralGraph {
-            central: NodeId(1),
-            depth: 1,
-            nodes: vec![NodeId(0), NodeId(1)],
-            edges: vec![(NodeId(0), NodeId(1))],
-            keyword_nodes: vec![vec![NodeId(0)]],
-            keyword_edges: vec![vec![(NodeId(0), NodeId(1))]],
-            score: 1.0,
-        };
-        let big = CentralGraph {
-            central: NodeId(2),
-            depth: 2,
-            nodes: vec![NodeId(0), NodeId(1), NodeId(2)],
-            edges: vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))],
-            keyword_nodes: vec![vec![NodeId(0)]],
-            keyword_edges: vec![vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(2))]],
-            score: 0.5, // better score, but it strictly contains `small`
-        };
+        let small = || ranked(1, 1, &[0, 1], 1.0);
+        // Better score, but it strictly contains `small`.
+        let big = ranked(2, 2, &[0, 1, 2], 0.5);
         let params = SearchParams::default();
-        let kept = select_top_k(vec![small.clone(), big], &params);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].central, small.central);
+        assert_eq!(select_top_k(vec![small(), big], &params), [(1, 1)]);
 
         let no_dedup = SearchParams { dedup_contained: false, ..SearchParams::default() };
-        let kept = select_top_k(
-            vec![small.clone(), CentralGraph { score: 0.5, ..small.clone() }],
-            &no_dedup,
-        );
-        assert_eq!(kept.len(), 2);
+        let kept = select_top_k(vec![small(), ranked(3, 1, &[0, 1], 0.5)], &no_dedup);
+        assert_eq!(kept, [(3, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn the_signature_never_hides_a_subset() {
+        // A saturated signature passes every filter: the merge decides.
+        let full =
+            |central, nodes| Ranked { signature: u64::MAX, ..ranked(central, 1, nodes, 1.0) };
+        let a = full(1, &[0, 64, 128]);
+        assert!(a.strictly_contains(&full(2, &[64, 128])));
+        assert!(!a.strictly_contains(&full(3, &[0, 192])));
+        assert!(!a.strictly_contains(&full(4, &[0, 64, 128])), "equal is not strict");
+        // And a real signature never rejects a true subset.
+        let nodes: Vec<u32> = (0..500).map(|i| i * 7919).collect();
+        assert!(ranked(5, 1, &nodes, 1.0).strictly_contains(&ranked(6, 1, &nodes[100..400], 1.0)));
     }
 
     #[test]
     fn select_truncates_to_top_k() {
-        let mk = |i: u32, score: f64| CentralGraph {
-            central: NodeId(i),
-            depth: 1,
-            nodes: vec![NodeId(i)],
-            edges: vec![],
-            keyword_nodes: vec![vec![NodeId(i)]],
-            keyword_edges: vec![vec![]],
-            score,
-        };
-        let cands: Vec<_> = (0..10).map(|i| mk(i, i as f64)).collect();
+        let nodes: Vec<[u32; 1]> = (0..10).map(|i| [i]).collect();
+        let cands = nodes.iter().map(|n| ranked(n[0], 1, n, n[0] as f64)).collect();
         let params = SearchParams::default().with_top_k(3);
-        let kept = select_top_k(cands, &params);
-        assert_eq!(kept.len(), 3);
-        assert_eq!(kept[0].central, NodeId(0));
+        assert_eq!(select_top_k(cands, &params), [(0, 1), (1, 1), (2, 1)]);
+    }
+
+    // --- The scratch stage against the verbatim reference -----------------
+
+    use crate::budget::QueryBudget;
+    use proptest::TestRng;
+
+    /// Ten words; node texts draw 0–3 of them, queries 1–8.
+    const WORDS: [&str; 10] = [
+        "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda", "zeta", "theta",
+    ];
+
+    /// One random stage-2 input.
+    struct Case {
+        graph: KnowledgeGraph,
+        activation: Vec<u8>,
+        query: String,
+        params: SearchParams,
+    }
+
+    fn random_case(rng: &mut TestRng) -> Case {
+        // Skewed toward the first words, so popular keywords co-occur on
+        // nodes (level-cover classes above 1) and queries ask for them.
+        let word = |rng: &mut TestRng| {
+            WORDS[rng.range_usize(0, WORDS.len()).min(rng.range_usize(0, WORDS.len()))]
+        };
+        let nodes = rng.range_usize(2, 32);
+        let mut b = GraphBuilder::new();
+        let ids: Vec<_> = (0..nodes)
+            .map(|i| {
+                let words: Vec<&str> = (0..rng.range_usize(0, 6)).map(|_| word(rng)).collect();
+                b.add_node(&format!("n{i}"), &format!("x{i} {}", words.join(" ")))
+            })
+            .collect();
+        // Sparse to dense, multi-edges and both directions included.
+        for _ in 0..rng.range_usize(nodes, 4 * nodes) {
+            let (s, d) = (rng.range_usize(0, nodes), rng.range_usize(0, nodes));
+            if s != d {
+                b.add_edge(ids[s], ids[d], "e");
+            }
+        }
+        let mut query: Vec<&str> = Vec::new();
+        for _ in 0..rng.range_usize(1, 9) {
+            let w = word(rng);
+            if !query.contains(&w) {
+                query.push(w);
+            }
+        }
+        Case {
+            graph: b.build(),
+            activation: (0..nodes).map(|_| rng.range_usize(0, 4) as u8).collect(),
+            query: query.join(" "),
+            params: SearchParams {
+                level_cover: rng.below(4) != 0,
+                dedup_contained: rng.below(2) == 0,
+                ..SearchParams::default().with_top_k(rng.range_usize(1, 9))
+            },
+        }
+    }
+
+    /// Random graphs × random activation levels × `level_cover` /
+    /// `dedup_contained` on and off × Knum 1–8: every cohort member
+    /// materialised by the scratch equals the reference's
+    /// `extract` + `prune_and_score` field for field, and the selected
+    /// top-k equals the reference's, on one thread and on a pool, through
+    /// scratches reused across all cases. Every engine goes through the
+    /// one `finish`, so the `*_equivalence` suites cannot see a uniform
+    /// stage-2 bug; this can.
+    #[test]
+    fn scratch_stage_equals_the_reference() {
+        let mut rng = TestRng::from_name("central::top_down::scratch_stage_equals_the_reference");
+        let pool = crate::engine::build_pool(3);
+        let (mut solo, mut pooled) = (Vec::new(), Vec::new());
+        let (mut cases, mut pruning_cases, mut candidates, mut pruned) = (0, 0, 0, 0);
+        while cases < 600 {
+            let case = random_case(&mut rng);
+            let (g, params) = (&case.graph, &case.params);
+            let idx = InvertedIndex::build(g);
+            let q = ParsedQuery::parse(&idx, &case.query);
+            if q.is_empty() {
+                continue;
+            }
+            cases += 1;
+            let state = SearchState::new(g.num_nodes(), &q);
+            let act = ActivationMap::Explicit(&case.activation);
+            let tracker = QueryBudget::unlimited().start();
+            let mut frontiers = Vec::new();
+            let mut ops = MatrixOps {
+                backend: ShardBackend::Seq,
+                pool: None,
+                ctx: ExpandCtx { graph: g, act: &act, state: &state, budget: &tracker },
+                frontiers: &mut frontiers,
+            };
+            let mut run = LevelRun::new(params, &tracker);
+            drive(&mut ops, &mut run).expect("unlimited budget");
+            let cohort = run.cohort().to_vec();
+
+            let expected: Vec<CentralGraph> = cohort
+                .iter()
+                .map(|&(c, d)| {
+                    let extraction = reference::extract(g, &act, &state, c.0, d);
+                    reference::prune_and_score(g, &state, &extraction, params)
+                })
+                .collect();
+            let stage = Stage {
+                graph: g,
+                hits: &state,
+                params,
+                tracker: &tracker,
+                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(g, &act, &state, j, sink),
+            };
+            solo.resize_with(1, TopDownScratch::default);
+            solo[0].begin_query(g.num_nodes());
+            let mut case_pruned = false;
+            for (&(c, d), want) in cohort.iter().zip(&expected) {
+                let got = stage.materialise(&mut solo[0].walk, c.0, d).expect("unlimited budget");
+                assert_eq!(
+                    digest_answer(&got),
+                    digest_answer(want),
+                    "case {cases}: {:?}",
+                    case.query
+                );
+                candidates += 1;
+                if solo[0].walk.pruned {
+                    pruned += 1;
+                    case_pruned = true;
+                }
+            }
+            pruning_cases += usize::from(case_pruned);
+
+            let want: Vec<String> =
+                reference::select_top_k(expected, params).iter().map(digest_answer).collect();
+            for (pool, scratch) in [(None, &mut solo), (Some(&pool), &mut pooled)] {
+                let got = top_down(&stage, &cohort, pool, scratch).expect("unlimited budget");
+                assert_eq!(got.iter().map(digest_answer).collect::<Vec<_>>(), want, "case {cases}");
+            }
+        }
+        // The generator must actually reach the prune branch. (The
+        // reference's "pruning would uncover a keyword → keep unpruned"
+        // fallback is unreachable — see `Walk::level_cover` — so equality
+        // above is also the evidence that dropping it changed nothing.)
+        assert!(pruning_cases * 5 >= cases, "{pruning_cases} of {cases} cases pruned");
+        assert!(pruned * 10 >= candidates, "{pruned} of {candidates} candidates pruned");
+    }
+
+    /// A tripped budget surfaces as `None` from either phase, never as a
+    /// truncated answer set.
+    #[test]
+    fn a_tripped_budget_stops_the_stage() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_node("a", "alpha");
+        let z = b.add_node("z", "omega");
+        for i in 0..10 {
+            let m = b.add_node(&format!("m{i}"), "mid");
+            b.add_edge(a, m, "e");
+            b.add_edge(z, m, "e");
+        }
+        let g = b.build();
+        let idx = InvertedIndex::build(&g);
+        let q = ParsedQuery::parse(&idx, "alpha omega");
+        let state = SearchState::new(g.num_nodes(), &q);
+        let act = ActivationMap::Explicit(&[0; 12]);
+        let params = SearchParams::default();
+        let live = QueryBudget::unlimited().start();
+        let mut frontiers = Vec::new();
+        let mut ops = MatrixOps {
+            backend: ShardBackend::Seq,
+            pool: None,
+            ctx: ExpandCtx { graph: &g, act: &act, state: &state, budget: &live },
+            frontiers: &mut frontiers,
+        };
+        let mut run = LevelRun::new(&params, &live);
+        drive(&mut ops, &mut run).expect("unlimited budget");
+        let cohort = run.cohort().to_vec();
+        assert_eq!(cohort.len(), 10);
+
+        let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO).start();
+        for tracker in [&live, &expired] {
+            let stage = Stage {
+                graph: &g,
+                hits: &state,
+                params: &params,
+                tracker,
+                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(&g, &act, &state, j, sink),
+            };
+            let out = top_down(&stage, &cohort, None, &mut Vec::new());
+            assert_eq!(out.map(|answers| answers.len()), tracker.error().is_none().then_some(10));
+        }
     }
 }

@@ -69,3 +69,99 @@ fn fig4_per_keyword_paths_snapshot() {
     union.dedup();
     assert_eq!(union, best.edges);
 }
+
+/// Render every field of every answer, score as raw bits — the full dump
+/// the committed golden holds.
+fn dump_answers(answers: &[central::CentralGraph]) -> String {
+    use std::fmt::Write as _;
+    let ids =
+        |vs: &[kgraph::NodeId]| vs.iter().map(|v| v.0.to_string()).collect::<Vec<_>>().join(",");
+    let pairs = |es: &[(kgraph::NodeId, kgraph::NodeId)]| {
+        es.iter().map(|(a, b)| format!("{}-{}", a.0, b.0)).collect::<Vec<_>>().join(",")
+    };
+    let mut s = String::new();
+    for a in answers {
+        let _ = writeln!(
+            s,
+            "  c={} d={} s={:016x} n=[{}] e=[{}]",
+            a.central.0,
+            a.depth,
+            a.score.to_bits(),
+            ids(&a.nodes),
+            pairs(&a.edges)
+        );
+        for (i, (kn, ke)) in a.keyword_nodes.iter().zip(&a.keyword_edges).enumerate() {
+            let _ = writeln!(s, "    k{i} n=[{}] e=[{}]", ids(kn), pairs(ke));
+        }
+    }
+    s
+}
+
+/// Full answer dumps of 32 seeded queries (Knum 2/4/8) over a seeded
+/// `datagen` graph, through all four backends and a 2-shard coordinator,
+/// against one committed golden. The golden was captured by this test at
+/// the commit *before* the top-down stage was rewritten around a session
+/// scratch and a predecessor memo; stage 2 is shared by every engine, so
+/// the `*_equivalence` suites cannot see a uniform drift there — this can.
+/// Regenerate (only for an intended answer change) with
+/// `UPDATE_GOLDEN=1 cargo test -p integration-tests --test regression_snapshots`.
+#[test]
+fn seeded_answers_match_the_committed_golden() {
+    use central::engine::{
+        DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine,
+    };
+    use central::{QueryBudget, SearchParams, ShardBackend, ShardedSearch};
+    use textindex::{InvertedIndex, ParsedQuery};
+
+    let mut cfg = datagen::synthetic::SyntheticConfig::tiny(1609);
+    cfg.num_entities = 2500;
+    let graph = cfg.generate().graph;
+    let index = InvertedIndex::build(&graph);
+    let params = SearchParams::default().with_average_distance(2.5).with_top_k(8);
+    let mut workload = datagen::QueryWorkload::new(16);
+    let queries: Vec<String> = [(2, 11), (4, 11), (8, 10)]
+        .iter()
+        .flat_map(|&(k, n)| workload.batch(k, n))
+        .collect();
+    assert_eq!(queries.len(), 32);
+
+    let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
+        Box::new(SeqEngine::new()),
+        Box::new(ParCpuEngine::new(2)),
+        Box::new(GpuStyleEngine::new(2)),
+        Box::new(DynParEngine::new(2)),
+    ];
+    let sharded = ShardedSearch::new(&graph, ShardBackend::Seq, 2);
+    let mut actual = String::new();
+    for raw in &queries {
+        let query = ParsedQuery::parse(&index, raw);
+        let reference = dump_answers(&engines[0].search(&graph, &query, &params).answers);
+        for engine in &engines[1..] {
+            let out = engine.search(&graph, &query, &params);
+            assert_eq!(dump_answers(&out.answers), reference, "{} on {raw:?}", engine.name());
+        }
+        let out = sharded
+            .try_search(&graph, &query, &params, &QueryBudget::unlimited())
+            .expect("unlimited budget");
+        assert_eq!(dump_answers(&out.answers), reference, "2 shards on {raw:?}");
+        actual.push_str(&format!("== {raw}\n{reference}"));
+    }
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/seeded_answers.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &actual).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("committed golden");
+    if actual != golden {
+        let dump =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("seeded_answers.actual.txt");
+        std::fs::write(&dump, &actual).unwrap();
+        let line = actual.lines().zip(golden.lines()).position(|(a, g)| a != g);
+        panic!(
+            "answers drifted from tests/tests/golden/seeded_answers.txt (first differing line: \
+             {line:?}); the live capture is in {}",
+            dump.display()
+        );
+    }
+}
