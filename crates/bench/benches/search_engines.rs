@@ -112,7 +112,7 @@ fn bench_enqueue_strategies(c: &mut Criterion) {
     // The paper's CPU finding: sequential frontier enqueue beats parallel
     // compaction on CPU (Sec. V-B, "Enqueuing frontiers").
     use central::bottom_up::{enqueue_parallel_compaction, enqueue_sequential};
-    use central::state::{Cells, SearchState};
+    use central::state::SearchState;
     let f = fixture();
     let index = InvertedIndex::build(&f.graph);
     let q = ParsedQuery::parse(&index, "machine learning");

@@ -21,15 +21,7 @@
 //! worker counts, reporting qps and p95 relative to the unsharded
 //! baseline (written to `BENCH_shards.json`).
 //!
-//! A fourth sweep runs the **batching axis**: Zipf-skewed all-miss
-//! traffic (no result cache, so popularity skew reaches the engine)
-//! through the micro-batcher at collection windows {0, 100 µs, 1 ms} ×
-//! {1, 8, 64} clients. Concurrent queries that land in one window fuse
-//! into a single multi-query sweep whose union frontier touches each
-//! node once for the whole batch, so qps at high client counts should
-//! rise well above the window-0 baseline (written to `BENCH_batch.json`).
-//!
-//! A fifth sweep runs the **remote axis**: the same volley driven over
+//! A fourth sweep runs the **remote axis**: the same volley driven over
 //! a fleet of TCP shard workers (`--shard-workers` equivalent, workers
 //! in-process on real loopback sockets) at fleet sizes {1,2,4}, each
 //! point paired with the in-process sharded engine at the same shard
@@ -37,7 +29,7 @@
 //! framing, JSON payloads, per-round RPCs and the supervision layer
 //! (written to `BENCH_remote.json`).
 //!
-//! A sixth sweep runs the **telemetry axis**: the 8-client volley with
+//! A fifth sweep runs the **telemetry axis**: the 8-client volley with
 //! the full observability surface armed — per-query fleet-wide qid
 //! issuance, the recent-query ring, and a background sampler snapshotting
 //! the metrics registry at 10× the serve default cadence — interleaved
@@ -45,7 +37,7 @@
 //! (written to `BENCH_telemetry.json`; `WIKISEARCH_ENFORCE_GUARDS=1`
 //! turns a guard failure into a hard bench failure for CI).
 //!
-//! `WIKISEARCH_AXIS={clients,shards,batch,remote,telemetry}` restricts a
+//! `WIKISEARCH_AXIS={clients,shards,remote,telemetry}` restricts a
 //! run to one axis (default: all).
 
 use crate::{client_sweep, queries_per_point};
@@ -188,9 +180,6 @@ pub fn run() -> serde_json::Value {
 
     if axis_wanted("shards") {
         let _ = run_shards(&ds.graph, &name, &queries, per_client, cores);
-    }
-    if axis_wanted("batch") {
-        let _ = run_batch(&ds.graph, &name, per_client, cores);
     }
     if axis_wanted("remote") {
         let _ = run_remote(per_client, cores);
@@ -493,166 +482,6 @@ fn run_remote(per_client: usize, cores: usize) -> serde_json::Value {
             .collect::<Vec<_>>(),
     });
     if let Ok(path) = ExperimentSink::new().write("BENCH_remote", &record) {
-        println!("json: {}", path.display());
-    }
-    record
-}
-
-/// The batching axis: collection windows × client counts.
-const BATCH_WINDOWS_US: [u64; 3] = [0, 100, 1_000];
-const BATCH_CLIENTS: [usize; 3] = [1, 8, 64];
-
-/// Expand a distinct-query pool into a Zipf-popularity traffic list
-/// (rank `r` drawn with weight `1/(r+1)`) using a seeded LCG, so
-/// concurrent clients replay the skew a shared public endpoint sees.
-/// With the result cache off, every one of these is an engine miss.
-fn zipf_traffic(pool: &[String], len: usize, seed: u64) -> Vec<String> {
-    let weights: Vec<f64> = (0..pool.len()).map(|r| 1.0 / (r as f64 + 1.0)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total;
-            let mut acc = 0.0;
-            for (i, w) in weights.iter().enumerate() {
-                acc += w;
-                if u <= acc {
-                    return pool[i].clone();
-                }
-            }
-            pool[pool.len() - 1].clone()
-        })
-        .collect()
-}
-
-/// The batching axis: Zipf-skewed all-miss traffic through the engine's
-/// micro-batcher (`--batch-window-us` equivalent) at every window ×
-/// client combination. Window 0 at the same client count is the
-/// unbatched baseline each point's `qps_vs_unbatched` is relative to.
-/// Answers are byte-identical across the axis (pinned by the
-/// batch-equivalence suite), so this measures pure fusion gain vs.
-/// collection-window latency cost. Writes `BENCH_batch.json`.
-fn run_batch(
-    graph: &kgraph::KnowledgeGraph,
-    dataset: &str,
-    per_client: usize,
-    cores: usize,
-) -> serde_json::Value {
-    println!(
-        "== throughput/batch: Zipf-miss traffic, Seq kernels, \
-         windows {BATCH_WINDOWS_US:?}us x clients {BATCH_CLIENTS:?} =="
-    );
-    let mut workload = QueryWorkload::new(7031);
-    let pool = workload.batch(4, 16);
-    let traffic = zipf_traffic(&pool, 256, 0x5eed);
-
-    struct BatchPoint {
-        window_us: u64,
-        clients: usize,
-        wall_ms: f64,
-        qps: f64,
-        latency_us: HistogramSnapshot,
-        batches: u64,
-        fused_queries: u64,
-    }
-    let mut points: Vec<BatchPoint> = Vec::new();
-    for &window_us in &BATCH_WINDOWS_US {
-        for &clients in &BATCH_CLIENTS {
-            let mut ws = WikiSearch::build_with(graph.clone(), Backend::Sequential);
-            ws.set_batching(std::time::Duration::from_micros(window_us), central::MAX_BATCH_LANES);
-            let ws = Arc::new(ws);
-            volley(&ws, &traffic, clients, 2); // warmup: pools + page cache
-            let before = ws.batch_stats();
-            let (wall, latency_us) = volley(&ws, &traffic, clients, per_client);
-            let after = ws.batch_stats();
-            let delta = |f: fn(&central::BatchStats) -> u64| {
-                after.as_ref().map_or(0, f) - before.as_ref().map_or(0, f)
-            };
-            points.push(BatchPoint {
-                window_us,
-                clients,
-                wall_ms: wall * 1e3,
-                qps: (clients * per_client) as f64 / wall,
-                latency_us,
-                batches: delta(|b| b.batches),
-                fused_queries: delta(|b| b.queries),
-            });
-        }
-    }
-
-    let ms = |us: u64| us as f64 / 1e3;
-    let base_qps = |clients: usize| {
-        points
-            .iter()
-            .find(|p| p.window_us == 0 && p.clients == clients)
-            .map_or(1.0, |p| p.qps)
-    };
-    let mut table = Table::new(vec![
-        "window(us)",
-        "clients",
-        "wall(ms)",
-        "qps",
-        "qps/unbatched",
-        "p50(ms)",
-        "p95(ms)",
-        "batches",
-        "mean size",
-    ]);
-    for p in &points {
-        let mean_size = if p.batches > 0 {
-            p.fused_queries as f64 / p.batches as f64
-        } else {
-            1.0
-        };
-        table.row(vec![
-            p.window_us.to_string(),
-            p.clients.to_string(),
-            format!("{:.1}", p.wall_ms),
-            format!("{:.1}", p.qps),
-            format!("{:.2}", p.qps / base_qps(p.clients)),
-            format!("{:.2}", ms(p.latency_us.percentile(0.50))),
-            format!("{:.2}", ms(p.latency_us.percentile(0.95))),
-            p.batches.to_string(),
-            format!("{mean_size:.1}"),
-        ]);
-    }
-    table.print();
-    for &w in &BATCH_WINDOWS_US[1..] {
-        if let Some(p) = points.iter().find(|p| p.window_us == w && p.clients == 64) {
-            println!("window {w}us: qps x{:.2} at 64 clients", p.qps / base_qps(64));
-        }
-    }
-
-    let record = json!({
-        "experiment": "batch",
-        "dataset": dataset,
-        "cores": cores,
-        "backend": "Seq",
-        "max_batch": central::MAX_BATCH_LANES,
-        "queries_per_client": per_client,
-        "distinct_queries": pool.len(),
-        "points": points
-            .iter()
-            .map(|p| {
-                json!({
-                    "window_us": p.window_us,
-                    "clients": p.clients,
-                    "wall_ms": p.wall_ms,
-                    "qps": p.qps,
-                    "qps_vs_unbatched": p.qps / base_qps(p.clients),
-                    "latency_p50_ms": ms(p.latency_us.percentile(0.50)),
-                    "latency_p95_ms": ms(p.latency_us.percentile(0.95)),
-                    "latency_p99_ms": ms(p.latency_us.percentile(0.99)),
-                    "batches": p.batches,
-                    "fused_queries": p.fused_queries,
-                    "mean_batch_size":
-                        if p.batches > 0 { p.fused_queries as f64 / p.batches as f64 } else { 1.0 },
-                })
-            })
-            .collect::<Vec<_>>(),
-    });
-    if let Ok(path) = ExperimentSink::new().write("BENCH_batch", &record) {
         println!("json: {}", path.display());
     }
     record

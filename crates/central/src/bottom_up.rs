@@ -7,8 +7,8 @@
 //! (3) stops if `k` central nodes exist (Def. 4 — the current level is then
 //! the minimal depth `d`), and otherwise (4) runs the expansion procedure.
 //! That is stated once, as four shared pieces every execution shape (solo
-//! matrix engines, CPU-Par-d, fused batches, in-process shards, remote
-//! shards) is a thin adapter over:
+//! matrix engines, CPU-Par-d, in-process shards, remote shards) is a thin
+//! adapter over:
 //!
 //! * [`pre_flight`] — validate, arm the budget tracker, first checkpoint,
 //!   fault hook, empty-query short-circuit;
@@ -16,14 +16,11 @@
 //!   shape implements (`enqueue` / `identify` / `expand`, the last
 //!   including any boundary exchange), the per-query bookkeeping (level
 //!   counter, cohort, per-level traces, termination, phase timing), and
-//!   the loop that steps one over the other. A fused batch shares one
-//!   enqueue scan across lanes, so it steps its `LevelRun`s itself through
-//!   the same [`LevelRun::enqueued`] / [`LevelRun::identified`] /
-//!   [`LevelRun::expanded`] calls [`drive`] makes;
+//!   the only loop that steps one over the other;
 //! * the kernel — [`expand_frontier`] / [`expand_work_item`] /
-//!   [`identify_sequential`] / [`observe_level`], generic over the
-//!   [`Cells`] state-layout seam, and [`expand_level`], the one
-//!   backend → scheduling dispatch;
+//!   [`identify_sequential`] / [`observe_level`] over the one
+//!   [`SearchState`] layout, and [`expand_level`], the one backend →
+//!   scheduling dispatch;
 //! * [`LevelRun::finish`] — the top-down stage (Algorithm 3,
 //!   [`crate::top_down`]) and outcome assembly, generic over [`HitLevels`]
 //!   with the shape's predecessor oracle as a closure.
@@ -38,7 +35,7 @@ use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::profile::PhaseProfile;
 use crate::shard::ShardBackend;
-use crate::state::{Cells, HitLevels, SearchState};
+use crate::state::{HitLevels, SearchState};
 use crate::top_down::{self, PredSink, Stage, TopDownScratch};
 use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
@@ -49,13 +46,13 @@ use textindex::ParsedQuery;
 
 /// Everything an expansion step needs (read-only except for `state`'s
 /// atomics).
-pub struct ExpandCtx<'a, S> {
+pub struct ExpandCtx<'a> {
     /// The data graph.
     pub graph: &'a KnowledgeGraph,
     /// Activation oracle (`a_v` from `w_v` and `α`, or explicit).
     pub act: &'a ActivationMap<'a>,
     /// Shared lock-free search state.
-    pub state: &'a S,
+    pub state: &'a SearchState,
     /// Budget accounting: every expansion unit is charged here, and a
     /// tripped budget makes further expansion a no-op (the driver then
     /// surfaces the error at its next level checkpoint).
@@ -67,7 +64,7 @@ pub struct ExpandCtx<'a, S> {
 /// CPU strategy (one OpenMP/rayon task per frontier, dynamically
 /// scheduled).
 #[inline]
-pub fn expand_frontier<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, level: u8) {
+pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -92,7 +89,7 @@ pub fn expand_frontier<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, level: u8) {
 /// Expand one `(frontier, BFS instance)` pair — the body of Algorithm 2's
 /// middle loop, and the warp-level work item of the GPU strategy.
 #[inline]
-pub fn expand_work_item<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, i: usize, level: u8) {
+pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
     let state = ctx.state;
     if ctx.budget.cancelled() {
         return;
@@ -112,7 +109,7 @@ pub fn expand_work_item<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, i: usize, leve
 /// Inner loop shared by both granularities: push instance `i` of frontier
 /// `f` one step (Alg. 2 lines 8–22).
 #[inline]
-fn expand_instance<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, vf: NodeId, i: usize, level: u8) {
+fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
     let state = ctx.state;
     // The frontier must already be hit in this instance (line 9–11).
     let hf = state.hit(f, i);
@@ -145,10 +142,10 @@ fn expand_instance<S: Cells>(ctx: &ExpandCtx<'_, S>, f: u32, vf: NodeId, i: usiz
 /// ambient pool (in-process shard lanes already sit inside the
 /// coordinator's fork-join); the sequential one never leaves the caller's
 /// thread.
-pub fn expand_level<S: Cells>(
+pub fn expand_level(
     backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
-    ctx: &ExpandCtx<'_, S>,
+    ctx: &ExpandCtx<'_>,
     frontiers: &[u32],
     level: u8,
 ) {
@@ -223,7 +220,7 @@ pub fn enqueue_parallel_compaction(
 /// A frontier whose `M` row is complete is newly central, with depth =
 /// current level (Lemma V.1): mark it and report `true`.
 #[inline]
-fn identify_one<S: Cells>(state: &S, f: u32, level: u8) -> bool {
+fn identify_one(state: &SearchState, f: u32, level: u8) -> bool {
     let newly = !state.is_central(f) && state.row_complete(f);
     if newly {
         state.mark_central(f, level);
@@ -234,8 +231,8 @@ fn identify_one<S: Cells>(state: &S, f: u32, level: u8) -> bool {
 /// Sequential Central Node identification over the current frontiers.
 /// Fills `newly` with the newly identified nodes (sorted, since frontiers
 /// are produced in id order).
-pub fn identify_sequential<S: Cells>(
-    state: &S,
+pub fn identify_sequential(
+    state: &SearchState,
     frontiers: &[u32],
     level: u8,
     newly: &mut Vec<u32>,
@@ -247,9 +244,9 @@ pub fn identify_sequential<S: Cells>(
 /// Identification parallel over frontiers (each frontier is touched by
 /// exactly one task, so the central flag needs no lock), sorted back into
 /// the deterministic identification order.
-pub fn identify_parallel<S: Cells>(
+pub fn identify_parallel(
     pool: &rayon::ThreadPool,
-    state: &S,
+    state: &SearchState,
     frontiers: &[u32],
     level: u8,
     newly: &mut Vec<u32>,
@@ -339,20 +336,32 @@ pub enum PreFlight {
 }
 
 /// The pre-search sequence every execution shape shares: validate the
-/// parameters, arm the budget tracker, fail an already-expired deadline
-/// deterministically before any work, run the fault-injection hook, and
-/// short-circuit a query that matched no keyword.
+/// parameters against the `num_nodes`-node graph, arm the budget tracker,
+/// fail an already-expired deadline deterministically before any work, run
+/// the fault-injection hook, and short-circuit a query that matched no
+/// keyword. Every shape calls it before arming any state or issuing any
+/// RPC, so a bad query fails on its caller's thread and nowhere else.
 ///
 /// # Panics
-/// Panics if `params` fail [`SearchParams::validate`].
+/// Panics if `params` fail [`SearchParams::validate`], or carry an explicit
+/// activation table shorter than the graph (it would index out of range
+/// mid-expansion).
 pub fn pre_flight(
     query: &ParsedQuery,
     params: &SearchParams,
     budget: &QueryBudget,
     engine: &str,
+    num_nodes: usize,
 ) -> PreFlight {
     if let Err(e) = params.validate() {
         panic!("invalid search parameters: {e}");
+    }
+    if let Some(levels) = &params.explicit_activation {
+        assert!(
+            levels.len() >= num_nodes,
+            "explicit activation table holds {} levels for {num_nodes} nodes",
+            levels.len()
+        );
     }
     // Tracing arms the tracker in counting mode so per-level expansion
     // deltas are observable even without a cap; the untraced unlimited
@@ -408,18 +417,18 @@ pub trait LevelOps {
 
 /// The per-query bookkeeping of one level-synchronous search: level
 /// counter, candidate cohort, per-level traces, the termination decision
-/// and the phase profile. Stepped once per phase by [`drive`] (or by the
-/// fused batch sweep), consumed by [`LevelRun::finish`].
+/// and the phase profile. Stepped once per phase by [`drive`], consumed by
+/// [`LevelRun::finish`].
 pub struct LevelRun<'a> {
     params: &'a SearchParams,
     tracker: &'a BudgetTracker,
-    /// Wall-clock per phase. The adapter sets `init`; the step methods
-    /// accumulate the level phases, `finish` sets `top_down`.
+    /// Wall-clock per phase. The adapter sets `init`; [`drive`]
+    /// accumulates the level phases, `finish` sets `top_down`.
     pub profile: PhaseProfile,
     /// Identification buffer of the current level: filled (ascending
-    /// global ids) between [`LevelRun::enqueued`] and
-    /// [`LevelRun::identified`], which drains it into the cohort.
-    pub newly: Vec<u32>,
+    /// global ids) between `enqueued` and `identified`, which drains it
+    /// into the cohort.
+    newly: Vec<u32>,
     level: u8,
     frontier: usize,
     /// Identified Central Nodes with their depths, in identification
@@ -455,21 +464,6 @@ impl<'a> LevelRun<'a> {
         }
     }
 
-    /// The level the next phase call operates on.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Whether this search collects [`TraceLevelRecord`]s.
-    pub fn traced(&self) -> bool {
-        self.records.is_some()
-    }
-
-    /// Why the bottom-up stage stopped, once it has.
-    pub fn terminated(&self) -> Option<TerminationReason> {
-        self.terminated
-    }
-
     /// The candidate cohort identified so far (stage-2 tests drive
     /// [`top_down::top_down`] on it directly).
     #[cfg(test)]
@@ -477,15 +471,9 @@ impl<'a> LevelRun<'a> {
         &self.cohort
     }
 
-    /// Level-boundary checkpoint: poll the deadline and surface a tripped
-    /// budget as the error the search should return.
-    pub fn checkpoint(&self) -> Result<(), SearchError> {
-        self.tracker.checkpoint()
-    }
-
     /// Record this level's enqueue (`frontier` nodes drained in `took`).
     /// `false`: the joint frontier is exhausted and the stage is over.
-    pub fn enqueued(&mut self, frontier: usize, took: Duration) -> bool {
+    fn enqueued(&mut self, frontier: usize, took: Duration) -> bool {
         self.profile.enqueue += took;
         self.frontier = frontier;
         self.peak_frontier = self.peak_frontier.max(frontier);
@@ -495,11 +483,11 @@ impl<'a> LevelRun<'a> {
         frontier != 0
     }
 
-    /// Record this level's identification — [`LevelRun::newly`] holds its
-    /// cohort, `new_hits`/`deferred` its [`observe_level`] pair — and
-    /// decide termination. `false`: the stage is over (`k` central nodes,
-    /// which wins, or the level cap); `true`: expand this level.
-    pub fn identified(&mut self, new_hits: usize, deferred: usize, took: Duration) -> bool {
+    /// Record this level's identification — `newly` holds its cohort,
+    /// `new_hits`/`deferred` its [`observe_level`] pair — and decide
+    /// termination. `false`: the stage is over (`k` central nodes, which
+    /// wins, or the level cap); `true`: expand this level.
+    fn identified(&mut self, new_hits: usize, deferred: usize, took: Duration) -> bool {
         self.profile.identify += took;
         let (level, identified) = (self.level, self.newly.len());
         self.trace.push(LevelTrace { level, frontier: self.frontier, identified });
@@ -528,7 +516,7 @@ impl<'a> LevelRun<'a> {
 
     /// Record this level's expansion: back-fill the level's trace record
     /// with what the expansion charged, and advance to the next level.
-    pub fn expanded(&mut self, took: Duration) {
+    fn expanded(&mut self, took: Duration) {
         self.profile.expansion += took;
         if let Some(last) = self.records.as_mut().and_then(|r| r.last_mut()) {
             last.expansions = self.tracker.expansions() - self.charged_before;
@@ -596,19 +584,21 @@ impl<'a> LevelRun<'a> {
 }
 
 /// The level-synchronous loop, stated once: per level, checkpoint the
-/// budget, then `enqueue` → `identify` → (unless terminated) `expand`.
-/// Returns once `run` has settled its [`TerminationReason`]; an error
-/// from any phase surfaces unchanged with `run` left at that level.
+/// budget (poll the deadline, surface a tripped budget), then `enqueue` →
+/// `identify` → (unless terminated) `expand`. Returns once `run` has
+/// settled its [`TerminationReason`]; an error from any phase surfaces
+/// unchanged with `run` left at that level.
 pub fn drive<O: LevelOps>(ops: &mut O, run: &mut LevelRun<'_>) -> Result<(), O::Error> {
     loop {
-        run.checkpoint()?;
+        run.tracker.checkpoint()?;
         let t = Instant::now();
         let frontier = ops.enqueue()?;
         if !run.enqueued(frontier, t.elapsed()) {
             return Ok(());
         }
         let t = Instant::now();
-        let (new_hits, deferred) = ops.identify(run.level, run.traced(), &mut run.newly)?;
+        let (new_hits, deferred) =
+            ops.identify(run.level, run.records.is_some(), &mut run.newly)?;
         if !run.identified(new_hits, deferred, t.elapsed()) {
             return Ok(());
         }

@@ -18,7 +18,7 @@
 use crate::activation::ActivationMap;
 use crate::bottom_up::{enqueue_sequential, identify_sequential};
 use crate::model::INFINITE_LEVEL;
-use crate::state::{Cells, HitLevels, SearchState};
+use crate::state::{HitLevels, SearchState};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use serde::{Deserialize, Serialize};

@@ -28,7 +28,6 @@ use crate::model::CentralGraph;
 use crate::profile::PhaseProfile;
 use crate::session::SearchSession;
 use crate::shard::ShardBackend;
-use crate::state::SearchState;
 use crate::top_down;
 use crate::trace::QueryTrace;
 use crate::SearchParams;
@@ -149,7 +148,8 @@ pub trait KeywordSearchEngine {
 /// analogue; the value only affects scheduling granularity).
 const COMPACTION_BLOCK: usize = 4096;
 
-/// The matrix engines' [`LevelOps`]: one [`SearchState`], no exchange.
+/// The matrix engines' [`LevelOps`]: one [`crate::state::SearchState`], no
+/// exchange.
 /// `backend` picks the paper's scheduling per phase — Seq runs all three
 /// sequentially; CPU-Par keeps the *sequential* enqueue (the paper found
 /// locked parallel writes slower than one linear scan) but identifies and
@@ -160,7 +160,7 @@ pub(crate) struct MatrixOps<'a> {
     pub(crate) backend: ShardBackend,
     /// The engine's pool; `None` for the sequential engine.
     pub(crate) pool: Option<&'a rayon::ThreadPool>,
-    pub(crate) ctx: ExpandCtx<'a, SearchState>,
+    pub(crate) ctx: ExpandCtx<'a>,
     pub(crate) frontiers: &'a mut Vec<u32>,
 }
 
@@ -219,7 +219,7 @@ pub(crate) fn run_matrix_search(
     budget: &QueryBudget,
 ) -> Result<SearchOutcome, SearchError> {
     let name = backend.base_name();
-    let tracker = match bottom_up::pre_flight(query, params, budget, name) {
+    let tracker = match bottom_up::pre_flight(query, params, budget, name, graph.num_nodes()) {
         PreFlight::Run(tracker) => tracker,
         PreFlight::Done(verdict) => return verdict,
     };

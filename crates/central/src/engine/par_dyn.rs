@@ -186,10 +186,11 @@ impl KeywordSearchEngine for DynParEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        let tracker = match bottom_up::pre_flight(query, params, budget, self.name()) {
-            PreFlight::Run(tracker) => tracker,
-            PreFlight::Done(verdict) => return verdict,
-        };
+        let tracker =
+            match bottom_up::pre_flight(query, params, budget, self.name(), graph.num_nodes()) {
+                PreFlight::Run(tracker) => tracker,
+                PreFlight::Done(verdict) => return verdict,
+            };
         let mut run = LevelRun::new(params, &tracker);
 
         // Arm (or lazily materialize) the session's lock-based state.

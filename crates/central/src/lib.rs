@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod batch;
 pub mod bottom_up;
 pub mod budget;
 pub mod cache;
@@ -91,10 +90,6 @@ pub mod top_down;
 pub mod trace;
 
 pub use activation::{ActivationConfig, ActivationMap};
-pub use batch::{
-    BatchConfig, BatchExecutor, BatchRequest, BatchStats, Batcher, CloseReason, LaneOutcome,
-    MAX_BATCH_LANES,
-};
 pub use budget::{BudgetTracker, QueryBudget};
 pub use cache::{CacheStats, QueryKey, ShardedLruCache};
 pub use config::{ParamsFingerprint, SearchParams};

@@ -4,9 +4,9 @@
 //! over rayon lanes — both are [`crate::bottom_up::LevelOps`] shapes under
 //! the one [`crate::bottom_up::drive`] loop, here with every phase a sweep
 //! of shard RPCs — behind the same `try_search` seam, so the result
-//! cache, budgets, batching, tracing and the top-down extractor all run
-//! unchanged above it, and the remote-equivalence differential suite can
-//! pin the two byte-identical.
+//! cache, budgets, tracing and the top-down extractor all run unchanged
+//! above it, and the remote-equivalence differential suite can pin the
+//! two byte-identical.
 //!
 //! ## Supervision
 //!
@@ -458,17 +458,18 @@ impl RemoteShardedSearch {
         budget: &QueryBudget,
         qid: Option<u64>,
     ) -> Result<RemoteOutcome, SearchError> {
-        let tracker = match bottom_up::pre_flight(query, params, budget, &self.name) {
-            PreFlight::Run(tracker) => tracker,
-            PreFlight::Done(verdict) => {
-                return verdict.map(|mut outcome| {
-                    if let Some(trace) = outcome.trace.as_mut() {
-                        trace.qid = qid;
-                    }
-                    RemoteOutcome { outcome, degraded: false }
-                })
-            }
-        };
+        let tracker =
+            match bottom_up::pre_flight(query, params, budget, &self.name, graph.num_nodes()) {
+                PreFlight::Run(tracker) => tracker,
+                PreFlight::Done(verdict) => {
+                    return verdict.map(|mut outcome| {
+                        if let Some(trace) = outcome.trace.as_mut() {
+                            trace.qid = qid;
+                        }
+                        RemoteOutcome { outcome, degraded: false }
+                    })
+                }
+            };
 
         let opts = &self.core.opts;
         let deadline = budget.timeout.map(|t| Instant::now() + t);

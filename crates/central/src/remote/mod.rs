@@ -225,6 +225,52 @@ mod tests {
         assert_eq!(r.stats().rpcs, 0);
     }
 
+    /// An explicit activation table one entry short of the graph fails
+    /// [`crate::bottom_up::pre_flight`] on the caller's thread on every
+    /// path — solo, 2 in-process shards, a loopback fleet — before any
+    /// session is armed or RPC issued, and the engine answers the next
+    /// query normally.
+    #[test]
+    fn a_short_activation_table_fails_pre_flight_on_every_path() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let g = fixture();
+        let idx = InvertedIndex::build(&g);
+        let query = ParsedQuery::parse(&idx, "alpha omega");
+        let n = g.num_nodes();
+        let good = SearchParams::default().with_explicit_activation(vec![0; n]);
+        let short = SearchParams::default().with_explicit_activation(vec![0; n - 1]);
+        let budget = QueryBudget::unlimited();
+        let message = format!("explicit activation table holds {} levels for {n} nodes", n - 1);
+        let assert_rejected = |search: &mut dyn FnMut(&SearchParams) -> String| {
+            let payload = catch_unwind(AssertUnwindSafe(|| search(&short)))
+                .expect_err("a short table must not reach the expansion");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&message));
+        };
+
+        let mut session = crate::SearchSession::new();
+        let mut solo = |p: &SearchParams| {
+            digest(&SeqEngine::new().search_session(&mut session, &g, &query, p))
+        };
+        assert_rejected(&mut solo);
+        let want = solo(&good);
+        assert!(want.contains("[c:"), "the good table answers: {want}");
+        assert_eq!(session.queries_run(), 1, "the rejected query never armed the session");
+
+        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
+        let mut two_shards =
+            |p: &SearchParams| digest(&sharded.try_search(&g, &query, p, &budget).unwrap());
+        assert_rejected(&mut two_shards);
+        assert_eq!(two_shards(&good), want, "2 shards");
+
+        let fleet = remote(&g, ShardBackend::Seq, 2);
+        let mut loopback =
+            |p: &SearchParams| digest(&fleet.try_search(&g, &query, p, &budget).unwrap().outcome);
+        assert_rejected(&mut loopback);
+        assert_eq!(fleet.stats().rpcs, 0, "a bad query costs the fleet nothing");
+        assert!(fleet.breaker_states().iter().all(|b| *b == BreakerState::Closed));
+        assert_eq!(loopback(&good), want, "loopback fleet");
+    }
+
     #[test]
     fn traced_remote_queries_stitch_per_shard_timelines() {
         let g = fixture();

@@ -119,13 +119,11 @@ mod tests {
         assert_eq!(first.answers[0].nodes, second.answers[0].nodes);
     }
 
-    /// Top-down scratch reuse: A, B, A through one session (each engine),
-    /// one batch executor and one 2-shard coordinator answer exactly like
-    /// fresh ones — B's memo and marks must not leak into the second A,
-    /// nor A's into B.
+    /// Top-down scratch reuse: A, B, A through one session (each engine)
+    /// and one 2-shard coordinator answer exactly like fresh ones — B's
+    /// memo and marks must not leak into the second A, nor A's into B.
     #[test]
     fn top_down_scratch_reuse_matches_fresh_state() {
-        use crate::batch::{BatchExecutor, BatchRequest, LaneOutcome};
         use crate::engine::{digest, DynParEngine, GpuStyleEngine, ParCpuEngine};
         use crate::{QueryBudget, ShardBackend, ShardedSearch};
 
@@ -155,27 +153,6 @@ mod tests {
                 assert_eq!(&digest(&out), want, "{}", engine.name());
             }
             assert!(!session.top_down.is_empty(), "the stage keeps its scratch in the session");
-        }
-
-        let exec = BatchExecutor::new(ShardBackend::Seq);
-        for batch in [&queries[..2], &queries[2..]] {
-            let requests: Vec<BatchRequest> = batch
-                .iter()
-                .map(|q| BatchRequest {
-                    query: q.clone(),
-                    params: params.clone(),
-                    budget: QueryBudget::unlimited(),
-                })
-                .collect();
-            let lanes: Vec<String> = exec
-                .run_batch(&g, &requests)
-                .into_iter()
-                .map(|lane| match lane {
-                    LaneOutcome::Done(verdict) => digest(&verdict.expect("unlimited budget")),
-                    LaneOutcome::Panicked(_) => panic!("lane panicked"),
-                })
-                .collect();
-            assert_eq!(lanes, fresh[..batch.len()], "batch lanes");
         }
 
         let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);

@@ -107,7 +107,7 @@ use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
 use crate::session::SearchSession;
-use crate::state::{Cells, HitLevels, SearchState};
+use crate::state::{HitLevels, SearchState};
 use crate::top_down::{self, ScratchPool};
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
@@ -638,10 +638,11 @@ impl ShardedSearch {
         // from here on unwinds through all the guards and quarantines the
         // whole cohort (PooledSession::drop sees thread::panicking()).
         let mut sessions: Vec<_> = self.pools.iter().map(|p| p.checkout()).collect();
-        let tracker = match bottom_up::pre_flight(query, params, budget, &self.name) {
-            PreFlight::Run(tracker) => tracker,
-            PreFlight::Done(verdict) => return verdict,
-        };
+        let tracker =
+            match bottom_up::pre_flight(query, params, budget, &self.name, graph.num_nodes()) {
+                PreFlight::Run(tracker) => tracker,
+                PreFlight::Done(verdict) => return verdict,
+            };
         let mut run = LevelRun::new(params, &tracker);
 
         // Scatter: localize the query per shard (halo sources included)

@@ -38,20 +38,18 @@ use textindex::ParsedQuery;
 const VALUE_BITS: u32 = 8;
 /// Mask of the value byte.
 const VALUE_MASK: u32 = 0xFF;
-/// First epoch past the 24-bit range — triggers the hard reset. Shared
-/// with the multi-query [`crate::batch::BatchState`], which stamps its
-/// query-major cells with the same scheme.
-pub(crate) const EPOCH_LIMIT: u32 = 1 << (32 - VALUE_BITS);
+/// First epoch past the 24-bit range — triggers the hard reset.
+const EPOCH_LIMIT: u32 = 1 << (32 - VALUE_BITS);
 
 /// Pack an epoch stamp and a value byte into one cell word.
 #[inline]
-pub(crate) fn pack(epoch: u32, value: u8) -> u32 {
+fn pack(epoch: u32, value: u8) -> u32 {
     (epoch << VALUE_BITS) | u32::from(value)
 }
 
 /// The value byte of `cell` if its stamp matches `epoch`, else `default`.
 #[inline]
-pub(crate) fn unpack(cell: u32, epoch: u32, default: u8) -> u8 {
+fn unpack(cell: u32, epoch: u32, default: u8) -> u8 {
     if cell >> VALUE_BITS == epoch {
         (cell & VALUE_MASK) as u8
     } else {
@@ -218,10 +216,9 @@ impl SearchState {
 
 /// Read-only view of one query's hitting levels — what the top-down stage
 /// and the level observation read. Implemented by the lock-free
-/// [`SearchState`] (matrix engines), one lane of a
-/// [`crate::batch::BatchState`], the dynamic-memory engine's recorded state
-/// (CPU-Par-d) and the sharded/remote routing views, so that stage is
-/// shared.
+/// [`SearchState`] (matrix engines), the dynamic-memory engine's recorded
+/// state (CPU-Par-d) and the sharded/remote routing views, so that stage
+/// is shared.
 pub trait HitLevels {
     /// Number of query keywords `q`.
     fn num_keywords(&self) -> usize;
@@ -278,44 +275,36 @@ impl HitLevels for SearchState {
     }
 }
 
-/// The cell writes of the bottom-up stage on top of the [`HitLevels`]
-/// reads — the *state layout* seam of [`crate::bottom_up`]. The expansion
-/// kernel and the identification scan are written once against this trait
-/// and monomorphized for the epoch-stamped [`SearchState`] and for one
-/// lane of a [`crate::batch::BatchState`] (static dispatch, no `dyn`).
-/// Every write is the racing-equal-values kind Theorem V.2 covers — a
-/// plain store suffices — hence `&self`.
-pub trait Cells: HitLevels + Sync {
+/// The cell writes of the bottom-up stage, on top of the [`HitLevels`]
+/// reads. Every write is the racing-equal-values kind Theorem V.2 covers —
+/// a plain store suffices — hence `&self`.
+impl SearchState {
     /// Record a hit: `M[v][i] ← level`.
-    fn set_hit(&self, v: u32, i: usize, level: u8);
-    /// `true` if `v` has been hit by every BFS instance — the Central Node
-    /// condition (Def. 3).
-    fn row_complete(&self, v: u32) -> bool;
-    /// Set `FIdentifier[v] ← 1` (node becomes/stays a frontier).
-    fn mark_frontier(&self, v: u32);
-    /// Mark `v` as a Central Node identified at `depth` (it becomes
-    /// unavailable for expansion from this level on).
-    fn mark_central(&self, v: u32, depth: u8);
-}
-
-impl Cells for SearchState {
     #[inline]
-    fn set_hit(&self, v: u32, i: usize, level: u8) {
+    pub fn set_hit(&self, v: u32, i: usize, level: u8) {
         self.matrix[v as usize * self.q + i].store(pack(self.epoch, level), Ordering::Relaxed);
     }
+
+    /// `true` if `v` has been hit by every BFS instance — the Central Node
+    /// condition (Def. 3).
     #[inline]
-    fn row_complete(&self, v: u32) -> bool {
+    pub fn row_complete(&self, v: u32) -> bool {
         let base = v as usize * self.q;
         self.matrix[base..base + self.q].iter().all(|m| {
             unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL) != INFINITE_LEVEL
         })
     }
+
+    /// Set `FIdentifier[v] ← 1` (node becomes/stays a frontier).
     #[inline]
-    fn mark_frontier(&self, v: u32) {
+    pub fn mark_frontier(&self, v: u32) {
         self.frontier[v as usize].store(pack(self.epoch, 1), Ordering::Relaxed);
     }
+
+    /// Mark `v` as a Central Node identified at `depth` (it becomes
+    /// unavailable for expansion from this level on).
     #[inline]
-    fn mark_central(&self, v: u32, depth: u8) {
+    pub fn mark_central(&self, v: u32, depth: u8) {
         debug_assert!(depth < u8::MAX);
         self.central[v as usize].store(pack(self.epoch, depth + 1), Ordering::Relaxed);
     }

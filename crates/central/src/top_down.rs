@@ -150,7 +150,7 @@ struct Scored {
 
 /// Reusable working memory of the top-down stage, one per thread that
 /// runs it. Lives in the [`crate::session::SearchSession`] (or the
-/// coordinator / batch state that owns the stage) and grows on first use
+/// coordinator that owns the stage) and grows on first use
 /// to one `u32` per graph node (the memo's index) plus marks and arenas
 /// proportional to the nodes and edges the query's walks touch;
 /// afterwards a query allocates only its ≤ `top_k` answers.
@@ -507,8 +507,8 @@ impl TopDownScratch {
 
 /// Freelist of scratch sets for an owner that runs top-down stages through
 /// `&self` with no session of its own to keep them in: the shard
-/// coordinators (whose stage runs over the *global* graph) and the batch
-/// executor. A set abandoned by a panicking stage is simply dropped.
+/// coordinators (whose stage runs over the *global* graph). A set
+/// abandoned by a panicking stage is simply dropped.
 #[derive(Default)]
 pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<Vec<TopDownScratch>>>);
 

@@ -233,11 +233,6 @@ pub struct QueryTrace {
     pub session_id: Option<u64>,
     /// Queries that session had run before this one (warmth indicator).
     pub session_queries: Option<u64>,
-    /// Micro-batch this query was fused into (`None` when it ran alone
-    /// through the unbatched path).
-    pub batch_id: Option<u64>,
-    /// Total queries sharing that batch, including this one.
-    pub co_batched: Option<usize>,
     /// Phase wall-times in milliseconds.
     pub phase_ms: PhaseMillis,
     /// Fleet-wide query ID assigned at accept (`None` for traces
@@ -293,8 +288,6 @@ mod tests {
             cache: Some(CacheOutcome::Miss),
             session_id: Some(4),
             session_queries: Some(7),
-            batch_id: Some(11),
-            co_batched: Some(3),
             phase_ms: PhaseMillis::default(),
             qid: Some(77),
             cache_source_qid: Some(41),
@@ -328,8 +321,6 @@ mod tests {
         let back: QueryTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(back.session_id, None);
         assert_eq!(back.cache, None);
-        assert_eq!(back.batch_id, None);
-        assert_eq!(back.co_batched, None);
         assert_eq!(back.qid, None);
         assert_eq!(back.cache_source_qid, None);
         assert_eq!(back.shard_timelines, None);

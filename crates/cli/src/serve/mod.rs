@@ -55,19 +55,6 @@
 //! coordinator unchanged. `STATS` gains a `shards` object and
 //! `METRICS` gains `ws_shard_*` series when sharded.
 //!
-//! ## Micro-batched execution
-//!
-//! `--batch-window-us N` (default 0 = off) arms the engine's
-//! micro-batcher (`central::batch`): cache-missing queries arriving
-//! within `N` µs of each other — up to `--batch-max` (default 16) — fuse
-//! into one multi-query frontier sweep, so one pass over the graph's
-//! node space serves every query in the batch. Responses are
-//! byte-identical to `--batch-window-us 0` (differential-tested over
-//! this very protocol); `STATS` gains a `batch` object and `METRICS`
-//! gains `ws_batch_*` series while batching is on. A drain closes any
-//! open collection window immediately, so shutdown never waits out a
-//! window.
-//!
 //! ## Remote shard workers
 //!
 //! `--shard-workers N` forks `N` supervised `wikisearch shard-worker`
@@ -174,8 +161,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         "slow-query-trace",
         "telemetry-interval-ms",
         "shards",
-        "batch-window-us",
-        "batch-max",
         "async-io",
         "shard-workers",
         "shard-addr",
@@ -198,8 +183,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         "on" => true,
         other => return Err(format!("--slow-query-trace must be `off` or `on`, got {other:?}")),
     };
-    let batch_window_us: u64 = args.get_or("batch-window-us", 0)?;
-    let batch_max: usize = args.get_or("batch-max", 16)?;
     let async_io: bool = args.get_or("async-io", false)?;
     let shard_workers: usize = args.get_or("shard-workers", 0)?;
     let shard_addr = args.optional("shard-addr");
@@ -211,9 +194,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         if value == 0 {
             return Err(format!("--{flag} must be >= 1"));
         }
-    }
-    if !(1..=central::MAX_BATCH_LANES).contains(&batch_max) {
-        return Err(format!("--batch-max must be in 1..={}", central::MAX_BATCH_LANES));
     }
     if slow_query_ms == 0 && args.optional("slow-query-log").is_some() {
         return Err("--slow-query-log requires --slow-query-ms N (N >= 1)".into());
@@ -229,9 +209,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         return Err(
             "remote shard serving replaces --shards; drop --shards or the remote flags".into()
         );
-    }
-    if remote && batch_window_us > 0 {
-        return Err("--batch-window-us is not supported with remote shard serving".into());
     }
     if !remote {
         for flag in ["degraded-answers", "rpc-timeout-ms", "rpc-retries", "heartbeat-ms"] {
@@ -262,7 +239,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     params.top_k = args.get_or("top-k", params.top_k)?;
     ws.set_params(params);
     ws.set_cache_capacity(cache_capacity);
-    ws.set_batching(Duration::from_micros(batch_window_us), batch_max);
     ws.set_telemetry(telemetry_interval_ms, DEFAULT_TELEMETRY_SAMPLES);
     let remote_opts = RemoteOptions {
         rpc_timeout: Duration::from_millis(rpc_timeout_ms),
@@ -324,16 +300,11 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     } else {
         ""
     };
-    let batching = if batch_window_us > 0 {
-        format!(", batching {batch_window_us}us x{batch_max}")
-    } else {
-        String::new()
-    };
     let frontend = if async_io { ", async-io" } else { "" };
     writeln!(
         out,
         "wikisearch serving on 127.0.0.1:{} ({} nodes indexed, {workers} \
-         workers{sharding}{backing}{batching}{frontend})",
+         workers{sharding}{backing}{frontend})",
         addr.port(),
         ws.graph().num_nodes()
     )
@@ -616,7 +587,6 @@ fn serve_async(
         // flag so the muxer's next sweep shuts the pipeline down even on
         // the error path, where no query ever flipped it.
         shared.draining.store(true, Ordering::SeqCst);
-        shared.ws.flush_batches();
         drop(park_tx);
         accept_error
     })
@@ -647,8 +617,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
 
 /// Read and answer exactly one request line. Increments `served` per
 /// successful query; the query that reaches `max_requests` flips
-/// `draining`, closes any open batch-collection window, and dials the
-/// listener once to wake the blocked acceptor.
+/// `draining` and dials the listener once to wake the blocked acceptor.
 fn serve_one_request(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
@@ -692,12 +661,9 @@ fn serve_one_request(
                     && n >= shared.max_requests
                     && !shared.draining.swap(true, Ordering::SeqCst)
                 {
-                    // Close any open batch window so co-batched peers get
-                    // their answers now instead of waiting out the timer,
-                    // then wake the acceptor blocked in accept() so it can
+                    // Wake the acceptor blocked in accept() so it can
                     // observe the drain; the throwaway connection is
                     // dropped by whichever worker receives it.
-                    ws.flush_batches();
                     let _ = TcpStream::connect(shared.addr);
                     then = Served::Close;
                 }

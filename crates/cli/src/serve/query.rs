@@ -117,7 +117,7 @@ pub(super) struct Answer {
 /// budget and the server's panic isolation. `req.qid` was assigned at
 /// admission and rides the response — error documents included. With
 /// `req.explain` the full execution trace is attached to the document
-/// (and the engine bypasses cache and batcher to produce it live); a
+/// (and the engine bypasses the cache to produce it live); a
 /// `QUERY` that runs traced for the slow-query log keeps its trace off
 /// the wire. The engine counts every refusal it returns, so the budget
 /// and shard-availability counters on `STATS` need no bookkeeping here.

@@ -13,11 +13,10 @@
 //!   fault/overload counters `shed`, `timeouts`, `budget_exhausted`,
 //!   `panics`, `oversized`, `slow_queries`, `shard_unavailable`), the
 //!   `engine` counters, `latency` and `expansions` percentiles, then one
-//!   object per layer — `pool`, `cache`, `shards`, `batch`, `remote`,
+//!   object per layer — `pool`, `cache`, `shards`, `remote`,
 //!   `telemetry`. A layer that is switched off is JSON `null` here and
 //!   absent from `METRICS`: `cache` under `--cache-capacity 0`, `shards`
-//!   under `--shards 1`, `batch` under `--batch-window-us 0`, `remote`
-//!   without remote workers;
+//!   under `--shards 1`, `remote` without remote workers;
 //! * `METRICS` → the same rows in Prometheus text exposition format —
 //!   multiple lines, terminated by a literal `# EOF` line so a
 //!   line-protocol client knows where the response ends;
@@ -54,8 +53,7 @@ use central::metrics::{
     ENGINE_COUNTERS,
 };
 use central::{
-    BatchStats, CacheStats, HistogramSnapshot, MetricsSnapshot, PoolStats, RemoteStats,
-    ShardedStats,
+    CacheStats, HistogramSnapshot, MetricsSnapshot, PoolStats, RemoteStats, ShardedStats,
 };
 use serde_json::{json, Value};
 use std::sync::atomic::Ordering;
@@ -69,7 +67,6 @@ pub(super) struct Snapshot {
     pool: PoolStats,
     cache: Option<CacheStats>,
     shards: Option<ShardedStats>,
-    batch: Option<BatchStats>,
     remote: Option<Remote>,
     memory_mapped: bool,
     served: u64,
@@ -110,7 +107,6 @@ impl Snapshot {
             pool: ws.session_pool().stats(),
             cache: ws.cache_stats(),
             shards: ws.shard_stats(),
-            batch: ws.batch_stats(),
             remote: ws.remote_stats().map(|stats| Remote {
                 stats,
                 breakers: ws
@@ -324,30 +320,6 @@ static SHARDS: &[Row<ShardedStats>] = &[
         .read(|s| s.pools.quarantined.into()),
 ];
 
-/// `batch`: the micro-batcher.
-static BATCH: &[Row<BatchStats>] = &[
-    field("window_us").read(|b| b.window_us.into()),
-    field("max_batch").read(|b| b.max_batch.into()),
-    counter("ws_batch_batches_total", "batches")
-        .help("Micro-batches executed (a solo run counts as a batch of one).")
-        .read(|b| b.batches.into()),
-    counter("ws_batch_queries_total", "queries")
-        .help("Queries fused into micro-batches.")
-        .read(|b| b.queries.into()),
-    counter("ws_batch_enqueued_total", "enqueued")
-        .help("Queries submitted to the micro-batcher.")
-        .read(|b| b.enqueued.into()),
-    counter("ws_batch_delivered_total", "delivered")
-        .help("Outcomes demultiplexed back to submitters.")
-        .read(|b| b.delivered.into()),
-    histogram("ws_batch_size", "size", 1.0)
-        .help("Queries per executed micro-batch.")
-        .read(|b| V::Histogram(&b.size)),
-    histogram("ws_batch_fill_seconds", "fill_us", 1e-6)
-        .help("Collection-window fill time per batch.")
-        .read(|b| V::Histogram(&b.fill_us)),
-];
-
 /// `remote`: the remote-shard coordinator and its fleet.
 static REMOTE: &[Row<Remote>] = &[
     gauge("ws_remote_shards", "shards")
@@ -517,7 +489,6 @@ pub(super) fn stats(s: &Snapshot) -> Value {
     doc.put("pool", block(POOL, Some(&s.pool)));
     doc.put("cache", block(CACHE, s.cache.as_ref()));
     doc.put("shards", block(SHARDS, s.shards.as_ref()));
-    doc.put("batch", block(BATCH, s.batch.as_ref()));
     doc.put("remote", block(REMOTE, s.remote.as_ref()));
     doc.put("telemetry", block(TELEMETRY, Some(s)));
     doc.into()
@@ -536,7 +507,6 @@ pub(super) fn metrics(s: &Snapshot) -> String {
     expose(&mut out, POOL, Some(&s.pool));
     expose(&mut out, CACHE, s.cache.as_ref());
     expose(&mut out, SHARDS, s.shards.as_ref());
-    expose(&mut out, BATCH, s.batch.as_ref());
     expose(&mut out, REMOTE, s.remote.as_ref());
     expose(&mut out, TELEMETRY, Some(s));
     expose(&mut out, SERVER, Some(s));
@@ -609,7 +579,6 @@ mod tests {
         Snapshot {
             cache: Some(CacheStats::default()),
             shards: Some(ShardedStats::default()),
-            batch: Some(BatchStats::default()),
             remote: Some(Remote { breakers: vec![0.0], ..Remote::default() }),
             build_info: "version=\"0\"".into(),
             ..Snapshot::default()
@@ -650,7 +619,7 @@ mod tests {
         let s = every_layer();
         let exposition = metrics(&s);
         let families = families(&exposition);
-        assert!(families.len() >= 50, "every block rendered: {exposition}");
+        assert!(families.len() >= 45, "every block rendered: {exposition}");
         let mut seen = BTreeSet::new();
         for (family, _) in &families {
             let mut chars = family.chars();
@@ -677,7 +646,6 @@ mod tests {
         for (layer, prefix) in [
             ("cache", "ws_cache_lookups"),
             ("shards", "ws_shard_count"),
-            ("batch", "ws_batch_"),
             ("remote", "ws_remote_"),
         ] {
             assert!(doc[layer].is_null(), "{layer}: {doc}");

@@ -242,120 +242,3 @@ fn full_queue_sheds_new_connections() {
     assert!(log.contains("served 2 queries"), "{log}");
     let _ = std::fs::remove_file(path);
 }
-
-/// The batched soak: good clients co-batched with a client that panics
-/// and one that stalls inside the collection window. Panics are demoted
-/// to their own lane (the pre-flight runs under a per-lane
-/// `catch_unwind`), stalls only delay co-batched peers, and every good
-/// answer stays byte-identical to an unbatched, unperturbed baseline.
-///
-/// Deliberately run without `--timeout-ms`: a stalling lane delays its
-/// co-batched peers' already-armed deadline clocks, so a wall-clock
-/// budget would (correctly) trip on victims — graceful degradation, but
-/// not the byte-identity this test pins.
-#[test]
-fn batched_soak_keeps_good_answers_byte_identical() {
-    let path = graph_file("batched-soak");
-    const GOOD_CLIENTS: usize = 4;
-
-    // Baseline: the good sequence alone, unbatched, no faults.
-    let expected: Vec<String> = {
-        let port = free_port();
-        let server = spawn_server(format!(
-            "serve --graph {path} --port {port} --backend seq --workers 4 --max-requests {}",
-            GOOD_QUERIES.len()
-        ));
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let responses = GOOD_QUERIES
-            .iter()
-            .map(|q| normalized(&roundtrip(&mut stream, &mut reader, &format!("QUERY {q}"))))
-            .collect();
-        server.join().unwrap();
-        responses
-    };
-
-    // 3 stalls succeed (no deadline), 3 panics do not; one extra good
-    // query after the accounting check drains the server.
-    let total_served = GOOD_CLIENTS * GOOD_QUERIES.len() + 3 + 1;
-    let port = free_port();
-    let server = spawn_server(format!(
-        "serve --graph {path} --port {port} --backend seq --workers 6 \
-         --batch-window-us 5000 --batch-max 4 --max-requests {total_served}"
-    ));
-
-    // Fault client: panicking queries and 200 ms stalls (the stall fires
-    // inside the batch pre-flight, holding the whole batch open),
-    // interleaved, concurrent with the good clients.
-    let bad = std::thread::spawn(move || {
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut responses = Vec::new();
-        for _ in 0..3 {
-            responses.push(roundtrip(&mut stream, &mut reader, "QUERY fault0panic xml sql"));
-            responses.push(roundtrip(&mut stream, &mut reader, "QUERY fault0sleep200 rdf sql"));
-        }
-        writeln!(stream, "QUIT").unwrap();
-        responses
-    });
-    let good: Vec<std::thread::JoinHandle<Vec<String>>> = (0..GOOD_CLIENTS)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut stream = connect(port);
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
-                let got: Vec<String> = GOOD_QUERIES
-                    .iter()
-                    .map(|q| {
-                        normalized(&roundtrip(&mut stream, &mut reader, &format!("QUERY {q}")))
-                    })
-                    .collect();
-                writeln!(stream, "QUIT").unwrap();
-                got
-            })
-        })
-        .collect();
-
-    for (i, line) in bad.join().unwrap().iter().enumerate() {
-        let doc: serde_json::Value = serde_json::from_str(line).unwrap();
-        if i % 2 == 0 {
-            assert_eq!(doc["error"], "internal", "bad response #{i}: {line}");
-        } else {
-            assert!(line.contains("answers"), "stalled query #{i} failed: {line}");
-        }
-    }
-    for (c, client) in good.into_iter().enumerate() {
-        assert_eq!(
-            client.join().unwrap(),
-            expected,
-            "good client #{c}'s answers changed under batched fault load"
-        );
-    }
-
-    // Exact accounting, checked pre-drain on a fresh connection: three
-    // panics, each demoted to its own lane — the facade session pool is
-    // bypassed on the batched path, so nothing is quarantined there —
-    // no timeouts (no deadline configured), nothing shed, and the
-    // batcher handed back every lane it accepted.
-    let mut stream = connect(port);
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let stats: serde_json::Value =
-        serde_json::from_str(&roundtrip(&mut stream, &mut reader, "STATS")).unwrap();
-    assert_eq!(stats["panics"], 3u64, "{stats}");
-    assert_eq!(stats["timeouts"], 0u64, "{stats}");
-    assert_eq!(stats["shed"], 0u64, "{stats}");
-    assert_eq!(stats["pool"]["quarantined"], 0u64, "{stats}");
-    assert_eq!(stats["pool"]["queries_run"], 0u64, "{stats}");
-    assert_eq!(stats["served"], (total_served - 1) as u64, "{stats}");
-    assert_eq!(stats["batch"]["enqueued"], stats["batch"]["delivered"], "{stats}");
-    assert_eq!(stats["batch"]["size"]["count"], stats["batch"]["batches"], "{stats}");
-    assert!(stats["batch"]["queries"].as_u64().unwrap() >= 1, "{stats}");
-
-    // One more good query reaches --max-requests and drains the server
-    // gracefully, closing any open batch window on the way out.
-    let answer = roundtrip(&mut stream, &mut reader, "QUERY xml sql");
-    assert!(answer.contains("answers"), "{answer}");
-    let log = server.join().unwrap();
-    assert!(log.contains(&format!("served {total_served} queries")), "{log}");
-    assert!(log.contains("batching 5000us x4"), "{log}");
-    let _ = std::fs::remove_file(path);
-}

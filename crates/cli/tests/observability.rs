@@ -206,18 +206,17 @@ fn capture_schema(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> 
 
 #[test]
 fn wire_schema_matches_the_committed_golden() {
-    // The four serving shapes this suite boots — plain, in-process
-    // shards, micro-batching, remote workers — each contribute one
-    // section. The golden was captured from the hand-built documents the
-    // metric table replaced; it is the contract that a renderer change
-    // moved no key, no nesting, no number type and no help text.
+    // The three serving shapes this suite boots — plain, in-process
+    // shards, remote workers — each contribute one section. The golden
+    // was captured from the hand-built documents the metric table
+    // replaced; it is the contract that a renderer change moved no key,
+    // no nesting, no number type and no help text.
     let w = |graph: &kgraph::KnowledgeGraph, index| {
         central::ShardWorker::spawn_local(graph, 2, index, central::shard::DEFAULT_PARTITION_SEED)
     };
     let mut servers = [
         ("plain", boot("golden-plain", |_| String::new())),
         ("shards", boot("golden-shards", |_| "--shards 3".into())),
-        ("batch", boot("golden-batch", |_| "--batch-window-us 200 --batch-max 8".into())),
         (
             "remote",
             boot("golden-remote", |g| {
@@ -252,10 +251,10 @@ fn stats_document_reports_the_layers_and_the_observed_query() {
     let response = request_line(&mut stream, &mut reader, "STATS");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
     // This server runs unsharded: the key is present but null, like a
-    // disabled cache. Batching is off by default, so its block is null
-    // too, and so is the remote-worker block.
+    // disabled cache, and so is the remote-worker block. There is no
+    // micro-batcher, hence no `batch` key at all.
     assert!(doc["shards"].is_null(), "{response}");
-    assert!(doc["batch"].is_null(), "{response}");
+    assert!(doc.get("batch").is_none(), "{response}");
     assert!(doc["remote"].is_null(), "{response}");
 
     // This server runs the default sampler cadence, and the query above
@@ -346,9 +345,8 @@ fn metrics_verb_emits_valid_prometheus_exposition() {
     ] {
         assert!(text.contains(series), "missing series {series}:\n{text}");
     }
-    // Batching is off on this server, so its series are absent entirely
-    // (mirrors the null STATS block) — likewise the remote-worker series.
-    assert!(!text.contains("ws_batch_"), "unexpected batch series:\n{text}");
+    // No remote workers on this server, so their series are absent
+    // entirely (mirrors the null STATS block).
     assert!(!text.contains("ws_remote_"), "unexpected remote series:\n{text}");
     // The connection still serves requests after the multi-line response.
     let response = request_line(&mut stream, &mut reader, "PING");
@@ -578,102 +576,6 @@ fn sharded_server_exposes_per_shard_counters() {
         "ws_shard_notifications_suppressed_total",
         "ws_shard_pool_queries_total",
         "ws_shard_pool_quarantined_total",
-    ] {
-        assert!(text.contains(series), "missing series {series}:\n{text}");
-    }
-    writeln!(stream, "QUIT").unwrap();
-}
-
-#[test]
-fn batched_server_exposes_batch_counters() {
-    // A dedicated --batch-window-us server: the STATS `batch` block
-    // counts the queries and METRICS gains the ws_batch_* series, still
-    // under the same exposition grammar.
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let path = std::env::temp_dir()
-        .join(format!("ws-observability-batched-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    let r = b.add_node("r", "rdf");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    b.add_edge(r, q, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-    std::thread::spawn(move || {
-        let argv: Vec<String> = format!(
-            "serve --graph {path} --port {port} --backend seq --workers 2 \
-             --batch-window-us 200 --batch-max 8"
-        )
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let _ = wikisearch_cli::serve::serve(&args, &mut out);
-    });
-    let mut stream = {
-        let mut connected = None;
-        for _ in 0..150 {
-            if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-                connected = Some(s);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        connected.expect("batched observability server never came up")
-    };
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-
-    // Distinct keyword sets so the result cache never swallows the
-    // second request before it reaches the batcher.
-    for line in ["QUERY xml sql", "QUERY rdf sql"] {
-        let answer = request_line(&mut stream, &mut reader, line);
-        assert!(answer.contains("answers"), "{answer}");
-    }
-
-    let response = request_line(&mut stream, &mut reader, "STATS");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    let batch = &doc["batch"];
-    assert_eq!(batch["window_us"], 200u64, "{response}");
-    assert_eq!(batch["max_batch"], 8u64, "{response}");
-    assert!(batch["batches"].as_u64().unwrap() >= 1, "{response}");
-    assert!(batch["queries"].as_u64().unwrap() >= 2, "{response}");
-    // Demux conservation: everything enqueued behind a leader was handed
-    // back, and every batch recorded its size.
-    assert_eq!(batch["enqueued"], batch["delivered"], "{response}");
-    assert_eq!(batch["size"]["count"], batch["batches"], "{response}");
-
-    writeln!(stream, "METRICS").unwrap();
-    let mut lines: Vec<String> = Vec::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end().to_string();
-        if line == "# EOF" {
-            break;
-        }
-        lines.push(line);
-    }
-    assert_prometheus_grammar(&lines);
-    let text = lines.join("\n");
-    for series in [
-        "ws_batch_batches_total",
-        "ws_batch_queries_total",
-        "ws_batch_enqueued_total",
-        "ws_batch_delivered_total",
-        "ws_batch_size_bucket",
-        "ws_batch_size_sum",
-        "ws_batch_size_count",
-        "ws_batch_fill_seconds_bucket",
-        "ws_batch_fill_seconds_sum",
-        "ws_batch_fill_seconds_count",
     ] {
         assert!(text.contains(series), "missing series {series}:\n{text}");
     }

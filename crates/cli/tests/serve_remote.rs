@@ -456,10 +456,6 @@ fn remote_flag_misuse_is_rejected_up_front() {
             format!("serve --graph {path} --shard-workers 2 --shards 2"),
             "replaces --shards",
         ),
-        (
-            format!("serve --graph {path} --shard-workers 2 --batch-window-us 100"),
-            "--batch-window-us",
-        ),
         (format!("serve --graph {path} --degraded-answers true"), "requires remote"),
         (format!("serve --graph {path} --rpc-retries 2"), "requires remote"),
         (format!("serve --graph {path} --shard-addr not-an-addr"), "--shard-addr"),

@@ -46,15 +46,14 @@ use central::engine::{
 };
 use central::remote::BreakerState;
 use central::{
-    BatchConfig, BatchExecutor, BatchRequest, BatchStats, Batcher, CacheOutcome, CacheStats,
-    CentralGraph, LaneOutcome, MetricsRegistry, MetricsSnapshot, PhaseProfile, QueryBudget,
-    QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteShardedSearch, RemoteStats, SearchError,
-    SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardedSearch, ShardedStats, Telemetry,
-    TraceLevel, MAX_BATCH_LANES,
+    CacheOutcome, CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile,
+    QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteShardedSearch, RemoteStats,
+    SearchError, SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardedSearch, ShardedStats,
+    Telemetry, TraceLevel,
 };
 use kgraph::KnowledgeGraph;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use textindex::{InvertedIndex, ParsedQuery};
 
 /// Periodic telemetry samples the engine's ring retains by default
@@ -134,9 +133,9 @@ pub struct QueryRequest<'a> {
     /// Fleet-wide query ID assigned by the caller at admission
     /// ([`WikiSearch::issue_query_id`]); `None` lets the engine allocate.
     pub qid: Option<u64>,
-    /// Run with [`TraceLevel::Full`], bypassing the result cache and the
-    /// micro-batcher, so [`WikiSearchResult::trace`] always describes a
-    /// *live*, unfused search — the substrate of the server's `EXPLAIN`.
+    /// Run with [`TraceLevel::Full`], bypassing the result cache, so
+    /// [`WikiSearchResult::trace`] always describes a *live* search — the
+    /// substrate of the server's `EXPLAIN`.
     pub explain: bool,
 }
 
@@ -211,15 +210,10 @@ pub struct WikiSearch {
     /// answers are byte-identical either way.
     sharded: Option<ShardedSearch>,
     cache: Option<ResultCache>,
-    /// When `Some`, cache-missing searches flow through the micro-batcher
-    /// ([`central::batch`]): queries arriving within the window fuse into
-    /// one multi-query sweep. Answers are byte-identical either way; only
-    /// the trace's `batch_id`/`co_batched` annotations reveal the fusion.
-    batching: Option<BatchRuntime>,
     /// When `Some`, searches are driven across a fleet of out-of-process
     /// shard workers ([`central::remote`]) instead of any in-process
-    /// executor. Takes precedence over `sharded` and `batching` (the
-    /// serving layer rejects those combinations at configuration time).
+    /// executor. Takes precedence over `sharded` (the serving layer
+    /// rejects that combination at configuration time).
     remote: Option<RemoteShardedSearch>,
     /// Rebuild recipe for `remote` — shard count, address source and
     /// policy knobs — kept so [`WikiSearch::set_backend`] can rebuild the
@@ -236,14 +230,6 @@ pub struct WikiSearch {
     /// Serializes [`Telemetry::note_query`]: the recent-query ring is
     /// single-writer, and searches complete on arbitrary threads.
     recent_note: std::sync::Mutex<()>,
-}
-
-/// The facade's batching layer: the window-bounded collector plus the
-/// executor that runs each closed batch as one fused sweep (or, sharded,
-/// through the scatter-gather coordinator).
-struct BatchRuntime {
-    batcher: Batcher,
-    executor: BatchExecutor,
 }
 
 /// The engine's result cache: normalized-query + params key, `Arc`-shared
@@ -311,7 +297,6 @@ impl WikiSearch {
             sessions: SessionPool::new(),
             sharded: None,
             cache: None,
-            batching: None,
             remote: None,
             remote_config: None,
             metrics: MetricsRegistry::new(),
@@ -372,45 +357,6 @@ impl WikiSearch {
     pub fn set_shards(&mut self, shards: usize) {
         self.sharded = (shards > 1)
             .then(|| ShardedSearch::new(&self.graph, shard_backend(self.backend_kind), shards));
-        self.rebuild_batch_executor();
-    }
-
-    /// Enable micro-batched execution: cache-missing queries arriving
-    /// within `window` of each other (up to `max_batch`, clamped to
-    /// `1..=`[`MAX_BATCH_LANES`]) fuse into one multi-query sweep over a
-    /// shared frontier pass (see [`central::batch`]). A zero `window`
-    /// disables batching entirely and restores the exact unbatched path.
-    /// Answers, stats and traces stay byte-identical either way — only
-    /// the trace's `batch_id`/`co_batched` fields reveal the fusion.
-    pub fn set_batching(&mut self, window: Duration, max_batch: usize) {
-        self.batching = (!window.is_zero() && max_batch > 0).then(|| BatchRuntime {
-            batcher: Batcher::new(BatchConfig::new(window, max_batch.min(MAX_BATCH_LANES))),
-            executor: BatchExecutor::new(shard_backend(self.backend_kind)),
-        });
-    }
-
-    /// A snapshot of the batching-layer counters, `None` while batching
-    /// is disabled.
-    pub fn batch_stats(&self) -> Option<BatchStats> {
-        self.batching.as_ref().map(|b| b.batcher.stats())
-    }
-
-    /// Close any open collection window immediately and keep future
-    /// windows from waiting (server drain): pending submitters run at
-    /// whatever batch size has accumulated.
-    pub fn flush_batches(&self) {
-        if let Some(batching) = &self.batching {
-            batching.batcher.flush();
-        }
-    }
-
-    /// Rebuild the batch executor after a backend or shard change so its
-    /// kernels keep matching the solo path (the batcher and its counters
-    /// survive — collection policy is backend-independent).
-    fn rebuild_batch_executor(&mut self) {
-        if let Some(batching) = &mut self.batching {
-            batching.executor = BatchExecutor::new(shard_backend(self.backend_kind));
-        }
     }
 
     /// Swap the search backend. The result cache (if any) survives the
@@ -436,7 +382,6 @@ impl WikiSearch {
                 *opts,
             ));
         }
-        self.rebuild_batch_executor();
     }
 
     /// Drive every search across a fleet of out-of-process shard workers
@@ -447,9 +392,9 @@ impl WikiSearch {
     /// `addrs` names the workers — a [`central::StaticAddrs`] list for an
     /// externally managed fleet, or a supervisor's live address table —
     /// and `opts` sets the retry/backoff, circuit-breaker, heartbeat and
-    /// degraded-answer policy. Incompatible with micro-batching and
-    /// in-process sharding; the serving layer rejects those flag
-    /// combinations, and this facade gives `remote` precedence.
+    /// degraded-answer policy. Incompatible with in-process sharding; the
+    /// serving layer rejects that flag combination, and this facade gives
+    /// `remote` precedence.
     pub fn set_remote_shards(
         &mut self,
         shards: usize,
@@ -651,26 +596,6 @@ impl WikiSearch {
                     degraded = r.degraded;
                     r.outcome
                 })
-        } else if let (Some(batching), true) = (&self.batching, use_cache) {
-            // Micro-batched path: hand the query to the collector; the
-            // submitter that ends up leading runs the whole batch as one
-            // fused sweep (or lane-by-lane through the shard coordinator)
-            // and demuxes each lane's outcome back. EXPLAIN bypasses
-            // batching along with the cache (`use_cache == false`), so
-            // its trace stays a live unbatched one.
-            let req =
-                BatchRequest { query: query.clone(), params: params.clone(), budget: *budget };
-            let outcome = batching.batcher.submit(req, |reqs| match &self.sharded {
-                Some(sharded) => batching.executor.run_sharded_batch(sharded, &self.graph, &reqs),
-                None => batching.executor.run_batch(&self.graph, &reqs),
-            });
-            match outcome {
-                LaneOutcome::Done(result) => result,
-                // Re-raise a lane panic on the submitter's thread: the
-                // serving layer's catch_unwind accounting sees exactly
-                // what the unbatched path would have thrown at it.
-                LaneOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
-            }
         } else if let Some(sharded) = &self.sharded {
             // Sharded scatter-gather path: the coordinator owns one
             // session per shard in its own pools, so the facade pool is
@@ -1285,20 +1210,19 @@ mod tests {
     fn execute_keeps_both_meanings_of_its_explain_switch() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
-        ws.set_batching(Duration::from_micros(50), 4);
         let traced = ws.params().clone().with_trace(TraceLevel::Full);
-        // explain: false is `search_with_params` bit for bit — through the
-        // batcher on the miss (the trace says so), from the cache after.
+        // explain: false is `search_with_params` bit for bit — a live
+        // search on the miss, from the cache after.
         let conv = ws.search_with_params("xml sql rdf", &traced);
-        assert!(conv.trace.as_deref().unwrap().batch_id.is_some(), "a miss runs batched");
+        assert_eq!(conv.trace.as_deref().unwrap().cache, Some(CacheOutcome::Miss));
         let plain = ws.execute(&QueryRequest::new("sql rdf xml", &traced)).unwrap();
         assert_eq!(plain.trace.as_deref().unwrap().cache, Some(CacheOutcome::Hit));
         let reference = ws.search_with_params("sql rdf xml", &traced);
         assert_eq!(digest(&ws, &plain), digest(&ws, &reference));
         assert_eq!(plain.trace.as_deref().map(|t| &t.engine), Some(&"cache".to_string()));
         // explain: true forces the full trace without being asked, and
-        // touches neither the cache nor the batcher.
-        let (cache, batch) = (ws.cache_stats().unwrap(), ws.batch_stats().unwrap());
+        // does not touch the cache.
+        let cache = ws.cache_stats().unwrap();
         let live = ws
             .execute(&QueryRequest {
                 explain: true,
@@ -1307,10 +1231,8 @@ mod tests {
             .unwrap();
         let trace = live.trace.as_deref().expect("explain traces at any params");
         assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
-        assert_eq!((trace.batch_id, trace.co_batched), (None, None), "EXPLAIN runs unfused");
         assert!(!trace.levels.is_empty(), "a live search ran");
         assert_eq!(ws.cache_stats().unwrap().lookups, cache.lookups);
-        assert_eq!(ws.batch_stats().unwrap().enqueued, batch.enqueued);
         assert_eq!(digest(&ws, &live), digest(&ws, &conv), "same answers either way");
     }
 
@@ -1566,6 +1488,7 @@ mod tests {
     /// Snappy retry/backoff knobs and no heartbeat thread, so tests
     /// exercising dead shards stay fast and deterministic.
     fn test_remote_opts() -> RemoteOptions {
+        use std::time::Duration;
         RemoteOptions {
             attempts: 1,
             backoff_base: Duration::from_millis(1),

@@ -8,7 +8,7 @@
 //! * engine metadata (section 40): the sampled average distance `A`,
 //!   stored as exact `f64` bits.
 //!
-//! Opening ([`WikiSearch::open_snapshot`]) maps the file read-only,
+//! Opening ([`crate::WikiSearch::open_snapshot`]) maps the file read-only,
 //! validates the header page, and assembles the engine over zero-copy
 //! columns — no deserialization, no index rebuild, no distance
 //! re-sampling. The stored `A` is the value the deterministic seeded

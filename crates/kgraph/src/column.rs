@@ -35,18 +35,30 @@ use std::sync::Arc;
 /// mapped bytes *memory-safe* even for a corrupted file.
 pub unsafe trait Pod: Copy + 'static {}
 
+// SAFETY: a primitive integer — no padding, no pointers, fixed layout,
+// every bit pattern a valid value.
 unsafe impl Pod for u8 {}
+// SAFETY: as `u8`.
 unsafe impl Pod for u16 {}
+// SAFETY: as `u8`.
 unsafe impl Pod for u32 {}
+// SAFETY: as `u8`.
 unsafe impl Pod for u64 {}
+// SAFETY: as `u8`.
 unsafe impl Pod for i32 {}
+// SAFETY: as `u8`.
 unsafe impl Pod for i64 {}
+// SAFETY: an IEEE-754 primitive — no padding, no pointers, and every bit
+// pattern is a valid float (NaN payloads included).
 unsafe impl Pod for f32 {}
+// SAFETY: as `f32`.
 unsafe impl Pod for f64 {}
 
 /// View a Pod slice as its raw bytes (for writing snapshot sections).
 pub fn pod_bytes<T: Pod>(data: &[T]) -> &[u8] {
-    // Safety: Pod guarantees no padding and no invalid bit patterns.
+    // SAFETY: `Pod` guarantees `T` has no padding, so all
+    // `size_of_val(data)` bytes behind the pointer are initialized; `u8`
+    // has alignment 1, and the returned slice borrows `data`.
     unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), std::mem::size_of_val(data)) }
 }
 
@@ -116,9 +128,13 @@ impl<T: Pod> Column<T> {
         match &self.inner {
             Inner::Owned(v) => v.as_slice(),
             Inner::Mapped { map, offset_bytes, len } => {
-                // Safety: range and alignment were validated in
-                // `from_mmap`, the mapping is immutable and outlives
-                // `self` via the Arc, and Pod admits every bit pattern.
+                // SAFETY: `Mapped` fields only ever come from `from_mmap`
+                // (`clone` copies them), which checked that
+                // `offset_bytes + len * size_of::<T>()` lies inside the
+                // map and that `offset_bytes` keeps `T`'s alignment from
+                // the page-aligned base; the mapping is immutable and
+                // outlives `self` via the `Arc`; `Pod` admits every bit
+                // pattern, so even a corrupted file yields valid `T`s.
                 unsafe {
                     std::slice::from_raw_parts(map.as_ptr().add(*offset_bytes).cast::<T>(), *len)
                 }

@@ -31,7 +31,8 @@ pub struct Adjacency {
     label_dir: u32,
 }
 
-// Safety: two u32s, repr(C), no padding, every bit pattern valid.
+// SAFETY: `repr(C)` over two `u32`-sized `Pod` fields (`NodeId` is a
+// transparent `u32`) — 8 bytes, no padding, every bit pattern valid.
 unsafe impl Pod for Adjacency {}
 
 impl Adjacency {

@@ -25,8 +25,10 @@ pub struct NodeId(pub u32);
 #[repr(transparent)]
 pub struct LabelId(pub u32);
 
-// Safety: transparent u32 newtypes — no padding, all bit patterns valid.
+// SAFETY: a `repr(transparent)` `u32` newtype — `u32`'s layout, no
+// padding, every bit pattern valid.
 unsafe impl crate::column::Pod for NodeId {}
+// SAFETY: as `NodeId`.
 unsafe impl crate::column::Pod for LabelId {}
 
 impl NodeId {

@@ -22,9 +22,13 @@ pub struct Mmap {
     fallback: Option<Vec<u8>>,
 }
 
-// Safety: the mapping is read-only for its whole lifetime and the fd is
-// not retained, so sharing across threads is sound.
+// SAFETY: `ptr` addresses a `PROT_READ`/`MAP_PRIVATE` mapping (or the
+// owned `fallback` buffer) that nothing writes for the lifetime of the
+// value, the fd is not retained, and `munmap` may run on any thread — so
+// moving the owner to another thread is sound.
 unsafe impl Send for Mmap {}
+// SAFETY: every `&self` method only reads the immutable mapping and the
+// plain `len`/`fallback` fields; there is no interior mutability.
 unsafe impl Sync for Mmap {}
 
 #[cfg(unix)]
@@ -69,8 +73,11 @@ impl Mmap {
     #[cfg(unix)]
     fn map_impl(file: &File, len: usize) -> io::Result<Mmap> {
         use std::os::unix::io::AsRawFd;
-        // Safety: fd is valid for the duration of the call; we request a
-        // fresh read-only private mapping and check the result.
+        // SAFETY: `file` is open, so its fd is valid for the duration of
+        // the call; a null hint with `MAP_PRIVATE | PROT_READ` asks the
+        // kernel for a fresh region and aliases no Rust memory; `len` is
+        // non-zero (checked by the caller) and the result is checked for
+        // `MAP_FAILED` below before it is ever dereferenced.
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -118,8 +125,10 @@ impl Mmap {
     /// The mapped bytes as a slice.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        // Safety: ptr/len describe a live read-only mapping (or owned
-        // buffer) for the lifetime of `self`.
+        // SAFETY: `ptr`/`len` describe a live read-only mapping, the
+        // owned `fallback` buffer, or a dangling-but-aligned pointer with
+        // `len == 0`; all stay valid and unwritten for the lifetime of
+        // `self`, which the returned slice borrows.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -134,8 +143,10 @@ impl Drop for Mmap {
     fn drop(&mut self) {
         #[cfg(unix)]
         if self.len > 0 && self.fallback.is_none() {
-            // Safety: ptr/len came from a successful mmap and are
-            // unmapped exactly once.
+            // SAFETY: `len > 0` without a `fallback` means `ptr`/`len` are
+            // exactly what a successful `mmap` returned; `drop` runs once
+            // and every slice into the mapping borrows `self`, so none
+            // outlives this call.
             unsafe {
                 sys::munmap(self.ptr as *mut std::os::raw::c_void, self.len);
             }
