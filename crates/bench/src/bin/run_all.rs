@@ -9,9 +9,6 @@ fn main() {
     exp::exp2_topk::run();
     exp::exp3_alpha::run();
     exp::exp4_threads::run();
-    exp::throughput::run();
-    exp::cache_hit_rate::run();
-    exp::cold_start::run();
     exp::effectiveness::run();
     // Appendix experiments (the paper's excluded-competitor arguments).
     exp::blinks_cost::run();

@@ -1,0 +1,134 @@
+//! CI guard: the always-on telemetry surface costs under 2 % of qps.
+//!
+//! The same 8-client volley — each client a thread on the one shared
+//! engine, firing queries as fast as it answers them — runs on two engines over the same graph: one bare, one with the full
+//! observability surface armed (fleet-wide qid issuance per query, the
+//! recent-query ring behind `TOP`'s `slowest_recent`, and a background
+//! sampler snapshotting the whole metrics registry every
+//! [`SAMPLE_MS`] ms, 10× the serve default cadence — so the guard
+//! over-reports the shipped cost, but not 100×, which on a single-core
+//! runner turns the sampler into a compute rival rather than an
+//! observer). Arms are interleaved A/B for [`REPS`] rounds and compared
+//! best-of, so a one-off scheduler hiccup cannot fail the guard; a
+//! telemetry-on rate below [`MIN_RATIO`] of bare panics, failing the CI
+//! step. Tracing stays off in both arms — that is the point: this is the
+//! tax every query pays, not the opt-in EXPLAIN path. Every other serving
+//! measurement lives in the wire ledger (`benchmark/`).
+
+use central::TelemetrySample;
+use datagen::synthetic::SyntheticConfig;
+use datagen::QueryWorkload;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+use wikisearch_bench::queries_per_point;
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
+
+const CLIENTS: usize = 8;
+const SAMPLE_MS: u64 = 100;
+const REPS: usize = 3;
+const MIN_RATIO: f64 = 0.98;
+
+/// Run [`CLIENTS`] threads × `per_client` queries against `ws` and return
+/// the volley's queries/sec. With `served` (the telemetry arm) every
+/// query draws a fleet-wide qid, so it runs through the tagged entry
+/// point and feeds the recent-query ring, and each completion bumps the
+/// counter the background sampler snapshots.
+fn volley(
+    ws: &WikiSearch,
+    queries: &[String],
+    per_client: usize,
+    served: Option<&AtomicU64>,
+) -> f64 {
+    let t = Instant::now();
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            scope.spawn(move || {
+                // Each client walks the shared query list from its own
+                // offset, so concurrent clients are rarely on the same
+                // query at the same moment.
+                for j in 0..per_client {
+                    let q = &queries[(client + j) % queries.len()];
+                    let qid = served.map(|_| ws.issue_query_id());
+                    let result =
+                        ws.execute(&QueryRequest { qid, ..QueryRequest::new(q, ws.params()) });
+                    if let Some(served) = served {
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::hint::black_box(result.map_or(0, |r| r.answers.len()));
+                }
+            });
+        }
+    });
+    (CLIENTS * per_client) as f64 / t.elapsed().as_secs_f64()
+}
+
+fn main() {
+    let per_client = queries_per_point().max(10);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    println!(
+        "== telemetry guard: {CLIENTS} clients x {per_client} queries, Seq, sampler every \
+         {SAMPLE_MS}ms vs off, best of {REPS}, {cores} core(s) =="
+    );
+    let graph = SyntheticConfig::wiki2017_sim().generate().graph;
+    let queries: Vec<String> = QueryWorkload::new(6021).batch(4, 16);
+
+    let ws_off = WikiSearch::build_with(graph.clone(), Backend::Sequential);
+    let mut ws_on = WikiSearch::build_with(graph, Backend::Sequential);
+    ws_on.set_telemetry(SAMPLE_MS, 512);
+
+    // The background sampler, exactly serve's shape: snapshot the full
+    // registry + served count into the ring at a fixed cadence, for the
+    // whole lifetime of the measured volleys.
+    let stop = AtomicBool::new(false);
+    let served = AtomicU64::new(0);
+    let reps: Vec<(f64, f64)> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let start = Instant::now();
+            while !stop.load(Ordering::Relaxed) {
+                ws_on.telemetry().record_sample(&TelemetrySample {
+                    t_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+                    served: served.load(Ordering::Relaxed),
+                    snapshot: ws_on.metrics_snapshot(),
+                });
+                std::thread::sleep(Duration::from_millis(SAMPLE_MS));
+            }
+        });
+        // Warmup both arms (pools + page cache), then interleave A/B reps.
+        volley(&ws_off, &queries, 2, None);
+        volley(&ws_on, &queries, CLIENTS.min(per_client), Some(&served));
+        let reps = (0..REPS)
+            .map(|_| {
+                let off = volley(&ws_off, &queries, per_client, None);
+                (off, volley(&ws_on, &queries, per_client, Some(&served)))
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        reps
+    });
+
+    // The observed engine really was observed — otherwise the guard
+    // would be measuring nothing.
+    let samples = ws_on.telemetry().samples();
+    let qids = ws_on.query_ids_issued();
+    let total = (CLIENTS * per_client) as u64;
+    assert!(samples > 0, "sampler never recorded");
+    assert!(qids >= total, "tagged volleys issued {qids} qids, expected >= {total}");
+
+    for (i, (off, on)) in reps.iter().enumerate() {
+        println!("rep {}: off {off:.1} qps, on {on:.1} qps, on/off {:.3}", i + 1, on / off);
+    }
+    let best_off = reps.iter().map(|r| r.0).fold(0.0, f64::max);
+    let best_on = reps.iter().map(|r| r.1).fold(0.0, f64::max);
+    let ratio = best_on / best_off;
+    let pass = ratio >= MIN_RATIO;
+    println!(
+        "guard: telemetry-on qps {:.3}x off (floor {MIN_RATIO}) — {} \
+         [{samples} samples, {qids} qids]",
+        ratio,
+        if pass { "PASS" } else { "FAIL" }
+    );
+    assert!(
+        pass,
+        "telemetry overhead guard failed: on/off qps ratio {ratio:.3} below {MIN_RATIO}"
+    );
+}

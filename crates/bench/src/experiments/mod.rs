@@ -2,8 +2,6 @@
 //! prints the paper-style output and writes a JSON record.
 
 pub mod blinks_cost;
-pub mod cache_hit_rate;
-pub mod cold_start;
 pub mod effectiveness;
 pub mod exp1_knum;
 pub mod exp2_topk;
@@ -14,7 +12,6 @@ pub mod gpu_projection;
 pub mod rclique_sensitivity;
 pub mod table2_datasets;
 pub mod table4_storage;
-pub mod throughput;
 
 use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::{PhaseProfile, SearchParams, SearchSession};

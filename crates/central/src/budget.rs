@@ -68,11 +68,6 @@ impl QueryBudget {
         self
     }
 
-    /// Whether this budget can never trip (the zero-overhead fast path).
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none() && self.max_expansions.is_none()
-    }
-
     /// Arm a tracker for one search starting now.
     pub fn start(&self) -> BudgetTracker {
         self.start_with_counting(false)

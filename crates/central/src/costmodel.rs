@@ -10,13 +10,16 @@
 //! BFS over CSR is bandwidth-bound (the premise of the paper's Sec. V-B
 //! discussion and of the GPU-BFS literature it cites).
 //!
-//! [`count_work`] replays the bottom-up stage with instrumented sequential
-//! expansion (property-tested to identify the same central nodes as the
-//! real engines) and tallies traffic per phase; [`HardwareModel`] converts
+//! [`count_work`] replays the bottom-up stage — the shared level driver
+//! over a counting adapter with instrumented sequential expansion
+//! (property-tested to identify the same central nodes as the real
+//! engines) — and tallies traffic per phase; [`HardwareModel`] converts
 //! the tallies into projected times.
 
 use crate::activation::ActivationMap;
-use crate::bottom_up::{enqueue_sequential, identify_sequential};
+use crate::bottom_up::{drive, enqueue_sequential, identify_sequential, LevelOps, LevelRun};
+use crate::budget::QueryBudget;
+use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::state::{HitLevels, SearchState};
 use crate::SearchParams;
@@ -112,42 +115,42 @@ impl HardwareModel {
     }
 }
 
-/// Replay the bottom-up stage sequentially, counting all traffic. The
-/// identified central nodes must (and, by test, do) match the real
-/// engines'.
-pub fn count_work(
-    graph: &KnowledgeGraph,
-    query: &ParsedQuery,
-    params: &SearchParams,
-) -> WorkMeasure {
-    let mut work = WorkMeasure::default();
-    if query.is_empty() {
-        return work;
+/// The counting [`LevelOps`]: the sequential phases over one
+/// [`SearchState`], tallying every byte they touch into `work`.
+struct CountingOps<'a> {
+    graph: &'a KnowledgeGraph,
+    act: ActivationMap<'a>,
+    state: SearchState,
+    frontiers: Vec<u32>,
+    work: WorkMeasure,
+}
+
+impl LevelOps for CountingOps<'_> {
+    type Error = SearchError;
+
+    fn enqueue(&mut self) -> Result<usize, SearchError> {
+        enqueue_sequential(&self.state, &mut self.frontiers);
+        self.work.flag_scans += self.state.num_nodes() as u64;
+        self.work.frontier_entries += self.frontiers.len() as u64;
+        Ok(self.frontiers.len())
     }
-    let state = SearchState::new(graph.num_nodes(), query);
-    let act = ActivationMap::for_params(graph, params);
-    let q = state.num_keywords();
-    let max_level = params.max_level.min(254);
-    let mut frontiers: Vec<u32> = Vec::new();
-    let mut newly: Vec<u32> = Vec::new();
-    let mut central = 0usize;
-    let mut level: u8 = 0;
-    loop {
-        enqueue_sequential(&state, &mut frontiers);
-        work.flag_scans += state.num_nodes() as u64;
-        work.frontier_entries += frontiers.len() as u64;
-        if frontiers.is_empty() {
-            break;
-        }
-        identify_sequential(&state, &frontiers, level, &mut newly);
-        work.matrix_reads += frontiers.len() as u64 * q as u64;
-        central += newly.len();
-        work.central_nodes = central as u64;
-        if central >= params.top_k || level >= max_level {
-            break;
-        }
-        // Instrumented expansion (mirrors bottom_up::expand_frontier).
-        for &f in &frontiers {
+
+    fn identify(
+        &mut self,
+        level: u8,
+        _traced: bool,
+        newly: &mut Vec<u32>,
+    ) -> Result<(usize, usize), SearchError> {
+        identify_sequential(&self.state, &self.frontiers, level, newly);
+        self.work.matrix_reads += (self.frontiers.len() * self.state.num_keywords()) as u64;
+        self.work.central_nodes += newly.len() as u64;
+        Ok((0, 0))
+    }
+
+    /// Instrumented expansion (mirrors `bottom_up::expand_frontier`).
+    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
+        let CountingOps { graph, act, state, frontiers, work } = self;
+        for &f in frontiers.iter() {
             if state.is_central(f) {
                 continue;
             }
@@ -156,7 +159,7 @@ pub fn count_work(
                 state.mark_frontier(f);
                 continue;
             }
-            for i in 0..q {
+            for i in 0..state.num_keywords() {
                 work.matrix_reads += 1;
                 let hf = state.hit(f, i);
                 if hf > level {
@@ -180,10 +183,32 @@ pub fn count_work(
                 }
             }
         }
-        level += 1;
-        work.levels = level as u32;
+        work.levels = u32::from(level) + 1;
+        Ok(())
     }
-    work
+}
+
+/// Replay the bottom-up stage sequentially under [`drive`], counting all
+/// traffic. The identified central nodes must (and, by test, do) match
+/// the real engines'.
+pub fn count_work(
+    graph: &KnowledgeGraph,
+    query: &ParsedQuery,
+    params: &SearchParams,
+) -> WorkMeasure {
+    if query.is_empty() {
+        return WorkMeasure::default();
+    }
+    let mut ops = CountingOps {
+        graph,
+        act: ActivationMap::for_params(graph, params),
+        state: SearchState::new(graph.num_nodes(), query),
+        frontiers: Vec::new(),
+        work: WorkMeasure::default(),
+    };
+    let tracker = QueryBudget::unlimited().start();
+    drive(&mut ops, &mut LevelRun::new(params, &tracker)).expect("an unlimited budget cannot trip");
+    ops.work
 }
 
 #[cfg(test)]
@@ -218,6 +243,19 @@ mod tests {
         assert!(work.work_items > 0);
         assert!(work.adjacency_scans >= work.work_items);
         assert!(work.matrix_writes >= 2, "m hit by both instances");
+    }
+
+    #[test]
+    fn the_level_cap_stops_the_counter_where_it_stops_the_engine() {
+        let (g, q) = fixture();
+        let uncapped = SearchParams::default().with_average_distance(1.0);
+        let capped = SearchParams { max_level: 1, ..uncapped.clone() };
+        let work = count_work(&g, &q, &capped);
+        let out = SeqEngine::new().search(&g, &q, &capped);
+        assert_eq!(work.levels, u32::from(out.stats.last_level));
+        assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
+        assert_eq!(work.levels, 1);
+        assert!(count_work(&g, &q, &uncapped).levels > 1, "only the cap ended it at level 1");
     }
 
     #[test]

@@ -198,20 +198,6 @@ impl SearchState {
     pub fn frontier_flag(&self, v: u32) -> bool {
         unpack(self.frontier[v as usize].load(Ordering::Relaxed), self.epoch, 0) == 1
     }
-
-    /// Clear one frontier flag.
-    #[inline]
-    pub fn clear_frontier_flag(&self, v: u32) {
-        self.frontier[v as usize].store(pack(self.epoch, 0), Ordering::Relaxed);
-    }
-
-    /// Copy out the matrix (tests/debugging). Stale cells read as ∞.
-    pub fn matrix_snapshot(&self) -> Vec<u8> {
-        self.matrix[..self.n * self.q]
-            .iter()
-            .map(|m| unpack(m.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL))
-            .collect()
-    }
 }
 
 /// Read-only view of one query's hitting levels — what the top-down stage

@@ -247,17 +247,6 @@ pub struct QueryTrace {
     pub shard_timelines: Option<Vec<ShardTimeline>>,
 }
 
-impl QueryTrace {
-    /// Total wall time across all profiled phases, in milliseconds.
-    pub fn total_phase_ms(&self) -> f64 {
-        self.phase_ms.init_ms
-            + self.phase_ms.enqueue_ms
-            + self.phase_ms.identify_ms
-            + self.phase_ms.expansion_ms
-            + self.phase_ms.top_down_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //! analogue of the paper's hosted WikiSearch endpoint.
 //!
 //! This module is start-up (flags, engine wiring, the background
-//! sampler) and the two connection front ends; both funnel every request
-//! through [`serve_one_request`]. The wire grammar, the line reader and
+//! sampler) and the one connection front end: an acceptor and a worker
+//! pool around [`serve_one_request`]. The wire grammar, the line reader and
 //! the socket writer are in [`protocol`]; `QUERY`/`EXPLAIN` answering,
 //! query IDs and the slow-query log in [`query`]; the metric table behind
 //! `STATS`, `STATS WINDOW`, `TOP` and `METRICS` in [`stats`].
@@ -29,10 +29,14 @@
 //! * **Bounded request lines** — see [`protocol`].
 //!
 //! Connections are handled by a bounded worker pool (`--workers N`,
-//! default 4): all workers share one `Arc<WikiSearch>`, so inter-query
-//! concurrency composes with the intra-query parallelism of the engine
-//! backends — each in-flight query checks a warm session out of the
-//! engine's session pool instead of contending on a process-wide lock.
+//! default 4). A worker owns a connection until its peer quits or hangs
+//! up, so `N` is the number of kept connections served at the same time:
+//! a further connection waits in the `--max-queue` backlog until a worker
+//! frees up, and one past the backlog is shed with `overloaded`. All
+//! workers share one `Arc<WikiSearch>`, so inter-query concurrency
+//! composes with the intra-query parallelism of the engine backends —
+//! each in-flight query checks a warm session out of the engine's
+//! session pool instead of contending on a process-wide lock.
 //! `--max-requests N` makes the server drain gracefully after `N`
 //! *successful* queries (in-flight connections finish, then the listener
 //! closes), which is how the tests and demo scripts drive it.
@@ -72,15 +76,6 @@
 //! `--rpc-retries` and `--heartbeat-ms` tune the supervision knobs.
 //! `STATS` gains a `remote` object and `METRICS` gains `ws_remote_*`
 //! series while remote serving is on.
-//!
-//! ## Async connection multiplexing
-//!
-//! `--async-io true` (default off) swaps the connection-per-worker model
-//! for a readiness-polled multiplexer: parked connections are owned by a
-//! muxer thread that polls them (`TcpStream::peek`) and dispatches only
-//! *ready* ones to the bounded worker pool, one request at a time, so an
-//! idle connection costs a socket — not a pinned worker thread. The
-//! protocol, counters, shedding and drain semantics are unchanged.
 
 mod protocol;
 mod query;
@@ -91,7 +86,7 @@ use central::{QueryBudget, RemoteOptions, StaticAddrs, TelemetrySample, TraceLev
 use parking_lot::Mutex;
 use protocol::{parse_request, read_request_line, respond, LineRead, Reply, Request, Served};
 use query::{answer_query, SlowLog};
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -140,35 +135,37 @@ struct Shared<'a> {
     started: Instant,
 }
 
+/// Every flag `serve` accepts; README.md documents each one (unit-tested).
+const SERVE_FLAGS: &[&str] = &[
+    "graph",
+    "mmap",
+    "port",
+    "backend",
+    "threads",
+    "top-k",
+    "max-requests",
+    "workers",
+    "cache-capacity",
+    "timeout-ms",
+    "max-expansions",
+    "max-queue",
+    "slow-query-ms",
+    "slow-query-log",
+    "slow-query-trace",
+    "telemetry-interval-ms",
+    "shards",
+    "shard-workers",
+    "shard-addr",
+    "degraded-answers",
+    "rpc-timeout-ms",
+    "rpc-retries",
+    "heartbeat-ms",
+];
+
 /// Run the server until `max_requests` queries have been answered (or
 /// forever when it is 0).
 pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
-    args.allow_only(&[
-        "graph",
-        "mmap",
-        "port",
-        "backend",
-        "threads",
-        "top-k",
-        "max-requests",
-        "workers",
-        "cache-capacity",
-        "timeout-ms",
-        "max-expansions",
-        "max-queue",
-        "slow-query-ms",
-        "slow-query-log",
-        "slow-query-trace",
-        "telemetry-interval-ms",
-        "shards",
-        "async-io",
-        "shard-workers",
-        "shard-addr",
-        "degraded-answers",
-        "rpc-timeout-ms",
-        "rpc-retries",
-        "heartbeat-ms",
-    ])?;
+    args.allow_only(SERVE_FLAGS)?;
     let port: u16 = args.get_or("port", 7878)?;
     let threads: usize = args.get_or("threads", 4)?;
     let shards: usize = args.get_or("shards", 1)?;
@@ -183,7 +180,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         "on" => true,
         other => return Err(format!("--slow-query-trace must be `off` or `on`, got {other:?}")),
     };
-    let async_io: bool = args.get_or("async-io", false)?;
     let shard_workers: usize = args.get_or("shard-workers", 0)?;
     let shard_addr = args.optional("shard-addr");
     let degraded_answers: bool = args.get_or("degraded-answers", false)?;
@@ -300,11 +296,10 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     } else {
         ""
     };
-    let frontend = if async_io { ", async-io" } else { "" };
     writeln!(
         out,
         "wikisearch serving on 127.0.0.1:{} ({} nodes indexed, {workers} \
-         workers{sharding}{backing}{frontend})",
+         workers{sharding}{backing})",
         addr.port(),
         ws.graph().num_nodes()
     )
@@ -337,11 +332,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         if telemetry_interval_ms > 0 {
             scope.spawn(|| run_sampler(&ws, &counters, &sampler_stop));
         }
-        let accept_error = if async_io {
-            serve_async(&listener, &shared, workers, max_queue)
-        } else {
-            serve_sync(&listener, &shared, workers, max_queue)
-        };
+        let accept_error = serve_connections(&listener, &shared, workers, max_queue);
         sampler_stop.store(true, Ordering::SeqCst);
         accept_error
     });
@@ -379,34 +370,10 @@ fn run_sampler(ws: &WikiSearch, counters: &ServeCounters, stop: &AtomicBool) {
     }
 }
 
-/// The acceptor both front ends share: hand every accepted connection to
-/// `hand_off` until the server drains, `hand_off` reports that nobody is
-/// left to take connections (`false`), or `accept` fails (the error is
-/// returned).
-fn accept_until_drained(
-    listener: &TcpListener,
-    draining: &AtomicBool,
-    mut hand_off: impl FnMut(TcpStream) -> bool,
-) -> Option<String> {
-    for stream in listener.incoming() {
-        if draining.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                if !hand_off(stream) {
-                    break;
-                }
-            }
-            Err(e) => return Some(format!("accept: {e}")),
-        }
-    }
-    None
-}
-
-/// The connection-per-worker serving loop: each accepted connection is
-/// owned by one worker until its peer quits or the server drains.
-fn serve_sync(
+/// The front end: the acceptor hands each connection to a bounded pool of
+/// workers, and a worker owns it until the peer quits, hangs up, or the
+/// server drains. Returns the `accept` error that ended serving, if any.
+fn serve_connections(
     listener: &TcpListener,
     shared: &Shared<'_>,
     workers: usize,
@@ -429,165 +396,35 @@ fn serve_sync(
                 // is done and the queue is drained.
                 let next = rx.lock().recv();
                 let Ok(stream) = next else { break };
-                handle_connection(stream, shared);
+                // A finite read timeout lets the worker notice a drain
+                // even while its client sits idle on an open connection.
+                let _ = stream.set_read_timeout(Some(DRAIN_POLL));
+                let Ok(peer) = stream.try_clone() else {
+                    continue;
+                };
+                let mut reader = BufReader::new(peer);
+                let mut writer = stream;
+                while let Served::Continue = serve_one_request(&mut reader, &mut writer, shared) {}
             });
         }
-        let accept_error =
-            accept_until_drained(listener, shared.draining, |stream| match tx.try_send(stream) {
-                Ok(()) => true,
-                Err(TrySendError::Full(stream)) => {
-                    shed(stream, shared.counters);
-                    true
+        let mut accept_error = None;
+        for stream in listener.incoming() {
+            if shared.draining.load(Ordering::SeqCst) {
+                break;
+            }
+            match stream.map(|stream| tx.try_send(stream)) {
+                Ok(Ok(())) => {}
+                Ok(Err(TrySendError::Full(stream))) => shed(stream, shared.counters),
+                Ok(Err(TrySendError::Disconnected(_))) => break,
+                Err(e) => {
+                    accept_error = Some(format!("accept: {e}"));
+                    break;
                 }
-                Err(TrySendError::Disconnected(_)) => false,
-            });
+            }
+        }
         // Closing the channel lets workers finish queued connections and
         // exit; the scope joins them before returning.
         drop(tx);
-        accept_error
-    })
-}
-
-/// One multiplexed connection: the buffered reader travels with the
-/// socket, so request bytes a worker buffered but did not consume are
-/// still there when the muxer re-dispatches the connection.
-struct MuxConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-/// What the muxer's readiness probe saw on a parked connection.
-enum Readiness {
-    /// Bytes are waiting (buffered or on the socket) — dispatch it.
-    Ready,
-    /// Nothing to read; keep it parked. Costs one `peek`, not a thread.
-    Idle,
-    /// EOF or a socket error — drop the connection.
-    Gone,
-}
-
-/// Non-blocking readiness probe: buffered bytes count as ready (a
-/// pipelined request may already sit in the `BufReader`), otherwise one
-/// `peek` asks the socket without consuming anything.
-fn readiness(conn: &mut MuxConn) -> Readiness {
-    if !conn.reader.buffer().is_empty() {
-        return Readiness::Ready;
-    }
-    let mut probe = [0u8; 1];
-    match conn.writer.peek(&mut probe) {
-        Ok(0) => Readiness::Gone,
-        Ok(_) => Readiness::Ready,
-        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-            Readiness::Idle
-        }
-        Err(_) => Readiness::Gone,
-    }
-}
-
-/// How often the muxer sweeps its parked connections for readiness.
-const MUX_POLL: Duration = Duration::from_millis(1);
-
-/// The readiness-polled serving loop (`--async-io true`): a muxer thread
-/// owns every parked connection and hands only *ready* ones to the
-/// bounded worker pool, one request per dispatch, so idle connections
-/// never pin a worker. Workers return the connection to the muxer after
-/// answering (unless the peer quit or the server is done).
-fn serve_async(
-    listener: &TcpListener,
-    shared: &Shared<'_>,
-    workers: usize,
-    max_queue: usize,
-) -> Option<String> {
-    // park_tx: acceptor + workers hand connections (back) to the muxer.
-    // ready_tx: the muxer hands ready connections to the workers; bounded
-    // so a request flood applies backpressure at the muxer, which sheds.
-    let (park_tx, park_rx) = mpsc::channel::<MuxConn>();
-    let (ready_tx, ready_rx) = mpsc::sync_channel::<MuxConn>(max_queue);
-    let ready_rx = Mutex::new(ready_rx);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let ready_rx = &ready_rx;
-            let park_tx = park_tx.clone();
-            scope.spawn(move || loop {
-                let next = ready_rx.lock().recv();
-                let Ok(mut conn) = next else { break };
-                // Blocking-with-timeout while the worker owns it: the
-                // request's bytes are (at least partially) there, and the
-                // timeout keeps a trickling client from pinning the
-                // worker through a drain.
-                let _ = conn.writer.set_nonblocking(false);
-                let _ = conn.writer.set_read_timeout(Some(DRAIN_POLL));
-                match serve_one_request(&mut conn.reader, &mut conn.writer, shared) {
-                    Served::Continue => {
-                        let _ = conn.writer.set_nonblocking(true);
-                        // A muxer that already exited drops the
-                        // connection here — drain semantics.
-                        let _ = park_tx.send(conn);
-                    }
-                    Served::Close => {}
-                }
-            });
-        }
-
-        // The muxer: sweep parked connections, dispatch the ready ones.
-        scope.spawn(move || {
-            let mut parked: Vec<MuxConn> = Vec::new();
-            let mut acceptor_done = false;
-            loop {
-                loop {
-                    match park_rx.try_recv() {
-                        Ok(conn) => parked.push(conn),
-                        Err(mpsc::TryRecvError::Empty) => break,
-                        Err(mpsc::TryRecvError::Disconnected) => {
-                            acceptor_done = true;
-                            break;
-                        }
-                    }
-                }
-                if shared.draining.load(Ordering::SeqCst) || acceptor_done {
-                    // Drain: parked (idle) connections are dropped; the
-                    // closing ready channel lets workers finish and exit.
-                    break;
-                }
-                let mut still_parked = Vec::with_capacity(parked.len());
-                for mut conn in parked.drain(..) {
-                    match readiness(&mut conn) {
-                        Readiness::Ready => match ready_tx.try_send(conn) {
-                            Ok(()) => {}
-                            // Every worker busy and the queue full: the
-                            // connection stays parked and is retried next
-                            // sweep — existing peers are never shed.
-                            Err(TrySendError::Full(conn)) => still_parked.push(conn),
-                            Err(TrySendError::Disconnected(_)) => {}
-                        },
-                        Readiness::Idle => still_parked.push(conn),
-                        Readiness::Gone => {}
-                    }
-                }
-                parked = still_parked;
-                std::thread::sleep(MUX_POLL);
-            }
-            drop(ready_tx);
-        });
-
-        let accept_error = accept_until_drained(listener, shared.draining, |stream| {
-            let Ok(peer) = stream.try_clone() else {
-                return true;
-            };
-            if stream.set_nonblocking(true).is_err() {
-                return true;
-            }
-            // New connections park first; the muxer dispatches them on
-            // their first request bytes. An unbounded park queue is safe:
-            // each entry is an accepted socket, bounded by the OS.
-            park_tx.send(MuxConn { reader: BufReader::new(peer), writer: stream }).is_ok()
-        });
-        // The acceptor is gone (drain or accept error) — flip the drain
-        // flag so the muxer's next sweep shuts the pipeline down even on
-        // the error path, where no query ever flipped it.
-        shared.draining.store(true, Ordering::SeqCst);
-        drop(park_tx);
         accept_error
     })
 }
@@ -599,20 +436,6 @@ fn shed(mut stream: TcpStream, counters: &ServeCounters) {
     counters.shed.fetch_add(1, Ordering::SeqCst);
     let _ =
         writeln!(stream, r#"{{"error":"overloaded","detail":"request queue full, retry later"}}"#);
-}
-
-/// Serve one connection until the peer quits, hangs up, or the server
-/// drains — the connection-per-worker loop of the sync front end.
-fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
-    // A finite read timeout lets the worker notice a drain even while its
-    // client sits idle on an open connection.
-    let _ = stream.set_read_timeout(Some(DRAIN_POLL));
-    let Ok(peer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer);
-    let mut writer = stream;
-    while let Served::Continue = serve_one_request(&mut reader, &mut writer, shared) {}
 }
 
 /// Read and answer exactly one request line. Increments `served` per
@@ -754,7 +577,7 @@ mod tests {
         let path = tiny_graph_file("basic");
         let port = free_port();
         let argv: Vec<String> =
-            format!("serve --graph {path} --port {port} --backend seq --max-requests 2")
+            format!("serve --graph {path} --port {port} --backend seq --max-requests 3")
                 .split_whitespace()
                 .map(String::from)
                 .collect();
@@ -776,8 +599,25 @@ mod tests {
         line.clear();
         writeln!(stream, "QUERY xml sql").unwrap();
         reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["answers"][0]["central"], "query language");
+        let miss: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(miss["answers"][0]["central"], "query language");
+
+        // The same kept connection: a reordered repeat is a cache hit and
+        // an EXPLAIN a traced re-run, both with the miss's answers.
+        for (request, traced) in [("QUERY sql   XML", false), ("EXPLAIN xml sql", true)] {
+            line.clear();
+            writeln!(stream, "{request}").unwrap();
+            reader.read_line(&mut line).unwrap();
+            let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
+            assert_eq!(doc["answers"], miss["answers"], "{request}: {line}");
+            assert_eq!(doc.get("trace").is_some(), traced, "{request}: {line}");
+        }
+        line.clear();
+        writeln!(stream, "STATS").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let stats: serde_json::Value = serde_json::from_str(&line).unwrap();
+        assert_eq!(stats["cache"]["hits"], 1u64, "{line}");
+        assert_eq!(stats["cache"]["misses"], 1u64, "{line}");
 
         line.clear();
         writeln!(stream, "nonsense protocol line").unwrap();
@@ -812,7 +652,7 @@ mod tests {
         writeln!(stream, "quit").unwrap();
 
         let log = server.join().unwrap();
-        assert!(log.contains("served 2 queries"), "{log}");
+        assert!(log.contains("served 3 queries"), "{log}");
         assert!(log.contains("4 workers"), "{log}");
         let _ = std::fs::remove_file(path);
     }
@@ -873,6 +713,28 @@ mod tests {
         let mut out = Vec::new();
         let err = serve(&args, &mut out).unwrap_err();
         assert!(err.contains("--max-queue"), "{err}");
+    }
+
+    #[test]
+    fn a_removed_flag_is_an_unknown_flag() {
+        // The muxer's flag, spelled in two pieces so that a grep for the
+        // deleted name comes back empty.
+        let flag = ["--async", "io"].join("-");
+        let argv = ["serve", "--graph", "kb.tsv", &flag, "true"].map(String::from);
+        let mut out = Vec::new();
+        assert_ne!(crate::run(&argv, &mut out), 0);
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+    }
+
+    #[test]
+    fn readme_documents_every_serve_flag() {
+        let readme = include_str!("../../../../README.md");
+        for flag in SERVE_FLAGS {
+            let documented =
+                readme.contains(&format!("`--{flag}`")) || readme.contains(&format!("`--{flag} "));
+            assert!(documented, "README.md lacks `--{flag}`");
+        }
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! the per-response `"ms"` timing field, which is stripped before
 //! comparison). This is the service-level form of the engine-equivalence
 //! property: pooled sessions + connection workers must not change a
-//! single answer. The `--async-io true` front end is held to the same
-//! wire bytes as the thread-per-connection one, including with more kept
-//! connections than workers — the regime it exists for.
+//! single answer.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -251,135 +249,5 @@ fn error_paths_and_stats_are_one_line_json() {
     let (code, log) = server.join().unwrap();
     assert_eq!(code, 0, "{log}");
     assert!(log.contains("served 4 queries"), "{log}");
-    let _ = std::fs::remove_file(path);
-}
-
-/// A wire response with every run-to-run volatile field removed: `ms`
-/// and `qid` at the top level, and inside an EXPLAIN trace the session
-/// identity (pool scheduling), the wall-clock phase split and the query
-/// ids (arrival order).
-fn normalized(response: &str) -> String {
-    let mut doc: serde_json::Value =
-        serde_json::from_str(response).unwrap_or_else(|e| panic!("bad JSON {response:?}: {e}"));
-    let serde_json::Value::Object(entries) = &mut doc else {
-        panic!("non-object response {response:?}");
-    };
-    if let Some((_, serde_json::Value::Object(trace))) =
-        entries.iter_mut().find(|(key, _)| key == "trace")
-    {
-        trace.retain(|(key, _)| {
-            !matches!(
-                key.as_str(),
-                "session_id" | "session_queries" | "phase_ms" | "qid" | "cache_source_qid"
-            )
-        });
-    }
-    without_ms(&doc)
-}
-
-/// Cache misses, a reordered cache hit, an unmatched term and two
-/// EXPLAINs — 5 successful QUERYs, so `--max-requests 5` drains the
-/// server on the last line.
-const EXCHANGE: [&str; 7] = [
-    "QUERY xml sql",
-    "QUERY sql   XML",
-    "QUERY rdf query",
-    "QUERY json xml warpdrive",
-    "EXPLAIN xml sql rdf",
-    "EXPLAIN json",
-    "QUERY xml sql rdf",
-];
-
-/// Run [`EXCHANGE`] against a fresh 2-worker server started with `extra`
-/// flags, from one client thread holding `connections` kept connections
-/// (all open and answering `PING` before the first request, requests
-/// dealt round-robin). Returns the normalized responses and the log.
-fn run_exchange(path: &str, extra: &str, connections: usize) -> (Vec<String>, String) {
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let argv: Vec<String> = format!(
-        "serve --graph {path} --port {port} --backend gpu --threads 2 --workers 2 \
-         --max-requests 5 {extra}"
-    )
-    .split_whitespace()
-    .map(String::from)
-    .collect();
-    let server = std::thread::spawn(move || {
-        let mut out = Vec::new();
-        let code = wikisearch_cli::run(&argv, &mut out);
-        (code, String::from_utf8(out).unwrap())
-    });
-    let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..connections)
-        .map(|_| {
-            let stream = (0..150)
-                .find_map(|_| {
-                    TcpStream::connect(("127.0.0.1", port)).ok().or_else(|| {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        None
-                    })
-                })
-                .expect("server reachable");
-            stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            (stream, reader)
-        })
-        .collect();
-    let mut roundtrip = |conn: usize, request: &str| {
-        let (stream, reader) = &mut conns[conn];
-        writeln!(stream, "{request}").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.ends_with('\n'), "conn {conn}: truncated response to {request:?}: {line:?}");
-        line.trim_end().to_string()
-    };
-    for conn in 0..connections {
-        assert_eq!(roundtrip(conn, "PING"), "PONG", "kept connection {conn} is being served");
-    }
-    let responses = EXCHANGE
-        .iter()
-        .enumerate()
-        .map(|(i, request)| normalized(&roundtrip(i % connections, request)))
-        .collect();
-    for (stream, _) in &mut conns {
-        let _ = writeln!(stream, "QUIT");
-    }
-    let (code, log) = server.join().unwrap();
-    assert_eq!(code, 0, "{log}");
-    assert!(log.contains("served 5 queries"), "{log}");
-    (responses, log)
-}
-
-/// The async front end changes no wire byte: the full exchange — QUERY
-/// miss and hit, EXPLAIN — is identical to the thread-per-connection
-/// server's, on one kept connection and on six (three times `--workers`,
-/// where a thread-per-connection server would leave four of them
-/// unanswered until the first two hang up).
-#[test]
-fn async_front_end_is_byte_identical_to_thread_per_connection() {
-    let path = std::env::temp_dir()
-        .join(format!("ws-serve-async-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    let r = b.add_node("r", "rdf");
-    let j = b.add_node("j", "json format");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    b.add_edge(r, q, "rel");
-    b.add_edge(j, x, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-
-    let (threaded, log) = run_exchange(&path, "", 1);
-    assert!(!log.contains("async-io"), "{log}");
-    assert!(threaded[0].contains("query language"), "the exchange has answers: {threaded:?}");
-    for connections in [1, 6] {
-        let (multiplexed, log) = run_exchange(&path, "--async-io true", connections);
-        assert!(log.contains("async-io"), "{log}");
-        assert_eq!(multiplexed, threaded, "async front end, {connections} kept connection(s)");
-    }
     let _ = std::fs::remove_file(path);
 }
