@@ -59,46 +59,97 @@ impl ActivationConfig {
     }
 }
 
-/// Per-query activation oracle: either computed on the fly from node
-/// weights (the paper computes `a_f` from `w_f` and `α` inside the
-/// expansion kernel, Alg. 2 line 4) or an explicit per-node table
-/// (tests, ablations).
-#[derive(Clone)]
-pub enum ActivationMap<'g> {
-    /// Compute from the graph's normalized weights.
-    Computed {
-        /// The graph whose weights are consulted.
-        graph: &'g KnowledgeGraph,
-        /// Mapping parameters.
-        config: ActivationConfig,
-    },
-    /// Explicit per-node levels (length = number of nodes).
-    Explicit(&'g [u8]),
-}
+/// Per-query activation oracle: one level byte per node, so the
+/// per-neighbour tests of Alg. 2 and Theorem V.4 are byte loads. Either a
+/// session's [`ActivationTable`] (Eqs. 3–5 evaluated once per node) or an
+/// explicit per-node table (tests, ablations, shard-localized tables).
+#[derive(Clone, Copy)]
+pub struct ActivationMap<'a>(pub &'a [u8]);
 
-impl<'g> ActivationMap<'g> {
-    /// The oracle a query's `params` ask for over `graph`: the explicit
-    /// table if one was supplied, else Eqs. 3–5 from `α` and `A`.
-    pub fn for_params(graph: &'g KnowledgeGraph, params: &'g crate::SearchParams) -> Self {
-        match &params.explicit_activation {
-            Some(levels) => ActivationMap::Explicit(levels),
-            None => ActivationMap::Computed { graph, config: ActivationConfig::for_params(params) },
-        }
-    }
-
+impl ActivationMap<'_> {
     /// Minimum activation level of `v`.
     #[inline]
     pub fn level(&self, v: NodeId) -> u8 {
-        match self {
-            ActivationMap::Computed { graph, config } => config.level_for_weight(graph.weight(v)),
-            ActivationMap::Explicit(levels) => levels[v.index()],
+        self.0[v.index()]
+    }
+}
+
+/// The level table of one `(graph weights, α, A)`, held by whoever answers
+/// a stream of queries (a [`crate::session::SearchSession`], a shard
+/// coordinator) and rebuilt only when that key changes: Eqs. 3–5 cost a
+/// divide and a `round` per node, once, instead of per neighbour per query.
+///
+/// The weights are keyed by length and a 64-bit fingerprint of their bit
+/// patterns, recomputed per query (integer work, a few µs per 100 k nodes)
+/// — a pointer would go stale when a graph is dropped and another takes
+/// its address.
+#[derive(Default)]
+pub struct ActivationTable {
+    key: Option<(usize, u64, u32, u64)>,
+    levels: Vec<u8>,
+    builds: u64,
+}
+
+impl ActivationTable {
+    /// The levels of `graph`'s nodes under `config`, rebuilt only if the
+    /// previous call's weights or `config` differ.
+    pub fn levels(&mut self, graph: &KnowledgeGraph, config: ActivationConfig) -> &[u8] {
+        let weights = graph.weights();
+        let key = (
+            weights.len(),
+            fingerprint(weights),
+            config.alpha.to_bits(),
+            config.average_distance.to_bits(),
+        );
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.levels.clear();
+            self.levels.extend(weights.iter().map(|&w| config.level_for_weight(w)));
+            self.builds += 1;
         }
+        &self.levels
     }
 
-    /// Materialize all levels (used by the Fig. 3 distribution harness).
-    pub fn table(&self, num_nodes: usize) -> Vec<u8> {
-        (0..num_nodes).map(|i| self.level(NodeId::from_index(i))).collect()
+    /// The oracle a query's `params` ask for over `graph`: the explicit
+    /// table if one was supplied, else this table under `α` and `A`.
+    pub fn for_params<'a>(
+        &'a mut self,
+        graph: &KnowledgeGraph,
+        params: &'a crate::SearchParams,
+    ) -> ActivationMap<'a> {
+        ActivationMap(match &params.explicit_activation {
+            Some(levels) => levels,
+            None => self.levels(graph, ActivationConfig::for_params(params)),
+        })
     }
+
+    /// The levels the last [`ActivationTable::levels`] call left.
+    pub fn current(&self) -> &[u8] {
+        &self.levels
+    }
+
+    /// How many times the table was (re)built — the generation tests
+    /// watch to see that equal keys do not rebuild.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+}
+
+/// Order-sensitive 64-bit fingerprint of the weights' bit patterns, four
+/// independent multiply–rotate lanes wide so it runs at load speed.
+fn fingerprint(weights: &[f32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut lanes = [K; 4];
+    let mut chunks = weights.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, w) in lanes.iter_mut().zip(chunk) {
+            *lane = (lane.rotate_left(5) ^ u64::from(w.to_bits())).wrapping_mul(K);
+        }
+    }
+    for w in chunks.remainder() {
+        lanes[0] = (lanes[0].rotate_left(5) ^ u64::from(w.to_bits())).wrapping_mul(K);
+    }
+    lanes.iter().fold(0, |h, &lane| (h.rotate_left(17) ^ lane).wrapping_mul(K))
 }
 
 /// Histogram of activation levels: counts for levels `0, 1, 2, 3` and a
@@ -234,8 +285,7 @@ mod tests {
     #[test]
     fn explicit_map_reads_table() {
         let levels = vec![5u8, 7, 0];
-        let m = ActivationMap::Explicit(&levels);
+        let m = ActivationMap(&levels);
         assert_eq!(m.level(NodeId(1)), 7);
-        assert_eq!(m.table(3), levels);
     }
 }

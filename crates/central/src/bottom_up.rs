@@ -658,7 +658,7 @@ mod tests {
         let idx = InvertedIndex::build(g);
         let q = ParsedQuery::parse(&idx, raw_query);
         let state = SearchState::new(g.num_nodes(), &q);
-        let act = ActivationMap::Explicit(&activation);
+        let act = ActivationMap(&activation);
         let params = SearchParams::default().with_top_k(top_k);
         let out = drive_seq(g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");
@@ -786,7 +786,7 @@ mod tests {
         let q = ParsedQuery::parse(&idx, "apple banana");
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
-        let act = ActivationMap::Explicit(&activation);
+        let act = ActivationMap(&activation);
         let params = SearchParams { max_level: 6, ..SearchParams::default().with_top_k(5) };
         let out = drive_seq(&g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");
@@ -803,7 +803,7 @@ mod tests {
         let q = ParsedQuery::parse(&idx, "alpha beta");
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
-        let act = ActivationMap::Explicit(&activation);
+        let act = ActivationMap(&activation);
         drive_seq(&g, &state, &act, &SearchParams::default().with_top_k(10), budget)
     }
 
@@ -885,7 +885,7 @@ mod tests {
         let q = ParsedQuery::parse(&idx, "XML RDF SQL");
         assert_eq!(q.num_keywords(), 3);
         let state = SearchState::new(g.num_nodes(), &q);
-        let act = ActivationMap::Explicit(&activation);
+        let act = ActivationMap(&activation);
         let params = SearchParams::default().with_top_k(1);
         let out = drive_seq(&g, &state, &act, &params, QueryBudget::unlimited())
             .expect("unlimited budget");

@@ -16,7 +16,7 @@
 //! engines) — and tallies traffic per phase; [`HardwareModel`] converts
 //! the tallies into projected times.
 
-use crate::activation::ActivationMap;
+use crate::activation::{ActivationMap, ActivationTable};
 use crate::bottom_up::{drive, enqueue_sequential, identify_sequential, LevelOps, LevelRun};
 use crate::budget::QueryBudget;
 use crate::error::SearchError;
@@ -199,9 +199,10 @@ pub fn count_work(
     if query.is_empty() {
         return WorkMeasure::default();
     }
+    let mut table = ActivationTable::default();
     let mut ops = CountingOps {
         graph,
-        act: ActivationMap::for_params(graph, params),
+        act: table.for_params(graph, params),
         state: SearchState::new(graph.num_nodes(), query),
         frontiers: Vec::new(),
         work: WorkMeasure::default(),

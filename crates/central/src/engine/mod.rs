@@ -20,7 +20,6 @@ pub use par_cpu::ParCpuEngine;
 pub use par_dyn::DynParEngine;
 pub use seq::SeqEngine;
 
-use crate::activation::ActivationMap;
 use crate::bottom_up::{self, ExpandCtx, LevelOps, LevelRun, PreFlight};
 use crate::budget::QueryBudget;
 use crate::error::SearchError;
@@ -232,9 +231,9 @@ pub(crate) fn run_matrix_search(
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
     run.profile.init = t.elapsed();
-    let SearchSession { ref state, scratch, top_down: stage2, .. } = session;
+    let SearchSession { ref state, scratch, activation, top_down: stage2, .. } = session;
 
-    let act = ActivationMap::for_params(graph, params);
+    let act = activation.for_params(graph, params);
     let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
     let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;

@@ -201,7 +201,7 @@ impl KeywordSearchEngine for DynParEngine {
         let state = &*state;
         run.profile.init = t.elapsed();
 
-        let act = ActivationMap::for_params(graph, params);
+        let act = session.activation.for_params(graph, params);
         let mut ops = DynOps {
             graph,
             state,

@@ -43,7 +43,6 @@ use super::breaker::{BreakerState, CircuitBreaker};
 use super::frame::write_frame;
 use super::wire;
 use super::worker::expect_frame;
-use crate::activation::ActivationMap;
 use crate::bottom_up::{self, LevelOps, LevelRun, PreFlight};
 use crate::budget::{BudgetTracker, QueryBudget};
 use crate::engine::SearchOutcome;
@@ -52,7 +51,7 @@ use crate::metrics::{HistogramSnapshot, LogHistogram};
 use crate::model::INFINITE_LEVEL;
 use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
 use crate::state::HitLevels;
-use crate::top_down::{self, ScratchPool};
+use crate::top_down::{self, ScratchPool, StageScratch};
 use crate::trace::{ShardSpan, ShardTimeline};
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
@@ -632,9 +631,9 @@ impl RemoteShardedSearch {
         let (rows, timelines) = ops.collect(traced)?;
         drop(ops);
         let hits = RemoteHitLevels { rows, q: query.num_keywords() };
-        let global_act = ActivationMap::for_params(graph, params);
-        let mut outcome = self.scratch.with(|scratch| {
-            run.finish(&self.name, graph, &hits, None, scratch, |j, sink| {
+        let mut outcome = self.scratch.with(|StageScratch { activation, top_down }| {
+            let global_act = activation.for_params(graph, params);
+            run.finish(&self.name, graph, &hits, None, top_down, |j, sink| {
                 top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
             })
         })?;

@@ -25,7 +25,7 @@
 
 use super::frame::{read_frame, write_frame};
 use super::wire::{self, Hello};
-use crate::activation::ActivationConfig;
+use crate::activation::{ActivationConfig, ActivationMap, ActivationTable};
 use crate::bottom_up::BottomUpScratch;
 use crate::model::INFINITE_LEVEL;
 use crate::shard::{ShardBackend, ShardLane, ShardPart, ShardPlan};
@@ -173,6 +173,8 @@ struct Conn<'w> {
     greeted: bool,
     state: SearchState,
     scratch: BottomUpScratch,
+    /// The part's activation levels under the last query's `α` and `A`.
+    activation: ActivationTable,
     query: Option<QueryCtx>,
     /// Lazily built kernel pool, rebuilt when a query asks for a
     /// different thread count.
@@ -183,8 +185,8 @@ struct Conn<'w> {
 struct QueryCtx {
     q: usize,
     backend: ShardBackend,
-    config: ActivationConfig,
-    /// Explicit activation table remapped onto this shard's locals.
+    /// Explicit activation table remapped onto this shard's locals
+    /// (else the connection's [`ActivationTable`] applies).
     local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
@@ -241,6 +243,7 @@ impl<'w> Conn<'w> {
             greeted: false,
             state: SearchState::empty(),
             scratch: BottomUpScratch::default(),
+            activation: ActivationTable::default(),
             query: None,
             pool: None,
         }
@@ -362,12 +365,14 @@ impl<'w> Conn<'w> {
             }
         };
         let local_act = part.localize_activation(start.activation.as_deref());
+        if local_act.is_none() {
+            self.activation.levels(&part.graph, ActivationConfig::for_params(&start.params));
+        }
         // Spans are recorded only when the coordinator asked for them.
         let traced = start.spans == Some(true);
         self.query = Some(QueryCtx {
             q: query.num_keywords(),
             backend,
-            config: ActivationConfig::for_params(&start.params),
             local_act,
             // Unlimited counting tracker: budgets are the coordinator's
             // job; this one only meters charges for `ExpandOk::charged`.
@@ -389,7 +394,7 @@ impl<'w> Conn<'w> {
         let lane = ShardLane {
             part,
             state: &self.state,
-            act: part.activation(ctx.local_act.as_deref(), ctx.config),
+            act: ActivationMap(ctx.local_act.as_deref().unwrap_or(self.activation.current())),
             backend: ctx.backend,
             budget: &ctx.tracker,
             scratch: &mut self.scratch,

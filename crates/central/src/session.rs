@@ -22,6 +22,7 @@
 //! [`crate::pool::SessionPool`] (as `wikisearch-engine` does) or keep one
 //! session per worker.
 
+use crate::activation::ActivationTable;
 use crate::bottom_up::BottomUpScratch;
 use crate::engine::par_dyn::DynState;
 use crate::state::SearchState;
@@ -58,6 +59,9 @@ pub struct SearchSession {
     pub(crate) state: SearchState,
     /// Driver queue buffers (frontier queue, per-level identifications).
     pub(crate) scratch: BottomUpScratch,
+    /// The activation levels of the graph this session last searched,
+    /// rebuilt only when the graph's weights, `α` or `A` change.
+    pub(crate) activation: ActivationTable,
     /// Top-down working memory, one entry per thread that ever ran the
     /// stage for this session; empty until the first search reaches it.
     pub(crate) top_down: Vec<TopDownScratch>,
@@ -119,9 +123,13 @@ mod tests {
         assert_eq!(first.answers[0].nodes, second.answers[0].nodes);
     }
 
-    /// Top-down scratch reuse: A, B, A through one session (each engine)
+    /// Scratch and table reuse: A, B, A through one session (each engine)
     /// and one 2-shard coordinator answer exactly like fresh ones — B's
-    /// memo and marks must not leak into the second A, nor A's into B.
+    /// memo and marks must not leak into the second A, nor A's into B —
+    /// and so does a walk through two `(α, A)` settings, an explicit
+    /// table and a second graph of equal node count but other weights: a
+    /// session never serves a stale activation table, and never rebuilds
+    /// one whose key did not change.
     #[test]
     fn top_down_scratch_reuse_matches_fresh_state() {
         use crate::engine::{digest, DynParEngine, GpuStyleEngine, ParCpuEngine};
@@ -137,6 +145,26 @@ mod tests {
             [&a, &b, &a].iter().map(|raw| ParsedQuery::parse(&idx, raw)).collect();
         let params = SearchParams::default().with_average_distance(2.5).with_top_k(6);
 
+        // The same nodes and edges under mirrored weights.
+        let mut mirrored = g.clone();
+        mirrored.override_weights(
+            g.raw_weights().to_vec(),
+            g.weights().iter().map(|w| 1.0 - w).collect(),
+        );
+        let other = params.clone().with_alpha(0.4).with_average_distance(3.5);
+        let explicit = params
+            .clone()
+            .with_explicit_activation((0..g.num_nodes()).map(|v| (v % 4) as u8).collect());
+        // (graph, params, table builds once this step has run).
+        let steps = [
+            (&g, &params, 1),
+            (&g, &other, 2),
+            (&g, &explicit, 2),
+            (&mirrored, &params, 3),
+            (&g, &params, 4),
+            (&g, &params, 4),
+        ];
+
         let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
             Box::new(SeqEngine::new()),
             Box::new(ParCpuEngine::new(2)),
@@ -146,6 +174,12 @@ mod tests {
         let fresh: Vec<String> =
             queries.iter().map(|q| digest(&engines[0].search(&g, q, &params))).collect();
         assert!(fresh.iter().all(|d| d.contains("[c:")), "both queries must have answers");
+        let fresh_steps: Vec<String> = steps
+            .iter()
+            .map(|&(graph, params, _)| digest(&engines[0].search(graph, &queries[0], params)))
+            .collect();
+        assert_ne!(fresh_steps[0], fresh_steps[1], "the settings must matter");
+        assert_ne!(fresh_steps[0], fresh_steps[3], "the weights must matter");
         for engine in &engines {
             let mut session = SearchSession::new();
             for (q, want) in queries.iter().zip(&fresh) {
@@ -153,12 +187,25 @@ mod tests {
                 assert_eq!(&digest(&out), want, "{}", engine.name());
             }
             assert!(!session.top_down.is_empty(), "the stage keeps its scratch in the session");
+            let built = session.activation.builds();
+            for (&(graph, params, builds), want) in steps.iter().zip(&fresh_steps) {
+                let out = engine.search_session(&mut session, graph, &queries[0], params);
+                assert_eq!(&digest(&out), want, "{}", engine.name());
+                assert_eq!(session.activation.builds(), built - 1 + builds, "{}", engine.name());
+            }
         }
 
         let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
         for (q, want) in queries.iter().zip(&fresh) {
             let out = sharded.try_search(&g, q, &params, &QueryBudget::unlimited());
             assert_eq!(&digest(&out.expect("unlimited budget")), want, "2 shards");
+        }
+        // Pooled shard sessions and the coordinator's own table.
+        for (&(graph, params, _), want) in steps.iter().zip(&fresh_steps) {
+            if std::ptr::eq(graph, &g) {
+                let out = sharded.try_search(&g, &queries[0], params, &QueryBudget::unlimited());
+                assert_eq!(&digest(&out.expect("unlimited budget")), want, "2 shards");
+            }
         }
     }
 

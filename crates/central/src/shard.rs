@@ -108,7 +108,7 @@ use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
 use crate::session::SearchSession;
 use crate::state::{HitLevels, SearchState};
-use crate::top_down::{self, ScratchPool};
+use crate::top_down::{self, ScratchPool, StageScratch};
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use std::collections::HashMap;
@@ -181,20 +181,6 @@ impl ShardPart {
     /// local ids.
     pub(crate) fn localize_activation(&self, levels: Option<&[u8]>) -> Option<Vec<u8>> {
         levels.map(|levels| self.locals.iter().map(|&v| levels[v as usize]).collect())
-    }
-
-    /// The activation oracle of this shard for a query: the localized
-    /// explicit table, else Eqs. 3–5 over the local sub-graph (whose
-    /// weights are the global ones).
-    pub(crate) fn activation<'a>(
-        &'a self,
-        local_act: Option<&'a [u8]>,
-        config: ActivationConfig,
-    ) -> ActivationMap<'a> {
-        match local_act {
-            Some(table) => ActivationMap::Explicit(table),
-            None => ActivationMap::Computed { graph: &self.graph, config },
-        }
     }
 }
 
@@ -663,11 +649,17 @@ impl ShardedSearch {
             .iter_mut()
             .zip(self.plan.parts.iter().zip(&local_acts))
             .map(|(session, (part, local_act))| {
-                let SearchSession { state, scratch, .. } = &mut **session;
+                let SearchSession { state, scratch, activation, .. } = &mut **session;
                 parking_lot::Mutex::new(ShardLane {
                     part,
                     state,
-                    act: part.activation(local_act.as_deref(), config),
+                    // The localized explicit table, else the shard
+                    // session's own over the local sub-graph (whose
+                    // weights are the global ones).
+                    act: ActivationMap(match local_act {
+                        Some(levels) => levels,
+                        None => activation.levels(&part.graph, config),
+                    }),
                     backend: self.backend,
                     budget: &tracker,
                     scratch,
@@ -679,14 +671,14 @@ impl ShardedSearch {
 
         // Top-down over the *global* graph, routing hitting levels to the
         // owning shard — byte-for-byte the monolithic stage.
-        let global_act = ActivationMap::for_params(graph, params);
         let hits = ShardedHitLevels {
             plan: &self.plan,
             states: ops.lanes.iter().map(|l| l.lock().state).collect(),
             q: query.num_keywords(),
         };
-        self.scratch.with(|scratch| {
-            run.finish(&self.name, graph, &hits, Some(&self.compute), scratch, |j, sink| {
+        self.scratch.with(|StageScratch { activation, top_down }| {
+            let global_act = activation.for_params(graph, params);
+            run.finish(&self.name, graph, &hits, Some(&self.compute), top_down, |j, sink| {
                 top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
             })
         })

@@ -34,7 +34,7 @@
 //!   containment dedup run on those records; phase B builds a full
 //!   [`CentralGraph`] for the ≤ `top_k` survivors only.
 
-use crate::activation::ActivationMap;
+use crate::activation::{ActivationMap, ActivationTable};
 use crate::budget::BudgetTracker;
 use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
 use crate::state::HitLevels;
@@ -505,16 +505,24 @@ impl TopDownScratch {
     }
 }
 
+/// What a top-down stage over the *global* graph keeps between queries:
+/// the graph's activation table and the stage's working memory.
+#[derive(Default)]
+pub(crate) struct StageScratch {
+    pub(crate) activation: ActivationTable,
+    pub(crate) top_down: Vec<TopDownScratch>,
+}
+
 /// Freelist of scratch sets for an owner that runs top-down stages through
 /// `&self` with no session of its own to keep them in: the shard
 /// coordinators (whose stage runs over the *global* graph). A set
 /// abandoned by a panicking stage is simply dropped.
 #[derive(Default)]
-pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<Vec<TopDownScratch>>>);
+pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<StageScratch>>);
 
 impl ScratchPool {
     /// Run `stage` with a pooled (or fresh, empty) scratch set.
-    pub(crate) fn with<R>(&self, stage: impl FnOnce(&mut Vec<TopDownScratch>) -> R) -> R {
+    pub(crate) fn with<R>(&self, stage: impl FnOnce(&mut StageScratch) -> R) -> R {
         let mut set = self.0.lock().pop().unwrap_or_default();
         let result = stage(&mut set);
         self.0.lock().push(set);
@@ -992,7 +1000,7 @@ mod tests {
         let q = ParsedQuery::parse(&idx, raw);
         let state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
-        let act = ActivationMap::Explicit(&activation);
+        let act = ActivationMap(&activation);
         let tracker = crate::budget::QueryBudget::unlimited().start();
         let mut frontiers = Vec::new();
         let mut ops = MatrixOps {
@@ -1261,7 +1269,7 @@ mod tests {
             }
             cases += 1;
             let state = SearchState::new(g.num_nodes(), &q);
-            let act = ActivationMap::Explicit(&case.activation);
+            let act = ActivationMap(&case.activation);
             let tracker = QueryBudget::unlimited().start();
             let mut frontiers = Vec::new();
             let mut ops = MatrixOps {
@@ -1338,7 +1346,7 @@ mod tests {
         let idx = InvertedIndex::build(&g);
         let q = ParsedQuery::parse(&idx, "alpha omega");
         let state = SearchState::new(g.num_nodes(), &q);
-        let act = ActivationMap::Explicit(&[0; 12]);
+        let act = ActivationMap(&[0; 12]);
         let params = SearchParams::default();
         let live = QueryBudget::unlimited().start();
         let mut frontiers = Vec::new();
