@@ -30,7 +30,7 @@
 
 use crate::activation::ActivationMap;
 use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::{SearchOutcome, SearchStats};
+use crate::engine::{claim_runs, SearchOutcome, SearchStats, FRONTIER_CLAIM};
 use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::profile::PhaseProfile;
@@ -136,12 +136,12 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
 
 /// Run one level's expansion procedure over `frontiers` under `backend`'s
 /// scheduling — the one backend → kernel-granularity mapping: sequential
-/// per frontier, one rayon task per frontier (CPU-Par's coarse grain), or
-/// one task per `(frontier, instance)` work item (the GPU warp grid).
-/// Parallel schedulings run inside `pool` when given, else in the caller's
-/// ambient pool (in-process shard lanes already sit inside the
-/// coordinator's fork-join); the sequential one never leaves the caller's
-/// thread.
+/// per frontier, frontiers claimed in short runs by the pool's threads
+/// (CPU-Par's coarse grain, "dynamically scheduled"), or one task per
+/// `(frontier, instance)` work item (the GPU warp grid). Parallel
+/// schedulings run inside `pool` when given, else on the caller's thread
+/// (in-process shard lanes already sit inside the coordinator's
+/// fork-join); the sequential one never leaves it.
 pub fn expand_level(
     backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
@@ -149,25 +149,27 @@ pub fn expand_level(
     frontiers: &[u32],
     level: u8,
 ) {
-    let q = ctx.state.num_keywords();
-    let sweep = || match backend {
+    let expand_run = |_worker, run: std::ops::Range<usize>| {
+        frontiers[run].iter().for_each(|&f| expand_frontier(ctx, f, level));
+        true
+    };
+    match backend {
         ShardBackend::Seq | ShardBackend::DynPar(_) => {
-            for &f in frontiers {
-                expand_frontier(ctx, f, level);
+            expand_run(0, 0..frontiers.len());
+        }
+        ShardBackend::ParCpu(_) => claim_runs(pool, frontiers.len(), FRONTIER_CLAIM, expand_run),
+        ShardBackend::GpuStyle(_) => {
+            let q = ctx.state.num_keywords();
+            let grid = || {
+                (0..frontiers.len() * q)
+                    .into_par_iter()
+                    .for_each(|w| expand_work_item(ctx, frontiers[w / q], w % q, level));
+            };
+            match pool {
+                Some(pool) => pool.install(grid),
+                None => grid(),
             }
         }
-        ShardBackend::ParCpu(_) => {
-            frontiers.par_iter().for_each(|&f| expand_frontier(ctx, f, level));
-        }
-        ShardBackend::GpuStyle(_) => {
-            (0..frontiers.len() * q)
-                .into_par_iter()
-                .for_each(|w| expand_work_item(ctx, frontiers[w / q], w % q, level));
-        }
-    };
-    match pool {
-        Some(pool) if backend.parallel() => pool.install(sweep),
-        _ => sweep(),
     }
 }
 

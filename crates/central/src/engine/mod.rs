@@ -31,6 +31,8 @@ use crate::top_down;
 use crate::trace::QueryTrace;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use textindex::ParsedQuery;
 
@@ -240,6 +242,47 @@ pub(crate) fn run_matrix_search(
     run.finish(name, graph, state, pool, stage2, |j, sink| {
         top_down::hitting_path_preds(graph, &act, state, j, sink)
     })
+}
+
+/// Candidates a top-down worker claims at a time: small, so a run of
+/// expensive candidates spreads over the pool, yet large enough to keep
+/// the cursor cold.
+pub(crate) const CANDIDATE_CLAIM: usize = 4;
+
+/// Frontiers a CPU-Par expansion worker claims at a time: a frontier costs
+/// `q` adjacency scans, a hub's thousands of times a leaf's, so the run is
+/// short enough that no worker ends a level holding the last hubs.
+pub(crate) const FRONTIER_CLAIM: usize = 16;
+
+/// Sec. V-C's dynamic schedule (OpenMP `schedule(dynamic, claim)`): the
+/// threads of `pool` — or the caller alone, without one — claim runs of
+/// `claim` consecutive indices of `0..len` from one atomic cursor and hand
+/// each to `work(worker, run)`, until the cursor runs dry or `work` says
+/// `false` (that worker stops). The rayon shim's `par_iter` would cut
+/// `0..len` into one static block per thread, and a skewed level or cohort
+/// would leave all but one idle.
+pub(crate) fn claim_runs(
+    pool: Option<&rayon::ThreadPool>,
+    len: usize,
+    claim: usize,
+    work: impl Fn(usize, std::ops::Range<usize>) -> bool + Sync,
+) {
+    // The cursor hands out indices into shared, immutable input and
+    // publishes nothing else, so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let drain = |worker: usize| loop {
+        let from = cursor.fetch_add(claim, Ordering::Relaxed);
+        if from >= len || !work(worker, from..(from + claim).min(len)) {
+            return;
+        }
+    };
+    let workers = pool.map_or(1, |p| p.current_num_threads()).min(len.div_ceil(claim));
+    match pool {
+        Some(pool) if workers > 1 => {
+            pool.install(|| (0..workers).into_par_iter().for_each(drain));
+        }
+        _ => drain(0),
+    }
 }
 
 /// Build a rayon pool with exactly `threads` workers.

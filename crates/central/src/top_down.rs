@@ -36,14 +36,13 @@
 
 use crate::activation::{ActivationMap, ActivationTable};
 use crate::budget::BudgetTracker;
+use crate::engine::{claim_runs, CANDIDATE_CLAIM};
 use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
 use crate::state::HitLevels;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
-use rayon::prelude::*;
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where a predecessor oracle reports one node's hitting-path
 /// predecessors: `(keyword, predecessor)` pairs in any order, duplicates
@@ -591,11 +590,6 @@ fn select_top_k(mut ranked: Vec<Ranked<'_>>, params: &SearchParams) -> Vec<(u32,
         .collect()
 }
 
-/// Candidates a worker claims from the shared cursor at a time: small, so
-/// a run of expensive candidates spreads over the pool (Sec. V-C's
-/// dynamic schedule), yet large enough to keep the cursor cold.
-const CLAIM: usize = 4;
-
 /// The top-down stage over `cohort` (`(central, depth)`, shallowest
 /// first): phase A scores every candidate — pool threads claiming small
 /// batches from one atomic cursor, each with its own scratch —, the
@@ -615,40 +609,22 @@ where
     if cohort.is_empty() {
         return Some(Vec::new());
     }
-    let workers = pool
-        .map_or(1, |p| p.current_num_threads())
-        .clamp(1, cohort.len().div_ceil(CLAIM));
+    let workers = pool.map_or(1, |p| p.current_num_threads());
     if scratch.len() < workers {
         scratch.resize_with(workers, TopDownScratch::default);
     }
     let scratch = &mut scratch[..workers];
+    scratch.iter_mut().for_each(|s| s.begin_query(cx.graph.num_nodes()));
 
-    // The cursor hands out indices into the shared, immutable cohort and
-    // publishes nothing else, so `Relaxed` suffices.
-    let cursor = AtomicUsize::new(0);
-    let score_claims = |s: &mut TopDownScratch| {
-        s.begin_query(cx.graph.num_nodes());
-        loop {
-            let from = cursor.fetch_add(CLAIM, Ordering::Relaxed);
-            let Some(claim) = cohort.get(from..(from + CLAIM).min(cohort.len())) else {
-                return;
-            };
-            for &(central, depth) in claim {
-                if cx.tracker.should_stop() || cx.score_candidate(s, central.0, depth).is_none() {
-                    return;
-                }
-            }
-        }
-    };
-    match pool {
-        Some(pool) if workers > 1 => {
-            let slots: Vec<_> = scratch.iter_mut().map(parking_lot::Mutex::new).collect();
-            pool.install(|| {
-                (0..workers).into_par_iter().for_each(|w| score_claims(&mut slots[w].lock()));
-            });
-        }
-        _ => score_claims(&mut scratch[0]),
-    }
+    // Each worker scores into its own scratch; the locks are uncontended.
+    let slots: Vec<_> = scratch.iter_mut().map(parking_lot::Mutex::new).collect();
+    claim_runs(pool, cohort.len(), CANDIDATE_CLAIM, |worker, run| {
+        let s = &mut *slots[worker].lock();
+        cohort[run].iter().all(|&(central, depth)| {
+            !cx.tracker.should_stop() && cx.score_candidate(s, central.0, depth).is_some()
+        })
+    });
+    drop(slots);
     // Workers stop early only on a tripped budget, which is sticky.
     if cx.tracker.cancelled() {
         return None;
