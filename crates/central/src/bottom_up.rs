@@ -558,7 +558,7 @@ impl<'a> LevelRun<'a> {
                 .error()
                 .expect("a stopped top-down stage implies a tripped budget"));
         };
-        profile.top_down = t.elapsed();
+        profile.top_down += t.elapsed();
 
         let trace = self.records.map(|levels| {
             Box::new(QueryTrace {

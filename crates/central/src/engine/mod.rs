@@ -233,14 +233,18 @@ pub(crate) fn run_matrix_search(
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
     run.profile.init = t.elapsed();
-    let SearchSession { ref state, scratch, activation, top_down: stage2, .. } = session;
+    let SearchSession { ref state, scratch, activation, levels, top_down: stage2, .. } = session;
 
     let act = activation.for_params(graph, params);
     let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
     let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;
-    run.finish(name, graph, state, pool, stage2, |j, sink| {
-        top_down::hitting_path_preds(graph, &act, state, j, sink)
+    // Stage 2 reads `M` as bytes; the copy is its first step.
+    let t = Instant::now();
+    let hits = &state.byte_levels(levels);
+    run.profile.top_down = t.elapsed();
+    run.finish(name, graph, hits, pool, stage2, |j, sink| {
+        top_down::hitting_path_preds(graph, &act, hits, j, sink)
     })
 }
 

@@ -62,6 +62,9 @@ pub struct SearchSession {
     /// The activation levels of the graph this session last searched,
     /// rebuilt only when the graph's weights, `α` or `A` change.
     pub(crate) activation: ActivationTable,
+    /// The finished `M` as bytes, row-major `n × q`: what the top-down
+    /// stage of a matrix engine reads ([`SearchState::byte_levels`]).
+    pub(crate) levels: Vec<u8>,
     /// Top-down working memory, one entry per thread that ever ran the
     /// stage for this session; empty until the first search reaches it.
     pub(crate) top_down: Vec<TopDownScratch>,

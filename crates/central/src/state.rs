@@ -261,6 +261,56 @@ impl HitLevels for SearchState {
     }
 }
 
+/// The finished `M` of a matrix search as plain bytes — what the top-down
+/// stage reads instead of the epoch-stamped atomic cells: a row is `q`
+/// contiguous bytes. Keyword-node and central flags still come from the
+/// state (one cell per node, not per neighbour row).
+pub struct ByteLevels<'a> {
+    state: &'a SearchState,
+    rows: &'a [u8],
+}
+
+impl SearchState {
+    /// Copy this query's `M` into `block` (row-major `n × q` bytes, one
+    /// streaming pass of the order of one enqueue scan) and view the state
+    /// through it. Taken once the bottom-up stage has finished: nothing
+    /// writes `M` afterwards, and nothing reads the cells again.
+    pub fn byte_levels<'a>(&'a self, block: &'a mut Vec<u8>) -> ByteLevels<'a> {
+        let epoch = self.epoch;
+        block.clear();
+        block.extend(
+            self.matrix[..self.n * self.q]
+                .iter()
+                .map(|cell| unpack(cell.load(Ordering::Relaxed), epoch, INFINITE_LEVEL)),
+        );
+        ByteLevels { state: self, rows: block }
+    }
+}
+
+impl HitLevels for ByteLevels<'_> {
+    #[inline]
+    fn num_keywords(&self) -> usize {
+        self.state.q
+    }
+    #[inline]
+    fn hit(&self, v: u32, i: usize) -> u8 {
+        self.rows[v as usize * self.state.q + i]
+    }
+    #[inline]
+    fn row(&self, v: u32, out: &mut [u8]) {
+        let q = self.state.q;
+        out.copy_from_slice(&self.rows[v as usize * q..][..q]);
+    }
+    #[inline]
+    fn is_keyword_node(&self, v: u32) -> bool {
+        self.state.is_keyword_node(v)
+    }
+    #[inline]
+    fn central_depth(&self, v: u32) -> Option<u8> {
+        self.state.central_depth(v)
+    }
+}
+
 /// The cell writes of the bottom-up stage, on top of the [`HitLevels`]
 /// reads. Every write is the racing-equal-values kind Theorem V.2 covers —
 /// a plain store suffices — hence `&self`.

@@ -46,8 +46,8 @@ use std::ops::Range;
 
 /// Where a predecessor oracle reports one node's hitting-path
 /// predecessors: `(keyword, predecessor)` pairs in any order, duplicates
-/// allowed (multi-edges). Also holds the stage's two `M`-row buffers (the
-/// Theorem V.4 oracle's, and the level-cover sweep's).
+/// allowed (multi-edges). Also holds the Theorem V.4 oracle's two `M`-row
+/// buffers.
 #[derive(Default)]
 pub struct PredSink {
     pairs: Vec<(u32, u32)>,
@@ -162,10 +162,20 @@ pub struct TopDownScratch {
     scored_nodes: Vec<u32>,
 }
 
-/// The per-query predecessor memo and the extraction of one candidate.
+/// `Memo::list_of` of a node no walk has needed the lists of yet.
+const UNASKED: u32 = u32::MAX;
+
+/// The per-query predecessor memo: what the stage knows about every node
+/// a walk touched, each fact established once. Touching a node copies its
+/// `M` row and counts its keywords; its adjacency is scanned (the oracle
+/// asked) only when a walk needs its predecessors for a keyword it is
+/// *not* a source of — a source's list for its own keyword is empty by
+/// Theorem V.4 (`h = 0` opens no hitting path), so skipping it is exact.
+///
+/// Rows are kept as `q` bytes per node, not as a source bit set: no width
+/// cap, so no limit on the number of keyword groups.
 #[derive(Default)]
-struct Walk {
-    // --- per-query predecessor memo ---------------------------------
+struct Memo {
     /// Node → memo slot, the sparse half of a sparse set: `slot_of[j]` is
     /// only believed if `slot_node[slot_of[j]] == j`, so it is never
     /// cleared — forgetting a query's memo is `slot_node.clear()`. The one
@@ -173,12 +183,90 @@ struct Walk {
     slot_of: Vec<u32>,
     /// Memo slot → node, in first-touch order.
     slot_node: Vec<u32>,
-    /// Per slot `q + 1` offsets into `preds`: keyword `i`'s predecessors
-    /// are `preds[ranges[i]..ranges[i + 1]]`, unique.
-    pred_ranges: Vec<usize>,
+    /// Per slot: the node's `q` hitting levels.
+    rows: Vec<u8>,
+    /// Per slot: how many query keywords the node contains — its
+    /// level-cover class.
+    count: Vec<u32>,
+    /// Per slot: which block of `pred_ranges` holds its lists, [`UNASKED`]
+    /// until a walk needs them.
+    list_of: Vec<u32>,
+    /// Per asked node `q + 1` offsets into `preds`: keyword `i`'s
+    /// predecessors are `preds[ranges[i]..ranges[i + 1]]`, unique.
+    pred_ranges: Vec<u32>,
     preds: Vec<u32>,
+}
+
+impl Memo {
+    /// Forget the previous query; everything keeps its capacity.
+    fn begin_query(&mut self, n: usize) {
+        if self.slot_of.len() < n {
+            self.slot_of.resize(n, 0);
+        }
+        self.slot_node.clear();
+        self.rows.clear();
+        self.count.clear();
+        self.list_of.clear();
+        self.pred_ranges.clear();
+        self.preds.clear();
+    }
+
+    /// The memo slot of a node some walk already touched.
+    fn slot(&self, v: u32) -> usize {
+        self.slot_of[v as usize] as usize
+    }
+
+    /// The memo slot of `j`, reading its row on first touch this query.
+    fn touch<H: HitLevels + ?Sized>(&mut self, hits: &H, j: u32) -> usize {
+        let slot = self.slot(j);
+        if self.slot_node.get(slot) == Some(&j) {
+            return slot;
+        }
+        let slot = self.slot_node.len();
+        self.slot_node.push(j);
+        self.slot_of[j as usize] = slot as u32;
+        let q = hits.num_keywords();
+        self.rows.resize(self.rows.len() + q, 0);
+        hits.row(j, &mut self.rows[slot * q..]);
+        self.count
+            .push(self.rows[slot * q..].iter().filter(|&&h| h == 0).count() as u32);
+        self.list_of.push(UNASKED);
+        slot
+    }
+
+    /// The hitting levels of `slot`'s node.
+    fn row(&self, slot: usize, q: usize) -> &[u8] {
+        &self.rows[slot * q..][..q]
+    }
+
+    /// File the oracle's answer for `slot`: `(keyword, predecessor)` pairs
+    /// in any order, duplicates allowed.
+    fn record(&mut self, slot: usize, q: usize, pairs: &mut Vec<(u32, u32)>) {
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.list_of[slot] = (self.pred_ranges.len() / (q + 1)) as u32;
+        let mut rest = pairs.as_slice();
+        for i in 0..q as u32 {
+            self.pred_ranges.push(self.preds.len() as u32);
+            let len = rest.iter().take_while(|p| p.0 == i).count();
+            self.preds.extend(rest[..len].iter().map(|p| p.1));
+            rest = &rest[len..];
+        }
+        self.pred_ranges.push(self.preds.len() as u32);
+    }
+
+    /// Keyword `i`'s predecessors of the asked node in `slot`.
+    fn preds(&self, slot: usize, q: usize, i: usize) -> Range<usize> {
+        let at = self.list_of[slot] as usize * (q + 1) + i;
+        self.pred_ranges[at] as usize..self.pred_ranges[at + 1] as usize
+    }
+}
+
+/// The extraction of one candidate over the memo.
+#[derive(Default)]
+struct Walk {
+    memo: Memo,
     sink: PredSink,
-    // --- per-candidate extraction -----------------------------------
     /// Last walk stamp handed out; stamps only grow, so "stamped at or
     /// after `base`" means "by the current candidate". 64 bits never wrap.
     stamp: u64,
@@ -210,12 +298,7 @@ impl Walk {
     /// Re-arm for a new query over `n` nodes: forget the previous query's
     /// memo; everything keeps its capacity.
     fn begin_query(&mut self, n: usize) {
-        if self.slot_of.len() < n {
-            self.slot_of.resize(n, 0);
-        }
-        self.slot_node.clear();
-        self.pred_ranges.clear();
-        self.preds.clear();
+        self.memo.begin_query(n);
         self.visit.clear();
         self.keep.clear();
     }
@@ -227,14 +310,18 @@ impl Walk {
         base
     }
 
-    /// The memo slot of a node of the current extraction (every one of
-    /// them was memoised when a walk first reached it).
-    fn slot(&self, v: u32) -> usize {
-        self.slot_of[v as usize] as usize
+    /// The memo slot of `j`, with marks, touching it if need be.
+    fn touch<H: HitLevels + ?Sized>(&mut self, hits: &H, j: u32) -> usize {
+        let slot = self.memo.touch(hits, j);
+        if slot == self.visit.len() {
+            self.visit.push(0);
+            self.keep.push(0);
+        }
+        slot
     }
 
     /// The **level-cover strategy** (paper Sec. V-C, Fig. 5) on the
-    /// extraction in the scratch.
+    /// extraction in the scratch, over `q` keywords.
     ///
     /// Keyword nodes are classified by how many query keywords they
     /// contain; the central node always forms the top level. Sweeping
@@ -249,14 +336,15 @@ impl Walk {
     /// preserved nodes cover the query, and every preserved node survives —
     /// a walk reached it as some node's predecessor, so it heads an edge of
     /// that DAG and seeds its forward walk.
-    fn level_cover<H: HitLevels + ?Sized>(&mut self, hits: &H, central: u32) -> bool {
-        let q = hits.num_keywords();
-        let row = &mut self.sink.row_n;
-        row.resize(q, 0);
+    ///
+    /// Classes and source sets come from the memo (every node of the
+    /// extraction was touched by the walk that reached it): no `M` row is
+    /// read here.
+    fn level_cover(&mut self, q: usize, central: u32) -> bool {
+        let memo = &self.memo;
         self.by_count.clear();
         for &v in self.nodes.iter().filter(|&&v| v != central) {
-            hits.row(v, row);
-            let count = row.iter().filter(|&&h| h == 0).count() as u32;
+            let count = memo.count[memo.slot(v)];
             if count > 0 {
                 self.by_count.push((count, v));
             }
@@ -268,10 +356,9 @@ impl Walk {
         // covered.
         self.covered.clear();
         self.covered.resize(q, false);
-        let mut cover_node = |v: u32, covered: &mut [bool]| {
-            hits.row(v, row);
+        let cover_node = |v: u32, covered: &mut [bool]| {
             let mut newly = 0;
-            for (c, &h) in covered.iter_mut().zip(row.iter()) {
+            for (c, &h) in covered.iter_mut().zip(memo.row(memo.slot(v), q)) {
                 if !*c && h == 0 {
                     *c = true;
                     newly += 1;
@@ -296,20 +383,19 @@ impl Walk {
         // preserved nodes; upstream-only support of pruned keyword nodes
         // disappears.
         let base = self.stamps(1 + q);
-        let root = self.slot(central);
+        let memo = &self.memo;
+        let root = memo.slot(central);
         self.visit[root] = base;
         for &(_, v) in &self.by_count[..preserved] {
-            let slot = self.slot(v);
-            self.visit[slot] = base;
+            self.visit[memo.slot(v)] = base;
         }
         self.kept_nodes.clear();
         self.kept_nodes.push(central);
         self.keep[root] = base;
         self.kept_edges.clear();
         self.kept_ranges.clear();
-        let slot_of = &self.slot_of;
         let mut reach = |v: u32, stamp: u64, keep: &mut [u64], stack: &mut Vec<u32>| {
-            let seen = &mut keep[slot_of[v as usize] as usize];
+            let seen = &mut keep[memo.slot(v)];
             if *seen != stamp {
                 if *seen < base {
                     self.kept_nodes.push(v);
@@ -326,7 +412,7 @@ impl Walk {
             dag.sort_unstable();
             self.stack.clear();
             for &(p, _) in dag.iter() {
-                if self.visit[slot_of[p as usize] as usize] == base {
+                if self.visit[memo.slot(p)] == base {
                     reach(p, stamp, &mut self.keep, &mut self.stack);
                 }
             }
@@ -341,7 +427,7 @@ impl Walk {
         self.kept_ranges.push(self.kept_edges.len());
 
         debug_assert!(
-            (0..q).all(|i| self.kept_nodes.iter().any(|&v| hits.is_source(v, i))),
+            (0..q).all(|i| self.kept_nodes.iter().any(|&v| memo.row(memo.slot(v), q)[i] == 0)),
             "level-cover pruning uncovered a keyword"
         );
         self.kept_nodes.sort_unstable();
@@ -360,36 +446,20 @@ impl Walk {
 }
 
 impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
-    /// The memo slot of `j` in `walk`, asking the oracle on first touch
-    /// this query. `None`: the budget tripped.
-    fn memoised(&self, walk: &mut Walk, j: u32) -> Option<usize> {
-        let slot = walk.slot_of[j as usize] as usize;
-        if walk.slot_node.get(slot) == Some(&j) {
-            return Some(slot);
+    /// Make sure `slot`'s predecessor lists are in `walk`'s memo, asking
+    /// the oracle on first need this query. `None`: the budget tripped.
+    fn asked(&self, walk: &mut Walk, slot: usize) -> Option<()> {
+        if walk.memo.list_of[slot] != UNASKED {
+            return Some(());
         }
         // A hub's whole neighbor list is one loop: poll before it.
         if self.tracker.should_stop() {
             return None;
         }
         walk.sink.pairs.clear();
-        (self.preds)(j, &mut walk.sink);
-        let pairs = &mut walk.sink.pairs;
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut rest = pairs.as_slice();
-        for i in 0..self.hits.num_keywords() as u32 {
-            walk.pred_ranges.push(walk.preds.len());
-            let len = rest.iter().take_while(|p| p.0 == i).count();
-            walk.preds.extend(rest[..len].iter().map(|p| p.1));
-            rest = &rest[len..];
-        }
-        walk.pred_ranges.push(walk.preds.len());
-        let slot = walk.slot_node.len();
-        walk.slot_node.push(j);
-        walk.visit.push(0);
-        walk.keep.push(0);
-        walk.slot_of[j as usize] = slot as u32;
-        Some(slot)
+        (self.preds)(walk.memo.slot_node[slot], &mut walk.sink);
+        walk.memo.record(slot, self.hits.num_keywords(), &mut walk.sink.pairs);
+        Some(())
     }
 
     /// Recover the Central Graph at `central` into `walk`: one backward
@@ -403,7 +473,7 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
         walk.nodes.push(central);
         walk.edges.clear();
         walk.edge_ranges.clear();
-        let root = self.memoised(walk, central)?;
+        let root = walk.touch(self.hits, central);
         for i in 0..q {
             let stamp = base + i as u64;
             walk.edge_ranges.push(walk.edges.len());
@@ -411,12 +481,17 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
             walk.stack.clear();
             walk.stack.push(root as u32);
             while let Some(slot) = walk.stack.pop() {
-                let j = walk.slot_node[slot as usize];
-                let at = slot as usize * (q + 1) + i;
-                for k in walk.pred_ranges[at]..walk.pred_ranges[at + 1] {
-                    let n = walk.preds[k];
+                let slot = slot as usize;
+                // A source of `B_i` starts its hitting paths: no list.
+                if walk.memo.row(slot, q)[i] == 0 {
+                    continue;
+                }
+                self.asked(walk, slot)?;
+                let j = walk.memo.slot_node[slot];
+                for k in walk.memo.preds(slot, q, i) {
+                    let n = walk.memo.preds[k];
                     walk.edges.push((n, j));
-                    let slot = self.memoised(walk, n)?;
+                    let slot = walk.touch(self.hits, n);
                     let seen = &mut walk.visit[slot];
                     if *seen != stamp {
                         if *seen < base {
@@ -430,7 +505,7 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
         }
         walk.edge_ranges.push(walk.edges.len());
         walk.nodes.sort_unstable();
-        walk.pruned = self.params.level_cover && walk.level_cover(self.hits, central);
+        walk.pruned = self.params.level_cover && walk.level_cover(q, central);
         Some(())
     }
 
