@@ -531,8 +531,7 @@ impl<'a> LevelRun<'a> {
     /// candidate cohort — `preds(j, sink)` being the shape's predecessor
     /// oracle (Theorem V.4 over `hits`, or CPU-Par-d's recorded paths) —
     /// on the caller's thread or dynamically scheduled over `pool`, with
-    /// `scratch` as its reusable working memory (one entry per worker,
-    /// grown here on first use). The cohort is ordered shallowest-first,
+    /// `scratch` as its reusable working memory. The cohort is ordered shallowest-first,
     /// so the `max_candidates` cap keeps the best-depth prefix. A budget
     /// trip mid-stage fails the whole search rather than returning a
     /// silently truncated answer set.
@@ -542,7 +541,7 @@ impl<'a> LevelRun<'a> {
         graph: &KnowledgeGraph,
         hits: &H,
         pool: Option<&rayon::ThreadPool>,
-        scratch: &mut Vec<TopDownScratch>,
+        scratch: &mut TopDownScratch,
         preds: P,
     ) -> Verdict
     where

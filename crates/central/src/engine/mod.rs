@@ -228,14 +228,15 @@ pub(crate) fn run_matrix_search(
 
     // Initialization phase: arm M / FIdentifier / CIdentifier for this
     // query (epoch bump + source seeding; allocation only on first use or
-    // growth) — the paper's per-query allocate-and-seed, amortized.
+    // growth) — the paper's per-query allocate-and-seed, amortized — and
+    // look the activation table's key up.
     let t = Instant::now();
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
-    run.profile.init = t.elapsed();
-    let SearchSession { ref state, scratch, activation, levels, top_down: stage2, .. } = session;
-
+    let SearchSession { state, scratch, activation, levels, top_down: stage2, .. } = session;
     let act = activation.for_params(graph, params);
+    run.profile.init = t.elapsed();
+
     let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
     let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;
@@ -252,6 +253,10 @@ pub(crate) fn run_matrix_search(
 /// expensive candidates spreads over the pool, yet large enough to keep
 /// the cursor cold.
 pub(crate) const CANDIDATE_CLAIM: usize = 4;
+
+/// Nodes a top-down worker asks the predecessor oracle about at a time
+/// while the query's memo is built: one is an adjacency scan.
+pub(crate) const ASK_CLAIM: usize = 8;
 
 /// Frontiers a CPU-Par expansion worker claims at a time: a frontier costs
 /// `q` adjacency scans, a hub's thousands of times a leaf's, so the run is

@@ -199,9 +199,9 @@ impl KeywordSearchEngine for DynParEngine {
         state.begin_query(graph.num_nodes(), query);
         session.queries_run += 1;
         let state = &*state;
+        let act = session.activation.for_params(graph, params);
         run.profile.init = t.elapsed();
 
-        let act = session.activation.for_params(graph, params);
         let mut ops = DynOps {
             graph,
             state,

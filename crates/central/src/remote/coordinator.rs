@@ -882,10 +882,13 @@ impl HitLevels for RemoteHitLevels {
     fn hit(&self, v: u32, i: usize) -> u8 {
         self.rows.get(&v).map_or(INFINITE_LEVEL, |r| r.hits[i])
     }
-    fn row(&self, v: u32, out: &mut [u8]) {
+    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
         match self.rows.get(&v) {
-            Some(r) => out.copy_from_slice(&r.hits[..out.len()]),
-            None => out.fill(INFINITE_LEVEL),
+            Some(r) => &r.hits[..buf.len()],
+            None => {
+                buf.fill(INFINITE_LEVEL);
+                buf
+            }
         }
     }
     fn is_keyword_node(&self, v: u32) -> bool {

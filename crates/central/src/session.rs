@@ -65,9 +65,10 @@ pub struct SearchSession {
     /// The finished `M` as bytes, row-major `n × q`: what the top-down
     /// stage of a matrix engine reads ([`SearchState::byte_levels`]).
     pub(crate) levels: Vec<u8>,
-    /// Top-down working memory, one entry per thread that ever ran the
-    /// stage for this session; empty until the first search reaches it.
-    pub(crate) top_down: Vec<TopDownScratch>,
+    /// Top-down working memory: the per-query predecessor memo and the
+    /// marks of every thread that ever ran the stage for this session;
+    /// empty until the first search reaches it.
+    pub(crate) top_down: TopDownScratch,
     /// CPU-Par-d's lock-based state, materialized on first use.
     pub(crate) dyn_state: Option<DynState>,
     /// Number of queries answered through this session.
@@ -189,7 +190,6 @@ mod tests {
                 let out = engine.search_session(&mut session, &g, q, &params);
                 assert_eq!(&digest(&out), want, "{}", engine.name());
             }
-            assert!(!session.top_down.is_empty(), "the stage keeps its scratch in the session");
             let built = session.activation.builds();
             for (&(graph, params, builds), want) in steps.iter().zip(&fresh_steps) {
                 let out = engine.search_session(&mut session, graph, &queries[0], params);

@@ -518,9 +518,9 @@ impl HitLevels for ShardedHitLevels<'_> {
         let (state, l) = self.route(v);
         state.hit(l, i)
     }
-    fn row(&self, v: u32, out: &mut [u8]) {
+    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
         let (state, l) = self.route(v);
-        state.row(l, out);
+        state.row(l, buf)
     }
     fn is_keyword_node(&self, v: u32) -> bool {
         let (state, l) = self.route(v);
@@ -638,7 +638,6 @@ impl ShardedSearch {
             session.state.begin_query(part.graph.num_nodes(), &part.localize_query(query));
             session.queries_run += 1;
         }
-        run.profile.init = t.elapsed();
 
         // Explicit activation tables remap global → local per shard.
         let explicit = params.explicit_activation.as_ref().map(|levels| levels.as_slice());
@@ -666,6 +665,7 @@ impl ShardedSearch {
                 })
             })
             .collect();
+        run.profile.init = t.elapsed();
         let mut ops = ShardOps { search: self, lanes, pairs: Vec::new() };
         bottom_up::drive(&mut ops, &mut run)?;
 

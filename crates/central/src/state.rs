@@ -210,13 +210,16 @@ pub trait HitLevels {
     fn num_keywords(&self) -> usize;
     /// Hitting level `h_v^i` (255 = never hit).
     fn hit(&self, v: u32, i: usize) -> u8;
-    /// All of `v`'s hitting levels at once: `out[i] = h_v^i` for the
-    /// `num_keywords()` entries of `out`. Routing views override it to
-    /// resolve `v` once per row instead of once per cell.
-    fn row(&self, v: u32, out: &mut [u8]) {
-        for (i, h) in out.iter_mut().enumerate() {
+    /// All of `v`'s hitting levels at once: `row[i] = h_v^i` for the
+    /// `num_keywords()` entries of `buf`, which a view may fill and hand
+    /// back. A view that stores rows returns its own instead; routing
+    /// views override it to resolve `v` once per row instead of once per
+    /// cell.
+    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
+        for (i, h) in buf.iter_mut().enumerate() {
             *h = self.hit(v, i);
         }
+        buf
     }
     /// `true` if `v` contains at least one query keyword.
     fn is_keyword_node(&self, v: u32) -> bool;
@@ -273,15 +276,17 @@ pub struct ByteLevels<'a> {
 impl SearchState {
     /// Copy this query's `M` into `block` (row-major `n × q` bytes, one
     /// streaming pass of the order of one enqueue scan) and view the state
-    /// through it. Taken once the bottom-up stage has finished: nothing
-    /// writes `M` afterwards, and nothing reads the cells again.
-    pub fn byte_levels<'a>(&'a self, block: &'a mut Vec<u8>) -> ByteLevels<'a> {
+    /// through it. Taken once the bottom-up stage has finished — the
+    /// exclusive borrow says so, and lets the pass read the cells as plain
+    /// words: nothing writes `M` afterwards, and nothing reads the cells
+    /// again.
+    pub fn byte_levels<'a>(&'a mut self, block: &'a mut Vec<u8>) -> ByteLevels<'a> {
         let epoch = self.epoch;
         block.clear();
         block.extend(
             self.matrix[..self.n * self.q]
-                .iter()
-                .map(|cell| unpack(cell.load(Ordering::Relaxed), epoch, INFINITE_LEVEL)),
+                .iter_mut()
+                .map(|cell| unpack(*cell.get_mut(), epoch, INFINITE_LEVEL)),
         );
         ByteLevels { state: self, rows: block }
     }
@@ -297,9 +302,9 @@ impl HitLevels for ByteLevels<'_> {
         self.rows[v as usize * self.state.q + i]
     }
     #[inline]
-    fn row(&self, v: u32, out: &mut [u8]) {
+    fn row<'a>(&'a self, v: u32, _buf: &'a mut [u8]) -> &'a [u8] {
         let q = self.state.q;
-        out.copy_from_slice(&self.rows[v as usize * q..][..q]);
+        &self.rows[v as usize * q..][..q]
     }
     #[inline]
     fn is_keyword_node(&self, v: u32) -> bool {

@@ -36,7 +36,7 @@
 
 use crate::activation::{ActivationMap, ActivationTable};
 use crate::budget::BudgetTracker;
-use crate::engine::{claim_runs, CANDIDATE_CLAIM};
+use crate::engine::{claim_runs, ASK_CLAIM, CANDIDATE_CLAIM};
 use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
 use crate::state::HitLevels;
 use crate::SearchParams;
@@ -50,7 +50,8 @@ use std::ops::Range;
 /// buffers.
 #[derive(Default)]
 pub struct PredSink {
-    pairs: Vec<(u32, u32)>,
+    /// `keyword << 32 | predecessor`: one word sorts faster than a tuple.
+    pairs: Vec<u64>,
     row_j: Vec<u8>,
     row_n: Vec<u8>,
 }
@@ -59,7 +60,12 @@ impl PredSink {
     /// `pred` precedes the scanned node on a hitting path of `keyword`.
     #[inline]
     pub fn push(&mut self, keyword: usize, pred: u32) {
-        self.pairs.push((keyword as u32, pred));
+        self.pairs.push(Self::pair(keyword, pred));
+    }
+
+    #[inline]
+    fn pair(keyword: usize, pred: u32) -> u64 {
+        (keyword as u64) << 32 | u64::from(pred)
     }
 }
 
@@ -77,40 +83,34 @@ pub fn hitting_path_preds<H: HitLevels + ?Sized>(
     let PredSink { pairs, row_j, row_n } = sink;
     row_j.resize(q, 0);
     row_n.resize(q, 0);
-    state.row(j, row_j);
     // A source of B_i (h = 0) starts hitting paths and an instance that
-    // never hit `j` has none through it.
-    let open = |h: u8| h != 0 && h != INFINITE_LEVEL;
-    if !row_j.iter().any(|&h| open(h)) {
+    // never hit `j` has none through it: both read as 0 here, which no
+    // `1 + max{..}` equals.
+    for (open, &h) in row_j.iter_mut().zip(state.row(j, row_n)) {
+        *open = if h == INFINITE_LEVEL { 0 } else { h };
+    }
+    if row_j.iter().all(|&h| h == 0) {
         return;
     }
     // The `a_j − 1` term applies only to non-keyword nodes.
     let aj_term = if state.is_keyword_node(j) {
-        0u16
+        0
     } else {
-        (act.level(NodeId(j)) as u16).saturating_sub(1)
+        act.level(NodeId(j)).saturating_sub(1)
     };
     for adj in graph.neighbors(NodeId(j)) {
         let n = adj.target().0;
-        state.row(n, row_n);
-        // `h_j = 1 + max{h_n, ..}` needs `h_n < h_j` (so `h_n` finite):
-        // most neighbors fail that for every keyword, before their
-        // central flag or activation level is ever looked at.
-        let below = |(&hj, &hn): (&u8, &u8)| open(hj) && hn < hj;
-        if !row_j.iter().zip(row_n.iter()).any(below) {
-            continue;
-        }
-        // A Central Node freezes at its identification depth and never
-        // expands afterwards, so it cannot be the predecessor of a hit
-        // beyond that depth.
-        let frozen_at = state.central_depth(n);
-        let an = act.level(adj.target()) as u16;
-        for (i, (&hj, &hn)) in row_j.iter().zip(row_n.iter()).enumerate() {
-            if below((&hj, &hn))
-                && frozen_at.is_none_or(|d| hj <= d)
-                && hj as u16 == 1 + (hn as u16).max(an).max(aj_term)
+        let floor = act.level(adj.target()).max(aj_term);
+        for (i, (&hj, &hn)) in row_j.iter().zip(state.row(n, row_n)).enumerate() {
+            // Levels stop at 254, so the saturated `1 + ∞` equals no `h_j`.
+            // A Central Node freezes at its identification depth and
+            // never expands afterwards, so it cannot be the predecessor
+            // of a hit beyond that depth — looked up only for the few
+            // neighbors the equation holds for.
+            if hj == hn.max(floor).saturating_add(1)
+                && state.central_depth(n).is_none_or(|d| hj <= d)
             {
-                pairs.push((i as u32, n));
+                pairs.push(PredSink::pair(i, n));
             }
         }
     }
@@ -143,18 +143,34 @@ struct Scored {
     score: f64,
     /// 64-bit node-set signature: a subset's bits are a subset.
     signature: u64,
-    /// The answer's sorted node ids, in the scratch's `scored_nodes`.
+    /// The answer's sorted node ids, in the worker's `scored_nodes`.
     nodes: Range<usize>,
 }
 
-/// Reusable working memory of the top-down stage, one per thread that
-/// runs it. Lives in the [`crate::session::SearchSession`] (or the
-/// coordinator that owns the stage) and grows on first use
-/// to one `u32` per graph node (the memo's index) plus marks and arenas
-/// proportional to the nodes and edges the query's walks touch;
-/// afterwards a query allocates only its ≤ `top_k` answers.
+/// Reusable working memory of the top-down stage: the query's predecessor
+/// memo and one [`Worker`] per thread that runs the stage. Lives in the
+/// [`crate::session::SearchSession`] (or the coordinator that owns the
+/// stage) and grows on first use to one `u32` per graph node (the memo's
+/// index) plus marks and arenas proportional to the nodes and edges the
+/// query's walks touch; afterwards a query allocates only its ≤ `top_k`
+/// answers.
 #[derive(Default)]
 pub struct TopDownScratch {
+    memo: Memo,
+    workers: Vec<Worker>,
+}
+
+/// One thread's share of the stage: the oracle's sink and this round's
+/// answers while the memo is built, then the candidate walks and their
+/// phase A records.
+#[derive(Default)]
+struct Worker {
+    sink: PredSink,
+    /// The slots this worker asked about in the current round and their
+    /// lists in the memo's layout (`q + 1` offsets into `preds` each).
+    asked: Vec<u32>,
+    pred_ranges: Vec<u32>,
+    preds: Vec<u32>,
     walk: Walk,
     /// Phase A output: one record per candidate this thread scored, their
     /// sorted node ids back to back in `scored_nodes`.
@@ -162,15 +178,20 @@ pub struct TopDownScratch {
     scored_nodes: Vec<u32>,
 }
 
-/// `Memo::list_of` of a node no walk has needed the lists of yet.
+/// `Memo::list_of` of a node no walk needs the lists of (yet).
 const UNASKED: u32 = u32::MAX;
 
 /// The per-query predecessor memo: what the stage knows about every node
-/// a walk touched, each fact established once. Touching a node copies its
-/// `M` row and counts its keywords; its adjacency is scanned (the oracle
-/// asked) only when a walk needs its predecessors for a keyword it is
-/// *not* a source of — a source's list for its own keyword is empty by
-/// Theorem V.4 (`h = 0` opens no hitting path), so skipping it is exact.
+/// a candidate's walk can touch, each fact established once per query
+/// whatever the thread count. It is built before any walk runs, by one
+/// backward sweep from the whole cohort ([`Memo::build`]); the walks then
+/// only read it.
+///
+/// Touching a node copies its `M` row and counts its keywords; its
+/// adjacency is scanned (the oracle asked) only if some walk needs its
+/// predecessors for a keyword it is *not* a source of — a source's list
+/// for its own keyword is empty by Theorem V.4 (`h = 0` opens no hitting
+/// path), so skipping it is exact.
 ///
 /// Rows are kept as `q` bytes per node, not as a source bit set: no width
 /// cap, so no limit on the number of keyword groups.
@@ -185,33 +206,30 @@ struct Memo {
     slot_node: Vec<u32>,
     /// Per slot: the node's `q` hitting levels.
     rows: Vec<u8>,
+    /// Per slot and keyword: whether some candidate's walk for that
+    /// keyword reaches the node.
+    reached: Vec<bool>,
     /// Per slot: how many query keywords the node contains — its
     /// level-cover class.
     count: Vec<u32>,
     /// Per slot: which block of `pred_ranges` holds its lists, [`UNASKED`]
-    /// until a walk needs them.
+    /// if no walk needs them.
     list_of: Vec<u32>,
     /// Per asked node `q + 1` offsets into `preds`: keyword `i`'s
     /// predecessors are `preds[ranges[i]..ranges[i + 1]]`, unique.
     pred_ranges: Vec<u32>,
     preds: Vec<u32>,
+    /// The sweep's worklists: `(slot, keyword)` pairs reached in the last
+    /// round and in this one, and the slots to ask about this round.
+    fresh: Vec<(u32, u32)>,
+    next: Vec<(u32, u32)>,
+    to_ask: Vec<u32>,
+    /// Row buffer of [`Memo::touch`].
+    buf: Vec<u8>,
 }
 
 impl Memo {
-    /// Forget the previous query; everything keeps its capacity.
-    fn begin_query(&mut self, n: usize) {
-        if self.slot_of.len() < n {
-            self.slot_of.resize(n, 0);
-        }
-        self.slot_node.clear();
-        self.rows.clear();
-        self.count.clear();
-        self.list_of.clear();
-        self.pred_ranges.clear();
-        self.preds.clear();
-    }
-
-    /// The memo slot of a node some walk already touched.
+    /// The memo slot of a touched node.
     fn slot(&self, v: u32) -> usize {
         self.slot_of[v as usize] as usize
     }
@@ -226,10 +244,11 @@ impl Memo {
         self.slot_node.push(j);
         self.slot_of[j as usize] = slot as u32;
         let q = hits.num_keywords();
-        self.rows.resize(self.rows.len() + q, 0);
-        hits.row(j, &mut self.rows[slot * q..]);
-        self.count
-            .push(self.rows[slot * q..].iter().filter(|&&h| h == 0).count() as u32);
+        self.buf.resize(q, 0);
+        let row = hits.row(j, &mut self.buf);
+        self.count.push(row.iter().filter(|&&h| h == 0).count() as u32);
+        self.rows.extend_from_slice(row);
+        self.reached.resize(self.rows.len(), false);
         self.list_of.push(UNASKED);
         slot
     }
@@ -239,36 +258,147 @@ impl Memo {
         &self.rows[slot * q..][..q]
     }
 
-    /// File the oracle's answer for `slot`: `(keyword, predecessor)` pairs
-    /// in any order, duplicates allowed.
-    fn record(&mut self, slot: usize, q: usize, pairs: &mut Vec<(u32, u32)>) {
+    /// Keyword `i`'s predecessors of the asked node in `slot`.
+    fn preds(&self, slot: usize, q: usize, i: usize) -> &[u32] {
+        let at = self.list_of[slot] as usize * (q + 1) + i;
+        &self.preds[self.pred_ranges[at] as usize..self.pred_ranges[at + 1] as usize]
+    }
+
+    /// Mark `(slot, i)` reached; `true` the first time.
+    fn reach(&mut self, slot: usize, q: usize, i: usize) -> bool {
+        !std::mem::replace(&mut self.reached[slot * q + i], true)
+    }
+
+    /// Build the memo of one query: a backward sweep over the hitting
+    /// paths of every keyword from the whole `cohort`, in rounds. A round
+    /// asks the oracle about the nodes the last one reached for a keyword
+    /// they are not a source of — pool threads claiming short runs of
+    /// them, each into its own sink —, files the answers, and follows
+    /// them to the next round's `(node, keyword)` pairs. The pairs reached
+    /// are exactly the union of the candidates' walks, so every node is
+    /// asked about at most once per query, and the lists are a function of
+    /// the oracle alone: which thread asked cannot show. `None`: the
+    /// budget tripped.
+    fn build<H, P>(
+        &mut self,
+        cx: &Stage<'_, H, P>,
+        cohort: &[(NodeId, u8)],
+        pool: Option<&rayon::ThreadPool>,
+        workers: &mut [Worker],
+    ) -> Option<()>
+    where
+        H: HitLevels + Sync + ?Sized,
+        P: Fn(u32, &mut PredSink) + Sync,
+    {
+        let q = cx.hits.num_keywords();
+        if self.slot_of.len() < cx.graph.num_nodes() {
+            self.slot_of.resize(cx.graph.num_nodes(), 0);
+        }
+        self.slot_node.clear();
+        self.rows.clear();
+        self.reached.clear();
+        self.count.clear();
+        self.list_of.clear();
+        self.pred_ranges.clear();
+        self.preds.clear();
+        self.fresh.clear();
+        // A round a tripped budget cut short leaves its answers behind.
+        for worker in workers.iter_mut() {
+            worker.asked.clear();
+            worker.pred_ranges.clear();
+            worker.preds.clear();
+        }
+        for &(central, _) in cohort {
+            let slot = self.touch(cx.hits, central.0);
+            for i in 0..q {
+                if self.reach(slot, q, i) {
+                    self.fresh.push((slot as u32, i as u32));
+                }
+            }
+        }
+        while !self.fresh.is_empty() {
+            // A source of `B_i` starts its hitting paths: nothing to ask.
+            self.to_ask.clear();
+            for &(slot, i) in &self.fresh {
+                let slot = slot as usize;
+                if self.list_of[slot] == UNASKED && self.rows[slot * q + i as usize] != 0 {
+                    self.list_of[slot] = 0; // claimed; filed below
+                    self.to_ask.push(slot as u32);
+                }
+            }
+            let (to_ask, slot_node) = (&self.to_ask, &self.slot_node);
+            let sinks: Vec<_> = workers.iter_mut().map(parking_lot::Mutex::new).collect();
+            claim_runs(pool, to_ask.len(), ASK_CLAIM, |worker, run| {
+                let worker = &mut **sinks[worker].lock();
+                to_ask[run].iter().all(|&slot| {
+                    // A hub's whole neighbor list is one loop: poll before it.
+                    let go = !cx.tracker.should_stop();
+                    if go {
+                        worker.sink.pairs.clear();
+                        (cx.preds)(slot_node[slot as usize], &mut worker.sink);
+                        worker.file(slot, q);
+                    }
+                    go
+                })
+            });
+            drop(sinks);
+            if cx.tracker.cancelled() {
+                return None;
+            }
+            for worker in workers.iter_mut() {
+                let (block, base) = (self.pred_ranges.len() / (q + 1), self.preds.len() as u32);
+                for (b, slot) in worker.asked.drain(..).enumerate() {
+                    self.list_of[slot as usize] = (block + b) as u32;
+                }
+                self.pred_ranges.extend(worker.pred_ranges.drain(..).map(|at| base + at));
+                self.preds.append(&mut worker.preds);
+            }
+            self.next.clear();
+            for f in 0..self.fresh.len() {
+                let (slot, i) = (self.fresh[f].0 as usize, self.fresh[f].1 as usize);
+                if self.rows[slot * q + i] == 0 {
+                    continue;
+                }
+                let at = self.list_of[slot] as usize * (q + 1) + i;
+                for k in self.pred_ranges[at]..self.pred_ranges[at + 1] {
+                    let pred = self.touch(cx.hits, self.preds[k as usize]);
+                    if self.reach(pred, q, i) {
+                        self.next.push((pred as u32, i as u32));
+                    }
+                }
+            }
+            std::mem::swap(&mut self.fresh, &mut self.next);
+        }
+        Some(())
+    }
+}
+
+impl Worker {
+    /// File the oracle's answer for `slot` — the `(keyword, predecessor)`
+    /// pairs in the sink, in any order, duplicates (multi-edges) allowed —
+    /// as `q` sorted, unique lists.
+    fn file(&mut self, slot: u32, q: usize) {
+        let pairs = &mut self.sink.pairs;
         pairs.sort_unstable();
         pairs.dedup();
-        self.list_of[slot] = (self.pred_ranges.len() / (q + 1)) as u32;
+        self.asked.push(slot);
         let mut rest = pairs.as_slice();
-        for i in 0..q as u32 {
+        for i in 0..q as u64 {
             self.pred_ranges.push(self.preds.len() as u32);
-            let len = rest.iter().take_while(|p| p.0 == i).count();
-            self.preds.extend(rest[..len].iter().map(|p| p.1));
+            let len = rest.iter().take_while(|&&p| p >> 32 == i).count();
+            self.preds.extend(rest[..len].iter().map(|&p| p as u32));
             rest = &rest[len..];
         }
         self.pred_ranges.push(self.preds.len() as u32);
-    }
-
-    /// Keyword `i`'s predecessors of the asked node in `slot`.
-    fn preds(&self, slot: usize, q: usize, i: usize) -> Range<usize> {
-        let at = self.list_of[slot] as usize * (q + 1) + i;
-        self.pred_ranges[at] as usize..self.pred_ranges[at + 1] as usize
     }
 }
 
 /// The extraction of one candidate over the memo.
 #[derive(Default)]
 struct Walk {
-    memo: Memo,
-    sink: PredSink,
     /// Last walk stamp handed out; stamps only grow, so "stamped at or
-    /// after `base`" means "by the current candidate". 64 bits never wrap.
+    /// after `base`" means "by the current candidate" — also across
+    /// queries, so the marks are never cleared. 64 bits never wrap.
     stamp: u64,
     /// Per slot: backward-walk marks (one stamp per keyword), then the
     /// preserved set of the level-cover sweep.
@@ -295,14 +425,6 @@ struct Walk {
 }
 
 impl Walk {
-    /// Re-arm for a new query over `n` nodes: forget the previous query's
-    /// memo; everything keeps its capacity.
-    fn begin_query(&mut self, n: usize) {
-        self.memo.begin_query(n);
-        self.visit.clear();
-        self.keep.clear();
-    }
-
     /// Reserve `count` consecutive walk stamps and return the first.
     fn stamps(&mut self, count: usize) -> u64 {
         let base = self.stamp + 1;
@@ -310,14 +432,51 @@ impl Walk {
         base
     }
 
-    /// The memo slot of `j`, with marks, touching it if need be.
-    fn touch<H: HitLevels + ?Sized>(&mut self, hits: &H, j: u32) -> usize {
-        let slot = self.memo.touch(hits, j);
-        if slot == self.visit.len() {
-            self.visit.push(0);
-            self.keep.push(0);
+    /// Recover the Central Graph at `central`, a member of the cohort
+    /// `memo` was built for: one backward walk per keyword over the
+    /// memoised predecessor lists (`nodes`, `edges`), then — if asked —
+    /// the level-cover strategy (`pruned`, `kept_*`).
+    fn extract(&mut self, memo: &Memo, q: usize, level_cover: bool, central: u32) {
+        if self.visit.len() < memo.slot_node.len() {
+            self.visit.resize(memo.slot_node.len(), 0);
+            self.keep.resize(memo.slot_node.len(), 0);
         }
-        slot
+        let base = self.stamps(q);
+        self.nodes.clear();
+        self.nodes.push(central);
+        self.edges.clear();
+        self.edge_ranges.clear();
+        let root = memo.slot(central);
+        for i in 0..q {
+            let stamp = base + i as u64;
+            self.edge_ranges.push(self.edges.len());
+            self.visit[root] = stamp;
+            self.stack.clear();
+            self.stack.push(root as u32);
+            while let Some(slot) = self.stack.pop() {
+                let slot = slot as usize;
+                // A source of `B_i` starts its hitting paths: no list.
+                if memo.row(slot, q)[i] == 0 {
+                    continue;
+                }
+                let j = memo.slot_node[slot];
+                for &n in memo.preds(slot, q, i) {
+                    self.edges.push((n, j));
+                    let slot = memo.slot(n);
+                    let seen = &mut self.visit[slot];
+                    if *seen != stamp {
+                        if *seen < base {
+                            self.nodes.push(n);
+                        }
+                        *seen = stamp;
+                        self.stack.push(slot as u32);
+                    }
+                }
+            }
+        }
+        self.edge_ranges.push(self.edges.len());
+        self.nodes.sort_unstable();
+        self.pruned = level_cover && self.level_cover(memo, q, central);
     }
 
     /// The **level-cover strategy** (paper Sec. V-C, Fig. 5) on the
@@ -337,11 +496,8 @@ impl Walk {
     /// a walk reached it as some node's predecessor, so it heads an edge of
     /// that DAG and seeds its forward walk.
     ///
-    /// Classes and source sets come from the memo (every node of the
-    /// extraction was touched by the walk that reached it): no `M` row is
-    /// read here.
-    fn level_cover(&mut self, q: usize, central: u32) -> bool {
-        let memo = &self.memo;
+    /// Classes and source sets come from the memo: no `M` row is read here.
+    fn level_cover(&mut self, memo: &Memo, q: usize, central: u32) -> bool {
         self.by_count.clear();
         for &v in self.nodes.iter().filter(|&&v| v != central) {
             let count = memo.count[memo.slot(v)];
@@ -383,7 +539,6 @@ impl Walk {
         // preserved nodes; upstream-only support of pruned keyword nodes
         // disappears.
         let base = self.stamps(1 + q);
-        let memo = &self.memo;
         let root = memo.slot(central);
         self.visit[root] = base;
         for &(_, v) in &self.by_count[..preserved] {
@@ -445,70 +600,7 @@ impl Walk {
     }
 }
 
-impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
-    /// Make sure `slot`'s predecessor lists are in `walk`'s memo, asking
-    /// the oracle on first need this query. `None`: the budget tripped.
-    fn asked(&self, walk: &mut Walk, slot: usize) -> Option<()> {
-        if walk.memo.list_of[slot] != UNASKED {
-            return Some(());
-        }
-        // A hub's whole neighbor list is one loop: poll before it.
-        if self.tracker.should_stop() {
-            return None;
-        }
-        walk.sink.pairs.clear();
-        (self.preds)(walk.memo.slot_node[slot], &mut walk.sink);
-        walk.memo.record(slot, self.hits.num_keywords(), &mut walk.sink.pairs);
-        Some(())
-    }
-
-    /// Recover the Central Graph at `central` into `walk`: one backward
-    /// walk per keyword over the memoised predecessor lists (`nodes`,
-    /// `edges`), then the level-cover strategy (`pruned`, `kept_*`).
-    /// `None`: the budget tripped.
-    fn extract(&self, walk: &mut Walk, central: u32) -> Option<()> {
-        let q = self.hits.num_keywords();
-        let base = walk.stamps(q);
-        walk.nodes.clear();
-        walk.nodes.push(central);
-        walk.edges.clear();
-        walk.edge_ranges.clear();
-        let root = walk.touch(self.hits, central);
-        for i in 0..q {
-            let stamp = base + i as u64;
-            walk.edge_ranges.push(walk.edges.len());
-            walk.visit[root] = stamp;
-            walk.stack.clear();
-            walk.stack.push(root as u32);
-            while let Some(slot) = walk.stack.pop() {
-                let slot = slot as usize;
-                // A source of `B_i` starts its hitting paths: no list.
-                if walk.memo.row(slot, q)[i] == 0 {
-                    continue;
-                }
-                self.asked(walk, slot)?;
-                let j = walk.memo.slot_node[slot];
-                for k in walk.memo.preds(slot, q, i) {
-                    let n = walk.memo.preds[k];
-                    walk.edges.push((n, j));
-                    let slot = walk.touch(self.hits, n);
-                    let seen = &mut walk.visit[slot];
-                    if *seen != stamp {
-                        if *seen < base {
-                            walk.nodes.push(n);
-                        }
-                        *seen = stamp;
-                        walk.stack.push(slot as u32);
-                    }
-                }
-            }
-        }
-        walk.edge_ranges.push(walk.edges.len());
-        walk.nodes.sort_unstable();
-        walk.pruned = self.params.level_cover && walk.level_cover(q, central);
-        Some(())
-    }
-
+impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
     /// Eq. 6: `S(C) = d(C)^λ · Σ_{v ∈ C} w_v` (smaller = better). The
     /// weights are summed in ascending node-id order — the one order every
     /// path to a score uses, so `score.to_bits()` is reproducible.
@@ -518,26 +610,27 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
     }
 
     /// Phase A: extract, prune and score one candidate, leaving only its
-    /// compact record in `scratch`.
-    fn score_candidate(&self, scratch: &mut TopDownScratch, central: u32, depth: u8) -> Option<()> {
-        self.extract(&mut scratch.walk, central)?;
-        let (nodes, ..) = scratch.walk.answer();
-        let start = scratch.scored_nodes.len();
-        scratch.scored_nodes.extend_from_slice(nodes);
-        scratch.scored.push(Scored {
+    /// compact record in `worker`.
+    fn score_candidate(&self, memo: &Memo, worker: &mut Worker, central: u32, depth: u8) {
+        let q = self.hits.num_keywords();
+        worker.walk.extract(memo, q, self.params.level_cover, central);
+        let (nodes, ..) = worker.walk.answer();
+        let start = worker.scored_nodes.len();
+        worker.scored_nodes.extend_from_slice(nodes);
+        worker.scored.push(Scored {
             central,
             depth,
             score: self.score(nodes, depth),
             signature: signature(nodes),
-            nodes: start..scratch.scored_nodes.len(),
+            nodes: start..worker.scored_nodes.len(),
         });
-        Some(())
     }
 
-    /// Phase B: extract and prune one surviving candidate again (its
-    /// predecessor lists are memoised) and build the full answer.
-    fn materialise(&self, walk: &mut Walk, central: u32, depth: u8) -> Option<CentralGraph> {
-        self.extract(walk, central)?;
+    /// Phase B: extract and prune one surviving candidate again and build
+    /// the full answer.
+    fn materialise(&self, memo: &Memo, walk: &mut Walk, central: u32, depth: u8) -> CentralGraph {
+        let q = self.hits.num_keywords();
+        walk.extract(memo, q, self.params.level_cover, central);
         let (nodes, arena, ranges) = walk.answer();
         let score = self.score(nodes, depth);
         let nodes: Vec<NodeId> = nodes.iter().map(|&v| NodeId(v)).collect();
@@ -555,10 +648,10 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
         let mut edges: Vec<(NodeId, NodeId)> = keyword_edges.iter().flatten().copied().collect();
         edges.sort_unstable();
         edges.dedup();
-        let keyword_nodes = (0..keyword_edges.len())
+        let keyword_nodes = (0..q)
             .map(|i| nodes.iter().copied().filter(|v| self.hits.is_source(v.0, i)).collect())
             .collect();
-        Some(CentralGraph {
+        CentralGraph {
             central: NodeId(central),
             depth,
             nodes,
@@ -566,16 +659,7 @@ impl<H: HitLevels + ?Sized, P: Fn(u32, &mut PredSink)> Stage<'_, H, P> {
             keyword_nodes,
             keyword_edges,
             score,
-        })
-    }
-}
-
-impl TopDownScratch {
-    /// Re-arm for a new query over `n` nodes.
-    fn begin_query(&mut self, n: usize) {
-        self.walk.begin_query(n);
-        self.scored.clear();
-        self.scored_nodes.clear();
+        }
     }
 }
 
@@ -584,7 +668,7 @@ impl TopDownScratch {
 #[derive(Default)]
 pub(crate) struct StageScratch {
     pub(crate) activation: ActivationTable,
-    pub(crate) top_down: Vec<TopDownScratch>,
+    pub(crate) top_down: TopDownScratch,
 }
 
 /// Freelist of scratch sets for an owner that runs top-down stages through
@@ -666,16 +750,17 @@ fn select_top_k(mut ranked: Vec<Ranked<'_>>, params: &SearchParams) -> Vec<(u32,
 }
 
 /// The top-down stage over `cohort` (`(central, depth)`, shallowest
-/// first): phase A scores every candidate — pool threads claiming small
-/// batches from one atomic cursor, each with its own scratch —, the
-/// records are ranked and deduplicated, phase B materialises the ≤ `top_k`
-/// survivors, best first. `scratch` grows to one entry per worker. `None`:
-/// the budget tripped, and no partial answer set escapes.
+/// first): the query's memo is built once ([`Memo::build`]), phase A
+/// scores every candidate over it — pool threads claiming small batches
+/// from one atomic cursor, each with its own marks —, the records are
+/// ranked and deduplicated, phase B materialises the ≤ `top_k` survivors,
+/// best first. `scratch` grows to one worker per pool thread. `None`: the
+/// budget tripped, and no partial answer set escapes.
 pub fn top_down<H, P>(
     cx: &Stage<'_, H, P>,
     cohort: &[(NodeId, u8)],
     pool: Option<&rayon::ThreadPool>,
-    scratch: &mut Vec<TopDownScratch>,
+    scratch: &mut TopDownScratch,
 ) -> Option<Vec<CentralGraph>>
 where
     H: HitLevels + Sync + ?Sized,
@@ -684,19 +769,29 @@ where
     if cohort.is_empty() {
         return Some(Vec::new());
     }
-    let workers = pool.map_or(1, |p| p.current_num_threads());
-    if scratch.len() < workers {
-        scratch.resize_with(workers, TopDownScratch::default);
+    let TopDownScratch { memo, workers } = scratch;
+    let threads = pool.map_or(1, |p| p.current_num_threads());
+    if workers.len() < threads {
+        workers.resize_with(threads, Worker::default);
     }
-    let scratch = &mut scratch[..workers];
-    scratch.iter_mut().for_each(|s| s.begin_query(cx.graph.num_nodes()));
+    let workers = &mut workers[..threads];
+    memo.build(cx, cohort, pool, workers)?;
+    let memo = &*memo;
 
-    // Each worker scores into its own scratch; the locks are uncontended.
-    let slots: Vec<_> = scratch.iter_mut().map(parking_lot::Mutex::new).collect();
+    // Each worker scores into its own records; the locks are uncontended.
+    for worker in workers.iter_mut() {
+        worker.scored.clear();
+        worker.scored_nodes.clear();
+    }
+    let slots: Vec<_> = workers.iter_mut().map(parking_lot::Mutex::new).collect();
     claim_runs(pool, cohort.len(), CANDIDATE_CLAIM, |worker, run| {
-        let s = &mut *slots[worker].lock();
+        let worker = &mut **slots[worker].lock();
         cohort[run].iter().all(|&(central, depth)| {
-            !cx.tracker.should_stop() && cx.score_candidate(s, central.0, depth).is_some()
+            let go = !cx.tracker.should_stop();
+            if go {
+                cx.score_candidate(memo, worker, central.0, depth);
+            }
+            go
         })
     });
     drop(slots);
@@ -707,28 +802,25 @@ where
 
     // The ranking is a strict total order, so which worker delivered a
     // record, and when, cannot show in the selection.
-    let ranked = scratch
+    let ranked = workers
         .iter()
-        .flat_map(|s| {
-            s.scored.iter().map(|r| Ranked {
+        .flat_map(|w| {
+            w.scored.iter().map(|r| Ranked {
                 central: r.central,
                 depth: r.depth,
                 score: r.score,
                 signature: r.signature,
-                nodes: &s.scored_nodes[r.nodes.clone()],
+                nodes: &w.scored_nodes[r.nodes.clone()],
             })
         })
         .collect();
     let survivors = select_top_k(ranked, cx.params);
 
-    let first = &mut scratch[0];
+    let walk = &mut workers[0].walk;
     survivors
         .into_iter()
         .map(|(central, depth)| {
-            if cx.tracker.should_stop() {
-                return None;
-            }
-            cx.materialise(&mut first.walk, central, depth)
+            (!cx.tracker.should_stop()).then(|| cx.materialise(memo, walk, central, depth))
         })
         .collect()
 }
@@ -1063,7 +1155,7 @@ mod tests {
         let mut run = LevelRun::new(params, &tracker);
         drive(&mut ops, &mut run).expect("unlimited budget");
         let out = run
-            .finish("Seq", g, &state, None, &mut Vec::new(), |j, sink| {
+            .finish("Seq", g, &state, None, &mut TopDownScratch::default(), |j, sink| {
                 hitting_path_preds(g, &act, &state, j, sink)
             })
             .expect("unlimited budget");
@@ -1242,11 +1334,30 @@ mod tests {
 
     use crate::budget::QueryBudget;
     use proptest::TestRng;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
-    /// Ten words; node texts draw 0–3 of them, queries 1–8.
-    const WORDS: [&str; 10] = [
-        "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda", "zeta", "theta",
-    ];
+    /// The sequential bottom-up stage of `q` over `g`: its finished state
+    /// and candidate cohort.
+    fn bottom_up(
+        g: &KnowledgeGraph,
+        q: &ParsedQuery,
+        act: &ActivationMap<'_>,
+        params: &SearchParams,
+    ) -> (SearchState, Vec<(NodeId, u8)>) {
+        let state = SearchState::new(g.num_nodes(), q);
+        let tracker = QueryBudget::unlimited().start();
+        let mut frontiers = Vec::new();
+        let mut ops = MatrixOps {
+            backend: ShardBackend::Seq,
+            pool: None,
+            ctx: ExpandCtx { graph: g, act, state: &state, budget: &tracker },
+            frontiers: &mut frontiers,
+        };
+        let mut run = LevelRun::new(params, &tracker);
+        drive(&mut ops, &mut run).expect("unlimited budget");
+        let cohort = run.cohort().to_vec();
+        (state, cohort)
+    }
 
     /// One random stage-2 input.
     struct Case {
@@ -1256,18 +1367,26 @@ mod tests {
         params: SearchParams,
     }
 
-    fn random_case(rng: &mut TestRng) -> Case {
+    /// A random graph whose node texts draw up to `node_words` of `words`,
+    /// and a query of up to `query_words` of them.
+    fn random_case(
+        rng: &mut TestRng,
+        words: &[String],
+        node_words: usize,
+        query_words: usize,
+    ) -> Case {
         // Skewed toward the first words, so popular keywords co-occur on
         // nodes (level-cover classes above 1) and queries ask for them.
         let word = |rng: &mut TestRng| {
-            WORDS[rng.range_usize(0, WORDS.len()).min(rng.range_usize(0, WORDS.len()))]
+            words[rng.range_usize(0, words.len()).min(rng.range_usize(0, words.len()))].as_str()
         };
         let nodes = rng.range_usize(2, 32);
         let mut b = GraphBuilder::new();
         let ids: Vec<_> = (0..nodes)
             .map(|i| {
-                let words: Vec<&str> = (0..rng.range_usize(0, 6)).map(|_| word(rng)).collect();
-                b.add_node(&format!("n{i}"), &format!("x{i} {}", words.join(" ")))
+                let text: Vec<&str> =
+                    (0..rng.range_usize(0, node_words + 1)).map(|_| word(rng)).collect();
+                b.add_node(&format!("n{i}"), &format!("x{i} {}", text.join(" ")))
             })
             .collect();
         // Sparse to dense, multi-edges and both directions included.
@@ -1278,7 +1397,7 @@ mod tests {
             }
         }
         let mut query: Vec<&str> = Vec::new();
-        for _ in 0..rng.range_usize(1, 9) {
+        for _ in 0..rng.range_usize(1, query_words + 1) {
             let w = word(rng);
             if !query.contains(&w) {
                 query.push(w);
@@ -1297,41 +1416,54 @@ mod tests {
     }
 
     /// Random graphs × random activation levels × `level_cover` /
-    /// `dedup_contained` on and off × Knum 1–8: every cohort member
-    /// materialised by the scratch equals the reference's
-    /// `extract` + `prune_and_score` field for field, and the selected
-    /// top-k equals the reference's, on one thread and on a pool, through
-    /// scratches reused across all cases. Every engine goes through the
-    /// one `finish`, so the `*_equivalence` suites cannot see a uniform
-    /// stage-2 bug; this can.
+    /// `dedup_contained` on and off × Knum 1–8, then Knum beyond 64 (the
+    /// memo keeps rows, not bit sets: no keyword-count limit): every cohort
+    /// member materialised by the scratch — over the byte view the matrix
+    /// engines hand it — equals the reference's `extract` +
+    /// `prune_and_score` over the state itself field for field, and the
+    /// selected top-k equals the reference's, on the caller's thread and on
+    /// pools of 1, 2 and 3 threads, through scratches reused across all
+    /// cases. Every engine goes through the one `finish`, so the
+    /// `*_equivalence` suites cannot see a uniform stage-2 bug; this can.
     #[test]
     fn scratch_stage_equals_the_reference() {
         let mut rng = TestRng::from_name("central::top_down::scratch_stage_equals_the_reference");
-        let pool = crate::engine::build_pool(3);
-        let (mut solo, mut pooled) = (Vec::new(), Vec::new());
+        let pools: Vec<_> = (1..=3).map(crate::engine::build_pool).collect();
+        let mut scratches: Vec<TopDownScratch> = (0..=3).map(|_| Default::default()).collect();
+        let mut block = Vec::new();
+        // Ten words; node texts draw 0–5 of them, queries 1–8.
+        let few: Vec<String> = [
+            "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda", "zeta", "theta",
+        ]
+        .map(String::from)
+        .into();
+        // Ninety words no stemmer touches; node texts draw 0–40, queries 1–400
+        // (with repeats).
+        let many: Vec<String> = (0..90)
+            .map(|k| format!("q{}{}x", (b'a' + k / 10) as char, (b'a' + k % 10) as char))
+            .collect();
         let (mut cases, mut pruning_cases, mut candidates, mut pruned) = (0, 0, 0, 0);
-        while cases < 600 {
-            let case = random_case(&mut rng);
+        let (mut wide_cases, mut wide_candidates) = (0, 0);
+        while cases < 600 || wide_cases < 12 {
+            let wide = cases >= 600;
+            let case = if wide {
+                random_case(&mut rng, &many, 40, 400)
+            } else {
+                random_case(&mut rng, &few, 5, 8)
+            };
             let (g, params) = (&case.graph, &case.params);
             let idx = InvertedIndex::build(g);
             let q = ParsedQuery::parse(&idx, &case.query);
-            if q.is_empty() {
+            if q.is_empty() || (wide && q.num_keywords() <= 64) {
                 continue;
             }
             cases += 1;
-            let state = SearchState::new(g.num_nodes(), &q);
             let act = ActivationMap(&case.activation);
-            let tracker = QueryBudget::unlimited().start();
-            let mut frontiers = Vec::new();
-            let mut ops = MatrixOps {
-                backend: ShardBackend::Seq,
-                pool: None,
-                ctx: ExpandCtx { graph: g, act: &act, state: &state, budget: &tracker },
-                frontiers: &mut frontiers,
-            };
-            let mut run = LevelRun::new(params, &tracker);
-            drive(&mut ops, &mut run).expect("unlimited budget");
-            let cohort = run.cohort().to_vec();
+            let (mut state, cohort) = bottom_up(g, &q, &act, params);
+            if wide {
+                wide_cases += 1;
+                wide_candidates += cohort.len();
+            }
 
             let expected: Vec<CentralGraph> = cohort
                 .iter()
@@ -1340,18 +1472,22 @@ mod tests {
                     reference::prune_and_score(g, &state, &extraction, params)
                 })
                 .collect();
+            let tracker = QueryBudget::unlimited().start();
+            let hits = &state.byte_levels(&mut block);
             let stage = Stage {
                 graph: g,
-                hits: &state,
+                hits,
                 params,
                 tracker: &tracker,
-                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(g, &act, &state, j, sink),
+                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(g, &act, hits, j, sink),
             };
-            solo.resize_with(1, TopDownScratch::default);
-            solo[0].begin_query(g.num_nodes());
+            let TopDownScratch { memo, workers } = &mut scratches[0];
+            workers.resize_with(1, Worker::default);
+            memo.build(&stage, &cohort, None, workers).expect("unlimited budget");
+            let walk = &mut workers[0].walk;
             let mut case_pruned = false;
             for (&(c, d), want) in cohort.iter().zip(&expected) {
-                let got = stage.materialise(&mut solo[0].walk, c.0, d).expect("unlimited budget");
+                let got = stage.materialise(memo, walk, c.0, d);
                 assert_eq!(
                     digest_answer(&got),
                     digest_answer(want),
@@ -1359,7 +1495,7 @@ mod tests {
                     case.query
                 );
                 candidates += 1;
-                if solo[0].walk.pruned {
+                if walk.pruned {
                     pruned += 1;
                     case_pruned = true;
                 }
@@ -1368,7 +1504,8 @@ mod tests {
 
             let want: Vec<String> =
                 reference::select_top_k(expected, params).iter().map(digest_answer).collect();
-            for (pool, scratch) in [(None, &mut solo), (Some(&pool), &mut pooled)] {
+            let pools = std::iter::once(None).chain(pools.iter().map(Some));
+            for (pool, scratch) in pools.zip(&mut scratches) {
                 let got = top_down(&stage, &cohort, pool, scratch).expect("unlimited budget");
                 assert_eq!(got.iter().map(digest_answer).collect::<Vec<_>>(), want, "case {cases}");
             }
@@ -1379,6 +1516,69 @@ mod tests {
         // above is also the evidence that dropping it changed nothing.)
         assert!(pruning_cases * 5 >= cases, "{pruning_cases} of {cases} cases pruned");
         assert!(pruned * 10 >= candidates, "{pruned} of {candidates} candidates pruned");
+        assert!(wide_candidates > 0, "no wide case had a candidate");
+    }
+
+    /// Each question is asked once: on a hub every candidate's walk passes
+    /// through, with 1, 2 and 3 threads, the oracle hears about no node
+    /// twice in a query, never about a node reached only as a source of the
+    /// keyword that reached it, and again about the same nodes in the next
+    /// query on the same scratch (the memo is per query).
+    #[test]
+    fn every_node_is_asked_about_at_most_once_per_query() {
+        // alpha source — hub — 30 mids, each with its own omega source:
+        // the hub and every mid are central at depth 2, and every mid's
+        // alpha walk passes through the hub.
+        let mut b = GraphBuilder::new();
+        let source = b.add_node("s", "alpha");
+        let hub = b.add_node("h", "hub");
+        b.add_edge(source, hub, "e");
+        for i in 0..30 {
+            let mid = b.add_node(&format!("m{i}"), "mid");
+            let leaf = b.add_node(&format!("z{i}"), "omega");
+            b.add_edge(hub, mid, "e");
+            b.add_edge(mid, leaf, "e");
+        }
+        let g = b.build();
+        let idx = InvertedIndex::build(&g);
+        let q = ParsedQuery::parse(&idx, "alpha omega");
+        let activation = vec![0u8; g.num_nodes()];
+        let act = ActivationMap(&activation);
+        // (The hub's answer contains every mid's: keep it in the top-k.)
+        let params =
+            SearchParams { dedup_contained: false, ..SearchParams::default().with_top_k(40) };
+        let (state, cohort) = bottom_up(&g, &q, &act, &params);
+        assert_eq!(cohort.len(), 31, "the hub and every mid");
+
+        let tracker = QueryBudget::unlimited().start();
+        for threads in 1..=3 {
+            let pool = crate::engine::build_pool(threads);
+            let asked: Vec<AtomicU32> = (0..g.num_nodes()).map(|_| AtomicU32::new(0)).collect();
+            let stage = Stage {
+                graph: &g,
+                hits: &state,
+                params: &params,
+                tracker: &tracker,
+                preds: |j: u32, sink: &mut PredSink| {
+                    asked[j as usize].fetch_add(1, Ordering::Relaxed);
+                    hitting_path_preds(&g, &act, &state, j, sink)
+                },
+            };
+            let mut scratch = TopDownScratch::default();
+            for query in 1..=2 {
+                let answers = top_down(&stage, &cohort, Some(&pool), &mut scratch).unwrap();
+                assert_eq!(answers.len(), 31);
+                for v in g.nodes() {
+                    let central = cohort.iter().any(|&(c, _)| c == v);
+                    assert_eq!(
+                        asked[v.index()].load(Ordering::Relaxed),
+                        if central { query } else { 0 },
+                        "{threads} threads, query {query}, node {}",
+                        g.node_key(v)
+                    );
+                }
+            }
+        }
     }
 
     /// A tripped budget surfaces as `None` from either phase, never as a
@@ -1396,33 +1596,38 @@ mod tests {
         let g = b.build();
         let idx = InvertedIndex::build(&g);
         let q = ParsedQuery::parse(&idx, "alpha omega");
-        let state = SearchState::new(g.num_nodes(), &q);
         let act = ActivationMap(&[0; 12]);
         let params = SearchParams::default();
-        let live = QueryBudget::unlimited().start();
-        let mut frontiers = Vec::new();
-        let mut ops = MatrixOps {
-            backend: ShardBackend::Seq,
-            pool: None,
-            ctx: ExpandCtx { graph: &g, act: &act, state: &state, budget: &live },
-            frontiers: &mut frontiers,
-        };
-        let mut run = LevelRun::new(&params, &live);
-        drive(&mut ops, &mut run).expect("unlimited budget");
-        let cohort = run.cohort().to_vec();
+        let (state, cohort) = bottom_up(&g, &q, &act, &params);
         assert_eq!(cohort.len(), 10);
 
+        // One scratch throughout: a stage cut short — before its first
+        // question, or (the oracle billing a unit per question) halfway
+        // through the memo's first round — leaves nothing the next one sees.
+        let live = QueryBudget::unlimited().start();
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO).start();
-        for tracker in [&live, &expired] {
+        let mid_round = QueryBudget::unlimited().with_max_expansions(5).start();
+        let mut scratch = TopDownScratch::default();
+        let mut complete = Vec::new();
+        let runs = [(&live, 10), (&expired, 10), (&mid_round, 10), (&live, 1), (&live, 10)];
+        for (tracker, candidates) in runs {
             let stage = Stage {
                 graph: &g,
                 hits: &state,
                 params: &params,
                 tracker,
-                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(&g, &act, &state, j, sink),
+                preds: |j: u32, sink: &mut PredSink| {
+                    tracker.charge(1);
+                    hitting_path_preds(&g, &act, &state, j, sink)
+                },
             };
-            let out = top_down(&stage, &cohort, None, &mut Vec::new());
-            assert_eq!(out.map(|answers| answers.len()), tracker.error().is_none().then_some(10));
+            let out = top_down(&stage, &cohort[..candidates], None, &mut scratch);
+            assert_eq!(out.is_some(), tracker.error().is_none());
+            complete.extend(out.map(|answers| answers.iter().map(digest_answer).collect()));
         }
+        let complete: Vec<Vec<String>> = complete;
+        assert_eq!(complete.iter().map(Vec::len).collect::<Vec<_>>(), [10, 1, 10]);
+        assert_eq!(complete[1][0], complete[0][0]);
+        assert_eq!(complete[2], complete[0]);
     }
 }
