@@ -531,10 +531,10 @@ impl<'a> LevelRun<'a> {
     /// candidate cohort — `preds(j, sink)` being the shape's predecessor
     /// oracle (Theorem V.4 over `hits`, or CPU-Par-d's recorded paths) —
     /// on the caller's thread or dynamically scheduled over `pool`, with
-    /// `scratch` as its reusable working memory. The cohort is ordered shallowest-first,
-    /// so the `max_candidates` cap keeps the best-depth prefix. A budget
-    /// trip mid-stage fails the whole search rather than returning a
-    /// silently truncated answer set.
+    /// `scratch` as its reusable working memory. The cohort is ordered
+    /// shallowest-first, so the `max_candidates` cap keeps the best-depth
+    /// prefix. A budget trip mid-stage fails the whole search rather than
+    /// returning a silently truncated answer set.
     pub fn finish<H, P>(
         self,
         engine: &str,

@@ -233,7 +233,7 @@ pub(crate) fn run_matrix_search(
     let t = Instant::now();
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
-    let SearchSession { state, scratch, activation, levels, top_down: stage2, .. } = session;
+    let SearchSession { state, scratch, activation, matrix_bytes, top_down: stage2, .. } = session;
     let act = activation.for_params(graph, params);
     run.profile.init = t.elapsed();
 
@@ -242,7 +242,7 @@ pub(crate) fn run_matrix_search(
     bottom_up::drive(&mut ops, &mut run)?;
     // Stage 2 reads `M` as bytes; the copy is its first step.
     let t = Instant::now();
-    let hits = &state.byte_levels(levels);
+    let hits = &state.byte_levels(matrix_bytes);
     run.profile.top_down = t.elapsed();
     run.finish(name, graph, hits, pool, stage2, |j, sink| {
         top_down::hitting_path_preds(graph, &act, hits, j, sink)

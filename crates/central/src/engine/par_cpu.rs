@@ -3,21 +3,21 @@
 //! Scheduling choices mirror the paper's OpenMP implementation:
 //!
 //! * **Expansion** uses *coarse-grained* parallelism — one task per
-//!   frontier, dynamically scheduled (rayon work stealing ≈ OpenMP
-//!   `schedule(dynamic)`): "we simply let threads on CPU handle different
-//!   frontiers with a dynamic scheduling".
+//!   frontier, dynamically scheduled (OpenMP `schedule(dynamic)`): "we
+//!   simply let threads on CPU handle different frontiers with a dynamic
+//!   scheduling". The pool threads claim short runs of frontiers from one
+//!   atomic cursor ([`crate::engine::claim_runs`]).
 //! * **Frontier enqueue** is *sequential*: the paper found that on CPU
 //!   "locked writing is so expensive and the fastest way is to enqueue
 //!   frontiers in a sequential manner".
 //! * **Identification** is parallel over frontiers (each frontier is
 //!   touched by exactly one task, so the central flag needs no lock).
 //! * **Top-down** is parallel over central nodes, one task per Central
-//!   Graph, dynamically scheduled (Sec. V-C): the pool threads claim runs
-//!   of a few candidates from one atomic cursor
-//!   ([`crate::top_down::top_down`]), each scoring into its own
-//!   [`crate::top_down::TopDownScratch`] — the rayon shim's static
-//!   one-block-per-thread split would put a skewed cohort's expensive
-//!   candidates on one thread.
+//!   Graph, dynamically scheduled (Sec. V-C) through the same helper
+//!   ([`crate::top_down::top_down`]), each thread scoring into its own
+//!   records over the query's one predecessor memo — the rayon shim's
+//!   static one-block-per-thread split would put a skewed cohort's
+//!   expensive candidates, or a level's hubs, on one thread.
 
 use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};

@@ -64,7 +64,7 @@ pub struct SearchSession {
     pub(crate) activation: ActivationTable,
     /// The finished `M` as bytes, row-major `n × q`: what the top-down
     /// stage of a matrix engine reads ([`SearchState::byte_levels`]).
-    pub(crate) levels: Vec<u8>,
+    pub(crate) matrix_bytes: Vec<u8>,
     /// Top-down working memory: the per-query predecessor memo and the
     /// marks of every thread that ever ran the stage for this session;
     /// empty until the first search reaches it.

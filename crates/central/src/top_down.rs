@@ -21,14 +21,19 @@
 //! *Top-down scratch, predecessor memo and two-phase finish*):
 //!
 //! * **[`TopDownScratch`]** — every set and list the stage needs is a
-//!   stamp array or a flat arena that lives in the session (one per pool
-//!   thread) and is reused across candidates and queries: no hashing, no
-//!   per-candidate allocation.
-//! * **Predecessor memo** — the test above depends on `(j, i)` only, never
-//!   on which central node the walk started from, so a node's adjacency is
-//!   scanned once per query, for all keywords at once
-//!   ([`hitting_path_preds`]); a candidate's DAGs are walks over the
-//!   memoised lists.
+//!   stamp array or a flat arena that lives in the session and is reused
+//!   across candidates and queries: no hashing, no per-candidate
+//!   allocation. The matrix engines hand the stage `M` as plain bytes
+//!   ([`crate::state::ByteLevels`]), the activation levels as a table.
+//! * **Predecessor memo, one per query** — the test above depends on
+//!   `(j, i)` only, never on which central node the walk started from, so
+//!   a node's adjacency is scanned at most once per query, for all
+//!   keywords at once ([`hitting_path_preds`]), whatever the thread count:
+//!   one backward sweep from the whole cohort builds the memo before any
+//!   candidate is walked, asking only about nodes some walk needs the
+//!   predecessors of (a source's list for its own keyword is empty); a
+//!   candidate's DAGs are walks over the memoised lists, and level-cover
+//!   classifies and covers from the rows the memo kept.
 //! * **Score first, materialise last** — phase A leaves one compact record
 //!   per candidate (central, depth, sorted node ids, score); ranking and
 //!   containment dedup run on those records; phase B builds a full
@@ -60,12 +65,7 @@ impl PredSink {
     /// `pred` precedes the scanned node on a hitting path of `keyword`.
     #[inline]
     pub fn push(&mut self, keyword: usize, pred: u32) {
-        self.pairs.push(Self::pair(keyword, pred));
-    }
-
-    #[inline]
-    fn pair(keyword: usize, pred: u32) -> u64 {
-        (keyword as u64) << 32 | u64::from(pred)
+        self.pairs.push((keyword as u64) << 32 | u64::from(pred));
     }
 }
 
@@ -110,7 +110,7 @@ pub fn hitting_path_preds<H: HitLevels + ?Sized>(
             if hj == hn.max(floor).saturating_add(1)
                 && state.central_depth(n).is_none_or(|d| hj <= d)
             {
-                pairs.push(PredSink::pair(i, n));
+                pairs.push((i as u64) << 32 | u64::from(n));
             }
         }
     }
@@ -148,7 +148,7 @@ struct Scored {
 }
 
 /// Reusable working memory of the top-down stage: the query's predecessor
-/// memo and one [`Worker`] per thread that runs the stage. Lives in the
+/// memo and one `Worker` per thread that runs the stage. Lives in the
 /// [`crate::session::SearchSession`] (or the coordinator that owns the
 /// stage) and grows on first use to one `u32` per graph node (the memo's
 /// index) plus marks and arenas proportional to the nodes and edges the
@@ -750,7 +750,7 @@ fn select_top_k(mut ranked: Vec<Ranked<'_>>, params: &SearchParams) -> Vec<(u32,
 }
 
 /// The top-down stage over `cohort` (`(central, depth)`, shallowest
-/// first): the query's memo is built once ([`Memo::build`]), phase A
+/// first): the query's memo is built once (`Memo::build`), phase A
 /// scores every candidate over it — pool threads claiming small batches
 /// from one atomic cursor, each with its own marks —, the records are
 /// ranked and deduplicated, phase B materialises the ≤ `top_k` survivors,
