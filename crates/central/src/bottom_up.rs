@@ -19,11 +19,12 @@
 //!   the only loop that steps one over the other;
 //! * the kernel — [`expand_frontier`] / [`expand_work_item`] /
 //!   [`identify_sequential`] / [`observe_level`] over the one
-//!   [`SearchState`] layout, and [`expand_level`], the one backend →
-//!   scheduling dispatch;
+//!   [`SearchState`] layout, under [`expand_level`]'s or
+//!   [`expand_work_items`]' scheduling;
 //! * [`LevelRun::finish`] — the top-down stage (Algorithm 3,
-//!   [`crate::top_down`]) and outcome assembly, generic over [`HitLevels`]
-//!   with the shape's predecessor oracle as a closure.
+//!   [`crate::top_down`]) over the one [`crate::state::HitBlock`] every
+//!   shape fills, with the shape's predecessor oracle as a closure, and
+//!   outcome assembly.
 //!
 //! The *semantics* are identical across shapes and schedulings (Theorem
 //! V.2), which the differential suites verify byte for byte.
@@ -34,8 +35,7 @@ use crate::engine::{claim_runs, SearchOutcome, SearchStats, FRONTIER_CLAIM};
 use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::profile::PhaseProfile;
-use crate::shard::ShardBackend;
-use crate::state::{HitLevels, SearchState};
+use crate::state::{HitBlock, SearchState};
 use crate::top_down::{self, PredSink, Stage, TopDownScratch};
 use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
@@ -134,43 +134,37 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
     }
 }
 
-/// Run one level's expansion procedure over `frontiers` under `backend`'s
-/// scheduling — the one backend → kernel-granularity mapping: sequential
-/// per frontier, frontiers claimed in short runs by the pool's threads
-/// (CPU-Par's coarse grain, "dynamically scheduled"), or one task per
-/// `(frontier, instance)` work item (the GPU warp grid). Parallel
-/// schedulings run inside `pool` when given, else on the caller's thread
-/// (in-process shard lanes already sit inside the coordinator's
-/// fork-join); the sequential one never leaves it.
+/// Run one level's expansion procedure over `frontiers`, a frontier at a
+/// time in queue order: claimed in short runs by `pool`'s threads (CPU-Par's
+/// coarse grain, "dynamically scheduled") or, without a pool, all by the
+/// caller — the sequential engine, and a shard lane, which already sits
+/// inside its coordinator's fork-join.
 pub fn expand_level(
-    backend: ShardBackend,
     pool: Option<&rayon::ThreadPool>,
     ctx: &ExpandCtx<'_>,
     frontiers: &[u32],
     level: u8,
 ) {
-    let expand_run = |_worker, run: std::ops::Range<usize>| {
+    claim_runs(pool, frontiers.len(), FRONTIER_CLAIM, |_worker, run| {
         frontiers[run].iter().for_each(|&f| expand_frontier(ctx, f, level));
         true
-    };
-    match backend {
-        ShardBackend::Seq | ShardBackend::DynPar(_) => {
-            expand_run(0, 0..frontiers.len());
-        }
-        ShardBackend::ParCpu(_) => claim_runs(pool, frontiers.len(), FRONTIER_CLAIM, expand_run),
-        ShardBackend::GpuStyle(_) => {
-            let q = ctx.state.num_keywords();
-            let grid = || {
-                (0..frontiers.len() * q)
-                    .into_par_iter()
-                    .for_each(|w| expand_work_item(ctx, frontiers[w / q], w % q, level));
-            };
-            match pool {
-                Some(pool) => pool.install(grid),
-                None => grid(),
-            }
-        }
-    }
+    });
+}
+
+/// One level's expansion as GPU-Par schedules it: one task of `pool` per
+/// `(frontier, instance)` work item (the warp grid).
+pub fn expand_work_items(
+    pool: &rayon::ThreadPool,
+    ctx: &ExpandCtx<'_>,
+    frontiers: &[u32],
+    level: u8,
+) {
+    let q = ctx.state.num_keywords();
+    pool.install(|| {
+        (0..frontiers.len() * q)
+            .into_par_iter()
+            .for_each(|w| expand_work_item(ctx, frontiers[w / q], w % q, level));
+    });
 }
 
 /// Sequential frontier enqueue: scan `FIdentifier`, clearing flags and
@@ -268,18 +262,23 @@ pub fn identify_parallel(
 /// The traced-query observation of one level: how many keyword-hit cells
 /// were first covered here (`new_hits`) and how many frontier nodes are
 /// still gated by their activation level (`deferred`). O(frontier · q)
-/// scans, paid only on traced queries.
-pub fn observe_level<H: HitLevels + ?Sized>(
-    state: &H,
+/// scans of the shape's hitting levels (`hit(f, i)`, over `q` keywords),
+/// paid only on `traced` queries: zeros otherwise.
+pub fn observe_level(
+    traced: bool,
+    hit: impl Fn(u32, usize) -> u8,
+    q: usize,
     act: &ActivationMap<'_>,
     frontiers: &[u32],
     level: u8,
 ) -> (usize, usize) {
-    let q = state.num_keywords();
+    if !traced {
+        return (0, 0);
+    }
     let mut new_hits = 0usize;
     let mut deferred = 0usize;
     for &f in frontiers {
-        new_hits += (0..q).filter(|&i| state.hit(f, i) == level).count();
+        new_hits += (0..q).filter(|&i| hit(f, i) == level).count();
         if act.level(NodeId(f)) > level {
             deferred += 1;
         }
@@ -527,31 +526,44 @@ impl<'a> LevelRun<'a> {
         self.level += 1;
     }
 
+    /// Run a shape's fill of the stage's block on the top-down clock: the
+    /// fill is stage 2's first step, whoever performs it.
+    pub fn timed_fill<R>(&mut self, fill: impl FnOnce() -> R) -> R {
+        let t = Instant::now();
+        let filled = fill();
+        self.profile.top_down += t.elapsed();
+        filled
+    }
+
     /// Stage 2 and outcome assembly: [`top_down::top_down`] over the
-    /// candidate cohort — `preds(j, sink)` being the shape's predecessor
-    /// oracle (Theorem V.4 over `hits`, or CPU-Par-d's recorded paths) —
-    /// on the caller's thread or dynamically scheduled over `pool`, with
-    /// `scratch` as its reusable working memory. The cohort is ordered
-    /// shallowest-first, so the `max_candidates` cap keeps the best-depth
-    /// prefix. A budget trip mid-stage fails the whole search rather than
-    /// returning a silently truncated answer set.
-    pub fn finish<H, P>(
+    /// candidate cohort and `scratch.hits`, whose rows the shape has
+    /// filled and whose central marks are the cohort's, set here —
+    /// `preds(hits, j, sink)` being the shape's predecessor oracle (Theorem
+    /// V.4 over `hits`, or CPU-Par-d's recorded paths) — on the caller's
+    /// thread or dynamically scheduled over `pool`, with `scratch` as its
+    /// reusable working memory. The cohort is ordered shallowest-first, so
+    /// the `max_candidates` cap keeps the best-depth prefix. A budget trip
+    /// mid-stage fails the whole search rather than returning a silently
+    /// truncated answer set.
+    pub fn finish<P>(
         self,
         engine: &str,
         graph: &KnowledgeGraph,
-        hits: &H,
         pool: Option<&rayon::ThreadPool>,
         scratch: &mut TopDownScratch,
         preds: P,
     ) -> Verdict
     where
-        H: HitLevels + Sync + ?Sized,
-        P: Fn(u32, &mut PredSink) + Sync,
+        P: Fn(&HitBlock, u32, &mut PredSink) + Sync,
     {
         let LevelRun { params, tracker, mut profile, mut cohort, .. } = self;
-        cohort.truncate(params.max_candidates);
         let t = Instant::now();
-        let stage = Stage { graph, hits, params, tracker, preds };
+        // Every identified node froze at its depth, capped away or not.
+        for &(central, depth) in &cohort {
+            scratch.hits.mark_central(central.0, depth);
+        }
+        cohort.truncate(params.max_candidates);
+        let stage = Stage { graph, params, tracker, preds };
         let Some(answers) = top_down::top_down(&stage, &cohort, pool, scratch) else {
             return Err(tracker
                 .error()
@@ -562,7 +574,7 @@ impl<'a> LevelRun<'a> {
         let trace = self.records.map(|levels| {
             Box::new(QueryTrace {
                 engine: engine.to_string(),
-                keywords: hits.num_keywords(),
+                keywords: scratch.hits.num_keywords(),
                 total_expansions: tracker.expansions(),
                 terminated: self.terminated == Some(TerminationReason::LevelCap),
                 levels,
@@ -636,8 +648,8 @@ mod tests {
         let tracker = budget.start();
         let mut frontiers = Vec::new();
         let mut ops = MatrixOps {
-            backend: ShardBackend::Seq,
             pool: None,
+            work_items: false,
             ctx: ExpandCtx { graph: g, act, state, budget: &tracker },
             frontiers: &mut frontiers,
         };

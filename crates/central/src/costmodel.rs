@@ -21,7 +21,7 @@ use crate::bottom_up::{drive, enqueue_sequential, identify_sequential, LevelOps,
 use crate::budget::QueryBudget;
 use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
-use crate::state::{HitLevels, SearchState};
+use crate::state::SearchState;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use serde::{Deserialize, Serialize};

@@ -24,7 +24,6 @@ use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use textindex::ParsedQuery;
@@ -62,8 +61,9 @@ impl KeywordSearchEngine for GpuStyleEngine {
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
         run_matrix_search(
-            ShardBackend::GpuStyle(self.threads),
+            self.name(),
             Some(&self.pool),
+            true,
             session,
             graph,
             query,

@@ -6,9 +6,9 @@
 //! [`crate::bottom_up::LevelOps`] adapter driven by
 //! [`crate::bottom_up::drive`] and finished by
 //! [`crate::bottom_up::LevelRun::finish`]. The three matrix engines share
-//! one adapter (`MatrixOps`) and differ only in the
-//! [`ShardBackend`] scheduling they pass it; CPU-Par-d
-//! brings its own locked state and expansion (`par_dyn`).
+//! one adapter (`MatrixOps`) and differ only in the pool and task grain
+//! they hand it; CPU-Par-d brings its own locked state and expansion
+//! (`par_dyn`).
 
 mod gpu_style;
 mod par_cpu;
@@ -26,7 +26,6 @@ use crate::error::SearchError;
 use crate::model::CentralGraph;
 use crate::profile::PhaseProfile;
 use crate::session::SearchSession;
-use crate::shard::ShardBackend;
 use crate::top_down;
 use crate::trace::QueryTrace;
 use crate::SearchParams;
@@ -151,16 +150,17 @@ const COMPACTION_BLOCK: usize = 4096;
 
 /// The matrix engines' [`LevelOps`]: one [`crate::state::SearchState`], no
 /// exchange.
-/// `backend` picks the paper's scheduling per phase — Seq runs all three
-/// sequentially; CPU-Par keeps the *sequential* enqueue (the paper found
-/// locked parallel writes slower than one linear scan) but identifies and
-/// expands in parallel, one task per frontier; GPU-Par additionally
-/// enqueues by parallel block compaction and expands one task per
-/// `(frontier, instance)` work item.
+/// `pool` and `work_items` pick the paper's scheduling per phase — Seq
+/// (no pool) runs all three sequentially; CPU-Par keeps the *sequential*
+/// enqueue (the paper found locked parallel writes slower than one linear
+/// scan) but identifies and expands in parallel, one task per frontier;
+/// GPU-Par (`work_items`) additionally enqueues by parallel block
+/// compaction and expands one task per `(frontier, instance)` work item.
 pub(crate) struct MatrixOps<'a> {
-    pub(crate) backend: ShardBackend,
     /// The engine's pool; `None` for the sequential engine.
     pub(crate) pool: Option<&'a rayon::ThreadPool>,
+    /// GPU-Par's task grain; needs a pool.
+    pub(crate) work_items: bool,
     pub(crate) ctx: ExpandCtx<'a>,
     pub(crate) frontiers: &'a mut Vec<u32>,
 }
@@ -169,8 +169,8 @@ impl LevelOps for MatrixOps<'_> {
     type Error = SearchError;
 
     fn enqueue(&mut self) -> Result<usize, SearchError> {
-        match (self.backend, self.pool) {
-            (ShardBackend::GpuStyle(_), Some(pool)) => bottom_up::enqueue_parallel_compaction(
+        match self.pool {
+            Some(pool) if self.work_items => bottom_up::enqueue_parallel_compaction(
                 pool,
                 self.ctx.state,
                 self.frontiers,
@@ -192,34 +192,37 @@ impl LevelOps for MatrixOps<'_> {
             Some(pool) => bottom_up::identify_parallel(pool, state, self.frontiers, level, newly),
             None => bottom_up::identify_sequential(state, self.frontiers, level, newly),
         }
-        Ok(if traced {
-            bottom_up::observe_level(state, self.ctx.act, self.frontiers, level)
-        } else {
-            (0, 0)
-        })
+        let (hit, q) = (|f, i| state.hit(f, i), state.num_keywords());
+        Ok(bottom_up::observe_level(traced, hit, q, self.ctx.act, self.frontiers, level))
     }
 
     fn expand(&mut self, level: u8) -> Result<(), SearchError> {
-        bottom_up::expand_level(self.backend, self.pool, &self.ctx, self.frontiers, level);
+        match self.pool {
+            Some(pool) if self.work_items => {
+                bottom_up::expand_work_items(pool, &self.ctx, self.frontiers, level)
+            }
+            pool => bottom_up::expand_level(pool, &self.ctx, self.frontiers, level),
+        }
         Ok(())
     }
 }
 
 /// The three matrix-based engines (sequential, CPU-Par, GPU-style) as one
 /// adapter over [`bottom_up::drive`]: re-arm the session's state →
-/// bottom-up under `backend`'s scheduling → top-down over the Theorem V.4
-/// predecessor oracle (dynamically scheduled over central nodes when the
-/// engine has a `pool`).
+/// bottom-up under the scheduling `pool` and `work_items` select (see
+/// `MatrixOps`) → top-down over the Theorem V.4 predecessor oracle
+/// (dynamically scheduled over central nodes when the engine has a `pool`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_matrix_search(
-    backend: ShardBackend,
+    name: &'static str,
     pool: Option<&rayon::ThreadPool>,
+    work_items: bool,
     session: &mut SearchSession,
     graph: &KnowledgeGraph,
     query: &ParsedQuery,
     params: &SearchParams,
     budget: &QueryBudget,
 ) -> Result<SearchOutcome, SearchError> {
-    let name = backend.base_name();
     let tracker = match bottom_up::pre_flight(query, params, budget, name, graph.num_nodes()) {
         PreFlight::Run(tracker) => tracker,
         PreFlight::Done(verdict) => return verdict,
@@ -233,18 +236,15 @@ pub(crate) fn run_matrix_search(
     let t = Instant::now();
     session.state.begin_query(graph.num_nodes(), query);
     session.queries_run += 1;
-    let SearchSession { state, scratch, activation, matrix_bytes, top_down: stage2, .. } = session;
+    let SearchSession { state, scratch, activation, top_down: stage2, .. } = session;
     let act = activation.for_params(graph, params);
     run.profile.init = t.elapsed();
 
     let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
-    let mut ops = MatrixOps { backend, pool, ctx, frontiers: &mut scratch.frontiers };
+    let mut ops = MatrixOps { pool, work_items, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;
-    // Stage 2 reads `M` as bytes; the copy is its first step.
-    let t = Instant::now();
-    let hits = &state.byte_levels(matrix_bytes);
-    run.profile.top_down = t.elapsed();
-    run.finish(name, graph, hits, pool, stage2, |j, sink| {
+    run.timed_fill(|| state.fill(&mut stage2.hits));
+    run.finish(name, graph, pool, stage2, |hits, j, sink| {
         top_down::hitting_path_preds(graph, &act, hits, j, sink)
     })
 }

@@ -23,7 +23,6 @@ use crate::budget::QueryBudget;
 use crate::engine::{build_pool, run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use textindex::ParsedQuery;
@@ -60,8 +59,9 @@ impl KeywordSearchEngine for ParCpuEngine {
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
         run_matrix_search(
-            ShardBackend::ParCpu(self.threads),
+            self.name(),
             Some(&self.pool),
+            false,
             session,
             graph,
             query,

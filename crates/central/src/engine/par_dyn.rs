@@ -16,7 +16,7 @@ use crate::engine::{build_pool, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::session::SearchSession;
-use crate::state::HitLevels;
+use crate::state::HitBlock;
 use crate::top_down::PredSink;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
@@ -135,22 +135,25 @@ impl DynState {
             self.next_frontier.lock().push(f);
         }
     }
-}
 
-impl HitLevels for DynState {
-    fn num_keywords(&self) -> usize {
-        self.q
-    }
-    fn hit(&self, v: u32, i: usize) -> u8 {
-        self.node(v).hit_level(i)
-    }
+    /// `true` if `v` contains at least one query keyword.
     fn is_keyword_node(&self, v: u32) -> bool {
         self.is_keyword[v as usize] == self.epoch
     }
-    fn central_depth(&self, v: u32) -> Option<u8> {
-        match self.node(v).central {
-            0 => None,
-            d => Some(d - 1),
+
+    /// Scatter this query's sparse hit lists into `block`, one pass over
+    /// the `n` records. Taken once the bottom-up stage has finished — the
+    /// exclusive borrow says so, and needs no lock.
+    fn fill(&mut self, n: usize, block: &mut HitBlock) {
+        block.unhit(n, self.q);
+        for (v, node) in self.nodes[..n].iter_mut().enumerate() {
+            let node = node.get_mut();
+            if node.stamp == self.epoch {
+                let row = block.row_mut(v as u32);
+                for &(keyword, level) in &node.hits {
+                    row[keyword as usize] = level;
+                }
+            }
         }
     }
 }
@@ -198,13 +201,12 @@ impl KeywordSearchEngine for DynParEngine {
         let state = session.dyn_state.get_or_insert_with(DynState::empty);
         state.begin_query(graph.num_nodes(), query);
         session.queries_run += 1;
-        let state = &*state;
         let act = session.activation.for_params(graph, params);
         run.profile.init = t.elapsed();
 
         let mut ops = DynOps {
             graph,
-            state,
+            state: &*state,
             act: &act,
             tracker: &tracker,
             pool: &self.pool,
@@ -213,7 +215,10 @@ impl KeywordSearchEngine for DynParEngine {
         bottom_up::drive(&mut ops, &mut run)?;
         // Top-down: no Theorem V.4 — the per-keyword DAGs are walks over
         // the recorded predecessors, then the shared pruning/ranking.
-        run.finish(self.name(), graph, state, Some(&self.pool), &mut session.top_down, |j, sink| {
+        let stage2 = &mut session.top_down;
+        run.timed_fill(|| state.fill(graph.num_nodes(), &mut stage2.hits));
+        let state = &*state;
+        run.finish(self.name(), graph, Some(&self.pool), stage2, |_, j, sink| {
             recorded_preds(state, j, sink)
         })
     }
@@ -258,11 +263,15 @@ impl LevelOps for DynOps<'_> {
                 newly.push(f);
             }
         }
-        Ok(if traced {
-            bottom_up::observe_level(self.state, self.act, &self.frontiers, level)
-        } else {
-            (0, 0)
-        })
+        let hit = |f, i| self.state.node(f).hit_level(i);
+        Ok(bottom_up::observe_level(
+            traced,
+            hit,
+            self.state.q,
+            self.act,
+            &self.frontiers,
+            level,
+        ))
     }
 
     /// Expansion with per-node locks, parallel over frontiers.

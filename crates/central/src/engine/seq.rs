@@ -9,7 +9,6 @@ use crate::budget::QueryBudget;
 use crate::engine::{run_matrix_search, KeywordSearchEngine, SearchOutcome};
 use crate::error::SearchError;
 use crate::session::SearchSession;
-use crate::shard::ShardBackend;
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use textindex::ParsedQuery;
@@ -38,7 +37,7 @@ impl KeywordSearchEngine for SeqEngine {
         params: &SearchParams,
         budget: &QueryBudget,
     ) -> Result<SearchOutcome, SearchError> {
-        run_matrix_search(ShardBackend::Seq, None, session, graph, query, params, budget)
+        run_matrix_search(self.name(), None, false, session, graph, query, params, budget)
     }
 }
 

@@ -48,14 +48,14 @@ use crate::budget::{BudgetTracker, QueryBudget};
 use crate::engine::SearchOutcome;
 use crate::error::SearchError;
 use crate::metrics::{HistogramSnapshot, LogHistogram};
-use crate::model::INFINITE_LEVEL;
+use crate::pool::SessionPool;
+use crate::session::SearchSession;
 use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
-use crate::state::HitLevels;
-use crate::top_down::{self, ScratchPool, StageScratch};
+use crate::state::HitBlock;
+use crate::top_down;
 use crate::trace::{ShardSpan, ShardTimeline};
 use crate::SearchParams;
 use kgraph::KnowledgeGraph;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -325,9 +325,10 @@ pub struct RemoteShardedSearch {
     name: String,
     /// Per-shard connection freelist.
     channels: Vec<Mutex<Vec<Channel>>>,
-    /// Top-down working memory (the stage runs here, over the global
-    /// graph and the collected rows).
-    scratch: ScratchPool,
+    /// The sessions whose activation table and top-down scratch serve the
+    /// stage, which runs here, over the global graph and the collected
+    /// rows; their matrix state is never armed.
+    pub(crate) stage: SessionPool,
     heartbeat_stop: Arc<AtomicBool>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
 }
@@ -386,7 +387,7 @@ impl RemoteShardedSearch {
             backend,
             name,
             channels: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
-            scratch: ScratchPool::default(),
+            stage: SessionPool::new(),
             heartbeat_stop,
             heartbeat,
         }
@@ -625,17 +626,16 @@ impl RemoteShardedSearch {
 
         bottom_up::drive(&mut ops, &mut run)?;
 
-        // Collect: ship every informative row (the channels go back to
-        // the pool as `ops` drops) and run the unchanged top-down stage
-        // over the global graph.
-        let (rows, timelines) = ops.collect(traced)?;
+        // Collect: ship every informative row into the stage's block (the
+        // channels go back to the pool as `ops` drops) and run the
+        // unchanged top-down stage over the global graph.
+        let mut stage = self.stage.checkout();
+        let SearchSession { activation, top_down: stage2, .. } = &mut *stage;
+        let timelines = ops.collect(traced, &mut stage2.hits, query.num_keywords())?;
         drop(ops);
-        let hits = RemoteHitLevels { rows, q: query.num_keywords() };
-        let mut outcome = self.scratch.with(|StageScratch { activation, top_down }| {
-            let global_act = activation.for_params(graph, params);
-            run.finish(&self.name, graph, &hits, None, top_down, |j, sink| {
-                top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
-            })
+        let global_act = activation.for_params(graph, params);
+        let mut outcome = run.finish(&self.name, graph, None, stage2, |hits, j, sink| {
+            top_down::hitting_path_preds(graph, &global_act, hits, j, sink)
         })?;
         if let Some(trace) = outcome.trace.as_mut() {
             trace.qid = qid;
@@ -643,6 +643,34 @@ impl RemoteShardedSearch {
         }
         Ok(outcome)
     }
+}
+
+/// Fill `block` (`n` nodes × `q` keywords) from the rows each live shard
+/// collected, given as `(shard, rows)`: halo replicas first — shipped only
+/// when degraded, they fill the gaps a dead owner left — then the owners'
+/// rows over them. The wire does not distinguish the two, so the ownership
+/// hash `owner_of` is replayed per row. A row naming a node outside the
+/// graph or carrying other than `q` levels is a malformed reply:
+/// `Err(shard)`, before anything is indexed with it.
+fn scatter_rows(
+    block: &mut HitBlock,
+    (n, q): (usize, usize),
+    owner_of: impl Fn(u32) -> usize,
+    collected: &[(usize, Vec<wire::WireRow>)],
+) -> Result<(), usize> {
+    let malformed = |row: &wire::WireRow| row.node as usize >= n || row.hits.len() != q;
+    if let Some(&(shard, _)) = collected.iter().find(|(_, rows)| rows.iter().any(malformed)) {
+        return Err(shard);
+    }
+    block.unhit(n, q);
+    for owned in [false, true] {
+        for (shard, rows) in collected {
+            for row in rows.iter().filter(|row| (owner_of(row.node) == *shard) == owned) {
+                block.row_mut(row.node).copy_from_slice(&row.hits);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One attempt's exclusive hold on the fleet — a channel per live shard
@@ -721,30 +749,24 @@ impl RemoteOps<'_> {
         Ok(replies)
     }
 
-    /// Collect every live shard's informative rows, and (traced) stitch
-    /// the worker-reported spans into per-shard timelines. All quantities
-    /// are monotonic durations measured on one host each — the
-    /// coordinator's clock for `rpc_us`, the worker's for the span phases
-    /// — never cross-host timestamp comparisons.
-    #[allow(clippy::type_complexity)]
+    /// Collect every live shard's informative rows into `hits` (`q`
+    /// keywords wide), and (traced) stitch the worker-reported spans into
+    /// per-shard timelines. All quantities are monotonic durations
+    /// measured on one host each — the coordinator's clock for `rpc_us`,
+    /// the worker's for the span phases — never cross-host timestamp
+    /// comparisons.
     fn collect(
         &mut self,
         traced: bool,
-    ) -> Result<(HashMap<u32, wire::WireRow>, Option<Vec<ShardTimeline>>), AttemptError> {
+        hits: &mut HitBlock,
+        q: usize,
+    ) -> Result<Option<Vec<ShardTimeline>>, AttemptError> {
         let core = &self.search.core;
-        // Owner rows are authoritative (only the owner's replica carries
-        // `central_depth`); halo replicas — shipped only when degraded —
-        // fill the gaps a dead owner left. The wire does not distinguish
-        // the two, so replay the ownership hash per row.
         let include_halos = self.live.len() < core.shards;
-        let owner_of = |v: u32| -> usize {
-            (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
-        };
         let collect = wire::encode(&wire::Collect { include_halos });
         let replies: Vec<wire::CollectOk> =
             self.sweep(wire::OP_COLLECT, &collect, wire::OP_COLLECT_OK)?;
-        let mut rows: HashMap<u32, wire::WireRow> = HashMap::new();
-        let mut halo_rows: Vec<wire::WireRow> = Vec::new();
+        let mut collected = Vec::with_capacity(replies.len());
         let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
         for (&s, ok) in self.live.iter().zip(replies) {
             if let Some(tls) = timelines.as_mut() {
@@ -764,18 +786,14 @@ impl RemoteOps<'_> {
                     spans,
                 });
             }
-            for row in ok.rows {
-                if owner_of(row.node) == s {
-                    rows.insert(row.node, row);
-                } else {
-                    halo_rows.push(row);
-                }
-            }
+            collected.push((s, ok.rows));
         }
-        for row in halo_rows {
-            rows.entry(row.node).or_insert(row);
-        }
-        Ok((rows, timelines))
+        let owner_of = |v: u32| -> usize {
+            (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
+        };
+        scatter_rows(hits, (core.num_nodes as usize, q), owner_of, &collected)
+            .map_err(|s| self.fail(s))?;
+        Ok(timelines)
     }
 }
 
@@ -798,7 +816,11 @@ impl LevelOps for RemoteOps<'_> {
         let replies: Vec<wire::IdentifyOk> =
             self.sweep(wire::OP_IDENTIFY, &identify, wire::OP_IDENTIFY_OK)?;
         let (mut new_hits, mut deferred) = (0usize, 0usize);
-        for ok in &replies {
+        for (i, ok) in replies.iter().enumerate() {
+            // A Central Node outside the graph is a malformed reply.
+            if ok.newly.iter().any(|&v| u64::from(v) >= self.search.core.num_nodes) {
+                return Err(self.fail(self.live[i]));
+            }
             newly.extend_from_slice(&ok.newly);
             new_hits += ok.new_hits as usize;
             deferred += ok.deferred as usize;
@@ -868,33 +890,130 @@ fn heartbeat_loop(core: &Core, stop: &AtomicBool, interval: Duration) {
     }
 }
 
-/// Routes top-down reads to the collected worker rows; untouched nodes
-/// default to "never hit", exactly like a fresh in-process state row.
-struct RemoteHitLevels {
-    rows: HashMap<u32, wire::WireRow>,
-    q: usize,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::remote::frame::read_frame;
+    use crate::remote::BreakerState;
+    use kgraph::GraphBuilder;
+    use std::net::TcpListener;
+    use textindex::{InvertedIndex, ParsedQuery};
 
-impl HitLevels for RemoteHitLevels {
-    fn num_keywords(&self) -> usize {
-        self.q
+    fn row(node: u32, hits: &[u8]) -> wire::WireRow {
+        wire::WireRow { node, hits: hits.to_vec(), keyword: false, central: None }
     }
-    fn hit(&self, v: u32, i: usize) -> u8 {
-        self.rows.get(&v).map_or(INFINITE_LEVEL, |r| r.hits[i])
-    }
-    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
-        match self.rows.get(&v) {
-            Some(r) => &r.hits[..buf.len()],
-            None => {
-                buf.fill(INFINITE_LEVEL);
-                buf
-            }
+
+    /// Two shards, node `v` owned by shard `v % 2`: owners win over halo
+    /// replicas whatever the reply order, unshipped rows read never-hit,
+    /// and a row that would index outside the block — `node = n`, or a
+    /// level short of `q` — fails its shard before anything is written.
+    #[test]
+    fn scatter_rows_lets_owners_win_and_refuses_malformed_rows() {
+        let (n, q) = (4, 2);
+        let owner_of = |v: u32| (v % 2) as usize;
+        let mut block = HitBlock::default();
+        // Node 0: shard 1's halo replica arrives after the owner's row.
+        // Node 3: only a halo replica (its owner shard 1 shipped none).
+        let collected = vec![
+            (0, vec![row(0, &[0, 2]), row(3, &[4, 4])]),
+            (1, vec![row(1, &[1, 1]), row(0, &[9, 9])]),
+        ];
+        scatter_rows(&mut block, (n, q), owner_of, &collected).expect("well-formed rows");
+        assert_eq!(block.row(0), [0, 2], "the owner's row wins");
+        assert_eq!(block.row(1), [1, 1]);
+        assert_eq!(block.row(2), [crate::INFINITE_LEVEL; 2], "unshipped: never hit");
+        assert_eq!(block.row(3), [4, 4], "a halo fills the gap a dead owner left");
+        assert!(block.is_keyword_node(0) && !block.is_keyword_node(1));
+
+        let before = block.clone();
+        for (shard, bad) in [(1, row(n as u32, &[0, 0])), (0, row(2, &[0])), (1, row(1, &[0; 3]))] {
+            let mut collected = collected.clone();
+            collected[shard].1.push(bad);
+            assert_eq!(scatter_rows(&mut block, (n, q), owner_of, &collected), Err(shard));
+            assert_eq!(block, before, "a refused collection writes nothing");
         }
     }
-    fn is_keyword_node(&self, v: u32) -> bool {
-        self.rows.get(&v).is_some_and(|r| r.keyword)
+
+    /// A one-shard "worker" that greets and pongs like a real one and
+    /// answers each phase RPC with `reply(opcode)`.
+    fn scripted_worker(reply: fn(u8) -> (u8, Vec<u8>)) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                std::thread::spawn(move || {
+                    while let Ok(Some((op, _))) = read_frame(&mut stream) {
+                        let hello_ok =
+                            wire::HelloOk { shard_index: 0, num_owned: 3, version: None };
+                        let (op, body) = match op {
+                            wire::OP_HELLO => (wire::OP_HELLO_OK, wire::encode(&hello_ok)),
+                            wire::OP_PING => (wire::OP_PONG, Vec::new()),
+                            wire::OP_START => {
+                                (wire::OP_START_OK, wire::encode(&wire::StartOk { keywords: 2 }))
+                            }
+                            op => reply(op),
+                        };
+                        write_frame(&mut stream, op, &body).unwrap();
+                    }
+                });
+            }
+        });
+        addr
     }
-    fn central_depth(&self, v: u32) -> Option<u8> {
-        self.rows.get(&v).and_then(|r| r.central)
+
+    /// A worker whose replies decode but name a node outside the graph —
+    /// as newly central, or as a collected row — fails its shard the way
+    /// an undecodable reply does (probe, retry budget, `shard_unavailable`)
+    /// and indexes nothing; the probe answers, so the breaker stays shut.
+    #[test]
+    fn out_of_range_ids_from_a_worker_fail_the_shard() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
+        let m = b.add_node("m", "mid");
+        b.add_edge(x, m, "e");
+        b.add_edge(y, m, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+
+        let central_outside_the_graph: fn(u8) -> (u8, Vec<u8>) = |op| match op {
+            wire::OP_ENQUEUE => {
+                (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 1 }))
+            }
+            _ => {
+                let ok = wire::IdentifyOk { newly: vec![3], new_hits: 0, deferred: 0 };
+                (wire::OP_IDENTIFY_OK, wire::encode(&ok))
+            }
+        };
+        let row_outside_the_graph: fn(u8) -> (u8, Vec<u8>) = |op| match op {
+            wire::OP_ENQUEUE => {
+                (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 0 }))
+            }
+            _ => {
+                let rows =
+                    vec![wire::WireRow { node: 3, hits: vec![0, 1], keyword: true, central: None }];
+                (
+                    wire::OP_COLLECT_OK,
+                    wire::encode(&wire::CollectOk { rows, qid: None, spans: None }),
+                )
+            }
+        };
+        for script in [central_outside_the_graph, row_outside_the_graph] {
+            let opts = RemoteOptions {
+                heartbeat: None,
+                attempts: 2,
+                backoff_base: Duration::from_millis(1),
+                ..RemoteOptions::default()
+            };
+            let addrs = Arc::new(StaticAddrs(vec![scripted_worker(script)]));
+            let fleet = RemoteShardedSearch::new(&g, ShardBackend::Seq, 1, addrs, opts);
+            let err = fleet
+                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
+                .unwrap_err();
+            assert_eq!(err, SearchError::ShardUnavailable { shard: 0 });
+            let stats = fleet.stats();
+            assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 2, 0));
+            assert_eq!(fleet.breaker_states(), [BreakerState::Closed]);
+        }
     }
 }

@@ -27,7 +27,7 @@
 //!
 //! The equivalence and failure contracts are pinned by three suites: the
 //! `remote_equivalence` differential proptest (remote == in-process,
-//! byte-identical, all four backends), the frame-robustness proptest
+//! byte-identical, both shard backends), the frame-robustness proptest
 //! (arbitrary bytes never panic or over-allocate the decoder), and the
 //! process-level chaos suite in the CLI crate (worker kill / stall /
 //! garbage under concurrent well-behaved load).
@@ -112,11 +112,11 @@ mod tests {
             .with_average_distance(1.0)
             .with_trace(crate::trace::TraceLevel::Full);
         let query = ParsedQuery::parse(&idx, "alpha omega");
-        let sharded = ShardedSearch::new(&g, ShardBackend::GpuStyle(2), 3);
+        let sharded = ShardedSearch::new(&g, ShardBackend::ParCpu(2), 3);
         let local = sharded
             .try_search(&g, &query, &params, &QueryBudget::unlimited())
             .expect("unlimited budget");
-        let r = remote(&g, ShardBackend::GpuStyle(2), 3);
+        let r = remote(&g, ShardBackend::ParCpu(2), 3);
         let out = r.try_search(&g, &query, &params, &QueryBudget::unlimited()).expect("unlimited");
         assert_eq!(digest(&out.outcome), digest(&local));
         let (lt, rt) = (local.trace.unwrap(), out.outcome.trace.unwrap());

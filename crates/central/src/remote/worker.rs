@@ -29,7 +29,7 @@ use crate::activation::{ActivationConfig, ActivationMap, ActivationTable};
 use crate::bottom_up::BottomUpScratch;
 use crate::model::INFINITE_LEVEL;
 use crate::shard::{ShardBackend, ShardLane, ShardPart, ShardPlan};
-use crate::state::{HitLevels, SearchState};
+use crate::state::SearchState;
 use crate::trace::ShardSpan;
 use crate::QueryBudget;
 use kgraph::KnowledgeGraph;
@@ -176,15 +176,13 @@ struct Conn<'w> {
     /// The part's activation levels under the last query's `α` and `A`.
     activation: ActivationTable,
     query: Option<QueryCtx>,
-    /// Lazily built kernel pool, rebuilt when a query asks for a
-    /// different thread count.
+    /// The in-flight query's kernel pool (`CPU-Par` only), rebuilt when a
+    /// query asks for a different thread count.
     pool: Option<(usize, rayon::ThreadPool)>,
 }
 
 /// Execution knobs of the in-flight query on a connection.
 struct QueryCtx {
-    q: usize,
-    backend: ShardBackend,
     /// Explicit activation table remapped onto this shard's locals
     /// (else the connection's [`ActivationTable`] applies).
     local_act: Option<Vec<u8>>,
@@ -355,15 +353,19 @@ impl<'w> Conn<'w> {
         let local = part.localize_query(&query);
         self.state.begin_query(part.graph.num_nodes(), &local);
         let threads = (start.threads as usize).max(1);
-        let backend = match start.backend.as_str() {
-            "Seq" => ShardBackend::Seq,
-            "CPU-Par" => ShardBackend::ParCpu(threads),
-            "GPU-Par" => ShardBackend::GpuStyle(threads),
-            "CPU-Par-d" => ShardBackend::DynPar(threads),
-            other => {
-                return Err(ConnError::new("bad_sequence", format!("unknown backend {other:?}")))
-            }
-        };
+        let backend = [ShardBackend::Seq, ShardBackend::ParCpu(threads)]
+            .into_iter()
+            .find(|backend| backend.base_name() == start.backend)
+            .ok_or_else(|| {
+                ConnError::new("bad_sequence", format!("unknown backend {:?}", start.backend))
+            })?;
+        // A parallel kernel runs inside a connection-local pool sized to the
+        // query's thread request, (re)built only when the size changes.
+        if backend == ShardBackend::Seq {
+            self.pool = None;
+        } else if self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
+            self.pool = Some((threads, crate::engine::build_pool(threads)));
+        }
         let local_act = part.localize_activation(start.activation.as_deref());
         if local_act.is_none() {
             self.activation.levels(&part.graph, ActivationConfig::for_params(&start.params));
@@ -371,8 +373,6 @@ impl<'w> Conn<'w> {
         // Spans are recorded only when the coordinator asked for them.
         let traced = start.spans == Some(true);
         self.query = Some(QueryCtx {
-            q: query.num_keywords(),
-            backend,
             local_act,
             // Unlimited counting tracker: budgets are the coordinator's
             // job; this one only meters charges for `ExpandOk::charged`.
@@ -386,8 +386,8 @@ impl<'w> Conn<'w> {
     }
 
     /// This connection's lane of the in-flight query (the same
-    /// [`ShardLane`] the in-process coordinator steps) and the kernel
-    /// pool [`Conn::on_expand`] sized for it.
+    /// [`ShardLane`] the in-process coordinator steps) and its kernel
+    /// pool.
     fn lane(&mut self) -> Result<(ShardLane<'_>, Option<&rayon::ThreadPool>), ConnError> {
         let part = &self.worker.part;
         let ctx = self.query.as_ref().ok_or_else(ConnError::before_start)?;
@@ -395,7 +395,6 @@ impl<'w> Conn<'w> {
             part,
             state: &self.state,
             act: ActivationMap(ctx.local_act.as_deref().unwrap_or(self.activation.current())),
-            backend: ctx.backend,
             budget: &ctx.tracker,
             scratch: &mut self.scratch,
         };
@@ -434,14 +433,6 @@ impl<'w> Conn<'w> {
         ready: Instant,
     ) -> Result<Flow, ConnError> {
         let (req, clock): (wire::Expand, _) = RpcClock::decode(payload, ready)?;
-        // Parallel kernels run inside a worker-local pool sized to the
-        // query's thread request, (re)built only when the size changes.
-        if let Some(backend) = self.query.as_ref().map(|ctx| ctx.backend) {
-            let threads = backend.threads();
-            if backend.parallel() && self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
-                self.pool = Some((threads, crate::engine::build_pool(threads)));
-            }
-        }
         let (mut lane, pool) = self.lane()?;
         let outbox = lane.expand(req.level, pool).to_vec();
         let ctx = self.query.as_mut().expect("lane() found the query");
@@ -478,14 +469,15 @@ impl<'w> Conn<'w> {
             part.num_owned as usize
         };
         let mut rows = Vec::new();
+        let mut hits = vec![INFINITE_LEVEL; state.num_keywords()];
         for l in 0..limit as u32 {
-            let hits: Vec<u8> = (0..ctx.q).map(|i| state.hit(l, i)).collect();
+            state.row_into(l, &mut hits);
             if hits.iter().all(|&h| h == INFINITE_LEVEL) {
                 continue; // untouched row: the coordinator defaults it
             }
             rows.push(wire::WireRow {
                 node: part.locals[l as usize],
-                hits,
+                hits: hits.clone(),
                 keyword: state.is_keyword_node(l),
                 central: state.central_depth(l),
             });

@@ -62,12 +62,10 @@ pub struct SearchSession {
     /// The activation levels of the graph this session last searched,
     /// rebuilt only when the graph's weights, `α` or `A` change.
     pub(crate) activation: ActivationTable,
-    /// The finished `M` as bytes, row-major `n × q`: what the top-down
-    /// stage of a matrix engine reads ([`SearchState::byte_levels`]).
-    pub(crate) matrix_bytes: Vec<u8>,
-    /// Top-down working memory: the per-query predecessor memo and the
-    /// marks of every thread that ever ran the stage for this session;
-    /// empty until the first search reaches it.
+    /// Top-down working memory: the finished `M` as the bytes the stage
+    /// reads, the per-query predecessor memo and the marks of every thread
+    /// that ever ran the stage for this session; empty until the first
+    /// search reaches it.
     pub(crate) top_down: TopDownScratch,
     /// CPU-Par-d's lock-based state, materialized on first use.
     pub(crate) dyn_state: Option<DynState>,

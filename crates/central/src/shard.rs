@@ -51,8 +51,8 @@
 //! 3. **merge** (coordinator): per-shard cohorts (`ShardLane::newly`)
 //!    map back to global ids and merge in ascending order — the same
 //!    within-level order the monolithic frontier scan produces.
-//! 4. **expand** (parallel, `ShardLane::expand`): the backend's
-//!    expansion kernel runs over each shard's owned frontiers against its
+//! 4. **expand** (parallel, `ShardLane::expand`): the frontier-grained
+//!    kernel runs over each shard's owned frontiers against its
 //!    local sub-graph, charging the one shared
 //!    [`crate::budget::BudgetTracker`]; then the shard scans its boundary
 //!    table for cells that became `level + 1` this round into its outbox.
@@ -80,10 +80,11 @@
 //!
 //! ## Top-down
 //!
-//! Extraction and pruning run over the *global* graph through a
-//! [`crate::state::HitLevels`] adapter that routes each node to its
-//! owner's state (authoritative by the sync invariant), so the top-down
-//! stage is byte-for-byte the monolithic one.
+//! Extraction and pruning run over the *global* graph and the one
+//! [`crate::state::HitBlock`] every shape hands the stage: the coordinator
+//! gathers each shard's *owned* rows (authoritative by the sync invariant)
+//! into it through `locals[..num_owned]`, so the top-down stage is
+//! byte-for-byte the monolithic one.
 //!
 //! ## Serving semantics
 //!
@@ -93,11 +94,10 @@
 //! sharding (`quarantined` grows by `N` per poisoned query, which the
 //! sharded soak test accounts for exactly). Budgets and deadlines are
 //! enforced by the single shared tracker at the same points the
-//! monolithic driver polls it. The `CPU-Par-d` backend runs its shards on
-//! the matrix substrate: the dynamic-memory engine is answer- and
-//! trace-identical to the matrix engines (pinned by the workspace
-//! differential tests), so the sharded path reuses the matrix kernels for
-//! all four backend names.
+//! monolithic driver polls it. A shard runs the frontier-grained matrix
+//! kernel, sequentially or (`cpu`, in a remote worker's pool) dynamically
+//! scheduled — [`ShardBackend`] has no other member: `GPU-Par` and
+//! `CPU-Par-d` exist as solo engines only.
 
 use crate::activation::{ActivationConfig, ActivationMap};
 use crate::bottom_up::{self, BottomUpScratch, ExpandCtx, LevelOps, LevelRun, PreFlight};
@@ -107,11 +107,10 @@ use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
 use crate::pool::{PoolStats, SessionPool};
 use crate::session::SearchSession;
-use crate::state::{HitLevels, SearchState};
-use crate::top_down::{self, ScratchPool, StageScratch};
+use crate::state::SearchState;
+use crate::top_down;
 use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use textindex::{KeywordGroup, ParsedQuery};
@@ -143,8 +142,9 @@ pub struct ShardPart {
     /// are the owned nodes in ascending global order; the rest are halos,
     /// also ascending.
     pub locals: Vec<u32>,
-    /// Global id → local id — the inverse of [`ShardPart::locals`].
-    pub local_index: HashMap<u32, u32>,
+    /// Global id → local id — the inverse of [`ShardPart::locals`], dense
+    /// over the global ids: [`NO_REPLICA`] where this shard holds none.
+    local_index: Vec<u32>,
     /// Number of owned nodes; local ids `0..num_owned` are owned.
     pub num_owned: u32,
     /// Frontier-exchange table: local ids (ascending) of every node
@@ -153,7 +153,17 @@ pub struct ShardPart {
     pub boundary: Vec<u32>,
 }
 
+/// [`ShardPart::local_index`] of a node this shard holds no replica of.
+const NO_REPLICA: u32 = u32::MAX;
+
 impl ShardPart {
+    /// The local id of global node `v`'s replica here, if this shard holds
+    /// one (`v` may be any id, in the graph or not).
+    #[inline]
+    pub fn local(&self, v: u32) -> Option<u32> {
+        self.local_index.get(v as usize).copied().filter(|&l| l != NO_REPLICA)
+    }
+
     /// Remap a global query onto this shard: same groups in the same
     /// order (the BFS instance identity must agree across shards), node
     /// sets restricted to the replicas — owned *and* halo — present
@@ -166,11 +176,7 @@ impl ShardPart {
                 .iter()
                 .map(|g| KeywordGroup {
                     term: g.term.clone(),
-                    nodes: g
-                        .nodes
-                        .iter()
-                        .filter_map(|v| self.local_index.get(&v.0).map(|&l| NodeId(l)))
-                        .collect(),
+                    nodes: g.nodes.iter().filter_map(|v| self.local(v.0).map(NodeId)).collect(),
                 })
                 .collect(),
             unmatched: query.unmatched.clone(),
@@ -195,9 +201,6 @@ pub struct ShardPlan {
     pub owner: Vec<u32>,
     /// The `N` shard parts.
     pub parts: Vec<ShardPart>,
-    /// For every node replicated in more than one shard: the shards
-    /// holding a replica (owner first, then halo shards ascending).
-    pub holders: HashMap<u32, Vec<u32>>,
 }
 
 /// The assignment phase of partitioning, shared by [`ShardPlan::build`]
@@ -208,7 +211,8 @@ pub struct ShardPlan {
 struct Assignment {
     owner: Vec<u32>,
     halos: Vec<std::collections::BTreeSet<u32>>,
-    holders: HashMap<u32, Vec<u32>>,
+    /// Per node: whether more than one shard holds a replica of it.
+    replicated: Vec<bool>,
 }
 
 fn assign(graph: &KnowledgeGraph, shards: usize, seed: u64) -> Assignment {
@@ -223,25 +227,18 @@ fn assign(graph: &KnowledgeGraph, shards: usize, seed: u64) -> Assignment {
     // adjacency covers both directions.
     let mut halos: Vec<std::collections::BTreeSet<u32>> =
         (0..shards).map(|_| Default::default()).collect();
+    let mut replicated = vec![false; n];
     for v in 0..n as u32 {
         let ov = owner[v as usize];
         for adj in graph.neighbors(NodeId(v)) {
             let ou = owner[adj.target().index()];
             if ou != ov {
                 halos[ou as usize].insert(v);
+                replicated[v as usize] = true;
             }
         }
     }
-
-    // Replica holders: owner first, then halo shards in ascending
-    // shard order. Only replicated nodes get an entry.
-    let mut holders: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (s, halo) in halos.iter().enumerate() {
-        for &v in halo {
-            holders.entry(v).or_insert_with(|| vec![owner[v as usize]]).push(s as u32);
-        }
-    }
-    Assignment { owner, halos, holders }
+    Assignment { owner, halos, replicated }
 }
 
 impl Assignment {
@@ -254,8 +251,10 @@ impl Assignment {
         let num_owned = owned.len() as u32;
         let mut locals = owned;
         locals.extend(self.halos[s].iter().copied());
-        let local_index: HashMap<u32, u32> =
-            locals.iter().enumerate().map(|(l, &v)| (v, l as u32)).collect();
+        let mut local_index = vec![NO_REPLICA; n];
+        for (l, &v) in locals.iter().enumerate() {
+            local_index[v as usize] = l as u32;
+        }
 
         // Local sub-graph: every node in local order, every global
         // directed edge incident to an owned node. A non-owned
@@ -269,7 +268,7 @@ impl Assignment {
             .collect();
         for (l, &v) in locals.iter().enumerate().take(num_owned as usize) {
             for adj in graph.neighbors(NodeId(v)) {
-                let t = local_index[&adj.target().0];
+                let t = local_index[adj.target().index()];
                 let label = graph.label_name(adj.label());
                 if adj.is_outgoing() {
                     b.add_edge(ids[l], ids[t as usize], label);
@@ -291,7 +290,7 @@ impl Assignment {
         let boundary: Vec<u32> = locals
             .iter()
             .enumerate()
-            .filter(|(_, v)| self.holders.contains_key(v))
+            .filter(|&(_, &v)| self.replicated[v as usize])
             .map(|(l, _)| l as u32)
             .collect();
         ShardPart { graph: local_graph, locals, local_index, num_owned, boundary }
@@ -305,7 +304,7 @@ impl ShardPlan {
     pub fn build(graph: &KnowledgeGraph, shards: usize, seed: u64) -> ShardPlan {
         let a = assign(graph, shards, seed);
         let parts = (0..shards).map(|s| a.materialize(graph, s)).collect();
-        ShardPlan { shards, seed, owner: a.owner, parts, holders: a.holders }
+        ShardPlan { shards, seed, owner: a.owner, parts }
     }
 
     /// Materialize only shard `index`'s part of the partition — the same
@@ -324,45 +323,35 @@ impl ShardPlan {
     }
 }
 
-/// Which expansion kernel each shard runs. Mirrors the four engine names;
-/// `CPU-Par-d` shards run on the matrix substrate (the dynamic engine is
-/// answer- and trace-identical, so the kernels are interchangeable).
+/// How a sharded or remote search schedules its kernels: the two
+/// schedulings of the frontier-grained matrix kernel, under the solo
+/// engines' names. In process every lane expands on its fork-join thread
+/// either way (the threads size the coordinator's pool, which also runs
+/// the top-down stage); a remote worker expands `ParCpu` in a pool of its
+/// own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardBackend {
     /// Sequential expansion per shard (shards still run concurrently).
     Seq,
-    /// Coarse-grained rayon expansion (one task per frontier node).
+    /// Coarse-grained expansion: frontiers claimed in short runs.
     ParCpu(usize),
-    /// Fine-grained GPU-style expansion (one task per work item).
-    GpuStyle(usize),
-    /// The dynamic-engine name, served by the matrix substrate.
-    DynPar(usize),
 }
 
 impl ShardBackend {
-    /// The monolithic engine name this backend corresponds to.
+    /// The monolithic engine name this backend corresponds to — also how
+    /// it crosses the wire to a remote worker.
     pub fn base_name(&self) -> &'static str {
         match self {
             ShardBackend::Seq => "Seq",
             ShardBackend::ParCpu(_) => "CPU-Par",
-            ShardBackend::GpuStyle(_) => "GPU-Par",
-            ShardBackend::DynPar(_) => "CPU-Par-d",
         }
-    }
-
-    /// Whether the backend's kernels fan out over a thread pool (CPU-Par
-    /// and GPU-Par; `Seq` and the matrix-served `CPU-Par-d` run serially).
-    pub fn parallel(&self) -> bool {
-        matches!(self, ShardBackend::ParCpu(_) | ShardBackend::GpuStyle(_))
     }
 
     /// Worker threads the backend was configured with (1 for `Seq`).
     pub fn threads(&self) -> usize {
         match *self {
             ShardBackend::Seq => 1,
-            ShardBackend::ParCpu(t) | ShardBackend::GpuStyle(t) | ShardBackend::DynPar(t) => {
-                t.max(1)
-            }
+            ShardBackend::ParCpu(t) => t.max(1),
         }
     }
 }
@@ -417,7 +406,6 @@ pub(crate) struct ShardLane<'a> {
     pub(crate) part: &'a ShardPart,
     pub(crate) state: &'a SearchState,
     pub(crate) act: ActivationMap<'a>,
-    pub(crate) backend: ShardBackend,
     /// The tracker expansion charges: the query's own in-process, a
     /// worker-local metering one remotely.
     pub(crate) budget: &'a BudgetTracker,
@@ -442,11 +430,8 @@ impl ShardLane<'_> {
     pub(crate) fn identify(&mut self, level: u8, traced: bool) -> (usize, usize) {
         let BottomUpScratch { frontiers, newly, .. } = &mut *self.scratch;
         bottom_up::identify_sequential(self.state, frontiers, level, newly);
-        if traced {
-            bottom_up::observe_level(self.state, &self.act, frontiers, level)
-        } else {
-            (0, 0)
-        }
+        let (hit, q) = (|f, i| self.state.hit(f, i), self.state.num_keywords());
+        bottom_up::observe_level(traced, hit, q, &self.act, frontiers, level)
     }
 
     /// The cohort of the last [`ShardLane::identify`], as global ids
@@ -455,14 +440,15 @@ impl ShardLane<'_> {
         self.scratch.newly.iter().map(|&l| self.part.locals[l as usize])
     }
 
-    /// Expand the owned frontiers against the local sub-graph, then scan
+    /// Expand the owned frontiers against the local sub-graph (in `pool`,
+    /// a remote worker's, or on the caller's thread), then scan
     /// the boundary table for cells that became `level + 1` this round —
     /// whether written into an owned node or into a halo replica — and
     /// return them as this shard's outbox of `(global node, instance)`.
     pub(crate) fn expand(&mut self, level: u8, pool: Option<&rayon::ThreadPool>) -> &[(u32, u32)] {
         let ShardLane { part, state, .. } = *self;
         let ctx = ExpandCtx { graph: &part.graph, act: &self.act, state, budget: self.budget };
-        bottom_up::expand_level(self.backend, pool, &ctx, &self.scratch.frontiers, level);
+        bottom_up::expand_level(pool, &ctx, &self.scratch.frontiers, level);
         let q = state.num_keywords();
         let outbox = &mut self.scratch.outbox;
         outbox.clear();
@@ -481,7 +467,7 @@ impl ShardLane<'_> {
     /// scanned.
     pub(crate) fn apply(&self, level: u8, pairs: &[(u32, u32)]) {
         for &(v, i) in pairs {
-            if let Some(&l) = self.part.local_index.get(&v) {
+            if let Some(l) = self.part.local(v) {
                 if self.state.hit(l, i as usize) == INFINITE_LEVEL {
                     self.state.set_hit(l, i as usize, level + 1);
                     if l < self.part.num_owned {
@@ -493,45 +479,6 @@ impl ShardLane<'_> {
     }
 }
 
-/// Routes global node ids to the owning shard's search state, so the
-/// shared top-down stage runs over the global graph unchanged. By the
-/// sync invariant the owner's replica is authoritative.
-struct ShardedHitLevels<'a> {
-    plan: &'a ShardPlan,
-    states: Vec<&'a SearchState>,
-    q: usize,
-}
-
-impl ShardedHitLevels<'_> {
-    #[inline]
-    fn route(&self, v: u32) -> (&SearchState, u32) {
-        let s = self.plan.owner[v as usize] as usize;
-        (self.states[s], self.plan.parts[s].local_index[&v])
-    }
-}
-
-impl HitLevels for ShardedHitLevels<'_> {
-    fn num_keywords(&self) -> usize {
-        self.q
-    }
-    fn hit(&self, v: u32, i: usize) -> u8 {
-        let (state, l) = self.route(v);
-        state.hit(l, i)
-    }
-    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
-        let (state, l) = self.route(v);
-        state.row(l, buf)
-    }
-    fn is_keyword_node(&self, v: u32) -> bool {
-        let (state, l) = self.route(v);
-        state.is_keyword_node(l)
-    }
-    fn central_depth(&self, v: u32) -> Option<u8> {
-        let (state, l) = self.route(v);
-        state.central_depth(l)
-    }
-}
-
 /// Scatter-gather coordinator over an in-process [`ShardPlan`]: scatters
 /// a query to all shards, drives the round protocol, and merges per-shard
 /// candidates into the monolithic top-(k,d) answer set. See the module
@@ -540,12 +487,12 @@ pub struct ShardedSearch {
     plan: ShardPlan,
     pools: Vec<SessionPool>,
     compute: rayon::ThreadPool,
-    backend: ShardBackend,
     name: String,
     counters: ExchangeCounters,
-    /// Top-down working memory over the *global* graph (the per-shard
-    /// sessions are sized for their parts).
-    scratch: ScratchPool,
+    /// The sessions whose activation table and top-down scratch serve the
+    /// stage over the *global* graph (the per-shard sessions are sized for
+    /// their parts); their matrix state is never armed.
+    pub(crate) stage: SessionPool,
 }
 
 impl ShardedSearch {
@@ -562,10 +509,9 @@ impl ShardedSearch {
             plan,
             pools,
             compute,
-            backend,
             name,
             counters: ExchangeCounters::default(),
-            scratch: ScratchPool::default(),
+            stage: SessionPool::new(),
         }
     }
 
@@ -659,7 +605,6 @@ impl ShardedSearch {
                         Some(levels) => levels,
                         None => activation.levels(&part.graph, config),
                     }),
-                    backend: self.backend,
                     budget: &tracker,
                     scratch,
                 })
@@ -669,18 +614,22 @@ impl ShardedSearch {
         let mut ops = ShardOps { search: self, lanes, pairs: Vec::new() };
         bottom_up::drive(&mut ops, &mut run)?;
 
-        // Top-down over the *global* graph, routing hitting levels to the
-        // owning shard — byte-for-byte the monolithic stage.
-        let hits = ShardedHitLevels {
-            plan: &self.plan,
-            states: ops.lanes.iter().map(|l| l.lock().state).collect(),
-            q: query.num_keywords(),
-        };
-        self.scratch.with(|StageScratch { activation, top_down }| {
-            let global_act = activation.for_params(graph, params);
-            run.finish(&self.name, graph, &hits, Some(&self.compute), top_down, |j, sink| {
-                top_down::hitting_path_preds(graph, &global_act, &hits, j, sink)
-            })
+        // Top-down over the *global* graph and the owners' rows —
+        // byte-for-byte the monolithic stage.
+        let mut stage = self.stage.checkout();
+        let SearchSession { activation, top_down: stage2, .. } = &mut *stage;
+        run.timed_fill(|| {
+            stage2.hits.unhit(graph.num_nodes(), query.num_keywords());
+            for lane in &ops.lanes {
+                let ShardLane { part, state, .. } = *lane.lock();
+                for (l, &v) in part.locals[..part.num_owned as usize].iter().enumerate() {
+                    state.row_into(l as u32, stage2.hits.row_mut(v));
+                }
+            }
+        });
+        let global_act = activation.for_params(graph, params);
+        run.finish(&self.name, graph, Some(&self.compute), stage2, |hits, j, sink| {
+            top_down::hitting_path_preds(graph, &global_act, hits, j, sink)
         })
     }
 }
@@ -755,8 +704,20 @@ mod tests {
     use super::*;
     use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
     use kgraph::GraphBuilder;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use textindex::InvertedIndex;
+
+    /// For every node replicated in more than one shard: the shards holding
+    /// a replica, owner first, then halo shards ascending.
+    fn holders(plan: &ShardPlan) -> HashMap<u32, Vec<u32>> {
+        let mut holders: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (s, part) in plan.parts.iter().enumerate() {
+            for &v in &part.locals[part.num_owned as usize..] {
+                holders.entry(v).or_insert_with(|| vec![plan.owner[v as usize]]).push(s as u32);
+            }
+        }
+        holders
+    }
 
     /// A 12-node graph with two keyword clusters bridged by a hub.
     fn fixture() -> KnowledgeGraph {
@@ -801,9 +762,11 @@ mod tests {
         let g = fixture();
         let plan = ShardPlan::build(&g, 3, DEFAULT_PARTITION_SEED);
         for part in &plan.parts {
-            assert_eq!(part.local_index.len(), part.locals.len(), "local ids collide");
+            let replicas = g.nodes().filter(|v| part.local(v.0).is_some()).count();
+            assert_eq!(replicas, part.locals.len(), "local ids collide");
+            assert_eq!(part.local(g.num_nodes() as u32), None, "an id outside the graph");
             for (l, &v) in part.locals.iter().enumerate() {
-                assert_eq!(part.local_index[&v], l as u32, "maps disagree on node {v}");
+                assert_eq!(part.local(v), Some(l as u32), "maps disagree on node {v}");
                 assert_eq!(
                     part.graph.node_key(NodeId(l as u32)),
                     g.node_key(NodeId(v)),
@@ -821,6 +784,7 @@ mod tests {
     fn boundary_replicas_cover_the_edge_cut() {
         let g = fixture();
         let plan = ShardPlan::build(&g, 4, DEFAULT_PARTITION_SEED);
+        let holders = holders(&plan);
         for (s, l, d) in g.directed_edges() {
             let (os, od) = (plan.owner[s.index()], plan.owner[d.index()]);
             let _ = l;
@@ -831,13 +795,12 @@ mod tests {
             // listed in both boundary tables.
             for (node, shard) in [(s.0, od), (d.0, os)] {
                 let part = &plan.parts[shard as usize];
-                let local = *part
-                    .local_index
-                    .get(&node)
+                let local = part
+                    .local(node)
                     .unwrap_or_else(|| panic!("cut node {node} missing from shard {shard}"));
                 assert!(local >= part.num_owned, "replica of {node} must be a halo");
                 assert!(part.boundary.contains(&local), "halo {node} missing from boundary");
-                let holders = &plan.holders[&node];
+                let holders = &holders[&node];
                 assert!(holders.contains(&shard) && holders[0] == plan.owner[node as usize]);
             }
         }
@@ -846,7 +809,7 @@ mod tests {
             let from_boundary: HashSet<u32> =
                 part.boundary.iter().map(|&l| part.locals[l as usize]).collect();
             let replicated: HashSet<u32> =
-                part.locals.iter().copied().filter(|v| plan.holders.contains_key(v)).collect();
+                part.locals.iter().copied().filter(|v| holders.contains_key(v)).collect();
             assert_eq!(from_boundary, replicated);
         }
     }
@@ -947,7 +910,7 @@ mod tests {
         let owned_total: usize = plan.parts.iter().map(|p| p.num_owned as usize).sum();
         assert_eq!(owned_total, 1);
         assert!(plan.parts.iter().any(|p| p.num_owned == 0), "some parts must be empty");
-        assert!(plan.holders.is_empty(), "an isolated node is never replicated");
+        assert!(holders(&plan).is_empty(), "an isolated node is never replicated");
     }
 
     #[test]
@@ -984,7 +947,7 @@ mod tests {
             .with_trace(crate::trace::TraceLevel::Full);
         let query = ParsedQuery::parse(&idx, "alpha omega");
         let mono = SeqEngine::new().search(&g, &query, &params);
-        let sharded = ShardedSearch::new(&g, ShardBackend::GpuStyle(2), 3);
+        let sharded = ShardedSearch::new(&g, ShardBackend::ParCpu(2), 3);
         let out = sharded
             .try_search(&g, &query, &params, &QueryBudget::unlimited())
             .expect("unlimited budget");
@@ -993,7 +956,7 @@ mod tests {
         assert_eq!(st.total_expansions, mt.total_expansions);
         assert_eq!(st.terminated, mt.terminated);
         assert_eq!(st.keywords, mt.keywords);
-        assert_eq!(st.engine, "GPU-Par[shards=3]");
+        assert_eq!(st.engine, "CPU-Par[shards=3]");
     }
 
     #[test]

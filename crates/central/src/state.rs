@@ -200,125 +200,136 @@ impl SearchState {
     }
 }
 
-/// Read-only view of one query's hitting levels — what the top-down stage
-/// and the level observation read. Implemented by the lock-free
-/// [`SearchState`] (matrix engines), the dynamic-memory engine's recorded
-/// state (CPU-Par-d) and the sharded/remote routing views, so that stage
-/// is shared.
-pub trait HitLevels {
+/// The reads of the bottom-up stage (and of the cost model's replay of
+/// it): relaxed loads through the epoch check.
+impl SearchState {
     /// Number of query keywords `q`.
-    fn num_keywords(&self) -> usize;
-    /// Hitting level `h_v^i` (255 = never hit).
-    fn hit(&self, v: u32, i: usize) -> u8;
-    /// All of `v`'s hitting levels at once: `row[i] = h_v^i` for the
-    /// `num_keywords()` entries of `buf`, which a view may fill and hand
-    /// back. A view that stores rows returns its own instead; routing
-    /// views override it to resolve `v` once per row instead of once per
-    /// cell.
-    fn row<'a>(&'a self, v: u32, buf: &'a mut [u8]) -> &'a [u8] {
-        for (i, h) in buf.iter_mut().enumerate() {
-            *h = self.hit(v, i);
-        }
-        buf
-    }
-    /// `true` if `v` contains at least one query keyword.
-    fn is_keyword_node(&self, v: u32) -> bool;
-    /// If `v` is a Central Node, the depth at which it was identified —
-    /// it stopped expanding there, which extraction must respect.
-    fn central_depth(&self, v: u32) -> Option<u8>;
-    /// `true` if `v` was identified as a Central Node.
     #[inline]
-    fn is_central(&self, v: u32) -> bool {
-        self.central_depth(v).is_some()
-    }
-    /// `true` if `v ∈ T_i` (`⇔ M[v][i] = 0`).
-    fn is_source(&self, v: u32, i: usize) -> bool {
-        self.hit(v, i) == 0
-    }
-    /// Number of query keywords contained in `v` (its level-cover class).
-    fn keyword_count(&self, v: u32) -> usize {
-        (0..self.num_keywords()).filter(|&i| self.is_source(v, i)).count()
-    }
-}
-
-impl HitLevels for SearchState {
-    #[inline]
-    fn num_keywords(&self) -> usize {
+    pub fn num_keywords(&self) -> usize {
         self.q
     }
+
+    /// Hitting level `h_v^i` (255 = never hit).
     #[inline]
-    fn hit(&self, v: u32, i: usize) -> u8 {
+    pub fn hit(&self, v: u32, i: usize) -> u8 {
         let cell = self.matrix[v as usize * self.q + i].load(Ordering::Relaxed);
         unpack(cell, self.epoch, INFINITE_LEVEL)
     }
+
+    /// All of `v`'s hitting levels at once: `out[i] = h_v^i`.
+    pub fn row_into(&self, v: u32, out: &mut [u8]) {
+        for (h, cell) in out.iter_mut().zip(&self.matrix[v as usize * self.q..][..self.q]) {
+            *h = unpack(cell.load(Ordering::Relaxed), self.epoch, INFINITE_LEVEL);
+        }
+    }
+
+    /// `true` if `v` contains at least one query keyword.
     #[inline]
-    fn is_keyword_node(&self, v: u32) -> bool {
+    pub fn is_keyword_node(&self, v: u32) -> bool {
         self.is_keyword[v as usize] == self.epoch
     }
+
+    /// If `v` is a Central Node, the depth at which it was identified.
     #[inline]
-    fn central_depth(&self, v: u32) -> Option<u8> {
+    pub fn central_depth(&self, v: u32) -> Option<u8> {
         match unpack(self.central[v as usize].load(Ordering::Relaxed), self.epoch, 0) {
             0 => None,
             d => Some(d - 1),
         }
     }
-}
 
-/// The finished `M` of a matrix search as plain bytes — what the top-down
-/// stage reads instead of the epoch-stamped atomic cells: a row is `q`
-/// contiguous bytes. Keyword-node and central flags still come from the
-/// state (one cell per node, not per neighbour row).
-pub struct ByteLevels<'a> {
-    state: &'a SearchState,
-    rows: &'a [u8],
-}
+    /// `true` if `v` was identified as a Central Node.
+    #[inline]
+    pub fn is_central(&self, v: u32) -> bool {
+        self.central_depth(v).is_some()
+    }
 
-impl SearchState {
-    /// Copy this query's `M` into `block` (row-major `n × q` bytes, one
-    /// streaming pass of the order of one enqueue scan) and view the state
-    /// through it. Taken once the bottom-up stage has finished — the
-    /// exclusive borrow says so, and lets the pass read the cells as plain
-    /// words: nothing writes `M` afterwards, and nothing reads the cells
-    /// again.
-    pub fn byte_levels<'a>(&'a mut self, block: &'a mut Vec<u8>) -> ByteLevels<'a> {
+    /// Copy this query's `M` into `block`: one streaming pass of the order
+    /// of one enqueue scan. Taken once the bottom-up stage has finished —
+    /// the exclusive borrow says so, and lets the pass read the cells as
+    /// plain words: nothing writes `M` afterwards.
+    pub fn fill(&mut self, block: &mut HitBlock) {
         let epoch = self.epoch;
-        block.clear();
-        block.extend(
+        block.begin(self.n, self.q).extend(
             self.matrix[..self.n * self.q]
                 .iter_mut()
                 .map(|cell| unpack(*cell.get_mut(), epoch, INFINITE_LEVEL)),
         );
-        ByteLevels { state: self, rows: block }
     }
 }
 
-impl HitLevels for ByteLevels<'_> {
-    #[inline]
-    fn num_keywords(&self) -> usize {
-        self.state.q
+/// The finished `M` of one query as plain bytes — **all** the top-down
+/// stage reads of a bottom-up search, whatever shape ran it. A shape fills
+/// the rows once its [`crate::bottom_up::drive`] has returned (the matrix
+/// engines by [`SearchState::fill`], the others by scattering rows into
+/// [`HitBlock::unhit`]); [`crate::bottom_up::LevelRun::finish`] marks the
+/// central nodes from its cohort. A keyword node is a node whose row holds
+/// a 0: level 0 is written only when the sources are seeded.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct HitBlock {
+    q: usize,
+    /// Row-major `n × q` hitting levels, 255 = ∞.
+    rows: Vec<u8>,
+    /// Per node: 0 ⇔ not central, else its identification depth + 1.
+    central: Vec<u8>,
+}
+
+impl HitBlock {
+    /// Start a fill for `n` nodes × `q` keywords: no node central, the
+    /// row bytes emptied and handed back for the shape to write `n · q` of.
+    fn begin(&mut self, n: usize, q: usize) -> &mut Vec<u8> {
+        self.q = q;
+        self.central.clear();
+        self.central.resize(n, 0);
+        self.rows.clear();
+        &mut self.rows
     }
-    #[inline]
-    fn hit(&self, v: u32, i: usize) -> u8 {
-        self.rows[v as usize * self.state.q + i]
+
+    /// Start a fill by scatter: `n` rows of `q` never-hit cells.
+    pub fn unhit(&mut self, n: usize, q: usize) {
+        self.begin(n, q).resize(n * q, INFINITE_LEVEL);
     }
+
+    /// Number of query keywords `q`.
     #[inline]
-    fn row<'a>(&'a self, v: u32, _buf: &'a mut [u8]) -> &'a [u8] {
-        let q = self.state.q;
-        &self.rows[v as usize * q..][..q]
+    pub fn num_keywords(&self) -> usize {
+        self.q
     }
+
+    /// `v`'s hitting levels: `row(v)[i] = h_v^i` (255 = never hit).
     #[inline]
-    fn is_keyword_node(&self, v: u32) -> bool {
-        self.state.is_keyword_node(v)
+    pub fn row(&self, v: u32) -> &[u8] {
+        &self.rows[v as usize * self.q..][..self.q]
     }
+
+    /// `v`'s hitting levels, for a shape's fill.
     #[inline]
-    fn central_depth(&self, v: u32) -> Option<u8> {
-        self.state.central_depth(v)
+    pub fn row_mut(&mut self, v: u32) -> &mut [u8] {
+        &mut self.rows[v as usize * self.q..][..self.q]
+    }
+
+    /// `true` if `v` contains at least one query keyword.
+    #[inline]
+    pub fn is_keyword_node(&self, v: u32) -> bool {
+        self.row(v).contains(&0)
+    }
+
+    /// If `v` is a Central Node, the depth at which it was identified —
+    /// it stopped expanding there, which extraction must respect.
+    #[inline]
+    pub fn central_depth(&self, v: u32) -> Option<u8> {
+        self.central[v as usize].checked_sub(1)
+    }
+
+    /// Mark `v` as a Central Node identified at `depth`.
+    pub(crate) fn mark_central(&mut self, v: u32, depth: u8) {
+        self.central[v as usize] = depth + 1;
     }
 }
 
-/// The cell writes of the bottom-up stage, on top of the [`HitLevels`]
-/// reads. Every write is the racing-equal-values kind Theorem V.2 covers —
-/// a plain store suffices — hence `&self`.
+/// The cell writes of the bottom-up stage. Every write is the
+/// racing-equal-values kind Theorem V.2 covers — a plain store suffices —
+/// hence `&self`.
 impl SearchState {
     /// Record a hit: `M[v][i] ← level`.
     #[inline]
@@ -405,12 +416,28 @@ mod tests {
         assert!(s.take_frontier_flag(0));
     }
 
+    /// A filled block answers what the state answers: the same rows, with
+    /// "keyword node" (and a node's keyword count) read off their zeros.
     #[test]
     fn keyword_counts_reflect_sources() {
-        let s = state();
-        assert_eq!(s.keyword_count(0), 2); // apple, fruit
-        assert_eq!(s.keyword_count(1), 2); // banana, fruit
-        assert_eq!(s.keyword_count(2), 0);
+        let mut s = state();
+        s.set_hit(2, 1, 3);
+        let mut block = HitBlock::default();
+        block.unhit(7, 5); // a larger earlier query must not show through
+        s.fill(&mut block);
+        assert_eq!((block.central.len(), block.rows.len(), block.num_keywords()), (3, 9, 3));
+        assert_eq!(block.row(0), [0, INFINITE_LEVEL, 0]); // apple, fruit
+        assert_eq!(block.row(1), [INFINITE_LEVEL, 0, 0]); // banana, fruit
+        assert_eq!(block.row(2), [INFINITE_LEVEL, 3, INFINITE_LEVEL]);
+        let mut row = [0u8; 3];
+        for v in 0..3 {
+            s.row_into(v, &mut row);
+            assert_eq!(block.row(v), row);
+            assert_eq!(block.is_keyword_node(v), s.is_keyword_node(v));
+            assert_eq!(block.central_depth(v), None);
+        }
+        block.mark_central(2, 0);
+        assert_eq!(block.central_depth(2), Some(0));
     }
 
     #[test]
@@ -496,9 +523,10 @@ mod tests {
         let (g, q) = fixture();
         let mut s = SearchState::new(g.num_nodes(), &q);
         s.set_hit(2, 0, 0); // node 2 becomes a "source" this epoch
-        assert!(s.is_source(2, 0));
+        assert_eq!(s.hit(2, 0), 0);
         s.begin_query(g.num_nodes(), &q);
-        assert!(!s.is_source(2, 0), "stale zero must read as ∞, not source");
-        assert_eq!(s.keyword_count(2), 0);
+        let mut row = [0u8; 3];
+        s.row_into(2, &mut row);
+        assert_eq!(row, [INFINITE_LEVEL; 3], "stale zero must read as ∞, not source");
     }
 }

@@ -23,8 +23,8 @@
 //! * **[`TopDownScratch`]** — every set and list the stage needs is a
 //!   stamp array or a flat arena that lives in the session and is reused
 //!   across candidates and queries: no hashing, no per-candidate
-//!   allocation. The matrix engines hand the stage `M` as plain bytes
-//!   ([`crate::state::ByteLevels`]), the activation levels as a table.
+//!   allocation. Every shape hands the stage `M` as the same plain bytes
+//!   ([`HitBlock`], held here), the activation levels as a table.
 //! * **Predecessor memo, one per query** — the test above depends on
 //!   `(j, i)` only, never on which central node the walk started from, so
 //!   a node's adjacency is scanned at most once per query, for all
@@ -39,11 +39,11 @@
 //!   containment dedup run on those records; phase B builds a full
 //!   [`CentralGraph`] for the ≤ `top_k` survivors only.
 
-use crate::activation::{ActivationMap, ActivationTable};
+use crate::activation::ActivationMap;
 use crate::budget::BudgetTracker;
 use crate::engine::{claim_runs, ASK_CLAIM, CANDIDATE_CLAIM};
 use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
-use crate::state::HitLevels;
+use crate::state::HitBlock;
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use std::cmp::Ordering as CmpOrdering;
@@ -51,14 +51,13 @@ use std::ops::Range;
 
 /// Where a predecessor oracle reports one node's hitting-path
 /// predecessors: `(keyword, predecessor)` pairs in any order, duplicates
-/// allowed (multi-edges). Also holds the Theorem V.4 oracle's two `M`-row
-/// buffers.
+/// allowed (multi-edges). Also holds the Theorem V.4 oracle's buffer for
+/// the scanned node's row.
 #[derive(Default)]
 pub struct PredSink {
     /// `keyword << 32 | predecessor`: one word sorts faster than a tuple.
     pairs: Vec<u64>,
     row_j: Vec<u8>,
-    row_n: Vec<u8>,
 }
 
 impl PredSink {
@@ -72,28 +71,24 @@ impl PredSink {
 /// The Theorem V.4 predecessor oracle: every hitting-path predecessor of
 /// `j`, for all keywords at once — one scan of `j`'s adjacency, one `M`
 /// row read per neighbor.
-pub fn hitting_path_preds<H: HitLevels + ?Sized>(
+pub fn hitting_path_preds(
     graph: &KnowledgeGraph,
     act: &ActivationMap<'_>,
-    state: &H,
+    hits: &HitBlock,
     j: u32,
     sink: &mut PredSink,
 ) {
-    let q = state.num_keywords();
-    let PredSink { pairs, row_j, row_n } = sink;
-    row_j.resize(q, 0);
-    row_n.resize(q, 0);
+    let PredSink { pairs, row_j } = sink;
     // A source of B_i (h = 0) starts hitting paths and an instance that
     // never hit `j` has none through it: both read as 0 here, which no
     // `1 + max{..}` equals.
-    for (open, &h) in row_j.iter_mut().zip(state.row(j, row_n)) {
-        *open = if h == INFINITE_LEVEL { 0 } else { h };
-    }
+    row_j.clear();
+    row_j.extend(hits.row(j).iter().map(|&h| if h == INFINITE_LEVEL { 0 } else { h }));
     if row_j.iter().all(|&h| h == 0) {
         return;
     }
     // The `a_j − 1` term applies only to non-keyword nodes.
-    let aj_term = if state.is_keyword_node(j) {
+    let aj_term = if hits.is_keyword_node(j) {
         0
     } else {
         act.level(NodeId(j)).saturating_sub(1)
@@ -101,14 +96,14 @@ pub fn hitting_path_preds<H: HitLevels + ?Sized>(
     for adj in graph.neighbors(NodeId(j)) {
         let n = adj.target().0;
         let floor = act.level(adj.target()).max(aj_term);
-        for (i, (&hj, &hn)) in row_j.iter().zip(state.row(n, row_n)).enumerate() {
+        for (i, (&hj, &hn)) in row_j.iter().zip(hits.row(n)).enumerate() {
             // Levels stop at 254, so the saturated `1 + ∞` equals no `h_j`.
             // A Central Node freezes at its identification depth and
             // never expands afterwards, so it cannot be the predecessor
             // of a hit beyond that depth — looked up only for the few
             // neighbors the equation holds for.
             if hj == hn.max(floor).saturating_add(1)
-                && state.central_depth(n).is_none_or(|d| hj <= d)
+                && hits.central_depth(n).is_none_or(|d| hj <= d)
             {
                 pairs.push((i as u64) << 32 | u64::from(n));
             }
@@ -116,17 +111,15 @@ pub fn hitting_path_preds<H: HitLevels + ?Sized>(
     }
 }
 
-/// What one top-down stage reads: the data graph, the finished
-/// bottom-up state, the query's parameters and budget, and the
-/// predecessor oracle — `preds(j, sink)` reports every hitting-path
-/// predecessor of `j` (Theorem V.4 over `hits`, or CPU-Par-d's recorded
-/// paths). The oracle's answer must depend on `j` alone; it is asked once
-/// per touched node per query.
-pub struct Stage<'a, H: ?Sized, P> {
+/// What one top-down stage reads besides the [`HitBlock`] in its scratch:
+/// the data graph, the query's parameters and budget, and the predecessor
+/// oracle — `preds(hits, j, sink)` reports every hitting-path predecessor
+/// of `j` (Theorem V.4 over `hits`, or CPU-Par-d's recorded paths). The
+/// oracle's answer must depend on `j` alone; it is asked once per touched
+/// node per query.
+pub struct Stage<'a, P> {
     /// The data graph (global, for sharded searches).
     pub graph: &'a KnowledgeGraph,
-    /// Hitting levels, keyword-node and central flags.
-    pub hits: &'a H,
     /// `level_cover`, `dedup_contained`, `top_k`, `lambda`.
     pub params: &'a SearchParams,
     /// Polled once per candidate, per memoised adjacency scan and per
@@ -147,15 +140,19 @@ struct Scored {
     nodes: Range<usize>,
 }
 
-/// Reusable working memory of the top-down stage: the query's predecessor
-/// memo and one `Worker` per thread that runs the stage. Lives in the
-/// [`crate::session::SearchSession`] (or the coordinator that owns the
-/// stage) and grows on first use to one `u32` per graph node (the memo's
-/// index) plus marks and arenas proportional to the nodes and edges the
-/// query's walks touch; afterwards a query allocates only its ≤ `top_k`
-/// answers.
+/// Reusable working memory of the top-down stage: its input block, the
+/// query's predecessor memo and one `Worker` per thread that runs the
+/// stage. Lives in the [`crate::session::SearchSession`] (or the
+/// coordinator that owns the stage) and grows on first use to the block's
+/// `n · (q + 1)` bytes and one `u32` per graph node (the memo's index)
+/// plus marks and arenas proportional to the nodes and edges the query's
+/// walks touch; afterwards a query allocates only its ≤ `top_k` answers.
 #[derive(Default)]
 pub struct TopDownScratch {
+    /// The finished `M` — the stage's whole view of the bottom-up search.
+    /// The shape that ran the search fills the rows before it calls
+    /// [`crate::bottom_up::LevelRun::finish`], which marks the cohort.
+    pub hits: HitBlock,
     memo: Memo,
     workers: Vec<Worker>,
 }
@@ -194,9 +191,13 @@ const UNASKED: u32 = u32::MAX;
 /// path), so skipping it is exact.
 ///
 /// Rows are kept as `q` bytes per node, not as a source bit set: no width
-/// cap, so no limit on the number of keyword groups.
+/// cap, so no limit on the number of keyword groups. (They repeat the
+/// block's, packed by slot: the walks read them ~2 % faster than through
+/// the node id — `deep_miss`, CHANGES.md PR 22.)
 #[derive(Default)]
 struct Memo {
+    /// The query's keyword count: the width of every per-slot table here.
+    q: usize,
     /// Node → memo slot, the sparse half of a sparse set: `slot_of[j]` is
     /// only believed if `slot_node[slot_of[j]] == j`, so it is never
     /// cleared — forgetting a query's memo is `slot_node.clear()`. The one
@@ -224,8 +225,6 @@ struct Memo {
     fresh: Vec<(u32, u32)>,
     next: Vec<(u32, u32)>,
     to_ask: Vec<u32>,
-    /// Row buffer of [`Memo::touch`].
-    buf: Vec<u8>,
 }
 
 impl Memo {
@@ -235,7 +234,7 @@ impl Memo {
     }
 
     /// The memo slot of `j`, reading its row on first touch this query.
-    fn touch<H: HitLevels + ?Sized>(&mut self, hits: &H, j: u32) -> usize {
+    fn touch(&mut self, hits: &HitBlock, j: u32) -> usize {
         let slot = self.slot(j);
         if self.slot_node.get(slot) == Some(&j) {
             return slot;
@@ -243,9 +242,7 @@ impl Memo {
         let slot = self.slot_node.len();
         self.slot_node.push(j);
         self.slot_of[j as usize] = slot as u32;
-        let q = hits.num_keywords();
-        self.buf.resize(q, 0);
-        let row = hits.row(j, &mut self.buf);
+        let row = hits.row(j);
         self.count.push(row.iter().filter(|&&h| h == 0).count() as u32);
         self.rows.extend_from_slice(row);
         self.reached.resize(self.rows.len(), false);
@@ -254,19 +251,19 @@ impl Memo {
     }
 
     /// The hitting levels of `slot`'s node.
-    fn row(&self, slot: usize, q: usize) -> &[u8] {
-        &self.rows[slot * q..][..q]
+    fn row(&self, slot: usize) -> &[u8] {
+        &self.rows[slot * self.q..][..self.q]
     }
 
     /// Keyword `i`'s predecessors of the asked node in `slot`.
-    fn preds(&self, slot: usize, q: usize, i: usize) -> &[u32] {
-        let at = self.list_of[slot] as usize * (q + 1) + i;
+    fn preds(&self, slot: usize, i: usize) -> &[u32] {
+        let at = self.list_of[slot] as usize * (self.q + 1) + i;
         &self.preds[self.pred_ranges[at] as usize..self.pred_ranges[at + 1] as usize]
     }
 
     /// Mark `(slot, i)` reached; `true` the first time.
-    fn reach(&mut self, slot: usize, q: usize, i: usize) -> bool {
-        !std::mem::replace(&mut self.reached[slot * q + i], true)
+    fn reach(&mut self, slot: usize, i: usize) -> bool {
+        !std::mem::replace(&mut self.reached[slot * self.q + i], true)
     }
 
     /// Build the memo of one query: a backward sweep over the hitting
@@ -279,18 +276,19 @@ impl Memo {
     /// asked about at most once per query, and the lists are a function of
     /// the oracle alone: which thread asked cannot show. `None`: the
     /// budget tripped.
-    fn build<H, P>(
+    fn build<P>(
         &mut self,
-        cx: &Stage<'_, H, P>,
+        cx: &Stage<'_, P>,
+        hits: &HitBlock,
         cohort: &[(NodeId, u8)],
         pool: Option<&rayon::ThreadPool>,
         workers: &mut [Worker],
     ) -> Option<()>
     where
-        H: HitLevels + Sync + ?Sized,
-        P: Fn(u32, &mut PredSink) + Sync,
+        P: Fn(&HitBlock, u32, &mut PredSink) + Sync,
     {
-        let q = cx.hits.num_keywords();
+        let q = hits.num_keywords();
+        self.q = q;
         if self.slot_of.len() < cx.graph.num_nodes() {
             self.slot_of.resize(cx.graph.num_nodes(), 0);
         }
@@ -309,9 +307,9 @@ impl Memo {
             worker.preds.clear();
         }
         for &(central, _) in cohort {
-            let slot = self.touch(cx.hits, central.0);
+            let slot = self.touch(hits, central.0);
             for i in 0..q {
-                if self.reach(slot, q, i) {
+                if self.reach(slot, i) {
                     self.fresh.push((slot as u32, i as u32));
                 }
             }
@@ -335,7 +333,7 @@ impl Memo {
                     let go = !cx.tracker.should_stop();
                     if go {
                         worker.sink.pairs.clear();
-                        (cx.preds)(slot_node[slot as usize], &mut worker.sink);
+                        (cx.preds)(hits, slot_node[slot as usize], &mut worker.sink);
                         worker.file(slot, q);
                     }
                     go
@@ -361,8 +359,8 @@ impl Memo {
                 }
                 let at = self.list_of[slot] as usize * (q + 1) + i;
                 for k in self.pred_ranges[at]..self.pred_ranges[at + 1] {
-                    let pred = self.touch(cx.hits, self.preds[k as usize]);
-                    if self.reach(pred, q, i) {
+                    let pred = self.touch(hits, self.preds[k as usize]);
+                    if self.reach(pred, i) {
                         self.next.push((pred as u32, i as u32));
                     }
                 }
@@ -436,7 +434,8 @@ impl Walk {
     /// `memo` was built for: one backward walk per keyword over the
     /// memoised predecessor lists (`nodes`, `edges`), then — if asked —
     /// the level-cover strategy (`pruned`, `kept_*`).
-    fn extract(&mut self, memo: &Memo, q: usize, level_cover: bool, central: u32) {
+    fn extract(&mut self, memo: &Memo, level_cover: bool, central: u32) {
+        let q = memo.q;
         if self.visit.len() < memo.slot_node.len() {
             self.visit.resize(memo.slot_node.len(), 0);
             self.keep.resize(memo.slot_node.len(), 0);
@@ -456,11 +455,11 @@ impl Walk {
             while let Some(slot) = self.stack.pop() {
                 let slot = slot as usize;
                 // A source of `B_i` starts its hitting paths: no list.
-                if memo.row(slot, q)[i] == 0 {
+                if memo.row(slot)[i] == 0 {
                     continue;
                 }
                 let j = memo.slot_node[slot];
-                for &n in memo.preds(slot, q, i) {
+                for &n in memo.preds(slot, i) {
                     self.edges.push((n, j));
                     let slot = memo.slot(n);
                     let seen = &mut self.visit[slot];
@@ -476,7 +475,7 @@ impl Walk {
         }
         self.edge_ranges.push(self.edges.len());
         self.nodes.sort_unstable();
-        self.pruned = level_cover && self.level_cover(memo, q, central);
+        self.pruned = level_cover && self.level_cover(memo, central);
     }
 
     /// The **level-cover strategy** (paper Sec. V-C, Fig. 5) on the
@@ -497,7 +496,8 @@ impl Walk {
     /// that DAG and seeds its forward walk.
     ///
     /// Classes and source sets come from the memo: no `M` row is read here.
-    fn level_cover(&mut self, memo: &Memo, q: usize, central: u32) -> bool {
+    fn level_cover(&mut self, memo: &Memo, central: u32) -> bool {
+        let q = memo.q;
         self.by_count.clear();
         for &v in self.nodes.iter().filter(|&&v| v != central) {
             let count = memo.count[memo.slot(v)];
@@ -514,7 +514,7 @@ impl Walk {
         self.covered.resize(q, false);
         let cover_node = |v: u32, covered: &mut [bool]| {
             let mut newly = 0;
-            for (c, &h) in covered.iter_mut().zip(memo.row(memo.slot(v), q)) {
+            for (c, &h) in covered.iter_mut().zip(memo.row(memo.slot(v))) {
                 if !*c && h == 0 {
                     *c = true;
                     newly += 1;
@@ -582,7 +582,7 @@ impl Walk {
         self.kept_ranges.push(self.kept_edges.len());
 
         debug_assert!(
-            (0..q).all(|i| self.kept_nodes.iter().any(|&v| memo.row(memo.slot(v), q)[i] == 0)),
+            (0..q).all(|i| self.kept_nodes.iter().any(|&v| memo.row(memo.slot(v))[i] == 0)),
             "level-cover pruning uncovered a keyword"
         );
         self.kept_nodes.sort_unstable();
@@ -600,7 +600,7 @@ impl Walk {
     }
 }
 
-impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
+impl<P> Stage<'_, P> {
     /// Eq. 6: `S(C) = d(C)^λ · Σ_{v ∈ C} w_v` (smaller = better). The
     /// weights are summed in ascending node-id order — the one order every
     /// path to a score uses, so `score.to_bits()` is reproducible.
@@ -612,8 +612,7 @@ impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
     /// Phase A: extract, prune and score one candidate, leaving only its
     /// compact record in `worker`.
     fn score_candidate(&self, memo: &Memo, worker: &mut Worker, central: u32, depth: u8) {
-        let q = self.hits.num_keywords();
-        worker.walk.extract(memo, q, self.params.level_cover, central);
+        worker.walk.extract(memo, self.params.level_cover, central);
         let (nodes, ..) = worker.walk.answer();
         let start = worker.scored_nodes.len();
         worker.scored_nodes.extend_from_slice(nodes);
@@ -629,8 +628,7 @@ impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
     /// Phase B: extract and prune one surviving candidate again and build
     /// the full answer.
     fn materialise(&self, memo: &Memo, walk: &mut Walk, central: u32, depth: u8) -> CentralGraph {
-        let q = self.hits.num_keywords();
-        walk.extract(memo, q, self.params.level_cover, central);
+        walk.extract(memo, self.params.level_cover, central);
         let (nodes, arena, ranges) = walk.answer();
         let score = self.score(nodes, depth);
         let nodes: Vec<NodeId> = nodes.iter().map(|&v| NodeId(v)).collect();
@@ -648,8 +646,9 @@ impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
         let mut edges: Vec<(NodeId, NodeId)> = keyword_edges.iter().flatten().copied().collect();
         edges.sort_unstable();
         edges.dedup();
-        let keyword_nodes = (0..q)
-            .map(|i| nodes.iter().copied().filter(|v| self.hits.is_source(v.0, i)).collect())
+        let is_source = |v: &NodeId, i| memo.row(memo.slot(v.0))[i] == 0;
+        let keyword_nodes = (0..memo.q)
+            .map(|i| nodes.iter().copied().filter(|v| is_source(v, i)).collect())
             .collect();
         CentralGraph {
             central: NodeId(central),
@@ -660,31 +659,6 @@ impl<H: HitLevels + ?Sized, P> Stage<'_, H, P> {
             keyword_edges,
             score,
         }
-    }
-}
-
-/// What a top-down stage over the *global* graph keeps between queries:
-/// the graph's activation table and the stage's working memory.
-#[derive(Default)]
-pub(crate) struct StageScratch {
-    pub(crate) activation: ActivationTable,
-    pub(crate) top_down: TopDownScratch,
-}
-
-/// Freelist of scratch sets for an owner that runs top-down stages through
-/// `&self` with no session of its own to keep them in: the shard
-/// coordinators (whose stage runs over the *global* graph). A set
-/// abandoned by a panicking stage is simply dropped.
-#[derive(Default)]
-pub(crate) struct ScratchPool(parking_lot::Mutex<Vec<StageScratch>>);
-
-impl ScratchPool {
-    /// Run `stage` with a pooled (or fresh, empty) scratch set.
-    pub(crate) fn with<R>(&self, stage: impl FnOnce(&mut StageScratch) -> R) -> R {
-        let mut set = self.0.lock().pop().unwrap_or_default();
-        let result = stage(&mut set);
-        self.0.lock().push(set);
-        result
     }
 }
 
@@ -754,28 +728,28 @@ fn select_top_k(mut ranked: Vec<Ranked<'_>>, params: &SearchParams) -> Vec<(u32,
 /// scores every candidate over it — pool threads claiming small batches
 /// from one atomic cursor, each with its own marks —, the records are
 /// ranked and deduplicated, phase B materialises the ≤ `top_k` survivors,
-/// best first. `scratch` grows to one worker per pool thread. `None`: the
-/// budget tripped, and no partial answer set escapes.
-pub fn top_down<H, P>(
-    cx: &Stage<'_, H, P>,
+/// best first. The stage reads the bottom-up search through `scratch.hits`
+/// alone, which its caller filled; `scratch` grows to one worker per pool
+/// thread. `None`: the budget tripped, and no partial answer set escapes.
+pub fn top_down<P>(
+    cx: &Stage<'_, P>,
     cohort: &[(NodeId, u8)],
     pool: Option<&rayon::ThreadPool>,
     scratch: &mut TopDownScratch,
 ) -> Option<Vec<CentralGraph>>
 where
-    H: HitLevels + Sync + ?Sized,
-    P: Fn(u32, &mut PredSink) + Sync,
+    P: Fn(&HitBlock, u32, &mut PredSink) + Sync,
 {
     if cohort.is_empty() {
         return Some(Vec::new());
     }
-    let TopDownScratch { memo, workers } = scratch;
+    let TopDownScratch { hits, memo, workers } = scratch;
     let threads = pool.map_or(1, |p| p.current_num_threads());
     if workers.len() < threads {
         workers.resize_with(threads, Worker::default);
     }
     let workers = &mut workers[..threads];
-    memo.build(cx, cohort, pool, workers)?;
+    memo.build(cx, hits, cohort, pool, workers)?;
     let memo = &*memo;
 
     // Each worker scores into its own records; the locks are uncontended.
@@ -828,12 +802,14 @@ where
 /// The hash-based stage this module replaced, kept verbatim as the oracle
 /// of [`tests::scratch_stage_equals_the_reference`]: an owned
 /// `Extraction` per candidate, `HashSet`/`HashMap` pruning, a full
-/// `CentralGraph` per candidate, O(c²) containment dedup.
+/// `CentralGraph` per candidate, O(c²) containment dedup. It reads the
+/// bottom-up [`SearchState`] itself — the stage reads the bytes filled
+/// from it, so a wrong fill shows as a difference.
 #[cfg(test)]
 mod reference {
     use crate::activation::ActivationMap;
     use crate::model::{answer_order, CentralGraph, INFINITE_LEVEL};
-    use crate::state::HitLevels;
+    use crate::state::SearchState;
     use crate::SearchParams;
     use kgraph::{KnowledgeGraph, NodeId};
     use std::collections::{HashMap, HashSet};
@@ -855,10 +831,10 @@ mod reference {
 
     /// Recover all hitting paths of the Central Graph centered at `central`
     /// (Theorem V.4). One backward BFS per keyword.
-    pub fn extract<H: HitLevels + ?Sized>(
+    pub fn extract(
         graph: &KnowledgeGraph,
         act: &ActivationMap<'_>,
-        state: &H,
+        state: &SearchState,
         central: u32,
         depth: u8,
     ) -> Extraction {
@@ -934,9 +910,9 @@ mod reference {
     /// If pruning would disconnect a keyword (possible when a keyword's only
     /// coverage sat on another keyword's pruned path), the unpruned graph is
     /// kept — an answer must always cover the query.
-    pub fn prune_and_score<H: HitLevels + ?Sized>(
+    pub fn prune_and_score(
         graph: &KnowledgeGraph,
-        state: &H,
+        state: &SearchState,
         extraction: &Extraction,
         params: &SearchParams,
     ) -> CentralGraph {
@@ -949,7 +925,7 @@ mod reference {
             .nodes
             .iter()
             .filter(|&&v| v != central)
-            .map(|&v| (state.keyword_count(v), v))
+            .map(|&v| ((0..q).filter(|&i| is_source(state, v, i)).count(), v))
             .filter(|&(c, _)| c > 0)
             .collect();
         by_count.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -960,7 +936,7 @@ mod reference {
         let mut covered_count = 0usize;
         let cover_node = |v: u32, covered: &mut Vec<bool>, covered_count: &mut usize| {
             for (i, c) in covered.iter_mut().enumerate() {
-                if !*c && state.is_source(v, i) {
+                if !*c && is_source(state, v, i) {
                     *c = true;
                     *covered_count += 1;
                 }
@@ -1023,7 +999,7 @@ mod reference {
                 per_keyword.push(kept);
             }
             // Soundness check: every keyword must still be covered.
-            let all_covered = (0..q).all(|i| nodes.iter().any(|&v| state.is_source(v, i)));
+            let all_covered = (0..q).all(|i| nodes.iter().any(|&v| is_source(state, v, i)));
             all_covered.then_some((nodes, edges, per_keyword))
         } else {
             None
@@ -1054,7 +1030,7 @@ mod reference {
         edges.sort_unstable();
 
         let keyword_nodes: Vec<Vec<NodeId>> = (0..q)
-            .map(|i| nodes.iter().copied().filter(|v| state.is_source(v.0, i)).collect())
+            .map(|i| nodes.iter().copied().filter(|v| is_source(state, v.0, i)).collect())
             .collect();
         let keyword_edges: Vec<Vec<(NodeId, NodeId)>> = per_keyword_edges
             .into_iter()
@@ -1074,6 +1050,11 @@ mod reference {
             keyword_edges,
             score,
         }
+    }
+
+    /// `true` if `v ∈ T_i` (`⇔ M[v][i] = 0`).
+    fn is_source(state: &SearchState, v: u32, i: usize) -> bool {
+        state.hit(v, i) == 0
     }
 
     fn full_nodes(e: &Extraction) -> HashSet<u32> {
@@ -1127,7 +1108,6 @@ mod tests {
     use super::*;
     use crate::bottom_up::{drive, ExpandCtx, LevelRun};
     use crate::engine::{digest_answer, MatrixOps};
-    use crate::shard::ShardBackend;
     use crate::state::SearchState;
     use kgraph::GraphBuilder;
     use textindex::{InvertedIndex, ParsedQuery};
@@ -1141,22 +1121,24 @@ mod tests {
     ) -> (Vec<CentralGraph>, SearchState) {
         let idx = InvertedIndex::build(g);
         let q = ParsedQuery::parse(&idx, raw);
-        let state = SearchState::new(g.num_nodes(), &q);
+        let mut state = SearchState::new(g.num_nodes(), &q);
         let activation = vec![0u8; g.num_nodes()];
         let act = ActivationMap(&activation);
         let tracker = crate::budget::QueryBudget::unlimited().start();
         let mut frontiers = Vec::new();
         let mut ops = MatrixOps {
-            backend: ShardBackend::Seq,
             pool: None,
+            work_items: false,
             ctx: ExpandCtx { graph: g, act: &act, state: &state, budget: &tracker },
             frontiers: &mut frontiers,
         };
         let mut run = LevelRun::new(params, &tracker);
         drive(&mut ops, &mut run).expect("unlimited budget");
+        let mut scratch = TopDownScratch::default();
+        state.fill(&mut scratch.hits);
         let out = run
-            .finish("Seq", g, &state, None, &mut TopDownScratch::default(), |j, sink| {
-                hitting_path_preds(g, &act, &state, j, sink)
+            .finish("Seq", g, None, &mut scratch, |hits, j, sink| {
+                hitting_path_preds(g, &act, hits, j, sink)
             })
             .expect("unlimited budget");
         (out.answers, state)
@@ -1348,8 +1330,8 @@ mod tests {
         let tracker = QueryBudget::unlimited().start();
         let mut frontiers = Vec::new();
         let mut ops = MatrixOps {
-            backend: ShardBackend::Seq,
             pool: None,
+            work_items: false,
             ctx: ExpandCtx { graph: g, act, state: &state, budget: &tracker },
             frontiers: &mut frontiers,
         };
@@ -1357,6 +1339,15 @@ mod tests {
         drive(&mut ops, &mut run).expect("unlimited budget");
         let cohort = run.cohort().to_vec();
         (state, cohort)
+    }
+
+    /// What [`LevelRun::finish`] hands the stage of a matrix search: the
+    /// state's bytes, the cohort marked central.
+    fn fill(state: &mut SearchState, cohort: &[(NodeId, u8)], hits: &mut HitBlock) {
+        state.fill(hits);
+        for &(central, depth) in cohort {
+            hits.mark_central(central.0, depth);
+        }
     }
 
     /// One random stage-2 input.
@@ -1415,11 +1406,26 @@ mod tests {
         }
     }
 
+    /// The vocabularies of the random cases: ten words (node texts draw 0–5
+    /// of them, queries 1–8), and ninety words no stemmer touches (node
+    /// texts draw 0–40, queries 1–400 with repeats: Knum beyond 64).
+    fn word_pools() -> (Vec<String>, Vec<String>) {
+        let few = [
+            "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda", "zeta", "theta",
+        ]
+        .map(String::from)
+        .into();
+        let many = (0..90)
+            .map(|k| format!("q{}{}x", (b'a' + k / 10) as char, (b'a' + k % 10) as char))
+            .collect();
+        (few, many)
+    }
+
     /// Random graphs × random activation levels × `level_cover` /
     /// `dedup_contained` on and off × Knum 1–8, then Knum beyond 64 (the
-    /// memo keeps rows, not bit sets: no keyword-count limit): every cohort
-    /// member materialised by the scratch — over the byte view the matrix
-    /// engines hand it — equals the reference's `extract` +
+    /// block keeps rows, not bit sets: no keyword-count limit): every cohort
+    /// member materialised by the scratch — over the bytes the matrix
+    /// engines fill — equals the reference's `extract` +
     /// `prune_and_score` over the state itself field for field, and the
     /// selected top-k equals the reference's, on the caller's thread and on
     /// pools of 1, 2 and 3 threads, through scratches reused across all
@@ -1430,18 +1436,7 @@ mod tests {
         let mut rng = TestRng::from_name("central::top_down::scratch_stage_equals_the_reference");
         let pools: Vec<_> = (1..=3).map(crate::engine::build_pool).collect();
         let mut scratches: Vec<TopDownScratch> = (0..=3).map(|_| Default::default()).collect();
-        let mut block = Vec::new();
-        // Ten words; node texts draw 0–5 of them, queries 1–8.
-        let few: Vec<String> = [
-            "alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda", "zeta", "theta",
-        ]
-        .map(String::from)
-        .into();
-        // Ninety words no stemmer touches; node texts draw 0–40, queries 1–400
-        // (with repeats).
-        let many: Vec<String> = (0..90)
-            .map(|k| format!("q{}{}x", (b'a' + k / 10) as char, (b'a' + k % 10) as char))
-            .collect();
+        let (few, many) = word_pools();
         let (mut cases, mut pruning_cases, mut candidates, mut pruned) = (0, 0, 0, 0);
         let (mut wide_cases, mut wide_candidates) = (0, 0);
         while cases < 600 || wide_cases < 12 {
@@ -1473,17 +1468,19 @@ mod tests {
                 })
                 .collect();
             let tracker = QueryBudget::unlimited().start();
-            let hits = &state.byte_levels(&mut block);
             let stage = Stage {
                 graph: g,
-                hits,
                 params,
                 tracker: &tracker,
-                preds: |j: u32, sink: &mut PredSink| hitting_path_preds(g, &act, hits, j, sink),
+                preds: |hits: &HitBlock, j: u32, sink: &mut PredSink| {
+                    hitting_path_preds(g, &act, hits, j, sink)
+                },
             };
-            let TopDownScratch { memo, workers } = &mut scratches[0];
+            let TopDownScratch { hits, memo, workers } = &mut scratches[0];
+            fill(&mut state, &cohort, hits);
+            let hits = hits.clone();
             workers.resize_with(1, Worker::default);
-            memo.build(&stage, &cohort, None, workers).expect("unlimited budget");
+            memo.build(&stage, &hits, &cohort, None, workers).expect("unlimited budget");
             let walk = &mut workers[0].walk;
             let mut case_pruned = false;
             for (&(c, d), want) in cohort.iter().zip(&expected) {
@@ -1506,6 +1503,7 @@ mod tests {
                 reference::select_top_k(expected, params).iter().map(digest_answer).collect();
             let pools = std::iter::once(None).chain(pools.iter().map(Some));
             for (pool, scratch) in pools.zip(&mut scratches) {
+                scratch.hits.clone_from(&hits);
                 let got = top_down(&stage, &cohort, pool, scratch).expect("unlimited budget");
                 assert_eq!(got.iter().map(digest_answer).collect::<Vec<_>>(), want, "case {cases}");
             }
@@ -1517,6 +1515,77 @@ mod tests {
         assert!(pruning_cases * 5 >= cases, "{pruning_cases} of {cases} cases pruned");
         assert!(pruned * 10 >= candidates, "{pruned} of {candidates} candidates pruned");
         assert!(wide_candidates > 0, "no wide case had a candidate");
+    }
+
+    /// What the routing views used to carry implicitly: whichever shape runs
+    /// the bottom-up stage, the top-down stage is handed the same bytes. On
+    /// random graphs and queries (Knum 1–8, then beyond 64; activation
+    /// gating on) solo `seq`, CPU-Par-d, 2 and 3 in-process shards and a
+    /// 2-worker loopback fleet leave byte-identical blocks — rows and
+    /// central marks — behind their searches, and they are the sequential
+    /// state's own cells.
+    #[test]
+    fn every_shape_fills_the_same_block() {
+        use crate::engine::{DynParEngine, KeywordSearchEngine, SeqEngine};
+        use crate::remote::{RemoteOptions, RemoteShardedSearch, ShardWorker, StaticAddrs};
+        use crate::session::SearchSession;
+        use crate::shard::{ShardBackend, ShardedSearch, DEFAULT_PARTITION_SEED};
+
+        let mut rng = TestRng::from_name("central::top_down::every_shape_fills_the_same_block");
+        let (few, many) = word_pools();
+        let (seq, dynamic) = (SeqEngine::new(), DynParEngine::new(2));
+        let (mut solo, mut locked) = (SearchSession::new(), SearchSession::new());
+        let budget = QueryBudget::unlimited();
+        let (mut cases, mut wide_cases, mut marked, mut gated) = (0, 0, 0, 0);
+        while cases < 40 || wide_cases < 2 {
+            let wide = cases >= 40;
+            let case = if wide {
+                random_case(&mut rng, &many, 40, 400)
+            } else {
+                random_case(&mut rng, &few, 5, 8)
+            };
+            let g = &case.graph;
+            let q = ParsedQuery::parse(&InvertedIndex::build(g), &case.query);
+            if q.is_empty() || (wide && q.num_keywords() <= 64) {
+                continue;
+            }
+            cases += 1;
+            wide_cases += usize::from(wide);
+            gated += usize::from(case.activation.iter().any(|&a| a > 1));
+            let params = case.params.clone().with_explicit_activation(case.activation.clone());
+
+            seq.search_session(&mut solo, g, &q, &params);
+            let want = &solo.top_down.hits;
+            let mut row = vec![0; q.num_keywords()];
+            for v in g.nodes() {
+                solo.state.row_into(v.0, &mut row);
+                assert_eq!(want.row(v.0), row, "case {cases}, node {v}");
+                assert_eq!(want.central_depth(v.0), solo.state.central_depth(v.0), "case {cases}");
+                assert_eq!(want.is_keyword_node(v.0), solo.state.is_keyword_node(v.0));
+                marked += usize::from(want.central_depth(v.0).is_some());
+            }
+
+            dynamic.search_session(&mut locked, g, &q, &params);
+            assert_eq!(&locked.top_down.hits, want, "case {cases}: CPU-Par-d");
+            for shards in [2, 3] {
+                let sharded = ShardedSearch::new(g, ShardBackend::Seq, shards);
+                sharded.try_search(g, &q, &params, &budget).expect("unlimited budget");
+                let stage = sharded.stage.checkout();
+                assert_eq!(&stage.top_down.hits, want, "case {cases}: {shards} shards");
+            }
+            let addrs = (0..2)
+                .map(|s| ShardWorker::spawn_local(g, 2, s, DEFAULT_PARTITION_SEED))
+                .collect();
+            let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+            let addrs = std::sync::Arc::new(StaticAddrs(addrs));
+            let fleet = RemoteShardedSearch::new(g, ShardBackend::Seq, 2, addrs, opts);
+            let out = fleet.try_search(g, &q, &params, &budget).expect("unlimited budget");
+            assert!(!out.degraded);
+            let stage = fleet.stage.checkout();
+            assert_eq!(&stage.top_down.hits, want, "case {cases}: 2 workers");
+        }
+        assert!(marked > 0, "no case identified a central node");
+        assert!(gated * 2 >= cases, "{gated} of {cases} cases gated by activation");
     }
 
     /// Each question is asked once: on a hub every candidate's walk passes
@@ -1547,7 +1616,7 @@ mod tests {
         // (The hub's answer contains every mid's: keep it in the top-k.)
         let params =
             SearchParams { dedup_contained: false, ..SearchParams::default().with_top_k(40) };
-        let (state, cohort) = bottom_up(&g, &q, &act, &params);
+        let (mut state, cohort) = bottom_up(&g, &q, &act, &params);
         assert_eq!(cohort.len(), 31, "the hub and every mid");
 
         let tracker = QueryBudget::unlimited().start();
@@ -1556,15 +1625,15 @@ mod tests {
             let asked: Vec<AtomicU32> = (0..g.num_nodes()).map(|_| AtomicU32::new(0)).collect();
             let stage = Stage {
                 graph: &g,
-                hits: &state,
                 params: &params,
                 tracker: &tracker,
-                preds: |j: u32, sink: &mut PredSink| {
+                preds: |hits: &HitBlock, j: u32, sink: &mut PredSink| {
                     asked[j as usize].fetch_add(1, Ordering::Relaxed);
-                    hitting_path_preds(&g, &act, &state, j, sink)
+                    hitting_path_preds(&g, &act, hits, j, sink)
                 },
             };
             let mut scratch = TopDownScratch::default();
+            fill(&mut state, &cohort, &mut scratch.hits);
             for query in 1..=2 {
                 let answers = top_down(&stage, &cohort, Some(&pool), &mut scratch).unwrap();
                 assert_eq!(answers.len(), 31);
@@ -1598,7 +1667,7 @@ mod tests {
         let q = ParsedQuery::parse(&idx, "alpha omega");
         let act = ActivationMap(&[0; 12]);
         let params = SearchParams::default();
-        let (state, cohort) = bottom_up(&g, &q, &act, &params);
+        let (mut state, cohort) = bottom_up(&g, &q, &act, &params);
         assert_eq!(cohort.len(), 10);
 
         // One scratch throughout: a stage cut short — before its first
@@ -1608,17 +1677,17 @@ mod tests {
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO).start();
         let mid_round = QueryBudget::unlimited().with_max_expansions(5).start();
         let mut scratch = TopDownScratch::default();
+        fill(&mut state, &cohort, &mut scratch.hits);
         let mut complete = Vec::new();
         let runs = [(&live, 10), (&expired, 10), (&mid_round, 10), (&live, 1), (&live, 10)];
         for (tracker, candidates) in runs {
             let stage = Stage {
                 graph: &g,
-                hits: &state,
                 params: &params,
                 tracker,
-                preds: |j: u32, sink: &mut PredSink| {
+                preds: |hits: &HitBlock, j: u32, sink: &mut PredSink| {
                     tracker.charge(1);
-                    hitting_path_preds(&g, &act, &state, j, sink)
+                    hitting_path_preds(&g, &act, hits, j, sink)
                 },
             };
             let out = top_down(&stage, &cohort[..candidates], None, &mut scratch);

@@ -30,8 +30,8 @@ commands:
                                            execution trace as JSON;
                                            --shards N > 1 partitions the
                                            graph and answers through the
-                                           scatter-gather coordinator,
-                                           byte-identical answers)
+                                           scatter-gather coordinator
+                                           (--backend seq|cpu only))
   convert  --in FILE --out FILE           convert between graph formats
   build-snapshot --in FILE --out FILE.wsnap
                                           compile a dataset into one
@@ -77,8 +77,8 @@ commands:
                                            default 1000, 0 disables;
                                            --shards N > 1 serves through
                                            the sharded scatter-gather
-                                           coordinator, byte-identical
-                                           to --shards 1; --mmap SNAP
+                                           coordinator (it and the remote
+                                           flags: seq|cpu only); --mmap SNAP
                                            memory-maps a compiled .wsnap
                                            snapshot and is ready without
                                            rebuilding the index)
@@ -185,6 +185,9 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         return Err("--shards must be >= 1".into());
     }
     let backend = Backend::parse(args.optional("backend").unwrap_or("cpu"), threads)?;
+    if shards > 1 {
+        backend.sharded()?;
+    }
     let as_json: bool = args.get_or("json", false)?;
     let as_dot: bool = args.get_or("dot", false)?;
     let as_explain: bool = args.get_or("explain", false)?;

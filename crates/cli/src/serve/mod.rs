@@ -57,7 +57,9 @@
 //! `--shards 1` (differential-tested); the result cache, budgets,
 //! panic quarantine and slow-query log all sit in front of the
 //! coordinator unchanged. `STATS` gains a `shards` object and
-//! `METRICS` gains `ws_shard_*` series when sharded.
+//! `METRICS` gains `ws_shard_*` series when sharded. Sharded and remote
+//! serving run `--backend seq` or `cpu`; `gpu` and `dyn` are solo engines
+//! and are refused with either at start-up.
 //!
 //! ## Remote shard workers
 //!
@@ -230,6 +232,9 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let budget = crate::commands::budget_from_args(args)?;
     let backend_name = args.optional("backend").unwrap_or("cpu");
     let backend = Backend::parse(backend_name, threads)?;
+    if remote || shards > 1 {
+        backend.sharded()?;
+    }
     let mut ws = crate::commands::open_engine(args, backend, shards)?;
     let mut params = ws.params().clone();
     params.top_k = args.get_or("top-k", params.top_k)?;

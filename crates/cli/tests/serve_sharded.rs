@@ -123,7 +123,7 @@ const EXCHANGE: [&str; 7] = [
 fn run_exchange(path: &str, shards: usize) -> (Vec<String>, String) {
     let port = free_port();
     let server = spawn_server(format!(
-        "serve --graph {path} --port {port} --backend gpu --threads 2 --workers 2 \
+        "serve --graph {path} --port {port} --backend cpu --threads 2 --workers 2 \
          --shards {shards} --max-requests 5"
     ));
     let mut stream = connect(port);
@@ -154,19 +154,65 @@ fn sharded_server_is_byte_identical_to_unsharded() {
     // sharded engine in its trace — the one intentional difference.
     let port = free_port();
     let server = spawn_server(format!(
-        "serve --graph {path} --port {port} --backend gpu --threads 2 --shards 4 \
+        "serve --graph {path} --port {port} --backend cpu --threads 2 --shards 4 \
          --max-requests 1"
     ));
     let mut stream = connect(port);
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let response = roundtrip(&mut stream, &mut reader, "EXPLAIN xml sql");
     let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    assert_eq!(doc["trace"]["engine"], "GPU-Par[shards=4]", "{response}");
+    assert_eq!(doc["trace"]["engine"], "CPU-Par[shards=4]", "{response}");
     assert!(doc["trace"]["cache"].is_string(), "explain still reports bypass: {response}");
     let answer = roundtrip(&mut stream, &mut reader, "QUERY xml sql");
     assert!(answer.contains("answers"), "{answer}");
     writeln!(stream, "QUIT").unwrap();
     server.join().unwrap();
+    let _ = std::fs::remove_file(path);
+}
+
+/// Run the CLI in process with a fresh `--port`; returns its exit code and
+/// output once it is back, having checked that no listener was left bound.
+fn run_refused(argv_line: &str) -> (i32, String) {
+    let port = free_port();
+    let argv: Vec<String> = format!("{argv_line} --port {port}")
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let mut out = Vec::new();
+    let code = wikisearch_cli::run(&argv, &mut out);
+    TcpListener::bind(("127.0.0.1", port)).expect("the refused server bound no listener");
+    (code, String::from_utf8(out).unwrap())
+}
+
+const SOLO_ONLY: &str = "error: sharded and remote serving run --backend seq or cpu";
+
+/// `gpu` is a solo engine: `--shards 2` with it is refused at start-up, by
+/// `serve` and by `search`, with the reason; `--shards 1` is not sharding.
+#[test]
+fn in_process_shards_refuse_the_gpu_backend() {
+    let path = graph_file("refuse-gpu");
+    let (code, out) = run_refused(&format!("serve --graph {path} --backend gpu --shards 2"));
+    assert_eq!(code, 1, "{out}");
+    assert!(out.starts_with(SOLO_ONLY), "{out}");
+    let search = format!("search --graph {path} --query xml --backend gpu");
+    let argv = |line: String| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+    let mut out = Vec::new();
+    assert_eq!(wikisearch_cli::run(&argv(format!("{search} --shards 2")), &mut out), 1);
+    assert!(String::from_utf8(out).unwrap().starts_with(SOLO_ONLY));
+    assert_eq!(wikisearch_cli::run(&argv(format!("{search} --shards 1")), &mut Vec::new()), 0);
+    let _ = std::fs::remove_file(path);
+}
+
+/// `dyn` is a solo engine: a worker fleet with it is refused at start-up,
+/// before any worker is forked.
+#[test]
+fn remote_shards_refuse_the_dyn_backend() {
+    let path = graph_file("refuse-dyn");
+    for remote in ["--shard-workers 2", "--shard-addr 127.0.0.1:1,127.0.0.1:2"] {
+        let (code, out) = run_refused(&format!("serve --graph {path} --backend dyn {remote}"));
+        assert_eq!(code, 1, "{remote}: {out}");
+        assert!(out.starts_with(SOLO_ONLY), "{remote}: {out}");
+    }
     let _ = std::fs::remove_file(path);
 }
 

@@ -98,6 +98,19 @@ impl Backend {
             other => Err(format!("unknown backend {other:?} (expected seq|cpu|gpu|dyn)")),
         }
     }
+
+    /// The kernels a sharded or remote search runs this backend's shards
+    /// on. Only `seq` and `cpu` have them: `gpu` and `dyn` are solo
+    /// engines, and the error says so.
+    pub fn sharded(self) -> Result<ShardBackend, String> {
+        match self {
+            Backend::Sequential => Ok(ShardBackend::Seq),
+            Backend::ParCpu(t) => Ok(ShardBackend::ParCpu(t)),
+            Backend::GpuStyle(_) | Backend::DynPar(_) => {
+                Err("sharded and remote serving run --backend seq or cpu (gpu and dyn are solo engines)".into())
+            }
+        }
+    }
 }
 
 impl std::str::FromStr for Backend {
@@ -322,6 +335,9 @@ impl WikiSearch {
     /// ([`WikiSearch::set_shards`]). The shard builder copies the
     /// sub-graphs it cuts, so shards are heap-owned even when the source
     /// columns are mapped.
+    ///
+    /// # Panics
+    /// Panics like [`WikiSearch::set_shards`].
     pub fn open_snapshot_sharded(
         path: &std::path::Path,
         backend: Backend,
@@ -345,6 +361,9 @@ impl WikiSearch {
     /// single-shard configuration *is* the unsharded one. Answers, stats
     /// and traces are byte-identical to [`WikiSearch::build_with`]; the
     /// shard-invariance suite pins that.
+    ///
+    /// # Panics
+    /// Panics like [`WikiSearch::set_shards`].
     pub fn open_sharded(graph: KnowledgeGraph, backend: Backend, shards: usize) -> Self {
         let mut ws = Self::build_with(graph, backend);
         ws.set_shards(shards);
@@ -354,6 +373,10 @@ impl WikiSearch {
     /// Re-partition the engine across `shards` in-process shards
     /// (`<= 1` returns to the monolithic path). Existing cache entries
     /// survive: sharded and unsharded searches produce identical answers.
+    ///
+    /// # Panics
+    /// Panics if `shards > 1` and the backend is `gpu` or `dyn`
+    /// ([`Backend::sharded`]).
     pub fn set_shards(&mut self, shards: usize) {
         self.sharded = (shards > 1)
             .then(|| ShardedSearch::new(&self.graph, shard_backend(self.backend_kind), shards));
@@ -366,9 +389,11 @@ impl WikiSearch {
     /// sharded engine the shard set is rebuilt with the new backend's
     /// kernels (same partition — the plan seed is fixed); on a remote
     /// engine the coordinator is rebuilt against the same worker fleet.
+    ///
+    /// # Panics
+    /// Panics if the engine is sharded or remote and `backend` is `gpu` or
+    /// `dyn` ([`Backend::sharded`]).
     pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = make_backend(backend);
-        self.backend_kind = backend;
         if let Some(sharded) = &self.sharded {
             let shards = sharded.num_shards();
             self.sharded = Some(ShardedSearch::new(&self.graph, shard_backend(backend), shards));
@@ -382,6 +407,8 @@ impl WikiSearch {
                 *opts,
             ));
         }
+        self.backend = make_backend(backend);
+        self.backend_kind = backend;
     }
 
     /// Drive every search across a fleet of out-of-process shard workers
@@ -395,6 +422,9 @@ impl WikiSearch {
     /// degraded-answer policy. Incompatible with in-process sharding; the
     /// serving layer rejects that flag combination, and this facade gives
     /// `remote` precedence.
+    ///
+    /// # Panics
+    /// Panics if the backend is `gpu` or `dyn` ([`Backend::sharded`]).
     pub fn set_remote_shards(
         &mut self,
         shards: usize,
@@ -810,15 +840,12 @@ fn make_backend(backend: Backend) -> Box<dyn KeywordSearchEngine + Send + Sync> 
     }
 }
 
-/// Map the facade's backend enum onto the shard coordinator's expansion
-/// kernels (same names, same thread counts).
+/// [`Backend::sharded`] for a facade that has already been asked to shard.
+///
+/// # Panics
+/// Panics on `gpu` and `dyn`, which have no sharded form.
 fn shard_backend(backend: Backend) -> ShardBackend {
-    match backend {
-        Backend::Sequential => ShardBackend::Seq,
-        Backend::ParCpu(t) => ShardBackend::ParCpu(t),
-        Backend::GpuStyle(t) => ShardBackend::GpuStyle(t),
-        Backend::DynPar(t) => ShardBackend::DynPar(t),
-    }
+    backend.sharded().unwrap_or_else(|reason| panic!("{reason}"))
 }
 
 #[cfg(test)]
@@ -1370,7 +1397,7 @@ mod tests {
 
     #[test]
     fn sharded_searches_are_byte_identical_to_monolithic() {
-        for backend in [Backend::Sequential, Backend::GpuStyle(2), Backend::DynPar(2)] {
+        for backend in [Backend::Sequential, Backend::ParCpu(2)] {
             let mono = small_engine(backend);
             for shards in [2, 3, 8] {
                 let ws = small_sharded(backend, shards);
@@ -1428,7 +1455,7 @@ mod tests {
 
     #[test]
     fn sharded_explain_names_the_sharded_engine() {
-        let ws = small_sharded(Backend::GpuStyle(2), 3);
+        let ws = small_sharded(Backend::ParCpu(2), 3);
         let out = ws
             .execute(&QueryRequest {
                 explain: true,
@@ -1436,13 +1463,13 @@ mod tests {
             })
             .unwrap();
         let trace = out.trace.as_deref().unwrap();
-        assert_eq!(trace.engine, "GPU-Par[shards=3]");
+        assert_eq!(trace.engine, "CPU-Par[shards=3]");
         assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
         assert!(trace.session_id.is_none(), "no single session to name");
         assert!(!trace.levels.is_empty());
         assert!(trace.total_expansions > 0);
         // Per-level records match the monolithic engine's exactly.
-        let mono = small_engine(Backend::GpuStyle(2));
+        let mono = small_engine(Backend::ParCpu(2));
         let reference = mono
             .execute(&QueryRequest {
                 explain: true,
@@ -1520,7 +1547,7 @@ mod tests {
 
     #[test]
     fn remote_searches_are_byte_identical_to_monolithic() {
-        for backend in [Backend::Sequential, Backend::GpuStyle(2)] {
+        for backend in [Backend::Sequential, Backend::ParCpu(2)] {
             let mono = small_engine(backend);
             for shards in [1, 2, 3] {
                 let ws = small_remote(backend, shards);
@@ -1543,10 +1570,35 @@ mod tests {
     fn remote_backend_swap_rebuilds_the_coordinator_on_the_same_fleet() {
         let mut ws = small_remote(Backend::Sequential, 2);
         let seq = ws.search("xml sql rdf");
-        ws.set_backend(Backend::GpuStyle(2));
+        ws.set_backend(Backend::ParCpu(2));
         assert_eq!(ws.num_remote_shards(), Some(2), "fleet survives the swap");
-        let gpu = ws.search("xml sql rdf");
-        assert_eq!(digest(&ws, &seq), digest(&ws, &gpu));
+        let par = ws.search("xml sql rdf");
+        assert_eq!(digest(&ws, &seq), digest(&ws, &par));
+    }
+
+    /// `gpu` and `dyn` are solo engines: every way of combining them with
+    /// a shard set — in process or remote, at set-up or by a later backend
+    /// swap — is refused with the reason, and `shards <= 1` is not one.
+    #[test]
+    fn sharding_refuses_the_solo_only_backends() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let reason = Backend::GpuStyle(2).sharded().unwrap_err();
+        assert_eq!(Backend::DynPar(2).sharded(), Err(reason.clone()));
+        assert_eq!(Backend::ParCpu(3).sharded(), Ok(ShardBackend::ParCpu(3)));
+        let refused = |attempt: &mut dyn FnMut()| {
+            let payload = catch_unwind(AssertUnwindSafe(attempt)).expect_err("must be refused");
+            assert_eq!(payload.downcast_ref::<String>(), Some(&reason));
+        };
+        for backend in [Backend::GpuStyle(2), Backend::DynPar(2)] {
+            assert_eq!(small_sharded(backend, 1).num_shards(), None);
+            refused(&mut || drop(small_sharded(backend, 2)));
+            refused(&mut || small_sharded(Backend::Sequential, 2).set_backend(backend));
+            let mut solo = small_engine(backend);
+            refused(&mut || {
+                solo.set_remote_shards(2, Arc::new(StaticAddrs(vec![])), test_remote_opts())
+            });
+            assert_eq!(solo.num_remote_shards(), None);
+        }
     }
 
     #[test]

@@ -185,6 +185,10 @@ proptest! {
 
         for backend in backends() {
             for &shards in SHARD_COUNTS {
+                // gpu and dyn are solo engines.
+                if shards > 1 && backend.sharded().is_err() {
+                    continue;
+                }
                 let mut heap = WikiSearch::open_sharded(g.clone(), backend, shards);
                 let mut mapped =
                     WikiSearch::open_snapshot_sharded(&path, backend, shards).unwrap();

@@ -2,8 +2,8 @@
 //! multi-process coordinator (`central::remote`) — every shard behind a
 //! real TCP connection to a worker speaking the length-prefixed frame
 //! protocol — is *byte-identical* to the monolithic engine: answers,
-//! score bits, statistics, and the per-level trace, for every backend
-//! and for fleet sizes {1, 2, 4}.
+//! score bits, statistics, and the per-level trace, for both shard
+//! backends (`seq`, `cpu`) and for fleet sizes {1, 2, 4}.
 //!
 //! This is the remote form of `shard_equivalence`: serialization, the
 //! per-round frontier exchange over the wire, and the retry/supervision
@@ -11,7 +11,7 @@
 //! travel too — a budget that trips remotely must surface the same
 //! structured error class the monolithic engine raises.
 
-use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
+use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::shard::DEFAULT_PARTITION_SEED;
 use central::{
     QueryBudget, RemoteOptions, RemoteShardedSearch, SearchError, SearchParams, ShardBackend,
@@ -106,14 +106,12 @@ fn build_graph(case: &Case) -> KnowledgeGraph {
     b.build()
 }
 
-/// The four remote backends paired with their monolithic references.
+/// The remote backends paired with their monolithic references.
 /// Thread counts are modest: every proptest case spawns fresh fleets.
 fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
     vec![
         (ShardBackend::Seq, Box::new(SeqEngine::new())),
         (ShardBackend::ParCpu(2), Box::new(ParCpuEngine::new(2))),
-        (ShardBackend::GpuStyle(2), Box::new(GpuStyleEngine::new(2))),
-        (ShardBackend::DynPar(2), Box::new(DynParEngine::new(2))),
     ]
 }
 

@@ -1,8 +1,9 @@
 //! The shard-invariance property: partitioning the graph into N edge-cut
 //! shards and answering through the `ShardedSearch` scatter-gather
 //! coordinator is *byte-identical* to the monolithic engine — answers,
-//! score bits, statistics, and the per-level trace — for every backend
-//! and for shard counts {1, 2, 3, 4, 8}, including counts exceeding the
+//! score bits, statistics, and the per-level trace — for both shard
+//! backends (`seq`, `cpu`; `engine_equivalence` pins the four solo engines
+//! to each other) and for shard counts {1, 2, 3, 4, 8}, including counts exceeding the
 //! node count and single-node/disconnected graphs.
 //!
 //! This is the sharded form of `engine_equivalence`: the coordinator's
@@ -10,7 +11,7 @@
 //! matrix a single engine computes, so every downstream artifact matches
 //! bit for bit.
 
-use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
+use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::{QueryBudget, SearchParams, ShardBackend, ShardedSearch};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
@@ -72,13 +73,11 @@ fn build_graph(case: &Case) -> KnowledgeGraph {
     b.build()
 }
 
-/// The four sharded backends paired with their monolithic references.
+/// The sharded backends paired with their monolithic references.
 fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
     vec![
         (ShardBackend::Seq, Box::new(SeqEngine::new())),
         (ShardBackend::ParCpu(3), Box::new(ParCpuEngine::new(3))),
-        (ShardBackend::GpuStyle(3), Box::new(GpuStyleEngine::new(3))),
-        (ShardBackend::DynPar(3), Box::new(DynParEngine::new(3))),
     ]
 }
 
