@@ -107,9 +107,7 @@ pub use remote::{
 };
 pub use session::SearchSession;
 pub use shard::{ShardBackend, ShardPlan, ShardedSearch, ShardedStats};
-pub use telemetry::{
-    InFlight, QueryIdGen, SampleRing, Telemetry, TelemetrySample, WindowDelta, SAMPLE_WIDTH,
-};
+pub use telemetry::{InFlight, QueryIdGen, Telemetry, TelemetrySample, WindowDelta};
 pub use trace::{
     CacheOutcome, PhaseMillis, QueryTrace, ShardSpan, ShardTimeline, TraceLevel, TraceLevelRecord,
 };

@@ -224,9 +224,8 @@ pub struct CounterDesc {
     pub help: &'static str,
 }
 
-/// Declares the engine's counters once. The registry, its snapshot, the
-/// telemetry ring's word layout ([`MetricsSnapshot::counters`] /
-/// [`MetricsSnapshot::from_parts`]), the window delta and
+/// Declares the engine's counters once. The registry, its snapshot,
+/// [`MetricsSnapshot::counters`], the window delta and
 /// [`ENGINE_COUNTERS`] — from which the server renders `STATS`,
 /// `STATS WINDOW` and `METRICS` — all derive from this one list, so a new
 /// counter is one line here plus the `inc()` that feeds it.
@@ -278,26 +277,11 @@ macro_rules! engine_counters {
                 [$(self.$name),*]
             }
 
-            /// Rebuild from [`MetricsSnapshot::counters`]-ordered values
-            /// (missing trailing values read as 0) and the two histograms.
-            pub fn from_parts(
-                counters: &[u64],
-                latency_us: HistogramSnapshot,
-                expansions: HistogramSnapshot,
-            ) -> Self {
-                let mut values = counters.iter().copied();
-                MetricsSnapshot {
-                    $($name: values.next().unwrap_or(0),)*
-                    latency_us,
-                    expansions,
-                }
-            }
-
             /// What happened between `older` and `self`, two images of
             /// one live registry: counter-wise and bucket-wise
             /// differences. The counters are monotone, so the saturating
-            /// subtraction only engages if a torn pair slipped through —
-            /// the delta stays well-formed either way.
+            /// subtraction only engages on a reversed pair — the delta
+            /// stays well-formed either way.
             pub fn delta(&self, older: &MetricsSnapshot) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $($name: self.$name.saturating_sub(older.$name),)*
@@ -497,12 +481,6 @@ mod tests {
         let names: Vec<&str> = ENGINE_COUNTERS.iter().map(|c| c.name).collect();
         assert_eq!(fields[..names.len()], names[..]);
         assert_eq!(newer.counters(), [7, 0, 0, 0, 0, 1]);
-        let rebuilt = MetricsSnapshot::from_parts(
-            &newer.counters(),
-            newer.latency_us.clone(),
-            newer.expansions.clone(),
-        );
-        assert_eq!(rebuilt, newer);
         let d = newer.delta(&older);
         assert_eq!((d.queries, d.shard_unavailable, d.latency_us.count), (2, 0, 1));
         assert_eq!(d.latency_us.sum, 9000);

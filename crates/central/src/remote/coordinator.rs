@@ -270,10 +270,15 @@ impl Core {
         )?;
         let ok: wire::HelloOk =
             wire::decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if ok.shard_index != shard as u32 {
+        if (ok.shard_index, ok.version) != (shard as u32, wire::PROTOCOL_VERSION) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("dialed shard {shard}, worker claims {}", ok.shard_index),
+                format!(
+                    "dialed shard {shard} at protocol {}, worker claims shard {} at protocol {}",
+                    wire::PROTOCOL_VERSION,
+                    ok.shard_index,
+                    ok.version
+                ),
             ));
         }
         Ok(chan)
@@ -618,7 +623,7 @@ impl RemoteShardedSearch {
             backend: self.backend.base_name().to_string(),
             threads: self.backend.threads() as u32,
             qid,
-            spans: Some(traced),
+            spans: traced,
         });
         let started: Vec<wire::StartOk> = ops.sweep(wire::OP_START, &start, wire::OP_START_OK)?;
         debug_assert!(started.iter().all(|ok| ok.keywords as usize == query.num_keywords()));
@@ -770,9 +775,9 @@ impl RemoteOps<'_> {
         let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
         for (&s, ok) in self.live.iter().zip(replies) {
             if let Some(tls) = timelines.as_mut() {
-                // A span-less reply still earns a timeline: the RPC
-                // envelope is coordinator-side truth; only the
-                // worker-side breakdown is missing.
+                // A worker that was asked for spans ships them; should
+                // one not, the RPC envelope is still coordinator-side
+                // truth and only the worker-side breakdown is missing.
                 let spans = ok.spans.unwrap_or_default();
                 let worker_us: u64 = spans.iter().map(ShardSpan::worker_us).sum();
                 let rpc_us = self.shard_rpc_us[s];
@@ -900,7 +905,7 @@ mod tests {
     use textindex::{InvertedIndex, ParsedQuery};
 
     fn row(node: u32, hits: &[u8]) -> wire::WireRow {
-        wire::WireRow { node, hits: hits.to_vec(), keyword: false, central: None }
+        wire::WireRow { node, hits: hits.to_vec() }
     }
 
     /// Two shards, node `v` owned by shard `v % 2`: owners win over halo
@@ -934,9 +939,9 @@ mod tests {
         }
     }
 
-    /// A one-shard "worker" that greets and pongs like a real one and
-    /// answers each phase RPC with `reply(opcode)`.
-    fn scripted_worker(reply: fn(u8) -> (u8, Vec<u8>)) -> SocketAddr {
+    /// A one-shard "worker" that greets (at protocol `version`) and pongs
+    /// like a real one and answers each phase RPC with `reply(opcode)`.
+    fn scripted_worker(version: u32, reply: fn(u8) -> (u8, Vec<u8>)) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
@@ -944,8 +949,7 @@ mod tests {
                 let mut stream = stream.unwrap();
                 std::thread::spawn(move || {
                     while let Ok(Some((op, _))) = read_frame(&mut stream) {
-                        let hello_ok =
-                            wire::HelloOk { shard_index: 0, num_owned: 3, version: None };
+                        let hello_ok = wire::HelloOk { shard_index: 0, num_owned: 3, version };
                         let (op, body) = match op {
                             wire::OP_HELLO => (wire::OP_HELLO_OK, wire::encode(&hello_ok)),
                             wire::OP_PING => (wire::OP_PONG, Vec::new()),
@@ -968,13 +972,7 @@ mod tests {
     /// and indexes nothing; the probe answers, so the breaker stays shut.
     #[test]
     fn out_of_range_ids_from_a_worker_fail_the_shard() {
-        let mut b = GraphBuilder::new();
-        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
-        let m = b.add_node("m", "mid");
-        b.add_edge(x, m, "e");
-        b.add_edge(y, m, "e");
-        let g = b.build();
-        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let (g, query) = three_node_query();
 
         let central_outside_the_graph: fn(u8) -> (u8, Vec<u8>) = |op| match op {
             wire::OP_ENQUEUE => {
@@ -990,8 +988,7 @@ mod tests {
                 (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 0 }))
             }
             _ => {
-                let rows =
-                    vec![wire::WireRow { node: 3, hits: vec![0, 1], keyword: true, central: None }];
+                let rows = vec![row(3, &[0, 1])];
                 (
                     wire::OP_COLLECT_OK,
                     wire::encode(&wire::CollectOk { rows, qid: None, spans: None }),
@@ -999,14 +996,7 @@ mod tests {
             }
         };
         for script in [central_outside_the_graph, row_outside_the_graph] {
-            let opts = RemoteOptions {
-                heartbeat: None,
-                attempts: 2,
-                backoff_base: Duration::from_millis(1),
-                ..RemoteOptions::default()
-            };
-            let addrs = Arc::new(StaticAddrs(vec![scripted_worker(script)]));
-            let fleet = RemoteShardedSearch::new(&g, ShardBackend::Seq, 1, addrs, opts);
+            let fleet = fleet_of(&g, scripted_worker(wire::PROTOCOL_VERSION, script));
             let err = fleet
                 .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
                 .unwrap_err();
@@ -1015,5 +1005,49 @@ mod tests {
             assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 2, 0));
             assert_eq!(fleet.breaker_states(), [BreakerState::Closed]);
         }
+    }
+
+    /// The handshake is checked on this side too: a worker whose
+    /// `HelloOk` echoes another protocol revision is never sent a query —
+    /// every dial fails, the probes with it, and no RPC but `Hello` is
+    /// counted.
+    #[test]
+    fn a_hello_ok_of_another_revision_fails_the_dial() {
+        let (g, query) = three_node_query();
+        for version in [wire::PROTOCOL_VERSION - 1, wire::PROTOCOL_VERSION + 1] {
+            let worker = scripted_worker(version, |op| panic!("phase RPC {op} reached the worker"));
+            let fleet = fleet_of(&g, worker);
+            let err = fleet
+                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
+                .unwrap_err();
+            assert_eq!(err, SearchError::ShardUnavailable { shard: 0 });
+            let stats = fleet.stats();
+            assert_eq!(stats.rpcs, stats.dials, "nothing but handshakes went out");
+            assert_eq!(stats.probes, stats.probe_failures);
+            assert!(stats.probes > 0);
+        }
+    }
+
+    /// `alpha` — mid — `omega`, and the two-keyword query over it.
+    fn three_node_query() -> (KnowledgeGraph, ParsedQuery) {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
+        let m = b.add_node("m", "mid");
+        b.add_edge(x, m, "e");
+        b.add_edge(y, m, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        (g, query)
+    }
+
+    /// A one-shard fleet over `worker`: two attempts, no heartbeat.
+    fn fleet_of(g: &KnowledgeGraph, worker: SocketAddr) -> RemoteShardedSearch {
+        let opts = RemoteOptions {
+            heartbeat: None,
+            attempts: 2,
+            backoff_base: Duration::from_millis(1),
+            ..RemoteOptions::default()
+        };
+        RemoteShardedSearch::new(g, ShardBackend::Seq, 1, Arc::new(StaticAddrs(vec![worker])), opts)
     }
 }

@@ -28,12 +28,13 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Version 2 added the optional telemetry fields
-/// (`qid`/`spans` on [`Start`], span piggybacking on [`CollectOk`], the
-/// `version` echo on [`HelloOk`]). The handshake is strict: a worker
-/// rejects any [`Hello`] whose revision (or partition contract) differs
-/// from its own with `bad_handshake`.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Protocol revision. Version 3 ships rows as `(node, hits)` only and
+/// makes [`HelloOk::version`] and [`Start::spans`] mandatory. The
+/// handshake is strict on both sides: a worker rejects any [`Hello`]
+/// whose revision (or partition contract) differs from its own with
+/// `bad_handshake`, and the coordinator drops a channel whose
+/// [`HelloOk`] echoes another revision or shard.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -107,7 +108,7 @@ pub struct HelloOk {
     /// the coordinator can sanity-check.
     pub num_owned: u32,
     /// The worker's protocol revision ([`PROTOCOL_VERSION`]).
-    pub version: Option<u32>,
+    pub version: u32,
 }
 
 /// One keyword group of a query, in global node ids.
@@ -173,18 +174,17 @@ pub struct Start {
     /// Optional explicit global activation table (one level per global
     /// node); the worker remaps it onto its locals.
     pub activation: Option<Vec<u8>>,
-    /// Expansion-kernel name: one of `"Seq"`, `"CPU-Par"`, `"GPU-Par"`,
-    /// `"CPU-Par-d"`.
+    /// Expansion-kernel name: `"Seq"` or `"CPU-Par"`.
     pub backend: String,
     /// Worker threads the kernel was configured with.
     pub threads: u32,
     /// Fleet-wide query ID, echoed back on [`CollectOk`] so worker-side
-    /// observations can be joined with the coordinator's. Sent for
-    /// traced queries only.
+    /// observations can be joined with the coordinator's (absent when
+    /// the caller did not tag the query).
     pub qid: Option<u64>,
     /// Ask the worker to record per-RPC spans for this query and
-    /// piggyback them on [`CollectOk`] (absent = off).
-    pub spans: Option<bool>,
+    /// piggyback them on [`CollectOk`] (traced queries only).
+    pub spans: bool,
 }
 
 /// Query accepted.
@@ -264,17 +264,14 @@ pub struct Collect {
     pub include_halos: bool,
 }
 
-/// One node's search-state row.
+/// One node's search-state row. A keyword node is a row holding a 0;
+/// central marks are the coordinator's own, so neither travels.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireRow {
     /// Global node id.
     pub node: u32,
     /// Hitting level per keyword instance (255 = unreached).
     pub hits: Vec<u8>,
-    /// Whether the node is a keyword source.
-    pub keyword: bool,
-    /// Central identification depth, if identified.
-    pub central: Option<u8>,
 }
 
 /// Collect reply.
@@ -282,11 +279,12 @@ pub struct WireRow {
 pub struct CollectOk {
     /// Rows with at least one finite hitting level.
     pub rows: Vec<WireRow>,
-    /// The query ID from [`Start`], echoed back (spans on).
+    /// The query ID from [`Start`], echoed back (absent when `Start`
+    /// carried none).
     pub qid: Option<u64>,
     /// Per-RPC worker spans for this query, in RPC order — monotonic
     /// *durations* measured on the worker's clock, never absolute
-    /// timestamps (spans on). The final `collect` span
+    /// timestamps (absent unless `Start` asked). The final `collect` span
     /// reports `encode_us = 0`: its own encode cannot observe itself and
     /// is attributed to wire time by the coordinator.
     pub spans: Option<Vec<ShardSpan>>,
@@ -318,7 +316,7 @@ mod tests {
         let back: ExpandOk = decode(&encode(&ok)).unwrap();
         assert_eq!(back, ok);
 
-        let row = WireRow { node: 5, hits: vec![0, 255], keyword: true, central: Some(1) };
+        let row = WireRow { node: 5, hits: vec![0, 255] };
         let ok = CollectOk {
             rows: vec![row.clone()],
             qid: Some(9),
@@ -330,20 +328,29 @@ mod tests {
 
     #[test]
     fn untraced_payloads_without_telemetry_fields_decode() {
-        // Untraced queries send no qid/spans keys at all (the hot path
-        // stays lean): both sides must read the absent fields as None.
-        let ok: CollectOk = decode(br#"{"rows":[]}"#).unwrap();
-        assert_eq!(ok.qid, None);
-        assert_eq!(ok.spans, None);
-        let hello_ok: HelloOk = decode(br#"{"shard_index":1,"num_owned":10}"#).unwrap();
-        assert_eq!(hello_ok.version, None);
-        let params = serde_json::to_string(&SearchParams::default()).unwrap();
-        let bare_start = format!(
-            r#"{{"query":{{"groups":[],"unmatched":[]}},"params":{params},"activation":null,"backend":"Seq","threads":1}}"#
-        );
-        let start: Start = decode(bare_start.as_bytes()).unwrap();
-        assert_eq!(start.qid, None);
-        assert_eq!(start.spans, None);
+        // An untagged, untraced query carries no qid and no spans: the
+        // keys may be null or absent and read back as `None` either way.
+        let start = Start {
+            query: WireQuery { groups: vec![], unmatched: vec![] },
+            params: SearchParams::default(),
+            activation: None,
+            backend: "Seq".into(),
+            threads: 1,
+            qid: None,
+            spans: false,
+        };
+        let back: Start = decode(&encode(&start)).unwrap();
+        assert_eq!((back.qid, back.spans), (None, false));
+        let ok =
+            CollectOk { rows: vec![WireRow { node: 1, hits: vec![0] }], qid: None, spans: None };
+        let back: CollectOk = decode(&encode(&ok)).unwrap();
+        assert_eq!(back, ok);
+        let bare: CollectOk = decode(br#"{"rows":[{"node":1,"hits":[0]}]}"#).unwrap();
+        assert_eq!(bare, ok);
+        // What v3 made mandatory is refused when missing, not defaulted.
+        assert!(decode::<HelloOk>(br#"{"shard_index":1,"num_owned":10}"#).is_err());
+        let text = String::from_utf8(encode(&start)).unwrap();
+        assert!(decode::<Start>(text.replace(r#","spans":false"#, "").as_bytes()).is_err());
     }
 
     #[test]
@@ -378,7 +385,7 @@ mod tests {
             backend: "CPU-Par".into(),
             threads: 4,
             qid: Some(3),
-            spans: Some(true),
+            spans: true,
         };
         let back: Start = decode(&encode(&start)).unwrap();
         assert_eq!(back.params.top_k, 7);

@@ -314,7 +314,7 @@ impl<'w> Conn<'w> {
         let ok = wire::HelloOk {
             shard_index: w.index,
             num_owned: w.part.num_owned,
-            version: Some(wire::PROTOCOL_VERSION),
+            version: wire::PROTOCOL_VERSION,
         };
         reply(stream, wire::OP_HELLO_OK, &wire::encode(&ok))?;
         Ok(Flow::Continue)
@@ -370,8 +370,6 @@ impl<'w> Conn<'w> {
         if local_act.is_none() {
             self.activation.levels(&part.graph, ActivationConfig::for_params(&start.params));
         }
-        // Spans are recorded only when the coordinator asked for them.
-        let traced = start.spans == Some(true);
         self.query = Some(QueryCtx {
             local_act,
             // Unlimited counting tracker: budgets are the coordinator's
@@ -379,7 +377,8 @@ impl<'w> Conn<'w> {
             tracker: QueryBudget::unlimited().start_counting(),
             charged_mark: 0,
             qid: start.qid,
-            spans: traced.then(Vec::new),
+            // Spans are recorded only when the coordinator asked for them.
+            spans: start.spans.then(Vec::new),
         });
         let ok = wire::StartOk { keywords: query.num_keywords() as u32 };
         self.finish(stream, wire::OP_START_OK, || wire::encode(&ok), &clock, "start", None)
@@ -475,12 +474,7 @@ impl<'w> Conn<'w> {
             if hits.iter().all(|&h| h == INFINITE_LEVEL) {
                 continue; // untouched row: the coordinator defaults it
             }
-            rows.push(wire::WireRow {
-                node: part.locals[l as usize],
-                hits: hits.clone(),
-                keyword: state.is_keyword_node(l),
-                central: state.central_depth(l),
-            });
+            rows.push(wire::WireRow { node: part.locals[l as usize], hits: hits.clone() });
         }
         let qid = ctx.qid;
         let mut spans = ctx.spans.take();

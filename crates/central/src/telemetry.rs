@@ -8,24 +8,27 @@
 //!   log, every wire response (`"qid"`), and — Hello-gated — the remote
 //!   frame protocol, so one slow query can be joined across the
 //!   coordinator and its shard workers.
-//! * [`SampleRing`] — a lock-free single-writer/multi-reader ring of
-//!   fixed-width `u64` records, built purely from `AtomicU64` seqlock
-//!   slots (no `unsafe`, no locks). The background sampler publishes one
-//!   [`TelemetrySample`] per tick; readers ([`Telemetry::window`]) never
-//!   block the writer and detect torn slots by sequence check.
+//! * [`Telemetry`] — two bounded, typed deques, each behind a mutex:
+//!   the periodic [`TelemetrySample`]s the background sampler records
+//!   (one writer, 1 Hz by default; read by `STATS WINDOW` / `TOP`) and
+//!   the `(qid, wall_us)` of the last answered queries (one push per
+//!   query; read by `STATS` / `TOP`). At those rates a lock is never
+//!   contended, and a reader can neither tear nor miss a record.
 //! * [`WindowDelta`] — the difference between two samples: windowed
 //!   rates (qps, hit rate) and windowed latency/expansion percentiles
 //!   computed by *bucket-wise histogram subtraction*, so `STATS WINDOW`
 //!   reports the last-N-seconds tail, not the since-boot tail.
 //!
 //! Everything here is off the query hot path: recording a sample is the
-//! sampler thread's job, recording a finished query is two relaxed
-//! seqlock writes, and when the sampler is disabled the rings are never
-//! written at all. A differential proptest pins that telemetry on vs off
+//! sampler thread's job, recording a finished query is one push under an
+//! uncontended lock, and when the sampler is disabled no sample is ever
+//! recorded. A differential proptest pins that telemetry on vs off
 //! leaves answers, score bits, stats and error classes byte-identical.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot, BUCKETS, ENGINE_COUNTERS};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use crate::metrics::MetricsSnapshot;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocates fleet-wide query IDs. IDs start at 1 so `0` can mean
 /// "no query" in logs and wire documents that predate the ID.
@@ -82,124 +85,9 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// One seqlock slot: an even sequence number means the words are
-/// consistent; an odd one means a write is in progress. Readers retry on
-/// odd or changed sequences. All fields are atomics, so torn reads are a
-/// *logical* hazard handled by the sequence check, never a data race.
-struct Slot {
-    seq: AtomicU64,
-    words: Vec<AtomicU64>,
-}
-
-/// A lock-free ring of fixed-width `u64` records with one writer (the
-/// sampler thread) and any number of readers. Capacity and width are
-/// fixed at construction; publishing overwrites the oldest slot.
-pub struct SampleRing {
-    width: usize,
-    slots: Vec<Slot>,
-    /// Total records ever published (the next record's global index).
-    head: AtomicU64,
-}
-
-impl SampleRing {
-    /// A ring of `capacity` records of `width` words each.
-    pub fn new(capacity: usize, width: usize) -> Self {
-        let capacity = capacity.max(2);
-        SampleRing {
-            width,
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    words: (0..width).map(|_| AtomicU64::new(0)).collect(),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// Record capacity (slots).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total records ever published (wraparound does not reset this).
-    pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Publish one record, overwriting the oldest slot. Single-writer:
-    /// concurrent `publish` calls must be externally serialized (the
-    /// sampler thread is the only writer in the serving layer).
-    ///
-    /// The slot's sequence number encodes which *lap* of the ring wrote
-    /// it (`2·lap + 1` while the write is in progress, `2·lap + 2` once
-    /// consistent), so a reader can verify not just that a record is
-    /// untorn but that the slot holds exactly the record it asked for —
-    /// even if it races the writer's `head` publication.
-    pub fn publish(&self, words: &[u64]) {
-        assert_eq!(words.len(), self.width, "record width mismatch");
-        let head = self.head.load(Ordering::Relaxed);
-        let n = self.slots.len() as u64;
-        let slot = &self.slots[(head % n) as usize];
-        let lap = head / n;
-        slot.seq.store(2 * lap + 1, Ordering::Release); // odd: in progress
-        for (w, &v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * lap + 2, Ordering::Release); // even: consistent
-        self.head.store(head + 1, Ordering::Release);
-    }
-
-    /// Read the record at global index `i`, or `None` if it was never
-    /// published, has been overwritten, or the writer was mid-overwrite.
-    pub fn read(&self, i: u64) -> Option<Vec<u64>> {
-        let head = self.head.load(Ordering::Acquire);
-        let n = self.slots.len() as u64;
-        if i >= head {
-            return None;
-        }
-        let slot = &self.slots[(i % n) as usize];
-        let expect = 2 * (i / n) + 2; // this record's consistent sequence
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 != expect {
-            return None; // overwritten (or being overwritten) by a later lap
-        }
-        let out: Vec<u64> = slot.words.iter().map(|w| w.load(Ordering::Relaxed)).collect();
-        fence(Ordering::Acquire);
-        if slot.seq.load(Ordering::Acquire) != expect {
-            return None; // the writer lapped us mid-read
-        }
-        Some(out)
-    }
-
-    /// The newest up-to-`k` records, newest first, skipping any slot the
-    /// writer overwrote mid-read. Each entry is `(global index, words)`.
-    pub fn recent(&self, k: usize) -> Vec<(u64, Vec<u64>)> {
-        let head = self.head.load(Ordering::Acquire);
-        let mut out = Vec::new();
-        let lo = head.saturating_sub((k.min(self.slots.len())) as u64);
-        for i in (lo..head).rev() {
-            if let Some(words) = self.read(i) {
-                out.push((i, words));
-            }
-        }
-        out
-    }
-}
-
-/// Words per [`TelemetrySample`] record: timestamp + served + the
-/// engine counters + two (buckets, count, sum) histogram images.
-pub const SAMPLE_WIDTH: usize = HISTOGRAMS_AT + 2 * HISTOGRAM_WIDTH;
-
-/// Word offset of the first histogram image in a sample record.
-const HISTOGRAMS_AT: usize = 2 + ENGINE_COUNTERS.len();
-
-/// Words per histogram image in a sample record.
-const HISTOGRAM_WIDTH: usize = BUCKETS + 2;
-
 /// One periodic metrics observation: a monotonic timestamp, the
 /// server-side `served` counter, and the engine's full
-/// [`MetricsSnapshot`], flattened to [`SAMPLE_WIDTH`] words for the ring.
+/// [`MetricsSnapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetrySample {
     /// Monotonic microseconds since the sampler started (never a wall
@@ -209,49 +97,6 @@ pub struct TelemetrySample {
     pub served: u64,
     /// The engine's counters and histograms at sample time.
     pub snapshot: MetricsSnapshot,
-}
-
-impl TelemetrySample {
-    /// Flatten to the ring's fixed-width word layout.
-    pub fn to_words(&self) -> Vec<u64> {
-        let mut w = Vec::with_capacity(SAMPLE_WIDTH);
-        w.push(self.t_us);
-        w.push(self.served);
-        let s = &self.snapshot;
-        w.extend_from_slice(&s.counters());
-        for h in [&s.latency_us, &s.expansions] {
-            let mut buckets = h.buckets.clone();
-            buckets.resize(BUCKETS, 0);
-            w.extend_from_slice(&buckets);
-            w.push(h.count);
-            w.push(h.sum);
-        }
-        debug_assert_eq!(w.len(), SAMPLE_WIDTH);
-        w
-    }
-
-    /// Rebuild from the ring's word layout (`None` on width mismatch).
-    pub fn from_words(words: &[u64]) -> Option<Self> {
-        if words.len() != SAMPLE_WIDTH {
-            return None;
-        }
-        let histogram = |w: &[u64]| HistogramSnapshot {
-            buckets: w[..BUCKETS].to_vec(),
-            count: w[BUCKETS],
-            sum: w[BUCKETS + 1],
-        };
-        let (head, histograms) = words.split_at(HISTOGRAMS_AT);
-        let (latency_us, expansions) = histograms.split_at(HISTOGRAM_WIDTH);
-        Some(TelemetrySample {
-            t_us: head[0],
-            served: head[1],
-            snapshot: MetricsSnapshot::from_parts(
-                &head[2..],
-                histogram(latency_us),
-                histogram(expansions),
-            ),
-        })
-    }
 }
 
 /// The change between two [`TelemetrySample`]s: windowed counters and
@@ -291,42 +136,53 @@ impl WindowDelta {
     }
 }
 
-/// Width of one recent-query record: `(qid, wall_us)`.
-const RECENT_WIDTH: usize = 2;
+/// Answered queries `TOP`'s "slowest recent" view remembers.
+const RECENT_QUERIES: usize = 64;
 
-/// The serving layer's telemetry hub: the sample ring fed by the
-/// background sampler, the recent-query ring fed per answered query, the
-/// in-flight gauge, and the query-ID allocator's shadow for `TOP`.
+/// The periodic samples still held, oldest first, and how many were
+/// ever recorded.
+#[derive(Default)]
+struct Samples {
+    live: VecDeque<TelemetrySample>,
+    published: u64,
+}
+
+/// The serving layer's telemetry hub: the periodic samples fed by the
+/// background sampler, the recent queries fed per answered query, and
+/// the in-flight gauge.
 pub struct Telemetry {
-    /// Sampler period in milliseconds (0 = sampler disabled; the rings
-    /// still exist so `TOP` can report recent queries and in-flight).
+    /// Sampler period in milliseconds (0 = sampler disabled; `TOP` still
+    /// reports recent queries and in-flight).
     pub interval_ms: u64,
-    ring: SampleRing,
-    recent: SampleRing,
+    capacity: usize,
+    samples: Mutex<Samples>,
+    /// `(qid, wall_us)` of the last [`RECENT_QUERIES`] answered queries.
+    recent: Mutex<VecDeque<(u64, u64)>>,
     in_flight: InFlight,
 }
 
 impl Telemetry {
-    /// A telemetry hub whose sample ring holds `capacity` periodic
-    /// samples and whose recent-query ring remembers the last
-    /// `recent_capacity` answered queries.
-    pub fn new(interval_ms: u64, capacity: usize, recent_capacity: usize) -> Self {
+    /// A telemetry hub that keeps the newest `capacity` periodic samples
+    /// (at least two — a window is a difference).
+    pub fn new(interval_ms: u64, capacity: usize) -> Self {
         Telemetry {
             interval_ms,
-            ring: SampleRing::new(capacity, SAMPLE_WIDTH),
-            recent: SampleRing::new(recent_capacity, RECENT_WIDTH),
+            capacity: capacity.max(2),
+            samples: Mutex::default(),
+            recent: Mutex::default(),
             in_flight: InFlight::new(),
         }
     }
 
-    /// The sample ring's capacity (slots).
+    /// Periodic samples kept at most.
     pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+        self.capacity
     }
 
-    /// Periodic samples published so far.
+    /// Periodic samples recorded so far (dropping old ones does not
+    /// reset this).
     pub fn samples(&self) -> u64 {
-        self.ring.published()
+        self.samples.lock().published
     }
 
     /// The in-flight gauge (enter per query, drop to leave).
@@ -334,54 +190,45 @@ impl Telemetry {
         &self.in_flight
     }
 
-    /// Publish one periodic sample (the sampler thread is the only
-    /// caller — [`SampleRing::publish`] is single-writer).
+    /// Record one periodic sample, dropping the oldest beyond capacity.
     pub fn record_sample(&self, sample: &TelemetrySample) {
-        self.ring.publish(&sample.to_words());
+        let mut samples = self.samples.lock();
+        if samples.live.len() == self.capacity {
+            samples.live.pop_front();
+        }
+        samples.live.push_back(sample.clone());
+        samples.published += 1;
     }
 
     /// Note one answered query for `TOP`'s "slowest recent" view.
-    /// Serialized by the caller's response path per connection; concurrent
-    /// writers could interleave slots, so the serving layer funnels this
-    /// through the single statistics path per query completion. Losing a
-    /// record under a torn race costs a diagnostic, never an answer.
     pub fn note_query(&self, qid: u64, wall_us: u64) {
-        self.recent.publish(&[qid, wall_us]);
+        let mut recent = self.recent.lock();
+        if recent.len() == RECENT_QUERIES {
+            recent.pop_front();
+        }
+        recent.push_back((qid, wall_us));
     }
 
-    /// The slowest of the recently answered queries, as `(qid, wall_us)`.
+    /// The slowest of the recently answered queries, as `(qid, wall_us)`
+    /// (the oldest of them on a tie).
     pub fn slowest_recent(&self) -> Option<(u64, u64)> {
-        self.recent
-            .recent(self.recent.capacity())
-            .into_iter()
-            .map(|(_, w)| (w[0], w[1]))
-            .max_by_key(|&(_, wall)| wall)
+        self.recent.lock().iter().rev().copied().max_by_key(|&(_, wall)| wall)
     }
 
     /// The windowed delta covering (up to) the last `window_us`
-    /// microseconds: newest live sample minus the newest sample at least
-    /// `window_us` older (clamped to the oldest live sample when the ring
-    /// does not reach back that far). `None` until two samples exist.
+    /// microseconds: newest sample minus the newest sample at least
+    /// `window_us` older (the oldest one held when none reaches back
+    /// that far). `None` until two samples exist.
     pub fn window(&self, window_us: u64) -> Option<WindowDelta> {
-        let live = self.ring.recent(self.ring.capacity());
-        let newest = live.first().and_then(|(_, w)| TelemetrySample::from_words(w))?;
+        let samples = self.samples.lock();
+        let mut older = samples.live.iter().rev();
+        let newest = older.next()?;
+        let oldest = samples.live.front().filter(|_| samples.live.len() > 1)?;
         let cutoff = newest.t_us.saturating_sub(window_us);
-        let mut base: Option<TelemetrySample> = None;
-        // `live` is newest-first; walk back until a sample is old enough.
-        for (_, words) in live.iter().skip(1) {
-            let Some(s) = TelemetrySample::from_words(words) else {
-                continue;
-            };
-            let old_enough = s.t_us <= cutoff;
-            base = Some(s);
-            if old_enough {
-                break;
-            }
-        }
-        let base = base?;
+        let base = older.find(|s| s.t_us <= cutoff).unwrap_or(oldest);
         Some(WindowDelta {
             span_us: newest.t_us.saturating_sub(base.t_us),
-            samples: live.len(),
+            samples: samples.live.len(),
             served: newest.served.saturating_sub(base.served),
             delta: newest.snapshot.delta(&base.snapshot),
         })
@@ -428,61 +275,48 @@ mod tests {
     }
 
     #[test]
-    fn sample_round_trips_through_the_word_layout() {
-        let s = sample(1_000_000, 42, &[15, 1500, 90_000]);
-        let words = s.to_words();
-        assert_eq!(words.len(), SAMPLE_WIDTH);
-        assert_eq!(TelemetrySample::from_words(&words), Some(s));
-        assert_eq!(TelemetrySample::from_words(&words[1..]), None);
-    }
-
-    #[test]
-    fn ring_wraparound_keeps_only_the_newest_records() {
-        // The sampler outlives the window: a 4-slot ring absorbing 10
-        // publishes serves exactly the last 4, and older indices read
-        // back as gone, not as stale data.
-        let ring = SampleRing::new(4, 3);
+    fn samples_past_capacity_keep_the_newest_in_order() {
+        // The sampler outlives the window: a 4-sample hub absorbing 10
+        // records holds exactly the last 4, oldest first, and the
+        // published count keeps counting.
+        let t = Telemetry::new(100, 4);
         for i in 0..10u64 {
-            ring.publish(&[i, i * 10, i * 100]);
+            t.record_sample(&sample(i * 1_000_000, i, &[]));
         }
-        assert_eq!(ring.published(), 10);
-        let live = ring.recent(10);
-        assert_eq!(live.len(), 4);
-        assert_eq!(live[0], (9, vec![9, 90, 900]), "newest first");
-        assert_eq!(live[3], (6, vec![6, 60, 600]));
-        assert_eq!(ring.read(5), None, "overwritten records are unreadable");
-        assert_eq!(ring.read(11), None, "future records are unreadable");
+        assert_eq!((t.capacity(), t.samples()), (4, 10));
+        let live: Vec<u64> = t.samples.lock().live.iter().map(|s| s.served).collect();
+        assert_eq!(live, [6, 7, 8, 9]);
+        // The window cannot reach past the oldest sample still held.
+        let w = t.window(60_000_000).expect("four samples");
+        assert_eq!((w.samples, w.span_us, w.served), (4, 3_000_000, 3));
     }
 
     #[test]
-    fn ring_readers_never_observe_torn_records() {
-        // One writer races many readers; every successful read must be
-        // one of the published records, never a mix of two.
-        let ring = std::sync::Arc::new(SampleRing::new(4, 2));
-        let writer = {
-            let ring = ring.clone();
-            std::thread::spawn(move || {
-                for i in 1..=50_000u64 {
-                    ring.publish(&[i, !i]);
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let ring = ring.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..20_000 {
-                        for (_, w) in ring.recent(4) {
-                            assert_eq!(w[1], !w[0], "torn record escaped the seqlock");
-                        }
+    fn concurrent_notes_never_tear_and_never_lose_the_last_write() {
+        // No caller-side serialisation: every surviving pair is one that
+        // was written, the deque holds exactly its bound, and a record
+        // written after the join is there to be found.
+        let wall = |qid: u64| qid.wrapping_mul(0x9E37_79B9).rotate_left(7) % 1_000_000;
+        let t = Telemetry::new(0, 4);
+        std::thread::scope(|scope| {
+            for thread in 0..8u64 {
+                let t = &t;
+                scope.spawn(move || {
+                    for i in 0..1_000 {
+                        let qid = thread * 1_000 + i;
+                        t.note_query(qid, wall(qid));
                     }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
+                });
+            }
+        });
+        t.note_query(8_000, 2_000_000);
+        let recent = t.recent.lock().clone();
+        assert_eq!(recent.len(), RECENT_QUERIES);
+        assert_eq!(recent.back(), Some(&(8_000, 2_000_000)));
+        for &(qid, wall_us) in recent.iter().rev().skip(1) {
+            assert_eq!(wall_us, wall(qid), "torn record for qid {qid}");
         }
+        assert_eq!(t.slowest_recent(), Some((8_000, 2_000_000)));
     }
 
     #[test]
@@ -491,7 +325,7 @@ mod tests {
         // cumulative images, the window delta recovers the per-window
         // observations.
         let reg = crate::metrics::MetricsRegistry::new();
-        let t = Telemetry::new(100, 8, 8);
+        let t = Telemetry::new(100, 8);
         let snap = |t_us: u64| TelemetrySample {
             t_us,
             served: reg.queries.get(),
@@ -525,8 +359,8 @@ mod tests {
 
     #[test]
     fn window_needs_two_samples_and_clamps_to_the_oldest() {
-        let t = Telemetry::new(100, 4, 4);
-        assert!(t.window(1_000_000).is_none(), "empty ring");
+        let t = Telemetry::new(100, 4);
+        assert!(t.window(1_000_000).is_none(), "no sample yet");
         t.record_sample(&sample(0, 0, &[]));
         assert!(t.window(1_000_000).is_none(), "one sample is no window");
         t.record_sample(&sample(500_000, 5, &[10; 5]));
@@ -537,16 +371,17 @@ mod tests {
 
     #[test]
     fn slowest_recent_query_wins_by_wall_time() {
-        let t = Telemetry::new(100, 4, 4);
+        let t = Telemetry::new(100, 4);
         assert_eq!(t.slowest_recent(), None);
         t.note_query(1, 500);
         t.note_query(2, 90_000);
         t.note_query(3, 1_200);
         assert_eq!(t.slowest_recent(), Some((2, 90_000)));
-        // Wraparound: once qid 2 is overwritten it stops being reported.
-        for qid in 4..=7 {
+        // Once qid 2 falls off the far end it stops being reported.
+        let last = 3 + RECENT_QUERIES as u64;
+        for qid in 4..=last {
             t.note_query(qid, 10 + qid);
         }
-        assert_eq!(t.slowest_recent(), Some((7, 17)));
+        assert_eq!(t.slowest_recent(), Some((last, 10 + last)));
     }
 }

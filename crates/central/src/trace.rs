@@ -194,7 +194,8 @@ impl ShardSpan {
 pub struct ShardTimeline {
     /// Shard index this timeline describes.
     pub shard: usize,
-    /// The query ID the worker echoed back (`None` from a v1 worker).
+    /// The query ID the worker echoed back (`None` when the query was
+    /// started without one, outside the facade).
     pub qid: Option<u64>,
     /// RPCs the coordinator issued to this shard for this query.
     pub rpcs: u64,
@@ -243,7 +244,7 @@ pub struct QueryTrace {
     /// the query that computed it.
     pub cache_source_qid: Option<u64>,
     /// Per-shard stitched timelines for a remote query (`None` for
-    /// local queries or when the workers predate the span protocol).
+    /// local queries).
     pub shard_timelines: Option<Vec<ShardTimeline>>,
 }
 

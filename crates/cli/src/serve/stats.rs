@@ -38,11 +38,11 @@
 //!
 //! A background sampler publishes one snapshot of the metrics registry
 //! every `--telemetry-interval-ms` (default 1000, `0` disables) into a
-//! lock-free ring of the last ~5 minutes of samples. `STATS WINDOW N`
+//! bounded deque of the last ~5 minutes of samples. `STATS WINDOW N`
 //! subtracts the two samples spanning the last N seconds — rates and
 //! percentiles *of the window*, not since boot — and `TOP` reads the
-//! same ring for its ten-second pulse. Sampling is off the query hot
-//! path entirely: queries never write the ring (only the sampler
+//! same samples for its ten-second pulse. Sampling is off the query hot
+//! path entirely: queries never record a sample (only the sampler
 //! thread does), and a differential proptest pins that telemetry on vs
 //! off leaves answers, scores, stats and error classes byte-identical.
 

@@ -56,13 +56,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use textindex::{InvertedIndex, ParsedQuery};
 
-/// Periodic telemetry samples the engine's ring retains by default
+/// Periodic telemetry samples the engine retains by default
 /// (~5 minutes of history at a 1-sample-per-second cadence).
 pub const DEFAULT_TELEMETRY_SAMPLES: usize = 300;
-
-/// Recently answered queries the engine remembers for `TOP`'s
-/// slowest-recent view.
-pub const DEFAULT_RECENT_QUERIES: usize = 64;
 
 /// Which backend executes searches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -236,13 +232,10 @@ pub struct WikiSearch {
     /// Fleet-wide query-ID allocator: every search through this engine
     /// gets a qid, whether the serving layer tagged it or not.
     qids: QueryIdGen,
-    /// Telemetry hub: the windowed sample ring (fed by the serving
-    /// layer's sampler thread), the recent-query ring, and the in-flight
-    /// gauge (maintained here, around every search path).
+    /// Telemetry hub: the periodic samples (fed by the serving layer's
+    /// sampler thread), the recent queries, and the in-flight gauge
+    /// (both maintained here, around every search path).
     telemetry: Telemetry,
-    /// Serializes [`Telemetry::note_query`]: the recent-query ring is
-    /// single-writer, and searches complete on arbitrary threads.
-    recent_note: std::sync::Mutex<()>,
 }
 
 /// The engine's result cache: normalized-query + params key, `Arc`-shared
@@ -314,8 +307,7 @@ impl WikiSearch {
             remote_config: None,
             metrics: MetricsRegistry::new(),
             qids: QueryIdGen::new(),
-            telemetry: Telemetry::new(0, DEFAULT_TELEMETRY_SAMPLES, DEFAULT_RECENT_QUERIES),
-            recent_note: std::sync::Mutex::new(()),
+            telemetry: Telemetry::new(0, DEFAULT_TELEMETRY_SAMPLES),
         }
     }
 
@@ -656,7 +648,7 @@ impl WikiSearch {
                     "shard_unavailable" => self.metrics.shard_unavailable.inc(),
                     _ => {}
                 }
-                // Failed queries count on the recent ring too — a
+                // Failed queries count among the recent ones too — a
                 // deadline-exceeded query is slow by definition.
                 self.note_recent(qid, started);
                 return Err(e);
@@ -732,25 +724,24 @@ impl WikiSearch {
         self.qids.last()
     }
 
-    /// The engine's telemetry hub: the windowed sample ring, the
-    /// recent-query ring, and the in-flight gauge. The serving layer's
-    /// sampler thread publishes periodic [`central::TelemetrySample`]s
-    /// through it; `STATS WINDOW` and `TOP` read it.
+    /// The engine's telemetry hub: the periodic samples, the recent
+    /// queries, and the in-flight gauge. The serving layer's sampler
+    /// thread records periodic [`central::TelemetrySample`]s through it;
+    /// `STATS WINDOW` and `TOP` read it.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
     /// Rebuild the telemetry hub with a sampler period of `interval_ms`
-    /// (0 disables periodic sampling; the recent-query ring and in-flight
-    /// gauge still run) and a ring of `samples` slots.
+    /// (0 disables periodic sampling; the recent queries and in-flight
+    /// gauge still run) that keeps the newest `samples` samples.
     pub fn set_telemetry(&mut self, interval_ms: u64, samples: usize) {
-        self.telemetry = Telemetry::new(interval_ms, samples, DEFAULT_RECENT_QUERIES);
+        self.telemetry = Telemetry::new(interval_ms, samples);
     }
 
-    /// Note one completed query (answered *or* failed) on the
-    /// recent-query ring, serialized for the single-writer ring.
+    /// Note one completed query (answered *or* failed) among the recent
+    /// queries.
     fn note_recent(&self, qid: u64, started: Instant) {
-        let _guard = self.recent_note.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         self.telemetry.note_query(qid, elapsed_us(started));
     }
 

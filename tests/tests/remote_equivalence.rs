@@ -11,21 +11,20 @@
 //! travel too — a budget that trips remotely must surface the same
 //! structured error class the monolithic engine raises.
 
+mod common;
+
 use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::shard::DEFAULT_PARTITION_SEED;
 use central::{
     QueryBudget, RemoteOptions, RemoteShardedSearch, SearchError, SearchParams, ShardBackend,
     ShardWorker, StaticAddrs,
 };
+use common::{build_graph, case_strategy, digest, WORDS};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use textindex::{InvertedIndex, ParsedQuery};
-
-/// Small word pool; several words per node text creates overlapping
-/// keyword groups and co-occurrence nodes.
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
 
 /// The fleet sizes every property runs under; 1 pins the degenerate
 /// single-worker fleet, 4 usually exceeds the per-shard node count.
@@ -58,54 +57,6 @@ fn remote_fleet(
     RemoteShardedSearch::new(graph, backend, shards, Arc::new(StaticAddrs(addrs)), test_opts())
 }
 
-#[derive(Debug, Clone)]
-struct Case {
-    nodes: usize,
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    activation: Vec<u8>,        // explicit per-node activation
-    query: Vec<usize>,          // word indices
-    top_k: usize,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..20).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..40);
-        let activation = proptest::collection::vec(0u8..5, nodes);
-        let query = proptest::collection::vec(0usize..WORDS.len(), 2..4);
-        let top_k = 1usize..8;
-        (texts, edges, activation, query, top_k).prop_map(
-            move |(texts, edges, activation, query, top_k)| Case {
-                nodes,
-                texts,
-                edges,
-                activation,
-                query,
-                top_k,
-            },
-        )
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    let _ = case.nodes;
-    b.build()
-}
-
 /// The remote backends paired with their monolithic references.
 /// Thread counts are modest: every proptest case spawns fresh fleets.
 fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
@@ -116,33 +67,17 @@ fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
 }
 
 /// Byte-level comparison of a remote outcome against its monolithic
-/// reference: answers (ids, paths, score *bits*) and the search
-/// statistics including the per-level trace.
+/// reference, through the suites' one digest.
 fn assert_identical(
     remote: &central::SearchOutcome,
     reference: &central::SearchOutcome,
     label: &str,
 ) {
-    assert_eq!(remote.answers.len(), reference.answers.len(), "answer count: {label}");
-    for (a, b) in remote.answers.iter().zip(&reference.answers) {
-        assert_eq!(a.central, b.central, "central: {label}");
-        assert_eq!(a.depth, b.depth, "depth: {label}");
-        assert_eq!(a.nodes, b.nodes, "nodes: {label}");
-        assert_eq!(a.edges, b.edges, "edges: {label}");
-        assert_eq!(a.keyword_nodes, b.keyword_nodes, "keyword nodes: {label}");
-        assert_eq!(a.keyword_edges, b.keyword_edges, "keyword paths: {label}");
-        assert_eq!(a.score.to_bits(), b.score.to_bits(), "score bits: {label}");
-    }
-    assert_eq!(remote.stats.last_level, reference.stats.last_level, "last level: {label}");
     assert_eq!(
-        remote.stats.central_candidates, reference.stats.central_candidates,
-        "cohort: {label}"
+        digest(&remote.answers, &remote.stats),
+        digest(&reference.answers, &reference.stats),
+        "{label}"
     );
-    assert_eq!(
-        remote.stats.peak_frontier, reference.stats.peak_frontier,
-        "peak frontier: {label}"
-    );
-    assert_eq!(remote.stats.trace, reference.stats.trace, "level trace: {label}");
 }
 
 proptest! {
@@ -156,7 +91,7 @@ proptest! {
     /// ¹ in-process worker threads on real TCP sockets: the full frame
     ///   protocol without the process-spawn latency.
     #[test]
-    fn remote_search_is_byte_identical_to_unsharded(case in case_strategy()) {
+    fn remote_search_is_byte_identical_to_unsharded(case in case_strategy(20, 40)) {
         let graph = build_graph(&case);
         let idx = InvertedIndex::build(&graph);
         let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();

@@ -11,67 +11,18 @@
 //! matrix a single engine computes, so every downstream artifact matches
 //! bit for bit.
 
+mod common;
+
 use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::{QueryBudget, SearchParams, ShardBackend, ShardedSearch};
+use common::{build_graph, case_strategy, digest, WORDS};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use textindex::{InvertedIndex, ParsedQuery};
 
-/// Small word pool; several words per node text creates overlapping
-/// keyword groups and co-occurrence nodes.
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
-
 /// The shard counts every property runs under; 1 pins the degenerate
 /// plan, 8 usually exceeds the generated node count per shard.
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 4, 8];
-
-#[derive(Debug, Clone)]
-struct Case {
-    nodes: usize,
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    activation: Vec<u8>,        // explicit per-node activation
-    query: Vec<usize>,          // word indices
-    top_k: usize,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..24).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..50);
-        let activation = proptest::collection::vec(0u8..5, nodes);
-        let query = proptest::collection::vec(0usize..WORDS.len(), 2..4);
-        let top_k = 1usize..8;
-        (texts, edges, activation, query, top_k).prop_map(
-            move |(texts, edges, activation, query, top_k)| Case {
-                nodes,
-                texts,
-                edges,
-                activation,
-                query,
-                top_k,
-            },
-        )
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    let _ = case.nodes;
-    b.build()
-}
 
 /// The sharded backends paired with their monolithic references.
 fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
@@ -82,33 +33,17 @@ fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
 }
 
 /// Byte-level comparison of a sharded outcome against its monolithic
-/// reference: answers (ids, paths, score *bits*) and the search
-/// statistics including the per-level trace.
+/// reference, through the suites' one digest.
 fn assert_identical(
     sharded: &central::SearchOutcome,
     reference: &central::SearchOutcome,
     label: &str,
 ) {
-    assert_eq!(sharded.answers.len(), reference.answers.len(), "answer count: {label}");
-    for (a, b) in sharded.answers.iter().zip(&reference.answers) {
-        assert_eq!(a.central, b.central, "central: {label}");
-        assert_eq!(a.depth, b.depth, "depth: {label}");
-        assert_eq!(a.nodes, b.nodes, "nodes: {label}");
-        assert_eq!(a.edges, b.edges, "edges: {label}");
-        assert_eq!(a.keyword_nodes, b.keyword_nodes, "keyword nodes: {label}");
-        assert_eq!(a.keyword_edges, b.keyword_edges, "keyword paths: {label}");
-        assert_eq!(a.score.to_bits(), b.score.to_bits(), "score bits: {label}");
-    }
-    assert_eq!(sharded.stats.last_level, reference.stats.last_level, "last level: {label}");
     assert_eq!(
-        sharded.stats.central_candidates, reference.stats.central_candidates,
-        "cohort: {label}"
+        digest(&sharded.answers, &sharded.stats),
+        digest(&reference.answers, &reference.stats),
+        "{label}"
     );
-    assert_eq!(
-        sharded.stats.peak_frontier, reference.stats.peak_frontier,
-        "peak frontier: {label}"
-    );
-    assert_eq!(sharded.stats.trace, reference.stats.trace, "level trace: {label}");
 }
 
 proptest! {
@@ -118,7 +53,7 @@ proptest! {
     /// activation maps and top-k, every sharded backend at every shard
     /// count returns exactly what its monolithic counterpart returns.
     #[test]
-    fn sharded_search_is_byte_identical_to_unsharded(case in case_strategy()) {
+    fn sharded_search_is_byte_identical_to_unsharded(case in case_strategy(24, 50)) {
         let graph = build_graph(&case);
         let idx = InvertedIndex::build(&graph);
         let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();
