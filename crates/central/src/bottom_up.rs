@@ -7,8 +7,8 @@
 //! (3) stops if `k` central nodes exist (Def. 4 — the current level is then
 //! the minimal depth `d`), and otherwise (4) runs the expansion procedure.
 //! That is stated once, as four shared pieces every execution shape (solo
-//! matrix engines, CPU-Par-d, in-process shards, remote shards) is a thin
-//! adapter over:
+//! matrix engines, CPU-Par-d, the shard coordinator) is a thin adapter
+//! over:
 //!
 //! * [`pre_flight`] — validate, arm the budget tracker, first checkpoint,
 //!   fault hook, empty-query short-circuit;
@@ -137,8 +137,8 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
 /// Run one level's expansion procedure over `frontiers`, a frontier at a
 /// time in queue order: claimed in short runs by `pool`'s threads (CPU-Par's
 /// coarse grain, "dynamically scheduled") or, without a pool, all by the
-/// caller — the sequential engine, and a shard lane, which already sits
-/// inside its coordinator's fork-join.
+/// caller — the sequential engine, and an in-process shard lane, which
+/// already sits inside its coordinator's sweep.
 pub fn expand_level(
     pool: Option<&rayon::ThreadPool>,
     ctx: &ExpandCtx<'_>,

@@ -102,11 +102,11 @@ pub use model::{CentralGraph, INFINITE_LEVEL};
 pub use pool::{PoolStats, PooledSession, SessionPool};
 pub use profile::PhaseProfile;
 pub use remote::{
-    RemoteOptions, RemoteOutcome, RemoteShardedSearch, RemoteStats, ShardAddrs, ShardWorker,
+    RemoteOptions, RemoteStats, ShardAddrs, ShardCoordinator, ShardWorker, ShardedOutcome,
     StaticAddrs,
 };
 pub use session::SearchSession;
-pub use shard::{ShardBackend, ShardPlan, ShardedSearch, ShardedStats};
+pub use shard::{ShardBackend, ShardPlan, ShardedStats};
 pub use telemetry::{InFlight, QueryIdGen, Telemetry, TelemetrySample, WindowDelta};
 pub use trace::{
     CacheOutcome, PhaseMillis, QueryTrace, ShardSpan, ShardTimeline, TraceLevel, TraceLevelRecord,

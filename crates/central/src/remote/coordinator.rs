@@ -1,16 +1,21 @@
-//! The coordinator side of the remote protocol: [`RemoteShardedSearch`]
-//! drives `N` shard-worker processes through the same level-synchronous
-//! round protocol the in-process [`crate::shard::ShardedSearch`] runs
-//! over rayon lanes — both are [`crate::bottom_up::LevelOps`] shapes under
-//! the one [`crate::bottom_up::drive`] loop, here with every phase a sweep
-//! of shard RPCs — behind the same `try_search` seam, so the result
-//! cache, budgets, tracing and the top-down extractor all run unchanged
-//! above it, and the remote-equivalence differential suite can pin the
-//! two byte-identical.
+//! The shard coordinator: [`ShardCoordinator`] drives `N` shard lanes
+//! through the level-synchronous round protocol of [`crate::shard`] — a
+//! [`crate::bottom_up::LevelOps`] shape under the one
+//! [`crate::bottom_up::drive`] loop, every phase a sweep of shard RPCs —
+//! behind one `try_search` seam, so the result cache, budgets, tracing and
+//! the top-down extractor all run unchanged above it. A channel's link to
+//! its lane has two members: an owned in-process lane over a part of a
+//! [`ShardPlan`] cut here ([`ShardCoordinator::in_process`]), stepped with
+//! typed messages and no socket, or a TCP stream to a shard-worker process
+//! ([`ShardCoordinator::remote`]). Everything above the link is the same
+//! code, which is what lets the differential suites pin both
+//! byte-identical to the solo engines.
 //!
 //! ## Supervision
 //!
-//! Every worker interaction goes through three defensive layers:
+//! Every worker interaction goes through three defensive layers (an
+//! in-process lane cannot fail them, and passes through them all the
+//! same):
 //!
 //! * **per-RPC deadlines** — each socket read/write is capped at
 //!   [`RemoteOptions::rpc_timeout`], further clamped by the query's own
@@ -33,7 +38,7 @@
 //! [`RemoteOptions::degraded_answers`] decides: shed the query with a
 //! structured [`SearchError::ShardUnavailable`] (default), or serve a
 //! best-effort answer from the live shards with the explicit `degraded`
-//! marker set ([`RemoteOutcome::degraded`]) — never silently wrong. A
+//! marker set ([`ShardedOutcome::degraded`]) — never silently wrong. A
 //! degraded search skips the dead shards in every phase and lets the live
 //! shards' halo replicas stand in for the dead owners' rows during
 //! collection (replicas are exact by the round-boundary sync invariant;
@@ -41,8 +46,8 @@
 
 use super::breaker::{BreakerState, CircuitBreaker};
 use super::frame::write_frame;
-use super::wire;
-use super::worker::expect_frame;
+use super::wire::{self, Request, Response};
+use super::worker::{expect_frame, Arrival, Conn, ShardWorker};
 use crate::bottom_up::{self, LevelOps, LevelRun, PreFlight};
 use crate::budget::{BudgetTracker, QueryBudget};
 use crate::engine::SearchOutcome;
@@ -50,7 +55,9 @@ use crate::error::SearchError;
 use crate::metrics::{HistogramSnapshot, LogHistogram};
 use crate::pool::SessionPool;
 use crate::session::SearchSession;
-use crate::shard::{ExchangeCounters, ShardBackend, DEFAULT_PARTITION_SEED};
+use crate::shard::{
+    ExchangeCounters, ShardBackend, ShardPlan, ShardedStats, DEFAULT_PARTITION_SEED,
+};
 use crate::state::HitBlock;
 use crate::top_down;
 use crate::trace::{ShardSpan, ShardTimeline};
@@ -85,7 +92,8 @@ impl ShardAddrs for StaticAddrs {
     }
 }
 
-/// Supervision and degradation knobs of a [`RemoteShardedSearch`].
+/// Supervision and degradation knobs of a [`ShardCoordinator`] over
+/// remote workers.
 #[derive(Clone, Copy, Debug)]
 pub struct RemoteOptions {
     /// Cap on each RPC's socket read/write (further clamped by the
@@ -127,24 +135,25 @@ impl Default for RemoteOptions {
     }
 }
 
-/// A successful remote search: the outcome plus the explicit degradation
+/// A successful sharded search: the outcome plus the explicit degradation
 /// marker the wire protocol surfaces.
 #[derive(Debug)]
-pub struct RemoteOutcome {
-    /// The search outcome, byte-identical to the in-process sharded path
-    /// when no shard was lost.
+pub struct ShardedOutcome {
+    /// The search outcome, byte-identical to the solo engines' when no
+    /// shard was lost.
     pub outcome: SearchOutcome,
     /// `true` iff at least one shard was skipped — the answer is
     /// best-effort and explicitly marked so, never silently wrong.
     pub degraded: bool,
 }
 
-/// Monitoring snapshot of a [`RemoteShardedSearch`] (STATS `remote`
-/// block).
+/// Monitoring snapshot of a [`ShardCoordinator`] over remote workers
+/// (STATS `remote` block).
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct RemoteStats {
-    /// Number of shards.
-    pub shards: usize,
+    /// Shard count and the boundary-exchange counters — all there is to
+    /// monitor of an in-process fleet (`STATS` `shards` block).
+    pub exchange: ShardedStats,
     /// RPCs issued (all kinds, including handshakes and probes).
     pub rpcs: u64,
     /// Worker dials (fresh connections, including respawn re-dials).
@@ -159,12 +168,6 @@ pub struct RemoteStats {
     pub breaker_opens: u64,
     /// Queries answered degraded (at least one shard skipped).
     pub degraded_queries: u64,
-    /// Expansion/exchange rounds executed across all queries.
-    pub rounds: u64,
-    /// Unique boundary notifications broadcast across all queries.
-    pub notifications: u64,
-    /// Boundary notifications suppressed by the monotone-bound dedup.
-    pub notifications_suppressed: u64,
     /// Current breaker state per shard (`closed` / `open` / `half_open`).
     pub breaker: Vec<String>,
     /// RPC latency distribution, microseconds.
@@ -185,103 +188,172 @@ struct RemoteCounters {
     jitter_nonce: AtomicU64,
 }
 
+/// Where the fleet's lanes live.
+#[derive(Clone)]
+enum Fleet {
+    /// In this process: one worker per part of the plan cut at
+    /// construction, stepped through owned lanes.
+    InProcess(Vec<Arc<ShardWorker>>),
+    /// In worker processes, reached over TCP at these addresses.
+    Remote(Arc<dyn ShardAddrs>),
+}
+
 /// State shared with the heartbeat thread.
 struct Core {
     shards: usize,
     seed: u64,
     num_nodes: u64,
-    addrs: Arc<dyn ShardAddrs>,
+    fleet: Fleet,
     opts: RemoteOptions,
     breakers: Vec<CircuitBreaker>,
     counters: RemoteCounters,
     latency: LogHistogram,
+    /// The fault schedule of the supervision tests.
+    #[cfg(test)]
+    script: tests::Script,
 }
 
-/// One pooled worker connection, tagged with the address generation it
-/// was dialed under.
+/// How a channel reaches its lane.
+enum Link {
+    /// A connection to a shard-worker process: requests and replies are
+    /// framed JSON, reads and writes carry the RPC deadline.
+    Tcp(TcpStream),
+    /// A lane owned by the channel: the handler is called with the typed
+    /// request — no JSON, no socket, nothing to time out.
+    InProcess(Box<Conn>),
+}
+
+/// One pooled lane of a shard, tagged with the address generation it was
+/// dialed under.
 struct Channel {
-    stream: TcpStream,
+    link: Link,
     generation: u64,
 }
 
+/// One request on its way to a fleet's lanes: typed for in-process links,
+/// and for TCP links also encoded, once, by whoever sends it.
+struct Outgoing<'a> {
+    request: &'a Request,
+    frame: Option<(u8, Vec<u8>)>,
+}
+
+/// What came back from a lane: an in-process lane's typed reply, or a TCP
+/// reply's frame — decoded by whoever asked rather than by the thread that
+/// waited for it, so that a sweep's pool threads allocate nothing but the
+/// frame (a second and third malloc arena full of JSON trees was a quarter
+/// of a small server's resident set).
+enum Reply {
+    Typed(Response),
+    Frame(u8, Vec<u8>),
+}
+
+impl Reply {
+    /// The typed reply; a worker's error, an unknown opcode and a
+    /// mismatched payload are all `InvalidData`.
+    fn decode(self) -> io::Result<Response> {
+        match self {
+            Reply::Typed(response) => Ok(response),
+            Reply::Frame(opcode, payload) => {
+                Response::decode(opcode, &payload).map_err(invalid_data)
+            }
+        }
+    }
+}
+
+fn invalid_data(reason: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason)
+}
+
 impl Core {
-    /// The handshake this fleet must agree to.
-    fn hello(&self, shard: usize) -> wire::Hello {
-        wire::Hello {
+    /// `request`, ready to go out on this fleet's links.
+    fn outgoing<'a>(&self, request: &'a Request) -> Outgoing<'a> {
+        let remote = matches!(self.fleet, Fleet::Remote(_));
+        Outgoing { request, frame: remote.then(|| request.encode()) }
+    }
+
+    /// One RPC on an established channel: hand the lane the request (over
+    /// TCP: write its frame, read the reply's) and return what came back.
+    fn exchange(
+        &self,
+        chan: &mut Channel,
+        out: &Outgoing<'_>,
+        timeout: Duration,
+    ) -> io::Result<Reply> {
+        let t = Instant::now();
+        let reply =
+            match (&mut chan.link, &out.frame) {
+                (Link::Tcp(stream), Some((opcode, payload))) => {
+                    stream.set_read_timeout(Some(timeout))?;
+                    stream.set_write_timeout(Some(timeout))?;
+                    write_frame(stream, *opcode, payload)?;
+                    let (opcode, payload) = expect_frame(stream)?;
+                    Reply::Frame(opcode, payload)
+                }
+                (Link::InProcess(conn), _) => {
+                    #[cfg(test)]
+                    self.script.next_rpc(conn.shard())?;
+                    let handled = conn.handle(out.request, Arrival::default());
+                    Reply::Typed(handled.map_err(|e| {
+                        invalid_data(format!("worker error {}: {}", e.code, e.message))
+                    })?)
+                }
+                (Link::Tcp(_), None) => unreachable!("a remote fleet's requests go out encoded"),
+            };
+        self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
+        self.latency.record(t.elapsed().as_micros() as u64);
+        Ok(reply)
+    }
+
+    /// [`Core::exchange`] one request and decode the reply.
+    fn call(&self, chan: &mut Channel, request: &Request) -> io::Result<Response> {
+        self.exchange(chan, &self.outgoing(request), self.opts.rpc_timeout)?.decode()
+    }
+
+    /// Incarnation of `shard`'s lanes; an in-process fleet has only one.
+    fn generation(&self, shard: usize) -> u64 {
+        match &self.fleet {
+            Fleet::InProcess(_) => 0,
+            Fleet::Remote(addrs) => addrs.generation(shard),
+        }
+    }
+
+    /// A fresh channel to `shard`: a new lane of its in-process worker, or
+    /// a dialed and handshaken connection to its worker process.
+    fn dial(&self, shard: usize) -> io::Result<Channel> {
+        let generation = self.generation(shard);
+        let addrs = match &self.fleet {
+            Fleet::InProcess(workers) => {
+                let conn = Conn::new(Arc::clone(&workers[shard]), true);
+                return Ok(Channel { link: Link::InProcess(Box::new(conn)), generation });
+            }
+            Fleet::Remote(addrs) => addrs,
+        };
+        let addr = addrs.addr(shard).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("no address for shard {shard}"))
+        })?;
+        let stream = TcpStream::connect_timeout(&addr, self.opts.connect_timeout)?;
+        let _ = stream.set_nodelay(true);
+        self.counters.dials.fetch_add(1, Ordering::Relaxed);
+        let mut chan = Channel { link: Link::Tcp(stream), generation };
+        // The handshake this fleet must agree to.
+        let hello = Request::Hello(wire::Hello {
             version: wire::PROTOCOL_VERSION,
             shards: self.shards as u32,
             shard_index: shard as u32,
             num_nodes: self.num_nodes,
             seed: self.seed,
+        });
+        match self.call(&mut chan, &hello)? {
+            Response::HelloOk(ok)
+                if (ok.shard_index, ok.version) == (shard as u32, wire::PROTOCOL_VERSION) =>
+            {
+                Ok(chan)
+            }
+            other => Err(invalid_data(format!(
+                "dialed shard {shard} at protocol {}, worker answered {other:?}",
+                wire::PROTOCOL_VERSION
+            ))),
         }
-    }
-
-    /// One RPC on an established channel: write the request frame, read
-    /// the reply, map worker error frames and wrong opcodes to
-    /// `InvalidData`.
-    fn call(
-        &self,
-        chan: &mut Channel,
-        op: u8,
-        payload: &[u8],
-        expect: u8,
-        timeout: Duration,
-    ) -> io::Result<Vec<u8>> {
-        chan.stream.set_read_timeout(Some(timeout))?;
-        chan.stream.set_write_timeout(Some(timeout))?;
-        let t = Instant::now();
-        write_frame(&mut chan.stream, op, payload)?;
-        let (got, body) = expect_frame(&mut chan.stream)?;
-        self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.latency.record(t.elapsed().as_micros() as u64);
-        if got == wire::OP_ERROR {
-            let e: wire::WireError = wire::decode(&body)
-                .unwrap_or(wire::WireError { code: "undecodable".into(), message: String::new() });
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("worker error {}: {}", e.code, e.message),
-            ));
-        }
-        if got != expect {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected opcode {expect}, worker sent {got}"),
-            ));
-        }
-        Ok(body)
-    }
-
-    /// Dial + handshake a fresh channel to `shard`.
-    fn dial(&self, shard: usize) -> io::Result<Channel> {
-        let addr = self.addrs.addr(shard).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no address for shard {shard}"))
-        })?;
-        let generation = self.addrs.generation(shard);
-        let stream = TcpStream::connect_timeout(&addr, self.opts.connect_timeout)?;
-        let _ = stream.set_nodelay(true);
-        self.counters.dials.fetch_add(1, Ordering::Relaxed);
-        let mut chan = Channel { stream, generation };
-        let body = self.call(
-            &mut chan,
-            wire::OP_HELLO,
-            &wire::encode(&self.hello(shard)),
-            wire::OP_HELLO_OK,
-            self.opts.rpc_timeout,
-        )?;
-        let ok: wire::HelloOk =
-            wire::decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if (ok.shard_index, ok.version) != (shard as u32, wire::PROTOCOL_VERSION) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "dialed shard {shard} at protocol {}, worker claims shard {} at protocol {}",
-                    wire::PROTOCOL_VERSION,
-                    ok.shard_index,
-                    ok.version
-                ),
-            ));
-        }
-        Ok(chan)
     }
 
     /// Out-of-band health probe: fresh dial + ping. Returns the probed
@@ -290,8 +362,10 @@ impl Core {
         self.counters.probes.fetch_add(1, Ordering::Relaxed);
         let attempt = || -> io::Result<Channel> {
             let mut chan = self.dial(shard)?;
-            self.call(&mut chan, wire::OP_PING, &[], wire::OP_PONG, self.opts.rpc_timeout)?;
-            Ok(chan)
+            match self.call(&mut chan, &Request::Ping)? {
+                Response::Pong => Ok(chan),
+                other => Err(invalid_data(format!("pinged, worker answered {other:?}"))),
+            }
         };
         match attempt() {
             Ok(chan) => Some(chan),
@@ -321,21 +395,37 @@ impl Core {
     }
 }
 
-/// Coordinator for a fleet of remote shard workers; the remote
-/// counterpart of [`crate::shard::ShardedSearch`], exposing the same
-/// `try_search` contract plus the degradation marker.
-pub struct RemoteShardedSearch {
+/// Scatter-gather coordinator over the `N` shards of the deterministic
+/// edge-cut partition: scatters a query to all shards, drives the round
+/// protocol, and merges the shards' rows into the monolithic top-(k,d)
+/// answer set. See [`crate::shard`] for the protocol and its identity
+/// argument, and the module docs for the two links.
+pub struct ShardCoordinator {
     core: Arc<Core>,
     backend: ShardBackend,
     name: String,
-    /// Per-shard connection freelist.
+    /// Per-shard channel freelist.
     channels: Vec<Mutex<Vec<Channel>>>,
+    /// Steps the live lanes of a sweep concurrently (an in-process lane
+    /// expands on the thread that steps it) and runs the top-down stage:
+    /// `max(backend threads, shards)` workers.
+    compute: rayon::ThreadPool,
     /// The sessions whose activation table and top-down scratch serve the
     /// stage, which runs here, over the global graph and the collected
     /// rows; their matrix state is never armed.
     pub(crate) stage: SessionPool,
     heartbeat_stop: Arc<AtomicBool>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
+}
+
+/// One worker per part of `graph`'s `shards`-way plan under the default
+/// seed.
+fn in_process_fleet(graph: &KnowledgeGraph, shards: usize) -> Fleet {
+    let plan = ShardPlan::build(graph, shards, DEFAULT_PARTITION_SEED);
+    let workers = plan.parts.into_iter().enumerate().map(|(index, part)| {
+        Arc::new(ShardWorker::over(part, graph.num_nodes(), shards, index, plan.seed))
+    });
+    Fleet::InProcess(workers.collect())
 }
 
 /// Why one query attempt stopped.
@@ -354,30 +444,62 @@ impl From<SearchError> for AttemptError {
     }
 }
 
-impl RemoteShardedSearch {
-    /// Build a coordinator for an `N = shards` fleet addressed by
+impl ShardCoordinator {
+    /// Partition `graph` into `shards` parts (default seed) and coordinate
+    /// them in this process: every channel owns a lane over its shard's
+    /// part. Nothing here can be unreachable, so there is no heartbeat.
+    pub fn in_process(
+        graph: &KnowledgeGraph,
+        backend: ShardBackend,
+        shards: usize,
+    ) -> ShardCoordinator {
+        let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+        let fleet = in_process_fleet(graph, shards);
+        ShardCoordinator::over(graph.num_nodes(), backend, shards, fleet, opts)
+    }
+
+    /// Coordinate an `N = shards` fleet of worker processes addressed by
     /// `addrs`, partitioned from `graph` under the default seed (the
     /// workers must be built from the same graph, shard count and seed;
     /// the handshake enforces it).
-    pub fn new(
+    pub fn remote(
         graph: &KnowledgeGraph,
         backend: ShardBackend,
         shards: usize,
         addrs: Arc<dyn ShardAddrs>,
         opts: RemoteOptions,
-    ) -> RemoteShardedSearch {
-        assert!(shards >= 1, "remote sharded search needs at least one shard");
+    ) -> ShardCoordinator {
+        ShardCoordinator::over(graph.num_nodes(), backend, shards, Fleet::Remote(addrs), opts)
+    }
+
+    /// A coordinator of the same fleet — these in-process parts, or those
+    /// worker addresses under these options — running `backend`'s kernels.
+    pub fn with_backend(&self, backend: ShardBackend) -> ShardCoordinator {
+        let core = &self.core;
+        let fleet = core.fleet.clone();
+        ShardCoordinator::over(core.num_nodes as usize, backend, core.shards, fleet, core.opts)
+    }
+
+    fn over(
+        num_nodes: usize,
+        backend: ShardBackend,
+        shards: usize,
+        fleet: Fleet,
+        opts: RemoteOptions,
+    ) -> ShardCoordinator {
+        assert!(shards >= 1, "sharded search needs at least one shard");
         let core = Arc::new(Core {
             shards,
             seed: DEFAULT_PARTITION_SEED,
-            num_nodes: graph.num_nodes() as u64,
-            addrs,
+            num_nodes: num_nodes as u64,
+            fleet,
             opts,
             breakers: (0..shards).map(|_| CircuitBreaker::new()).collect(),
             counters: RemoteCounters::default(),
             latency: LogHistogram::new(),
+            #[cfg(test)]
+            script: tests::Script::default(),
         });
-        let name = format!("{}[shards={shards}]", backend.base_name());
         let heartbeat_stop = Arc::new(AtomicBool::new(false));
         let heartbeat = opts.heartbeat.map(|interval| {
             let core = Arc::clone(&core);
@@ -387,11 +509,12 @@ impl RemoteShardedSearch {
                 .spawn(move || heartbeat_loop(&core, &stop, interval))
                 .expect("spawning the heartbeat thread")
         });
-        RemoteShardedSearch {
+        ShardCoordinator {
             core,
             backend,
-            name,
+            name: format!("{}[shards={shards}]", backend.base_name()),
             channels: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            compute: crate::engine::build_pool(backend.threads().max(shards)),
             stage: SessionPool::new(),
             heartbeat_stop,
             heartbeat,
@@ -403,18 +526,29 @@ impl RemoteShardedSearch {
         self.core.shards
     }
 
-    /// Engine display name carried on traces (`"CPU-Par[shards=4]"` —
-    /// identical to the in-process sharded name, as the byte-identity
-    /// contract requires).
+    /// Whether the shards are worker processes ([`ShardCoordinator::remote`])
+    /// rather than lanes in this one.
+    pub fn is_remote(&self) -> bool {
+        matches!(self.core.fleet, Fleet::Remote(_))
+    }
+
+    /// Engine display name carried on traces (`"CPU-Par[shards=4]"`,
+    /// whichever the link, as the byte-identity contract requires).
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Monitoring snapshot.
+    /// Monitoring snapshot: the exchange counters plus the supervision
+    /// ones.
     pub fn stats(&self) -> RemoteStats {
         let c = &self.core.counters;
         RemoteStats {
-            shards: self.core.shards,
+            exchange: ShardedStats {
+                shards: self.core.shards,
+                rounds: c.exchange.rounds.load(Ordering::Relaxed),
+                notifications: c.exchange.notifications.load(Ordering::Relaxed),
+                notifications_suppressed: c.exchange.suppressed.load(Ordering::Relaxed),
+            },
             rpcs: c.rpcs.load(Ordering::Relaxed),
             dials: c.dials.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
@@ -422,9 +556,6 @@ impl RemoteShardedSearch {
             probe_failures: c.probe_failures.load(Ordering::Relaxed),
             breaker_opens: c.breaker_opens.load(Ordering::Relaxed),
             degraded_queries: c.degraded_queries.load(Ordering::Relaxed),
-            rounds: c.exchange.rounds.load(Ordering::Relaxed),
-            notifications: c.exchange.notifications.load(Ordering::Relaxed),
-            notifications_suppressed: c.exchange.suppressed.load(Ordering::Relaxed),
             breaker: self.core.breakers.iter().map(|b| b.state().name().to_string()).collect(),
             rpc_latency_us: self.core.latency.snapshot(),
         }
@@ -435,9 +566,13 @@ impl RemoteShardedSearch {
         self.core.breakers.iter().map(|b| b.state()).collect()
     }
 
-    /// Run one budgeted remote search. Same contract as
-    /// [`crate::shard::ShardedSearch::try_search`], plus the explicit
-    /// [`RemoteOutcome::degraded`] marker.
+    /// Run one budgeted sharded search. Same contract as
+    /// [`crate::engine::KeywordSearchEngine::try_search_session`] — a
+    /// tripped budget returns `Err` and never a partial answer set — plus
+    /// the explicit [`ShardedOutcome::degraded`] marker. A `qid` rides
+    /// every `Start`, is echoed back on `CollectOk`, and is stamped on the
+    /// trace and its stitched shard timelines so worker-side observations
+    /// join with the coordinator's.
     ///
     /// # Panics
     /// Panics if `params` fail [`SearchParams::validate`].
@@ -447,22 +582,8 @@ impl RemoteShardedSearch {
         query: &textindex::ParsedQuery,
         params: &SearchParams,
         budget: &QueryBudget,
-    ) -> Result<RemoteOutcome, SearchError> {
-        self.try_search_tagged(graph, query, params, budget, None)
-    }
-
-    /// [`Self::try_search`] tagged with a fleet-wide query ID: the qid
-    /// rides every `Start` frame, is echoed back on `CollectOk`, and is
-    /// stamped on the trace and its stitched shard timelines so
-    /// worker-side observations join with the coordinator's.
-    pub fn try_search_tagged(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &textindex::ParsedQuery,
-        params: &SearchParams,
-        budget: &QueryBudget,
         qid: Option<u64>,
-    ) -> Result<RemoteOutcome, SearchError> {
+    ) -> Result<ShardedOutcome, SearchError> {
         let tracker =
             match bottom_up::pre_flight(query, params, budget, &self.name, graph.num_nodes()) {
                 PreFlight::Run(tracker) => tracker,
@@ -471,7 +592,7 @@ impl RemoteShardedSearch {
                         if let Some(trace) = outcome.trace.as_mut() {
                             trace.qid = qid;
                         }
-                        RemoteOutcome { outcome, degraded: false }
+                        ShardedOutcome { outcome, degraded: false }
                     })
                 }
             };
@@ -495,7 +616,7 @@ impl RemoteShardedSearch {
                             b.record_success();
                         }
                     }
-                    return Ok(RemoteOutcome { outcome, degraded });
+                    return Ok(ShardedOutcome { outcome, degraded });
                 }
                 Err(AttemptError::Budget(e)) => return Err(e),
                 Err(AttemptError::ShardShed { shard }) => {
@@ -509,7 +630,7 @@ impl RemoteShardedSearch {
                 Err(AttemptError::ShardIo { shard }) => {
                     // The query's own budget may be the real cause (an
                     // RPC clamped by the wall-clock deadline): first
-                    // cause wins, exactly like the in-process path.
+                    // cause wins.
                     tracker.poll_deadline();
                     if let Some(e) = tracker.error() {
                         return Err(e);
@@ -544,10 +665,10 @@ impl RemoteShardedSearch {
         Err(SearchError::ShardUnavailable { shard: dead.iter().position(|&d| !d).unwrap_or(0) })
     }
 
-    /// Pooled-connection checkout: reuse a same-generation channel or
-    /// dial a fresh one.
+    /// Pooled-channel checkout: reuse a same-generation channel or dial a
+    /// fresh one.
     fn checkout(&self, shard: usize) -> io::Result<Channel> {
-        let current = self.core.addrs.generation(shard);
+        let current = self.core.generation(shard);
         while let Some(chan) = self.channels[shard].lock().unwrap().pop() {
             if chan.generation == current {
                 return Ok(chan);
@@ -558,7 +679,7 @@ impl RemoteShardedSearch {
     }
 
     fn checkin(&self, shard: usize, chan: Channel) {
-        if chan.generation == self.core.addrs.generation(shard) {
+        if chan.generation == self.core.generation(shard) {
             self.channels[shard].lock().unwrap().push(chan);
         }
     }
@@ -596,36 +717,40 @@ impl RemoteShardedSearch {
                 return Err(AttemptError::ShardShed { shard: s });
             }
         }
-        let traced = params.trace.enabled();
+        // Timelines reconcile a worker's clock with wire time; lanes in
+        // this process have neither.
+        let spans = params.trace.enabled() && self.is_remote();
         let mut ops = RemoteOps {
             search: self,
             live,
-            chans: (0..core.shards).map(|_| None).collect(),
+            lanes: (0..core.shards).map(|_| Default::default()).collect(),
             deadline,
             tracker,
-            shard_rpcs: vec![0; core.shards],
-            shard_rpc_us: vec![0; core.shards],
+            pairs: Vec::new(),
         };
         // Checkout one exclusive channel per live shard.
-        for i in 0..ops.live.len() {
-            let s = ops.live[i];
-            ops.chans[s] = Some(self.checkout(s).map_err(|_| AttemptError::ShardIo { shard: s })?);
+        for &s in &ops.live {
+            let chan = self.checkout(s).map_err(|_| AttemptError::ShardIo { shard: s })?;
+            ops.lanes[s].get_mut().chan = Some(chan);
         }
         let mut run = LevelRun::new(params, tracker);
 
-        // Scatter: Start re-arms every live worker's state for this
-        // query (idempotent across retries).
+        // Scatter: Start re-arms every live lane's state for this query
+        // (idempotent across retries).
         let t = Instant::now();
-        let start = wire::encode(&wire::Start {
+        let start = Request::Start(wire::Start {
             query: wire::WireQuery::from_query(query),
             params: params.clone(),
             activation: params.explicit_activation.as_deref().cloned(),
             backend: self.backend.base_name().to_string(),
             threads: self.backend.threads() as u32,
             qid,
-            spans: traced,
+            spans,
         });
-        let started: Vec<wire::StartOk> = ops.sweep(wire::OP_START, &start, wire::OP_START_OK)?;
+        let started = ops.sweep(&start, |reply| match reply {
+            Response::StartOk(ok) => Some(ok),
+            _ => None,
+        })?;
         debug_assert!(started.iter().all(|ok| ok.keywords as usize == query.num_keywords()));
         run.profile.init = t.elapsed();
 
@@ -636,10 +761,12 @@ impl RemoteShardedSearch {
         // unchanged top-down stage over the global graph.
         let mut stage = self.stage.checkout();
         let SearchSession { activation, top_down: stage2, .. } = &mut *stage;
-        let timelines = ops.collect(traced, &mut stage2.hits, query.num_keywords())?;
+        let timelines =
+            run.timed_fill(|| ops.collect(spans, &mut stage2.hits, query.num_keywords()))?;
         drop(ops);
         let global_act = activation.for_params(graph, params);
-        let mut outcome = run.finish(&self.name, graph, None, stage2, |hits, j, sink| {
+        let compute = Some(&self.compute);
+        let mut outcome = run.finish(&self.name, graph, compute, stage2, |hits, j, sink| {
             top_down::hitting_path_preds(graph, &global_act, hits, j, sink)
         })?;
         if let Some(trace) = outcome.trace.as_mut() {
@@ -650,58 +777,78 @@ impl RemoteShardedSearch {
     }
 }
 
-/// Fill `block` (`n` nodes × `q` keywords) from the rows each live shard
-/// collected, given as `(shard, rows)`: halo replicas first — shipped only
-/// when degraded, they fill the gaps a dead owner left — then the owners'
-/// rows over them. The wire does not distinguish the two, so the ownership
-/// hash `owner_of` is replayed per row. A row naming a node outside the
-/// graph or carrying other than `q` levels is a malformed reply:
-/// `Err(shard)`, before anything is indexed with it.
+/// Fill `block` (`n` nodes × `q` keywords, `q ≥ 1`) from what each live
+/// shard collected, given as `(shard, reply)`: halo replicas first —
+/// shipped only when degraded, they fill the gaps a dead owner left — then
+/// the owners' rows over them. The wire does not distinguish the two, so
+/// the ownership hash `owner_of` is replayed per row. A reply naming a
+/// node outside the graph or carrying other than `q` levels per node is
+/// malformed: `Err(shard)`, before anything is indexed with it.
 fn scatter_rows(
     block: &mut HitBlock,
     (n, q): (usize, usize),
     owner_of: impl Fn(u32) -> usize,
-    collected: &[(usize, Vec<wire::WireRow>)],
+    collected: &[(usize, wire::CollectOk)],
 ) -> Result<(), usize> {
-    let malformed = |row: &wire::WireRow| row.node as usize >= n || row.hits.len() != q;
-    if let Some(&(shard, _)) = collected.iter().find(|(_, rows)| rows.iter().any(malformed)) {
+    let malformed = |ok: &wire::CollectOk| {
+        ok.hits.len() != ok.nodes.len() * q || ok.nodes.iter().any(|&v| v as usize >= n)
+    };
+    if let Some(&(shard, _)) = collected.iter().find(|(_, ok)| malformed(ok)) {
         return Err(shard);
     }
     block.unhit(n, q);
     for owned in [false, true] {
-        for (shard, rows) in collected {
-            for row in rows.iter().filter(|row| (owner_of(row.node) == *shard) == owned) {
-                block.row_mut(row.node).copy_from_slice(&row.hits);
+        for (shard, ok) in collected {
+            let rows = ok.nodes.iter().zip(ok.hits.chunks_exact(q));
+            for (&v, row) in rows.filter(|(&v, _)| (owner_of(v) == *shard) == owned) {
+                block.row_mut(v).copy_from_slice(row);
             }
         }
     }
     Ok(())
 }
 
-/// One attempt's exclusive hold on the fleet — a channel per live shard
-/// plus the per-shard RPC accounting — and the remote [`LevelOps`]: the
-/// in-process fork-join phases, each fork replaced by a sweep of shard
-/// RPCs. A failed RPC or malformed reply drops the erroring channel and
+/// One shard's lane of an attempt: its exclusively held channel (`None`
+/// for a dead shard, and once the shard failed) plus the successful RPCs
+/// and their coordinator-observed wall time — the outer envelope the
+/// stitched timelines reconcile worker spans against (worker intervals
+/// nest inside it, so `rpc_us >= worker_us` and the difference is wire
+/// time).
+#[derive(Default)]
+struct Lane {
+    chan: Option<Channel>,
+    rpcs: u64,
+    rpc_us: u64,
+}
+
+/// One attempt's exclusive hold on the fleet — a lane per shard — and the
+/// sharded [`LevelOps`]: every phase a sweep of one RPC over the live
+/// shards, stepped concurrently on the coordinator's pool (the global
+/// level barrier), each lane behind a mutex only the one thread stepping it
+/// takes. A failed RPC or malformed reply drops the erroring channel and
 /// fails the attempt; dropping the attempt returns the healthy channels
 /// to the pool.
 struct RemoteOps<'a> {
-    search: &'a RemoteShardedSearch,
+    search: &'a ShardCoordinator,
     live: Vec<usize>,
-    chans: Vec<Option<Channel>>,
+    lanes: Vec<parking_lot::Mutex<Lane>>,
     deadline: Option<Instant>,
     tracker: &'a BudgetTracker,
-    /// Successful RPCs per shard and their coordinator-observed wall
-    /// time: the outer envelope the stitched timelines reconcile worker
-    /// spans against (worker intervals nest inside it, so
-    /// `rpc_us >= worker_us` and the difference is wire time).
-    shard_rpcs: Vec<u64>,
-    shard_rpc_us: Vec<u64>,
+    /// The round's notification set (capacity kept across rounds).
+    pairs: Vec<(u32, u32)>,
 }
 
 impl Drop for RemoteOps<'_> {
+    /// Check every held channel back in — unless a panic is unwinding
+    /// through the query: it may have left a lane mid-phase, so the whole
+    /// cohort is dropped with it (as `PooledSession::drop` quarantines a
+    /// session).
     fn drop(&mut self) {
-        for (s, chan) in self.chans.iter_mut().enumerate() {
-            if let Some(chan) = chan.take() {
+        if std::thread::panicking() {
+            return;
+        }
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            if let Some(chan) = lane.get_mut().chan.take() {
                 self.search.checkin(s, chan);
             }
         }
@@ -711,88 +858,91 @@ impl Drop for RemoteOps<'_> {
 impl RemoteOps<'_> {
     /// Shard `s` failed this attempt: drop its channel (it may hold
     /// undrained reply bytes).
-    fn fail(&mut self, s: usize) -> AttemptError {
-        self.chans[s] = None;
+    fn fail(&self, s: usize) -> AttemptError {
+        self.lanes[s].lock().chan = None;
         AttemptError::ShardIo { shard: s }
     }
 
-    /// One RPC to shard `s`; returns the raw reply payload.
-    fn rpc(
-        &mut self,
-        s: usize,
-        op: u8,
-        payload: &[u8],
-        expect: u8,
-    ) -> Result<Vec<u8>, AttemptError> {
-        let chan = self.chans[s].as_mut().expect("live shard has a channel");
-        let timeout = self.search.rpc_timeout(self.deadline);
-        let t = Instant::now();
-        match self.search.core.call(chan, op, payload, expect, timeout) {
-            Ok(body) => {
-                self.shard_rpcs[s] += 1;
-                self.shard_rpc_us[s] += t.elapsed().as_micros() as u64;
-                Ok(body)
-            }
-            Err(_) => Err(self.fail(s)),
-        }
-    }
-
-    /// The same RPC to every live shard, in shard order, decoding each
-    /// reply; a malformed reply is a shard failure.
-    fn sweep<T: serde::Deserialize>(
-        &mut self,
-        op: u8,
-        payload: &[u8],
-        expect: u8,
+    /// The same RPC to every live shard at once, the lanes stepped
+    /// concurrently on the coordinator's pool; `reply_of` picks the expected
+    /// variant out of each response, in shard order. A failed RPC and an
+    /// unexpected reply are both the shard's failure.
+    fn sweep<T>(
+        &self,
+        request: &Request,
+        reply_of: fn(Response) -> Option<T>,
     ) -> Result<Vec<T>, AttemptError> {
-        let mut replies = Vec::with_capacity(self.live.len());
-        for i in 0..self.live.len() {
-            let s = self.live[i];
-            let body = self.rpc(s, op, payload, expect)?;
-            replies.push(wire::decode(&body).map_err(|_| self.fail(s))?);
+        use rayon::prelude::*;
+        let core = &self.search.core;
+        let out = core.outgoing(request);
+        let timeout = self.search.rpc_timeout(self.deadline);
+        let exchange = |&s: &usize| {
+            let mut lane = self.lanes[s].lock();
+            let t = Instant::now();
+            let chan = lane.chan.as_mut().expect("live shard has a channel");
+            let reply = core.exchange(chan, &out, timeout);
+            lane.rpc_us += t.elapsed().as_micros() as u64;
+            reply
+        };
+        let replies: Vec<io::Result<Reply>> =
+            self.search.compute.install(|| self.live.par_iter().map(exchange).collect());
+        // Every failed lane drops its channel; the first, in shard order,
+        // is the attempt's error.
+        let mut typed = Vec::with_capacity(replies.len());
+        let mut failed = None;
+        for (&s, reply) in self.live.iter().zip(replies) {
+            match reply.and_then(Reply::decode).ok().and_then(reply_of) {
+                Some(reply) => {
+                    self.lanes[s].lock().rpcs += 1;
+                    typed.push(reply);
+                }
+                None => drop(failed.get_or_insert(self.fail(s))),
+            }
         }
-        Ok(replies)
+        failed.map_or(Ok(typed), Err)
     }
 
     /// Collect every live shard's informative rows into `hits` (`q`
-    /// keywords wide), and (traced) stitch the worker-reported spans into
-    /// per-shard timelines. All quantities are monotonic durations
-    /// measured on one host each — the coordinator's clock for `rpc_us`,
-    /// the worker's for the span phases — never cross-host timestamp
-    /// comparisons.
+    /// keywords wide), and (asked for `spans`) stitch the worker-reported
+    /// spans into per-shard timelines. All quantities are monotonic
+    /// durations measured on one host each — the coordinator's clock for
+    /// `rpc_us`, the worker's for the span phases — never cross-host
+    /// timestamp comparisons.
     fn collect(
         &mut self,
-        traced: bool,
+        spans: bool,
         hits: &mut HitBlock,
         q: usize,
     ) -> Result<Option<Vec<ShardTimeline>>, AttemptError> {
         let core = &self.search.core;
         let include_halos = self.live.len() < core.shards;
-        let collect = wire::encode(&wire::Collect { include_halos });
-        let replies: Vec<wire::CollectOk> =
-            self.sweep(wire::OP_COLLECT, &collect, wire::OP_COLLECT_OK)?;
-        let mut collected = Vec::with_capacity(replies.len());
-        let mut timelines: Option<Vec<ShardTimeline>> = traced.then(Vec::new);
-        for (&s, ok) in self.live.iter().zip(replies) {
-            if let Some(tls) = timelines.as_mut() {
+        let collect = Request::Collect(wire::Collect { include_halos });
+        let replies = self.sweep(&collect, |reply| match reply {
+            Response::CollectOk(ok) => Some(ok),
+            _ => None,
+        })?;
+        let mut collected: Vec<(usize, wire::CollectOk)> =
+            self.live.iter().copied().zip(replies).collect();
+        let timelines = spans.then(|| {
+            let stitch = |(s, ok): &mut (usize, wire::CollectOk)| {
                 // A worker that was asked for spans ships them; should
                 // one not, the RPC envelope is still coordinator-side
                 // truth and only the worker-side breakdown is missing.
-                let spans = ok.spans.unwrap_or_default();
+                let spans = ok.spans.take().unwrap_or_default();
                 let worker_us: u64 = spans.iter().map(ShardSpan::worker_us).sum();
-                let rpc_us = self.shard_rpc_us[s];
-                tls.push(ShardTimeline {
-                    shard: s,
+                let Lane { rpcs, rpc_us, .. } = *self.lanes[*s].get_mut();
+                ShardTimeline {
+                    shard: *s,
                     qid: ok.qid,
-                    rpcs: self.shard_rpcs[s],
+                    rpcs,
                     rpc_us,
                     worker_us,
                     wire_us: rpc_us.saturating_sub(worker_us),
                     spans,
-                });
-            }
-            collected.push((s, ok.rows));
-        }
+                }
+            };
+            collected.iter_mut().map(stitch).collect()
+        });
         let owner_of = |v: u32| -> usize {
             (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
         };
@@ -806,20 +956,26 @@ impl LevelOps for RemoteOps<'_> {
     type Error = AttemptError;
 
     fn enqueue(&mut self) -> Result<usize, AttemptError> {
-        let replies: Vec<wire::EnqueueOk> =
-            self.sweep(wire::OP_ENQUEUE, &[], wire::OP_ENQUEUE_OK)?;
+        let replies = self.sweep(&Request::Enqueue, |reply| match reply {
+            Response::EnqueueOk(ok) => Some(ok),
+            _ => None,
+        })?;
         Ok(replies.iter().map(|ok| ok.frontier as usize).sum())
     }
 
+    /// Per-shard cohorts arrive as global ids and merge in ascending order
+    /// — the within-level order of the monolithic frontier scan.
     fn identify(
         &mut self,
         level: u8,
         traced: bool,
         newly: &mut Vec<u32>,
     ) -> Result<(usize, usize), AttemptError> {
-        let identify = wire::encode(&wire::Identify { level, traced });
-        let replies: Vec<wire::IdentifyOk> =
-            self.sweep(wire::OP_IDENTIFY, &identify, wire::OP_IDENTIFY_OK)?;
+        let identify = Request::Identify(wire::Identify { level, traced });
+        let replies = self.sweep(&identify, |reply| match reply {
+            Response::IdentifyOk(ok) => Some(ok),
+            _ => None,
+        })?;
         let (mut new_hits, mut deferred) = (0usize, 0usize);
         for (i, ok) in replies.iter().enumerate() {
             // A Central Node outside the graph is a malformed reply.
@@ -834,30 +990,36 @@ impl LevelOps for RemoteOps<'_> {
         Ok((new_hits, deferred))
     }
 
+    /// Expand every lane, then exchange: broadcast the deduped union of
+    /// the outboxes, which each lane applies to its replicas still reading
+    /// `∞`.
     fn expand(&mut self, level: u8) -> Result<(), AttemptError> {
-        let expand = wire::encode(&wire::Expand { level });
-        let replies: Vec<wire::ExpandOk> =
-            self.sweep(wire::OP_EXPAND, &expand, wire::OP_EXPAND_OK)?;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let expand = Request::Expand(wire::Expand { level });
+        let replies = self.sweep(&expand, |reply| match reply {
+            Response::ExpandOk(ok) => Some(ok),
+            _ => None,
+        })?;
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
         let mut charged = 0u64;
         for ok in replies {
             pairs.extend(ok.outbox);
             charged += ok.charged;
         }
-        // The workers metered this level's kernels; charge the sum here —
-        // the same cumulative totals, at the same sequence point, as the
-        // in-process driver.
+        // The lanes metered this level's kernels; charge the sum here, at
+        // the level's sequence point, which is where the budget is judged.
         self.tracker.charge(charged);
         self.search.core.counters.exchange.exchange(&mut pairs);
-        let apply = wire::encode(&wire::Apply { level, pairs });
-        for i in 0..self.live.len() {
-            self.rpc(self.live[i], wire::OP_APPLY, &apply, wire::OP_APPLY_OK)?;
+        let apply = Request::Apply(wire::Apply { level, pairs });
+        let applied = self.sweep(&apply, |reply| (reply == Response::ApplyOk).then_some(()));
+        if let Request::Apply(apply) = apply {
+            self.pairs = apply.pairs;
         }
-        Ok(())
+        applied.map(drop)
     }
 }
 
-impl Drop for RemoteShardedSearch {
+impl Drop for ShardCoordinator {
     fn drop(&mut self) {
         self.heartbeat_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.heartbeat.take() {
@@ -898,14 +1060,246 @@ fn heartbeat_loop(core: &Core, stop: &AtomicBool, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
     use crate::remote::frame::read_frame;
     use crate::remote::BreakerState;
     use kgraph::GraphBuilder;
     use std::net::TcpListener;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use textindex::{InvertedIndex, ParsedQuery};
 
-    fn row(node: u32, hits: &[u8]) -> wire::WireRow {
-        wire::WireRow { node, hits: hits.to_vec() }
+    /// What a scripted RPC does instead of reaching its lane.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// The connection is gone: `UnexpectedEof`.
+        Drop,
+        /// The reply does not decode: `InvalidData`.
+        Garbage,
+        /// The reply outlives the RPC deadline: `TimedOut`, without the wait.
+        Stall,
+        /// The handler panics.
+        Panic,
+    }
+
+    /// The fault schedule of an in-process fleet: which of a shard's RPCs —
+    /// numbered from 0 over the coordinator's life, phases and pings alike,
+    /// whichever of the shard's lanes they reach — fail, and how. Empty
+    /// outside the supervision tests.
+    #[derive(Default)]
+    pub(super) struct Script {
+        faults: Mutex<Vec<(usize, std::ops::Range<u64>, Fault)>>,
+        seen: Mutex<Vec<u64>>,
+    }
+
+    impl Script {
+        /// Count one RPC to `shard` and fail it if the schedule says so.
+        pub(super) fn next_rpc(&self, shard: usize) -> io::Result<()> {
+            let n = {
+                let mut seen = self.seen.lock().unwrap();
+                let shards = seen.len().max(shard + 1);
+                seen.resize(shards, 0);
+                seen[shard] += 1;
+                seen[shard] - 1
+            };
+            let scheduled = |(s, rpcs, _): &&(usize, std::ops::Range<u64>, Fault)| {
+                *s == shard && rpcs.contains(&n)
+            };
+            let fault = self.faults.lock().unwrap().iter().find(scheduled).map(|f| f.2);
+            match fault {
+                None => Ok(()),
+                Some(Fault::Drop) => Err(io::ErrorKind::UnexpectedEof.into()),
+                Some(Fault::Garbage) => Err(invalid_data("garbage frame".into())),
+                Some(Fault::Stall) => Err(io::ErrorKind::TimedOut.into()),
+                Some(Fault::Panic) => panic!("scripted handler panic"),
+            }
+        }
+
+        /// Fail `shard`'s RPCs number `rpcs`, counted from the next one.
+        fn fail(&self, shard: usize, rpcs: std::ops::Range<u64>, fault: Fault) {
+            let seen = self.seen.lock().unwrap().get(shard).copied().unwrap_or(0);
+            let rpcs = seen + rpcs.start..seen.saturating_add(rpcs.end);
+            self.faults.lock().unwrap().push((shard, rpcs, fault));
+        }
+    }
+
+    /// Two keyword clusters bridged by a hub plus six isolated keyword
+    /// nodes (which no shard but their owner holds), and the two-keyword
+    /// query over them.
+    fn bridged_query() -> (KnowledgeGraph, ParsedQuery) {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node("hub", "junction");
+        for i in 0..5 {
+            let a = b.add_node(&format!("a{i}"), "alpha");
+            b.add_edge(a, hub, "p");
+            let z = b.add_node(&format!("z{i}"), "omega");
+            b.add_edge(hub, z, "q");
+        }
+        for i in 0..6 {
+            b.add_node(&format!("lone{i}"), "alpha");
+        }
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        (g, query)
+    }
+
+    /// An in-process fleet under `opts` (no heartbeat, 1 ms backoff base —
+    /// the longest sleep a retry here takes is 3 ms).
+    fn scripted(g: &KnowledgeGraph, shards: usize, opts: RemoteOptions) -> ShardCoordinator {
+        let opts =
+            RemoteOptions { heartbeat: None, backoff_base: Duration::from_millis(1), ..opts };
+        let fleet = in_process_fleet(g, shards);
+        ShardCoordinator::over(g.num_nodes(), ShardBackend::Seq, shards, fleet, opts)
+    }
+
+    fn search(
+        fleet: &ShardCoordinator,
+        g: &KnowledgeGraph,
+        query: &ParsedQuery,
+    ) -> Result<ShardedOutcome, SearchError> {
+        let params = SearchParams::default().with_average_distance(1.0);
+        fleet.try_search(g, query, &params, &QueryBudget::unlimited(), None)
+    }
+
+    fn solo(g: &KnowledgeGraph, query: &ParsedQuery) -> String {
+        digest(&SeqEngine::new().search(
+            g,
+            query,
+            &SearchParams::default().with_average_distance(1.0),
+        ))
+    }
+
+    /// One failed RPC — dropped, garbled or stalled past its deadline —
+    /// whose out-of-band probe survives is the query's fault, not the
+    /// worker's: the query is retried once from the top and answers in
+    /// full, and the breaker never hears of it.
+    #[test]
+    fn one_failed_rpc_with_a_surviving_probe_is_retried_once() {
+        let (g, query) = bridged_query();
+        for fault in [Fault::Drop, Fault::Garbage, Fault::Stall] {
+            let fleet = scripted(&g, 2, RemoteOptions::default());
+            fleet.core.script.fail(1, 3..4, fault);
+            let out = search(&fleet, &g, &query).expect("the retry answers");
+            assert!(!out.degraded, "{fault:?}");
+            assert_eq!(digest(&out.outcome), solo(&g, &query), "{fault:?}");
+            let stats = fleet.stats();
+            assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 1, 0), "{fault:?}");
+            assert_eq!(stats.breaker_opens, 0, "{fault:?}");
+            assert_eq!(fleet.breaker_states(), [BreakerState::Closed; 2], "{fault:?}");
+        }
+    }
+
+    /// A worker that stays dead — every RPC and every probe fails — is a
+    /// confirmed failure each time: `breaker_threshold` of them open its
+    /// breaker, once, the query is shed as `shard_unavailable`, and the
+    /// next query is shed at admission without an RPC.
+    #[test]
+    fn confirmed_failures_open_the_breaker_and_shed() {
+        let (g, query) = bridged_query();
+        let opts = RemoteOptions { attempts: 3, breaker_threshold: 2, ..RemoteOptions::default() };
+        let fleet = scripted(&g, 2, opts);
+        fleet.core.script.fail(1, 2..u64::MAX, Fault::Drop);
+        let err = search(&fleet, &g, &query).unwrap_err();
+        assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
+        let stats = fleet.stats();
+        assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 2, 2));
+        assert_eq!(stats.breaker_opens, 1);
+        assert_eq!(fleet.breaker_states(), [BreakerState::Closed, BreakerState::Open]);
+
+        let err = search(&fleet, &g, &query).unwrap_err();
+        assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
+        assert_eq!(fleet.stats().rpcs, stats.rpcs, "shed at admission");
+    }
+
+    /// The same dead worker under `degraded_answers`: the query answers
+    /// from the live shard, marked degraded, and the live shard's halo
+    /// replicas fill the rows of the dead owner's nodes in the stage's
+    /// block — the rest of its rows read never-hit.
+    #[test]
+    fn a_dead_shard_degrades_and_halo_rows_fill_its_owners() {
+        let (g, query) = bridged_query();
+        let opts = RemoteOptions {
+            attempts: 3,
+            breaker_threshold: 2,
+            degraded_answers: true,
+            ..RemoteOptions::default()
+        };
+        let fleet = scripted(&g, 2, opts);
+        fleet.core.script.fail(1, 0..u64::MAX, Fault::Drop);
+        let out = search(&fleet, &g, &query).expect("degrades");
+        assert!(out.degraded, "a lost shard must be explicitly marked");
+        let stats = fleet.stats();
+        assert_eq!((stats.degraded_queries, stats.breaker_opens), (1, 1));
+
+        let plan = ShardPlan::build(&g, 2, DEFAULT_PARTITION_SEED);
+        let stage = fleet.stage.checkout();
+        let (mut filled, mut lost) = (0, 0);
+        for v in g.nodes().filter(|v| plan.owner[v.index()] == 1) {
+            let hit = stage.top_down.hits.row(v.0).iter().any(|&h| h != crate::INFINITE_LEVEL);
+            match plan.parts[0].local(v.0) {
+                Some(_) if g.node_text(v) != "junction" => {
+                    assert!(hit, "a keyword node's halo replica was seeded: {}", g.node_key(v));
+                    filled += 1;
+                }
+                Some(_) => {}
+                None => {
+                    assert!(!hit, "nobody holds a row of {}", g.node_key(v));
+                    lost += 1;
+                }
+            }
+        }
+        assert!(filled > 0 && lost > 0, "{filled} filled, {lost} lost");
+    }
+
+    /// A panic inside a lane's handler unwinds through the query and takes
+    /// every channel the query held with it — none returns to a freelist,
+    /// whatever state its lane was left in — and the next query on the
+    /// same coordinator answers like a fresh one's.
+    #[test]
+    fn a_panicking_handler_quarantines_the_querys_channels() {
+        let (g, query) = bridged_query();
+        let fleet = scripted(&g, 3, RemoteOptions::default());
+        let idle = |fleet: &ShardCoordinator| -> Vec<usize> {
+            fleet.channels.iter().map(|c| c.lock().unwrap().len()).collect()
+        };
+        let want = solo(&g, &query);
+        assert_eq!(digest(&search(&fleet, &g, &query).unwrap().outcome), want);
+        assert_eq!(idle(&fleet), [1, 1, 1], "a warm channel per shard");
+
+        fleet.core.script.fail(1, 4..5, Fault::Panic);
+        catch_unwind(AssertUnwindSafe(|| search(&fleet, &g, &query)))
+            .expect_err("the handler's panic reaches the caller");
+        assert_eq!(idle(&fleet), [0, 0, 0], "the whole cohort is dropped");
+        assert_eq!(fleet.breaker_states(), [BreakerState::Closed; 3], "a panic is not a failure");
+
+        assert_eq!(digest(&search(&fleet, &g, &query).unwrap().outcome), want);
+        assert_eq!(idle(&fleet), [1, 1, 1]);
+    }
+
+    /// Sequential queries reuse one lane per shard: each checks back in,
+    /// in-process lanes are never dialed, and nothing is supervised.
+    #[test]
+    fn lanes_check_back_in_after_each_query() {
+        let (g, query) = bridged_query();
+        let fleet = ShardCoordinator::in_process(&g, ShardBackend::Seq, 4);
+        for _ in 0..3 {
+            search(&fleet, &g, &query).unwrap();
+        }
+        let idle: Vec<usize> = fleet.channels.iter().map(|c| c.lock().unwrap().len()).collect();
+        assert_eq!(idle, [1; 4], "one warm lane per shard");
+        let stats = fleet.stats();
+        assert!(stats.exchange.rounds > 0 && stats.rpcs > 0);
+        assert_eq!((stats.dials, stats.probes, stats.retries), (0, 0, 0));
+        assert!(fleet.heartbeat.is_none() && !fleet.is_remote());
+    }
+
+    /// A collect reply of `(node, row)`s.
+    fn rows(rows: &[(u32, &[u8])]) -> wire::CollectOk {
+        wire::CollectOk {
+            nodes: rows.iter().map(|r| r.0).collect(),
+            hits: rows.iter().flat_map(|r| r.1.iter().copied()).collect(),
+            qid: None,
+            spans: None,
+        }
     }
 
     /// Two shards, node `v` owned by shard `v % 2`: owners win over halo
@@ -920,8 +1314,8 @@ mod tests {
         // Node 0: shard 1's halo replica arrives after the owner's row.
         // Node 3: only a halo replica (its owner shard 1 shipped none).
         let collected = vec![
-            (0, vec![row(0, &[0, 2]), row(3, &[4, 4])]),
-            (1, vec![row(1, &[1, 1]), row(0, &[9, 9])]),
+            (0, rows(&[(0, &[0, 2]), (3, &[4, 4])])),
+            (1, rows(&[(1, &[1, 1]), (0, &[9, 9])])),
         ];
         scatter_rows(&mut block, (n, q), owner_of, &collected).expect("well-formed rows");
         assert_eq!(block.row(0), [0, 2], "the owner's row wins");
@@ -931,9 +1325,11 @@ mod tests {
         assert!(block.is_keyword_node(0) && !block.is_keyword_node(1));
 
         let before = block.clone();
-        for (shard, bad) in [(1, row(n as u32, &[0, 0])), (0, row(2, &[0])), (1, row(1, &[0; 3]))] {
+        let bad: [(usize, u32, &[u8]); 3] = [(1, n as u32, &[0, 0]), (0, 2, &[0]), (1, 1, &[0; 3])];
+        for (shard, node, levels) in bad {
             let mut collected = collected.clone();
-            collected[shard].1.push(bad);
+            collected[shard].1.nodes.push(node);
+            collected[shard].1.hits.extend_from_slice(levels);
             assert_eq!(scatter_rows(&mut block, (n, q), owner_of, &collected), Err(shard));
             assert_eq!(block, before, "a refused collection writes nothing");
         }
@@ -987,18 +1383,12 @@ mod tests {
             wire::OP_ENQUEUE => {
                 (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 0 }))
             }
-            _ => {
-                let rows = vec![row(3, &[0, 1])];
-                (
-                    wire::OP_COLLECT_OK,
-                    wire::encode(&wire::CollectOk { rows, qid: None, spans: None }),
-                )
-            }
+            _ => (wire::OP_COLLECT_OK, wire::encode(&rows(&[(3, &[0, 1])]))),
         };
         for script in [central_outside_the_graph, row_outside_the_graph] {
             let fleet = fleet_of(&g, scripted_worker(wire::PROTOCOL_VERSION, script));
             let err = fleet
-                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
+                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited(), None)
                 .unwrap_err();
             assert_eq!(err, SearchError::ShardUnavailable { shard: 0 });
             let stats = fleet.stats();
@@ -1018,7 +1408,7 @@ mod tests {
             let worker = scripted_worker(version, |op| panic!("phase RPC {op} reached the worker"));
             let fleet = fleet_of(&g, worker);
             let err = fleet
-                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
+                .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited(), None)
                 .unwrap_err();
             assert_eq!(err, SearchError::ShardUnavailable { shard: 0 });
             let stats = fleet.stats();
@@ -1041,13 +1431,13 @@ mod tests {
     }
 
     /// A one-shard fleet over `worker`: two attempts, no heartbeat.
-    fn fleet_of(g: &KnowledgeGraph, worker: SocketAddr) -> RemoteShardedSearch {
+    fn fleet_of(g: &KnowledgeGraph, worker: SocketAddr) -> ShardCoordinator {
         let opts = RemoteOptions {
             heartbeat: None,
             attempts: 2,
             backoff_base: Duration::from_millis(1),
             ..RemoteOptions::default()
         };
-        RemoteShardedSearch::new(g, ShardBackend::Seq, 1, Arc::new(StaticAddrs(vec![worker])), opts)
+        ShardCoordinator::remote(g, ShardBackend::Seq, 1, Arc::new(StaticAddrs(vec![worker])), opts)
     }
 }

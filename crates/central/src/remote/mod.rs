@@ -1,36 +1,41 @@
-//! Multi-process sharded search: shard-worker processes speaking a
-//! length-prefixed binary frame protocol, driven by a supervised
-//! coordinator behind the same seam as the in-process sharded engine.
+//! The shard coordinator and its workers: one level-synchronous
+//! coordinator over `N` shard lanes, reached either in this process or in
+//! shard-worker processes speaking a length-prefixed binary frame
+//! protocol, behind the same seam as the solo engines.
 //!
-//! This is phase 2 of the DKWS-style distributed design
-//! (arXiv:2309.01199): [`crate::shard`] proved the round protocol
-//! (scatter → local BFS rounds → boundary-notification exchange → merge)
-//! answer-identical to the monolithic engines inside one process; this
-//! module splits the same protocol across processes without changing a
-//! byte of the answers. The layers:
+//! This is the DKWS-style distributed design (arXiv:2309.01199) whose
+//! round protocol [`crate::shard`] states (scatter → local BFS rounds →
+//! boundary-notification exchange → merge) and argues answer-identical to
+//! the monolithic engines; splitting it across processes changes no byte
+//! of the answers. The layers:
 //!
-//! * [`frame`] — the wire framing: `[u32 len LE][u8 opcode][payload]`,
+//! * [`wire`] — the typed message schema, one request/response pair per
+//!   round-protocol phase, and its JSON encoding;
+//! * [`frame`] — the TCP link's framing: `[u32 len LE][u8 opcode][payload]`,
 //!   hard-capped, with an incremental decoder hardened against arbitrary
 //!   byte streams;
-//! * [`wire`] — the JSON message schema, one request/response pair per
-//!   round-protocol phase;
-//! * [`worker`] — [`worker::ShardWorker`]: owns one partition (derived
-//!   locally from the `(shards, seed)` contract — sub-graphs never travel)
-//!   and serves phase RPCs over TCP, one connection per coordinator
-//!   channel;
-//! * [`coordinator`] — [`coordinator::RemoteShardedSearch`]: drives the
-//!   fleet over persistent connections with per-RPC deadlines, bounded
-//!   retry with backoff + jitter, probe-based failure attribution, and
-//!   per-shard circuit breakers ([`breaker`]), degrading or shedding per
+//! * [`worker`] — [`worker::ShardWorker`]: owns one part of the partition
+//!   and the typed, transport-free handlers of a lane over it; serves them
+//!   over TCP, one connection per coordinator channel (a worker process
+//!   derives its part locally from the `(shards, seed)` contract —
+//!   sub-graphs never travel);
+//! * [`coordinator`] — [`coordinator::ShardCoordinator`]: drives the
+//!   lanes through channels whose link is an owned in-process lane or a
+//!   persistent TCP connection, with per-RPC deadlines, bounded retry with
+//!   backoff + jitter, probe-based failure attribution, and per-shard
+//!   circuit breakers ([`breaker`]), degrading or shedding per
 //!   [`coordinator::RemoteOptions::degraded_answers`] when a shard stays
 //!   down.
 //!
-//! The equivalence and failure contracts are pinned by three suites: the
-//! `remote_equivalence` differential proptest (remote == in-process,
-//! byte-identical, both shard backends), the frame-robustness proptest
-//! (arbitrary bytes never panic or over-allocate the decoder), and the
-//! process-level chaos suite in the CLI crate (worker kill / stall /
-//! garbage under concurrent well-behaved load).
+//! The equivalence and failure contracts are pinned by: the
+//! `shard_equivalence` and `remote_equivalence` differential suites (each
+//! link == the solo sequential engine, byte-identical, both shard
+//! backends), the scripted supervision tests in [`coordinator`] (drop /
+//! garbage / stall at RPC *n* of an in-process fleet, no socket), the
+//! frame-robustness proptest (arbitrary bytes never panic or
+//! over-allocate the decoder), and the process-level chaos suite in the
+//! CLI crate (worker kill / stall / garbage under concurrent well-behaved
+//! load).
 
 pub mod breaker;
 pub mod coordinator;
@@ -40,7 +45,7 @@ pub mod worker;
 
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use coordinator::{
-    RemoteOptions, RemoteOutcome, RemoteShardedSearch, RemoteStats, ShardAddrs, StaticAddrs,
+    RemoteOptions, RemoteStats, ShardAddrs, ShardCoordinator, ShardedOutcome, StaticAddrs,
 };
 pub use frame::{FrameDecoder, FrameError, MAX_FRAME};
 pub use worker::ShardWorker;
@@ -49,7 +54,7 @@ pub use worker::ShardWorker;
 mod tests {
     use super::*;
     use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
-    use crate::shard::{ShardBackend, ShardedSearch, DEFAULT_PARTITION_SEED};
+    use crate::shard::{ShardBackend, DEFAULT_PARTITION_SEED};
     use crate::{QueryBudget, SearchParams};
     use kgraph::{GraphBuilder, KnowledgeGraph};
     use std::sync::Arc;
@@ -73,7 +78,7 @@ mod tests {
 
     /// Spin up an in-process worker fleet and a coordinator over it, with
     /// deterministic supervision knobs (no heartbeat, no retry waits).
-    fn remote(g: &KnowledgeGraph, backend: ShardBackend, shards: usize) -> RemoteShardedSearch {
+    fn remote(g: &KnowledgeGraph, backend: ShardBackend, shards: usize) -> ShardCoordinator {
         let addrs: Vec<_> = (0..shards)
             .map(|s| ShardWorker::spawn_local(g, shards, s, DEFAULT_PARTITION_SEED))
             .collect();
@@ -82,7 +87,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..RemoteOptions::default()
         };
-        RemoteShardedSearch::new(g, backend, shards, Arc::new(StaticAddrs(addrs)), opts)
+        ShardCoordinator::remote(g, backend, shards, Arc::new(StaticAddrs(addrs)), opts)
     }
 
     #[test]
@@ -96,7 +101,7 @@ mod tests {
             for shards in [1, 2, 3] {
                 let r = remote(&g, ShardBackend::Seq, shards);
                 let out = r
-                    .try_search(&g, &query, &params, &QueryBudget::unlimited())
+                    .try_search(&g, &query, &params, &QueryBudget::unlimited(), None)
                     .expect("unlimited budget");
                 assert!(!out.degraded);
                 assert_eq!(digest(&out.outcome), digest(&mono), "query {raw:?}, {shards} shards");
@@ -112,17 +117,16 @@ mod tests {
             .with_average_distance(1.0)
             .with_trace(crate::trace::TraceLevel::Full);
         let query = ParsedQuery::parse(&idx, "alpha omega");
-        let sharded = ShardedSearch::new(&g, ShardBackend::ParCpu(2), 3);
-        let local = sharded
-            .try_search(&g, &query, &params, &QueryBudget::unlimited())
-            .expect("unlimited budget");
+        let budget = QueryBudget::unlimited();
+        let sharded = ShardCoordinator::in_process(&g, ShardBackend::ParCpu(2), 3);
+        let local = sharded.try_search(&g, &query, &params, &budget, None).expect("unlimited");
         let r = remote(&g, ShardBackend::ParCpu(2), 3);
-        let out = r.try_search(&g, &query, &params, &QueryBudget::unlimited()).expect("unlimited");
-        assert_eq!(digest(&out.outcome), digest(&local));
-        let (lt, rt) = (local.trace.unwrap(), out.outcome.trace.unwrap());
+        let out = r.try_search(&g, &query, &params, &budget, None).expect("unlimited");
+        assert_eq!(digest(&out.outcome), digest(&local.outcome));
+        let (lt, rt) = (local.outcome.trace.unwrap(), out.outcome.trace.unwrap());
         assert_eq!(rt.levels, lt.levels);
         assert_eq!(rt.total_expansions, lt.total_expansions);
-        assert_eq!(rt.engine, lt.engine, "remote reuses the sharded engine name");
+        assert_eq!(rt.engine, lt.engine, "the engine name does not tell the link");
     }
 
     #[test]
@@ -137,75 +141,23 @@ mod tests {
                 &query,
                 &SearchParams::default(),
                 &QueryBudget::unlimited().with_timeout(Duration::ZERO),
+                None,
             )
             .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
-        let err = r
-            .try_search(
-                &g,
-                &query,
-                &SearchParams::default().with_average_distance(1.0),
-                &QueryBudget::unlimited().with_max_expansions(1),
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), "budget_exhausted");
-        // The in-process sharded engine agrees on both classes.
-        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
-        let err = sharded
-            .try_search(
-                &g,
-                &query,
-                &SearchParams::default().with_average_distance(1.0),
-                &QueryBudget::unlimited().with_max_expansions(1),
-            )
-            .unwrap_err();
-        assert_eq!(err.kind(), "budget_exhausted");
-    }
-
-    #[test]
-    fn unreachable_fleet_sheds_or_degrades_by_policy() {
-        let g = fixture();
-        let idx = InvertedIndex::build(&g);
-        let query = ParsedQuery::parse(&idx, "alpha omega");
-        let params = SearchParams::default().with_average_distance(1.0);
-        // A port from the ephemeral range that nothing listens on: bind
-        // then drop to learn a free one.
-        let free = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let live = ShardWorker::spawn_local(&g, 2, 0, DEFAULT_PARTITION_SEED);
-        let opts = RemoteOptions {
-            heartbeat: None,
-            attempts: 2,
-            connect_timeout: Duration::from_millis(200),
-            backoff_base: Duration::from_millis(1),
-            degraded_answers: false,
-            ..RemoteOptions::default()
-        };
-        let shed = RemoteShardedSearch::new(
-            &g,
-            ShardBackend::Seq,
-            2,
-            Arc::new(StaticAddrs(vec![live, free])),
-            opts,
-        );
-        let err = shed.try_search(&g, &query, &params, &QueryBudget::unlimited()).unwrap_err();
-        assert_eq!(err, crate::SearchError::ShardUnavailable { shard: 1 });
-        assert_eq!(err.kind(), "shard_unavailable");
-
-        let degraded = RemoteShardedSearch::new(
-            &g,
-            ShardBackend::Seq,
-            2,
-            Arc::new(StaticAddrs(vec![live, free])),
-            RemoteOptions { degraded_answers: true, ..opts },
-        );
-        let out = degraded
-            .try_search(&g, &query, &params, &QueryBudget::unlimited())
-            .expect("degrades");
-        assert!(out.degraded, "lost shard must be explicitly marked");
-        assert_eq!(degraded.stats().degraded_queries, 1);
+        // The in-process link agrees on the expansion cap's class.
+        for fleet in [r, ShardCoordinator::in_process(&g, ShardBackend::Seq, 2)] {
+            let err = fleet
+                .try_search(
+                    &g,
+                    &query,
+                    &SearchParams::default().with_average_distance(1.0),
+                    &QueryBudget::unlimited().with_max_expansions(1),
+                    None,
+                )
+                .unwrap_err();
+            assert_eq!(err.kind(), "budget_exhausted");
+        }
     }
 
     #[test]
@@ -216,9 +168,9 @@ mod tests {
         // No workers at all: the empty query never touches the network.
         let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
         let r =
-            RemoteShardedSearch::new(&g, ShardBackend::Seq, 2, Arc::new(StaticAddrs(vec![])), opts);
+            ShardCoordinator::remote(&g, ShardBackend::Seq, 2, Arc::new(StaticAddrs(vec![])), opts);
         let out = r
-            .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited())
+            .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited(), None)
             .expect("no network needed");
         assert!(out.outcome.answers.is_empty());
         assert!(!out.degraded);
@@ -256,15 +208,17 @@ mod tests {
         assert!(want.contains("[c:"), "the good table answers: {want}");
         assert_eq!(session.queries_run(), 1, "the rejected query never armed the session");
 
-        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
-        let mut two_shards =
-            |p: &SearchParams| digest(&sharded.try_search(&g, &query, p, &budget).unwrap());
+        let sharded = ShardCoordinator::in_process(&g, ShardBackend::Seq, 2);
+        let mut two_shards = |p: &SearchParams| {
+            digest(&sharded.try_search(&g, &query, p, &budget, None).unwrap().outcome)
+        };
         assert_rejected(&mut two_shards);
         assert_eq!(two_shards(&good), want, "2 shards");
 
         let fleet = remote(&g, ShardBackend::Seq, 2);
-        let mut loopback =
-            |p: &SearchParams| digest(&fleet.try_search(&g, &query, p, &budget).unwrap().outcome);
+        let mut loopback = |p: &SearchParams| {
+            digest(&fleet.try_search(&g, &query, p, &budget, None).unwrap().outcome)
+        };
         assert_rejected(&mut loopback);
         assert_eq!(fleet.stats().rpcs, 0, "a bad query costs the fleet nothing");
         assert!(fleet.breaker_states().iter().all(|b| *b == BreakerState::Closed));
@@ -282,7 +236,7 @@ mod tests {
         let shards = 3;
         let r = remote(&g, ShardBackend::Seq, shards);
         let out = r
-            .try_search_tagged(&g, &query, &params, &QueryBudget::unlimited(), Some(42))
+            .try_search(&g, &query, &params, &QueryBudget::unlimited(), Some(42))
             .expect("unlimited budget");
         let trace = out.outcome.trace.expect("traced query carries a trace");
         assert_eq!(trace.qid, Some(42));
@@ -325,7 +279,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..RemoteOptions::default()
         };
-        let r = RemoteShardedSearch::new(
+        let r = ShardCoordinator::remote(
             &g,
             ShardBackend::Seq,
             2,
@@ -340,6 +294,7 @@ mod tests {
                 &query,
                 &SearchParams::default().with_average_distance(1.0),
                 &QueryBudget::unlimited(),
+                None,
             )
             .unwrap_err();
         assert_eq!(err.kind(), "shard_unavailable", "contract mismatch = unusable worker");

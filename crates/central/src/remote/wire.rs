@@ -1,10 +1,11 @@
-//! Message schema of the shard-worker protocol.
+//! Message schema of the shard protocol.
 //!
-//! Each RPC is one request frame answered by one response frame (see
-//! [`super::frame`] for the framing). Payloads are JSON documents; the
-//! opcode selects the message type, so the JSON never needs a type tag.
-//! The per-query RPC sequence mirrors the phases of the in-process round
-//! protocol ([`crate::shard::ShardedSearch`]) one-to-one:
+//! A coordinator channel exchanges one [`Request`] for one [`Response`]
+//! per RPC. An in-process link hands the typed message straight to the
+//! lane; the TCP link frames it (see [`super::frame`]) with its JSON
+//! document as payload — the opcode selects the message type, so the JSON
+//! never needs a type tag. The per-query RPC sequence is the round
+//! protocol of [`crate::shard`], one message pair per phase:
 //!
 //! | opcode | request → response | round-protocol phase |
 //! |---|---|---|
@@ -28,13 +29,15 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Version 3 ships rows as `(node, hits)` only and
-/// makes [`HelloOk::version`] and [`Start::spans`] mandatory. The
+/// Protocol revision. Version 4 ships the collected rows as two columns
+/// ([`CollectOk::nodes`], [`CollectOk::hits`]) instead of a struct per
+/// row; version 3 made [`HelloOk::version`] and [`Start::spans`]
+/// mandatory. The
 /// handshake is strict on both sides: a worker rejects any [`Hello`]
 /// whose revision (or partition contract) differs from its own with
 /// `bad_handshake`, and the coordinator drops a channel whose
 /// [`HelloOk`] echoes another revision or shard.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -80,6 +83,118 @@ pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
 pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload not UTF-8: {e}"))?;
     serde_json::from_str(text).map_err(|e| format!("payload schema mismatch: {}", e.0))
+}
+
+/// One RPC's request, typed: what a lane's handler takes, whichever link
+/// delivered it.
+#[derive(Debug)]
+pub enum Request {
+    /// Connection handshake.
+    Hello(Hello),
+    /// Health probe.
+    Ping,
+    /// Begin a query.
+    Start(Start),
+    /// Drain owned frontier flags.
+    Enqueue,
+    /// Identify central nodes at a level.
+    Identify(Identify),
+    /// Expand a level and scan the boundary.
+    Expand(Expand),
+    /// Apply the level's notification set.
+    Apply(Apply),
+    /// Ship rows for the top-down stage.
+    Collect(Collect),
+}
+
+impl Request {
+    /// The frame `(opcode, payload)` of this request.
+    pub fn encode(&self) -> (u8, Vec<u8>) {
+        match self {
+            Request::Hello(m) => (OP_HELLO, encode(m)),
+            Request::Ping => (OP_PING, Vec::new()),
+            Request::Start(m) => (OP_START, encode(m)),
+            Request::Enqueue => (OP_ENQUEUE, Vec::new()),
+            Request::Identify(m) => (OP_IDENTIFY, encode(m)),
+            Request::Expand(m) => (OP_EXPAND, encode(m)),
+            Request::Apply(m) => (OP_APPLY, encode(m)),
+            Request::Collect(m) => (OP_COLLECT, encode(m)),
+        }
+    }
+
+    /// The request a frame carries; an unknown opcode or a payload that is
+    /// not the opcode's message is an error.
+    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request, String> {
+        Ok(match opcode {
+            OP_HELLO => Request::Hello(decode(payload)?),
+            OP_PING => Request::Ping,
+            OP_START => Request::Start(decode(payload)?),
+            OP_ENQUEUE => Request::Enqueue,
+            OP_IDENTIFY => Request::Identify(decode(payload)?),
+            OP_EXPAND => Request::Expand(decode(payload)?),
+            OP_APPLY => Request::Apply(decode(payload)?),
+            OP_COLLECT => Request::Collect(decode(payload)?),
+            other => return Err(format!("unknown opcode {other}")),
+        })
+    }
+}
+
+/// One RPC's successful reply, typed. A failure is not a `Response`: a
+/// handler returns an error, which the TCP link carries as [`WireError`].
+#[derive(Debug, PartialEq)]
+pub enum Response {
+    /// Handshake acknowledgement.
+    HelloOk(HelloOk),
+    /// Health probe reply.
+    Pong,
+    /// Query accepted.
+    StartOk(StartOk),
+    /// Frontier count.
+    EnqueueOk(EnqueueOk),
+    /// Newly identified nodes.
+    IdentifyOk(IdentifyOk),
+    /// Boundary outbox and budget charge.
+    ExpandOk(ExpandOk),
+    /// Notifications applied.
+    ApplyOk,
+    /// Row shipment.
+    CollectOk(CollectOk),
+}
+
+impl Response {
+    /// The frame `(opcode, payload)` of this reply.
+    pub fn encode(&self) -> (u8, Vec<u8>) {
+        match self {
+            Response::HelloOk(m) => (OP_HELLO_OK, encode(m)),
+            Response::Pong => (OP_PONG, Vec::new()),
+            Response::StartOk(m) => (OP_START_OK, encode(m)),
+            Response::EnqueueOk(m) => (OP_ENQUEUE_OK, encode(m)),
+            Response::IdentifyOk(m) => (OP_IDENTIFY_OK, encode(m)),
+            Response::ExpandOk(m) => (OP_EXPAND_OK, encode(m)),
+            Response::ApplyOk => (OP_APPLY_OK, Vec::new()),
+            Response::CollectOk(m) => (OP_COLLECT_OK, encode(m)),
+        }
+    }
+
+    /// The reply a frame carries; a worker's [`WireError`] frame, an
+    /// unknown opcode or a mismatched payload is an error.
+    pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response, String> {
+        Ok(match opcode {
+            OP_HELLO_OK => Response::HelloOk(decode(payload)?),
+            OP_PONG => Response::Pong,
+            OP_START_OK => Response::StartOk(decode(payload)?),
+            OP_ENQUEUE_OK => Response::EnqueueOk(decode(payload)?),
+            OP_IDENTIFY_OK => Response::IdentifyOk(decode(payload)?),
+            OP_EXPAND_OK => Response::ExpandOk(decode(payload)?),
+            OP_APPLY_OK => Response::ApplyOk,
+            OP_COLLECT_OK => Response::CollectOk(decode(payload)?),
+            OP_ERROR => {
+                let e: WireError = decode(payload)?;
+                return Err(format!("worker error {}: {}", e.code, e.message));
+            }
+            other => return Err(format!("unknown reply opcode {other}")),
+        })
+    }
 }
 
 /// Connection handshake: the coordinator states the partition contract it
@@ -264,21 +379,17 @@ pub struct Collect {
     pub include_halos: bool,
 }
 
-/// One node's search-state row. A keyword node is a row holding a 0;
-/// central marks are the coordinator's own, so neither travels.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WireRow {
-    /// Global node id.
-    pub node: u32,
-    /// Hitting level per keyword instance (255 = unreached).
-    pub hits: Vec<u8>,
-}
-
-/// Collect reply.
+/// Collect reply: the rows with at least one finite hitting level, as two
+/// columns — a struct per row cost the coordinator an allocation per
+/// node. A keyword node is a row holding a 0; central marks are the
+/// coordinator's own, so neither travels.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CollectOk {
-    /// Rows with at least one finite hitting level.
-    pub rows: Vec<WireRow>,
+    /// Global ids of the shipped rows' nodes.
+    pub nodes: Vec<u32>,
+    /// The shipped rows, in `nodes` order, back to back: one hitting level
+    /// per keyword instance (255 = unreached), `nodes.len() × q` in all.
+    pub hits: Vec<u8>,
     /// The query ID from [`Start`], echoed back (absent when `Start`
     /// carried none).
     pub qid: Option<u64>,
@@ -316,9 +427,9 @@ mod tests {
         let back: ExpandOk = decode(&encode(&ok)).unwrap();
         assert_eq!(back, ok);
 
-        let row = WireRow { node: 5, hits: vec![0, 255] };
         let ok = CollectOk {
-            rows: vec![row.clone()],
+            nodes: vec![5],
+            hits: vec![0, 255],
             qid: Some(9),
             spans: Some(vec![ShardSpan { op: "collect".into(), ..ShardSpan::default() }]),
         };
@@ -341,11 +452,10 @@ mod tests {
         };
         let back: Start = decode(&encode(&start)).unwrap();
         assert_eq!((back.qid, back.spans), (None, false));
-        let ok =
-            CollectOk { rows: vec![WireRow { node: 1, hits: vec![0] }], qid: None, spans: None };
+        let ok = CollectOk { nodes: vec![1], hits: vec![0], qid: None, spans: None };
         let back: CollectOk = decode(&encode(&ok)).unwrap();
         assert_eq!(back, ok);
-        let bare: CollectOk = decode(br#"{"rows":[{"node":1,"hits":[0]}]}"#).unwrap();
+        let bare: CollectOk = decode(br#"{"nodes":[1],"hits":[0]}"#).unwrap();
         assert_eq!(bare, ok);
         // What v3 made mandatory is refused when missing, not defaulted.
         assert!(decode::<HelloOk>(br#"{"shard_index":1,"num_owned":10}"#).is_err());

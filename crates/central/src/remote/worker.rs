@@ -1,30 +1,33 @@
-//! The shard-worker side of the remote protocol.
+//! The shard-worker side of the protocol.
 //!
 //! A [`ShardWorker`] owns exactly one [`ShardPart`] of the deterministic
-//! partition — built locally via [`ShardPlan::build_part`] from the
-//! `(shards, seed)` contract, never shipped over the wire — and serves
-//! coordinator connections over TCP, one thread and one
-//! [`SearchState`] per connection. Each connection executes at most one
-//! query at a time as a sequence of phase RPCs (see [`super::wire`]);
-//! each handler runs the `crate::shard::ShardLane` method the in-process
-//! coordinator's fork-join runs for that phase — one implementation, which
-//! is what the remote-equivalence differential suite leans on.
+//! partition. A coordinator steps it through lanes: a `Conn` is one lane —
+//! one [`SearchState`], at most one query at a time, run as a sequence of
+//! typed phase requests (see [`super::wire`]), each handled by the
+//! `crate::shard::ShardLane` method of that phase. `Conn::handle` is
+//! transport-free, so the two links share every handler: an in-process
+//! coordinator owns its `Conn`s and calls it directly;
+//! [`ShardWorker::handle_connection`] is the far end of the TCP link, one
+//! thread per connection, and the only place a frame is read and decoded
+//! or a reply encoded and written. A worker process builds its part
+//! locally via [`ShardPlan::build_part`] from the `(shards, seed)`
+//! contract — sub-graphs never travel.
 //!
-//! The worker never enforces query budgets itself: it runs an unlimited
+//! A lane never enforces query budgets itself: it runs an unlimited
 //! counting tracker and reports per-level expansion charges back to the
 //! coordinator, which owns the query's real [`crate::QueryBudget`] and
-//! polls deadlines/caps at exactly the sequence points the in-process
-//! driver does. A stalled or runaway worker is therefore bounded by the
-//! coordinator's per-RPC timeouts, not by its own cooperation.
+//! polls deadlines/caps at the level's sequence points. A stalled or
+//! runaway worker process is therefore bounded by the coordinator's
+//! per-RPC timeouts, not by its own cooperation.
 //!
-//! Any protocol violation — undecodable payload, out-of-sequence opcode,
-//! oversized frame — earns one structured [`wire::WireError`] reply
-//! (when the stream is still writable) and the connection closes; the
-//! framing has no resync point. A worker connection failing can never
-//! corrupt another: every connection's state is private.
+//! Any protocol violation on a connection — undecodable payload,
+//! out-of-sequence opcode, oversized frame — earns one structured
+//! [`wire::WireError`] reply (when the stream is still writable) and the
+//! connection closes; the framing has no resync point. A worker connection
+//! failing can never corrupt another: every lane's state is private.
 
 use super::frame::{read_frame, write_frame};
-use super::wire::{self, Hello};
+use super::wire::{self, Hello, Request, Response};
 use crate::activation::{ActivationConfig, ActivationMap, ActivationTable};
 use crate::bottom_up::BottomUpScratch;
 use crate::model::INFINITE_LEVEL;
@@ -56,12 +59,26 @@ impl ShardWorker {
     /// Panics when `index >= shards` (same contract as
     /// [`ShardPlan::build_part`]).
     pub fn new(graph: &KnowledgeGraph, shards: usize, index: usize, seed: u64) -> ShardWorker {
+        let part = ShardPlan::build_part(graph, shards, seed, index);
+        ShardWorker::over(part, graph.num_nodes(), shards, index, seed)
+    }
+
+    /// The worker over `part`, already materialized as shard `index` of an
+    /// `N = shards` partition under `seed` of a `num_nodes`-node graph (an
+    /// in-process fleet cuts the whole plan once).
+    pub(crate) fn over(
+        part: ShardPart,
+        num_nodes: usize,
+        shards: usize,
+        index: usize,
+        seed: u64,
+    ) -> ShardWorker {
         ShardWorker {
-            part: ShardPlan::build_part(graph, shards, seed, index),
+            part,
             shards: shards as u32,
             index: index as u32,
             seed,
-            num_nodes: graph.num_nodes() as u64,
+            num_nodes: num_nodes as u64,
         }
     }
 
@@ -86,7 +103,7 @@ impl ShardWorker {
 
     /// Bind an ephemeral localhost listener, serve it on a detached
     /// thread, and return the bound address. The in-process test harness
-    /// for the remote path.
+    /// for the TCP link.
     pub fn spawn_local(
         graph: &KnowledgeGraph,
         shards: usize,
@@ -103,12 +120,13 @@ impl ShardWorker {
         addr
     }
 
-    /// Drive one coordinator connection to completion. Public so process
-    /// workers and in-process test workers share one code path.
-    pub fn handle_connection(&self, stream: TcpStream) {
+    /// Drive one coordinator connection to completion: read and decode a
+    /// frame, hand the request to the connection's lane, encode and write
+    /// the reply. Public so process workers and in-process test workers
+    /// share one code path.
+    pub fn handle_connection(self: &Arc<Self>, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
-        let mut conn = Conn::new(self);
-        let mut stream = stream;
+        let mut conn = Conn::new(Arc::clone(self), false);
         loop {
             let (opcode, payload) = match read_frame(&mut stream) {
                 Ok(Some(frame)) => frame,
@@ -123,14 +141,41 @@ impl ShardWorker {
             // The frame is fully read at this point: span wait time is
             // worker-side dispatch latency, never coordinator think time.
             let ready = Instant::now();
-            match conn.handle(&mut stream, opcode, &payload, ready) {
-                Ok(Flow::Continue) => {}
-                Ok(Flow::Close) => return,
-                Err(e) => {
-                    send_error(&mut stream, e.code, &e.message);
-                    return;
+            let request = match Request::decode(opcode, &payload) {
+                Ok(request) => request,
+                Err(e) => return send_error(&mut stream, "bad_frame", &e),
+            };
+            let decode_us = micros(ready, Instant::now());
+
+            // Network-shaped fault injection (test builds only): the chaos
+            // suite asks this worker to misbehave at the wire level.
+            #[cfg(feature = "fault-inject")]
+            if let Request::Start(start) = &request {
+                match crate::fault::network_fault(&start.query.to_query()) {
+                    Some(crate::fault::NetworkFault::Drop) => return,
+                    Some(crate::fault::NetworkFault::Stall(d)) => std::thread::sleep(d),
+                    Some(crate::fault::NetworkFault::Garbage) => {
+                        // An over-cap length header: the coordinator's frame
+                        // decoder rejects it deterministically.
+                        use std::io::Write as _;
+                        let _ = stream.write_all(&[0xFF, 0xFF, 0xFF, 0xFF, 0xEE]);
+                        return;
+                    }
+                    None => {}
                 }
             }
+
+            let wait_us = micros(ready, Instant::now()) - decode_us;
+            let response = match conn.handle(&request, Arrival { wait_us, decode_us }) {
+                Ok(response) => response,
+                Err(e) => return send_error(&mut stream, e.code, &e.message),
+            };
+            let handled = Instant::now();
+            let (opcode, payload) = response.encode();
+            if write_frame(&mut stream, opcode, &payload).is_err() {
+                return;
+            }
+            conn.sent(micros(handled, Instant::now()));
         }
     }
 }
@@ -141,18 +186,11 @@ fn send_error(stream: &mut TcpStream, code: &str, message: &str) {
     let _ = write_frame(stream, wire::OP_ERROR, &wire::encode(&err));
 }
 
-/// Whether the connection keeps serving after a frame.
-enum Flow {
-    Continue,
-    // Only the fault-injection arms close a healthy connection mid-stream.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-    Close,
-}
-
-/// A protocol failure that earns one error frame before closing.
-struct ConnError {
-    code: &'static str,
-    message: String,
+/// A protocol failure: over TCP it earns one error frame before the
+/// connection closes.
+pub(crate) struct ConnError {
+    pub(crate) code: &'static str,
+    pub(crate) message: String,
 }
 
 impl ConnError {
@@ -166,25 +204,29 @@ impl ConnError {
     }
 }
 
-/// Per-connection state: the search state and per-level buffers plus the
+/// One lane of a worker: the search state and per-level buffers plus the
 /// per-query execution knobs remembered from the last `Start`.
-struct Conn<'w> {
-    worker: &'w ShardWorker,
+pub(crate) struct Conn {
+    worker: Arc<ShardWorker>,
     greeted: bool,
+    /// Whether a `CPU-Par` query expands in a pool of the lane's own (a
+    /// worker process) or on the thread that steps the lane (in process,
+    /// where that is a thread of the coordinator's pool).
+    own_pool: bool,
     state: SearchState,
     scratch: BottomUpScratch,
     /// The part's activation levels under the last query's `α` and `A`.
     activation: ActivationTable,
     query: Option<QueryCtx>,
-    /// The in-flight query's kernel pool (`CPU-Par` only), rebuilt when a
-    /// query asks for a different thread count.
+    /// The in-flight query's kernel pool, rebuilt when a query asks for a
+    /// different thread count.
     pool: Option<(usize, rayon::ThreadPool)>,
 }
 
-/// Execution knobs of the in-flight query on a connection.
+/// Execution knobs of the in-flight query on a lane.
 struct QueryCtx {
     /// Explicit activation table remapped onto this shard's locals
-    /// (else the connection's [`ActivationTable`] applies).
+    /// (else the lane's [`ActivationTable`] applies).
     local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
@@ -200,45 +242,24 @@ fn micros(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_micros() as u64
 }
 
-/// The worker-side instants of one RPC, from which its [`ShardSpan`] is
-/// cut: frame fully read (`ready`), payload decode started and finished.
-/// A payload-less RPC has `decode_from == decode_done`.
-struct RpcClock {
-    ready: Instant,
-    decode_from: Instant,
-    decode_done: Instant,
+/// What the TCP link measured of an RPC before its handler ran: dispatch
+/// latency once the frame was fully read, and the payload's decode. Zero
+/// on an in-process link, which has no frame.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Arrival {
+    wait_us: u64,
+    decode_us: u64,
 }
 
-impl RpcClock {
-    /// Decode `payload` into its typed request, timing the decode.
-    fn decode<T: serde::Deserialize>(
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<(T, RpcClock), ConnError> {
-        let decode_from = Instant::now();
-        let req = wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))?;
-        Ok((req, RpcClock { ready, decode_from, decode_done: Instant::now() }))
-    }
-
-    /// The span of this RPC, whose phase finished executing at
-    /// `exec_done` and whose reply was on the wire at `sent`.
-    fn span(&self, op: &str, level: Option<u8>, exec_done: Instant, sent: Instant) -> ShardSpan {
-        ShardSpan {
-            op: op.to_string(),
-            level: level.map(u32::from),
-            wait_us: micros(self.ready, self.decode_from),
-            decode_us: micros(self.decode_from, self.decode_done),
-            exec_us: micros(self.decode_done, exec_done),
-            encode_us: micros(exec_done, sent),
-        }
-    }
-}
-
-impl<'w> Conn<'w> {
-    fn new(worker: &'w ShardWorker) -> Conn<'w> {
+impl Conn {
+    /// A lane of `worker`: owned by an in-process coordinator (`in_process`
+    /// — the partition contract holds by construction, so it starts
+    /// greeted), or the far end of a TCP connection, which must handshake.
+    pub(crate) fn new(worker: Arc<ShardWorker>, in_process: bool) -> Conn {
         Conn {
             worker,
-            greeted: false,
+            greeted: in_process,
+            own_pool: !in_process,
             state: SearchState::empty(),
             scratch: BottomUpScratch::default(),
             activation: ActivationTable::default(),
@@ -247,53 +268,73 @@ impl<'w> Conn<'w> {
         }
     }
 
-    fn handle(
+    /// The shard this lane serves.
+    #[cfg(test)]
+    pub(crate) fn shard(&self) -> usize {
+        self.worker.index as usize
+    }
+
+    /// Run one request against the lane. A phase of a span-traced query
+    /// also records its [`ShardSpan`], `arrival` being what the link
+    /// measured before the handler ran.
+    pub(crate) fn handle(
         &mut self,
-        stream: &mut TcpStream,
-        opcode: u8,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
-        match opcode {
-            wire::OP_HELLO => self.on_hello(stream, payload),
-            wire::OP_PING => {
-                reply(stream, wire::OP_PONG, &[])?;
-                Ok(Flow::Continue)
+        request: &Request,
+        arrival: Arrival,
+    ) -> Result<Response, ConnError> {
+        let entered = Instant::now();
+        let (op, level, mut response) = match request {
+            Request::Hello(hello) => return self.on_hello(hello),
+            Request::Ping => return Ok(Response::Pong),
+            Request::Start(start) => ("start", None, Response::StartOk(self.on_start(start)?)),
+            Request::Enqueue => {
+                let ok = wire::EnqueueOk { frontier: self.lane()?.0.enqueue() as u64 };
+                ("enqueue", None, Response::EnqueueOk(ok))
             }
-            wire::OP_START => self.on_start(stream, payload, ready),
-            wire::OP_ENQUEUE => self.on_enqueue(stream, ready),
-            wire::OP_IDENTIFY => self.on_identify(stream, payload, ready),
-            wire::OP_EXPAND => self.on_expand(stream, payload, ready),
-            wire::OP_APPLY => self.on_apply(stream, payload, ready),
-            wire::OP_COLLECT => self.on_collect(stream, payload, ready),
-            other => Err(ConnError::new("bad_frame", format!("unknown opcode {other}"))),
+            Request::Identify(req) => {
+                ("identify", Some(req.level), Response::IdentifyOk(self.on_identify(req)?))
+            }
+            Request::Expand(req) => {
+                ("expand", Some(req.level), Response::ExpandOk(self.on_expand(req)?))
+            }
+            Request::Apply(req) => {
+                self.lane()?.0.apply(req.level, &req.pairs);
+                ("apply", Some(req.level), Response::ApplyOk)
+            }
+            Request::Collect(req) => ("collect", None, Response::CollectOk(self.on_collect(req)?)),
+        };
+        let ctx = self.query.as_mut().expect("a phase handler found the query");
+        if let Some(spans) = ctx.spans.as_mut() {
+            spans.push(ShardSpan {
+                op: op.to_string(),
+                level: level.map(u32::from),
+                wait_us: arrival.wait_us,
+                decode_us: arrival.decode_us,
+                exec_us: micros(entered, Instant::now()),
+                encode_us: 0,
+            });
+        }
+        if let Response::CollectOk(ok) = &mut response {
+            // The spans ship inside the reply that ends them, so the
+            // collect span's own encode+write time cannot be self-reported
+            // (it reads 0); the coordinator attributes it to wire time.
+            ok.spans = ctx.spans.take();
+        }
+        Ok(response)
+    }
+
+    /// The reply to the last request took `encode_us` to encode and write:
+    /// stamp it on that request's span (the spans have left with a collect
+    /// reply, whose span keeps its 0).
+    fn sent(&mut self, encode_us: u64) {
+        let spans = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut());
+        if let Some(span) = spans.and_then(|spans| spans.last_mut()) {
+            span.encode_us = encode_us;
         }
     }
 
-    /// Encode and send a phase reply and, when the query is span-traced,
-    /// record the RPC's span including the measured encode+write time.
-    /// The query context is re-borrowed here so handlers can build their
-    /// reply with the context borrowed.
-    fn finish(
-        &mut self,
-        stream: &mut TcpStream,
-        opcode: u8,
-        payload: impl FnOnce() -> Vec<u8>,
-        clock: &RpcClock,
-        op: &str,
-        level: Option<u8>,
-    ) -> Result<Flow, ConnError> {
-        let exec_done = Instant::now();
-        reply(stream, opcode, &payload())?;
-        if let Some(spans) = self.query.as_mut().and_then(|ctx| ctx.spans.as_mut()) {
-            spans.push(clock.span(op, level, exec_done, Instant::now()));
-        }
-        Ok(Flow::Continue)
-    }
-
-    fn on_hello(&mut self, stream: &mut TcpStream, payload: &[u8]) -> Result<Flow, ConnError> {
-        let hello: Hello = wire::decode(payload).map_err(|e| ConnError::new("bad_frame", e))?;
-        let w = self.worker;
+    fn on_hello(&mut self, hello: &Hello) -> Result<Response, ConnError> {
+        let w = &self.worker;
         // The contract is strict, protocol revision included — a worker
         // must never serve a differently-cut partition or a coordinator
         // that frames its payloads differently.
@@ -304,54 +345,27 @@ impl<'w> Conn<'w> {
             num_nodes: w.num_nodes,
             seed: w.seed,
         };
-        if hello != expect {
+        if *hello != expect {
             return Err(ConnError::new(
                 "bad_handshake",
                 format!("partition contract mismatch: got {hello:?}, serving {expect:?}"),
             ));
         }
         self.greeted = true;
-        let ok = wire::HelloOk {
+        Ok(Response::HelloOk(wire::HelloOk {
             shard_index: w.index,
             num_owned: w.part.num_owned,
             version: wire::PROTOCOL_VERSION,
-        };
-        reply(stream, wire::OP_HELLO_OK, &wire::encode(&ok))?;
-        Ok(Flow::Continue)
+        }))
     }
 
-    fn on_start(
-        &mut self,
-        stream: &mut TcpStream,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
+    fn on_start(&mut self, start: &wire::Start) -> Result<wire::StartOk, ConnError> {
         if !self.greeted {
             return Err(ConnError::new("bad_sequence", "START before HELLO"));
         }
-        let (start, clock): (wire::Start, _) = RpcClock::decode(payload, ready)?;
         let query = start.query.to_query();
-
-        // Network-shaped fault injection (test builds only): the chaos
-        // suite asks this worker to misbehave at the wire level.
-        #[cfg(feature = "fault-inject")]
-        if let Some(fault) = crate::fault::network_fault(&query) {
-            match fault {
-                crate::fault::NetworkFault::Drop => return Ok(Flow::Close),
-                crate::fault::NetworkFault::Stall(d) => std::thread::sleep(d),
-                crate::fault::NetworkFault::Garbage => {
-                    // An over-cap length header: the coordinator's frame
-                    // decoder rejects it deterministically.
-                    use std::io::Write as _;
-                    let _ = stream.write_all(&[0xFF, 0xFF, 0xFF, 0xFF, 0xEE]);
-                    return Ok(Flow::Close);
-                }
-            }
-        }
-
         let part = &self.worker.part;
-        let local = part.localize_query(&query);
-        self.state.begin_query(part.graph.num_nodes(), &local);
+        self.state.begin_query(part.graph.num_nodes(), &part.localize_query(&query));
         let threads = (start.threads as usize).max(1);
         let backend = [ShardBackend::Seq, ShardBackend::ParCpu(threads)]
             .into_iter()
@@ -359,9 +373,10 @@ impl<'w> Conn<'w> {
             .ok_or_else(|| {
                 ConnError::new("bad_sequence", format!("unknown backend {:?}", start.backend))
             })?;
-        // A parallel kernel runs inside a connection-local pool sized to the
-        // query's thread request, (re)built only when the size changes.
-        if backend == ShardBackend::Seq {
+        // A worker process runs a parallel kernel inside a lane-local pool
+        // sized to the query's thread request, (re)built only when the size
+        // changes.
+        if backend == ShardBackend::Seq || !self.own_pool {
             self.pool = None;
         } else if self.pool.as_ref().map(|(t, _)| *t) != Some(threads) {
             self.pool = Some((threads, crate::engine::build_pool(threads)));
@@ -380,18 +395,14 @@ impl<'w> Conn<'w> {
             // Spans are recorded only when the coordinator asked for them.
             spans: start.spans.then(Vec::new),
         });
-        let ok = wire::StartOk { keywords: query.num_keywords() as u32 };
-        self.finish(stream, wire::OP_START_OK, || wire::encode(&ok), &clock, "start", None)
+        Ok(wire::StartOk { keywords: query.num_keywords() as u32 })
     }
 
-    /// This connection's lane of the in-flight query (the same
-    /// [`ShardLane`] the in-process coordinator steps) and its kernel
-    /// pool.
+    /// This lane's slice of the in-flight query and its kernel pool.
     fn lane(&mut self) -> Result<(ShardLane<'_>, Option<&rayon::ThreadPool>), ConnError> {
-        let part = &self.worker.part;
         let ctx = self.query.as_ref().ok_or_else(ConnError::before_start)?;
         let lane = ShardLane {
-            part,
+            part: &self.worker.part,
             state: &self.state,
             act: ActivationMap(ctx.local_act.as_deref().unwrap_or(self.activation.current())),
             budget: &ctx.tracker,
@@ -400,100 +411,46 @@ impl<'w> Conn<'w> {
         Ok((lane, self.pool.as_ref().map(|(_, pool)| pool)))
     }
 
-    fn on_enqueue(&mut self, stream: &mut TcpStream, ready: Instant) -> Result<Flow, ConnError> {
-        let entered = Instant::now();
-        let clock = RpcClock { ready, decode_from: entered, decode_done: entered };
-        let ok = wire::EnqueueOk { frontier: self.lane()?.0.enqueue() as u64 };
-        self.finish(stream, wire::OP_ENQUEUE_OK, || wire::encode(&ok), &clock, "enqueue", None)
-    }
-
-    fn on_identify(
-        &mut self,
-        stream: &mut TcpStream,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
-        let (req, clock): (wire::Identify, _) = RpcClock::decode(payload, ready)?;
+    fn on_identify(&mut self, req: &wire::Identify) -> Result<wire::IdentifyOk, ConnError> {
         let (mut lane, _) = self.lane()?;
         let (new_hits, deferred) = lane.identify(req.level, req.traced);
-        let ok = wire::IdentifyOk {
+        Ok(wire::IdentifyOk {
             newly: lane.newly().collect(),
             new_hits: new_hits as u64,
             deferred: deferred as u64,
-        };
-        let level = Some(req.level);
-        self.finish(stream, wire::OP_IDENTIFY_OK, || wire::encode(&ok), &clock, "identify", level)
+        })
     }
 
-    fn on_expand(
-        &mut self,
-        stream: &mut TcpStream,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
-        let (req, clock): (wire::Expand, _) = RpcClock::decode(payload, ready)?;
+    fn on_expand(&mut self, req: &wire::Expand) -> Result<wire::ExpandOk, ConnError> {
         let (mut lane, pool) = self.lane()?;
         let outbox = lane.expand(req.level, pool).to_vec();
         let ctx = self.query.as_mut().expect("lane() found the query");
         let total = ctx.tracker.expansions();
         let ok = wire::ExpandOk { outbox, charged: total - ctx.charged_mark };
         ctx.charged_mark = total;
-        let level = Some(req.level);
-        self.finish(stream, wire::OP_EXPAND_OK, || wire::encode(&ok), &clock, "expand", level)
+        Ok(ok)
     }
 
-    fn on_apply(
-        &mut self,
-        stream: &mut TcpStream,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
-        let (req, clock): (wire::Apply, _) = RpcClock::decode(payload, ready)?;
-        self.lane()?.0.apply(req.level, &req.pairs);
-        self.finish(stream, wire::OP_APPLY_OK, Vec::new, &clock, "apply", Some(req.level))
-    }
-
-    fn on_collect(
-        &mut self,
-        stream: &mut TcpStream,
-        payload: &[u8],
-        ready: Instant,
-    ) -> Result<Flow, ConnError> {
-        let (req, clock): (wire::Collect, _) = RpcClock::decode(payload, ready)?;
+    fn on_collect(&mut self, req: &wire::Collect) -> Result<wire::CollectOk, ConnError> {
         let (part, state) = (&self.worker.part, &self.state);
-        let ctx = self.query.as_mut().ok_or_else(ConnError::before_start)?;
+        let ctx = self.query.as_ref().ok_or_else(ConnError::before_start)?;
         let limit = if req.include_halos {
             part.locals.len()
         } else {
             part.num_owned as usize
         };
-        let mut rows = Vec::new();
-        let mut hits = vec![INFINITE_LEVEL; state.num_keywords()];
+        let (mut nodes, mut hits) = (Vec::new(), Vec::new());
+        let mut row = vec![INFINITE_LEVEL; state.num_keywords()];
         for l in 0..limit as u32 {
-            state.row_into(l, &mut hits);
-            if hits.iter().all(|&h| h == INFINITE_LEVEL) {
+            state.row_into(l, &mut row);
+            if row.iter().all(|&h| h == INFINITE_LEVEL) {
                 continue; // untouched row: the coordinator defaults it
             }
-            rows.push(wire::WireRow { node: part.locals[l as usize], hits: hits.clone() });
+            nodes.push(part.locals[l as usize]);
+            hits.extend_from_slice(&row);
         }
-        let qid = ctx.qid;
-        let mut spans = ctx.spans.take();
-        if let Some(spans) = spans.as_mut() {
-            // This span ships inside the reply it measures, so its own
-            // encode+write time cannot be self-reported (it reads 0); the
-            // coordinator attributes it to wire time.
-            let exec_done = Instant::now();
-            spans.push(clock.span("collect", None, exec_done, exec_done));
-        }
-        let ok = wire::CollectOk { rows, qid, spans };
-        reply(stream, wire::OP_COLLECT_OK, &wire::encode(&ok))?;
-        Ok(Flow::Continue)
+        Ok(wire::CollectOk { nodes, hits, qid: ctx.qid, spans: None })
     }
-}
-
-fn reply(stream: &mut TcpStream, opcode: u8, payload: &[u8]) -> Result<(), ConnError> {
-    write_frame(stream, opcode, payload)
-        .map_err(|e| ConnError::new("internal", format!("reply failed: {e}")))
 }
 
 /// Read one frame, failing on EOF (used by clients that expect a reply).

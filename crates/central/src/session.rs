@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn top_down_scratch_reuse_matches_fresh_state() {
         use crate::engine::{digest, DynParEngine, GpuStyleEngine, ParCpuEngine};
-        use crate::{QueryBudget, ShardBackend, ShardedSearch};
+        use crate::{QueryBudget, ShardBackend, ShardCoordinator};
 
         let mut cfg = datagen::synthetic::SyntheticConfig::tiny(77);
         cfg.num_entities = 500;
@@ -196,16 +196,17 @@ mod tests {
             }
         }
 
-        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
+        let sharded = ShardCoordinator::in_process(&g, ShardBackend::Seq, 2);
+        let budget = QueryBudget::unlimited();
         for (q, want) in queries.iter().zip(&fresh) {
-            let out = sharded.try_search(&g, q, &params, &QueryBudget::unlimited());
-            assert_eq!(&digest(&out.expect("unlimited budget")), want, "2 shards");
+            let out = sharded.try_search(&g, q, &params, &budget, None).expect("unlimited budget");
+            assert_eq!(&digest(&out.outcome), want, "2 shards");
         }
-        // Pooled shard sessions and the coordinator's own table.
+        // Pooled shard lanes and the coordinator's own table.
         for (&(graph, params, _), want) in steps.iter().zip(&fresh_steps) {
             if std::ptr::eq(graph, &g) {
-                let out = sharded.try_search(&g, &queries[0], params, &QueryBudget::unlimited());
-                assert_eq!(&digest(&out.expect("unlimited budget")), want, "2 shards");
+                let out = sharded.try_search(&g, &queries[0], params, &budget, None);
+                assert_eq!(&digest(&out.expect("unlimited budget").outcome), want, "2 shards");
             }
         }
     }

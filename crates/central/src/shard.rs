@@ -1,16 +1,17 @@
-//! In-process sharded scatter-gather search: an edge-cut graph
-//! partitioner with boundary-node replication, per-shard local search over
-//! the existing session machinery, and a level-synchronous coordinator
-//! that exchanges frontier/hitting-level state across shard boundaries
-//! between BFS rounds.
+//! Sharded scatter-gather search: an edge-cut graph partitioner with
+//! boundary-node replication, per-shard local search over one lane of
+//! state per shard, and the level-synchronous round protocol that
+//! exchanges frontier/hitting-level state across shard boundaries between
+//! BFS rounds.
 //!
-//! This is phase 1 of the distributed design sketched by DKWS
-//! (arXiv:2309.01199): every shard runs the paper's two-stage algorithm
-//! *locally* on its sub-graph, and the only cross-shard traffic is the
-//! per-round exchange of newly hit boundary cells. Because all shards
-//! live in one process, "traffic" here is a vector of `(node, instance)`
-//! pairs — but the protocol (scatter, local expand, boundary exchange,
-//! merge) is exactly what a cross-process split will reuse.
+//! This is the distributed design sketched by DKWS (arXiv:2309.01199):
+//! every shard runs the paper's two-stage algorithm *locally* on its
+//! sub-graph, and the only cross-shard traffic is the per-round exchange
+//! of newly hit boundary cells. This module holds what a shard is — the
+//! partitioner ([`ShardPlan`]) and the per-shard half of every phase
+//! (`ShardLane`); the one coordinator that drives the lanes, in this
+//! process or in worker processes over TCP, is
+//! [`crate::remote::ShardCoordinator`].
 //!
 //! ## Partitioning ([`ShardPlan`])
 //!
@@ -33,13 +34,13 @@
 //! * the **boundary** (frontier-exchange) table: local ids of every node
 //!   replicated in more than one shard.
 //!
-//! ## The round protocol ([`ShardedSearch`])
+//! ## The round protocol
 //!
 //! The level loop itself is [`crate::bottom_up::drive`]; the coordinator
-//! only implements its [`crate::bottom_up::LevelOps`] seam, each phase a
-//! fork-join over the shard lanes (the global level barrier). The
-//! per-shard half of every step is a `ShardLane` method, which a remote
-//! shard worker ([`crate::remote`]) runs unchanged behind its RPCs:
+//! only implements its [`crate::bottom_up::LevelOps`] seam, each phase one
+//! request swept over the shard lanes at once (the global level barrier).
+//! The per-shard half of every step is a `ShardLane` method, which a
+//! lane's handler runs behind the request whichever link delivered it:
 //!
 //! 1. **enqueue** (parallel, `ShardLane::enqueue`): each shard drains
 //!    the frontier flags of its *owned* nodes — every global frontier node
@@ -49,17 +50,19 @@
 //!    frontiers; the owner's replica always holds the complete `M` row
 //!    (see the sync invariant below).
 //! 3. **merge** (coordinator): per-shard cohorts (`ShardLane::newly`)
-//!    map back to global ids and merge in ascending order — the same
+//!    arrive as global ids and merge in ascending order — the same
 //!    within-level order the monolithic frontier scan produces.
 //! 4. **expand** (parallel, `ShardLane::expand`): the frontier-grained
 //!    kernel runs over each shard's owned frontiers against its
-//!    local sub-graph, charging the one shared
-//!    [`crate::budget::BudgetTracker`]; then the shard scans its boundary
-//!    table for cells that became `level + 1` this round into its outbox.
+//!    local sub-graph, charging the lane's own counting
+//!    [`crate::budget::BudgetTracker`] (the coordinator charges the sum
+//!    against the query's at the level's sequence point); then the shard
+//!    scans its boundary table for cells that became `level + 1` this
+//!    round into its outbox.
 //! 5. **exchange** (coordinator, `ExchangeCounters::exchange` then
 //!    `ShardLane::apply`): the coordinator dedups the union of the
-//!    outboxes and broadcasts each surviving `(node, instance)` pair to
-//!    every holder whose replica still reads `∞`.
+//!    outboxes and broadcasts the surviving `(node, instance)` pairs;
+//!    each lane applies those whose replica it holds and still reads `∞`.
 //!
 //! The dedup in step 5 is the synchronous degenerate form of DKWS's
 //! monotone upper-bound pruning: in a level-synchronous search every
@@ -76,43 +79,35 @@
 //! with equal-valued writes (Theorem V.2 of the paper, unchanged).
 //! Identification therefore sees exactly the monolithic `M`, and the
 //! byte-identity of answers, stats and traces follows — which is what the
-//! `shard_equivalence` differential suite pins.
+//! `shard_equivalence` and `remote_equivalence` differential suites pin.
 //!
 //! ## Top-down
 //!
 //! Extraction and pruning run over the *global* graph and the one
 //! [`crate::state::HitBlock`] every shape hands the stage: the coordinator
-//! gathers each shard's *owned* rows (authoritative by the sync invariant)
-//! into it through `locals[..num_owned]`, so the top-down stage is
-//! byte-for-byte the monolithic one.
+//! collects each shard's *owned* rows (authoritative by the sync
+//! invariant) into it, so the top-down stage is byte-for-byte the
+//! monolithic one.
 //!
 //! ## Serving semantics
 //!
-//! One query checks out one session per shard (each shard has its own
-//! [`SessionPool`]); a panic unwinding through the coordinator quarantines
-//! all of them, so the facade's panic-isolation contract survives
-//! sharding (`quarantined` grows by `N` per poisoned query, which the
-//! sharded soak test accounts for exactly). Budgets and deadlines are
-//! enforced by the single shared tracker at the same points the
-//! monolithic driver polls it. A shard runs the frontier-grained matrix
-//! kernel, sequentially or (`cpu`, in a remote worker's pool) dynamically
-//! scheduled — [`ShardBackend`] has no other member: `GPU-Par` and
-//! `CPU-Par-d` exist as solo engines only.
+//! One query holds one lane per shard for its whole run; a panic
+//! unwinding through the coordinator drops all of them instead of
+//! returning them to the freelists, so the facade's panic-isolation
+//! contract survives sharding. Budgets and deadlines are judged on the
+//! query's tracker at the level boundaries the monolithic driver polls it
+//! at. A shard runs the frontier-grained matrix kernel, sequentially or
+//! (`cpu`, in a worker process's pool) dynamically scheduled —
+//! [`ShardBackend`] has no other member: `GPU-Par` and `CPU-Par-d` exist
+//! as solo engines only.
 
-use crate::activation::{ActivationConfig, ActivationMap};
-use crate::bottom_up::{self, BottomUpScratch, ExpandCtx, LevelOps, LevelRun, PreFlight};
-use crate::budget::{BudgetTracker, QueryBudget};
-use crate::engine::SearchOutcome;
-use crate::error::SearchError;
+use crate::activation::ActivationMap;
+use crate::bottom_up::{self, BottomUpScratch, ExpandCtx};
+use crate::budget::BudgetTracker;
 use crate::model::INFINITE_LEVEL;
-use crate::pool::{PoolStats, SessionPool};
-use crate::session::SearchSession;
 use crate::state::SearchState;
-use crate::top_down;
-use crate::SearchParams;
 use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 use textindex::{KeywordGroup, ParsedQuery};
 
 /// Default ownership-hash seed. Any fixed seed yields a valid (and
@@ -121,8 +116,8 @@ pub const DEFAULT_PARTITION_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer — a cheap, well-mixed hash for node→shard
 /// assignment. Deterministic across runs and platforms. Shared with the
-/// remote coordinator, which replays the ownership hash when merging
-/// degraded-mode row collections.
+/// coordinator, which replays the ownership hash when merging collected
+/// rows.
 #[inline]
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -323,12 +318,11 @@ impl ShardPlan {
     }
 }
 
-/// How a sharded or remote search schedules its kernels: the two
-/// schedulings of the frontier-grained matrix kernel, under the solo
-/// engines' names. In process every lane expands on its fork-join thread
-/// either way (the threads size the coordinator's pool, which also runs
-/// the top-down stage); a remote worker expands `ParCpu` in a pool of its
-/// own.
+/// How a sharded search schedules its kernels: the two schedulings of the
+/// frontier-grained matrix kernel, under the solo engines' names. An
+/// in-process lane expands on the thread that steps it either way (the
+/// threads size the coordinator's pool, which also runs the top-down
+/// stage); a worker process expands `ParCpu` in a pool of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardBackend {
     /// Sequential expansion per shard (shards still run concurrently).
@@ -356,8 +350,7 @@ impl ShardBackend {
     }
 }
 
-/// Cross-query counters of the boundary exchange, shared by the
-/// in-process and the remote coordinator.
+/// Cross-query counters of the boundary exchange.
 #[derive(Default)]
 pub(crate) struct ExchangeCounters {
     /// BFS rounds that ran an expansion + exchange step.
@@ -384,7 +377,8 @@ impl ExchangeCounters {
     }
 }
 
-/// A monitoring snapshot of a [`ShardedSearch`] (`STATS` / `METRICS`).
+/// Shard count and boundary-exchange counters of a
+/// [`crate::remote::ShardCoordinator`] (`STATS` / `METRICS`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
 pub struct ShardedStats {
     /// Number of shards.
@@ -395,21 +389,17 @@ pub struct ShardedStats {
     pub notifications: u64,
     /// Boundary notifications suppressed by the monotone-bound dedup.
     pub notifications_suppressed: u64,
-    /// Per-shard session-pool counters, summed over all shards.
-    pub pools: PoolStats,
 }
 
 /// One shard's slice of an in-flight query — the per-shard bodies of the
-/// round protocol's phases, run identically by the in-process
-/// coordinator's fork-join and by a remote worker's RPC handlers.
+/// round protocol's phases, run by a lane's request handlers.
 pub(crate) struct ShardLane<'a> {
     pub(crate) part: &'a ShardPart,
     pub(crate) state: &'a SearchState,
     pub(crate) act: ActivationMap<'a>,
-    /// The tracker expansion charges: the query's own in-process, a
-    /// worker-local metering one remotely.
+    /// The tracker expansion charges: the lane's own metering one.
     pub(crate) budget: &'a BudgetTracker,
-    /// Warm per-level buffers (the shard session's, or the connection's).
+    /// Warm per-level buffers (the lane's).
     pub(crate) scratch: &'a mut BottomUpScratch,
 }
 
@@ -441,7 +431,7 @@ impl ShardLane<'_> {
     }
 
     /// Expand the owned frontiers against the local sub-graph (in `pool`,
-    /// a remote worker's, or on the caller's thread), then scan
+    /// a worker process's, or on the caller's thread), then scan
     /// the boundary table for cells that became `level + 1` this round —
     /// whether written into an owned node or into a halo replica — and
     /// return them as this shard's outbox of `(global node, instance)`.
@@ -479,230 +469,12 @@ impl ShardLane<'_> {
     }
 }
 
-/// Scatter-gather coordinator over an in-process [`ShardPlan`]: scatters
-/// a query to all shards, drives the round protocol, and merges per-shard
-/// candidates into the monolithic top-(k,d) answer set. See the module
-/// docs for the protocol and its identity argument.
-pub struct ShardedSearch {
-    plan: ShardPlan,
-    pools: Vec<SessionPool>,
-    compute: rayon::ThreadPool,
-    name: String,
-    counters: ExchangeCounters,
-    /// The sessions whose activation table and top-down scratch serve the
-    /// stage over the *global* graph (the per-shard sessions are sized for
-    /// their parts); their matrix state is never armed.
-    pub(crate) stage: SessionPool,
-}
-
-impl ShardedSearch {
-    /// Partition `graph` into `shards` parts (default seed) and set up
-    /// one session pool per shard plus a shared compute pool sized for
-    /// `max(backend threads, shards)` workers.
-    pub fn new(graph: &KnowledgeGraph, backend: ShardBackend, shards: usize) -> ShardedSearch {
-        assert!(shards >= 1, "sharded search needs at least one shard");
-        let plan = ShardPlan::build(graph, shards, DEFAULT_PARTITION_SEED);
-        let pools = (0..shards).map(|_| SessionPool::new()).collect();
-        let compute = crate::engine::build_pool(backend.threads().max(shards));
-        let name = format!("{}[shards={shards}]", backend.base_name());
-        ShardedSearch {
-            plan,
-            pools,
-            compute,
-            name,
-            counters: ExchangeCounters::default(),
-            stage: SessionPool::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.plan.shards
-    }
-
-    /// The partition, for introspection and tests.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Engine display name carried on traces (`"CPU-Par[shards=4]"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Monitoring snapshot: round/notification counters plus the summed
-    /// per-shard pool counters.
-    pub fn stats(&self) -> ShardedStats {
-        let mut pools = PoolStats::default();
-        for p in &self.pools {
-            let s = p.stats();
-            pools.queries_run += s.queries_run;
-            pools.sessions_created += s.sessions_created;
-            pools.idle_sessions += s.idle_sessions;
-            pools.in_flight += s.in_flight;
-            pools.quarantined += s.quarantined;
-        }
-        ShardedStats {
-            shards: self.plan.shards,
-            rounds: self.counters.rounds.load(Ordering::Relaxed),
-            notifications: self.counters.notifications.load(Ordering::Relaxed),
-            notifications_suppressed: self.counters.suppressed.load(Ordering::Relaxed),
-            pools,
-        }
-    }
-
-    /// Run one budgeted sharded search. Same contract as
-    /// [`crate::engine::KeywordSearchEngine::try_search_session`]: a
-    /// tripped budget returns `Err` and never a partial answer set, and a
-    /// panic unwinding through the search quarantines every shard
-    /// session it had checked out.
-    ///
-    /// # Panics
-    /// Panics if `params` fail [`SearchParams::validate`].
-    pub fn try_search(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &ParsedQuery,
-        params: &SearchParams,
-        budget: &QueryBudget,
-    ) -> Result<SearchOutcome, SearchError> {
-        // One session per shard, checked out for the whole query: a panic
-        // from here on unwinds through all the guards and quarantines the
-        // whole cohort (PooledSession::drop sees thread::panicking()).
-        let mut sessions: Vec<_> = self.pools.iter().map(|p| p.checkout()).collect();
-        let tracker =
-            match bottom_up::pre_flight(query, params, budget, &self.name, graph.num_nodes()) {
-                PreFlight::Run(tracker) => tracker,
-                PreFlight::Done(verdict) => return verdict,
-            };
-        let mut run = LevelRun::new(params, &tracker);
-
-        // Scatter: localize the query per shard (halo sources included)
-        // and re-arm every shard session.
-        let t = Instant::now();
-        for (session, part) in sessions.iter_mut().zip(&self.plan.parts) {
-            session.state.begin_query(part.graph.num_nodes(), &part.localize_query(query));
-            session.queries_run += 1;
-        }
-
-        // Explicit activation tables remap global → local per shard.
-        let explicit = params.explicit_activation.as_ref().map(|levels| levels.as_slice());
-        let local_acts: Vec<Option<Vec<u8>>> =
-            self.plan.parts.iter().map(|p| p.localize_activation(explicit)).collect();
-        let config = ActivationConfig::for_params(params);
-        let lanes = sessions
-            .iter_mut()
-            .zip(self.plan.parts.iter().zip(&local_acts))
-            .map(|(session, (part, local_act))| {
-                let SearchSession { state, scratch, activation, .. } = &mut **session;
-                parking_lot::Mutex::new(ShardLane {
-                    part,
-                    state,
-                    // The localized explicit table, else the shard
-                    // session's own over the local sub-graph (whose
-                    // weights are the global ones).
-                    act: ActivationMap(match local_act {
-                        Some(levels) => levels,
-                        None => activation.levels(&part.graph, config),
-                    }),
-                    budget: &tracker,
-                    scratch,
-                })
-            })
-            .collect();
-        run.profile.init = t.elapsed();
-        let mut ops = ShardOps { search: self, lanes, pairs: Vec::new() };
-        bottom_up::drive(&mut ops, &mut run)?;
-
-        // Top-down over the *global* graph and the owners' rows —
-        // byte-for-byte the monolithic stage.
-        let mut stage = self.stage.checkout();
-        let SearchSession { activation, top_down: stage2, .. } = &mut *stage;
-        run.timed_fill(|| {
-            stage2.hits.unhit(graph.num_nodes(), query.num_keywords());
-            for lane in &ops.lanes {
-                let ShardLane { part, state, .. } = *lane.lock();
-                for (l, &v) in part.locals[..part.num_owned as usize].iter().enumerate() {
-                    state.row_into(l as u32, stage2.hits.row_mut(v));
-                }
-            }
-        });
-        let global_act = activation.for_params(graph, params);
-        run.finish(&self.name, graph, Some(&self.compute), stage2, |hits, j, sink| {
-            top_down::hitting_path_preds(graph, &global_act, hits, j, sink)
-        })
-    }
-}
-
-/// The in-process sharded [`LevelOps`]: every phase is a fork-join over
-/// the shard lanes (the global level barrier), the exchange an in-memory
-/// outbox union. Each lane sits behind an uncontended mutex so pool
-/// workers can step it (exactly one worker touches a lane per phase).
-struct ShardOps<'a> {
-    search: &'a ShardedSearch,
-    lanes: Vec<parking_lot::Mutex<ShardLane<'a>>>,
-    /// The round's notification set (capacity kept across rounds).
-    pairs: Vec<(u32, u32)>,
-}
-
-impl ShardOps<'_> {
-    /// Run `phase` on every lane concurrently; results in shard order.
-    fn fork<R: Send>(&self, phase: impl Fn(&mut ShardLane<'_>) -> R + Sync) -> Vec<R> {
-        use rayon::prelude::*;
-        self.search.compute.install(|| {
-            (0..self.lanes.len())
-                .into_par_iter()
-                .map(|s| phase(&mut self.lanes[s].lock()))
-                .collect()
-        })
-    }
-}
-
-impl LevelOps for ShardOps<'_> {
-    type Error = SearchError;
-
-    fn enqueue(&mut self) -> Result<usize, SearchError> {
-        Ok(self.fork(|lane| lane.enqueue()).iter().sum())
-    }
-
-    /// Per-shard cohorts map back to global ids and merge in ascending
-    /// order — the within-level order of the monolithic frontier scan.
-    fn identify(
-        &mut self,
-        level: u8,
-        traced: bool,
-        newly: &mut Vec<u32>,
-    ) -> Result<(usize, usize), SearchError> {
-        let observed = self.fork(|lane| lane.identify(level, traced));
-        for lane in &self.lanes {
-            newly.extend(lane.lock().newly());
-        }
-        newly.sort_unstable();
-        Ok(observed.iter().fold((0, 0), |sum, o| (sum.0 + o.0, sum.1 + o.1)))
-    }
-
-    /// Expand every lane, then exchange: broadcast the deduped union of
-    /// the outboxes to every replica still reading `∞`.
-    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
-        self.fork(|lane| {
-            lane.expand(level, None);
-        });
-        self.pairs.clear();
-        for lane in &self.lanes {
-            self.pairs.extend_from_slice(&lane.lock().scratch.outbox);
-        }
-        self.search.counters.exchange(&mut self.pairs);
-        for lane in &self.lanes {
-            lane.lock().apply(level, &self.pairs);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
+    use crate::remote::ShardCoordinator;
+    use crate::{QueryBudget, SearchParams};
     use kgraph::GraphBuilder;
     use std::collections::{HashMap, HashSet};
     use textindex::InvertedIndex;
@@ -929,11 +701,12 @@ mod tests {
             let query = ParsedQuery::parse(&idx, raw);
             let mono = SeqEngine::new().search(&g, &query, &params);
             for shards in [1, 2, 3, 4, 8] {
-                let sharded = ShardedSearch::new(&g, ShardBackend::Seq, shards);
+                let sharded = ShardCoordinator::in_process(&g, ShardBackend::Seq, shards);
                 let out = sharded
-                    .try_search(&g, &query, &params, &QueryBudget::unlimited())
+                    .try_search(&g, &query, &params, &QueryBudget::unlimited(), None)
                     .expect("unlimited budget");
-                assert_eq!(digest(&out), digest(&mono), "query {raw:?}, {shards} shards");
+                assert!(!out.degraded);
+                assert_eq!(digest(&out.outcome), digest(&mono), "query {raw:?}, {shards} shards");
             }
         }
     }
@@ -947,42 +720,24 @@ mod tests {
             .with_trace(crate::trace::TraceLevel::Full);
         let query = ParsedQuery::parse(&idx, "alpha omega");
         let mono = SeqEngine::new().search(&g, &query, &params);
-        let sharded = ShardedSearch::new(&g, ShardBackend::ParCpu(2), 3);
+        let sharded = ShardCoordinator::in_process(&g, ShardBackend::ParCpu(2), 3);
         let out = sharded
-            .try_search(&g, &query, &params, &QueryBudget::unlimited())
+            .try_search(&g, &query, &params, &QueryBudget::unlimited(), None)
             .expect("unlimited budget");
-        let (mt, st) = (mono.trace.unwrap(), out.trace.unwrap());
+        let (mt, st) = (mono.trace.unwrap(), out.outcome.trace.unwrap());
         assert_eq!(st.levels, mt.levels, "per-level records must match");
         assert_eq!(st.total_expansions, mt.total_expansions);
         assert_eq!(st.terminated, mt.terminated);
         assert_eq!(st.keywords, mt.keywords);
         assert_eq!(st.engine, "CPU-Par[shards=3]");
-    }
-
-    #[test]
-    fn sessions_check_back_in_after_each_query() {
-        let g = fixture();
-        let idx = InvertedIndex::build(&g);
-        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 4);
-        let query = ParsedQuery::parse(&idx, "alpha omega");
-        let params = SearchParams::default().with_average_distance(1.0);
-        for _ in 0..3 {
-            sharded.try_search(&g, &query, &params, &QueryBudget::unlimited()).unwrap();
-        }
-        let stats = sharded.stats();
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.pools.sessions_created, 4, "one warm session per shard");
-        assert_eq!(stats.pools.idle_sessions, 4);
-        assert_eq!(stats.pools.in_flight, 0);
-        assert_eq!(stats.pools.queries_run, 12, "3 queries × 4 shard sessions");
-        assert!(stats.rounds > 0);
+        assert_eq!(st.shard_timelines, None, "timelines are the TCP link's");
     }
 
     #[test]
     fn expired_deadline_fails_without_partial_answers() {
         let g = fixture();
         let idx = InvertedIndex::build(&g);
-        let sharded = ShardedSearch::new(&g, ShardBackend::Seq, 2);
+        let sharded = ShardCoordinator::in_process(&g, ShardBackend::Seq, 2);
         let query = ParsedQuery::parse(&idx, "alpha omega");
         let err = sharded
             .try_search(
@@ -990,11 +745,10 @@ mod tests {
                 &query,
                 &SearchParams::default(),
                 &QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO),
+                None,
             )
             .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
-        // The sessions were checked back in cleanly (no quarantine).
-        assert_eq!(sharded.stats().pools.quarantined, 0);
-        assert_eq!(sharded.stats().pools.in_flight, 0);
+        assert_eq!(sharded.stats().exchange.rounds, 0, "failed before any round");
     }
 }

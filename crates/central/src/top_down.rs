@@ -1520,16 +1520,17 @@ mod tests {
     /// What the routing views used to carry implicitly: whichever shape runs
     /// the bottom-up stage, the top-down stage is handed the same bytes. On
     /// random graphs and queries (Knum 1–8, then beyond 64; activation
-    /// gating on) solo `seq`, CPU-Par-d, 2 and 3 in-process shards and a
-    /// 2-worker loopback fleet leave byte-identical blocks — rows and
-    /// central marks — behind their searches, and they are the sequential
-    /// state's own cells.
+    /// gating on) the three fills that exist — the matrix engines' (solo
+    /// `seq`), CPU-Par-d's, and the coordinator's `scatter_rows` over 2 and
+    /// 3 in-process shards and a 2-worker loopback fleet — leave
+    /// byte-identical blocks — rows and central marks — behind their
+    /// searches, and they are the sequential state's own cells.
     #[test]
     fn every_shape_fills_the_same_block() {
         use crate::engine::{DynParEngine, KeywordSearchEngine, SeqEngine};
-        use crate::remote::{RemoteOptions, RemoteShardedSearch, ShardWorker, StaticAddrs};
+        use crate::remote::{RemoteOptions, ShardCoordinator, ShardWorker, StaticAddrs};
         use crate::session::SearchSession;
-        use crate::shard::{ShardBackend, ShardedSearch, DEFAULT_PARTITION_SEED};
+        use crate::shard::{ShardBackend, DEFAULT_PARTITION_SEED};
 
         let mut rng = TestRng::from_name("central::top_down::every_shape_fills_the_same_block");
         let (few, many) = word_pools();
@@ -1567,22 +1568,22 @@ mod tests {
 
             dynamic.search_session(&mut locked, g, &q, &params);
             assert_eq!(&locked.top_down.hits, want, "case {cases}: CPU-Par-d");
-            for shards in [2, 3] {
-                let sharded = ShardedSearch::new(g, ShardBackend::Seq, shards);
-                sharded.try_search(g, &q, &params, &budget).expect("unlimited budget");
-                let stage = sharded.stage.checkout();
-                assert_eq!(&stage.top_down.hits, want, "case {cases}: {shards} shards");
-            }
             let addrs = (0..2)
                 .map(|s| ShardWorker::spawn_local(g, 2, s, DEFAULT_PARTITION_SEED))
                 .collect();
             let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
             let addrs = std::sync::Arc::new(StaticAddrs(addrs));
-            let fleet = RemoteShardedSearch::new(g, ShardBackend::Seq, 2, addrs, opts);
-            let out = fleet.try_search(g, &q, &params, &budget).expect("unlimited budget");
-            assert!(!out.degraded);
-            let stage = fleet.stage.checkout();
-            assert_eq!(&stage.top_down.hits, want, "case {cases}: 2 workers");
+            let fleets = [
+                ("2 shards", ShardCoordinator::in_process(g, ShardBackend::Seq, 2)),
+                ("3 shards", ShardCoordinator::in_process(g, ShardBackend::Seq, 3)),
+                ("2 workers", ShardCoordinator::remote(g, ShardBackend::Seq, 2, addrs, opts)),
+            ];
+            for (shape, fleet) in &fleets {
+                let out = fleet.try_search(g, &q, &params, &budget, None).expect("unlimited");
+                assert!(!out.degraded);
+                let stage = fleet.stage.checkout();
+                assert_eq!(&stage.top_down.hits, want, "case {cases}: {shape}");
+            }
         }
         assert!(marked > 0, "no case identified a central node");
         assert!(gated * 2 >= cases, "{gated} of {cases} cases gated by activation");

@@ -151,7 +151,9 @@ impl From<&PhaseProfile> for PhaseMillis {
 /// worker's monotonic clock and reported in microseconds. Spans never
 /// carry absolute timestamps: two hosts' clocks are never compared —
 /// only *durations* travel, and the coordinator attributes the remainder
-/// of its own observed round-trip to the wire.
+/// of its own observed round-trip to the wire. The handler times
+/// `exec_us`; the other three are the TCP link's, stamped by the worker's
+/// connection loop (a lane stepped in process reports 0 for them).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSpan {
     /// The round-protocol phase this RPC served (`"start"`, `"enqueue"`,
@@ -159,20 +161,20 @@ pub struct ShardSpan {
     pub op: String,
     /// BFS level the RPC operated on, when the phase is per-level.
     pub level: Option<u32>,
-    /// Worker-side wait between finishing the previous RPC of this query
-    /// and this request's frame becoming available (read/dispatch time on
-    /// the worker; coordinator think-time is *not* included — the read
-    /// loop only starts counting once bytes arrive).
+    /// Worker-side dispatch latency: from this request's frame being fully
+    /// read to its handler starting, less the decode below (coordinator
+    /// think-time is *not* included — the clock starts once the bytes
+    /// have arrived).
     pub wait_us: u64,
     /// Decoding the request payload into its typed message.
     pub decode_us: u64,
     /// Executing the phase (for `expand` this is the worker's local BFS
     /// over its partition — the per-level slice of `PhaseProfile`).
     pub exec_us: u64,
-    /// Encoding and writing the response frame. Measured after the send
-    /// completes and reported with the *next* span of the query, so the
-    /// final `collect` span reports 0 (its encode is attributed to wire
-    /// time by construction).
+    /// Encoding and writing the response frame: measured once the send
+    /// completes and stamped on this same span. The final `collect` span
+    /// has already left inside the reply it would measure, so it reports 0
+    /// (its encode is attributed to wire time by construction).
     pub encode_us: u64,
 }
 

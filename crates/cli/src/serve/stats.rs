@@ -256,7 +256,7 @@ static ENGINE_HISTOGRAMS: &[Row<MetricsSnapshot>] = &[
         .read(|m| V::Histogram(&m.expansions)),
 ];
 
-/// `pool`: the facade's session pool; also the shape of `shards.pools`.
+/// `pool`: the facade's session pool.
 static POOL: &[Row<PoolStats>] = &[
     counter("ws_pool_queries_total", "queries_run")
         .help("Queries completed through pooled sessions.")
@@ -297,7 +297,8 @@ static CACHE: &[Row<CacheStats>] = &[
     field("shards").read(|c| c.shards.into()),
 ];
 
-/// `shards`: the in-process scatter-gather coordinator.
+/// `shards`: the shard coordinator's boundary exchange, over in-process
+/// lanes (`remote` carries it for a worker fleet).
 static SHARDS: &[Row<ShardedStats>] = &[
     gauge("ws_shard_count", "shards")
         .help("Graph shards in the scatter-gather plan.")
@@ -311,20 +312,13 @@ static SHARDS: &[Row<ShardedStats>] = &[
     counter("ws_shard_notifications_suppressed_total", "notifications_suppressed")
         .help("Duplicate boundary notifications pruned before broadcast.")
         .read(|s| s.notifications_suppressed.into()),
-    field("pools").read(|s| V::Json(block(POOL, Some(&s.pools)))),
-    counter("ws_shard_pool_queries_total", "")
-        .help("Per-shard session checkouts (shards x sharded queries).")
-        .read(|s| s.pools.queries_run.into()),
-    counter("ws_shard_pool_quarantined_total", "")
-        .help("Shard sessions destroyed after a panic.")
-        .read(|s| s.pools.quarantined.into()),
 ];
 
 /// `remote`: the remote-shard coordinator and its fleet.
 static REMOTE: &[Row<Remote>] = &[
     gauge("ws_remote_shards", "shards")
         .help("Remote shard workers behind the coordinator.")
-        .read(|r| r.stats.shards.into()),
+        .read(|r| r.stats.exchange.shards.into()),
     counter("ws_remote_rpcs_total", "rpcs")
         .help("RPCs issued to remote shard workers (queries, handshakes, probes).")
         .read(|r| r.stats.rpcs.into()),
@@ -348,9 +342,9 @@ static REMOTE: &[Row<Remote>] = &[
         .read(|r| r.stats.degraded_queries.into()),
     counter("ws_remote_rounds_total", "rounds")
         .help("Cross-shard frontier-exchange rounds over the wire.")
-        .read(|r| r.stats.rounds.into()),
-    field("notifications").read(|r| r.stats.notifications.into()),
-    field("notifications_suppressed").read(|r| r.stats.notifications_suppressed.into()),
+        .read(|r| r.stats.exchange.rounds.into()),
+    field("notifications").read(|r| r.stats.exchange.notifications.into()),
+    field("notifications_suppressed").read(|r| r.stats.exchange.notifications_suppressed.into()),
     field("breaker").read(|r| V::Json(json!(r.stats.breaker))),
     histogram("ws_remote_rpc_seconds", "rpc_latency_us", 1e-6)
         .help("Per-RPC round-trip latency to remote shard workers.")
@@ -635,7 +629,7 @@ mod tests {
         paths("", &stats(&s), &mut listed);
         let unique: BTreeSet<&String> = listed.iter().collect();
         assert_eq!(unique.len(), listed.len(), "a STATS path is rendered twice: {listed:?}");
-        assert!(listed.iter().any(|p| p == "shards.pools.queries_run"), "{listed:?}");
+        assert!(listed.iter().any(|p| p == "shards.notifications_suppressed"), "{listed:?}");
     }
 
     #[test]

@@ -275,10 +275,11 @@ mod soak {
     /// The sharded soak: 8 good client threads against a `--shards 4`
     /// server, mixed with one fault-injecting client (panics and
     /// deadline blows). Every good client's answers must be
-    /// byte-identical to the unsharded unperturbed baseline, the
-    /// quarantine counters must account exactly (each panic destroys
-    /// one session *per shard*; the facade pool is untouched), and the
-    /// server must still drain gracefully.
+    /// byte-identical to the unsharded unperturbed baseline, the fault
+    /// counters must account exactly (a `fault0panic` query panics before
+    /// the coordinator holds a lane, so nothing is quarantined and the
+    /// facade pool is untouched), and the server must still drain
+    /// gracefully.
     #[test]
     fn sharded_soak_under_fault_load() {
         let path = graph_file("soak");
@@ -340,9 +341,8 @@ mod soak {
         }
 
         // Exact accounting, checked pre-drain on a fresh connection:
-        // three panics quarantined one session per shard (3 x 4), the
-        // facade pool was never touched on the sharded path, three
-        // timeouts, nothing shed, every good query served.
+        // three panics, the facade pool never touched on the sharded
+        // path, three timeouts, nothing shed, every good query served.
         let mut stream = connect(port);
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let stats: serde_json::Value =
@@ -352,8 +352,7 @@ mod soak {
         assert_eq!(stats["shed"], 0u64, "{stats}");
         assert_eq!(stats["served"], total_good as u64, "{stats}");
         assert_eq!(stats["shards"]["shards"], 4u64, "{stats}");
-        assert_eq!(stats["shards"]["pools"]["quarantined"], 12u64, "{stats}");
-        assert_eq!(stats["shards"]["pools"]["in_flight"], 0u64, "{stats}");
+        assert!(stats["shards"]["pools"].is_null(), "{stats}");
         assert_eq!(stats["pool"]["quarantined"], 0u64, "{stats}");
         assert_eq!(stats["pool"]["queries_run"], 0u64, "{stats}");
 

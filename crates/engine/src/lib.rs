@@ -47,9 +47,9 @@ use central::engine::{
 use central::remote::BreakerState;
 use central::{
     CacheOutcome, CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile,
-    QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteShardedSearch, RemoteStats,
-    SearchError, SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardedSearch, ShardedStats,
-    Telemetry, TraceLevel,
+    QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError,
+    SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats, Telemetry,
+    TraceLevel,
 };
 use kgraph::KnowledgeGraph;
 use std::sync::Arc;
@@ -209,25 +209,18 @@ pub struct WikiSearch {
     index: InvertedIndex,
     params: SearchParams,
     backend: Box<dyn KeywordSearchEngine + Send + Sync>,
-    /// Which [`Backend`] `backend` was built from, kept so the sharded
-    /// coordinator can be rebuilt with the same kernels on
-    /// [`WikiSearch::set_backend`]/[`WikiSearch::set_shards`].
+    /// Which [`Backend`] `backend` was built from, kept so a shard
+    /// coordinator can be built with the same kernels on
+    /// [`WikiSearch::set_shards`]/[`WikiSearch::set_remote_shards`].
     backend_kind: Backend,
     sessions: SessionPool,
-    /// When `Some`, searches scatter-gather over this in-process shard
-    /// set ([`central::shard`]) instead of the monolithic `backend`;
-    /// answers are byte-identical either way.
-    sharded: Option<ShardedSearch>,
+    /// When `Some`, searches scatter-gather over this coordinator's shards
+    /// — lanes in this process ([`WikiSearch::set_shards`]) or worker
+    /// processes ([`WikiSearch::set_remote_shards`]) — instead of the
+    /// monolithic `backend`; answers are byte-identical either way while
+    /// no shard is lost.
+    fleet: Option<ShardCoordinator>,
     cache: Option<ResultCache>,
-    /// When `Some`, searches are driven across a fleet of out-of-process
-    /// shard workers ([`central::remote`]) instead of any in-process
-    /// executor. Takes precedence over `sharded` (the serving layer
-    /// rejects that combination at configuration time).
-    remote: Option<RemoteShardedSearch>,
-    /// Rebuild recipe for `remote` — shard count, address source and
-    /// policy knobs — kept so [`WikiSearch::set_backend`] can rebuild the
-    /// coordinator with the new kernels against the same fleet.
-    remote_config: Option<(usize, Arc<dyn ShardAddrs>, RemoteOptions)>,
     metrics: MetricsRegistry,
     /// Fleet-wide query-ID allocator: every search through this engine
     /// gets a qid, whether the serving layer tagged it or not.
@@ -301,10 +294,8 @@ impl WikiSearch {
             backend: make_backend(backend),
             backend_kind: backend,
             sessions: SessionPool::new(),
-            sharded: None,
+            fleet: None,
             cache: None,
-            remote: None,
-            remote_config: None,
             metrics: MetricsRegistry::new(),
             qids: QueryIdGen::new(),
             telemetry: Telemetry::new(0, DEFAULT_TELEMETRY_SAMPLES),
@@ -324,7 +315,7 @@ impl WikiSearch {
     }
 
     /// [`WikiSearch::open_snapshot`] plus in-process sharding
-    /// ([`WikiSearch::set_shards`]). The shard builder copies the
+    /// ([`WikiSearch::set_shards`]). The partitioner copies the
     /// sub-graphs it cuts, so shards are heap-owned even when the source
     /// columns are mapped.
     ///
@@ -362,58 +353,49 @@ impl WikiSearch {
         ws
     }
 
-    /// Re-partition the engine across `shards` in-process shards
-    /// (`<= 1` returns to the monolithic path). Existing cache entries
-    /// survive: sharded and unsharded searches produce identical answers.
+    /// Re-partition the engine across `shards` in-process shards,
+    /// replacing whatever shard set it had (`<= 1` returns to the
+    /// monolithic path). Existing cache entries survive: sharded and
+    /// unsharded searches produce identical answers.
     ///
     /// # Panics
     /// Panics if `shards > 1` and the backend is `gpu` or `dyn`
     /// ([`Backend::sharded`]).
     pub fn set_shards(&mut self, shards: usize) {
-        self.sharded = (shards > 1)
-            .then(|| ShardedSearch::new(&self.graph, shard_backend(self.backend_kind), shards));
+        self.fleet = (shards > 1).then(|| {
+            ShardCoordinator::in_process(&self.graph, shard_backend(self.backend_kind), shards)
+        });
     }
 
     /// Swap the search backend. The result cache (if any) survives the
     /// swap: all backends return identical answers for identical
     /// `(query, params)` — the workspace's central property — so entries
     /// computed by one engine are valid answers for every other. On a
-    /// sharded engine the shard set is rebuilt with the new backend's
-    /// kernels (same partition — the plan seed is fixed); on a remote
-    /// engine the coordinator is rebuilt against the same worker fleet.
+    /// sharded or remote engine the coordinator is rebuilt over the same
+    /// shards — the same in-process parts, the same worker fleet — with
+    /// the new backend's kernels.
     ///
     /// # Panics
     /// Panics if the engine is sharded or remote and `backend` is `gpu` or
     /// `dyn` ([`Backend::sharded`]).
     pub fn set_backend(&mut self, backend: Backend) {
-        if let Some(sharded) = &self.sharded {
-            let shards = sharded.num_shards();
-            self.sharded = Some(ShardedSearch::new(&self.graph, shard_backend(backend), shards));
-        }
-        if let Some((shards, addrs, opts)) = &self.remote_config {
-            self.remote = Some(RemoteShardedSearch::new(
-                &self.graph,
-                shard_backend(backend),
-                *shards,
-                Arc::clone(addrs),
-                *opts,
-            ));
+        if let Some(fleet) = &self.fleet {
+            self.fleet = Some(fleet.with_backend(shard_backend(backend)));
         }
         self.backend = make_backend(backend);
         self.backend_kind = backend;
     }
 
     /// Drive every search across a fleet of out-of-process shard workers
-    /// ([`central::remote`]): each worker owns one partition of the same
-    /// deterministic edge-cut plan the in-process sharded path uses, and
-    /// answers stay byte-identical to [`WikiSearch::set_shards`] while
-    /// every worker is healthy (the remote-equivalence suite pins this).
-    /// `addrs` names the workers — a [`central::StaticAddrs`] list for an
-    /// externally managed fleet, or a supervisor's live address table —
-    /// and `opts` sets the retry/backoff, circuit-breaker, heartbeat and
-    /// degraded-answer policy. Incompatible with in-process sharding; the
-    /// serving layer rejects that flag combination, and this facade gives
-    /// `remote` precedence.
+    /// ([`central::remote`]), replacing whatever shard set the engine had:
+    /// each worker owns one partition of the same deterministic edge-cut
+    /// plan [`WikiSearch::set_shards`] cuts, and answers stay
+    /// byte-identical to it while every worker is healthy (the
+    /// remote-equivalence suite pins this). `addrs` names the workers — a
+    /// [`central::StaticAddrs`] list for an externally managed fleet, or a
+    /// supervisor's live address table — and `opts` sets the
+    /// retry/backoff, circuit-breaker, heartbeat and degraded-answer
+    /// policy.
     ///
     /// # Panics
     /// Panics if the backend is `gpu` or `dyn` ([`Backend::sharded`]).
@@ -423,44 +405,45 @@ impl WikiSearch {
         addrs: Arc<dyn ShardAddrs>,
         opts: RemoteOptions,
     ) {
-        self.remote = Some(RemoteShardedSearch::new(
-            &self.graph,
-            shard_backend(self.backend_kind),
-            shards,
-            Arc::clone(&addrs),
-            opts,
-        ));
-        self.remote_config = Some((shards, addrs, opts));
+        let backend = shard_backend(self.backend_kind);
+        self.fleet = Some(ShardCoordinator::remote(&self.graph, backend, shards, addrs, opts));
+    }
+
+    /// The shard coordinator, if its shards are worker processes
+    /// (`remote`) or lanes in this one (`!remote`).
+    fn fleet_where(&self, remote: bool) -> Option<&ShardCoordinator> {
+        self.fleet.as_ref().filter(|fleet| fleet.is_remote() == remote)
     }
 
     /// Number of remote shard workers searches are driven across, `None`
     /// outside remote serving.
     pub fn num_remote_shards(&self) -> Option<usize> {
-        self.remote.as_ref().map(RemoteShardedSearch::num_shards)
+        self.fleet_where(true).map(ShardCoordinator::num_shards)
     }
 
     /// Counters of the remote coordinator (RPCs, retries, breaker flips,
     /// degraded answers, RPC latency), `None` outside remote serving.
     pub fn remote_stats(&self) -> Option<RemoteStats> {
-        self.remote.as_ref().map(RemoteShardedSearch::stats)
+        self.fleet_where(true).map(ShardCoordinator::stats)
     }
 
     /// Live circuit-breaker state per remote shard, `None` outside remote
     /// serving.
     pub fn remote_breaker_states(&self) -> Option<Vec<BreakerState>> {
-        self.remote.as_ref().map(RemoteShardedSearch::breaker_states)
+        self.fleet_where(true).map(ShardCoordinator::breaker_states)
     }
 
     /// Number of in-process shards searches scatter over, `None` on the
-    /// monolithic path.
+    /// monolithic path and in remote serving.
     pub fn num_shards(&self) -> Option<usize> {
-        self.sharded.as_ref().map(ShardedSearch::num_shards)
+        self.fleet_where(false).map(ShardCoordinator::num_shards)
     }
 
-    /// Counters of the sharded coordinator (rounds, boundary
-    /// notifications, per-shard pools), `None` on the monolithic path.
+    /// Counters of the in-process coordinator's boundary exchange (rounds,
+    /// notifications), `None` on the monolithic path and in remote serving
+    /// ([`WikiSearch::remote_stats`] has them there).
     pub fn shard_stats(&self) -> Option<ShardedStats> {
-        self.sharded.as_ref().map(ShardedSearch::stats)
+        self.fleet_where(false).map(|fleet| fleet.stats().exchange)
     }
 
     /// Enable (or, with `0`, disable) the sharded result cache with a
@@ -607,24 +590,17 @@ impl WikiSearch {
             _ => None,
         };
         let mut degraded = false;
-        let result = if let Some(remote) = &self.remote {
-            // Remote fleet path: the coordinator scatter-gathers over
-            // out-of-process workers and reports whether any shard had to
-            // be skipped; a degraded answer is surfaced with its marker
-            // and never enters the result cache below.
-            remote
-                .try_search_tagged(&self.graph, &query, params, budget, Some(qid))
-                .map(|r| {
-                    degraded = r.degraded;
-                    r.outcome
-                })
-        } else if let Some(sharded) = &self.sharded {
-            // Sharded scatter-gather path: the coordinator owns one
-            // session per shard in its own pools, so the facade pool is
-            // not consulted (its counters stay zero; `shard_stats` has
-            // the per-shard ones). Traces carry no session identity —
-            // there is no single session to name.
-            sharded.try_search(&self.graph, &query, params, budget)
+        let result = if let Some(fleet) = &self.fleet {
+            // Sharded path: the coordinator scatter-gathers over its own
+            // lanes — the facade pool is not consulted (its counters stay
+            // zero), and traces carry no session identity — and reports
+            // whether any shard had to be skipped; a degraded answer is
+            // surfaced with its marker and never enters the result cache
+            // below.
+            fleet.try_search(&self.graph, &query, params, budget, Some(qid)).map(|r| {
+                degraded = r.degraded;
+                r.outcome
+            })
         } else {
             let mut session = self.sessions.checkout();
             self.backend
@@ -656,8 +632,8 @@ impl WikiSearch {
         };
         let SearchOutcome { answers, profile, stats, mut trace } = outcome;
         // Stamp the qid and the cache verdict on every trace uniformly,
-        // whichever path computed it (the remote path already carries the
-        // qid from the wire; the value is identical).
+        // whichever path computed it (the sharded path already carries
+        // the qid; the value is identical).
         if let Some(t) = trace.as_deref_mut() {
             t.qid = Some(qid);
             t.cache = Some(if key.is_some() {
@@ -1422,12 +1398,11 @@ mod tests {
         ws.search("xml sql");
         let stats = ws.shard_stats().unwrap();
         assert_eq!(stats.shards, 3);
-        assert_eq!(stats.pools.queries_run, 6, "2 queries × 3 shard sessions");
-        assert_eq!(stats.pools.in_flight, 0);
-        assert_eq!(stats.pools.quarantined, 0);
         assert!(stats.rounds > 0);
+        assert!(ws.remote_stats().is_none(), "the shards are lanes in this process");
         // The facade pool is bypassed entirely on the sharded path.
         assert_eq!(ws.session_queries_run(), 0);
+        assert_eq!(ws.session_pool().stats().sessions_created, 0);
     }
 
     #[test]
@@ -1436,12 +1411,14 @@ mod tests {
         let mut ws = small_sharded(Backend::Sequential, 4);
         ws.set_cache_capacity(1 << 20);
         let miss = ws.search("xml sql rdf");
+        let rounds = ws.shard_stats().unwrap().rounds;
         let hit = ws.search("RDF sql XML"); // normalized duplicate
         assert_eq!(digest(&ws, &miss), digest(&mono, &mono.search("xml sql rdf")));
         assert_eq!(digest(&ws, &hit), digest(&mono, &mono.search("RDF sql XML")));
         let stats = ws.cache_stats().unwrap();
         assert_eq!(stats.hits, 1);
-        assert_eq!(ws.shard_stats().unwrap().pools.queries_run, 4, "hits skip the shards");
+        assert!(rounds > 0);
+        assert_eq!(ws.shard_stats().unwrap().rounds, rounds, "hits skip the shards");
     }
 
     #[test]
@@ -1483,9 +1460,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), "deadline_exceeded");
         assert_eq!(ws.metrics_snapshot().deadline_exceeded, 1);
-        let stats = ws.shard_stats().unwrap();
-        assert_eq!(stats.pools.quarantined, 0, "a budget failure is not a panic");
-        assert_eq!(stats.pools.in_flight, 0, "all shard sessions checked back in");
+        assert_eq!(ws.shard_stats().unwrap().rounds, 0, "failed before any round");
+        assert_eq!(ws.session_pool().stats().quarantined, 0, "a budget failure is not a panic");
         let ok = ws.execute(&QueryRequest::new("xml sql rdf", ws.params())).unwrap();
         assert!(!ok.answers.is_empty());
     }
@@ -1563,8 +1539,14 @@ mod tests {
         let seq = ws.search("xml sql rdf");
         ws.set_backend(Backend::ParCpu(2));
         assert_eq!(ws.num_remote_shards(), Some(2), "fleet survives the swap");
+        assert_eq!((ws.num_shards(), ws.shard_stats()), (None, None));
         let par = ws.search("xml sql rdf");
         assert_eq!(digest(&ws, &seq), digest(&ws, &par));
+        // A shard set replaces the one before it, whichever its link.
+        ws.set_shards(2);
+        assert_eq!((ws.num_shards(), ws.num_remote_shards()), (Some(2), None));
+        assert!(ws.remote_stats().is_none() && ws.remote_breaker_states().is_none());
+        assert_eq!(digest(&ws, &ws.search("xml sql rdf")), digest(&ws, &seq));
     }
 
     /// `gpu` and `dyn` are solo engines: every way of combining them with

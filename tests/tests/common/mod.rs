@@ -1,6 +1,9 @@
 //! What the equivalence suites share: the word pool, the random-graph
 //! case, its builder, and the one digest every comparison goes through.
 
+// Each suite is its own crate and uses its own subset.
+#![allow(dead_code)]
+
 use central::engine::SearchStats;
 use central::CentralGraph;
 use kgraph::{GraphBuilder, KnowledgeGraph};
@@ -41,6 +44,21 @@ pub fn case_strategy(max_nodes: usize, max_edges: usize) -> impl Strategy<Value 
             },
         )
     })
+}
+
+/// A stream of `count` further queries of `words` word indices each, for
+/// the suites that ask one engine several things.
+pub fn queries_strategy(
+    words: std::ops::Range<usize>,
+    count: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Vec<usize>>> {
+    proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), words), count)
+}
+
+/// The raw keyword string of a query given as word indices.
+pub fn raw_query(query: &[usize]) -> String {
+    let words: Vec<&str> = query.iter().map(|&w| WORDS[w]).collect();
+    words.join(" ")
 }
 
 pub fn build_graph(case: &Case) -> KnowledgeGraph {

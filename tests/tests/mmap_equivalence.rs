@@ -10,14 +10,15 @@
 //! bytes (floats included) and the embedded index and stored average
 //! distance reproduce the heap build's to the bit.
 
+mod common;
+
 use central::QueryBudget;
-use kgraph::{GraphBuilder, KnowledgeGraph};
+use common::{build_graph, case_strategy, queries_strategy, raw_query};
+use kgraph::GraphBuilder;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wikisearch_engine::{compile_snapshot, Backend, QueryRequest, WikiSearch, WikiSearchResult};
-
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
 
 /// Every backend pair the property runs under (thread counts deliberately
 /// small — determinism must not depend on them).
@@ -32,47 +33,6 @@ fn backends() -> Vec<Backend> {
 
 const SHARD_COUNTS: &[usize] = &[1, 4];
 
-#[derive(Debug, Clone)]
-struct Case {
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    queries: Vec<Vec<usize>>,   // word indices per query
-    top_k: usize,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..20).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..40);
-        let queries =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..4), 1..4);
-        let top_k = 1usize..6;
-        (texts, edges, queries, top_k).prop_map(|(texts, edges, queries, top_k)| Case {
-            texts,
-            edges,
-            queries,
-            top_k,
-        })
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    b.build()
-}
-
 fn tmp() -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
@@ -82,39 +42,16 @@ fn tmp() -> PathBuf {
     ))
 }
 
-/// Everything observable about a result, floats as exact bits.
-fn digest(ws: &WikiSearch, r: &WikiSearchResult) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    write!(
-        s,
-        "groups:{:?} unmatched:{:?} kwf:{} ",
+/// Everything observable about a result, floats as exact bits: the
+/// keyword analysis, then the suites' one digest of answers and stats.
+fn digest(r: &WikiSearchResult) -> String {
+    format!(
+        "groups:{:?} unmatched:{:?} kwf:{} {}",
         r.query.groups,
         r.query.unmatched,
-        r.kwf.to_bits()
+        r.kwf.to_bits(),
+        common::digest(&r.answers, &r.stats)
     )
-    .unwrap();
-    write!(
-        s,
-        "stats:{}/{}/{}/{:?} ",
-        r.stats.last_level, r.stats.central_candidates, r.stats.peak_frontier, r.stats.trace
-    )
-    .unwrap();
-    for a in &r.answers {
-        write!(
-            s,
-            "[c:{} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-            ws.graph().node_key(a.central),
-            a.depth,
-            a.nodes,
-            a.edges,
-            a.keyword_nodes,
-            a.keyword_edges,
-            a.score.to_bits()
-        )
-        .unwrap();
-    }
-    s
 }
 
 /// Run the same query stream against both engines and compare digests.
@@ -123,7 +60,7 @@ fn digest(ws: &WikiSearch, r: &WikiSearchResult) -> String {
 fn assert_equivalent(
     heap: &WikiSearch,
     mapped: &WikiSearch,
-    case: &Case,
+    queries: &[Vec<usize>],
     label: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(
@@ -132,15 +69,14 @@ fn assert_equivalent(
         "stored A diverged from the sampled one ({})",
         label
     );
-    for q in &case.queries {
-        let raw: Vec<&str> = q.iter().map(|&w| WORDS[w]).collect();
-        let raw = raw.join(" ");
+    for q in queries {
+        let raw = raw_query(q);
         for pass in 0..2 {
             let a = heap.search(&raw);
             let b = mapped.search(&raw);
             prop_assert_eq!(
-                digest(heap, &a),
-                digest(mapped, &b),
+                digest(&a),
+                digest(&b),
                 "digest diverged ({}, query {:?}, pass {})",
                 label,
                 &raw,
@@ -156,7 +92,7 @@ fn assert_equivalent(
             .execute(&QueryRequest { budget: starved, ..QueryRequest::new(&raw, mapped.params()) });
         match (ea, eb) {
             (Ok(a), Ok(b)) => {
-                prop_assert_eq!(digest(heap, &a), digest(mapped, &b), "({})", label);
+                prop_assert_eq!(digest(&a), digest(&b), "({})", label);
             }
             (Err(a), Err(b)) => {
                 prop_assert_eq!(a.kind(), b.kind(), "({})", label);
@@ -178,8 +114,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn mmap_equivalence(case in case_strategy()) {
+    fn mmap_equivalence(case in case_strategy(20, 40), extra in queries_strategy(1..4, 0..3)) {
         let g = build_graph(&case);
+        let queries: Vec<Vec<usize>> = std::iter::once(case.query.clone()).chain(extra).collect();
         let path = tmp();
         compile_snapshot(&g, &path).unwrap();
 
@@ -203,7 +140,7 @@ proptest! {
                 heap.set_cache_capacity(1 << 20);
                 mapped.set_cache_capacity(1 << 20);
                 let label = format!("{backend:?}/shards={shards}");
-                assert_equivalent(&heap, &mapped, &case, &label)?;
+                assert_equivalent(&heap, &mapped, &queries, &label)?;
             }
         }
         let _ = std::fs::remove_file(path);

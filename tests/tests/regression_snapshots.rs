@@ -110,7 +110,9 @@ fn seeded_answers_match_the_committed_golden() {
     use central::engine::{
         DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine,
     };
-    use central::{QueryBudget, SearchParams, ShardBackend, ShardedSearch};
+    use central::shard::DEFAULT_PARTITION_SEED;
+    use central::{QueryBudget, RemoteOptions, SearchParams, ShardBackend, ShardCoordinator};
+    use central::{ShardWorker, StaticAddrs};
     use textindex::{InvertedIndex, ParsedQuery};
 
     let mut cfg = datagen::synthetic::SyntheticConfig::tiny(1609);
@@ -131,7 +133,14 @@ fn seeded_answers_match_the_committed_golden() {
         Box::new(GpuStyleEngine::new(2)),
         Box::new(DynParEngine::new(2)),
     ];
-    let sharded = ShardedSearch::new(&graph, ShardBackend::Seq, 2);
+    // The one shard coordinator, over each of its links.
+    let addrs = (0..2).map(|i| ShardWorker::spawn_local(&graph, 2, i, DEFAULT_PARTITION_SEED));
+    let addrs = std::sync::Arc::new(StaticAddrs(addrs.collect()));
+    let opts = RemoteOptions { attempts: 1, heartbeat: None, ..RemoteOptions::default() };
+    let fleets = [
+        ("2 shards", ShardCoordinator::in_process(&graph, ShardBackend::Seq, 2)),
+        ("2 workers", ShardCoordinator::remote(&graph, ShardBackend::Seq, 2, addrs, opts)),
+    ];
     let mut actual = String::new();
     for raw in &queries {
         let query = ParsedQuery::parse(&index, raw);
@@ -140,10 +149,12 @@ fn seeded_answers_match_the_committed_golden() {
             let out = engine.search(&graph, &query, &params);
             assert_eq!(dump_answers(&out.answers), reference, "{} on {raw:?}", engine.name());
         }
-        let out = sharded
-            .try_search(&graph, &query, &params, &QueryBudget::unlimited())
-            .expect("unlimited budget");
-        assert_eq!(dump_answers(&out.answers), reference, "2 shards on {raw:?}");
+        for (link, fleet) in &fleets {
+            let out = fleet
+                .try_search(&graph, &query, &params, &QueryBudget::unlimited(), None)
+                .expect("unlimited budget");
+            assert_eq!(dump_answers(&out.outcome.answers), reference, "{link} on {raw:?}");
+        }
         actual.push_str(&format!("== {raw}\n{reference}"));
     }
 

@@ -1,13 +1,14 @@
-//! The remote-invariance property: answering through the fault-tolerant
-//! multi-process coordinator (`central::remote`) — every shard behind a
-//! real TCP connection to a worker speaking the length-prefixed frame
+//! The remote-invariance property: answering through the shard
+//! coordinator (`central::remote`) over its TCP link — every shard behind
+//! a real connection to a worker speaking the length-prefixed frame
 //! protocol — is *byte-identical* to the monolithic engine: answers,
 //! score bits, statistics, and the per-level trace, for both shard
 //! backends (`seq`, `cpu`) and for fleet sizes {1, 2, 4}.
 //!
-//! This is the remote form of `shard_equivalence`: serialization, the
-//! per-round frontier exchange over the wire, and the retry/supervision
-//! machinery must all be invisible in the answer bytes. Error semantics
+//! This is `shard_equivalence` — the same coordinator over in-process
+//! lanes — plus TCP: serialization, the per-round frontier exchange over
+//! the wire, and the retry/supervision machinery must all be invisible in
+//! the answer bytes. Error semantics
 //! travel too — a budget that trips remotely must surface the same
 //! structured error class the monolithic engine raises.
 
@@ -16,7 +17,7 @@ mod common;
 use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
 use central::shard::DEFAULT_PARTITION_SEED;
 use central::{
-    QueryBudget, RemoteOptions, RemoteShardedSearch, SearchError, SearchParams, ShardBackend,
+    QueryBudget, RemoteOptions, SearchError, SearchParams, ShardBackend, ShardCoordinator,
     ShardWorker, StaticAddrs,
 };
 use common::{build_graph, case_strategy, digest, WORDS};
@@ -46,15 +47,11 @@ fn test_opts() -> RemoteOptions {
 
 /// Spawn an in-process worker fleet over `graph` and return a
 /// coordinator attached to it.
-fn remote_fleet(
-    graph: &KnowledgeGraph,
-    backend: ShardBackend,
-    shards: usize,
-) -> RemoteShardedSearch {
+fn remote_fleet(graph: &KnowledgeGraph, backend: ShardBackend, shards: usize) -> ShardCoordinator {
     let addrs: Vec<std::net::SocketAddr> = (0..shards)
         .map(|i| ShardWorker::spawn_local(graph, shards, i, DEFAULT_PARTITION_SEED))
         .collect();
-    RemoteShardedSearch::new(graph, backend, shards, Arc::new(StaticAddrs(addrs)), test_opts())
+    ShardCoordinator::remote(graph, backend, shards, Arc::new(StaticAddrs(addrs)), test_opts())
 }
 
 /// The remote backends paired with their monolithic references.
@@ -109,7 +106,7 @@ proptest! {
             for &shards in FLEET_SIZES {
                 let coordinator = remote_fleet(&graph, backend, shards);
                 let out = coordinator
-                    .try_search(&graph, &query, &params, &budget)
+                    .try_search(&graph, &query, &params, &budget, None)
                     .expect("healthy fleet under an unlimited budget cannot fail");
                 prop_assert!(!out.degraded, "healthy fleet degraded: {}", coordinator.name());
                 let label = format!("{} x {shards} remote shards", reference_engine.name());
@@ -133,7 +130,7 @@ fn assert_all_fleets_match(graph: &KnowledgeGraph, queries: &[&str]) {
             for &shards in FLEET_SIZES {
                 let coordinator = remote_fleet(graph, backend, shards);
                 let out = coordinator
-                    .try_search(graph, &query, &params, &budget)
+                    .try_search(graph, &query, &params, &budget, None)
                     .expect("healthy fleet under an unlimited budget cannot fail");
                 assert!(!out.degraded, "healthy fleet degraded on {q:?}");
                 let label =
@@ -210,12 +207,12 @@ fn budget_errors_surface_the_same_class_remotely() {
 
     let coordinator = remote_fleet(&graph, ShardBackend::Seq, 2);
     let remote_err = coordinator
-        .try_search(&graph, &query, &params, &tight)
+        .try_search(&graph, &query, &params, &tight, None)
         .expect_err("a 1-expansion budget must trip on a 12-node chain");
-    let local = central::ShardedSearch::new(&graph, ShardBackend::Seq, 2);
+    let local = ShardCoordinator::in_process(&graph, ShardBackend::Seq, 2);
     let local_err = local
-        .try_search(&graph, &query, &params, &tight)
-        .expect_err("the in-process coordinator must trip identically");
+        .try_search(&graph, &query, &params, &tight, None)
+        .expect_err("the in-process link must trip identically");
     assert_eq!(remote_err.kind(), local_err.kind(), "error class diverged");
     assert!(
         matches!(remote_err, SearchError::BudgetExhausted { .. }),

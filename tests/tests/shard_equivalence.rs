@@ -1,6 +1,7 @@
 //! The shard-invariance property: partitioning the graph into N edge-cut
-//! shards and answering through the `ShardedSearch` scatter-gather
-//! coordinator is *byte-identical* to the monolithic engine — answers,
+//! shards and answering through the shard coordinator over in-process
+//! lanes (`ShardCoordinator::in_process` — `remote_equivalence` drives the
+//! same coordinator over TCP) is *byte-identical* to the monolithic engine — answers,
 //! score bits, statistics, and the per-level trace — for both shard
 //! backends (`seq`, `cpu`; `engine_equivalence` pins the four solo engines
 //! to each other) and for shard counts {1, 2, 3, 4, 8}, including counts exceeding the
@@ -14,7 +15,7 @@
 mod common;
 
 use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
-use central::{QueryBudget, SearchParams, ShardBackend, ShardedSearch};
+use central::{QueryBudget, SearchParams, ShardBackend, ShardCoordinator};
 use common::{build_graph, case_strategy, digest, WORDS};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
@@ -69,12 +70,13 @@ proptest! {
         for (backend, reference_engine) in backends() {
             let reference = reference_engine.search(&graph, &query, &params);
             for &shards in SHARD_COUNTS {
-                let coordinator = ShardedSearch::new(&graph, backend, shards);
+                let coordinator = ShardCoordinator::in_process(&graph, backend, shards);
                 let out = coordinator
-                    .try_search(&graph, &query, &params, &budget)
+                    .try_search(&graph, &query, &params, &budget, None)
                     .expect("unlimited budget cannot trip");
+                prop_assert!(!out.degraded);
                 let label = format!("{} x {shards} shards", reference_engine.name());
-                assert_identical(&out, &reference, &label);
+                assert_identical(&out.outcome, &reference, &label);
             }
         }
     }
@@ -92,12 +94,12 @@ fn assert_all_shardings_match(graph: &KnowledgeGraph, queries: &[&str]) {
             let query = ParsedQuery::parse(&idx, q);
             let reference = reference_engine.search(graph, &query, &params);
             for &shards in SHARD_COUNTS {
-                let coordinator = ShardedSearch::new(graph, backend, shards);
+                let coordinator = ShardCoordinator::in_process(graph, backend, shards);
                 let out = coordinator
-                    .try_search(graph, &query, &params, &budget)
+                    .try_search(graph, &query, &params, &budget, None)
                     .expect("unlimited budget cannot trip");
                 let label = format!("{} x {shards} shards on {q:?}", reference_engine.name());
-                assert_identical(&out, &reference, &label);
+                assert_identical(&out.outcome, &reference, &label);
             }
         }
     }

@@ -12,20 +12,19 @@
 //! in-process shape and `seq`/`cpu` on the other two (in-process sharded
 //! scatter-gather, remote workers over real TCP — `gpu` and `dyn` are solo
 //! engines), because each shape has its own telemetry
-//! hooks: the facade's recent-query ring, the sharded coordinator's
-//! per-shard pools, and the remote coordinator's span piggybacking.
+//! hooks: the facade's recent-query ring, the shard coordinator's qid
+//! tagging, and — over TCP — its span piggybacking.
+
+mod common;
 
 use central::shard::DEFAULT_PARTITION_SEED;
 use central::{QueryBudget, RemoteOptions, ShardWorker, StaticAddrs, TelemetrySample, TraceLevel};
+use common::{build_graph, case_strategy, queries_strategy, raw_query};
 use kgraph::KnowledgeGraph;
 use proptest::prelude::*;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 use wikisearch_engine::{Backend, QueryRequest, WikiSearch, WikiSearchResult};
-
-/// Same overlap-heavy pool the other equivalence properties use.
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
 
 /// The execution shapes the property covers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,83 +70,20 @@ fn build(graph: KnowledgeGraph, backend: Backend, mode: Mode) -> WikiSearch {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Case {
-    nodes: usize,
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    queries: Vec<Vec<usize>>,   // word indices per query
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..16, 2usize..5).prop_flat_map(|(nodes, nqueries)| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..40);
-        let queries = proptest::collection::vec(
-            proptest::collection::vec(0usize..WORDS.len(), 2..4),
-            nqueries,
-        );
-        (texts, edges, queries).prop_map(move |(texts, edges, queries)| Case {
-            nodes,
-            texts,
-            edges,
-            queries,
-        })
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = kgraph::GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    let _ = case.nodes;
-    b.build()
-}
-
 /// Everything observable about one search result except timing and the
 /// telemetry surface itself (qid, trace), as one comparable string:
 /// keyword grouping, unmatched words, answers with their
 /// order-sensitive per-keyword parts, score bits, the full statistics
 /// block including the level trace, and the degraded flag.
 fn digest(r: &WikiSearchResult) -> String {
-    let mut s = String::new();
-    write!(
-        s,
-        "groups:{:?} unmatched:{:?} kwf:{} degraded:{} ",
-        r.query.groups, r.query.unmatched, r.kwf, r.degraded
+    format!(
+        "groups:{:?} unmatched:{:?} kwf:{} degraded:{} {}",
+        r.query.groups,
+        r.query.unmatched,
+        r.kwf,
+        r.degraded,
+        common::digest(&r.answers, &r.stats)
     )
-    .unwrap();
-    write!(
-        s,
-        "stats:{}/{}/{}/{:?} ",
-        r.stats.last_level, r.stats.central_candidates, r.stats.peak_frontier, r.stats.trace
-    )
-    .unwrap();
-    for a in &r.answers {
-        write!(
-            s,
-            "[c:{:?} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-            a.central,
-            a.depth,
-            a.nodes,
-            a.edges,
-            a.keyword_nodes,
-            a.keyword_edges,
-            a.score.to_bits()
-        )
-        .unwrap();
-    }
-    s
 }
 
 proptest! {
@@ -158,7 +94,11 @@ proptest! {
     /// stream on a default engine — and when a tight budget trips, both
     /// engines raise the same structured error class.
     #[test]
-    fn telemetry_never_perturbs_answers(case in case_strategy()) {
+    fn telemetry_never_perturbs_answers(
+        case in case_strategy(16, 40),
+        extra in queries_strategy(2..4, 1..4),
+    ) {
+        let queries: Vec<Vec<usize>> = std::iter::once(case.query.clone()).chain(extra).collect();
         let backends =
             [Backend::Sequential, Backend::ParCpu(2), Backend::GpuStyle(2), Backend::DynPar(2)];
         for backend in backends {
@@ -175,9 +115,8 @@ proptest! {
                 let unlimited = QueryBudget::unlimited();
                 let tight = QueryBudget::unlimited().with_max_expansions(2);
 
-                for (i, q) in case.queries.iter().enumerate() {
-                    let raw: Vec<&str> = q.iter().map(|&w| WORDS[w]).collect();
-                    let raw = raw.join(" ");
+                for (i, q) in queries.iter().enumerate() {
+                    let raw = raw_query(q);
                     // Every other step runs under a budget tight enough
                     // to trip on most graphs: error classes must agree
                     // exactly, telemetry on or off.
@@ -229,7 +168,7 @@ proptest! {
                 prop_assert!(observed.telemetry().slowest_recent().is_some());
                 prop_assert_eq!(
                     observed.telemetry().samples(),
-                    case.queries.len() as u64,
+                    queries.len() as u64,
                     "{:?}",
                     mode
                 );
