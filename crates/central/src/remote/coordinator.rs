@@ -1,10 +1,11 @@
 //! The shard coordinator: [`ShardCoordinator`] drives `N` shard lanes
 //! through the level-synchronous round protocol of [`crate::shard`] — a
 //! [`crate::bottom_up::LevelOps`] shape under the one
-//! [`crate::bottom_up::drive`] loop, every phase a sweep of shard RPCs —
-//! behind one `try_search` seam, so the result cache, budgets, tracing and
-//! the top-down extractor all run unchanged above it. A channel's link to
-//! its lane has two members: an owned in-process lane over a part of a
+//! [`crate::bottom_up::drive`] loop, two sweeps of shard RPCs per level
+//! (`Step`, `Expand`) between a `Start` and a `Collect` — behind one
+//! `try_search` seam, so the result cache, budgets, tracing and the
+//! top-down extractor all run unchanged above it. A channel's link to its
+//! lane has two members: an owned in-process lane over a part of a
 //! [`ShardPlan`] cut here ([`ShardCoordinator::in_process`]), stepped with
 //! typed messages and no socket, or a TCP stream to a shard-worker process
 //! ([`ShardCoordinator::remote`]). Everything above the link is the same
@@ -726,7 +727,10 @@ impl ShardCoordinator {
             lanes: (0..core.shards).map(|_| Default::default()).collect(),
             deadline,
             tracker,
+            level: 0,
+            traced: params.trace.enabled(),
             pairs: Vec::new(),
+            stepped: Vec::new(),
         };
         // Checkout one exclusive channel per live shard.
         for &s in &ops.live {
@@ -822,20 +826,33 @@ struct Lane {
 }
 
 /// One attempt's exclusive hold on the fleet — a lane per shard — and the
-/// sharded [`LevelOps`]: every phase a sweep of one RPC over the live
-/// shards, stepped concurrently on the coordinator's pool (the global
+/// sharded [`LevelOps`]: two requests per level, each a sweep over the
+/// live shards stepped concurrently on the coordinator's pool (the global
 /// level barrier), each lane behind a mutex only the one thread stepping it
-/// takes. A failed RPC or malformed reply drops the erroring channel and
-/// fails the attempt; dropping the attempt returns the healthy channels
-/// to the pool.
+/// takes. `enqueue` sends the level's `Step` — the lanes apply the last
+/// round's notifications, enqueue and identify — and keeps the replies;
+/// `identify` merges them with no I/O; `expand` sends the `Expand` and
+/// dedups the outboxes into the notification set the next `Step` carries.
+/// So for a sharded query `phase_ms.enqueue_ms` is the whole `Step` round
+/// trip (apply, enqueue and identify on the lanes) and `identify_ms` only
+/// the coordinator's merge. A failed RPC or malformed reply drops the
+/// erroring channel and fails the attempt; dropping the attempt returns
+/// the healthy channels to the pool.
 struct RemoteOps<'a> {
     search: &'a ShardCoordinator,
     live: Vec<usize>,
     lanes: Vec<parking_lot::Mutex<Lane>>,
     deadline: Option<Instant>,
     tracker: &'a BudgetTracker,
-    /// The round's notification set (capacity kept across rounds).
+    /// The level the next `Step` identifies at: 0, then one past the last
+    /// `Expand`'s.
+    level: u8,
+    traced: bool,
+    /// The last round's deduplicated notification set, which the next
+    /// `Step` carries (capacity kept across rounds).
     pairs: Vec<(u32, u32)>,
+    /// The replies of the level's `Step`, in live-shard order.
+    stepped: Vec<wire::StepOk>,
 }
 
 impl Drop for RemoteOps<'_> {
@@ -955,12 +972,25 @@ impl RemoteOps<'_> {
 impl LevelOps for RemoteOps<'_> {
     type Error = AttemptError;
 
+    /// The level's `Step` sweep, its replies kept for [`RemoteOps::identify`].
     fn enqueue(&mut self) -> Result<usize, AttemptError> {
-        let replies = self.sweep(&Request::Enqueue, |reply| match reply {
-            Response::EnqueueOk(ok) => Some(ok),
+        let pairs = std::mem::take(&mut self.pairs);
+        let step = Request::Step(wire::Step { level: self.level, traced: self.traced, pairs });
+        let stepped = self.sweep(&step, |reply| match reply {
+            Response::StepOk(ok) => Some(ok),
             _ => None,
-        })?;
-        Ok(replies.iter().map(|ok| ok.frontier as usize).sum())
+        });
+        if let Request::Step(step) = step {
+            self.pairs = step.pairs;
+        }
+        self.stepped = stepped?;
+        // A Central Node outside the graph is a malformed reply.
+        let n = self.search.core.num_nodes;
+        let outside = |ok: &wire::StepOk| ok.newly.iter().any(|&v| u64::from(v) >= n);
+        if let Some(i) = self.stepped.iter().position(outside) {
+            return Err(self.fail(self.live[i]));
+        }
+        Ok(self.stepped.iter().map(|ok| ok.frontier as usize).sum())
     }
 
     /// Per-shard cohorts arrive as global ids and merge in ascending order
@@ -971,17 +1001,9 @@ impl LevelOps for RemoteOps<'_> {
         traced: bool,
         newly: &mut Vec<u32>,
     ) -> Result<(usize, usize), AttemptError> {
-        let identify = Request::Identify(wire::Identify { level, traced });
-        let replies = self.sweep(&identify, |reply| match reply {
-            Response::IdentifyOk(ok) => Some(ok),
-            _ => None,
-        })?;
+        debug_assert_eq!((level, traced), (self.level, self.traced), "the Step identified");
         let (mut new_hits, mut deferred) = (0usize, 0usize);
-        for (i, ok) in replies.iter().enumerate() {
-            // A Central Node outside the graph is a malformed reply.
-            if ok.newly.iter().any(|&v| u64::from(v) >= self.search.core.num_nodes) {
-                return Err(self.fail(self.live[i]));
-            }
+        for ok in &self.stepped {
             newly.extend_from_slice(&ok.newly);
             new_hits += ok.new_hits as usize;
             deferred += ok.deferred as usize;
@@ -990,32 +1012,26 @@ impl LevelOps for RemoteOps<'_> {
         Ok((new_hits, deferred))
     }
 
-    /// Expand every lane, then exchange: broadcast the deduped union of
-    /// the outboxes, which each lane applies to its replicas still reading
-    /// `∞`.
+    /// Expand every lane, then dedup the union of the outboxes into the
+    /// notification set the next `Step` carries to every lane.
     fn expand(&mut self, level: u8) -> Result<(), AttemptError> {
         let expand = Request::Expand(wire::Expand { level });
         let replies = self.sweep(&expand, |reply| match reply {
             Response::ExpandOk(ok) => Some(ok),
             _ => None,
         })?;
-        let mut pairs = std::mem::take(&mut self.pairs);
-        pairs.clear();
+        self.pairs.clear();
         let mut charged = 0u64;
         for ok in replies {
-            pairs.extend(ok.outbox);
+            self.pairs.extend(ok.outbox);
             charged += ok.charged;
         }
         // The lanes metered this level's kernels; charge the sum here, at
         // the level's sequence point, which is where the budget is judged.
         self.tracker.charge(charged);
-        self.search.core.counters.exchange.exchange(&mut pairs);
-        let apply = Request::Apply(wire::Apply { level, pairs });
-        let applied = self.sweep(&apply, |reply| (reply == Response::ApplyOk).then_some(()));
-        if let Request::Apply(apply) = apply {
-            self.pairs = apply.pairs;
-        }
-        applied.map(drop)
+        self.search.core.counters.exchange.exchange(&mut self.pairs);
+        self.level = level + 1;
+        Ok(())
     }
 }
 
@@ -1177,7 +1193,8 @@ mod tests {
         let (g, query) = bridged_query();
         for fault in [Fault::Drop, Fault::Garbage, Fault::Stall] {
             let fleet = scripted(&g, 2, RemoteOptions::default());
-            fleet.core.script.fail(1, 3..4, fault);
+            // RPC 2 of shard 1: its level-0 `Expand`.
+            fleet.core.script.fail(1, 2..3, fault);
             let out = search(&fleet, &g, &query).expect("the retry answers");
             assert!(!out.degraded, "{fault:?}");
             assert_eq!(digest(&out.outcome), solo(&g, &query), "{fault:?}");
@@ -1197,7 +1214,8 @@ mod tests {
         let (g, query) = bridged_query();
         let opts = RemoteOptions { attempts: 3, breaker_threshold: 2, ..RemoteOptions::default() };
         let fleet = scripted(&g, 2, opts);
-        fleet.core.script.fail(1, 2..u64::MAX, Fault::Drop);
+        // From RPC 1 of shard 1 on: its level-0 `Step` (the identify) first.
+        fleet.core.script.fail(1, 1..u64::MAX, Fault::Drop);
         let err = search(&fleet, &g, &query).unwrap_err();
         assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
         let stats = fleet.stats();
@@ -1265,7 +1283,9 @@ mod tests {
         assert_eq!(digest(&search(&fleet, &g, &query).unwrap().outcome), want);
         assert_eq!(idle(&fleet), [1, 1, 1], "a warm channel per shard");
 
-        fleet.core.script.fail(1, 4..5, Fault::Panic);
+        // RPC 3 of shard 1: the level-1 `Step`, which carries the level-0
+        // notifications.
+        fleet.core.script.fail(1, 3..4, Fault::Panic);
         catch_unwind(AssertUnwindSafe(|| search(&fleet, &g, &query)))
             .expect_err("the handler's panic reaches the caller");
         assert_eq!(idle(&fleet), [0, 0, 0], "the whole cohort is dropped");
@@ -1290,6 +1310,50 @@ mod tests {
         assert!(stats.exchange.rounds > 0 && stats.rpcs > 0);
         assert_eq!((stats.dials, stats.probes, stats.retries), (0, 0, 0));
         assert!(fleet.heartbeat.is_none() && !fleet.is_remote());
+    }
+
+    /// Two requests per shard per level, on either link: a query costs
+    /// each shard one `Start`, one `Step` per level the trace records (plus
+    /// the closing one that found the frontier dry), one `Expand` per
+    /// exchange round and one `Collect` — whether the stage ends on `k`
+    /// central nodes (`top_k` 1) or on a dry frontier (`top_k` 20).
+    #[test]
+    fn a_query_costs_each_shard_a_step_per_level_and_an_expand_per_round() {
+        let (g, query) = bridged_query();
+        for shards in [2, 3] {
+            let addrs = (0..shards)
+                .map(|s| ShardWorker::spawn_local(&g, shards, s, DEFAULT_PARTITION_SEED))
+                .collect();
+            let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+            let addrs = Arc::new(StaticAddrs(addrs));
+            let loopback = ShardCoordinator::remote(&g, ShardBackend::Seq, shards, addrs, opts);
+            let in_process = ShardCoordinator::in_process(&g, ShardBackend::Seq, shards);
+            let fleets = [in_process, loopback];
+            for (fleet, top_k) in fleets.iter().flat_map(|fleet| [(fleet, 1), (fleet, 20)]) {
+                let params = SearchParams::default()
+                    .with_average_distance(1.0)
+                    .with_top_k(top_k)
+                    .with_trace(crate::trace::TraceLevel::Full);
+                let budget = QueryBudget::unlimited();
+                let run = || fleet.try_search(&g, &query, &params, &budget, None).unwrap();
+                run(); // warm: a loopback fleet's handshakes are RPCs too
+                let before = fleet.stats();
+                let out = run().outcome;
+                let after = fleet.stats();
+                let trace = out.trace.expect("traced");
+                let dry = !trace.terminated && out.stats.central_candidates < top_k;
+                assert_eq!(dry, top_k == 20, "both endings are covered");
+                let steps = trace.levels.len() as u64 + u64::from(dry);
+                let rounds = after.exchange.rounds - before.exchange.rounds;
+                let remote = fleet.is_remote();
+                assert_eq!(after.dials, before.dials, "remote {remote}: no handshake counted");
+                assert_eq!(
+                    after.rpcs - before.rpcs,
+                    shards as u64 * (2 + steps + rounds),
+                    "remote {remote}, {shards} shards, top_k {top_k}: {steps} steps, {rounds} rounds"
+                );
+            }
+        }
     }
 
     /// A collect reply of `(node, row)`s.
@@ -1345,7 +1409,7 @@ mod tests {
                 let mut stream = stream.unwrap();
                 std::thread::spawn(move || {
                     while let Ok(Some((op, _))) = read_frame(&mut stream) {
-                        let hello_ok = wire::HelloOk { shard_index: 0, num_owned: 3, version };
+                        let hello_ok = wire::HelloOk { shard_index: 0, version };
                         let (op, body) = match op {
                             wire::OP_HELLO => (wire::OP_HELLO_OK, wire::encode(&hello_ok)),
                             wire::OP_PING => (wire::OP_PONG, Vec::new()),
@@ -1370,19 +1434,16 @@ mod tests {
     fn out_of_range_ids_from_a_worker_fail_the_shard() {
         let (g, query) = three_node_query();
 
+        fn step(frontier: u64, newly: Vec<u32>) -> (u8, Vec<u8>) {
+            let ok = wire::StepOk { frontier, newly, new_hits: 0, deferred: 0 };
+            (wire::OP_STEP_OK, wire::encode(&ok))
+        }
         let central_outside_the_graph: fn(u8) -> (u8, Vec<u8>) = |op| match op {
-            wire::OP_ENQUEUE => {
-                (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 1 }))
-            }
-            _ => {
-                let ok = wire::IdentifyOk { newly: vec![3], new_hits: 0, deferred: 0 };
-                (wire::OP_IDENTIFY_OK, wire::encode(&ok))
-            }
+            wire::OP_STEP => step(1, vec![3]),
+            op => panic!("RPC {op} after a malformed step"),
         };
         let row_outside_the_graph: fn(u8) -> (u8, Vec<u8>) = |op| match op {
-            wire::OP_ENQUEUE => {
-                (wire::OP_ENQUEUE_OK, wire::encode(&wire::EnqueueOk { frontier: 0 }))
-            }
+            wire::OP_STEP => step(0, vec![]),
             _ => (wire::OP_COLLECT_OK, wire::encode(&rows(&[(3, &[0, 1])]))),
         };
         for script in [central_outside_the_graph, row_outside_the_graph] {

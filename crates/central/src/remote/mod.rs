@@ -9,8 +9,9 @@
 //! the monolithic engines; splitting it across processes changes no byte
 //! of the answers. The layers:
 //!
-//! * [`wire`] — the typed message schema, one request/response pair per
-//!   round-protocol phase, and its JSON encoding;
+//! * [`wire`] — the typed message schema — per query a `Start`, a `Step`
+//!   and an `Expand` per BFS level, and a `Collect` — and its JSON
+//!   encoding;
 //! * [`frame`] — the TCP link's framing: `[u32 len LE][u8 opcode][payload]`,
 //!   hard-capped, with an incremental decoder hardened against arbitrary
 //!   byte streams;
@@ -243,6 +244,7 @@ mod tests {
         let timelines = trace.shard_timelines.expect("remote traces stitch timelines");
         assert_eq!(timelines.len(), shards, "one timeline per live shard");
         let levels: Vec<u32> = trace.levels.iter().map(|l| l.level).collect();
+        let rounds = r.stats().exchange.rounds;
         for tl in &timelines {
             assert_eq!(tl.qid, Some(42), "worker echoes the fleet-wide qid");
             assert!(tl.rpcs > 0, "every shard served RPCs");
@@ -255,16 +257,22 @@ mod tests {
             assert!(tl.rpc_us >= tl.worker_us, "worker intervals nest inside the RPC envelope");
             assert_eq!(tl.wire_us, tl.rpc_us - tl.worker_us);
             // Per-level spans reconcile with the coordinator's level
-            // records: every expand the worker saw is a level the
-            // coordinator drove (the final level may stop before expand).
-            assert_eq!(tl.spans.iter().filter(|s| s.op == "start").count(), 1);
-            assert_eq!(tl.spans.iter().filter(|s| s.op == "collect").count(), 1);
+            // records: one start and one collect; a step per driven level
+            // plus the closing one that found the frontier dry (this query
+            // runs out of frontier before 20 answers), each tagged with its
+            // level; an expand per exchange round; nothing else.
+            let ops = |op: &str| tl.spans.iter().filter(|s| s.op == op).count();
+            assert_eq!((ops("start"), ops("collect")), (1, 1));
+            let steps: Vec<u32> =
+                tl.spans.iter().filter(|s| s.op == "step").filter_map(|s| s.level).collect();
+            let closing = levels.len() as u32;
+            assert_eq!(steps, levels.iter().copied().chain([closing]).collect::<Vec<_>>());
+            assert_eq!(ops("expand") as u64, rounds, "one expand per exchange round");
             for span in tl.spans.iter().filter(|s| s.op == "expand") {
                 let level = span.level.expect("expand spans are level-tagged");
                 assert!(levels.contains(&level), "span level {level} not in {levels:?}");
             }
-            let enqueues = tl.spans.iter().filter(|s| s.op == "enqueue").count();
-            assert_eq!(enqueues, levels.len() + 1, "one enqueue per level plus the empty round");
+            assert_eq!(tl.spans.len(), 2 + steps.len() + rounds as usize, "no other op");
         }
     }
 

@@ -5,18 +5,17 @@
 //! lane; the TCP link frames it (see [`super::frame`]) with its JSON
 //! document as payload — the opcode selects the message type, so the JSON
 //! never needs a type tag. The per-query RPC sequence is the round
-//! protocol of [`crate::shard`], one message pair per phase:
+//! protocol of [`crate::shard`]: a `Start`, then per BFS level one `Step`
+//! and (unless the level ends the stage) one `Expand`, then a `Collect`.
 //!
 //! | opcode | request → response | round-protocol phase |
 //! |---|---|---|
 //! | [`OP_HELLO`] → [`OP_HELLO_OK`] | [`Hello`] → [`HelloOk`] | connection handshake: partition contract check |
 //! | [`OP_PING`] → [`OP_PONG`] | empty → empty | heartbeat / breaker probe |
 //! | [`OP_START`] → [`OP_START_OK`] | [`Start`] → [`StartOk`] | scatter: localize + seed the query |
-//! | [`OP_ENQUEUE`] → [`OP_ENQUEUE_OK`] | empty → [`EnqueueOk`] | drain owned frontier flags |
-//! | [`OP_IDENTIFY`] → [`OP_IDENTIFY_OK`] | [`Identify`] → [`IdentifyOk`] | identify central nodes this level |
+//! | [`OP_STEP`] → [`OP_STEP_OK`] | [`Step`] → [`StepOk`] | apply the last round's notifications, drain owned frontier flags, identify central nodes |
 //! | [`OP_EXPAND`] → [`OP_EXPAND_OK`] | [`Expand`] → [`ExpandOk`] | expand + boundary scan |
-//! | [`OP_APPLY`] → [`OP_APPLY_OK`] | [`Apply`] → empty | apply broadcast notifications |
-//! | [`OP_COLLECT`] → [`OP_COLLECT_OK`] | [`Collect`] → [`CollectOk`] | ship hit/central rows for top-down |
+//! | [`OP_COLLECT`] → [`OP_COLLECT_OK`] | [`Collect`] → [`CollectOk`] | ship hit rows for top-down |
 //! | — → [`OP_ERROR`] | — → [`WireError`] | any failure; connection closes after |
 //!
 //! The coordinator never ships sub-graphs: both sides derive the
@@ -29,15 +28,17 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Version 4 ships the collected rows as two columns
-/// ([`CollectOk::nodes`], [`CollectOk::hits`]) instead of a struct per
-/// row; version 3 made [`HelloOk::version`] and [`Start::spans`]
-/// mandatory. The
-/// handshake is strict on both sides: a worker rejects any [`Hello`]
-/// whose revision (or partition contract) differs from its own with
-/// `bad_handshake`, and the coordinator drops a channel whose
-/// [`HelloOk`] echoes another revision or shard.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Protocol revision. Version 5 folds enqueue, identify and the
+/// notification broadcast into one [`Step`] per level (two requests per
+/// shard per level, down from four) and drops `HelloOk::num_owned`;
+/// version 4 ships the collected rows as two columns
+/// ([`CollectOk::nodes`], [`CollectOk::hits`]); version 3 made
+/// [`HelloOk::version`] and [`Start::spans`] mandatory. The handshake is
+/// strict on both sides: a worker rejects any [`Hello`] whose revision
+/// (or partition contract) differs from its own with `bad_handshake`, and
+/// the coordinator drops a channel whose [`HelloOk`] echoes another
+/// revision or shard.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -51,28 +52,20 @@ pub const OP_PONG: u8 = 4;
 pub const OP_START: u8 = 5;
 /// Query accepted.
 pub const OP_START_OK: u8 = 6;
-/// Drain owned frontier flags (empty payload).
-pub const OP_ENQUEUE: u8 = 7;
-/// Frontier count reply.
-pub const OP_ENQUEUE_OK: u8 = 8;
-/// Identify central nodes at a level.
-pub const OP_IDENTIFY: u8 = 9;
-/// Newly identified nodes reply.
-pub const OP_IDENTIFY_OK: u8 = 10;
+/// Apply notifications, then enqueue and identify at a level.
+pub const OP_STEP: u8 = 7;
+/// Frontier count and newly identified nodes reply.
+pub const OP_STEP_OK: u8 = 8;
 /// Run the expansion kernel + boundary scan at a level.
-pub const OP_EXPAND: u8 = 11;
+pub const OP_EXPAND: u8 = 9;
 /// Boundary outbox reply.
-pub const OP_EXPAND_OK: u8 = 12;
-/// Apply broadcast boundary notifications.
-pub const OP_APPLY: u8 = 13;
-/// Notifications applied (empty payload).
-pub const OP_APPLY_OK: u8 = 14;
-/// Ship hit/central rows for the top-down stage.
-pub const OP_COLLECT: u8 = 15;
+pub const OP_EXPAND_OK: u8 = 10;
+/// Ship hit rows for the top-down stage.
+pub const OP_COLLECT: u8 = 11;
 /// Row shipment reply.
-pub const OP_COLLECT_OK: u8 = 16;
+pub const OP_COLLECT_OK: u8 = 12;
 /// Structured failure; the sender closes the connection afterwards.
-pub const OP_ERROR: u8 = 17;
+pub const OP_ERROR: u8 = 13;
 
 /// Encode a wire message as a JSON frame payload.
 pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
@@ -95,14 +88,10 @@ pub enum Request {
     Ping,
     /// Begin a query.
     Start(Start),
-    /// Drain owned frontier flags.
-    Enqueue,
-    /// Identify central nodes at a level.
-    Identify(Identify),
+    /// Apply notifications, enqueue and identify at a level.
+    Step(Step),
     /// Expand a level and scan the boundary.
     Expand(Expand),
-    /// Apply the level's notification set.
-    Apply(Apply),
     /// Ship rows for the top-down stage.
     Collect(Collect),
 }
@@ -114,10 +103,8 @@ impl Request {
             Request::Hello(m) => (OP_HELLO, encode(m)),
             Request::Ping => (OP_PING, Vec::new()),
             Request::Start(m) => (OP_START, encode(m)),
-            Request::Enqueue => (OP_ENQUEUE, Vec::new()),
-            Request::Identify(m) => (OP_IDENTIFY, encode(m)),
+            Request::Step(m) => (OP_STEP, encode(m)),
             Request::Expand(m) => (OP_EXPAND, encode(m)),
-            Request::Apply(m) => (OP_APPLY, encode(m)),
             Request::Collect(m) => (OP_COLLECT, encode(m)),
         }
     }
@@ -129,10 +116,8 @@ impl Request {
             OP_HELLO => Request::Hello(decode(payload)?),
             OP_PING => Request::Ping,
             OP_START => Request::Start(decode(payload)?),
-            OP_ENQUEUE => Request::Enqueue,
-            OP_IDENTIFY => Request::Identify(decode(payload)?),
+            OP_STEP => Request::Step(decode(payload)?),
             OP_EXPAND => Request::Expand(decode(payload)?),
-            OP_APPLY => Request::Apply(decode(payload)?),
             OP_COLLECT => Request::Collect(decode(payload)?),
             other => return Err(format!("unknown opcode {other}")),
         })
@@ -141,7 +126,7 @@ impl Request {
 
 /// One RPC's successful reply, typed. A failure is not a `Response`: a
 /// handler returns an error, which the TCP link carries as [`WireError`].
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub enum Response {
     /// Handshake acknowledgement.
     HelloOk(HelloOk),
@@ -149,14 +134,10 @@ pub enum Response {
     Pong,
     /// Query accepted.
     StartOk(StartOk),
-    /// Frontier count.
-    EnqueueOk(EnqueueOk),
-    /// Newly identified nodes.
-    IdentifyOk(IdentifyOk),
+    /// Frontier count and newly identified nodes.
+    StepOk(StepOk),
     /// Boundary outbox and budget charge.
     ExpandOk(ExpandOk),
-    /// Notifications applied.
-    ApplyOk,
     /// Row shipment.
     CollectOk(CollectOk),
 }
@@ -168,10 +149,8 @@ impl Response {
             Response::HelloOk(m) => (OP_HELLO_OK, encode(m)),
             Response::Pong => (OP_PONG, Vec::new()),
             Response::StartOk(m) => (OP_START_OK, encode(m)),
-            Response::EnqueueOk(m) => (OP_ENQUEUE_OK, encode(m)),
-            Response::IdentifyOk(m) => (OP_IDENTIFY_OK, encode(m)),
+            Response::StepOk(m) => (OP_STEP_OK, encode(m)),
             Response::ExpandOk(m) => (OP_EXPAND_OK, encode(m)),
-            Response::ApplyOk => (OP_APPLY_OK, Vec::new()),
             Response::CollectOk(m) => (OP_COLLECT_OK, encode(m)),
         }
     }
@@ -183,10 +162,8 @@ impl Response {
             OP_HELLO_OK => Response::HelloOk(decode(payload)?),
             OP_PONG => Response::Pong,
             OP_START_OK => Response::StartOk(decode(payload)?),
-            OP_ENQUEUE_OK => Response::EnqueueOk(decode(payload)?),
-            OP_IDENTIFY_OK => Response::IdentifyOk(decode(payload)?),
+            OP_STEP_OK => Response::StepOk(decode(payload)?),
             OP_EXPAND_OK => Response::ExpandOk(decode(payload)?),
-            OP_APPLY_OK => Response::ApplyOk,
             OP_COLLECT_OK => Response::CollectOk(decode(payload)?),
             OP_ERROR => {
                 let e: WireError = decode(payload)?;
@@ -219,9 +196,6 @@ pub struct Hello {
 pub struct HelloOk {
     /// The worker's shard index (echoed back).
     pub shard_index: u32,
-    /// Owned-node count of the worker's part — a partition fingerprint
-    /// the coordinator can sanity-check.
-    pub num_owned: u32,
     /// The worker's protocol revision ([`PROTOCOL_VERSION`]).
     pub version: u32,
 }
@@ -309,29 +283,30 @@ pub struct StartOk {
     pub keywords: u32,
 }
 
-/// Enqueue reply: how many owned nodes this worker drained into its
-/// frontier for the coming level.
+/// One level's step: the notifications of the previous round's exchange,
+/// then the level's enqueue and identification. The barrier between one
+/// level's expansion and the next level's enqueue is this request.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EnqueueOk {
-    /// Frontier size contributed by this worker.
-    pub frontier: u64,
-}
-
-/// Identify request for one level.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Identify {
-    /// The current BFS level.
+pub struct Step {
+    /// The BFS level this step identifies at — also the hitting level the
+    /// notifications write.
     pub level: u8,
     /// Whether to also compute the traced-query observations.
     pub traced: bool,
+    /// The previous round's deduplicated `(global node, instance)` pairs
+    /// (empty at level 0). Every worker receives the full set and applies
+    /// the pairs whose replica its part holds.
+    pub pairs: Vec<(u32, u32)>,
 }
 
-/// Identify reply.
+/// Step reply.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IdentifyOk {
+pub struct StepOk {
+    /// Frontier size contributed by this worker (its owned frontier
+    /// flags drained this level).
+    pub frontier: u64,
     /// Newly identified central nodes, as global ids, in local frontier
-    /// scan order (the coordinator merges and sorts, exactly like the
-    /// in-process merge step).
+    /// scan order (the coordinator merges and sorts them).
     pub newly: Vec<u32>,
     /// Traced-query observation: keyword cells first covered this level.
     pub new_hits: u64,
@@ -356,18 +331,6 @@ pub struct ExpandOk {
     /// the same sequence point the in-process driver reaches the same
     /// total, keeping budget verdicts and traces byte-identical.
     pub charged: u64,
-}
-
-/// Broadcast of the deduplicated notification union for one level. Every
-/// worker receives the full set and applies the pairs present in its
-/// part — membership filtering replaces the in-process holders routing,
-/// with identical effect.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Apply {
-    /// The current BFS level.
-    pub level: u8,
-    /// Deduplicated `(global node, instance)` pairs.
-    pub pairs: Vec<(u32, u32)>,
 }
 
 /// Collect request: ship rows for the top-down stage.
@@ -423,6 +386,10 @@ mod tests {
         let back: Hello = decode(&encode(&hello)).unwrap();
         assert_eq!(back, hello);
 
+        let step = Step { level: 2, traced: true, pairs: vec![(3, 0), (9, 1)] };
+        let back: Step = decode(&encode(&step)).unwrap();
+        assert_eq!(back, step);
+
         let ok = ExpandOk { outbox: vec![(3, 0), (9, 1)], charged: 42 };
         let back: ExpandOk = decode(&encode(&ok)).unwrap();
         assert_eq!(back, ok);
@@ -458,7 +425,7 @@ mod tests {
         let bare: CollectOk = decode(br#"{"nodes":[1],"hits":[0]}"#).unwrap();
         assert_eq!(bare, ok);
         // What v3 made mandatory is refused when missing, not defaulted.
-        assert!(decode::<HelloOk>(br#"{"shard_index":1,"num_owned":10}"#).is_err());
+        assert!(decode::<HelloOk>(br#"{"shard_index":1}"#).is_err());
         let text = String::from_utf8(encode(&start)).unwrap();
         assert!(decode::<Start>(text.replace(r#","spans":false"#, "").as_bytes()).is_err());
     }

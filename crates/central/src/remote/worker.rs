@@ -84,7 +84,7 @@ impl ShardWorker {
 
     /// Owned-node count of this worker's part.
     pub fn num_owned(&self) -> u32 {
-        self.part.num_owned
+        self.part.owned
     }
 
     /// Serve coordinator connections on `listener` until the listener
@@ -287,19 +287,9 @@ impl Conn {
             Request::Hello(hello) => return self.on_hello(hello),
             Request::Ping => return Ok(Response::Pong),
             Request::Start(start) => ("start", None, Response::StartOk(self.on_start(start)?)),
-            Request::Enqueue => {
-                let ok = wire::EnqueueOk { frontier: self.lane()?.0.enqueue() as u64 };
-                ("enqueue", None, Response::EnqueueOk(ok))
-            }
-            Request::Identify(req) => {
-                ("identify", Some(req.level), Response::IdentifyOk(self.on_identify(req)?))
-            }
+            Request::Step(req) => ("step", Some(req.level), Response::StepOk(self.on_step(req)?)),
             Request::Expand(req) => {
                 ("expand", Some(req.level), Response::ExpandOk(self.on_expand(req)?))
-            }
-            Request::Apply(req) => {
-                self.lane()?.0.apply(req.level, &req.pairs);
-                ("apply", Some(req.level), Response::ApplyOk)
             }
             Request::Collect(req) => ("collect", None, Response::CollectOk(self.on_collect(req)?)),
         };
@@ -354,7 +344,6 @@ impl Conn {
         self.greeted = true;
         Ok(Response::HelloOk(wire::HelloOk {
             shard_index: w.index,
-            num_owned: w.part.num_owned,
             version: wire::PROTOCOL_VERSION,
         }))
     }
@@ -411,10 +400,11 @@ impl Conn {
         Ok((lane, self.pool.as_ref().map(|(_, pool)| pool)))
     }
 
-    fn on_identify(&mut self, req: &wire::Identify) -> Result<wire::IdentifyOk, ConnError> {
+    fn on_step(&mut self, req: &wire::Step) -> Result<wire::StepOk, ConnError> {
         let (mut lane, _) = self.lane()?;
-        let (new_hits, deferred) = lane.identify(req.level, req.traced);
-        Ok(wire::IdentifyOk {
+        let (frontier, (new_hits, deferred)) = lane.step(req.level, req.traced, &req.pairs);
+        Ok(wire::StepOk {
+            frontier: frontier as u64,
             newly: lane.newly().collect(),
             new_hits: new_hits as u64,
             deferred: deferred as u64,
@@ -437,7 +427,7 @@ impl Conn {
         let limit = if req.include_halos {
             part.locals.len()
         } else {
-            part.num_owned as usize
+            part.owned as usize
         };
         let (mut nodes, mut hits) = (Vec::new(), Vec::new());
         let mut row = vec![INFINITE_LEVEL; state.num_keywords()];

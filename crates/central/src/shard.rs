@@ -18,7 +18,7 @@
 //! Node ownership is a deterministic seeded hash: `owner(v) =
 //! splitmix64(seed ^ v) mod N`. Each [`ShardPart`] materializes
 //!
-//! * its **owned** nodes, assigned local ids `0..num_owned` in ascending
+//! * its **owned** nodes, assigned local ids `0..owned` in ascending
 //!   global-id order (this makes per-shard frontier scans produce
 //!   globally ordered cohorts, which the answer-identity proof relies
 //!   on);
@@ -37,44 +37,54 @@
 //! ## The round protocol
 //!
 //! The level loop itself is [`crate::bottom_up::drive`]; the coordinator
-//! only implements its [`crate::bottom_up::LevelOps`] seam, each phase one
-//! request swept over the shard lanes at once (the global level barrier).
-//! The per-shard half of every step is a `ShardLane` method, which a
-//! lane's handler runs behind the request whichever link delivered it:
+//! only implements its [`crate::bottom_up::LevelOps`] seam with two
+//! requests per level, each swept over the shard lanes at once: a `Step`
+//! and an `Expand` (see [`crate::remote::wire`]). Those are the two
+//! barriers the algorithm has — Def. 4's termination test needs the whole
+//! level identified before anything expands, and the next level's enqueue
+//! needs every expansion done. The per-shard half of every step is a
+//! `ShardLane` method, which a lane's handler runs behind the request
+//! whichever link delivered it:
 //!
-//! 1. **enqueue** (parallel, `ShardLane::enqueue`): each shard drains
-//!    the frontier flags of its *owned* nodes — every global frontier node
-//!    is counted exactly once, by its owner.
-//! 2. **identify** (parallel, `ShardLane::identify`):
+//! 1. **apply** (`Step`, `ShardLane::step`): each lane applies the
+//!    previous round's notification set (empty at level 0) — the pairs
+//!    whose replica it holds and that still read `∞` become hit at the
+//!    step's level.
+//! 2. **enqueue** (`Step`, same call): each shard drains the frontier
+//!    flags of its *owned* nodes — every global frontier node is counted
+//!    exactly once, by its owner.
+//! 3. **identify** (`Step`, same call):
 //!    [`crate::bottom_up::identify_sequential`] over each shard's owned
 //!    frontiers; the owner's replica always holds the complete `M` row
 //!    (see the sync invariant below).
-//! 3. **merge** (coordinator): per-shard cohorts (`ShardLane::newly`)
-//!    arrive as global ids and merge in ascending order — the same
-//!    within-level order the monolithic frontier scan produces.
-//! 4. **expand** (parallel, `ShardLane::expand`): the frontier-grained
+//! 4. **merge** (coordinator, no request): per-shard cohorts
+//!    (`ShardLane::newly`, shipped in the `Step` reply) arrive as global
+//!    ids and merge in ascending order — the same within-level order the
+//!    monolithic frontier scan produces — and the termination test runs.
+//! 5. **expand** (`Expand`, `ShardLane::expand`): the frontier-grained
 //!    kernel runs over each shard's owned frontiers against its
 //!    local sub-graph, charging the lane's own counting
 //!    [`crate::budget::BudgetTracker`] (the coordinator charges the sum
 //!    against the query's at the level's sequence point); then the shard
 //!    scans its boundary table for cells that became `level + 1` this
 //!    round into its outbox.
-//! 5. **exchange** (coordinator, `ExchangeCounters::exchange` then
-//!    `ShardLane::apply`): the coordinator dedups the union of the
-//!    outboxes and broadcasts the surviving `(node, instance)` pairs;
-//!    each lane applies those whose replica it holds and still reads `∞`.
+//! 6. **exchange** (coordinator, `ExchangeCounters::exchange`): the
+//!    coordinator dedups the union of the outboxes; the surviving
+//!    `(node, instance)` pairs ride the next level's `Step`, which every
+//!    lane receives in full (step 1).
 //!
-//! The dedup in step 5 is the synchronous degenerate form of DKWS's
+//! The dedup in step 6 is the synchronous degenerate form of DKWS's
 //! monotone upper-bound pruning: in a level-synchronous search every
 //! notification generated during round `l` carries the same level
 //! `l + 1`, so a notification is useful iff the receiving replica has no
 //! finite level yet — anything else cannot lower the bound and is
 //! dropped ([`ShardedStats::notifications_suppressed`] counts these).
 //!
-//! **Sync invariant:** at every round boundary, all replicas of a node
+//! **Sync invariant:** at every round boundary — once a `Step` has applied
+//! its notifications, before it reads a row — all replicas of a node
 //! carry identical `M` rows. Seeding establishes it (each shard's
 //! localized query seeds keyword sources on owned *and* halo replicas),
-//! and step 5 restores it after each round (every newly finite boundary
+//! and step 1 restores it after each round (every newly finite boundary
 //! cell is broadcast to every holder). Within a round, writes race only
 //! with equal-valued writes (Theorem V.2 of the paper, unchanged).
 //! Identification therefore sees exactly the monolithic `M`, and the
@@ -133,15 +143,15 @@ pub struct ShardPart {
     /// halo replicas (partial adjacency, never expanded). Node weights
     /// are copied from the global graph.
     pub graph: KnowledgeGraph,
-    /// Local id → global id. The first [`ShardPart::num_owned`] entries
+    /// Local id → global id. The first [`ShardPart::owned`] entries
     /// are the owned nodes in ascending global order; the rest are halos,
     /// also ascending.
     pub locals: Vec<u32>,
     /// Global id → local id — the inverse of [`ShardPart::locals`], dense
     /// over the global ids: [`NO_REPLICA`] where this shard holds none.
     local_index: Vec<u32>,
-    /// Number of owned nodes; local ids `0..num_owned` are owned.
-    pub num_owned: u32,
+    /// Number of owned nodes; local ids `0..owned` are owned.
+    pub owned: u32,
     /// Frontier-exchange table: local ids (ascending) of every node
     /// replicated in more than one shard — owned boundary nodes and all
     /// halos.
@@ -241,10 +251,9 @@ impl Assignment {
     /// and boundary table.
     fn materialize(&self, graph: &KnowledgeGraph, s: usize) -> ShardPart {
         let n = graph.num_nodes();
-        let owned: Vec<u32> =
+        let mut locals: Vec<u32> =
             (0..n as u32).filter(|&v| self.owner[v as usize] == s as u32).collect();
-        let num_owned = owned.len() as u32;
-        let mut locals = owned;
+        let owned = locals.len() as u32;
         locals.extend(self.halos[s].iter().copied());
         let mut local_index = vec![NO_REPLICA; n];
         for (l, &v) in locals.iter().enumerate() {
@@ -261,7 +270,7 @@ impl Assignment {
             .iter()
             .map(|&v| b.add_node(graph.node_key(NodeId(v)), graph.node_text(NodeId(v))))
             .collect();
-        for (l, &v) in locals.iter().enumerate().take(num_owned as usize) {
+        for (l, &v) in locals.iter().enumerate().take(owned as usize) {
             for adj in graph.neighbors(NodeId(v)) {
                 let t = local_index[adj.target().index()];
                 let label = graph.label_name(adj.label());
@@ -288,7 +297,7 @@ impl Assignment {
             .filter(|&(_, &v)| self.replicated[v as usize])
             .map(|(l, _)| l as u32)
             .collect();
-        ShardPart { graph: local_graph, locals, local_index, num_owned, boundary }
+        ShardPart { graph: local_graph, locals, local_index, owned, boundary }
     }
 }
 
@@ -404,27 +413,44 @@ pub(crate) struct ShardLane<'a> {
 }
 
 impl ShardLane<'_> {
-    /// Enqueue: drain the frontier flags of the *owned* nodes only — halo
-    /// flags are never scanned, so every global frontier node is counted
-    /// exactly once, by its owner. Returns this shard's frontier size.
-    pub(crate) fn enqueue(&mut self) -> usize {
-        let frontiers = &mut self.scratch.frontiers;
-        frontiers.clear();
-        frontiers.extend((0..self.part.num_owned).filter(|&v| self.state.take_frontier_flag(v)));
-        frontiers.len()
-    }
-
-    /// Identify over the owned frontiers (the owner's replica holds the
-    /// complete `M` row, by the sync invariant), leaving the cohort in
-    /// [`ShardLane::newly`]; returns the traced observation pair.
-    pub(crate) fn identify(&mut self, level: u8, traced: bool) -> (usize, usize) {
+    /// Step to `level`, the per-shard body of a `Step` request. First the
+    /// previous round's notification set: a pair reaches exactly the
+    /// shards holding a replica, and only a replica still reading `∞`
+    /// accepts it, at `level` (anything else cannot lower the bound);
+    /// frontier flags rise only on owned replicas — the only ones whose
+    /// flags are ever scanned. Then enqueue: drain the frontier flags of
+    /// the *owned* nodes only, so every global frontier node is counted
+    /// exactly once, by its owner. Then identify over the owned frontiers
+    /// (the owner's replica holds the complete `M` row, by the sync
+    /// invariant), leaving the cohort in [`ShardLane::newly`]. Returns this
+    /// shard's frontier size and the traced observation pair.
+    pub(crate) fn step(
+        &mut self,
+        level: u8,
+        traced: bool,
+        pairs: &[(u32, u32)],
+    ) -> (usize, (usize, usize)) {
+        let (part, state) = (self.part, self.state);
+        for &(v, i) in pairs {
+            if let Some(l) = part.local(v) {
+                if state.hit(l, i as usize) == INFINITE_LEVEL {
+                    state.set_hit(l, i as usize, level);
+                    if l < part.owned {
+                        state.mark_frontier(l);
+                    }
+                }
+            }
+        }
         let BottomUpScratch { frontiers, newly, .. } = &mut *self.scratch;
-        bottom_up::identify_sequential(self.state, frontiers, level, newly);
-        let (hit, q) = (|f, i| self.state.hit(f, i), self.state.num_keywords());
-        bottom_up::observe_level(traced, hit, q, &self.act, frontiers, level)
+        frontiers.clear();
+        frontiers.extend((0..part.owned).filter(|&v| state.take_frontier_flag(v)));
+        bottom_up::identify_sequential(state, frontiers, level, newly);
+        let (hit, q) = (|f, i| state.hit(f, i), state.num_keywords());
+        let observed = bottom_up::observe_level(traced, hit, q, &self.act, frontiers, level);
+        (frontiers.len(), observed)
     }
 
-    /// The cohort of the last [`ShardLane::identify`], as global ids
+    /// The cohort of the last [`ShardLane::step`], as global ids
     /// (ascending, since owned local ids ascend with global ids).
     pub(crate) fn newly(&self) -> impl Iterator<Item = u32> + '_ {
         self.scratch.newly.iter().map(|&l| self.part.locals[l as usize])
@@ -449,24 +475,6 @@ impl ShardLane<'_> {
         }
         outbox
     }
-
-    /// Apply the round's notification set: a pair reaches exactly the
-    /// shards holding a replica, and only a replica still reading `∞`
-    /// accepts it (anything else cannot lower the bound). Frontier flags
-    /// rise only on owned replicas — the only ones whose flags are ever
-    /// scanned.
-    pub(crate) fn apply(&self, level: u8, pairs: &[(u32, u32)]) {
-        for &(v, i) in pairs {
-            if let Some(l) = self.part.local(v) {
-                if self.state.hit(l, i as usize) == INFINITE_LEVEL {
-                    self.state.set_hit(l, i as usize, level + 1);
-                    if l < self.part.num_owned {
-                        self.state.mark_frontier(l);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -484,7 +492,7 @@ mod tests {
     fn holders(plan: &ShardPlan) -> HashMap<u32, Vec<u32>> {
         let mut holders: HashMap<u32, Vec<u32>> = HashMap::new();
         for (s, part) in plan.parts.iter().enumerate() {
-            for &v in &part.locals[part.num_owned as usize..] {
+            for &v in &part.locals[part.owned as usize..] {
                 holders.entry(v).or_insert_with(|| vec![plan.owner[v as usize]]).push(s as u32);
             }
         }
@@ -515,14 +523,14 @@ mod tests {
             let plan = ShardPlan::build(&g, shards, DEFAULT_PARTITION_SEED);
             let mut seen = vec![0usize; g.num_nodes()];
             for part in &plan.parts {
-                for &v in &part.locals[..part.num_owned as usize] {
+                for &v in &part.locals[..part.owned as usize] {
                     seen[v as usize] += 1;
                 }
             }
             assert!(seen.iter().all(|&c| c == 1), "{shards} shards: ownership not a partition");
             // The owner table agrees with the parts.
             for (s, part) in plan.parts.iter().enumerate() {
-                for &v in &part.locals[..part.num_owned as usize] {
+                for &v in &part.locals[..part.owned as usize] {
                     assert_eq!(plan.owner[v as usize] as usize, s);
                 }
             }
@@ -546,7 +554,7 @@ mod tests {
                 );
             }
             // Owned block first, each block in ascending global order.
-            let (owned, halo) = part.locals.split_at(part.num_owned as usize);
+            let (owned, halo) = part.locals.split_at(part.owned as usize);
             assert!(owned.windows(2).all(|w| w[0] < w[1]), "owned ids must ascend");
             assert!(halo.windows(2).all(|w| w[0] < w[1]), "halo ids must ascend");
         }
@@ -570,7 +578,7 @@ mod tests {
                 let local = part
                     .local(node)
                     .unwrap_or_else(|| panic!("cut node {node} missing from shard {shard}"));
-                assert!(local >= part.num_owned, "replica of {node} must be a halo");
+                assert!(local >= part.owned, "replica of {node} must be a halo");
                 assert!(part.boundary.contains(&local), "halo {node} missing from boundary");
                 let holders = &holders[&node];
                 assert!(holders.contains(&shard) && holders[0] == plan.owner[node as usize]);
@@ -595,7 +603,7 @@ mod tests {
                 let part = ShardPlan::build_part(&g, shards, DEFAULT_PARTITION_SEED, s);
                 let full = &plan.parts[s];
                 assert_eq!(part.locals, full.locals, "{shards} shards, part {s}");
-                assert_eq!(part.num_owned, full.num_owned);
+                assert_eq!(part.owned, full.owned);
                 assert_eq!(part.boundary, full.boundary);
                 assert_eq!(part.local_index, full.local_index);
                 assert_eq!(
@@ -653,7 +661,7 @@ mod tests {
         let g = fixture();
         let plan = ShardPlan::build(&g, 4, DEFAULT_PARTITION_SEED);
         for part in &plan.parts {
-            for l in 0..part.num_owned {
+            for l in 0..part.owned {
                 let v = part.locals[l as usize];
                 let mut global: Vec<(u32, bool)> = g
                     .neighbors(NodeId(v))
@@ -679,9 +687,9 @@ mod tests {
         b.add_node("only", "alpha");
         let g = b.build();
         let plan = ShardPlan::build(&g, 8, DEFAULT_PARTITION_SEED);
-        let owned_total: usize = plan.parts.iter().map(|p| p.num_owned as usize).sum();
+        let owned_total: usize = plan.parts.iter().map(|p| p.owned as usize).sum();
         assert_eq!(owned_total, 1);
-        assert!(plan.parts.iter().any(|p| p.num_owned == 0), "some parts must be empty");
+        assert!(plan.parts.iter().any(|p| p.owned == 0), "some parts must be empty");
         assert!(holders(&plan).is_empty(), "an isolated node is never replicated");
     }
 

@@ -156,8 +156,8 @@ impl From<&PhaseProfile> for PhaseMillis {
 /// connection loop (a lane stepped in process reports 0 for them).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSpan {
-    /// The round-protocol phase this RPC served (`"start"`, `"enqueue"`,
-    /// `"identify"`, `"expand"`, `"apply"`, `"collect"`).
+    /// The round-protocol request this RPC served (`"start"`, `"step"`,
+    /// `"expand"`, `"collect"`).
     pub op: String,
     /// BFS level the RPC operated on, when the phase is per-level.
     pub level: Option<u32>,
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn shard_span_worker_total_sums_all_phases() {
         let s = ShardSpan {
-            op: "enqueue".into(),
+            op: "step".into(),
             level: Some(0),
             wait_us: 1,
             decode_us: 2,

@@ -52,9 +52,10 @@
 //!
 //! `--shards N` (default 1) partitions the graph into `N` edge-cut
 //! shards and answers every query through the scatter-gather
-//! coordinator (`central::shard`) instead of a single monolithic
-//! session. Answers, traces and error semantics are byte-identical to
-//! `--shards 1` (differential-tested); the result cache, budgets,
+//! coordinator (`central::remote::ShardCoordinator` over in-process
+//! lanes) instead of a single monolithic session. Answers, traces and
+//! error semantics are byte-identical to `--shards 1`
+//! (differential-tested); the result cache, budgets,
 //! panic quarantine and slow-query log all sit in front of the
 //! coordinator unchanged. `STATS` gains a `shards` object and
 //! `METRICS` gains `ws_shard_*` series when sharded. Sharded and remote

@@ -275,6 +275,12 @@ fn remote_explain_stitches_per_shard_timelines_across_processes() {
         .collect();
     assert!(!levels.is_empty(), "{response}");
 
+    // The EXPLAIN is this server's only query so far: every exchange
+    // round STATS counts is one of its own.
+    let stats: serde_json::Value =
+        serde_json::from_str(&roundtrip(&mut stream, &mut reader, "STATS")).unwrap();
+    let rounds = stats["remote"]["rounds"].as_u64().unwrap() as usize;
+
     let timelines = doc["trace"]["shard_timelines"]
         .as_array()
         .unwrap_or_else(|| panic!("remote EXPLAIN must stitch timelines: {response}"));
@@ -305,22 +311,30 @@ fn remote_explain_stitches_per_shard_timelines_across_processes() {
             .sum();
         assert_eq!(worker_us, span_sum, "worker total is the sum of its spans: {response}");
         // Reconciliation with the coordinator's level records: exactly
-        // one start and one collect, one enqueue per level plus the
-        // final empty round, and every expand tagged with a driven level.
+        // one start and one collect, one step per level plus the closing
+        // one that found the frontier dry, each tagged with its level, one
+        // expand per exchange round, each tagged with a driven level, and
+        // no other op.
         let ops = |op: &str| spans.iter().filter(|s| s["op"] == op).count();
         assert_eq!(ops("start"), 1, "{response}");
         assert_eq!(ops("collect"), 1, "{response}");
-        assert_eq!(ops("enqueue"), levels.len() + 1, "{response}");
+        let steps: Vec<u64> = spans
+            .iter()
+            .filter(|s| s["op"] == "step")
+            .map(|s| s["level"].as_u64().expect("step spans are level-tagged"))
+            .collect();
+        let closing = levels.len() as u64;
+        assert_eq!(steps, [&levels[..], &[closing]].concat(), "{response}");
+        assert_eq!(ops("expand"), rounds, "{response}");
         for span in spans.iter().filter(|s| s["op"] == "expand") {
             let level = span["level"].as_u64().expect("expand spans are level-tagged");
             assert!(levels.contains(&level), "span level {level} not in {levels:?}: {response}");
         }
+        assert_eq!(spans.len(), 2 + steps.len() + rounds, "no other op: {response}");
     }
 
     // One served query reaches --max-requests: collect the fleet PIDs,
     // drain, and verify the workers went with the server.
-    let stats: serde_json::Value =
-        serde_json::from_str(&roundtrip(&mut stream, &mut reader, "STATS")).unwrap();
     let pids = fleet_pids(&stats);
     let answer = roundtrip(&mut stream, &mut reader, "QUERY xml sql rdf");
     assert!(answer.contains("answers"), "{answer}");
