@@ -5,10 +5,10 @@
 //!          consecutive confirmed failures ≥ threshold
 //!   CLOSED ────────────────────────────────────────────▶ OPEN
 //!     ▲                                                    │
-//!     │ probe succeeds                    cooldown elapses │
+//!     │ trial query succeeds              cooldown elapses │
 //!     │                                                    ▼
 //!     └───────────────────────────────────────────── HALF-OPEN
-//!                         probe fails ──▶ back to OPEN (fresh cooldown)
+//!                   trial query fails ──▶ back to OPEN (fresh cooldown)
 //! ```
 //!
 //! Only *confirmed* worker failures move the machine: when a query RPC
@@ -17,8 +17,10 @@
 //! fault token) rather than the shard — so a misbehaving query can never
 //! open the breaker and shed its well-behaved neighbours. While OPEN, the
 //! coordinator fast-fails (or degrades) without dialing; once the
-//! cooldown elapses the next admission check flips to HALF-OPEN and
-//! exactly one probe decides between re-closing and another cooldown.
+//! cooldown elapses the next query's admission check flips to HALF-OPEN,
+//! and that query is the trial: it re-closes the breaker by succeeding,
+//! or re-opens it for another cooldown when its failed RPC's probe fails
+//! too. Nothing moves the machine between queries.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -30,7 +32,7 @@ pub enum BreakerState {
     Closed,
     /// Shedding: the shard is presumed dead until the cooldown elapses.
     Open,
-    /// Probation: one probe decides re-close vs. re-open.
+    /// Probation: the trial query decides re-close vs. re-open.
     HalfOpen,
 }
 
@@ -79,9 +81,9 @@ impl CircuitBreaker {
         Self::default()
     }
 
-    /// Admission check. `true` means traffic (or a probe) may proceed;
-    /// an OPEN breaker whose cooldown has elapsed flips to HALF-OPEN and
-    /// admits the caller as its probation probe.
+    /// Admission check. `true` means the query may proceed; an OPEN
+    /// breaker whose cooldown has elapsed flips to HALF-OPEN and admits
+    /// the caller as its trial.
     pub fn allow(&self, cooldown: Duration) -> bool {
         let mut inner = self.inner.lock().unwrap();
         match *inner {

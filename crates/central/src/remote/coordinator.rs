@@ -23,15 +23,24 @@
 //!   wall-clock budget, so a stalled worker costs bounded time;
 //! * **bounded whole-query retry** — a query whose shard RPC fails is
 //!   retried from the top (the protocol is idempotent: `Start` re-arms
-//!   every worker's state) with exponential backoff + deterministic
-//!   jitter, up to [`RemoteOptions::attempts`] failures per shard, all
-//!   charged against the *same* budget tracker: the budget bounds total
-//!   work including recovery;
+//!   every worker's state) with exponential backoff (50 ms doubling, at
+//!   most 2 s) + deterministic jitter, up to [`RemoteOptions::attempts`]
+//!   failures per shard, all charged against the *same* budget tracker:
+//!   the budget bounds total work including recovery;
 //! * **a per-shard circuit breaker** ([`super::breaker`]) fed only by
 //!   *confirmed* worker failures: when a query RPC fails, the worker is
 //!   probed out-of-band first, and a surviving probe attributes the
 //!   failure to the query itself — a fault-injecting query can therefore
 //!   never open the breaker and shed its well-behaved neighbours.
+//!
+//! Nothing probes the fleet in the background: a breaker changes state
+//! only when a query reaches its shard. Three confirmed failures open it;
+//! once its 1 s cooldown has passed, the next query's admission makes it
+//! half-open, and that query's outcome closes it or opens it again. A
+//! worker that dies while the fleet is idle is therefore found by the
+//! first query to reach it, which pays its retry budget before it is
+//! shed or degraded. (Under `serve --shard-workers` the supervisor
+//! respawns a dead worker without waiting for a query.)
 //!
 //! ## Degradation
 //!
@@ -66,7 +75,7 @@ use crate::SearchParams;
 use kgraph::KnowledgeGraph;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -94,27 +103,15 @@ impl ShardAddrs for StaticAddrs {
 }
 
 /// Supervision and degradation knobs of a [`ShardCoordinator`] over
-/// remote workers.
+/// remote workers: the three that `serve` sets from its flags. The rest
+/// of the policy is fixed by the constants below.
 #[derive(Clone, Copy, Debug)]
 pub struct RemoteOptions {
     /// Cap on each RPC's socket read/write (further clamped by the
     /// query's wall-clock budget).
     pub rpc_timeout: Duration,
-    /// Cap on establishing a worker connection.
-    pub connect_timeout: Duration,
     /// Confirmed failures per shard before a query gives up on it.
     pub attempts: u32,
-    /// First retry backoff; doubles per failure.
-    pub backoff_base: Duration,
-    /// Upper bound on the backoff.
-    pub backoff_cap: Duration,
-    /// Consecutive confirmed failures that open the breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker sheds before admitting a probe.
-    pub breaker_cooldown: Duration,
-    /// Interval of the background health-probe thread; `None` disables
-    /// it (deterministic tests drive probes through queries instead).
-    pub heartbeat: Option<Duration>,
     /// `true`: serve best-effort answers from live shards (marked
     /// `degraded`); `false`: shed with `shard_unavailable`.
     pub degraded_answers: bool,
@@ -122,19 +119,20 @@ pub struct RemoteOptions {
 
 impl Default for RemoteOptions {
     fn default() -> Self {
-        RemoteOptions {
-            rpc_timeout: Duration::from_secs(5),
-            connect_timeout: Duration::from_secs(1),
-            attempts: 3,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(1),
-            heartbeat: Some(Duration::from_secs(1)),
-            degraded_answers: false,
-        }
+        RemoteOptions { rpc_timeout: Duration::from_secs(5), attempts: 3, degraded_answers: false }
     }
 }
+
+/// Cap on establishing a worker connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// First retry backoff; doubles per failure.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Upper bound on the backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+/// Consecutive confirmed failures that open a breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long an open breaker sheds before admitting a trial query.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
 
 /// A successful sharded search: the outcome plus the explicit degradation
 /// marker the wire protocol surfaces.
@@ -150,7 +148,7 @@ pub struct ShardedOutcome {
 
 /// Monitoring snapshot of a [`ShardCoordinator`] over remote workers
 /// (STATS `remote` block).
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RemoteStats {
     /// Shard count and the boundary-exchange counters — all there is to
     /// monitor of an in-process fleet.
@@ -161,7 +159,8 @@ pub struct RemoteStats {
     pub dials: u64,
     /// Whole-query retries after a shard RPC failure.
     pub retries: u64,
-    /// Out-of-band health probes sent (failure attribution + heartbeat).
+    /// Out-of-band health probes sent, one per query attempt a shard
+    /// failed (failure attribution).
     pub probes: u64,
     /// Probes that failed (confirmed worker failures).
     pub probe_failures: u64,
@@ -169,8 +168,8 @@ pub struct RemoteStats {
     pub breaker_opens: u64,
     /// Queries answered degraded (at least one shard skipped).
     pub degraded_queries: u64,
-    /// Current breaker state per shard (`closed` / `open` / `half_open`).
-    pub breaker: Vec<String>,
+    /// Breaker state per shard, as the last query to reach it left it.
+    pub breaker: Vec<BreakerState>,
     /// RPC latency distribution, microseconds.
     pub rpc_latency_us: HistogramSnapshot,
 }
@@ -199,8 +198,12 @@ enum Fleet {
     Remote(Arc<dyn ShardAddrs>),
 }
 
-/// State shared with the heartbeat thread.
-struct Core {
+/// Scatter-gather coordinator over the `N` shards of the deterministic
+/// edge-cut partition: scatters a query to all shards, drives the round
+/// protocol, and merges the shards' rows into the monolithic top-(k,d)
+/// answer set. See [`crate::shard`] for the protocol and its identity
+/// argument, and the module docs for the two links.
+pub struct ShardCoordinator {
     shards: usize,
     seed: u64,
     num_nodes: u64,
@@ -209,6 +212,18 @@ struct Core {
     breakers: Vec<CircuitBreaker>,
     counters: RemoteCounters,
     latency: LogHistogram,
+    backend: ShardBackend,
+    name: String,
+    /// Per-shard channel freelist.
+    channels: Vec<Mutex<Vec<Channel>>>,
+    /// Steps the live lanes of a sweep concurrently (an in-process lane
+    /// expands on the thread that steps it) and runs the top-down stage:
+    /// `max(backend threads, shards)` workers.
+    compute: rayon::ThreadPool,
+    /// The sessions whose activation table and top-down scratch serve the
+    /// stage, which runs here, over the global graph and the collected
+    /// rows; their matrix state is never armed.
+    pub(crate) stage: SessionPool,
     /// The fault schedule of the supervision tests.
     #[cfg(test)]
     script: tests::Script,
@@ -265,7 +280,7 @@ fn invalid_data(reason: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason)
 }
 
-impl Core {
+impl ShardCoordinator {
     /// `request`, ready to go out on this fleet's links.
     fn outgoing<'a>(&self, request: &'a Request) -> Outgoing<'a> {
         let remote = matches!(self.fleet, Fleet::Remote(_));
@@ -305,7 +320,7 @@ impl Core {
         Ok(reply)
     }
 
-    /// [`Core::exchange`] one request and decode the reply.
+    /// [`ShardCoordinator::exchange`] one request and decode the reply.
     fn call(&self, chan: &mut Channel, request: &Request) -> io::Result<Response> {
         self.exchange(chan, &self.outgoing(request), self.opts.rpc_timeout)?.decode()
     }
@@ -332,7 +347,7 @@ impl Core {
         let addr = addrs.addr(shard).ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, format!("no address for shard {shard}"))
         })?;
-        let stream = TcpStream::connect_timeout(&addr, self.opts.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         let _ = stream.set_nodelay(true);
         self.counters.dials.fetch_add(1, Ordering::Relaxed);
         let mut chan = Channel { link: Link::Tcp(stream), generation };
@@ -381,7 +396,7 @@ impl Core {
     /// open transitions.
     fn confirmed_failure(&self, shard: usize) {
         let was_open = self.breakers[shard].state() == BreakerState::Open;
-        self.breakers[shard].record_failure(self.opts.breaker_threshold);
+        self.breakers[shard].record_failure(BREAKER_THRESHOLD);
         if !was_open && self.breakers[shard].state() == BreakerState::Open {
             self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
         }
@@ -394,29 +409,6 @@ impl Core {
         let x = crate::shard::splitmix64(nonce);
         base.mul_f64((x % 1000) as f64 / 2000.0) // 0 – 50 % of base
     }
-}
-
-/// Scatter-gather coordinator over the `N` shards of the deterministic
-/// edge-cut partition: scatters a query to all shards, drives the round
-/// protocol, and merges the shards' rows into the monolithic top-(k,d)
-/// answer set. See [`crate::shard`] for the protocol and its identity
-/// argument, and the module docs for the two links.
-pub struct ShardCoordinator {
-    core: Arc<Core>,
-    backend: ShardBackend,
-    name: String,
-    /// Per-shard channel freelist.
-    channels: Vec<Mutex<Vec<Channel>>>,
-    /// Steps the live lanes of a sweep concurrently (an in-process lane
-    /// expands on the thread that steps it) and runs the top-down stage:
-    /// `max(backend threads, shards)` workers.
-    compute: rayon::ThreadPool,
-    /// The sessions whose activation table and top-down scratch serve the
-    /// stage, which runs here, over the global graph and the collected
-    /// rows; their matrix state is never armed.
-    pub(crate) stage: SessionPool,
-    heartbeat_stop: Arc<AtomicBool>,
-    heartbeat: Option<std::thread::JoinHandle<()>>,
 }
 
 /// One worker per part of `graph`'s `shards`-way plan under the default
@@ -448,7 +440,7 @@ impl From<SearchError> for AttemptError {
 impl ShardCoordinator {
     /// Partition `graph` into `shards` parts (default seed) and coordinate
     /// them in this process: every channel owns a lane over its shard's
-    /// part. Nothing here can be unreachable, so there is no heartbeat.
+    /// part, and nothing here can be unreachable.
     ///
     /// This is the coordinator's socket-free host, not a serving mode
     /// (one process serves one graph; `serve` shards only across
@@ -461,9 +453,8 @@ impl ShardCoordinator {
         backend: ShardBackend,
         shards: usize,
     ) -> ShardCoordinator {
-        let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
         let fleet = in_process_fleet(graph, shards);
-        ShardCoordinator::over(graph.num_nodes(), backend, shards, fleet, opts)
+        ShardCoordinator::over(graph.num_nodes(), backend, shards, fleet, RemoteOptions::default())
     }
 
     /// Coordinate an `N = shards` fleet of worker processes addressed by
@@ -483,9 +474,8 @@ impl ShardCoordinator {
     /// A coordinator of the same fleet — these in-process parts, or those
     /// worker addresses under these options — running `backend`'s kernels.
     pub fn with_backend(&self, backend: ShardBackend) -> ShardCoordinator {
-        let core = &self.core;
-        let fleet = core.fleet.clone();
-        ShardCoordinator::over(core.num_nodes as usize, backend, core.shards, fleet, core.opts)
+        let (num_nodes, fleet) = (self.num_nodes as usize, self.fleet.clone());
+        ShardCoordinator::over(num_nodes, backend, self.shards, fleet, self.opts)
     }
 
     fn over(
@@ -496,7 +486,7 @@ impl ShardCoordinator {
         opts: RemoteOptions,
     ) -> ShardCoordinator {
         assert!(shards >= 1, "sharded search needs at least one shard");
-        let core = Arc::new(Core {
+        ShardCoordinator {
             shards,
             seed: DEFAULT_PARTITION_SEED,
             num_nodes: num_nodes as u64,
@@ -505,39 +495,25 @@ impl ShardCoordinator {
             breakers: (0..shards).map(|_| CircuitBreaker::new()).collect(),
             counters: RemoteCounters::default(),
             latency: LogHistogram::new(),
-            #[cfg(test)]
-            script: tests::Script::default(),
-        });
-        let heartbeat_stop = Arc::new(AtomicBool::new(false));
-        let heartbeat = opts.heartbeat.map(|interval| {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&heartbeat_stop);
-            std::thread::Builder::new()
-                .name("remote-shard-heartbeat".into())
-                .spawn(move || heartbeat_loop(&core, &stop, interval))
-                .expect("spawning the heartbeat thread")
-        });
-        ShardCoordinator {
-            core,
             backend,
             name: format!("{}[shards={shards}]", backend.base_name()),
             channels: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             compute: crate::engine::build_pool(backend.threads().max(shards)),
             stage: SessionPool::new(),
-            heartbeat_stop,
-            heartbeat,
+            #[cfg(test)]
+            script: tests::Script::default(),
         }
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.core.shards
+        self.shards
     }
 
     /// Whether the shards are worker processes ([`ShardCoordinator::remote`])
     /// rather than lanes in this one.
     pub fn is_remote(&self) -> bool {
-        matches!(self.core.fleet, Fleet::Remote(_))
+        matches!(self.fleet, Fleet::Remote(_))
     }
 
     /// Engine display name carried on traces (`"CPU-Par[shards=4]"`,
@@ -549,10 +525,10 @@ impl ShardCoordinator {
     /// Monitoring snapshot: the exchange counters plus the supervision
     /// ones.
     pub fn stats(&self) -> RemoteStats {
-        let c = &self.core.counters;
+        let c = &self.counters;
         RemoteStats {
             exchange: ShardedStats {
-                shards: self.core.shards,
+                shards: self.shards,
                 rounds: c.exchange.rounds.load(Ordering::Relaxed),
                 notifications: c.exchange.notifications.load(Ordering::Relaxed),
                 notifications_suppressed: c.exchange.suppressed.load(Ordering::Relaxed),
@@ -564,14 +540,9 @@ impl ShardCoordinator {
             probe_failures: c.probe_failures.load(Ordering::Relaxed),
             breaker_opens: c.breaker_opens.load(Ordering::Relaxed),
             degraded_queries: c.degraded_queries.load(Ordering::Relaxed),
-            breaker: self.core.breakers.iter().map(|b| b.state().name().to_string()).collect(),
-            rpc_latency_us: self.core.latency.snapshot(),
+            breaker: self.breakers.iter().map(CircuitBreaker::state).collect(),
+            rpc_latency_us: self.latency.snapshot(),
         }
-    }
-
-    /// Current breaker state per shard.
-    pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.core.breakers.iter().map(|b| b.state()).collect()
     }
 
     /// Run one budgeted sharded search. Same contract as
@@ -605,21 +576,21 @@ impl ShardCoordinator {
                 }
             };
 
-        let opts = &self.core.opts;
+        let opts = &self.opts;
         let deadline = budget.timeout.map(|t| Instant::now() + t);
-        let mut dead = vec![false; self.core.shards];
-        let mut failures = vec![0u32; self.core.shards];
+        let mut dead = vec![false; self.shards];
+        let mut failures = vec![0u32; self.shards];
         // Bounded supervision loop: every iteration either returns,
         // burns one of a shard's finite attempts, or marks a shard dead.
-        let max_rounds = (self.core.shards as u32 * (opts.attempts + 1) + 1) as usize;
+        let max_rounds = (self.shards as u32 * (opts.attempts + 1) + 1) as usize;
         for _ in 0..max_rounds {
             match self.attempt(graph, query, params, &tracker, deadline, &dead, qid) {
                 Ok(outcome) => {
                     let degraded = dead.iter().any(|&d| d);
                     if degraded {
-                        self.core.counters.degraded_queries.fetch_add(1, Ordering::Relaxed);
+                        self.counters.degraded_queries.fetch_add(1, Ordering::Relaxed);
                     }
-                    for (s, b) in self.core.breakers.iter().enumerate() {
+                    for (s, b) in self.breakers.iter().enumerate() {
                         if !dead[s] {
                             b.record_success();
                         }
@@ -647,12 +618,12 @@ impl ShardCoordinator {
                     // Failure attribution: probe the worker out-of-band.
                     // A surviving probe blames the query (e.g. a fault
                     // token), leaving the breaker untouched.
-                    match self.core.probe(shard) {
+                    match self.probe(shard) {
                         Some(chan) => self.checkin(shard, chan),
-                        None => self.core.confirmed_failure(shard),
+                        None => self.confirmed_failure(shard),
                     }
                     let gone = failures[shard] >= opts.attempts
-                        || self.core.breakers[shard].state() == BreakerState::Open;
+                        || self.breakers[shard].state() == BreakerState::Open;
                     if gone {
                         if !opts.degraded_answers {
                             return Err(SearchError::ShardUnavailable { shard });
@@ -660,12 +631,11 @@ impl ShardCoordinator {
                         dead[shard] = true;
                         continue;
                     }
-                    self.core.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let exp = opts
-                        .backoff_base
+                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                    let exp = BACKOFF_BASE
                         .saturating_mul(1u32 << (failures[shard] - 1).min(16))
-                        .min(opts.backoff_cap);
-                    std::thread::sleep(exp + self.core.jitter(exp));
+                        .min(BACKOFF_CAP);
+                    std::thread::sleep(exp + self.jitter(exp));
                 }
             }
         }
@@ -676,18 +646,18 @@ impl ShardCoordinator {
     /// Pooled-channel checkout: reuse a same-generation channel or dial a
     /// fresh one.
     fn checkout(&self, shard: usize) -> io::Result<Channel> {
-        let current = self.core.generation(shard);
+        let current = self.generation(shard);
         while let Some(chan) = self.channels[shard].lock().unwrap().pop() {
             if chan.generation == current {
                 return Ok(chan);
             }
             // Stale incarnation: drop and keep looking.
         }
-        self.core.dial(shard)
+        self.dial(shard)
     }
 
     fn checkin(&self, shard: usize, chan: Channel) {
-        if chan.generation == self.core.generation(shard) {
+        if chan.generation == self.generation(shard) {
             self.channels[shard].lock().unwrap().push(chan);
         }
     }
@@ -695,7 +665,7 @@ impl ShardCoordinator {
     /// Per-RPC socket timeout: the configured cap, clamped by what is
     /// left of the query's wall-clock budget.
     fn rpc_timeout(&self, deadline: Option<Instant>) -> Duration {
-        let cap = self.core.opts.rpc_timeout;
+        let cap = self.opts.rpc_timeout;
         match deadline {
             Some(d) => {
                 let left = d.saturating_duration_since(Instant::now());
@@ -717,11 +687,12 @@ impl ShardCoordinator {
         dead: &[bool],
         qid: Option<u64>,
     ) -> Result<SearchOutcome, AttemptError> {
-        let core = &self.core;
-        let live: Vec<usize> = (0..core.shards).filter(|&s| !dead[s]).collect();
-        // Admission: an open breaker sheds the shard before any dialing.
+        let live: Vec<usize> = (0..self.shards).filter(|&s| !dead[s]).collect();
+        // Admission: an open breaker sheds the shard before any dialing;
+        // past its cooldown it turns half-open and this query is the
+        // trial.
         for &s in &live {
-            if !core.breakers[s].allow(core.opts.breaker_cooldown) {
+            if !self.breakers[s].allow(BREAKER_COOLDOWN) {
                 return Err(AttemptError::ShardShed { shard: s });
             }
         }
@@ -731,7 +702,7 @@ impl ShardCoordinator {
         let mut ops = RemoteOps {
             search: self,
             live,
-            lanes: (0..core.shards).map(|_| Default::default()).collect(),
+            lanes: (0..self.shards).map(|_| Default::default()).collect(),
             deadline,
             tracker,
             level: 0,
@@ -897,14 +868,13 @@ impl RemoteOps<'_> {
         reply_of: fn(Response) -> Option<T>,
     ) -> Result<Vec<T>, AttemptError> {
         use rayon::prelude::*;
-        let core = &self.search.core;
-        let out = core.outgoing(request);
+        let out = self.search.outgoing(request);
         let timeout = self.search.rpc_timeout(self.deadline);
         let exchange = |&s: &usize| {
             let mut lane = self.lanes[s].lock();
             let t = Instant::now();
             let chan = lane.chan.as_mut().expect("live shard has a channel");
-            let reply = core.exchange(chan, &out, timeout);
+            let reply = self.search.exchange(chan, &out, timeout);
             lane.rpc_us += t.elapsed().as_micros() as u64;
             reply
         };
@@ -938,8 +908,8 @@ impl RemoteOps<'_> {
         hits: &mut HitBlock,
         q: usize,
     ) -> Result<Option<Vec<ShardTimeline>>, AttemptError> {
-        let core = &self.search.core;
-        let include_halos = self.live.len() < core.shards;
+        let search = self.search;
+        let include_halos = self.live.len() < search.shards;
         let collect = Request::Collect(wire::Collect { include_halos });
         let replies = self.sweep(&collect, |reply| match reply {
             Response::CollectOk(ok) => Some(ok),
@@ -968,9 +938,9 @@ impl RemoteOps<'_> {
             collected.iter_mut().map(stitch).collect()
         });
         let owner_of = |v: u32| -> usize {
-            (crate::shard::splitmix64(core.seed ^ u64::from(v)) % core.shards as u64) as usize
+            (crate::shard::splitmix64(search.seed ^ u64::from(v)) % search.shards as u64) as usize
         };
-        scatter_rows(hits, (core.num_nodes as usize, q), owner_of, &collected)
+        scatter_rows(hits, (search.num_nodes as usize, q), owner_of, &collected)
             .map_err(|s| self.fail(s))?;
         Ok(timelines)
     }
@@ -992,7 +962,7 @@ impl LevelOps for RemoteOps<'_> {
         }
         self.stepped = stepped?;
         // A Central Node outside the graph is a malformed reply.
-        let n = self.search.core.num_nodes;
+        let n = self.search.num_nodes;
         let outside = |ok: &wire::StepOk| ok.newly.iter().any(|&v| u64::from(v) >= n);
         if let Some(i) = self.stepped.iter().position(outside) {
             return Err(self.fail(self.live[i]));
@@ -1036,47 +1006,9 @@ impl LevelOps for RemoteOps<'_> {
         // The lanes metered this level's kernels; charge the sum here, at
         // the level's sequence point, which is where the budget is judged.
         self.tracker.charge(charged);
-        self.search.core.counters.exchange.exchange(&mut self.pairs);
+        self.search.counters.exchange.exchange(&mut self.pairs);
         self.level = level + 1;
         Ok(())
-    }
-}
-
-impl Drop for ShardCoordinator {
-    fn drop(&mut self) {
-        self.heartbeat_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.heartbeat.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Background health probing: keeps breaker states honest between
-/// queries and closes the loop after a worker respawn (the cooldown-
-/// elapsed probe is what re-closes an open breaker).
-fn heartbeat_loop(core: &Core, stop: &AtomicBool, interval: Duration) {
-    let tick = Duration::from_millis(20).min(interval);
-    let mut last: Option<Instant> = None; // first probe fires immediately
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        if last.is_none_or(|t| t.elapsed() >= interval) {
-            last = Some(Instant::now());
-            for s in 0..core.shards {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if !core.breakers[s].allow(core.opts.breaker_cooldown) {
-                    continue; // open and cooling down: shed
-                }
-                match core.probe(s) {
-                    Some(_chan) => core.breakers[s].record_success(),
-                    None => core.confirmed_failure(s),
-                }
-            }
-        }
-        std::thread::sleep(tick);
     }
 }
 
@@ -1085,7 +1017,6 @@ mod tests {
     use super::*;
     use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
     use crate::remote::frame::read_frame;
-    use crate::remote::BreakerState;
     use kgraph::GraphBuilder;
     use std::net::TcpListener;
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1143,6 +1074,11 @@ mod tests {
             let rpcs = seen + rpcs.start..seen.saturating_add(rpcs.end);
             self.faults.lock().unwrap().push((shard, rpcs, fault));
         }
+
+        /// End the schedule: every later RPC reaches its lane.
+        fn end(&self) {
+            self.faults.lock().unwrap().clear();
+        }
     }
 
     /// Two keyword clusters bridged by a hub plus six isolated keyword
@@ -1165,11 +1101,9 @@ mod tests {
         (g, query)
     }
 
-    /// An in-process fleet under `opts` (no heartbeat, 1 ms backoff base —
-    /// the longest sleep a retry here takes is 3 ms).
+    /// An in-process fleet under `opts`. A retry here sleeps the real
+    /// backoff: 50 ms, then 100 ms, each plus up to half again of jitter.
     fn scripted(g: &KnowledgeGraph, shards: usize, opts: RemoteOptions) -> ShardCoordinator {
-        let opts =
-            RemoteOptions { heartbeat: None, backoff_base: Duration::from_millis(1), ..opts };
         let fleet = in_process_fleet(g, shards);
         ShardCoordinator::over(g.num_nodes(), ShardBackend::Seq, shards, fleet, opts)
     }
@@ -1201,38 +1135,64 @@ mod tests {
         for fault in [Fault::Drop, Fault::Garbage, Fault::Stall] {
             let fleet = scripted(&g, 2, RemoteOptions::default());
             // RPC 2 of shard 1: its level-0 `Expand`.
-            fleet.core.script.fail(1, 2..3, fault);
+            fleet.script.fail(1, 2..3, fault);
             let out = search(&fleet, &g, &query).expect("the retry answers");
             assert!(!out.degraded, "{fault:?}");
             assert_eq!(digest(&out.outcome), solo(&g, &query), "{fault:?}");
             let stats = fleet.stats();
             assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 1, 0), "{fault:?}");
             assert_eq!(stats.breaker_opens, 0, "{fault:?}");
-            assert_eq!(fleet.breaker_states(), [BreakerState::Closed; 2], "{fault:?}");
+            assert_eq!(stats.breaker, [BreakerState::Closed; 2], "{fault:?}");
         }
     }
 
     /// A worker that stays dead — every RPC and every probe fails — is a
-    /// confirmed failure each time: `breaker_threshold` of them open its
-    /// breaker, once, the query is shed as `shard_unavailable`, and the
-    /// next query is shed at admission without an RPC.
+    /// confirmed failure each time: `BREAKER_THRESHOLD` of them (here all
+    /// three attempts) open its breaker, once, the query is shed as
+    /// `shard_unavailable`, and the next query is shed at admission
+    /// without an RPC.
     #[test]
     fn confirmed_failures_open_the_breaker_and_shed() {
         let (g, query) = bridged_query();
-        let opts = RemoteOptions { attempts: 3, breaker_threshold: 2, ..RemoteOptions::default() };
+        let opts = RemoteOptions { attempts: BREAKER_THRESHOLD, ..RemoteOptions::default() };
         let fleet = scripted(&g, 2, opts);
         // From RPC 1 of shard 1 on: its level-0 `Step` (the identify) first.
-        fleet.core.script.fail(1, 1..u64::MAX, Fault::Drop);
+        fleet.script.fail(1, 1..u64::MAX, Fault::Drop);
         let err = search(&fleet, &g, &query).unwrap_err();
         assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
         let stats = fleet.stats();
-        assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 2, 2));
+        assert_eq!((stats.retries, stats.probes, stats.probe_failures), (2, 3, 3));
         assert_eq!(stats.breaker_opens, 1);
-        assert_eq!(fleet.breaker_states(), [BreakerState::Closed, BreakerState::Open]);
+        assert_eq!(stats.breaker, [BreakerState::Closed, BreakerState::Open]);
 
         let err = search(&fleet, &g, &query).unwrap_err();
         assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
         assert_eq!(fleet.stats().rpcs, stats.rpcs, "shed at admission");
+    }
+
+    /// Nothing probes an idle fleet: an open breaker stays open through
+    /// its cooldown without a single probe, and the first query after it
+    /// is the half-open trial — a worker that is back answers it in full,
+    /// and the breaker closes.
+    #[test]
+    fn an_open_breaker_recloses_on_the_first_query_after_the_cooldown() {
+        let (g, query) = bridged_query();
+        let fleet = scripted(&g, 2, RemoteOptions::default());
+        fleet.script.fail(1, 0..u64::MAX, Fault::Drop);
+        search(&fleet, &g, &query).unwrap_err();
+        assert_eq!(fleet.stats().breaker, [BreakerState::Closed, BreakerState::Open]);
+        fleet.script.end();
+
+        let probes = fleet.stats().probes;
+        std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(100));
+        let idle = fleet.stats();
+        assert_eq!(idle.probes, probes, "no probe while idle");
+        assert_eq!(idle.breaker[1], BreakerState::Open, "the state the last query saw");
+
+        let out = search(&fleet, &g, &query).expect("the trial query answers");
+        assert!(!out.degraded);
+        assert_eq!(digest(&out.outcome), solo(&g, &query));
+        assert_eq!(fleet.stats().breaker, [BreakerState::Closed; 2]);
     }
 
     /// The same dead worker under `degraded_answers`: the query answers
@@ -1242,14 +1202,9 @@ mod tests {
     #[test]
     fn a_dead_shard_degrades_and_halo_rows_fill_its_owners() {
         let (g, query) = bridged_query();
-        let opts = RemoteOptions {
-            attempts: 3,
-            breaker_threshold: 2,
-            degraded_answers: true,
-            ..RemoteOptions::default()
-        };
+        let opts = RemoteOptions { degraded_answers: true, ..RemoteOptions::default() };
         let fleet = scripted(&g, 2, opts);
-        fleet.core.script.fail(1, 0..u64::MAX, Fault::Drop);
+        fleet.script.fail(1, 0..u64::MAX, Fault::Drop);
         let out = search(&fleet, &g, &query).expect("degrades");
         assert!(out.degraded, "a lost shard must be explicitly marked");
         let stats = fleet.stats();
@@ -1292,11 +1247,11 @@ mod tests {
 
         // RPC 3 of shard 1: the level-1 `Step`, which carries the level-0
         // notifications.
-        fleet.core.script.fail(1, 3..4, Fault::Panic);
+        fleet.script.fail(1, 3..4, Fault::Panic);
         catch_unwind(AssertUnwindSafe(|| search(&fleet, &g, &query)))
             .expect_err("the handler's panic reaches the caller");
         assert_eq!(idle(&fleet), [0, 0, 0], "the whole cohort is dropped");
-        assert_eq!(fleet.breaker_states(), [BreakerState::Closed; 3], "a panic is not a failure");
+        assert_eq!(fleet.stats().breaker, [BreakerState::Closed; 3], "a panic is not a failure");
 
         assert_eq!(digest(&search(&fleet, &g, &query).unwrap().outcome), want);
         assert_eq!(idle(&fleet), [1, 1, 1]);
@@ -1316,7 +1271,7 @@ mod tests {
         let stats = fleet.stats();
         assert!(stats.exchange.rounds > 0 && stats.rpcs > 0);
         assert_eq!((stats.dials, stats.probes, stats.retries), (0, 0, 0));
-        assert!(fleet.heartbeat.is_none() && !fleet.is_remote());
+        assert!(!fleet.is_remote());
     }
 
     /// Two requests per shard per level, on either link: a query costs
@@ -1331,7 +1286,7 @@ mod tests {
             let addrs = (0..shards)
                 .map(|s| ShardWorker::spawn_local(&g, shards, s, DEFAULT_PARTITION_SEED))
                 .collect();
-            let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+            let opts = RemoteOptions::default();
             let addrs = Arc::new(StaticAddrs(addrs));
             let loopback = ShardCoordinator::remote(&g, ShardBackend::Seq, shards, addrs, opts);
             let in_process = ShardCoordinator::in_process(&g, ShardBackend::Seq, shards);
@@ -1461,7 +1416,7 @@ mod tests {
             assert_eq!(err, SearchError::ShardUnavailable { shard: 0 });
             let stats = fleet.stats();
             assert_eq!((stats.retries, stats.probes, stats.probe_failures), (1, 2, 0));
-            assert_eq!(fleet.breaker_states(), [BreakerState::Closed]);
+            assert_eq!(stats.breaker, [BreakerState::Closed]);
         }
     }
 
@@ -1498,14 +1453,9 @@ mod tests {
         (g, query)
     }
 
-    /// A one-shard fleet over `worker`: two attempts, no heartbeat.
+    /// A one-shard fleet over `worker`: two attempts.
     fn fleet_of(g: &KnowledgeGraph, worker: SocketAddr) -> ShardCoordinator {
-        let opts = RemoteOptions {
-            heartbeat: None,
-            attempts: 2,
-            backoff_base: Duration::from_millis(1),
-            ..RemoteOptions::default()
-        };
+        let opts = RemoteOptions { attempts: 2, ..RemoteOptions::default() };
         ShardCoordinator::remote(g, ShardBackend::Seq, 1, Arc::new(StaticAddrs(vec![worker])), opts)
     }
 }

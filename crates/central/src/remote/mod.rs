@@ -77,18 +77,13 @@ mod tests {
         b.build()
     }
 
-    /// Spin up an in-process worker fleet and a coordinator over it, with
-    /// deterministic supervision knobs (no heartbeat, no retry waits).
+    /// Spin up an in-process worker fleet and a coordinator over it.
     fn remote(g: &KnowledgeGraph, backend: ShardBackend, shards: usize) -> ShardCoordinator {
         let addrs: Vec<_> = (0..shards)
             .map(|s| ShardWorker::spawn_local(g, shards, s, DEFAULT_PARTITION_SEED))
             .collect();
-        let opts = RemoteOptions {
-            heartbeat: None,
-            backoff_base: Duration::from_millis(1),
-            ..RemoteOptions::default()
-        };
-        ShardCoordinator::remote(g, backend, shards, Arc::new(StaticAddrs(addrs)), opts)
+        let addrs = Arc::new(StaticAddrs(addrs));
+        ShardCoordinator::remote(g, backend, shards, addrs, RemoteOptions::default())
     }
 
     #[test]
@@ -167,7 +162,7 @@ mod tests {
         let idx = InvertedIndex::build(&g);
         let query = ParsedQuery::parse(&idx, "zzznothing");
         // No workers at all: the empty query never touches the network.
-        let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+        let opts = RemoteOptions::default();
         let r =
             ShardCoordinator::remote(&g, ShardBackend::Seq, 2, Arc::new(StaticAddrs(vec![])), opts);
         let out = r
@@ -222,7 +217,7 @@ mod tests {
         };
         assert_rejected(&mut loopback);
         assert_eq!(fleet.stats().rpcs, 0, "a bad query costs the fleet nothing");
-        assert!(fleet.breaker_states().iter().all(|b| *b == BreakerState::Closed));
+        assert!(fleet.stats().breaker.iter().all(|b| *b == BreakerState::Closed));
         assert_eq!(loopback(&good), want, "loopback fleet");
     }
 
@@ -281,12 +276,7 @@ mod tests {
         let g = fixture();
         // Worker built for a 3-shard partition; coordinator expects 2.
         let addr = ShardWorker::spawn_local(&g, 3, 0, DEFAULT_PARTITION_SEED);
-        let opts = RemoteOptions {
-            heartbeat: None,
-            attempts: 1,
-            backoff_base: Duration::from_millis(1),
-            ..RemoteOptions::default()
-        };
+        let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
         let r = ShardCoordinator::remote(
             &g,
             ShardBackend::Seq,

@@ -11,7 +11,7 @@
 //! | opcode | request → response | round-protocol phase |
 //! |---|---|---|
 //! | [`OP_HELLO`] → [`OP_HELLO_OK`] | [`Hello`] → [`HelloOk`] | connection handshake: partition contract check |
-//! | [`OP_PING`] → [`OP_PONG`] | empty → empty | heartbeat / breaker probe |
+//! | [`OP_PING`] → [`OP_PONG`] | empty → empty | failure-attribution probe after a failed query RPC |
 //! | [`OP_START`] → [`OP_START_OK`] | [`Start`] → [`StartOk`] | scatter: localize + seed the query |
 //! | [`OP_STEP`] → [`OP_STEP_OK`] | [`Step`] → [`StepOk`] | apply the last round's notifications, drain owned frontier flags, identify central nodes |
 //! | [`OP_EXPAND`] → [`OP_EXPAND_OK`] | [`Expand`] → [`ExpandOk`] | expand + boundary scan |

@@ -1571,7 +1571,7 @@ mod tests {
             let addrs = (0..2)
                 .map(|s| ShardWorker::spawn_local(g, 2, s, DEFAULT_PARTITION_SEED))
                 .collect();
-            let opts = RemoteOptions { heartbeat: None, ..RemoteOptions::default() };
+            let opts = RemoteOptions::default();
             let addrs = std::sync::Arc::new(StaticAddrs(addrs));
             let fleets = [
                 ("2 shards", ShardCoordinator::in_process(g, ShardBackend::Seq, 2)),

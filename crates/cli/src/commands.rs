@@ -80,7 +80,7 @@ commands:
                                            --shard-workers)
            [--shard-workers N | --shard-addr HOST:PORT,…]
            [--degraded-answers true] [--rpc-timeout-ms MS]
-           [--rpc-retries N] [--heartbeat-ms MS]
+           [--rpc-retries N]
                                            remote shard serving:
                                            --shard-workers N forks and
                                            supervises N shard-worker

@@ -11,7 +11,7 @@
 //!                     [--workers W] [--max-requests N]
 //!                     [--shard-workers N | --shard-addr a,b,…]
 //!                     [--degraded-answers true] [--rpc-timeout-ms MS]
-//!                     [--rpc-retries N] [--heartbeat-ms MS]
+//!                     [--rpc-retries N]
 //! wikisearch shard-worker --graph kb.tsv --shards N --shard-index I
 //!                     [--port P] [--watch-stdin true]
 //! wikisearch help

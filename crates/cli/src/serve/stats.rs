@@ -51,6 +51,7 @@ use central::metrics::{
     prometheus_counter, prometheus_gauge, prometheus_histogram, prometheus_labeled_gauge,
     ENGINE_COUNTERS,
 };
+use central::remote::BreakerState;
 use central::{CacheStats, HistogramSnapshot, MetricsSnapshot, PoolStats, RemoteStats};
 use serde_json::{json, Value};
 use std::sync::atomic::Ordering;
@@ -87,8 +88,6 @@ pub(super) struct Snapshot {
 #[derive(Default)]
 struct Remote {
     stats: RemoteStats,
-    /// Per-shard breaker gauges (0 closed, 1 half-open, 2 open).
-    breakers: Vec<f64>,
     /// Live PIDs and respawn count of a supervised (`--shard-workers`)
     /// fleet.
     workers: Option<(Vec<u32>, u64)>,
@@ -104,10 +103,6 @@ impl Snapshot {
             cache: ws.cache_stats(),
             remote: ws.remote_stats().map(|stats| Remote {
                 stats,
-                breakers: ws
-                    .remote_breaker_states()
-                    .map(|states| states.iter().map(|s| s.gauge()).collect())
-                    .unwrap_or_default(),
                 workers: shared.supervisor.map(|sup| (sup.pids(), sup.respawns())),
             }),
             memory_mapped: ws.is_memory_mapped(),
@@ -323,20 +318,15 @@ static REMOTE: &[Row<Remote>] = &[
         .read(|r| r.stats.exchange.rounds.into()),
     field("notifications").read(|r| r.stats.exchange.notifications.into()),
     field("notifications_suppressed").read(|r| r.stats.exchange.notifications_suppressed.into()),
-    field("breaker").read(|r| V::Json(json!(r.stats.breaker))),
+    field("breaker").read(|r| V::Json(json!(breakers(r, BreakerState::name)))),
     histogram("ws_remote_rpc_seconds", "rpc_latency_us", 1e-6)
         .help("Per-RPC round-trip latency to remote shard workers.")
         .read(|r| V::Histogram(&r.stats.rpc_latency_us)),
     gauge("ws_remote_breaker_state", "")
         .help("Per-shard breaker state (0 closed, 1 half-open, 2 open).")
         .read(|r| {
-            V::Labeled(
-                r.breakers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &g)| (format!("shard=\"{i}\""), g))
-                    .collect(),
-            )
+            let gauges = breakers(r, BreakerState::gauge).into_iter().enumerate();
+            V::Labeled(gauges.map(|(i, g)| (format!("shard=\"{i}\""), g)).collect())
         }),
     field("workers").read(|r| {
         V::Json(match &r.workers {
@@ -375,6 +365,12 @@ static IDENTITY: &[Row<Snapshot>] = &[
         .help("Seconds since the server started.")
         .read(|s| s.uptime_s.into()),
 ];
+
+/// Each shard's breaker state as `view` renders it: the STATS name or the
+/// gauge value (0 closed, 1 half-open, 2 open).
+fn breakers<T>(r: &Remote, view: fn(&BreakerState) -> T) -> Vec<T> {
+    r.stats.breaker.iter().map(view).collect()
+}
 
 /// `{"qid", "wall_ms"}` of the slowest recently answered query, `null`
 /// before the first.
@@ -530,7 +526,7 @@ pub(super) fn top(s: &Snapshot, telemetry: &central::Telemetry) -> Value {
     doc.put("qps", json!(window.as_ref().map(|w| w.qps())));
     doc.put("cache_hit_rate", json!(window.as_ref().map(|w| w.cache_hit_rate())));
     doc.put("slowest_recent", slowest_recent(s));
-    doc.put("breakers", json!(s.remote.as_ref().map(|r| &r.breakers)));
+    doc.put("breakers", json!(s.remote.as_ref().map(|r| breakers(r, BreakerState::gauge))));
     doc.into()
 }
 
@@ -548,7 +544,13 @@ mod tests {
     fn every_layer() -> Snapshot {
         Snapshot {
             cache: Some(CacheStats::default()),
-            remote: Some(Remote { breakers: vec![0.0], ..Remote::default() }),
+            remote: Some(Remote {
+                stats: RemoteStats {
+                    breaker: vec![BreakerState::Closed],
+                    ..RemoteStats::default()
+                },
+                workers: None,
+            }),
             build_info: "version=\"0\"".into(),
             ..Snapshot::default()
         }

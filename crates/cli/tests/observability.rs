@@ -218,9 +218,7 @@ fn wire_schema_matches_the_committed_golden() {
         ("plain", boot("golden-plain", |_| String::new())),
         (
             "remote",
-            boot("golden-remote", |g| {
-                format!("--shard-addr {},{} --heartbeat-ms 0", w(g, 0), w(g, 1))
-            }),
+            boot("golden-remote", |g| format!("--shard-addr {},{}", w(g, 0), w(g, 1))),
         ),
     ];
     let mut actual = String::new();
@@ -531,7 +529,7 @@ fn remote_server_exposes_per_shard_breaker_and_rpc_counters() {
     std::thread::spawn(move || {
         let argv: Vec<String> = format!(
             "serve --graph {path} --port {port} --backend seq --workers 2 \
-             --shard-addr {w0},{w1} --heartbeat-ms 0"
+             --shard-addr {w0},{w1}"
         )
         .split_whitespace()
         .map(String::from)

@@ -44,7 +44,6 @@ use central::engine::{
     DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SearchOutcome, SearchStats,
     SeqEngine,
 };
-use central::remote::BreakerState;
 use central::{
     CacheOutcome, CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile,
     QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError,
@@ -372,9 +371,8 @@ impl WikiSearch {
     /// every worker is healthy (the remote-equivalence suite pins this).
     /// `addrs` names the workers — a
     /// [`central::StaticAddrs`] list for an externally managed fleet, or a
-    /// supervisor's live address table — and `opts` sets the
-    /// retry/backoff, circuit-breaker, heartbeat and degraded-answer
-    /// policy.
+    /// supervisor's live address table — and `opts` sets the RPC timeout,
+    /// the retry budget and the degraded-answer policy.
     ///
     /// # Panics
     /// Panics if the backend is `gpu` or `dyn` ([`Backend::sharded`]).
@@ -400,16 +398,11 @@ impl WikiSearch {
         self.fleet_where(true).map(ShardCoordinator::num_shards)
     }
 
-    /// Counters of the remote coordinator (RPCs, retries, breaker flips,
-    /// degraded answers, RPC latency), `None` outside remote serving.
+    /// Counters of the remote coordinator (RPCs, retries, breaker flips
+    /// and states, degraded answers, RPC latency), `None` outside remote
+    /// serving.
     pub fn remote_stats(&self) -> Option<RemoteStats> {
         self.fleet_where(true).map(ShardCoordinator::stats)
-    }
-
-    /// Live circuit-breaker state per remote shard, `None` outside remote
-    /// serving.
-    pub fn remote_breaker_states(&self) -> Option<Vec<BreakerState>> {
-        self.fleet_where(true).map(ShardCoordinator::breaker_states)
     }
 
     /// Shard count and boundary-exchange counters (rounds, notifications)
@@ -1453,18 +1446,10 @@ mod tests {
     use central::shard::DEFAULT_PARTITION_SEED;
     use central::{ShardWorker, StaticAddrs};
 
-    /// Snappy retry/backoff knobs and no heartbeat thread, so tests
-    /// exercising dead shards stay fast and deterministic.
+    /// One attempt per shard, so tests exercising dead shards never
+    /// sleep a retry backoff.
     fn test_remote_opts() -> RemoteOptions {
-        use std::time::Duration;
-        RemoteOptions {
-            attempts: 1,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            connect_timeout: Duration::from_millis(200),
-            heartbeat: None,
-            ..RemoteOptions::default()
-        }
+        RemoteOptions { attempts: 1, ..RemoteOptions::default() }
     }
 
     /// `small_engine` driven over an in-process-spawned remote worker

@@ -1,9 +1,11 @@
 //! The prose names code that exists: every backticked `<file>.rs::<name>`
-//! (a bare file name is looked up under `crates/`) and every backticked
-//! `WikiSearch::<method>` in README.md, DESIGN.md and `docs/*.md` must
-//! resolve to a definition in the sources. A deletion or rename that
-//! leaves a doc pointing at nothing fails here, the way the metric table's
-//! README coverage test fails for a metric nobody documented.
+//! (a bare file name is looked up under `crates/`), every backticked
+//! `WikiSearch::<method>` and every backticked `<crate>::<module>[::<item>]`
+//! whose first segment is a crate under `crates/` in README.md, DESIGN.md
+//! and `docs/*.md` must resolve to a definition in the sources. A deletion
+//! or rename that leaves a doc pointing at nothing fails here, the way the
+//! metric table's README coverage test fails for a metric nobody
+//! documented.
 
 use std::path::{Path, PathBuf};
 
@@ -123,37 +125,109 @@ fn unresolved_facade_ref(facade: &str, text: &str) -> Option<String> {
     (!missing.is_empty()).then(|| format!("WikiSearch has no {missing:?}"))
 }
 
-/// Every `<file>.rs::…` and `WikiSearch::…` reference in one code span,
-/// each with why it does not resolve (`None` when it does).
-fn references(
-    root: &Path,
-    sources: &[PathBuf],
-    facade: &str,
-    span: &str,
-) -> Vec<(String, Option<String>)> {
-    let path_char = |c: char| is_ident_char(c) || c == '/' || c == '.' || c == '-';
-    let mut out = Vec::new();
-    for (at, _) in span.match_indices(".rs::") {
-        let text = &span[span[..at].trim_end_matches(path_char).len()..];
-        out.push((text.to_owned(), unresolved_file_ref(root, sources, text)));
+/// Why the `<crate>::<a>::<b>…` reference starting `text` (a trailing
+/// `{x, y}` group included) does not resolve. Each leading segment that
+/// names a module file — `<a>.rs` or `<a>/mod.rs` — descends into it; the
+/// segments after the last module must all be defined in that module's
+/// files.
+fn unresolved_crate_ref(src: &Path, text: &str) -> Option<String> {
+    let (mut path, mut group) = (Vec::new(), Vec::new());
+    for segment in text.split("::").skip(1) {
+        if let Some(members) = segment.strip_prefix('{') {
+            let members = members.split('}').next().unwrap();
+            group.extend(members.split(',').map(|m| ident(m.trim())));
+            break;
+        }
+        let name = ident(segment);
+        if name.is_empty() {
+            break;
+        }
+        path.push(name);
+        if name.len() < segment.len() {
+            break;
+        }
     }
-    for (at, _) in span.match_indices("WikiSearch::") {
-        let text = &span[at..];
-        out.push((text.to_owned(), unresolved_facade_ref(facade, text)));
+    let (mut module, mut dir, mut depth) = (src.join("lib.rs"), src.to_path_buf(), 0);
+    for name in &path {
+        let file = [dir.join(format!("{name}.rs")), dir.join(name).join("mod.rs")]
+            .into_iter()
+            .find(|f| f.is_file());
+        let Some(file) = file else { break };
+        (module, dir, depth) = (file, dir.join(name), depth + 1);
     }
-    out
+    let mut files = vec![module];
+    if dir.is_dir() {
+        rust_files(&dir, &mut files);
+    }
+    let sources: Vec<String> = files.iter().map(|f| read(f)).collect();
+    let items = path[depth..].iter().chain(&group);
+    let missing: Vec<&&str> = items.filter(|n| !sources.iter().any(|s| defines(s, n))).collect();
+    (!missing.is_empty()).then(|| format!("{missing:?} not defined in {}", dir.display()))
+}
+
+/// What the references are resolved against.
+struct Code {
+    root: PathBuf,
+    /// Every source file under `crates/`.
+    sources: Vec<PathBuf>,
+    /// The facade crate's `lib.rs`.
+    facade: String,
+    /// Each crate under `crates/` as paths name it (`wikisearch-engine`
+    /// is `wikisearch_engine`), with its `src/` directory.
+    crates: Vec<(String, PathBuf)>,
+}
+
+impl Code {
+    fn load() -> Code {
+        let root = repo_root();
+        let mut sources = Vec::new();
+        rust_files(&root.join("crates"), &mut sources);
+        let facade = read(&root.join("crates/engine/src/lib.rs"));
+        let mut crates = Vec::new();
+        for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+            let dir = entry.unwrap().path();
+            let manifest = read(&dir.join("Cargo.toml"));
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
+            crates.push((name.trim_matches('"').replace('-', "_"), dir.join("src")));
+        }
+        Code { root, sources, facade, crates }
+    }
+
+    /// Every `<file>.rs::…`, `WikiSearch::…` and `<crate>::…` reference
+    /// in one code span, each with why it does not resolve (`None` when
+    /// it does).
+    fn references(&self, span: &str) -> Vec<(String, Option<String>)> {
+        let path_char = |c: char| is_ident_char(c) || c == '/' || c == '.' || c == '-';
+        let mut out = Vec::new();
+        for (at, _) in span.match_indices(".rs::") {
+            let text = &span[span[..at].trim_end_matches(path_char).len()..];
+            out.push((text.to_owned(), unresolved_file_ref(&self.root, &self.sources, text)));
+        }
+        for (at, _) in span.match_indices("WikiSearch::") {
+            let text = &span[at..];
+            out.push((text.to_owned(), unresolved_facade_ref(&self.facade, text)));
+        }
+        for (name, src) in &self.crates {
+            for (at, _) in span.match_indices(&format!("{name}::")) {
+                let before = span[..at].chars().next_back();
+                if before.is_some_and(|c| is_ident_char(c) || c == ':') {
+                    continue;
+                }
+                let text = &span[at..];
+                out.push((text.to_owned(), unresolved_crate_ref(src, text)));
+            }
+        }
+        out
+    }
 }
 
 #[test]
 fn docs_name_only_code_that_exists() {
-    let root = repo_root();
-    let mut sources = Vec::new();
-    rust_files(&root.join("crates"), &mut sources);
-    let facade = read(&root.join("crates/engine/src/lib.rs"));
+    let code = Code::load();
     let (mut checked, mut broken) = (0, Vec::new());
-    for doc in documents(&root) {
+    for doc in documents(&code.root) {
         for span in code_spans(&read(&doc)) {
-            for (text, why) in references(&root, &sources, &facade, &span) {
+            for (text, why) in code.references(&span) {
                 checked += 1;
                 if let Some(why) = why {
                     broken.push(format!("{}: `{text}`: {why}", doc.display()));
@@ -171,15 +245,9 @@ fn docs_name_only_code_that_exists() {
 /// The checker itself: a deleted name is caught, a live one passes.
 #[test]
 fn the_name_check_tells_deleted_names_from_live_ones() {
-    let root = repo_root();
-    let mut sources = Vec::new();
-    rust_files(&root.join("crates"), &mut sources);
-    let facade = read(&root.join("crates/engine/src/lib.rs"));
+    let code = Code::load();
     let broken = |span: &str| -> Vec<bool> {
-        references(&root, &sources, &facade, span)
-            .iter()
-            .map(|(_, why)| why.is_some())
-            .collect()
+        code.references(span).iter().map(|(_, why)| why.is_some()).collect()
     };
     assert_eq!(broken("crates/central/src/bottom_up.rs::run"), [true]);
     assert_eq!(broken("crates/central/src/bottom_up.rs::drive"), [false]);
@@ -192,4 +260,8 @@ fn the_name_check_tells_deleted_names_from_live_ones() {
     );
     assert_eq!(broken("WikiSearch::search/search_with_params"), [false]);
     assert_eq!(broken("WikiSearch::metrics_snapshot()"), [false]);
+    assert_eq!(broken("central::matrix"), [true]);
+    assert_eq!(broken("eval::judge"), [true]);
+    assert_eq!(broken("central::remote::ShardCoordinator::in_process"), [false]);
+    assert_eq!(broken("central::engine::{seq, par_cpu} and central::state"), [false, false]);
 }

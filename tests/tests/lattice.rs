@@ -51,9 +51,8 @@ fn open(point: &Point, graph: &KnowledgeGraph, snapshot: &Path) -> WikiSearch {
         let n = point.shard_workers;
         let addrs =
             (0..n).map(|i| ShardWorker::spawn_local(ws.graph(), n, i, DEFAULT_PARTITION_SEED));
-        // No heartbeat thread and no retries: a healthy loopback fleet
-        // needs neither, and probes would race the assertions.
-        let opts = RemoteOptions { attempts: 1, heartbeat: None, ..RemoteOptions::default() };
+        // No retries: a healthy loopback fleet needs none.
+        let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
         ws.set_remote_shards(n, Arc::new(StaticAddrs(addrs.collect())), opts);
     }
     ws.set_cache_capacity(point.cache_bytes);

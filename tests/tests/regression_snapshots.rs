@@ -136,7 +136,7 @@ fn seeded_answers_match_the_committed_golden() {
     // The one shard coordinator, over each of its links.
     let addrs = (0..2).map(|i| ShardWorker::spawn_local(&graph, 2, i, DEFAULT_PARTITION_SEED));
     let addrs = std::sync::Arc::new(StaticAddrs(addrs.collect()));
-    let opts = RemoteOptions { attempts: 1, heartbeat: None, ..RemoteOptions::default() };
+    let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
     let fleets = [
         ("2 shards", ShardCoordinator::in_process(&graph, ShardBackend::Seq, 2)),
         ("2 workers", ShardCoordinator::remote(&graph, ShardBackend::Seq, 2, addrs, opts)),

@@ -24,25 +24,16 @@ use common::{build_graph, case_strategy, digest, WORDS};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 use textindex::{InvertedIndex, ParsedQuery};
 
 /// The fleet sizes every property runs under; 1 pins the degenerate
 /// single-worker fleet, 4 usually exceeds the per-shard node count.
 const FLEET_SIZES: &[usize] = &[1, 2, 4];
 
-/// Deterministic supervision knobs for in-process fleets: no background
-/// heartbeat thread (probes would race the assertions) and a minimal
-/// retry budget — a healthy loopback fleet never needs retries anyway.
+/// Supervision knobs for in-process fleets: a minimal retry budget — a
+/// healthy loopback fleet never needs retries anyway.
 fn test_opts() -> RemoteOptions {
-    RemoteOptions {
-        attempts: 1,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(2),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat: None,
-        ..RemoteOptions::default()
-    }
+    RemoteOptions { attempts: 1, ..RemoteOptions::default() }
 }
 
 /// Spawn an in-process worker fleet over `graph` and return a

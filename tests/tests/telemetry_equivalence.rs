@@ -23,7 +23,6 @@ use common::{build_graph, case_strategy, queries_strategy, raw_query};
 use kgraph::KnowledgeGraph;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 use wikisearch_engine::{Backend, QueryRequest, WikiSearch, WikiSearchResult};
 
 /// The execution shapes the property covers.
@@ -39,17 +38,10 @@ enum Mode {
 
 const MODES: [Mode; 3] = [Mode::InProcess, Mode::Sharded, Mode::Remote];
 
-/// Deterministic supervision knobs for in-process fleets (mirrors
-/// `remote_equivalence`): no heartbeat thread, minimal retry budget.
+/// Supervision knobs for in-process fleets (mirrors
+/// `remote_equivalence`): minimal retry budget.
 fn test_opts() -> RemoteOptions {
-    RemoteOptions {
-        attempts: 1,
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(2),
-        connect_timeout: Duration::from_millis(500),
-        heartbeat: None,
-        ..RemoteOptions::default()
-    }
+    RemoteOptions { attempts: 1, ..RemoteOptions::default() }
 }
 
 /// Build one facade in the given shape. Remote mode spawns its own
