@@ -149,10 +149,11 @@ fn schema_paths(verb: &str, path: &str, v: &serde_json::Value, out: &mut String)
 }
 
 /// The wire schema of one live server: every key path (in order, with
-/// its JSON type) of the `QUERY`, `EXPLAIN` (the trace is one opaque
-/// leaf — its schema belongs to `trace_equivalence`), `STATS`,
-/// `STATS WINDOW` and `TOP` documents, the constant error lines
-/// verbatim, and every `# HELP` / `# TYPE` line of `METRICS`.
+/// its JSON type) of the `QUERY`, `EXPLAIN` (its `trace` included, down
+/// to the first level record and, on a remote server, the first shard
+/// timeline and span), `STATS`, `STATS WINDOW` and `TOP` documents, the
+/// constant error lines verbatim, and every `# HELP` / `# TYPE` line of
+/// `METRICS`.
 fn capture_schema(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
     /// Ask `line`, append the response document's paths under `verb`.
     fn doc(
@@ -162,14 +163,7 @@ fn capture_schema(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> 
         out: &mut String,
     ) {
         let response = request_line(conn.0, conn.1, line);
-        let mut v: serde_json::Value = serde_json::from_str(&response).unwrap();
-        if let serde_json::Value::Object(entries) = &mut v {
-            for (key, child) in entries.iter_mut() {
-                if key == "trace" {
-                    *child = serde_json::Value::String(String::new());
-                }
-            }
-        }
+        let v: serde_json::Value = serde_json::from_str(&response).unwrap();
         schema_paths(verb, "", &v, out);
     }
     let mut out = String::new();
