@@ -37,7 +37,7 @@ use crate::model::INFINITE_LEVEL;
 use crate::profile::PhaseProfile;
 use crate::state::{HitBlock, SearchState};
 use crate::top_down::{self, PredSink, Stage, TopDownScratch};
-use crate::trace::{PhaseMillis, QueryTrace, TraceLevelRecord};
+use crate::trace::{QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use rayon::prelude::*;
@@ -367,7 +367,7 @@ pub fn pre_flight(
     // Tracing arms the tracker in counting mode so per-level expansion
     // deltas are observable even without a cap; the untraced unlimited
     // path keeps its zero-atomic charge fast path.
-    let tracker = if params.trace.enabled() {
+    let tracker = if params.trace {
         budget.start_counting()
     } else {
         budget.start()
@@ -381,7 +381,7 @@ pub fn pre_flight(
     }
     if query.is_empty() {
         let mut out = SearchOutcome::default();
-        if params.trace.enabled() {
+        if params.trace {
             // A trace with no levels: nothing matched, no search ran.
             out.trace =
                 Some(Box::new(QueryTrace { engine: engine.to_string(), ..QueryTrace::default() }));
@@ -459,7 +459,7 @@ impl<'a> LevelRun<'a> {
             cohort: Vec::new(),
             peak_frontier: 0,
             trace: Vec::new(),
-            records: params.trace.enabled().then(Vec::new),
+            records: params.trace.then(Vec::new),
             charged_before: 0,
             terminated: None,
         }
@@ -541,10 +541,8 @@ impl<'a> LevelRun<'a> {
     /// `preds(hits, j, sink)` being the shape's predecessor oracle (Theorem
     /// V.4 over `hits`, or CPU-Par-d's recorded paths) — on the caller's
     /// thread or dynamically scheduled over `pool`, with `scratch` as its
-    /// reusable working memory. The cohort is ordered shallowest-first, so
-    /// the `max_candidates` cap keeps the best-depth prefix. A budget trip
-    /// mid-stage fails the whole search rather than returning a silently
-    /// truncated answer set.
+    /// reusable working memory. A budget trip mid-stage fails the whole
+    /// search rather than returning a silently truncated answer set.
     pub fn finish<P>(
         self,
         engine: &str,
@@ -556,13 +554,11 @@ impl<'a> LevelRun<'a> {
     where
         P: Fn(&HitBlock, u32, &mut PredSink) + Sync,
     {
-        let LevelRun { params, tracker, mut profile, mut cohort, .. } = self;
+        let LevelRun { params, tracker, mut profile, cohort, .. } = self;
         let t = Instant::now();
-        // Every identified node froze at its depth, capped away or not.
         for &(central, depth) in &cohort {
             scratch.hits.mark_central(central.0, depth);
         }
-        cohort.truncate(params.max_candidates);
         let stage = Stage { graph, params, tracker, preds };
         let Some(answers) = top_down::top_down(&stage, &cohort, pool, scratch) else {
             return Err(tracker
@@ -578,7 +574,7 @@ impl<'a> LevelRun<'a> {
                 total_expansions: tracker.expansions(),
                 terminated: self.terminated == Some(TerminationReason::LevelCap),
                 levels,
-                phase_ms: PhaseMillis::from(&profile),
+                phase_ms: profile,
                 ..QueryTrace::default()
             })
         });
@@ -625,7 +621,6 @@ pub fn drive<O: LevelOps>(ops: &mut O, run: &mut LevelRun<'_>) -> Result<(), O::
 mod tests {
     use super::*;
     use crate::engine::MatrixOps;
-    use crate::trace::TraceLevel;
     use kgraph::GraphBuilder;
     use std::time::Duration;
     use textindex::{InvertedIndex, ParsedQuery};
@@ -1052,7 +1047,7 @@ mod tests {
 
     #[test]
     fn an_empty_first_frontier_exhausts_at_level_zero() {
-        let params = SearchParams::default().with_trace(TraceLevel::Full);
+        let params = SearchParams::default().with_trace(true);
         let tracker = QueryBudget::unlimited().start_counting();
         let mut fake = Fake::new(vec![], &tracker);
         let mut run = LevelRun::new(&params, &tracker);
@@ -1089,7 +1084,7 @@ mod tests {
 
     #[test]
     fn traced_runs_back_fill_exactly_the_last_record() {
-        let params = SearchParams::default().with_top_k(2).with_trace(TraceLevel::Full);
+        let params = SearchParams::default().with_top_k(2).with_trace(true);
         let tracker = QueryBudget::unlimited().with_max_expansions(100).start_counting();
         let mut fake = Fake::new(vec![(4, vec![]), (6, vec![9]), (3, vec![11])], &tracker);
         fake.charge = 5;

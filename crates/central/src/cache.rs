@@ -121,17 +121,6 @@ pub struct CacheStats {
     pub shards: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups answered from the cache (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// One cached entry: the value, its charged size, and its LRU stamp.
 struct Entry<V> {
     value: V,
@@ -455,16 +444,6 @@ mod tests {
         assert!(stats.bytes <= stats.capacity_bytes);
         assert!(stats.hits > 0, "repeated keys must hit");
         assert_eq!(cache.len(), stats.entries);
-    }
-
-    #[test]
-    fn hit_rate_is_well_defined() {
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(1 << 12);
-        cache.insert(1, 1, 8);
-        cache.get(&1);
-        cache.get(&2);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -30,26 +30,18 @@ pub struct SearchParams {
     /// an ablation: answers keep every hitting path, including redundant
     /// single-keyword satellites.
     pub level_cover: bool,
-    /// Cap on how many top-(k,d) central nodes are extracted in the
-    /// top-down stage. The paper extracts the whole cohort; on dense
-    /// graphs the final level's cohort can dwarf `top_k`, and extraction
-    /// dominates (visible in Exp-1 at Knum ≥ 8). Candidates are kept in
-    /// identification order (shallowest first). `usize::MAX` = paper
-    /// behaviour.
-    pub max_candidates: usize,
     /// Override the computed minimum activation levels with explicit
     /// per-node values. Used by tests reproducing the paper's worked
     /// examples (Fig. 4) and by ablations; `None` means compute from
     /// weights via the Penalty-and-Reward mapping.
     #[serde(skip)]
     pub explicit_activation: Option<std::sync::Arc<Vec<u8>>>,
-    /// How much per-query execution trace to collect (see
-    /// [`crate::trace`]). Diagnostic only — tracing never changes
-    /// answers, so this knob is deliberately *not* part of
+    /// Collect the per-query execution trace (see [`crate::trace`]); off
+    /// by default. Diagnostic only — tracing never changes answers, so
+    /// this knob is deliberately *not* part of
     /// [`SearchParams::fingerprint`] and cached results alias across
     /// trace settings.
-    #[serde(default)]
-    pub trace: crate::trace::TraceLevel,
+    pub trace: bool,
 }
 
 impl Default for SearchParams {
@@ -62,9 +54,8 @@ impl Default for SearchParams {
             average_distance: 3.68, // the paper's wiki2018 estimate
             dedup_contained: true,
             level_cover: true,
-            max_candidates: usize::MAX,
             explicit_activation: None,
-            trace: crate::trace::TraceLevel::Off,
+            trace: false,
         }
     }
 }
@@ -100,8 +91,8 @@ impl SearchParams {
         self
     }
 
-    /// Builder-style trace level.
-    pub fn with_trace(mut self, trace: crate::trace::TraceLevel) -> Self {
+    /// Builder-style tracing switch.
+    pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
         self
     }
@@ -110,9 +101,9 @@ impl SearchParams {
     /// keys (see [`crate::cache`]). Two `SearchParams` with equal
     /// fingerprints produce identical answers for the same graph and
     /// query; any knob that can change an answer — `top_k`, `α`, `λ`,
-    /// `max_level`, `A`, the pruning toggles, `max_candidates`, and an
-    /// explicit activation override — is folded in bit-exactly, so a
-    /// cached result can never alias across parameter settings.
+    /// `max_level`, `A`, the pruning toggles and an explicit activation
+    /// override — is folded in bit-exactly, so a cached result can never
+    /// alias across parameter settings.
     pub fn fingerprint(&self) -> ParamsFingerprint {
         ParamsFingerprint {
             top_k: self.top_k,
@@ -122,7 +113,6 @@ impl SearchParams {
             average_distance_bits: self.average_distance.to_bits(),
             dedup_contained: self.dedup_contained,
             level_cover: self.level_cover,
-            max_candidates: self.max_candidates,
             explicit_activation: self.explicit_activation.clone(),
         }
     }
@@ -163,7 +153,6 @@ pub struct ParamsFingerprint {
     average_distance_bits: u64,
     dedup_contained: bool,
     level_cover: bool,
-    max_candidates: usize,
     explicit_activation: Option<std::sync::Arc<Vec<u8>>>,
 }
 
@@ -214,9 +203,6 @@ mod tests {
         toggles = base.clone();
         toggles.dedup_contained = false;
         assert_ne!(base.fingerprint(), toggles.fingerprint());
-        toggles = base.clone();
-        toggles.max_candidates = 7;
-        assert_ne!(base.fingerprint(), toggles.fingerprint());
     }
 
     #[test]
@@ -233,7 +219,7 @@ mod tests {
     #[test]
     fn trace_level_does_not_change_the_fingerprint() {
         let base = SearchParams::default();
-        let traced = base.clone().with_trace(crate::trace::TraceLevel::Full);
+        let traced = base.clone().with_trace(true);
         assert_eq!(base.fingerprint(), traced.fingerprint());
     }
 }

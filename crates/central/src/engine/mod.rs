@@ -388,38 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn max_candidates_caps_extraction() {
-        // Many central nodes at the same depth; the cap keeps a prefix.
-        let mut b = GraphBuilder::new();
-        let a = b.add_node("a", "alpha");
-        let z = b.add_node("z", "omega");
-        for i in 0..10 {
-            let m = b.add_node(&format!("m{i}"), "mid");
-            b.add_edge(a, m, "e");
-            b.add_edge(z, m, "e");
-        }
-        let g = b.build();
-        let idx = InvertedIndex::build(&g);
-        let query = ParsedQuery::parse(&idx, "alpha omega");
-        let full = SeqEngine::new().search(
-            &g,
-            &query,
-            &SearchParams::default().with_average_distance(1.0),
-        );
-        assert_eq!(full.stats.central_candidates, 10);
-        let capped_params = SearchParams {
-            max_candidates: 3,
-            ..SearchParams::default().with_average_distance(1.0)
-        };
-        let capped = SeqEngine::new().search(&g, &query, &capped_params);
-        assert_eq!(capped.stats.central_candidates, 3);
-        assert!(capped.answers.len() <= 3);
-        for ans in &capped.answers {
-            ans.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "invalid search parameters")]
     fn invalid_params_panic() {
         let (g, idx) = fixture();

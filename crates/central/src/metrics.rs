@@ -13,10 +13,8 @@
 //!   (`bucket i` holds values in `[2^(i-1), 2^i)`, bucket 0 holds `0`),
 //!   so one histogram is a flat 66-word array regardless of how many
 //!   observations it absorbs;
-//! * **mergeable and snapshot-able** — [`HistogramSnapshot`] is plain
-//!   serde-serializable data whose merge is element-wise addition
-//!   (associative and commutative, property-tested), so per-thread or
-//!   per-process histograms fold into one.
+//! * **snapshot-able** — [`HistogramSnapshot`] is plain
+//!   serde-serializable data, the thing percentiles are computed from.
 //!
 //! Percentiles come out of the snapshot by cumulative scan; a reported
 //! percentile is the *upper bound* of the bucket holding that rank, which
@@ -137,8 +135,8 @@ impl LogHistogram {
     }
 }
 
-/// Plain-data image of a [`LogHistogram`]: serde-serializable, mergeable
-/// by element-wise addition, and the thing percentiles are computed from.
+/// Plain-data image of a [`LogHistogram`]: serde-serializable, and the
+/// thing percentiles are computed from.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts ([`BUCKETS`] entries).
@@ -150,22 +148,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Element-wise merge (associative and commutative — merging
-    /// per-thread snapshots in any grouping or order yields the same
-    /// aggregate, which the property suite verifies). Additions wrap on
-    /// overflow, matching the relaxed `fetch_add`s of the live histogram,
-    /// so merging snapshots equals recording the concatenated streams.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine = mine.wrapping_add(theirs);
-        }
-        self.count = self.count.wrapping_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
     /// The value at quantile `p ∈ [0, 1]`, reported as the upper bound of
     /// the bucket containing that rank (a conservative estimate: the true
     /// value is at most the reported one, and at least half of it).
@@ -432,22 +414,6 @@ mod tests {
             assert!(v >= last, "p{p}: {v} < {last}");
             last = v;
         }
-    }
-
-    #[test]
-    fn snapshot_merge_is_elementwise() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(5);
-        a.record(1000);
-        b.record(5);
-        let mut sa = a.snapshot();
-        sa.merge(&b.snapshot());
-        let all = LogHistogram::new();
-        for v in [5u64, 1000, 5] {
-            all.record(v);
-        }
-        assert_eq!(sa, all.snapshot());
     }
 
     #[test]

@@ -79,19 +79,6 @@ impl SessionPool {
         Self::default()
     }
 
-    /// A pool pre-stocked with `n` (cold) sessions, so the first `n`
-    /// concurrent checkouts skip even the cheap `SearchSession::new`.
-    pub fn with_sessions(n: usize) -> Self {
-        let pool = Self::new();
-        let mut free = pool.free.lock();
-        for _ in 0..n {
-            let id = pool.next_id.fetch_add(1, Ordering::Relaxed);
-            free.push((id, SearchSession::new()));
-        }
-        drop(free);
-        pool
-    }
-
     /// Check a session out of the pool. Pops the warmest idle session, or
     /// creates a fresh one when all sessions are in flight. The returned
     /// guard derefs to `&mut SearchSession` and checks the session back
@@ -327,19 +314,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.idle_sessions, 1);
-    }
-
-    #[test]
-    fn prewarmed_pool_serves_without_creating() {
-        let pool = SessionPool::with_sessions(2);
-        assert_eq!(pool.sessions_created(), 2);
-        assert_eq!(pool.idle_sessions(), 2);
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert!(a.session_id() < 2 && b.session_id() < 2);
-        drop(a);
-        drop(b);
-        assert_eq!(pool.sessions_created(), 2);
     }
 
     #[test]

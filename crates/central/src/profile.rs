@@ -5,13 +5,13 @@
 //! frontiers*, *Identifying Central Nodes*, *Expansion* and *Top-down
 //! processing*. Every engine fills one of these profiles per search.
 
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 use std::ops::AddAssign;
 use std::time::Duration;
 
 /// Wall-clock time per algorithm phase. Level-loop phases accumulate
 /// across all BFS levels.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Setting up `M`, `FIdentifier`, `CIdentifier` and the sources.
     pub init: Duration,
@@ -30,16 +30,21 @@ impl PhaseProfile {
     pub fn total(&self) -> Duration {
         self.init + self.enqueue + self.identify + self.expansion + self.top_down
     }
+}
 
-    /// The phase names in paper order, paired with their durations.
-    pub fn phases(&self) -> [(&'static str, Duration); 5] {
-        [
-            ("Initialization", self.init),
-            ("Enqueuing frontiers", self.enqueue),
-            ("Identifying Central Nodes", self.identify),
-            ("Expansion", self.expansion),
-            ("Top-down processing", self.top_down),
-        ]
+/// The phases in paper order as `{init_ms, enqueue_ms, identify_ms,
+/// expansion_ms, top_down_ms}`, each a float in milliseconds: the
+/// `phase_ms` of an `EXPLAIN` trace and of a slow-query log line.
+impl Serialize for PhaseProfile {
+    fn to_value(&self) -> Value {
+        let ms = |d: Duration| Value::F64(d.as_secs_f64() * 1e3);
+        Value::Object(vec![
+            ("init_ms".to_owned(), ms(self.init)),
+            ("enqueue_ms".to_owned(), ms(self.enqueue)),
+            ("identify_ms".to_owned(), ms(self.identify)),
+            ("expansion_ms".to_owned(), ms(self.expansion)),
+            ("top_down_ms".to_owned(), ms(self.top_down)),
+        ])
     }
 }
 
@@ -109,8 +114,11 @@ mod tests {
 
     #[test]
     fn phase_names_are_stable() {
-        let names: Vec<_> = p(1).phases().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names[0], "Initialization");
-        assert_eq!(names[4], "Top-down processing");
+        let serde::Value::Object(entries) = p(1).to_value() else {
+            panic!("not an object")
+        };
+        let names: Vec<_> = entries.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["init_ms", "enqueue_ms", "identify_ms", "expansion_ms", "top_down_ms"]);
+        assert!(entries.iter().all(|(_, ms)| *ms == serde::Value::F64(1.0)));
     }
 }

@@ -698,7 +698,7 @@ impl ShardCoordinator {
         }
         // Timelines reconcile a worker's clock with wire time; lanes in
         // this process have neither.
-        let spans = params.trace.enabled() && self.is_remote();
+        let spans = params.trace && self.is_remote();
         let mut ops = RemoteOps {
             search: self,
             live,
@@ -706,7 +706,6 @@ impl ShardCoordinator {
             deadline,
             tracker,
             level: 0,
-            traced: params.trace.enabled(),
             pairs: Vec::new(),
             stepped: Vec::new(),
         };
@@ -825,7 +824,6 @@ struct RemoteOps<'a> {
     /// The level the next `Step` identifies at: 0, then one past the last
     /// `Expand`'s.
     level: u8,
-    traced: bool,
     /// The last round's deduplicated notification set, which the next
     /// `Step` carries (capacity kept across rounds).
     pairs: Vec<(u32, u32)>,
@@ -952,7 +950,7 @@ impl LevelOps for RemoteOps<'_> {
     /// The level's `Step` sweep, its replies kept for [`RemoteOps::identify`].
     fn enqueue(&mut self) -> Result<usize, AttemptError> {
         let pairs = std::mem::take(&mut self.pairs);
-        let step = Request::Step(wire::Step { level: self.level, traced: self.traced, pairs });
+        let step = Request::Step(wire::Step { level: self.level, pairs });
         let stepped = self.sweep(&step, |reply| match reply {
             Response::StepOk(ok) => Some(ok),
             _ => None,
@@ -974,11 +972,10 @@ impl LevelOps for RemoteOps<'_> {
     /// — the within-level order of the monolithic frontier scan.
     fn identify(
         &mut self,
-        level: u8,
-        traced: bool,
+        _level: u8,
+        _traced: bool,
         newly: &mut Vec<u32>,
     ) -> Result<(usize, usize), AttemptError> {
-        debug_assert_eq!((level, traced), (self.level, self.traced), "the Step identified");
         let (mut new_hits, mut deferred) = (0usize, 0usize);
         for ok in &self.stepped {
             newly.extend_from_slice(&ok.newly);
@@ -1295,7 +1292,7 @@ mod tests {
                 let params = SearchParams::default()
                     .with_average_distance(1.0)
                     .with_top_k(top_k)
-                    .with_trace(crate::trace::TraceLevel::Full);
+                    .with_trace(true);
                 let budget = QueryBudget::unlimited();
                 let run = || fleet.try_search(&g, &query, &params, &budget, None).unwrap();
                 run(); // warm: a loopback fleet's handshakes are RPCs too

@@ -14,14 +14,11 @@
 //! Payloads are JSON documents (see [`super::wire`]) — self-describing,
 //! diffable in a packet capture, and served by the vendored serde shim.
 //!
-//! The decoder has two faces:
-//!
-//! * [`read_frame`] / [`write_frame`] — the blocking I/O path the worker
-//!   and coordinator actually run, built on `read_exact`;
-//! * [`FrameDecoder`] — an incremental push-parser over arbitrary byte
-//!   chunks, the target of the frame-robustness property suite: any byte
-//!   stream either yields well-formed frames or exactly one structured
-//!   [`FrameError`], never a panic and never an over-allocation.
+//! [`read_frame`] / [`write_frame`] are the one codec the worker and the
+//! coordinator run. The frame-robustness property suite drives
+//! [`read_frame`] over arbitrary bytes delivered in arbitrary short reads:
+//! any byte stream either yields well-formed frames or one error, never a
+//! panic and never an over-allocation.
 
 use std::io::{self, Read, Write};
 
@@ -100,66 +97,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     Ok(Some((hdr[4], payload)))
 }
 
-/// Incremental frame decoder over arbitrary byte chunks.
-///
-/// Feed bytes with [`FrameDecoder::push`], drain complete frames with
-/// [`FrameDecoder::next_frame`]. A declared length over [`MAX_FRAME`]
-/// surfaces as exactly one [`FrameError`] and poisons the decoder (every
-/// later call returns the same error — the connection is dead); the
-/// decoder's own buffering never exceeds the cap plus one header.
-#[derive(Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    poisoned: Option<FrameError>,
-}
-
-impl FrameDecoder {
-    /// A fresh decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Buffer a chunk of received bytes.
-    pub fn push(&mut self, chunk: &[u8]) {
-        if self.poisoned.is_none() {
-            self.buf.extend_from_slice(chunk);
-        }
-    }
-
-    /// The next complete frame, if the buffer holds one.
-    ///
-    /// `Ok(None)` means "need more bytes". An over-cap header yields
-    /// `Err` now and forever (the decoder is poisoned).
-    pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            let e = FrameError::Oversized { len: len as u64 };
-            self.buf = Vec::new(); // drop the buffer: the stream is dead
-            self.poisoned = Some(e.clone());
-            return Err(e);
-        }
-        if self.buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let opcode = self.buf[4];
-        let payload = self.buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.buf.drain(..HEADER_LEN + len);
-        Ok(Some((opcode, payload)))
-    }
-
-    /// Bytes currently buffered (bounded by [`MAX_FRAME`] + header + the
-    /// last pushed chunk; the robustness suite asserts the bound).
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,35 +128,5 @@ mod tests {
         wire.truncate(wire.len() - 2);
         let err = read_frame(&mut io::Cursor::new(wire)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn decoder_reassembles_across_arbitrary_chunking() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, 3, b"abc").unwrap();
-        write_frame(&mut wire, 4, b"defg").unwrap();
-        for chunk in [1usize, 2, 3, wire.len()] {
-            let mut d = FrameDecoder::new();
-            let mut got = Vec::new();
-            for piece in wire.chunks(chunk) {
-                d.push(piece);
-                while let Some(f) = d.next_frame().unwrap() {
-                    got.push(f);
-                }
-            }
-            assert_eq!(got, vec![(3, b"abc".to_vec()), (4, b"defg".to_vec())], "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn decoder_poisons_on_oversized_and_stays_poisoned() {
-        let mut d = FrameDecoder::new();
-        d.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        d.push(&[0]);
-        let e = d.next_frame().unwrap_err();
-        assert!(matches!(e, FrameError::Oversized { .. }));
-        d.push(b"more bytes");
-        assert_eq!(d.next_frame().unwrap_err(), e, "poisoned decoders repeat the error");
-        assert_eq!(d.buffered(), 0, "poisoning drops the buffer");
     }
 }

@@ -13,8 +13,8 @@
 //!   and an `Expand` per BFS level, and a `Collect` — and its JSON
 //!   encoding;
 //! * [`frame`] — the TCP link's framing: `[u32 len LE][u8 opcode][payload]`,
-//!   hard-capped, with an incremental decoder hardened against arbitrary
-//!   byte streams;
+//!   hard-capped, with one decoder ([`frame::read_frame`]) hardened
+//!   against arbitrary byte streams;
 //! * [`worker`] — [`worker::ShardWorker`]: owns one part of the partition
 //!   and the typed, transport-free handlers of a lane over it; serves them
 //!   over TCP, one connection per coordinator channel (a worker process
@@ -48,7 +48,7 @@ pub use breaker::{BreakerState, CircuitBreaker};
 pub use coordinator::{
     RemoteOptions, RemoteStats, ShardAddrs, ShardCoordinator, ShardedOutcome, StaticAddrs,
 };
-pub use frame::{FrameDecoder, FrameError, MAX_FRAME};
+pub use frame::{FrameError, MAX_FRAME};
 pub use worker::ShardWorker;
 
 #[cfg(test)]
@@ -109,9 +109,7 @@ mod tests {
     fn remote_traces_match_the_in_process_sharded_traces() {
         let g = fixture();
         let idx = InvertedIndex::build(&g);
-        let params = SearchParams::default()
-            .with_average_distance(1.0)
-            .with_trace(crate::trace::TraceLevel::Full);
+        let params = SearchParams::default().with_average_distance(1.0).with_trace(true);
         let query = ParsedQuery::parse(&idx, "alpha omega");
         let budget = QueryBudget::unlimited();
         let sharded = ShardCoordinator::in_process(&g, ShardBackend::ParCpu(2), 3);
@@ -226,9 +224,7 @@ mod tests {
         let g = fixture();
         let idx = InvertedIndex::build(&g);
         let query = ParsedQuery::parse(&idx, "alpha omega");
-        let params = SearchParams::default()
-            .with_average_distance(1.0)
-            .with_trace(crate::trace::TraceLevel::Full);
+        let params = SearchParams::default().with_average_distance(1.0).with_trace(true);
         let shards = 3;
         let r = remote(&g, ShardBackend::Seq, shards);
         let out = r

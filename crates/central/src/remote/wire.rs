@@ -28,17 +28,18 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Version 5 folds enqueue, identify and the
-/// notification broadcast into one [`Step`] per level (two requests per
-/// shard per level, down from four) and drops `HelloOk::num_owned`;
-/// version 4 ships the collected rows as two columns
+/// Protocol revision. Version 6 drops `Step::traced`: a lane keeps the
+/// query's `params.trace` from [`Start`]. Version 5 folds enqueue,
+/// identify and the notification broadcast into one [`Step`] per level
+/// (two requests per shard per level, down from four) and drops
+/// `HelloOk::num_owned`; version 4 ships the collected rows as two columns
 /// ([`CollectOk::nodes`], [`CollectOk::hits`]); version 3 made
 /// [`HelloOk::version`] and [`Start::spans`] mandatory. The handshake is
 /// strict on both sides: a worker rejects any [`Hello`] whose revision
 /// (or partition contract) differs from its own with `bad_handshake`, and
 /// the coordinator drops a channel whose [`HelloOk`] echoes another
 /// revision or shard.
-pub const PROTOCOL_VERSION: u32 = 5;
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -291,8 +292,6 @@ pub struct Step {
     /// The BFS level this step identifies at — also the hitting level the
     /// notifications write.
     pub level: u8,
-    /// Whether to also compute the traced-query observations.
-    pub traced: bool,
     /// The previous round's deduplicated `(global node, instance)` pairs
     /// (empty at level 0). Every worker receives the full set and applies
     /// the pairs whose replica its part holds.
@@ -386,7 +385,7 @@ mod tests {
         let back: Hello = decode(&encode(&hello)).unwrap();
         assert_eq!(back, hello);
 
-        let step = Step { level: 2, traced: true, pairs: vec![(3, 0), (9, 1)] };
+        let step = Step { level: 2, pairs: vec![(3, 0), (9, 1)] };
         let back: Step = decode(&encode(&step)).unwrap();
         assert_eq!(back, step);
 

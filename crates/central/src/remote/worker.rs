@@ -230,6 +230,9 @@ struct QueryCtx {
     local_act: Option<Vec<u8>>,
     tracker: crate::budget::BudgetTracker,
     charged_mark: u64,
+    /// Whether the query is traced (`Start`'s `params.trace`): each step
+    /// then also computes its traced-query observations.
+    traced: bool,
     /// Fleet-wide query ID from `Start`, echoed on collect.
     qid: Option<u64>,
     /// Per-RPC span accumulator, armed when the coordinator asked for
@@ -380,6 +383,7 @@ impl Conn {
             // job; this one only meters charges for `ExpandOk::charged`.
             tracker: QueryBudget::unlimited().start_counting(),
             charged_mark: 0,
+            traced: start.params.trace,
             qid: start.qid,
             // Spans are recorded only when the coordinator asked for them.
             spans: start.spans.then(Vec::new),
@@ -401,8 +405,9 @@ impl Conn {
     }
 
     fn on_step(&mut self, req: &wire::Step) -> Result<wire::StepOk, ConnError> {
+        let traced = self.query.as_ref().is_some_and(|ctx| ctx.traced);
         let (mut lane, _) = self.lane()?;
-        let (frontier, (new_hits, deferred)) = lane.step(req.level, req.traced, &req.pairs);
+        let (frontier, (new_hits, deferred)) = lane.step(req.level, traced, &req.pairs);
         Ok(wire::StepOk {
             frontier: frontier as u64,
             newly: lane.newly().collect(),

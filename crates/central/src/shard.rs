@@ -723,9 +723,7 @@ mod tests {
     fn traced_sharded_search_matches_including_levels() {
         let g = fixture();
         let idx = InvertedIndex::build(&g);
-        let params = SearchParams::default()
-            .with_average_distance(1.0)
-            .with_trace(crate::trace::TraceLevel::Full);
+        let params = SearchParams::default().with_average_distance(1.0).with_trace(true);
         let query = ParsedQuery::parse(&idx, "alpha omega");
         let mono = SeqEngine::new().search(&g, &query, &params);
         let sharded = ShardCoordinator::in_process(&g, ShardBackend::ParCpu(2), 3);

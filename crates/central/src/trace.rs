@@ -4,63 +4,20 @@
 //! newly covered keywords, activation gating, budget headroom) plus the
 //! cache and session-pool events around it.
 //!
-//! Tracing is opt-in via [`TraceLevel`] on `SearchParams` and is designed
+//! Tracing is opt-in via the `SearchParams::trace` bool and is designed
 //! to be zero-cost when disabled: every collection site is gated on
-//! `params.trace.enabled()`, the budget tracker only arms its expansion
+//! `params.trace`, the budget tracker only arms its expansion
 //! counter in tracing (or capped) mode, and `SearchOutcome` carries the
 //! trace as `Option<Box<QueryTrace>>` so the disabled path moves one null
 //! pointer. A differential test asserts that enabling tracing leaves
-//! search results byte-for-byte identical.
+//! search results byte-for-byte identical. Traces are serialize-only:
+//! the server renders them into `EXPLAIN` and nothing reads one back.
 
 use crate::profile::PhaseProfile;
-use serde::{DeError, Deserialize, Serialize, Value};
-
-/// How much per-query trace detail to collect.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceLevel {
-    /// No trace (the default): collection sites compile down to a
-    /// predictable branch, and no allocation happens on the query path.
-    #[default]
-    Off,
-    /// Collect the full per-level trace.
-    Full,
-}
-
-impl TraceLevel {
-    /// Whether any trace should be collected.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        !matches!(self, TraceLevel::Off)
-    }
-}
-
-// The vendored serde shim derives structs only; enums carry hand-written
-// impls. `TraceLevel` encodes as `"off"` / `"full"`, and an absent field
-// (`null`) reads as the default, matching `#[serde(default)]`.
-impl Serialize for TraceLevel {
-    fn to_value(&self) -> Value {
-        Value::String(match self {
-            TraceLevel::Off => "off".to_owned(),
-            TraceLevel::Full => "full".to_owned(),
-        })
-    }
-}
-
-impl Deserialize for TraceLevel {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(TraceLevel::default()),
-            _ => match v.as_str() {
-                Some("off") => Ok(TraceLevel::Off),
-                Some("full") => Ok(TraceLevel::Full),
-                _ => Err(v.type_error("trace level (\"off\" or \"full\")")),
-            },
-        }
-    }
-}
+use serde::{Deserialize, Serialize, Value};
 
 /// One bottom-up BFS level as the search engine saw it.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct TraceLevelRecord {
     /// BFS level (0 = the keyword hit nodes themselves).
     pub level: u32,
@@ -104,46 +61,6 @@ impl Serialize for CacheOutcome {
             }
             .to_owned(),
         )
-    }
-}
-
-impl Deserialize for CacheOutcome {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.as_str() {
-            Some("hit") => Ok(CacheOutcome::Hit),
-            Some("miss") => Ok(CacheOutcome::Miss),
-            Some("bypass") => Ok(CacheOutcome::Bypass),
-            _ => Err(v.type_error("cache outcome (\"hit\", \"miss\" or \"bypass\")")),
-        }
-    }
-}
-
-/// Phase wall-times in milliseconds, the serialization-friendly face of
-/// [`PhaseProfile`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseMillis {
-    /// State initialisation / epoch bump.
-    pub init_ms: f64,
-    /// Frontier enqueue (Algorithm 1 lines 3–5).
-    pub enqueue_ms: f64,
-    /// Central-node identification.
-    pub identify_ms: f64,
-    /// Frontier expansion (Algorithm 2).
-    pub expansion_ms: f64,
-    /// Top-down extraction, pruning and ranking (Algorithm 3).
-    pub top_down_ms: f64,
-}
-
-impl From<&PhaseProfile> for PhaseMillis {
-    fn from(p: &PhaseProfile) -> Self {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        PhaseMillis {
-            init_ms: ms(p.init),
-            enqueue_ms: ms(p.enqueue),
-            identify_ms: ms(p.identify),
-            expansion_ms: ms(p.expansion),
-            top_down_ms: ms(p.top_down),
-        }
     }
 }
 
@@ -192,7 +109,7 @@ impl ShardSpan {
 /// RPCs) minus `worker_us` (worker's monotonic clock inside them) — the
 /// worker interval nests inside the coordinator's, so the subtraction is
 /// sound without any cross-host clock comparison.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ShardTimeline {
     /// Shard index this timeline describes.
     pub shard: usize,
@@ -212,9 +129,9 @@ pub struct ShardTimeline {
 }
 
 /// The full execution trace of one query, carried on `SearchOutcome`
-/// when [`TraceLevel::Full`] is requested and surfaced verbatim by the
-/// server's `EXPLAIN` verb and the slow-query log.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// when `SearchParams::trace` is set and surfaced verbatim by the
+/// server's `EXPLAIN` verb.
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct QueryTrace {
     /// Engine that executed the search (`"Seq"`, `"CPU-Par"`,
     /// `"GPU-Par"`, `"CPU-Par-d"`), or `"cache"` for a cache hit.
@@ -236,8 +153,8 @@ pub struct QueryTrace {
     pub session_id: Option<u64>,
     /// Queries that session had run before this one (warmth indicator).
     pub session_queries: Option<u64>,
-    /// Phase wall-times in milliseconds.
-    pub phase_ms: PhaseMillis,
+    /// Phase wall-times, serialized in milliseconds.
+    pub phase_ms: PhaseProfile,
     /// Fleet-wide query ID assigned at accept (`None` for traces
     /// produced outside the serving/facade path).
     pub qid: Option<u64>,
@@ -253,12 +170,12 @@ pub struct QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn trace_level_default_is_off() {
-        assert_eq!(TraceLevel::default(), TraceLevel::Off);
-        assert!(!TraceLevel::Off.enabled());
-        assert!(TraceLevel::Full.enabled());
+        assert!(!crate::SearchParams::default().trace);
+        assert!(crate::SearchParams::default().with_trace(true).trace);
     }
 
     #[test]
@@ -280,7 +197,11 @@ mod tests {
             cache: Some(CacheOutcome::Miss),
             session_id: Some(4),
             session_queries: Some(7),
-            phase_ms: PhaseMillis::default(),
+            phase_ms: PhaseProfile {
+                expansion: Duration::from_millis(500),
+                top_down: Duration::from_millis(250),
+                ..PhaseProfile::default()
+            },
             qid: Some(77),
             cache_source_qid: Some(41),
             shard_timelines: Some(vec![ShardTimeline {
@@ -300,22 +221,37 @@ mod tests {
                 }],
             }]),
         };
+        let expected = concat!(
+            r#"{"engine":"CPU-Seq","keywords":2,"levels":[{"level":0,"frontier":10,"#,
+            r#""identified":1,"new_hits":12,"activation_deferred":3,"expansions":20,"#,
+            r#""budget_remaining":980}],"total_expansions":20,"terminated":false,"#,
+            r#""cache":"miss","session_id":4,"session_queries":7,"phase_ms":{"init_ms":0.0,"#,
+            r#""enqueue_ms":0.0,"identify_ms":0.0,"expansion_ms":500.0,"top_down_ms":250.0},"#,
+            r#""qid":77,"cache_source_qid":41,"shard_timelines":[{"shard":1,"qid":77,"#,
+            r#""rpcs":4,"rpc_us":900,"worker_us":700,"wire_us":200,"spans":[{"op":"expand","#,
+            r#""level":2,"wait_us":5,"decode_us":10,"exec_us":600,"encode_us":85}]}]}"#,
+        );
         let json = serde_json::to_string(&t).unwrap();
-        assert!(json.contains("\"cache\":\"miss\""));
-        assert!(json.contains("\"qid\":77"));
-        let back: QueryTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
+        assert_eq!(json, expected, "every key, in order, with its number type");
+        let back: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, serde_json::to_value(&t), "the text reads back as the same document");
     }
 
     #[test]
     fn absent_events_read_back_as_none() {
         let json = serde_json::to_string(&QueryTrace::default()).unwrap();
-        let back: QueryTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.session_id, None);
-        assert_eq!(back.cache, None);
-        assert_eq!(back.qid, None);
-        assert_eq!(back.cache_source_qid, None);
-        assert_eq!(back.shard_timelines, None);
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let absent = [
+            "cache",
+            "session_id",
+            "session_queries",
+            "qid",
+            "cache_source_qid",
+            "shard_timelines",
+        ];
+        for key in absent {
+            assert!(v[key].is_null(), "{key}: {v}");
+        }
     }
 
     #[test]

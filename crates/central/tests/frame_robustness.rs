@@ -1,14 +1,31 @@
-//! Frame-codec robustness: the wire decoder fed *arbitrary* bytes under
-//! *arbitrary* chunking must never panic, never allocate past the frame
-//! cap on behalf of a peer-supplied length, and always land in one of
-//! two states — well-formed frames out, or exactly one structured
-//! [`FrameError`] that poisons the connection. A worker parses these
-//! bytes off the public network side of the protocol, so this suite is
-//! the memory-safety and availability contract for a hostile peer.
+//! Frame-codec robustness: the wire decoder fed *arbitrary* bytes in
+//! *arbitrary* short reads must never panic, never allocate past the
+//! frame cap on behalf of a peer-supplied length, and always land in one
+//! of two states — well-formed frames out, or one structured `io::Error`
+//! that ends the connection. A worker parses these bytes off the public
+//! network side of the protocol, so this suite is the memory-safety and
+//! availability contract for a hostile peer.
 
-use central::remote::frame::{read_frame, write_frame, FrameDecoder, HEADER_LEN};
+use central::remote::frame::{read_frame, write_frame};
 use central::remote::MAX_FRAME;
 use proptest::prelude::*;
+use std::io::{self, Read};
+
+/// A reader that hands out at most `chunk` bytes per `read` call, as a
+/// socket may.
+struct Chunked<'a> {
+    rest: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.chunk).min(self.rest.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        Ok(n)
+    }
+}
 
 /// Frame streams a hostile peer might send: raw noise, or valid frames
 /// with noise or a deliberately oversized header spliced after them
@@ -65,49 +82,31 @@ fn render(stream: &Stream) -> (Vec<u8>, Vec<(u8, Vec<u8>)>) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Arbitrary bytes under arbitrary chunking: the incremental decoder
-    /// never panics, its buffer never exceeds cap + header + one chunk,
-    /// every valid leading frame is decoded byte-exactly, and an error
-    /// is terminal (poisoned forever, buffer dropped).
+    /// Arbitrary bytes in arbitrary short reads: the decoder never
+    /// panics, every frame it yields respects the cap, every valid
+    /// leading frame is decoded byte-exactly, and an over-cap header
+    /// after them is `InvalidData`.
     #[test]
     fn decoder_survives_arbitrary_bytes(
         stream in stream_strategy(),
         chunk in 1usize..64,
     ) {
         let (wire, expected) = render(&stream);
-        let mut d = FrameDecoder::new();
+        let mut r = Chunked { rest: &wire, chunk };
         let mut got = Vec::new();
-        let mut error = None;
-        'outer: for piece in wire.chunks(chunk) {
-            d.push(piece);
-            // The buffering bound: the peer cannot make the decoder hold
-            // more than one capped frame plus the chunk it just pushed.
-            prop_assert!(
-                d.buffered() <= MAX_FRAME + HEADER_LEN + piece.len(),
-                "decoder buffered {} bytes", d.buffered()
-            );
-            loop {
-                match d.next_frame() {
-                    Ok(Some(frame)) => got.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Terminal: the same error repeats and the buffer
-                        // is gone, no matter what arrives afterwards.
-                        d.push(b"garbage after the error");
-                        prop_assert_eq!(d.next_frame().unwrap_err(), e.clone());
-                        prop_assert_eq!(d.buffered(), 0);
-                        error = Some(e);
-                        break 'outer;
-                    }
-                }
+        let error = loop {
+            match read_frame(&mut r) {
+                Ok(Some(frame)) => got.push(frame),
+                Ok(None) => break None,
+                Err(e) => break Some(e.kind()),
             }
-        }
+        };
         // Every decoded frame respects the cap, whatever the input was.
         for (_, payload) in &got {
             prop_assert!(payload.len() <= MAX_FRAME);
         }
         // The valid leading frames come out byte-exactly before any
-        // trailing noise or poison header can matter (the noise is
+        // trailing noise or over-cap header can matter (the noise is
         // *after* them on the wire, so it cannot reorder or corrupt).
         if let Stream::FramesThenNoise(_, _) | Stream::FramesThenOversized(_, _) = &stream {
             prop_assert!(
@@ -119,7 +118,7 @@ proptest! {
             }
         }
         if let Stream::FramesThenOversized(_, _) = &stream {
-            prop_assert!(error.is_some(), "an over-cap header must surface a FrameError");
+            prop_assert_eq!(error, Some(io::ErrorKind::InvalidData), "an over-cap header");
         }
     }
 
@@ -130,7 +129,7 @@ proptest! {
     fn blocking_reader_survives_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255, 0..512),
     ) {
-        let mut r = std::io::Cursor::new(bytes);
+        let mut r = io::Cursor::new(bytes);
         loop {
             match read_frame(&mut r) {
                 Ok(Some((_op, payload))) => prop_assert!(payload.len() <= MAX_FRAME),
@@ -139,7 +138,7 @@ proptest! {
                     prop_assert!(
                         matches!(
                             e.kind(),
-                            std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
                         ),
                         "unexpected error kind {:?}", e.kind()
                     );

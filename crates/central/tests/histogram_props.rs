@@ -5,8 +5,6 @@
 //! Checked properties:
 //!
 //! * every value lands in the bucket whose bounds contain it;
-//! * snapshot merge is associative and commutative (per-thread or
-//!   per-process histograms fold into one aggregate in any order);
 //! * percentiles are monotone in `p` and conservative (the reported
 //!   value is at least the true rank-statistic, at most 2× above it);
 //! * concurrent recording from 8 threads matches a sequential oracle
@@ -35,50 +33,6 @@ proptest! {
         if i > 0 && i < BUCKETS - 1 {
             prop_assert!(v > bucket_upper_bound(i - 1), "{v} below bucket {i}");
         }
-    }
-
-    #[test]
-    fn merge_is_commutative(
-        a in proptest::collection::vec(0u64..=u64::MAX, 0..50),
-        b in proptest::collection::vec(0u64..=u64::MAX, 0..50),
-    ) {
-        let (sa, sb) = (snapshot_of(&a), snapshot_of(&b));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        prop_assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_is_associative(
-        a in proptest::collection::vec(0u64..=u64::MAX, 0..30),
-        b in proptest::collection::vec(0u64..=u64::MAX, 0..30),
-        c in proptest::collection::vec(0u64..=u64::MAX, 0..30),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-        // (a ⊕ b) ⊕ c
-        let mut left = sa.clone();
-        left.merge(&sb);
-        left.merge(&sc);
-        // a ⊕ (b ⊕ c)
-        let mut bc = sb.clone();
-        bc.merge(&sc);
-        let mut right = sa.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn merge_equals_recording_the_concatenation(
-        a in proptest::collection::vec(0u64..=u64::MAX, 0..50),
-        b in proptest::collection::vec(0u64..=u64::MAX, 0..50),
-    ) {
-        let mut merged = snapshot_of(&a);
-        merged.merge(&snapshot_of(&b));
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        prop_assert_eq!(merged, snapshot_of(&all));
     }
 
     #[test]

@@ -18,7 +18,7 @@ commands:
   stats    --graph FILE [--pairs N]       dataset statistics (Table II row)
   search   --graph FILE|--mmap SNAP --query WORDS
            [--top-k K] [--alpha A] [--backend seq|cpu|gpu|dyn]
-           [--threads T] [--json true] [--trace true] [--dot true]
+           [--threads T] [--json true] [--dot true]
            [--explain true] [--cache-capacity BYTES]
            [--timeout-ms MS] [--max-expansions N]
                                            run a top-k keyword search
@@ -40,7 +40,7 @@ commands:
            [--cache-capacity BYTES] [--timeout-ms MS]
            [--max-expansions N] [--max-queue Q]
            [--slow-query-ms MS] [--slow-query-log PATH]
-           [--slow-query-trace off|on] [--telemetry-interval-ms MS]
+           [--telemetry-interval-ms MS]
                                            TCP line-protocol query service
                                            (W concurrent connection workers;
                                            result cache sized by BYTES with
@@ -65,9 +65,7 @@ commands:
                                            --slow-query-ms appends a JSON
                                            line per over-threshold query
                                            (qid + phase timings) to PATH,
-                                           default slow_queries.jsonl, and
-                                           --slow-query-trace on adds the
-                                           full per-level trace;
+                                           default slow_queries.jsonl;
                                            --telemetry-interval-ms sets the
                                            windowed-snapshot cadence,
                                            default 1000, 0 disables;
@@ -166,7 +164,6 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         "backend",
         "threads",
         "json",
-        "trace",
         "dot",
         "explain",
         "cache-capacity",
@@ -245,13 +242,6 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         for (rank, a) in result.answers.iter().enumerate() {
             writeln!(out, "#{rank}:").map_err(|e| e.to_string())?;
             write!(out, "{}", ws.render_answer(a)).map_err(|e| e.to_string())?;
-        }
-        if args.get_or("trace", false)? {
-            writeln!(out, "level  frontier  identified").map_err(|e| e.to_string())?;
-            for t in &result.stats.trace {
-                writeln!(out, "{:>5}  {:>8}  {:>10}", t.level, t.frontier, t.identified)
-                    .map_err(|e| e.to_string())?;
-            }
         }
         if let Some(trace) = result.trace.as_deref() {
             writeln!(out, "{}", serde_json::to_string_pretty(trace).unwrap())
@@ -422,14 +412,52 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_prints_level_table() {
-        let tsv = tmp("kb4.tsv");
-        run_cli(&format!("generate --dataset tiny --entities 200 --out {tsv}"));
-        let (code, out) =
-            run_cli(&format!("search --graph {tsv} --query learning --backend seq --trace true"));
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("level  frontier  identified"), "{out}");
-        let _ = std::fs::remove_file(tsv);
+    fn the_trace_flag_is_an_unknown_flag() {
+        // `--explain true` prints the per-level trace `--trace` printed a
+        // subset of.
+        let (code, out) = run_cli("search --graph kb.tsv --query learning --trace true");
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unknown flag --trace "), "{out}");
+    }
+
+    /// Every backticked `--flag` of README.md and every `--flag` of
+    /// [`HELP`](super::HELP) (which backticks none) is accepted by at
+    /// least one command: given it alone, with a path that does not exist
+    /// as its value, the command fails some other way, never with
+    /// `unknown flag`.
+    #[test]
+    fn docs_name_only_flags_that_exist() {
+        fn flags_after<'a>(text: &'a str, marker: &'a str) -> impl Iterator<Item = &'a str> {
+            text.match_indices(marker).map(move |(at, _)| {
+                let rest = &text[at + marker.len()..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+        }
+        let readme = include_str!("../../../README.md");
+        let mut flags: Vec<&str> =
+            flags_after(readme, "`--").chain(flags_after(super::HELP, "--")).collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(flags.len() >= 30, "{flags:?}");
+        let commands = [
+            "generate",
+            "stats",
+            "search",
+            "convert",
+            "build-snapshot",
+            "serve",
+            "shard-worker",
+        ];
+        for flag in flags {
+            let accepted = commands.iter().any(|command| {
+                let (_, out) = run_cli(&format!("{command} --{flag} /does/not/exist"));
+                !out.contains(&format!("unknown flag --{flag} "))
+            });
+            assert!(accepted, "the docs name --{flag}, which no command accepts");
+        }
     }
 
     #[test]

@@ -46,7 +46,9 @@
 //! accepted, default 64m, `0` disables). Repeated queries — including
 //! reorderings, case changes, and stopword variations of one another —
 //! are answered from the cache without touching a session. Failed
-//! queries never populate it.
+//! queries never populate it. `EXPLAIN`, the one traced verb, bypasses
+//! it, so a cache hit's trace provenance (`cache_source_qid`) never
+//! reaches the wire.
 //!
 //! `serve` runs `--backend seq` or `cpu`: `gpu` and `dyn` are the
 //! paper's comparison engines, never faster than `cpu` on the perf
@@ -80,7 +82,7 @@ mod query;
 mod stats;
 
 use crate::args::ParsedArgs;
-use central::{QueryBudget, RemoteOptions, StaticAddrs, TelemetrySample, TraceLevel};
+use central::{QueryBudget, RemoteOptions, StaticAddrs, TelemetrySample};
 use parking_lot::Mutex;
 use protocol::{parse_request, read_request_line, respond, LineRead, Reply, Request, Served};
 use query::{answer_query, SlowLog};
@@ -149,7 +151,6 @@ const SERVE_FLAGS: &[&str] = &[
     "max-queue",
     "slow-query-ms",
     "slow-query-log",
-    "slow-query-trace",
     "telemetry-interval-ms",
     // Accepts only `1`: kept because the perf ledger's reference server
     // passes `--shards 1`.
@@ -178,11 +179,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let max_queue: usize = args.get_or("max-queue", 64)?;
     let slow_query_ms: u64 = args.get_or("slow-query-ms", 0)?;
     let telemetry_interval_ms: u64 = args.get_or("telemetry-interval-ms", 1000)?;
-    let slow_query_trace = match args.optional("slow-query-trace").unwrap_or("off") {
-        "off" => false,
-        "on" => true,
-        other => return Err(format!("--slow-query-trace must be `off` or `on`, got {other:?}")),
-    };
     let shard_workers: usize = args.get_or("shard-workers", 0)?;
     let shard_addr = args.optional("shard-addr");
     let degraded_answers: bool = args.get_or("degraded-answers", false)?;
@@ -195,9 +191,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     }
     if slow_query_ms == 0 && args.optional("slow-query-log").is_some() {
         return Err("--slow-query-log requires --slow-query-ms N (N >= 1)".into());
-    }
-    if slow_query_ms == 0 && args.optional("slow-query-trace").is_some() {
-        return Err("--slow-query-trace requires --slow-query-ms N (N >= 1)".into());
     }
     let remote = shard_workers > 0 || shard_addr.is_some();
     if shard_workers > 0 && shard_addr.is_some() {
@@ -220,7 +213,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     }
     let slow = if slow_query_ms > 0 {
         let path = args.optional("slow-query-log").unwrap_or("slow_queries.jsonl");
-        Some(SlowLog::open(path, slow_query_ms, slow_query_trace)?)
+        Some(SlowLog::open(path, slow_query_ms)?)
     } else {
         None
     };
@@ -490,17 +483,13 @@ fn serve_one_request(
 }
 
 /// Admit one `QUERY`/`EXPLAIN`: its fleet-wide ID is allocated before
-/// anything can fail, so even error documents carry it. A `QUERY` runs
-/// fully traced when the slow-query log wants the trace
-/// (`--slow-query-trace on`); `EXPLAIN` always does, and is never
-/// slow-logged.
+/// anything can fail, so even error documents carry it. Only `EXPLAIN`
+/// runs traced, and it is never slow-logged.
 fn admit(shared: &Shared<'_>, keywords: &str, explain: bool) -> query::Answer {
     let ws = shared.ws;
-    let traced = !explain && shared.slow.as_ref().is_some_and(|s| s.traced);
-    let traced_params = traced.then(|| ws.params().clone().with_trace(TraceLevel::Full));
     let request = QueryRequest {
         query: keywords,
-        params: traced_params.as_ref().unwrap_or(ws.params()),
+        params: ws.params(),
         budget: shared.budget,
         qid: Some(ws.issue_query_id()),
         explain,
@@ -703,10 +692,14 @@ mod tests {
 
     #[test]
     fn a_removed_flag_is_an_unknown_flag() {
-        // The muxer's flag and the background prober's, each spelled in
-        // pieces so that a grep for the deleted name comes back empty.
-        let flags =
-            [(["--async", "io"].join("-"), "true"), (["--heart", "beat-ms"].concat(), "50")];
+        // The muxer's flag, the background prober's and the slow log's
+        // tracing switch, each spelled in pieces so that a grep for the
+        // deleted name comes back empty.
+        let flags = [
+            (["--async", "io"].join("-"), "true"),
+            (["--heart", "beat-ms"].concat(), "50"),
+            (["--slow-query", "trace"].join("-"), "on"),
+        ];
         for (flag, value) in flags {
             let (code, out) = run_line(&format!("serve --graph kb.tsv {flag} {value}"));
             assert_eq!(code, 1, "{out}");

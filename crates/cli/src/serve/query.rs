@@ -10,29 +10,23 @@
 //! report ("qid 4812 was slow") joins against the slow-query log, the
 //! `EXPLAIN` trace (`trace.qid`), the per-shard timelines of remote
 //! serving (the qid rides the frame protocol, Hello-gated), and `TOP`'s
-//! slowest-recent view. A cache hit reports its own qid plus
-//! `trace.cache_source_qid` — the qid of the query that computed the
-//! cached answer.
+//! slowest-recent view. A cache hit reports its own qid. Only `EXPLAIN`
+//! runs traced, and it bypasses the cache, so the trace of a cache hit
+//! (with its `cache_source_qid` provenance) never reaches the wire.
 //!
 //! ## Slow-query log
 //!
 //! `--slow-query-ms N` arms a slow-query log: the server measures its
 //! own wall time around each search and a query at or over the
 //! threshold appends one JSON line — `{"ts_ms", "qid", "query", "ms",
-//! "threshold_ms", "error", "phase_ms", "trace"}` — to the file named
-//! by `--slow-query-log` (default `slow_queries.jsonl`). By default the
-//! line carries the query ID and the per-phase wall-time profile only
-//! (`"trace"` is `null`): the phase profile is measured by every search
-//! anyway, so the default log is free of trace allocations.
-//! `--slow-query-trace on` additionally runs every query with full
-//! tracing so the log line carries the complete per-level execution
-//! trace. Tracing never changes answers (differential-tested in the
-//! engine), so turning it on is observably free apart from the trace
-//! allocations.
+//! "threshold_ms", "error", "phase_ms"}` — to the file named by
+//! `--slow-query-log` (default `slow_queries.jsonl`). The phase profile
+//! is measured by every search anyway, so the log costs no tracing; for
+//! a slow query's per-level trace, run `EXPLAIN` on it.
 
 use super::protocol::Doc;
 use super::ServeCounters;
-use central::{PhaseMillis, QueryTrace};
+use central::PhaseProfile;
 use parking_lot::Mutex;
 use serde_json::json;
 use std::io::Write;
@@ -46,11 +40,6 @@ pub(super) struct SlowLog {
     /// Queries taking at least this many wall-clock milliseconds
     /// (measured by the server around the whole search) are logged.
     threshold_ms: u64,
-    /// Whether queries run fully traced so the log line can carry the
-    /// per-level execution trace (`--slow-query-trace on`). Off by
-    /// default: the line then carries the qid and the per-phase profile,
-    /// which every search measures anyway.
-    pub(super) traced: bool,
     /// Appended one JSON line per slow query; the mutex serializes
     /// writers so lines never interleave.
     file: Mutex<std::fs::File>,
@@ -58,13 +47,13 @@ pub(super) struct SlowLog {
 
 impl SlowLog {
     /// Open (append/create) the log file.
-    pub(super) fn open(path: &str, threshold_ms: u64, traced: bool) -> Result<SlowLog, String> {
+    pub(super) fn open(path: &str, threshold_ms: u64) -> Result<SlowLog, String> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| format!("--slow-query-log {path}: {e}"))?;
-        Ok(SlowLog { threshold_ms, traced, file: Mutex::new(file) })
+        Ok(SlowLog { threshold_ms, file: Mutex::new(file) })
     }
 
     /// Append one line for `answer` if it crossed the threshold.
@@ -85,7 +74,6 @@ impl SlowLog {
             "threshold_ms": self.threshold_ms,
             "error": answer.error,
             "phase_ms": answer.phase_ms.as_ref().map(serde_json::to_value),
-            "trace": answer.trace.as_deref().map(serde_json::to_value),
         });
         let mut file = self.file.lock();
         let _ = writeln!(file, "{doc}");
@@ -103,10 +91,8 @@ pub(super) struct Answer {
     /// The fleet-wide query ID assigned at admission.
     pub(super) qid: u64,
     /// Per-phase wall times, when the search completed (measured by
-    /// every search; the slow-query log's default payload).
-    pub(super) phase_ms: Option<PhaseMillis>,
-    /// The execution trace, when the query ran traced.
-    pub(super) trace: Option<Box<QueryTrace>>,
+    /// every search; what the slow-query log records).
+    pub(super) phase_ms: Option<PhaseProfile>,
     /// The error kind (`"internal"`, `"deadline_exceeded"`,
     /// `"budget_exhausted"`, `"shard_unavailable"`) when the query failed
     /// — the document is then an error document, not an answer.
@@ -117,9 +103,8 @@ pub(super) struct Answer {
 /// budget and the server's panic isolation. `req.qid` was assigned at
 /// admission and rides the response — error documents included. With
 /// `req.explain` the full execution trace is attached to the document
-/// (and the engine bypasses the cache to produce it live); a
-/// `QUERY` that runs traced for the slow-query log keeps its trace off
-/// the wire. The engine counts every refusal it returns, so the budget
+/// (and the engine bypasses the cache to produce it live). The engine
+/// counts every refusal it returns, so the budget
 /// and shard-availability counters on `STATS` need no bookkeeping here.
 pub(super) fn answer_query(
     ws: &WikiSearch,
@@ -138,10 +123,9 @@ pub(super) fn answer_query(
         wall_ms,
         qid,
         phase_ms: None,
-        trace: None,
         error: Some(error),
     };
-    let mut result = match result {
+    let result = match result {
         Ok(Ok(result)) => result,
         Ok(Err(e)) => return failed(e.kind(), e.to_string()),
         Err(_panic) => {
@@ -154,14 +138,7 @@ pub(super) fn answer_query(
     if req.explain {
         doc.put("trace", json!(result.trace.as_deref()));
     }
-    Answer {
-        doc: doc.into(),
-        wall_ms,
-        qid,
-        phase_ms: Some(PhaseMillis::from(&result.profile)),
-        trace: result.trace.take(),
-        error: None,
-    }
+    Answer { doc: doc.into(), wall_ms, qid, phase_ms: Some(result.profile), error: None }
 }
 
 /// The success-path JSON document shared by `QUERY` and `EXPLAIN`.
@@ -193,7 +170,7 @@ fn answer_document(ws: &WikiSearch, q: &str, result: &WikiSearchResult) -> Doc {
 mod tests {
     use super::*;
     use crate::serve::tests::tiny_engine;
-    use central::{QueryBudget, TraceLevel};
+    use central::QueryBudget;
     use std::time::Duration;
 
     #[test]
@@ -219,7 +196,7 @@ mod tests {
         let answer = answer_query(&ws, &req, &counters);
         assert!(answer.error.is_none(), "{}", answer.doc);
         assert_eq!(answer.doc["qid"], 12u64, "answer documents carry the qid");
-        assert!(answer.trace.is_none(), "untraced queries carry no trace");
+        assert!(answer.doc.get("trace").is_none(), "untraced queries carry no trace");
         assert!(answer.phase_ms.is_some(), "every completed search has a phase profile");
         assert_eq!(counters.served.load(Ordering::SeqCst), 0, "served is counted by the caller");
     }
@@ -228,25 +205,28 @@ mod tests {
     fn traced_answers_carry_a_trace_without_changing_the_document() {
         let ws = tiny_engine();
         let counters = ServeCounters::default();
-        let traced = ws.params().clone().with_trace(TraceLevel::Full);
         let plain = answer_query(
             &ws,
             &QueryRequest { qid: Some(1), ..QueryRequest::new("xml sql", ws.params()) },
             &counters,
         );
-        let traced = answer_query(
+        let explained = answer_query(
             &ws,
-            &QueryRequest { qid: Some(2), ..QueryRequest::new("xml sql", &traced) },
+            &QueryRequest {
+                qid: Some(2),
+                explain: true,
+                ..QueryRequest::new("xml sql", ws.params())
+            },
             &counters,
         );
-        assert!(traced.error.is_none());
-        let trace = traced.trace.expect("traced query carries its trace");
-        assert!(!trace.levels.is_empty(), "per-level records present");
-        // The client-visible document is identical either way.
-        assert!(traced.doc.get("trace").is_none(), "the slow log's trace stays off the wire");
+        assert!(explained.error.is_none());
+        assert!(!explained.doc["trace"]["levels"].as_array().unwrap().is_empty(), "per-level");
+        // A QUERY's document carries no trace, and the answers are the
+        // same either way.
+        assert!(plain.doc.get("trace").is_none(), "{}", plain.doc);
         assert_eq!(
             serde_json::to_string(&plain.doc["answers"]).unwrap(),
-            serde_json::to_string(&traced.doc["answers"]).unwrap()
+            serde_json::to_string(&explained.doc["answers"]).unwrap()
         );
     }
 
@@ -273,13 +253,15 @@ mod tests {
         assert_eq!(doc["qid"], 8u64, "{doc}");
     }
 
-    fn slow_answer(wall_ms: f64, qid: u64, trace: Option<Box<QueryTrace>>) -> Answer {
+    fn slow_answer(wall_ms: f64, qid: u64) -> Answer {
         Answer {
             doc: json!({}),
             wall_ms,
             qid,
-            phase_ms: Some(PhaseMillis { expansion_ms: 33.0, ..PhaseMillis::default() }),
-            trace,
+            phase_ms: Some(PhaseProfile {
+                expansion: Duration::from_millis(33),
+                ..PhaseProfile::default()
+            }),
             error: None,
         }
     }
@@ -291,11 +273,10 @@ mod tests {
             .to_string_lossy()
             .into_owned();
         let _ = std::fs::remove_file(&path);
-        let slow = SlowLog::open(&path, 50, true).unwrap();
+        let slow = SlowLog::open(&path, 50).unwrap();
         let counters = ServeCounters::default();
-        slow.maybe_log("quick", &slow_answer(1.0, 1, None), &counters);
-        let laggard = slow_answer(80.0, 2, Some(Box::new(QueryTrace::default())));
-        slow.maybe_log("laggard", &laggard, &counters);
+        slow.maybe_log("quick", &slow_answer(1.0, 1), &counters);
+        slow.maybe_log("laggard", &slow_answer(80.0, 2), &counters);
         assert_eq!(counters.slow_queries.load(Ordering::SeqCst), 1);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -305,7 +286,6 @@ mod tests {
         assert_eq!(doc["qid"], 2u64, "the slow-query line joins on the qid: {doc}");
         assert_eq!(doc["threshold_ms"], 50u64);
         assert!(doc["phase_ms"]["expansion_ms"].is_number(), "{doc}");
-        assert!(doc["trace"]["levels"].is_array(), "{doc}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -316,17 +296,21 @@ mod tests {
             .to_string_lossy()
             .into_owned();
         let _ = std::fs::remove_file(&path);
-        // The default (--slow-query-trace off): queries run untraced, so
-        // a logged line carries the qid + phase profile and a null trace.
-        let slow = SlowLog::open(&path, 50, false).unwrap();
-        assert!(!slow.traced);
+        // Queries run untraced, so a logged line carries the qid and the
+        // phase profile, and no trace key.
+        let slow = SlowLog::open(&path, 50).unwrap();
         let counters = ServeCounters::default();
-        slow.maybe_log("laggard", &slow_answer(80.0, 9, None), &counters);
+        slow.maybe_log("laggard", &slow_answer(80.0, 9), &counters);
         let text = std::fs::read_to_string(&path).unwrap();
         let doc: serde_json::Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         assert_eq!(doc["qid"], 9u64, "{doc}");
         assert_eq!(doc["phase_ms"]["expansion_ms"], 33.0, "{doc}");
-        assert!(doc["trace"].is_null(), "untraced lines have no trace: {doc}");
+        let serde_json::Value::Object(entries) = &doc else {
+            panic!("{doc}")
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let schema = ["ts_ms", "qid", "query", "ms", "threshold_ms", "error", "phase_ms"];
+        assert_eq!(keys, schema, "untraced lines have no trace: {doc}");
         let _ = std::fs::remove_file(&path);
     }
 }

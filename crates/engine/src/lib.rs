@@ -48,7 +48,6 @@ use central::{
     CacheOutcome, CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile,
     QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError,
     SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats, Telemetry,
-    TraceLevel,
 };
 use kgraph::KnowledgeGraph;
 use std::sync::Arc;
@@ -143,7 +142,7 @@ pub struct QueryRequest<'a> {
     /// Fleet-wide query ID assigned by the caller at admission
     /// ([`WikiSearch::issue_query_id`]); `None` lets the engine allocate.
     pub qid: Option<u64>,
-    /// Run with [`TraceLevel::Full`], bypassing the result cache, so
+    /// Run traced (`params.trace` set), bypassing the result cache, so
     /// [`WikiSearchResult::trace`] always describes a *live* search — the
     /// substrate of the server's `EXPLAIN`.
     pub explain: bool,
@@ -506,7 +505,7 @@ impl WikiSearch {
     pub fn execute(&self, req: &QueryRequest<'_>) -> Result<WikiSearchResult, SearchError> {
         let explain_params;
         let (params, use_cache) = if req.explain {
-            explain_params = req.params.clone().with_trace(TraceLevel::Full);
+            explain_params = req.params.clone().with_trace(true);
             (&explain_params, false)
         } else {
             (req.params, true)
@@ -526,7 +525,7 @@ impl WikiSearch {
                         self.metrics.cache_hits.inc();
                         // A traced hit reports "cache" as its engine: no
                         // search ran, so there are no levels to show.
-                        let trace = params.trace.enabled().then(|| {
+                        let trace = params.trace.then(|| {
                             Box::new(QueryTrace {
                                 engine: "cache".to_string(),
                                 keywords: query.num_keywords(),
@@ -1128,8 +1127,7 @@ mod tests {
         let ws = small_engine(Backend::Sequential);
         let plain = ws.search("xml sql rdf");
         assert!(plain.trace.is_none(), "tracing must be opt-in");
-        let traced =
-            ws.search_with_params("xml sql rdf", &ws.params().clone().with_trace(TraceLevel::Full));
+        let traced = ws.search_with_params("xml sql rdf", &ws.params().clone().with_trace(true));
         assert!(traced.trace.is_some());
         assert_eq!(digest(&ws, &plain), digest(&ws, &traced), "tracing changed the answers");
     }
@@ -1172,7 +1170,7 @@ mod tests {
     fn execute_keeps_both_meanings_of_its_explain_switch() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
-        let traced = ws.params().clone().with_trace(TraceLevel::Full);
+        let traced = ws.params().clone().with_trace(true);
         // explain: false is `search_with_params` bit for bit — a live
         // search on the miss, from the cache after.
         let conv = ws.search_with_params("xml sql rdf", &traced);
@@ -1202,7 +1200,7 @@ mod tests {
     fn traced_cache_hits_report_the_cache_as_engine() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
-        let traced_params = ws.params().clone().with_trace(TraceLevel::Full);
+        let traced_params = ws.params().clone().with_trace(true);
         let miss = ws.search_with_params("xml sql", &traced_params);
         assert_eq!(miss.trace.as_deref().unwrap().cache, Some(CacheOutcome::Miss));
         let hit = ws.search_with_params("xml sql", &traced_params);
@@ -1216,7 +1214,7 @@ mod tests {
     fn query_ids_thread_into_traces_and_cache_provenance() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
-        let traced = ws.params().clone().with_trace(TraceLevel::Full);
+        let traced = ws.params().clone().with_trace(true);
         let miss = ws.search_with_params("xml sql", &traced);
         assert!(miss.qid >= 1, "every search gets a qid");
         let mt = miss.trace.as_deref().unwrap();

@@ -18,7 +18,7 @@
 mod common;
 
 use central::shard::DEFAULT_PARTITION_SEED;
-use central::{QueryBudget, RemoteOptions, ShardWorker, StaticAddrs, TelemetrySample, TraceLevel};
+use central::{QueryBudget, RemoteOptions, ShardWorker, StaticAddrs, TelemetrySample};
 use common::{build_graph, case_strategy, queries_strategy, raw_query};
 use kgraph::KnowledgeGraph;
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ proptest! {
                 observed.set_telemetry(1, 64);
 
                 let base = plain.params().clone();
-                let traced = base.clone().with_trace(TraceLevel::Full);
+                let traced = base.clone().with_trace(true);
                 let unlimited = QueryBudget::unlimited();
                 let tight = QueryBudget::unlimited().with_max_expansions(2);
 
@@ -183,7 +183,7 @@ fn degenerate_queries_are_unperturbed_in_every_shape() {
         let plain = build(graph(), Backend::Sequential, mode);
         let mut observed = build(graph(), Backend::Sequential, mode);
         observed.set_telemetry(1, 8);
-        let traced = plain.params().clone().with_trace(TraceLevel::Full);
+        let traced = plain.params().clone().with_trace(true);
         let budget = QueryBudget::unlimited();
         for q in ["alpha beta", "alpha", "zzz nothing", ""] {
             let want = plain

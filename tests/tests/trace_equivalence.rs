@@ -1,63 +1,25 @@
 //! Tracing must be a pure observer: running any engine with
-//! `TraceLevel::Full` returns byte-for-byte identical answers to the
-//! untraced run, on arbitrary graphs and queries, for all four engines.
+//! `SearchParams::trace` set returns byte-for-byte identical answers and
+//! statistics to the untraced run, on arbitrary graphs and queries, for
+//! all four engines.
 //!
 //! This is the differential guarantee the whole observability layer
-//! leans on — `EXPLAIN`, the slow-query log and `--explain` all re-run
-//! queries traced, and may only do so because tracing provably never
-//! changes what the user gets back. The suite also asserts the positive
-//! side: every engine produces a structurally coherent per-level trace
-//! (level numbers consecutive, frontier counts matching the engine's own
+//! leans on — `EXPLAIN` and `search --explain` re-run queries traced,
+//! and may only do so because tracing provably never changes what the
+//! user gets back. The suite also asserts the positive side: every
+//! engine produces a structurally coherent per-level trace (level
+//! numbers consecutive, frontier counts matching the engine's own
 //! `SearchStats`, expansion totals consistent).
 
+mod common;
+
 use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
-use central::{SearchParams, TraceLevel};
-use kgraph::{GraphBuilder, KnowledgeGraph};
+use central::SearchParams;
+use common::{build_graph, case_strategy, digest, raw_query};
+use kgraph::GraphBuilder;
 use proptest::prelude::*;
 use textindex::{InvertedIndex, ParsedQuery};
 use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
-
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
-
-#[derive(Debug, Clone)]
-struct Case {
-    texts: Vec<Vec<usize>>,
-    edges: Vec<(usize, usize)>,
-    query: Vec<usize>,
-    top_k: usize,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..24).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..50);
-        let query = proptest::collection::vec(0usize..WORDS.len(), 2..4);
-        let top_k = 1usize..8;
-        (texts, edges, query, top_k).prop_map(|(texts, edges, query, top_k)| Case {
-            texts,
-            edges,
-            query,
-            top_k,
-        })
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    b.build()
-}
 
 fn engines() -> Vec<Box<dyn KeywordSearchEngine>> {
     vec![
@@ -68,30 +30,23 @@ fn engines() -> Vec<Box<dyn KeywordSearchEngine>> {
     ]
 }
 
-/// The byte-exact digest tracing must not disturb: every field of every
-/// answer, in rank order.
-fn answer_digest(answers: &[central::CentralGraph]) -> String {
-    format!("{answers:?}")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn tracing_never_changes_any_engines_answers(case in case_strategy()) {
+    fn tracing_never_changes_any_engines_answers(case in case_strategy(24, 50)) {
         let graph = build_graph(&case);
         let idx = InvertedIndex::build(&graph);
-        let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();
-        let query = ParsedQuery::parse(&idx, &raw.join(" "));
+        let query = ParsedQuery::parse(&idx, &raw_query(&case.query));
         let base = SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() };
-        let traced_params = base.clone().with_trace(TraceLevel::Full);
+        let traced_params = base.clone().with_trace(true);
 
         for engine in engines() {
             let plain = engine.search(&graph, &query, &base);
             let traced = engine.search(&graph, &query, &traced_params);
             prop_assert_eq!(
-                answer_digest(&plain.answers),
-                answer_digest(&traced.answers),
+                digest(&plain.answers, &plain.stats),
+                digest(&traced.answers, &traced.stats),
                 "tracing changed {}'s answers",
                 engine.name()
             );
