@@ -413,8 +413,8 @@ mod tests {
 
     #[test]
     fn the_trace_flag_is_an_unknown_flag() {
-        // `--explain true` prints the per-level trace `--trace` printed a
-        // subset of.
+        // Its level table was a subset of the trace `--explain true`
+        // prints.
         let (code, out) = run_cli("search --graph kb.tsv --query learning --trace true");
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("unknown flag --trace "), "{out}");
