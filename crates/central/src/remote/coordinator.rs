@@ -705,6 +705,7 @@ impl ShardCoordinator {
             lanes: (0..self.shards).map(|_| Default::default()).collect(),
             deadline,
             tracker,
+            keywords: query.num_keywords(),
             level: 0,
             pairs: Vec::new(),
             stepped: Vec::new(),
@@ -821,6 +822,8 @@ struct RemoteOps<'a> {
     lanes: Vec<parking_lot::Mutex<Lane>>,
     deadline: Option<Instant>,
     tracker: &'a BudgetTracker,
+    /// The query's keyword count: the bound of every keyword instance.
+    keywords: usize,
     /// The level the next `Step` identifies at: 0, then one past the last
     /// `Expand`'s.
     level: u8,
@@ -994,6 +997,14 @@ impl LevelOps for RemoteOps<'_> {
             Response::ExpandOk(ok) => Some(ok),
             _ => None,
         })?;
+        // A notification outside the graph or the query is a malformed reply.
+        let (n, q) = (self.search.num_nodes, self.keywords);
+        let outside = |ok: &wire::ExpandOk| {
+            ok.outbox.iter().any(|&(v, i)| u64::from(v) >= n || i as usize >= q)
+        };
+        if let Some(i) = replies.iter().position(outside) {
+            return Err(self.fail(self.live[i]));
+        }
         self.pairs.clear();
         let mut charged = 0u64;
         for ok in replies {
@@ -1386,8 +1397,9 @@ mod tests {
     }
 
     /// A worker whose replies decode but name a node outside the graph —
-    /// as newly central, or as a collected row — fails its shard the way
-    /// an undecodable reply does (probe, retry budget, `shard_unavailable`)
+    /// as newly central, or as a collected row — or a keyword instance
+    /// outside the query — in its outbox — fails its shard the way an
+    /// undecodable reply does (probe, retry budget, `shard_unavailable`)
     /// and indexes nothing; the probe answers, so the breaker stays shut.
     #[test]
     fn out_of_range_ids_from_a_worker_fail_the_shard() {
@@ -1405,7 +1417,19 @@ mod tests {
             wire::OP_STEP => step(0, vec![]),
             _ => (wire::OP_COLLECT_OK, wire::encode(&rows(&[(3, &[0, 1])]))),
         };
-        for script in [central_outside_the_graph, row_outside_the_graph] {
+        // Instance 7 of the 2-keyword query: were it forwarded, the lanes
+        // would write it into a neighbour's row and the query would answer.
+        let instance_outside_the_query: fn(u8) -> (u8, Vec<u8>) = |op| match op {
+            wire::OP_STEP => step(1, vec![]),
+            wire::OP_EXPAND => {
+                let ok = wire::ExpandOk { outbox: vec![(0, 7)], charged: 0 };
+                (wire::OP_EXPAND_OK, wire::encode(&ok))
+            }
+            _ => (wire::OP_COLLECT_OK, wire::encode(&rows(&[]))),
+        };
+        let scripts =
+            [central_outside_the_graph, row_outside_the_graph, instance_outside_the_query];
+        for script in scripts {
             let fleet = fleet_of(&g, scripted_worker(wire::PROTOCOL_VERSION, script));
             let err = fleet
                 .try_search(&g, &query, &SearchParams::default(), &QueryBudget::unlimited(), None)

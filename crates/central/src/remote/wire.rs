@@ -368,7 +368,8 @@ pub struct CollectOk {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireError {
     /// Stable machine-readable code (`bad_handshake`, `bad_frame`,
-    /// `bad_sequence`, `internal`).
+    /// `bad_sequence`, `bad_request` — a node or instance outside the
+    /// graph or query — `internal`).
     pub code: String,
     /// Human-readable detail.
     pub message: String,

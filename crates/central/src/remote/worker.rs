@@ -355,6 +355,11 @@ impl Conn {
         if !self.greeted {
             return Err(ConnError::new("bad_sequence", "START before HELLO"));
         }
+        let n = self.worker.num_nodes;
+        if let Some(levels) = start.activation.as_ref().filter(|l| (l.len() as u64) < n) {
+            let message = format!("activation table holds {} levels for {n} nodes", levels.len());
+            return Err(ConnError::new("bad_request", message));
+        }
         let query = start.query.to_query();
         let part = &self.worker.part;
         self.state.begin_query(part.graph.num_nodes(), &part.localize_query(&query));
@@ -407,6 +412,11 @@ impl Conn {
     fn on_step(&mut self, req: &wire::Step) -> Result<wire::StepOk, ConnError> {
         let traced = self.query.as_ref().is_some_and(|ctx| ctx.traced);
         let (mut lane, _) = self.lane()?;
+        let q = lane.state.num_keywords();
+        if let Some(pair) = req.pairs.iter().find(|&&(_, i)| i as usize >= q) {
+            let message = format!("notification {pair:?} names no instance of {q} keywords");
+            return Err(ConnError::new("bad_request", message));
+        }
         let (frontier, (new_hits, deferred)) = lane.step(req.level, traced, &req.pairs);
         Ok(wire::StepOk {
             frontier: frontier as u64,
@@ -452,4 +462,59 @@ impl Conn {
 pub(super) fn expect_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
     read_frame(r)?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed mid conversation"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::DEFAULT_PARTITION_SEED;
+    use crate::SearchParams;
+    use kgraph::GraphBuilder;
+    use textindex::{InvertedIndex, ParsedQuery};
+
+    /// A `Start` whose activation table is short of the graph, and a `Step`
+    /// notification naming instance `q` of a `q`-keyword query, are refused
+    /// with `bad_request` before they index anything: every row of the lane
+    /// reads as before (the pair `(x, q)` would land in `y`'s row).
+    #[test]
+    fn out_of_range_requests_are_refused_and_write_nothing() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
+        let m = b.add_node("m", "mid");
+        b.add_edge(x, m, "e");
+        b.add_edge(y, m, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let mut conn =
+            Conn::new(Arc::new(ShardWorker::new(&g, 1, 0, DEFAULT_PARTITION_SEED)), true);
+        let start = |activation| {
+            Request::Start(wire::Start {
+                query: wire::WireQuery::from_query(&query),
+                params: SearchParams::default(),
+                activation,
+                backend: "Seq".to_string(),
+                threads: 1,
+                qid: None,
+                spans: false,
+            })
+        };
+        let mut send = |request: &Request| conn.handle(request, Arrival::default()).err();
+        assert_eq!(send(&start(Some(vec![0; 2]))).map(|e| e.code), Some("bad_request"));
+        assert!(send(&start(None)).is_none());
+        assert!(send(&Request::Step(wire::Step { level: 0, pairs: Vec::new() })).is_none());
+
+        let rows = |conn: &Conn| {
+            let mut rows = [[INFINITE_LEVEL; 2]; 3];
+            for (l, row) in rows.iter_mut().enumerate() {
+                conn.state.row_into(l as u32, row);
+            }
+            rows
+        };
+        let before = rows(&conn);
+        assert_eq!(before[y.index()], [INFINITE_LEVEL, 0]);
+        let step = Request::Step(wire::Step { level: 1, pairs: vec![(x.0, 2)] });
+        let refused = conn.handle(&step, Arrival::default()).err().map(|e| e.code);
+        assert_eq!(refused, Some("bad_request"));
+        assert_eq!(rows(&conn), before);
+    }
 }

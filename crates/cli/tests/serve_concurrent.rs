@@ -2,7 +2,7 @@
 //! interleaved clients must answer every query with exactly the bytes a
 //! sequential `WikiSearch::search` over the same graph produces (modulo
 //! the per-response `"ms"` timing field, which is stripped before
-//! comparison). This is the service-level form of the engine-equivalence
+//! comparison). This is the service-level form of the `lattice` oracle's
 //! property: pooled sessions + connection workers must not change a
 //! single answer.
 

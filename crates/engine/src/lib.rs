@@ -202,8 +202,8 @@ pub struct WikiSearchResult {
 /// stopwords or duplicates — are answered from a sharded LRU cache
 /// without running the two-stage search at all (see `central::cache`).
 /// Cached answers are observably identical to freshly computed ones;
-/// the differential tests in `tests/tests/cache_equivalence.rs` enforce
-/// this across all four backends.
+/// the `lattice` suite's cache-on points (`tests/tests/lattice.rs`)
+/// enforce this across all four backends.
 pub struct WikiSearch {
     graph: KnowledgeGraph,
     index: InvertedIndex,
@@ -367,7 +367,8 @@ impl WikiSearch {
     /// ([`central::remote`]), replacing whatever shard set the engine had:
     /// each worker owns one partition of the same deterministic edge-cut
     /// plan, and answers stay byte-identical to the solo engines while
-    /// every worker is healthy (the remote-equivalence suite pins this).
+    /// every worker is healthy (the `lattice` and `shard_equivalence`
+    /// suites pin this).
     /// `addrs` names the workers — a
     /// [`central::StaticAddrs`] list for an externally managed fleet, or a
     /// supervisor's live address table — and `opts` sets the RPC timeout,
@@ -420,17 +421,7 @@ impl WikiSearch {
     /// answered from memory without touching the session pool. See
     /// [`central::cache`] for the key scheme and eviction policy.
     pub fn set_cache_capacity(&mut self, bytes: usize) {
-        self.set_cache_config(bytes, central::cache::DEFAULT_SHARDS);
-    }
-
-    /// [`WikiSearch::set_cache_capacity`] with an explicit shard count
-    /// (tests use one or two shards to force eviction churn).
-    pub fn set_cache_config(&mut self, bytes: usize, shards: usize) {
-        self.cache = if bytes == 0 {
-            None
-        } else {
-            Some(central::ShardedLruCache::with_shards(bytes, shards))
-        };
+        self.cache = (bytes > 0).then(|| central::ShardedLruCache::new(bytes));
     }
 
     /// A snapshot of the result-cache counters, `None` while the cache

@@ -14,8 +14,9 @@
 //! re-sampling. The stored `A` is the value the deterministic seeded
 //! sampler would compute from the same graph, so a snapshot-opened engine
 //! and a heap-built one produce **byte-identical** answers (score bits
-//! included); `tests/tests/mmap_equivalence.rs` pins this across all four
-//! backends and shard counts.
+//! included); the mmap points of the `lattice` oracle
+//! (`tests/tests/lattice.rs`) pin this across all four backends and
+//! shard-worker fleets.
 
 use central::SearchParams;
 use kgraph::snapshot::{write_graph_sections, Snapshot, SnapshotWriter};

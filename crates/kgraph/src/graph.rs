@@ -69,8 +69,8 @@ impl Adjacency {
 /// (zero-copy columns over a read-only mapping). Node and label ids are
 /// dense, so all per-node search state elsewhere in the workspace is held
 /// in flat arrays indexed by [`NodeId`]. Every accessor behaves
-/// identically on either backing — the differential `mmap_equivalence`
-/// suite pins byte-identical search answers.
+/// identically on either backing — the mmap points of the differential
+/// `lattice` suite pin byte-identical search answers.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KnowledgeGraph {
     pub(crate) offsets: Column<u64>,

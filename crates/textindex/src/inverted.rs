@@ -12,8 +12,8 @@
 //! column). Term lookup is a binary search over the sorted table. The
 //! same four columns serialize into `.wsnap` snapshot sections (ids
 //! 20–24) and map back zero-copy, so a heap-built index and a
-//! mapped one are structurally identical — the property the
-//! `mmap_equivalence` differential suite leans on.
+//! mapped one are structurally identical — the property the mmap points
+//! of the differential `lattice` suite lean on.
 
 use crate::analyzer::analyze_unique;
 use kgraph::snapshot::{Snapshot, SnapshotWriter};

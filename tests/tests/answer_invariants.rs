@@ -2,41 +2,16 @@
 //! coverage, connectivity, depth bounds, score ordering and the
 //! level-cover soundness guarantee.
 
+mod common;
+
 use central::engine::{KeywordSearchEngine, SeqEngine};
 use central::SearchParams;
-use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
+use common::{build_graph, case_strategy, raw_query};
+use kgraph::NodeId;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
 use textindex::analyzer::analyze_unique;
 use textindex::{InvertedIndex, ParsedQuery};
-
-const WORDS: &[&str] = &["apple", "pear", "plum", "fig", "kiwi", "mango"];
-
-fn graph_strategy() -> impl Strategy<Value = (KnowledgeGraph, String, Vec<u8>)> {
-    (3usize..25).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 2..50);
-        let activation = proptest::collection::vec(0u8..4, nodes);
-        let query = proptest::collection::vec(0usize..WORDS.len(), 2..4);
-        (texts, edges, activation, query).prop_map(move |(texts, edges, activation, query)| {
-            let mut b = GraphBuilder::new();
-            for (i, ws) in texts.iter().enumerate() {
-                let t: Vec<&str> = ws.iter().map(|&w| WORDS[w]).collect();
-                b.add_node(&format!("n{i}"), &t.join(" "));
-            }
-            for &(s, d) in &edges {
-                if s != d {
-                    let s = b.node(&format!("n{s}")).unwrap();
-                    let d = b.node(&format!("n{d}")).unwrap();
-                    b.add_edge(s, d, "rel");
-                }
-            }
-            let q: Vec<&str> = query.iter().map(|&w| WORDS[w]).collect();
-            (b.build(), q.join(" "), activation)
-        })
-    })
-}
 
 /// The answer graph must be connected: every node reaches the central
 /// node through answer edges (hitting paths all end at the centre).
@@ -66,18 +41,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     #[test]
-    fn answers_satisfy_model_invariants((graph, raw, activation) in graph_strategy()) {
+    fn answers_satisfy_model_invariants(case in case_strategy(25, 50)) {
+        let graph = build_graph(&case);
         let idx = InvertedIndex::build(&graph);
-        let query = ParsedQuery::parse(&idx, &raw);
+        let query = ParsedQuery::parse(&idx, &raw_query(&case.query));
         let params = SearchParams {
             top_k: 6,
             max_level: 12,
             ..SearchParams::default()
         }
-        .with_explicit_activation(activation);
+        .with_explicit_activation(case.activation);
         let out = SeqEngine::new().search(&graph, &query, &params);
 
-        let query_terms: Vec<String> = analyze_unique(&raw);
         for answer in &out.answers {
             // Structural invariants (sortedness, coverage fields, score).
             prop_assert!(answer.check_invariants().is_ok(), "{:?}", answer.check_invariants());
@@ -102,7 +77,6 @@ proptest! {
                     .any(|&v| analyze_unique(graph.node_text(v)).contains(&group.term));
                 prop_assert!(covered, "keyword {:?} uncovered", group.term);
             }
-            let _ = &query_terms;
         }
 
         // Ranking: answers come back in non-decreasing score order.
@@ -115,16 +89,17 @@ proptest! {
     }
 
     #[test]
-    fn containment_dedup_leaves_no_strict_containers((graph, raw, activation) in graph_strategy()) {
+    fn containment_dedup_leaves_no_strict_containers(case in case_strategy(25, 50)) {
+        let graph = build_graph(&case);
         let idx = InvertedIndex::build(&graph);
-        let query = ParsedQuery::parse(&idx, &raw);
+        let query = ParsedQuery::parse(&idx, &raw_query(&case.query));
         let params = SearchParams {
             top_k: 8,
             max_level: 12,
             dedup_contained: true,
             ..SearchParams::default()
         }
-        .with_explicit_activation(activation);
+        .with_explicit_activation(case.activation);
         let out = SeqEngine::new().search(&graph, &query, &params);
         for a in &out.answers {
             for b in &out.answers {

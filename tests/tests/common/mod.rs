@@ -1,14 +1,20 @@
-//! What the equivalence suites share: the word pool, the random-graph
-//! case, its builder, and the one digest every comparison goes through.
+//! What the differential suites share: the word pool, the random-graph
+//! case, its builder, the one digest every comparison goes through, and
+//! the one reference every digest is compared with — a fresh solo
+//! `SeqEngine`.
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
 
-use central::engine::SearchStats;
-use central::CentralGraph;
+use central::engine::{
+    DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SearchStats, SeqEngine,
+};
+use central::{CentralGraph, QueryBudget, SearchError, SearchParams};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use std::fmt::Write as _;
+use textindex::{InvertedIndex, ParsedQuery};
+use wikisearch_engine::WikiSearchResult;
 
 /// Small word pool; several words per node text creates overlapping
 /// keyword groups and co-occurrence nodes.
@@ -77,6 +83,17 @@ pub fn build_graph(case: &Case) -> KnowledgeGraph {
     b.build()
 }
 
+/// The four engines, sequential first, the parallel ones on `threads`
+/// threads.
+pub fn engines(threads: usize) -> Vec<Box<dyn KeywordSearchEngine>> {
+    vec![
+        Box::new(SeqEngine::new()),
+        Box::new(ParCpuEngine::new(threads)),
+        Box::new(GpuStyleEngine::new(threads)),
+        Box::new(DynParEngine::new(threads)),
+    ]
+}
+
 /// Everything a search computes, as one comparable string: the ranked
 /// answers (ids, per-keyword parts in keyword order, score *bits*) and
 /// the statistics including the per-level trace.
@@ -100,4 +117,46 @@ pub fn digest(answers: &[CentralGraph], stats: &SearchStats) -> String {
         .unwrap();
     }
     s
+}
+
+/// Everything a facade result shows but its timing and the telemetry
+/// surface (qid, trace): the keyword analysis, `kwf` as exact bits, the
+/// degraded flag, then [`digest`] of the answers and statistics.
+pub fn result_digest(r: &WikiSearchResult) -> String {
+    format!(
+        "groups:{:?} unmatched:{:?} kwf:{} degraded:{} {}",
+        r.query.groups,
+        r.query.unmatched,
+        r.kwf.to_bits(),
+        r.degraded,
+        digest(&r.answers, &r.stats)
+    )
+}
+
+/// The oracle: what the facade must answer for `raw`, as
+/// [`result_digest`] — the analysis against `index` and a fresh solo
+/// `SeqEngine` under `params` and `budget`, every answer of which
+/// satisfies the model invariants — or the error that engine raises.
+pub fn solo(
+    graph: &KnowledgeGraph,
+    index: &InvertedIndex,
+    raw: &str,
+    params: &SearchParams,
+    budget: &QueryBudget,
+) -> Result<String, SearchError> {
+    let query = ParsedQuery::parse(index, raw);
+    let out = SeqEngine::new().try_search(graph, &query, params, budget)?;
+    for a in &out.answers {
+        assert_eq!(a.check_invariants(), Ok(()), "oracle answer to {raw:?}");
+    }
+    Ok(result_digest(&WikiSearchResult {
+        qid: 0,
+        kwf: query.avg_keyword_frequency(),
+        query,
+        answers: out.answers,
+        profile: out.profile,
+        stats: out.stats,
+        trace: None,
+        degraded: false,
+    }))
 }

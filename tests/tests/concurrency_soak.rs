@@ -4,11 +4,15 @@
 //! thread counts. This is Theorem V.2 under real contention: thousands of
 //! frontier tasks racing on the shared matrix.
 
-use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
+mod common;
+
+use central::engine::{KeywordSearchEngine, SeqEngine};
 use central::{SearchParams, SearchSession};
+use common::{digest, engines, result_digest};
 use datagen::synthetic::SyntheticConfig;
 use datagen::QueryWorkload;
 use textindex::{InvertedIndex, ParsedQuery};
+use wikisearch_engine::{Backend, WikiSearch};
 
 #[test]
 fn parallel_engines_agree_on_a_large_graph_under_contention() {
@@ -22,40 +26,20 @@ fn parallel_engines_agree_on_a_large_graph_under_contention() {
     let queries: Vec<ParsedQuery> =
         workload.batch(5, 3).iter().map(|q| ParsedQuery::parse(&index, q)).collect();
 
-    let seq = SeqEngine::new();
-    let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-        Box::new(ParCpuEngine::new(8)),
-        Box::new(GpuStyleEngine::new(8)),
-        Box::new(DynParEngine::new(8)),
-    ];
+    let engines = engines(8);
+    let (seq, parallel) = engines.split_first().unwrap();
     for (qi, query) in queries.iter().enumerate() {
         let reference = seq.search(&ds.graph, query, &params);
         for answer in &reference.answers {
             answer.check_invariants().unwrap();
         }
-        for engine in &engines {
+        let reference = digest(&reference.answers, &reference.stats);
+        for engine in parallel {
             // Two runs each: agreement and determinism under contention.
             for round in 0..2 {
                 let out = engine.search(&ds.graph, query, &params);
-                assert_eq!(
-                    out.answers.len(),
-                    reference.answers.len(),
-                    "query {qi} round {round}: answer count for {}",
-                    engine.name()
-                );
-                for (a, b) in out.answers.iter().zip(&reference.answers) {
-                    assert_eq!(a.central, b.central, "query {qi}: {}", engine.name());
-                    assert_eq!(a.nodes, b.nodes, "query {qi}: {}", engine.name());
-                    assert_eq!(a.edges, b.edges, "query {qi}: {}", engine.name());
-                    assert_eq!(a.keyword_edges, b.keyword_edges, "query {qi}: {}", engine.name());
-                }
-                assert_eq!(
-                    out.stats.central_candidates,
-                    reference.stats.central_candidates,
-                    "query {qi}: top-(k,d) cohort for {}",
-                    engine.name()
-                );
-                assert_eq!(out.stats.last_level, reference.stats.last_level);
+                let got = digest(&out.answers, &out.stats);
+                assert_eq!(got, reference, "query {qi} round {round}: {}", engine.name());
             }
         }
     }
@@ -80,53 +64,23 @@ fn one_session_survives_a_query_stream_across_thread_counts() {
     let queries: Vec<ParsedQuery> =
         workload.batch(4, 3).iter().map(|q| ParsedQuery::parse(&index, q)).collect();
     let seq = SeqEngine::new();
-    let references: Vec<_> = queries.iter().map(|q| seq.search(&ds.graph, q, &params)).collect();
+    let references: Vec<String> = queries
+        .iter()
+        .map(|q| seq.search(&ds.graph, q, &params))
+        .map(|out| digest(&out.answers, &out.stats))
+        .collect();
 
     let mut session = SearchSession::new();
     let mut runs = 0u64;
     for threads in [1usize, 2, 4, 8] {
-        let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-            Box::new(SeqEngine::new()),
-            Box::new(ParCpuEngine::new(threads)),
-            Box::new(GpuStyleEngine::new(threads)),
-            Box::new(DynParEngine::new(threads)),
-        ];
-        for engine in &engines {
+        for engine in &engines(threads) {
             for (qi, query) in queries.iter().enumerate() {
                 let out = engine.search_session(&mut session, &ds.graph, query, &params);
                 if query.num_keywords() > 0 {
                     runs += 1;
                 }
-                let reference = &references[qi];
-                assert_eq!(
-                    out.answers.len(),
-                    reference.answers.len(),
-                    "threads {threads} query {qi}: answer count for {}",
-                    engine.name()
-                );
-                for (a, b) in out.answers.iter().zip(&reference.answers) {
-                    assert_eq!(
-                        a.central,
-                        b.central,
-                        "threads {threads} query {qi}: {}",
-                        engine.name()
-                    );
-                    assert_eq!(a.nodes, b.nodes, "threads {threads} query {qi}: {}", engine.name());
-                    assert_eq!(a.edges, b.edges, "threads {threads} query {qi}: {}", engine.name());
-                    assert_eq!(
-                        a.keyword_edges,
-                        b.keyword_edges,
-                        "threads {threads} query {qi}: {}",
-                        engine.name()
-                    );
-                }
-                assert_eq!(
-                    out.stats.central_candidates,
-                    reference.stats.central_candidates,
-                    "threads {threads} query {qi}: top-(k,d) cohort for {}",
-                    engine.name()
-                );
-                assert_eq!(out.stats.last_level, reference.stats.last_level);
+                let got = digest(&out.answers, &out.stats);
+                assert_eq!(got, references[qi], "threads {threads} query {qi}: {}", engine.name());
             }
         }
     }
@@ -152,31 +106,30 @@ fn concurrent_cached_searches_match_a_sequential_oracle() {
     let queries: Vec<String> = workload.batch(3, 16);
 
     // Oracle: sequential, uncached.
-    let oracle = wikisearch_engine::WikiSearch::build_with(
-        ds.graph.clone(),
-        wikisearch_engine::Backend::Sequential,
-    );
+    let oracle = WikiSearch::build_with(ds.graph.clone(), Backend::Sequential);
     let expected: Vec<String> = queries.iter().map(|q| result_digest(&oracle.search(q))).collect();
 
-    // Device under test: parallel backend behind a cache sized to a
-    // third of the working set, split over 2 shards so eviction churn is
-    // constant. First measure the stream's total entry footprint with a
-    // roomy cache, then rebuild with the tight one.
-    let mut probe = wikisearch_engine::WikiSearch::build_with(
-        ds.graph.clone(),
-        wikisearch_engine::Backend::Sequential,
-    );
-    probe.set_cache_config(64 << 20, 2);
+    // Device under test: a parallel backend behind a cache too small for
+    // the working set. Measure each entry with a roomy cache first: the
+    // budget then gives each of the default 8 shards room for the largest
+    // entry, so none bypasses the cache, while the entries together
+    // outweigh the 8 shards and so must evict.
+    let mut probe = WikiSearch::build_with(ds.graph.clone(), Backend::Sequential);
+    probe.set_cache_capacity(64 << 20);
+    let mut entries = Vec::new();
     for q in &queries {
+        let before = probe.cache_stats().unwrap().bytes;
         probe.search(q);
+        entries.push(probe.cache_stats().unwrap().bytes - before);
     }
-    let working_set = probe.cache_stats().unwrap().bytes.max(1);
-
-    let mut ws = wikisearch_engine::WikiSearch::build_with(
-        ds.graph.clone(),
-        wikisearch_engine::Backend::ParCpu(4),
+    let capacity = 8 * entries.iter().max().unwrap();
+    assert!(
+        entries.iter().sum::<usize>() > capacity,
+        "entries {entries:?} fit in {capacity} B"
     );
-    ws.set_cache_config(working_set / 3, 2);
+
+    let mut ws = WikiSearch::build_with(ds.graph.clone(), Backend::ParCpu(4));
+    ws.set_cache_capacity(capacity);
     let ws = std::sync::Arc::new(ws);
 
     let threads = 8;
@@ -206,34 +159,6 @@ fn concurrent_cached_searches_match_a_sequential_oracle() {
     assert_eq!(stats.hits + stats.misses, stats.lookups, "{stats:?}");
     assert!(stats.bytes <= stats.capacity_bytes, "{stats:?}");
     assert!(stats.lookups > 0, "{stats:?}");
+    assert_eq!(stats.bypasses, 0, "{stats:?}");
     assert!(stats.evictions > 0, "capacity must be tight enough to churn: {stats:?}");
-}
-
-/// Everything answer-relevant about one search result, as a comparable
-/// string (timings excluded).
-fn result_digest(r: &wikisearch_engine::WikiSearchResult) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    write!(s, "groups:{:?} unmatched:{:?} ", r.query.groups, r.query.unmatched).unwrap();
-    write!(
-        s,
-        "stats:{}/{}/{:?} ",
-        r.stats.last_level, r.stats.central_candidates, r.stats.trace
-    )
-    .unwrap();
-    for a in &r.answers {
-        write!(
-            s,
-            "[c:{:?} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-            a.central,
-            a.depth,
-            a.nodes,
-            a.edges,
-            a.keyword_nodes,
-            a.keyword_edges,
-            a.score.to_bits()
-        )
-        .unwrap();
-    }
-    s
 }

@@ -3,51 +3,29 @@
 //! real engines on arbitrary graphs — same central-node count, and work
 //! tallies consistent with the graph's size.
 
+mod common;
+
 use central::costmodel::count_work;
 use central::engine::{KeywordSearchEngine, SeqEngine};
 use central::SearchParams;
-use kgraph::GraphBuilder;
+use common::{build_graph, case_strategy, raw_query};
 use proptest::prelude::*;
 use textindex::{InvertedIndex, ParsedQuery};
-
-const WORDS: &[&str] = &["red", "green", "blue", "cyan", "plum"];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
-    fn counter_matches_engine_candidates(
-        texts in proptest::collection::vec(
-            proptest::collection::vec(0usize..WORDS.len(), 1..3), 2..20),
-        edges in proptest::collection::vec((0usize..20, 0usize..20), 1..40),
-        activation in proptest::collection::vec(0u8..4, 20),
-        qwords in proptest::collection::vec(0usize..WORDS.len(), 2..4),
-        top_k in 1usize..6,
-    ) {
-        let n = texts.len();
-        let mut b = GraphBuilder::new();
-        for (i, ws) in texts.iter().enumerate() {
-            let t: Vec<&str> = ws.iter().map(|&w| WORDS[w]).collect();
-            b.add_node(&format!("n{i}"), &t.join(" "));
-        }
-        for &(s, d) in &edges {
-            let (s, d) = (s % n, d % n);
-            if s != d {
-                let s = b.node(&format!("n{s}")).unwrap();
-                let d = b.node(&format!("n{d}")).unwrap();
-                b.add_edge(s, d, "e");
-            }
-        }
-        let g = b.build();
+    fn counter_matches_engine_candidates(case in case_strategy(20, 40)) {
+        let g = build_graph(&case);
         let idx = InvertedIndex::build(&g);
-        let raw: Vec<&str> = qwords.iter().map(|&w| WORDS[w]).collect();
-        let query = ParsedQuery::parse(&idx, &raw.join(" "));
+        let query = ParsedQuery::parse(&idx, &raw_query(&case.query));
         let params = SearchParams {
-            top_k,
+            top_k: case.top_k,
             max_level: 10,
             ..SearchParams::default()
         }
-        .with_explicit_activation(activation[..n].to_vec());
+        .with_explicit_activation(case.activation);
 
         let work = count_work(&g, &query, &params);
         let out = SeqEngine::new().search(&g, &query, &params);

@@ -1,11 +1,14 @@
 //! The prose names code that exists: every backticked `<file>.rs::<name>`
 //! (a bare file name is looked up under `crates/`), every backticked
 //! `WikiSearch::<method>` and every backticked `<crate>::<module>[::<item>]`
-//! whose first segment is a crate under `crates/` in README.md, DESIGN.md
-//! and `docs/*.md` must resolve to a definition in the sources. A deletion
-//! or rename that leaves a doc pointing at nothing fails here, the way the
-//! metric table's README coverage test fails for a metric nobody
-//! documented.
+//! whose first segment is a crate under `crates/` in README.md, DESIGN.md,
+//! `docs/*.md`, the CI workflow and the verify skill must resolve to a
+//! definition in the sources; and every `--test <name>`, every backticked
+//! `tests/tests/<file>.rs` and every bare backticked `<name>_equivalence`
+//! there must name a test suite — `tests/tests/<name>.rs` or
+//! `crates/*/tests/<name>.rs`. A deletion or rename that leaves a doc
+//! pointing at nothing fails here, the way the metric table's README
+//! coverage test fails for a metric nobody documented.
 
 use std::path::{Path, PathBuf};
 
@@ -27,6 +30,8 @@ fn documents(root: &Path) -> Vec<PathBuf> {
         .collect();
     more.sort();
     docs.extend(more);
+    docs.push(root.join(".github/workflows/ci.yml"));
+    docs.push(root.join(".claude/skills/verify/SKILL.md"));
     docs
 }
 
@@ -175,6 +180,18 @@ struct Code {
     /// Each crate under `crates/` as paths name it (`wikisearch-engine`
     /// is `wikisearch_engine`), with its `src/` directory.
     crates: Vec<(String, PathBuf)>,
+    /// Every test suite: the `<name>` of each `tests/tests/<name>.rs` and
+    /// `crates/*/tests/<name>.rs`.
+    suites: Vec<String>,
+}
+
+/// The `<name>` of each `<dir>/<name>.rs`.
+fn suites_in(dir: &Path) -> impl Iterator<Item = String> {
+    std::fs::read_dir(dir).into_iter().flatten().filter_map(|entry| {
+        let path = entry.unwrap().path();
+        let name = path.file_name()?.to_str()?.strip_suffix(".rs")?;
+        Some(name.to_owned())
+    })
 }
 
 impl Code {
@@ -184,21 +201,50 @@ impl Code {
         rust_files(&root.join("crates"), &mut sources);
         let facade = read(&root.join("crates/engine/src/lib.rs"));
         let mut crates = Vec::new();
+        let mut suites: Vec<String> = suites_in(&root.join("tests/tests")).collect();
         for entry in std::fs::read_dir(root.join("crates")).unwrap() {
             let dir = entry.unwrap().path();
             let manifest = read(&dir.join("Cargo.toml"));
             let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
             crates.push((name.trim_matches('"').replace('-', "_"), dir.join("src")));
+            suites.extend(suites_in(&dir.join("tests")));
         }
-        Code { root, sources, facade, crates }
+        Code { root, sources, facade, crates, suites }
     }
 
-    /// Every `<file>.rs::…`, `WikiSearch::…` and `<crate>::…` reference
-    /// in one code span, each with why it does not resolve (`None` when
-    /// it does).
+    /// Why the suite `name` does not exist, or `None` when it does.
+    fn unresolved_suite(&self, name: &str) -> Option<String> {
+        let why = format!("no suite tests/tests/{name}.rs or crates/*/tests/{name}.rs");
+        (!self.suites.iter().any(|suite| suite == name)).then_some(why)
+    }
+
+    /// Every `--test <name>` in `text`, with why `<name>` names no suite
+    /// (`None` when it does).
+    fn suite_flags(&self, text: &str) -> Vec<(String, Option<String>)> {
+        let flags = text.match_indices("--test").map(|(at, flag)| &text[at + flag.len()..]);
+        let names = flags.filter(|rest| rest.starts_with(char::is_whitespace));
+        names
+            .map(|rest| ident(rest.trim_start()))
+            .map(|name| (format!("--test {name}"), self.unresolved_suite(name)))
+            .collect()
+    }
+
+    /// Every `<file>.rs::…`, `WikiSearch::…`, `<crate>::…` and
+    /// `tests/tests/<file>.rs` reference in one code span, and the span
+    /// itself when it is a bare `<name>_equivalence`, each with why it does
+    /// not resolve (`None` when it does).
     fn references(&self, span: &str) -> Vec<(String, Option<String>)> {
         let path_char = |c: char| is_ident_char(c) || c == '/' || c == '.' || c == '-';
         let mut out = Vec::new();
+        for (at, dir) in span.match_indices("tests/tests/") {
+            let name = ident(&span[at + dir.len()..]);
+            if span[at + dir.len() + name.len()..].starts_with(".rs") {
+                out.push((format!("{dir}{name}.rs"), self.unresolved_suite(name)));
+            }
+        }
+        if span.ends_with("_equivalence") && span.chars().all(is_ident_char) {
+            out.push((span.to_owned(), self.unresolved_suite(span)));
+        }
         for (at, _) in span.match_indices(".rs::") {
             let text = &span[span[..at].trim_end_matches(path_char).len()..];
             out.push((text.to_owned(), unresolved_file_ref(&self.root, &self.sources, text)));
@@ -226,12 +272,13 @@ fn docs_name_only_code_that_exists() {
     let code = Code::load();
     let (mut checked, mut broken) = (0, Vec::new());
     for doc in documents(&code.root) {
-        for span in code_spans(&read(&doc)) {
-            for (text, why) in code.references(&span) {
-                checked += 1;
-                if let Some(why) = why {
-                    broken.push(format!("{}: `{text}`: {why}", doc.display()));
-                }
+        let text = read(&doc);
+        let spans = code_spans(&text);
+        let references = spans.iter().flat_map(|span| code.references(span));
+        for (name, why) in references.chain(code.suite_flags(&text)) {
+            checked += 1;
+            if let Some(why) = why {
+                broken.push(format!("{}: `{name}`: {why}", doc.display()));
             }
         }
     }
@@ -247,7 +294,8 @@ fn docs_name_only_code_that_exists() {
 fn the_name_check_tells_deleted_names_from_live_ones() {
     let code = Code::load();
     let broken = |span: &str| -> Vec<bool> {
-        code.references(span).iter().map(|(_, why)| why.is_some()).collect()
+        let references = code.references(span).into_iter().chain(code.suite_flags(span));
+        references.map(|(_, why)| why.is_some()).collect()
     };
     assert_eq!(broken("crates/central/src/bottom_up.rs::run"), [true]);
     assert_eq!(broken("crates/central/src/bottom_up.rs::drive"), [false]);
@@ -264,4 +312,18 @@ fn the_name_check_tells_deleted_names_from_live_ones() {
     assert_eq!(broken("eval::judge"), [true]);
     assert_eq!(broken("central::remote::ShardCoordinator::in_process"), [false]);
     assert_eq!(broken("central::engine::{seq, par_cpu} and central::state"), [false, false]);
+    for deleted in
+        ["cache", "engine", "mmap", "telemetry", "remote"].map(|s| s.to_owned() + "_equivalence")
+    {
+        assert_eq!(broken(&deleted), [true], "{deleted}");
+        assert_eq!(broken(&format!("cargo test --test {deleted}")), [true], "{deleted}");
+        assert_eq!(broken(&format!("tests/tests/{deleted}.rs")), [true], "{deleted}");
+    }
+    for live in ["lattice", "shard_equivalence"] {
+        assert_eq!(broken(&format!("cargo test -q --test\n{live};")), [false], "{live}");
+        assert_eq!(broken(&format!("tests/tests/{live}.rs")), [false], "{live}");
+    }
+    assert_eq!(broken("shard_equivalence"), [false]);
+    assert_eq!(broken("*_equivalence"), []);
+    assert_eq!(broken("--test serve_remote"), [false], "a crate's suite");
 }

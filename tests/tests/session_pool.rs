@@ -12,8 +12,11 @@
 //! against a reference model of the freelist to pin down the accounting
 //! (`queries_run`, `sessions_created`, `in_flight`).
 
-use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
+mod common;
+
+use central::engine::{KeywordSearchEngine, SeqEngine};
 use central::{SearchParams, SessionPool};
+use common::{build_graph, case_strategy, digest, engines, raw_query, WORDS};
 use datagen::synthetic::SyntheticConfig;
 use datagen::QueryWorkload;
 use proptest::prelude::*;
@@ -37,7 +40,11 @@ fn contended_checkouts_stay_exclusive_and_bit_identical() {
     let queries: Vec<ParsedQuery> =
         workload.batch(3, 6).iter().map(|q| ParsedQuery::parse(&index, q)).collect();
     let seq = SeqEngine::new();
-    let references: Vec<_> = queries.iter().map(|q| seq.search(&graph, q, &params)).collect();
+    let references: Vec<String> = queries
+        .iter()
+        .map(|q| seq.search(&graph, q, &params))
+        .map(|out| digest(&out.answers, &out.stats))
+        .collect();
 
     let pool = SessionPool::new();
     let live: Mutex<HashSet<u64>> = Mutex::new(HashSet::new());
@@ -55,12 +62,7 @@ fn contended_checkouts_stay_exclusive_and_bit_identical() {
                 // Each thread alternates engines so recycled sessions
                 // cross engine boundaries mid-stream, like a server
                 // whose backend differs per deployment.
-                let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-                    Box::new(SeqEngine::new()),
-                    Box::new(ParCpuEngine::new(2)),
-                    Box::new(GpuStyleEngine::new(2)),
-                    Box::new(DynParEngine::new(2)),
-                ];
+                let engines = engines(2);
                 for r in 0..rounds {
                     let mut guard = pool.checkout();
                     assert!(
@@ -71,14 +73,12 @@ fn contended_checkouts_stay_exclusive_and_bit_identical() {
                     let qi = (t + r) % queries.len();
                     let engine = &engines[r % engines.len()];
                     let out = engine.search_session(&mut guard, graph, &queries[qi], params);
-                    let reference = &references[qi];
-                    assert_eq!(out.answers.len(), reference.answers.len(), "{}", engine.name());
-                    for (a, b) in out.answers.iter().zip(&reference.answers) {
-                        assert_eq!(a.central, b.central, "{}", engine.name());
-                        assert_eq!(a.nodes, b.nodes, "{}", engine.name());
-                        assert_eq!(a.edges, b.edges, "{}", engine.name());
-                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{}", engine.name());
-                    }
+                    assert_eq!(
+                        digest(&out.answers, &out.stats),
+                        references[qi],
+                        "{}",
+                        engine.name()
+                    );
                     assert!(live.lock().unwrap().remove(&guard.session_id()));
                     drop(guard);
                 }
@@ -189,5 +189,53 @@ proptest! {
         prop_assert_eq!(pool.in_flight(), 0);
         prop_assert_eq!(pool.idle_sessions(), pool.sessions_created());
         prop_assert_eq!(pool.sessions_created(), model_peak);
+    }
+
+    /// Queries alternating across two *live* pool guards (the shape of two
+    /// concurrent server workers) stay bit-identical to fresh-session
+    /// searches, for all four engines, and the pool accounts every query.
+    /// Guards hold distinct sessions, so interleaving them cannot leak
+    /// state between in-flight queries.
+    #[test]
+    fn pooled_sessions_are_bit_identical_to_fresh(case in case_strategy(28, 60)) {
+        let graph = build_graph(&case);
+        let idx = InvertedIndex::build(&graph);
+        // Four keyword sets: the case's words rotated through the pool.
+        let queries: Vec<ParsedQuery> = (0..4)
+            .map(|k| {
+                let words: Vec<usize> = case.query.iter().map(|&w| (w + k) % WORDS.len()).collect();
+                ParsedQuery::parse(&idx, &raw_query(&words))
+            })
+            .collect();
+        let params = SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() }
+            .with_explicit_activation(case.activation.clone());
+
+        let engines = engines(3);
+        let pool = SessionPool::new();
+        for engine in &engines {
+            let mut left = pool.checkout();
+            let mut right = pool.checkout();
+            prop_assert_ne!(left.session_id(), right.session_id());
+            for (qi, query) in queries.iter().enumerate() {
+                let guard = if qi % 2 == 0 { &mut left } else { &mut right };
+                let fresh = engine.search(&graph, query, &params);
+                let warm = engine.search_session(guard, &graph, query, &params);
+                prop_assert_eq!(
+                    digest(&warm.answers, &warm.stats),
+                    digest(&fresh.answers, &fresh.stats),
+                    "query {} via {}",
+                    qi,
+                    engine.name()
+                );
+            }
+        }
+        // Both sessions return to the freelist; the pool saw every
+        // non-empty query and never grew past the two live guards.
+        prop_assert_eq!(pool.sessions_created(), 2);
+        prop_assert_eq!(pool.idle_sessions(), 2);
+        prop_assert_eq!(pool.in_flight(), 0);
+        let expected_runs = queries.iter().filter(|q| q.num_keywords() > 0).count() as u64
+            * engines.len() as u64;
+        prop_assert_eq!(pool.queries_run(), expected_runs);
     }
 }

@@ -1,107 +1,123 @@
-//! The shard-invariance property: partitioning the graph into N edge-cut
-//! shards and answering through the shard coordinator over in-process
-//! lanes (`ShardCoordinator::in_process` — `remote_equivalence` drives the
-//! same coordinator over TCP) is *byte-identical* to the monolithic engine — answers,
-//! score bits, statistics, and the per-level trace — for both shard
-//! backends (`seq`, `cpu`; `engine_equivalence` pins the four solo engines
-//! to each other) and for shard counts {1, 2, 3, 4, 8}, including counts exceeding the
-//! node count and single-node/disconnected graphs.
+//! The shard-invariance property, over both links: partitioning the graph
+//! into N edge-cut shards and answering through the one shard coordinator
+//! — over in-process lanes (`ShardCoordinator::in_process`, N ∈ {1, 2, 3,
+//! 4, 8}) and over TCP to loopback workers speaking the frame protocol
+//! (`ShardCoordinator::remote`, N ∈ {1, 2, 4}) — is *byte-identical* to the
+//! solo sequential engine: answers, score bits, statistics and the
+//! per-level trace, for both shard backends (`seq`, `cpu`), traced and
+//! tagged with a qid or not, including counts exceeding the node count and
+//! single-node/disconnected graphs, and a tripped budget raises the solo
+//! engine's error. The lattice (`lattice.rs`) reaches the coordinator
+//! through the facade; this suite drives it directly, at every count.
 //!
-//! This is the sharded form of `engine_equivalence`: the coordinator's
-//! frontier-exchange rounds must reproduce exactly the hitting-level
-//! matrix a single engine computes, so every downstream artifact matches
-//! bit for bit.
+//! The coordinator's frontier-exchange rounds must reproduce exactly the
+//! hitting-level matrix a single engine computes, and serialization, the
+//! per-round exchange over the wire and the supervision machinery must be
+//! invisible in the answer bytes; a healthy fleet never degrades.
 
 mod common;
 
-use central::engine::{KeywordSearchEngine, ParCpuEngine, SeqEngine};
-use central::{QueryBudget, SearchParams, ShardBackend, ShardCoordinator};
-use common::{build_graph, case_strategy, digest, WORDS};
+use central::engine::{KeywordSearchEngine, SeqEngine};
+use central::shard::DEFAULT_PARTITION_SEED;
+use central::{
+    QueryBudget, RemoteOptions, SearchError, SearchParams, ShardBackend, ShardCoordinator,
+    ShardWorker, StaticAddrs,
+};
+use common::{build_graph, case_strategy, digest, raw_query};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
+use std::sync::Arc;
 use textindex::{InvertedIndex, ParsedQuery};
 
-/// The shard counts every property runs under; 1 pins the degenerate
-/// plan, 8 usually exceeds the generated node count per shard.
+/// In-process shard counts: 1 pins the degenerate plan, 8 usually exceeds
+/// the generated node count per shard.
 const SHARD_COUNTS: &[usize] = &[1, 2, 3, 4, 8];
 
-/// The sharded backends paired with their monolithic references.
-fn backends() -> Vec<(ShardBackend, Box<dyn KeywordSearchEngine>)> {
-    vec![
-        (ShardBackend::Seq, Box::new(SeqEngine::new())),
-        (ShardBackend::ParCpu(3), Box::new(ParCpuEngine::new(3))),
-    ]
+/// TCP fleet sizes: 1 pins the single-worker fleet, 4 usually exceeds the
+/// per-shard node count.
+const FLEET_SIZES: &[usize] = &[1, 2, 4];
+
+/// Every coordinator under test over `graph`, labelled: both shard backends
+/// at every in-process count and every fleet size. One loopback fleet per
+/// size serves both backends (a worker takes its kernel from `Start`).
+fn coordinators(graph: &KnowledgeGraph) -> Vec<(String, ShardCoordinator)> {
+    let fleets: Vec<Vec<std::net::SocketAddr>> = FLEET_SIZES
+        .iter()
+        .map(|&n| {
+            (0..n)
+                .map(|i| ShardWorker::spawn_local(graph, n, i, DEFAULT_PARTITION_SEED))
+                .collect()
+        })
+        .collect();
+    // No retries: a healthy loopback fleet needs none.
+    let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
+    let mut out = Vec::new();
+    for backend in [ShardBackend::Seq, ShardBackend::ParCpu(2)] {
+        for &n in SHARD_COUNTS {
+            let lanes = ShardCoordinator::in_process(graph, backend, n);
+            out.push((format!("{backend:?} x {n} in-process shards"), lanes));
+        }
+        for addrs in &fleets {
+            let (n, addrs) = (addrs.len(), Arc::new(StaticAddrs(addrs.clone())));
+            let fleet = ShardCoordinator::remote(graph, backend, n, addrs, opts);
+            out.push((format!("{backend:?} x {n} TCP workers"), fleet));
+        }
+    }
+    out
 }
 
-/// Byte-level comparison of a sharded outcome against its monolithic
-/// reference, through the suites' one digest.
-fn assert_identical(
-    sharded: &central::SearchOutcome,
-    reference: &central::SearchOutcome,
-    label: &str,
-) {
-    assert_eq!(
-        digest(&sharded.answers, &sharded.stats),
-        digest(&reference.answers, &reference.stats),
-        "{label}"
-    );
+/// Every one of `coordinators` over `graph` answers `query` under `params`
+/// like the solo engine, untraced, then traced with a qid the trace
+/// carries back.
+fn assert_all_match(
+    graph: &KnowledgeGraph,
+    coordinators: &[(String, ShardCoordinator)],
+    query: &ParsedQuery,
+    params: &SearchParams,
+) -> Result<(), TestCaseError> {
+    let reference = SeqEngine::new().search(graph, query, params);
+    let reference = digest(&reference.answers, &reference.stats);
+    let traced = params.clone().with_trace(true);
+    let budget = QueryBudget::unlimited();
+    for (qid, (label, coordinator)) in coordinators.iter().enumerate() {
+        let label = format!("{label} on {query:?}");
+        for (params, qid) in [(params, None), (&traced, Some(qid as u64))] {
+            let out = coordinator
+                .try_search(graph, query, params, &budget, qid)
+                .expect("a healthy fleet under an unlimited budget cannot fail");
+            prop_assert!(!out.degraded, "healthy fleet degraded: {}", label);
+            let got = digest(&out.outcome.answers, &out.outcome.stats);
+            prop_assert_eq!(got, reference, "qid {:?}: {}", qid, label);
+            let trace_qid = out.outcome.trace.map(|trace| trace.qid);
+            prop_assert_eq!(trace_qid, qid.map(Some), "{}", label);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The tentpole property: for arbitrary graphs, queries, explicit
-    /// activation maps and top-k, every sharded backend at every shard
-    /// count returns exactly what its monolithic counterpart returns.
+    /// For arbitrary graphs, queries, explicit activation maps and top-k,
+    /// every coordinator returns exactly what the solo engine returns.
     #[test]
     fn sharded_search_is_byte_identical_to_unsharded(case in case_strategy(24, 50)) {
         let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();
-        let query = ParsedQuery::parse(&idx, &raw.join(" "));
-        let params = SearchParams {
-            top_k: case.top_k,
-            max_level: 12,
-            ..SearchParams::default()
-        }
-        .with_explicit_activation(case.activation.clone());
-        let budget = QueryBudget::unlimited();
-
-        for (backend, reference_engine) in backends() {
-            let reference = reference_engine.search(&graph, &query, &params);
-            for &shards in SHARD_COUNTS {
-                let coordinator = ShardCoordinator::in_process(&graph, backend, shards);
-                let out = coordinator
-                    .try_search(&graph, &query, &params, &budget, None)
-                    .expect("unlimited budget cannot trip");
-                prop_assert!(!out.degraded);
-                let label = format!("{} x {shards} shards", reference_engine.name());
-                assert_identical(&out.outcome, &reference, &label);
-            }
-        }
+        let query = ParsedQuery::parse(&InvertedIndex::build(&graph), &raw_query(&case.query));
+        let params = SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() }
+            .with_explicit_activation(case.activation.clone());
+        assert_all_match(&graph, &coordinators(&graph), &query, &params)?;
     }
 }
 
-/// Monolithic reference digests compared against every backend × shard
-/// count for one fixed graph and query set (cheap deterministic edge
-/// cases that a shrunken proptest case may never reach).
+/// Every coordinator against the solo engine for one fixed graph and query
+/// set (cheap deterministic edge cases a random case may never reach).
 fn assert_all_shardings_match(graph: &KnowledgeGraph, queries: &[&str]) {
     let idx = InvertedIndex::build(graph);
     let params = SearchParams { max_level: 12, ..SearchParams::default() };
-    let budget = QueryBudget::unlimited();
-    for (backend, reference_engine) in backends() {
-        for q in queries {
-            let query = ParsedQuery::parse(&idx, q);
-            let reference = reference_engine.search(graph, &query, &params);
-            for &shards in SHARD_COUNTS {
-                let coordinator = ShardCoordinator::in_process(graph, backend, shards);
-                let out = coordinator
-                    .try_search(graph, &query, &params, &budget, None)
-                    .expect("unlimited budget cannot trip");
-                let label = format!("{} x {shards} shards on {q:?}", reference_engine.name());
-                assert_identical(&out.outcome, &reference, &label);
-            }
-        }
+    let coordinators = coordinators(graph);
+    for q in queries {
+        assert_all_match(graph, &coordinators, &ParsedQuery::parse(&idx, q), &params).unwrap();
     }
 }
 
@@ -148,4 +164,30 @@ fn more_shards_than_nodes_is_byte_identical() {
     b.add_edge(z, y, "q");
     let graph = b.build();
     assert_all_shardings_match(&graph, &["alpha gamma", "alpha beta gamma", "beta"]);
+}
+
+#[test]
+fn budget_errors_surface_the_solo_class_on_both_links() {
+    // A chain long enough that a 1-expansion budget trips mid-search: every
+    // coordinator must raise the error the solo engine raises — never a
+    // wire-level error, never a silent partial answer.
+    let mut b = GraphBuilder::new();
+    let mut prev = b.add_node("n0", "alpha");
+    for i in 1..12 {
+        let next = b.add_node(&format!("n{i}"), if i == 11 { "omega" } else { "filler" });
+        b.add_edge(prev, next, "p");
+        prev = next;
+    }
+    let graph = b.build();
+    let query = ParsedQuery::parse(&InvertedIndex::build(&graph), "alpha omega");
+    let params = SearchParams { max_level: 16, ..SearchParams::default() };
+    let tight = QueryBudget::unlimited().with_max_expansions(1);
+    let want = SeqEngine::new()
+        .try_search(&graph, &query, &params, &tight)
+        .expect_err("a 1-expansion budget must trip on a 12-node chain");
+    assert!(matches!(want, SearchError::BudgetExhausted { .. }), "{want:?}");
+    for (label, coordinator) in coordinators(&graph) {
+        let err = coordinator.try_search(&graph, &query, &params, &tight, None).expect_err(&label);
+        assert_eq!((err.kind(), err.to_string()), (want.kind(), want.to_string()), "{label}");
+    }
 }
