@@ -29,8 +29,9 @@
 //!   down.
 //!
 //! The equivalence and failure contracts are pinned by: the
-//! `shard_equivalence` differential suite (either link == the solo
-//! sequential engine, byte-identical, both shard backends), the fleet
+//! `shard_equivalence` and `remote_equivalence` differential suites (each
+//! link == the solo sequential engine, byte-identical, both shard
+//! backends), the fleet
 //! points of the `lattice` oracle, the scripted supervision tests in
 //! [`coordinator`] (drop / garbage / stall at RPC *n* of an in-process
 //! fleet, no socket, and out-of-range ids in a reply), the

@@ -89,8 +89,8 @@
 //! with equal-valued writes (Theorem V.2 of the paper, unchanged).
 //! Identification therefore sees exactly the monolithic `M`, and the
 //! byte-identity of answers, stats and traces follows — which is what the
-//! `shard_equivalence` differential suite pins over both links, and the
-//! `lattice` oracle through the facade.
+//! `shard_equivalence` and `remote_equivalence` suites pin, one per link,
+//! and the `lattice` oracle through the facade.
 //!
 //! ## Top-down
 //!

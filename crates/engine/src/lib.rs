@@ -367,7 +367,7 @@ impl WikiSearch {
     /// ([`central::remote`]), replacing whatever shard set the engine had:
     /// each worker owns one partition of the same deterministic edge-cut
     /// plan, and answers stay byte-identical to the solo engines while
-    /// every worker is healthy (the `lattice` and `shard_equivalence`
+    /// every worker is healthy (the `lattice` and `remote_equivalence`
     /// suites pin this).
     /// `addrs` names the workers — a
     /// [`central::StaticAddrs`] list for an externally managed fleet, or a

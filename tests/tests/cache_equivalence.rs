@@ -1,203 +1,26 @@
-//! The cache form of the workspace's central correctness property: a
-//! [`WikiSearch`] with the sharded result cache enabled must be
-//! *observably identical* to one without it — same answers, same
-//! per-keyword hitting paths, same scores bit-for-bit, same statistics —
-//! on arbitrary graphs and arbitrary query streams, for all four engine
-//! backends.
-//!
-//! The streams are adversarial for a normalized cache key: besides fresh
-//! queries they contain exact repeats, word-order permutations, case
-//! flips, stopword injections and duplicated keywords — all of which
-//! normalize to the same key and therefore exercise the hit path,
-//! including the keyword-order reorientation of cached answers — plus
-//! per-request parameter flips that must *never* share an entry.
+//! The result cache is invisible in the answers: every backend behind a
+//! 1 MiB cache answers the lattice's stream — each query in the five
+//! spellings that share a cache key, params flipped to `top_k 1, λ 0`
+//! (never sharing an entry with the unflipped ones), every step starved
+//! then unlimited — exactly like the uncached solo `SeqEngine`, with
+//! `hits + misses == lookups`, usage within capacity and at least two hits
+//! per stream. These are the lattice's cache-on points with every other
+//! axis off (`common::lattice`).
 
+mod common;
+
+use common::lattice::{check_case, Point, CACHE};
+use common::{case_strategy, queries_strategy};
 use proptest::prelude::*;
-use std::fmt::Write as _;
-use wikisearch_engine::{Backend, WikiSearch, WikiSearchResult};
-
-/// Same overlap-heavy pool the engine-equivalence property uses.
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
-
-/// How a stream step derives its raw query string.
-#[derive(Debug, Clone, Copy)]
-enum Variant {
-    /// The base query joined as-is (first use computes and populates).
-    Fresh,
-    /// Byte-identical repeat of the base string.
-    Exact,
-    /// Words reversed and upper-cased: same normalized key, different
-    /// keyword order — the hit must reorient per-keyword answer parts.
-    ReversedUpper,
-    /// Stopwords spliced around and between the words; the analyzer
-    /// drops them, so the key is unchanged.
-    Stopworded,
-    /// Every word doubled; normalization dedups, so the key is
-    /// unchanged.
-    Doubled,
-}
-
-const VARIANTS: [Variant; 5] = [
-    Variant::Fresh,
-    Variant::Exact,
-    Variant::ReversedUpper,
-    Variant::Stopworded,
-    Variant::Doubled,
-];
-
-#[derive(Debug, Clone)]
-struct Case {
-    nodes: usize,
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    /// Base queries as word-index lists; streams draw from these.
-    queries: Vec<Vec<usize>>,
-    /// The stream: (base query index, variant index, params flip).
-    stream: Vec<(usize, usize, bool)>,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..24, 1usize..4).prop_flat_map(|(nodes, nqueries)| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..50);
-        let queries = proptest::collection::vec(
-            proptest::collection::vec(0usize..WORDS.len(), 2..4),
-            nqueries,
-        );
-        // A `bool` value is itself the any-bool strategy in the shim.
-        let stream =
-            proptest::collection::vec((0usize..nqueries, 0usize..VARIANTS.len(), false), 3..8);
-        (texts, edges, queries, stream).prop_map(move |(texts, edges, queries, stream)| Case {
-            nodes,
-            texts,
-            edges,
-            queries,
-            stream,
-        })
-    })
-}
-
-fn build_graph(case: &Case) -> kgraph::KnowledgeGraph {
-    let mut b = kgraph::GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    let _ = case.nodes;
-    b.build()
-}
-
-/// Render one stream step's raw query string.
-fn raw_query(base: &[usize], variant: Variant) -> String {
-    let words: Vec<&str> = base.iter().map(|&w| WORDS[w]).collect();
-    match variant {
-        Variant::Fresh | Variant::Exact => words.join(" "),
-        Variant::ReversedUpper => {
-            let mut rev: Vec<String> = words.iter().map(|w| w.to_uppercase()).collect();
-            rev.reverse();
-            rev.join(" ")
-        }
-        Variant::Stopworded => format!("the {} of", words.join(" and the ")),
-        Variant::Doubled => words.iter().flat_map(|w| [*w, *w]).collect::<Vec<_>>().join(" "),
-    }
-}
-
-/// Everything observable about one search result except timing, as one
-/// comparable string — the raw query echo, keyword grouping, unmatched
-/// words, answers with their order-sensitive per-keyword parts, score
-/// bits, and the full statistics block including the level trace.
-fn digest(r: &WikiSearchResult) -> String {
-    let mut s = String::new();
-    write!(
-        s,
-        "groups:{:?} unmatched:{:?} kwf:{} ",
-        r.query.groups, r.query.unmatched, r.kwf
-    )
-    .unwrap();
-    write!(
-        s,
-        "stats:{}/{}/{}/{:?} ",
-        r.stats.last_level, r.stats.central_candidates, r.stats.peak_frontier, r.stats.trace
-    )
-    .unwrap();
-    for a in &r.answers {
-        write!(
-            s,
-            "[c:{:?} d:{} n:{:?} e:{:?} kn:{:?} ke:{:?} s:{}]",
-            a.central,
-            a.depth,
-            a.nodes,
-            a.edges,
-            a.keyword_nodes,
-            a.keyword_edges,
-            a.score.to_bits()
-        )
-        .unwrap();
-    }
-    s
-}
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// For every backend, every step of an adversarial query stream
-    /// returns exactly what an uncached engine returns for the same raw
-    /// string and parameters, and the cache's own accounting stays
-    /// consistent throughout.
     #[test]
-    fn cached_engine_is_observably_identical_to_uncached(case in case_strategy()) {
-        let backends =
-            [Backend::Sequential, Backend::ParCpu(3), Backend::GpuStyle(3), Backend::DynPar(3)];
-        for backend in backends {
-            let uncached = WikiSearch::build_with(build_graph(&case), backend);
-            let mut cached = WikiSearch::build_with(build_graph(&case), backend);
-            cached.set_cache_capacity(1 << 20);
-            let params_a = uncached.params().clone();
-            let params_b = params_a.clone().with_top_k(1).with_lambda(0.0);
-
-            // The generated stream, plus a forced tail that guarantees
-            // the hit path runs at least twice per case: an exact repeat
-            // and a reordering of the stream's first step.
-            let mut steps = case.stream.clone();
-            let first = steps[0];
-            steps.push((first.0, 1, first.2));
-            steps.push((first.0, 2, first.2));
-
-            for (si, &(qi, vi, flip)) in steps.iter().enumerate() {
-                let raw = raw_query(&case.queries[qi], VARIANTS[vi]);
-                let params = if flip { &params_b } else { &params_a };
-                let want = uncached.search_with_params(&raw, params);
-                let got = cached.search_with_params(&raw, params);
-                prop_assert_eq!(
-                    digest(&got),
-                    digest(&want),
-                    "step {} ({:?}, {:?}) diverged on {:?}",
-                    si,
-                    VARIANTS[vi],
-                    flip,
-                    raw
-                );
-            }
-
-            let stats = cached.cache_stats().unwrap();
-            prop_assert_eq!(stats.hits + stats.misses, stats.lookups, "{:?}", backend);
-            prop_assert!(stats.bytes <= stats.capacity_bytes, "{:?}", backend);
-            // The forced tail repeats the first step's key, so unless
-            // that base query matches no keyword of this graph at all
-            // (an empty parse bypasses the cache) the stream must have
-            // produced at least one hit per tail step.
-            let first_raw = raw_query(&case.queries[first.0], VARIANTS[0]);
-            if cached.parse(&first_raw).num_keywords() > 0 {
-                prop_assert!(stats.hits >= 2, "no hit for repeated {:?}", first_raw);
-            }
-        }
+    fn cached_engine_is_observably_identical_to_uncached(
+        case in case_strategy(20, 40),
+        extra in queries_strategy(2..4, 2..4),
+    ) {
+        check_case(&case, &extra, &Point::each_backend("cache", CACHE))?;
     }
 }

@@ -1,10 +1,14 @@
 //! What the differential suites share: the word pool, the random-graph
 //! case, its builder, the one digest every comparison goes through, and
 //! the one reference every digest is compared with — a fresh solo
-//! `SeqEngine`.
+//! `SeqEngine`. The lattice runner is [`lattice`], the shard coordinator's
+//! harness over either link is [`links`].
 
 // Each suite is its own crate and uses its own subset.
 #![allow(dead_code)]
+
+pub mod lattice;
+pub mod links;
 
 use central::engine::{
     DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SearchStats, SeqEngine,
@@ -65,6 +69,20 @@ pub fn queries_strategy(
 pub fn raw_query(query: &[usize]) -> String {
     let words: Vec<&str> = query.iter().map(|&w| WORDS[w]).collect();
     words.join(" ")
+}
+
+/// `n` keyword sets: the case's query with its words shifted `k` places
+/// through the pool for each `k` in `0..n`, parsed against `index`.
+pub fn rotated_queries(case: &Case, index: &InvertedIndex, n: usize) -> Vec<ParsedQuery> {
+    let rotate = |k| case.query.iter().map(|&w| (w + k) % WORDS.len()).collect::<Vec<_>>();
+    (0..n).map(|k| ParsedQuery::parse(index, &raw_query(&rotate(k)))).collect()
+}
+
+/// The params a case runs under below the facade: its top-k and explicit
+/// activation map, levels capped at 12.
+pub fn case_params(case: &Case) -> SearchParams {
+    SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() }
+        .with_explicit_activation(case.activation.clone())
 }
 
 pub fn build_graph(case: &Case) -> KnowledgeGraph {

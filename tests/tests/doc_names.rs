@@ -312,14 +312,11 @@ fn the_name_check_tells_deleted_names_from_live_ones() {
     assert_eq!(broken("eval::judge"), [true]);
     assert_eq!(broken("central::remote::ShardCoordinator::in_process"), [false]);
     assert_eq!(broken("central::engine::{seq, par_cpu} and central::state"), [false, false]);
-    for deleted in
-        ["cache", "engine", "mmap", "telemetry", "remote"].map(|s| s.to_owned() + "_equivalence")
-    {
-        assert_eq!(broken(&deleted), [true], "{deleted}");
-        assert_eq!(broken(&format!("cargo test --test {deleted}")), [true], "{deleted}");
-        assert_eq!(broken(&format!("tests/tests/{deleted}.rs")), [true], "{deleted}");
-    }
-    for live in ["lattice", "shard_equivalence"] {
+    let deleted = "batch_equivalence";
+    assert_eq!(broken(deleted), [true]);
+    assert_eq!(broken(&format!("cargo test --test {deleted}")), [true]);
+    assert_eq!(broken(&format!("tests/tests/{deleted}.rs")), [true]);
+    for live in ["lattice", "shard_equivalence", "remote_equivalence", "cache_equivalence"] {
         assert_eq!(broken(&format!("cargo test -q --test\n{live};")), [false], "{live}");
         assert_eq!(broken(&format!("tests/tests/{live}.rs")), [false], "{live}");
     }

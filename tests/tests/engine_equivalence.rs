@@ -1,335 +1,90 @@
-//! The workspace's central correctness property: all four engines —
-//! sequential, lock-free coarse-grained (CPU-Par), lock-free fine-grained
-//! (GPU-Par structure) and lock-based dynamic (CPU-Par-d) — return
-//! identical answers on arbitrary graphs and queries.
+//! The four engines below the facade — sequential, lock-free
+//! coarse-grained (CPU-Par), lock-free fine-grained (GPU-Par structure)
+//! and lock-based dynamic (CPU-Par-d) — called through
+//! `KeywordSearchEngine` on arbitrary graphs and queries, return what a
+//! fresh `SeqEngine` returns, through `common::digest`: answers, score
+//! bits, statistics and the per-level trace. The lattice (`lattice.rs`)
+//! checks the same engines through the facade.
 //!
 //! This is the test form of the paper's Theorems V.2 (lock-free writes are
 //! benign), V.3 (bottom-up solves top-(k,d)) and V.4 (extraction from `M`
 //! recovers exactly the hitting paths that CPU-Par-d records during
 //! search).
 
-use central::engine::{DynParEngine, GpuStyleEngine, KeywordSearchEngine, ParCpuEngine, SeqEngine};
-use central::{SearchParams, SearchSession, SessionPool};
-use kgraph::{GraphBuilder, KnowledgeGraph};
+mod common;
+
+use central::engine::{KeywordSearchEngine, SeqEngine};
+use central::SearchSession;
+use common::{build_graph, case_params, case_strategy, digest, engines, rotated_queries};
 use proptest::prelude::*;
-use textindex::{InvertedIndex, ParsedQuery};
-
-/// Small word pool; several words per node text creates overlapping
-/// keyword groups and co-occurrence nodes.
-const WORDS: &[&str] = &["alpha", "beta", "gamma", "delta", "omega", "sigma", "kappa", "lambda"];
-
-#[derive(Debug, Clone)]
-struct Case {
-    nodes: usize,
-    texts: Vec<Vec<usize>>,     // word indices per node
-    edges: Vec<(usize, usize)>, // node index pairs
-    activation: Vec<u8>,        // explicit per-node activation
-    query: Vec<usize>,          // word indices
-    top_k: usize,
-}
-
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (2usize..28).prop_flat_map(|nodes| {
-        let texts =
-            proptest::collection::vec(proptest::collection::vec(0usize..WORDS.len(), 1..3), nodes);
-        let edges = proptest::collection::vec((0usize..nodes, 0usize..nodes), 1..60);
-        let activation = proptest::collection::vec(0u8..5, nodes);
-        let query = proptest::collection::vec(0usize..WORDS.len(), 2..4);
-        let top_k = 1usize..8;
-        (texts, edges, activation, query, top_k).prop_map(
-            move |(texts, edges, activation, query, top_k)| Case {
-                nodes,
-                texts,
-                edges,
-                activation,
-                query,
-                top_k,
-            },
-        )
-    })
-}
-
-fn build_graph(case: &Case) -> KnowledgeGraph {
-    let mut b = GraphBuilder::new();
-    for (i, words) in case.texts.iter().enumerate() {
-        let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
-        b.add_node(&format!("n{i}"), &text.join(" "));
-    }
-    for (idx, &(s, d)) in case.edges.iter().enumerate() {
-        if s != d {
-            let s = b.node(&format!("n{s}")).unwrap();
-            let d = b.node(&format!("n{d}")).unwrap();
-            b.add_edge(s, d, if idx % 3 == 0 { "p" } else { "q" });
-        }
-    }
-    let _ = case.nodes;
-    b.build()
-}
+use textindex::InvertedIndex;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    /// Every engine answers the case's query like a fresh `SeqEngine`, and
+    /// every reference answer satisfies the model invariants.
     #[test]
-    fn all_engines_agree(case in case_strategy()) {
+    fn all_engines_agree(case in case_strategy(28, 60)) {
         let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();
-        let query = ParsedQuery::parse(&idx, &raw.join(" "));
-        let params = SearchParams {
-            top_k: case.top_k,
-            max_level: 12,
-            ..SearchParams::default()
-        }
-        .with_explicit_activation(case.activation.clone());
-
-        let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-            Box::new(SeqEngine::new()),
-            Box::new(ParCpuEngine::new(3)),
-            Box::new(GpuStyleEngine::new(3)),
-            Box::new(DynParEngine::new(3)),
-        ];
-        let reference = engines[0].search(&graph, &query, &params);
-        // Every answer satisfies the model invariants.
+        let query = &rotated_queries(&case, &InvertedIndex::build(&graph), 1)[0];
+        let params = case_params(&case);
+        let reference = SeqEngine::new().search(&graph, query, &params);
         for a in &reference.answers {
-            prop_assert!(a.check_invariants().is_ok(), "{:?}", a.check_invariants());
+            prop_assert_eq!(a.check_invariants(), Ok(()));
         }
-        for engine in &engines[1..] {
-            let out = engine.search(&graph, &query, &params);
-            prop_assert_eq!(
-                out.answers.len(),
-                reference.answers.len(),
-                "answer count differs for {}",
-                engine.name()
-            );
-            for (a, b) in out.answers.iter().zip(&reference.answers) {
-                prop_assert_eq!(a.central, b.central, "central differs for {}", engine.name());
-                prop_assert_eq!(a.depth, b.depth, "depth differs for {}", engine.name());
-                prop_assert_eq!(&a.nodes, &b.nodes, "nodes differ for {}", engine.name());
-                prop_assert_eq!(&a.edges, &b.edges, "edges differ for {}", engine.name());
-                prop_assert_eq!(
-                    &a.keyword_edges,
-                    &b.keyword_edges,
-                    "per-keyword hitting paths differ for {}",
-                    engine.name()
-                );
-                prop_assert!((a.score - b.score).abs() < 1e-9, "score differs for {}", engine.name());
-            }
+        let reference = digest(&reference.answers, &reference.stats);
+        for engine in &engines(3) {
+            let out = engine.search(&graph, query, &params);
+            prop_assert_eq!(&digest(&out.answers, &out.stats), &reference, "{}", engine.name());
         }
     }
 
-    /// The session property: running a stream of (at least three)
-    /// consecutive *distinct* queries through one reused [`SearchSession`]
-    /// must be bit-identical — answers, scores, statistics, and the
-    /// per-level trace — to running each query through a fresh session,
-    /// for all four engines. A stale-epoch leak (a cell from query `i`
-    /// read as current by query `i+1`) would surface here as a diverging
-    /// hitting level, candidate cohort, or answer set.
+    /// A stream of three consecutive *distinct* queries through one reused
+    /// [`SearchSession`] is bit-identical to fresh searches, for every
+    /// engine. A stale-epoch leak (a cell from query `i` read as current by
+    /// query `i+1`) would surface as a diverging hitting level, candidate
+    /// cohort or answer set.
     #[test]
-    fn session_reuse_is_bit_identical_to_fresh(case in case_strategy()) {
+    fn session_reuse_is_bit_identical_to_fresh(case in case_strategy(28, 60)) {
         let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        // Three consecutive distinct queries derived from the base query
-        // by rotating the word pool, so keyword sets differ per query.
-        let queries: Vec<ParsedQuery> = (0..3)
-            .map(|k| {
-                let raw: Vec<&str> = case
-                    .query
-                    .iter()
-                    .map(|&w| WORDS[(w + k) % WORDS.len()])
-                    .collect();
-                ParsedQuery::parse(&idx, &raw.join(" "))
-            })
-            .collect();
-        let params = SearchParams {
-            top_k: case.top_k,
-            max_level: 12,
-            ..SearchParams::default()
-        }
-        .with_explicit_activation(case.activation.clone());
-
-        let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-            Box::new(SeqEngine::new()),
-            Box::new(ParCpuEngine::new(3)),
-            Box::new(GpuStyleEngine::new(3)),
-            Box::new(DynParEngine::new(3)),
-        ];
-        for engine in &engines {
+        let queries = rotated_queries(&case, &InvertedIndex::build(&graph), 3);
+        let params = case_params(&case);
+        for engine in &engines(3) {
             let mut session = SearchSession::new();
             for (qi, query) in queries.iter().enumerate() {
                 let fresh = engine.search(&graph, query, &params);
                 let warm = engine.search_session(&mut session, &graph, query, &params);
                 prop_assert_eq!(
-                    warm.answers.len(),
-                    fresh.answers.len(),
-                    "answer count: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                for (a, b) in warm.answers.iter().zip(&fresh.answers) {
-                    prop_assert_eq!(a.central, b.central, "central: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(a.depth, b.depth, "depth: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(&a.nodes, &b.nodes, "nodes: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(&a.edges, &b.edges, "edges: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(
-                        &a.keyword_edges,
-                        &b.keyword_edges,
-                        "keyword paths: query {} via {}",
-                        qi,
-                        engine.name()
-                    );
-                    prop_assert_eq!(
-                        a.score.to_bits(),
-                        b.score.to_bits(),
-                        "score bits: query {} via {}",
-                        qi,
-                        engine.name()
-                    );
-                }
-                prop_assert_eq!(
-                    warm.stats.central_candidates,
-                    fresh.stats.central_candidates,
-                    "cohort: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                prop_assert_eq!(
-                    warm.stats.last_level,
-                    fresh.stats.last_level,
-                    "last level: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                prop_assert_eq!(
-                    warm.stats.peak_frontier,
-                    fresh.stats.peak_frontier,
-                    "peak frontier: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                prop_assert_eq!(
-                    &warm.stats.trace,
-                    &fresh.stats.trace,
-                    "level trace: query {} via {}",
+                    digest(&warm.answers, &warm.stats),
+                    digest(&fresh.answers, &fresh.stats),
+                    "query {} via {}",
                     qi,
                     engine.name()
                 );
             }
             // Queries that match no keyword short-circuit before touching
             // the session, so only non-empty parses count as runs.
-            let expected_runs = queries.iter().filter(|q| q.num_keywords() > 0).count() as u64;
-            prop_assert_eq!(session.queries_run(), expected_runs);
+            let runs = queries.iter().filter(|q| q.num_keywords() > 0).count() as u64;
+            prop_assert_eq!(session.queries_run(), runs, "{}", engine.name());
         }
     }
 
-    /// The pool form of the session property: queries alternating across
-    /// two *live* pool guards (the shape of two concurrent server
-    /// workers) must stay bit-identical to fresh-session searches, for
-    /// all four engines, and the pool must account every query. Guards
-    /// hold distinct sessions, so interleaving them cannot leak state
-    /// between in-flight queries.
+    /// Each parallel engine, run twice on one query, answers like the
+    /// sequential engine both times.
     #[test]
-    fn pooled_sessions_are_bit_identical_to_fresh(case in case_strategy()) {
+    fn parallel_engines_are_deterministic_across_runs(case in case_strategy(28, 60)) {
         let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        let queries: Vec<ParsedQuery> = (0..4)
-            .map(|k| {
-                let raw: Vec<&str> = case
-                    .query
-                    .iter()
-                    .map(|&w| WORDS[(w + k) % WORDS.len()])
-                    .collect();
-                ParsedQuery::parse(&idx, &raw.join(" "))
-            })
-            .collect();
-        let params = SearchParams {
-            top_k: case.top_k,
-            max_level: 12,
-            ..SearchParams::default()
-        }
-        .with_explicit_activation(case.activation.clone());
-
-        let engines: Vec<Box<dyn KeywordSearchEngine>> = vec![
-            Box::new(SeqEngine::new()),
-            Box::new(ParCpuEngine::new(3)),
-            Box::new(GpuStyleEngine::new(3)),
-            Box::new(DynParEngine::new(3)),
-        ];
-        let pool = SessionPool::new();
-        for engine in &engines {
-            let mut left = pool.checkout();
-            let mut right = pool.checkout();
-            prop_assert_ne!(left.session_id(), right.session_id());
-            for (qi, query) in queries.iter().enumerate() {
-                let guard = if qi % 2 == 0 { &mut left } else { &mut right };
-                let fresh = engine.search(&graph, query, &params);
-                let warm = engine.search_session(guard, &graph, query, &params);
-                prop_assert_eq!(
-                    warm.answers.len(),
-                    fresh.answers.len(),
-                    "answer count: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                for (a, b) in warm.answers.iter().zip(&fresh.answers) {
-                    prop_assert_eq!(a.central, b.central, "central: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(&a.nodes, &b.nodes, "nodes: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(&a.edges, &b.edges, "edges: query {} via {}", qi, engine.name());
-                    prop_assert_eq!(
-                        &a.keyword_edges,
-                        &b.keyword_edges,
-                        "keyword paths: query {} via {}",
-                        qi,
-                        engine.name()
-                    );
-                    prop_assert_eq!(
-                        a.score.to_bits(),
-                        b.score.to_bits(),
-                        "score bits: query {} via {}",
-                        qi,
-                        engine.name()
-                    );
-                }
-                prop_assert_eq!(
-                    warm.stats.central_candidates,
-                    fresh.stats.central_candidates,
-                    "cohort: query {} via {}",
-                    qi,
-                    engine.name()
-                );
-                prop_assert_eq!(&warm.stats.trace, &fresh.stats.trace,
-                    "level trace: query {} via {}", qi, engine.name());
+        let query = &rotated_queries(&case, &InvertedIndex::build(&graph), 1)[0];
+        let params = case_params(&case);
+        let reference = SeqEngine::new().search(&graph, query, &params);
+        let reference = digest(&reference.answers, &reference.stats);
+        for engine in &engines(4)[1..] {
+            for round in 0..2 {
+                let out = engine.search(&graph, query, &params);
+                let got = digest(&out.answers, &out.stats);
+                prop_assert_eq!(&got, &reference, "round {} via {}", round, engine.name());
             }
-        }
-        // Both sessions return to the freelist; the pool saw every
-        // non-empty query and never grew past the two live guards.
-        prop_assert_eq!(pool.sessions_created(), 2);
-        prop_assert_eq!(pool.idle_sessions(), 2);
-        prop_assert_eq!(pool.in_flight(), 0);
-        let expected_runs = queries.iter().filter(|q| q.num_keywords() > 0).count() as u64
-            * engines.len() as u64;
-        prop_assert_eq!(pool.queries_run(), expected_runs);
-    }
-
-    #[test]
-    fn parallel_engines_are_deterministic_across_runs(case in case_strategy()) {
-        let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        let raw: Vec<&str> = case.query.iter().map(|&w| WORDS[w]).collect();
-        let query = ParsedQuery::parse(&idx, &raw.join(" "));
-        let params = SearchParams {
-            top_k: case.top_k,
-            max_level: 12,
-            ..SearchParams::default()
-        }
-        .with_explicit_activation(case.activation.clone());
-        let engine = ParCpuEngine::new(4);
-        let a = engine.search(&graph, &query, &params);
-        let b = engine.search(&graph, &query, &params);
-        prop_assert_eq!(a.answers.len(), b.answers.len());
-        for (x, y) in a.answers.iter().zip(&b.answers) {
-            prop_assert_eq!(x.central, y.central);
-            prop_assert_eq!(&x.nodes, &y.nodes);
-            prop_assert_eq!(&x.edges, &y.edges);
         }
     }
 }

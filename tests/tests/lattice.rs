@@ -2,7 +2,8 @@
 //! opened through the `WikiSearch` facade, answers every step of a query
 //! stream exactly like a fresh solo `SeqEngine` (`common::solo`), compared
 //! through `common::result_digest` — keyword analysis, answers, score bits,
-//! statistics — and trips every starved budget with the same error.
+//! statistics — and trips every starved budget with the same error. The
+//! runner, the stream and the per-point checks are `common::lattice`.
 //!
 //! The axes: backend (`seq`, `cpu:2`, `gpu:2`, `dyn:2`); remote workers
 //! (none, or a loopback fleet of 1, 2 or 4, under `seq` and `cpu` only);
@@ -12,65 +13,16 @@
 //! wire ledger serves (`benchmark/run.sh`) plus seven drawn ones, so every
 //! value of every axis occurs in every case, and every point runs the
 //! case's whole stream — on one pooled session when it answers in process.
-//!
-//! The stream spells each of at least three distinct base queries the five
-//! ways that share a cache key, alternates the (α, A) params with the
-//! case's activation map, flips every third step to `top_k 1, λ 0` (which
-//! must never share an entry with the unflipped params), and runs every
-//! step starved (one expansion) before it runs unlimited.
-//!
-//! The proptest shim does not shrink: every failure names the point's axes,
-//! the step, its raw query and the params it ran under.
 
 mod common;
 
-use central::shard::DEFAULT_PARTITION_SEED;
-use central::{
-    QueryBudget, RemoteOptions, SearchError, SearchParams, ShardWorker, StaticAddrs,
-    TelemetrySample,
+use common::lattice::{
+    check_case, open, run_point, snapshot_path, spawn_fleets, Point, Step, BACKENDS, FLEETS,
 };
-use common::{build_graph, case_strategy, queries_strategy, result_digest, solo, Case, WORDS};
-use kgraph::{GraphBuilder, KnowledgeGraph};
+use common::{case_strategy, queries_strategy};
+use kgraph::GraphBuilder;
 use proptest::prelude::*;
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use textindex::InvertedIndex;
-use wikisearch_engine::{compile_snapshot, Backend, QueryRequest, WikiSearch, WikiSearchResult};
-
-/// One point of the lattice: a `serve` command line, as data.
-#[derive(Clone, Copy)]
-struct Point {
-    /// The ledger workload served at this point, or how it was chosen.
-    name: &'static str,
-    backend: Backend,
-    /// Loopback shard workers; 0 answers in process.
-    workers: usize,
-    mmap: bool,
-    cache_bytes: usize,
-    telemetry: bool,
-}
-
-impl std::fmt::Display for Point {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let storage = if self.mmap { "mmap" } else { "heap" };
-        let telemetry = if self.telemetry { "on" } else { "off" };
-        write!(
-            f,
-            "[{}: {:?}, {} workers, {storage}, cache {} B, telemetry {telemetry}]",
-            self.name, self.backend, self.workers, self.cache_bytes
-        )
-    }
-}
-
-const BACKENDS: [Backend; 4] = [
-    Backend::Sequential,
-    Backend::ParCpu(2),
-    Backend::GpuStyle(2),
-    Backend::DynPar(2),
-];
-const FLEETS: [usize; 3] = [1, 2, 4];
-const CACHE_BYTES: usize = 1 << 20;
+use wikisearch_engine::{compile_snapshot, Backend, WikiSearch};
 
 #[rustfmt::skip]
 const POINTS: [Point; 4] = [
@@ -79,15 +31,6 @@ const POINTS: [Point; 4] = [
     Point { name: "zipf_mix", backend: Backend::Sequential, workers: 0, mmap: false, cache_bytes: 256 << 10, telemetry: true },
     Point { name: "remote_shards", backend: Backend::Sequential, workers: 2, mmap: true, cache_bytes: 0, telemetry: true },
 ];
-
-impl Point {
-    /// `backend` on `workers` workers, with mmap, the cache and telemetry
-    /// on where `on` says so for bit 0, 1 and 2.
-    fn new(name: &'static str, backend: Backend, workers: usize, on: impl Fn(u8) -> bool) -> Point {
-        let cache_bytes = if on(1) { CACHE_BYTES } else { 0 };
-        Point { name, backend, workers, mmap: on(0), cache_bytes, telemetry: on(2) }
-    }
-}
 
 /// The ledger's points plus seven drawn ones: each backend in process, then
 /// each fleet size under `cpu:2` where `cpu` says so, else `seq`. Down the
@@ -131,235 +74,6 @@ fn covers_every_axis(points: &[Point]) -> bool {
         })
 }
 
-/// One loopback fleet of each size over `graph`, shared by every point of
-/// a case: a worker never exits, so a fleet per point would pile up
-/// threads.
-fn spawn_fleets(graph: &KnowledgeGraph) -> Vec<Vec<SocketAddr>> {
-    let spawn = |n| {
-        (0..n)
-            .map(|i| ShardWorker::spawn_local(graph, n, i, DEFAULT_PARTITION_SEED))
-            .collect()
-    };
-    FLEETS.iter().map(|&n| spawn(n)).collect()
-}
-
-/// Open `point` over `graph` (its compiled snapshot is at `snapshot`), on
-/// the fleet of its size.
-fn open(
-    point: &Point,
-    graph: &KnowledgeGraph,
-    snapshot: &Path,
-    fleets: &[Vec<SocketAddr>],
-) -> WikiSearch {
-    let mut ws = if point.mmap {
-        WikiSearch::open_snapshot(snapshot, point.backend).unwrap()
-    } else {
-        WikiSearch::build_with(graph.clone(), point.backend)
-    };
-    assert_eq!(ws.is_memory_mapped(), point.mmap);
-    if let Some(addrs) = fleets.iter().find(|addrs| addrs.len() == point.workers) {
-        // No retries: a healthy loopback fleet needs none.
-        let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
-        ws.set_remote_shards(point.workers, Arc::new(StaticAddrs(addrs.clone())), opts);
-    }
-    ws.set_cache_capacity(point.cache_bytes);
-    if point.telemetry {
-        ws.set_telemetry(1, 64);
-    }
-    ws
-}
-
-fn snapshot_path() -> PathBuf {
-    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("ws-lattice-{}-{n}.wsnap", std::process::id()))
-}
-
-fn starved() -> QueryBudget {
-    QueryBudget::unlimited().with_max_expansions(1)
-}
-
-/// One step of a stream and the oracle's verdicts on it.
-struct Step {
-    raw: String,
-    /// Which params the step runs under, for failure messages.
-    name: &'static str,
-    params: SearchParams,
-    full: String,
-    starved: Result<String, SearchError>,
-}
-
-impl Step {
-    fn new(
-        graph: &KnowledgeGraph,
-        index: &InvertedIndex,
-        raw: String,
-        name: &'static str,
-        params: &SearchParams,
-    ) -> Step {
-        let full = solo(graph, index, &raw, params, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot trip");
-        let starved = solo(graph, index, &raw, params, &starved());
-        Step { raw, name, params: params.clone(), full, starved }
-    }
-}
-
-/// The sorted, deduplicated words of a query.
-fn word_set(query: &[usize]) -> Vec<usize> {
-    let mut words = query.to_vec();
-    words.sort_unstable();
-    words.dedup();
-    words
-}
-
-/// The `spelling`th of five spellings of `words`, all one cache key: as
-/// given, an exact repeat, reversed and upper-cased (a hit must reorient
-/// the per-keyword parts), stopworded, and every word doubled.
-fn spell(words: &[&str], spelling: usize) -> String {
-    match spelling {
-        0 | 1 => words.join(" "),
-        2 => words.iter().rev().map(|w| w.to_uppercase()).collect::<Vec<_>>().join(" "),
-        3 => format!("the {} of", words.join(" and the ")),
-        _ => words.iter().flat_map(|w| [*w, *w]).collect::<Vec<_>>().join(" "),
-    }
-}
-
-/// The case's stream over `graph`: its query, then each extra one (its
-/// words shifted through the pool until its word set is new), each in all
-/// five spellings. Steps alternate the heap build's (α, A) params, at the
-/// case's top-k, with the case's activation map, and every third is
-/// flipped to `top_k 1, λ 0`.
-fn stream(
-    case: &Case,
-    extra: &[Vec<usize>],
-    graph: &KnowledgeGraph,
-    heap: &WikiSearch,
-) -> Vec<Step> {
-    let mut base = heap.params().clone();
-    base.top_k = case.top_k;
-    let mapped = base.clone().with_explicit_activation(case.activation.clone());
-    let flip = |p: &SearchParams| p.clone().with_top_k(1).with_lambda(0.0);
-    let table = [
-        ("(α, A)", base.clone()),
-        ("the activation map", mapped.clone()),
-        ("(α, A) flipped to top_k 1, λ 0", flip(&base)),
-        ("the activation map flipped to top_k 1, λ 0", flip(&mapped)),
-    ];
-    let (mut seen, mut steps) = (Vec::new(), Vec::new());
-    for query in std::iter::once(&case.query).chain(extra) {
-        let mut query = query.clone();
-        while seen.contains(&word_set(&query)) {
-            query.iter_mut().for_each(|w| *w = (*w + 1) % WORDS.len());
-        }
-        seen.push(word_set(&query));
-        let words: Vec<&str> = query.iter().map(|&w| WORDS[w]).collect();
-        for spelling in 0..5 {
-            let n = steps.len();
-            let (name, params) = &table[n % 2 + if n % 3 == 2 { 2 } else { 0 }];
-            steps.push(Step::new(graph, heap.index(), spell(&words, spelling), name, params));
-        }
-    }
-    steps
-}
-
-/// On a telemetry-on point, the result and its trace carry the assigned
-/// qid.
-fn check_qid(got: &WikiSearchResult, qid: Option<u64>, label: &str) -> Result<(), TestCaseError> {
-    if let Some(qid) = qid {
-        let traced = got.trace.as_ref().and_then(|trace| trace.qid);
-        prop_assert_eq!((got.qid, traced), (qid, Some(qid)), "qid: {}", label);
-    }
-    Ok(())
-}
-
-/// Run `steps` through `ws`, opened at `point`, each starved then
-/// unlimited, against the oracle's verdicts; then check what the point
-/// itself accounts.
-fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), TestCaseError> {
-    let a = steps[0].params.average_distance;
-    prop_assert_eq!(ws.params().average_distance.to_bits(), a.to_bits(), "A diverged: {}", point);
-    for (n, step) in steps.iter().enumerate() {
-        let label = format!("{point} step {n} {:?} under {}", step.raw, step.name);
-        let traced;
-        let (params, qids) = if point.telemetry {
-            // What the sampler thread does once a second.
-            let sample = TelemetrySample {
-                t_us: n as u64 * 1_000_000,
-                served: 2 * n as u64,
-                snapshot: ws.metrics_snapshot(),
-            };
-            ws.telemetry().record_sample(&sample);
-            traced = step.params.clone().with_trace(true);
-            (&traced, [Some(1_000 + 2 * n as u64), Some(1_001 + 2 * n as u64)])
-        } else {
-            (&step.params, [None, None])
-        };
-
-        // Starved first: a failed search caches nothing, so the unlimited
-        // request below still computes (or hits an earlier spelling).
-        let hits_before = ws.cache_stats().map(|c| c.hits);
-        let request = QueryRequest {
-            budget: starved(),
-            qid: qids[0],
-            ..QueryRequest::new(&step.raw, params)
-        };
-        match (ws.execute(&request), &step.starved) {
-            (Ok(got), Ok(want)) => {
-                check_qid(&got, qids[0], &label)?;
-                prop_assert_eq!(&result_digest(&got), want, "starved: {}", label);
-            }
-            (Err(got), Err(want)) => {
-                let (got, want) = ((got.kind(), got.to_string()), (want.kind(), want.to_string()));
-                prop_assert_eq!(got, want, "starved: {}", label);
-            }
-            // A hit is served before the budget is armed: the full answer,
-            // from memory, where a search would trip.
-            (Ok(got), Err(_)) => {
-                let hit = hits_before.is_some_and(|h| ws.cache_stats().unwrap().hits == h + 1);
-                prop_assert!(hit, "starved: answered without a cache hit: {}", label);
-                check_qid(&got, qids[0], &label)?;
-                prop_assert_eq!(&result_digest(&got), &step.full, "starved hit: {}", label);
-            }
-            (Err(got), Ok(_)) => {
-                return Err(TestCaseError::Fail(format!(
-                    "starved: tripped ({got}) where the oracle answered: {label}"
-                )))
-            }
-        }
-
-        let request = QueryRequest { qid: qids[1], ..QueryRequest::new(&step.raw, params) };
-        let got = ws.execute(&request).map_err(|e| TestCaseError::Fail(format!("{e}: {label}")))?;
-        check_qid(&got, qids[1], &label)?;
-        prop_assert_eq!(&result_digest(&got), &step.full, "unlimited: {}", label);
-    }
-
-    // One pooled session carried the stream in process; a fleet's lanes
-    // are the coordinator's own.
-    let sessions = ws.session_pool().sessions_created();
-    prop_assert_eq!(sessions, usize::from(point.workers == 0), "sessions: {}", point);
-    if let Some(cache) = ws.cache_stats() {
-        prop_assert_eq!(cache.hits + cache.misses, cache.lookups, "{}", point);
-        prop_assert!(cache.bytes <= cache.capacity_bytes, "{}", point);
-    }
-    let telemetry = ws.telemetry();
-    prop_assert_eq!(telemetry.in_flight().current(), 0, "{}", point);
-    prop_assert!(telemetry.slowest_recent().is_some(), "{}", point);
-    let samples = if point.telemetry {
-        steps.len() as u64
-    } else {
-        0
-    };
-    prop_assert_eq!(telemetry.samples(), samples, "{}", point);
-    if point.telemetry {
-        // The widest window spans the first sample to the last: two
-        // requests per step between them.
-        let between = 2 * (steps.len() as u64 - 1);
-        let window = telemetry.window(u64::MAX).expect("at least two samples");
-        prop_assert_eq!((window.delta.queries, window.served), (between, between), "{}", point);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -369,27 +83,9 @@ proptest! {
         extra in queries_strategy(2..4, 2..4),
         (phases, cpu) in (0u8..8, proptest::collection::vec(false, FLEETS.len())),
     ) {
-        let graph = build_graph(&case);
-        let path = snapshot_path();
-        compile_snapshot(&graph, &path).unwrap();
-        let heap = WikiSearch::build_with(graph.clone(), Backend::Sequential);
-        let steps = stream(&case, &extra, &graph, &heap);
         let points = points(phases, &cpu);
         prop_assert!(covers_every_axis(&points));
-        let fleets = spawn_fleets(&graph);
-        for point in &points {
-            let ws = open(point, &graph, &path, &fleets);
-            run_point(point, &ws, &steps)?;
-            // Steps 3 and 4 repeat the keys of steps 1 and 0 under the same
-            // params, so unless the first query matches nothing (an empty
-            // parse bypasses the cache) both hit.
-            if let Some(cache) = ws.cache_stats() {
-                if !heap.parse(&steps[0].raw).is_empty() {
-                    prop_assert!(cache.hits >= 2, "no hit for {:?}: {}", steps[0].raw, point);
-                }
-            }
-        }
-        let _ = std::fs::remove_file(path);
+        check_case(&case, &extra, &points)?;
     }
 }
 
@@ -407,8 +103,9 @@ fn degenerate_queries_are_unperturbed_in_every_shape() {
     let steps: Vec<Step> = ["alpha beta", "alpha", "zzz nothing", ""]
         .map(|raw| Step::new(&graph, heap.index(), raw.to_string(), "(α, A)", heap.params()))
         .into();
-    let fleets = spawn_fleets(&graph);
-    for point in every_point() {
+    let points = every_point();
+    let fleets = spawn_fleets(&graph, &points);
+    for point in points {
         let ws = open(&point, &graph, &path, &fleets);
         run_point(&point, &ws, &steps).unwrap();
     }

@@ -16,7 +16,7 @@ mod common;
 
 use central::engine::{KeywordSearchEngine, SeqEngine};
 use central::{SearchParams, SessionPool};
-use common::{build_graph, case_strategy, digest, engines, raw_query, WORDS};
+use common::{build_graph, case_params, case_strategy, digest, engines, rotated_queries};
 use datagen::synthetic::SyntheticConfig;
 use datagen::QueryWorkload;
 use proptest::prelude::*;
@@ -199,16 +199,8 @@ proptest! {
     #[test]
     fn pooled_sessions_are_bit_identical_to_fresh(case in case_strategy(28, 60)) {
         let graph = build_graph(&case);
-        let idx = InvertedIndex::build(&graph);
-        // Four keyword sets: the case's words rotated through the pool.
-        let queries: Vec<ParsedQuery> = (0..4)
-            .map(|k| {
-                let words: Vec<usize> = case.query.iter().map(|&w| (w + k) % WORDS.len()).collect();
-                ParsedQuery::parse(&idx, &raw_query(&words))
-            })
-            .collect();
-        let params = SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() }
-            .with_explicit_activation(case.activation.clone());
+        let queries = rotated_queries(&case, &InvertedIndex::build(&graph), 4);
+        let params = case_params(&case);
 
         let engines = engines(3);
         let pool = SessionPool::new();

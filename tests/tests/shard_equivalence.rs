@@ -1,169 +1,53 @@
-//! The shard-invariance property, over both links: partitioning the graph
-//! into N edge-cut shards and answering through the one shard coordinator
-//! — over in-process lanes (`ShardCoordinator::in_process`, N ∈ {1, 2, 3,
-//! 4, 8}) and over TCP to loopback workers speaking the frame protocol
-//! (`ShardCoordinator::remote`, N ∈ {1, 2, 4}) — is *byte-identical* to the
-//! solo sequential engine: answers, score bits, statistics and the
-//! per-level trace, for both shard backends (`seq`, `cpu`), traced and
-//! tagged with a qid or not, including counts exceeding the node count and
-//! single-node/disconnected graphs, and a tripped budget raises the solo
-//! engine's error. The lattice (`lattice.rs`) reaches the coordinator
-//! through the facade; this suite drives it directly, at every count.
+//! The shard-invariance property over in-process lanes: partitioning the
+//! graph into N ∈ {1, 2, 3, 4, 8} edge-cut shards and answering through
+//! the shard coordinator (`ShardCoordinator::in_process`) is
+//! *byte-identical* to the solo sequential engine — answers, score bits,
+//! statistics and the per-level trace — for both shard backends (`seq`,
+//! `cpu`), traced and tagged with a qid or not, including counts exceeding
+//! the node count and single-node/disconnected graphs; and on both links a
+//! tripped budget raises the solo engine's error. `remote_equivalence`
+//! runs the same harness (`common::links`) over TCP; the lattice
+//! (`lattice.rs`) reaches the coordinator through the facade.
 //!
 //! The coordinator's frontier-exchange rounds must reproduce exactly the
-//! hitting-level matrix a single engine computes, and serialization, the
-//! per-round exchange over the wire and the supervision machinery must be
-//! invisible in the answer bytes; a healthy fleet never degrades.
+//! hitting-level matrix a single engine computes, so every downstream
+//! artifact matches bit for bit.
 
 mod common;
 
 use central::engine::{KeywordSearchEngine, SeqEngine};
-use central::shard::DEFAULT_PARTITION_SEED;
-use central::{
-    QueryBudget, RemoteOptions, SearchError, SearchParams, ShardBackend, ShardCoordinator,
-    ShardWorker, StaticAddrs,
-};
-use common::{build_graph, case_strategy, digest, raw_query};
-use kgraph::{GraphBuilder, KnowledgeGraph};
+use central::{QueryBudget, SearchError, SearchParams};
+use common::case_strategy;
+use common::links::{self, coordinators, Link};
+use kgraph::GraphBuilder;
 use proptest::prelude::*;
-use std::sync::Arc;
 use textindex::{InvertedIndex, ParsedQuery};
-
-/// In-process shard counts: 1 pins the degenerate plan, 8 usually exceeds
-/// the generated node count per shard.
-const SHARD_COUNTS: &[usize] = &[1, 2, 3, 4, 8];
-
-/// TCP fleet sizes: 1 pins the single-worker fleet, 4 usually exceeds the
-/// per-shard node count.
-const FLEET_SIZES: &[usize] = &[1, 2, 4];
-
-/// Every coordinator under test over `graph`, labelled: both shard backends
-/// at every in-process count and every fleet size. One loopback fleet per
-/// size serves both backends (a worker takes its kernel from `Start`).
-fn coordinators(graph: &KnowledgeGraph) -> Vec<(String, ShardCoordinator)> {
-    let fleets: Vec<Vec<std::net::SocketAddr>> = FLEET_SIZES
-        .iter()
-        .map(|&n| {
-            (0..n)
-                .map(|i| ShardWorker::spawn_local(graph, n, i, DEFAULT_PARTITION_SEED))
-                .collect()
-        })
-        .collect();
-    // No retries: a healthy loopback fleet needs none.
-    let opts = RemoteOptions { attempts: 1, ..RemoteOptions::default() };
-    let mut out = Vec::new();
-    for backend in [ShardBackend::Seq, ShardBackend::ParCpu(2)] {
-        for &n in SHARD_COUNTS {
-            let lanes = ShardCoordinator::in_process(graph, backend, n);
-            out.push((format!("{backend:?} x {n} in-process shards"), lanes));
-        }
-        for addrs in &fleets {
-            let (n, addrs) = (addrs.len(), Arc::new(StaticAddrs(addrs.clone())));
-            let fleet = ShardCoordinator::remote(graph, backend, n, addrs, opts);
-            out.push((format!("{backend:?} x {n} TCP workers"), fleet));
-        }
-    }
-    out
-}
-
-/// Every one of `coordinators` over `graph` answers `query` under `params`
-/// like the solo engine, untraced, then traced with a qid the trace
-/// carries back.
-fn assert_all_match(
-    graph: &KnowledgeGraph,
-    coordinators: &[(String, ShardCoordinator)],
-    query: &ParsedQuery,
-    params: &SearchParams,
-) -> Result<(), TestCaseError> {
-    let reference = SeqEngine::new().search(graph, query, params);
-    let reference = digest(&reference.answers, &reference.stats);
-    let traced = params.clone().with_trace(true);
-    let budget = QueryBudget::unlimited();
-    for (qid, (label, coordinator)) in coordinators.iter().enumerate() {
-        let label = format!("{label} on {query:?}");
-        for (params, qid) in [(params, None), (&traced, Some(qid as u64))] {
-            let out = coordinator
-                .try_search(graph, query, params, &budget, qid)
-                .expect("a healthy fleet under an unlimited budget cannot fail");
-            prop_assert!(!out.degraded, "healthy fleet degraded: {}", label);
-            let got = digest(&out.outcome.answers, &out.outcome.stats);
-            prop_assert_eq!(got, reference, "qid {:?}: {}", qid, label);
-            let trace_qid = out.outcome.trace.map(|trace| trace.qid);
-            prop_assert_eq!(trace_qid, qid.map(Some), "{}", label);
-        }
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// For arbitrary graphs, queries, explicit activation maps and top-k,
-    /// every coordinator returns exactly what the solo engine returns.
+    /// every in-process coordinator returns exactly what the solo engine
+    /// returns.
     #[test]
     fn sharded_search_is_byte_identical_to_unsharded(case in case_strategy(24, 50)) {
-        let graph = build_graph(&case);
-        let query = ParsedQuery::parse(&InvertedIndex::build(&graph), &raw_query(&case.query));
-        let params = SearchParams { top_k: case.top_k, max_level: 12, ..SearchParams::default() }
-            .with_explicit_activation(case.activation.clone());
-        assert_all_match(&graph, &coordinators(&graph), &query, &params)?;
-    }
-}
-
-/// Every coordinator against the solo engine for one fixed graph and query
-/// set (cheap deterministic edge cases a random case may never reach).
-fn assert_all_shardings_match(graph: &KnowledgeGraph, queries: &[&str]) {
-    let idx = InvertedIndex::build(graph);
-    let params = SearchParams { max_level: 12, ..SearchParams::default() };
-    let coordinators = coordinators(graph);
-    for q in queries {
-        assert_all_match(graph, &coordinators, &ParsedQuery::parse(&idx, q), &params).unwrap();
+        links::check_case(&case, Link::InProcess)?;
     }
 }
 
 #[test]
 fn single_node_graphs_survive_any_shard_count() {
-    let mut b = GraphBuilder::new();
-    b.add_node("solo", "alpha beta");
-    let graph = b.build();
-    assert_all_shardings_match(&graph, &["alpha beta", "alpha", "gamma", ""]);
+    links::single_node_graph_survives(Link::InProcess);
 }
 
 #[test]
 fn disconnected_graphs_survive_any_shard_count() {
-    // Two components plus two isolated nodes: cross-component queries
-    // must fail identically, intra-component ones must answer
-    // identically, at every shard count.
-    let mut b = GraphBuilder::new();
-    let a1 = b.add_node("a1", "alpha");
-    let a2 = b.add_node("a2", "beta");
-    let a3 = b.add_node("a3", "gamma hub");
-    b.add_edge(a1, a3, "p");
-    b.add_edge(a2, a3, "q");
-    let b1 = b.add_node("b1", "delta");
-    let b2 = b.add_node("b2", "omega");
-    b.add_edge(b1, b2, "p");
-    b.add_node("iso1", "sigma");
-    b.add_node("iso2", "kappa");
-    let graph = b.build();
-    assert_all_shardings_match(
-        &graph,
-        &["alpha beta", "delta omega", "alpha delta", "sigma kappa", "sigma"],
-    );
+    links::disconnected_graph_survives(Link::InProcess);
 }
 
 #[test]
 fn more_shards_than_nodes_is_byte_identical() {
-    // 3 nodes, up to 8 shards: most shards own nothing and must stay
-    // inert without perturbing the merged answers.
-    let mut b = GraphBuilder::new();
-    let x = b.add_node("x", "alpha");
-    let y = b.add_node("y", "beta bridge");
-    let z = b.add_node("z", "gamma");
-    b.add_edge(x, y, "p");
-    b.add_edge(z, y, "q");
-    let graph = b.build();
-    assert_all_shardings_match(&graph, &["alpha gamma", "alpha beta gamma", "beta"]);
+    links::more_shards_than_nodes_survive(Link::InProcess);
 }
 
 #[test]
@@ -186,8 +70,11 @@ fn budget_errors_surface_the_solo_class_on_both_links() {
         .try_search(&graph, &query, &params, &tight)
         .expect_err("a 1-expansion budget must trip on a 12-node chain");
     assert!(matches!(want, SearchError::BudgetExhausted { .. }), "{want:?}");
-    for (label, coordinator) in coordinators(&graph) {
-        let err = coordinator.try_search(&graph, &query, &params, &tight, None).expect_err(&label);
-        assert_eq!((err.kind(), err.to_string()), (want.kind(), want.to_string()), "{label}");
+    for link in [Link::InProcess, Link::Tcp] {
+        for (label, coordinator) in coordinators(&graph, link) {
+            let err =
+                coordinator.try_search(&graph, &query, &params, &tight, None).expect_err(&label);
+            assert_eq!((err.kind(), err.to_string()), (want.kind(), want.to_string()), "{label}");
+        }
     }
 }
