@@ -192,8 +192,8 @@ const UNASKED: u32 = u32::MAX;
 ///
 /// Rows are kept as `q` bytes per node, not as a source bit set: no width
 /// cap, so no limit on the number of keyword groups. (They repeat the
-/// block's, packed by slot: the walks read them ~2 % faster than through
-/// the node id — `deep_miss`, CHANGES.md PR 22.)
+/// block's, packed by slot: on `deep_miss` the walks read them ~2 % faster
+/// than through the node id.)
 #[derive(Default)]
 struct Memo {
     /// The query's keyword count: the width of every per-slot table here.

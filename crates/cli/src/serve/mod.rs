@@ -224,6 +224,7 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let mut ws = crate::commands::open_engine(args, backend)?;
     let mut params = ws.params().clone();
     params.top_k = args.get_or("top-k", params.top_k)?;
+    params.validate()?;
     ws.set_params(params);
     ws.set_cache_capacity(cache_capacity);
     ws.set_telemetry(telemetry_interval_ms, DEFAULT_TELEMETRY_SAMPLES);
@@ -825,5 +826,22 @@ mod tests {
         let mut out = Vec::new();
         let err = serve(&args, &mut out).unwrap_err();
         assert!(err.contains("--slow-query-ms"), "{err}");
+    }
+
+    /// Invalid search parameters are a start-up error, as in `search`: a
+    /// server that booted with `--top-k 0` would panic on every keyword
+    /// query. The wait is bounded so that a server which boots anyway
+    /// fails the test instead of hanging it.
+    #[test]
+    fn rejects_invalid_search_params_before_binding() {
+        let path = tiny_graph_file("top-k");
+        let line = format!("serve --graph {path} --port {} --top-k 0", free_port());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_line(&line)));
+        let verdict = rx.recv_timeout(Duration::from_secs(30));
+        let _ = std::fs::remove_file(path);
+        let (code, out) = verdict.expect("serve --top-k 0 booted instead of exiting");
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("error: top_k must be >= 1"), "{out}");
     }
 }
