@@ -37,10 +37,11 @@ pub struct SearchParams {
     #[serde(skip)]
     pub explicit_activation: Option<std::sync::Arc<Vec<u8>>>,
     /// Collect the per-query execution trace (see [`crate::trace`]); off
-    /// by default. Diagnostic only — tracing never changes answers, so
-    /// this knob is deliberately *not* part of
-    /// [`SearchParams::fingerprint`] and cached results alias across
-    /// trace settings.
+    /// by default. The one tracing switch: a traced request is a live
+    /// search, never answered from or stored into a result cache, so its
+    /// trace describes the search that produced its answers. Tracing
+    /// never changes answers, so this knob is deliberately *not* part of
+    /// [`SearchParams::fingerprint`].
     pub trace: bool,
 }
 

@@ -108,4 +108,4 @@ pub use remote::{
 pub use session::SearchSession;
 pub use shard::{ShardBackend, ShardPlan, ShardedStats};
 pub use telemetry::{InFlight, QueryIdGen, Telemetry, TelemetrySample, WindowDelta};
-pub use trace::{CacheOutcome, QueryTrace, ShardSpan, ShardTimeline, TraceLevelRecord};
+pub use trace::{QueryTrace, ShardSpan, ShardTimeline, TraceLevelRecord};

@@ -697,8 +697,8 @@ impl ShardCoordinator {
             }
         }
         // Timelines reconcile a worker's clock with wire time; lanes in
-        // this process have neither.
-        let spans = params.trace && self.is_remote();
+        // this process have neither, so their spans are dropped unread.
+        let timelines = params.trace && self.is_remote();
         let mut ops = RemoteOps {
             search: self,
             live,
@@ -727,7 +727,6 @@ impl ShardCoordinator {
             backend: self.backend.base_name().to_string(),
             threads: self.backend.threads() as u32,
             qid,
-            spans,
         });
         let started = ops.sweep(&start, |reply| match reply {
             Response::StartOk(ok) => Some(ok),
@@ -744,7 +743,7 @@ impl ShardCoordinator {
         let mut stage = self.stage.checkout();
         let SearchSession { activation, top_down: stage2, .. } = &mut *stage;
         let timelines =
-            run.timed_fill(|| ops.collect(spans, &mut stage2.hits, query.num_keywords()))?;
+            run.timed_fill(|| ops.collect(timelines, &mut stage2.hits, query.num_keywords()))?;
         drop(ops);
         let global_act = activation.for_params(graph, params);
         let compute = Some(&self.compute);
@@ -898,14 +897,14 @@ impl RemoteOps<'_> {
     }
 
     /// Collect every live shard's informative rows into `hits` (`q`
-    /// keywords wide), and (asked for `spans`) stitch the worker-reported
-    /// spans into per-shard timelines. All quantities are monotonic
-    /// durations measured on one host each — the coordinator's clock for
-    /// `rpc_us`, the worker's for the span phases — never cross-host
-    /// timestamp comparisons.
+    /// keywords wide), and (asked for `timelines`) stitch the
+    /// worker-reported spans into per-shard timelines. All quantities are
+    /// monotonic durations measured on one host each — the coordinator's
+    /// clock for `rpc_us`, the worker's for the span phases — never
+    /// cross-host timestamp comparisons.
     fn collect(
         &mut self,
-        spans: bool,
+        timelines: bool,
         hits: &mut HitBlock,
         q: usize,
     ) -> Result<Option<Vec<ShardTimeline>>, AttemptError> {
@@ -918,9 +917,9 @@ impl RemoteOps<'_> {
         })?;
         let mut collected: Vec<(usize, wire::CollectOk)> =
             self.live.iter().copied().zip(replies).collect();
-        let timelines = spans.then(|| {
+        let timelines = timelines.then(|| {
             let stitch = |(s, ok): &mut (usize, wire::CollectOk)| {
-                // A worker that was asked for spans ships them; should
+                // A worker of a traced query ships its spans; should
                 // one not, the RPC envelope is still coordinator-side
                 // truth and only the worker-side breakdown is missing.
                 let spans = ok.spans.take().unwrap_or_default();

@@ -28,18 +28,17 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Version 6 drops `Step::traced`: a lane keeps the
-/// query's `params.trace` from [`Start`]. Version 5 folds enqueue,
-/// identify and the notification broadcast into one [`Step`] per level
-/// (two requests per shard per level, down from four) and drops
-/// `HelloOk::num_owned`; version 4 ships the collected rows as two columns
-/// ([`CollectOk::nodes`], [`CollectOk::hits`]); version 3 made
-/// [`HelloOk::version`] and [`Start::spans`] mandatory. The handshake is
-/// strict on both sides: a worker rejects any [`Hello`] whose revision
-/// (or partition contract) differs from its own with `bad_handshake`, and
-/// the coordinator drops a channel whose [`HelloOk`] echoes another
-/// revision or shard.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// Protocol revision. Tracing has one switch on the wire, the query's
+/// `params.trace` in [`Start`]: a lane computes its traced-query
+/// observations and records per-RPC spans exactly when it is set. Two
+/// requests travel per shard per level ([`Step`] and [`Expand`]), the
+/// collected rows travel as two columns ([`CollectOk::nodes`],
+/// [`CollectOk::hits`]), and [`HelloOk::version`] is mandatory. The
+/// handshake is strict on both sides: a worker rejects any [`Hello`] whose
+/// revision (or partition contract) differs from its own with
+/// `bad_handshake`, and the coordinator drops a channel whose [`HelloOk`]
+/// echoes another revision or shard.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
@@ -253,7 +252,8 @@ impl WireQuery {
 
 /// Begin a query: the scatter phase. The worker localizes the query onto
 /// its part, re-arms its search state, and remembers the per-query
-/// execution knobs for the following phase RPCs.
+/// execution knobs for the following phase RPCs — `params.trace` among
+/// them, the one tracing switch.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Start {
     /// The query, in global node ids.
@@ -272,9 +272,6 @@ pub struct Start {
     /// observations can be joined with the coordinator's (absent when
     /// the caller did not tag the query).
     pub qid: Option<u64>,
-    /// Ask the worker to record per-RPC spans for this query and
-    /// piggyback them on [`CollectOk`] (traced queries only).
-    pub spans: bool,
 }
 
 /// Query accepted.
@@ -357,9 +354,9 @@ pub struct CollectOk {
     pub qid: Option<u64>,
     /// Per-RPC worker spans for this query, in RPC order — monotonic
     /// *durations* measured on the worker's clock, never absolute
-    /// timestamps (absent unless `Start` asked). The final `collect` span
-    /// reports `encode_us = 0`: its own encode cannot observe itself and
-    /// is attributed to wire time by the coordinator.
+    /// timestamps (absent unless the query is traced). The final `collect`
+    /// span reports `encode_us = 0`: its own encode cannot observe itself
+    /// and is attributed to wire time by the coordinator.
     pub spans: Option<Vec<ShardSpan>>,
 }
 
@@ -415,19 +412,16 @@ mod tests {
             backend: "Seq".into(),
             threads: 1,
             qid: None,
-            spans: false,
         };
         let back: Start = decode(&encode(&start)).unwrap();
-        assert_eq!((back.qid, back.spans), (None, false));
+        assert_eq!((back.qid, back.params.trace), (None, false));
         let ok = CollectOk { nodes: vec![1], hits: vec![0], qid: None, spans: None };
         let back: CollectOk = decode(&encode(&ok)).unwrap();
         assert_eq!(back, ok);
         let bare: CollectOk = decode(br#"{"nodes":[1],"hits":[0]}"#).unwrap();
         assert_eq!(bare, ok);
-        // What v3 made mandatory is refused when missing, not defaulted.
+        // A mandatory field is refused when missing, not defaulted.
         assert!(decode::<HelloOk>(br#"{"shard_index":1}"#).is_err());
-        let text = String::from_utf8(encode(&start)).unwrap();
-        assert!(decode::<Start>(text.replace(r#","spans":false"#, "").as_bytes()).is_err());
     }
 
     #[test]
@@ -462,7 +456,6 @@ mod tests {
             backend: "CPU-Par".into(),
             threads: 4,
             qid: Some(3),
-            spans: true,
         };
         let back: Start = decode(&encode(&start)).unwrap();
         assert_eq!(back.params.top_k, 7);

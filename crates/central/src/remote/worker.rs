@@ -235,8 +235,8 @@ struct QueryCtx {
     traced: bool,
     /// Fleet-wide query ID from `Start`, echoed on collect.
     qid: Option<u64>,
-    /// Per-RPC span accumulator, armed when the coordinator asked for
-    /// spans. Shipped (taken) with the collect reply.
+    /// Per-RPC span accumulator, armed for traced queries. Shipped
+    /// (taken) with the collect reply.
     spans: Option<Vec<ShardSpan>>,
 }
 
@@ -390,8 +390,7 @@ impl Conn {
             charged_mark: 0,
             traced: start.params.trace,
             qid: start.qid,
-            // Spans are recorded only when the coordinator asked for them.
-            spans: start.spans.then(Vec::new),
+            spans: start.params.trace.then(Vec::new),
         });
         Ok(wire::StartOk { keywords: query.num_keywords() as u32 })
     }
@@ -495,7 +494,6 @@ mod tests {
                 backend: "Seq".to_string(),
                 threads: 1,
                 qid: None,
-                spans: false,
             })
         };
         let mut send = |request: &Request| conn.handle(request, Arrival::default()).err();
@@ -516,5 +514,40 @@ mod tests {
         let refused = conn.handle(&step, Arrival::default()).err().map(|e| e.code);
         assert_eq!(refused, Some("bad_request"));
         assert_eq!(rows(&conn), before);
+    }
+
+    /// `params.trace` is the lane's one tracing switch: a traced query's
+    /// collect reply carries one span per request the lane served, an
+    /// untraced query's carries none.
+    #[test]
+    fn a_lane_records_spans_exactly_for_traced_queries() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
+        b.add_edge(x, y, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let mut conn =
+            Conn::new(Arc::new(ShardWorker::new(&g, 1, 0, DEFAULT_PARTITION_SEED)), true);
+        for trace in [false, true] {
+            let requests = [
+                Request::Start(wire::Start {
+                    query: wire::WireQuery::from_query(&query),
+                    params: SearchParams::default().with_trace(trace),
+                    activation: None,
+                    backend: "Seq".to_string(),
+                    threads: 1,
+                    qid: None,
+                }),
+                Request::Step(wire::Step { level: 0, pairs: Vec::new() }),
+                Request::Collect(wire::Collect { include_halos: false }),
+            ];
+            let mut replies = requests.iter().map(|r| conn.handle(r, Arrival::default()));
+            let Some(Ok(Response::CollectOk(ok))) = replies.nth(2) else {
+                panic!("the collect was refused");
+            };
+            let ops: Option<Vec<String>> = ok.spans.map(|s| s.into_iter().map(|s| s.op).collect());
+            let want = trace.then(|| ["start", "step", "collect"].map(String::from).to_vec());
+            assert_eq!(ops, want, "trace {trace}");
+        }
     }
 }

@@ -2,19 +2,22 @@
 //! wall-clock phases, [`QueryTrace`] is to the *shape* of a search — one
 //! record per BFS level of Algorithm 1/2 (frontier size, expansion work,
 //! newly covered keywords, activation gating, budget headroom) plus the
-//! cache and session-pool events around it.
+//! session that ran it and, over remote shards, each worker's spans.
 //!
-//! Tracing is opt-in via the `SearchParams::trace` bool and is designed
-//! to be zero-cost when disabled: every collection site is gated on
-//! `params.trace`, the budget tracker only arms its expansion
+//! Tracing has one switch, the `SearchParams::trace` bool, and is
+//! designed to be zero-cost when it is off: every collection site is
+//! gated on `params.trace`, the budget tracker only arms its expansion
 //! counter in tracing (or capped) mode, and `SearchOutcome` carries the
-//! trace as `Option<Box<QueryTrace>>` so the disabled path moves one null
+//! trace as `Option<Box<QueryTrace>>` so the untraced path moves one null
 //! pointer. A differential test asserts that enabling tracing leaves
-//! search results byte-for-byte identical. Traces are serialize-only:
-//! the server renders them into `EXPLAIN` and nothing reads one back.
+//! search results byte-for-byte identical. A traced request is always a
+//! live search — the facade's result cache never answers or stores one —
+//! so every trace describes the one search that produced the answers it
+//! is attached to. Traces are serialize-only: the server renders them
+//! into `EXPLAIN` and nothing reads one back.
 
 use crate::profile::PhaseProfile;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One bottom-up BFS level as the search engine saw it.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
@@ -38,30 +41,6 @@ pub struct TraceLevelRecord {
     /// Budget units remaining after this level (`None` when the query
     /// ran without an expansion cap).
     pub budget_remaining: Option<u64>,
-}
-
-/// How the result cache participated in a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the cache; no search ran.
-    Hit,
-    /// Looked up, not found; the search ran and the result was inserted.
-    Miss,
-    /// The cache was not consulted (disabled, or an EXPLAIN query).
-    Bypass,
-}
-
-impl Serialize for CacheOutcome {
-    fn to_value(&self) -> Value {
-        Value::String(
-            match self {
-                CacheOutcome::Hit => "hit",
-                CacheOutcome::Miss => "miss",
-                CacheOutcome::Bypass => "bypass",
-            }
-            .to_owned(),
-        )
-    }
 }
 
 /// One worker-side span for one RPC of a remote query, measured with the
@@ -134,7 +113,8 @@ pub struct ShardTimeline {
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct QueryTrace {
     /// Engine that executed the search (`"Seq"`, `"CPU-Par"`,
-    /// `"GPU-Par"`, `"CPU-Par-d"`), or `"cache"` for a cache hit.
+    /// `"GPU-Par"`, `"CPU-Par-d"`, or `"<engine>[shards=n]"` through a
+    /// shard coordinator).
     pub engine: String,
     /// Number of query keywords after index lookup.
     pub keywords: usize,
@@ -146,9 +126,6 @@ pub struct QueryTrace {
     /// rather than finding enough answers or exhausting the frontier.
     /// (Budget/deadline trips surface as errors, never as a trace.)
     pub terminated: bool,
-    /// How the result cache participated, if it was on the path
-    /// (serialized as `null` when the query never saw a cache).
-    pub cache: Option<CacheOutcome>,
     /// Pool session that executed the search.
     pub session_id: Option<u64>,
     /// Queries that session had run before this one (warmth indicator).
@@ -158,10 +135,6 @@ pub struct QueryTrace {
     /// Fleet-wide query ID assigned at accept (`None` for traces
     /// produced outside the serving/facade path).
     pub qid: Option<u64>,
-    /// On a cache hit: the query ID that populated the entry being
-    /// served, so a stale or wrong cached answer can be traced back to
-    /// the query that computed it.
-    pub cache_source_qid: Option<u64>,
     /// Per-shard stitched timelines for a remote query (`None` for
     /// local queries).
     pub shard_timelines: Option<Vec<ShardTimeline>>,
@@ -194,7 +167,6 @@ mod tests {
             }],
             total_expansions: 20,
             terminated: false,
-            cache: Some(CacheOutcome::Miss),
             session_id: Some(4),
             session_queries: Some(7),
             phase_ms: PhaseProfile {
@@ -203,7 +175,6 @@ mod tests {
                 ..PhaseProfile::default()
             },
             qid: Some(77),
-            cache_source_qid: Some(41),
             shard_timelines: Some(vec![ShardTimeline {
                 shard: 1,
                 qid: Some(77),
@@ -225,9 +196,9 @@ mod tests {
             r#"{"engine":"CPU-Seq","keywords":2,"levels":[{"level":0,"frontier":10,"#,
             r#""identified":1,"new_hits":12,"activation_deferred":3,"expansions":20,"#,
             r#""budget_remaining":980}],"total_expansions":20,"terminated":false,"#,
-            r#""cache":"miss","session_id":4,"session_queries":7,"phase_ms":{"init_ms":0.0,"#,
+            r#""session_id":4,"session_queries":7,"phase_ms":{"init_ms":0.0,"#,
             r#""enqueue_ms":0.0,"identify_ms":0.0,"expansion_ms":500.0,"top_down_ms":250.0},"#,
-            r#""qid":77,"cache_source_qid":41,"shard_timelines":[{"shard":1,"qid":77,"#,
+            r#""qid":77,"shard_timelines":[{"shard":1,"qid":77,"#,
             r#""rpcs":4,"rpc_us":900,"worker_us":700,"wire_us":200,"spans":[{"op":"expand","#,
             r#""level":2,"wait_us":5,"decode_us":10,"exec_us":600,"encode_us":85}]}]}"#,
         );
@@ -241,14 +212,7 @@ mod tests {
     fn absent_events_read_back_as_none() {
         let json = serde_json::to_string(&QueryTrace::default()).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let absent = [
-            "cache",
-            "session_id",
-            "session_queries",
-            "qid",
-            "cache_source_qid",
-            "shard_timelines",
-        ];
+        let absent = ["session_id", "session_queries", "qid", "shard_timelines"];
         for key in absent {
             assert!(v[key].is_null(), "{key}: {v}");
         }

@@ -175,21 +175,21 @@ pub fn search(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let backend = Backend::parse(args.optional("backend").unwrap_or("cpu"), threads)?;
     let as_json: bool = args.get_or("json", false)?;
     let as_dot: bool = args.get_or("dot", false)?;
-    let as_explain: bool = args.get_or("explain", false)?;
+    let traced: bool = args.get_or("explain", false)?;
     let budget = budget_from_args(args)?;
 
     let mut ws = open_engine(args, backend)?;
     let mut params = ws.params().clone();
     params.top_k = args.get_or("top-k", params.top_k)?;
     params.alpha = args.get_or("alpha", params.alpha)?;
+    params.trace = traced;
     params.validate()?;
     ws.set_params(params);
     // One-shot searches cannot repeat a query, so the cache is off
     // unless asked for (useful for scripted multi-search shells).
     ws.set_cache_capacity(args.get_bytes("cache-capacity", 0)?);
 
-    let request =
-        QueryRequest { budget, explain: as_explain, ..QueryRequest::new(&query, ws.params()) };
+    let request = QueryRequest { budget, ..QueryRequest::new(&query, ws.params()) };
     let result = ws.execute(&request).map_err(|e| format!("query aborted ({}): {e}", e.kind()))?;
     if as_dot {
         return match result.answers.first() {

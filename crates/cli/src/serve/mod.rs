@@ -46,9 +46,9 @@
 //! accepted, default 64m, `0` disables). Repeated queries — including
 //! reorderings, case changes, and stopword variations of one another —
 //! are answered from the cache without touching a session. Failed
-//! queries never populate it. `EXPLAIN`, the one traced verb, bypasses
-//! it, so a cache hit's trace provenance (`cache_source_qid`) never
-//! reaches the wire.
+//! queries never populate it. `EXPLAIN`, the one traced verb, runs with
+//! `params.trace` set, and the engine never answers a traced request
+//! from the cache, so every trace on the wire describes a live search.
 //!
 //! `serve` runs `--backend seq` or `cpu`: `gpu` and `dyn` are the
 //! paper's comparison engines, never faster than `cpu` on the perf
@@ -82,7 +82,7 @@ mod query;
 mod stats;
 
 use crate::args::ParsedArgs;
-use central::{QueryBudget, RemoteOptions, StaticAddrs, TelemetrySample};
+use central::{QueryBudget, RemoteOptions, SearchParams, StaticAddrs, TelemetrySample};
 use parking_lot::Mutex;
 use protocol::{parse_request, read_request_line, respond, LineRead, Reply, Request, Served};
 use query::{answer_query, SlowLog};
@@ -452,9 +452,12 @@ fn serve_one_request(
         Request::Top => Reply::Doc(stats::top(&stats::Snapshot::gather(shared), ws.telemetry())),
         Request::Metrics => Reply::Text(stats::metrics(&stats::Snapshot::gather(shared))),
         Request::Query("") | Request::Explain("") => Reply::error("empty query"),
-        Request::Explain(keywords) => Reply::Doc(admit(shared, keywords, true).doc),
+        Request::Explain(keywords) => {
+            let traced = ws.params().clone().with_trace(true);
+            Reply::Doc(admit(shared, keywords, &traced).doc)
+        }
         Request::Query(keywords) => {
-            let answer = admit(shared, keywords, false);
+            let answer = admit(shared, keywords, ws.params());
             if let Some(slow) = &shared.slow {
                 slow.maybe_log(keywords, &answer, shared.counters);
             }
@@ -483,17 +486,16 @@ fn serve_one_request(
     }
 }
 
-/// Admit one `QUERY`/`EXPLAIN`: its fleet-wide ID is allocated before
-/// anything can fail, so even error documents carry it. Only `EXPLAIN`
-/// runs traced, and it is never slow-logged.
-fn admit(shared: &Shared<'_>, keywords: &str, explain: bool) -> query::Answer {
+/// Admit one `QUERY`/`EXPLAIN` under `params`: its fleet-wide ID is
+/// allocated before anything can fail, so even error documents carry it.
+/// Only `EXPLAIN` runs traced, and it is never slow-logged.
+fn admit(shared: &Shared<'_>, keywords: &str, params: &SearchParams) -> query::Answer {
     let ws = shared.ws;
     let request = QueryRequest {
         query: keywords,
-        params: ws.params(),
+        params,
         budget: shared.budget,
         qid: Some(ws.issue_query_id()),
-        explain,
     };
     answer_query(ws, &request, shared.counters)
 }
@@ -579,14 +581,15 @@ mod tests {
         assert_eq!(miss["answers"][0]["central"], "query language");
 
         // The same kept connection: a reordered repeat is a cache hit and
-        // an EXPLAIN a traced re-run, both with the miss's answers.
+        // an EXPLAIN a live traced re-run, both with the miss's answers.
         for (request, traced) in [("QUERY sql   XML", false), ("EXPLAIN xml sql", true)] {
             line.clear();
             writeln!(stream, "{request}").unwrap();
             reader.read_line(&mut line).unwrap();
             let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
             assert_eq!(doc["answers"], miss["answers"], "{request}: {line}");
-            assert_eq!(doc.get("trace").is_some(), traced, "{request}: {line}");
+            let levels = doc.get("trace").map(|t| t["levels"].as_array().unwrap().len());
+            assert_eq!(levels.is_some_and(|n| n > 0), traced, "{request}: {line}");
         }
         line.clear();
         writeln!(stream, "STATS").unwrap();

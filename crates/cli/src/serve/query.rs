@@ -11,8 +11,8 @@
 //! `EXPLAIN` trace (`trace.qid`), the per-shard timelines of remote
 //! serving (the qid rides the frame protocol, Hello-gated), and `TOP`'s
 //! slowest-recent view. A cache hit reports its own qid. Only `EXPLAIN`
-//! runs traced, and it bypasses the cache, so the trace of a cache hit
-//! (with its `cache_source_qid` provenance) never reaches the wire.
+//! runs traced, and a traced request is always a live search, so its
+//! trace describes the search that produced the answers beside it.
 //!
 //! ## Slow-query log
 //!
@@ -102,10 +102,10 @@ pub(super) struct Answer {
 /// One response line for one `QUERY` or `EXPLAIN`, under the request's
 /// budget and the server's panic isolation. `req.qid` was assigned at
 /// admission and rides the response — error documents included. With
-/// `req.explain` the full execution trace is attached to the document
-/// (and the engine bypasses the cache to produce it live). The engine
-/// counts every refusal it returns, so the budget
-/// and shard-availability counters on `STATS` need no bookkeeping here.
+/// `req.params.trace` the full execution trace is attached to the
+/// document (the engine runs a traced request live, never from the
+/// cache). The engine counts every refusal it returns, so the budget and
+/// shard-availability counters on `STATS` need no bookkeeping here.
 pub(super) fn answer_query(
     ws: &WikiSearch,
     req: &QueryRequest<'_>,
@@ -135,7 +135,7 @@ pub(super) fn answer_query(
         }
     };
     let mut doc = answer_document(ws, req.query, &result);
-    if req.explain {
+    if req.params.trace {
         doc.put("trace", json!(result.trace.as_deref()));
     }
     Answer { doc: doc.into(), wall_ms, qid, phase_ms: Some(result.profile), error: None }
@@ -210,13 +210,10 @@ mod tests {
             &QueryRequest { qid: Some(1), ..QueryRequest::new("xml sql", ws.params()) },
             &counters,
         );
+        let traced = ws.params().clone().with_trace(true);
         let explained = answer_query(
             &ws,
-            &QueryRequest {
-                qid: Some(2),
-                explain: true,
-                ..QueryRequest::new("xml sql", ws.params())
-            },
+            &QueryRequest { qid: Some(2), ..QueryRequest::new("xml sql", &traced) },
             &counters,
         );
         assert!(explained.error.is_none());
@@ -234,11 +231,8 @@ mod tests {
     fn explain_attaches_the_trace_to_the_answer_document() {
         let ws = tiny_engine();
         let counters = ServeCounters::default();
-        let req = QueryRequest {
-            qid: Some(7),
-            explain: true,
-            ..QueryRequest::new("xml sql", ws.params())
-        };
+        let traced = ws.params().clone().with_trace(true);
+        let req = QueryRequest { qid: Some(7), ..QueryRequest::new("xml sql", &traced) };
         let doc = answer_query(&ws, &req, &counters).doc;
         assert_eq!(doc["answers"][0]["central"], "query language", "{doc}");
         assert_eq!(doc["qid"], 7u64, "{doc}");

@@ -23,11 +23,13 @@
 //! println!("{}", ws.render_answer(&result.answers[0]));
 //!
 //! // `search` is shorthand for the one general entry point: a request
-//! // carries its own parameters, budget, query ID and trace switch.
+//! // carries its own parameters (the trace switch among them), budget
+//! // and query ID.
 //! use central::QueryBudget;
 //! use wikisearch_engine::QueryRequest;
 //! let budget = QueryBudget::unlimited().with_max_expansions(10_000);
-//! let request = QueryRequest { budget, explain: true, ..QueryRequest::new("xml sql", ws.params()) };
+//! let traced = ws.params().clone().with_trace(true);
+//! let request = QueryRequest { budget, ..QueryRequest::new("xml sql", &traced) };
 //! let explained = ws.execute(&request).expect("within budget");
 //! assert_eq!(explained.answers.len(), 1);
 //! assert!(!explained.trace.unwrap().levels.is_empty());
@@ -45,9 +47,9 @@ use central::engine::{
     SeqEngine,
 };
 use central::{
-    CacheOutcome, CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile,
-    QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError,
-    SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats, Telemetry,
+    CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile, QueryBudget,
+    QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError, SearchParams,
+    SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats, Telemetry,
 };
 use kgraph::KnowledgeGraph;
 use std::sync::Arc;
@@ -135,23 +137,23 @@ impl std::str::FromStr for Backend {
 pub struct QueryRequest<'a> {
     /// The raw keyword string.
     pub query: &'a str,
-    /// Search parameters for this request (α, top-k, λ, trace level, …).
+    /// Search parameters for this request (α, top-k, λ, …). With
+    /// `params.trace` set the request is a live, traced search: the result
+    /// cache neither answers nor stores it, so
+    /// [`WikiSearchResult::trace`] describes the search that produced the
+    /// answers — the substrate of the server's `EXPLAIN`.
     pub params: &'a SearchParams,
     /// Deadline and expansion cap; [`QueryBudget::unlimited`] by default.
     pub budget: QueryBudget,
     /// Fleet-wide query ID assigned by the caller at admission
     /// ([`WikiSearch::issue_query_id`]); `None` lets the engine allocate.
     pub qid: Option<u64>,
-    /// Run traced (`params.trace` set), bypassing the result cache, so
-    /// [`WikiSearchResult::trace`] always describes a *live* search — the
-    /// substrate of the server's `EXPLAIN`.
-    pub explain: bool,
 }
 
 impl<'a> QueryRequest<'a> {
-    /// An unbudgeted, untagged, cacheable request.
+    /// An unbudgeted, untagged request.
     pub fn new(query: &'a str, params: &'a SearchParams) -> Self {
-        QueryRequest { query, params, budget: QueryBudget::unlimited(), qid: None, explain: false }
+        QueryRequest { query, params, budget: QueryBudget::unlimited(), qid: None }
     }
 }
 
@@ -173,8 +175,9 @@ pub struct WikiSearchResult {
     pub kwf: f64,
     /// Search statistics, including the per-level progression trace.
     pub stats: SearchStats,
-    /// Rich per-query execution trace, present only when the request
-    /// asked for tracing (`params.trace`, or [`QueryRequest::explain`]).
+    /// Rich per-query execution trace of the live search that produced
+    /// these answers, present only when the request asked for tracing
+    /// (`params.trace`).
     pub trace: Option<Box<QueryTrace>>,
     /// `true` iff this answer was computed with at least one remote shard
     /// unavailable ([`WikiSearch::set_remote_shards`] with
@@ -246,9 +249,6 @@ type ResultCache = central::ShardedLruCache<QueryKey, Arc<CachedSearch>>;
 /// near-duplicate can permute the per-keyword fields back into the
 /// request's keyword order (see [`reorient_answers`]).
 struct CachedSearch {
-    /// Fleet-wide qid of the search that populated this entry, so a
-    /// traced hit can name its provenance (`cache_source_qid`).
-    qid: u64,
     /// Matched keyword terms in the populating query's group order.
     group_terms: Vec<String>,
     answers: Vec<CentralGraph>,
@@ -477,8 +477,10 @@ impl WikiSearch {
     /// uncached search except for timing. A miss — and every query while
     /// the cache is disabled — runs through the session pool: the warm
     /// path for a sequential caller, a distinct session per query for
-    /// concurrent ones. Queries that normalize to no keywords bypass the
-    /// cache entirely and keep the engine's empty-query behaviour.
+    /// concurrent ones. Queries that normalize to no keywords, and traced
+    /// requests (`params.trace`), bypass the cache entirely: the former
+    /// keep the engine's empty-query behaviour, the latter run live so
+    /// their trace describes the search behind their answers.
     ///
     /// A tripped budget returns `Err` with *no* partial answers, and a
     /// failed search **never populates the result cache** — a later retry
@@ -494,14 +496,7 @@ impl WikiSearch {
     /// bypassed), session checkout, backend dispatch, cache population,
     /// and metrics accounting around all of it.
     pub fn execute(&self, req: &QueryRequest<'_>) -> Result<WikiSearchResult, SearchError> {
-        let explain_params;
-        let (params, use_cache) = if req.explain {
-            explain_params = req.params.clone().with_trace(true);
-            (&explain_params, false)
-        } else {
-            (req.params, true)
-        };
-        let (raw_query, budget) = (req.query, &req.budget);
+        let (raw_query, params, budget) = (req.query, req.params, &req.budget);
         let started = Instant::now();
         let qid = req.qid.unwrap_or_else(|| self.qids.next());
         let _flight = self.telemetry.in_flight().enter();
@@ -509,25 +504,11 @@ impl WikiSearch {
         let query = ParsedQuery::parse(&self.index, raw_query);
         let kwf = query.avg_keyword_frequency();
         let key = match &self.cache {
-            Some(cache) if use_cache && !query.is_empty() => {
+            Some(cache) if !params.trace && !query.is_empty() => {
                 let key = QueryKey::new(textindex::normalize_query(raw_query), params);
                 if let Some(entry) = cache.get(&key) {
                     if let Some(answers) = reorient_answers(&entry, &query) {
                         self.metrics.cache_hits.inc();
-                        // A traced hit reports "cache" as its engine: no
-                        // search ran, so there are no levels to show.
-                        let trace = params.trace.then(|| {
-                            Box::new(QueryTrace {
-                                engine: "cache".to_string(),
-                                keywords: query.num_keywords(),
-                                cache: Some(CacheOutcome::Hit),
-                                qid: Some(qid),
-                                // Provenance: the qid of the search that
-                                // computed the answer being served.
-                                cache_source_qid: Some(entry.qid),
-                                ..QueryTrace::default()
-                            })
-                        });
                         self.metrics.latency_us.record(elapsed_us(started));
                         self.note_recent(qid, started);
                         return Ok(WikiSearchResult {
@@ -537,7 +518,7 @@ impl WikiSearch {
                             profile: entry.profile,
                             kwf,
                             stats: entry.stats.clone(),
-                            trace,
+                            trace: None,
                             degraded: false,
                         });
                     }
@@ -589,22 +570,15 @@ impl WikiSearch {
             }
         };
         let SearchOutcome { answers, profile, stats, mut trace } = outcome;
-        // Stamp the qid and the cache verdict on every trace uniformly,
-        // whichever path computed it (the sharded path already carries
-        // the qid; the value is identical).
+        // Stamp the qid on every trace uniformly, whichever path computed
+        // it (the sharded path already carries it; the value is identical).
         if let Some(t) = trace.as_deref_mut() {
             t.qid = Some(qid);
-            t.cache = Some(if key.is_some() {
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Bypass
-            });
         }
         // A degraded answer is best-effort: caching it would let a later
         // healthy-fleet query serve it as authoritative.
         if let (Some(cache), Some(key), false) = (&self.cache, key, degraded) {
             let entry = CachedSearch {
-                qid,
                 group_terms: query.groups.iter().map(|g| g.term.clone()).collect(),
                 answers: answers.clone(),
                 stats: stats.clone(),
@@ -1128,17 +1102,12 @@ mod tests {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
         ws.search("xml sql rdf"); // populate the cache
-        let explained = ws
-            .execute(&QueryRequest {
-                explain: true,
-                ..QueryRequest::new("xml sql rdf", ws.params())
-            })
-            .unwrap();
+        let traced = ws.params().clone().with_trace(true);
+        let explained = ws.search_with_params("xml sql rdf", &traced);
         let trace = explained.trace.as_deref().unwrap();
         assert_eq!(trace.engine, "Seq");
         assert_eq!(trace.keywords, 3);
-        assert_eq!(trace.cache, Some(CacheOutcome::Bypass), "EXPLAIN never serves from cache");
-        assert!(trace.session_id.is_some());
+        assert!(trace.session_id.is_some(), "a pooled session ran it live");
         assert!(!trace.levels.is_empty());
         for (i, l) in trace.levels.iter().enumerate() {
             assert_eq!(l.level as usize, i);
@@ -1151,83 +1120,72 @@ mod tests {
         let total: u64 = trace.levels.iter().map(|l| l.expansions).sum();
         assert_eq!(total, trace.total_expansions);
         assert!(total > 0, "counting mode must account expansion work");
-        // The cache was untouched: still exactly one entry, zero hits.
+        // The cache was untouched: still exactly one entry, one lookup.
         let stats = ws.cache_stats().unwrap();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.hits, 0);
+        assert_eq!((stats.entries, stats.lookups, stats.hits), (1, 1, 0));
     }
 
+    /// The one switch, `params.trace`, means both things `EXPLAIN` needs:
+    /// the answers come with their trace, and they come from a live
+    /// search — never from the cache, whatever it holds.
     #[test]
     fn execute_keeps_both_meanings_of_its_explain_switch() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
+        let cached = ws.search("xml sql rdf");
+        assert!(cached.trace.is_none(), "untraced by default");
+        let before = ws.cache_stats().unwrap();
         let traced = ws.params().clone().with_trace(true);
-        // explain: false is `search_with_params` bit for bit — a live
-        // search on the miss, from the cache after.
-        let conv = ws.search_with_params("xml sql rdf", &traced);
-        assert_eq!(conv.trace.as_deref().unwrap().cache, Some(CacheOutcome::Miss));
-        let plain = ws.execute(&QueryRequest::new("sql rdf xml", &traced)).unwrap();
-        assert_eq!(plain.trace.as_deref().unwrap().cache, Some(CacheOutcome::Hit));
-        let reference = ws.search_with_params("sql rdf xml", &traced);
-        assert_eq!(digest(&ws, &plain), digest(&ws, &reference));
-        assert_eq!(plain.trace.as_deref().map(|t| &t.engine), Some(&"cache".to_string()));
-        // explain: true forces the full trace without being asked, and
-        // does not touch the cache.
-        let cache = ws.cache_stats().unwrap();
-        let live = ws
-            .execute(&QueryRequest {
-                explain: true,
-                ..QueryRequest::new("xml sql rdf", ws.params())
-            })
-            .unwrap();
-        let trace = live.trace.as_deref().expect("explain traces at any params");
-        assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
+        let live = ws.execute(&QueryRequest::new("sql rdf xml", &traced)).unwrap();
+        let trace = live.trace.as_deref().expect("a traced request is traced");
         assert!(!trace.levels.is_empty(), "a live search ran");
-        assert_eq!(ws.cache_stats().unwrap().lookups, cache.lookups);
-        assert_eq!(digest(&ws, &live), digest(&ws, &conv), "same answers either way");
+        assert_eq!(trace.levels.len(), live.stats.trace.len(), "the trace is this search's");
+        assert_eq!(ws.cache_stats().unwrap().lookups, before.lookups, "the cache was not read");
+        let reference = ws.search("sql rdf xml");
+        assert!(reference.trace.is_none(), "an untraced repeat is a plain hit");
+        assert_eq!(ws.cache_stats().unwrap().hits, before.hits + 1);
+        assert_eq!(digest(&ws, &live), digest(&ws, &reference), "same answers either way");
     }
 
     #[test]
-    fn traced_cache_hits_report_the_cache_as_engine() {
-        let mut ws = small_engine(Backend::Sequential);
-        ws.set_cache_capacity(1 << 20);
-        let traced_params = ws.params().clone().with_trace(true);
-        let miss = ws.search_with_params("xml sql", &traced_params);
-        assert_eq!(miss.trace.as_deref().unwrap().cache, Some(CacheOutcome::Miss));
-        let hit = ws.search_with_params("xml sql", &traced_params);
-        let trace = hit.trace.as_deref().unwrap();
-        assert_eq!(trace.engine, "cache");
-        assert_eq!(trace.cache, Some(CacheOutcome::Hit));
-        assert!(trace.levels.is_empty(), "a hit runs no levels");
-    }
-
-    #[test]
-    fn query_ids_thread_into_traces_and_cache_provenance() {
+    fn traced_requests_never_read_or_fill_the_cache() {
         let mut ws = small_engine(Backend::Sequential);
         ws.set_cache_capacity(1 << 20);
         let traced = ws.params().clone().with_trace(true);
-        let miss = ws.search_with_params("xml sql", &traced);
-        assert!(miss.qid >= 1, "every search gets a qid");
-        let mt = miss.trace.as_deref().unwrap();
-        assert_eq!(mt.qid, Some(miss.qid));
-        assert_eq!(mt.cache_source_qid, None, "a computed answer has no cache provenance");
-        // A reordered duplicate hits the cache and names its source.
-        let hit = ws.search_with_params("sql xml", &traced);
-        assert!(hit.qid > miss.qid, "qids are strictly increasing");
-        let ht = hit.trace.as_deref().unwrap();
-        assert_eq!(ht.engine, "cache");
-        assert_eq!(ht.qid, Some(hit.qid));
-        assert_eq!(ht.cache_source_qid, Some(miss.qid), "the hit names the populating query");
+        for _ in 0..2 {
+            let out = ws.search_with_params("xml sql", &traced);
+            assert_eq!(out.trace.as_deref().unwrap().engine, "Seq", "every trace is a search");
+        }
+        let stats = ws.cache_stats().unwrap();
+        assert_eq!((stats.lookups, stats.entries), (0, 0), "traced requests pass the cache by");
+        let snap = ws.metrics_snapshot();
+        assert_eq!((snap.queries, snap.cache_hits, snap.cache_misses), (2, 0, 0));
+        assert_eq!(ws.session_queries_run(), 2, "both ran on a pooled session");
+    }
+
+    #[test]
+    fn query_ids_thread_into_traces() {
+        let mut ws = small_engine(Backend::Sequential);
+        ws.set_cache_capacity(1 << 20);
+        let traced = ws.params().clone().with_trace(true);
+        let first = ws.search_with_params("xml sql", &traced);
+        assert!(first.qid >= 1, "every search gets a qid");
+        assert_eq!(first.trace.as_deref().unwrap().qid, Some(first.qid));
+        // A cache hit gets a qid of its own, and carries no trace.
+        ws.search("xml sql");
+        let hit = ws.search("sql xml");
+        assert!(hit.qid > first.qid, "qids are strictly increasing");
+        assert_eq!(ws.cache_stats().unwrap().hits, 1);
         // The serving layer's pre-assigned ID is honored verbatim.
         let tagged = ws
             .execute(&QueryRequest { qid: Some(999), ..QueryRequest::new("rdf", &traced) })
             .unwrap();
         assert_eq!(tagged.qid, 999);
         assert_eq!(tagged.trace.as_deref().unwrap().qid, Some(999));
-        // Telemetry observed all three completions; nothing is in flight.
+        // Telemetry observed every completion; nothing is in flight.
         assert!(ws.telemetry().slowest_recent().is_some());
         assert_eq!(ws.telemetry().in_flight().current(), 0);
-        assert!(ws.query_ids_issued() >= 2);
+        assert!(ws.query_ids_issued() >= 3);
     }
 
     #[test]
@@ -1279,12 +1237,7 @@ mod tests {
             Backend::DynPar(2),
         ] {
             let ws = small_engine(backend);
-            let out = ws
-                .execute(&QueryRequest {
-                    explain: true,
-                    ..QueryRequest::new("xml sql rdf", ws.params())
-                })
-                .unwrap();
+            let out = ws.search_with_params("xml sql rdf", &ws.params().clone().with_trace(true));
             let trace = out.trace.as_deref().unwrap_or_else(|| panic!("{backend:?}: no trace"));
             assert!(!trace.levels.is_empty(), "{backend:?}");
             assert!(trace.total_expansions > 0, "{backend:?}");
@@ -1380,26 +1333,16 @@ mod tests {
     #[test]
     fn sharded_explain_names_the_sharded_engine() {
         let ws = small_sharded(Backend::ParCpu(2), 3);
-        let out = ws
-            .execute(&QueryRequest {
-                explain: true,
-                ..QueryRequest::new("xml sql rdf", ws.params())
-            })
-            .unwrap();
+        let out = ws.search_with_params("xml sql rdf", &ws.params().clone().with_trace(true));
         let trace = out.trace.as_deref().unwrap();
         assert_eq!(trace.engine, "CPU-Par[shards=3]");
-        assert_eq!(trace.cache, Some(CacheOutcome::Bypass));
         assert!(trace.session_id.is_none(), "no single session to name");
         assert!(!trace.levels.is_empty());
         assert!(trace.total_expansions > 0);
         // Per-level records match the monolithic engine's exactly.
         let mono = small_engine(Backend::ParCpu(2));
-        let reference = mono
-            .execute(&QueryRequest {
-                explain: true,
-                ..QueryRequest::new("xml sql rdf", mono.params())
-            })
-            .unwrap();
+        let reference =
+            mono.search_with_params("xml sql rdf", &mono.params().clone().with_trace(true));
         assert_eq!(trace.levels, reference.trace.as_deref().unwrap().levels);
     }
 

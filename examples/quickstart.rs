@@ -52,12 +52,14 @@ fn main() {
     println!("reproduced Example 4: central node 'Query language' at depth 4 ✓");
 
     // `search` is a convenience over the one general entry point,
-    // `execute`: a request also carries a budget, a caller-assigned query
-    // ID and the `explain` switch, which returns the per-level trace of a
-    // live run — the bottom-up stage of Example 4, level by level.
-    let request = QueryRequest { explain: true, ..QueryRequest::new(query, ws.params()) };
+    // `execute`: a request also carries a budget and a caller-assigned
+    // query ID, and its parameters carry the trace switch, which returns
+    // the per-level trace of a live run — the bottom-up stage of Example
+    // 4, level by level.
+    let traced = ws.params().clone().with_trace(true);
+    let request = QueryRequest::new(query, &traced);
     let explained = ws.execute(&request).expect("an unlimited budget cannot be exceeded");
-    let trace = explained.trace.expect("explain always traces");
+    let trace = explained.trace.expect("a traced request always traces");
     println!("\nbottom-up levels ({}):", trace.engine);
     for level in &trace.levels {
         println!(

@@ -10,7 +10,8 @@
 //! ways that share a cache key, alternates the (α, A) params with the
 //! case's activation map, flips every third step to `top_k 1, λ 0` (which
 //! must never share an entry with the unflipped params), and runs every
-//! step starved (one expansion) before it runs unlimited.
+//! step starved (one expansion) before it runs unlimited. At telemetry-on
+//! points every odd step is traced, and must pass the cache by.
 //!
 //! The proptest shim does not shrink: every failure names the point's axes,
 //! the step, its raw query and the params it ran under.
@@ -223,12 +224,20 @@ fn stream(
     steps
 }
 
-/// On a telemetry-on point, the result and its trace carry the assigned
-/// qid.
-fn check_qid(got: &WikiSearchResult, qid: Option<u64>, label: &str) -> Result<(), TestCaseError> {
+/// A traced request, and only a traced one, returns a trace; on a
+/// telemetry-on point the result, and its trace if any, carry the
+/// assigned qid.
+fn check_tags(
+    got: &WikiSearchResult,
+    params: &SearchParams,
+    qid: Option<u64>,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.trace.is_some(), params.trace, "trace: {}", label);
     if let Some(qid) = qid {
-        let traced = got.trace.as_ref().and_then(|trace| trace.qid);
-        prop_assert_eq!((got.qid, traced), (qid, Some(qid)), "qid: {}", label);
+        let trace_qid = got.trace.as_ref().map(|trace| trace.qid);
+        let want = (qid, params.trace.then_some(Some(qid)));
+        prop_assert_eq!((got.qid, trace_qid), want, "qid: {}", label);
     }
     Ok(())
 }
@@ -250,7 +259,9 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
                 snapshot: ws.metrics_snapshot(),
             };
             ws.telemetry().record_sample(&sample);
-            traced = step.params.clone().with_trace(true);
+            // Odd steps run traced, so live: even steps keep the cache in
+            // play at cache-on points.
+            traced = step.params.clone().with_trace(n % 2 == 1);
             (&traced, [Some(1_000 + 2 * n as u64), Some(1_001 + 2 * n as u64)])
         } else {
             (&step.params, [None, None])
@@ -258,7 +269,7 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
 
         // Starved first: a failed search caches nothing, so the unlimited
         // request below still computes (or hits an earlier spelling).
-        let hits_before = ws.cache_stats().map(|c| c.hits);
+        let before = ws.cache_stats();
         let request = QueryRequest {
             budget: starved(),
             qid: qids[0],
@@ -266,7 +277,7 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
         };
         match (ws.execute(&request), &step.starved) {
             (Ok(got), Ok(want)) => {
-                check_qid(&got, qids[0], &label)?;
+                check_tags(&got, params, qids[0], &label)?;
                 prop_assert_eq!(&result_digest(&got), want, "starved: {}", label);
             }
             (Err(got), Err(want)) => {
@@ -276,9 +287,9 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
             // A hit is served before the budget is armed: the full answer,
             // from memory, where a search would trip.
             (Ok(got), Err(_)) => {
-                let hit = hits_before.is_some_and(|h| ws.cache_stats().unwrap().hits == h + 1);
+                let hit = before.is_some_and(|b| ws.cache_stats().unwrap().hits == b.hits + 1);
                 prop_assert!(hit, "starved: answered without a cache hit: {}", label);
-                check_qid(&got, qids[0], &label)?;
+                check_tags(&got, params, qids[0], &label)?;
                 prop_assert_eq!(&result_digest(&got), &step.full, "starved hit: {}", label);
             }
             (Err(got), Ok(_)) => {
@@ -290,8 +301,13 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
 
         let request = QueryRequest { qid: qids[1], ..QueryRequest::new(&step.raw, params) };
         let got = ws.execute(&request).map_err(|e| TestCaseError::Fail(format!("{e}: {label}")))?;
-        check_qid(&got, qids[1], &label)?;
+        check_tags(&got, params, qids[1], &label)?;
         prop_assert_eq!(&result_digest(&got), &step.full, "unlimited: {}", label);
+        if params.trace {
+            let lookups = ws.cache_stats().map(|c| c.lookups);
+            let before = before.map(|c| c.lookups);
+            prop_assert_eq!(lookups, before, "a traced request read the cache: {}", label);
+        }
     }
 
     // One pooled session carried the stream in process; a fleet's lanes

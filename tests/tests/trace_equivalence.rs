@@ -126,12 +126,7 @@ fn explain_produces_per_level_traces_on_every_backend() {
         (Backend::DynPar(2), "CPU-Par-d"),
     ] {
         let ws = WikiSearch::build_with(graph.clone(), backend);
-        let result = ws
-            .execute(&QueryRequest {
-                explain: true,
-                ..QueryRequest::new("xml sql rdf", ws.params())
-            })
-            .unwrap();
+        let result = ws.search_with_params("xml sql rdf", &ws.params().clone().with_trace(true));
         let trace = result.trace.as_deref().unwrap_or_else(|| panic!("{name}: no trace"));
         assert_eq!(trace.engine, name);
         assert!(!trace.levels.is_empty(), "{name}: no per-level records");
@@ -153,12 +148,9 @@ fn capped_queries_report_budget_headroom_in_the_trace() {
     b.add_edge(s, q, "rel");
     let ws = WikiSearch::build_with(b.build(), Backend::Sequential);
     let budget = central::QueryBudget::unlimited().with_max_expansions(1_000_000);
+    let traced = ws.params().clone().with_trace(true);
     let result = ws
-        .execute(&QueryRequest {
-            budget,
-            explain: true,
-            ..QueryRequest::new("xml sql", ws.params())
-        })
+        .execute(&QueryRequest { budget, ..QueryRequest::new("xml sql", &traced) })
         .unwrap();
     let trace = result.trace.as_deref().expect("trace");
     assert!(!trace.levels.is_empty());
