@@ -51,6 +51,7 @@ pub use coordinator::{
     RemoteOptions, RemoteStats, ShardAddrs, ShardCoordinator, ShardedOutcome, StaticAddrs,
 };
 pub use frame::{FrameError, MAX_FRAME};
+pub use wire::MAX_THREADS;
 pub use worker::ShardWorker;
 
 #[cfg(test)]

@@ -40,6 +40,13 @@ use textindex::{KeywordGroup, ParsedQuery};
 /// echoes another revision or shard.
 pub const PROTOCOL_VERSION: u32 = 7;
 
+/// Hard cap on [`Start::threads`]: 1024. A worker spawns a `CPU-Par`
+/// query's kernel pool up front, so a peer-supplied count can never make
+/// it spawn more threads than this; it answers a `Start` over the cap with
+/// `bad_request`. The engine's `Backend::parse` refuses the same counts,
+/// so `search` and `serve` fail at start-up rather than on every query.
+pub const MAX_THREADS: usize = 1024;
+
 /// Handshake request.
 pub const OP_HELLO: u8 = 1;
 /// Handshake acknowledgement.

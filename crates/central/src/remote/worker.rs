@@ -360,6 +360,10 @@ impl Conn {
             let message = format!("activation table holds {} levels for {n} nodes", levels.len());
             return Err(ConnError::new("bad_request", message));
         }
+        if start.threads as usize > wire::MAX_THREADS {
+            let message = format!("{} threads exceed the {} cap", start.threads, wire::MAX_THREADS);
+            return Err(ConnError::new("bad_request", message));
+        }
         let query = start.query.to_query();
         let part = &self.worker.part;
         self.state.begin_query(part.graph.num_nodes(), &part.localize_query(&query));
@@ -514,6 +518,42 @@ mod tests {
         let refused = conn.handle(&step, Arrival::default()).err().map(|e| e.code);
         assert_eq!(refused, Some("bad_request"));
         assert_eq!(rows(&conn), before);
+    }
+
+    /// A greeted TCP lane refuses a `CPU-Par` `Start` asking for more
+    /// kernel threads than [`wire::MAX_THREADS`] with `bad_request`, before
+    /// it builds a pool of that size; a count within the cap runs.
+    #[test]
+    fn a_start_over_the_thread_cap_is_refused() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", "alpha"), b.add_node("y", "omega"));
+        b.add_edge(x, y, "e");
+        let g = b.build();
+        let query = ParsedQuery::parse(&InvertedIndex::build(&g), "alpha omega");
+        let mut conn =
+            Conn::new(Arc::new(ShardWorker::new(&g, 1, 0, DEFAULT_PARTITION_SEED)), false);
+        let hello = Hello {
+            version: wire::PROTOCOL_VERSION,
+            shards: 1,
+            shard_index: 0,
+            num_nodes: g.num_nodes() as u64,
+            seed: DEFAULT_PARTITION_SEED,
+        };
+        assert!(conn.handle(&Request::Hello(hello), Arrival::default()).is_ok());
+        let start = |threads| {
+            Request::Start(wire::Start {
+                query: wire::WireQuery::from_query(&query),
+                params: SearchParams::default(),
+                activation: None,
+                backend: "CPU-Par".to_string(),
+                threads,
+                qid: None,
+            })
+        };
+        let over = conn.handle(&start(wire::MAX_THREADS as u32 + 1), Arrival::default());
+        assert_eq!(over.err().map(|e| e.code), Some("bad_request"));
+        assert!(conn.pool.is_none(), "no pool was built for the refused start");
+        assert!(conn.handle(&start(2), Arrival::default()).is_ok());
     }
 
     /// `params.trace` is the lane's one tracing switch: a traced query's

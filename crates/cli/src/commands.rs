@@ -288,10 +288,19 @@ pub(crate) fn budget_from_args(args: &ParsedArgs) -> Result<QueryBudget, String>
 /// parses into the heap. Exactly one of the two must be given; answers
 /// are byte-identical either way.
 pub fn open_engine(args: &ParsedArgs, backend: Backend) -> Result<WikiSearch, String> {
+    match graph_source(args)? {
+        (snap, true) => WikiSearch::open_snapshot(Path::new(snap), backend),
+        (path, false) => Ok(WikiSearch::build_with(read_graph(path)?, backend)),
+    }
+}
+
+/// The dataset `--graph` or `--mmap` names (exactly one of them), and
+/// whether it is a `--mmap` snapshot.
+pub fn graph_source(args: &ParsedArgs) -> Result<(&str, bool), String> {
     match (args.optional("mmap"), args.optional("graph")) {
         (Some(_), Some(_)) => Err("--graph and --mmap are mutually exclusive".into()),
-        (Some(snap), None) => WikiSearch::open_snapshot(Path::new(snap), backend),
-        (None, _) => Ok(WikiSearch::build_with(read_graph(args.required("graph")?)?, backend)),
+        (Some(snap), None) => Ok((snap, true)),
+        (None, _) => Ok((args.required("graph")?, false)),
     }
 }
 

@@ -1,24 +1,7 @@
 //! # wikisearch-cli — command-line interface to the WikiSearch engine
 //!
-//! ```text
-//! wikisearch generate --dataset tiny --out kb.tsv [--entities N] [--seed S]
-//! wikisearch stats    --graph kb.tsv [--pairs N]
-//! wikisearch search   --graph kb.tsv --query "xml rdf sql"
-//!                     [--top-k K] [--alpha A] [--backend seq|cpu|gpu|dyn]
-//!                     [--threads T] [--json true]
-//! wikisearch convert  --in kb.tsv --out kb.bin
-//! wikisearch serve    --graph kb.tsv [--port P] [--backend …]
-//!                     [--workers W] [--max-requests N]
-//!                     [--shard-workers N | --shard-addr a,b,…]
-//!                     [--degraded-answers true] [--rpc-timeout-ms MS]
-//!                     [--rpc-retries N]
-//! wikisearch shard-worker --graph kb.tsv --shards N --shard-index I
-//!                     [--port P] [--watch-stdin true]
-//! wikisearch help
-//! ```
-//!
-//! Graph files are read/written by extension: `.tsv` (the line format of
-//! `kgraph::io`) or `.bin` (the compact format of `kgraph::binio`).
+//! The one synopsis of every command, its flags and the graph formats it
+//! reads is [`commands::HELP`], printed by `wikisearch help`.
 
 #![warn(missing_docs)]
 

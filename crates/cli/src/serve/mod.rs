@@ -234,11 +234,9 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         degraded_answers,
     };
     let supervisor = if shard_workers > 0 {
-        let source = if let Some(path) = args.optional("mmap") {
-            ("--mmap".to_string(), path.to_string())
-        } else {
-            ("--graph".to_string(), args.required("graph")?.to_string())
-        };
+        let (path, mmap) = crate::commands::graph_source(args)?;
+        let flag = if mmap { "--mmap" } else { "--graph" };
+        let source = (flag.to_string(), path.to_string());
         let sup = crate::supervisor::Supervisor::launch(source, shard_workers)?;
         ws.set_remote_shards(shard_workers, sup.addrs(), remote_opts);
         Some(sup)

@@ -68,20 +68,11 @@ impl ShardAddrs for Fleet {
 /// graph-source flag pair, identical across the fleet.
 #[derive(Clone)]
 struct Spec {
+    /// This very executable (`wikisearch`).
     bin: PathBuf,
     /// `("--graph", path)` or `("--mmap", path)`.
     source: (String, String),
     shards: usize,
-}
-
-/// The binary to spawn workers from: the `WIKISEARCH_BIN` override
-/// (tests point it at the built binary; their own executable is the
-/// test harness), else this very executable.
-fn worker_binary() -> Result<PathBuf, String> {
-    if let Some(bin) = std::env::var_os("WIKISEARCH_BIN") {
-        return Ok(bin.into());
-    }
-    std::env::current_exe().map_err(|e| format!("cannot locate the wikisearch binary: {e}"))
 }
 
 /// Spawn one `shard-worker` process and wait (bounded) for its
@@ -166,7 +157,9 @@ impl Supervisor {
     /// monitor. Any worker failing to come up tears the whole launch
     /// down — no half-fleets, no leaked processes.
     pub fn launch(source: (String, String), shards: usize) -> Result<Supervisor, String> {
-        let spec = Spec { bin: worker_binary()?, source, shards };
+        let bin = std::env::current_exe()
+            .map_err(|e| format!("cannot locate the wikisearch binary: {e}"))?;
+        let spec = Spec { bin, source, shards };
         let fleet = Arc::new(Fleet {
             slots: (0..shards)
                 .map(|_| Slot {

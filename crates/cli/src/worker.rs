@@ -22,7 +22,6 @@ use central::ShardWorker;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
-use wikisearch_engine::Backend;
 
 /// `wikisearch shard-worker`: serve one shard of `--shards N` forever
 /// (or until stdin EOF under `--watch-stdin true`).
@@ -42,12 +41,15 @@ pub fn shard_worker(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String
     let port: u16 = args.get_or("port", 0)?;
     let watch_stdin: bool = args.get_or("watch-stdin", false)?;
 
-    // Load the full dataset (heap or mmap) and cut this worker's
-    // partition out of it; the source engine is dropped right after —
-    // the partition is owned.
-    let ws = crate::commands::open_engine(args, Backend::Sequential)?;
-    let worker = Arc::new(ShardWorker::new(ws.graph(), shards, index, DEFAULT_PARTITION_SEED));
-    drop(ws);
+    // Load the full graph (a `--mmap` snapshot through its graph
+    // sections) and cut this worker's partition out of it; the graph is
+    // dropped right after — the partition is owned. A worker needs no
+    // inverted index and no average distance: the coordinator resolves
+    // keywords and parameters.
+    let (path, _) = crate::commands::graph_source(args)?;
+    let graph = crate::commands::read_graph(path)?;
+    let worker = Arc::new(ShardWorker::new(&graph, shards, index, DEFAULT_PARTITION_SEED));
+    drop(graph);
 
     let listener = TcpListener::bind(("127.0.0.1", port))
         .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;

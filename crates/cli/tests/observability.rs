@@ -4,111 +4,28 @@
 //! `EXPLAIN` verb's per-level trace, and the `METRICS` verb's Prometheus
 //! text exposition checked against a hand-rolled line grammar.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::OnceLock;
+mod common;
+
+use common::{connect, graph_file, shared_server, Client, Server};
 use std::time::Duration;
 
-/// One shared server for the whole suite; the thread is leaked and dies
-/// with the test process.
-fn server_port() -> u16 {
-    static PORT: OnceLock<u16> = OnceLock::new();
-    *PORT.get_or_init(|| {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = probe.local_addr().unwrap().port();
-        drop(probe);
-
-        let path = std::env::temp_dir()
-            .join(format!("ws-observability-{}.tsv", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let mut b = kgraph::GraphBuilder::new();
-        let x = b.add_node("x", "xml");
-        let q = b.add_node("q", "query language");
-        let s = b.add_node("s", "sql");
-        let r = b.add_node("r", "rdf");
-        b.add_edge(x, q, "rel");
-        b.add_edge(s, q, "rel");
-        b.add_edge(r, q, "rel");
-        std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-
-        std::thread::spawn(move || {
-            let argv: Vec<String> =
-                format!("serve --graph {path} --port {port} --backend seq --workers 2")
-                    .split_whitespace()
-                    .map(String::from)
-                    .collect();
-            let args = wikisearch_cli::args::parse(&argv).unwrap();
-            let mut out = Vec::new();
-            let _ = wikisearch_cli::serve::serve(&args, &mut out);
-        });
-        for _ in 0..150 {
-            if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-                return port;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("observability server never came up on port {port}");
-    })
+/// Start a dedicated server over the fixture with `flags(&graph)`
+/// appended to the shared server's command line.
+fn dedicated(tag: &str, flags: impl FnOnce(&kgraph::KnowledgeGraph) -> String) -> Client {
+    let kb = graph_file(tag);
+    let flags = flags(&kb.graph);
+    let server =
+        Server::in_process(&format!("serve --graph {kb} --backend seq --workers 2 {flags}"));
+    connect(server.port)
 }
 
-fn connect() -> (TcpStream, BufReader<TcpStream>) {
-    let stream = TcpStream::connect(("127.0.0.1", server_port())).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let reader = BufReader::new(stream.try_clone().unwrap());
-    (stream, reader)
-}
-
-fn request_line(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-    writeln!(stream, "{line}").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    response
-}
-
-/// Boot a dedicated server over the suite's four-node graph with
-/// `flags(&graph)` appended to the common command line, and connect.
-fn boot(
-    tag: &str,
-    flags: impl FnOnce(&kgraph::KnowledgeGraph) -> String,
-) -> (TcpStream, BufReader<TcpStream>) {
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let path = std::env::temp_dir()
-        .join(format!("ws-observability-{tag}-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    let r = b.add_node("r", "rdf");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    b.add_edge(r, q, "rel");
-    let graph = b.build();
-    std::fs::write(&path, kgraph::io::to_tsv(&graph)).unwrap();
-    let flags = flags(&graph);
-    std::thread::spawn(move || {
-        let argv: Vec<String> =
-            format!("serve --graph {path} --port {port} --backend seq --workers 2 {flags}")
-                .split_whitespace()
-                .map(String::from)
-                .collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let _ = wikisearch_cli::serve::serve(&args, &mut out);
-    });
-    for _ in 0..150 {
-        if let Ok(stream) = TcpStream::connect(("127.0.0.1", port)) {
-            stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            return (stream, reader);
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("{tag} observability server never came up on port {port}");
+/// `--shard-addr` naming two in-process workers over `graph` (their
+/// threads are leaked, like the server's, and die with the process).
+fn attached_pair(graph: &kgraph::KnowledgeGraph) -> String {
+    let w = |index| {
+        central::ShardWorker::spawn_local(graph, 2, index, central::shard::DEFAULT_PARTITION_SEED)
+    };
+    format!("--shard-addr {},{}", w(0), w(1))
 }
 
 /// One line per leaf of `v`, in document order: `<verb> <dotted path>
@@ -154,47 +71,29 @@ fn schema_paths(verb: &str, path: &str, v: &serde_json::Value, out: &mut String)
 /// timeline and span), `STATS`, `STATS WINDOW` and `TOP` documents, the
 /// constant error lines verbatim, and every `# HELP` / `# TYPE` line of
 /// `METRICS`.
-fn capture_schema(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) -> String {
-    /// Ask `line`, append the response document's paths under `verb`.
-    fn doc(
-        conn: (&mut TcpStream, &mut BufReader<TcpStream>),
-        verb: &str,
-        line: &str,
-        out: &mut String,
-    ) {
-        let response = request_line(conn.0, conn.1, line);
-        let v: serde_json::Value = serde_json::from_str(&response).unwrap();
-        schema_paths(verb, "", &v, out);
-    }
+fn capture_schema(client: &mut Client) -> String {
     let mut out = String::new();
-    doc((stream, reader), "QUERY", "QUERY xml sql rdf", &mut out);
-    doc((stream, reader), "EXPLAIN", "EXPLAIN xml sql", &mut out);
+    schema_paths("QUERY", "", &client.json("QUERY xml sql rdf"), &mut out);
+    schema_paths("EXPLAIN", "", &client.json("EXPLAIN xml sql"), &mut out);
     for constant in ["BOGUS", "QUERY", "EXPLAIN", "STATS WINDOW", "STATS WINDOW 0"] {
-        let response = request_line(stream, reader, constant);
-        out.push_str(&format!("{constant:?} -> {}\n", response.trim_end()));
+        out.push_str(&format!("{constant:?} -> {}\n", client.request(constant)));
     }
     // The windowed views need two sampler ticks (one interval apart).
     let mut waited = 0;
-    while request_line(stream, reader, "STATS WINDOW 5").contains("window unavailable") {
+    while client.request("STATS WINDOW 5").contains("window unavailable") {
         waited += 1;
         assert!(waited < 100, "the sampler never produced a window");
         std::thread::sleep(Duration::from_millis(100));
     }
-    doc((stream, reader), "STATS", "STATS", &mut out);
-    doc((stream, reader), "STATS-WINDOW", "STATS WINDOW 5", &mut out);
-    doc((stream, reader), "TOP", "TOP", &mut out);
-    writeln!(stream, "METRICS").unwrap();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        if line.trim_end() == "# EOF" {
-            break;
-        }
+    schema_paths("STATS", "", &client.json("STATS"), &mut out);
+    schema_paths("STATS-WINDOW", "", &client.json("STATS WINDOW 5"), &mut out);
+    schema_paths("TOP", "", &client.json("TOP"), &mut out);
+    for line in client.metrics() {
         if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
-            out.push_str(&line);
+            out.push_str(&format!("{line}\n"));
         }
     }
-    writeln!(stream, "QUIT").unwrap();
+    client.send("QUIT");
     out
 }
 
@@ -205,19 +104,13 @@ fn wire_schema_matches_the_committed_golden() {
     // was captured from the hand-built documents the metric table
     // replaced; it is the contract that a renderer change moved no key,
     // no nesting, no number type and no help text.
-    let w = |graph: &kgraph::KnowledgeGraph, index| {
-        central::ShardWorker::spawn_local(graph, 2, index, central::shard::DEFAULT_PARTITION_SEED)
-    };
     let mut servers = [
-        ("plain", boot("golden-plain", |_| String::new())),
-        (
-            "remote",
-            boot("golden-remote", |g| format!("--shard-addr {},{}", w(g, 0), w(g, 1))),
-        ),
+        ("plain", dedicated("golden-plain", |_| String::new())),
+        ("remote", dedicated("golden-remote", attached_pair)),
     ];
     let mut actual = String::new();
-    for (name, (stream, reader)) in &mut servers {
-        actual.push_str(&format!("== {name}\n{}", capture_schema(stream, reader)));
+    for (name, client) in &mut servers {
+        actual.push_str(&format!("== {name}\n{}", capture_schema(client)));
     }
     let golden = include_str!("golden/wire_schema.txt");
     if actual != golden {
@@ -234,77 +127,64 @@ fn wire_schema_matches_the_committed_golden() {
 
 #[test]
 fn stats_document_reports_the_layers_and_the_observed_query() {
-    let (mut stream, mut reader) = connect();
+    let mut client = connect(shared_server());
     // At least one query first, so the histograms are non-degenerate.
-    let answer = request_line(&mut stream, &mut reader, "QUERY xml sql");
+    let answer = client.request("QUERY xml sql");
     assert!(answer.contains("answers"), "{answer}");
 
-    let response = request_line(&mut stream, &mut reader, "STATS");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
+    let doc = client.json("STATS");
     // This server runs without remote workers: `remote` is present but
     // null, like a disabled cache. There is no in-process shard set and
     // no micro-batcher, hence no `shards` or `batch` key at all.
-    assert!(doc.get("shards").is_none(), "{response}");
-    assert!(doc.get("batch").is_none(), "{response}");
-    assert!(doc["remote"].is_null(), "{response}");
+    assert!(doc.get("shards").is_none(), "{doc}");
+    assert!(doc.get("batch").is_none(), "{doc}");
+    assert!(doc["remote"].is_null(), "{doc}");
 
     // This server runs the default sampler cadence, and the query above
     // was tagged with a fleet-wide qid and entered the recent-query ring.
-    assert_eq!(doc["telemetry"]["interval_ms"], 1000u64, "{response}");
-    assert!(doc["telemetry"]["qids_issued"].as_u64().unwrap() >= 1, "{response}");
-    assert_eq!(doc["telemetry"]["in_flight"], 0u64, "{response}");
-    assert!(doc["telemetry"]["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{response}");
+    assert_eq!(doc["telemetry"]["interval_ms"], 1000u64, "{doc}");
+    assert!(doc["telemetry"]["qids_issued"].as_u64().unwrap() >= 1, "{doc}");
+    assert_eq!(doc["telemetry"]["in_flight"], 0u64, "{doc}");
+    assert!(doc["telemetry"]["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{doc}");
 
     // Sanity on the values: the query above was observed.
-    assert!(doc["engine"]["queries"].as_u64().unwrap() >= 1, "{response}");
-    assert!(doc["latency"]["count"].as_u64().unwrap() >= 1, "{response}");
+    assert!(doc["engine"]["queries"].as_u64().unwrap() >= 1, "{doc}");
+    assert!(doc["latency"]["count"].as_u64().unwrap() >= 1, "{doc}");
     let p50 = doc["latency"]["p50_ms"].as_f64().unwrap();
     let p99 = doc["latency"]["p99_ms"].as_f64().unwrap();
-    assert!(p50 > 0.0 && p99 >= p50, "{response}");
-    writeln!(stream, "QUIT").unwrap();
+    assert!(p50 > 0.0 && p99 >= p50, "{doc}");
+    client.send("QUIT");
 }
 
 #[test]
 fn explain_returns_the_per_level_trace_over_the_wire() {
-    let (mut stream, mut reader) = connect();
-    let response = request_line(&mut stream, &mut reader, "EXPLAIN xml sql rdf");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    assert_eq!(doc["answers"][0]["central"], "query language", "{response}");
-    assert_eq!(doc["trace"]["engine"], "Seq", "{response}");
-    assert_eq!(doc["trace"]["keywords"], 3u64, "{response}");
+    let mut client = connect(shared_server());
+    let doc = client.json("EXPLAIN xml sql rdf");
+    assert_eq!(doc["answers"][0]["central"], "query language", "{doc}");
+    assert_eq!(doc["trace"]["engine"], "Seq", "{doc}");
+    assert_eq!(doc["trace"]["keywords"], 3u64, "{doc}");
     let levels = doc["trace"]["levels"].as_array().unwrap();
-    assert!(!levels.is_empty(), "{response}");
+    assert!(!levels.is_empty(), "{doc}");
     for (i, level) in levels.iter().enumerate() {
-        assert_eq!(level["level"].as_u64().unwrap(), i as u64, "{response}");
-        assert!(level["frontier"].as_u64().is_some(), "{response}");
-        assert!(level["new_hits"].as_u64().is_some(), "{response}");
+        assert_eq!(level["level"].as_u64().unwrap(), i as u64, "{doc}");
+        assert!(level["frontier"].as_u64().is_some(), "{doc}");
+        assert!(level["new_hits"].as_u64().is_some(), "{doc}");
     }
     // EXPLAIN with no keywords is an error, like QUERY.
-    let response = request_line(&mut stream, &mut reader, "EXPLAIN");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    assert_eq!(doc["error"], "empty query", "{response}");
-    writeln!(stream, "QUIT").unwrap();
+    let doc = client.json("EXPLAIN");
+    assert_eq!(doc["error"], "empty query", "{doc}");
+    client.send("QUIT");
 }
 
 #[test]
 fn metrics_verb_emits_valid_prometheus_exposition() {
-    let (mut stream, mut reader) = connect();
+    let mut client = connect(shared_server());
     // Give the histograms something to chew on.
     for _ in 0..3 {
-        let answer = request_line(&mut stream, &mut reader, "QUERY xml sql");
+        let answer = client.request("QUERY xml sql");
         assert!(answer.contains("answers"), "{answer}");
     }
-    writeln!(stream, "METRICS").unwrap();
-    let mut lines: Vec<String> = Vec::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end().to_string();
-        if line == "# EOF" {
-            break;
-        }
-        lines.push(line);
-    }
+    let lines = client.metrics();
     assert_prometheus_grammar(&lines);
 
     // The required series families are all present.
@@ -340,70 +220,66 @@ fn metrics_verb_emits_valid_prometheus_exposition() {
     // entirely (mirrors the null STATS block).
     assert!(!text.contains("ws_remote_"), "unexpected remote series:\n{text}");
     // The connection still serves requests after the multi-line response.
-    let response = request_line(&mut stream, &mut reader, "PING");
-    assert_eq!(response.trim(), "PONG");
-    writeln!(stream, "QUIT").unwrap();
+    assert_eq!(client.request("PING"), "PONG");
+    client.send("QUIT");
 }
 
 #[test]
 fn query_and_explain_responses_carry_monotonic_query_ids() {
-    let (mut stream, mut reader) = connect();
-    let answer = request_line(&mut stream, &mut reader, "QUERY xml sql");
+    let mut client = connect(shared_server());
+    let answer = client.request("QUERY xml sql");
     let doc: serde_json::Value = serde_json::from_str(&answer).unwrap();
     let qid = doc["qid"].as_u64().unwrap_or_else(|| panic!("no qid in {answer}"));
     assert!(qid >= 1, "{answer}");
     // EXPLAIN draws from the same fleet-wide generator, and its trace is
     // tagged with the same id the response document carries.
-    let explained = request_line(&mut stream, &mut reader, "EXPLAIN xml sql");
+    let explained = client.request("EXPLAIN xml sql");
     let doc: serde_json::Value = serde_json::from_str(&explained).unwrap();
     let explain_qid = doc["qid"].as_u64().unwrap_or_else(|| panic!("no qid in {explained}"));
     assert!(explain_qid > qid, "ids must be monotonic: {qid} then {explained}");
     assert_eq!(doc["trace"]["qid"], explain_qid, "{explained}");
-    writeln!(stream, "QUIT").unwrap();
+    client.send("QUIT");
 }
 
 #[test]
 fn top_verb_summarizes_the_live_server_on_one_line() {
-    let (mut stream, mut reader) = connect();
-    let answer = request_line(&mut stream, &mut reader, "QUERY xml sql rdf");
+    let mut client = connect(shared_server());
+    let answer = client.request("QUERY xml sql rdf");
     assert!(answer.contains("answers"), "{answer}");
 
-    let response = request_line(&mut stream, &mut reader, "TOP");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-    assert_eq!(doc["in_flight"], 0u64, "{response}");
-    assert!(doc["served"].as_u64().unwrap() >= 1, "{response}");
-    assert!(doc["qids_issued"].as_u64().unwrap() >= 1, "{response}");
+    let doc = client.json("TOP");
+    assert_eq!(doc["in_flight"], 0u64, "{doc}");
+    assert!(doc["served"].as_u64().unwrap() >= 1, "{doc}");
+    assert!(doc["qids_issued"].as_u64().unwrap() >= 1, "{doc}");
     // The query above entered the recent ring, so the slowest-recent
     // pointer names a real qid with a real wall time.
-    assert!(doc["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{response}");
-    assert!(doc["slowest_recent"]["wall_ms"].as_f64().unwrap() >= 0.0, "{response}");
+    assert!(doc["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{doc}");
+    assert!(doc["slowest_recent"]["wall_ms"].as_f64().unwrap() >= 0.0, "{doc}");
     // This server is not remote, so there are no breakers to report.
-    assert!(doc["breakers"].is_null(), "{response}");
+    assert!(doc["breakers"].is_null(), "{doc}");
     // TOP is case-insensitive like the other bare verbs.
-    let response = request_line(&mut stream, &mut reader, "top");
+    let response = client.request("top");
     assert!(response.contains("qids_issued"), "{response}");
-    writeln!(stream, "QUIT").unwrap();
+    client.send("QUIT");
 }
 
 #[test]
 fn stats_window_grammar_is_enforced_over_the_wire() {
-    let (mut stream, mut reader) = connect();
+    let mut client = connect(shared_server());
     for bad in ["STATS WINDOW", "STATS WINDOW 0", "STATS WINDOW five", "STATS WINDOWS 5"] {
-        let response = request_line(&mut stream, &mut reader, bad);
-        let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
-        assert!(doc["error"].as_str().is_some(), "{bad:?} must be rejected: {response}");
+        let doc = client.json(bad);
+        assert!(doc["error"].as_str().is_some(), "{bad:?} must be rejected: {doc}");
     }
     // A well-formed window request answers either the windowed document
     // or the structured "window unavailable" refusal — never a grammar
     // error — depending on whether the sampler has two samples yet.
-    let response = request_line(&mut stream, &mut reader, "STATS WINDOW 5");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
+    let doc = client.json("STATS WINDOW 5");
     if doc.get("error").is_some() {
-        assert_eq!(doc["error"], "window unavailable", "{response}");
+        assert_eq!(doc["error"], "window unavailable", "{doc}");
     } else {
-        assert_eq!(doc["window_s"], 5u64, "{response}");
+        assert_eq!(doc["window_s"], 5u64, "{doc}");
     }
-    writeln!(stream, "QUIT").unwrap();
+    client.send("QUIT");
 }
 
 #[test]
@@ -411,67 +287,25 @@ fn stats_window_reports_recent_rates_not_lifetime_totals() {
     // A dedicated server with a fast sampler: load in the distant past
     // (more than one window ago) must age out of `STATS WINDOW 1` while
     // cumulative STATS keeps counting it forever.
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let path = std::env::temp_dir()
-        .join(format!("ws-observability-window-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    let r = b.add_node("r", "rdf");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    b.add_edge(r, q, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-    let graph_arg = path.clone();
-    std::thread::spawn(move || {
-        let argv: Vec<String> = format!(
-            "serve --graph {graph_arg} --port {port} --backend seq --workers 2 \
-             --telemetry-interval-ms 50 --cache-capacity 0"
-        )
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let _ = wikisearch_cli::serve::serve(&args, &mut out);
-    });
-    let mut stream = {
-        let mut connected = None;
-        for _ in 0..150 {
-            if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-                connected = Some(s);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        connected.expect("windowed observability server never came up")
-    };
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut client =
+        dedicated("window", |_| "--telemetry-interval-ms 50 --cache-capacity 0".to_string());
 
     // A burst of old load, then let it age past the 1-second window.
     for _ in 0..6 {
-        let answer = request_line(&mut stream, &mut reader, "QUERY xml sql rdf");
+        let answer = client.request("QUERY xml sql rdf");
         assert!(answer.contains("answers"), "{answer}");
     }
     std::thread::sleep(Duration::from_millis(1400));
 
     // Fresh load inside the window, plus one sampler tick to capture it.
     for _ in 0..2 {
-        let answer = request_line(&mut stream, &mut reader, "QUERY xml sql");
+        let answer = client.request("QUERY xml sql");
         assert!(answer.contains("answers"), "{answer}");
     }
     std::thread::sleep(Duration::from_millis(150));
 
-    let windowed: serde_json::Value =
-        serde_json::from_str(&request_line(&mut stream, &mut reader, "STATS WINDOW 1")).unwrap();
-    let cumulative: serde_json::Value =
-        serde_json::from_str(&request_line(&mut stream, &mut reader, "STATS")).unwrap();
+    let windowed = client.json("STATS WINDOW 1");
+    let cumulative = client.json("STATS");
 
     let window_queries = windowed["queries"].as_u64().unwrap_or_else(|| panic!("{windowed}"));
     let total_queries = cumulative["engine"]["queries"].as_u64().unwrap();
@@ -484,8 +318,7 @@ fn stats_window_reports_recent_rates_not_lifetime_totals() {
     // The windowed latency histogram covers the windowed queries only.
     assert_eq!(windowed["latency"]["count"], windowed["queries"], "{windowed}");
     assert!(windowed["qps"].as_f64().unwrap() > 0.0, "{windowed}");
-    writeln!(stream, "QUIT").unwrap();
-    let _ = std::fs::remove_file(path);
+    client.send("QUIT");
 }
 
 #[test]
@@ -495,86 +328,26 @@ fn remote_server_exposes_per_shard_breaker_and_rpc_counters() {
     // block counts the RPCs and METRICS gains the
     // ws_remote_* series — including the labeled per-shard breaker
     // gauge — still under the same exposition grammar.
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let path = std::env::temp_dir()
-        .join(format!("ws-observability-remote-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    let r = b.add_node("r", "rdf");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    b.add_edge(r, q, "rel");
-    let graph = b.build();
-    std::fs::write(&path, kgraph::io::to_tsv(&graph)).unwrap();
+    let mut client = dedicated("remote", attached_pair);
 
-    // Two in-process workers over the same dataset (the worker threads
-    // are leaked, like the server thread; they die with the process).
-    let w0 =
-        central::ShardWorker::spawn_local(&graph, 2, 0, central::shard::DEFAULT_PARTITION_SEED);
-    let w1 =
-        central::ShardWorker::spawn_local(&graph, 2, 1, central::shard::DEFAULT_PARTITION_SEED);
-
-    std::thread::spawn(move || {
-        let argv: Vec<String> = format!(
-            "serve --graph {path} --port {port} --backend seq --workers 2 \
-             --shard-addr {w0},{w1}"
-        )
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let _ = wikisearch_cli::serve::serve(&args, &mut out);
-    });
-    let mut stream = {
-        let mut connected = None;
-        for _ in 0..150 {
-            if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-                connected = Some(s);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        connected.expect("remote observability server never came up")
-    };
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-
-    let answer = request_line(&mut stream, &mut reader, "QUERY xml sql rdf");
+    let answer = client.request("QUERY xml sql rdf");
     assert!(answer.contains("answers"), "{answer}");
     // Remote answers over a healthy fleet are full-fidelity.
     let doc: serde_json::Value = serde_json::from_str(&answer).unwrap();
     assert_eq!(doc["degraded"], false, "{answer}");
 
-    let response = request_line(&mut stream, &mut reader, "STATS");
-    let doc: serde_json::Value = serde_json::from_str(&response).unwrap();
+    let doc = client.json("STATS");
     let remote = &doc["remote"];
-    assert_eq!(remote["shards"], 2u64, "{response}");
-    assert!(remote["rpcs"].as_u64().unwrap() >= 2, "{response}");
-    assert_eq!(remote["degraded_queries"], 0u64, "{response}");
-    assert_eq!(remote["breaker"], serde_json::json!(["closed", "closed"]), "{response}");
+    assert_eq!(remote["shards"], 2u64, "{doc}");
+    assert!(remote["rpcs"].as_u64().unwrap() >= 2, "{doc}");
+    assert_eq!(remote["degraded_queries"], 0u64, "{doc}");
+    assert_eq!(remote["breaker"], serde_json::json!(["closed", "closed"]), "{doc}");
     // Attached (unsupervised) workers: no fleet block.
-    assert!(remote["workers"].is_null(), "{response}");
+    assert!(remote["workers"].is_null(), "{doc}");
     // Remote serving bypasses the session pool.
-    assert_eq!(doc["pool"]["queries_run"], 0u64, "{response}");
+    assert_eq!(doc["pool"]["queries_run"], 0u64, "{doc}");
 
-    writeln!(stream, "METRICS").unwrap();
-    let mut lines: Vec<String> = Vec::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end().to_string();
-        if line == "# EOF" {
-            break;
-        }
-        lines.push(line);
-    }
+    let lines = client.metrics();
     assert_prometheus_grammar(&lines);
     let text = lines.join("\n");
     for series in [
@@ -595,7 +368,7 @@ fn remote_server_exposes_per_shard_breaker_and_rpc_counters() {
     ] {
         assert!(text.contains(series), "missing series {series}:\n{text}");
     }
-    writeln!(stream, "QUIT").unwrap();
+    client.send("QUIT");
 }
 
 /// A hand-rolled check of the Prometheus text exposition line grammar

@@ -3,54 +3,11 @@
 //! structured JSON error for garbage — and must never crash the server
 //! or desynchronize the connection.
 
+mod common;
+
+use common::{connect, shared_server};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::OnceLock;
-use std::time::Duration;
-
-/// One shared server for every fuzz case (each case opens its own
-/// connection). The thread is deliberately leaked; it dies with the test
-/// process.
-fn server_port() -> u16 {
-    static PORT: OnceLock<u16> = OnceLock::new();
-    *PORT.get_or_init(|| {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = probe.local_addr().unwrap().port();
-        drop(probe);
-
-        let path = std::env::temp_dir()
-            .join(format!("ws-proto-{}.tsv", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let mut b = kgraph::GraphBuilder::new();
-        let x = b.add_node("x", "xml");
-        let q = b.add_node("q", "query language");
-        let s = b.add_node("s", "sql");
-        b.add_edge(x, q, "rel");
-        b.add_edge(s, q, "rel");
-        std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-
-        std::thread::spawn(move || {
-            let argv: Vec<String> =
-                format!("serve --graph {path} --port {port} --backend seq --workers 2")
-                    .split_whitespace()
-                    .map(String::from)
-                    .collect();
-            let args = wikisearch_cli::args::parse(&argv).unwrap();
-            let mut out = Vec::new();
-            let _ = wikisearch_cli::serve::serve(&args, &mut out);
-        });
-        for _ in 0..150 {
-            if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-                return port;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("fuzz server never came up on port {port}");
-    })
-}
 
 /// Make raw fuzz bytes into exactly one request line that expects one
 /// response: strip newlines (they would split the request) and dodge the
@@ -76,35 +33,18 @@ proptest! {
     fn every_request_line_gets_exactly_one_response_line(
         raw_lines in vec(vec(0u8..=255u8, 0..120), 1..8),
     ) {
-        let port = server_port();
-        let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-
+        let mut client = connect(shared_server());
         for raw in raw_lines {
             let request = as_request_line(raw);
-            stream.write_all(&request).unwrap();
-            stream.write_all(b"\n").unwrap();
-
-            let mut response = String::new();
-            reader
-                .read_line(&mut response)
-                .unwrap_or_else(|e| panic!("no response to {request:?}: {e}"));
-            assert!(
-                response.ends_with('\n'),
-                "connection closed mid-response to {request:?}: {response:?}"
-            );
-            let response = response.trim_end();
+            let response = client.request(&request);
             let valid = response == "PONG"
-                || serde_json::from_str::<serde_json::Value>(response).is_ok();
+                || serde_json::from_str::<serde_json::Value>(&response).is_ok();
             assert!(valid, "unparseable response to {request:?}: {response:?}");
         }
 
         // The connection survived the garbage: a real query still works.
-        writeln!(stream, "QUERY xml sql").unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
+        let response = client.request("QUERY xml sql");
         assert!(response.contains("answers"), "{response}");
-        writeln!(stream, "QUIT").unwrap();
+        client.send("QUIT");
     }
 }

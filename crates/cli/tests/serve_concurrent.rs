@@ -6,23 +6,10 @@
 //! property: pooled sessions + connection workers must not change a
 //! single answer.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use wikisearch_engine::{Backend, WikiSearch};
+mod common;
 
-/// Serialize a response document with its volatile fields removed (the
-/// `ms` timing and the arrival-ordered `qid`), so two docs can be
-/// compared byte-for-byte.
-fn without_ms(doc: &serde_json::Value) -> String {
-    match doc {
-        serde_json::Value::Object(entries) => {
-            let kept: Vec<(String, serde_json::Value)> =
-                entries.iter().filter(|(k, _)| k != "ms" && k != "qid").cloned().collect();
-            serde_json::Value::Object(kept).to_string()
-        }
-        other => other.to_string(),
-    }
-}
+use common::{connect, graph_file, normalized, Server};
+use wikisearch_engine::{Backend, WikiSearch};
 
 /// The exact response document `serve` produces for one query (minus
 /// timing), computed through the public engine API.
@@ -41,12 +28,13 @@ fn expected_response(ws: &WikiSearch, q: &str) -> String {
             })
         })
         .collect();
-    without_ms(&serde_json::json!({
+    let doc = serde_json::json!({
         "query": q,
         "answers": answers,
         "unmatched": result.query.unmatched,
         "degraded": result.degraded,
-    }))
+    });
+    normalized(&doc.to_string())
 }
 
 #[test]
@@ -80,49 +68,27 @@ fn concurrent_clients_get_sequential_answers() {
     let expected: Vec<String> = queries.iter().map(|q| expected_response(&reference, q)).collect();
 
     // Spawn the server in-process, draining after exactly `total` queries.
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let argv: Vec<String> = format!(
-        "serve --graph {path} --port {port} --backend seq --workers 4 --max-requests {total}"
-    )
-    .split_whitespace()
-    .map(String::from)
-    .collect();
-    let server = std::thread::spawn(move || {
-        let mut out = Vec::new();
-        let code = wikisearch_cli::run(&argv, &mut out);
-        (code, String::from_utf8(out).unwrap())
-    });
+    let server = Server::in_process(&format!(
+        "serve --graph {path} --backend seq --workers 4 --max-requests {total}"
+    ));
 
     // 4 clients, queries dealt round-robin, all connections interleaved.
     let got: Vec<(usize, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|client| {
                 let queries = &queries;
+                let port = server.port;
                 scope.spawn(move || {
-                    let mut stream = None;
-                    for _ in 0..100 {
-                        if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-                            stream = Some(s);
-                            break;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    let mut stream = stream.expect("server reachable");
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut conn = connect(port);
                     let mut responses = Vec::new();
                     for (qi, q) in queries.iter().enumerate() {
                         if qi % 4 != client {
                             continue;
                         }
-                        writeln!(stream, "QUERY {q}").unwrap();
-                        let mut line = String::new();
-                        reader.read_line(&mut line).unwrap();
-                        responses.push((qi, line));
+                        responses.push((qi, conn.request(format!("QUERY {q}"))));
                         std::thread::yield_now();
                     }
-                    let _ = writeln!(stream, "QUIT");
+                    conn.send("QUIT");
                     responses
                 })
             })
@@ -130,7 +96,7 @@ fn concurrent_clients_get_sequential_answers() {
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
 
-    let (code, log) = server.join().unwrap();
+    let (code, log) = server.drain();
     assert_eq!(code, 0, "{log}");
     assert!(log.contains(&format!("served {total} queries")), "{log}");
 
@@ -140,7 +106,7 @@ fn concurrent_clients_get_sequential_answers() {
             .unwrap_or_else(|e| panic!("query {qi}: bad JSON {e}: {line}"));
         assert!(doc.get("error").is_none(), "query {qi} errored: {line}");
         assert_eq!(
-            without_ms(&doc),
+            normalized(line),
             expected[*qi],
             "query {qi} ({:?}) diverged from the sequential reference",
             queries[*qi]
@@ -157,51 +123,15 @@ fn concurrent_clients_get_sequential_answers() {
 /// the same answers while still echoing its own raw query string.
 #[test]
 fn error_paths_and_stats_are_one_line_json() {
-    let path = std::env::temp_dir()
-        .join(format!("ws-serve-stats-{}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-
-    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    let argv: Vec<String> = format!(
-        "serve --graph {path} --port {port} --backend seq --max-requests 4 --cache-capacity 64k"
-    )
-    .split_whitespace()
-    .map(String::from)
-    .collect();
-    let server = std::thread::spawn(move || {
-        let mut out = Vec::new();
-        let code = wikisearch_cli::run(&argv, &mut out);
-        (code, String::from_utf8(out).unwrap())
-    });
-
-    let mut stream = None;
-    for _ in 0..100 {
-        if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-            stream = Some(s);
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    let mut stream = stream.expect("server reachable");
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let kb = graph_file("stats");
+    let server = Server::in_process(&format!(
+        "serve --graph {kb} --backend seq --max-requests 4 --cache-capacity 64k"
+    ));
+    let mut client = connect(server.port);
     let mut send = |req: &str| -> serde_json::Value {
-        writeln!(stream, "{req}").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.ends_with('\n'), "{req}: response is one full line");
-        assert_eq!(line.trim_end().lines().count(), 1, "{req}: single line");
-        serde_json::from_str(line.trim_end())
-            .unwrap_or_else(|e| panic!("{req}: bad JSON {e}: {line}"))
+        let line = client.request(req);
+        assert_eq!(line.lines().count(), 1, "{req}: single line");
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("{req}: bad JSON {e}: {line}"))
     };
 
     // Unknown command and empty query: JSON errors, never dropped.
@@ -246,8 +176,7 @@ fn error_paths_and_stats_are_one_line_json() {
     assert_eq!(repeat["query"].as_str(), Some("the xml of sql"));
     assert_eq!(repeat["answers"], first["answers"]);
 
-    let (code, log) = server.join().unwrap();
+    let (code, log) = server.drain();
     assert_eq!(code, 0, "{log}");
     assert!(log.contains("served 4 queries"), "{log}");
-    let _ = std::fs::remove_file(path);
 }

@@ -4,56 +4,9 @@
 //! by `build-snapshot`, then served straight from the mapping — and its
 //! answers match a heap-backed server over the same graph byte for byte.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+mod common;
 
-fn run_cli(line: &str) -> (i32, String) {
-    let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-    let mut out = Vec::new();
-    let code = wikisearch_cli::run(&argv, &mut out);
-    (code, String::from_utf8(out).unwrap())
-}
-
-fn free_port() -> u16 {
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    port
-}
-
-/// Start `serve` with the given source flag in a background thread and
-/// wait for it to accept connections. `--max-requests` bounds its life.
-fn spawn_server(source: &str, max_requests: usize) -> u16 {
-    let port = free_port();
-    let line = format!(
-        "serve {source} --port {port} --backend seq --workers 2 --max-requests {max_requests}"
-    );
-    std::thread::spawn(move || {
-        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let _ = wikisearch_cli::serve::serve(&args, &mut out);
-    });
-    for _ in 0..250 {
-        if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return port;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("server never came up on port {port}");
-}
-
-fn request_line(port: u16, line: &str) -> String {
-    let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "{line}").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
-    response
-}
+use common::{connect, normalized, run_cli, Server};
 
 fn tmp(name: &str) -> String {
     std::env::temp_dir()
@@ -76,33 +29,25 @@ fn mmap_server_cold_starts_and_matches_the_heap_server() {
 
     // Cold start: the mmap server's very first request is a query, and
     // it must be answered (no warm-up, no rebuild step in between).
-    let mmap_port = spawn_server(&format!("--mmap {snap}"), 3);
-    let first = request_line(mmap_port, "QUERY learning");
+    let serve = "serve --backend seq --workers 2 --max-requests";
+    let mmap = Server::in_process(&format!("{serve} 3 --mmap {snap}"));
+    let first = connect(mmap.port).request("QUERY learning");
     let first_doc: serde_json::Value = serde_json::from_str(&first).unwrap();
     assert!(first_doc["answers"].is_array(), "first answer straight from the map: {first}");
 
     // STATS reports the backing.
-    let stats = request_line(mmap_port, "STATS");
-    let stats_doc: serde_json::Value = serde_json::from_str(&stats).unwrap();
-    assert_eq!(stats_doc["memory_mapped"], serde_json::json!(true), "{stats}");
+    let stats_doc = connect(mmap.port).json("STATS");
+    assert_eq!(stats_doc["memory_mapped"], serde_json::json!(true), "{stats_doc}");
 
     // A heap server over the same dataset answers identically.
-    let heap_port = spawn_server(&format!("--graph {tsv}"), 2);
-    let heap_stats = request_line(heap_port, "STATS");
-    let heap_doc: serde_json::Value = serde_json::from_str(&heap_stats).unwrap();
-    assert_eq!(heap_doc["memory_mapped"], serde_json::json!(false), "{heap_stats}");
+    let heap = Server::in_process(&format!("{serve} 2 --graph {tsv}"));
+    let heap_doc = connect(heap.port).json("STATS");
+    assert_eq!(heap_doc["memory_mapped"], serde_json::json!(false), "{heap_doc}");
     for query in ["QUERY learning", "QUERY network language"] {
-        let mut a: serde_json::Value =
-            serde_json::from_str(&request_line(mmap_port, query)).unwrap();
-        let mut b: serde_json::Value =
-            serde_json::from_str(&request_line(heap_port, query)).unwrap();
         // Wall-clock and per-server query ids legitimately differ; every
         // answer byte must not.
-        for doc in [&mut a, &mut b] {
-            if let serde_json::Value::Object(entries) = doc {
-                entries.retain(|(k, _)| k != "ms" && k != "qid");
-            }
-        }
+        let a = normalized(&connect(mmap.port).request(query));
+        let b = normalized(&connect(heap.port).request(query));
         assert_eq!(a, b, "{query} diverged between backings");
     }
 

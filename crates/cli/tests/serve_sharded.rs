@@ -4,42 +4,18 @@
 //! default) and either worker link — before any listener is bound or any
 //! worker is forked, while `search` still runs them.
 
+mod common;
+
+use common::{free_port, graph_file, run_cli};
 use std::net::TcpListener;
-
-fn free_port() -> u16 {
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    port
-}
-
-fn graph_file(tag: &str) -> String {
-    let path = std::env::temp_dir()
-        .join(format!("ws-shardserve-{}-{tag}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-    path
-}
 
 /// Run the CLI in process with a fresh `--port`; returns its exit code and
 /// output once it is back, having checked that no listener was left bound.
 fn run_refused(argv_line: &str) -> (i32, String) {
     let port = free_port();
-    let argv: Vec<String> = format!("{argv_line} --port {port}")
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let mut out = Vec::new();
-    let code = wikisearch_cli::run(&argv, &mut out);
+    let refused = run_cli(&format!("{argv_line} --port {port}"));
     TcpListener::bind(("127.0.0.1", port)).expect("the refused server bound no listener");
-    (code, String::from_utf8(out).unwrap())
+    refused
 }
 
 const SOLO_ONLY: &str = "error: serving and sharding run --backend seq or cpu";
@@ -47,18 +23,14 @@ const SOLO_ONLY: &str = "error: serving and sharding run --backend seq or cpu";
 /// `serve --backend {backend}` is refused on each of `links`, with the
 /// reason; `search --backend {backend}` still answers.
 fn assert_serve_refuses(backend: &str, links: &[&str]) {
-    let path = graph_file(&format!("refuse-{backend}"));
+    let kb = graph_file(&format!("refuse-{backend}"));
     for link in links {
-        let (code, out) = run_refused(&format!("serve --graph {path} --backend {backend} {link}"));
+        let (code, out) = run_refused(&format!("serve --graph {kb} --backend {backend} {link}"));
         assert_eq!(code, 1, "{backend} {link}: {out}");
         assert!(out.starts_with(SOLO_ONLY), "{backend} {link}: {out}");
     }
-    let search: Vec<String> = format!("search --graph {path} --query xml --backend {backend}")
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    assert_eq!(wikisearch_cli::run(&search, &mut Vec::new()), 0, "search --backend {backend}");
-    let _ = std::fs::remove_file(path);
+    let (code, out) = run_cli(&format!("search --graph {kb} --query xml --backend {backend}"));
+    assert_eq!(code, 0, "search --backend {backend}: {out}");
 }
 
 /// `gpu` is a solo engine: the in-process shard refuses it — by default

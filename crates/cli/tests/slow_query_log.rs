@@ -12,100 +12,49 @@
 
 #![cfg(feature = "fault-inject")]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+mod common;
 
-fn free_port() -> u16 {
-    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-    let port = probe.local_addr().unwrap().port();
-    drop(probe);
-    port
-}
-
-fn graph_file(tag: &str) -> String {
-    let path = std::env::temp_dir()
-        .join(format!("ws-slowlog-{}-{tag}.tsv", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    let mut b = kgraph::GraphBuilder::new();
-    let x = b.add_node("x", "xml");
-    let q = b.add_node("q", "query language");
-    let s = b.add_node("s", "sql");
-    b.add_edge(x, q, "rel");
-    b.add_edge(s, q, "rel");
-    std::fs::write(&path, kgraph::io::to_tsv(&b.build())).unwrap();
-    path
-}
-
-fn connect(port: u16) -> TcpStream {
-    for _ in 0..150 {
-        if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            return s;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("server not reachable on port {port}");
-}
+use common::{connect, graph_file, Server};
+use std::time::Instant;
 
 #[test]
 fn slow_queries_are_logged_once_with_their_phases_and_accurate_timing() {
-    let graph = graph_file("e2e");
+    let kb = graph_file("e2e");
     let log_path = std::env::temp_dir()
         .join(format!("ws-slowlog-{}-e2e.jsonl", std::process::id()))
         .to_string_lossy()
         .into_owned();
     let _ = std::fs::remove_file(&log_path);
-    let port = free_port();
-
-    let argv_line = format!(
-        "serve --graph {graph} --port {port} --backend seq --workers 2 --max-requests 4 \
+    let server = Server::in_process(&format!(
+        "serve --graph {kb} --backend seq --workers 2 --max-requests 4 \
          --slow-query-ms 100 --slow-query-log {log_path}"
-    );
-    let server = std::thread::spawn(move || {
-        let argv: Vec<String> = argv_line.split_whitespace().map(String::from).collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        wikisearch_cli::serve::serve(&args, &mut out).unwrap();
-        String::from_utf8(out).unwrap()
-    });
-
-    let mut stream = connect(port);
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
+    ));
+    let mut client = connect(server.port);
 
     // Two fast queries: answered normally, nothing logged.
     for _ in 0..2 {
-        line.clear();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
+        let line = client.request("QUERY xml sql");
         assert!(line.contains("answers"), "{line}");
     }
 
     // One stalled query, well past the 100 ms threshold. The token
     // matches no keyword, so the query itself succeeds with no answers.
-    line.clear();
-    writeln!(stream, "QUERY fault0sleep300").unwrap();
+    client.send("QUERY fault0sleep300");
     let client_clock = Instant::now();
-    reader.read_line(&mut line).unwrap();
+    let line = client.line();
     let client_ms = client_clock.elapsed().as_secs_f64() * 1e3;
     let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
     assert!(doc["answers"].is_array(), "{line}");
 
     // STATS sees exactly one slow query.
-    line.clear();
-    writeln!(stream, "STATS").unwrap();
-    reader.read_line(&mut line).unwrap();
-    let stats: serde_json::Value = serde_json::from_str(&line).unwrap();
-    assert_eq!(stats["slow_queries"], 1u64, "{line}");
+    let stats = client.json("STATS");
+    assert_eq!(stats["slow_queries"], 1u64, "{stats}");
 
     // One more fast query reaches --max-requests and drains the server.
-    line.clear();
-    writeln!(stream, "QUERY xml sql").unwrap();
-    reader.read_line(&mut line).unwrap();
+    let line = client.request("QUERY xml sql");
     assert!(line.contains("answers"), "{line}");
-    let log = server.join().unwrap();
+    let (code, log) = server.drain();
+    assert_eq!(code, 0, "{log}");
     assert!(log.contains("served 4 queries"), "{log}");
 
     // Exactly one well-formed log line, for the stalled query only.
@@ -138,47 +87,32 @@ fn slow_queries_are_logged_once_with_their_phases_and_accurate_timing() {
         "logged ms too far below client latency: {logged_ms} vs {client_ms}"
     );
 
-    let _ = std::fs::remove_file(&graph);
     let _ = std::fs::remove_file(&log_path);
 }
 
 #[test]
 fn fast_queries_leave_the_log_empty() {
-    let graph = graph_file("quiet");
+    let kb = graph_file("quiet");
     let log_path = std::env::temp_dir()
         .join(format!("ws-slowlog-{}-quiet.jsonl", std::process::id()))
         .to_string_lossy()
         .into_owned();
     let _ = std::fs::remove_file(&log_path);
-    let port = free_port();
-
-    let argv_line = format!(
-        "serve --graph {graph} --port {port} --backend seq --max-requests 2 \
+    let server = Server::in_process(&format!(
+        "serve --graph {kb} --backend seq --max-requests 2 \
          --slow-query-ms 10000 --slow-query-log {log_path}"
-    );
-    let server = std::thread::spawn(move || {
-        let argv: Vec<String> = argv_line.split_whitespace().map(String::from).collect();
-        let args = wikisearch_cli::args::parse(&argv).unwrap();
-        let mut out = Vec::new();
-        wikisearch_cli::serve::serve(&args, &mut out).unwrap();
-        String::from_utf8(out).unwrap()
-    });
-
-    let mut stream = connect(port);
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
+    ));
+    let mut client = connect(server.port);
     for _ in 0..2 {
-        line.clear();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
+        let line = client.request("QUERY xml sql");
         assert!(line.contains("answers"), "{line}");
     }
-    writeln!(stream, "QUIT").unwrap();
-    server.join().unwrap();
+    client.send("QUIT");
+    let (code, log) = server.drain();
+    assert_eq!(code, 0, "{log}");
 
     let text = std::fs::read_to_string(&log_path).unwrap_or_default();
     assert!(text.is_empty(), "no query crossed 10 s, log must be empty:\n{text}");
 
-    let _ = std::fs::remove_file(&graph);
     let _ = std::fs::remove_file(&log_path);
 }

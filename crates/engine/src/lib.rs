@@ -81,10 +81,15 @@ impl Backend {
     /// Parse a backend name (`seq` | `cpu` | `gpu` | `dyn`) with an
     /// explicit thread count for the parallel engines. This is the one
     /// place backend strings are interpreted — the CLI's `search` and
-    /// `serve` both route through it.
+    /// `serve` both route through it. The thread count is 1 to
+    /// [`central::remote::MAX_THREADS`], the count a shard worker accepts.
     pub fn parse(name: &str, threads: usize) -> Result<Backend, String> {
         if threads == 0 {
             return Err(format!("backend {name:?}: thread count must be >= 1"));
+        }
+        if threads > central::remote::MAX_THREADS {
+            let max = central::remote::MAX_THREADS;
+            return Err(format!("backend {name:?}: thread count must be <= {max}"));
         }
         match name {
             "seq" => Ok(Backend::Sequential),
@@ -878,6 +883,7 @@ mod tests {
         assert_eq!(Backend::parse("dyn", 2).unwrap(), Backend::DynPar(2));
         assert!(Backend::parse("cuda", 2).unwrap_err().contains("unknown backend"));
         assert!(Backend::parse("cpu", 0).unwrap_err().contains(">= 1"));
+        assert!(Backend::parse("cpu", 1025).unwrap_err().contains("<= 1024"));
     }
 
     #[test]
