@@ -19,9 +19,7 @@
 //!
 //! Every binary above prints paper-style tables and writes a JSON record
 //! under `target/experiments/`. Serving is measured by the wire ledger
-//! (`benchmark/`), not here; the one exception is `telemetry_guard`, the
-//! CI check that the always-on telemetry surface keeps >= 98 % of the
-//! bare engine's qps. Environment knobs:
+//! (`benchmark/`), not here. Environment knobs:
 //!
 //! * `WIKISEARCH_SCALE` — dataset size multiplier (default 1.0);
 //! * `WIKISEARCH_QUERIES` — queries per datapoint (default 10; the paper

@@ -107,5 +107,5 @@ pub use remote::{
 };
 pub use session::SearchSession;
 pub use shard::{ShardBackend, ShardPlan, ShardedStats};
-pub use telemetry::{InFlight, QueryIdGen, Telemetry, TelemetrySample, WindowDelta};
+pub use telemetry::{InFlight, QueryIdGen};
 pub use trace::{QueryTrace, ShardSpan, ShardTimeline, TraceLevelRecord};

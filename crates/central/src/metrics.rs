@@ -27,6 +27,10 @@
 //! and budget-trip counters. The serving layer renders the snapshot as
 //! JSON (`STATS`) or Prometheus text exposition format (`METRICS`) via
 //! [`prometheus_counter`] / [`prometheus_histogram`].
+//!
+//! The registry keeps no history. Counters and cumulative buckets only
+//! grow, so a rate or a last-N-seconds percentile is the difference of
+//! two `METRICS` scrapes, and the scraper computes it.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -176,27 +180,11 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Bucket-wise `self - older` for two images of one live histogram
-    /// (saturating, like [`MetricsSnapshot::delta`]).
-    pub fn delta(&self, older: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; self.buckets.len().max(older.buckets.len())];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            let n = self.buckets.get(i).copied().unwrap_or(0);
-            let o = older.buckets.get(i).copied().unwrap_or(0);
-            *b = n.saturating_sub(o);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(older.count),
-            sum: self.sum.saturating_sub(older.sum),
-        }
-    }
 }
 
 /// How the serving layer names one engine counter: its field name (also
-/// its key in the `STATS` `engine` block and in `STATS WINDOW`), its
-/// Prometheus family and its `# HELP` text.
+/// its key in the `STATS` `engine` block), its Prometheus family and its
+/// `# HELP` text.
 pub struct CounterDesc {
     /// Field name in [`MetricsRegistry`] / [`MetricsSnapshot`].
     pub name: &'static str,
@@ -207,10 +195,9 @@ pub struct CounterDesc {
 }
 
 /// Declares the engine's counters once. The registry, its snapshot,
-/// [`MetricsSnapshot::counters`], the window delta and
-/// [`ENGINE_COUNTERS`] — from which the server renders `STATS`,
-/// `STATS WINDOW` and `METRICS` — all derive from this one list, so a new
-/// counter is one line here plus the `inc()` that feeds it.
+/// [`MetricsSnapshot::counters`] and [`ENGINE_COUNTERS`] — from which the
+/// server renders `STATS` and `METRICS` — all derive from this one list,
+/// so a new counter is one line here plus the `inc()` that feeds it.
 macro_rules! engine_counters {
     ($($name:ident, $family:literal, $help:literal;)*) => {
         /// The service-wide metrics registry: every counter and histogram
@@ -257,19 +244,6 @@ macro_rules! engine_counters {
             /// The counter values, in [`ENGINE_COUNTERS`] order.
             pub fn counters(&self) -> [u64; ENGINE_COUNTERS.len()] {
                 [$(self.$name),*]
-            }
-
-            /// What happened between `older` and `self`, two images of
-            /// one live registry: counter-wise and bucket-wise
-            /// differences. The counters are monotone, so the saturating
-            /// subtraction only engages on a reversed pair — the delta
-            /// stays well-formed either way.
-            pub fn delta(&self, older: &MetricsSnapshot) -> MetricsSnapshot {
-                MetricsSnapshot {
-                    $($name: self.$name.saturating_sub(older.$name),)*
-                    latency_us: self.latency_us.delta(&older.latency_us),
-                    expansions: self.expansions.delta(&older.expansions),
-                }
             }
         }
     };
@@ -434,12 +408,8 @@ mod tests {
     #[test]
     fn counter_list_drives_fields_words_and_deltas() {
         let r = MetricsRegistry::new();
-        r.queries.add(5);
+        r.queries.add(7);
         r.shard_unavailable.inc();
-        r.latency_us.record(40);
-        let older = r.snapshot();
-        r.queries.add(2);
-        r.latency_us.record(9000);
         let newer = r.snapshot();
         // The descriptors name the snapshot's fields, in field order.
         let doc = serde_json::to_value(&newer);
@@ -447,10 +417,6 @@ mod tests {
         let names: Vec<&str> = ENGINE_COUNTERS.iter().map(|c| c.name).collect();
         assert_eq!(fields[..names.len()], names[..]);
         assert_eq!(newer.counters(), [7, 0, 0, 0, 0, 1]);
-        let d = newer.delta(&older);
-        assert_eq!((d.queries, d.shard_unavailable, d.latency_us.count), (2, 0, 1));
-        assert_eq!(d.latency_us.sum, 9000);
-        assert_eq!(older.delta(&newer).queries, 0, "a reversed pair saturates at zero");
     }
 
     #[test]

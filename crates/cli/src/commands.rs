@@ -40,7 +40,6 @@ commands:
            [--cache-capacity BYTES] [--timeout-ms MS]
            [--max-expansions N] [--max-queue Q]
            [--slow-query-ms MS] [--slow-query-log PATH]
-           [--telemetry-interval-ms MS]
                                            TCP line-protocol query service
                                            (W concurrent connection workers;
                                            result cache sized by BYTES with
@@ -53,11 +52,6 @@ commands:
                                            QUERY, EXPLAIN (query + trace),
                                            PING, STATS (JSON counters +
                                            latency percentiles),
-                                           STATS WINDOW S (rates and
-                                           percentile deltas over the last
-                                           S seconds), TOP (one-line live
-                                           summary: qps, in-flight, cache
-                                           hit rate, slowest recent qid),
                                            METRICS (Prometheus text, ends
                                            with `# EOF`), QUIT; every
                                            QUERY/EXPLAIN response carries a
@@ -66,9 +60,6 @@ commands:
                                            line per over-threshold query
                                            (qid + phase timings) to PATH,
                                            default slow_queries.jsonl;
-                                           --telemetry-interval-ms sets the
-                                           windowed-snapshot cadence,
-                                           default 1000, 0 disables;
                                            --mmap SNAP memory-maps a
                                            compiled .wsnap snapshot and is
                                            ready without rebuilding the

@@ -1,12 +1,12 @@
 //! `wikisearch serve` — a line-protocol TCP query service, the offline
 //! analogue of the paper's hosted WikiSearch endpoint.
 //!
-//! This module is start-up (flags, engine wiring, the background
-//! sampler) and the one connection front end: an acceptor and a worker
-//! pool around [`serve_one_request`]. The wire grammar, the line reader and
-//! the socket writer are in [`protocol`]; `QUERY`/`EXPLAIN` answering,
-//! query IDs and the slow-query log in [`query`]; the metric table behind
-//! `STATS`, `STATS WINDOW`, `TOP` and `METRICS` in [`stats`].
+//! This module is start-up (flags, engine wiring) and the one connection
+//! front end: an acceptor and a worker pool around [`serve_one_request`].
+//! The wire grammar, the line reader and the socket writer are in
+//! [`protocol`]; `QUERY`/`EXPLAIN` answering, query IDs and the slow-query
+//! log in [`query`]; the metric table behind `STATS` and `METRICS` in
+//! [`stats`].
 //!
 //! ## Fault isolation
 //!
@@ -82,7 +82,7 @@ mod query;
 mod stats;
 
 use crate::args::ParsedArgs;
-use central::{QueryBudget, RemoteOptions, SearchParams, StaticAddrs, TelemetrySample};
+use central::{QueryBudget, RemoteOptions, SearchParams, StaticAddrs};
 use parking_lot::Mutex;
 use protocol::{parse_request, read_request_line, respond, LineRead, Reply, Request, Served};
 use query::{answer_query, SlowLog};
@@ -92,10 +92,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wikisearch_engine::{Backend, QueryRequest, WikiSearch, DEFAULT_TELEMETRY_SAMPLES};
+use wikisearch_engine::{Backend, QueryRequest, WikiSearch};
 
 /// How often a blocked worker wakes up to check for drain.
 const DRAIN_POLL: Duration = Duration::from_millis(50);
+
+/// The largest `--max-queue`. The hand-off channel allocates every slot
+/// when it is built, 16 bytes each, so the cap holds it to 1 MiB.
+const MAX_QUEUE: usize = 65_536;
 
 /// The server's own counters, surfaced on `STATS` / `METRICS`. Budget
 /// trips and shard refusals are not among them: the engine registry
@@ -151,7 +155,6 @@ const SERVE_FLAGS: &[&str] = &[
     "max-queue",
     "slow-query-ms",
     "slow-query-log",
-    "telemetry-interval-ms",
     // Accepts only `1`: kept because the perf ledger's reference server
     // passes `--shards 1`.
     "shards",
@@ -178,15 +181,23 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     let cache_capacity = args.get_bytes("cache-capacity", 64 << 20)?;
     let max_queue: usize = args.get_or("max-queue", 64)?;
     let slow_query_ms: u64 = args.get_or("slow-query-ms", 0)?;
-    let telemetry_interval_ms: u64 = args.get_or("telemetry-interval-ms", 1000)?;
     let shard_workers: usize = args.get_or("shard-workers", 0)?;
     let shard_addr = args.optional("shard-addr");
     let degraded_answers: bool = args.get_or("degraded-answers", false)?;
     let rpc_timeout_ms: u64 = args.get_or("rpc-timeout-ms", 5000)?;
     let rpc_retries: u32 = args.get_or("rpc-retries", 3)?;
-    for (flag, value) in [("workers", workers), ("max-queue", max_queue)] {
+    // Every worker thread is started, and every queue slot allocated,
+    // before the first connection is accepted.
+    let caps = [
+        ("workers", workers, central::remote::MAX_THREADS),
+        ("max-queue", max_queue, MAX_QUEUE),
+    ];
+    for (flag, value, max) in caps {
         if value == 0 {
             return Err(format!("--{flag} must be >= 1"));
+        }
+        if value > max {
+            return Err(format!("--{flag} must be <= {max}"));
         }
     }
     if slow_query_ms == 0 && args.optional("slow-query-log").is_some() {
@@ -227,7 +238,6 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     params.validate()?;
     ws.set_params(params);
     ws.set_cache_capacity(cache_capacity);
-    ws.set_telemetry(telemetry_interval_ms, DEFAULT_TELEMETRY_SAMPLES);
     let remote_opts = RemoteOptions {
         rpc_timeout: Duration::from_millis(rpc_timeout_ms),
         attempts: rpc_retries,
@@ -302,50 +312,11 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
         ),
         started: Instant::now(),
     };
-    // The background sampler: one metrics snapshot per interval into the
-    // telemetry ring, entirely off the query path. It stops (promptly —
-    // it sleeps in DRAIN_POLL ticks) once serving ends.
-    let sampler_stop = AtomicBool::new(false);
-    let accept_error = std::thread::scope(|scope| {
-        if telemetry_interval_ms > 0 {
-            scope.spawn(|| run_sampler(&ws, &counters, &sampler_stop));
-        }
-        let accept_error = serve_connections(&listener, &shared, workers, max_queue);
-        sampler_stop.store(true, Ordering::SeqCst);
-        accept_error
-    });
-    if let Some(e) = accept_error {
+    if let Some(e) = serve_connections(&listener, &shared, workers, max_queue) {
         return Err(e);
     }
     writeln!(out, "served {} queries, shutting down", counters.served.load(Ordering::SeqCst))
         .map_err(|e| e.to_string())
-}
-
-/// The background sampler loop: publish one [`TelemetrySample`] (a
-/// monotonic timestamp, the served counter, and the full metrics
-/// snapshot) per `--telemetry-interval-ms` into the engine's telemetry
-/// ring. Sleeps in [`DRAIN_POLL`] ticks so shutdown never waits out a
-/// long interval; publishes a boot sample immediately so `STATS WINDOW`
-/// has a subtraction base one interval in.
-fn run_sampler(ws: &WikiSearch, counters: &ServeCounters, stop: &AtomicBool) {
-    let telemetry = ws.telemetry();
-    let interval = Duration::from_millis(telemetry.interval_ms.max(1));
-    let started = Instant::now();
-    let sample = || TelemetrySample {
-        t_us: started.elapsed().as_micros() as u64,
-        served: counters.served.load(Ordering::SeqCst) as u64,
-        snapshot: ws.metrics_snapshot(),
-    };
-    telemetry.record_sample(&sample());
-    let mut due = interval;
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(DRAIN_POLL.min(interval));
-        if started.elapsed() < due {
-            continue;
-        }
-        telemetry.record_sample(&sample());
-        due = started.elapsed() + interval;
-    }
 }
 
 /// The front end: the acceptor hands each connection to a bounded pool of
@@ -445,9 +416,6 @@ fn serve_one_request(
         Request::Quit => return Served::Close,
         Request::Ping => Reply::Text("PONG\n".to_owned()),
         Request::Stats => Reply::Doc(stats::stats(&stats::Snapshot::gather(shared))),
-        Request::StatsWindow(Ok(secs)) => Reply::Doc(stats::stats_window(ws.telemetry(), secs)),
-        Request::StatsWindow(Err(msg)) => Reply::Doc(serde_json::json!({ "error": msg })),
-        Request::Top => Reply::Doc(stats::top(&stats::Snapshot::gather(shared), ws.telemetry())),
         Request::Metrics => Reply::Text(stats::metrics(&stats::Snapshot::gather(shared))),
         Request::Query("") | Request::Explain("") => Reply::error("empty query"),
         Request::Explain(keywords) => {
@@ -474,9 +442,7 @@ fn serve_one_request(
             }
             Reply::Doc(answer.doc)
         }
-        Request::Unknown => {
-            Reply::error("expected QUERY/EXPLAIN/PING/STATS/STATS WINDOW/TOP/METRICS/QUIT")
-        }
+        Request::Unknown => Reply::error(protocol::UNKNOWN_VERB),
     };
     match respond(writer, &reply) {
         Served::Continue => then,
@@ -501,16 +467,11 @@ fn admit(shared: &Shared<'_>, keywords: &str, params: &SearchParams) -> query::A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::parse;
     use std::io::{BufRead, BufReader};
-    use std::net::TcpStream;
+    use std::sync::mpsc::RecvTimeoutError;
 
-    fn free_port() -> u16 {
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = probe.local_addr().unwrap().port();
-        drop(probe);
-        port
-    }
+    /// How long a test server may take to print its banner, or to drain.
+    const PATIENCE: Duration = Duration::from_secs(30);
 
     /// The three-node graph every serve unit test runs over.
     fn tiny_graph() -> kgraph::KnowledgeGraph {
@@ -538,97 +499,141 @@ mod tests {
         path
     }
 
-    fn connect(port: u16) -> TcpStream {
-        for _ in 0..100 {
-            if let Ok(s) = TcpStream::connect(("127.0.0.1", port)) {
-                return s;
+    /// Run the CLI in process on one command line.
+    fn run_line(line: &str) -> (i32, String) {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let mut out = Vec::new();
+        let code = crate::run(&argv, &mut out);
+        (code, String::from_utf8(out).unwrap())
+    }
+
+    /// What an in-process `crate::run` prints, forwarded line by line.
+    struct Lines(mpsc::Sender<String>, Vec<u8>);
+
+    impl Write for Lines {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.1.extend_from_slice(buf);
+            while let Some(end) = self.1.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.1.drain(..=end).collect();
+                let _ = self.0.send(String::from_utf8(line).unwrap());
             }
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            Ok(buf.len())
         }
-        panic!("server not reachable on port {port}");
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A server running on a thread of the test, on the port its banner
+    /// names.
+    struct Booted {
+        port: u16,
+        /// The banner, and once drained every line printed after it.
+        log: String,
+        lines: mpsc::Receiver<String>,
+        thread: std::thread::JoinHandle<i32>,
+    }
+
+    impl Booted {
+        /// Run `wikisearch <line> --port 0` and wait for its banner; any
+        /// other first line (an `error:`, or none) fails the test.
+        fn start(line: &str) -> Booted {
+            let argv: Vec<String> =
+                format!("{line} --port 0").split_whitespace().map(String::from).collect();
+            let (tx, lines) = mpsc::channel();
+            let thread = std::thread::spawn(move || crate::run(&argv, &mut Lines(tx, Vec::new())));
+            let log = lines.recv_timeout(PATIENCE).unwrap_or_default();
+            let port = log
+                .strip_prefix("wikisearch serving on 127.0.0.1:")
+                .and_then(|rest| rest.split(' ').next()?.parse().ok())
+                .unwrap_or_else(|| panic!("the server did not start: {log:?}"));
+            Booted { port, log, lines, thread }
+        }
+
+        fn connect(&self) -> Client {
+            let stream = TcpStream::connect(("127.0.0.1", self.port)).unwrap();
+            Client { reader: BufReader::new(stream.try_clone().unwrap()), stream }
+        }
+
+        /// Wait for the server to drain (`--max-requests`): its exit code
+        /// and its log.
+        fn drain(mut self) -> (i32, String) {
+            let deadline = Instant::now() + PATIENCE;
+            loop {
+                match self.lines.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                    Ok(line) => self.log.push_str(&line),
+                    Err(RecvTimeoutError::Timeout) => panic!("no drain: {}", self.log),
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            (self.thread.join().unwrap(), self.log)
+        }
+    }
+
+    struct Client {
+        stream: TcpStream,
+        reader: BufReader<TcpStream>,
+    }
+
+    impl Client {
+        /// Send one request line as one segment: a line and its newline
+        /// written apart wait out the peer's delayed ACK.
+        fn send(&mut self, line: impl AsRef<[u8]>) {
+            let mut bytes = line.as_ref().to_vec();
+            bytes.push(b'\n');
+            self.stream.write_all(&bytes).unwrap();
+        }
+
+        /// Send one request and read its one reply line.
+        fn request(&mut self, line: impl AsRef<[u8]>) -> String {
+            self.send(line);
+            let mut reply = String::new();
+            self.reader.read_line(&mut reply).unwrap();
+            reply
+        }
+
+        fn json(&mut self, line: impl AsRef<[u8]>) -> serde_json::Value {
+            let reply = self.request(line);
+            serde_json::from_str(&reply).unwrap_or_else(|e| panic!("{e}: {reply:?}"))
+        }
     }
 
     #[test]
     fn serves_queries_over_tcp() {
         let path = tiny_graph_file("basic");
-        let port = free_port();
-        let argv: Vec<String> =
-            format!("serve --graph {path} --port {port} --backend seq --max-requests 3")
-                .split_whitespace()
-                .map(String::from)
-                .collect();
-        let args = parse(&argv).unwrap();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            serve(&args, &mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        });
-
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-
-        writeln!(stream, "PING").unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PONG");
-
-        line.clear();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let miss: serde_json::Value = serde_json::from_str(&line).unwrap();
+        let server = Booted::start(&format!("serve --graph {path} --backend seq --max-requests 3"));
+        let mut c = server.connect();
+        assert_eq!(c.request("PING").trim(), "PONG");
+        let miss = c.json("QUERY xml sql");
         assert_eq!(miss["answers"][0]["central"], "query language");
 
         // The same kept connection: a reordered repeat is a cache hit and
         // an EXPLAIN a live traced re-run, both with the miss's answers.
         for (request, traced) in [("QUERY sql   XML", false), ("EXPLAIN xml sql", true)] {
-            line.clear();
-            writeln!(stream, "{request}").unwrap();
-            reader.read_line(&mut line).unwrap();
-            let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-            assert_eq!(doc["answers"], miss["answers"], "{request}: {line}");
+            let doc = c.json(request);
+            assert_eq!(doc["answers"], miss["answers"], "{request}: {doc}");
             let levels = doc.get("trace").map(|t| t["levels"].as_array().unwrap().len());
-            assert_eq!(levels.is_some_and(|n| n > 0), traced, "{request}: {line}");
+            assert_eq!(levels.is_some_and(|n| n > 0), traced, "{request}: {doc}");
         }
-        line.clear();
-        writeln!(stream, "STATS").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let stats: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(stats["cache"]["hits"], 1u64, "{line}");
-        assert_eq!(stats["cache"]["misses"], 1u64, "{line}");
+        let stats = c.json("STATS");
+        assert_eq!(stats["cache"]["hits"], 1u64, "{stats}");
+        assert_eq!(stats["cache"]["misses"], 1u64, "{stats}");
 
-        line.clear();
-        writeln!(stream, "nonsense protocol line").unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("error"));
-
-        line.clear();
-        writeln!(stream, "QUERY").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["error"], "empty query", "{line}");
-
-        line.clear();
-        writeln!(stream).unwrap();
-        reader.read_line(&mut line).unwrap();
+        assert!(c.request("nonsense protocol line").contains("error"));
+        assert_eq!(c.json("QUERY")["error"], "empty query");
+        let line = c.request("");
         assert!(line.contains("error"), "empty line answered, not ignored: {line}");
 
-        // Verbs match in any case, with or without arguments.
-        line.clear();
-        writeln!(stream, "explain xml").unwrap();
-        reader.read_line(&mut line).unwrap();
+        // Verbs match in any case; `STATS` takes no argument.
+        let line = c.request("explain xml");
         assert!(line.contains("\"trace\""), "{line}");
-        line.clear();
-        writeln!(stream, "stats Window 5").unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("window"), "windowed document or `window unavailable`: {line}");
+        assert_eq!(c.json("stats Window 5")["error"], protocol::UNKNOWN_VERB);
+        assert!(c.request("query sql").contains("answers"));
+        c.send("quit");
 
-        line.clear();
-        writeln!(stream, "query sql").unwrap();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("answers"));
-        writeln!(stream, "quit").unwrap();
-
-        let log = server.join().unwrap();
+        let (code, log) = server.drain();
+        assert_eq!(code, 0, "{log}");
         assert!(log.contains("served 3 queries"), "{log}");
         assert!(log.contains("4 workers"), "{log}");
         let _ = std::fs::remove_file(path);
@@ -640,81 +645,58 @@ mod tests {
         // QUIT; reaching --max-requests on the first must still shut the
         // server down (workers poll the drain flag on read timeout).
         let path = tiny_graph_file("drain");
-        let port = free_port();
-        let argv: Vec<String> = format!(
-            "serve --graph {path} --port {port} --backend seq --workers 2 --max-requests 1"
-        )
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-        let args = parse(&argv).unwrap();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            serve(&args, &mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        });
-
-        let idle = connect(port); // parked on a worker, never speaks
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
+        let server = Booted::start(&format!(
+            "serve --graph {path} --backend seq --workers 2 --max-requests 1"
+        ));
+        let idle = server.connect(); // parked on a worker, never speaks
+        let line = server.connect().request("QUERY xml sql");
         assert!(line.contains("answers"), "{line}");
 
-        let log = server.join().unwrap();
+        let (code, log) = server.drain();
+        assert_eq!(code, 0, "{log}");
         assert!(log.contains("served 1 queries"), "{log}");
         drop(idle);
         let _ = std::fs::remove_file(path);
     }
 
+    /// `--workers` is refused at 0 and above the thread cap `--threads`
+    /// has: every worker thread starts before the first accept.
     #[test]
     fn rejects_zero_workers() {
-        let argv: Vec<String> = "serve --graph kb.tsv --workers 0"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let err = serve(&args, &mut out).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
+        for workers in [0, central::remote::MAX_THREADS + 1] {
+            let (code, out) = run_line(&format!("serve --graph kb.tsv --workers {workers}"));
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains("error: --workers must be"), "{out}");
+        }
     }
 
+    /// `--max-queue` is refused at 0 and above [`MAX_QUEUE`]: the
+    /// hand-off channel allocates every slot when it is built.
     #[test]
     fn rejects_zero_queue() {
-        let argv: Vec<String> = "serve --graph kb.tsv --max-queue 0"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let err = serve(&args, &mut out).unwrap_err();
-        assert!(err.contains("--max-queue"), "{err}");
+        for queue in [0, MAX_QUEUE + 1] {
+            let (code, out) = run_line(&format!("serve --graph kb.tsv --max-queue {queue}"));
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains("error: --max-queue must be"), "{out}");
+        }
     }
 
     #[test]
     fn a_removed_flag_is_an_unknown_flag() {
-        // The muxer's flag, the background prober's and the slow log's
-        // tracing switch, each spelled in pieces so that a grep for the
-        // deleted name comes back empty.
+        // The muxer's flag, the background prober's, the slow log's
+        // tracing switch and the windowed sampler's cadence, each spelled
+        // in pieces so that a grep for the deleted name comes back empty.
         let flags = [
             (["--async", "io"].join("-"), "true"),
             (["--heart", "beat-ms"].concat(), "50"),
             (["--slow-query", "trace"].join("-"), "on"),
+            (["--telemetry", "interval-ms"].join("-"), "1000"),
         ];
         for (flag, value) in flags {
             let (code, out) = run_line(&format!("serve --graph kb.tsv {flag} {value}"));
             assert_eq!(code, 1, "{out}");
             assert!(out.contains(&format!("unknown flag {flag}")), "{out}");
         }
-    }
-
-    /// Run the CLI in process on one command line.
-    fn run_line(line: &str) -> (i32, String) {
-        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-        let mut out = Vec::new();
-        let code = crate::run(&argv, &mut out);
-        (code, String::from_utf8(out).unwrap())
     }
 
     /// The `--shards` contract: `serve` refuses any count but 1, naming
@@ -726,8 +708,7 @@ mod tests {
     fn shards_accepts_only_one() {
         let path = tiny_graph_file("shards");
         for n in [0, 2] {
-            let (code, out) =
-                run_line(&format!("serve --graph {path} --port {} --shards {n}", free_port()));
+            let (code, out) = run_line(&format!("serve --graph {path} --port 0 --shards {n}"));
             assert_eq!(code, 1, "{out}");
             assert!(out.contains("--shard-workers N"), "{out}");
         }
@@ -735,20 +716,13 @@ mod tests {
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("unknown flag --shards"), "{out}");
 
-        let port = free_port();
-        let oracle = format!(
-            "serve --graph {path} --port {port} --backend seq --shards 1 --cache-capacity 0 \
-             --workers 2 --max-requests 1"
-        );
-        let server = std::thread::spawn(move || run_line(&oracle));
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["answers"][0]["central"], "query language", "{line}");
-        let (code, log) = server.join().unwrap();
+        let server = Booted::start(&format!(
+            "serve --graph {path} --backend seq --shards 1 --cache-capacity 0 --workers 2 \
+             --max-requests 1"
+        ));
+        let doc = server.connect().json("QUERY xml sql");
+        assert_eq!(doc["answers"][0]["central"], "query language", "{doc}");
+        let (code, log) = server.drain();
         assert_eq!(code, 0, "{log}");
         assert!(log.contains("served 1 queries"), "{log}");
         let _ = std::fs::remove_file(path);
@@ -764,69 +738,82 @@ mod tests {
         }
     }
 
+    /// README's protocol sentence and HELP's `verbs:` list name exactly
+    /// the verbs of the unknown-verb reply, in its order, and
+    /// [`parse_request`] accepts each of them — so a deleted verb cannot
+    /// linger in the docs.
+    #[test]
+    fn docs_name_exactly_the_verbs_the_server_accepts() {
+        // The all-capital words between `from` and `to`, parentheses
+        // skipped.
+        fn verbs_in(text: &str, from: &str, to: &str) -> Vec<String> {
+            let start = text.find(from).unwrap_or_else(|| panic!("no {from:?}")) + from.len();
+            let end = start + text[start..].find(to).unwrap_or_else(|| panic!("no {to:?}"));
+            let mut depth = 0;
+            let outside: String = text[start..end]
+                .chars()
+                .filter(|&c| {
+                    depth += i32::from(c == '(') - i32::from(c == ')');
+                    depth == 0 && c != ')'
+                })
+                .collect();
+            outside
+                .split(|c: char| !c.is_ascii_alphabetic())
+                .filter(|w| w.len() > 1 && w.chars().all(|c| c.is_ascii_uppercase()))
+                .map(String::from)
+                .collect()
+        }
+        let accepted: Vec<&str> =
+            protocol::UNKNOWN_VERB.strip_prefix("expected ").unwrap().split('/').collect();
+        for verb in &accepted {
+            assert_ne!(parse_request(verb), Request::Unknown, "{verb}");
+        }
+        let readme = include_str!("../../../../README.md");
+        let documents = [
+            (
+                "README.md",
+                verbs_in(readme, "one line in, one line out", "and the verbs match"),
+            ),
+            ("HELP", verbs_in(crate::commands::HELP, "verbs:", "; every")),
+        ];
+        for (doc, verbs) in documents {
+            assert_eq!(verbs, accepted, "{doc} names other verbs than the server accepts");
+        }
+    }
+
     #[test]
     fn oversized_lines_are_rejected_and_the_connection_resyncs() {
         let path = tiny_graph_file("oversized");
-        let port = free_port();
-        let argv: Vec<String> =
-            format!("serve --graph {path} --port {port} --backend seq --max-requests 1")
-                .split_whitespace()
-                .map(String::from)
-                .collect();
-        let args = parse(&argv).unwrap();
-        let server = std::thread::spawn(move || {
-            let mut out = Vec::new();
-            serve(&args, &mut out).unwrap();
-            String::from_utf8(out).unwrap()
-        });
-
-        let mut stream = connect(port);
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
+        let server = Booted::start(&format!("serve --graph {path} --backend seq --max-requests 1"));
+        let mut c = server.connect();
 
         // A 3 × MAX_LINE query line: rejected with one error line, and the
         // bytes past the cap are discarded without desynchronizing.
-        let huge = format!("QUERY {}\n", "x".repeat(3 * protocol::MAX_LINE));
-        stream.write_all(huge.as_bytes()).unwrap();
-        reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["error"], "oversized line", "{line}");
+        let doc = c.json(format!("QUERY {}", "x".repeat(3 * protocol::MAX_LINE)));
+        assert_eq!(doc["error"], "oversized line", "{doc}");
 
         // Invalid UTF-8 on the same connection: one structured error line.
-        line.clear();
-        stream.write_all(b"QUERY \xff\xfe\x00garbage\n").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["error"], "invalid utf-8", "{line}");
+        let doc = c.json(b"QUERY \xff\xfe\x00garbage");
+        assert_eq!(doc["error"], "invalid utf-8", "{doc}");
 
         // The connection still serves real queries afterwards.
-        line.clear();
-        writeln!(stream, "STATS").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let doc: serde_json::Value = serde_json::from_str(&line).unwrap();
-        assert_eq!(doc["oversized"], 1u64, "{line}");
-
-        line.clear();
-        writeln!(stream, "QUERY xml sql").unwrap();
-        reader.read_line(&mut line).unwrap();
+        let doc = c.json("STATS");
+        assert_eq!(doc["oversized"], 1u64, "{doc}");
+        let line = c.request("QUERY xml sql");
         assert!(line.contains("answers"), "{line}");
-        writeln!(stream, "QUIT").unwrap();
+        c.send("QUIT");
 
-        let log = server.join().unwrap();
+        let (code, log) = server.drain();
+        assert_eq!(code, 0, "{log}");
         assert!(log.contains("served 1 queries"), "{log}");
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
     fn slow_query_log_flag_requires_a_threshold() {
-        let argv: Vec<String> = "serve --graph kb.tsv --slow-query-log /tmp/x.jsonl"
-            .split_whitespace()
-            .map(String::from)
-            .collect();
-        let args = parse(&argv).unwrap();
-        let mut out = Vec::new();
-        let err = serve(&args, &mut out).unwrap_err();
-        assert!(err.contains("--slow-query-ms"), "{err}");
+        let (code, out) = run_line("serve --graph kb.tsv --slow-query-log /tmp/x.jsonl");
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("--slow-query-ms"), "{out}");
     }
 
     /// Invalid search parameters are a start-up error, as in `search`: a
@@ -836,10 +823,10 @@ mod tests {
     #[test]
     fn rejects_invalid_search_params_before_binding() {
         let path = tiny_graph_file("top-k");
-        let line = format!("serve --graph {path} --port {} --top-k 0", free_port());
-        let (tx, rx) = std::sync::mpsc::channel();
+        let line = format!("serve --graph {path} --port 0 --top-k 0");
+        let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || tx.send(run_line(&line)));
-        let verdict = rx.recv_timeout(Duration::from_secs(30));
+        let verdict = rx.recv_timeout(PATIENCE);
         let _ = std::fs::remove_file(path);
         let (code, out) = verdict.expect("serve --top-k 0 booted instead of exiting");
         assert_eq!(code, 1, "{out}");

@@ -7,8 +7,8 @@
 //!   the result cache so the trace reflects a real search. Diagnostic —
 //!   does not count toward `--max-requests`;
 //! * `PING` → `PONG`;
-//! * `STATS`, `STATS WINDOW <seconds>`, `TOP`, `METRICS` → the serving
-//!   counters, as documented in [`super::stats`]. Diagnostic;
+//! * `STATS`, `METRICS` → the serving counters, as documented in
+//!   [`super::stats`]. Diagnostic;
 //! * `QUIT` → closes the connection;
 //! * anything else — an unknown command, an empty line, a `QUERY` with no
 //!   keywords, a line that is not UTF-8, or a line longer than
@@ -16,10 +16,10 @@
 //!   (`{"error": …}`) on the same connection; no request is ever
 //!   silently dropped and no byte sequence crashes the server.
 //!
-//! Verbs (and the `WINDOW` of `STATS WINDOW`) match case-insensitively;
-//! keywords are passed on as sent. [`parse_request`] is the only place
-//! that knows this grammar and [`respond`] the only function that writes
-//! to a client socket (besides the load shedder's one-line refusal).
+//! Verbs match case-insensitively; keywords are passed on as sent.
+//! [`parse_request`] is the only place that knows this grammar and
+//! [`respond`] the only function that writes to a client socket (besides
+//! the load shedder's one-line refusal).
 //!
 //! Request lines are read byte-wise with a hard [`MAX_LINE`] cap; an
 //! over-long line is answered with an error and discarded up to its
@@ -29,6 +29,10 @@ use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// The reply to an unknown request; it names every verb
+/// [`parse_request`] accepts, in the order the docs list them.
+pub(super) const UNKNOWN_VERB: &str = "expected QUERY/EXPLAIN/PING/STATS/METRICS/QUIT";
 
 /// Hard cap on one request line (bytes, newline excluded). Long enough
 /// for any sane keyword query; short enough that a hostile client cannot
@@ -103,11 +107,6 @@ pub(super) enum Request<'a> {
     Ping,
     /// `STATS`.
     Stats,
-    /// `STATS <anything>`: the window in seconds, or why the tail is not
-    /// `WINDOW <seconds>`.
-    StatsWindow(Result<u64, &'static str>),
-    /// `TOP`.
-    Top,
     /// `METRICS`.
     Metrics,
     /// `QUERY <keywords>`; the keywords may be empty (answered with an
@@ -138,35 +137,18 @@ pub(super) fn parse_request(line: &str) -> Request<'_> {
         Request::Query(rest)
     } else if is("EXPLAIN") {
         Request::Explain(rest)
-    } else if is("STATS") && !rest.is_empty() {
-        Request::StatsWindow(window_seconds(rest))
     } else if !rest.is_empty() {
         Request::Unknown
     } else if is("STATS") {
         Request::Stats
     } else if is("PING") {
         Request::Ping
-    } else if is("TOP") {
-        Request::Top
     } else if is("METRICS") {
         Request::Metrics
     } else if is("QUIT") {
         Request::Quit
     } else {
         Request::Unknown
-    }
-}
-
-/// Parse the tail of a `STATS …` request as `WINDOW <seconds>`. The
-/// grammar is strict: exactly one argument, a positive integer.
-fn window_seconds(rest: &str) -> Result<u64, &'static str> {
-    let (word, seconds) = split_verb(rest);
-    if !word.eq_ignore_ascii_case("WINDOW") {
-        return Err("expected STATS WINDOW <seconds>");
-    }
-    match seconds.parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err("STATS WINDOW takes a whole number of seconds >= 1"),
     }
 }
 
@@ -260,13 +242,9 @@ mod tests {
         let table: [(&str, Request<'_>, Request<'_>); 8] = [
             ("QUIT", Request::Quit, Request::Unknown),
             ("PING", Request::Ping, Request::Unknown),
-            ("TOP", Request::Top, Request::Unknown),
+            ("TOP", Request::Unknown, Request::Unknown),
             ("METRICS", Request::Metrics, Request::Unknown),
-            (
-                "STATS",
-                Request::Stats,
-                Request::StatsWindow(Err("expected STATS WINDOW <seconds>")),
-            ),
+            ("STATS", Request::Stats, Request::Unknown),
             ("QUERY", Request::Query(""), Request::Query("xml Sql")),
             ("EXPLAIN", Request::Explain(""), Request::Explain("xml Sql")),
             ("QUERYX", Request::Unknown, Request::Unknown),
@@ -288,25 +266,15 @@ mod tests {
 
     #[test]
     fn stats_window_grammar_is_strict_but_case_blind() {
-        let number = Err("STATS WINDOW takes a whole number of seconds >= 1");
-        let grammar = Err("expected STATS WINDOW <seconds>");
+        // `STATS` takes no argument: every spelling of the retired
+        // `STATS WINDOW <seconds>` is an unknown request.
         for stats in spellings("STATS") {
             for window in spellings("WINDOW") {
-                for (tail, want) in [
-                    (" 5", Ok(5)),
-                    ("   30 ", Ok(30)),
-                    ("", number),   // seconds are required
-                    (" 0", number), // zero-width windows are refused
-                    (" five", number),
-                    (" 5 6", number), // exactly one argument
-                    ("S 5", grammar), // WINDOWS is not WINDOW
-                ] {
+                for tail in [" 5", "   30 ", "", " 0", " five", "S 5"] {
                     let line = format!("{stats} {window}{tail}");
-                    assert_eq!(parse_request(&line), Request::StatsWindow(want), "{line:?}");
+                    assert_eq!(parse_request(&line), Request::Unknown, "{line:?}");
                 }
             }
-            let line = format!("{stats} PANE 5");
-            assert_eq!(parse_request(&line), Request::StatsWindow(grammar), "{line:?}");
         }
     }
 

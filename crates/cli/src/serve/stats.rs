@@ -1,4 +1,4 @@
-//! The metric table and its four renderers.
+//! The metric table and its two renderers.
 //!
 //! Every counter, gauge and histogram the server exposes is declared
 //! once, as a [`Row`]: its Prometheus family and help text, its kind,
@@ -7,7 +7,7 @@
 //! — one per `STATS` object, each over the plain-data stats struct of
 //! the layer it reports — and the engine's own counters come straight
 //! from `central::metrics::ENGINE_COUNTERS`, where they are declared.
-//! Four verbs render the table:
+//! Two verbs render the table:
 //!
 //! * `STATS` → one JSON line: the serving counters (queries served, the
 //!   fault/overload counters `shed`, `timeouts`, `budget_exhausted`,
@@ -18,32 +18,11 @@
 //!   `cache` under `--cache-capacity 0`, `remote` without remote workers;
 //! * `METRICS` → the same rows in Prometheus text exposition format —
 //!   multiple lines, terminated by a literal `# EOF` line so a
-//!   line-protocol client knows where the response ends;
-//! * `STATS WINDOW <seconds>` → one JSON line with *windowed* rates and
-//!   percentiles over (up to) the last N seconds, computed by
-//!   subtracting two periodic telemetry samples — qps, cache hit rate
-//!   and last-N-seconds latency/expansion quantiles instead of the
-//!   since-boot tail. Needs two live samples; answers a structured
-//!   error until then;
-//! * `TOP` → one JSON line with the operator's at-a-glance view:
-//!   queries in flight right now, qps and cache hit rate over the last
-//!   ten seconds (when the sampler has two samples), query IDs issued,
-//!   the slowest recently answered query (`{"qid", "wall_ms"}`), and
-//!   per-shard breaker gauges under remote serving.
+//!   line-protocol client knows where the response ends.
 //!
-//! All four are diagnostic: they never count toward `--max-requests`.
-//!
-//! ## Windowed telemetry
-//!
-//! A background sampler publishes one snapshot of the metrics registry
-//! every `--telemetry-interval-ms` (default 1000, `0` disables) into a
-//! bounded deque of the last ~5 minutes of samples. `STATS WINDOW N`
-//! subtracts the two samples spanning the last N seconds — rates and
-//! percentiles *of the window*, not since boot — and `TOP` reads the
-//! same samples for its ten-second pulse. Sampling is off the query hot
-//! path entirely: queries never record a sample (only the sampler
-//! thread does), and a differential proptest pins that telemetry on vs
-//! off leaves answers, scores, stats and error classes byte-identical.
+//! Both are diagnostic: they never count toward `--max-requests`. Both
+//! read the live registry, so the server keeps no history: a rate or a
+//! last-N-seconds percentile is the difference of two `METRICS` scrapes.
 
 use super::protocol::Doc;
 use super::Shared;
@@ -71,13 +50,8 @@ pub(super) struct Snapshot {
     panics: u64,
     oversized: u64,
     slow_queries: u64,
-    interval_ms: u64,
-    samples: u64,
-    capacity: u64,
     in_flight: u64,
     qids_issued: u64,
-    /// `(qid, wall_us)` of the slowest recently answered query.
-    slowest_recent: Option<(u64, u64)>,
     /// The label body of `ws_build_info`.
     build_info: String,
     uptime_s: f64,
@@ -96,7 +70,6 @@ struct Remote {
 impl Snapshot {
     pub(super) fn gather(shared: &Shared<'_>) -> Snapshot {
         let (ws, counters) = (shared.ws, shared.counters);
-        let telemetry = ws.telemetry();
         Snapshot {
             engine: ws.metrics_snapshot(),
             pool: ws.session_pool().stats(),
@@ -111,12 +84,8 @@ impl Snapshot {
             panics: counters.panics.load(Ordering::SeqCst),
             oversized: counters.oversized.load(Ordering::SeqCst),
             slow_queries: counters.slow_queries.load(Ordering::SeqCst),
-            interval_ms: telemetry.interval_ms,
-            samples: telemetry.samples(),
-            capacity: telemetry.capacity() as u64,
-            in_flight: telemetry.in_flight().current(),
+            in_flight: ws.queries_in_flight(),
             qids_issued: ws.query_ids_issued(),
-            slowest_recent: telemetry.slowest_recent(),
             build_info: shared.build_info.clone(),
             uptime_s: shared.started.elapsed().as_secs_f64(),
         }
@@ -236,7 +205,7 @@ static SERVER: &[Row<Snapshot>] = &[
 ];
 
 /// The engine registry's histograms — `latency` / `expansions` at the
-/// top of `STATS` and of `STATS WINDOW`.
+/// top of `STATS`.
 static ENGINE_HISTOGRAMS: &[Row<MetricsSnapshot>] = &[
     histogram_ms("ws_latency_seconds", "latency")
         .help("End-to-end query latency (successful queries).")
@@ -336,24 +305,14 @@ static REMOTE: &[Row<Remote>] = &[
     }),
 ];
 
-/// `telemetry`: the sampler, the in-flight gauge and the qid allocator.
+/// `telemetry`: the in-flight gauge and the qid allocator.
 static TELEMETRY: &[Row<Snapshot>] = &[
-    gauge("ws_telemetry_interval_ms", "interval_ms")
-        .help("Background sampler period (0 = disabled).")
-        .read(|s| s.interval_ms.into()),
-    counter("ws_telemetry_samples_total", "samples")
-        .help("Periodic telemetry samples published.")
-        .read(|s| s.samples.into()),
-    gauge("ws_telemetry_ring_capacity", "capacity")
-        .help("Telemetry sample-ring capacity (slots).")
-        .read(|s| s.capacity.into()),
     gauge("ws_telemetry_in_flight", "in_flight")
         .help("Queries executing right now.")
         .read(|s| s.in_flight.into()),
     counter("ws_telemetry_query_ids_total", "qids_issued")
         .help("Fleet-wide query IDs issued.")
         .read(|s| s.qids_issued.into()),
-    field("slowest_recent").read(|s| V::Json(slowest_recent(s))),
 ];
 
 /// Process identity — `METRICS` only.
@@ -370,15 +329,6 @@ static IDENTITY: &[Row<Snapshot>] = &[
 /// gauge value (0 closed, 1 half-open, 2 open).
 fn breakers<T>(r: &Remote, view: fn(&BreakerState) -> T) -> Vec<T> {
     r.stats.breaker.iter().map(view).collect()
-}
-
-/// `{"qid", "wall_ms"}` of the slowest recently answered query, `null`
-/// before the first.
-fn slowest_recent(s: &Snapshot) -> Value {
-    match s.slowest_recent {
-        Some((qid, wall_us)) => json!({ "qid": qid, "wall_ms": wall_us as f64 / 1e3 }),
-        None => Value::Null,
-    }
 }
 
 /// The `{count, mean, p50, p95, p99}` block of one histogram; with `ms`,
@@ -480,65 +430,10 @@ pub(super) fn metrics(s: &Snapshot) -> String {
     out
 }
 
-/// The `STATS WINDOW <seconds>` response: the engine counters and
-/// histograms *of the window* — the newest telemetry sample minus the
-/// newest sample at least that much older — with the derived rates
-/// beside the counters they derive from. A structured error until the
-/// sampler has published two samples.
-pub(super) fn stats_window(telemetry: &central::Telemetry, secs: u64) -> Value {
-    let Some(w) = telemetry.window(secs.saturating_mul(1_000_000)) else {
-        return json!({
-            "error": "window unavailable",
-            "detail": "the windowed view needs two telemetry samples; \
-                       is --telemetry-interval-ms > 0?",
-        });
-    };
-    let mut doc = Doc::default();
-    doc.put("window_s", json!(secs));
-    doc.put("span_ms", json!(w.span_us as f64 / 1e3));
-    doc.put("samples", json!(w.samples as u64));
-    for (counter, value) in ENGINE_COUNTERS.iter().zip(w.delta.counters()) {
-        doc.put(counter.name, json!(value));
-        match counter.name {
-            "queries" => {
-                doc.put("served", json!(w.served));
-                doc.put("qps", json!(w.qps()));
-            }
-            "cache_misses" => doc.put("cache_hit_rate", json!(w.cache_hit_rate())),
-            _ => {}
-        }
-    }
-    put_rows(&mut doc, ENGINE_HISTOGRAMS, &w.delta);
-    doc.into()
-}
-
-/// The `TOP` response: a hand-picked handful of the snapshot plus the
-/// ten-second pulse. `qps` and `cache_hit_rate` are `null` until the
-/// sampler has two samples; `slowest_recent` is `null` until a query has
-/// been answered; `breakers` is `null` without remote serving.
-pub(super) fn top(s: &Snapshot, telemetry: &central::Telemetry) -> Value {
-    let window = telemetry.window(10_000_000);
-    let mut doc = Doc::default();
-    doc.put("in_flight", json!(s.in_flight));
-    doc.put("served", json!(s.served));
-    doc.put("qids_issued", json!(s.qids_issued));
-    doc.put("samples", json!(s.samples));
-    doc.put("qps", json!(window.as_ref().map(|w| w.qps())));
-    doc.put("cache_hit_rate", json!(window.as_ref().map(|w| w.cache_hit_rate())));
-    doc.put("slowest_recent", slowest_recent(s));
-    doc.put("breakers", json!(s.remote.as_ref().map(|r| breakers(r, BreakerState::gauge))));
-    doc.into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::query::answer_query;
-    use crate::serve::tests::tiny_engine;
-    use crate::serve::ServeCounters;
-    use central::TelemetrySample;
     use std::collections::BTreeSet;
-    use wikisearch_engine::{QueryRequest, WikiSearch};
 
     /// A snapshot with every layer switched on, so every row renders.
     fn every_layer() -> Snapshot {
@@ -590,7 +485,7 @@ mod tests {
         let s = every_layer();
         let exposition = metrics(&s);
         let families = families(&exposition);
-        assert!(families.len() >= 41, "every block rendered: {exposition}");
+        assert!(families.len() >= 38, "every block rendered: {exposition}");
         let mut seen = BTreeSet::new();
         for (family, _) in &families {
             let mut chars = family.chars();
@@ -635,65 +530,5 @@ mod tests {
             let row = format!("| `{family}` | {kind} |");
             assert!(readme.contains(&row), "README's METRICS table lacks {row:?}");
         }
-    }
-
-    #[test]
-    fn top_reports_in_flight_and_the_slowest_recent_query() {
-        let ws = tiny_engine();
-        let counters = ServeCounters::default();
-        let top_of = |ws: &WikiSearch| {
-            let s = Snapshot {
-                in_flight: ws.telemetry().in_flight().current(),
-                qids_issued: ws.query_ids_issued(),
-                slowest_recent: ws.telemetry().slowest_recent(),
-                ..Snapshot::default()
-            };
-            top(&s, ws.telemetry())
-        };
-        // Before any query: gauges at zero, the optional views null.
-        let doc = top_of(&ws);
-        assert_eq!(doc["in_flight"], 0u64, "{doc}");
-        assert_eq!(doc["qids_issued"], 0u64, "{doc}");
-        assert!(doc["slowest_recent"].is_null(), "{doc}");
-        assert!(doc["qps"].is_null(), "no samples yet: {doc}");
-        assert!(doc["breakers"].is_null(), "not serving remotely: {doc}");
-        // After a served query the recent ring and the qid counter move.
-        let qid = ws.issue_query_id();
-        let req = QueryRequest { qid: Some(qid), ..QueryRequest::new("xml sql", ws.params()) };
-        assert!(answer_query(&ws, &req, &counters).error.is_none());
-        let doc = top_of(&ws);
-        assert_eq!(doc["qids_issued"], 1u64, "{doc}");
-        assert_eq!(doc["slowest_recent"]["qid"], qid, "{doc}");
-        assert!(doc["slowest_recent"]["wall_ms"].is_number(), "{doc}");
-    }
-
-    #[test]
-    fn stats_window_needs_two_samples_then_subtracts_them() {
-        let ws = tiny_engine();
-        let doc = stats_window(ws.telemetry(), 5);
-        assert_eq!(doc["error"], "window unavailable", "{doc}");
-        // Feed the ring by hand the way the sampler does: a boot sample,
-        // some queries, a second sample one "second" later.
-        let snap = |t_us: u64, served: u64| TelemetrySample {
-            t_us,
-            served,
-            snapshot: ws.metrics_snapshot(),
-        };
-        ws.telemetry().record_sample(&snap(0, 0));
-        let counters = ServeCounters::default();
-        for _ in 0..3 {
-            let req = QueryRequest {
-                qid: Some(ws.issue_query_id()),
-                ..QueryRequest::new("xml sql", ws.params())
-            };
-            assert!(answer_query(&ws, &req, &counters).error.is_none());
-        }
-        ws.telemetry().record_sample(&snap(1_000_000, 3));
-        let doc = stats_window(ws.telemetry(), 5);
-        assert_eq!(doc["queries"], 3u64, "{doc}");
-        assert_eq!(doc["served"], 3u64, "{doc}");
-        assert_eq!(doc["window_s"], 5u64, "{doc}");
-        assert!(doc["qps"].is_number(), "{doc}");
-        assert_eq!(doc["latency"]["count"], 3u64, "{doc}");
     }
 }

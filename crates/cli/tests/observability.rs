@@ -7,7 +7,9 @@
 mod common;
 
 use common::{connect, graph_file, shared_server, Client, Server};
-use std::time::Duration;
+
+/// The reply to a request that names no verb the server accepts.
+const UNKNOWN_VERB: &str = r#"{"error":"expected QUERY/EXPLAIN/PING/STATS/METRICS/QUIT"}"#;
 
 /// Start a dedicated server over the fixture with `flags(&graph)`
 /// appended to the shared server's command line.
@@ -68,9 +70,8 @@ fn schema_paths(verb: &str, path: &str, v: &serde_json::Value, out: &mut String)
 /// The wire schema of one live server: every key path (in order, with
 /// its JSON type) of the `QUERY`, `EXPLAIN` (its `trace` included, down
 /// to the first level record and, on a remote server, the first shard
-/// timeline and span), `STATS`, `STATS WINDOW` and `TOP` documents, the
-/// constant error lines verbatim, and every `# HELP` / `# TYPE` line of
-/// `METRICS`.
+/// timeline and span) and `STATS` documents, the constant error lines
+/// verbatim, and every `# HELP` / `# TYPE` line of `METRICS`.
 fn capture_schema(client: &mut Client) -> String {
     let mut out = String::new();
     schema_paths("QUERY", "", &client.json("QUERY xml sql rdf"), &mut out);
@@ -78,16 +79,7 @@ fn capture_schema(client: &mut Client) -> String {
     for constant in ["BOGUS", "QUERY", "EXPLAIN", "STATS WINDOW", "STATS WINDOW 0"] {
         out.push_str(&format!("{constant:?} -> {}\n", client.request(constant)));
     }
-    // The windowed views need two sampler ticks (one interval apart).
-    let mut waited = 0;
-    while client.request("STATS WINDOW 5").contains("window unavailable") {
-        waited += 1;
-        assert!(waited < 100, "the sampler never produced a window");
-        std::thread::sleep(Duration::from_millis(100));
-    }
     schema_paths("STATS", "", &client.json("STATS"), &mut out);
-    schema_paths("STATS-WINDOW", "", &client.json("STATS WINDOW 5"), &mut out);
-    schema_paths("TOP", "", &client.json("TOP"), &mut out);
     for line in client.metrics() {
         if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
             out.push_str(&format!("{line}\n"));
@@ -140,12 +132,13 @@ fn stats_document_reports_the_layers_and_the_observed_query() {
     assert!(doc.get("batch").is_none(), "{doc}");
     assert!(doc["remote"].is_null(), "{doc}");
 
-    // This server runs the default sampler cadence, and the query above
-    // was tagged with a fleet-wide qid and entered the recent-query ring.
-    assert_eq!(doc["telemetry"]["interval_ms"], 1000u64, "{doc}");
+    // The query above was tagged with a fleet-wide qid and has left the
+    // in-flight gauge; the `telemetry` object holds those two and no more.
+    let telemetry: Vec<&str> =
+        doc["telemetry"].as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(telemetry, ["in_flight", "qids_issued"], "{doc}");
     assert!(doc["telemetry"]["qids_issued"].as_u64().unwrap() >= 1, "{doc}");
     assert_eq!(doc["telemetry"]["in_flight"], 0u64, "{doc}");
-    assert!(doc["telemetry"]["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{doc}");
 
     // Sanity on the values: the query above was observed.
     assert!(doc["engine"]["queries"].as_u64().unwrap() >= 1, "{doc}");
@@ -208,9 +201,6 @@ fn metrics_verb_emits_valid_prometheus_exposition() {
         "ws_server_shard_unavailable_total",
         "ws_build_info",
         "ws_uptime_seconds",
-        "ws_telemetry_interval_ms",
-        "ws_telemetry_samples_total",
-        "ws_telemetry_ring_capacity",
         "ws_telemetry_in_flight",
         "ws_telemetry_query_ids_total",
     ] {
@@ -243,81 +233,40 @@ fn query_and_explain_responses_carry_monotonic_query_ids() {
 
 #[test]
 fn top_verb_summarizes_the_live_server_on_one_line() {
+    // `TOP` is gone: in any case it gets the unknown-verb reply. STATS
+    // and METRICS are the live server's summary.
     let mut client = connect(shared_server());
-    let answer = client.request("QUERY xml sql rdf");
-    assert!(answer.contains("answers"), "{answer}");
-
-    let doc = client.json("TOP");
-    assert_eq!(doc["in_flight"], 0u64, "{doc}");
-    assert!(doc["served"].as_u64().unwrap() >= 1, "{doc}");
-    assert!(doc["qids_issued"].as_u64().unwrap() >= 1, "{doc}");
-    // The query above entered the recent ring, so the slowest-recent
-    // pointer names a real qid with a real wall time.
-    assert!(doc["slowest_recent"]["qid"].as_u64().unwrap() >= 1, "{doc}");
-    assert!(doc["slowest_recent"]["wall_ms"].as_f64().unwrap() >= 0.0, "{doc}");
-    // This server is not remote, so there are no breakers to report.
-    assert!(doc["breakers"].is_null(), "{doc}");
-    // TOP is case-insensitive like the other bare verbs.
-    let response = client.request("top");
-    assert!(response.contains("qids_issued"), "{response}");
+    for verb in ["TOP", "top"] {
+        assert_eq!(client.request(verb), UNKNOWN_VERB, "{verb}");
+    }
     client.send("QUIT");
 }
 
 #[test]
 fn stats_window_grammar_is_enforced_over_the_wire() {
+    // `STATS` takes no argument: every `STATS WINDOW` form, well-formed
+    // or not, gets the unknown-verb reply.
     let mut client = connect(shared_server());
-    for bad in ["STATS WINDOW", "STATS WINDOW 0", "STATS WINDOW five", "STATS WINDOWS 5"] {
-        let doc = client.json(bad);
-        assert!(doc["error"].as_str().is_some(), "{bad:?} must be rejected: {doc}");
-    }
-    // A well-formed window request answers either the windowed document
-    // or the structured "window unavailable" refusal — never a grammar
-    // error — depending on whether the sampler has two samples yet.
-    let doc = client.json("STATS WINDOW 5");
-    if doc.get("error").is_some() {
-        assert_eq!(doc["error"], "window unavailable", "{doc}");
-    } else {
-        assert_eq!(doc["window_s"], 5u64, "{doc}");
+    for line in [
+        "STATS WINDOW 5",
+        "STATS WINDOW",
+        "STATS WINDOW 0",
+        "STATS WINDOW five",
+        "STATS WINDOWS 5",
+    ] {
+        assert_eq!(client.request(line), UNKNOWN_VERB, "{line:?}");
     }
     client.send("QUIT");
 }
 
 #[test]
 fn stats_window_reports_recent_rates_not_lifetime_totals() {
-    // A dedicated server with a fast sampler: load in the distant past
-    // (more than one window ago) must age out of `STATS WINDOW 1` while
-    // cumulative STATS keeps counting it forever.
-    let mut client =
-        dedicated("window", |_| "--telemetry-interval-ms 50 --cache-capacity 0".to_string());
-
-    // A burst of old load, then let it age past the 1-second window.
-    for _ in 0..6 {
-        let answer = client.request("QUERY xml sql rdf");
-        assert!(answer.contains("answers"), "{answer}");
-    }
-    std::thread::sleep(Duration::from_millis(1400));
-
-    // Fresh load inside the window, plus one sampler tick to capture it.
-    for _ in 0..2 {
-        let answer = client.request("QUERY xml sql");
-        assert!(answer.contains("answers"), "{answer}");
-    }
-    std::thread::sleep(Duration::from_millis(150));
-
-    let windowed = client.json("STATS WINDOW 1");
-    let cumulative = client.json("STATS");
-
-    let window_queries = windowed["queries"].as_u64().unwrap_or_else(|| panic!("{windowed}"));
-    let total_queries = cumulative["engine"]["queries"].as_u64().unwrap();
-    assert!(total_queries >= 8, "{cumulative}");
-    assert!(window_queries >= 2, "fresh load missing from the window: {windowed}");
-    assert!(
-        window_queries < total_queries,
-        "a 1-second window must shed the old burst: window {windowed} vs cumulative {cumulative}"
-    );
-    // The windowed latency histogram covers the windowed queries only.
-    assert_eq!(windowed["latency"]["count"], windowed["queries"], "{windowed}");
-    assert!(windowed["qps"].as_f64().unwrap() > 0.0, "{windowed}");
+    // The server keeps no windows: a recent rate is the difference of two
+    // METRICS scrapes, and `stats window 1` is an unknown request that
+    // leaves the connection serving.
+    let mut client = connect(shared_server());
+    assert_eq!(client.request("stats window 1"), UNKNOWN_VERB);
+    assert_eq!(client.request("PING"), "PONG");
     client.send("QUIT");
 }
 

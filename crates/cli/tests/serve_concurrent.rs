@@ -136,7 +136,7 @@ fn error_paths_and_stats_are_one_line_json() {
 
     // Unknown command and empty query: JSON errors, never dropped.
     let doc = send("FROB 1");
-    assert_eq!(doc["error"], "expected QUERY/EXPLAIN/PING/STATS/STATS WINDOW/TOP/METRICS/QUIT");
+    assert_eq!(doc["error"], "expected QUERY/EXPLAIN/PING/STATS/METRICS/QUIT");
     let doc = send("QUERY");
     assert_eq!(doc["error"], "empty query");
 

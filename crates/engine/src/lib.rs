@@ -47,18 +47,14 @@ use central::engine::{
     SeqEngine,
 };
 use central::{
-    CacheStats, CentralGraph, MetricsRegistry, MetricsSnapshot, PhaseProfile, QueryBudget,
-    QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError, SearchParams,
-    SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats, Telemetry,
+    CacheStats, CentralGraph, InFlight, MetricsRegistry, MetricsSnapshot, PhaseProfile,
+    QueryBudget, QueryIdGen, QueryKey, QueryTrace, RemoteOptions, RemoteStats, SearchError,
+    SearchParams, SessionPool, ShardAddrs, ShardBackend, ShardCoordinator, ShardedStats,
 };
 use kgraph::KnowledgeGraph;
 use std::sync::Arc;
 use std::time::Instant;
 use textindex::{InvertedIndex, ParsedQuery};
-
-/// Periodic telemetry samples the engine retains by default
-/// (~5 minutes of history at a 1-sample-per-second cadence).
-pub const DEFAULT_TELEMETRY_SAMPLES: usize = 300;
 
 /// Which backend executes searches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -233,10 +229,8 @@ pub struct WikiSearch {
     /// Fleet-wide query-ID allocator: every search through this engine
     /// gets a qid, whether the serving layer tagged it or not.
     qids: QueryIdGen,
-    /// Telemetry hub: the periodic samples (fed by the serving layer's
-    /// sampler thread), the recent queries, and the in-flight gauge
-    /// (both maintained here, around every search path).
-    telemetry: Telemetry,
+    /// Searches executing right now, entered around every search path.
+    in_flight: InFlight,
 }
 
 /// The engine's result cache: normalized-query + params key, `Arc`-shared
@@ -303,7 +297,7 @@ impl WikiSearch {
             cache: None,
             metrics: MetricsRegistry::new(),
             qids: QueryIdGen::new(),
-            telemetry: Telemetry::new(0, DEFAULT_TELEMETRY_SAMPLES),
+            in_flight: InFlight::new(),
         }
     }
 
@@ -504,7 +498,7 @@ impl WikiSearch {
         let (raw_query, params, budget) = (req.query, req.params, &req.budget);
         let started = Instant::now();
         let qid = req.qid.unwrap_or_else(|| self.qids.next());
-        let _flight = self.telemetry.in_flight().enter();
+        let _flight = self.in_flight.enter();
         self.metrics.queries.inc();
         let query = ParsedQuery::parse(&self.index, raw_query);
         let kwf = query.avg_keyword_frequency();
@@ -515,7 +509,6 @@ impl WikiSearch {
                     if let Some(answers) = reorient_answers(&entry, &query) {
                         self.metrics.cache_hits.inc();
                         self.metrics.latency_us.record(elapsed_us(started));
-                        self.note_recent(qid, started);
                         return Ok(WikiSearchResult {
                             qid,
                             query,
@@ -568,9 +561,6 @@ impl WikiSearch {
                     "shard_unavailable" => self.metrics.shard_unavailable.inc(),
                     _ => {}
                 }
-                // Failed queries count among the recent ones too — a
-                // deadline-exceeded query is slow by definition.
-                self.note_recent(qid, started);
                 return Err(e);
             }
         };
@@ -599,7 +589,6 @@ impl WikiSearch {
         let frontier_sum: u64 = stats.trace.iter().map(|t| t.frontier as u64).sum();
         self.metrics.expansions.record(frontier_sum * q);
         self.metrics.latency_us.record(elapsed_us(started));
-        self.note_recent(qid, started);
         Ok(WikiSearchResult { qid, query, answers, profile, kwf, stats, trace, degraded })
     }
 
@@ -637,25 +626,10 @@ impl WikiSearch {
         self.qids.last()
     }
 
-    /// The engine's telemetry hub: the periodic samples, the recent
-    /// queries, and the in-flight gauge. The serving layer's sampler
-    /// thread records periodic [`central::TelemetrySample`]s through it;
-    /// `STATS WINDOW` and `TOP` read it.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Rebuild the telemetry hub with a sampler period of `interval_ms`
-    /// (0 disables periodic sampling; the recent queries and in-flight
-    /// gauge still run) that keeps the newest `samples` samples.
-    pub fn set_telemetry(&mut self, interval_ms: u64, samples: usize) {
-        self.telemetry = Telemetry::new(interval_ms, samples);
-    }
-
-    /// Note one completed query (answered *or* failed) among the recent
-    /// queries.
-    fn note_recent(&self, qid: u64, started: Instant) {
-        self.telemetry.note_query(qid, elapsed_us(started));
+    /// Searches executing right now (cache hits and failures included
+    /// while they run).
+    pub fn queries_in_flight(&self) -> u64 {
+        self.in_flight.current()
     }
 
     /// Parse a query without searching (used by harnesses for kwf stats).
@@ -1188,10 +1162,9 @@ mod tests {
             .unwrap();
         assert_eq!(tagged.qid, 999);
         assert_eq!(tagged.trace.as_deref().unwrap().qid, Some(999));
-        // Telemetry observed every completion; nothing is in flight.
-        assert!(ws.telemetry().slowest_recent().is_some());
-        assert_eq!(ws.telemetry().in_flight().current(), 0);
-        assert!(ws.query_ids_issued() >= 3);
+        // Every untagged search drew its qid here; nothing is in flight.
+        assert_eq!(ws.query_ids_issued(), hit.qid);
+        assert_eq!(ws.queries_in_flight(), 0);
     }
 
     #[test]
@@ -1205,9 +1178,9 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind(), "budget_exhausted");
-        let (qid, _wall) = ws.telemetry().slowest_recent().expect("the failure was noted");
-        assert_eq!(qid, ws.query_ids_issued(), "the failed query's qid is on the ring");
-        assert_eq!(ws.telemetry().in_flight().current(), 0, "the flight guard survived the error");
+        assert_eq!(ws.query_ids_issued(), 1, "the failed query drew a qid");
+        assert_eq!(ws.metrics_snapshot().budget_exhausted, 1, "and was counted");
+        assert_eq!(ws.queries_in_flight(), 0, "the flight guard survived the error");
     }
 
     #[test]

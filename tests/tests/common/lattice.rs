@@ -4,24 +4,23 @@
 //! compared through `super::result_digest` — keyword analysis, answers,
 //! score bits, statistics — and trips every starved budget with the same
 //! error. `lattice.rs` runs it over the whole lattice; the cache, mmap and
-//! telemetry suites run it over the slice of their one axis.
+//! telemetry suites run it over the slice of their one axis (the telemetry
+//! suite's axis is tracing).
 //!
 //! The stream spells each of at least three distinct base queries the five
 //! ways that share a cache key, alternates the (α, A) params with the
 //! case's activation map, flips every third step to `top_k 1, λ 0` (which
 //! must never share an entry with the unflipped params), and runs every
-//! step starved (one expansion) before it runs unlimited. At telemetry-on
-//! points every odd step is traced, and must pass the cache by.
+//! step starved (one expansion) before it runs unlimited. At trace-on
+//! points every step carries a caller-assigned qid and every odd step is
+//! traced, and must pass the cache by.
 //!
 //! The proptest shim does not shrink: every failure names the point's axes,
 //! the step, its raw query and the params it ran under.
 
 use super::{build_graph, result_digest, solo, Case, WORDS};
 use central::shard::DEFAULT_PARTITION_SEED;
-use central::{
-    QueryBudget, RemoteOptions, SearchError, SearchParams, ShardWorker, StaticAddrs,
-    TelemetrySample,
-};
+use central::{QueryBudget, RemoteOptions, SearchError, SearchParams, ShardWorker, StaticAddrs};
 use kgraph::KnowledgeGraph;
 use proptest::prelude::*;
 use std::net::SocketAddr;
@@ -40,16 +39,16 @@ pub struct Point {
     pub workers: usize,
     pub mmap: bool,
     pub cache_bytes: usize,
-    pub telemetry: bool,
+    pub trace: bool,
 }
 
 impl std::fmt::Display for Point {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let storage = if self.mmap { "mmap" } else { "heap" };
-        let telemetry = if self.telemetry { "on" } else { "off" };
+        let trace = if self.trace { "on" } else { "off" };
         write!(
             f,
-            "[{}: {:?}, {} workers, {storage}, cache {} B, telemetry {telemetry}]",
+            "[{}: {:?}, {} workers, {storage}, cache {} B, trace {trace}]",
             self.name, self.backend, self.workers, self.cache_bytes
         )
     }
@@ -68,10 +67,10 @@ pub const CACHE_BYTES: usize = 1 << 20;
 /// [`Point::new`] numbers them.
 pub const MMAP: u8 = 1 << 0;
 pub const CACHE: u8 = 1 << 1;
-pub const TELEMETRY: u8 = 1 << 2;
+pub const TRACE: u8 = 1 << 2;
 
 impl Point {
-    /// `backend` on `workers` workers, with mmap, the cache and telemetry
+    /// `backend` on `workers` workers, with mmap, the cache and tracing
     /// on where `on` says so for bit 0, 1 and 2.
     pub fn new(
         name: &'static str,
@@ -80,7 +79,7 @@ impl Point {
         on: impl Fn(u8) -> bool,
     ) -> Point {
         let cache_bytes = if on(1) { CACHE_BYTES } else { 0 };
-        Point { name, backend, workers, mmap: on(0), cache_bytes, telemetry: on(2) }
+        Point { name, backend, workers, mmap: on(0), cache_bytes, trace: on(2) }
     }
 
     /// Each backend in process, with the axes in `axes` on and the rest
@@ -125,9 +124,6 @@ pub fn open(
         ws.set_remote_shards(point.workers, Arc::new(StaticAddrs(addrs.clone())), opts);
     }
     ws.set_cache_capacity(point.cache_bytes);
-    if point.telemetry {
-        ws.set_telemetry(1, 64);
-    }
     ws
 }
 
@@ -225,7 +221,7 @@ fn stream(
 }
 
 /// A traced request, and only a traced one, returns a trace; on a
-/// telemetry-on point the result, and its trace if any, carry the
+/// trace-on point the result, and its trace if any, carry the
 /// assigned qid.
 fn check_tags(
     got: &WikiSearchResult,
@@ -251,14 +247,7 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
     for (n, step) in steps.iter().enumerate() {
         let label = format!("{point} step {n} {:?} under {}", step.raw, step.name);
         let traced;
-        let (params, qids) = if point.telemetry {
-            // What the sampler thread does once a second.
-            let sample = TelemetrySample {
-                t_us: n as u64 * 1_000_000,
-                served: 2 * n as u64,
-                snapshot: ws.metrics_snapshot(),
-            };
-            ws.telemetry().record_sample(&sample);
+        let (params, qids) = if point.trace {
             // Odd steps run traced, so live: even steps keep the cache in
             // play at cache-on points.
             traced = step.params.clone().with_trace(n % 2 == 1);
@@ -318,22 +307,7 @@ pub fn run_point(point: &Point, ws: &WikiSearch, steps: &[Step]) -> Result<(), T
         prop_assert_eq!(cache.hits + cache.misses, cache.lookups, "{}", point);
         prop_assert!(cache.bytes <= cache.capacity_bytes, "{}", point);
     }
-    let telemetry = ws.telemetry();
-    prop_assert_eq!(telemetry.in_flight().current(), 0, "{}", point);
-    prop_assert!(telemetry.slowest_recent().is_some(), "{}", point);
-    let samples = if point.telemetry {
-        steps.len() as u64
-    } else {
-        0
-    };
-    prop_assert_eq!(telemetry.samples(), samples, "{}", point);
-    if point.telemetry {
-        // The widest window spans the first sample to the last: two
-        // requests per step between them.
-        let between = 2 * (steps.len() as u64 - 1);
-        let window = telemetry.window(u64::MAX).expect("at least two samples");
-        prop_assert_eq!((window.delta.queries, window.served), (between, between), "{}", point);
-    }
+    prop_assert_eq!(ws.queries_in_flight(), 0, "{}", point);
     Ok(())
 }
 

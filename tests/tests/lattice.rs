@@ -8,8 +8,8 @@
 //! The axes: backend (`seq`, `cpu:2`, `gpu:2`, `dyn:2`); remote workers
 //! (none, or a loopback fleet of 1, 2 or 4, under `seq` and `cpu` only);
 //! storage (heap, or a memory-mapped snapshot); the result cache (off, or
-//! 1 MiB); telemetry (off, or on: a sample recorded before each step, a
-//! caller-assigned qid and traced params). A case runs the four points the
+//! 1 MiB); trace (off, or on: every odd step traced and every step given a
+//! caller-assigned qid). A case runs the four points the
 //! wire ledger serves (`benchmark/run.sh`) plus seven drawn ones, so every
 //! value of every axis occurs in every case, and every point runs the
 //! case's whole stream — on one pooled session when it answers in process.
@@ -26,10 +26,10 @@ use wikisearch_engine::{compile_snapshot, Backend, WikiSearch};
 
 #[rustfmt::skip]
 const POINTS: [Point; 4] = [
-    Point { name: "hot_cache", backend: Backend::ParCpu(4), workers: 0, mmap: true, cache_bytes: 64 << 20, telemetry: true },
-    Point { name: "deep_miss", backend: Backend::ParCpu(2), workers: 0, mmap: false, cache_bytes: 0, telemetry: true },
-    Point { name: "zipf_mix", backend: Backend::Sequential, workers: 0, mmap: false, cache_bytes: 256 << 10, telemetry: true },
-    Point { name: "remote_shards", backend: Backend::Sequential, workers: 2, mmap: true, cache_bytes: 0, telemetry: true },
+    Point { name: "hot_cache", backend: Backend::ParCpu(4), workers: 0, mmap: true, cache_bytes: 64 << 20, trace: true },
+    Point { name: "deep_miss", backend: Backend::ParCpu(2), workers: 0, mmap: false, cache_bytes: 0, trace: true },
+    Point { name: "zipf_mix", backend: Backend::Sequential, workers: 0, mmap: false, cache_bytes: 256 << 10, trace: true },
+    Point { name: "remote_shards", backend: Backend::Sequential, workers: 2, mmap: true, cache_bytes: 0, trace: true },
 ];
 
 /// The ledger's points plus seven drawn ones: each backend in process, then
@@ -68,9 +68,7 @@ fn covers_every_axis(points: &[Point]) -> bool {
     BACKENDS.iter().all(|&b| has(&|p| p.backend == b))
         && [0].iter().chain(&FLEETS).all(|&w| has(&|p| p.workers == w))
         && [false, true].iter().all(|&on| {
-            has(&|p| p.mmap == on)
-                && has(&|p| (p.cache_bytes > 0) == on)
-                && has(&|p| p.telemetry == on)
+            has(&|p| p.mmap == on) && has(&|p| (p.cache_bytes > 0) == on) && has(&|p| p.trace == on)
         })
 }
 

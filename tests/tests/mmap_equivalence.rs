@@ -3,7 +3,7 @@
 //! lattice's stream — answers, cache hits and starved-budget errors —
 //! exactly like the solo `SeqEngine` over the heap graph, with the stored
 //! `A` bits of the heap build. These are the lattice's mmap points with
-//! the cache on and telemetry off (`common::lattice`).
+//! the cache on and tracing off (`common::lattice`).
 
 mod common;
 

@@ -1,14 +1,13 @@
-//! Telemetry never perturbs answers: with a sample recorded before each
-//! step, caller-assigned qids and traced params, every backend in process
-//! and `seq` and `cpu:2` over loopback fleets of 1, 2 and 4 workers answer
-//! the lattice's stream exactly like the solo `SeqEngine`, every result and
-//! trace carries its qid, and the sample count and widest window add up.
-//! These are the lattice's telemetry-on points with every other axis off
-//! (`common::lattice`).
+//! Query telemetry never perturbs answers: with caller-assigned qids and
+//! every odd step traced, every backend in process and `seq` and `cpu:2`
+//! over loopback fleets of 1, 2 and 4 workers answer the lattice's stream
+//! exactly like the solo `SeqEngine`, every result and trace carries its
+//! qid, and nothing is left in flight. These are the lattice's trace-on
+//! points with every other axis off (`common::lattice`).
 
 mod common;
 
-use common::lattice::{check_case, Point, BACKENDS, FLEETS, TELEMETRY};
+use common::lattice::{check_case, Point, BACKENDS, FLEETS, TRACE};
 use common::{case_strategy, queries_strategy};
 use proptest::prelude::*;
 
@@ -21,10 +20,10 @@ proptest! {
         extra in queries_strategy(2..4, 2..4),
         cpu in proptest::collection::vec(false, FLEETS.len()),
     ) {
-        let on = |bit| TELEMETRY >> bit & 1 == 1;
-        let mut points = Point::each_backend("telemetry", TELEMETRY);
+        let on = |bit| TRACE >> bit & 1 == 1;
+        let mut points = Point::each_backend("trace", TRACE);
         for (&workers, &cpu) in FLEETS.iter().zip(&cpu) {
-            points.push(Point::new("telemetry", BACKENDS[usize::from(cpu)], workers, on));
+            points.push(Point::new("trace", BACKENDS[usize::from(cpu)], workers, on));
         }
         check_case(&case, &extra, &points)?;
     }
