@@ -240,6 +240,19 @@ mod tests {
         let params = SearchParams::default().with_average_distance(1.0);
         let work = count_work(&g, &q, &params);
         let out = SeqEngine::new().search(&g, &q, &params);
+        assert_eq!(
+            work,
+            WorkMeasure {
+                levels: 3,
+                frontier_entries: 5,
+                flag_scans: 16,
+                work_items: 4,
+                adjacency_scans: 4,
+                matrix_reads: 22,
+                matrix_writes: 2,
+                central_nodes: 1,
+            }
+        );
         assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
         assert!(work.work_items > 0);
         assert!(work.adjacency_scans >= work.work_items);
@@ -253,6 +266,19 @@ mod tests {
         let capped = SearchParams { max_level: 1, ..uncapped.clone() };
         let work = count_work(&g, &q, &capped);
         let out = SeqEngine::new().search(&g, &q, &capped);
+        assert_eq!(
+            work,
+            WorkMeasure {
+                levels: 1,
+                frontier_entries: 4,
+                flag_scans: 8,
+                work_items: 2,
+                adjacency_scans: 2,
+                matrix_reads: 14,
+                matrix_writes: 0,
+                central_nodes: 0,
+            }
+        );
         assert_eq!(work.levels, u32::from(out.stats.last_level));
         assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
         assert_eq!(work.levels, 1);
