@@ -30,7 +30,7 @@
 //! V.2), which the differential suites verify byte for byte.
 
 use crate::activation::ActivationMap;
-use crate::budget::{BudgetTracker, QueryBudget};
+use crate::budget::{BudgetTracker, QueryBudget, Tally};
 use crate::engine::{claim_runs, SearchOutcome, SearchStats, FRONTIER_CLAIM};
 use crate::error::SearchError;
 use crate::model::INFINITE_LEVEL;
@@ -41,6 +41,7 @@ use crate::trace::{QueryTrace, TraceLevelRecord};
 use crate::SearchParams;
 use kgraph::{KnowledgeGraph, NodeId};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use textindex::ParsedQuery;
 
@@ -53,9 +54,10 @@ pub struct ExpandCtx<'a> {
     pub act: &'a ActivationMap<'a>,
     /// Shared lock-free search state.
     pub state: &'a SearchState,
-    /// Budget accounting: every expansion unit is charged here, and a
-    /// tripped budget makes further expansion a no-op (the driver then
-    /// surfaces the error at its next level checkpoint).
+    /// Budget accounting: every expansion unit is charged here (and, on
+    /// a counting tracker, the kernel's [`Tally`]), and a tripped budget
+    /// makes further expansion a no-op (the driver then surfaces the error
+    /// at its next level checkpoint).
     pub budget: &'a BudgetTracker,
 }
 
@@ -65,11 +67,26 @@ pub struct ExpandCtx<'a> {
 /// scheduled).
 #[inline]
 pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
-    let state = ctx.state;
-    if ctx.budget.cancelled() {
+    expand_instances(ctx, f, 0..ctx.state.num_keywords(), level);
+}
+
+/// Expand one `(frontier, BFS instance)` pair — the body of Algorithm 2's
+/// middle loop, and the warp-level work item of the GPU strategy.
+#[inline]
+pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
+    expand_instances(ctx, f, i..i + 1, level);
+}
+
+/// Both granularities: expand frontier `f` in `instances`, charging an
+/// expansion unit for each — and, on a counting tracker, tallying the
+/// gate reads, the work items that passed them and their adjacency scans.
+#[inline]
+fn expand_instances(ctx: &ExpandCtx<'_>, f: u32, instances: Range<usize>, level: u8) {
+    let (state, budget) = (ctx.state, ctx.budget);
+    if budget.cancelled() {
         return;
     }
-    ctx.budget.charge(state.num_keywords() as u64);
+    budget.charge(instances.len() as u64);
     // Central Nodes are unavailable for expansion (Alg. 2 lines 2–3).
     if state.is_central(f) {
         return;
@@ -81,40 +98,24 @@ pub fn expand_frontier(ctx: &ExpandCtx<'_>, f: u32, level: u8) {
         state.mark_frontier(f);
         return;
     }
-    for i in 0..state.num_keywords() {
-        expand_instance(ctx, f, vf, i, level);
+    budget.tally(Tally::HitReads, instances.len() as u64);
+    let mut items = 0;
+    for i in instances {
+        items += u64::from(expand_instance(ctx, f, vf, i, level));
     }
+    budget.tally(Tally::WorkItems, items);
+    budget.tally(Tally::AdjacencyScans, items * ctx.graph.degree(vf) as u64);
 }
 
-/// Expand one `(frontier, BFS instance)` pair — the body of Algorithm 2's
-/// middle loop, and the warp-level work item of the GPU strategy.
+/// Push instance `i` of frontier `f` one step (Alg. 2 lines 8–22).
+/// `false`: `f` is not hit in instance `i` yet, so nothing was scanned.
 #[inline]
-pub fn expand_work_item(ctx: &ExpandCtx<'_>, f: u32, i: usize, level: u8) {
-    let state = ctx.state;
-    if ctx.budget.cancelled() {
-        return;
-    }
-    ctx.budget.charge(1);
-    if state.is_central(f) {
-        return;
-    }
-    let vf = NodeId(f);
-    if ctx.act.level(vf) > level {
-        state.mark_frontier(f);
-        return;
-    }
-    expand_instance(ctx, f, vf, i, level);
-}
-
-/// Inner loop shared by both granularities: push instance `i` of frontier
-/// `f` one step (Alg. 2 lines 8–22).
-#[inline]
-fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) {
+fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8) -> bool {
     let state = ctx.state;
     // The frontier must already be hit in this instance (line 9–11).
     let hf = state.hit(f, i);
     if hf > level {
-        return; // includes the ∞ sentinel
+        return false; // includes the ∞ sentinel
     }
     for adj in ctx.graph.neighbors(vf) {
         let n = adj.target().0;
@@ -132,6 +133,7 @@ fn expand_instance(ctx: &ExpandCtx<'_>, f: u32, vf: NodeId, i: usize, level: u8)
         state.set_hit(n, i, level + 1); // line 21
         state.mark_frontier(n); // line 22
     }
+    true
 }
 
 /// Run one level's expansion procedure over `frontiers`, a frontier at a

@@ -20,6 +20,12 @@
 //! frontier — unmeasurable next to the neighbor loop it gates — and an
 //! unlimited budget short-circuits to a no-op before touching any atomic.
 //!
+//! A tracker armed in counting mode ([`QueryBudget::start_counting`], as
+//! every traced search is) also keeps the expansion kernel's [`Tally`]:
+//! the work counters `crate::costmodel` projects onto hardware, charged
+//! where the kernel runs — once per frontier or work item, never per
+//! neighbor.
+//!
 //! A tripped budget surfaces as [`SearchError`] from the `try_*` search
 //! entry points; the session that ran the query remains reusable (state
 //! is epoch-stamped, so the next `begin_query` re-arms it regardless of
@@ -38,6 +44,22 @@ pub const CHECK_STRIDE: u64 = 256;
 const LIVE: u8 = 0;
 const CAUSE_DEADLINE: u8 = 1;
 const CAUSE_EXPANSIONS: u8 = 2;
+
+/// The kernel work a counting tracker tallies beside its expansion units
+/// ([`BudgetTracker::tally`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tally {
+    /// `M` reads of the expansion gate `hit(f, i)`: one per instance of
+    /// every active, non-central frontier.
+    HitReads,
+    /// `(frontier, instance)` work items that passed the gates.
+    WorkItems,
+    /// Adjacency entries those work items scanned: a degree each.
+    AdjacencyScans,
+    /// Adjacency rows the top-down memo asked its predecessor oracle to
+    /// scan: one per node asked about.
+    MemoRows,
+}
 
 /// The resource allowance of one query. Plain configuration — cheap to
 /// clone, `Copy`, and reusable across queries; [`QueryBudget::start`]
@@ -90,6 +112,7 @@ impl QueryBudget {
             capped: self.max_expansions.is_some(),
             counting,
             charged: AtomicU64::new(0),
+            tallied: Default::default(),
             cancelled: AtomicU8::new(LIVE),
         }
     }
@@ -110,6 +133,8 @@ pub struct BudgetTracker {
     /// (tracing mode); disables the zero-atomic fast path.
     counting: bool,
     charged: AtomicU64,
+    /// The [`Tally`] counters, indexed by variant (counting mode only).
+    tallied: [AtomicU64; 4],
     cancelled: AtomicU8,
 }
 
@@ -129,6 +154,20 @@ impl BudgetTracker {
         {
             self.poll_deadline();
         }
+    }
+
+    /// Add `units` to the `work` counter. A tracker not in counting mode
+    /// returns before touching any atomic.
+    #[inline]
+    pub fn tally(&self, work: Tally, units: u64) {
+        if self.counting {
+            self.tallied[work as usize].fetch_add(units, Ordering::Relaxed);
+        }
+    }
+
+    /// The `work` counter so far; always zero outside counting mode.
+    pub fn tallied(&self, work: Tally) -> u64 {
+        self.tallied[work as usize].load(Ordering::Relaxed)
     }
 
     /// Has the budget tripped? One relaxed load — the check every
@@ -227,6 +266,20 @@ mod tests {
         let capped = QueryBudget::unlimited().with_max_expansions(100).start_counting();
         capped.charge(40);
         assert_eq!(capped.remaining(), Some(60));
+    }
+
+    #[test]
+    fn only_a_counting_tracker_tallies() {
+        let counting = QueryBudget::unlimited().start_counting();
+        counting.tally(Tally::WorkItems, 3);
+        counting.tally(Tally::WorkItems, 4);
+        counting.tally(Tally::MemoRows, 1);
+        assert_eq!(counting.tallied(Tally::WorkItems), 7);
+        assert_eq!(counting.tallied(Tally::MemoRows), 1);
+        assert_eq!(counting.tallied(Tally::AdjacencyScans), 0);
+        let capped = QueryBudget::unlimited().with_max_expansions(10).start();
+        capped.tally(Tally::WorkItems, 3);
+        assert_eq!(capped.tallied(Tally::WorkItems), 0);
     }
 
     #[test]

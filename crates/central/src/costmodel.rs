@@ -10,20 +10,19 @@
 //! BFS over CSR is bandwidth-bound (the premise of the paper's Sec. V-B
 //! discussion and of the GPU-BFS literature it cites).
 //!
-//! [`count_work`] replays the bottom-up stage — the shared level driver
-//! over a counting adapter with instrumented sequential expansion
-//! (property-tested to identify the same central nodes as the real
-//! engines) — and tallies traffic per phase; [`HardwareModel`] converts
-//! the tallies into projected times.
+//! [`count_work`] runs the sequential engine's own search — the kernel
+//! every matrix engine expands with — under a counting budget tracker, and
+//! reads the traffic per phase off what ran: the kernel's
+//! [`Tally`] counters, the level bookkeeping and the finished `M`;
+//! [`HardwareModel`] converts the tallies into projected times.
 
-use crate::activation::{ActivationMap, ActivationTable};
-use crate::bottom_up::{drive, enqueue_sequential, identify_sequential, LevelOps, LevelRun};
-use crate::budget::QueryBudget;
-use crate::error::SearchError;
+use crate::bottom_up::{pre_flight, PreFlight};
+use crate::budget::{QueryBudget, Tally};
+use crate::engine::{matrix_search, KeywordSearchEngine, SeqEngine};
 use crate::model::INFINITE_LEVEL;
-use crate::state::SearchState;
+use crate::session::SearchSession;
 use crate::SearchParams;
-use kgraph::{KnowledgeGraph, NodeId};
+use kgraph::KnowledgeGraph;
 use serde::{Deserialize, Serialize};
 use textindex::ParsedQuery;
 
@@ -46,6 +45,9 @@ pub struct WorkMeasure {
     pub matrix_writes: u64,
     /// Central nodes identified.
     pub central_nodes: u64,
+    /// Adjacency rows the top-down memo's Theorem V.4 oracle scanned, one
+    /// per node asked about (stage 2: no part of the projection).
+    pub memo_rows: u64,
 }
 
 impl WorkMeasure {
@@ -115,107 +117,60 @@ impl HardwareModel {
     }
 }
 
-/// The counting [`LevelOps`]: the sequential phases over one
-/// [`SearchState`], tallying every byte they touch into `work`.
-struct CountingOps<'a> {
-    graph: &'a KnowledgeGraph,
-    act: ActivationMap<'a>,
-    state: SearchState,
-    frontiers: Vec<u32>,
-    work: WorkMeasure,
-}
-
-impl LevelOps for CountingOps<'_> {
-    type Error = SearchError;
-
-    fn enqueue(&mut self) -> Result<usize, SearchError> {
-        enqueue_sequential(&self.state, &mut self.frontiers);
-        self.work.flag_scans += self.state.num_nodes() as u64;
-        self.work.frontier_entries += self.frontiers.len() as u64;
-        Ok(self.frontiers.len())
-    }
-
-    fn identify(
-        &mut self,
-        level: u8,
-        _traced: bool,
-        newly: &mut Vec<u32>,
-    ) -> Result<(usize, usize), SearchError> {
-        identify_sequential(&self.state, &self.frontiers, level, newly);
-        self.work.matrix_reads += (self.frontiers.len() * self.state.num_keywords()) as u64;
-        self.work.central_nodes += newly.len() as u64;
-        Ok((0, 0))
-    }
-
-    /// Instrumented expansion (mirrors `bottom_up::expand_frontier`).
-    fn expand(&mut self, level: u8) -> Result<(), SearchError> {
-        let CountingOps { graph, act, state, frontiers, work } = self;
-        for &f in frontiers.iter() {
-            if state.is_central(f) {
-                continue;
-            }
-            let vf = NodeId(f);
-            if act.level(vf) > level {
-                state.mark_frontier(f);
-                continue;
-            }
-            for i in 0..state.num_keywords() {
-                work.matrix_reads += 1;
-                let hf = state.hit(f, i);
-                if hf > level {
-                    continue;
-                }
-                work.work_items += 1;
-                for adj in graph.neighbors(vf) {
-                    work.adjacency_scans += 1;
-                    let n = adj.target().0;
-                    work.matrix_reads += 1;
-                    if state.hit(n, i) != INFINITE_LEVEL {
-                        continue;
-                    }
-                    if !state.is_keyword_node(n) && act.level(adj.target()) > level + 1 {
-                        state.mark_frontier(f);
-                        continue;
-                    }
-                    state.set_hit(n, i, level + 1);
-                    work.matrix_writes += 1;
-                    state.mark_frontier(n);
-                }
-            }
-        }
-        work.levels = u32::from(level) + 1;
-        Ok(())
-    }
-}
-
-/// Replay the bottom-up stage sequentially under [`drive`], counting all
-/// traffic. The identified central nodes must (and, by test, do) match
-/// the real engines'.
+/// Run [`SeqEngine`]'s search of `query` — pre-flight, the shared driver
+/// over its kernel, fill and top-down stage — with tracing on, which arms
+/// the budget tracker in counting mode, and tally the traffic it moved.
+///
+/// # Panics
+/// Where the engines do: on parameters that fail
+/// [`SearchParams::validate`], or an explicit activation table shorter
+/// than the graph.
 pub fn count_work(
     graph: &KnowledgeGraph,
     query: &ParsedQuery,
     params: &SearchParams,
 ) -> WorkMeasure {
-    if query.is_empty() {
-        return WorkMeasure::default();
-    }
-    let mut table = ActivationTable::default();
-    let mut ops = CountingOps {
-        graph,
-        act: table.for_params(graph, params),
-        state: SearchState::new(graph.num_nodes(), query),
-        frontiers: Vec::new(),
-        work: WorkMeasure::default(),
+    let params = params.clone().with_trace(true);
+    let name = SeqEngine.name();
+    let unlimited = QueryBudget::unlimited();
+    let tracker = match pre_flight(query, &params, &unlimited, name, graph.num_nodes()) {
+        PreFlight::Run(tracker) => tracker,
+        // Nothing matched: no search ran.
+        PreFlight::Done(_) => return WorkMeasure::default(),
     };
-    let tracker = QueryBudget::unlimited().start();
-    drive(&mut ops, &mut LevelRun::new(params, &tracker)).expect("an unlimited budget cannot trip");
-    ops.work
+    let mut session = SearchSession::new();
+    let out = matrix_search(name, None, false, &mut session, graph, query, &params, &tracker)
+        .expect("an unlimited budget cannot trip");
+    let hits = &session.top_down.hits;
+    let last_level = u64::from(out.stats.last_level);
+    let frontier_entries: u64 = out.stats.trace.iter().map(|l| l.frontier as u64).sum();
+    let adjacency_scans = tracker.tallied(Tally::AdjacencyScans);
+    WorkMeasure {
+        levels: out.stats.last_level.into(),
+        frontier_entries,
+        // One `FIdentifier` scan per enqueue, one enqueue per level.
+        flag_scans: graph.num_nodes() as u64 * (last_level + 1),
+        work_items: tracker.tallied(Tally::WorkItems),
+        adjacency_scans,
+        // Identification reads each frontier's row; expansion its gate
+        // cells and one cell per adjacency entry scanned.
+        matrix_reads: frontier_entries * hits.num_keywords() as u64
+            + tracker.tallied(Tally::HitReads)
+            + adjacency_scans,
+        // Sequentially, every `∞` cell is written at most once: the
+        // finite cells that are no source.
+        matrix_writes: (0..graph.num_nodes() as u32)
+            .flat_map(|v| hits.row(v))
+            .filter(|&&h| h != 0 && h != INFINITE_LEVEL)
+            .count() as u64,
+        central_nodes: out.stats.central_candidates as u64,
+        memo_rows: tracker.tallied(Tally::MemoRows),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{KeywordSearchEngine, SeqEngine};
     use kgraph::GraphBuilder;
     use textindex::InvertedIndex;
 
@@ -251,6 +206,8 @@ mod tests {
                 matrix_reads: 22,
                 matrix_writes: 2,
                 central_nodes: 1,
+                // m is asked about; x and y are sources of its keywords.
+                memo_rows: 1,
             }
         );
         assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
@@ -277,12 +234,20 @@ mod tests {
                 matrix_reads: 14,
                 matrix_writes: 0,
                 central_nodes: 0,
+                memo_rows: 0,
             }
         );
         assert_eq!(work.levels, u32::from(out.stats.last_level));
         assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
         assert_eq!(work.levels, 1);
         assert!(count_work(&g, &q, &uncapped).levels > 1, "only the cap ended it at level 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid search parameters")]
+    fn parameters_the_engines_refuse_are_refused() {
+        let (g, q) = fixture();
+        count_work(&g, &q, &SearchParams::default().with_top_k(0));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub use par_dyn::DynParEngine;
 pub use seq::SeqEngine;
 
 use crate::bottom_up::{self, ExpandCtx, LevelOps, LevelRun, PreFlight};
-use crate::budget::QueryBudget;
+use crate::budget::{BudgetTracker, QueryBudget};
 use crate::error::SearchError;
 use crate::model::CentralGraph;
 use crate::profile::PhaseProfile;
@@ -208,10 +208,8 @@ impl LevelOps for MatrixOps<'_> {
 }
 
 /// The three matrix-based engines (sequential, CPU-Par, GPU-style) as one
-/// adapter over [`bottom_up::drive`]: re-arm the session's state →
-/// bottom-up under the scheduling `pool` and `work_items` select (see
-/// `MatrixOps`) → top-down over the Theorem V.4 predecessor oracle
-/// (dynamically scheduled over central nodes when the engine has a `pool`).
+/// adapter over [`bottom_up::drive`]: [`bottom_up::pre_flight`], then
+/// [`matrix_search`] under the tracker it armed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_matrix_search(
     name: &'static str,
@@ -223,11 +221,32 @@ pub(crate) fn run_matrix_search(
     params: &SearchParams,
     budget: &QueryBudget,
 ) -> Result<SearchOutcome, SearchError> {
-    let tracker = match bottom_up::pre_flight(query, params, budget, name, graph.num_nodes()) {
-        PreFlight::Run(tracker) => tracker,
-        PreFlight::Done(verdict) => return verdict,
-    };
-    let mut run = LevelRun::new(params, &tracker);
+    match bottom_up::pre_flight(query, params, budget, name, graph.num_nodes()) {
+        PreFlight::Run(tracker) => {
+            matrix_search(name, pool, work_items, session, graph, query, params, &tracker)
+        }
+        PreFlight::Done(verdict) => verdict,
+    }
+}
+
+/// A matrix engine's search past its pre-flight, under `tracker`: re-arm
+/// the session's state → bottom-up under the scheduling `pool` and
+/// `work_items` select (see `MatrixOps`) → top-down over the Theorem V.4
+/// predecessor oracle (dynamically scheduled over central nodes when the
+/// engine has a `pool`). [`crate::costmodel::count_work`] runs the
+/// sequential engine's through here too, to read its counting tracker.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matrix_search(
+    name: &'static str,
+    pool: Option<&rayon::ThreadPool>,
+    work_items: bool,
+    session: &mut SearchSession,
+    graph: &KnowledgeGraph,
+    query: &ParsedQuery,
+    params: &SearchParams,
+    tracker: &BudgetTracker,
+) -> Result<SearchOutcome, SearchError> {
+    let mut run = LevelRun::new(params, tracker);
 
     // Initialization phase: arm M / FIdentifier / CIdentifier for this
     // query (epoch bump + source seeding; allocation only on first use or
@@ -240,7 +259,7 @@ pub(crate) fn run_matrix_search(
     let act = activation.for_params(graph, params);
     run.profile.init = t.elapsed();
 
-    let ctx = ExpandCtx { graph, act: &act, state, budget: &tracker };
+    let ctx = ExpandCtx { graph, act: &act, state, budget: tracker };
     let mut ops = MatrixOps { pool, work_items, ctx, frontiers: &mut scratch.frontiers };
     bottom_up::drive(&mut ops, &mut run)?;
     run.timed_fill(|| state.fill(&mut stage2.hits));

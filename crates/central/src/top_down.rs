@@ -40,7 +40,7 @@
 //!   [`CentralGraph`] for the ≤ `top_k` survivors only.
 
 use crate::activation::ActivationMap;
-use crate::budget::BudgetTracker;
+use crate::budget::{BudgetTracker, Tally};
 use crate::engine::{claim_runs, ASK_CLAIM, CANDIDATE_CLAIM};
 use crate::model::{rank_order, CentralGraph, INFINITE_LEVEL};
 use crate::state::HitBlock;
@@ -123,7 +123,8 @@ pub struct Stage<'a, P> {
     /// `level_cover`, `dedup_contained`, `top_k`, `lambda`.
     pub params: &'a SearchParams,
     /// Polled once per candidate, per memoised adjacency scan and per
-    /// materialised answer.
+    /// materialised answer; a counting one tallies the memo's asks as
+    /// [`Tally::MemoRows`].
     pub tracker: &'a BudgetTracker,
     /// The predecessor oracle.
     pub preds: P,
@@ -340,6 +341,7 @@ impl Memo {
                 })
             });
             drop(sinks);
+            cx.tracker.tally(Tally::MemoRows, to_ask.len() as u64);
             if cx.tracker.cancelled() {
                 return None;
             }

@@ -1,7 +1,8 @@
-//! The instrumented work counter (`central::costmodel`) replays the
-//! bottom-up search with its own loop; it must stay in lockstep with the
-//! real engines on arbitrary graphs — same central-node count, and work
-//! tallies consistent with the graph's size.
+//! The work counter (`central::costmodel`) runs the sequential engine's
+//! own search under a counting tracker. On arbitrary graphs its tallies
+//! must read exactly what `SeqEngine` reports of the same search — levels,
+//! frontier entries, flag scans and central nodes — and stay within the
+//! graph's size.
 
 mod common;
 
@@ -28,8 +29,17 @@ proptest! {
         .with_explicit_activation(case.activation);
 
         let work = count_work(&g, &query, &params);
-        let out = SeqEngine::new().search(&g, &query, &params);
-        prop_assert_eq!(work.central_nodes as usize, out.stats.central_candidates);
+        let stats = SeqEngine::new().search(&g, &query, &params).stats;
+        prop_assert_eq!(work.central_nodes as usize, stats.central_candidates);
+        if query.is_empty() {
+            prop_assert_eq!(work, Default::default());
+        } else {
+            let levels = u64::from(stats.last_level);
+            prop_assert_eq!(u64::from(work.levels), levels);
+            let frontier: usize = stats.trace.iter().map(|l| l.frontier).sum();
+            prop_assert_eq!(work.frontier_entries as usize, frontier);
+            prop_assert_eq!(work.flag_scans, g.num_nodes() as u64 * (levels + 1));
+        }
         // Tallies are bounded by graph size × levels.
         let max_scans = (g.num_adjacency_entries() as u64)
             * (work.levels.max(1) as u64)
