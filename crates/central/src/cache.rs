@@ -9,7 +9,7 @@
 //! * **Keying** — a [`QueryKey`] pairs the *normalized* query (the
 //!   sorted, deduplicated, analyzed term list produced by
 //!   `textindex::normalize_query`) with a bit-exact
-//!   [`ParamsFingerprint`](crate::config::ParamsFingerprint) of the
+//!   [`ParamsFingerprint`] of the
 //!   [`SearchParams`]. Word order, capitalization, duplicates and
 //!   stopwords collapse onto one slot; any α/k/λ/pruning difference keys
 //!   a distinct slot, so cached answers can never alias across knobs.

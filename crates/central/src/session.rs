@@ -12,7 +12,7 @@
 //! Sessions are engine-agnostic: the same session can be handed to any of
 //! the four engines ([`crate::engine::KeywordSearchEngine::search_session`]).
 //! The matrix engines (Seq, CPU-Par, GPU-Par) share the epoch-stamped
-//! state; CPU-Par-d lazily materializes its lock-based [`DynState`] inside
+//! state; CPU-Par-d lazily materializes its lock-based `DynState` inside
 //! the same session and reuses it the same way (per-node epoch stamps,
 //! freshened under the node lock).
 //!

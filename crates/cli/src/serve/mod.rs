@@ -2,11 +2,11 @@
 //! analogue of the paper's hosted WikiSearch endpoint.
 //!
 //! This module is start-up (flags, engine wiring) and the one connection
-//! front end: an acceptor and a worker pool around [`serve_one_request`].
+//! front end: an acceptor and a worker pool around `serve_one_request`.
 //! The wire grammar, the line reader and the socket writer are in
-//! [`protocol`]; `QUERY`/`EXPLAIN` answering, query IDs and the slow-query
-//! log in [`query`]; the metric table behind `STATS` and `METRICS` in
-//! [`stats`].
+//! `protocol`; `QUERY`/`EXPLAIN` answering, query IDs and the slow-query
+//! log in `query`; the metric table behind `STATS` and `METRICS` in
+//! `stats`.
 //!
 //! ## Fault isolation
 //!
@@ -26,7 +26,7 @@
 //!   busy and the queue is full, a new connection is answered
 //!   immediately with `{"error":"overloaded"}` and closed, instead of
 //!   queueing without bound.
-//! * **Bounded request lines** — see [`protocol`].
+//! * **Bounded request lines** — see `protocol`.
 //!
 //! Connections are handled by a bounded worker pool (`--workers N`,
 //! default 4). A worker owns a connection until its peer quits or hangs
