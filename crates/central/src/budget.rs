@@ -56,8 +56,8 @@ pub enum Tally {
     WorkItems,
     /// Adjacency entries those work items scanned: a degree each.
     AdjacencyScans,
-    /// Adjacency rows the top-down memo asked its predecessor oracle to
-    /// scan: one per node asked about.
+    /// Nodes the top-down memo asked its predecessor oracle about: one
+    /// adjacency row each for the Theorem V.4 oracle.
     MemoRows,
 }
 

@@ -26,7 +26,8 @@ use kgraph::KnowledgeGraph;
 use serde::{Deserialize, Serialize};
 use textindex::ParsedQuery;
 
-/// Byte/operation tallies of one bottom-up search.
+/// Byte/operation tallies of one search: the bottom-up stage's traffic,
+/// plus the top-down memo's adjacency rows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkMeasure {
     /// Levels processed.
