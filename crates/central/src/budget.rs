@@ -188,6 +188,11 @@ impl BudgetTracker {
         }
     }
 
+    /// The instant the deadline trips, if the budget has one.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
     /// Level-boundary checkpoint: poll the deadline, then surface any
     /// cancellation as the error the search should return.
     pub fn checkpoint(&self) -> Result<(), SearchError> {

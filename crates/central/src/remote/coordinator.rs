@@ -4,13 +4,17 @@
 //! [`crate::bottom_up::drive`] loop, two sweeps of shard RPCs per level
 //! (`Step`, `Expand`) between a `Start` and a `Collect` — behind one
 //! `try_search` seam, so the result cache, budgets, tracing and the
-//! top-down extractor all run unchanged above it. A channel's link to its
-//! lane has two members: an owned in-process lane over a part of a
-//! [`ShardPlan`] cut here ([`ShardCoordinator::in_process`]), stepped with
-//! typed messages and no socket, or a TCP stream to a shard-worker process
+//! top-down extractor all run unchanged above it. How a channel reaches
+//! its lane is one private seam, a link that opens lanes and exchanges one
+//! request for one reply on each, with two members: owned in-process lanes
+//! over the parts of a [`ShardPlan`] cut here
+//! ([`ShardCoordinator::in_process`]), stepped with typed messages and no
+//! socket, or TCP streams to shard-worker processes
 //! ([`ShardCoordinator::remote`]). Everything above the link is the same
 //! code, which is what lets the differential suites pin both
-//! byte-identical to the solo engines.
+//! byte-identical to the solo engines, and what lets the supervision tests
+//! wrap the in-process lanes in a scripted link that fails dials and RPCs
+//! on cue.
 //!
 //! ## Supervision
 //!
@@ -19,28 +23,35 @@
 //! same):
 //!
 //! * **per-RPC deadlines** — each socket read/write is capped at
-//!   [`RemoteOptions::rpc_timeout`], further clamped by the query's own
-//!   wall-clock budget, so a stalled worker costs bounded time;
+//!   [`RemoteOptions::rpc_timeout`], further clamped by what is left of
+//!   the budget tracker's own deadline, so a stalled worker costs bounded
+//!   time;
 //! * **bounded whole-query retry** — a query whose shard RPC fails is
 //!   retried from the top (the protocol is idempotent: `Start` re-arms
 //!   every worker's state) with exponential backoff (50 ms doubling, at
 //!   most 2 s) + deterministic jitter, up to [`RemoteOptions::attempts`]
 //!   failures per shard, all charged against the *same* budget tracker:
 //!   the budget bounds total work including recovery;
-//! * **a per-shard circuit breaker** ([`super::breaker`]) fed only by
-//!   *confirmed* worker failures: when a query RPC fails, the worker is
-//!   probed out-of-band first, and a surviving probe attributes the
-//!   failure to the query itself — a fault-injecting query can therefore
-//!   never open the breaker and shed its well-behaved neighbours.
+//! * **a per-shard circuit breaker** fed only by *confirmed* worker
+//!   failures: when a query RPC fails, the worker is probed first — dialed
+//!   afresh, and a worker that answers the `Hello` handshake is alive — so
+//!   a surviving probe attributes the failure to the query itself, and a
+//!   fault-injecting query can never open the breaker and shed its
+//!   well-behaved neighbours.
 //!
-//! Nothing probes the fleet in the background: a breaker changes state
-//! only when a query reaches its shard. Three confirmed failures open it;
-//! once its 1 s cooldown has passed, the next query's admission makes it
-//! half-open, and that query's outcome closes it or opens it again. A
-//! worker that dies while the fleet is idle is therefore found by the
-//! first query to reach it, which pays its retry budget before it is
-//! shed or degraded. (Under `serve --shard-workers` the supervisor
-//! respawns a dead worker without waiting for a query.)
+//! The policy — admission, blame, backoff, breakers, degrade or shed — is
+//! [`super::breaker`]'s pure core: handed `now`, it answers each failure
+//! with the query's next step as a value, and the coordinator reads `now`
+//! from and waits on its clock (the wall clock for every public
+//! constructor; a manual one in the supervision tests, which therefore
+//! never sleep). Nothing probes the fleet in the background: a breaker
+//! changes state only when a query reaches its shard. Three confirmed
+//! failures open it; once its 1 s cooldown has passed, the next query's
+//! admission makes it half-open, and that query's outcome closes it or
+//! opens it again. A worker that dies while the fleet is idle is therefore
+//! found by the first query to reach it, which pays its retry budget
+//! before it is shed or degraded. (Under `serve --shard-workers` the
+//! supervisor respawns a dead worker without waiting for a query.)
 //!
 //! ## Degradation
 //!
@@ -54,7 +65,7 @@
 //! collection (replicas are exact by the round-boundary sync invariant;
 //! only expansions that had to run *inside* the dead shard are lost).
 
-use super::breaker::{BreakerState, CircuitBreaker};
+use super::breaker::{BreakerState, Clock, Course, Next, Supervisor, SystemClock};
 use super::frame::write_frame;
 use super::wire::{self, Request, Response};
 use super::worker::{expect_frame, Arrival, Conn, ShardWorker};
@@ -104,7 +115,7 @@ impl ShardAddrs for StaticAddrs {
 
 /// Supervision and degradation knobs of a [`ShardCoordinator`] over
 /// remote workers: the three that `serve` sets from its flags. The rest
-/// of the policy is fixed by the constants below.
+/// of the policy is fixed by the constants of [`super::breaker`].
 #[derive(Clone, Copy, Debug)]
 pub struct RemoteOptions {
     /// Cap on each RPC's socket read/write (further clamped by the
@@ -125,14 +136,6 @@ impl Default for RemoteOptions {
 
 /// Cap on establishing a worker connection.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// First retry backoff; doubles per failure.
-const BACKOFF_BASE: Duration = Duration::from_millis(50);
-/// Upper bound on the backoff.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
-/// Consecutive confirmed failures that open a breaker.
-const BREAKER_THRESHOLD: u32 = 3;
-/// How long an open breaker sheds before admitting a trial query.
-const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
 
 /// A successful sharded search: the outcome plus the explicit degradation
 /// marker the wire protocol surfaces.
@@ -153,14 +156,15 @@ pub struct RemoteStats {
     /// Shard count and the boundary-exchange counters — all there is to
     /// monitor of an in-process fleet.
     pub exchange: ShardedStats,
-    /// RPCs issued (all kinds, including handshakes and probes).
+    /// RPCs issued (all kinds, handshakes included).
     pub rpcs: u64,
-    /// Worker dials (fresh connections, including respawn re-dials).
+    /// Worker dials (fresh connections, including probes and respawn
+    /// re-dials).
     pub dials: u64,
     /// Whole-query retries after a shard RPC failure.
     pub retries: u64,
-    /// Out-of-band health probes sent, one per query attempt a shard
-    /// failed (failure attribution).
+    /// Health probes — a fresh dial of the shard, handshake included —
+    /// one per query attempt a shard failed (failure attribution).
     pub probes: u64,
     /// Probes that failed (confirmed worker failures).
     pub probe_failures: u64,
@@ -181,21 +185,89 @@ struct RemoteCounters {
     retries: AtomicU64,
     probes: AtomicU64,
     probe_failures: AtomicU64,
-    breaker_opens: AtomicU64,
     degraded_queries: AtomicU64,
     exchange: ExchangeCounters,
-    /// Nonce of the deterministic backoff jitter.
-    jitter_nonce: AtomicU64,
 }
 
-/// Where the fleet's lanes live.
-#[derive(Clone)]
-enum Fleet {
-    /// In this process: one worker per part of the plan cut at
-    /// construction, stepped through owned lanes.
-    InProcess(Vec<Arc<ShardWorker>>),
-    /// In worker processes, reached over TCP at these addresses.
-    Remote(Arc<dyn ShardAddrs>),
+/// How a coordinator reaches its shards' lanes: the one seam between the
+/// round protocol and its transport. Two links implement it — lanes in
+/// this process ([`InProcess`]) and connections to shard-worker processes
+/// ([`Tcp`]) — and only [`ShardCoordinator::over`] accepts one, which is
+/// how the supervision tests put a scripted link around in-process lanes.
+trait Link: Send + Sync {
+    /// A fresh lane of `shard`; over a [`Link::framed`] link, a connection
+    /// that still has to be greeted.
+    fn open(&self, shard: usize) -> io::Result<Box<dyn Endpoint>>;
+    /// Incarnation of `shard`'s lanes; a channel opened under another one
+    /// is stale.
+    fn generation(&self, _shard: usize) -> u64 {
+        0
+    }
+    /// Whether requests travel as frames to worker processes — whose
+    /// lanes are dialed, greeted and timed on the wire.
+    fn framed(&self) -> bool {
+        false
+    }
+}
+
+/// A channel's far end: one request in, one reply out.
+trait Endpoint: Send {
+    fn exchange(&mut self, out: &Outgoing<'_>, timeout: Duration) -> io::Result<Reply>;
+}
+
+/// Lanes in this process: one worker per part of the plan cut at
+/// construction.
+struct InProcess(Vec<Arc<ShardWorker>>);
+
+impl Link for InProcess {
+    fn open(&self, shard: usize) -> io::Result<Box<dyn Endpoint>> {
+        Ok(Box::new(Conn::new(Arc::clone(&self.0[shard]), true)))
+    }
+}
+
+/// A lane owned by the channel is called with the typed request — no
+/// JSON, no socket, nothing to time out.
+impl Endpoint for Conn {
+    fn exchange(&mut self, out: &Outgoing<'_>, _timeout: Duration) -> io::Result<Reply> {
+        let handled = self.handle(out.request, Arrival::default());
+        handled
+            .map(Reply::Typed)
+            .map_err(|e| invalid_data(format!("worker error {}: {}", e.code, e.message)))
+    }
+}
+
+/// Shard-worker processes, reached over TCP at these addresses.
+struct Tcp(Arc<dyn ShardAddrs>);
+
+impl Link for Tcp {
+    fn open(&self, shard: usize) -> io::Result<Box<dyn Endpoint>> {
+        let addr = self.0.addr(shard).ok_or(io::ErrorKind::NotFound)?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        let _ = stream.set_nodelay(true);
+        Ok(Box::new(stream))
+    }
+
+    fn generation(&self, shard: usize) -> u64 {
+        self.0.generation(shard)
+    }
+
+    fn framed(&self) -> bool {
+        true
+    }
+}
+
+/// A connection's requests and replies are frames; its reads and writes
+/// carry the RPC deadline.
+impl Endpoint for TcpStream {
+    fn exchange(&mut self, out: &Outgoing<'_>, timeout: Duration) -> io::Result<Reply> {
+        let (opcode, payload) =
+            out.frame.as_ref().expect("a framed link's requests go out encoded");
+        self.set_read_timeout(Some(timeout))?;
+        self.set_write_timeout(Some(timeout))?;
+        write_frame(self, *opcode, payload)?;
+        let (opcode, payload) = expect_frame(self)?;
+        Ok(Reply::Frame(opcode, payload))
+    }
 }
 
 /// Scatter-gather coordinator over the `N` shards of the deterministic
@@ -207,9 +279,12 @@ pub struct ShardCoordinator {
     shards: usize,
     seed: u64,
     num_nodes: u64,
-    fleet: Fleet,
+    link: Arc<dyn Link>,
+    /// The supervision policy's time source: `now` for its transitions,
+    /// and the backoff's wait.
+    clock: Arc<dyn Clock>,
     opts: RemoteOptions,
-    breakers: Vec<CircuitBreaker>,
+    supervisor: Supervisor,
     counters: RemoteCounters,
     latency: LogHistogram,
     backend: ShardBackend,
@@ -224,25 +299,12 @@ pub struct ShardCoordinator {
     /// stage, which runs here, over the global graph and the collected
     /// rows; their matrix state is never armed.
     pub(crate) stage: SessionPool,
-    /// The fault schedule of the supervision tests.
-    #[cfg(test)]
-    script: tests::Script,
 }
 
-/// How a channel reaches its lane.
-enum Link {
-    /// A connection to a shard-worker process: requests and replies are
-    /// framed JSON, reads and writes carry the RPC deadline.
-    Tcp(TcpStream),
-    /// A lane owned by the channel: the handler is called with the typed
-    /// request — no JSON, no socket, nothing to time out.
-    InProcess(Box<Conn>),
-}
-
-/// One pooled lane of a shard, tagged with the address generation it was
-/// dialed under.
+/// One pooled lane of a shard, tagged with the generation it was opened
+/// under.
 struct Channel {
-    link: Link,
+    end: Box<dyn Endpoint>,
     generation: u64,
 }
 
@@ -283,12 +345,11 @@ fn invalid_data(reason: String) -> io::Error {
 impl ShardCoordinator {
     /// `request`, ready to go out on this fleet's links.
     fn outgoing<'a>(&self, request: &'a Request) -> Outgoing<'a> {
-        let remote = matches!(self.fleet, Fleet::Remote(_));
-        Outgoing { request, frame: remote.then(|| request.encode()) }
+        Outgoing { request, frame: self.link.framed().then(|| request.encode()) }
     }
 
-    /// One RPC on an established channel: hand the lane the request (over
-    /// TCP: write its frame, read the reply's) and return what came back.
+    /// One RPC on an established channel: hand the lane the request and
+    /// return what came back.
     fn exchange(
         &self,
         chan: &mut Channel,
@@ -296,61 +357,21 @@ impl ShardCoordinator {
         timeout: Duration,
     ) -> io::Result<Reply> {
         let t = Instant::now();
-        let reply =
-            match (&mut chan.link, &out.frame) {
-                (Link::Tcp(stream), Some((opcode, payload))) => {
-                    stream.set_read_timeout(Some(timeout))?;
-                    stream.set_write_timeout(Some(timeout))?;
-                    write_frame(stream, *opcode, payload)?;
-                    let (opcode, payload) = expect_frame(stream)?;
-                    Reply::Frame(opcode, payload)
-                }
-                (Link::InProcess(conn), _) => {
-                    #[cfg(test)]
-                    self.script.next_rpc(conn.shard())?;
-                    let handled = conn.handle(out.request, Arrival::default());
-                    Reply::Typed(handled.map_err(|e| {
-                        invalid_data(format!("worker error {}: {}", e.code, e.message))
-                    })?)
-                }
-                (Link::Tcp(_), None) => unreachable!("a remote fleet's requests go out encoded"),
-            };
+        let reply = chan.end.exchange(out, timeout)?;
         self.counters.rpcs.fetch_add(1, Ordering::Relaxed);
         self.latency.record(t.elapsed().as_micros() as u64);
         Ok(reply)
     }
 
-    /// [`ShardCoordinator::exchange`] one request and decode the reply.
-    fn call(&self, chan: &mut Channel, request: &Request) -> io::Result<Response> {
-        self.exchange(chan, &self.outgoing(request), self.opts.rpc_timeout)?.decode()
-    }
-
-    /// Incarnation of `shard`'s lanes; an in-process fleet has only one.
-    fn generation(&self, shard: usize) -> u64 {
-        match &self.fleet {
-            Fleet::InProcess(_) => 0,
-            Fleet::Remote(addrs) => addrs.generation(shard),
-        }
-    }
-
-    /// A fresh channel to `shard`: a new lane of its in-process worker, or
-    /// a dialed and handshaken connection to its worker process.
+    /// A fresh channel to `shard`: a new in-process lane, or a dialed
+    /// connection to its worker process that has answered the handshake.
     fn dial(&self, shard: usize) -> io::Result<Channel> {
-        let generation = self.generation(shard);
-        let addrs = match &self.fleet {
-            Fleet::InProcess(workers) => {
-                let conn = Conn::new(Arc::clone(&workers[shard]), true);
-                return Ok(Channel { link: Link::InProcess(Box::new(conn)), generation });
-            }
-            Fleet::Remote(addrs) => addrs,
-        };
-        let addr = addrs.addr(shard).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no address for shard {shard}"))
-        })?;
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
-        let _ = stream.set_nodelay(true);
+        let generation = self.link.generation(shard);
+        let mut chan = Channel { end: self.link.open(shard)?, generation };
+        if !self.link.framed() {
+            return Ok(chan);
+        }
         self.counters.dials.fetch_add(1, Ordering::Relaxed);
-        let mut chan = Channel { link: Link::Tcp(stream), generation };
         // The handshake this fleet must agree to.
         let hello = Request::Hello(wire::Hello {
             version: wire::PROTOCOL_VERSION,
@@ -359,7 +380,8 @@ impl ShardCoordinator {
             num_nodes: self.num_nodes,
             seed: self.seed,
         });
-        match self.call(&mut chan, &hello)? {
+        let out = self.outgoing(&hello);
+        match self.exchange(&mut chan, &out, self.opts.rpc_timeout)?.decode()? {
             Response::HelloOk(ok)
                 if (ok.shard_index, ok.version) == (shard as u32, wire::PROTOCOL_VERSION) =>
             {
@@ -372,63 +394,39 @@ impl ShardCoordinator {
         }
     }
 
-    /// Out-of-band health probe: fresh dial + ping. Returns the probed
-    /// channel on success so it can be pooled.
-    fn probe(&self, shard: usize) -> Option<Channel> {
+    /// Failure attribution: dial `shard` afresh. A worker that answers the
+    /// handshake is alive — the failed RPC was the query's fault — and the
+    /// probe's channel joins the pool.
+    fn probe(&self, shard: usize) -> bool {
         self.counters.probes.fetch_add(1, Ordering::Relaxed);
-        let attempt = || -> io::Result<Channel> {
-            let mut chan = self.dial(shard)?;
-            match self.call(&mut chan, &Request::Ping)? {
-                Response::Pong => Ok(chan),
-                other => Err(invalid_data(format!("pinged, worker answered {other:?}"))),
-            }
+        let Ok(chan) = self.dial(shard) else {
+            self.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
+            return false;
         };
-        match attempt() {
-            Ok(chan) => Some(chan),
-            Err(_) => {
-                self.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Record a confirmed worker failure on the breaker, counting
-    /// open transitions.
-    fn confirmed_failure(&self, shard: usize) {
-        let was_open = self.breakers[shard].state() == BreakerState::Open;
-        self.breakers[shard].record_failure(BREAKER_THRESHOLD);
-        if !was_open && self.breakers[shard].state() == BreakerState::Open {
-            self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Deterministic backoff jitter in `[0, base)` — splitmix64 over a
-    /// process-local nonce, no RNG dependency.
-    fn jitter(&self, base: Duration) -> Duration {
-        let nonce = self.counters.jitter_nonce.fetch_add(1, Ordering::Relaxed);
-        let x = crate::shard::splitmix64(nonce);
-        base.mul_f64((x % 1000) as f64 / 2000.0) // 0 – 50 % of base
+        self.checkin(shard, chan);
+        true
     }
 }
 
 /// One worker per part of `graph`'s `shards`-way plan under the default
 /// seed.
-fn in_process_fleet(graph: &KnowledgeGraph, shards: usize) -> Fleet {
+fn in_process_lanes(graph: &KnowledgeGraph, shards: usize) -> InProcess {
     let plan = ShardPlan::build(graph, shards, DEFAULT_PARTITION_SEED);
     let workers = plan.parts.into_iter().enumerate().map(|(index, part)| {
         Arc::new(ShardWorker::over(part, graph.num_nodes(), shards, index, plan.seed))
     });
-    Fleet::InProcess(workers.collect())
+    InProcess(workers.collect())
 }
 
 /// Why one query attempt stopped.
 enum AttemptError {
     /// The query's own budget tripped: surfaces directly.
     Budget(SearchError),
-    /// A shard RPC failed: retry / degrade / shed.
+    /// A shard RPC failed: probe, then retry / degrade / shed.
     ShardIo { shard: usize },
-    /// A shard's breaker refused admission: degrade / shed, no probe.
-    ShardShed { shard: usize },
+    /// Admission refused a shard whose breaker is open: the step that
+    /// loses it (degrade or shed), no probe.
+    Refused(Next),
 }
 
 impl From<SearchError> for AttemptError {
@@ -453,8 +451,9 @@ impl ShardCoordinator {
         backend: ShardBackend,
         shards: usize,
     ) -> ShardCoordinator {
-        let fleet = in_process_fleet(graph, shards);
-        ShardCoordinator::over(graph.num_nodes(), backend, shards, fleet, RemoteOptions::default())
+        let (link, opts) = (Arc::new(in_process_lanes(graph, shards)), RemoteOptions::default());
+        let clock = Arc::new(SystemClock);
+        ShardCoordinator::over(graph.num_nodes() as u64, backend, shards, link, opts, clock)
     }
 
     /// Coordinate an `N = shards` fleet of worker processes addressed by
@@ -468,31 +467,34 @@ impl ShardCoordinator {
         addrs: Arc<dyn ShardAddrs>,
         opts: RemoteOptions,
     ) -> ShardCoordinator {
-        ShardCoordinator::over(graph.num_nodes(), backend, shards, Fleet::Remote(addrs), opts)
+        let (link, clock) = (Arc::new(Tcp(addrs)), Arc::new(SystemClock));
+        ShardCoordinator::over(graph.num_nodes() as u64, backend, shards, link, opts, clock)
     }
 
     /// A coordinator of the same fleet — these in-process parts, or those
     /// worker addresses under these options — running `backend`'s kernels.
     pub fn with_backend(&self, backend: ShardBackend) -> ShardCoordinator {
-        let (num_nodes, fleet) = (self.num_nodes as usize, self.fleet.clone());
-        ShardCoordinator::over(num_nodes, backend, self.shards, fleet, self.opts)
+        let (link, clock) = (Arc::clone(&self.link), Arc::clone(&self.clock));
+        ShardCoordinator::over(self.num_nodes, backend, self.shards, link, self.opts, clock)
     }
 
     fn over(
-        num_nodes: usize,
+        num_nodes: u64,
         backend: ShardBackend,
         shards: usize,
-        fleet: Fleet,
+        link: Arc<dyn Link>,
         opts: RemoteOptions,
+        clock: Arc<dyn Clock>,
     ) -> ShardCoordinator {
         assert!(shards >= 1, "sharded search needs at least one shard");
         ShardCoordinator {
             shards,
             seed: DEFAULT_PARTITION_SEED,
-            num_nodes: num_nodes as u64,
-            fleet,
+            num_nodes,
+            link,
+            clock,
             opts,
-            breakers: (0..shards).map(|_| CircuitBreaker::new()).collect(),
+            supervisor: Supervisor::new(shards, opts.attempts, opts.degraded_answers),
             counters: RemoteCounters::default(),
             latency: LogHistogram::new(),
             backend,
@@ -500,8 +502,6 @@ impl ShardCoordinator {
             channels: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             compute: crate::engine::build_pool(backend.threads().max(shards)),
             stage: SessionPool::new(),
-            #[cfg(test)]
-            script: tests::Script::default(),
         }
     }
 
@@ -513,7 +513,7 @@ impl ShardCoordinator {
     /// Whether the shards are worker processes ([`ShardCoordinator::remote`])
     /// rather than lanes in this one.
     pub fn is_remote(&self) -> bool {
-        matches!(self.fleet, Fleet::Remote(_))
+        self.link.framed()
     }
 
     /// Engine display name carried on traces (`"CPU-Par[shards=4]"`,
@@ -526,6 +526,7 @@ impl ShardCoordinator {
     /// ones.
     pub fn stats(&self) -> RemoteStats {
         let c = &self.counters;
+        let (breaker, breaker_opens) = self.supervisor.states();
         RemoteStats {
             exchange: ShardedStats {
                 shards: self.shards,
@@ -538,9 +539,9 @@ impl ShardCoordinator {
             retries: c.retries.load(Ordering::Relaxed),
             probes: c.probes.load(Ordering::Relaxed),
             probe_failures: c.probe_failures.load(Ordering::Relaxed),
-            breaker_opens: c.breaker_opens.load(Ordering::Relaxed),
+            breaker_opens,
             degraded_queries: c.degraded_queries.load(Ordering::Relaxed),
-            breaker: self.breakers.iter().map(CircuitBreaker::state).collect(),
+            breaker,
             rpc_latency_us: self.latency.snapshot(),
         }
     }
@@ -576,77 +577,45 @@ impl ShardCoordinator {
                 }
             };
 
-        let opts = &self.opts;
-        let deadline = budget.timeout.map(|t| Instant::now() + t);
-        let mut dead = vec![false; self.shards];
-        let mut failures = vec![0u32; self.shards];
-        // Bounded supervision loop: every iteration either returns,
-        // burns one of a shard's finite attempts, or marks a shard dead.
-        let max_rounds = (self.shards as u32 * (opts.attempts + 1) + 1) as usize;
-        for _ in 0..max_rounds {
-            match self.attempt(graph, query, params, &tracker, deadline, &dead, qid) {
+        // Every pass either answers, spends one of a shard's finite
+        // attempts, or loses a shard for good: the loop ends.
+        let mut course = self.supervisor.course();
+        loop {
+            let next = match self.attempt(graph, query, params, &tracker, &mut course, qid) {
                 Ok(outcome) => {
-                    let degraded = dead.iter().any(|&d| d);
+                    let degraded = course.degraded();
                     if degraded {
                         self.counters.degraded_queries.fetch_add(1, Ordering::Relaxed);
                     }
-                    for (s, b) in self.breakers.iter().enumerate() {
-                        if !dead[s] {
-                            b.record_success();
-                        }
-                    }
+                    self.supervisor.answered(&course);
                     return Ok(ShardedOutcome { outcome, degraded });
                 }
                 Err(AttemptError::Budget(e)) => return Err(e),
-                Err(AttemptError::ShardShed { shard }) => {
-                    // The breaker is shedding this shard: confirmed-dead
-                    // already, no probe needed.
-                    if !opts.degraded_answers {
-                        return Err(SearchError::ShardUnavailable { shard });
-                    }
-                    dead[shard] = true;
-                }
+                Err(AttemptError::Refused(next)) => next,
                 Err(AttemptError::ShardIo { shard }) => {
                     // The query's own budget may be the real cause (an
                     // RPC clamped by the wall-clock deadline): first
                     // cause wins.
-                    tracker.poll_deadline();
-                    if let Some(e) = tracker.error() {
-                        return Err(e);
-                    }
-                    failures[shard] += 1;
-                    // Failure attribution: probe the worker out-of-band.
-                    // A surviving probe blames the query (e.g. a fault
-                    // token), leaving the breaker untouched.
-                    match self.probe(shard) {
-                        Some(chan) => self.checkin(shard, chan),
-                        None => self.confirmed_failure(shard),
-                    }
-                    let gone = failures[shard] >= opts.attempts
-                        || self.breakers[shard].state() == BreakerState::Open;
-                    if gone {
-                        if !opts.degraded_answers {
-                            return Err(SearchError::ShardUnavailable { shard });
-                        }
-                        dead[shard] = true;
-                        continue;
-                    }
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let exp = BACKOFF_BASE
-                        .saturating_mul(1u32 << (failures[shard] - 1).min(16))
-                        .min(BACKOFF_CAP);
-                    std::thread::sleep(exp + self.jitter(exp));
+                    tracker.checkpoint()?;
+                    let up = self.probe(shard);
+                    self.supervisor.failed(&mut course, shard, up, self.clock.now())
                 }
+            };
+            match next {
+                Next::Retry(wait) => {
+                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                    self.clock.sleep(wait);
+                }
+                Next::Skip(_) => {}
+                Next::Shed(shard) => return Err(SearchError::ShardUnavailable { shard }),
             }
         }
-        // Unreachable with finite attempts; report the first live shard.
-        Err(SearchError::ShardUnavailable { shard: dead.iter().position(|&d| !d).unwrap_or(0) })
     }
 
     /// Pooled-channel checkout: reuse a same-generation channel or dial a
     /// fresh one.
     fn checkout(&self, shard: usize) -> io::Result<Channel> {
-        let current = self.generation(shard);
+        let current = self.link.generation(shard);
         while let Some(chan) = self.channels[shard].lock().unwrap().pop() {
             if chan.generation == current {
                 return Ok(chan);
@@ -657,45 +626,38 @@ impl ShardCoordinator {
     }
 
     fn checkin(&self, shard: usize, chan: Channel) {
-        if chan.generation == self.generation(shard) {
+        if chan.generation == self.link.generation(shard) {
             self.channels[shard].lock().unwrap().push(chan);
         }
     }
 
     /// Per-RPC socket timeout: the configured cap, clamped by what is
-    /// left of the query's wall-clock budget.
-    fn rpc_timeout(&self, deadline: Option<Instant>) -> Duration {
+    /// left of the query's own deadline.
+    fn rpc_timeout(&self, tracker: &BudgetTracker) -> Duration {
         let cap = self.opts.rpc_timeout;
-        match deadline {
-            Some(d) => {
-                let left = d.saturating_duration_since(Instant::now());
-                cap.min(left).max(Duration::from_millis(1))
-            }
-            None => cap,
-        }
+        tracker.deadline().map_or(cap, |deadline| {
+            let left = deadline.saturating_duration_since(self.clock.now());
+            cap.min(left).max(Duration::from_millis(1))
+        })
     }
 
-    /// One full pass of the round protocol over the live shards.
-    #[allow(clippy::too_many_arguments)]
+    /// One full pass of the round protocol over the course's live shards.
     fn attempt(
         &self,
         graph: &KnowledgeGraph,
         query: &textindex::ParsedQuery,
         params: &SearchParams,
         tracker: &BudgetTracker,
-        deadline: Option<Instant>,
-        dead: &[bool],
+        course: &mut Course,
         qid: Option<u64>,
     ) -> Result<SearchOutcome, AttemptError> {
-        let live: Vec<usize> = (0..self.shards).filter(|&s| !dead[s]).collect();
         // Admission: an open breaker sheds the shard before any dialing;
         // past its cooldown it turns half-open and this query is the
         // trial.
-        for &s in &live {
-            if !self.breakers[s].allow(BREAKER_COOLDOWN) {
-                return Err(AttemptError::ShardShed { shard: s });
-            }
+        if let Some(next) = self.supervisor.admit(course, self.clock.now()) {
+            return Err(AttemptError::Refused(next));
         }
+        let live: Vec<usize> = (0..self.shards).filter(|&s| course.live(s)).collect();
         // Timelines reconcile a worker's clock with wire time; lanes in
         // this process have neither, so their spans are dropped unread.
         let timelines = params.trace && self.is_remote();
@@ -703,7 +665,6 @@ impl ShardCoordinator {
             search: self,
             live,
             lanes: (0..self.shards).map(|_| Default::default()).collect(),
-            deadline,
             tracker,
             keywords: query.num_keywords(),
             level: 0,
@@ -819,7 +780,6 @@ struct RemoteOps<'a> {
     search: &'a ShardCoordinator,
     live: Vec<usize>,
     lanes: Vec<parking_lot::Mutex<Lane>>,
-    deadline: Option<Instant>,
     tracker: &'a BudgetTracker,
     /// The query's keyword count: the bound of every keyword instance.
     keywords: usize,
@@ -869,7 +829,7 @@ impl RemoteOps<'_> {
     ) -> Result<Vec<T>, AttemptError> {
         use rayon::prelude::*;
         let out = self.search.outgoing(request);
-        let timeout = self.search.rpc_timeout(self.deadline);
+        let timeout = self.search.rpc_timeout(self.tracker);
         let exchange = |&s: &usize| {
             let mut lane = self.lanes[s].lock();
             let t = Instant::now();
@@ -1023,13 +983,14 @@ impl LevelOps for RemoteOps<'_> {
 mod tests {
     use super::*;
     use crate::engine::{digest, KeywordSearchEngine, SeqEngine};
+    use crate::remote::breaker::{BREAKER_COOLDOWN, BREAKER_THRESHOLD};
     use crate::remote::frame::read_frame;
     use kgraph::GraphBuilder;
     use std::net::TcpListener;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use textindex::{InvertedIndex, ParsedQuery};
 
-    /// What a scripted RPC does instead of reaching its lane.
+    /// What a scripted dial or RPC does instead of reaching its lane.
     #[derive(Clone, Copy, Debug)]
     enum Fault {
         /// The connection is gone: `UnexpectedEof`.
@@ -1042,19 +1003,18 @@ mod tests {
         Panic,
     }
 
-    /// The fault schedule of an in-process fleet: which of a shard's RPCs —
-    /// numbered from 0 over the coordinator's life, phases and pings alike,
-    /// whichever of the shard's lanes they reach — fail, and how. Empty
-    /// outside the supervision tests.
+    /// The fault schedule of a scripted fleet: which of a shard's link
+    /// events — its dials and RPCs, numbered from 0 over the coordinator's
+    /// life, whichever of the shard's lanes they reach — fail, and how.
     #[derive(Default)]
-    pub(super) struct Script {
+    struct Script {
         faults: Mutex<Vec<(usize, std::ops::Range<u64>, Fault)>>,
         seen: Mutex<Vec<u64>>,
     }
 
     impl Script {
-        /// Count one RPC to `shard` and fail it if the schedule says so.
-        pub(super) fn next_rpc(&self, shard: usize) -> io::Result<()> {
+        /// Count one event of `shard` and fail it if the schedule says so.
+        fn next(&self, shard: usize) -> io::Result<()> {
             let n = {
                 let mut seen = self.seen.lock().unwrap();
                 let shards = seen.len().max(shard + 1);
@@ -1062,8 +1022,8 @@ mod tests {
                 seen[shard] += 1;
                 seen[shard] - 1
             };
-            let scheduled = |(s, rpcs, _): &&(usize, std::ops::Range<u64>, Fault)| {
-                *s == shard && rpcs.contains(&n)
+            let scheduled = |(s, events, _): &&(usize, std::ops::Range<u64>, Fault)| {
+                *s == shard && events.contains(&n)
             };
             let fault = self.faults.lock().unwrap().iter().find(scheduled).map(|f| f.2);
             match fault {
@@ -1075,16 +1035,59 @@ mod tests {
             }
         }
 
-        /// Fail `shard`'s RPCs number `rpcs`, counted from the next one.
-        fn fail(&self, shard: usize, rpcs: std::ops::Range<u64>, fault: Fault) {
+        /// Fail `shard`'s events number `events`, counted from the next one.
+        fn fail(&self, shard: usize, events: std::ops::Range<u64>, fault: Fault) {
             let seen = self.seen.lock().unwrap().get(shard).copied().unwrap_or(0);
-            let rpcs = seen + rpcs.start..seen.saturating_add(rpcs.end);
-            self.faults.lock().unwrap().push((shard, rpcs, fault));
+            let events = seen + events.start..seen.saturating_add(events.end);
+            self.faults.lock().unwrap().push((shard, events, fault));
         }
 
-        /// End the schedule: every later RPC reaches its lane.
+        /// End the schedule: every later event reaches its lane.
         fn end(&self) {
             self.faults.lock().unwrap().clear();
+        }
+    }
+
+    /// In-process lanes behind a fault schedule: each dial and each RPC is
+    /// an event of its shard that the script may fail instead.
+    struct Scripted(InProcess, Arc<Script>);
+
+    impl Link for Scripted {
+        fn open(&self, shard: usize) -> io::Result<Box<dyn Endpoint>> {
+            self.1.next(shard)?;
+            Ok(Box::new(ScriptedEnd(self.0.open(shard)?, shard, Arc::clone(&self.1))))
+        }
+    }
+
+    /// One scripted lane: shard `.1`'s lane `.0` behind the script.
+    struct ScriptedEnd(Box<dyn Endpoint>, usize, Arc<Script>);
+
+    impl Endpoint for ScriptedEnd {
+        fn exchange(&mut self, out: &Outgoing<'_>, timeout: Duration) -> io::Result<Reply> {
+            self.2.next(self.1)?;
+            self.0.exchange(out, timeout)
+        }
+    }
+
+    /// A clock that stands still: `sleep` moves `now` and returns at once.
+    struct ManualClock {
+        start: Instant,
+        slept: Mutex<Duration>,
+    }
+
+    impl ManualClock {
+        fn new() -> Arc<ManualClock> {
+            Arc::new(ManualClock { start: Instant::now(), slept: Mutex::new(Duration::ZERO) })
+        }
+    }
+
+    impl Clock for ManualClock {
+        fn now(&self) -> Instant {
+            self.start + *self.slept.lock().unwrap()
+        }
+
+        fn sleep(&self, wait: Duration) {
+            *self.slept.lock().unwrap() += wait;
         }
     }
 
@@ -1108,11 +1111,26 @@ mod tests {
         (g, query)
     }
 
-    /// An in-process fleet under `opts`. A retry here sleeps the real
-    /// backoff: 50 ms, then 100 ms, each plus up to half again of jitter.
-    fn scripted(g: &KnowledgeGraph, shards: usize, opts: RemoteOptions) -> ShardCoordinator {
-        let fleet = in_process_fleet(g, shards);
-        ShardCoordinator::over(g.num_nodes(), ShardBackend::Seq, shards, fleet, opts)
+    /// An in-process fleet under `opts` behind a fault script, supervised
+    /// on a manual clock: a retry's backoff moves the clock, and nothing
+    /// waits.
+    fn scripted(
+        g: &KnowledgeGraph,
+        shards: usize,
+        opts: RemoteOptions,
+    ) -> (ShardCoordinator, Arc<Script>, Arc<ManualClock>) {
+        let script = Arc::new(Script::default());
+        let link = Arc::new(Scripted(in_process_lanes(g, shards), Arc::clone(&script)));
+        let clock = ManualClock::new();
+        let fleet = ShardCoordinator::over(
+            g.num_nodes() as u64,
+            ShardBackend::Seq,
+            shards,
+            link,
+            opts,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        );
+        (fleet, script, clock)
     }
 
     fn search(
@@ -1140,9 +1158,10 @@ mod tests {
     fn one_failed_rpc_with_a_surviving_probe_is_retried_once() {
         let (g, query) = bridged_query();
         for fault in [Fault::Drop, Fault::Garbage, Fault::Stall] {
-            let fleet = scripted(&g, 2, RemoteOptions::default());
-            // RPC 2 of shard 1: its level-0 `Expand`.
-            fleet.script.fail(1, 2..3, fault);
+            let (fleet, script, _) = scripted(&g, 2, RemoteOptions::default());
+            // Event 3 of shard 1: after its dial, `Start` and level-0
+            // `Step`, its level-0 `Expand`.
+            script.fail(1, 3..4, fault);
             let out = search(&fleet, &g, &query).expect("the retry answers");
             assert!(!out.degraded, "{fault:?}");
             assert_eq!(digest(&out.outcome), solo(&g, &query), "{fault:?}");
@@ -1162,9 +1181,10 @@ mod tests {
     fn confirmed_failures_open_the_breaker_and_shed() {
         let (g, query) = bridged_query();
         let opts = RemoteOptions { attempts: BREAKER_THRESHOLD, ..RemoteOptions::default() };
-        let fleet = scripted(&g, 2, opts);
-        // From RPC 1 of shard 1 on: its level-0 `Step` (the identify) first.
-        fleet.script.fail(1, 1..u64::MAX, Fault::Drop);
+        let (fleet, script, _) = scripted(&g, 2, opts);
+        // From event 2 of shard 1 on: its level-0 `Step` (the identify)
+        // first, then every dial.
+        script.fail(1, 2..u64::MAX, Fault::Drop);
         let err = search(&fleet, &g, &query).unwrap_err();
         assert_eq!(err, SearchError::ShardUnavailable { shard: 1 });
         let stats = fleet.stats();
@@ -1184,14 +1204,14 @@ mod tests {
     #[test]
     fn an_open_breaker_recloses_on_the_first_query_after_the_cooldown() {
         let (g, query) = bridged_query();
-        let fleet = scripted(&g, 2, RemoteOptions::default());
-        fleet.script.fail(1, 0..u64::MAX, Fault::Drop);
+        let (fleet, script, clock) = scripted(&g, 2, RemoteOptions::default());
+        script.fail(1, 0..u64::MAX, Fault::Drop);
         search(&fleet, &g, &query).unwrap_err();
         assert_eq!(fleet.stats().breaker, [BreakerState::Closed, BreakerState::Open]);
-        fleet.script.end();
+        script.end();
 
         let probes = fleet.stats().probes;
-        std::thread::sleep(BREAKER_COOLDOWN + Duration::from_millis(100));
+        clock.sleep(BREAKER_COOLDOWN + Duration::from_millis(100));
         let idle = fleet.stats();
         assert_eq!(idle.probes, probes, "no probe while idle");
         assert_eq!(idle.breaker[1], BreakerState::Open, "the state the last query saw");
@@ -1210,8 +1230,8 @@ mod tests {
     fn a_dead_shard_degrades_and_halo_rows_fill_its_owners() {
         let (g, query) = bridged_query();
         let opts = RemoteOptions { degraded_answers: true, ..RemoteOptions::default() };
-        let fleet = scripted(&g, 2, opts);
-        fleet.script.fail(1, 0..u64::MAX, Fault::Drop);
+        let (fleet, script, _) = scripted(&g, 2, opts);
+        script.fail(1, 0..u64::MAX, Fault::Drop);
         let out = search(&fleet, &g, &query).expect("degrades");
         assert!(out.degraded, "a lost shard must be explicitly marked");
         let stats = fleet.stats();
@@ -1244,7 +1264,7 @@ mod tests {
     #[test]
     fn a_panicking_handler_quarantines_the_querys_channels() {
         let (g, query) = bridged_query();
-        let fleet = scripted(&g, 3, RemoteOptions::default());
+        let (fleet, script, _) = scripted(&g, 3, RemoteOptions::default());
         let idle = |fleet: &ShardCoordinator| -> Vec<usize> {
             fleet.channels.iter().map(|c| c.lock().unwrap().len()).collect()
         };
@@ -1252,9 +1272,9 @@ mod tests {
         assert_eq!(digest(&search(&fleet, &g, &query).unwrap().outcome), want);
         assert_eq!(idle(&fleet), [1, 1, 1], "a warm channel per shard");
 
-        // RPC 3 of shard 1: the level-1 `Step`, which carries the level-0
-        // notifications.
-        fleet.script.fail(1, 3..4, Fault::Panic);
+        // Event 3 of shard 1, on its warm lane: the level-1 `Step`, which
+        // carries the level-0 notifications.
+        script.fail(1, 3..4, Fault::Panic);
         catch_unwind(AssertUnwindSafe(|| search(&fleet, &g, &query)))
             .expect_err("the handler's panic reaches the caller");
         assert_eq!(idle(&fleet), [0, 0, 0], "the whole cohort is dropped");
@@ -1368,20 +1388,21 @@ mod tests {
         }
     }
 
-    /// A one-shard "worker" that greets (at protocol `version`) and pongs
-    /// like a real one and answers each phase RPC with `reply(opcode)`.
+    /// A one-shard "worker" that greets (at protocol `version`) like a real
+    /// one and answers each phase RPC with `reply(opcode)`, each reply
+    /// sent at once (`TCP_NODELAY`, as a real worker's).
     fn scripted_worker(version: u32, reply: fn(u8) -> (u8, Vec<u8>)) -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let mut stream = stream.unwrap();
+                stream.set_nodelay(true).unwrap();
                 std::thread::spawn(move || {
                     while let Ok(Some((op, _))) = read_frame(&mut stream) {
                         let hello_ok = wire::HelloOk { shard_index: 0, version };
                         let (op, body) = match op {
                             wire::OP_HELLO => (wire::OP_HELLO_OK, wire::encode(&hello_ok)),
-                            wire::OP_PING => (wire::OP_PONG, Vec::new()),
                             wire::OP_START => {
                                 (wire::OP_START_OK, wire::encode(&wire::StartOk { keywords: 2 }))
                             }
@@ -1473,9 +1494,17 @@ mod tests {
         (g, query)
     }
 
-    /// A one-shard fleet over `worker`: two attempts.
+    /// A one-shard fleet over `worker`: two attempts, on a manual clock.
     fn fleet_of(g: &KnowledgeGraph, worker: SocketAddr) -> ShardCoordinator {
         let opts = RemoteOptions { attempts: 2, ..RemoteOptions::default() };
-        ShardCoordinator::remote(g, ShardBackend::Seq, 1, Arc::new(StaticAddrs(vec![worker])), opts)
+        let link = Arc::new(Tcp(Arc::new(StaticAddrs(vec![worker]))));
+        ShardCoordinator::over(
+            g.num_nodes() as u64,
+            ShardBackend::Seq,
+            1,
+            link,
+            opts,
+            ManualClock::new(),
+        )
     }
 }

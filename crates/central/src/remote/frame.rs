@@ -29,36 +29,6 @@ pub const MAX_FRAME: usize = 16 << 20;
 /// Fixed frame header size: 4-byte little-endian length + 1-byte opcode.
 pub const HEADER_LEN: usize = 5;
 
-/// A structured framing failure. Fatal for the connection that produced
-/// it: binary frames carry no resync point, so the peer replies with one
-/// error frame (when it still can) and closes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrameError {
-    /// The header declared a payload larger than [`MAX_FRAME`].
-    Oversized {
-        /// The declared payload length.
-        len: u64,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Oversized { len } => {
-                write!(f, "frame payload of {len} bytes exceeds the {MAX_FRAME} byte cap")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<FrameError> for io::Error {
-    fn from(e: FrameError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-    }
-}
-
 /// Write one frame. `payload.len()` must not exceed [`MAX_FRAME`]
 /// (internal callers never produce an oversized frame; this guards
 /// against bugs, not peers).
@@ -90,7 +60,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     }
     let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
     if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len: len as u64 }.into());
+        // Fatal for the connection: frames carry no resync point.
+        let reason = format!("frame payload of {len} bytes exceeds the {MAX_FRAME} byte cap");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;

@@ -22,19 +22,23 @@
 //!   sub-graphs never travel);
 //! * [`coordinator`] — [`coordinator::ShardCoordinator`]: drives the
 //!   lanes through channels whose link is an owned in-process lane or a
-//!   persistent TCP connection, with per-RPC deadlines, bounded retry with
-//!   backoff + jitter, probe-based failure attribution, and per-shard
-//!   circuit breakers ([`breaker`]), degrading or shedding per
+//!   persistent TCP connection, with per-RPC deadlines clamped by the
+//!   query's own;
+//! * [`breaker`] — the supervision core the coordinator consults: bounded
+//!   retry with backoff + jitter, failure attribution by a fresh dial (the
+//!   probe), and per-shard circuit breakers, degrading or shedding per
 //!   [`coordinator::RemoteOptions::degraded_answers`] when a shard stays
-//!   down.
+//!   down — pure transitions handed `now`, timed by the coordinator's
+//!   clock.
 //!
 //! The equivalence and failure contracts are pinned by: the
 //! `shard_equivalence` and `remote_equivalence` differential suites (each
 //! link == the solo sequential engine, byte-identical, both shard
 //! backends), the fleet
 //! points of the `lattice` oracle, the scripted supervision tests in
-//! [`coordinator`] (drop / garbage / stall at RPC *n* of an in-process
-//! fleet, no socket, and out-of-range ids in a reply), the
+//! [`coordinator`] (drop / garbage / stall / panic at dial or RPC *n* of
+//! an in-process fleet behind a scripted link, no socket, on a manual
+//! clock, and out-of-range ids in a reply), the
 //! frame-robustness proptest (arbitrary bytes never panic or
 //! over-allocate the decoder), and the process-level chaos suite in the
 //! CLI crate (worker kill / stall / garbage under concurrent well-behaved
@@ -46,11 +50,11 @@ pub mod frame;
 pub mod wire;
 pub mod worker;
 
-pub use breaker::{BreakerState, CircuitBreaker};
+pub use breaker::BreakerState;
 pub use coordinator::{
     RemoteOptions, RemoteStats, ShardAddrs, ShardCoordinator, ShardedOutcome, StaticAddrs,
 };
-pub use frame::{FrameError, MAX_FRAME};
+pub use frame::MAX_FRAME;
 pub use wire::MAX_THREADS;
 pub use worker::ShardWorker;
 

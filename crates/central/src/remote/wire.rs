@@ -10,8 +10,7 @@
 //!
 //! | opcode | request → response | round-protocol phase |
 //! |---|---|---|
-//! | [`OP_HELLO`] → [`OP_HELLO_OK`] | [`Hello`] → [`HelloOk`] | connection handshake: partition contract check |
-//! | [`OP_PING`] → [`OP_PONG`] | empty → empty | failure-attribution probe after a failed query RPC |
+//! | [`OP_HELLO`] → [`OP_HELLO_OK`] | [`Hello`] → [`HelloOk`] | connection handshake: partition contract check; a fresh dial's handshake is also the failure-attribution probe |
 //! | [`OP_START`] → [`OP_START_OK`] | [`Start`] → [`StartOk`] | scatter: localize + seed the query |
 //! | [`OP_STEP`] → [`OP_STEP_OK`] | [`Step`] → [`StepOk`] | apply the last round's notifications, drain owned frontier flags, identify central nodes |
 //! | [`OP_EXPAND`] → [`OP_EXPAND_OK`] | [`Expand`] → [`ExpandOk`] | expand + boundary scan |
@@ -28,7 +27,10 @@ use crate::SearchParams;
 use serde::{Deserialize, Serialize};
 use textindex::{KeywordGroup, ParsedQuery};
 
-/// Protocol revision. Tracing has one switch on the wire, the query's
+/// Protocol revision. There is no health-probe message: a coordinator
+/// probes a worker by dialing it afresh, and the [`Hello`] / [`HelloOk`]
+/// round trip proves it alive (opcodes 3 and 4, the retired probe pair,
+/// stay unassigned). Tracing has one switch on the wire, the query's
 /// `params.trace` in [`Start`]: a lane computes its traced-query
 /// observations and records per-RPC spans exactly when it is set. Two
 /// requests travel per shard per level ([`Step`] and [`Expand`]), the
@@ -38,7 +40,7 @@ use textindex::{KeywordGroup, ParsedQuery};
 /// revision (or partition contract) differs from its own with
 /// `bad_handshake`, and the coordinator drops a channel whose [`HelloOk`]
 /// echoes another revision or shard.
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Hard cap on [`Start::threads`]: 1024. A worker spawns a `CPU-Par`
 /// query's kernel pool up front, so a peer-supplied count can never make
@@ -51,10 +53,6 @@ pub const MAX_THREADS: usize = 1024;
 pub const OP_HELLO: u8 = 1;
 /// Handshake acknowledgement.
 pub const OP_HELLO_OK: u8 = 2;
-/// Health probe request (empty payload).
-pub const OP_PING: u8 = 3;
-/// Health probe response (empty payload).
-pub const OP_PONG: u8 = 4;
 /// Begin a query on this connection.
 pub const OP_START: u8 = 5;
 /// Query accepted.
@@ -91,8 +89,6 @@ pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
 pub enum Request {
     /// Connection handshake.
     Hello(Hello),
-    /// Health probe.
-    Ping,
     /// Begin a query.
     Start(Start),
     /// Apply notifications, enqueue and identify at a level.
@@ -108,7 +104,6 @@ impl Request {
     pub fn encode(&self) -> (u8, Vec<u8>) {
         match self {
             Request::Hello(m) => (OP_HELLO, encode(m)),
-            Request::Ping => (OP_PING, Vec::new()),
             Request::Start(m) => (OP_START, encode(m)),
             Request::Step(m) => (OP_STEP, encode(m)),
             Request::Expand(m) => (OP_EXPAND, encode(m)),
@@ -121,7 +116,6 @@ impl Request {
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request, String> {
         Ok(match opcode {
             OP_HELLO => Request::Hello(decode(payload)?),
-            OP_PING => Request::Ping,
             OP_START => Request::Start(decode(payload)?),
             OP_STEP => Request::Step(decode(payload)?),
             OP_EXPAND => Request::Expand(decode(payload)?),
@@ -137,8 +131,6 @@ impl Request {
 pub enum Response {
     /// Handshake acknowledgement.
     HelloOk(HelloOk),
-    /// Health probe reply.
-    Pong,
     /// Query accepted.
     StartOk(StartOk),
     /// Frontier count and newly identified nodes.
@@ -154,7 +146,6 @@ impl Response {
     pub fn encode(&self) -> (u8, Vec<u8>) {
         match self {
             Response::HelloOk(m) => (OP_HELLO_OK, encode(m)),
-            Response::Pong => (OP_PONG, Vec::new()),
             Response::StartOk(m) => (OP_START_OK, encode(m)),
             Response::StepOk(m) => (OP_STEP_OK, encode(m)),
             Response::ExpandOk(m) => (OP_EXPAND_OK, encode(m)),
@@ -167,7 +158,6 @@ impl Response {
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response, String> {
         Ok(match opcode {
             OP_HELLO_OK => Response::HelloOk(decode(payload)?),
-            OP_PONG => Response::Pong,
             OP_START_OK => Response::StartOk(decode(payload)?),
             OP_STEP_OK => Response::StepOk(decode(payload)?),
             OP_EXPAND_OK => Response::ExpandOk(decode(payload)?),

@@ -271,12 +271,6 @@ impl Conn {
         }
     }
 
-    /// The shard this lane serves.
-    #[cfg(test)]
-    pub(crate) fn shard(&self) -> usize {
-        self.worker.index as usize
-    }
-
     /// Run one request against the lane. A phase of a span-traced query
     /// also records its [`ShardSpan`], `arrival` being what the link
     /// measured before the handler ran.
@@ -288,7 +282,6 @@ impl Conn {
         let entered = Instant::now();
         let (op, level, mut response) = match request {
             Request::Hello(hello) => return self.on_hello(hello),
-            Request::Ping => return Ok(Response::Pong),
             Request::Start(start) => ("start", None, Response::StartOk(self.on_start(start)?)),
             Request::Step(req) => ("step", Some(req.level), Response::StepOk(self.on_step(req)?)),
             Request::Expand(req) => {
