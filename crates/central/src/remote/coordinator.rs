@@ -1151,7 +1151,7 @@ mod tests {
     }
 
     /// One failed RPC — dropped, garbled or stalled past its deadline —
-    /// whose out-of-band probe survives is the query's fault, not the
+    /// whose probe (a fresh dial) survives is the query's fault, not the
     /// worker's: the query is retried once from the top and answers in
     /// full, and the breaker never hears of it.
     #[test]
