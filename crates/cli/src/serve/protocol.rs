@@ -206,13 +206,10 @@ pub(super) enum Served {
     Close,
 }
 
-/// Write one reply to the client: rendered first, then sent with one
-/// `write_all`, so a reply leaves in one segment rather than one per
-/// fragment of its document (a fragmented reply's tail waits out the
-/// client's delayed ACK). A peer that cannot be written to is gone: the
-/// connection closes.
-pub(super) fn respond(writer: &mut impl Write, reply: &Reply) -> Served {
-    if writer.write_all(reply.to_string().as_bytes()).is_err() {
+/// Write one reply to the client. A peer that cannot be written to is
+/// gone: the connection closes.
+pub(super) fn respond(writer: &mut TcpStream, reply: &Reply) -> Served {
+    if write!(writer, "{reply}").is_err() {
         Served::Close
     } else {
         Served::Continue
@@ -287,41 +284,5 @@ mod tests {
         assert_eq!(doc.to_string(), "{\"served\":3}\n");
         assert_eq!(Reply::error("empty query").to_string(), "{\"error\":\"empty query\"}\n");
         assert_eq!(Reply::Text("PONG\n".into()).to_string(), "PONG\n");
-    }
-
-    /// A `Write` that records each call it receives.
-    #[derive(Default)]
-    struct Calls(Vec<Vec<u8>>);
-
-    impl Write for Calls {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.push(buf.to_vec());
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn every_reply_leaves_in_one_write() {
-        let doc = serde_json::json!({
-            "answers": [{ "root": "hub", "score": 1.5, "nodes": ["a", "z"] }],
-            "ms": 0.25,
-        });
-        let metrics = super::super::stats::metrics(&Default::default());
-        assert!(metrics.lines().count() > 2, "METRICS answers several lines");
-        let replies = [
-            Reply::Doc(doc),
-            Reply::error("empty query"),
-            Reply::Text("PONG\n".into()),
-            Reply::Text(metrics),
-        ];
-        for reply in &replies {
-            let mut calls = Calls::default();
-            assert_eq!(respond(&mut calls, reply), Served::Continue);
-            assert_eq!(calls.0, [reply.to_string().into_bytes()], "one write, the whole reply");
-        }
     }
 }
