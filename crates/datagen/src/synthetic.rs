@@ -332,6 +332,23 @@ mod tests {
         );
     }
 
+    /// FNV-1a 64 of the graph's `.bin` encoding: the generator's output
+    /// to the byte (RNG stream, node order, labels, edge list).
+    fn bin_digest(config: &SyntheticConfig) -> u64 {
+        kgraph::snapshot::fnv1a(&kgraph::binio::to_bytes(&config.generate().graph))
+    }
+
+    #[test]
+    fn generated_bytes_are_pinned() {
+        assert_eq!(bin_digest(&SyntheticConfig::tiny(5)), 0x7b0c_6d8d_2612_f555);
+        // Set explicitly so `WIKISEARCH_SCALE` cannot change it; its 150
+        // classes reach the "… category N" labels.
+        let sim =
+            SyntheticConfig { num_entities: 3000, seed: 1, ..SyntheticConfig::wiki2017_sim() };
+        assert_eq!(sim.num_classes, 150);
+        assert_eq!(bin_digest(&sim), 0x843c_0d2d_1478_1ce1);
+    }
+
     #[test]
     fn presets_differ_in_size() {
         // Don't generate the full presets in unit tests; just check configs.
