@@ -20,7 +20,7 @@
 //! shrink them.
 
 use crate::workload::VOCAB;
-use kgraph::{GraphBuilder, KnowledgeGraph};
+use kgraph::{GraphBuilder, KnowledgeGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
@@ -144,23 +144,32 @@ impl SyntheticConfig {
     }
 
     /// Generate the dataset.
+    ///
+    /// Node ids follow insertion order: class `c` is `NodeId(c)` (key
+    /// `C{c}`) and entity `e` is `NodeId(num_classes + e)` (key `Q{e}`).
+    /// The edge loops address nodes by that arithmetic rather than by key
+    /// lookup; the output is byte-identical to looking each key up.
     pub fn generate(&self) -> SyntheticDataset {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = self.num_entities;
+        let num_classes = self.num_classes;
         let mut b = GraphBuilder::with_capacity(
-            n + self.num_classes,
+            n + num_classes,
             n + (n as f64 * self.entity_edges_per_node) as usize,
         );
+        let class = |c: usize| NodeId::from_index(c);
+        let entity = |e: usize| NodeId::from_index(num_classes + e);
 
         // Class nodes first (ids 0..num_classes).
-        for c in 0..self.num_classes {
+        for c in 0..num_classes {
             let base = CLASS_LABELS[c % CLASS_LABELS.len()];
             let label = if c < CLASS_LABELS.len() {
                 base.to_string()
             } else {
                 format!("{base} category {c}")
             };
-            b.add_node(&format!("C{c}"), &label);
+            let id = b.add_node(&format!("C{c}"), &label);
+            debug_assert_eq!(id, class(c));
         }
 
         // Entity nodes with vocabulary-phrase labels. A fraction get two
@@ -173,20 +182,19 @@ impl SyntheticConfig {
             } else {
                 format!("{p1} {e}")
             };
-            b.add_node(&format!("Q{e}"), &label);
+            let id = b.add_node(&format!("Q{e}"), &label);
+            debug_assert_eq!(id, entity(e));
         }
 
-        let class_zipf = ZipfTable::new(self.num_classes, self.zipf_exponent + 0.2);
+        let class_zipf = ZipfTable::new(num_classes, self.zipf_exponent + 0.2);
         let entity_zipf = ZipfTable::new(n, self.zipf_exponent);
         let instance_of = b.label("instance of");
 
         // One `instance of` per entity to a Zipf-popular class: the
         // single-label floods that create summary hubs.
         for e in 0..n {
-            let class = class_zipf.sample(&mut rng);
-            let src = b.node(&format!("Q{e}")).unwrap();
-            let dst = b.node(&format!("C{class}")).unwrap();
-            b.add_edge_with_label(src, dst, instance_of);
+            let c = class_zipf.sample(&mut rng);
+            b.add_edge_with_label(entity(e), class(c), instance_of);
         }
 
         // Entity→entity edges with Zipf-popular targets. Popular targets
@@ -206,27 +214,22 @@ impl SyntheticConfig {
             } else {
                 pred_ids[rng.random_range(1..pred_ids.len())]
             };
-            let src = b.node(&format!("Q{s}")).unwrap();
-            let dst = b.node(&format!("Q{t}")).unwrap();
-            b.add_edge_with_label(src, dst, pred);
+            b.add_edge_with_label(entity(s), entity(t), pred);
         }
 
         // Chain stitching: guarantee weak connectivity so sampled average
         // distances are well-defined (Wikidata is one giant component).
         for e in 1..n {
             if rng.random_bool(0.02) {
-                let src = b.node(&format!("Q{e}")).unwrap();
-                let dst = b.node(&format!("Q{}", rng.random_range(0..e))).unwrap();
-                b.add_edge(src, dst, "follows");
+                let dst = entity(rng.random_range(0..e));
+                b.add_edge(entity(e), dst, "follows");
             }
         }
-        for e in 0..n.min(self.num_classes * 4) {
+        for e in 0..n.min(num_classes * 4) {
             // tie early entities to classes' neighborhood densely enough
             // that class hubs sit on many shortest paths
             if e % 4 == 0 {
-                let src = b.node(&format!("Q{e}")).unwrap();
-                let dst = b.node(&format!("C{}", e % self.num_classes)).unwrap();
-                b.add_edge(src, dst, "main subject");
+                b.add_edge(entity(e), class(e % num_classes), "main subject");
             }
         }
 

@@ -57,12 +57,24 @@ pub(crate) fn sampled_average_distance(graph: &KnowledgeGraph) -> f64 {
     }
 }
 
+/// The inverted index and the sampled `A` of a heap graph, for both the
+/// heap build path and the snapshot compiler. Neither reads the other, so
+/// the index is built on the calling thread while `A` is sampled on a
+/// scoped thread; a panic on that thread is re-raised here.
+pub(crate) fn index_and_average_distance(graph: &KnowledgeGraph) -> (InvertedIndex, f64) {
+    std::thread::scope(|s| {
+        let sampler = s.spawn(|| sampled_average_distance(graph));
+        let index = InvertedIndex::build(graph);
+        let a = sampler.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (index, a)
+    })
+}
+
 /// Compile `graph` (plus its freshly built inverted index and sampled
 /// `A`) into a `.wsnap` file at `path`, then re-open it and deep-verify
 /// every section checksum before reporting success.
 pub fn compile_snapshot(graph: &KnowledgeGraph, path: &Path) -> Result<SnapshotInfo, String> {
-    let index = InvertedIndex::build(graph);
-    let a = sampled_average_distance(graph);
+    let (index, a) = index_and_average_distance(graph);
     let mut w = SnapshotWriter::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
     write_graph_sections(&mut w, graph).map_err(|e| e.to_string())?;
     index.write_snapshot_sections(&mut w).map_err(|e| e.to_string())?;
@@ -165,6 +177,32 @@ mod tests {
                 assert_eq!(x.nodes, y.nodes, "{raw:?}");
                 assert_eq!(x.edges, y.edges, "{raw:?}");
                 assert_eq!(x.score.to_bits(), y.score.to_bits(), "{raw:?}");
+            }
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn concurrent_index_and_sampling_match_the_sequential_pieces() {
+        let config =
+            datagen::SyntheticConfig { num_entities: 2000, ..datagen::SyntheticConfig::tiny(11) };
+        let g = config.generate().graph;
+        let a = sampled_average_distance(&g);
+        let index = InvertedIndex::build(&g);
+        let path = tmp("concurrent");
+        let info = compile_snapshot(&g, &path).unwrap();
+        assert_eq!(info.average_distance.to_bits(), a.to_bits());
+        assert_eq!(info.terms, index.num_terms());
+
+        let mapped = WikiSearch::open_snapshot(&path, Backend::Sequential).unwrap();
+        assert!(mapped.index().is_memory_mapped());
+        let heap = WikiSearch::build_with(g, Backend::Sequential);
+        let expected: Vec<_> = index.term_frequencies().collect();
+        for ws in [&heap, &mapped] {
+            assert_eq!(ws.params().average_distance.to_bits(), a.to_bits());
+            assert_eq!(ws.index().term_frequencies().collect::<Vec<_>>(), expected);
+            for &(term, _) in &expected {
+                assert_eq!(ws.index().lookup_analyzed(term), index.lookup_analyzed(term), "{term}");
             }
         }
         let _ = std::fs::remove_file(path);
