@@ -116,6 +116,15 @@ pub fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
     if let Some(s) = args.optional("seed") {
         config.seed = s.parse().map_err(|_| format!("--seed: cannot parse {s:?}"))?;
     }
+    // Entity edges need a second entity to point at: with one, the
+    // self-loop guard wraps back to the source; with none, there is
+    // nothing to draw targets from.
+    if config.num_entities < 2 {
+        return Err(format!(
+            "{} needs at least 2 entities, got {} (--entities or WIKISEARCH_SCALE)",
+            config.name, config.num_entities
+        ));
+    }
     let ds = config.generate();
     write_graph(&ds.graph, &path)?;
     writeln!(
@@ -409,6 +418,18 @@ mod tests {
         let (code, out) = run_cli("stats --grph x.tsv");
         assert_eq!(code, 1);
         assert!(out.contains("unknown flag"));
+    }
+
+    #[test]
+    fn generate_refuses_fewer_than_two_entities() {
+        for n in [0, 1] {
+            let bin = tmp(&format!("few{n}.bin"));
+            let (code, out) =
+                run_cli(&format!("generate --dataset tiny --entities {n} --out {bin}"));
+            assert_eq!(code, 1, "{out}");
+            assert!(out.contains(&format!("at least 2 entities, got {n}")), "{out}");
+            assert!(!std::path::Path::new(&bin).exists(), "nothing written for {n}");
+        }
     }
 
     #[test]
