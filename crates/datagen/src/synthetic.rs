@@ -147,21 +147,19 @@ impl SyntheticConfig {
     ///
     /// Node ids follow insertion order: class `c` is `NodeId(c)` (key
     /// `C{c}`) and entity `e` is `NodeId(num_classes + e)` (key `Q{e}`).
-    /// The edge loops address nodes by that arithmetic rather than by key
-    /// lookup; the output is byte-identical to looking each key up.
+    /// The edge loops address nodes by that arithmetic, not by key lookup.
     pub fn generate(&self) -> SyntheticDataset {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = self.num_entities;
-        let num_classes = self.num_classes;
         let mut b = GraphBuilder::with_capacity(
-            n + num_classes,
+            n + self.num_classes,
             n + (n as f64 * self.entity_edges_per_node) as usize,
         );
         let class = |c: usize| NodeId::from_index(c);
-        let entity = |e: usize| NodeId::from_index(num_classes + e);
+        let entity = |e: usize| NodeId::from_index(self.num_classes + e);
 
         // Class nodes first (ids 0..num_classes).
-        for c in 0..num_classes {
+        for c in 0..self.num_classes {
             let base = CLASS_LABELS[c % CLASS_LABELS.len()];
             let label = if c < CLASS_LABELS.len() {
                 base.to_string()
@@ -186,7 +184,7 @@ impl SyntheticConfig {
             debug_assert_eq!(id, entity(e));
         }
 
-        let class_zipf = ZipfTable::new(num_classes, self.zipf_exponent + 0.2);
+        let class_zipf = ZipfTable::new(self.num_classes, self.zipf_exponent + 0.2);
         let entity_zipf = ZipfTable::new(n, self.zipf_exponent);
         let instance_of = b.label("instance of");
 
@@ -225,11 +223,11 @@ impl SyntheticConfig {
                 b.add_edge(entity(e), dst, "follows");
             }
         }
-        for e in 0..n.min(num_classes * 4) {
+        for e in 0..n.min(self.num_classes * 4) {
             // tie early entities to classes' neighborhood densely enough
             // that class hubs sit on many shortest paths
             if e % 4 == 0 {
-                b.add_edge(entity(e), class(e % num_classes), "main subject");
+                b.add_edge(entity(e), class(e % self.num_classes), "main subject");
             }
         }
 
