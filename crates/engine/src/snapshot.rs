@@ -208,6 +208,32 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// FNV-1a 64 of the `.wsnap` file `compile_snapshot` writes for
+    /// `config`: the CSR, the Eq. 2 weights, the inverted index and the
+    /// bits of the sampled `A`, to the byte.
+    fn compiled_digest(config: &datagen::SyntheticConfig, tag: &str) -> u64 {
+        let path = tmp(tag);
+        compile_snapshot(&config.generate().graph, &path).unwrap();
+        let digest = kgraph::snapshot::fnv1a(&std::fs::read(&path).unwrap());
+        let _ = std::fs::remove_file(path);
+        digest
+    }
+
+    #[test]
+    fn compiled_bytes_are_pinned() {
+        assert_eq!(
+            compiled_digest(&datagen::SyntheticConfig::tiny(5), "pin-tiny"),
+            0x650a_21c0_c4a7_7ee0
+        );
+        // Set explicitly so `WIKISEARCH_SCALE` cannot change it.
+        let sim = datagen::SyntheticConfig {
+            num_entities: 3000,
+            seed: 1,
+            ..datagen::SyntheticConfig::wiki2017_sim()
+        };
+        assert_eq!(compiled_digest(&sim, "pin-sim"), 0x3089_80ed_5eab_4695);
+    }
+
     #[test]
     fn graph_only_snapshot_opens_with_fallbacks() {
         let path = tmp("graphonly");
