@@ -421,6 +421,26 @@ mod tests {
     }
 
     #[test]
+    fn bin_headers_claiming_more_than_the_file_holds_exit_one() {
+        // 2^40 nodes once aborted the process on its allocation (exit
+        // 134); 2^61 edges overflowed a capacity (exit 101).
+        for (name, n, m) in [("nodes", 1u64 << 40, 0u64), ("edges", 0, 1 << 61)] {
+            let bin = tmp(&format!("absurd-{name}.bin"));
+            let mut bytes = b"KGR1".to_vec();
+            for count in [n, m, 0] {
+                bytes.extend_from_slice(&count.to_le_bytes());
+            }
+            std::fs::write(&bin, bytes).unwrap();
+            for cmd in ["stats", "serve --port 0"] {
+                let (code, out) = run_cli(&format!("{cmd} --graph {bin}"));
+                assert_eq!(code, 1, "{cmd} {name}: {out}");
+                assert!(out.contains("truncated"), "{cmd} {name}: {out}");
+            }
+            let _ = std::fs::remove_file(bin);
+        }
+    }
+
+    #[test]
     fn generate_refuses_fewer_than_two_entities() {
         for n in [0, 1] {
             let bin = tmp(&format!("few{n}.bin"));

@@ -270,8 +270,9 @@ impl WikiSearch {
 
     /// Build with an explicit backend.
     pub fn build_with(graph: KnowledgeGraph, backend: Backend) -> Self {
-        let (index, a) = snapshot::index_and_average_distance(&graph);
-        let params = SearchParams::default().with_average_distance(a);
+        let index = InvertedIndex::build(&graph);
+        let params = SearchParams::default()
+            .with_average_distance(snapshot::sampled_average_distance(&graph));
         Self::assemble(graph, index, params, backend)
     }
 

@@ -57,24 +57,12 @@ pub(crate) fn sampled_average_distance(graph: &KnowledgeGraph) -> f64 {
     }
 }
 
-/// The inverted index and the sampled `A` of a heap graph, for both the
-/// heap build path and the snapshot compiler. Neither reads the other, so
-/// the index is built on the calling thread while `A` is sampled on a
-/// scoped thread; a panic on that thread is re-raised here.
-pub(crate) fn index_and_average_distance(graph: &KnowledgeGraph) -> (InvertedIndex, f64) {
-    std::thread::scope(|s| {
-        let sampler = s.spawn(|| sampled_average_distance(graph));
-        let index = InvertedIndex::build(graph);
-        let a = sampler.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (index, a)
-    })
-}
-
 /// Compile `graph` (plus its freshly built inverted index and sampled
 /// `A`) into a `.wsnap` file at `path`, then re-open it and deep-verify
 /// every section checksum before reporting success.
 pub fn compile_snapshot(graph: &KnowledgeGraph, path: &Path) -> Result<SnapshotInfo, String> {
-    let (index, a) = index_and_average_distance(graph);
+    let index = InvertedIndex::build(graph);
+    let a = sampled_average_distance(graph);
     let mut w = SnapshotWriter::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
     write_graph_sections(&mut w, graph).map_err(|e| e.to_string())?;
     index.write_snapshot_sections(&mut w).map_err(|e| e.to_string())?;

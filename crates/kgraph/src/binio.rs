@@ -11,15 +11,18 @@
 //! edge table:   m × (u32 src, u32 label, u32 dst)
 //! ```
 //!
-//! The CSR, degrees and weights are rebuilt on load through the normal
-//! builder path, so a loaded graph is bit-identical in behaviour to the
-//! originally built one (property-tested).
+//! [`read_from`] parses a file in one pass from a buffered reader, so a
+//! load never holds the file's bytes and the graph at once. The CSR,
+//! degrees and weights are rebuilt through the normal builder path, so a
+//! loaded graph is bit-identical in behaviour to the originally built one
+//! (property-tested).
 
 use crate::builder::GraphBuilder;
 use crate::error::KgraphError;
 use crate::graph::KnowledgeGraph;
 use crate::ids::LabelId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use std::io::{ErrorKind, Read};
 
 const MAGIC: &[u8; 4] = b"KGR1";
 
@@ -46,59 +49,98 @@ pub fn to_bytes(g: &KnowledgeGraph) -> Bytes {
 }
 
 /// Deserialize from the binary format.
-pub fn from_bytes(mut data: &[u8]) -> Result<KnowledgeGraph, KgraphError> {
-    let err = |m: &str| KgraphError::Parse { line: 0, message: m.to_string() };
-    if data.len() < 28 || &data[..4] != MAGIC {
-        return Err(err("bad magic"));
+pub fn from_bytes(data: &[u8]) -> Result<KnowledgeGraph, KgraphError> {
+    read_from(data, data.len() as u64)
+}
+
+/// Deserialize the `len` bytes of the binary format that `r` yields, in
+/// one pass: one reused buffer per string field, no copy of the whole
+/// input and no `String` per key or text. Header counts that `len` bytes
+/// cannot hold (4 bytes per label, 8 per node, 12 per edge) are refused
+/// before anything is allocated for them.
+pub fn read_from<R: Read>(r: R, len: u64) -> Result<KnowledgeGraph, KgraphError> {
+    let mut input = Input { r, left: len };
+    let mut head = [0u8; 28];
+    input.fill(&mut head, "header")?;
+    if &head[..4] != MAGIC {
+        return Err(parse_err("bad magic"));
     }
-    data.advance(4);
-    let n = data.get_u64_le() as usize;
-    let m = data.get_u64_le() as usize;
-    let labels = data.get_u64_le() as usize;
+    let count = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+    let (n, m, labels) = (count(4), count(12), count(20));
+    let least = labels as u128 * 4 + n as u128 * 8 + m as u128 * 12;
+    if least > input.left as u128 {
+        return Err(parse_err(&format!(
+            "truncated: header claims {n} nodes, {m} edges and {labels} labels, \
+             more than {len} bytes hold"
+        )));
+    }
+    let (n, m, labels) = (n as usize, m as usize, labels as usize);
     let mut b = GraphBuilder::with_capacity(n, m);
+    let (mut key, mut text) = (Vec::new(), Vec::new());
     let mut label_ids = Vec::with_capacity(labels);
     for _ in 0..labels {
-        let name = get_str(&mut data)?;
-        label_ids.push(b.label(&name));
+        label_ids.push(b.label(input.str(&mut key)?));
     }
     let mut node_ids = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = get_str(&mut data)?;
-        let text = get_str(&mut data)?;
-        node_ids.push(b.add_node(&key, &text));
+        let k = input.str(&mut key)?;
+        node_ids.push(b.add_node(k, input.str(&mut text)?));
     }
+    let mut edge = [0u8; 12];
     for _ in 0..m {
-        if data.remaining() < 12 {
-            return Err(err("truncated edge table"));
-        }
-        let s = data.get_u32_le() as usize;
-        let l = data.get_u32_le() as usize;
-        let t = data.get_u32_le() as usize;
+        input.fill(&mut edge, "edge table")?;
+        let field =
+            |at: usize| u32::from_le_bytes(edge[at..at + 4].try_into().expect("4 bytes")) as usize;
+        let (s, l, t) = (field(0), field(4), field(8));
         if s >= n || t >= n || l >= labels {
-            return Err(err("edge index out of bounds"));
+            return Err(parse_err("edge index out of bounds"));
         }
         b.add_edge_with_label(node_ids[s], node_ids[t], label_ids[l]);
     }
     Ok(b.build())
 }
 
+fn parse_err(message: &str) -> KgraphError {
+    KgraphError::Parse { line: 0, message: message.to_string() }
+}
+
+/// A reader that knows how many bytes are left, so no length field can
+/// make it allocate more than the input holds.
+struct Input<R> {
+    r: R,
+    left: u64,
+}
+
+impl<R: Read> Input<R> {
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<(), KgraphError> {
+        if buf.len() as u64 > self.left {
+            return Err(parse_err(&format!("truncated {what}")));
+        }
+        self.r.read_exact(buf).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => parse_err(&format!("truncated {what}")),
+            _ => KgraphError::Io(e),
+        })?;
+        self.left -= buf.len() as u64;
+        Ok(())
+    }
+
+    /// The next length-prefixed string, read into `buf`.
+    fn str<'b>(&mut self, buf: &'b mut Vec<u8>) -> Result<&'b str, KgraphError> {
+        let mut len = [0u8; 4];
+        self.fill(&mut len, "string length")?;
+        let len = u32::from_le_bytes(len) as usize;
+        if len as u64 > self.left {
+            return Err(parse_err("truncated string body"));
+        }
+        buf.resize(len, 0);
+        self.fill(buf, "string body")?;
+        std::str::from_utf8(buf).map_err(|_| parse_err("invalid utf-8"))
+    }
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_str(data: &mut &[u8]) -> Result<String, KgraphError> {
-    let err = |m: &str| KgraphError::Parse { line: 0, message: m.to_string() };
-    if data.remaining() < 4 {
-        return Err(err("truncated string length"));
-    }
-    let len = data.get_u32_le() as usize;
-    if data.remaining() < len {
-        return Err(err("truncated string body"));
-    }
-    let s = String::from_utf8(data[..len].to_vec()).map_err(|_| err("invalid utf-8"))?;
-    data.advance(len);
-    Ok(s)
 }
 
 #[cfg(test)]

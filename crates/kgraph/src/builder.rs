@@ -4,6 +4,7 @@
 //! triples, then `build()` performs one counting-sort pass into the
 //! bi-directed CSR and computes degree-of-summary weights (Eq. 2).
 
+use crate::column::StrTable;
 use crate::graph::{Adjacency, KnowledgeGraph};
 use crate::ids::{LabelId, NodeId};
 use crate::weights;
@@ -100,21 +101,38 @@ impl GraphBuilder {
     ///
     /// Exact duplicate triples are removed; parallel edges with distinct
     /// labels are kept (they are distinct relationships in a KB).
-    pub fn build(mut self) -> KnowledgeGraph {
-        let n = self.node_keys.len();
+    ///
+    /// Each input is freed as soon as its output exists — the interning
+    /// maps first, the per-string allocations once their arenas are
+    /// built, the triples once they are scattered — so the build holds
+    /// at most one copy of the graph at a time.
+    pub fn build(self) -> KnowledgeGraph {
+        let GraphBuilder { node_index, node_keys, node_texts, label_index, label_names, mut edges } =
+            self;
+        drop(node_index);
+        drop(label_index);
+        let n = node_keys.len();
+        let node_keys = StrTable::from_strings(node_keys);
+        let node_texts = StrTable::from_strings(node_texts);
+        let label_names = StrTable::from_strings(label_names);
 
         // Dedup exact triples.
-        self.edges.sort_unstable_by_key(|&(s, l, d)| (s.0, l.0, d.0));
-        self.edges.dedup();
-        let m = self.edges.len();
+        edges.sort_unstable_by_key(|&(s, l, d)| (s.0, l.0, d.0));
+        edges.dedup();
+        let m = edges.len();
 
         // Degree counts under original direction.
         let mut in_degree = vec![0u32; n];
         let mut out_degree = vec![0u32; n];
-        for &(s, _, d) in &self.edges {
+        for &(s, _, d) in &edges {
             out_degree[s.index()] += 1;
             in_degree[d.index()] += 1;
         }
+
+        // The triples are sorted by source, so `out_degree` recovers each
+        // one's source: keep `(label, dst)` only, collected in place.
+        let mut edges: Vec<(LabelId, NodeId)> = edges.into_iter().map(|(_, l, d)| (l, d)).collect();
+        edges.shrink_to_fit();
 
         // Bi-directed CSR: each triple contributes one outgoing entry at the
         // source and one incoming entry at the destination.
@@ -125,37 +143,46 @@ impl GraphBuilder {
         let total = offsets[n] as usize;
         let mut cursor: Vec<u64> = offsets[..n].to_vec();
         let mut adj = vec![Adjacency::new(NodeId(0), LabelId(0), false); total];
-        for &(s, l, d) in &self.edges {
-            let cs = &mut cursor[s.index()];
-            adj[*cs as usize] = Adjacency::new(d, l, true);
-            *cs += 1;
-            let cd = &mut cursor[d.index()];
-            adj[*cd as usize] = Adjacency::new(s, l, false);
-            *cd += 1;
-        }
-
-        // Degree-of-summary weights (Eq. 2) from per-node in-edge label
-        // histograms. Edges are sorted by (src, label, dst); re-sort a copy
-        // by (dst, label) to count label runs per destination.
-        let mut by_dst: Vec<(u32, u32)> = self.edges.iter().map(|&(_, l, d)| (d.0, l.0)).collect();
-        by_dst.sort_unstable();
-        let mut raw = vec![0.0f32; n];
-        let mut i = 0;
-        while i < by_dst.len() {
-            let dst = by_dst[i].0;
-            let mut counts: Vec<u32> = Vec::new();
-            let mut j = i;
-            while j < by_dst.len() && by_dst[j].0 == dst {
-                let label = by_dst[j].1;
-                let mut k = j;
-                while k < by_dst.len() && by_dst[k].0 == dst && by_dst[k].1 == label {
-                    k += 1;
-                }
-                counts.push((k - j) as u32);
-                j = k;
+        let mut next = 0;
+        for (s, &deg) in out_degree.iter().enumerate() {
+            let src = NodeId::from_index(s);
+            for &(l, d) in &edges[next..next + deg as usize] {
+                let cs = &mut cursor[s];
+                adj[*cs as usize] = Adjacency::new(d, l, true);
+                *cs += 1;
+                let cd = &mut cursor[d.index()];
+                adj[*cd as usize] = Adjacency::new(src, l, false);
+                *cd += 1;
             }
-            raw[dst as usize] = weights::degree_of_summary(&counts);
-            i = j;
+            next += deg as usize;
+        }
+        drop(cursor);
+        drop(edges);
+
+        // Degree-of-summary weights (Eq. 2) from each node's in-edge label
+        // histogram: its incoming CSR entries' labels, sorted, counted by
+        // run — ascending label order, as `degree_of_summary` sums them.
+        let mut raw = vec![0.0f32; n];
+        let mut labels: Vec<u32> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        for (v, w) in raw.iter_mut().enumerate() {
+            let entries = &adj[offsets[v] as usize..offsets[v + 1] as usize];
+            labels.clear();
+            labels.extend(entries.iter().filter(|a| !a.is_outgoing()).map(|a| a.label().0));
+            if labels.is_empty() {
+                continue;
+            }
+            labels.sort_unstable();
+            counts.clear();
+            let mut run = 0;
+            for i in 0..labels.len() {
+                run += 1;
+                if i + 1 == labels.len() || labels[i + 1] != labels[i] {
+                    counts.push(run);
+                    run = 0;
+                }
+            }
+            *w = weights::degree_of_summary(&counts);
         }
         let normalized = weights::normalize(&raw);
 
@@ -163,9 +190,9 @@ impl GraphBuilder {
             offsets: offsets.into(),
             adj: adj.into(),
             num_directed_edges: m,
-            node_keys: crate::column::StrTable::from_strings(&self.node_keys),
-            node_texts: crate::column::StrTable::from_strings(&self.node_texts),
-            label_names: crate::column::StrTable::from_strings(&self.label_names),
+            node_keys,
+            node_texts,
+            label_names,
             in_degree: in_degree.into(),
             out_degree: out_degree.into(),
             weights_raw: raw.into(),

@@ -228,12 +228,15 @@ impl StrTable {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut offsets: Vec<u64> = vec![0];
+        let strings = strings.into_iter();
+        let mut offsets: Vec<u64> = Vec::with_capacity(strings.size_hint().0 + 1);
+        offsets.push(0);
         let mut bytes: Vec<u8> = Vec::new();
         for s in strings {
             bytes.extend_from_slice(s.as_ref().as_bytes());
             offsets.push(bytes.len() as u64);
         }
+        bytes.shrink_to_fit();
         StrTable { offsets: offsets.into(), bytes: bytes.into() }
     }
 

@@ -118,15 +118,17 @@ pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
         let graph = graph_from_snapshot(&snapshot)?;
         return Ok(GraphStore { graph, format, snapshot: Some(snapshot) });
     }
-    let data = std::fs::read(path)?;
     let graph = match format {
-        GraphFormat::Binary => crate::binio::from_bytes(&data)?,
-        GraphFormat::Tsv => crate::io::from_tsv(&String::from_utf8(data).map_err(utf8_err)?)?,
-        GraphFormat::NTriples => {
-            crate::io::from_ntriples(&String::from_utf8(data).map_err(utf8_err)?)?
+        GraphFormat::Binary => {
+            let file = std::fs::File::open(path)?;
+            let len = file.metadata()?.len();
+            crate::binio::read_from(std::io::BufReader::new(file), len)?
         }
-        GraphFormat::Json => serde_json::from_str(&String::from_utf8(data).map_err(utf8_err)?)
-            .map_err(|e| KgraphError::Json(e.to_string()))?,
+        GraphFormat::Tsv => crate::io::from_tsv(&read_text(path)?)?,
+        GraphFormat::NTriples => crate::io::from_ntriples(&read_text(path)?)?,
+        GraphFormat::Json => {
+            serde_json::from_str(&read_text(path)?).map_err(|e| KgraphError::Json(e.to_string()))?
+        }
         GraphFormat::Snapshot => unreachable!("handled above"),
     };
     Ok(GraphStore { graph, format, snapshot: None })
@@ -159,8 +161,9 @@ pub fn save_graph(graph: &KnowledgeGraph, path: &Path) -> Result<(), KgraphError
     Ok(())
 }
 
-fn utf8_err(e: std::string::FromUtf8Error) -> KgraphError {
-    KgraphError::Parse { line: 0, message: format!("invalid UTF-8: {e}") }
+fn read_text(path: &Path) -> Result<String, KgraphError> {
+    String::from_utf8(std::fs::read(path)?)
+        .map_err(|e| KgraphError::Parse { line: 0, message: format!("invalid UTF-8: {e}") })
 }
 
 #[cfg(test)]
@@ -226,6 +229,24 @@ mod tests {
     fn ntriples_writes_are_refused() {
         let err = save_graph(&sample(), Path::new("/tmp/x.nt")).unwrap_err();
         assert!(err.to_string().contains("read-only"));
+    }
+
+    #[test]
+    fn absurd_header_counts_are_refused_before_allocating() {
+        // 2^40 nodes once aborted on a 72 TB allocation; 2^61 edges
+        // overflowed the edge vector's capacity.
+        for (n, m, labels) in [(1u64 << 40, 0u64, 0u64), (0, 1 << 61, 0), (0, 0, 1 << 62)] {
+            let mut bytes = b"KGR1".to_vec();
+            for count in [n, m, labels] {
+                bytes.extend_from_slice(&count.to_le_bytes());
+            }
+            let path = tmp(&format!("absurd-{n}-{m}-{labels}.bin"));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load_graph(&path).unwrap_err();
+            let _ = std::fs::remove_file(path);
+            assert!(matches!(err, KgraphError::Parse { .. }), "{err}");
+            assert!(err.to_string().contains("truncated"), "{err}");
+        }
     }
 
     #[test]

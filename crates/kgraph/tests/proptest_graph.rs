@@ -1,7 +1,7 @@
 //! Property tests of the graph substrate: CSR construction invariants and
 //! serialization round-trips over arbitrary graphs.
 
-use kgraph::{binio, io, GraphBuilder, KnowledgeGraph};
+use kgraph::{binio, io, sampling, GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -115,6 +115,34 @@ proptest! {
             let d1 = kgraph::sampling::bfs_distance(&g, a, b, 64);
             let d2 = kgraph::sampling::bfs_distance(&g, b, a, 64);
             prop_assert_eq!(d1, d2);
+        }
+    }
+
+    #[test]
+    fn meet_in_the_middle_distance_matches_single_source_bfs(
+        raw in raw_graph(),
+        parts in 1usize..4,
+        depth in 0u32..6,
+    ) {
+        // Dropping the edges between residue classes leaves at least
+        // `parts` components; depth 5 stands for an uncapped 64.
+        let mut raw = raw;
+        raw.edges.retain(|&(s, d, _)| s % parts == d % parts);
+        let g = build(&raw);
+        let depth = if depth == 5 { 64 } else { depth };
+        for s in g.nodes() {
+            let dist = sampling::bfs_distances(&g, s, depth);
+            for t in g.nodes() {
+                let want = Some(dist[t.index()]).filter(|&d| d != u32::MAX);
+                prop_assert_eq!(
+                    sampling::bfs_distance(&g, s, t, depth),
+                    want,
+                    "{} -> {} at depth {}",
+                    s,
+                    t,
+                    depth
+                );
+            }
         }
     }
 }

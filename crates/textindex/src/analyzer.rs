@@ -7,7 +7,7 @@
 
 use crate::stemmer::porter_stem;
 use crate::stopwords::is_stopword;
-use crate::tokenizer::tokenize;
+use crate::tokenizer::raw_tokens;
 
 /// Analyze `text` into index terms: lowercase word tokens with stopwords
 /// removed and the Porter stem applied.
@@ -20,11 +20,15 @@ use crate::tokenizer::tokenize;
 /// );
 /// ```
 pub fn analyze(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .map(|t| porter_stem(&t))
-        .collect()
+    raw_tokens(text).filter_map(analyze_token).collect()
+}
+
+/// The index term of one raw token (see [`raw_tokens`]): `None` for a
+/// stopword, else the Porter stem of its lowercase form. [`analyze`] is
+/// this, token by token.
+pub fn analyze_token(raw: &str) -> Option<String> {
+    let token = raw.to_lowercase();
+    (!is_stopword(&token)).then(|| porter_stem(&token))
 }
 
 /// Like [`analyze`] but deduplicated, preserving first-occurrence order —

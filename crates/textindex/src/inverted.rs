@@ -15,11 +15,12 @@
 //! mapped one are structurally identical — the property the mmap points
 //! of the differential `lattice` suite lean on.
 
-use crate::analyzer::analyze_unique;
+use crate::analyzer::{analyze_token, analyze_unique};
+use crate::tokenizer::raw_tokens;
 use kgraph::snapshot::{Snapshot, SnapshotWriter};
 use kgraph::{Column, KgraphError, KnowledgeGraph, NodeId, StrTable};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Snapshot section: term string-table offsets (`num_terms + 1` × u64).
 pub const SEC_TERM_OFFSETS: u32 = 20;
@@ -47,24 +48,46 @@ pub struct InvertedIndex {
 
 impl InvertedIndex {
     /// Build the index by analyzing every node's text.
+    ///
+    /// A token's analysis depends on the token alone, so each distinct raw
+    /// token is analyzed once: `memo` maps it to its term id (`None` for a
+    /// stopword). Nodes are visited in id order, so a term's postings come
+    /// out sorted, and a node already last in a term's list is that
+    /// node's repeat of the term.
     pub fn build(g: &KnowledgeGraph) -> Self {
-        let mut by_term: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        let mut memo: HashMap<&str, Option<usize>> = HashMap::new();
+        let mut ids: HashMap<String, usize> = HashMap::new();
+        let mut terms: Vec<String> = Vec::new();
+        let mut lists: Vec<Vec<NodeId>> = Vec::new();
         for v in g.nodes() {
-            for term in analyze_unique(g.node_text(v)) {
-                by_term.entry(term).or_default().push(v);
+            for raw in raw_tokens(g.node_text(v)) {
+                let id = *memo.entry(raw).or_insert_with(|| {
+                    let term = analyze_token(raw)?;
+                    Some(*ids.entry(term).or_insert_with_key(|term| {
+                        terms.push(term.clone());
+                        lists.push(Vec::new());
+                        terms.len() - 1
+                    }))
+                });
+                if let Some(id) = id {
+                    if lists[id].last() != Some(&v) {
+                        lists[id].push(v);
+                    }
+                }
             }
         }
-        // Node texts are analyzed in node-id order with per-text dedup, so
-        // each posting list is already sorted and unique.
-        debug_assert!(by_term.values().all(|p| p.windows(2).all(|w| w[0] < w[1])));
-        let mut posting_offsets: Vec<u64> = vec![0];
-        let mut postings: Vec<NodeId> = Vec::new();
-        for list in by_term.values() {
-            postings.extend_from_slice(list);
+        drop((memo, ids));
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        order.sort_unstable_by(|&a, &b| terms[a].cmp(&terms[b]));
+        let mut posting_offsets: Vec<u64> = Vec::with_capacity(terms.len() + 1);
+        posting_offsets.push(0);
+        let mut postings: Vec<NodeId> = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for &id in &order {
+            postings.extend_from_slice(&lists[id]);
             posting_offsets.push(postings.len() as u64);
         }
         InvertedIndex {
-            terms: StrTable::from_strings(by_term.keys()),
+            terms: StrTable::from_strings(order.iter().map(|&id| &terms[id])),
             posting_offsets: posting_offsets.into(),
             postings: postings.into(),
             num_nodes: g.num_nodes(),

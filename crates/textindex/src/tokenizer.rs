@@ -12,11 +12,16 @@
 /// assert_eq!(tokenize("SPARQL 1.1 query-language!"), vec!["sparql", "query", "language"]);
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
+    raw_tokens(text).map(str::to_lowercase).collect()
+}
+
+/// The word tokens of `text` as they appear in it, before lowercasing:
+/// its maximal alphanumeric runs that are not purely ASCII digits.
+/// [`tokenize`] lowercases each one on its own, so a token's analysis
+/// depends on nothing but the token.
+pub fn raw_tokens(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .filter(|t| !t.chars().all(|c| c.is_ascii_digit()))
-        .map(|t| t.to_lowercase())
-        .collect()
+        .filter(|t| !t.is_empty() && !t.chars().all(|c| c.is_ascii_digit()))
 }
 
 /// Tokenize and deduplicate, preserving first-occurrence order. Used for

@@ -2,10 +2,61 @@
 //! shrinking, analysis is deterministic, and index lookups agree with a
 //! naive scan.
 
-use kgraph::GraphBuilder;
+use kgraph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use textindex::analyzer::analyze_unique;
 use textindex::{analyze, porter_stem, tokenize, InvertedIndex};
+
+/// Words the memoised index must analyse exactly as `analyze_unique`
+/// does: case variants of one term, stopwords, digits-only tokens,
+/// alphanumerics, and non-ASCII letters whose lowercase form differs in
+/// length (`İ`) or depends on position (a final `Σ`).
+const WORDS: &[&str] = &[
+    "the",
+    "The",
+    "OF",
+    "and",
+    "Data",
+    "data",
+    "DATA",
+    "mining",
+    "Mined",
+    "mine",
+    "networks",
+    "Network",
+    "2019",
+    "42",
+    "x9",
+    "Gödel",
+    "gödel",
+    "GÖDEL",
+    "İstanbul",
+    "İ",
+    "naïve",
+    "ΟΔΟΣ",
+    "οδος",
+    "Straße",
+];
+
+/// Texts of 0–7 words drawn from [`WORDS`] or spelled at random, joined
+/// by assorted separators.
+fn texts() -> impl Strategy<Value = Vec<String>> {
+    let word = (0usize..WORDS.len() + 1, "[a-zA-Z0-9]{1,5}", 0usize..4);
+    proptest::collection::vec(proptest::collection::vec(word, 0..8), 1..24).prop_map(|texts| {
+        texts
+            .into_iter()
+            .map(|words| {
+                let mut text = String::new();
+                for (pick, spelled, sep) in words {
+                    text.push_str(WORDS.get(pick).copied().unwrap_or(&spelled));
+                    text.push_str([" ", "-", ", ", "'"][sep]);
+                }
+                text
+            })
+            .collect()
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
@@ -94,6 +145,30 @@ proptest! {
                     group.term
                 );
             }
+        }
+    }
+
+    #[test]
+    fn memoised_build_equals_per_node_analysis(texts in texts()) {
+        let mut b = GraphBuilder::new();
+        for (i, t) in texts.iter().enumerate() {
+            b.add_node(&format!("n{i}"), t);
+        }
+        let g = b.build();
+        let mut reference: BTreeMap<String, Vec<NodeId>> = BTreeMap::new();
+        for v in g.nodes() {
+            for term in analyze_unique(g.node_text(v)) {
+                reference.entry(term).or_default().push(v);
+            }
+        }
+        let idx = InvertedIndex::build(&g);
+        prop_assert_eq!(idx.num_nodes(), g.num_nodes());
+        let terms: Vec<(&str, usize)> = idx.term_frequencies().collect();
+        let want: Vec<(&str, usize)> =
+            reference.iter().map(|(t, p)| (t.as_str(), p.len())).collect();
+        prop_assert_eq!(terms, want);
+        for (term, postings) in &reference {
+            prop_assert_eq!(idx.lookup_analyzed(term), Some(&postings[..]), "{}", term);
         }
     }
 }
