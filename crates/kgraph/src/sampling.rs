@@ -40,14 +40,14 @@ impl DistanceEstimate {
 /// Searches from both ends at once, meeting in the middle; the result is
 /// the plain BFS distance under the same cap.
 pub fn bfs_distance(g: &KnowledgeGraph, src: NodeId, dst: NodeId, max_depth: u32) -> Option<u32> {
-    MeetScratch::new(g.num_nodes()).distance(g, src, dst, max_depth)
+    MeetScratch::new(g.num_nodes()).distance(g, [src, dst], max_depth)
 }
 
 /// Meet-in-the-middle BFS state, reusable across pairs of one graph.
 ///
 /// Each side keeps a distance array (`u32::MAX` = unseen) and the list of
 /// nodes it has seen, in BFS order: the tail of that list is the side's
-/// frontier, and after a search only the listed entries are reset. Each
+/// frontier, and the next search resets only the listed entries. Each
 /// step expands the side whose frontier has the smaller adjacency volume
 /// by one layer. On the first layer that touches the other side, the
 /// answer is the least `ds + 1 + dt` over that layer; once the two depths
@@ -62,23 +62,12 @@ impl MeetScratch {
         MeetScratch { dist: [vec![u32::MAX; n], vec![u32::MAX; n]], seen: [Vec::new(), Vec::new()] }
     }
 
-    fn distance(
-        &mut self,
-        g: &KnowledgeGraph,
-        src: NodeId,
-        dst: NodeId,
-        max_depth: u32,
-    ) -> Option<u32> {
-        let d = self.search(g, [src, dst], max_depth);
+    fn distance(&mut self, g: &KnowledgeGraph, ends: [NodeId; 2], max_depth: u32) -> Option<u32> {
         for (dist, seen) in self.dist.iter_mut().zip(&mut self.seen) {
             for v in seen.drain(..) {
                 dist[v.index()] = u32::MAX;
             }
         }
-        d
-    }
-
-    fn search(&mut self, g: &KnowledgeGraph, ends: [NodeId; 2], max_depth: u32) -> Option<u32> {
         if ends[0] == ends[1] {
             return Some(0);
         }
@@ -157,7 +146,7 @@ pub fn estimate_average_distance(
         while t == s && n > 1 {
             t = NodeId::from_index(rng.random_range(0..n));
         }
-        if let Some(d) = scratch.distance(g, s, t, max_depth) {
+        if let Some(d) = scratch.distance(g, [s, t], max_depth) {
             distances.push(d);
         }
     }
