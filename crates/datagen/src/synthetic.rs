@@ -350,6 +350,20 @@ mod tests {
         assert_eq!(bin_digest(&sim), 0x843c_0d2d_1478_1ce1);
     }
 
+    /// The sizes the perf ledger serves: the full `wiki2017-sim` preset
+    /// (a 60 000-rank Zipf table) and `--entities 25000`, both at seed 1.
+    /// Seconds in debug, so release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn served_sizes_bytes_are_pinned() {
+        let full =
+            SyntheticConfig { num_entities: 60_000, seed: 1, ..SyntheticConfig::wiki2017_sim() };
+        assert_eq!(bin_digest(&full), 0xf93e_7821_55e6_7554);
+        let mid =
+            SyntheticConfig { num_entities: 25_000, seed: 1, ..SyntheticConfig::wiki2017_sim() };
+        assert_eq!(bin_digest(&mid), 0x186f_0c75_b962_68ef);
+    }
+
     #[test]
     fn presets_differ_in_size() {
         // Don't generate the full presets in unit tests; just check configs.
