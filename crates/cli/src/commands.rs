@@ -441,6 +441,20 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_bin_is_an_error_without_a_line_number() {
+        let bin = tmp("truncated.bin");
+        let (code, out) = run_cli(&format!("generate --dataset tiny --seed 1 --out {bin}"));
+        assert_eq!(code, 0, "{out}");
+        let bytes = std::fs::read(&bin).unwrap();
+        std::fs::write(&bin, &bytes[..bytes.len() / 2]).unwrap();
+        let (code, out) = run_cli(&format!("stats --graph {bin}"));
+        let _ = std::fs::remove_file(&bin);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("parse error: truncated"), "{out}");
+        assert!(!out.contains("line 0"), "{out}");
+    }
+
+    #[test]
     fn generate_refuses_fewer_than_two_entities() {
         for n in [0, 1] {
             let bin = tmp(&format!("few{n}.bin"));

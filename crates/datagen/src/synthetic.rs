@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Labels for class/summary nodes, mirroring Wikidata's biggest classes.
 static CLASS_LABELS: &[&str] = &[
@@ -151,36 +152,46 @@ impl SyntheticConfig {
     pub fn generate(&self) -> SyntheticDataset {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = self.num_entities;
+        // Edges: one `instance of` per entity, the entity edges, and the
+        // stitching below (about n / 50, twice that reserved, plus at most
+        // one per class), so the triples never reallocate.
         let mut b = GraphBuilder::with_capacity(
             n + self.num_classes,
-            n + (n as f64 * self.entity_edges_per_node) as usize,
+            n + (n as f64 * self.entity_edges_per_node) as usize + n / 25 + self.num_classes,
         );
         let class = |c: usize| NodeId::from_index(c);
         let entity = |e: usize| NodeId::from_index(self.num_classes + e);
 
+        // Keys and labels are formatted into two reused buffers.
+        let (mut key, mut label) = (String::new(), String::new());
+
         // Class nodes first (ids 0..num_classes).
         for c in 0..self.num_classes {
             let base = CLASS_LABELS[c % CLASS_LABELS.len()];
-            let label = if c < CLASS_LABELS.len() {
-                base.to_string()
-            } else {
-                format!("{base} category {c}")
-            };
-            let id = b.add_node(&format!("C{c}"), &label);
+            label.clear();
+            label.push_str(base);
+            if c >= CLASS_LABELS.len() {
+                let _ = write!(label, " category {c}");
+            }
+            key.clear();
+            let _ = write!(key, "C{c}");
+            let id = b.add_node(&key, &label);
             debug_assert_eq!(id, class(c));
         }
 
         // Entity nodes with vocabulary-phrase labels. A fraction get two
         // phrases (multi-topic entities), creating keyword co-occurrence.
         for e in 0..n {
-            let p1 = VOCAB.choose(&mut rng).unwrap();
-            let label = if rng.random_bool(0.12) {
-                let p2 = VOCAB.choose(&mut rng).unwrap();
-                format!("{p1} {p2} {e}")
-            } else {
-                format!("{p1} {e}")
-            };
-            let id = b.add_node(&format!("Q{e}"), &label);
+            label.clear();
+            label.push_str(VOCAB.choose(&mut rng).unwrap());
+            if rng.random_bool(0.12) {
+                label.push(' ');
+                label.push_str(VOCAB.choose(&mut rng).unwrap());
+            }
+            let _ = write!(label, " {e}");
+            key.clear();
+            let _ = write!(key, "Q{e}");
+            let id = b.add_node(&key, &label);
             debug_assert_eq!(id, entity(e));
         }
 
@@ -251,11 +262,21 @@ fn env_scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Zipf sampler over `0..n` via a precomputed CDF + binary search.
-/// Rank 0 is the most popular item.
+/// Zipf sampler over `0..n` via a precomputed CDF. Rank 0 is the most
+/// popular item.
+///
+/// A guide array narrows each draw's binary search: `guide[k]` is the
+/// first rank whose CDF reaches `k / 2¹⁴`, so a draw `u` lies between
+/// `guide[k]` and `guide[k + 1]` for `k = ⌊u · 2¹⁴⌋`. Scaling by a power of
+/// two is exact in `f64`, so the search of that slice finds the same rank
+/// as a search of the whole CDF, and the RNG stream is the same.
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
+
+/// Guide buckets per unit of probability.
+const GUIDE_BUCKETS: usize = 1 << 14;
 
 impl ZipfTable {
     /// Table for `n` items with exponent `s`.
@@ -271,13 +292,29 @@ impl ZipfTable {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfTable { cdf }
+        let mut guide = Vec::with_capacity(GUIDE_BUCKETS + 1);
+        let mut rank = 0;
+        for k in 0..=GUIDE_BUCKETS {
+            let floor = k as f64 / GUIDE_BUCKETS as f64;
+            while rank < n && cdf[rank] < floor {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        ZipfTable { cdf, guide }
     }
 
     /// Draw one rank.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.random();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank(rng.random())
+    }
+
+    /// The rank a uniform draw `u ∈ [0, 1)` selects: the first whose CDF
+    /// reaches `u`, or the last.
+    fn rank(&self, u: f64) -> usize {
+        let k = (u * GUIDE_BUCKETS as f64) as usize;
+        let (lo, hi) = (self.guide[k] as usize, self.guide[k + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < u)).min(self.cdf.len() - 1)
     }
 }
 
@@ -295,6 +332,32 @@ mod tests {
         }
         assert!(counts[0] > counts[100] && counts[0] > counts[999]);
         assert!(counts[0] > 1000, "rank 0 should absorb a large share");
+    }
+
+    #[test]
+    fn guided_draw_is_the_plain_binary_search() {
+        // The neighbours of a non-negative `x` in `[0, 1)`.
+        let around = |x: f64| {
+            let bits = x.to_bits();
+            [bits.checked_sub(1).map(f64::from_bits), Some(x), Some(f64::from_bits(bits + 1))]
+                .into_iter()
+                .flatten()
+                .filter(|u| (0.0..1.0).contains(u))
+        };
+        for n in [1, 2, 150, 60_000] {
+            for s in [0.82, 1.02] {
+                let table = ZipfTable::new(n, s);
+                let plain = |u: f64| table.cdf.partition_point(|&c| c < u).min(n - 1);
+                let mut rng = StdRng::seed_from_u64(n as u64);
+                let seeded: Vec<f64> = (0..4096).map(|_| rng.random()).collect();
+                let bounds = (0..=GUIDE_BUCKETS).map(|k| k as f64 / GUIDE_BUCKETS as f64);
+                let draws =
+                    seeded.into_iter().chain(bounds.chain(table.cdf.clone()).flat_map(around));
+                for u in draws {
+                    assert_eq!(table.rank(u), plain(u), "n {n}, s {s}, u {u:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,41 +11,60 @@
 //! edge table:   m × (u32 src, u32 label, u32 dst)
 //! ```
 //!
-//! [`read_from`] parses a file in one pass from a buffered reader, so a
-//! load never holds the file's bytes and the graph at once. The CSR,
-//! degrees and weights are rebuilt through the normal builder path, so a
-//! loaded graph is bit-identical in behaviour to the originally built one
-//! (property-tested).
+//! [`write_to`] streams a graph to any writer, field by field, so a save
+//! never stages the whole file in memory; [`to_bytes`] is the same
+//! serializer into a `Vec`. [`read_from`] parses a file in one pass from
+//! a buffered reader, so a load never holds the file's bytes and the graph
+//! at once. The CSR, degrees and weights are rebuilt through the normal
+//! builder path, so a loaded graph is bit-identical in behaviour to the
+//! originally built one (property-tested).
 
 use crate::builder::GraphBuilder;
 use crate::error::KgraphError;
 use crate::graph::KnowledgeGraph;
 use crate::ids::LabelId;
-use bytes::{BufMut, Bytes, BytesMut};
-use std::io::{ErrorKind, Read};
+use bytes::Bytes;
+use std::io::{ErrorKind, Read, Write};
 
 const MAGIC: &[u8; 4] = b"KGR1";
 
-/// Serialize to the binary format.
+/// Edges [`read_from`] reads at a time: 48 KiB.
+const EDGES_PER_READ: usize = 4096;
+
+/// Serialize to the binary format in memory.
 pub fn to_bytes(g: &KnowledgeGraph) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + g.num_nodes() * 24 + g.num_directed_edges() * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(g.num_nodes() as u64);
-    buf.put_u64_le(g.num_directed_edges() as u64);
-    buf.put_u64_le(g.num_labels() as u64);
+    let mut buf = Vec::with_capacity(64 + g.num_nodes() * 24 + g.num_directed_edges() * 12);
+    write_to(g, &mut buf).expect("writing to a Vec cannot fail");
+    buf.into()
+}
+
+/// Serialize to the binary format, streamed into `w`. Pass a buffered
+/// writer: every field is one small write.
+pub fn write_to<W: Write>(g: &KnowledgeGraph, mut w: W) -> std::io::Result<()> {
+    w.write_all(MAGIC)?;
+    for count in [g.num_nodes(), g.num_directed_edges(), g.num_labels()] {
+        w.write_all(&(count as u64).to_le_bytes())?;
+    }
     for l in 0..g.num_labels() {
-        put_str(&mut buf, g.label_name(LabelId::from_index(l)));
+        write_str(&mut w, g.label_name(LabelId::from_index(l)))?;
     }
     for v in g.nodes() {
-        put_str(&mut buf, g.node_key(v));
-        put_str(&mut buf, g.node_text(v));
+        write_str(&mut w, g.node_key(v))?;
+        write_str(&mut w, g.node_text(v))?;
     }
     for (s, l, t) in g.directed_edges() {
-        buf.put_u32_le(s.0);
-        buf.put_u32_le(l.0);
-        buf.put_u32_le(t.0);
+        let mut edge = [0u8; 12];
+        edge[..4].copy_from_slice(&s.0.to_le_bytes());
+        edge[4..8].copy_from_slice(&l.0.to_le_bytes());
+        edge[8..].copy_from_slice(&t.0.to_le_bytes());
+        w.write_all(&edge)?;
     }
-    buf.freeze()
+    Ok(())
+}
+
+fn write_str<W: Write>(w: &mut W, s: &str) -> std::io::Result<()> {
+    w.write_all(&(s.len() as u32).to_le_bytes())?;
+    w.write_all(s.as_bytes())
 }
 
 /// Deserialize from the binary format.
@@ -86,17 +105,25 @@ pub fn read_from<R: Read>(r: R, len: u64) -> Result<KnowledgeGraph, KgraphError>
         let k = input.str(&mut key)?;
         node_ids.push(b.add_node(k, input.str(&mut text)?));
     }
-    let mut edge = [0u8; 12];
-    for _ in 0..m {
-        input.fill(&mut edge, "edge table")?;
-        let field =
-            |at: usize| u32::from_le_bytes(edge[at..at + 4].try_into().expect("4 bytes")) as usize;
-        let (s, l, t) = (field(0), field(4), field(8));
-        if s >= n || t >= n || l >= labels {
-            return Err(parse_err("edge index out of bounds"));
+    // The edge table is read in blocks of up to `EDGES_PER_READ` edges.
+    let mut block = vec![0u8; 12 * m.min(EDGES_PER_READ)];
+    let mut left = m;
+    while left > 0 {
+        let block = &mut block[..12 * left.min(EDGES_PER_READ)];
+        input.fill(block, "edge table")?;
+        for edge in block.chunks_exact(12) {
+            let field = |at: usize| {
+                u32::from_le_bytes(edge[at..at + 4].try_into().expect("4 bytes")) as usize
+            };
+            let (s, l, t) = (field(0), field(4), field(8));
+            if s >= n || t >= n || l >= labels {
+                return Err(parse_err("edge index out of bounds"));
+            }
+            b.add_edge_with_label(node_ids[s], node_ids[t], label_ids[l]);
         }
-        b.add_edge_with_label(node_ids[s], node_ids[t], label_ids[l]);
+        left -= block.len() / 12;
     }
+    drop((block, node_ids, label_ids));
     Ok(b.build())
 }
 
@@ -136,11 +163,6 @@ impl<R: Read> Input<R> {
         self.fill(buf, "string body")?;
         std::str::from_utf8(buf).map_err(|_| parse_err("invalid utf-8"))
     }
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
 }
 
 #[cfg(test)]

@@ -236,6 +236,25 @@ impl StrTable {
             bytes.extend_from_slice(s.as_ref().as_bytes());
             offsets.push(bytes.len() as u64);
         }
+        StrTable::from_arena(offsets, bytes)
+    }
+
+    /// Take an owned arena as it is, trimmed to its length: `offsets`
+    /// holds `n + 1` monotone entries from 0 to `bytes.len()` (an empty
+    /// vector stands for `[0]`), and every string is UTF-8.
+    ///
+    /// # Panics
+    /// Panics if the final offset is not `bytes.len()`.
+    pub(crate) fn from_arena(mut offsets: Vec<u64>, mut bytes: Vec<u8>) -> Self {
+        if offsets.is_empty() {
+            offsets.push(0);
+        }
+        assert_eq!(
+            offsets.last(),
+            Some(&(bytes.len() as u64)),
+            "arena offsets must cover its bytes"
+        );
+        offsets.shrink_to_fit();
         bytes.shrink_to_fit();
         StrTable { offsets: offsets.into(), bytes: bytes.into() }
     }

@@ -12,9 +12,10 @@ pub enum KgraphError {
         /// The graph's node count.
         num_nodes: usize,
     },
-    /// A parse error while reading a text format (TSV or N-Triples).
+    /// A parse error while reading a graph file.
     Parse {
-        /// 1-based line number (0 when not line-oriented).
+        /// 1-based line number in a line format (TSV or N-Triples); 0 for
+        /// input without lines, which `Display` then does not mention.
         line: usize,
         /// What went wrong.
         message: String,
@@ -29,13 +30,6 @@ pub enum KgraphError {
         /// What failed validation.
         message: String,
     },
-    /// The builder was asked to create a graph that exceeds `u32` ids.
-    TooLarge {
-        /// Which id space overflowed ("nodes" or "labels").
-        what: &'static str,
-        /// The offending count.
-        count: usize,
-    },
 }
 
 impl fmt::Display for KgraphError {
@@ -44,15 +38,13 @@ impl fmt::Display for KgraphError {
             KgraphError::NodeOutOfBounds { id, num_nodes } => {
                 write!(f, "node id v{id} out of bounds for graph with {num_nodes} nodes")
             }
+            KgraphError::Parse { line: 0, message } => write!(f, "parse error: {message}"),
             KgraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
             KgraphError::Io(e) => write!(f, "i/o error: {e}"),
             KgraphError::Snapshot { message } => write!(f, "snapshot error: {message}"),
             KgraphError::Json(e) => write!(f, "json error: {e}"),
-            KgraphError::TooLarge { what, count } => {
-                write!(f, "{what} count {count} exceeds u32 id space")
-            }
         }
     }
 }
@@ -81,6 +73,13 @@ mod tests {
         let e = KgraphError::NodeOutOfBounds { id: 9, num_nodes: 3 };
         assert!(e.to_string().contains("v9"));
         assert!(e.to_string().contains('3'));
+    }
+
+    #[test]
+    fn parse_errors_name_a_line_only_when_there_is_one() {
+        let on = |line| KgraphError::Parse { line, message: "bad".into() }.to_string();
+        assert_eq!(on(3), "parse error on line 3: bad");
+        assert_eq!(on(0), "parse error: bad");
     }
 
     #[test]

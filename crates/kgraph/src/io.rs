@@ -11,59 +11,60 @@
 //! Node lines must precede the edges that use them; an edge referencing an
 //! unseen key implicitly creates a node whose text equals its key (Wikidata
 //! dumps behave this way for dangling references).
+//!
+//! Both line formats (TSV and N-Triples) are read one line at a time
+//! through one reused buffer, and a parse error names its 1-based line.
 
 use crate::builder::GraphBuilder;
 use crate::error::KgraphError;
 use crate::graph::KnowledgeGraph;
-use std::fmt::Write as _;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, Write};
 
 /// Serialize `g` to the TSV triple format.
 pub fn to_tsv(g: &KnowledgeGraph) -> String {
-    let mut out = String::new();
-    let _ =
-        writeln!(out, "# kgraph tsv: {} nodes, {} edges", g.num_nodes(), g.num_directed_edges());
+    let mut out = Vec::new();
+    write_tsv(g, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("graph strings are UTF-8")
+}
+
+/// Write the TSV form to any [`Write`] sink, line by line. Pass a
+/// buffered writer.
+pub fn write_tsv<W: Write>(g: &KnowledgeGraph, mut w: W) -> Result<(), KgraphError> {
+    writeln!(w, "# kgraph tsv: {} nodes, {} edges", g.num_nodes(), g.num_directed_edges())?;
     for v in g.nodes() {
-        let _ = writeln!(out, "N\t{}\t{}", g.node_key(v), g.node_text(v));
+        writeln!(w, "N\t{}\t{}", g.node_key(v), g.node_text(v))?;
     }
     for (s, l, t) in g.directed_edges() {
-        let _ = writeln!(out, "E\t{}\t{}\t{}", g.node_key(s), g.label_name(l), g.node_key(t));
+        writeln!(w, "E\t{}\t{}\t{}", g.node_key(s), g.label_name(l), g.node_key(t))?;
     }
-    out
+    Ok(())
 }
 
 /// Parse a graph from the TSV triple format.
 pub fn from_tsv(text: &str) -> Result<KnowledgeGraph, KgraphError> {
+    read_tsv(text.as_bytes())
+}
+
+/// Read a graph in TSV form from any buffered source, one line at a time.
+pub fn read_tsv<R: BufRead>(r: R) -> Result<KnowledgeGraph, KgraphError> {
     let mut b = GraphBuilder::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    for_each_line(r, |lineno, line| {
         let line = line.trim_end();
         if line.is_empty() || line.starts_with('#') {
-            continue;
+            return Ok(());
         }
+        let missing = |message: &str| KgraphError::Parse { line: lineno, message: message.into() };
         let mut parts = line.split('\t');
         match parts.next() {
             Some("N") => {
-                let key = parts.next().ok_or_else(|| KgraphError::Parse {
-                    line: lineno,
-                    message: "node line missing key".into(),
-                })?;
+                let key = parts.next().ok_or_else(|| missing("node line missing key"))?;
                 let text = parts.next().unwrap_or("");
                 b.add_node(key, text);
             }
             Some("E") => {
-                let src = parts.next().ok_or_else(|| KgraphError::Parse {
-                    line: lineno,
-                    message: "edge line missing source".into(),
-                })?;
-                let label = parts.next().ok_or_else(|| KgraphError::Parse {
-                    line: lineno,
-                    message: "edge line missing label".into(),
-                })?;
-                let dst = parts.next().ok_or_else(|| KgraphError::Parse {
-                    line: lineno,
-                    message: "edge line missing target".into(),
-                })?;
+                let src = parts.next().ok_or_else(|| missing("edge line missing source"))?;
+                let label = parts.next().ok_or_else(|| missing("edge line missing label"))?;
+                let dst = parts.next().ok_or_else(|| missing("edge line missing target"))?;
                 let s = b.node(src).unwrap_or_else(|| b.add_node(src, src));
                 let d = b.node(dst).unwrap_or_else(|| b.add_node(dst, dst));
                 b.add_edge(s, d, label);
@@ -76,21 +77,33 @@ pub fn from_tsv(text: &str) -> Result<KnowledgeGraph, KgraphError> {
             }
             None => {}
         }
-    }
+        Ok(())
+    })?;
     Ok(b.build())
 }
 
-/// Write the TSV form to any [`Write`] sink.
-pub fn write_tsv<W: Write>(g: &KnowledgeGraph, mut w: W) -> Result<(), KgraphError> {
-    w.write_all(to_tsv(g).as_bytes())?;
-    Ok(())
-}
-
-/// Read a graph in TSV form from any [`Read`] source.
-pub fn read_tsv<R: Read>(r: R) -> Result<KnowledgeGraph, KgraphError> {
-    let mut text = String::new();
-    BufReader::new(r).read_to_string(&mut text)?;
-    from_tsv(&text)
+/// Call `f` with each line of `r` and its 1-based number, the line
+/// terminator stripped, through one reused buffer. A line that is not
+/// UTF-8 is a parse error on that line.
+fn for_each_line<R: BufRead>(
+    mut r: R,
+    mut f: impl FnMut(usize, &str) -> Result<(), KgraphError>,
+) -> Result<(), KgraphError> {
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        let line = std::str::from_utf8(&buf).map_err(|e| KgraphError::Parse {
+            line: lineno,
+            message: format!("invalid UTF-8: {e}"),
+        })?;
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        f(lineno, line.strip_suffix('\r').unwrap_or(line))?;
+    }
 }
 
 /// Parse a graph from RDF N-Triples (the format Wikidata/Freebase/Yago
@@ -103,12 +116,17 @@ pub fn read_tsv<R: Read>(r: R) -> Result<KnowledgeGraph, KgraphError> {
 /// other predicates are ignored, as are language/datatype tags). IRIs are
 /// shortened to their final path/fragment segment for keys and labels.
 pub fn from_ntriples(text: &str) -> Result<KnowledgeGraph, KgraphError> {
+    read_ntriples(text.as_bytes())
+}
+
+/// Read a graph in N-Triples form (see [`from_ntriples`]) from any
+/// buffered source, one line at a time.
+pub fn read_ntriples<R: BufRead>(r: R) -> Result<KnowledgeGraph, KgraphError> {
     let mut b = GraphBuilder::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    for_each_line(r, |lineno, line| {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            continue;
+            return Ok(());
         }
         let Some(rest) = line.strip_suffix('.') else {
             return Err(KgraphError::Parse {
@@ -125,7 +143,7 @@ pub fn from_ntriples(text: &str) -> Result<KnowledgeGraph, KgraphError> {
             if is_labelish(&predicate) {
                 b.add_node(&subject, &literal);
             }
-            continue;
+            return Ok(());
         }
         let (object_iri, trailing) = take_iri(object, lineno)?;
         if !trailing.trim().is_empty() {
@@ -136,7 +154,8 @@ pub fn from_ntriples(text: &str) -> Result<KnowledgeGraph, KgraphError> {
         }
         let o = b.node(&object_iri).unwrap_or_else(|| b.add_node(&object_iri, &object_iri));
         b.add_edge(s, o, &predicate);
-    }
+        Ok(())
+    })?;
     Ok(b.build())
 }
 
@@ -236,6 +255,14 @@ mod tests {
         assert!(err.to_string().contains("line 2"));
         let err = from_tsv("E\tonly_src\n").unwrap_err();
         assert!(err.to_string().contains("label"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_reports_its_own_number() {
+        let err = read_tsv(&b"N\ta\talpha\r\nN\tb\t\xff\n"[..]).unwrap_err();
+        assert!(err.to_string().contains("line 2: invalid UTF-8"), "{err}");
+        let err = read_ntriples(&b"# ok\n<a> <b> \"\xff\" .\n"[..]).unwrap_err();
+        assert!(err.to_string().contains("line 2: invalid UTF-8"), "{err}");
     }
 
     #[test]

@@ -19,6 +19,8 @@
 use crate::error::KgraphError;
 use crate::graph::KnowledgeGraph;
 use crate::snapshot::{graph_from_snapshot, Snapshot};
+use std::fs::File;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// On-disk graph formats understood by [`load_graph`], detected from the
@@ -111,6 +113,10 @@ impl GraphStore {
 
 /// Load a graph from `path`, dispatching on extension. The single load
 /// entry point for CLIs, servers and benches.
+///
+/// `.bin`, `.tsv` and `.nt` stream through a buffered reader into the
+/// builder, so the file's bytes are never held whole; JSON is read whole,
+/// because the serde shim parses from `&str`.
 pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
     let format = GraphFormat::from_path(path)?;
     if format == GraphFormat::Snapshot {
@@ -118,16 +124,16 @@ pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
         let graph = graph_from_snapshot(&snapshot)?;
         return Ok(GraphStore { graph, format, snapshot: Some(snapshot) });
     }
+    let file = File::open(path)?;
     let graph = match format {
         GraphFormat::Binary => {
-            let file = std::fs::File::open(path)?;
             let len = file.metadata()?.len();
-            crate::binio::read_from(std::io::BufReader::new(file), len)?
+            crate::binio::read_from(BufReader::new(file), len)?
         }
-        GraphFormat::Tsv => crate::io::from_tsv(&read_text(path)?)?,
-        GraphFormat::NTriples => crate::io::from_ntriples(&read_text(path)?)?,
+        GraphFormat::Tsv => crate::io::read_tsv(BufReader::new(file))?,
+        GraphFormat::NTriples => crate::io::read_ntriples(BufReader::new(file))?,
         GraphFormat::Json => {
-            serde_json::from_str(&read_text(path)?).map_err(|e| KgraphError::Json(e.to_string()))?
+            serde_json::from_str(&read_text(file)?).map_err(|e| KgraphError::Json(e.to_string()))?
         }
         GraphFormat::Snapshot => unreachable!("handled above"),
     };
@@ -140,8 +146,16 @@ pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
 pub fn save_graph(graph: &KnowledgeGraph, path: &Path) -> Result<(), KgraphError> {
     let format = GraphFormat::from_path(path)?;
     match format {
-        GraphFormat::Binary => std::fs::write(path, crate::binio::to_bytes(graph))?,
-        GraphFormat::Tsv => std::fs::write(path, crate::io::to_tsv(graph))?,
+        GraphFormat::Binary => {
+            let mut w = BufWriter::new(File::create(path)?);
+            crate::binio::write_to(graph, &mut w)?;
+            w.flush()?;
+        }
+        GraphFormat::Tsv => {
+            let mut w = BufWriter::new(File::create(path)?);
+            crate::io::write_tsv(graph, &mut w)?;
+            w.flush()?;
+        }
         GraphFormat::Json => std::fs::write(
             path,
             serde_json::to_string(graph).map_err(|e| KgraphError::Json(e.to_string()))?,
@@ -161,8 +175,12 @@ pub fn save_graph(graph: &KnowledgeGraph, path: &Path) -> Result<(), KgraphError
     Ok(())
 }
 
-fn read_text(path: &Path) -> Result<String, KgraphError> {
-    String::from_utf8(std::fs::read(path)?)
+/// The whole file as one string: JSON only, because the serde shim
+/// parses from `&str`. The line formats stream instead.
+fn read_text(mut file: File) -> Result<String, KgraphError> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    String::from_utf8(bytes)
         .map_err(|e| KgraphError::Parse { line: 0, message: format!("invalid UTF-8: {e}") })
 }
 

@@ -1,8 +1,10 @@
-//! Property tests of the graph substrate: CSR construction invariants and
-//! serialization round-trips over arbitrary graphs.
+//! Property tests of the graph substrate: CSR construction invariants, the
+//! builder against a reference model, and serialization round-trips over
+//! arbitrary graphs.
 
-use kgraph::{binio, io, sampling, GraphBuilder, KnowledgeGraph};
+use kgraph::{binio, io, sampling, weights, GraphBuilder, KnowledgeGraph, LabelId, NodeId};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 struct RawGraph {
@@ -31,8 +33,146 @@ fn build(raw: &RawGraph) -> KnowledgeGraph {
     b.build()
 }
 
+/// One call of a random builder session.
+#[derive(Debug, Clone)]
+enum Call {
+    AddNode(String, String),
+    /// Endpoints taken modulo the node count, label `label{2}`.
+    AddEdge(usize, usize, u8),
+    /// The last edge again, an exact duplicate.
+    RepeatEdge,
+}
+
+fn calls() -> impl Strategy<Value = Vec<Call>> {
+    // Few distinct keys (so re-adds are common), non-ASCII and empty ones
+    // among them, and empty texts as often as not.
+    let call = (0u8..5, "[aé✓]{0,2}", "[bλ ]{0,3}", 0usize..64, 0usize..64, 0u8..4).prop_map(
+        |(kind, key, text, s, d, l)| match kind {
+            0 | 1 => Call::AddNode(key, text),
+            2 | 3 => Call::AddEdge(s, d, l),
+            _ => Call::RepeatEdge,
+        },
+    );
+    proptest::collection::vec(call, 0..120)
+}
+
+/// The builder's documented behaviour, with a `String` per key and text.
+#[derive(Default)]
+struct Model {
+    index: HashMap<String, NodeId>,
+    keys: Vec<String>,
+    texts: Vec<String>,
+    label_index: HashMap<String, LabelId>,
+    labels: Vec<String>,
+    triples: Vec<(u32, u32, u32)>,
+}
+
+impl Model {
+    fn add_node(&mut self, key: &str, text: &str) -> NodeId {
+        if let Some(&id) = self.index.get(key) {
+            if !text.is_empty() {
+                self.texts[id.index()] = text.to_string();
+            }
+            return id;
+        }
+        let id = NodeId::from_index(self.keys.len());
+        self.index.insert(key.to_string(), id);
+        self.keys.push(key.to_string());
+        self.texts.push(text.to_string());
+        id
+    }
+
+    fn add_edge(&mut self, s: NodeId, d: NodeId, name: &str) {
+        let next = LabelId::from_index(self.labels.len());
+        let l = *self.label_index.entry(name.to_string()).or_insert(next);
+        if l == next {
+            self.labels.push(name.to_string());
+        }
+        self.triples.push((s.0, l.0, d.0));
+    }
+
+    /// Each node's CSR entries `(target, label, outgoing)`: every distinct
+    /// triple in `(src, label, dst)` order contributes its outgoing entry
+    /// at the source, then its incoming one at the destination.
+    fn adjacency(&self) -> Vec<Vec<(u32, u32, bool)>> {
+        let mut triples = self.triples.clone();
+        triples.sort_unstable();
+        triples.dedup();
+        let mut adj = vec![Vec::new(); self.keys.len()];
+        for (s, l, d) in triples {
+            adj[s as usize].push((d, l, true));
+            adj[d as usize].push((s, l, false));
+        }
+        adj
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn arena_builder_matches_the_string_model(calls in calls()) {
+        let mut b = GraphBuilder::new();
+        let mut model = Model::default();
+        let mut last = None;
+        for call in &calls {
+            let edge = match call {
+                Call::AddNode(key, text) => {
+                    prop_assert_eq!(b.add_node(key, text), model.add_node(key, text));
+                    None
+                }
+                Call::AddEdge(s, d, l) if !model.keys.is_empty() => {
+                    let n = model.keys.len();
+                    Some((NodeId::from_index(s % n), NodeId::from_index(d % n), format!("label{l}")))
+                }
+                Call::AddEdge(..) => None,
+                Call::RepeatEdge => last.clone(),
+            };
+            if let Some((s, d, name)) = edge {
+                b.add_edge(s, d, &name);
+                model.add_edge(s, d, &name);
+                last = Some((s, d, name));
+            }
+            prop_assert_eq!(b.num_nodes(), model.keys.len());
+        }
+        for key in model.keys.iter().map(String::as_str).chain(["", "a", "é✓", "zz"]) {
+            prop_assert_eq!(b.node(key), model.index.get(key).copied(), "key {:?}", key);
+        }
+
+        let g = b.build();
+        prop_assert_eq!(g.node_keys_table().iter().collect::<Vec<_>>(), model.keys.clone());
+        prop_assert_eq!(g.node_texts_table().iter().collect::<Vec<_>>(), model.texts.clone());
+        prop_assert_eq!(g.label_names_table().iter().collect::<Vec<_>>(), model.labels.clone());
+        let adj = model.adjacency();
+        let mut offsets = vec![0u64];
+        offsets.extend(adj.iter().scan(0u64, |at, entries| {
+            *at += entries.len() as u64;
+            Some(*at)
+        }));
+        prop_assert_eq!(g.csr_offsets(), &offsets[..]);
+        let entries: Vec<_> = g
+            .csr_adjacency()
+            .iter()
+            .map(|a| (a.target().0, a.label().0, a.is_outgoing()))
+            .collect();
+        prop_assert_eq!(entries, adj.concat());
+        // Eq. 2 over each node's in-edge label histogram, ascending label.
+        let raw: Vec<f32> = adj
+            .iter()
+            .map(|entries| {
+                let mut histogram = BTreeMap::new();
+                for &(_, l, outgoing) in entries {
+                    if !outgoing {
+                        *histogram.entry(l).or_insert(0u32) += 1;
+                    }
+                }
+                weights::degree_of_summary(&histogram.into_values().collect::<Vec<_>>())
+            })
+            .collect();
+        let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(g.raw_weights()), bits(&raw));
+        prop_assert_eq!(bits(g.weights()), bits(&weights::normalize(&raw)));
+    }
 
     #[test]
     fn csr_invariants_hold(raw in raw_graph()) {
