@@ -33,7 +33,7 @@ fn build(raw: &RawGraph) -> KnowledgeGraph {
     b.build()
 }
 
-/// One call of a random builder session.
+/// One call in a random sequence of builder calls.
 #[derive(Debug, Clone)]
 enum Call {
     AddNode(String, String),
