@@ -96,8 +96,8 @@ commands:
   help                                    this text
 
 graph files by extension: .tsv (line format), .bin (compact binary),
-.json (serde), .nt (RDF N-Triples, read-only), .wsnap (memory-mapped
-zero-copy snapshot; answers are byte-identical to every other format).";
+.nt (RDF N-Triples, read-only), .wsnap (zero-copy snapshot, written only
+by build-snapshot; answers are byte-identical to every other format).";
 
 /// `wikisearch generate`.
 pub fn generate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), String> {
@@ -452,6 +452,60 @@ mod tests {
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("parse error: truncated"), "{out}");
         assert!(!out.contains("line 0"), "{out}");
+    }
+
+    /// A generated `.tsv` of 200 entities, for the refusal tests.
+    fn small_tsv(name: &str) -> String {
+        let tsv = tmp(name);
+        let (code, out) =
+            run_cli(&format!("generate --dataset tiny --entities 200 --seed 1 --out {tsv}"));
+        assert_eq!(code, 0, "{out}");
+        tsv
+    }
+
+    #[test]
+    fn json_graphs_are_refused_with_exit_one() {
+        // Refused by extension before a byte is read, so no content of
+        // the file, however malformed, can reach the search and panic.
+        let json = tmp("refused.json");
+        std::fs::write(&json, "{\"offsets\": [0, 100]}").unwrap();
+        for cmd in [format!("stats --graph {json}"), format!("search --graph {json} --query x")] {
+            let (code, out) = run_cli(&cmd);
+            assert_eq!(code, 1, "{cmd}: {out}");
+            assert!(out.contains("unsupported extension \"json\""), "{cmd}: {out}");
+        }
+        let _ = std::fs::remove_file(json);
+    }
+
+    #[test]
+    fn convert_writes_neither_json_nor_wsnap() {
+        let tsv = small_tsv("convert-src.tsv");
+        let json = tmp("convert-out.json");
+        let (code, out) = run_cli(&format!("convert --in {tsv} --out {json}"));
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("unsupported extension"), "{out}");
+        let wsnap = tmp("convert-out.wsnap");
+        let (code, out) = run_cli(&format!("convert --in {tsv} --out {wsnap}"));
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("build-snapshot"), "{out}");
+        let _ = std::fs::remove_file(tsv);
+        assert!(!std::path::Path::new(&json).exists() && !std::path::Path::new(&wsnap).exists());
+    }
+
+    #[test]
+    fn search_mmap_refuses_a_snapshot_of_graph_sections_only() {
+        use kgraph::snapshot::{write_graph_sections, SnapshotWriter};
+        let tsv = small_tsv("graph-only.tsv");
+        let wsnap = tmp("graph-only.wsnap");
+        let mut w = SnapshotWriter::create(std::path::Path::new(&wsnap)).unwrap();
+        write_graph_sections(&mut w, &super::read_graph(&tsv).unwrap()).unwrap();
+        w.finish().unwrap();
+        let (code, out) = run_cli(&format!("search --mmap {wsnap} --query learning"));
+        let _ = std::fs::remove_file(tsv);
+        let _ = std::fs::remove_file(&wsnap);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains(&wsnap) && out.contains("missing section 20"), "{out}");
+        assert!(out.contains("build-snapshot"), "{out}");
     }
 
     #[test]

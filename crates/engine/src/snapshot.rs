@@ -82,37 +82,25 @@ pub fn compile_snapshot(graph: &KnowledgeGraph, path: &Path) -> Result<SnapshotI
 }
 
 /// Assemble the engine pieces from an opened snapshot: zero-copy graph,
-/// zero-copy index, stored `A`. Falls back to building the index / the
-/// sampler for graph-only snapshots (e.g. written by
-/// `kgraph::store::save_graph`), so every valid `.wsnap` is servable.
+/// zero-copy index, stored `A`. A file without every section, such as
+/// one holding only the graph's, is refused with the missing section
+/// named: only [`compile_snapshot`] writes a `.wsnap`.
 pub(crate) fn open_parts(
     path: &Path,
 ) -> Result<(KnowledgeGraph, InvertedIndex, SearchParams), String> {
-    let snap = Snapshot::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let graph = kgraph::snapshot::graph_from_snapshot(&snap)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    let index = match InvertedIndex::from_snapshot(&snap) {
-        Ok(index) => index,
-        Err(kgraph::KgraphError::Snapshot { message }) if message.contains("missing section") => {
-            InvertedIndex::build(&graph)
-        }
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let a = match snap.column::<f64>(SEC_AVG_DISTANCE) {
-        Ok(col) if col.len() == 1 => col[0],
-        Ok(col) => {
-            return Err(format!(
-                "{}: engine meta section holds {} values, expected 1",
-                path.display(),
-                col.len()
-            ))
-        }
-        Err(kgraph::KgraphError::Snapshot { message }) if message.contains("missing section") => {
-            sampled_average_distance(&graph)
-        }
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let params = SearchParams::default().with_average_distance(a);
+    let named = |e: kgraph::KgraphError| format!("{}: {e}", path.display());
+    let snap = Snapshot::open(path).map_err(named)?;
+    let graph = kgraph::snapshot::graph_from_snapshot(&snap).map_err(named)?;
+    let index = InvertedIndex::from_snapshot(&snap).map_err(named)?;
+    let a = snap.column::<f64>(SEC_AVG_DISTANCE).map_err(named)?;
+    if a.len() != 1 {
+        return Err(format!(
+            "{}: engine meta section holds {} values, expected 1",
+            path.display(),
+            a.len()
+        ));
+    }
+    let params = SearchParams::default().with_average_distance(a[0]);
     Ok((graph, index, params))
 }
 
@@ -224,18 +212,20 @@ mod tests {
 
     #[test]
     fn graph_only_snapshot_opens_with_fallbacks() {
+        // A file with the graph's sections only is refused: the index is
+        // not rebuilt and `A` is not resampled behind the caller's back.
         let path = tmp("graphonly");
-        let g = sample();
-        kgraph::store::save_graph(&g, &path).unwrap();
-        let ws = WikiSearch::open_snapshot(&path, Backend::Sequential).unwrap();
-        assert!(ws.is_memory_mapped(), "the graph still maps");
-        assert!(!ws.index().is_memory_mapped(), "the index was rebuilt");
-        let heap = WikiSearch::build_with(sample(), Backend::Sequential);
-        let a = ws.search("xml sql rdf");
-        let b = heap.search("xml sql rdf");
-        assert_eq!(a.answers.len(), b.answers.len());
-        assert_eq!(a.answers[0].score.to_bits(), b.answers[0].score.to_bits());
-        let _ = std::fs::remove_file(path);
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        write_graph_sections(&mut w, &sample()).unwrap();
+        w.finish().unwrap();
+        let err = match WikiSearch::open_snapshot(&path, Backend::Sequential) {
+            Err(e) => e,
+            Ok(_) => panic!("opened a graph-only snapshot"),
+        };
+        let _ = std::fs::remove_file(&path);
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("missing section 20"), "{err}");
+        assert!(err.contains("build-snapshot"), "{err}");
     }
 
     #[test]

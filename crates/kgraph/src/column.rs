@@ -17,7 +17,6 @@
 //! allocations in the mapped case.
 
 use crate::mmap::Mmap;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -193,21 +192,6 @@ impl<T: Pod + PartialEq> PartialEq for Column<T> {
     }
 }
 
-impl<T: Pod + Serialize> Serialize for Column<T> {
-    /// Serializes like a plain sequence, so the JSON round-trip of a
-    /// mapped graph is indistinguishable from an owned one.
-    fn to_value(&self) -> Value {
-        Value::Array(self.as_slice().iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Pod + Deserialize> Deserialize for Column<T> {
-    /// Deserializes to the owned backing.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Column::from_vec(Vec::<T>::from_value(v)?))
-    }
-}
-
 /// An immutable string collection in arena form: `offsets[i]..offsets[i+1]`
 /// delimits string `i` inside one shared UTF-8 byte buffer.
 ///
@@ -352,19 +336,6 @@ impl<S: AsRef<str>> FromIterator<S> for StrTable {
     }
 }
 
-impl Serialize for StrTable {
-    /// Serializes as a sequence of strings (JSON-friendly).
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(|s| Value::String(s.to_owned())).collect())
-    }
-}
-
-impl Deserialize for StrTable {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(StrTable::from_strings(Vec::<String>::from_value(v)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,13 +388,22 @@ mod tests {
 
     #[test]
     fn column_serde_round_trips() {
+        // Columns and string tables persist only as snapshot sections.
+        use crate::snapshot::{Snapshot, SnapshotWriter};
+        let path = std::env::temp_dir().join(format!("kgraph-column-{}.wsnap", std::process::id()));
         let c: Column<f32> = vec![1.5f32, -0.25].into();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Column<f32> = serde_json::from_str(&json).unwrap();
+        let t = StrTable::from_strings(["x", "yz", "naïve ✓"]);
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.section_pod(1, &c).unwrap();
+        w.section_str_table(2, 3, &t).unwrap();
+        w.finish().unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let back: Column<f32> = snap.column(1).unwrap();
+        assert!(back.is_mapped());
         assert_eq!(back, c);
-        let t = StrTable::from_strings(["x", "yz"]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: StrTable = serde_json::from_str(&json).unwrap();
+        let back = snap.str_table(2, 3).unwrap();
+        assert!(back.is_mapped());
         assert_eq!(back, t);
     }
 }

@@ -5,13 +5,6 @@ use std::fmt;
 /// Errors produced by this crate.
 #[derive(Debug)]
 pub enum KgraphError {
-    /// A node id referenced an index outside the graph.
-    NodeOutOfBounds {
-        /// The offending node id.
-        id: u32,
-        /// The graph's node count.
-        num_nodes: usize,
-    },
     /// A parse error while reading a graph file.
     Parse {
         /// 1-based line number in a line format (TSV or N-Triples); 0 for
@@ -22,8 +15,6 @@ pub enum KgraphError {
     },
     /// An underlying I/O failure.
     Io(std::io::Error),
-    /// A JSON (de)serialization failure.
-    Json(String),
     /// A malformed, truncated, corrupted or wrong-version `.wsnap`
     /// snapshot file.
     Snapshot {
@@ -35,16 +26,12 @@ pub enum KgraphError {
 impl fmt::Display for KgraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KgraphError::NodeOutOfBounds { id, num_nodes } => {
-                write!(f, "node id v{id} out of bounds for graph with {num_nodes} nodes")
-            }
             KgraphError::Parse { line: 0, message } => write!(f, "parse error: {message}"),
             KgraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
             KgraphError::Io(e) => write!(f, "i/o error: {e}"),
             KgraphError::Snapshot { message } => write!(f, "snapshot error: {message}"),
-            KgraphError::Json(e) => write!(f, "json error: {e}"),
         }
     }
 }
@@ -70,9 +57,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = KgraphError::NodeOutOfBounds { id: 9, num_nodes: 3 };
-        assert!(e.to_string().contains("v9"));
-        assert!(e.to_string().contains('3'));
+        let e = KgraphError::Snapshot { message: "missing section 20".into() };
+        assert_eq!(e.to_string(), "snapshot error: missing section 20");
+        let e: KgraphError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
+        assert_eq!(e.to_string(), "i/o error: gone");
     }
 
     #[test]

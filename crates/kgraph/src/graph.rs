@@ -13,7 +13,6 @@
 
 use crate::column::{Column, Pod, StrTable};
 use crate::ids::{LabelId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Bit set in [`Adjacency::label_dir`] when the entry corresponds to the
 /// edge's *original* direction (i.e. the edge leaves this node).
@@ -24,7 +23,7 @@ const OUTGOING_BIT: u32 = 1 << 31;
 ///
 /// `repr(C)` pins the layout so adjacency arrays can be written to — and
 /// mapped back from — `.wsnap` snapshots without transformation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(C)]
 pub struct Adjacency {
     target: NodeId,
@@ -71,7 +70,7 @@ impl Adjacency {
 /// in flat arrays indexed by [`NodeId`]. Every accessor behaves
 /// identically on either backing — the mmap points of the differential
 /// `lattice` suite pin byte-identical search answers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KnowledgeGraph {
     pub(crate) offsets: Column<u64>,
     pub(crate) adj: Column<Adjacency>,
@@ -224,7 +223,7 @@ impl KnowledgeGraph {
     /// and tests call explicitly, because eagerly scanning every column
     /// would defeat lazy mapped opens.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         offsets: Column<u64>,
         adj: Column<Adjacency>,
         num_directed_edges: usize,

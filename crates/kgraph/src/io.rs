@@ -1,4 +1,5 @@
-//! Graph serialization: a line-oriented TSV triple format and JSON.
+//! Graph text formats: a line-oriented TSV triple format and read-only
+//! RDF N-Triples.
 //!
 //! The TSV format is the interchange surface for examples and tooling:
 //!
@@ -310,11 +311,17 @@ mod tests {
 
     #[test]
     fn json_round_trip_via_serde() {
-        let g = sample();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: KnowledgeGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g2.num_nodes(), g.num_nodes());
-        assert_eq!(g2.num_directed_edges(), g.num_directed_edges());
-        g2.check_invariants().unwrap();
+        // A graph enters through the builder or a compiled snapshot
+        // only, so `.json` is refused on load and on save.
+        let path = std::env::temp_dir().join(format!("kgraph-io-{}-kb.json", std::process::id()));
+        std::fs::write(&path, "{}").unwrap();
+        let load = crate::store::load_graph(&path).unwrap_err();
+        let save = crate::store::save_graph(&sample(), &path).unwrap_err();
+        let kept = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for err in [load, save] {
+            assert!(err.to_string().contains("unsupported extension \"json\""), "{err}");
+        }
+        assert_eq!(kept, "{}", "a refused save writes nothing");
     }
 }

@@ -13,7 +13,8 @@
 //! * **average-shortest-distance estimation** by sampling node pairs
 //!   (the `A` column of the paper's Table II);
 //! * **memory accounting** used to reproduce the paper's Table IV; and
-//! * simple text (TSV) and JSON round-trip I/O.
+//! * graph file I/O: a TSV line format, read-only N-Triples, a compact
+//!   binary form and memory-mapped `.wsnap` snapshots.
 //!
 //! The crate is deliberately free of any search logic: the Central Graph
 //! algorithm lives in the `central` crate, baselines in `banks`.
@@ -62,4 +63,4 @@ pub use sampling::{estimate_average_distance, DistanceEstimate};
 pub use snapshot::{Snapshot, SnapshotWriter};
 pub use stats::GraphStats;
 pub use storage::MemoryFootprint;
-pub use store::{load_graph, GraphFormat, GraphStore};
+pub use store::{load_graph, GraphStore};

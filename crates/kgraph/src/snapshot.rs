@@ -325,10 +325,11 @@ impl Snapshot {
     }
 
     fn entry(&self, id: u32) -> Result<&SectionEntry, KgraphError> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id)
-            .ok_or_else(|| snap_err(format!("missing section {id}")))
+        self.sections.iter().find(|s| s.id == id).ok_or_else(|| {
+            snap_err(format!(
+                "missing section {id} (`wikisearch build-snapshot` writes every section)"
+            ))
+        })
     }
 
     /// Raw bytes of section `id`.

@@ -1,113 +1,73 @@
 //! The unified graph loader: one entry point for every on-disk format,
-//! returning a [`GraphStore`] that says where the bytes live.
+//! returning a [`GraphStore`] that holds the loaded graph.
 //!
-//! Before this module existed the repo had three overlapping load paths
-//! (`io` for TSV/N-Triples, `binio` for the compact binary format, serde
-//! for JSON) and every consumer re-implemented the extension dispatch.
-//! [`load_graph`] is now the single entry point; the CLI, the serve loop
-//! and the bench harness all go through it. It also owns the zero-copy
-//! path: a `.wsnap` file is memory-mapped and validated lazily
-//! ([`crate::snapshot`]), every other format is parsed into heap-owned
-//! columns through the builder.
-//!
-//! A [`GraphStore`] wraps the resulting [`KnowledgeGraph`] together with
-//! its provenance: the detected [`GraphFormat`] and, for snapshots, the
-//! still-open [`Snapshot`] handle so higher layers (the text index, the
-//! engine) can read their own sections from the same mapping without
-//! reopening the file.
+//! [`load_graph`] is the single entry point; the CLI, the serve loop and
+//! the bench harness all go through it. A graph enters in one of two
+//! ways: `.tsv`, `.nt` and `.bin` are parsed through the builder, which
+//! derives the CSR, degrees and Eq. 2 weights from the edge list; a
+//! `.wsnap` compiled by `wikisearch build-snapshot` is memory-mapped and
+//! validated lazily ([`crate::snapshot`]), its columns viewed in place.
+//! [`save_graph`] writes `.tsv` and `.bin` only: a `.wsnap` also carries
+//! the text index and engine metadata, so only the engine's
+//! `compile_snapshot` writes one.
 
 use crate::error::KgraphError;
 use crate::graph::KnowledgeGraph;
 use crate::snapshot::{graph_from_snapshot, Snapshot};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// On-disk graph formats understood by [`load_graph`], detected from the
 /// file extension.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphFormat {
+enum GraphFormat {
     /// Line-oriented TSV triples (`.tsv`, `.txt`) — see [`crate::io`].
     Tsv,
     /// RDF N-Triples (`.nt`), read-only.
     NTriples,
     /// Compact length-prefixed binary (`.bin`) — see [`crate::binio`].
     Binary,
-    /// Serde JSON (`.json`).
-    Json,
     /// Memory-mapped zero-copy snapshot (`.wsnap`) — see
-    /// [`crate::snapshot`].
+    /// [`crate::snapshot`]; read-only here.
     Snapshot,
 }
 
 impl GraphFormat {
     /// Detect the format of `path` from its extension.
-    pub fn from_path(path: &Path) -> Result<GraphFormat, KgraphError> {
+    fn from_path(path: &Path) -> Result<GraphFormat, KgraphError> {
         let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
         match ext {
             "tsv" | "txt" => Ok(GraphFormat::Tsv),
             "nt" => Ok(GraphFormat::NTriples),
             "bin" => Ok(GraphFormat::Binary),
-            "json" => Ok(GraphFormat::Json),
             "wsnap" => Ok(GraphFormat::Snapshot),
             other => Err(KgraphError::Parse {
                 line: 0,
                 message: format!(
-                    "unsupported extension {other:?} (use .tsv, .txt, .nt, .bin, .json or .wsnap)"
+                    "unsupported extension {other:?} (use .tsv, .txt, .nt, .bin or .wsnap)"
                 ),
             }),
         }
     }
-
-    /// `true` for formats [`save_graph`] can write.
-    pub fn is_writable(self) -> bool {
-        !matches!(self, GraphFormat::NTriples)
-    }
 }
 
-/// A loaded graph plus its provenance: which format it came from and,
-/// for `.wsnap` files, the open snapshot handle sharing the mapping.
+/// A loaded graph. For a `.wsnap` the graph's columns keep the mapping
+/// alive on their own.
 #[derive(Debug)]
 pub struct GraphStore {
     graph: KnowledgeGraph,
-    format: GraphFormat,
-    snapshot: Option<Snapshot>,
 }
 
 impl GraphStore {
-    /// Wrap an already-built heap graph (tests, programmatic callers).
-    pub fn from_graph(graph: KnowledgeGraph) -> GraphStore {
-        GraphStore { graph, format: GraphFormat::Binary, snapshot: None }
-    }
-
     /// The loaded graph.
     pub fn graph(&self) -> &KnowledgeGraph {
         &self.graph
     }
 
-    /// Consume the store, keeping only the graph. For a snapshot-backed
-    /// store the mapping stays alive through the graph's columns even
-    /// after the [`Snapshot`] handle is dropped.
+    /// Consume the store, keeping only the graph.
     pub fn into_graph(self) -> KnowledgeGraph {
         self.graph
-    }
-
-    /// The format the graph was loaded from.
-    pub fn format(&self) -> GraphFormat {
-        self.format
-    }
-
-    /// The open snapshot handle, when the graph is `.wsnap`-backed.
-    /// Higher layers use it to read their own sections (the inverted
-    /// index, engine metadata) from the same mapping.
-    pub fn snapshot(&self) -> Option<&Snapshot> {
-        self.snapshot.as_ref()
-    }
-
-    /// `true` when the graph's columns point into a memory-mapped file
-    /// rather than the heap.
-    pub fn is_memory_mapped(&self) -> bool {
-        self.graph.is_memory_mapped()
     }
 }
 
@@ -115,78 +75,49 @@ impl GraphStore {
 /// entry point for CLIs, servers and benches.
 ///
 /// `.bin`, `.tsv` and `.nt` stream through a buffered reader into the
-/// builder, so the file's bytes are never held whole; JSON is read whole,
-/// because the serde shim parses from `&str`.
+/// builder, so the file's bytes are never held whole; a `.wsnap` is
+/// mapped, not read.
 pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
-    let format = GraphFormat::from_path(path)?;
-    if format == GraphFormat::Snapshot {
-        let snapshot = Snapshot::open(path)?;
-        let graph = graph_from_snapshot(&snapshot)?;
-        return Ok(GraphStore { graph, format, snapshot: Some(snapshot) });
-    }
-    let file = File::open(path)?;
-    let graph = match format {
+    let graph = match GraphFormat::from_path(path)? {
+        GraphFormat::Snapshot => graph_from_snapshot(&Snapshot::open(path)?)?,
         GraphFormat::Binary => {
+            let file = File::open(path)?;
             let len = file.metadata()?.len();
             crate::binio::read_from(BufReader::new(file), len)?
         }
-        GraphFormat::Tsv => crate::io::read_tsv(BufReader::new(file))?,
-        GraphFormat::NTriples => crate::io::read_ntriples(BufReader::new(file))?,
-        GraphFormat::Json => {
-            serde_json::from_str(&read_text(file)?).map_err(|e| KgraphError::Json(e.to_string()))?
-        }
-        GraphFormat::Snapshot => unreachable!("handled above"),
+        GraphFormat::Tsv => crate::io::read_tsv(BufReader::new(File::open(path)?))?,
+        GraphFormat::NTriples => crate::io::read_ntriples(BufReader::new(File::open(path)?))?,
     };
-    Ok(GraphStore { graph, format, snapshot: None })
+    Ok(GraphStore { graph })
 }
 
-/// Write `graph` to `path` in the format its extension names. The
-/// `.wsnap` writer here emits graph sections only; use the engine's
-/// `compile_snapshot` to also embed the text index and metadata.
+/// Write `graph` to `path` in the format its extension names: `.tsv` or
+/// `.bin`. `.nt` is read-only, and a `.wsnap` is compiled, index and
+/// metadata included, by `wikisearch build-snapshot`.
 pub fn save_graph(graph: &KnowledgeGraph, path: &Path) -> Result<(), KgraphError> {
     let format = GraphFormat::from_path(path)?;
-    match format {
-        GraphFormat::Binary => {
-            let mut w = BufWriter::new(File::create(path)?);
-            crate::binio::write_to(graph, &mut w)?;
-            w.flush()?;
-        }
-        GraphFormat::Tsv => {
-            let mut w = BufWriter::new(File::create(path)?);
-            crate::io::write_tsv(graph, &mut w)?;
-            w.flush()?;
-        }
-        GraphFormat::Json => std::fs::write(
-            path,
-            serde_json::to_string(graph).map_err(|e| KgraphError::Json(e.to_string()))?,
-        )?,
-        GraphFormat::Snapshot => {
-            let mut w = crate::snapshot::SnapshotWriter::create(path)?;
-            crate::snapshot::write_graph_sections(&mut w, graph)?;
-            w.finish()?;
-        }
-        GraphFormat::NTriples => {
-            return Err(KgraphError::Parse {
-                line: 0,
-                message: "N-Triples is read-only (write .tsv, .bin, .json or .wsnap)".into(),
-            })
-        }
+    if matches!(format, GraphFormat::NTriples | GraphFormat::Snapshot) {
+        return Err(KgraphError::Parse {
+            line: 0,
+            message: "only .tsv and .bin are written here: .nt is read-only, and a .wsnap \
+                      is compiled by `wikisearch build-snapshot`"
+                .into(),
+        });
     }
+    let mut w = BufWriter::new(File::create(path)?);
+    if format == GraphFormat::Binary {
+        crate::binio::write_to(graph, &mut w)?;
+    } else {
+        crate::io::write_tsv(graph, &mut w)?;
+    }
+    w.flush()?;
     Ok(())
-}
-
-/// The whole file as one string: JSON only, because the serde shim
-/// parses from `&str`. The line formats stream instead.
-fn read_text(mut file: File) -> Result<String, KgraphError> {
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    String::from_utf8(bytes)
-        .map_err(|e| KgraphError::Parse { line: 0, message: format!("invalid UTF-8: {e}") })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{write_graph_sections, SnapshotWriter};
     use crate::GraphBuilder;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -207,23 +138,21 @@ mod tests {
         assert_eq!(GraphFormat::from_path(Path::new("g.txt")).unwrap(), GraphFormat::Tsv);
         assert_eq!(GraphFormat::from_path(Path::new("g.nt")).unwrap(), GraphFormat::NTriples);
         assert_eq!(GraphFormat::from_path(Path::new("g.bin")).unwrap(), GraphFormat::Binary);
-        assert_eq!(GraphFormat::from_path(Path::new("g.json")).unwrap(), GraphFormat::Json);
         assert_eq!(GraphFormat::from_path(Path::new("g.wsnap")).unwrap(), GraphFormat::Snapshot);
+        assert!(GraphFormat::from_path(Path::new("g.json")).is_err());
         assert!(GraphFormat::from_path(Path::new("g.parquet")).is_err());
-        assert!(!GraphFormat::from_path(Path::new("g.nt")).unwrap().is_writable());
     }
 
     #[test]
     fn every_writable_format_round_trips() {
         let g = sample();
-        for ext in ["tsv", "bin", "json", "wsnap"] {
+        for ext in ["tsv", "bin"] {
             let path = tmp(&format!("rt.{ext}"));
             save_graph(&g, &path).unwrap();
             let store = load_graph(&path).unwrap();
             assert_eq!(store.graph().num_nodes(), g.num_nodes(), "{ext}");
             assert_eq!(store.graph().num_directed_edges(), g.num_directed_edges(), "{ext}");
-            assert_eq!(store.is_memory_mapped(), ext == "wsnap", "{ext}");
-            assert_eq!(store.snapshot().is_some(), ext == "wsnap", "{ext}");
+            assert!(!store.graph().is_memory_mapped(), "{ext}");
             store.graph().check_invariants().unwrap();
             let _ = std::fs::remove_file(path);
         }
@@ -232,21 +161,31 @@ mod tests {
     #[test]
     fn snapshot_store_exposes_the_open_handle() {
         let path = tmp("handle.wsnap");
-        save_graph(&sample(), &path).unwrap();
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        write_graph_sections(&mut w, &sample()).unwrap();
+        w.finish().unwrap();
         let store = load_graph(&path).unwrap();
-        let snap = store.snapshot().unwrap();
-        snap.verify_checksums().unwrap();
-        assert!(snap.section_ids().contains(&crate::snapshot::SEC_OFFSETS));
-        // The graph outlives the dropped handle: the Arc keeps the map.
+        assert!(store.graph().is_memory_mapped());
+        // `load_graph` dropped its `Snapshot` handle and the file goes
+        // too: the graph's columns hold the `Arc` that keeps the map.
+        std::fs::remove_file(&path).unwrap();
         let g = store.into_graph();
         assert_eq!(g.node_key(crate::NodeId(0)), "Q1");
-        let _ = std::fs::remove_file(path);
+        assert_eq!(g.node_text(crate::NodeId(1)), "RDF");
     }
 
     #[test]
     fn ntriples_writes_are_refused() {
         let err = save_graph(&sample(), Path::new("/tmp/x.nt")).unwrap_err();
         assert!(err.to_string().contains("read-only"));
+    }
+
+    #[test]
+    fn snapshot_writes_are_refused_naming_build_snapshot() {
+        let path = tmp("refused.wsnap");
+        let err = save_graph(&sample(), &path).unwrap_err();
+        assert!(err.to_string().contains("build-snapshot"), "{err}");
+        assert!(!path.exists(), "nothing written");
     }
 
     #[test]

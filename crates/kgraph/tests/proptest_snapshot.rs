@@ -4,8 +4,8 @@
 //! headers, truncation, wrong versions, flipped section bytes — are
 //! rejected with errors, never misread.
 
-use kgraph::snapshot::{self, Snapshot};
-use kgraph::store::{load_graph, save_graph};
+use kgraph::snapshot::{self, write_graph_sections, Snapshot, SnapshotWriter};
+use kgraph::store::load_graph;
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -63,6 +63,13 @@ fn tmp() -> PathBuf {
     ))
 }
 
+/// Write `g`'s graph sections to a `.wsnap` at `path`.
+fn write_snapshot(g: &KnowledgeGraph, path: &std::path::Path) -> std::io::Result<()> {
+    let mut w = SnapshotWriter::create(path)?;
+    write_graph_sections(&mut w, g)?;
+    w.finish()
+}
+
 /// Structural equality at exact-bits granularity: every column the
 /// snapshot carries, compared slice-for-slice.
 fn assert_same(a: &KnowledgeGraph, b: &KnowledgeGraph) -> Result<(), TestCaseError> {
@@ -95,13 +102,13 @@ proptest! {
     fn snapshot_round_trip_is_structurally_identical(raw in raw_graph()) {
         let g = build(&raw);
         let path = tmp();
-        save_graph(&g, &path).unwrap();
+        write_snapshot(&g, &path).unwrap();
         let store = load_graph(&path).unwrap();
-        prop_assert!(store.is_memory_mapped());
+        prop_assert!(store.graph().is_memory_mapped());
         store.graph().check_invariants().unwrap();
         assert_same(&g, store.graph())?;
         // The deep checksum pass agrees too.
-        store.snapshot().unwrap().verify_checksums().unwrap();
+        Snapshot::open(&path).unwrap().verify_checksums().unwrap();
         drop(store);
         let _ = std::fs::remove_file(path);
     }
@@ -110,7 +117,7 @@ proptest! {
     fn corrupting_any_header_byte_is_detected(raw in raw_graph(), pos in 0usize..48) {
         let g = build(&raw);
         let path = tmp();
-        save_graph(&g, &path).unwrap();
+        write_snapshot(&g, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[pos] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
@@ -125,7 +132,7 @@ proptest! {
     fn truncation_is_detected(raw in raw_graph(), keep_per_mille in 0u32..1000) {
         let g = build(&raw);
         let path = tmp();
-        save_graph(&g, &path).unwrap();
+        write_snapshot(&g, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let keep = (bytes.len() as u64 * keep_per_mille as u64 / 1000) as usize;
         std::fs::write(&path, &bytes[..keep]).unwrap();
@@ -140,7 +147,7 @@ proptest! {
     fn section_bit_rot_fails_the_deep_verify(raw in raw_graph(), which in 0usize..1000) {
         let g = build(&raw);
         let path = tmp();
-        save_graph(&g, &path).unwrap();
+        write_snapshot(&g, &path).unwrap();
         // Locate real section payloads through the opened snapshot (a
         // flip in alignment padding is invisible to checksums by design,
         // so aim inside a section).
@@ -176,7 +183,7 @@ fn wrong_version_is_rejected_naming_both_versions() {
     let mut b = GraphBuilder::new();
     b.add_node("k", "text");
     let path = tmp();
-    save_graph(&b.build(), &path).unwrap();
+    write_snapshot(&b.build(), &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     // The version field lives right after the 8-byte magic.
     bytes[8] = 99;

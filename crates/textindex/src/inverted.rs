@@ -19,7 +19,6 @@ use crate::analyzer::{analyze_token, analyze_unique};
 use crate::tokenizer::raw_tokens;
 use kgraph::snapshot::{Snapshot, SnapshotWriter};
 use kgraph::{Column, KgraphError, KnowledgeGraph, NodeId, StrTable};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Snapshot section: term string-table offsets (`num_terms + 1` × u64).
@@ -34,7 +33,7 @@ pub const SEC_POSTINGS: u32 = 23;
 pub const SEC_INDEX_META: u32 = 24;
 
 /// Inverted index over a graph's node texts.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InvertedIndex {
     /// Distinct analyzed terms, lexicographically sorted.
     terms: StrTable,
