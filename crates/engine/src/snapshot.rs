@@ -3,8 +3,9 @@
 //! [`compile_snapshot`] turns any loadable dataset into one self-contained
 //! snapshot file holding everything the serving path needs:
 //!
-//! * the graph's CSR columns and string tables (`kgraph` sections 0–12),
-//! * the inverted keyword index (`textindex` sections 20–24), and
+//! * the graph's CSR, normalized weights and string tables (`kgraph`
+//!   sections 1, 2 and 6–12),
+//! * the inverted keyword index (`textindex` sections 20–23), and
 //! * engine metadata (section 40): the sampled average distance `A`,
 //!   stored as exact `f64` bits.
 //!
@@ -126,6 +127,33 @@ mod tests {
         b.build()
     }
 
+    /// Write `g` the way a build that still stored the retired sections
+    /// did: all 19 sections in that build's order, the retired ids 0, 3,
+    /// 4, 5 and 24 holding arbitrary bytes.
+    fn write_with_retired_sections(g: &KnowledgeGraph, path: &Path) {
+        use kgraph::snapshot::*;
+        let junk = |id: u32| vec![id as u8 ^ 0xA5; 8 + id as usize];
+        let mut w = SnapshotWriter::create(path).unwrap();
+        w.section_bytes(0, &junk(0)).unwrap();
+        w.section_pod(SEC_OFFSETS, g.csr_offsets()).unwrap();
+        w.section_pod(SEC_ADJ, g.csr_adjacency()).unwrap();
+        for id in [3, 4, 5] {
+            w.section_bytes(id, &junk(id)).unwrap();
+        }
+        w.section_pod(SEC_WEIGHTS, g.weights()).unwrap();
+        w.section_str_table(SEC_NODE_KEY_OFFSETS, SEC_NODE_KEY_BYTES, g.node_keys_table())
+            .unwrap();
+        w.section_str_table(SEC_NODE_TEXT_OFFSETS, SEC_NODE_TEXT_BYTES, g.node_texts_table())
+            .unwrap();
+        w.section_str_table(SEC_LABEL_OFFSETS, SEC_LABEL_BYTES, g.label_names_table())
+            .unwrap();
+        InvertedIndex::build(g).write_snapshot_sections(&mut w).unwrap();
+        w.section_bytes(24, &junk(24)).unwrap();
+        w.section_pod(SEC_AVG_DISTANCE, &[sampled_average_distance(g)]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(Snapshot::open(path).unwrap().section_ids().len(), 19);
+    }
+
     #[test]
     fn compile_then_open_serves_identical_answers() {
         let path = tmp("roundtrip");
@@ -135,27 +163,32 @@ mod tests {
         assert_eq!(info.edges, 3);
         assert!(info.terms > 0);
         assert!(info.file_bytes > 0);
+        let retired = tmp("retired-sections");
+        write_with_retired_sections(&g, &retired);
 
         let heap = WikiSearch::build_with(g, Backend::Sequential);
-        let mapped = WikiSearch::open_snapshot(&path, Backend::Sequential).unwrap();
-        assert!(mapped.is_memory_mapped());
-        assert!(!heap.is_memory_mapped());
-        // `A` is the stored value, equal to the heap sampler's, to the bit.
-        assert_eq!(
-            mapped.params().average_distance.to_bits(),
-            heap.params().average_distance.to_bits()
-        );
-        for raw in ["xml sql rdf", "xml sql", "rdf", ""] {
-            let a = mapped.search(raw);
-            let b = heap.search(raw);
-            assert_eq!(a.answers.len(), b.answers.len(), "{raw:?}");
-            for (x, y) in a.answers.iter().zip(&b.answers) {
-                assert_eq!(x.nodes, y.nodes, "{raw:?}");
-                assert_eq!(x.edges, y.edges, "{raw:?}");
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "{raw:?}");
+        for path in [&path, &retired] {
+            let mapped = WikiSearch::open_snapshot(path, Backend::Sequential).unwrap();
+            assert!(mapped.is_memory_mapped());
+            assert!(!heap.is_memory_mapped());
+            // `A` is the stored value, equal to the heap sampler's, to the bit.
+            assert_eq!(
+                mapped.params().average_distance.to_bits(),
+                heap.params().average_distance.to_bits()
+            );
+            for raw in ["xml sql rdf", "xml sql", "rdf", ""] {
+                let a = mapped.search(raw);
+                let b = heap.search(raw);
+                assert_eq!(a.answers.len(), b.answers.len(), "{raw:?}");
+                for (x, y) in a.answers.iter().zip(&b.answers) {
+                    assert_eq!(x.nodes, y.nodes, "{raw:?}");
+                    assert_eq!(x.edges, y.edges, "{raw:?}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{raw:?}");
+                }
             }
         }
         let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(retired);
     }
 
     #[test]
@@ -199,7 +232,7 @@ mod tests {
     fn compiled_bytes_are_pinned() {
         assert_eq!(
             compiled_digest(&datagen::SyntheticConfig::tiny(5), "pin-tiny"),
-            0x650a_21c0_c4a7_7ee0
+            0x93ea_abb5_894c_f09e
         );
         // Set explicitly so `WIKISEARCH_SCALE` cannot change it.
         let sim = datagen::SyntheticConfig {
@@ -207,7 +240,7 @@ mod tests {
             seed: 1,
             ..datagen::SyntheticConfig::wiki2017_sim()
         };
-        assert_eq!(compiled_digest(&sim, "pin-sim"), 0x3089_80ed_5eab_4695);
+        assert_eq!(compiled_digest(&sim, "pin-sim"), 0xd27c_3f3d_27e9_7931);
     }
 
     #[test]

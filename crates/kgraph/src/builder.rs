@@ -236,18 +236,16 @@ impl GraphBuilder {
         // Each source's `(label, dst)` pairs in ascending order, exact
         // duplicates removed: the triples sorted by `(src, label, dst)`.
         let (edges, out_degree) = sort_by_source(edges, n);
-        let m = edges.len();
-
-        let mut in_degree = vec![0u32; n];
-        for &(_, d) in &edges {
-            in_degree[d.index()] += 1;
-        }
 
         // Bi-directed CSR: each triple contributes one outgoing entry at the
-        // source and one incoming entry at the destination.
+        // source and one incoming entry at the destination. `offsets[v + 1]`
+        // counts `v`'s in-degree first, then the prefix sum adds the rest.
         let mut offsets = vec![0u64; n + 1];
+        for &(_, d) in &edges {
+            offsets[d.index() + 1] += 1;
+        }
         for v in 0..n {
-            offsets[v + 1] = offsets[v] + (in_degree[v] + out_degree[v]) as u64;
+            offsets[v + 1] += offsets[v] + out_degree[v] as u64;
         }
         let total = offsets[n] as usize;
         let mut cursor: Vec<u64> = offsets[..n].to_vec();
@@ -299,13 +297,9 @@ impl GraphBuilder {
         KnowledgeGraph {
             offsets: offsets.into(),
             adj: adj.into(),
-            num_directed_edges: m,
             node_keys,
             node_texts,
             label_names,
-            in_degree: in_degree.into(),
-            out_degree: out_degree.into(),
-            weights_raw: raw.into(),
             weights: normalized.into(),
         }
     }

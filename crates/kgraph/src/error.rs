@@ -13,6 +13,12 @@ pub enum KgraphError {
         /// What went wrong.
         message: String,
     },
+    /// A file extension the operation neither reads nor writes, or one
+    /// it only reads.
+    Unsupported {
+        /// What was refused and what to use instead.
+        message: String,
+    },
     /// An underlying I/O failure.
     Io(std::io::Error),
     /// A malformed, truncated, corrupted or wrong-version `.wsnap`
@@ -30,6 +36,7 @@ impl fmt::Display for KgraphError {
             KgraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
+            KgraphError::Unsupported { message } => f.write_str(message),
             KgraphError::Io(e) => write!(f, "i/o error: {e}"),
             KgraphError::Snapshot { message } => write!(f, "snapshot error: {message}"),
         }

@@ -74,14 +74,9 @@ impl Adjacency {
 pub struct KnowledgeGraph {
     pub(crate) offsets: Column<u64>,
     pub(crate) adj: Column<Adjacency>,
-    pub(crate) num_directed_edges: usize,
     pub(crate) node_keys: StrTable,
     pub(crate) node_texts: StrTable,
     pub(crate) label_names: StrTable,
-    pub(crate) in_degree: Column<u32>,
-    pub(crate) out_degree: Column<u32>,
-    /// Degree of summary per Eq. 2, before normalization.
-    pub(crate) weights_raw: Column<f32>,
     /// Min–max normalized degree of summary in `[0, 1]` (the `w_i` used by
     /// the activation mapping, Sec. IV-A).
     pub(crate) weights: Column<f32>,
@@ -95,10 +90,11 @@ impl KnowledgeGraph {
     }
 
     /// Number of *directed* edges (original triples). The bi-directed
-    /// adjacency holds twice this many entries.
+    /// adjacency holds twice this many entries: each triple owns one
+    /// outgoing and one incoming entry, a self-loop too.
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
-        self.num_directed_edges
+        self.adj.len() / 2
     }
 
     /// Total adjacency entries (`2 × num_directed_edges`, minus nothing —
@@ -128,28 +124,22 @@ impl KnowledgeGraph {
         (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
     }
 
-    /// In-degree of `v` under the original edge directions.
-    #[inline]
+    /// In-degree of `v` under the original edge directions, counted over
+    /// its adjacency slice.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_degree[v.index()] as usize
+        self.neighbors(v).iter().filter(|a| !a.is_outgoing()).count()
     }
 
-    /// Out-degree of `v` under the original edge directions.
-    #[inline]
+    /// Out-degree of `v` under the original edge directions, counted over
+    /// its adjacency slice.
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_degree[v.index()] as usize
+        self.neighbors(v).iter().filter(|a| a.is_outgoing()).count()
     }
 
     /// Normalized degree-of-summary weight `w_v ∈ [0, 1]` (Sec. IV-A).
     #[inline]
     pub fn weight(&self, v: NodeId) -> f32 {
         self.weights[v.index()]
-    }
-
-    /// Degree of summary before min–max normalization (Eq. 2).
-    #[inline]
-    pub fn raw_weight(&self, v: NodeId) -> f32 {
-        self.weights_raw[v.index()]
     }
 
     /// The full normalized weight array (used by the activation mapping).
@@ -168,24 +158,6 @@ impl KnowledgeGraph {
     #[inline]
     pub fn csr_adjacency(&self) -> &[Adjacency] {
         &self.adj
-    }
-
-    /// The full per-node in-degree array.
-    #[inline]
-    pub fn in_degrees(&self) -> &[u32] {
-        &self.in_degree
-    }
-
-    /// The full per-node out-degree array.
-    #[inline]
-    pub fn out_degrees(&self) -> &[u32] {
-        &self.out_degree
-    }
-
-    /// The full raw (pre-normalization) weight array.
-    #[inline]
-    pub fn raw_weights(&self) -> &[f32] {
-        &self.weights_raw
     }
 
     /// The node-key string table.
@@ -208,7 +180,7 @@ impl KnowledgeGraph {
 
     /// `true` when any column is served from a memory-mapped snapshot
     /// rather than the heap. (After a copy-on-write
-    /// [`override_weights`][Self::override_weights] the weight columns are
+    /// [`override_weights`][Self::override_weights] the weight column is
     /// owned, but the graph still reports mapped as long as its structural
     /// columns are.)
     pub fn is_memory_mapped(&self) -> bool {
@@ -216,83 +188,76 @@ impl KnowledgeGraph {
     }
 
     /// Assemble a graph directly from pre-built columns — the `.wsnap`
-    /// open path ([`crate::snapshot::graph_from_snapshot`]). Cheap
-    /// structural checks only (column lengths must agree, the final CSR
-    /// offset must cover the adjacency array); full invariants stay with
+    /// open path ([`crate::snapshot::graph_from_snapshot`]). Only the cheap
+    /// structural checks of `check_shape` run; full invariants stay with
     /// [`check_invariants`][Self::check_invariants], which deep tooling
     /// and tests call explicitly, because eagerly scanning every column
     /// would defeat lazy mapped opens.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         offsets: Column<u64>,
         adj: Column<Adjacency>,
-        num_directed_edges: usize,
         node_keys: StrTable,
         node_texts: StrTable,
         label_names: StrTable,
-        in_degree: Column<u32>,
-        out_degree: Column<u32>,
-        weights_raw: Column<f32>,
         weights: Column<f32>,
     ) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("offset column must hold at least one entry".into());
-        }
-        let n = offsets.len() - 1;
+        let g = KnowledgeGraph { offsets, adj, node_keys, node_texts, label_names, weights };
+        g.check_shape()?;
+        Ok(g)
+    }
+
+    /// Column lengths only, no payload read: every per-node column holds
+    /// one entry per node, the final CSR offset covers the adjacency
+    /// array, and that array holds an even number of entries (two per
+    /// triple, so the derived edge count is exact).
+    fn check_shape(&self) -> Result<(), String> {
+        let Some(&last) = self.offsets.last() else {
+            return Err("CSR offset column must hold at least one entry".into());
+        };
+        let n = self.offsets.len() - 1;
         for (what, len) in [
-            ("node_keys", node_keys.len()),
-            ("node_texts", node_texts.len()),
-            ("in_degree", in_degree.len()),
-            ("out_degree", out_degree.len()),
-            ("weights_raw", weights_raw.len()),
-            ("weights", weights.len()),
+            ("node_keys", self.node_keys.len()),
+            ("node_texts", self.node_texts.len()),
+            ("weights", self.weights.len()),
         ] {
             if len != n {
                 return Err(format!("{what} holds {len} entries for a {n}-node graph"));
             }
         }
-        if *offsets.last().unwrap() as usize != adj.len() {
+        if last != self.adj.len() as u64 {
             return Err(format!(
-                "final CSR offset {} does not cover {} adjacency entries",
-                offsets.last().unwrap(),
-                adj.len()
+                "final CSR offset {last} does not cover {} adjacency entries",
+                self.adj.len()
             ));
         }
-        Ok(KnowledgeGraph {
-            offsets,
-            adj,
-            num_directed_edges,
-            node_keys,
-            node_texts,
-            label_names,
-            in_degree,
-            out_degree,
-            weights_raw,
-            weights,
-        })
+        if self.adj.len() % 2 != 0 {
+            return Err(format!(
+                "adjacency holds {} entries, an odd count (each triple owns two)",
+                self.adj.len()
+            ));
+        }
+        Ok(())
     }
 
-    /// Replace both weight arrays with externally computed values.
+    /// Replace the normalized weight array with externally computed values.
     ///
     /// `GraphBuilder::build` normalizes weights over the *local* maximum,
     /// which is the right thing for a self-contained graph but wrong for a
     /// sub-graph that must score nodes exactly like its parent: a shard of
     /// a partitioned graph needs every node to keep the weight it had in
-    /// the whole graph, or activation levels (and Eq. 6 scores) drift. Both
-    /// arrays must have one entry per node, and `normalized` must stay in
-    /// `[0, 1]` — the same invariants `check_invariants` enforces.
+    /// the whole graph, or activation levels (and Eq. 6 scores) drift. The
+    /// array must have one entry per node, each in `[0, 1]` — the same
+    /// invariants `check_invariants` enforces.
     ///
     /// On a memory-mapped graph this is copy-on-write: the snapshot file
-    /// stays untouched and only the two weight columns move to fresh
+    /// stays untouched and only the weight column moves to fresh
     /// heap-owned storage; every other column keeps pointing into the
     /// mapping. It never attempts to write through the read-only mapping.
     ///
     /// # Panics
-    /// Panics if either array's length differs from the node count.
-    pub fn override_weights(&mut self, raw: Vec<f32>, normalized: Vec<f32>) {
-        assert_eq!(raw.len(), self.num_nodes(), "raw weights: one entry per node");
+    /// Panics if the array's length differs from the node count.
+    pub fn override_weights(&mut self, normalized: Vec<f32>) {
         assert_eq!(normalized.len(), self.num_nodes(), "normalized weights: one entry per node");
-        self.weights_raw = raw.into();
         self.weights = normalized.into();
     }
 
@@ -366,43 +331,22 @@ impl KnowledgeGraph {
     /// Validate internal invariants. Used by tests and the property suite;
     /// cheap enough to call on any freshly built graph.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.check_shape()?;
         let n = self.num_nodes();
-        if self.offsets.len() != n + 1 {
-            return Err(format!("offsets len {} != n+1 {}", self.offsets.len(), n + 1));
+        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("CSR offsets decrease".into());
         }
-        if self.node_texts.len() != n
-            || self.in_degree.len() != n
-            || self.out_degree.len() != n
-            || self.weights.len() != n
-            || self.weights_raw.len() != n
-        {
-            return Err("per-node array length mismatch".into());
-        }
-        if *self.offsets.last().unwrap() as usize != self.adj.len() {
-            return Err("final offset does not cover adjacency array".into());
-        }
-        let mut out_seen = 0usize;
-        for v in self.nodes() {
-            let (mut inn, mut out) = (0usize, 0usize);
-            for a in self.neighbors(v) {
-                if a.target().index() >= n {
-                    return Err(format!("adjacency target {} out of bounds", a.target()));
-                }
-                if a.is_outgoing() {
-                    out += 1;
-                } else {
-                    inn += 1;
-                }
+        let mut outgoing = 0usize;
+        for a in self.adj.iter() {
+            if a.target().index() >= n {
+                return Err(format!("adjacency target {} out of bounds", a.target()));
             }
-            if out != self.out_degree(v) || inn != self.in_degree(v) {
-                return Err(format!("degree mismatch at {v}"));
-            }
-            out_seen += out;
+            outgoing += a.is_outgoing() as usize;
         }
-        if out_seen != self.num_directed_edges {
+        if 2 * outgoing != self.adj.len() {
             return Err(format!(
-                "outgoing entries {} != directed edge count {}",
-                out_seen, self.num_directed_edges
+                "outgoing entries {outgoing} are not half of {} adjacency entries",
+                self.adj.len()
             ));
         }
         for v in self.nodes() {

@@ -44,13 +44,19 @@
 //!
 //! | range | owner |
 //! |---|---|
-//! | 0–19 | `kgraph` (graph CSR, degrees, weights, string tables) |
+//! | 0–19 | `kgraph` (graph CSR, normalized weights, string tables) |
 //! | 20–39 | `textindex` (inverted-index terms + posting lists) |
 //! | 40–59 | `wikisearch-engine` (engine metadata, e.g. sampled `A`) |
+//!
+//! A reader requires only the sections it reads and ignores the rest, so
+//! a file that still carries a retired section opens unchanged. Retired
+//! ids are never reused: 0, 3, 4 and 5 (the edge count, both degree
+//! columns and the raw Eq. 2 weights, all derivable from the CSR) and
+//! `textindex`'s 24 (its node count).
 
 use crate::column::{pod_bytes, Column, Pod, StrTable};
 use crate::error::KgraphError;
-use crate::graph::{Adjacency, KnowledgeGraph};
+use crate::graph::KnowledgeGraph;
 use crate::mmap::Mmap;
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -72,20 +78,12 @@ const ENTRY_SIZE: usize = 32;
 /// Hard cap on sections (the table must fit the header page).
 pub const MAX_SECTIONS: usize = (ALIGN - TABLE_OFFSET) / ENTRY_SIZE;
 
-// ---- kgraph-owned section ids (0–19) ----
+// ---- kgraph-owned section ids (0–19; 0, 3, 4 and 5 retired) ----
 
-/// Graph metadata (`num_directed_edges` as one u64).
-pub const SEC_GRAPH_META: u32 = 0;
 /// CSR offsets, `n + 1` × u64.
 pub const SEC_OFFSETS: u32 = 1;
 /// CSR adjacency entries, 8 bytes each.
 pub const SEC_ADJ: u32 = 2;
-/// Per-node in-degrees, u32.
-pub const SEC_IN_DEGREE: u32 = 3;
-/// Per-node out-degrees, u32.
-pub const SEC_OUT_DEGREE: u32 = 4;
-/// Raw (pre-normalization) degree-of-summary weights, f32.
-pub const SEC_WEIGHTS_RAW: u32 = 5;
 /// Min–max normalized weights, f32.
 pub const SEC_WEIGHTS: u32 = 6;
 /// Node-key string-table offsets, `n + 1` × u64.
@@ -370,15 +368,12 @@ impl Snapshot {
     }
 }
 
-/// Write all of `g`'s sections into `w` (ids 0–12). The engine layers
-/// its own sections (inverted index, metadata) on top in the same file.
+/// Write all of `g`'s sections into `w` (ids 1, 2 and 6–12). The engine
+/// layers its own sections (inverted index, metadata) on top in the same
+/// file.
 pub fn write_graph_sections(w: &mut SnapshotWriter, g: &KnowledgeGraph) -> io::Result<()> {
-    w.section_pod(SEC_GRAPH_META, &[g.num_directed_edges() as u64])?;
     w.section_pod(SEC_OFFSETS, g.csr_offsets())?;
     w.section_pod(SEC_ADJ, g.csr_adjacency())?;
-    w.section_pod(SEC_IN_DEGREE, g.in_degrees())?;
-    w.section_pod(SEC_OUT_DEGREE, g.out_degrees())?;
-    w.section_pod(SEC_WEIGHTS_RAW, g.raw_weights())?;
     w.section_pod(SEC_WEIGHTS, g.weights())?;
     w.section_str_table(SEC_NODE_KEY_OFFSETS, SEC_NODE_KEY_BYTES, g.node_keys_table())?;
     w.section_str_table(SEC_NODE_TEXT_OFFSETS, SEC_NODE_TEXT_BYTES, g.node_texts_table())?;
@@ -386,56 +381,17 @@ pub fn write_graph_sections(w: &mut SnapshotWriter, g: &KnowledgeGraph) -> io::R
 }
 
 /// Reassemble a zero-copy [`KnowledgeGraph`] over `snap`'s graph
-/// sections. Performs only length cross-checks (every per-node column
-/// must agree on `n`) — no payload is read eagerly beyond the string
-/// tables' final offsets.
+/// sections. Cheap structural checks only (column lengths agree, the
+/// final CSR offset covers an even-length adjacency) — no payload is read
+/// eagerly beyond the string tables' and the CSR's final offsets.
 pub fn graph_from_snapshot(snap: &Snapshot) -> Result<KnowledgeGraph, KgraphError> {
-    let meta: Column<u64> = snap.column(SEC_GRAPH_META)?;
-    if meta.len() != 1 {
-        return Err(snap_err(format!(
-            "graph meta section holds {} values, expected 1",
-            meta.len()
-        )));
-    }
-    let num_directed_edges = meta[0] as usize;
-    let offsets: Column<u64> = snap.column(SEC_OFFSETS)?;
-    if offsets.is_empty() {
-        return Err(snap_err("CSR offset section is empty"));
-    }
-    let n = offsets.len() - 1;
-    let adj: Column<Adjacency> = snap.column(SEC_ADJ)?;
-    let in_degree: Column<u32> = snap.column(SEC_IN_DEGREE)?;
-    let out_degree: Column<u32> = snap.column(SEC_OUT_DEGREE)?;
-    let weights_raw: Column<f32> = snap.column(SEC_WEIGHTS_RAW)?;
-    let weights: Column<f32> = snap.column(SEC_WEIGHTS)?;
-    let node_keys = snap.str_table(SEC_NODE_KEY_OFFSETS, SEC_NODE_KEY_BYTES)?;
-    let node_texts = snap.str_table(SEC_NODE_TEXT_OFFSETS, SEC_NODE_TEXT_BYTES)?;
-    let label_names = snap.str_table(SEC_LABEL_OFFSETS, SEC_LABEL_BYTES)?;
-    for (what, len) in [
-        ("in_degree", in_degree.len()),
-        ("out_degree", out_degree.len()),
-        ("weights_raw", weights_raw.len()),
-        ("weights", weights.len()),
-        ("node_keys", node_keys.len()),
-        ("node_texts", node_texts.len()),
-    ] {
-        if len != n {
-            return Err(snap_err(format!(
-                "{what} section holds {len} entries for a {n}-node graph"
-            )));
-        }
-    }
     KnowledgeGraph::from_parts(
-        offsets,
-        adj,
-        num_directed_edges,
-        node_keys,
-        node_texts,
-        label_names,
-        in_degree,
-        out_degree,
-        weights_raw,
-        weights,
+        snap.column(SEC_OFFSETS)?,
+        snap.column(SEC_ADJ)?,
+        snap.str_table(SEC_NODE_KEY_OFFSETS, SEC_NODE_KEY_BYTES)?,
+        snap.str_table(SEC_NODE_TEXT_OFFSETS, SEC_NODE_TEXT_BYTES)?,
+        snap.str_table(SEC_LABEL_OFFSETS, SEC_LABEL_BYTES)?,
+        snap.column(SEC_WEIGHTS)?,
     )
     .map_err(snap_err)
 }
@@ -484,9 +440,6 @@ mod tests {
             assert_eq!(g2.node_text(v), g.node_text(v));
             assert_eq!(g2.neighbors(v), g.neighbors(v));
             assert_eq!(g2.weight(v).to_bits(), g.weight(v).to_bits());
-            assert_eq!(g2.raw_weight(v).to_bits(), g.raw_weight(v).to_bits());
-            assert_eq!(g2.in_degree(v), g.in_degree(v));
-            assert_eq!(g2.out_degree(v), g.out_degree(v));
         }
         g2.check_invariants().unwrap();
         let _ = std::fs::remove_file(path);
@@ -585,7 +538,7 @@ mod tests {
         let path = tmp("missing");
         let g = sample();
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.section_pod(SEC_GRAPH_META, &[g.num_directed_edges() as u64]).unwrap();
+        w.section_pod(SEC_OFFSETS, g.csr_offsets()).unwrap();
         w.finish().unwrap();
         let snap = Snapshot::open(&path).unwrap();
         let err = graph_from_snapshot(&snap).unwrap_err();
@@ -597,9 +550,36 @@ mod tests {
     fn duplicate_section_ids_are_rejected_at_write_time() {
         let path = tmp("dup");
         let mut w = SnapshotWriter::create(&path).unwrap();
-        w.section_pod(SEC_GRAPH_META, &[0u64]).unwrap();
-        assert!(w.section_pod(SEC_GRAPH_META, &[0u64]).is_err());
+        w.section_pod(SEC_OFFSETS, &[0u64]).unwrap();
+        assert!(w.section_pod(SEC_OFFSETS, &[0u64]).is_err());
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn odd_adjacency_length_is_refused() {
+        // One adjacency entry too many, with the last offset moved to
+        // cover it: every length agrees, but a triple has lost its mirror.
+        let path = tmp("oddadj");
+        let g = sample();
+        let mut offsets = g.csr_offsets().to_vec();
+        *offsets.last_mut().unwrap() += 1;
+        let mut adj = g.csr_adjacency().to_vec();
+        adj.push(adj[0]);
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.section_pod(SEC_OFFSETS, &offsets).unwrap();
+        w.section_pod(SEC_ADJ, &adj).unwrap();
+        w.section_pod(SEC_WEIGHTS, g.weights()).unwrap();
+        w.section_str_table(SEC_NODE_KEY_OFFSETS, SEC_NODE_KEY_BYTES, g.node_keys_table())
+            .unwrap();
+        w.section_str_table(SEC_NODE_TEXT_OFFSETS, SEC_NODE_TEXT_BYTES, g.node_texts_table())
+            .unwrap();
+        w.section_str_table(SEC_LABEL_OFFSETS, SEC_LABEL_BYTES, g.label_names_table())
+            .unwrap();
+        w.finish().unwrap();
+        let snap = Snapshot::open(&path).unwrap();
+        let err = graph_from_snapshot(&snap).unwrap_err().to_string();
+        let _ = std::fs::remove_file(path);
+        assert!(err.contains("adjacency holds 7 entries, an odd count"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`load_graph`] is the single entry point; the CLI, the serve loop and
 //! the bench harness all go through it. A graph enters in one of two
 //! ways: `.tsv`, `.nt` and `.bin` are parsed through the builder, which
-//! derives the CSR, degrees and Eq. 2 weights from the edge list; a
+//! derives the CSR and the normalized Eq. 2 weights from the edge list; a
 //! `.wsnap` compiled by `wikisearch build-snapshot` is memory-mapped and
 //! validated lazily ([`crate::snapshot`]), its columns viewed in place.
 //! [`save_graph`] writes `.tsv` and `.bin` only: a `.wsnap` also carries
@@ -33,20 +33,23 @@ enum GraphFormat {
     Snapshot,
 }
 
+/// The extensions [`load_graph`] reads.
+const LOADS: &str = ".tsv, .txt, .nt, .bin or .wsnap";
+/// The extensions [`save_graph`] writes.
+const SAVES: &str = ".tsv, .txt or .bin";
+
 impl GraphFormat {
-    /// Detect the format of `path` from its extension.
-    fn from_path(path: &Path) -> Result<GraphFormat, KgraphError> {
+    /// Detect the format of `path` from its extension; an unknown one is
+    /// refused naming the `supported` extensions instead.
+    fn from_path(path: &Path, supported: &str) -> Result<GraphFormat, KgraphError> {
         let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
         match ext {
             "tsv" | "txt" => Ok(GraphFormat::Tsv),
             "nt" => Ok(GraphFormat::NTriples),
             "bin" => Ok(GraphFormat::Binary),
             "wsnap" => Ok(GraphFormat::Snapshot),
-            other => Err(KgraphError::Parse {
-                line: 0,
-                message: format!(
-                    "unsupported extension {other:?} (use .tsv, .txt, .nt, .bin or .wsnap)"
-                ),
+            other => Err(KgraphError::Unsupported {
+                message: format!("unsupported extension {other:?} (use {supported})"),
             }),
         }
     }
@@ -78,7 +81,7 @@ impl GraphStore {
 /// builder, so the file's bytes are never held whole; a `.wsnap` is
 /// mapped, not read.
 pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
-    let graph = match GraphFormat::from_path(path)? {
+    let graph = match GraphFormat::from_path(path, LOADS)? {
         GraphFormat::Snapshot => graph_from_snapshot(&Snapshot::open(path)?)?,
         GraphFormat::Binary => {
             let file = File::open(path)?;
@@ -91,17 +94,17 @@ pub fn load_graph(path: &Path) -> Result<GraphStore, KgraphError> {
     Ok(GraphStore { graph })
 }
 
-/// Write `graph` to `path` in the format its extension names: `.tsv` or
-/// `.bin`. `.nt` is read-only, and a `.wsnap` is compiled, index and
-/// metadata included, by `wikisearch build-snapshot`.
+/// Write `graph` to `path` in the format its extension names: `.tsv`
+/// (or `.txt`) or `.bin`. `.nt` is read-only, and a `.wsnap` is compiled,
+/// index and metadata included, by `wikisearch build-snapshot`.
 pub fn save_graph(graph: &KnowledgeGraph, path: &Path) -> Result<(), KgraphError> {
-    let format = GraphFormat::from_path(path)?;
+    let format = GraphFormat::from_path(path, SAVES)?;
     if matches!(format, GraphFormat::NTriples | GraphFormat::Snapshot) {
-        return Err(KgraphError::Parse {
-            line: 0,
-            message: "only .tsv and .bin are written here: .nt is read-only, and a .wsnap \
-                      is compiled by `wikisearch build-snapshot`"
-                .into(),
+        return Err(KgraphError::Unsupported {
+            message: format!(
+                ".nt is read-only, and a .wsnap is compiled by `wikisearch build-snapshot` \
+                 (use {SAVES})"
+            ),
         });
     }
     let mut w = BufWriter::new(File::create(path)?);
@@ -134,13 +137,19 @@ mod tests {
 
     #[test]
     fn format_detection_by_extension() {
-        assert_eq!(GraphFormat::from_path(Path::new("g.tsv")).unwrap(), GraphFormat::Tsv);
-        assert_eq!(GraphFormat::from_path(Path::new("g.txt")).unwrap(), GraphFormat::Tsv);
-        assert_eq!(GraphFormat::from_path(Path::new("g.nt")).unwrap(), GraphFormat::NTriples);
-        assert_eq!(GraphFormat::from_path(Path::new("g.bin")).unwrap(), GraphFormat::Binary);
-        assert_eq!(GraphFormat::from_path(Path::new("g.wsnap")).unwrap(), GraphFormat::Snapshot);
-        assert!(GraphFormat::from_path(Path::new("g.json")).is_err());
-        assert!(GraphFormat::from_path(Path::new("g.parquet")).is_err());
+        assert_eq!(GraphFormat::from_path(Path::new("g.tsv"), LOADS).unwrap(), GraphFormat::Tsv);
+        assert_eq!(GraphFormat::from_path(Path::new("g.txt"), LOADS).unwrap(), GraphFormat::Tsv);
+        assert_eq!(
+            GraphFormat::from_path(Path::new("g.nt"), LOADS).unwrap(),
+            GraphFormat::NTriples
+        );
+        assert_eq!(GraphFormat::from_path(Path::new("g.bin"), LOADS).unwrap(), GraphFormat::Binary);
+        assert_eq!(
+            GraphFormat::from_path(Path::new("g.wsnap"), LOADS).unwrap(),
+            GraphFormat::Snapshot
+        );
+        assert!(GraphFormat::from_path(Path::new("g.json"), LOADS).is_err());
+        assert!(GraphFormat::from_path(Path::new("g.parquet"), LOADS).is_err());
     }
 
     #[test]

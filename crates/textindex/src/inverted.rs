@@ -10,10 +10,10 @@
 //! a lexicographically sorted term table ([`StrTable`]) plus a CSR of
 //! posting lists (`posting_offsets` delimiting one flat [`NodeId`]
 //! column). Term lookup is a binary search over the sorted table. The
-//! same four columns serialize into `.wsnap` snapshot sections (ids
-//! 20–24) and map back zero-copy, so a heap-built index and a
-//! mapped one are structurally identical — the property the mmap points
-//! of the differential `lattice` suite lean on.
+//! same columns serialize into four `.wsnap` snapshot sections (ids
+//! 20–23; 24 is retired) and map back zero-copy, so a heap-built index
+//! and a mapped one are structurally identical — the property the mmap
+//! points of the differential `lattice` suite lean on.
 
 use crate::analyzer::{analyze_token, analyze_unique};
 use crate::tokenizer::raw_tokens;
@@ -29,8 +29,6 @@ pub const SEC_TERM_BYTES: u32 = 21;
 pub const SEC_POSTING_OFFSETS: u32 = 22;
 /// Snapshot section: flat posting lists (u32 node ids).
 pub const SEC_POSTINGS: u32 = 23;
-/// Snapshot section: index metadata (`num_nodes` as one u64).
-pub const SEC_INDEX_META: u32 = 24;
 
 /// Inverted index over a graph's node texts.
 #[derive(Clone, Debug, Default)]
@@ -42,7 +40,6 @@ pub struct InvertedIndex {
     /// All posting lists, concatenated in term order; each list is a
     /// sorted, deduplicated run of node ids.
     postings: Column<NodeId>,
-    num_nodes: usize,
 }
 
 impl InvertedIndex {
@@ -89,18 +86,12 @@ impl InvertedIndex {
             terms: StrTable::from_strings(order.iter().map(|&id| &terms[id])),
             posting_offsets: posting_offsets.into(),
             postings: postings.into(),
-            num_nodes: g.num_nodes(),
         }
     }
 
     /// Number of distinct analyzed terms.
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Number of indexed nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 
     /// Binary search for `term` in the sorted term table.
@@ -178,13 +169,12 @@ impl InvertedIndex {
             + self.terms.approx_bytes()
     }
 
-    /// Write the index's four sections (ids 20–24) into `w`, alongside
+    /// Write the index's four sections (ids 20–23) into `w`, alongside
     /// whatever graph sections are already there.
     pub fn write_snapshot_sections(&self, w: &mut SnapshotWriter) -> std::io::Result<()> {
         w.section_str_table(SEC_TERM_OFFSETS, SEC_TERM_BYTES, &self.terms)?;
         w.section_pod(SEC_POSTING_OFFSETS, &self.posting_offsets)?;
-        w.section_pod(SEC_POSTINGS, &self.postings)?;
-        w.section_pod(SEC_INDEX_META, &[self.num_nodes as u64])
+        w.section_pod(SEC_POSTINGS, &self.postings)
     }
 
     /// Reassemble a zero-copy index over `snap`'s sections. Cheap length
@@ -195,10 +185,6 @@ impl InvertedIndex {
         let terms = snap.str_table(SEC_TERM_OFFSETS, SEC_TERM_BYTES)?;
         let posting_offsets: Column<u64> = snap.column(SEC_POSTING_OFFSETS)?;
         let postings: Column<NodeId> = snap.column(SEC_POSTINGS)?;
-        let meta: Column<u64> = snap.column(SEC_INDEX_META)?;
-        if meta.len() != 1 {
-            return Err(snap_err(format!("meta section holds {} values, expected 1", meta.len())));
-        }
         if posting_offsets.len() != terms.len() + 1 {
             return Err(snap_err(format!(
                 "{} posting offsets for {} terms",
@@ -216,7 +202,7 @@ impl InvertedIndex {
             }
             None => return Err(snap_err("empty posting offset section".into())),
         }
-        Ok(InvertedIndex { terms, posting_offsets, postings, num_nodes: meta[0] as usize })
+        Ok(InvertedIndex { terms, posting_offsets, postings })
     }
 }
 
@@ -284,7 +270,6 @@ mod tests {
     fn index_counts() {
         let g = sample();
         let idx = InvertedIndex::build(&g);
-        assert_eq!(idx.num_nodes(), 4);
         // sparql, query, languag, rdf, xpath
         assert_eq!(idx.num_terms(), 5);
         assert!(idx.approx_bytes() > 0);
@@ -335,7 +320,6 @@ mod tests {
         let idx2 = InvertedIndex::from_snapshot(&snap).unwrap();
         assert!(idx2.is_memory_mapped());
         assert_eq!(idx2.num_terms(), idx.num_terms());
-        assert_eq!(idx2.num_nodes(), idx.num_nodes());
         for (t, df) in idx.term_frequencies() {
             assert_eq!(idx2.frequency(t), df);
             assert_eq!(idx2.lookup_analyzed(t), idx.lookup_analyzed(t));
